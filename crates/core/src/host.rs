@@ -8,8 +8,7 @@
 //! ```
 
 use std::any::Any;
-use std::collections::BTreeMap;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use acdc_netsim::{Ctx, Node, PortId, TokenBucket};
@@ -72,9 +71,34 @@ struct Conn {
     rwnd_trace: Option<TimeSeries>,
     tput: Option<acdc_stats::ThroughputMeter>,
     last_acked: u64,
+    /// `ep.in_flight() > 0` as of the last [`HostNode::refresh`] (counted
+    /// in the host's `in_flight_conns`).
+    in_flight: bool,
+}
+
+/// The earlier of two optional deadlines (`None` = never).
+fn earlier(a: Option<Nanos>, b: Option<Nanos>) -> Option<Nanos> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, None) => a,
+        (None, b) => b,
+    }
 }
 
 impl Conn {
+    /// When this connection next needs servicing on its own account:
+    /// endpoint timer, app wake-up, pending scheduled start / stop.
+    fn earliest_deadline(&self) -> Option<Nanos> {
+        let mut t = earlier(self.ep.next_timer(), self.app_wake);
+        if !self.started {
+            t = earlier(t, self.start_at);
+        }
+        if !self.stopped {
+            t = earlier(t, self.stop_at);
+        }
+        t
+    }
+
     fn sample_taps(&mut self, now: Nanos) {
         if let Some(ts) = &mut self.cwnd_trace {
             let v = self.ep.cwnd() as f64;
@@ -132,7 +156,7 @@ pub trait MultiApp: Send {
 struct ConnsAccess<'a> {
     conns: &'a mut [Conn],
     /// Connections written to during this poll (only these need pumping).
-    touched: Vec<usize>,
+    touched: &'a mut Vec<usize>,
 }
 
 impl MultiConnAccess for ConnsAccess<'_> {
@@ -157,6 +181,81 @@ impl MultiConnAccess for ConnsAccess<'_> {
     }
 }
 
+/// "No deadline" in a [`DeadlineTree`] node.
+const NEVER: Nanos = Nanos::MAX;
+
+/// The host's deadline index: a tournament tree over connection indices.
+/// Leaf `i` holds connection `i`'s earliest deadline, every inner node
+/// the minimum of its two children. Setting a leaf is O(log n) and never
+/// allocates, the host's earliest deadline is the root, and the due
+/// leaves come out in ascending connection index (DESIGN.md "Host
+/// scheduling").
+struct DeadlineTree {
+    /// Node `k` has children `2k` and `2k + 1`; node 1 is the root, node
+    /// `leaves + i` is leaf `i`, node 0 is unused.
+    nodes: Vec<Nanos>,
+    /// Leaf capacity, a power of two.
+    leaves: usize,
+}
+
+impl DeadlineTree {
+    fn new() -> DeadlineTree {
+        DeadlineTree {
+            nodes: vec![NEVER; 2],
+            leaves: 1,
+        }
+    }
+
+    /// Make room for `n` leaves (amortised doubling).
+    fn grow_to(&mut self, n: usize) {
+        if n <= self.leaves {
+            return;
+        }
+        let leaves = n.next_power_of_two();
+        let mut nodes = vec![NEVER; 2 * leaves];
+        nodes[leaves..leaves + self.leaves].copy_from_slice(&self.nodes[self.leaves..]);
+        for k in (1..leaves).rev() {
+            nodes[k] = nodes[2 * k].min(nodes[2 * k + 1]);
+        }
+        *self = DeadlineTree { nodes, leaves };
+    }
+
+    fn set(&mut self, idx: usize, deadline: Option<Nanos>) {
+        let mut k = self.leaves + idx;
+        self.nodes[k] = deadline.unwrap_or(NEVER);
+        while k > 1 {
+            k /= 2;
+            let min = self.nodes[2 * k].min(self.nodes[2 * k + 1]);
+            if self.nodes[k] == min {
+                break;
+            }
+            self.nodes[k] = min;
+        }
+    }
+
+    fn earliest(&self) -> Option<Nanos> {
+        Some(self.nodes[1]).filter(|&t| t != NEVER)
+    }
+
+    /// Append to `out` the leaves whose deadline is at or before `now`,
+    /// in ascending index, visiting only subtrees that hold one.
+    fn due(&self, now: Nanos, out: &mut Vec<usize>) {
+        self.due_under(1, now, out);
+    }
+
+    fn due_under(&self, k: usize, now: Nanos, out: &mut Vec<usize>) {
+        if self.nodes[k] > now {
+            return;
+        }
+        if k >= self.leaves {
+            out.push(k - self.leaves);
+        } else {
+            self.due_under(2 * k, now, out);
+            self.due_under(2 * k + 1, now, out);
+        }
+    }
+}
+
 /// Egress rate limiter state (Figure 2's 2 Gbps token bucket).
 struct RateLimiter {
     tb: TokenBucket,
@@ -170,6 +269,17 @@ pub struct HostNode {
     datapath: Arc<AcdcDatapath>,
     conns: Vec<Conn>,
     by_key: BTreeMap<FlowKey, usize>,
+    /// [`Conn::earliest_deadline`] of every connection, kept exact by
+    /// [`HostNode::refresh`]: the host's next wake-up is its minimum, and
+    /// a timer services only the connections that are due.
+    deadlines: DeadlineTree,
+    /// Connections with unacknowledged data — what keeps the vSwitch
+    /// maintenance tick armed.
+    in_flight_conns: usize,
+    /// Reusable list of connection indices (empty between uses): the due
+    /// connections of a timer, then those the host-level apps queued
+    /// data on.
+    scratch: Vec<usize>,
     multi_apps: Vec<(Box<dyn MultiApp>, Option<Nanos>)>,
     rl: Option<RateLimiter>,
     /// Earliest wake-up currently scheduled with the engine.
@@ -202,6 +312,9 @@ impl HostNode {
             datapath,
             conns: Vec::new(),
             by_key: BTreeMap::new(),
+            deadlines: DeadlineTree::new(),
+            in_flight_conns: 0,
+            scratch: Vec::new(),
             multi_apps: Vec::new(),
             rl: None,
             armed: None,
@@ -346,14 +459,26 @@ impl HostNode {
                 .tput_bin
                 .map(|bin| acdc_stats::ThroughputMeter::new(0).with_bins(bin)),
             last_acked: 0,
+            in_flight: false,
         });
         self.by_key.insert(key, idx);
+        self.deadlines.grow_to(self.conns.len());
+        // Room for every connection to be due at once, so that timers
+        // never allocate.
+        self.scratch.reserve(self.conns.len());
+        self.refresh(idx);
         idx
     }
 
     /// Schedule the end of a long-lived flow (Figure 14).
     pub fn set_stop_at(&mut self, conn: usize, at: Nanos) {
         self.conns[conn].stop_at = Some(at);
+        self.refresh(conn);
+    }
+
+    /// Index of the connection whose egress 5-tuple is `key`.
+    pub fn conn_index_of(&self, key: &FlowKey) -> Option<usize> {
+        self.by_key.get(key).copied()
     }
 
     /// Immutable access to a connection's endpoint.
@@ -468,6 +593,37 @@ impl HostNode {
             }
         }
         self.conns[idx].sample_taps(now);
+        self.refresh(idx);
+    }
+
+    /// Bring connection `idx`'s leaf in the deadline index and its share
+    /// of the in-flight count up to date. Everything that changes either
+    /// ends in [`HostNode::pump`], so that is where this runs (plus the
+    /// two setters that work without a `Ctx`).
+    fn refresh(&mut self, idx: usize) {
+        let c = &mut self.conns[idx];
+        self.deadlines.set(idx, c.earliest_deadline());
+        let in_flight = c.ep.in_flight() > 0;
+        if in_flight != c.in_flight {
+            if in_flight {
+                self.in_flight_conns += 1;
+            } else {
+                self.in_flight_conns -= 1;
+            }
+            c.in_flight = in_flight;
+        }
+    }
+
+    /// The O(connections) fold the index replaces, kept as the oracle
+    /// `reschedule` checks the index against in debug builds.
+    fn index_matches_full_fold(&self) -> bool {
+        let mut earliest = None;
+        let mut in_flight = 0;
+        for c in &self.conns {
+            earliest = earlier(earliest, c.earliest_deadline());
+            in_flight += usize::from(c.ep.in_flight() > 0);
+        }
+        earliest == self.deadlines.earliest() && in_flight == self.in_flight_conns
     }
 
     fn poll_app(&mut self, ctx: &mut Ctx<'_>, idx: usize) {
@@ -478,22 +634,27 @@ impl HostNode {
         }
     }
 
-    /// Poll the host-level apps; returns the connections they queued data
-    /// on (the only ones that need pumping afterwards).
-    fn poll_multi(&mut self, ctx: &mut Ctx<'_>) -> Vec<usize> {
+    /// Poll the host-level apps, then pump the connections they queued
+    /// data on (the only ones that need it), in ascending index.
+    fn poll_multi(&mut self, ctx: &mut Ctx<'_>) {
+        if self.multi_apps.is_empty() {
+            return;
+        }
         let now = ctx.now();
-        let mut touched = Vec::new();
+        let mut touched = std::mem::take(&mut self.scratch);
         for (app, wake) in &mut self.multi_apps {
             let mut access = ConnsAccess {
                 conns: &mut self.conns,
-                touched: Vec::new(),
+                touched: &mut touched,
             };
             *wake = app.poll(now, &mut access);
-            touched.extend(access.touched);
         }
         touched.sort_unstable();
         touched.dedup();
-        touched
+        for idx in touched.drain(..) {
+            self.pump(ctx, idx);
+        }
+        self.scratch = touched;
     }
 
     fn service_conn(&mut self, ctx: &mut Ctx<'_>, idx: usize) {
@@ -526,38 +687,26 @@ impl HostNode {
 
     fn reschedule(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        let mut earliest: Option<Nanos> = None;
-        let mut fold = |t: Option<Nanos>| {
-            if let Some(t) = t {
-                earliest = Some(earliest.map_or(t, |e: Nanos| e.min(t)));
-            }
-        };
-        for c in &self.conns {
-            fold(c.ep.next_timer());
-            fold(c.app_wake);
-            if !c.started {
-                fold(c.start_at);
-            }
-            if !c.stopped {
-                fold(c.stop_at);
-            }
-        }
+        debug_assert!(
+            self.index_matches_full_fold(),
+            "deadline index / in-flight count out of date"
+        );
+        let mut earliest = self.deadlines.earliest();
         for (_, wake) in &self.multi_apps {
-            fold(*wake);
+            earliest = earlier(earliest, *wake);
         }
         // Keep the vSwitch maintenance tick alive only while some flow
         // actually has unacknowledged data to watch.
-        if self.conns.iter().any(|c| c.ep.in_flight() > 0) {
-            fold(Some(self.next_dp_tick.max(now)));
+        if self.in_flight_conns > 0 {
+            earliest = earlier(earliest, Some(self.next_dp_tick.max(now)));
         }
-        if let Some(rl) = &mut self.rl {
+        if let Some(rl) = &self.rl {
             if let Some(front) = rl.queue.front() {
-                // Probe the release time without consuming tokens.
-                let mut probe = rl.tb.clone();
-                match probe.try_consume(front.wire_len(), now) {
-                    Ok(()) => fold(Some(now + 1)),
-                    Err(at) => fold(Some(at)),
-                }
+                let release = match rl.tb.peek(front.wire_len(), now) {
+                    Ok(()) => now + 1,
+                    Err(at) => at,
+                };
+                earliest = earlier(earliest, Some(release));
             }
         }
         if let Some(t) = earliest {
@@ -607,11 +756,7 @@ impl Node for HostNode {
                 if let Some(&idx) = self.by_key.get(&key) {
                     self.conns[idx].ep.on_segment(now, &s);
                     self.service_conn(ctx, idx);
-                    if !self.multi_apps.is_empty() {
-                        for i in self.poll_multi(ctx) {
-                            self.pump(ctx, i);
-                        }
-                    }
+                    self.poll_multi(ctx);
                 }
             }
             Verdict::ForwardWithExtra(..) => unreachable!("ingress never generates packets"),
@@ -655,19 +800,61 @@ impl Node for HostNode {
                 .gc(now, self.datapath.config().gc_idle_timeout);
             self.next_dp_tick = now + DP_TICK_PERIOD;
         }
-        for idx in 0..self.conns.len() {
+        // Only the connections whose own deadline is due have anything to
+        // do; ascending index keeps the order their packets leave in.
+        let mut due = std::mem::take(&mut self.scratch);
+        self.deadlines.due(now, &mut due);
+        for idx in due.drain(..) {
             self.service_conn(ctx, idx);
         }
-        if !self.multi_apps.is_empty() {
-            for i in self.poll_multi(ctx) {
-                self.pump(ctx, i);
-            }
-        }
+        self.scratch = due;
+        self.poll_multi(ctx);
         self.rl_drain(ctx);
         self.reschedule(ctx);
     }
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The tree against a plain list of optional deadlines, through
+    /// growth, overwrites, clears and equal deadlines.
+    #[test]
+    fn deadline_tree_matches_a_linear_scan() {
+        let mut tree = DeadlineTree::new();
+        let mut model: Vec<Option<Nanos>> = Vec::new();
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |bound: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % bound
+        };
+        let mut due = Vec::new();
+        for step in 0..4_000 {
+            if model.len() < 200 && step % 7 == 0 {
+                model.push(None);
+                tree.grow_to(model.len());
+            }
+            let idx = next(model.len() as u64) as usize;
+            // A small range of times, so that ties are common.
+            let deadline = (next(4) != 0).then(|| next(50));
+            model[idx] = deadline;
+            tree.set(idx, deadline);
+
+            assert_eq!(tree.earliest(), model.iter().flatten().min().copied());
+            let now = next(60);
+            due.clear();
+            tree.due(now, &mut due);
+            let expect: Vec<usize> = (0..model.len())
+                .filter(|&i| model[i].is_some_and(|t| t <= now))
+                .collect();
+            assert_eq!(due, expect, "step {step} now {now}");
+        }
     }
 }

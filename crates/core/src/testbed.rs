@@ -712,16 +712,9 @@ impl Testbed {
     }
 
     fn conn_index(&mut self, h: FlowHandle) -> usize {
-        // Connections are added in order; find by key on the client host.
-        let host = self.host_mut(h.client_host);
-        for i in 0..host.conn_count() {
-            let ep = host.endpoint(i);
-            // Match on local port (unique per host).
-            if ep_local_key(ep) == h.key {
-                return i;
-            }
-        }
-        panic!("flow not found on host {}", h.client_host);
+        self.host_mut(h.client_host)
+            .conn_index_of(&h.key)
+            .unwrap_or_else(|| panic!("flow not found on host {}", h.client_host))
     }
 
     /// Schedule the end of a long-lived flow (Figure 14's convergence
@@ -786,17 +779,6 @@ impl Testbed {
             .iter()
             .map(|&h| self.flow_gbps(h, start, end))
             .collect()
-    }
-}
-
-/// Build the client-side flow key of an endpoint (helper).
-fn ep_local_key(ep: &Endpoint) -> FlowKey {
-    let cfg = ep.config();
-    FlowKey {
-        src_ip: cfg.local_ip,
-        dst_ip: cfg.remote_ip,
-        src_port: cfg.local_port,
-        dst_port: cfg.remote_port,
     }
 }
 

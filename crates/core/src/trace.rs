@@ -67,17 +67,20 @@ impl MultiApp for TraceSender {
         }
         // Issue the next message.
         if self.outstanding.is_none() && now < self.stop_at {
-            // Pick a random established connection.
-            let established: Vec<usize> = self
-                .conns
-                .iter()
-                .copied()
-                .filter(|&c| conns.established(c))
-                .collect();
-            if established.is_empty() {
+            // Pick a random established connection: count them, draw k,
+            // take the k-th (no per-issue list).
+            let established = |&&c: &&usize| conns.established(c);
+            let n = self.conns.iter().filter(established).count();
+            if n == 0 {
                 return None; // re-polled when connections come up
             }
-            let pick = established[self.rng.random_range(0..established.len())];
+            let k = self.rng.random_range(0..n);
+            let pick = *self
+                .conns
+                .iter()
+                .filter(established)
+                .nth(k)
+                .expect("k < established count");
             let size = self.dist.sample(&mut self.rng);
             conns.send(pick, size);
             self.outstanding = Some((pick, conns.queued(pick), size, now));
@@ -132,6 +135,48 @@ mod tests {
         fake.established = vec![true, true];
         app.poll(1, &mut fake);
         assert_eq!(fake.queued.iter().filter(|&&q| q > 0).count(), 1);
+    }
+
+    /// Count-then-select must pick what collecting the established
+    /// connections into a list and indexing it picked, from the same two
+    /// RNG draws in the same order (simulation outputs hang on both).
+    #[test]
+    fn selection_replays_the_collecting_version() {
+        const N: usize = 16;
+        // Not the identity, so position in `conns` ≠ connection index.
+        let conns: Vec<usize> = (0..N).map(|i| (i * 5) % N).collect();
+        let dist = FlowSizeDist::web_search();
+        let mut app = TraceSender::new(conns.clone(), dist.clone(), 9, u64::MAX);
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut fake = Fake {
+            established: vec![false; N],
+            queued: vec![0; N],
+            acked: vec![0; N],
+        };
+        let mut issued = 0;
+        for t in 0..1_000u64 {
+            for (i, e) in fake.established.iter_mut().enumerate() {
+                *e = t % 50 != 49 && !(t + i as u64).is_multiple_of(3);
+            }
+            app.poll(t, &mut fake);
+            let established: Vec<usize> = conns
+                .iter()
+                .copied()
+                .filter(|&c| fake.established[c])
+                .collect();
+            if established.is_empty() {
+                assert!(app.outstanding.is_none(), "nothing to issue on at t={t}");
+                continue;
+            }
+            let pick = established[rng.random_range(0..established.len())];
+            let size = dist.sample(&mut rng);
+            let (idx, _, got, _) = app.outstanding.expect("a message is issued");
+            assert_eq!((idx, got), (pick, size), "t={t}");
+            // Acknowledge it so that the next poll issues again.
+            fake.acked[pick] = fake.queued[pick];
+            issued += 1;
+        }
+        assert_eq!(issued, 980);
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Direct tests of the host node: TSQ gating, rate limiting, timer
 //! plumbing — via a minimal two-host network.
 
-use acdc_core::{ConnTaps, Scheme, Testbed};
-use acdc_stats::time::{MILLISECOND, SECOND};
+use acdc_cc::CcKind;
+use acdc_core::{ConnTaps, FlowHandle, Scheme, Testbed, TraceSender};
+use acdc_stats::time::{Nanos, MICROSECOND, MILLISECOND, SECOND};
+use acdc_tcp::TcpState;
 use acdc_workloads::apps::{BulkSender, MessageSender};
-use acdc_workloads::FctKind;
+use acdc_workloads::{FctKind, FlowSizeDist};
 
 /// A bulk flow and a mice flow sharing one host NIC: per-connection TSQ
 /// must keep the mice from queueing behind the bulk flow's window.
@@ -123,4 +125,169 @@ fn flow_keys_are_unique_per_host() {
     assert_eq!(tb.acked_bytes(h1), 1_000);
     assert_eq!(tb.acked_bytes(h2), 1_000);
     assert_eq!(tb.acked_bytes(h3), 1_000);
+}
+
+/// One host, 64 connections, each with deadlines of its own: 32 periodic
+/// message senders (staggered starts, distinct periods) and 32 trickling
+/// bulk flows (staggered starts and stops). A host timer services only
+/// the connections that are due, so each of these must happen at its own
+/// time although the host keeps waking for the other 63.
+#[test]
+fn every_connection_keeps_its_own_schedule_on_a_64_connection_host() {
+    const MSG: u64 = 2_000; // two segments, so the ACK is not delayed
+    const END: Nanos = 12 * MILLISECOND;
+    let mut tb = Testbed::star(5, Scheme::acdc(), 1500);
+    let period = |i: u64| 700 * MICROSECOND + i * 31 * MICROSECOND;
+    let mut senders: Vec<(FlowHandle, Nanos)> = Vec::new();
+    let mut bulks: Vec<(FlowHandle, Nanos)> = Vec::new();
+    // (time, what is due then, flow)
+    let mut schedule: Vec<(Nanos, bool, FlowHandle)> = Vec::new();
+    for i in 0..32u64 {
+        let server = 1 + (i as usize) % 4;
+        let start = 100 * MICROSECOND + i * 37 * MICROSECOND + 500;
+        let app = MessageSender::new(MSG, period(i), None, FctKind::Mice);
+        let h = tb.add_flow(
+            0,
+            server,
+            Some(Box::new(app)),
+            None,
+            start,
+            ConnTaps::default(),
+        );
+        senders.push((h, period(i)));
+        schedule.push((start, true, h));
+        // A window of one segment: a packet per delayed-ACK timeout, so
+        // the NIC stays idle enough for message FCTs to show lateness.
+        let start = 150 * MICROSECOND + i * 53 * MICROSECOND;
+        let stop = 6 * MILLISECOND + i * 41 * MICROSECOND;
+        let h = tb.add_bulk_with_cc_clamped(
+            0,
+            server,
+            CcKind::Cubic,
+            false,
+            None,
+            start,
+            ConnTaps::default(),
+            Some(1_448),
+        );
+        tb.set_flow_stop(h, stop);
+        bulks.push((h, stop));
+        schedule.push((start, true, h));
+        schedule.push((stop, false, h));
+    }
+    assert_eq!(tb.host_mut(0).conn_count(), 64);
+    schedule.sort_by_key(|&(t, ..)| t);
+    assert!(
+        schedule.windows(2).all(|w| w[0].0 + 2 <= w[1].0),
+        "checkpoints must be steppable one by one"
+    );
+
+    // A stopped bulk flow's stream is cut at what was already sent.
+    let unlimited = 1u64 << 44;
+    for (at, is_start, h) in schedule {
+        tb.run_until(at - 1);
+        if is_start {
+            assert_eq!(tb.client_endpoint(h).state(), TcpState::Closed, "t={at}");
+        } else {
+            assert_eq!(tb.client_endpoint(h).queued_bytes(), unlimited, "t={at}");
+        }
+        tb.run_until(at);
+        if is_start {
+            assert_eq!(tb.client_endpoint(h).state(), TcpState::SynSent, "t={at}");
+        } else {
+            assert!(tb.client_endpoint(h).queued_bytes() < unlimited, "t={at}");
+        }
+    }
+    tb.run_until(END);
+
+    for (h, stop) in bulks {
+        let ep = tb.client_endpoint(h);
+        assert!(ep.acked_bytes() > 0, "bulk flow ran until {stop}");
+        assert_eq!(ep.acked_bytes(), ep.queued_bytes(), "and drained after");
+    }
+    // A message is timed from when it was due, so one sent late (or only
+    // when some other event happened to poll its connection) shows as a
+    // long FCT, and one never sent as a missing sample.
+    let on_time = 50 * MICROSECOND;
+    for (h, period) in senders {
+        let fct = tb.fct_of(h);
+        let first = fct.samples()[0].start;
+        let due = (END - on_time - first) / period + 1;
+        assert!(
+            fct.len() as u64 >= due,
+            "{} of {due} messages, period {period}",
+            fct.len()
+        );
+        for (k, s) in fct.samples().iter().enumerate() {
+            assert_eq!(s.start, first + k as u64 * period);
+            assert!(s.fct() < on_time, "message {k} took {} ns", s.fct());
+        }
+    }
+}
+
+/// The vSwitch maintenance tick is armed only while some connection has
+/// unacknowledged data: an idle host lets the engine run dry, and the
+/// tick comes back with the next message.
+#[test]
+fn maintenance_tick_follows_in_flight_data() {
+    const DP_TICK: Nanos = 10 * MILLISECOND;
+    let period = 100 * MILLISECOND;
+    let mut tb = Testbed::star(2, Scheme::acdc(), 1500);
+    let h = tb.add_messages(0, 1, 20_000, period, Some(2), 0);
+
+    // First message acknowledged, every armed timer has fired: all that
+    // is left in the whole network is the app's wake-up for the second.
+    tb.run_until(50 * MILLISECOND);
+    let fct = tb.fct_of(h);
+    assert_eq!(fct.len(), 1);
+    let second = fct.samples()[0].start + period;
+    assert_eq!(tb.net.peek_time(), Some(second));
+
+    // Second message acknowledged (and the receiver's superseded
+    // delayed-ACK timers fired); the tick armed while it was in flight
+    // is pending, one period after the wake-up that ran the overdue one.
+    tb.run_until(second + 2 * MILLISECOND);
+    assert_eq!(tb.fct_of(h).len(), 2);
+    assert_eq!(tb.net.peek_time(), Some(second + DP_TICK));
+
+    // It fires, finds nothing in flight, and is not armed again.
+    tb.run_until(second + DP_TICK);
+    assert!(!tb.net.has_events(), "idle host must not keep ticking");
+    let events = tb.net.events_processed();
+    tb.run_until(SECOND);
+    assert_eq!(tb.net.events_processed(), events);
+}
+
+/// All-pairs trace generators on three hosts, every connection opening at
+/// t = 0 (so equal deadlines abound): two runs are the same run.
+#[test]
+fn all_pairs_trace_scenario_is_deterministic() {
+    fn run() -> (u64, Vec<u64>) {
+        let n = 3;
+        let mut tb = Testbed::star(n, Scheme::acdc(), 9000);
+        let mut flows = Vec::new();
+        for i in 0..n {
+            for a in 0..2u64 {
+                let mut conns = Vec::new();
+                for d in (0..n).filter(|&d| d != i) {
+                    let h = tb.add_flow(i, d, None, None, 0, ConnTaps::default());
+                    conns.push(tb.client_conn_index(h));
+                    flows.push(h);
+                }
+                let app = TraceSender::new(
+                    conns,
+                    FlowSizeDist::web_search(),
+                    7 ^ ((i as u64) << 16) ^ a,
+                    18 * MILLISECOND,
+                );
+                tb.host_mut(i).add_multi_app(Box::new(app));
+            }
+        }
+        tb.run_until(20 * MILLISECOND);
+        let acked = flows.iter().map(|&h| tb.acked_bytes(h)).collect();
+        (tb.net.events_processed(), acked)
+    }
+    let (events, acked) = run();
+    assert!(acked.iter().filter(|&&b| b > 0).count() > acked.len() / 2);
+    assert_eq!(run(), (events, acked));
 }

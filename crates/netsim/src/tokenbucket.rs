@@ -9,7 +9,7 @@
 use acdc_stats::time::{Nanos, SECOND};
 
 /// A classic token bucket: `rate_bps` sustained, `burst_bytes` depth.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TokenBucket {
     rate_bps: u64,
     burst_bytes: u64,
@@ -44,9 +44,11 @@ impl TokenBucket {
         self.rate_bps
     }
 
-    fn refill(&mut self, now: Nanos) {
+    /// Token level `(tokens_bits, frac)` the bucket would hold if refilled
+    /// at `now`.
+    fn level_at(&self, now: Nanos) -> (u64, u64) {
         if now <= self.last_refill {
-            return;
+            return (self.tokens_bits, self.frac);
         }
         let dt = now - self.last_refill;
         let credit = u128::from(dt) * u128::from(self.rate_bps) + u128::from(self.frac);
@@ -55,13 +57,34 @@ impl TokenBucket {
         if self.tokens_bits + add >= cap {
             // Full bucket: surplus credit does not carry over (that
             // would grow the effective burst).
-            self.tokens_bits = cap;
-            self.frac = 0;
+            (cap, 0)
         } else {
-            self.tokens_bits += add;
-            self.frac = (credit % u128::from(SECOND)) as u64;
+            (self.tokens_bits + add, (credit % u128::from(SECOND)) as u64)
         }
-        self.last_refill = now;
+    }
+
+    fn refill(&mut self, now: Nanos) {
+        if now > self.last_refill {
+            (self.tokens_bits, self.frac) = self.level_at(now);
+            self.last_refill = now;
+        }
+    }
+
+    /// What [`TokenBucket::try_consume`] would answer for `bytes` at
+    /// `now`, without refilling or consuming: `Ok` if the tokens are
+    /// there, else the earliest time at which they will be.
+    pub fn peek(&self, bytes: usize, now: Nanos) -> Result<(), Nanos> {
+        let (tokens_bits, frac) = self.level_at(now);
+        let need = bytes as u64 * 8;
+        if tokens_bits >= need {
+            Ok(())
+        } else {
+            let deficit = need - tokens_bits;
+            // Time to accrue `deficit` whole bits, net of banked credit.
+            let short = u128::from(deficit) * u128::from(SECOND) - u128::from(frac);
+            let wait = short.div_ceil(u128::from(self.rate_bps)) as Nanos;
+            Err(now + wait)
+        }
     }
 
     /// Try to send `bytes` at `now`. On success the tokens are consumed;
@@ -69,17 +92,11 @@ impl TokenBucket {
     /// enough tokens.
     pub fn try_consume(&mut self, bytes: usize, now: Nanos) -> Result<(), Nanos> {
         self.refill(now);
-        let need = bytes as u64 * 8;
-        if self.tokens_bits >= need {
-            self.tokens_bits -= need;
-            Ok(())
-        } else {
-            let deficit = need - self.tokens_bits;
-            // Time to accrue `deficit` whole bits, net of banked credit.
-            let short = u128::from(deficit) * u128::from(SECOND) - u128::from(self.frac);
-            let wait = short.div_ceil(u128::from(self.rate_bps)) as Nanos;
-            Err(now + wait)
+        let verdict = self.peek(bytes, now);
+        if verdict.is_ok() {
+            self.tokens_bits -= bytes as u64 * 8;
         }
+        verdict
     }
 
     /// Current token level in bytes (after refilling to `now`).
@@ -150,6 +167,36 @@ mod tests {
             tb.try_consume(1_500, at).is_ok(),
             "bucket starved by sub-bit-period polling"
         );
+    }
+
+    #[test]
+    fn peek_answers_like_try_consume_and_writes_nothing() {
+        // Steps of 1, 3 and 7 ns are below the bit period of every rate
+        // but the last, so the sub-bit `frac` credit is in play.
+        for rate in [50_000_000u64, 999_999_937, 2_000_000_000, 10_000_000_000] {
+            for burst in [1_500u64, 9_000, 32_000] {
+                let mut tb = TokenBucket::new(rate, burst, 0);
+                let mut now = 0;
+                for (i, step) in [1u64, 3, 7, 20, 1_000, 250_000].iter().cycle().enumerate() {
+                    if i == 600 {
+                        break;
+                    }
+                    now += step;
+                    for bytes in [1usize, 64, 1_500, 9_000, 40_000] {
+                        let before = tb.clone();
+                        let peeked = tb.peek(bytes, now);
+                        assert_eq!(tb, before, "peek wrote to the bucket");
+                        assert_eq!(
+                            peeked,
+                            tb.clone().try_consume(bytes, now),
+                            "rate {rate} burst {burst} bytes {bytes} now {now}"
+                        );
+                    }
+                    // Drain so that both verdicts keep occurring.
+                    let _ = tb.try_consume(1_500, now);
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! requests. Apps talk to the endpoint through [`AppConn`], a narrow
 //! interface implemented by [`acdc_tcp::Endpoint`].
 
+use std::collections::VecDeque;
+
 use acdc_packet::FlowKey;
 use acdc_stats::time::{Nanos, MILLISECOND};
 
@@ -167,7 +169,7 @@ pub struct MessageSender {
     sent: u64,
     next_send: Option<Nanos>,
     /// Outstanding messages: (stream offset of last byte, start time).
-    pending: Vec<(u64, Nanos)>,
+    pending: VecDeque<(u64, Nanos)>,
     kind: FctKind,
     fct: FctRecorder,
 }
@@ -182,7 +184,7 @@ impl MessageSender {
             limit,
             sent: 0,
             next_send: None,
-            pending: Vec::new(),
+            pending: VecDeque::new(),
             kind,
             fct: FctRecorder::new(),
         }
@@ -198,7 +200,7 @@ impl App for MessageSender {
         let mut next = next;
         while now >= next && self.limit.is_none_or(|l| self.sent < l) {
             conn.send(self.msg_bytes);
-            self.pending.push((conn.queued_bytes(), next));
+            self.pending.push_back((conn.queued_bytes(), next));
             self.sent += 1;
             next += self.period;
         }
@@ -206,11 +208,11 @@ impl App for MessageSender {
 
         // Completions.
         let acked = conn.acked_bytes();
-        while let Some(&(end, start)) = self.pending.first() {
+        while let Some(&(end, start)) = self.pending.front() {
             if acked >= end {
                 self.fct
                     .record_flow(self.kind, start, now, self.msg_bytes, conn.flow_key());
-                self.pending.remove(0);
+                self.pending.pop_front();
             } else {
                 break;
             }

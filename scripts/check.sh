@@ -9,7 +9,7 @@
 #   scripts/check.sh            # run every stage, in order
 #   scripts/check.sh lint       # formatting + clippy + acdc-xtask lint
 #   scripts/check.sh analyze    # write-scope / lock-order / thread-readiness
-#   scripts/check.sh test       # workspace tests + packet proptests
+#   scripts/check.sh test       # root + core/netsim/workloads tests + packet proptests
 #   scripts/check.sh strict     # tests under --features strict-invariants
 #   scripts/check.sh chaos      # fault-injection suite (plain features)
 #   scripts/check.sh workers    # parallel-datapath suite (plain + strict)
@@ -52,9 +52,14 @@ stage_analyze() {
     fi
 }
 
+# The root package's suites plus the crates whose own tests nothing else
+# runs (host glue, engine/wheel/token bucket, apps). Debug builds, so
+# `debug_assert!` oracles such as the host's full-fold check are live.
+TEST_PKGS=(-p acdc -p acdc-core -p acdc-netsim -p acdc-workloads)
+
 stage_test() {
     echo "==> cargo test"
-    cargo test -q
+    cargo test -q "${TEST_PKGS[@]}"
 
     echo "==> packet pipeline proptests (meta/checksum coherence)"
     cargo test -q -p acdc-packet --test meta_coherence --test props
@@ -110,7 +115,7 @@ stage_chaos() {
 
 stage_strict() {
     echo "==> cargo test --features strict-invariants"
-    cargo test -q --features strict-invariants
+    cargo test -q --features strict-invariants "${TEST_PKGS[@]}"
 
     echo "==> chaos suite under strict-invariants"
     cargo test -q --features strict-invariants --test chaos --test rto_backoff --test overload
