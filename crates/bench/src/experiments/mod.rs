@@ -21,7 +21,6 @@ pub mod fig22;
 pub mod fig23;
 pub mod parkinglot;
 pub mod table1;
-pub mod throughput;
 pub mod udpmix;
 
 pub use common::{Opts, Report};

@@ -11,9 +11,9 @@
 //!
 //! `--full` runs paper-scale durations; the default is a time-scaled
 //! version of each experiment that preserves the comparisons (documented
-//! per module). The Criterion benches under `benches/` cover the CPU
-//! overhead measurements (Figures 11/12) and the datapath/wire/table
-//! microbenchmarks.
+//! per module). Performance is measured elsewhere: `acdc-harness`, the
+//! standalone package under `harness/`, is the repo's one benchmark
+//! (`BENCHMARK.json`; `scripts/check.sh harness` gates CI on it).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -19,8 +19,8 @@
 //! * [`MetricsRegistry`] — named monotonic [`Counter`]s and [`Gauge`]s
 //!   registered once, sampled onto [`acdc_stats::TimeSeries`] from the
 //!   existing 10 ms maintenance tick, and exported through one
-//!   `snapshot_all()` JSON schema shared by tests, benches and
-//!   `scripts/bench.sh`.
+//!   `snapshot_all()` JSON schema shared by tests, the soak driver and
+//!   the benchmark harness.
 //!
 //! ## Determinism contract
 //!

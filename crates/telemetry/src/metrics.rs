@@ -9,7 +9,7 @@
 //! for point-in-time values, [`MetricsRegistry::series`] for the
 //! per-metric [`TimeSeries`] filled in by the 10 ms maintenance tick, and
 //! [`MetricsRegistry::snapshot_json`] for the JSON schema shared by
-//! tests, benches and `scripts/bench.sh`.
+//! tests and the soak driver.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -480,6 +480,7 @@ enum Json {
 impl Json {
     fn parse(text: &str) -> Result<Json, String> {
         let mut p = Reader {
+            s: text,
             b: text.as_bytes(),
             pos: 0,
         };
@@ -540,7 +541,11 @@ impl Json {
 }
 
 struct Reader<'a> {
+    s: &'a str,
+    /// `s.as_bytes()`, for the single-byte structural tokens.
     b: &'a [u8],
+    /// Always on a char boundary of `s`: it advances over ASCII bytes or
+    /// whole scalars only.
     pos: usize,
 }
 
@@ -600,9 +605,9 @@ impl Reader<'_> {
                 return Err(self.err("checkpoint numbers are unsigned integers only"));
             }
         }
-        std::str::from_utf8(&self.b[start..self.pos])
+        self.s[start..self.pos]
+            .parse()
             .ok()
-            .and_then(|s| s.parse().ok())
             .map(Json::Num)
             .ok_or_else(|| self.err("number does not fit in u64"))
     }
@@ -629,11 +634,10 @@ impl Reader<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Advance one UTF-8 scalar (the input is a &str, so
-                    // the boundaries are valid by construction).
-                    let rest = std::str::from_utf8(&self.b[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let ch = rest.chars().next().unwrap();
+                    // One UTF-8 scalar. `pos` is on a char boundary, so
+                    // slicing the `&str` is O(1); going through the bytes
+                    // would re-validate the rest of the document here.
+                    let ch = self.s[self.pos..].chars().next().unwrap();
                     out.push(ch);
                     self.pos += ch.len_utf8();
                 }

@@ -19,8 +19,9 @@
 //! * support per-flow differentiation, including the priority-weighted
 //!   DCTCP of Equation 1 (§3.4).
 //!
-//! The datapath is simulator-agnostic and thread-safe: the Criterion CPU
-//! benches drive the very same code the simulation uses.
+//! The datapath is simulator-agnostic and thread-safe: the benchmark
+//! harness's vSwitch-only workloads drive the very same code the
+//! simulation uses.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -15,6 +15,9 @@
 //! sequence of handshakes, data, ACKs, FINs, ticks and GC sweeps), so
 //! every reachable combination of learned/unlearned scale, CC state,
 //! feedback accumulators and closing flags is fair game.
+//!
+//! Plus one size check: the reader is the restore path, so a table of
+//! the size the soak advertises must parse back in linear time.
 
 use acdc_packet::{Ecn, Ipv4Repr, Segment, SeqNumber, TcpFlags, TcpOption, TcpRepr, PROTO_TCP};
 use acdc_vswitch::{AcdcConfig, AcdcDatapath, DatapathCheckpoint};
@@ -77,6 +80,28 @@ fn iss(flow: u8) -> u32 {
     10_000 + 100_000 * u32::from(flow)
 }
 
+/// SYN out + SYN-ACK in for the connection `GUEST:sport` → `peer:80`,
+/// both negotiating ECN and learning `wscale`.
+fn handshake(dp: &AcdcDatapath, now: u64, peer: [u8; 4], sport: u16, iss: u32, wscale: u8) {
+    let options = vec![
+        TcpOption::MaxSegmentSize(1_448),
+        TcpOption::WindowScale(wscale),
+    ];
+    let mut syn = TcpRepr::new(sport, 80);
+    syn.seq = SeqNumber(iss);
+    syn.flags = TcpFlags::SYN | TcpFlags::ECE | TcpFlags::CWR;
+    syn.window = 65_000;
+    syn.options = options.clone();
+    let _ = dp.egress(now, Segment::new_tcp(ip(GUEST, peer, Ecn::NotEct), syn, 0));
+    let mut sa = TcpRepr::new(80, sport);
+    sa.seq = SeqNumber(1);
+    sa.ack = SeqNumber(iss + 1);
+    sa.flags = TcpFlags::SYN | TcpFlags::ACK | TcpFlags::ECE;
+    sa.window = 65_000;
+    sa.options = options;
+    let _ = dp.ingress(now, Segment::new_tcp(ip(peer, GUEST, Ecn::NotEct), sa, 0));
+}
+
 /// Apply `ops` to a fresh datapath through the real packet path,
 /// advancing virtual time per op; returns the datapath.
 fn grow(ops: &[Op]) -> AcdcDatapath {
@@ -86,26 +111,7 @@ fn grow(ops: &[Op]) -> AcdcDatapath {
         now += 500_000;
         match *op {
             Op::Handshake { flow, wscale } => {
-                let sport = 40_000 + u16::from(flow);
-                let mut syn = TcpRepr::new(sport, 80);
-                syn.seq = SeqNumber(iss(flow));
-                syn.flags = TcpFlags::SYN | TcpFlags::ECE | TcpFlags::CWR;
-                syn.window = 65_000;
-                syn.options = vec![
-                    TcpOption::MaxSegmentSize(1_448),
-                    TcpOption::WindowScale(wscale),
-                ];
-                let _ = dp.egress(now, Segment::new_tcp(ip(GUEST, PEER, Ecn::NotEct), syn, 0));
-                let mut sa = TcpRepr::new(80, sport);
-                sa.seq = SeqNumber(1);
-                sa.ack = SeqNumber(iss(flow) + 1);
-                sa.flags = TcpFlags::SYN | TcpFlags::ACK | TcpFlags::ECE;
-                sa.window = 65_000;
-                sa.options = vec![
-                    TcpOption::MaxSegmentSize(1_448),
-                    TcpOption::WindowScale(wscale),
-                ];
-                let _ = dp.ingress(now, Segment::new_tcp(ip(PEER, GUEST, Ecn::NotEct), sa, 0));
+                handshake(&dp, now, PEER, 40_000 + u16::from(flow), iss(flow), wscale);
             }
             Op::Data {
                 flow,
@@ -187,4 +193,34 @@ proptest! {
             "restored datapath must re-checkpoint to the same bytes"
         );
     }
+}
+
+/// A 10 000-entry table round-trips byte-identically, fast enough for the
+/// ordinary debug test run: the reader must not do work per character
+/// that grows with the document. Every string feature the format has
+/// rides along: a multi-byte scalar and each of the four escapes.
+#[test]
+fn ten_thousand_flow_round_trip_is_identity() {
+    const CONNS: u32 = 5_000;
+    let dp = AcdcDatapath::new(AcdcConfig::dctcp(MTU));
+    for c in 0..CONNS {
+        // One connection per remote address: 10.1.x.y.
+        let peer = [10, 1, (c >> 8) as u8, c as u8];
+        handshake(&dp, 1, peer, 40_000, c, 7);
+    }
+    let mut ckpt = dp.checkpoint(3, &[]);
+    assert_eq!(ckpt.flows.len(), 2 * CONNS as usize);
+    ckpt.main_hub
+        .metrics
+        .push(("tëst.\"quoted\"\\slash\nline\ttab→".to_string(), 7));
+
+    let json = ckpt.to_json();
+    assert!(json.contains(r#"["tëst.\"quoted\"\\slash\nline\ttab→",7]"#));
+    let parsed = DatapathCheckpoint::from_json(&json).expect("own serialization must parse");
+    assert_eq!(parsed, ckpt, "parse must invert serialize");
+    assert_eq!(
+        parsed.to_json(),
+        json,
+        "re-serialization must be byte-identical"
+    );
 }

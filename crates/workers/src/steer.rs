@@ -111,9 +111,9 @@ mod tests {
 
     #[test]
     fn mirrored_key_population_spreads() {
-        // The datapath_bench flow shape: flow i numbered into *both*
-        // addresses, fixed ports. Raw FNV-1a has a constant low bit over
-        // this population (mirrored bytes cancel in the XOR), which
+        // The `repro fig11` / `fig12` flow shape: flow i numbered into
+        // *both* addresses, fixed ports. Raw FNV-1a has a constant low bit
+        // over this population (mirrored bytes cancel in the XOR), which
         // starved every even worker count before the finalizer.
         let keys: Vec<FlowKey> = (0..4096usize)
             .map(|i| FlowKey {

@@ -15,8 +15,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod bench;
-pub mod json;
 pub mod model;
 pub mod rules;
 pub mod scan;

@@ -7,7 +7,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use acdc_xtask::{bench, find_workspace_root, json, rules, run_analyze, run_lint};
+use acdc_xtask::{find_workspace_root, rules, run_analyze, run_lint};
 
 const USAGE: &str = "\
 usage: acdc-xtask <command>
@@ -20,11 +20,6 @@ commands:
                             the item-aware source model + scopes.toml)
       [--json]              emit findings as JSON for tooling
   list-rules                print the rule catalog
-  bench-diff OLD NEW        compare two BENCH_pr3.json files; exit 1 when a
-                            gated ns/pkt median regressed past the threshold
-      [--threshold PCT]     regression threshold in percent (default 10)
-      [--summary PATH]      append the markdown table to PATH as well
-                            (e.g. $GITHUB_STEP_SUMMARY)
   dump-trace [NAME]         list flight-recorder dumps under
                             target/acdc-traces/, or print dump NAME
 ";
@@ -34,7 +29,6 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("lint") => cmd_check(&args[1..], Pass::Lint),
         Some("analyze") => cmd_check(&args[1..], Pass::Analyze),
-        Some("bench-diff") => cmd_bench_diff(&args[1..]),
         Some("dump-trace") => cmd_dump_trace(&args[1..]),
         Some("list-rules") => {
             for rule in rules::catalog() {
@@ -181,81 +175,6 @@ fn render_json(report: &acdc_xtask::Report) -> String {
         report.files_scanned
     ));
     out
-}
-
-fn read_bench_json(path: &str) -> Result<json::Json, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    json::parse(&text).map_err(|e| format!("cannot parse {path}: {e}"))
-}
-
-fn cmd_bench_diff(args: &[String]) -> ExitCode {
-    let mut files: Vec<&String> = Vec::new();
-    let mut threshold = 10.0f64;
-    let mut summary: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--threshold" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) if v >= 0.0 => threshold = v,
-                _ => {
-                    eprintln!("error: --threshold requires a non-negative percent");
-                    return ExitCode::from(2);
-                }
-            },
-            "--summary" => match it.next() {
-                Some(p) => summary = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("error: --summary requires a path");
-                    return ExitCode::from(2);
-                }
-            },
-            flag if flag.starts_with("--") => {
-                eprintln!("error: unknown bench-diff flag `{flag}`");
-                return ExitCode::from(2);
-            }
-            _ => files.push(arg),
-        }
-    }
-    let [old_path, new_path] = files.as_slice() else {
-        eprintln!("error: bench-diff needs exactly OLD and NEW json paths\n\n{USAGE}");
-        return ExitCode::from(2);
-    };
-
-    let (old, new) = match (read_bench_json(old_path), read_bench_json(new_path)) {
-        (Ok(o), Ok(n)) => (o, n),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let report = match bench::diff(&old, &new, threshold) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let table = report.render_markdown();
-    print!("{table}");
-    if let Some(path) = summary {
-        use std::io::Write;
-        let appended = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .and_then(|mut f| f.write_all(table.as_bytes()));
-        if let Err(e) = appended {
-            eprintln!("error: cannot append summary to {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-    if report.regressed() {
-        eprintln!("bench-diff: REGRESSION past {threshold:.0}% threshold");
-        ExitCode::from(1)
-    } else {
-        eprintln!("bench-diff: within {threshold:.0}% threshold");
-        ExitCode::SUCCESS
-    }
 }
 
 /// Where failing tests (via `acdc_telemetry::TraceGuard`) dump their

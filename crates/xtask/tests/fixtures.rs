@@ -266,93 +266,6 @@ fn lint_binary_exit_codes() {
     assert_eq!(missing.status.code(), Some(2), "bad root must exit 2");
 }
 
-#[test]
-fn bench_diff_exit_codes_and_table() {
-    let bin = env!("CARGO_BIN_EXE_acdc-xtask");
-    let fx = fixture("bench_diff");
-    let run = |new: &str, extra: &[&str]| {
-        std::process::Command::new(bin)
-            .arg("bench-diff")
-            .arg(fx.join("old.json"))
-            .arg(fx.join(new))
-            .args(extra)
-            .output()
-            .expect("run binary")
-    };
-
-    // Within threshold (and the new file's extra `telemetry` key is
-    // tolerated): exit 0.
-    let ok = run("new_ok.json", &[]);
-    assert!(ok.status.success(), "ok diff must exit 0: {ok:?}");
-    let stdout = String::from_utf8_lossy(&ok.stdout);
-    assert!(stdout.contains("| egress.acdc_ns_pkt |"), "{stdout}");
-    assert!(!stdout.contains("REGRESSED"), "{stdout}");
-
-    // Synthetic ~15% egress regression: exit 1 and the table says so.
-    let bad = run("new_regressed.json", &[]);
-    assert_eq!(bad.status.code(), Some(1), "regression must exit 1");
-    let stdout = String::from_utf8_lossy(&bad.stdout);
-    assert!(stdout.contains("REGRESSED"), "{stdout}");
-
-    // A generous threshold lets the same pair pass...
-    let loose = run("new_regressed.json", &["--threshold", "20"]);
-    assert!(loose.status.success(), "20% threshold must pass: {loose:?}");
-
-    // ...and --summary appends the markdown table to the given file.
-    let dir = std::env::temp_dir().join(format!("acdc-bench-diff-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let summary = dir.join("summary.md");
-    let with_summary = run("new_ok.json", &["--summary", summary.to_str().unwrap()]);
-    assert!(with_summary.status.success());
-    let text = std::fs::read_to_string(&summary).expect("summary written");
-    assert!(text.contains("Datapath bench diff"), "{text}");
-    std::fs::remove_dir_all(&dir).ok();
-
-    // Unparseable / missing input: exit 2.
-    let missing = run("no_such.json", &[]);
-    assert_eq!(missing.status.code(), Some(2), "missing file must exit 2");
-
-    // Throughput gates in the *opposite* direction: a ~20% drop in
-    // simulated-packets/sec against a throughput-carrying baseline is a
-    // regression even though every ns/pkt median is unchanged.
-    let tput = std::process::Command::new(bin)
-        .arg("bench-diff")
-        .arg(fx.join("old_throughput.json"))
-        .arg(fx.join("new_throughput_regressed.json"))
-        .output()
-        .expect("run binary");
-    assert_eq!(tput.status.code(), Some(1), "throughput drop must exit 1");
-    let stdout = String::from_utf8_lossy(&tput.stdout);
-    assert!(
-        stdout.contains("| throughput.sim_pkts_per_sec |"),
-        "{stdout}"
-    );
-    assert!(stdout.contains("REGRESSED"), "{stdout}");
-
-    // The same throughput-carrying file against itself is clean, and a
-    // throughput baseline against a throughput-less new file errors
-    // (exit 2): the bench writer silently dropping a gated section must
-    // not pass as "nothing to compare".
-    let same = std::process::Command::new(bin)
-        .arg("bench-diff")
-        .arg(fx.join("old_throughput.json"))
-        .arg(fx.join("old_throughput.json"))
-        .output()
-        .expect("run binary");
-    assert!(same.status.success(), "identical files must pass: {same:?}");
-    let dropped = std::process::Command::new(bin)
-        .arg("bench-diff")
-        .arg(fx.join("old_throughput.json"))
-        .arg(fx.join("new_ok.json"))
-        .output()
-        .expect("run binary");
-    assert_eq!(
-        dropped.status.code(),
-        Some(2),
-        "gated section vanishing from the new file must exit 2: {dropped:?}"
-    );
-}
-
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The full pre-push gate: formatting, clippy, the workspace lint pass,
-# benchmark smoke + regression diff, and the test suite (once plain,
-# once with the strict-invariants runtime hooks).
+# the whole workspace's tests (once plain, once with the
+# strict-invariants runtime hooks), and the benchmark harness gated on
+# its deterministic rows.
 #
 # Each stage is a function so CI can run them as separate jobs with the
 # exact same commands developers run locally:
@@ -9,13 +10,10 @@
 #   scripts/check.sh            # run every stage, in order
 #   scripts/check.sh lint       # formatting + clippy + acdc-xtask lint
 #   scripts/check.sh analyze    # write-scope / lock-order / thread-readiness
-#   scripts/check.sh test       # root + core/netsim/workloads tests + packet proptests
-#   scripts/check.sh strict     # tests under --features strict-invariants
-#   scripts/check.sh chaos      # fault-injection suite (plain features)
-#   scripts/check.sh workers    # parallel-datapath suite (plain + strict)
-#   scripts/check.sh soak       # bounded soak smoke (plain + strict)
-#   scripts/check.sh bench      # bench smoke + bench-diff vs BENCH_pr3.json
-#   scripts/check.sh throughput # simulator pkts/sec gate vs BENCH_pr10.json
+#   scripts/check.sh test       # cargo test --workspace
+#   scripts/check.sh strict     # the same under --features strict-invariants
+#   scripts/check.sh harness    # acdc-harness self-tests + a short run, compared
+#                               # against BENCH_harness.json on the exact rows
 #
 # Multiple stage names may be given and run in the order listed.
 set -euo pipefail
@@ -52,105 +50,100 @@ stage_analyze() {
     fi
 }
 
-# The root package's suites plus the crates whose own tests nothing else
-# runs (host glue, engine/wheel/token bucket, apps). Debug builds, so
-# `debug_assert!` oracles such as the host's full-fold check are live.
-TEST_PKGS=(-p acdc -p acdc-core -p acdc-netsim -p acdc-workloads)
-
+# Every test of every workspace member, in debug, so `debug_assert!`
+# oracles such as the host's full-fold check are live: chaos, overload,
+# workers-equivalence, the soak smoke, the checkpoint and table
+# proptests and the xtask fixtures are all in here. (The hour-long
+# acceptance soak stays behind --ignored; nightly.yml runs it.)
 stage_test() {
-    echo "==> cargo test"
-    cargo test -q "${TEST_PKGS[@]}"
-
-    echo "==> packet pipeline proptests (meta/checksum coherence)"
-    cargo test -q -p acdc-packet --test meta_coherence --test props
-}
-
-stage_bench() {
-    echo "==> datapath benchmark smoke (scripts/bench.sh --smoke)"
-    scripts/bench.sh --smoke --json /tmp/acdc-bench-smoke.json >/dev/null
-
-    # Compare against the committed baseline. Smoke runs are short and
-    # cross-machine numbers are noisy, so the gate here is looser than
-    # bench-diff's 10% default (override with BENCH_DIFF_THRESHOLD).
-    # Full-length runs on the baseline machine should use the default.
-    echo "==> acdc-xtask bench-diff (vs committed BENCH_pr3.json)"
-    local diff_args=(bench-diff BENCH_pr3.json /tmp/acdc-bench-smoke.json
-        --threshold "${BENCH_DIFF_THRESHOLD:-25}")
-    if [[ -n "${GITHUB_STEP_SUMMARY:-}" ]]; then
-        diff_args+=(--summary "$GITHUB_STEP_SUMMARY")
-    fi
-    cargo run -q -p acdc-xtask -- "${diff_args[@]}"
-}
-
-stage_throughput() {
-    # Simulated-packets/sec on the 100k-flow tier (timing wheel + segment
-    # pool fast path, DESIGN.md §16). --throughput-only skips the ns/pkt
-    # medians (those gate separately, vs BENCH_pr3.json in stage_bench):
-    # the gate here is the simulator event loop, and the committed
-    # throughput-only baseline opts exactly that one metric into
-    # bench-diff's gate.
-    echo "==> simulator throughput smoke (datapath_bench --smoke --throughput-only)"
-    cargo build --release -q -p acdc-bench
-    ./target/release/datapath_bench --smoke --throughput-only \
-        --json /tmp/acdc-throughput-smoke.json >/dev/null
-
-    # sim_pkts_per_sec is gated with higher_is_better=true: the diff
-    # fails when the new run is *slower* than the committed baseline by
-    # more than the threshold. Same noise story as stage_bench, so the
-    # same loosened default (override with BENCH_DIFF_THRESHOLD).
-    echo "==> acdc-xtask bench-diff (vs committed BENCH_pr10.json)"
-    local diff_args=(bench-diff BENCH_pr10.json /tmp/acdc-throughput-smoke.json
-        --threshold "${BENCH_DIFF_THRESHOLD:-25}")
-    if [[ -n "${GITHUB_STEP_SUMMARY:-}" ]]; then
-        diff_args+=(--summary "$GITHUB_STEP_SUMMARY")
-    fi
-    cargo run -q -p acdc-xtask -- "${diff_args[@]}"
-}
-
-stage_chaos() {
-    echo "==> chaos suite (acdc-faults unit/integration + scenario tests)"
-    cargo test -q -p acdc-faults
-    cargo test -q --test chaos --test rto_backoff --test overload
+    echo "==> cargo test --workspace"
+    cargo test -q --workspace
 }
 
 stage_strict() {
-    echo "==> cargo test --features strict-invariants"
-    cargo test -q --features strict-invariants "${TEST_PKGS[@]}"
-
-    echo "==> chaos suite under strict-invariants"
-    cargo test -q --features strict-invariants --test chaos --test rto_backoff --test overload
+    echo "==> cargo test --workspace --features strict-invariants"
+    cargo test -q --workspace --features strict-invariants
 }
 
-stage_workers() {
-    echo "==> worker engine suite (steering/merge determinism + batch paths)"
-    cargo test -q -p acdc-workers
+HARNESS_MANIFEST=crates/bench/harness/Cargo.toml
+HARNESS_BIN=crates/bench/harness/target/release/acdc-harness
+HARNESS_BASELINE=BENCH_harness.json
 
-    echo "==> worker-vs-single-threaded equivalence under chaos"
-    cargo test -q --test workers_equivalence
+# The lines of `acdc-harness compare` that fail the stage: a fingerprint
+# or an exact row (sim.*, netsim.events_per_pkt, proc.allocs_per_pkt, ...)
+# that differs from the baseline, a run that failed its own output checks,
+# a failed-operation share that rose, a run absent from the fresh result.
+# The wall-clock rows (`BREACH (bound N%)`, `unresolved`, `moved`) are
+# printed and never gate: a 4 s run on a shared runner breaches them on
+# noise alone, which is also why compare's exit status is not consulted.
+HARNESS_GATED='MISMATCH|CHECK FAILED|may not rise|missing from'
 
-    echo "==> worker engine suite under strict-invariants"
-    cargo test -q -p acdc-workers --features strict-invariants
-    cargo test -q --features strict-invariants --test workers_equivalence
+# harness_gate A.json B.json: print compare's table of B against A;
+# succeed iff it compared something and no line is gated.
+harness_gate() {
+    local table
+    table="$("$HARNESS_BIN" compare "$1" "$2" || true)"
+    printf '%s\n' "$table"
+    grep -q '^[1-9][0-9]* metric pairs compared' <<<"$table" &&
+        ! grep -qE "$HARNESS_GATED" <<<"$table"
 }
 
-stage_soak() {
-    # The bounded smoke tier: 2 s of virtual time with churn, a storm,
-    # a reset and a checkpoint/restore cycle, watchdog-checked, at
-    # worker counts 0/2/4, plus the checkpoint wire-format proptests.
-    # The 1-hour acceptance soak stays behind --ignored (README § Soak).
-    echo "==> soak smoke (churn + storms + checkpoint/restore, watchdogged)"
-    cargo test -q -p acdc-soak
-    cargo test -q -p acdc-vswitch --test checkpoint_props
+stage_harness() {
+    echo "==> build acdc-harness (offline, into its own target/)"
+    cargo build --release --offline --quiet --manifest-path "$HARNESS_MANIFEST"
 
-    echo "==> soak smoke under strict-invariants"
-    cargo test -q -p acdc-soak --features strict-invariants
+    # The gate is a filter over compare's verdict strings, so first prove
+    # the filter still bites: should compare ever reword them, this fails
+    # instead of the gate quietly passing everything.
+    echo "==> gate self-check (baseline vs itself, vs one altered fingerprint, vs one altered sim.pkts)"
+    local tmp
+    tmp="$(mktemp -d /tmp/acdc-harness.XXXXXX)"
+    sed '0,/"fingerprint": "[0-9a-f]*"/s//"fingerprint": "0000000000000000"/' \
+        "$HARNESS_BASELINE" >"$tmp/fingerprint.json"
+    sed '0,/"sim\.pkts": {"value": [0-9.]*/s//"sim.pkts": {"value": 1/' \
+        "$HARNESS_BASELINE" >"$tmp/sim_pkts.json"
+    if ! harness_gate "$HARNESS_BASELINE" "$HARNESS_BASELINE" >/dev/null; then
+        echo "error: $HARNESS_BASELINE does not pass the gate against itself" >&2
+        return 1
+    fi
+    local altered
+    for altered in fingerprint sim_pkts; do
+        if harness_gate "$HARNESS_BASELINE" "$tmp/$altered.json" >/dev/null; then
+            echo "error: the gate passed a baseline copy with an altered $altered" >&2
+            return 1
+        fi
+    done
+    rm -rf "$tmp"
+
+    echo "==> acdc-harness self-tests"
+    cargo test --offline --quiet --manifest-path "$HARNESS_MANIFEST"
+
+    echo "==> acdc-harness run --seconds 4 (six workloads, timed then traced)"
+    # The traced children write their spans beside the result while it
+    # is still being gathered, so its directory has to exist up front.
+    local fresh=target/acdc-harness/fresh.json
+    mkdir -p "${fresh%/*}"
+    "$HARNESS_BIN" run --seconds 4 --out "$fresh"
+
+    echo "==> acdc-harness compare $HARNESS_BASELINE $fresh (gated: $HARNESS_GATED)"
+    local table verdict=0
+    table="$(harness_gate "$HARNESS_BASELINE" "$fresh")" || verdict=1
+    printf '%s\n' "$table"
+    if [[ -n "${GITHUB_STEP_SUMMARY:-}" ]]; then
+        printf '### acdc-harness vs %s\n\nFails on `%s` only; timings are informational.\n\n```\n%s\n```\n' \
+            "$HARNESS_BASELINE" "$HARNESS_GATED" "$table" >>"$GITHUB_STEP_SUMMARY"
+    fi
+    if [[ $verdict -ne 0 ]]; then
+        echo "error: a deterministic row moved against $HARNESS_BASELINE (lines matching: $HARNESS_GATED)" >&2
+        return 1
+    fi
 }
 
-ALL_STAGES=(lint analyze test bench throughput chaos workers soak strict)
+ALL_STAGES=(lint analyze test strict harness)
 
 run_stage() {
     case "$1" in
-        lint | analyze | test | bench | throughput | chaos | workers | soak | strict) "stage_$1" ;;
+        lint | analyze | test | strict | harness) "stage_$1" ;;
         *)
             echo "error: unknown stage '$1' (expected: ${ALL_STAGES[*]})" >&2
             exit 2
