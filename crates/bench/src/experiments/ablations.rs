@@ -124,9 +124,9 @@ fn fack_ablation(rep: &mut Report, dur: u64) {
         rtt.extend(tb.rtt_samples_ms(probe).into_iter().skip(5));
         let (mut facks, mut dropped) = (0u64, 0u64);
         for i in 0..tb.host_count() {
-            let c = tb.host_mut(i).datapath().counters().snapshot();
-            facks += c.iter().find(|(n, _)| *n == "facks_sent").unwrap().1;
-            dropped += c.iter().find(|(n, _)| *n == "feedback_dropped").unwrap().1;
+            let reg = tb.host_mut(i).telemetry().registry();
+            facks += reg.value("acdc.facks_sent").unwrap();
+            dropped += reg.value("acdc.feedback_dropped").unwrap();
         }
         rep.line(format!(
             "    {:<8} {:>12.3} {:>12} {:>18}",
@@ -167,9 +167,9 @@ fn loss_ablation(rep: &mut Report, dur: u64) {
             .sum();
         let (mut fast, mut rto) = (0u64, 0u64);
         for i in 0..tb.host_count() {
-            let c = tb.host_mut(i).datapath().counters().snapshot();
-            fast += c.iter().find(|(n, _)| *n == "inferred_fast_rtx").unwrap().1;
-            rto += c.iter().find(|(n, _)| *n == "inferred_timeouts").unwrap().1;
+            let reg = tb.host_mut(i).telemetry().registry();
+            fast += reg.value("acdc.inferred_fast_rtx").unwrap();
+            rto += reg.value("acdc.inferred_timeouts").unwrap();
         }
         rep.line(format!(
             "    {:>7.1}   {:>18.2} {:>11} {:>19} {:>14}",

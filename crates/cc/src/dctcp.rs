@@ -90,7 +90,7 @@ impl Dctcp {
         if self.acked_bytes > 0 {
             let frac = self.marked_bytes as f64 / self.acked_bytes as f64;
             self.alpha = ((1.0 - self.gain) * self.alpha + self.gain * frac).clamp(0.0, 1.0);
-            crate::strict_invariant!(
+            debug_assert!(
                 (0.0..=1.0).contains(&self.alpha),
                 "DCTCP alpha escaped [0,1]: {}",
                 self.alpha
@@ -107,7 +107,7 @@ impl Dctcp {
         self.cwnd = new.max(self.cfg.min_window_bytes);
         self.ssthresh = self.cwnd;
         self.cut_in_window = true;
-        crate::strict_invariant!(
+        debug_assert!(
             self.cwnd >= self.cfg.min_window_bytes.min(u64::from(self.cfg.mss)),
             "cwnd {} fell below the floor (min_window={}, mss={})",
             self.cwnd,

@@ -21,19 +21,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Check a protocol-state invariant when the `strict-invariants` feature
-/// is enabled. Expands to a `debug_assert!`, so it is additionally elided
-/// from release builds; without the feature it compiles to nothing while
-/// still type-checking the condition.
-macro_rules! strict_invariant {
-    ($($arg:tt)+) => {
-        if cfg!(feature = "strict-invariants") {
-            debug_assert!($($arg)+);
-        }
-    };
-}
-pub(crate) use strict_invariant;
-
 pub mod clamp;
 pub mod cubic;
 pub mod dctcp;

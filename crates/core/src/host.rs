@@ -339,7 +339,7 @@ impl HostNode {
     }
 
     /// Swap in a freshly constructed datapath of the same configuration —
-    /// the restore half of a checkpoint/restore cycle (DESIGN.md §15).
+    /// the restore half of a checkpoint/restore cycle (DESIGN.md §14).
     /// The host's own NIC counter (`host.corrupt_drops`) is re-registered
     /// in the new hub with its current value carried over, the worker
     /// engine (if any) is rebuilt at the same worker count against the

@@ -28,7 +28,8 @@
 //! Same seed + same plan + same offered packet sequence ⇒ identical fate
 //! sequence, identical `FaultStats`, identical simulation trace. All
 //! randomness comes from seeded RNG streams; there is no wall clock and no
-//! entropy source (xtask lint rules D001/D003 enforce this statically).
+//! entropy source (`clippy.toml` and lint rule D003 enforce this
+//! statically).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -209,7 +209,7 @@ impl SwitchMetrics {
 pub struct SwitchNode {
     cfg: SwitchConfig,
     /// Destination IPv4 → output port. Ordered so that any future
-    /// iteration over routes is deterministic (lint rule D002).
+    /// iteration over routes is deterministic.
     routes: BTreeMap<[u8; 4], PortId>,
     /// Fallback port for unmatched destinations (inter-switch trunk).
     default_route: Option<PortId>,

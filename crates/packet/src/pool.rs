@@ -22,12 +22,11 @@
 //!   run-to-completion engine is dispatching, each worker's sink can
 //!   recycle through its own shard and the common case never contends.
 //!
-//! All shard state is `Mutex`/atomic only — the pool lives in the packet
-//! hot path, which rule W003 requires to stay `Send + Sync`. Locks are
-//! `try_lock` with neighbor-shard fallback: a contended shard is skipped,
-//! never waited on, so the pool can stall nothing. The shard map is
-//! claimed in `scopes.toml` (component `packet.segment-pool`, rule W001):
-//! only this file may touch the free lists.
+//! All shard state is `Mutex`/atomic only — the pool is a process-wide
+//! `static` shared by every worker thread, so it has to be `Sync`. Locks
+//! are `try_lock` with neighbor-shard fallback: a contended shard is
+//! skipped, never waited on, so the pool can stall nothing. The free
+//! lists are private fields: only this file may touch them.
 //!
 //! # Determinism
 //!

@@ -25,10 +25,9 @@
 //! the rare lazy fill through `&self` (a re-parse after a raw mutable
 //! view invalidated the cache) lands in a [`OnceLock`] fallback slot.
 //! That makes `Segment` freely movable between the run-to-completion
-//! workers of `acdc-workers` (DESIGN.md §13) with no interior-mutability
-//! hazards — the `RefCell` this replaced was the last W003
-//! thread-readiness grandfather in the packet pipeline — without paying
-//! the `Once` synchronization path on every locally built packet.
+//! workers of `acdc-workers` (DESIGN.md §12) with no interior-mutability
+//! hazards, without paying the `Once` synchronization path on every
+//! locally built packet.
 
 use std::sync::OnceLock;
 

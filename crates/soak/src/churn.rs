@@ -229,7 +229,7 @@ mod tests {
         });
         for t in 0..50 {
             for (_, seg) in again.poll(t) {
-                keys.insert(seg.try_meta().expect("crafted segments parse").flow);
+                keys.insert(seg.flow_key());
             }
         }
         // 5000 flows × 2 directions = 10_000 distinct keys.

@@ -189,7 +189,7 @@ fn dump_traces(host: &HostNode, name: &str) {
 }
 
 /// Capture, serialize, parse and restore the watched host's datapath
-/// state into a freshly constructed datapath — the full §15 cycle, wire
+/// state into a freshly constructed datapath — the full §14 cycle, wire
 /// format included. Returns the serialized checkpoint.
 fn restore_cycle(
     tb: &mut Testbed,

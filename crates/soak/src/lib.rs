@@ -1,4 +1,4 @@
-//! # acdc-soak — long-haul soak harness (DESIGN.md §15)
+//! # acdc-soak — long-haul soak harness (DESIGN.md §14)
 //!
 //! Robustness is a property of hours, not milliseconds: flow-table
 //! leaks, wedged health ladders, counter drift and checkpoint rot only

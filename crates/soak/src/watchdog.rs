@@ -1,13 +1,13 @@
 //! The invariant watchdog: hard contracts checked throughout the soak.
 //!
-//! `acdc-scope: soak.watchdog` — the cross-sample history (previous
-//! counter values, drop tally, wedge streak) is written only here.
+//! The cross-sample history (previous counter values, drop tally, wedge
+//! streak) sits in private fields, so it is written only here.
 //!
 //! The driver hands the watchdog a [`WatchdogSample`] every few
 //! maintenance ticks; the watchdog enforces the catalog below and
 //! returns the first [`Violation`] it finds, at which point the driver
 //! dumps every flight recorder and fails the run. The invariants
-//! (DESIGN.md §15):
+//! (DESIGN.md §14):
 //!
 //! 1. **occupancy-cap** — no host's flow table ever exceeds the
 //!    configured `max_flows` cap;

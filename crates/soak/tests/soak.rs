@@ -1,4 +1,4 @@
-//! Soak harness end-to-end tests (DESIGN.md §15).
+//! Soak harness end-to-end tests (DESIGN.md §14).
 //!
 //! The fast tests squeeze every soak ingredient — churn, a storm, a
 //! reset, watchdog sampling, the checkpoint/restore cycle — into a few

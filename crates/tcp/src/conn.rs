@@ -1,12 +1,9 @@
 //! Connection management: the RFC 793 state machine, ISN bookkeeping,
 //! MSS negotiation and the FIN lifecycle.
 //!
-//! `acdc-scope: endpoint.conn-mgmt` — every mutation of connection-
-//! lifecycle state lives in this file; the [`Endpoint`] orchestrator and
-//! the other components read it through the accessor methods only. The
-//! write-scope manifest (`crates/xtask/scopes.toml`) makes that contract
-//! machine-checked: `xtask analyze` flags any write to these fields from
-//! another file.
+//! The fields are private, so every mutation of connection-lifecycle
+//! state lives in this file; the [`Endpoint`] orchestrator and the other
+//! components read it through the accessor methods only.
 //!
 //! [`Endpoint`]: crate::Endpoint
 

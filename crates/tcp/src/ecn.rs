@@ -1,7 +1,7 @@
 //! ECN signalling state: negotiation, the DCTCP accurate-echo /
 //! classic-ECE receiver state, and the sender-side CWR/cut bookkeeping.
 //!
-//! `acdc-scope: endpoint.ecn` — every mutation of the ECN echo and cut
+//! The fields are private, so every mutation of the ECN echo and cut
 //! state lives in this file. The congestion-control *reaction* to these
 //! signals stays in the pluggable `acdc-cc` box; this component only
 //! tracks what must be echoed or signalled on the wire.

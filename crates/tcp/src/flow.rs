@@ -1,8 +1,8 @@
 //! Peer flow control: the advertised-window view of the receiver and
 //! the zero-window (persist) probe machinery.
 //!
-//! `acdc-scope: endpoint.flow-ctrl` — every mutation of the peer-window
-//! state and the persist timer lives in this file. After AC/DC
+//! The fields are private, so every mutation of the peer-window state
+//! and the persist timer lives in this file. After AC/DC
 //! rewriting, the window tracked here *is* the enforced window: the
 //! vSwitch's `RwndRewriter` stamps its computed value into every ACK
 //! before the guest stack sees it, so the endpoint needs no knowledge of

@@ -1,7 +1,7 @@
 //! Receive-side state: in-order delivery, out-of-order reassembly, the
 //! peer-FIN offset and the delayed-ACK machinery.
 //!
-//! `acdc-scope: endpoint.receive` — every mutation of `rcv_nxt`, the
+//! The fields are private, so every mutation of `rcv_nxt`, the
 //! out-of-order range set and the ACK-scheduling state lives in this
 //! file. The simulated application drains in-order data instantly, so
 //! "delivered" and "in-order received" coincide.

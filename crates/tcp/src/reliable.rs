@@ -1,13 +1,12 @@
 //! Send-side reliable delivery: the sliding send pointers, NewReno loss
 //! recovery, Karn RTT estimation and the retransmission/backoff timer.
 //!
-//! `acdc-scope: endpoint.reliable-delivery` — every mutation of the send
-//! pointers (`snd_una`/`snd_nxt`/`snd_max`), the recovery state and the
-//! RTO machinery lives in this file. The [`Endpoint`] orchestrator reads
-//! the pointers through views (notably [`SeqView`], the shared currency
-//! for comparing against the vSwitch's passively reconstructed state)
-//! and drives transitions through the methods here; `xtask analyze`
-//! rejects writes from any other file.
+//! The fields are private, so every mutation of the send pointers
+//! (`snd_una`/`snd_nxt`/`snd_max`), the recovery state and the RTO
+//! machinery lives in this file. The [`Endpoint`] orchestrator reads the
+//! pointers through views (notably [`SeqView`], the shared currency for
+//! comparing against the vSwitch's passively reconstructed state) and
+//! drives transitions through the methods here.
 //!
 //! All offsets are 64-bit stream positions (0 = first payload byte);
 //! wire-sequence conversion happens at the [`Endpoint`] packet boundary.
@@ -252,7 +251,7 @@ impl ReliableDelivery {
     pub fn advance_una(&mut self, ack_off: u64) {
         self.snd_una = ack_off.min(self.snd_max);
         self.snd_nxt = self.snd_nxt.max(self.snd_una);
-        crate::strict_invariant!(
+        debug_assert!(
             self.snd_una <= self.snd_nxt && self.snd_nxt <= self.snd_max,
             "send pointers out of order: una={} nxt={} max={}",
             self.snd_una,

@@ -1,8 +1,8 @@
 //! Per-component property tests for the decomposed endpoint: the
 //! [`ReliableDelivery`] send-pointer invariants and the [`Receive`]
-//! out-of-order range invariants, mirroring the `strict-invariants`
-//! debug asserts but driven by arbitrary operation sequences instead of
-//! full transfers (those live in `props.rs`).
+//! out-of-order range invariants, mirroring the components' own
+//! `debug_assert!`s but driven by arbitrary operation sequences instead
+//! of full transfers (those live in `props.rs`).
 //!
 //! The components are exercised directly — no pipe, no packets — so a
 //! violated invariant pins the owning module, not the orchestration.

@@ -6,10 +6,11 @@
 //! cheap [`Counter`] / [`Gauge`] handle — bumping is exactly the atomic
 //! add the pre-registry counter structs did — while consumers read
 //! everything through one interface: [`MetricsRegistry::snapshot_all`]
-//! for point-in-time values, [`MetricsRegistry::series`] for the
-//! per-metric [`TimeSeries`] filled in by the 10 ms maintenance tick, and
-//! [`MetricsRegistry::snapshot_json`] for the JSON schema shared by
-//! tests and the soak driver.
+//! for point-in-time values and [`MetricsRegistry::series`] for the
+//! per-metric [`TimeSeries`] filled in by the 10 ms maintenance tick. The
+//! JSON snapshot (`acdc-telemetry/v2`) is written by
+//! [`merged_snapshot_json`](crate::merge::merged_snapshot_json) over one
+//! or more hubs.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -209,7 +210,7 @@ impl MetricsRegistry {
     }
 
     /// Overwrite the named metric's cell with a checkpointed value
-    /// (DESIGN.md §15). Returns `false` when no metric of that name is
+    /// (DESIGN.md §14). Returns `false` when no metric of that name is
     /// registered — the caller decides whether an unknown name is a
     /// checkpoint/config mismatch worth failing on. The sampled
     /// [`TimeSeries`] is left untouched: series history is diagnostic
@@ -270,35 +271,6 @@ impl MetricsRegistry {
             })
             .collect();
         out.sort_by(|a, b| a.name.cmp(&b.name));
-        out
-    }
-
-    /// The shared snapshot schema (hand-rolled, no serde):
-    ///
-    /// ```json
-    /// {"schema":"acdc-telemetry/v1","at":12345,
-    ///  "metrics":[{"name":"acdc.packs_sent","kind":"counter","value":9}]}
-    /// ```
-    pub fn snapshot_json(&self, at: Nanos) -> String {
-        use std::fmt::Write;
-        let mut out = String::with_capacity(64 + self.len() * 56);
-        let _ = write!(
-            out,
-            "{{\"schema\":\"acdc-telemetry/v1\",\"at\":{at},\"metrics\":["
-        );
-        for (i, m) in self.snapshot_all().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"kind\":\"{}\",\"value\":{}}}",
-                m.name,
-                m.kind.name(),
-                m.value
-            );
-        }
-        out.push_str("]}");
         out
     }
 }
@@ -382,20 +354,5 @@ mod tests {
         assert_eq!(reg.value("late.g"), Some(3));
         c.inc();
         assert_eq!(reg.value("late.c"), Some(8));
-    }
-
-    #[test]
-    fn snapshot_json_shape() {
-        let reg = MetricsRegistry::new();
-        let c = reg.counter("b.n");
-        let _g = reg.gauge("a.g");
-        c.inc();
-        let json = reg.snapshot_json(42);
-        assert_eq!(
-            json,
-            "{\"schema\":\"acdc-telemetry/v1\",\"at\":42,\"metrics\":[\
-             {\"name\":\"a.g\",\"kind\":\"gauge\",\"value\":0},\
-             {\"name\":\"b.n\",\"kind\":\"counter\",\"value\":1}]}"
-        );
     }
 }

@@ -94,7 +94,7 @@ impl FlightRecorder {
         self.inner.lock().overwritten
     }
 
-    /// Restore checkpointed ring bookkeeping (DESIGN.md §15): the next
+    /// Restore checkpointed ring bookkeeping (DESIGN.md §14): the next
     /// event recorded carries sequence number `next_seq`, and the
     /// overwrite tally resumes from `overwritten` — so a restored
     /// recorder's subsequent event stream is sequence-identical to the

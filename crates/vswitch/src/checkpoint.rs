@@ -1,4 +1,4 @@
-//! Datapath checkpoint/restore (DESIGN.md §15).
+//! Datapath checkpoint/restore (DESIGN.md §14).
 //!
 //! A checkpoint is a *versioned, deterministic* image of everything in a
 //! datapath that evolves at runtime: the flow table (per-flow CC state

@@ -218,33 +218,6 @@ impl AcdcCounters {
     fn bump(c: &Counter) {
         c.inc();
     }
-
-    /// Load all counters (relaxed). Compatibility accessor: the same
-    /// values, under `acdc.`-prefixed names, come out of the registry's
-    /// `snapshot_all()`.
-    pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
-        let ld = |c: &Counter| c.get();
-        vec![
-            ("packs_sent", ld(&self.packs_sent)),
-            ("facks_sent", ld(&self.facks_sent)),
-            ("packs_received", ld(&self.packs_received)),
-            ("rwnd_rewrites", ld(&self.rwnd_rewrites)),
-            ("policed_drops", ld(&self.policed_drops)),
-            ("inferred_timeouts", ld(&self.inferred_timeouts)),
-            ("inferred_fast_rtx", ld(&self.inferred_fast_rtx)),
-            ("feedback_dropped", ld(&self.feedback_dropped)),
-            ("non_tcp_passthrough", ld(&self.non_tcp_passthrough)),
-            ("malformed_drops", ld(&self.malformed_drops)),
-            ("gc_evictions", ld(&self.gc_evictions)),
-            ("capacity_evictions", ld(&self.capacity_evictions)),
-            ("admission_rejects", ld(&self.admission_rejects)),
-            ("overload_passthrough", ld(&self.overload_passthrough)),
-            ("unscaled_rwnd_skips", ld(&self.unscaled_rwnd_skips)),
-            ("health_demotions", ld(&self.health_demotions)),
-            ("health_promotions", ld(&self.health_promotions)),
-            ("datapath_resets", ld(&self.datapath_resets)),
-        ]
-    }
 }
 
 /// A per-flow statistics snapshot (see [`AcdcDatapath::flow_stats`]).
@@ -565,7 +538,7 @@ impl AcdcDatapath {
     }
 
     // ------------------------------------------------------------------
-    // Checkpoint / restore (DESIGN.md §15)
+    // Checkpoint / restore (DESIGN.md §14)
     // ------------------------------------------------------------------
 
     /// Capture the datapath's full dynamic state at virtual time `at`.
@@ -977,7 +950,7 @@ impl AcdcDatapath {
                         e.rx_marked += payload_len;
                         e.rx_marked_lifetime += payload_len;
                     }
-                    crate::strict_invariant!(
+                    debug_assert!(
                         e.rx_marked <= e.rx_total && e.rx_marked_lifetime <= e.rx_total_lifetime,
                         "PACK receive counters inconsistent: marked {}/{} lifetime {}/{}",
                         e.rx_marked,
@@ -1039,13 +1012,16 @@ impl AcdcDatapath {
     }
 
     /// Fold a PACK's counters into the sender-role feedback accumulators
-    /// of the acked flow.
+    /// of the acked flow. The option is wire input: `marked` is clamped
+    /// to `total` here, as [`FlowEntry::take_feedback`] clamps it on the
+    /// emitting side, so a spoofed PACK cannot hand the algorithm more
+    /// marked bytes than bytes.
     fn absorb_feedback(&self, ack_key: &acdc_packet::FlowKey, pack: PackOption) {
         self.table.with_entry(&ack_key.reverse(), |slot| {
             let mut e = slot.entry.lock();
             e.fb_total += u64::from(pack.total_bytes);
-            e.fb_marked += u64::from(pack.marked_bytes);
-            crate::strict_invariant!(
+            e.fb_marked += u64::from(pack.marked_bytes.min(pack.total_bytes));
+            debug_assert!(
                 e.fb_marked <= e.fb_total,
                 "PACK feedback counters inconsistent: marked {} > total {}",
                 e.fb_marked,
@@ -1310,22 +1286,11 @@ impl AcdcDatapath {
         out
     }
 
-    /// The passively reconstructed `(snd_una, snd_nxt)` pair for `key`'s
-    /// data sender, if the flow is tracked and its sequence state is valid
-    /// (paper §3.1). The chaos suite compares this against the endpoint's
-    /// ground truth after fault recovery.
-    pub fn seq_state(
-        &self,
-        key: &acdc_packet::FlowKey,
-    ) -> Option<(acdc_packet::SeqNumber, acdc_packet::SeqNumber)> {
-        let v = self.seq_view(key)?;
-        Some((v.snd_una, v.snd_nxt))
-    }
-
-    /// The passively reconstructed send pointers for `key`'s data sender
-    /// as a [`acdc_packet::SeqView`] — the same currency
-    /// `Endpoint::seq_view` exposes for its ground truth, so the two
-    /// sides compare without tuple plumbing.
+    /// The passively reconstructed send pointers for `key`'s data sender,
+    /// if the flow is tracked and its sequence state is valid (paper
+    /// §3.1), as a [`acdc_packet::SeqView`] — the same currency
+    /// `Endpoint::seq_view` exposes for its ground truth. The chaos suite
+    /// compares the two after fault recovery.
     pub fn seq_view(&self, key: &acdc_packet::FlowKey) -> Option<acdc_packet::SeqView> {
         let entry = self.table.get(key)?;
         let e = entry.lock();

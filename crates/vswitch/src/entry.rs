@@ -22,7 +22,7 @@ use crate::vcc::{EcnFractionCc, VirtualCc};
 pub const MAX_ENFORCED_WINDOW: u64 = 32 << 20;
 
 /// Plain-data image of one [`FlowEntry`] for checkpointing (DESIGN.md
-/// §15). Everything that evolves at runtime is here; construction
+/// §14). Everything that evolves at runtime is here; construction
 /// parameters (the assigned [`CcKind`], the [`CcConfig`], the window
 /// clamp) are reproduced by the restoring datapath's own policy, and the
 /// `cc_name` field lets a restore verify the reproduction matches.
@@ -75,18 +75,40 @@ pub struct FlowEntryState {
 }
 
 /// Connection-tracking state for one flow direction.
+///
+/// The tracked protocol state is `pub(crate)`: only this crate's sender
+/// and receiver modules advance it. Code outside the crate reads it
+/// through [`FlowEntry::checkpoint_state`] (or the datapath's
+/// `flow_stats()` / `seq_view()`) and writes it through
+/// [`FlowEntry::restore_state`]; a direct field write does not compile:
+///
+/// ```compile_fail
+/// use acdc_cc::{CcConfig, CcKind};
+/// let mut e = acdc_vswitch::FlowEntry::new(CcKind::Dctcp, CcConfig::vswitch(1448), 0);
+/// e.snd_una = acdc_packet::SeqNumber(1);
+/// assert_eq!(e.in_flight(), 0);
+/// ```
+///
+/// The same lines without the write compile, so what the block above
+/// fails on is the field's visibility and nothing else:
+///
+/// ```
+/// use acdc_cc::{CcConfig, CcKind};
+/// let mut e = acdc_vswitch::FlowEntry::new(CcKind::Dctcp, CcConfig::vswitch(1448), 0);
+/// assert_eq!(e.in_flight(), 0);
+/// ```
 pub struct FlowEntry {
     // ------------------------------------------------------------------
     // Sender role (lives at the host of the data sender)
     // ------------------------------------------------------------------
     /// First unacknowledged wire sequence number.
-    pub snd_una: SeqNumber,
+    pub(crate) snd_una: SeqNumber,
     /// Highest wire sequence number sent (+1, i.e. "next expected send").
-    pub snd_nxt: SeqNumber,
+    pub(crate) snd_nxt: SeqNumber,
     /// Sequence state initialized (first SYN/data seen)?
-    pub seq_valid: bool,
+    pub(crate) seq_valid: bool,
     /// Duplicate-ACK counter.
-    pub dupacks: u32,
+    pub(crate) dupacks: u32,
     /// The enforced congestion-control algorithm, behind the
     /// [`VirtualCc`] seam (the sender module feeds it [`AckSignals`]
     /// bundles and enforces whatever window it reports).
@@ -94,49 +116,47 @@ pub struct FlowEntry {
     /// [`AckSignals`]: crate::vcc::AckSignals
     pub cc: Box<dyn VirtualCc>,
     /// The RWND-rewrite component (window scale + enforcement target,
-    /// §3.3). Its fields are private — mutation goes through its API, the
-    /// write-scope contract `scopes.toml` declares for
-    /// `vswitch.rwnd-rewrite`.
+    /// §3.3). Its fields are private — mutation goes through its API.
     pub rwnd: RwndRewriter,
     /// The guest's own stack negotiated ECN (from its SYN); drives the
     /// per-packet reserved-bit marker of §3.2.
-    pub vm_ecn: bool,
+    pub(crate) vm_ecn: bool,
     /// RTT probe: (wire seq whose ACK completes the sample, send time).
-    pub rtt_probe: Option<(SeqNumber, Nanos)>,
+    pub(crate) rtt_probe: Option<(SeqNumber, Nanos)>,
     /// Smoothed RTT estimate for the inactivity (timeout) heuristic.
-    pub srtt: Option<Nanos>,
+    pub(crate) srtt: Option<Nanos>,
     /// Time of the last ACK-clock activity (for inferring timeouts).
-    pub last_ack_activity: Nanos,
+    pub(crate) last_ack_activity: Nanos,
     /// Accumulated feedback not yet consumed: total/marked bytes reported
     /// by PACK/FACK options (64-bit accumulators behind u32 wire deltas).
-    pub fb_total: u64,
+    pub(crate) fb_total: u64,
     /// Marked portion of `fb_total`.
-    pub fb_marked: u64,
+    pub(crate) fb_marked: u64,
     /// Packets dropped from this flow by the policer.
-    pub policed: u64,
+    pub(crate) policed: u64,
     /// Last DCTCP `alpha` (in 1e-6 units) published as an `alpha-update`
     /// telemetry event; events fire only when the estimate moves.
-    pub last_alpha_micros: Option<u64>,
+    pub(crate) last_alpha_micros: Option<u64>,
 
     // ------------------------------------------------------------------
     // Receiver role (lives at the host of the data receiver)
     // ------------------------------------------------------------------
     /// Bytes received for this flow since the last feedback emitted.
-    pub rx_total: u64,
+    pub(crate) rx_total: u64,
     /// CE-marked bytes received since the last feedback emitted.
-    pub rx_marked: u64,
+    pub(crate) rx_marked: u64,
     /// Lifetime bytes received (never reset; observability).
-    pub rx_total_lifetime: u64,
+    pub(crate) rx_total_lifetime: u64,
     /// Lifetime CE-marked bytes received (never reset; observability).
-    pub rx_marked_lifetime: u64,
+    pub(crate) rx_marked_lifetime: u64,
 
     // ------------------------------------------------------------------
     // Lifecycle
     // ------------------------------------------------------------------
     /// Entry saw a FIN/RST and awaits garbage collection.
-    pub closing: bool,
+    pub(crate) closing: bool,
     /// Last time any packet touched this entry.
-    pub last_activity: Nanos,
+    pub(crate) last_activity: Nanos,
 }
 
 impl FlowEntry {

@@ -26,19 +26,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Check a protocol-state invariant when the `strict-invariants` feature
-/// is enabled. Expands to a `debug_assert!`, so it is additionally elided
-/// from release builds; without the feature it compiles to nothing while
-/// still type-checking the condition.
-macro_rules! strict_invariant {
-    ($($arg:tt)+) => {
-        if cfg!(feature = "strict-invariants") {
-            debug_assert!($($arg)+);
-        }
-    };
-}
-pub(crate) use strict_invariant;
-
 pub mod checkpoint;
 pub mod datapath;
 pub mod entry;
@@ -58,3 +45,14 @@ pub use policy::CcPolicy;
 pub use rwnd::{RwndAction, RwndRewriter};
 pub use table::{Admission, AdmissionPolicy, FlowTable};
 pub use vcc::{AckSignals, EcnFractionCc, VirtualCc};
+
+// `acdc-workers` shares one `&AcdcDatapath` between scoped threads and
+// hands each a `&WorkerSink`. A `Cell`, `Rc` or `RefCell` anywhere inside
+// these types fails to compile here, at the definition, not in the
+// dependent crate.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<AcdcDatapath>();
+    assert_send_sync::<FlowTable>();
+    assert_send_sync::<WorkerSink>();
+};

@@ -1,15 +1,11 @@
 //! RWND-rewrite state: the §3.3 enforcement component.
 //!
-//! acdc-scope: vswitch.rwnd-rewrite
-//!
-//! This is the pilot of the write-scope decomposition (`scopes.toml`,
-//! rule W001): the window-scale knowledge and the computed enforcement
-//! target used to rewrite ACK receive windows live behind this struct's
-//! private fields, so the *only* code that can mutate them is this
-//! module. The datapath asks for a decision ([`RwndRewriter::action`])
-//! and applies it to the segment; it can no longer scribble on the scale
-//! state directly — which is exactly the property the parallel-datapath
-//! workers need.
+//! The window-scale knowledge and the computed enforcement target used
+//! to rewrite ACK receive windows live behind this struct's private
+//! fields, so the *only* code that can mutate them is this module. The
+//! datapath asks for a decision ([`RwndRewriter::action`]) and applies it
+//! to the segment; it cannot scribble on the scale state directly —
+//! which is exactly the property the parallel-datapath workers need.
 
 use acdc_stats::time::Nanos;
 

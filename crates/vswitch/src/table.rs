@@ -15,7 +15,7 @@
 //! the 12 key bytes — stable run-to-run and cheap enough for the two
 //! lookups every packet makes), but within a shard the map
 //! is ordered: `for_each`/`gc` visit entries in `FlowKey` order, which
-//! keeps every whole-table traversal deterministic (lint rule D002).
+//! keeps every whole-table traversal deterministic.
 //!
 //! ## Capacity & admission
 //!
@@ -443,7 +443,7 @@ impl FlowTable {
             });
         }
         self.count.fetch_sub(evicted.len(), Ordering::Relaxed);
-        crate::strict_invariant!(
+        debug_assert!(
             self.count.load(Ordering::Relaxed)
                 == self.shards.iter().map(|s| s.read().len()).sum::<usize>(),
             "flow-table count drifted from shard contents after gc"

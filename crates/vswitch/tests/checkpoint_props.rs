@@ -1,4 +1,4 @@
-//! Property tests for checkpoint/restore (DESIGN.md §15).
+//! Property tests for checkpoint/restore (DESIGN.md §14).
 //!
 //! Two layers, pinned over *arbitrary* states rather than the few
 //! hand-picked ones in `datapath.rs`:

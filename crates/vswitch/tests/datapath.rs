@@ -115,11 +115,10 @@ fn handshake_creates_entries_and_records_wscale() {
     assert!(dpa.flows() >= 2, "two directions tracked");
     assert!(dpb.flows() >= 2);
     let e = dpa.table().get(&key_ab()).unwrap();
-    let e = e.lock();
     // ACKs for A→B data come from B, which advertised wscale 9.
-    assert_eq!(e.rwnd.wscale(), 9);
-    assert!(e.seq_valid);
-    assert_eq!(e.snd_una, SeqNumber(ISS_A + 1));
+    assert_eq!(e.lock().rwnd.wscale(), 9);
+    let view = dpa.seq_view(&key_ab()).expect("sequence state valid");
+    assert_eq!(view.snd_una, SeqNumber(ISS_A + 1));
 }
 
 #[test]
@@ -160,7 +159,7 @@ fn receiver_module_strips_ce_and_counts() {
     assert!(!delivered.tcp().vm_ece());
     assert!(delivered.verify_checksums());
     let e = dpb.table().get(&key_ab()).unwrap();
-    let e = e.lock();
+    let e = e.lock().checkpoint_state();
     assert_eq!(e.rx_total, MSS as u64);
     assert_eq!(e.rx_marked, MSS as u64);
 }
@@ -211,8 +210,8 @@ fn ack_carries_pack_and_sender_consumes_it() {
         1
     );
     // Connection tracking advanced.
-    let e = dpa.table().get(&key_ab()).unwrap();
-    assert_eq!(e.lock().snd_una, SeqNumber(ISS_A + 1 + MSS as u32));
+    let view = dpa.seq_view(&key_ab()).unwrap();
+    assert_eq!(view.snd_una, SeqNumber(ISS_A + 1 + MSS as u32));
 }
 
 #[test]
@@ -342,8 +341,9 @@ fn policing_drops_nonconforming_flow() {
         }
     }
     assert_eq!(dropped, 7, "20 sent, 13 allowed");
-    let e = dpa.table().get(&key_ab()).unwrap();
-    assert_eq!(e.lock().policed, 7);
+    let stats = dpa.flow_stats();
+    let flow = stats.iter().find(|s| s.key == key_ab()).unwrap();
+    assert_eq!(flow.policed, 7);
 }
 
 #[test]
@@ -593,6 +593,35 @@ fn pack_option_survives_only_between_vswitches() {
 }
 
 #[test]
+fn spoofed_pack_with_more_marked_than_total_is_clamped() {
+    // The PACK is wire input: a hostile peer can claim more marked bytes
+    // than bytes. The sender module must neither trip its own counter
+    // assertion on it nor hand the algorithm a fraction above one.
+    let (dpa, dpb) = rig(false);
+    let d = dpa
+        .egress(10_000, data(0, MSS, Ecn::NotEct))
+        .forwarded()
+        .unwrap();
+    dpb.ingress(20_000, d).forwarded().unwrap();
+    let mut t = TcpRepr::new(BP, AP);
+    t.seq = SeqNumber(ISS_B + 1);
+    t.ack = SeqNumber(ISS_A + 1 + MSS as u32);
+    t.flags = TcpFlags::ACK;
+    t.window = 65_000;
+    t.options = vec![TcpOption::Pack(PackOption {
+        total_bytes: 10,
+        marked_bytes: 4_000_000_000,
+    })];
+    let spoofed = Segment::new_tcp(ip(B, A, Ecn::NotEct), t, 0);
+    let delivered = dpa.ingress(30_000, spoofed).forwarded().unwrap();
+    assert!(delivered.tcp().pack_option().is_none(), "PACK stripped");
+    assert!(delivered.verify_checksums());
+    let e = dpa.table().get(&key_ab()).unwrap();
+    let alpha = e.lock().cc.alpha_micros().expect("DCTCP publishes alpha");
+    assert!(alpha <= 1_000_000, "alpha {alpha}e-6 escaped [0, 1]");
+}
+
+#[test]
 fn udp_passes_through_untouched() {
     let dp = AcdcDatapath::new(AcdcConfig::dctcp(MTU));
     let udp = acdc_packet::UdpRepr {
@@ -674,12 +703,10 @@ fn flow_stats_snapshot_reflects_activity() {
 // ----------------------------------------------------------------------
 
 fn counter(dp: &AcdcDatapath, name: &str) -> u64 {
-    dp.counters()
-        .snapshot()
-        .iter()
-        .find(|(n, _)| *n == name)
-        .unwrap()
-        .1
+    dp.telemetry()
+        .registry()
+        .value(&format!("acdc.{name}"))
+        .expect("registered acdc.* counter")
 }
 
 /// A SYN from a guest at `sport` (distinct flows for capacity tests).
@@ -713,10 +740,9 @@ fn adopted_flow_stays_log_only_until_handshake() {
         .forwarded()
         .unwrap();
     {
+        assert!(dpa.seq_view(&key_ab()).is_some(), "sequence state adopted");
         let e = dpa.table().get(&key_ab()).unwrap();
-        let e = e.lock();
-        assert!(e.seq_valid);
-        assert!(!e.rwnd.learned(), "no handshake → scale unlearned");
+        assert!(!e.lock().rwnd.learned(), "no handshake → scale unlearned");
     }
     // This ACK would be rewritten (the initial DCTCP window is far below
     // 65 000 B) had the scale been learned; adopted flows are left alone.
@@ -831,7 +857,11 @@ fn ladder_recovers_with_hysteresis_after_gc() {
     }
     assert_eq!(dpa.health(), HealthState::PassThrough);
     // All guests close; the entries become collectable.
-    dpa.table().for_each(|_, e| e.closing = true);
+    dpa.table().for_each(|_, e| {
+        let mut closed = e.checkpoint_state();
+        closed.closing = true;
+        assert!(e.restore_state(&closed));
+    });
     // First gc: occupancy drops to zero, but the reject is still
     // "recent" — the overload flag covers the interval up to this check.
     dpa.gc(10_000, 1);
@@ -847,7 +877,7 @@ fn ladder_recovers_with_hysteresis_after_gc() {
 }
 
 // ----------------------------------------------------------------------
-// Checkpoint / restore (DESIGN.md §15)
+// Checkpoint / restore (DESIGN.md §14)
 // ----------------------------------------------------------------------
 
 #[test]
@@ -890,11 +920,11 @@ fn checkpoint_restore_continues_byte_identically() {
     let a1 = dpa.ingress(30_000, ack(off, 65_000)).forwarded().unwrap();
     let a2 = fresh.ingress(30_000, ack(off, 65_000)).forwarded().unwrap();
     assert_eq!(a1.header_bytes(), a2.header_bytes());
-    assert_eq!(dpa.counters().snapshot(), fresh.counters().snapshot());
     assert_eq!(
-        dpa.table().get(&key_ab()).unwrap().lock().snd_una,
-        fresh.table().get(&key_ab()).unwrap().lock().snd_una
+        dpa.telemetry().registry().snapshot_all(),
+        fresh.telemetry().registry().snapshot_all()
     );
+    assert_eq!(dpa.seq_view(&key_ab()), fresh.seq_view(&key_ab()));
 }
 
 #[test]

@@ -45,6 +45,14 @@ fn entry(now: u64) -> FlowEntry {
     FlowEntry::new(CcKind::Dctcp, CcConfig::vswitch(1448), now)
 }
 
+/// Stamp `last_activity` as a packet at `now` would, through the entry's
+/// public state image.
+fn touch(e: &mut FlowEntry, now: u64) {
+    let mut state = e.checkpoint_state();
+    state.last_activity = now;
+    assert!(e.restore_state(&state));
+}
+
 /// Run `ops` against a fresh bounded table, checking the capacity and
 /// count invariants after every step. Returns (admission outcomes,
 /// sorted survivor ports) for determinism comparison.
@@ -57,7 +65,7 @@ fn run_ops(policy: AdmissionPolicy, ops: &[Op]) -> (Vec<Admission>, Vec<u16>) {
                 let now = u64::from(now);
                 let (slot, adm) = t.get_or_create(key(k), || entry(now));
                 if let Some(slot) = slot {
-                    slot.lock().last_activity = now;
+                    touch(&mut slot.lock(), now);
                 }
                 admissions.push(adm);
             }
@@ -66,7 +74,7 @@ fn run_ops(policy: AdmissionPolicy, ops: &[Op]) -> (Vec<Admission>, Vec<u16>) {
             }
             Op::Touch(k, now) => {
                 if let Some(slot) = t.get(&key(k)) {
-                    slot.lock().last_activity = u64::from(now);
+                    touch(&mut slot.lock(), u64::from(now));
                 }
             }
             Op::Gc(now) => {

@@ -5,7 +5,7 @@
 //! crate parallelizes the [`acdc_vswitch::AcdcDatapath`] the way a
 //! production vSwitch datapath does — *run-to-completion workers fed by
 //! RSS steering* — without giving up the reproduction's determinism
-//! contract (DESIGN.md §13).
+//! contract (DESIGN.md §12).
 //!
 //! ## The model
 //!

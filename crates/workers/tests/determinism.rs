@@ -1,4 +1,4 @@
-//! Steering and merge determinism (DESIGN.md §13).
+//! Steering and merge determinism (DESIGN.md §12).
 //!
 //! Property tests pin the two contracts the worker engine ships with:
 //!

@@ -4,30 +4,26 @@
 //! The simulator's headline claim is *determinism*: the same seed must
 //! produce the same run, byte for byte, and the vSwitch must enforce the
 //! paper's protocol invariants (§3.3 window rewriting, DCTCP §3.2 alpha
-//! bookkeeping). Those properties are easy to break with a single stray
-//! `Instant::now()` or `HashMap` iteration, and nothing in the type system
-//! stops you. This crate is the guard rail: a dependency-free, token-level
-//! lint pass over the workspace sources that runs in milliseconds and is
-//! wired into `scripts/check.sh`.
+//! bookkeeping). rustc holds what visibility and `Send`/`Sync` can express
+//! and clippy what a resolvable path can name (`clippy.toml`); this crate
+//! holds the rest: a dependency-free, token-level lint pass over the
+//! workspace sources that runs in milliseconds and is wired into
+//! `scripts/check.sh`.
 //!
 //! See `LINTS.md` at the repo root for the rule catalog and rationale;
 //! `src/rules.rs` for the implementations.
 
 #![forbid(unsafe_code)]
 
-pub mod model;
+mod lock_order;
 pub mod rules;
 pub mod scan;
-pub mod scopes;
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use model::FileModel;
 use rules::Finding;
 use scan::SourceFile;
-use scopes::ScopeManifest;
 
 /// Result of a lint run.
 #[derive(Debug, Default)]
@@ -48,10 +44,6 @@ impl Report {
 pub enum LintError {
     Io(PathBuf, std::io::Error),
     NotAWorkspace(PathBuf),
-    /// `scopes.toml` failed to parse (semantic manifest problems are
-    /// findings, but a syntactically broken manifest must not silently
-    /// disable write-scope checking).
-    Manifest(String),
 }
 
 impl std::fmt::Display for LintError {
@@ -60,9 +52,6 @@ impl std::fmt::Display for LintError {
             LintError::Io(p, e) => write!(f, "io error at {}: {e}", p.display()),
             LintError::NotAWorkspace(p) => {
                 write!(f, "{} does not contain a workspace Cargo.toml", p.display())
-            }
-            LintError::Manifest(e) => {
-                write!(f, "{}: {e}", scopes::MANIFEST_PATH)
             }
         }
     }
@@ -82,48 +71,6 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
         dir = d.parent().map(Path::to_path_buf);
     }
     None
-}
-
-/// File-level allowlist, checked in at `crates/xtask/allow.list`.
-///
-/// Format, one entry per line (`#` comments):
-/// ```text
-/// RULE_ID path/relative/to/root.rs
-/// ```
-/// An entry suppresses that rule for the whole file. Prefer the inline
-/// `// acdc-lint: allow(RULE)` escape hatch; the file list is for cases
-/// where annotating every site would drown the file in directives.
-#[derive(Debug, Default)]
-pub struct Allowlist {
-    entries: Vec<(String, String)>, // (rule_id, path)
-}
-
-impl Allowlist {
-    pub fn parse(text: &str) -> Allowlist {
-        let mut entries = Vec::new();
-        for line in text.lines() {
-            let line = line.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            if let (Some(rule), Some(path)) = (parts.next(), parts.next()) {
-                entries.push((rule.to_string(), path.to_string()));
-            }
-        }
-        Allowlist { entries }
-    }
-
-    pub fn load(root: &Path) -> Allowlist {
-        match fs::read_to_string(root.join("crates/xtask/allow.list")) {
-            Ok(text) => Allowlist::parse(&text),
-            Err(_) => Allowlist::default(),
-        }
-    }
-
-    pub fn allows(&self, rule_id: &str, path: &str) -> bool {
-        self.entries.iter().any(|(r, p)| r == rule_id && p == path)
-    }
 }
 
 /// Directory names never descended into.
@@ -181,96 +128,20 @@ pub fn run_lint(root: &Path) -> Result<Report, LintError> {
     if !root.join("Cargo.toml").exists() {
         return Err(LintError::NotAWorkspace(root.to_path_buf()));
     }
-    let allowlist = Allowlist::load(root);
     let mut report = Report::default();
-    let mut raw = Vec::new();
 
     for path in collect_rs_files(root)? {
         let text = fs::read_to_string(&path).map_err(|e| LintError::Io(path.clone(), e))?;
         let rel_path = rel(root, &path);
         let file = SourceFile::scan(&text);
         report.files_scanned += 1;
-        rules::lint_lines(&rel_path, &file, &mut raw);
+        rules::lint_lines(&rel_path, &file, &mut report.findings);
         if is_crate_root(&rel_path) {
-            rules::lint_crate_root(&rel_path, &file, &mut raw);
+            rules::lint_crate_root(&rel_path, &file, &mut report.findings);
         }
     }
 
-    let clippy = fs::read_to_string(root.join("clippy.toml")).ok();
-    rules::lint_clippy_sync(clippy.as_deref(), &mut raw);
-
-    report.findings = raw
-        .into_iter()
-        .filter(|f| !allowlist.allows(f.rule.id, &f.path))
-        .collect();
     // Deterministic output order: by path, then line, then rule id.
-    report.findings.sort_by(|a, b| {
-        (a.path.as_str(), a.line, a.rule.id).cmp(&(b.path.as_str(), b.line, b.rule.id))
-    });
-    Ok(report)
-}
-
-/// Run the analyze pass (W-series rules) over the workspace at `root`.
-///
-/// Mirrors [`run_lint`]: same walker, same inline/allowlist escape
-/// hatches, same deterministic ordering — but where lint is line-local,
-/// analyze builds a [`FileModel`] per file and checks the cross-file
-/// write-scope manifest (`crates/xtask/scopes.toml`) on top of the
-/// per-file lock-order and thread-readiness rules. A missing manifest is
-/// an empty manifest (W002/W003 still run); a syntactically broken one is
-/// a hard error.
-pub fn run_analyze(root: &Path) -> Result<Report, LintError> {
-    if !root.join("Cargo.toml").exists() {
-        return Err(LintError::NotAWorkspace(root.to_path_buf()));
-    }
-    let allowlist = Allowlist::load(root);
-    let manifest = match fs::read_to_string(root.join(scopes::MANIFEST_PATH)) {
-        Ok(text) => ScopeManifest::parse(&text).map_err(LintError::Manifest)?,
-        Err(_) => ScopeManifest::default(),
-    };
-
-    let mut report = Report::default();
-    let mut raw = Vec::new();
-    let mut files: BTreeMap<String, SourceFile> = BTreeMap::new();
-    let mut models: BTreeMap<String, FileModel> = BTreeMap::new();
-
-    for path in collect_rs_files(root)? {
-        let text = fs::read_to_string(&path).map_err(|e| LintError::Io(path.clone(), e))?;
-        let rel_path = rel(root, &path);
-        let file = SourceFile::scan(&text);
-        report.files_scanned += 1;
-        rules::analyze_lines(&rel_path, &file, &mut raw);
-        models.insert(rel_path.clone(), FileModel::build(&file));
-        files.insert(rel_path, file);
-    }
-
-    manifest.validate(&models, &mut raw);
-    for (rel_path, model) in &models {
-        // Write-scope is a src-only contract: tests and benches reach into
-        // state on purpose (and go through accessors where it matters).
-        if rel_path.contains("/src/") {
-            scopes::check_write_scopes(rel_path, model, &manifest, &mut raw);
-        }
-    }
-
-    report.findings = raw
-        .into_iter()
-        .filter(|f| {
-            if allowlist.allows(f.rule.id, &f.path) {
-                return false;
-            }
-            // Inline `// acdc-lint: allow(W00x)` directives, applied
-            // centrally since analyze findings come from several passes.
-            if f.line > 0 {
-                if let Some(file) = files.get(&f.path) {
-                    if file.allows_on(f.line - 1).iter().any(|a| a == f.rule.id) {
-                        return false;
-                    }
-                }
-            }
-            true
-        })
-        .collect();
     report.findings.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.rule.id).cmp(&(b.path.as_str(), b.line, b.rule.id))
     });
@@ -280,16 +151,6 @@ pub fn run_analyze(root: &Path) -> Result<Report, LintError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn allowlist_parses_and_matches() {
-        let al = Allowlist::parse(
-            "# comment\nD002 crates/netsim/src/switch.rs\n\nP003 crates/cc/src/dctcp.rs # trailing\n",
-        );
-        assert!(al.allows("D002", "crates/netsim/src/switch.rs"));
-        assert!(al.allows("P003", "crates/cc/src/dctcp.rs"));
-        assert!(!al.allows("D002", "crates/core/src/host.rs"));
-    }
 
     #[test]
     fn crate_root_detection() {

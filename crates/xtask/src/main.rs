@@ -7,7 +7,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use acdc_xtask::{find_workspace_root, rules, run_analyze, run_lint};
+use acdc_xtask::{find_workspace_root, rules, run_lint};
 
 const USAGE: &str = "\
 usage: acdc-xtask <command>
@@ -15,10 +15,6 @@ usage: acdc-xtask <command>
 commands:
   lint [--root PATH]        run the workspace lint pass (default root: the
                             enclosing cargo workspace)
-  analyze [--root PATH]     run the write-scope / lock-order /
-                            thread-readiness analysis (W-series rules over
-                            the item-aware source model + scopes.toml)
-      [--json]              emit findings as JSON for tooling
   list-rules                print the rule catalog
   dump-trace [NAME]         list flight-recorder dumps under
                             target/acdc-traces/, or print dump NAME
@@ -27,8 +23,7 @@ commands:
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("lint") => cmd_check(&args[1..], Pass::Lint),
-        Some("analyze") => cmd_check(&args[1..], Pass::Analyze),
+        Some("lint") => cmd_lint(&args[1..]),
         Some("dump-trace") => cmd_dump_trace(&args[1..]),
         Some("list-rules") => {
             for rule in rules::catalog() {
@@ -47,25 +42,8 @@ fn main() -> ExitCode {
     }
 }
 
-/// Which engine pass a `lint`-shaped subcommand runs.
-#[derive(Clone, Copy, PartialEq)]
-enum Pass {
-    Lint,
-    Analyze,
-}
-
-impl Pass {
-    fn name(self) -> &'static str {
-        match self {
-            Pass::Lint => "lint",
-            Pass::Analyze => "analyze",
-        }
-    }
-}
-
-fn cmd_check(args: &[String], pass: Pass) -> ExitCode {
+fn cmd_lint(args: &[String]) -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut as_json = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -76,9 +54,8 @@ fn cmd_check(args: &[String], pass: Pass) -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--json" if pass == Pass::Analyze => as_json = true,
             other => {
-                eprintln!("error: unknown {} flag `{other}`", pass.name());
+                eprintln!("error: unknown lint flag `{other}`");
                 return ExitCode::from(2);
             }
         }
@@ -98,30 +75,17 @@ fn cmd_check(args: &[String], pass: Pass) -> ExitCode {
         }
     };
 
-    let result = match pass {
-        Pass::Lint => run_lint(&root),
-        Pass::Analyze => run_analyze(&root),
-    };
-    match result {
+    match run_lint(&root) {
         Ok(report) => {
-            if as_json {
-                print!("{}", render_json(&report));
-            } else {
-                for finding in &report.findings {
-                    println!("{}", finding.render());
-                }
+            for finding in &report.findings {
+                println!("{}", finding.render());
             }
             if report.is_clean() {
-                eprintln!(
-                    "acdc-xtask {}: {} files clean",
-                    pass.name(),
-                    report.files_scanned
-                );
+                eprintln!("acdc-xtask lint: {} files clean", report.files_scanned);
                 ExitCode::SUCCESS
             } else {
                 eprintln!(
-                    "acdc-xtask {}: {} finding(s) across {} files",
-                    pass.name(),
+                    "acdc-xtask lint: {} finding(s) across {} files",
                     report.findings.len(),
                     report.files_scanned
                 );
@@ -133,48 +97,6 @@ fn cmd_check(args: &[String], pass: Pass) -> ExitCode {
             ExitCode::from(2)
         }
     }
-}
-
-/// Render a report as JSON for tooling (`analyze --json`). Hand-rolled —
-/// the xtask stays dependency-free, and the escapes findings need are
-/// quotes/backslashes/control characters only.
-fn render_json(report: &acdc_xtask::Report) -> String {
-    fn esc(s: &str) -> String {
-        let mut out = String::with_capacity(s.len());
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
-    }
-    let mut out = String::from("{\n  \"findings\": [");
-    for (i, f) in report.findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"path\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"name\": \"{}\", \"message\": \"{}\"}}",
-            esc(&f.path),
-            f.line,
-            f.rule.id,
-            f.rule.name,
-            esc(&f.message)
-        ));
-    }
-    if !report.findings.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str(&format!(
-        "],\n  \"files_scanned\": {}\n}}\n",
-        report.files_scanned
-    ));
-    out
 }
 
 /// Where failing tests (via `acdc_telemetry::TraceGuard`) dump their

@@ -306,11 +306,11 @@ mod tests {
     #[test]
     fn allow_directive_same_line_and_previous_line() {
         let src =
-            "// acdc-lint: allow(D001)\nlet t = 1;\nlet u = 2; // acdc-lint: allow(P001, P002)\n";
+            "// acdc-lint: allow(D003)\nlet t = 1;\nlet u = 2; // acdc-lint: allow(P001, P002)\n";
         let f = SourceFile::scan(src);
-        assert_eq!(f.allows_on(1), vec!["D001"]);
+        assert_eq!(f.allows_on(1), vec!["D003"]);
         assert_eq!(f.allows_on(2), vec!["P001", "P002"]);
-        assert!(f.allows_on(0).iter().any(|r| r == "D001"));
+        assert!(f.allows_on(0).iter().any(|r| r == "D003"));
     }
 
     #[test]

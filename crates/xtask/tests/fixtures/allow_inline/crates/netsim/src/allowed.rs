@@ -1,10 +1,10 @@
 //! Every violation here carries the inline escape hatch, so the lint pass
 //! must come back clean.
 
-// This table is rebuilt per event and never iterated.
-// acdc-lint: allow(D002)
-use std::collections::HashMap;
+// A reference model for a test-only comparison, never on the event path.
+// acdc-lint: allow(D004)
+use std::collections::BinaryHeap;
 
-pub fn build() -> HashMap<u32, u32> { // acdc-lint: allow(D002)
-    HashMap::new() // acdc-lint: allow(D002)
+pub fn build() -> BinaryHeap<u64> { // acdc-lint: allow(D004)
+    BinaryHeap::new() // acdc-lint: allow(D004)
 }

@@ -1,6 +1,6 @@
-//! A file that is completely clean: ordered maps, simulator time, helper
-//! use for window scaling, no float equality. Mentions of HashMap or
-//! Instant::now in comments or strings must not fire.
+//! A file that is completely clean: simulator time, seeded randomness, no
+//! float equality. Mentions of from_entropy or get_or_create in comments
+//! or strings must not fire.
 
 use std::collections::BTreeMap;
 
@@ -9,13 +9,13 @@ pub struct Clock {
 }
 
 pub fn tick(c: &mut Clock) -> u64 {
-    // Instant::now() would be wrong here — this comment must not trip D001.
+    // SmallRng::from_entropy() would be wrong here — this comment must not trip D003.
     c.now += 1;
     c.now
 }
 
 pub fn routes() -> BTreeMap<u32, u32> {
-    let s = "HashMap in a string literal is fine";
+    let s = "table.get_or_create in a string literal is fine";
     let mut m = BTreeMap::new();
     m.insert(s.len() as u32, 1);
     m

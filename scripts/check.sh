@@ -1,17 +1,14 @@
 #!/usr/bin/env bash
 # The full pre-push gate: formatting, clippy, the workspace lint pass,
-# the whole workspace's tests (once plain, once with the
-# strict-invariants runtime hooks), and the benchmark harness gated on
-# its deterministic rows.
+# the whole workspace's tests, and the benchmark harness gated on its
+# deterministic rows.
 #
 # Each stage is a function so CI can run them as separate jobs with the
 # exact same commands developers run locally:
 #
 #   scripts/check.sh            # run every stage, in order
 #   scripts/check.sh lint       # formatting + clippy + acdc-xtask lint
-#   scripts/check.sh analyze    # write-scope / lock-order / thread-readiness
 #   scripts/check.sh test       # cargo test --workspace
-#   scripts/check.sh strict     # the same under --features strict-invariants
 #   scripts/check.sh harness    # acdc-harness self-tests + a short run, compared
 #                               # against BENCH_harness.json on the exact rows
 #
@@ -28,41 +25,17 @@ stage_lint() {
 
     echo "==> acdc-xtask lint"
     cargo run -q -p acdc-xtask -- lint
-
-    echo "==> no expect/unwrap on wire-input parse paths (vswitch, core, tcp)"
-    if grep -rnE '(try_meta|::parse)\([^)]*\)[[:space:]]*\.[[:space:]]*(unwrap|expect)\(' \
-        crates/vswitch/src crates/core/src crates/tcp/src; then
-        echo "error: wire-input parses must be fallible (drop + count), not unwrap/expect" >&2
-        return 1
-    fi
 }
 
-stage_analyze() {
-    echo "==> acdc-xtask analyze (W-series: write-scope, lock-order, thread-readiness)"
-    if ! cargo run -q -p acdc-xtask -- analyze; then
-        # Re-run in JSON mode so the findings survive as a machine-readable
-        # artifact (CI uploads target/acdc-analyze/ on failure).
-        mkdir -p target/acdc-analyze
-        cargo run -q -p acdc-xtask -- analyze --json \
-            >target/acdc-analyze/findings.json || true
-        echo "==> findings written to target/acdc-analyze/findings.json" >&2
-        return 1
-    fi
-}
-
-# Every test of every workspace member, in debug, so `debug_assert!`
-# oracles such as the host's full-fold check are live: chaos, overload,
-# workers-equivalence, the soak smoke, the checkpoint and table
-# proptests and the xtask fixtures are all in here. (The hour-long
-# acceptance soak stays behind --ignored; nightly.yml runs it.)
+# Every test of every workspace member, in debug, so the `debug_assert!`
+# oracles (the host's full-fold check, the protocol-state invariants of
+# LINTS.md) are live: chaos, overload, workers-equivalence, the soak
+# smoke, the checkpoint and table proptests and the xtask fixtures are
+# all in here. (The hour-long acceptance soak stays behind --ignored;
+# nightly.yml runs it.)
 stage_test() {
     echo "==> cargo test --workspace"
     cargo test -q --workspace
-}
-
-stage_strict() {
-    echo "==> cargo test --workspace --features strict-invariants"
-    cargo test -q --workspace --features strict-invariants
 }
 
 HARNESS_MANIFEST=crates/bench/harness/Cargo.toml
@@ -139,11 +112,11 @@ stage_harness() {
     fi
 }
 
-ALL_STAGES=(lint analyze test strict harness)
+ALL_STAGES=(lint test harness)
 
 run_stage() {
     case "$1" in
-        lint | analyze | test | strict | harness) "stage_$1" ;;
+        lint | test | harness) "stage_$1" ;;
         *)
             echo "error: unknown stage '$1' (expected: ${ALL_STAGES[*]})" >&2
             exit 2

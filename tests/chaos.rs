@@ -267,10 +267,9 @@ fn lost_facks_do_not_wedge_ecn_feedback() {
     let mut facks = 0;
     let mut packs = 0;
     for host in 0..6 {
-        let c = tb.host_mut(host).datapath().counters().snapshot();
-        let get = |name: &str| c.iter().find(|(n, _)| *n == name).unwrap().1;
-        facks += get("facks_sent");
-        packs += get("packs_received");
+        let reg = tb.host_mut(host).telemetry().registry();
+        facks += reg.value("acdc.facks_sent").unwrap();
+        packs += reg.value("acdc.packs_received").unwrap();
     }
     assert!(facks > 0, "congestion must generate ECN feedback");
     assert!(packs > 0, "feedback must keep arriving despite lost FACKs");

@@ -160,8 +160,7 @@ fn datapath_dup_acks_match_tracked_state() {
     let key: FlowKey = h.key;
     let dups = tb.host_mut(0).datapath().make_dup_acks(&key, 3);
     assert_eq!(dups.len(), 3);
-    let entry = tb.host_mut(0).datapath().table().get(&key).unwrap();
-    let snd_una = entry.lock().snd_una;
+    let snd_una = tb.host_mut(0).datapath().seq_view(&key).unwrap().snd_una;
     for d in &dups {
         assert_eq!(d.tcp().ack_number(), snd_una);
         assert_eq!(d.flow_key(), key.reverse());

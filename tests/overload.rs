@@ -9,10 +9,12 @@ use acdc_faults::{FaultPlan, LinkFaultStats};
 use acdc_stats::time::{MICROSECOND, MILLISECOND, SECOND};
 use acdc_vswitch::{AdmissionPolicy, HealthState};
 
-type Snap = Vec<(&'static str, u64)>;
+type Snap = Vec<acdc_telemetry::MetricValue>;
 
+/// The datapath counter `acdc.<name>` out of a host's registry snapshot.
 fn get(snap: &Snap, name: &str) -> u64 {
-    snap.iter().find(|(n, _)| *n == name).unwrap().1
+    let name = format!("acdc.{name}");
+    snap.iter().find(|m| m.name == name).unwrap().value
 }
 
 /// SYN-flood the dumbbell: 1024 offered flows against 256-entry tables
@@ -58,7 +60,7 @@ fn run_syn_flood() -> (Vec<Snap>, LinkFaultStats, u64, u64) {
         assert_eq!(tb.acked_bytes(h), BYTES, "{h:?} did not complete");
     }
     let snaps: Vec<Snap> = (0..2 * PAIRS)
-        .map(|host| tb.host_mut(host).datapath().counters().snapshot())
+        .map(|host| tb.host_mut(host).telemetry().registry().snapshot_all())
         .collect();
     let stats = tb.trunk_fault_stats().unwrap();
     let events = tb.net.events_processed();
@@ -116,7 +118,7 @@ fn flow_churn_under_tight_capacity_evicts_but_all_complete() {
     for &h in &flows {
         assert_eq!(tb.acked_bytes(h), BYTES, "{h:?} did not complete");
     }
-    let c0 = tb.host_mut(0).datapath().counters().snapshot();
+    let c0 = tb.host_mut(0).telemetry().registry().snapshot_all();
     // 96 connections demand ~192 entries; room for 32 — older idle
     // entries must have been evicted to admit the newcomers, without a
     // single admission failing.
@@ -154,7 +156,7 @@ fn run_reset() -> (Snap, Snap, LinkFaultStats, u64, u64) {
     assert_eq!(tb.acked_bytes(h2), BYTES2);
 
     // The orphaned flow was re-adopted…
-    let c0 = tb.host_mut(0).datapath().counters().snapshot();
+    let c0 = tb.host_mut(0).telemetry().registry().snapshot_all();
     assert_eq!(get(&c0, "datapath_resets"), 1);
     {
         let dp = tb.host_mut(0).datapath();
@@ -183,17 +185,15 @@ fn run_reset() -> (Snap, Snap, LinkFaultStats, u64, u64) {
 
     // The adopted entry's reconstructed sequence state reconverges to the
     // endpoint's ground truth by quiescence.
-    let ep = tb.client_endpoint(h);
-    let (ep_una, ep_nxt) = (ep.wire_snd_una(), ep.wire_snd_nxt());
-    let (sw_una, sw_nxt) = tb
+    let ep_view = tb.client_endpoint(h).seq_view();
+    let sw_view = tb
         .host_mut(0)
         .datapath()
-        .seq_state(&h.key)
+        .seq_view(&h.key)
         .expect("adopted flow tracked");
-    assert_eq!(sw_una, ep_una, "adopted snd_una must reconverge");
-    assert_eq!(sw_nxt, ep_nxt, "adopted snd_nxt must reconverge");
+    assert_eq!(sw_view, ep_view, "adopted send pointers must reconverge");
 
-    let c1 = tb.host_mut(1).datapath().counters().snapshot();
+    let c1 = tb.host_mut(1).telemetry().registry().snapshot_all();
     let stats = tb.trunk_fault_stats().unwrap();
     let events = tb.net.events_processed();
     let acked = tb.acked_bytes(h) + tb.acked_bytes(h2);

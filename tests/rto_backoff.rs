@@ -63,13 +63,11 @@ fn sustained_ge_loss_drives_exponential_backoff_then_recovery() {
     );
 
     // And its sequence state must agree with the endpoint ground truth.
-    let ep_una = tb.client_endpoint(h).wire_snd_una();
-    let ep_nxt = tb.client_endpoint(h).wire_snd_nxt();
-    let (sw_una, sw_nxt) = tb
+    let ep_view = tb.client_endpoint(h).seq_view();
+    let sw_view = tb
         .host_mut(h.client_host)
         .datapath()
-        .seq_state(&h.key)
+        .seq_view(&h.key)
         .expect("vSwitch must still track the flow");
-    assert_eq!(sw_una, ep_una);
-    assert_eq!(sw_nxt, ep_nxt);
+    assert_eq!(sw_view, ep_view);
 }

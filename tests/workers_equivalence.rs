@@ -1,4 +1,4 @@
-//! Worker-engine equivalence under chaos (DESIGN.md §13).
+//! Worker-engine equivalence under chaos (DESIGN.md §12).
 //!
 //! The worker engine's contract is that worker count routes
 //! *observability*, never *enforcement*: in dispatch mode the steered
@@ -19,7 +19,7 @@
 
 use acdc_core::{FlowHandle, Scheme, Testbed};
 use acdc_faults::{FaultPlan, LinkFaultStats};
-use acdc_packet::SeqNumber;
+use acdc_packet::SeqView;
 use acdc_stats::time::SECOND;
 
 const BYTES: u64 = 400_000;
@@ -31,8 +31,8 @@ struct Observed {
     retransmits: u64,
     engine_events: u64,
     fault: LinkFaultStats,
-    ep_state: (SeqNumber, SeqNumber),
-    sw_state: (SeqNumber, SeqNumber),
+    ep_state: SeqView,
+    sw_state: SeqView,
     /// Client-host vSwitch metrics in the `acdc-telemetry/v2` merged
     /// snapshot JSON: the legacy hub alone at N = 0, the main + worker
     /// hubs otherwise. Includes every drop and health counter plus the
@@ -60,14 +60,14 @@ fn run(workers: usize) -> Observed {
 
     let acked = tb.acked_bytes(h);
     let ep = tb.client_endpoint(h);
-    let ep_state = (ep.wire_snd_una(), ep.wire_snd_nxt());
+    let ep_state = ep.seq_view();
     let retransmits = ep.retransmitted_segments();
     let engine_events = tb.net.events_processed();
     let fault = tb.trunk_fault_stats().expect("trunk was faulted");
     let host = tb.host_mut(h.client_host);
     let sw_state = host
         .datapath()
-        .seq_state(&h.key)
+        .seq_view(&h.key)
         .expect("vSwitch must still track the flow");
     let counters_json = match host.worker_engine() {
         Some(engine) => engine.merged_snapshot_json(host.datapath(), 0),
