@@ -10,6 +10,12 @@
 //!   engine models the transmitter: packets serialize one at a time at the
 //!   link rate, then propagate, then are delivered to the peer port's owner
 //!   via [`Node::on_packet`].
+//! * Every transmission reserves two sequence numbers, for the end of its
+//!   serialization (`TxDone`) and for its `Deliver`, but a `TxDone` is an
+//!   event only when a packet is queued behind the one on the wire: a port
+//!   remembers *until when* it is busy rather than being told when it stops
+//!   (see `Port::idle_at`). The events that do fire keep the `(timestamp,
+//!   sequence)` an engine that scheduled every `TxDone` would give them.
 //! * Per-port FIFO queues live in the engine; *admission* (buffer limits,
 //!   ECN marking, drops) is the owning node's job before it enqueues —
 //!   that is where [`SwitchNode`](crate::switch::SwitchNode) implements the
@@ -172,14 +178,61 @@ struct Port {
     peer: Option<PortId>,
     link: LinkSpec,
     queue: VecDeque<Segment>,
-    busy: bool,
+    /// When the transmitter falls idle: the end of the serialization in
+    /// progress and the sequence number reserved for its `TxDone`. The
+    /// port is busy to every event ordered before this pair, which is what
+    /// a flag cleared by that `TxDone` would read — same-nanosecond ties
+    /// included. The `TxDone` itself is scheduled only while `queue` is
+    /// non-empty (a drain is *armed*), by whoever makes it so.
+    idle_at: (Nanos, u64),
     counters: PortMetrics,
 }
 
+/// What the wheel stores: 24 bytes, so a wheel entry is 40. A segment in
+/// flight waits in [`InFlight`] and its `Deliver` carries the cell index.
 enum EventKind {
-    Deliver { port: PortId, seg: Segment },
+    Deliver { port: PortId, cell: u32 },
     TxDone { port: PortId },
     Timer { node: NodeId, token: u64 },
+}
+
+/// The segments between a transmitter and the peer port: a slab whose
+/// cells are reused, so its size is the high-water mark of packets on
+/// the wire at once.
+#[derive(Default)]
+struct InFlight {
+    cells: Vec<Option<Segment>>,
+    vacant: Vec<u32>,
+}
+
+impl InFlight {
+    fn insert(&mut self, seg: Segment) -> u32 {
+        match self.vacant.pop() {
+            Some(cell) => {
+                self.cells[cell as usize] = Some(seg);
+                cell
+            }
+            None => {
+                let cell = u32::try_from(self.cells.len()).expect("under 2^32 packets in flight");
+                self.cells.push(Some(seg));
+                cell
+            }
+        }
+    }
+
+    fn take(&mut self, cell: u32) -> Segment {
+        self.vacant.push(cell);
+        self.cells[cell as usize]
+            .take()
+            .expect("a Deliver's cell is filled when it is scheduled")
+    }
+}
+
+/// Where and when a transmission's `Deliver` goes.
+struct Delivery {
+    at: Nanos,
+    seq: u64,
+    port: PortId,
 }
 
 /// The simulated network: nodes, ports, events, virtual clock. Events
@@ -189,7 +242,11 @@ pub struct Network {
     nodes: Vec<Option<Box<dyn Node>>>,
     ports: Vec<Port>,
     events: TimerWheel<EventKind>,
+    in_flight: InFlight,
     now: Nanos,
+    /// Sequence number of the event being dispatched: with `now`, the
+    /// position in the total order that [`Port::idle_at`] is compared to.
+    dispatching_seq: u64,
     seq: u64,
     events_processed: u64,
     telemetry: Option<Arc<Telemetry>>,
@@ -208,7 +265,9 @@ impl Network {
             nodes: Vec::new(),
             ports: Vec::new(),
             events: TimerWheel::new(),
+            in_flight: InFlight::default(),
             now: 0,
+            dispatching_seq: 0,
             seq: 0,
             events_processed: 0,
             telemetry: None,
@@ -223,7 +282,7 @@ impl Network {
     pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
         telemetry
             .registry()
-            .adopt_counter("engine.wheel.same_slot_batches", self.events.batches_cell());
+            .adopt_counter("engine.wheel.slot_drains", self.events.slot_drains());
         for (i, p) in self.ports.iter().enumerate() {
             p.counters.register(&telemetry, i);
         }
@@ -248,12 +307,6 @@ impl Network {
     /// Total events processed so far (a cheap progress/perf metric).
     pub fn events_processed(&self) -> u64 {
         self.events_processed
-    }
-
-    /// Same-timestamp batch pops the scheduler served without re-scanning
-    /// its slot structure (see `engine.wheel.same_slot_batches`).
-    pub fn wheel_same_slot_batches(&self) -> u64 {
-        self.events.same_slot_batches()
     }
 
     /// Reserve a node slot; install the implementation later with
@@ -292,7 +345,7 @@ impl Network {
             peer: None,
             link,
             queue: VecDeque::new(),
-            busy: false,
+            idle_at: (0, 0),
             counters: PortMetrics::standalone(),
         });
         let pb = PortId(self.ports.len());
@@ -301,7 +354,7 @@ impl Network {
             peer: Some(pa),
             link,
             queue: VecDeque::new(),
-            busy: false,
+            idle_at: (0, 0),
             counters: PortMetrics::standalone(),
         });
         self.ports[pa.0].peer = Some(pb);
@@ -390,9 +443,10 @@ impl Network {
         // The wheel serves whole same-timestamp (same-slot) runs from one
         // drained batch, so there is no per-event re-peek here the way
         // the BinaryHeap loop re-peeked after every pop.
-        while let Some((at, _seq, kind)) = self.events.pop_before(deadline) {
+        while let Some((at, seq, kind)) = self.events.pop_before(deadline) {
             debug_assert!(at >= self.now, "time went backwards");
             self.now = at;
+            self.dispatching_seq = seq;
             self.events_processed += 1;
             self.dispatch(kind);
         }
@@ -414,7 +468,8 @@ impl Network {
 
     fn dispatch(&mut self, kind: EventKind) {
         match kind {
-            EventKind::Deliver { port, seg } => {
+            EventKind::Deliver { port, cell } => {
+                let seg = self.in_flight.take(cell);
                 let owner = self.ports[port.0].owner;
                 {
                     let c = &self.ports[port.0].counters;
@@ -446,33 +501,67 @@ impl Network {
         self.nodes[id.0] = Some(node);
     }
 
-    /// Begin serialization of `seg` on `port` (the port must be idle).
-    fn start_tx(&mut self, port: PortId, seg: Segment) {
-        let p = &mut self.ports[port.0];
-        debug_assert!(!p.busy);
-        p.busy = true;
-        let ser = p.link.serialization_delay(seg.wire_len());
-        let prop = p.link.propagation;
-        let peer = p.peer.expect("transmit on unconnected port");
-        p.counters.tx_pkts.inc();
-        p.counters.tx_bytes.add(seg.wire_len() as u64);
-        let at_done = self.now + ser;
-        let seq = self.next_seq();
-        self.events
-            .schedule(at_done, seq, EventKind::TxDone { port });
-        let seq = self.next_seq();
-        self.events
-            .schedule(at_done + prop, seq, EventKind::Deliver { port: peer, seg });
+    /// Is `port` serializing a packet, as seen by the event in hand?
+    fn busy(&self, port: PortId) -> bool {
+        (self.now, self.dispatching_seq) < self.ports[port.0].idle_at
     }
 
-    fn finish_tx(&mut self, port: PortId) {
-        self.ports[port.0].busy = false;
-        if let Some(seg) = self.ports[port.0].queue.pop_front() {
-            let owner = self.ports[port.0].owner;
-            let cloned_for_hook = seg.clone();
-            self.start_tx(port, seg);
-            self.with_node(owner, |n, ctx| n.on_tx_start(ctx, port, &cloned_for_hook));
+    /// Put `wire_len` bytes on `port`'s wire (the port must be idle):
+    /// count them, reserve the sequence numbers of this transmission's
+    /// `TxDone` and `Deliver`, in that order, and keep the port busy until
+    /// the former. Returns the latter, for [`Network::schedule_deliver`].
+    fn begin_tx(&mut self, port: PortId, wire_len: usize) -> Delivery {
+        debug_assert!(!self.busy(port));
+        let at_done = self.now + self.ports[port.0].link.serialization_delay(wire_len);
+        let done_seq = self.next_seq();
+        let seq = self.next_seq();
+        let p = &mut self.ports[port.0];
+        p.idle_at = (at_done, done_seq);
+        p.counters.tx_pkts.inc();
+        p.counters.tx_bytes.add(wire_len as u64);
+        Delivery {
+            at: at_done + p.link.propagation,
+            seq,
+            port: p.peer.expect("transmit on unconnected port"),
         }
+    }
+
+    fn schedule_deliver(&mut self, to: Delivery, seg: Segment) {
+        let cell = self.in_flight.insert(seg);
+        let port = to.port;
+        self.events
+            .schedule(to.at, to.seq, EventKind::Deliver { port, cell });
+    }
+
+    /// Schedule `port`'s `TxDone` at the place reserved for it. Called
+    /// when a packet comes to wait behind the one on the wire; the event
+    /// in hand is ordered before `idle_at` (the port is busy), so the wheel
+    /// has not popped past it.
+    fn arm_drain(&mut self, port: PortId) {
+        let (at, seq) = self.ports[port.0].idle_at;
+        self.events.schedule(at, seq, EventKind::TxDone { port });
+    }
+
+    /// Begin serialization of `seg` on `port` (the port must be idle).
+    fn start_tx(&mut self, port: PortId, seg: Segment) {
+        let to = self.begin_tx(port, seg.wire_len());
+        self.schedule_deliver(to, seg);
+    }
+
+    /// An armed drain fired: the wire is free and a packet is waiting.
+    fn finish_tx(&mut self, port: PortId) {
+        debug_assert_eq!((self.now, self.dispatching_seq), self.ports[port.0].idle_at);
+        let head = self.ports[port.0].queue.pop_front();
+        let seg = head.expect("a drain is armed only behind a queued packet");
+        let to = self.begin_tx(port, seg.wire_len());
+        if !self.ports[port.0].queue.is_empty() {
+            self.arm_drain(port);
+        }
+        // The hook borrows the segment on its way to the slab; whatever it
+        // schedules draws later sequence numbers than the two reserved.
+        let owner = self.ports[port.0].owner;
+        self.with_node(owner, |n, ctx| n.on_tx_start(ctx, port, &seg));
+        self.schedule_deliver(to, seg);
     }
 }
 
@@ -503,8 +592,13 @@ impl Ctx<'_> {
             "node {:?} enqueueing on foreign port {port:?}",
             self.node
         );
-        if self.net.ports[port.0].busy {
-            self.net.ports[port.0].queue.push_back(seg);
+        if self.net.busy(port) {
+            let queue = &mut self.net.ports[port.0].queue;
+            let armed = !queue.is_empty();
+            queue.push_back(seg);
+            if !armed {
+                self.net.arm_drain(port);
+            }
         } else {
             self.net.start_tx(port, seg);
         }
@@ -512,12 +606,7 @@ impl Ctx<'_> {
 
     /// Is `port`'s transmitter currently serializing a packet?
     pub fn port_busy(&self, port: PortId) -> bool {
-        self.net.ports[port.0].busy
-    }
-
-    /// Bytes sitting in `port`'s FIFO (not counting the in-flight packet).
-    pub fn queued_bytes(&self, port: PortId) -> u64 {
-        self.net.port_queue_bytes(port)
+        self.net.busy(port)
     }
 
     /// Packets sitting in `port`'s FIFO.
@@ -791,6 +880,101 @@ mod tests {
         assert_eq!(rx.rx_pkts, 5);
         assert_eq!(tx.tx_bytes, 5 * 1000);
         assert_eq!(rx.rx_bytes, 5 * 1000);
+    }
+
+    /// What [`tie`] observed.
+    #[derive(Default)]
+    struct TieLog {
+        /// `(now, busy before, queued after)` at timer 1's enqueue.
+        saw: Vec<(Nanos, bool, usize)>,
+        /// Time of every `on_tx_start`.
+        hooks: Vec<Nanos>,
+    }
+
+    /// Sends one packet on timer 0 and one on timer 1, which `rearm` has
+    /// it set from timer 0 for the nanosecond the first serialization ends.
+    struct TieProbe {
+        port: PortId,
+        rearm: bool,
+        log: TieLog,
+    }
+
+    impl Node for TieProbe {
+        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _port: PortId, _seg: Segment) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            let busy = ctx.port_busy(self.port);
+            // 1250 B on the wire: 10 µs at 1 Gbit/s.
+            ctx.enqueue(self.port, seg([1, 1, 1, 1], [2, 2, 2, 2], 1210));
+            if token == 1 {
+                let seen = (ctx.now(), busy, ctx.queued_pkts(self.port));
+                self.log.saw.push(seen);
+            } else if self.rearm {
+                ctx.set_timer(10_000, 1);
+            }
+        }
+        fn on_tx_start(&mut self, ctx: &mut Ctx<'_>, _port: PortId, _seg: &Segment) {
+            self.log.hooks.push(ctx.now());
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// Two packets, the second enqueued on the nanosecond the first one's
+    /// serialization ends; `rearm` decides which side of the reserved
+    /// `TxDone` sequence number that enqueue falls on. Returns the probe's
+    /// log, the arrival times and the events processed.
+    fn tie(rearm: bool) -> (TieLog, Vec<Nanos>, u64) {
+        let mut net = Network::new();
+        let a = net.reserve_node();
+        let b = net.add_node(Box::new(Sink::new()));
+        let link = LinkSpec {
+            rate_bps: 1_000_000_000,
+            propagation: 5_000,
+        };
+        let (pa, _) = net.connect(a, b, link);
+        net.install(
+            a,
+            Box::new(TieProbe {
+                port: pa,
+                rearm,
+                log: TieLog::default(),
+            }),
+        );
+        net.schedule_timer_at(a, 0, 0);
+        if !rearm {
+            // Scheduled before the run: a sequence number below any the
+            // first transmission reserves.
+            net.schedule_timer_at(a, 10_000, 1);
+        }
+        net.run_until(SECOND_T);
+        let sink = net.node_mut::<Sink>(b).unwrap();
+        let arrivals = sink.received.iter().map(|r| r.0).collect();
+        let log = std::mem::take(&mut net.node_mut::<TieProbe>(a).unwrap().log);
+        (log, arrivals, net.events_processed())
+    }
+
+    #[test]
+    fn tie_ordered_before_the_reserved_tx_done_finds_the_port_busy() {
+        let (log, arrivals, events) = tie(false);
+        // Busy, so the packet queues; the drain armed by that enqueue
+        // fires in the same nanosecond and the hook reports it leaving.
+        assert_eq!(log.saw, vec![(10_000, true, 1)]);
+        assert_eq!(log.hooks, vec![10_000]);
+        assert_eq!(arrivals, vec![15_000, 25_000]);
+        // Two timers, the one `TxDone` with work to do, two deliveries.
+        assert_eq!(events, 5);
+    }
+
+    #[test]
+    fn tie_ordered_after_the_reserved_tx_done_finds_the_port_idle() {
+        let (log, arrivals, events) = tie(true);
+        // Idle: straight to the wire, never queued, so no hook and no
+        // `TxDone` at all. Same arrivals as the other order.
+        assert_eq!(log.saw, vec![(10_000, false, 0)]);
+        assert_eq!(log.hooks, Vec::<Nanos>::new());
+        assert_eq!(arrivals, vec![15_000, 25_000]);
+        assert_eq!(events, 4);
     }
 
     /// Forwards everything from one port to the other, counting packets.

@@ -213,7 +213,7 @@ pub struct SwitchNode {
     routes: BTreeMap<[u8; 4], PortId>,
     /// Fallback port for unmatched destinations (inter-switch trunk).
     default_route: Option<PortId>,
-    /// Occupancy per output port, bytes (queued + in transmission).
+    /// Occupancy per output port: bytes waiting in its FIFO (see `on_packet`).
     occupancy: BTreeMap<PortId, u64>,
     /// WRED-averaged occupancy per output port (EWMA, weight 1/16).
     avg_occupancy: BTreeMap<PortId, f64>,
@@ -349,16 +349,12 @@ impl Node for SwitchNode {
         self.sample_probe(ctx.now(), out);
         ctx.enqueue(out, seg);
 
-        // If the port was idle the engine started transmitting immediately;
-        // in that case the packet never waits and its bytes leave the
-        // "queue" as they serialize. We keep them counted until tx ends via
-        // on_tx_start only for queued packets, so reconcile here: packets
-        // that start immediately get released by the TxDone-driven
-        // `on_tx_start` of the *next* packet or stay counted for their
-        // serialization time. To keep accounting exact we instead release
-        // immediately-transmitted packets now.
+        // Occupancy counts bytes waiting in the FIFO, and each packet's are
+        // released exactly once. The engine keeps this invariant: straight
+        // after `enqueue`, an empty FIFO means the packet went to the wire,
+        // and its bytes are released here; otherwise `on_tx_start` releases
+        // them when it leaves the queue.
         if ctx.queued_pkts(out) == 0 {
-            // The packet went straight to the transmitter.
             let e = self.occupancy.entry(out).or_insert(0);
             *e = e.saturating_sub(len);
             self.total_occupancy = self.total_occupancy.saturating_sub(len);

@@ -22,20 +22,29 @@
 //! Pops come out in `(deadline, insertion sequence)` order — the
 //! engine's documented total order, with equal-deadline ties firing in
 //! insertion order. Slot residents are unsorted until their slot is
-//! drained; the drain sorts once by `(at, seq)` into the `ready` batch,
-//! and because `seq` is unique the sort is a total order. The
-//! equivalence proptest in `tests/wheel_props.rs` drives this scheduler
-//! and a `BinaryHeap` reference model with arbitrary interleaved
-//! schedule/cancel/advance sequences and asserts identical pop streams.
+//! drained; the drain sorts the slot's buffer once by `(at, seq)` and
+//! that buffer *is* the `ready` batch, and because `seq` is unique the
+//! sort is a total order. Sequences need not arrive in increasing order
+//! — the engine reserves one when a transmission starts and may schedule
+//! it later, after larger ones — only `(at, seq)` must be later than the
+//! last pop. The equivalence proptest in `tests/wheel_props.rs` drives
+//! this scheduler and a `BinaryHeap` reference model with arbitrary
+//! interleaved schedule/cancel/advance sequences, late-scheduled small
+//! sequences included, and asserts identical pop streams.
 //!
-//! ## Same-timestamp batching
+//! ## Batches and buffers
 //!
 //! Draining a slot serves every event in it — in particular whole
-//! same-timestamp runs — from one scan. Each pop served from an
-//! already-drained batch (a peek the old heap would have re-done)
-//! increments the `engine.wheel.same_slot_batches` counter.
+//! same-timestamp runs — from one scan and one sort;
+//! `engine.wheel.slot_drains` counts the drains, so pops per drain is
+//! the mean batch size. A drained slot is left with no capacity (256
+//! slots per level each holding their high-water mark is megabytes of
+//! resident set), and the buffer it gave up, once emptied, waits on a
+//! stack of at most `SPARES` (8) for the next slot that starts filling —
+//! at a steady population the wheel does not touch the allocator.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::BTreeSet;
 use std::mem;
 
 use acdc_stats::time::Nanos;
@@ -48,6 +57,8 @@ const WORDS: usize = SLOTS / 64;
 const LEVELS: usize = 3;
 /// Bit position of each level's slot width (1 µs, 262 µs, 67 ms).
 const SHIFTS: [u32; LEVELS] = [10, 18, 26];
+/// Emptied slot buffers kept for reuse; any beyond this are freed.
+const SPARES: usize = 8;
 
 /// One scheduled event: deadline, insertion sequence, payload.
 struct Entry<T> {
@@ -115,12 +126,17 @@ impl<T> Level<T> {
 pub struct TimerWheel<T> {
     levels: [Level<T>; LEVELS],
     overflow: overflow::FarFuture<T>,
-    /// The already-drained, `(at, seq)`-sorted batch pops are served
-    /// from. Always the globally earliest live entries.
-    ready: VecDeque<Entry<T>>,
-    /// Absolute L0 slot number `ready` was drained from, while `ready`
-    /// is non-empty: same-slot schedules merge straight into the batch.
-    drained_slot: Option<u64>,
+    /// The batch pops are served from: the last drained slot's own
+    /// buffer, sorted by `(at, seq)` descending so the earliest entry is
+    /// at the back. Always the globally earliest live entries.
+    ready: Vec<Entry<T>>,
+    /// Absolute L0 slot number `ready` was drained from; it means
+    /// something only while `ready` is non-empty, when same-slot
+    /// schedules merge straight into the batch.
+    drained_slot: u64,
+    /// Emptied buffers (capacity, no entries) for [`TimerWheel::place`]
+    /// to hand to a slot that has none; never more than [`SPARES`].
+    spares: Vec<Vec<Entry<T>>>,
     /// Time floor: no live entry is earlier than this, and schedules
     /// below it clamp up to it (fire as soon as possible).
     cur: Nanos,
@@ -128,10 +144,8 @@ pub struct TimerWheel<T> {
     len: usize,
     /// Lazily-reaped cancelled sequences (see [`TimerWheel::cancel`]).
     cancelled: BTreeSet<u64>,
-    /// Set once the first entry of a drained batch has been served;
-    /// every further same-batch pop counts a saved re-scan.
-    batch_started: bool,
-    batches: Counter,
+    /// L0 slots drained into `ready` (`engine.wheel.slot_drains`).
+    slot_drains: Counter,
 }
 
 impl<T> Default for TimerWheel<T> {
@@ -146,13 +160,13 @@ impl<T> TimerWheel<T> {
         TimerWheel {
             levels: [Level::new(), Level::new(), Level::new()],
             overflow: overflow::FarFuture::new(),
-            ready: VecDeque::new(),
-            drained_slot: None,
+            ready: Vec::new(),
+            drained_slot: 0,
+            spares: Vec::new(),
             cur: 0,
             len: 0,
             cancelled: BTreeSet::new(),
-            batch_started: false,
-            batches: Counter::standalone(),
+            slot_drains: Counter::standalone(),
         }
     }
 
@@ -166,32 +180,28 @@ impl<T> TimerWheel<T> {
         self.len == 0
     }
 
-    /// Pops served from an already-drained same-slot batch — each one a
-    /// peek/rescan the `BinaryHeap` engine would have paid.
-    pub fn same_slot_batches(&self) -> u64 {
-        self.batches.get()
-    }
-
-    /// The live counter cell behind [`TimerWheel::same_slot_batches`],
-    /// for adoption into a telemetry registry.
-    pub fn batches_cell(&self) -> &Counter {
-        &self.batches
+    /// The live cell counting L0 slot drains, one per sorted batch, for
+    /// adoption into a telemetry registry (`engine.wheel.slot_drains`).
+    /// Pops divided by drains is the mean batch size.
+    pub fn slot_drains(&self) -> &Counter {
+        &self.slot_drains
     }
 
     /// Schedule `val` at absolute time `at` with insertion sequence
-    /// `seq`. Sequences must be unique and increasing across calls (the
-    /// engine's `next_seq` provides this); a deadline earlier than the
-    /// cursor clamps up to it, i.e. fires as soon as possible.
+    /// `seq`. Sequences must be unique, and `(at, seq)` later than the
+    /// last pop; they need not increase from call to call. A deadline
+    /// earlier than the cursor clamps up to it, i.e. fires as soon as
+    /// possible.
     pub fn schedule(&mut self, at: Nanos, seq: u64, val: T) {
         let at = at.max(self.cur);
         self.len += 1;
         let e = Entry { at, seq, val };
-        if self.drained_slot == Some(at >> SHIFTS[0]) && !self.ready.is_empty() {
+        if !self.ready.is_empty() && self.drained_slot == at >> SHIFTS[0] {
             // The batch covering this deadline is already drained:
             // merge in sequence position instead of re-touching slots.
             let pos = self
                 .ready
-                .partition_point(|x| (x.at, x.seq) < (e.at, e.seq));
+                .partition_point(|x| (x.at, x.seq) > (e.at, e.seq));
             self.ready.insert(pos, e);
             return;
         }
@@ -210,23 +220,15 @@ impl<T> TimerWheel<T> {
     /// `(at, seq, payload)`, or `None` if every live entry is later.
     pub fn pop_before(&mut self, limit: Nanos) -> Option<(Nanos, u64, T)> {
         loop {
-            while let Some(head) = self.ready.front() {
+            while let Some(head) = self.ready.last() {
                 if head.at > limit {
                     return None;
                 }
-                let e = self.ready.pop_front().expect("front() was Some");
-                if self.ready.is_empty() {
-                    self.drained_slot = None;
-                }
+                let e = self.ready.pop().expect("last() was Some");
                 if self.cancelled.remove(&e.seq) {
                     continue; // len already decremented by cancel()
                 }
                 self.len -= 1;
-                if self.batch_started {
-                    self.batches.inc();
-                } else {
-                    self.batch_started = true;
-                }
                 return Some((e.at, e.seq, e.val));
             }
             if !self.refill(limit) {
@@ -250,6 +252,7 @@ impl<T> TimerWheel<T> {
         fold(
             self.ready
                 .iter()
+                .rev()
                 .find(|e| !self.cancelled.contains(&e.seq))
                 .map(|e| e.at),
         );
@@ -292,12 +295,19 @@ impl<T> TimerWheel<T> {
 
     /// Drop `e` into the innermost level whose window (256 slots from
     /// the cursor's slot) covers its deadline, else the overflow heap.
+    /// A slot with no buffer takes a spare one before it allocates.
     fn place(&mut self, e: Entry<T>) {
         debug_assert!(e.at >= self.cur);
         for (i, &sh) in SHIFTS.iter().enumerate() {
             if (e.at >> sh) - (self.cur >> sh) < SLOTS as u64 {
                 let idx = ((e.at >> sh) as usize) % SLOTS;
-                self.levels[i].slots[idx].push(e);
+                let slot = &mut self.levels[i].slots[idx];
+                if slot.capacity() == 0 {
+                    if let Some(spare) = self.spares.pop() {
+                        *slot = spare;
+                    }
+                }
+                slot.push(e);
                 self.levels[i].mark(idx);
                 return;
             }
@@ -305,8 +315,18 @@ impl<T> TimerWheel<T> {
         self.overflow.push(e);
     }
 
-    /// Advance the cursor toward the earliest pending work and drain one
-    /// L0 slot into `ready`, cascading higher levels and pulling from
+    /// Keep an emptied slot buffer for [`TimerWheel::place`] to reuse,
+    /// or free it if the stack is full.
+    fn recycle(&mut self, buf: Vec<Entry<T>>) {
+        debug_assert!(buf.is_empty());
+        if buf.capacity() > 0 && self.spares.len() < SPARES {
+            self.spares.push(buf);
+        }
+    }
+
+    /// Advance the cursor toward the earliest pending work and make one
+    /// L0 slot's buffer the `ready` batch (which must be empty: its old
+    /// buffer is recycled), cascading higher levels and pulling from
     /// the overflow heap as their boundaries are crossed. Returns false
     /// — touching nothing — when the earliest pending deadline (or its
     /// conservatively-early slot start) exceeds `limit`, so the cursor
@@ -348,7 +368,9 @@ impl<T> TimerWheel<T> {
             };
 
             if let Some(of) = overflow_first {
-                self.cur = self.cur.max(of);
+                // The floor stops at the candidate slot's start when the
+                // head lands inside it: the slot may hold earlier entries.
+                self.cur = self.cur.max(min_aligned.map_or(of, |ma| ma.min(of)));
                 while let Some(at) = self.overflow.peek_at() {
                     if (at >> SHIFTS[LEVELS - 1]) - (self.cur >> SHIFTS[LEVELS - 1]) >= SLOTS as u64
                     {
@@ -372,16 +394,15 @@ impl<T> TimerWheel<T> {
             let sn = cand[0].expect("some level had the minimum");
             self.cur = self.cur.max(sn << SHIFTS[0]);
             let idx = (sn as usize) % SLOTS;
+            // `take`, not `drain(..)`: the slot keeps no capacity.
             let mut batch = mem::take(&mut self.levels[0].slots[idx]);
             self.levels[0].unmark(idx);
-            batch.sort_unstable_by_key(|e| (e.at, e.seq));
-            self.ready.extend(batch);
-            if self.ready.is_empty() {
-                // Slot held only already-reaped storage; keep walking.
-                continue;
-            }
-            self.drained_slot = Some(sn);
-            self.batch_started = false;
+            debug_assert!(!batch.is_empty(), "a marked slot holds an entry");
+            batch.sort_unstable_by_key(|e| Reverse((e.at, e.seq)));
+            let emptied = mem::replace(&mut self.ready, batch);
+            self.recycle(emptied);
+            self.drained_slot = sn;
+            self.slot_drains.inc();
             return true;
         }
     }
@@ -391,10 +412,50 @@ impl<T> TimerWheel<T> {
     fn cascade(&mut self, level: usize, sn: u64) {
         self.cur = self.cur.max(sn << SHIFTS[level]);
         let idx = (sn as usize) % SLOTS;
-        let entries = mem::take(&mut self.levels[level].slots[idx]);
+        let mut entries = mem::take(&mut self.levels[level].slots[idx]);
         self.levels[level].unmark(idx);
-        for e in entries {
+        for e in entries.drain(..) {
             self.place(e);
         }
+        self.recycle(entries);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A steady population cycling through L0 and L1: whatever a drain
+    /// or a cascade empties is left without capacity, so only occupied
+    /// slots, `ready` and at most `SPARES` spares hold buffers.
+    #[test]
+    fn drained_slots_keep_no_capacity_and_spares_stay_bounded() {
+        // Deadlines 777 ns apart: about three L0 slots in four occupied,
+        // and a horizon (466 µs) that reaches into L1.
+        const POPULATION: u64 = 600;
+        const GAP: u64 = 777;
+        let mut wheel: TimerWheel<u64> = TimerWheel::new();
+        let mut seq = 0;
+        for i in 0..POPULATION {
+            seq += 1;
+            wheel.schedule(i * GAP, seq, i);
+        }
+        let mut most_spares = 0;
+        while wheel.slot_drains.get() < 4_000 {
+            let (at, _, i) = wheel.pop_before(u64::MAX).expect("steady population");
+            seq += 1;
+            wheel.schedule(at + POPULATION * GAP, seq, i);
+
+            assert!(wheel.spares.len() <= SPARES);
+            most_spares = most_spares.max(wheel.spares.len());
+            for level in &wheel.levels {
+                for (idx, slot) in level.slots.iter().enumerate() {
+                    let occupied = level.occupied[idx / 64] >> (idx % 64) & 1 == 1;
+                    assert_eq!(occupied, !slot.is_empty());
+                    assert!(occupied || slot.capacity() == 0, "slot {idx} kept a buffer");
+                }
+            }
+        }
+        assert!(most_spares > 0, "no buffer was ever recycled");
     }
 }
