@@ -42,7 +42,7 @@ pub use ecn::Ecn;
 pub use ipv4::{Ipv4Packet, Ipv4Repr, PROTO_TCP, PROTO_UDP};
 pub use meta::PacketMeta;
 pub use pack::PackOption;
-pub use pool::{PoolHandle, PoolStats, SegmentPool};
+pub use pool::{PoolStats, SegmentPool};
 pub use segment::{FlowKey, Segment};
 pub use seq::{SeqNumber, SeqView};
 pub use tcp::{TcpFlags, TcpOption, TcpPacket, TcpRepr};

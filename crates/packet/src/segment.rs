@@ -9,27 +9,20 @@
 //!
 //! # The parse-once contract
 //!
-//! Each segment lazily caches a [`PacketMeta`] — the full set of header
-//! fields the hot path consumes — built by a single parse at first access
-//! ([`Segment::try_meta`]). The in-place mutators below (window rewrite,
+//! Each segment carries a [`PacketMeta`] — the full set of header fields
+//! the hot path consumes — in one plain `Option<PacketMeta>` field. Every
+//! constructor fills it (from the representations it emits, or from the
+//! validating parse), and the in-place mutators below (window rewrite,
 //! ECN patch, flag/reserved-bit edits, PACK insertion and removal) patch
-//! the bytes, the checksum, *and* the cached meta together, so downstream
-//! layers keep reading cached fields after the datapath has rewritten the
-//! packet. Only the raw escape hatches [`Segment::ip_mut`] and
-//! [`Segment::tcp_mut`] invalidate the cache, forcing a re-parse at the
-//! next access. See DESIGN.md §9.
-//!
-//! The cache is split for speed and `Send + Sync`: constructors and the
-//! coherent mutators — which all hold `&mut` or ownership — write a
-//! plain `Option<PacketMeta>` field at zero synchronization cost, while
-//! the rare lazy fill through `&self` (a re-parse after a raw mutable
-//! view invalidated the cache) lands in a [`OnceLock`] fallback slot.
-//! That makes `Segment` freely movable between the run-to-completion
-//! workers of `acdc-workers` (DESIGN.md §12) with no interior-mutability
-//! hazards, without paying the `Once` synchronization path on every
-//! locally built packet.
-
-use std::sync::OnceLock;
+//! the bytes, the checksum, *and* the cached meta together, so every
+//! layer reads cached fields through [`Segment::try_meta`] and nothing
+//! parses. Only the raw escape hatches [`Segment::ip_mut`] and
+//! [`Segment::tcp_mut`] clear the cache. It then stays cold — `try_meta`
+//! takes `&self`, so it parses and returns without storing — until a
+//! PACK insert or strip re-installs it. `Segment` is plain data: no
+//! interior mutability, `Send + Sync` because its fields are, and a
+//! hand-off between layers or threads copies the struct and nothing
+//! else. See DESIGN.md §9.
 
 use bytes::{Bytes, BytesMut};
 
@@ -109,8 +102,8 @@ impl core::fmt::Display for FlowKey {
     }
 }
 
-/// A simulated packet: serialized headers + virtual payload length + a
-/// lazily-built cache of parsed header metadata.
+/// A simulated packet: serialized headers + virtual payload length + the
+/// cache of parsed header metadata.
 ///
 /// # Pooled backing storage
 ///
@@ -119,21 +112,18 @@ impl core::fmt::Display for FlowKey {
 /// take a recycled (fully overwritten) buffer, and `Drop` returns the
 /// storage to the pool — so the NIC → vSwitch → endpoint pipeline
 /// recycles one small allocation per packet instead of paying the
-/// allocator round-trip. Per-worker code can steer the return to its own
-/// pool shard with [`Segment::recycle_into`] / [`Segment::clone_in`].
+/// allocator round-trip.
 #[derive(Debug)]
 pub struct Segment {
     buf: BytesMut,
     payload_len: usize,
-    /// Eager parse cache: filled by constructors and kept coherent by the
-    /// maintained mutators (all of which hold `&mut`). Takes precedence
-    /// over [`Segment::lazy_meta`].
+    /// The parse cache: filled by every constructor, kept coherent by the
+    /// maintained mutators, cleared by the raw mutable views.
     meta: Option<PacketMeta>,
-    /// Lazy `&self` fill for the cold path — a re-parse after a raw
-    /// mutable view cleared the eager cache. Both slots are reset
-    /// together on invalidation.
-    lazy_meta: OnceLock<PacketMeta>,
 }
+
+// What a hand-off moves: the buffer handle, a length and the cache.
+const _: () = assert!(core::mem::size_of::<Segment>() <= 96);
 
 impl Segment {
     /// Build a TCP segment. `ip.payload_len` is overwritten from the TCP
@@ -159,14 +149,14 @@ impl Segment {
         // The emitter is the "single parse" of a locally built segment: it
         // already holds every field the meta cache wants, so downstream
         // consumers never parse at all. Exotic options (explicit EOL,
-        // Unknown) fall back to lazy first-access parsing so the cache
-        // always matches what `PacketMeta::parse` would say.
-        let meta = tcp_meta_from_reprs(&ip_repr, &tcp, tcp_hdr_len);
+        // Unknown) are parsed here, once, so the cache always matches what
+        // `PacketMeta::parse` would say.
+        let meta = tcp_meta_from_reprs(&ip_repr, &tcp, tcp_hdr_len)
+            .or_else(|| PacketMeta::parse(&buf).ok());
         Segment {
             buf,
             payload_len,
             meta,
-            lazy_meta: OnceLock::new(),
         }
     }
 
@@ -216,18 +206,17 @@ impl Segment {
             buf,
             payload_len,
             meta: Some(meta),
-            lazy_meta: OnceLock::new(),
         }
     }
 
     /// Is this a TCP segment (as opposed to UDP)?
     ///
-    /// Deliberately does *not* fill the meta cache: pass-through paths
-    /// (non-TCP traffic, a disabled datapath) route on this single byte
-    /// and never pay a parse. Panic-free on truncated buffers.
+    /// Never parses: pass-through paths (non-TCP traffic, a disabled
+    /// datapath) route on the cached protocol or, cache cold, on this
+    /// single byte. Panic-free on truncated buffers.
     #[inline]
     pub fn is_tcp(&self) -> bool {
-        match self.cached_meta() {
+        match &self.meta {
             Some(m) => m.protocol == PROTO_TCP,
             None => self.buf.get(crate::ipv4::field::PROTOCOL) == Some(&PROTO_TCP),
         }
@@ -242,87 +231,36 @@ impl Segment {
             buf,
             payload_len,
             meta: Some(meta),
-            lazy_meta: OnceLock::new(),
         })
     }
 
-    /// Clone, renting the copy's backing buffer through `handle` — the
-    /// per-worker variant of `Clone` (which rents from the global pool's
-    /// rotating shards). The FACK build path uses this so a worker's
-    /// feedback packets draw on its own pool shard.
-    pub fn clone_in(&self, handle: &crate::pool::PoolHandle<'_>) -> Segment {
-        Segment {
-            buf: handle.take_copy(&self.buf),
-            payload_len: self.payload_len,
-            meta: self.meta,
-            lazy_meta: self.lazy_meta.clone(),
-        }
-    }
-
-    /// Consume the segment, returning its backing buffer through
-    /// `handle` instead of `Drop`'s rotating global return — the
-    /// per-worker recycle for segments a worker absorbs (e.g. consumed
-    /// FACKs).
-    pub fn recycle_into(mut self, handle: &crate::pool::PoolHandle<'_>) {
-        let buf = core::mem::take(&mut self.buf);
-        handle.put(buf);
-        // `self` drops here with an empty husk; `Drop` discards it.
-    }
-
-    /// The cached header metadata, parsing (once) on a cache miss.
+    /// The header metadata: the cached copy, or — only after a raw
+    /// mutable view cleared it — a parse of the current bytes, returned
+    /// without being stored.
     ///
-    /// This is the hot-path accessor: the first caller on a segment's
-    /// journey (normally NIC checksum verification) pays the single parse
-    /// and every later layer reads the cached copy. Malformed headers
+    /// This is the hot-path accessor, and on the hot path it is a copy of
+    /// a field: every constructor fills the cache. Malformed headers
     /// return `Err` — callers drop and count, never panic.
     #[inline]
     pub fn try_meta(&self) -> Result<PacketMeta> {
-        if let Some(m) = self.cached_meta() {
-            return Ok(*m);
+        match self.meta {
+            Some(m) => Ok(m),
+            None => PacketMeta::parse(&self.buf),
         }
-        let m = PacketMeta::parse(&self.buf)?;
-        // A racing filler parsed the same immutable bytes: either copy wins.
-        Ok(*self.lazy_meta.get_or_init(|| m))
-    }
-
-    /// Whichever cache slot currently holds a parse (eager wins).
-    #[inline]
-    fn cached_meta(&self) -> Option<&PacketMeta> {
-        self.meta.as_ref().or_else(|| self.lazy_meta.get())
     }
 
     /// Is the meta cache currently populated? (Test hook for the
     /// invalidation rules; not meaningful on the hot path.)
     #[inline]
     pub fn meta_is_cached(&self) -> bool {
-        self.cached_meta().is_some()
-    }
-
-    /// Reset both cache slots (raw mutable views: anything may change).
-    #[inline]
-    fn invalidate_meta(&mut self) {
-        self.meta = None;
-        self.lazy_meta = OnceLock::new();
-    }
-
-    /// Install a known-coherent parse in the eager slot, clearing any
-    /// stale lazy fill.
-    #[inline]
-    fn set_meta(&mut self, m: PacketMeta) {
-        self.meta = Some(m);
-        self.lazy_meta = OnceLock::new();
+        self.meta.is_some()
     }
 
     /// Apply `patch` to the cached meta, if one is cached. Mutators that
     /// keep the cache coherent use this: a cold cache stays cold (the
-    /// next `try_meta` re-parses the — already updated — bytes). A
-    /// lazily-filled cache is promoted into the eager slot first, so
-    /// every patched parse lives where later patches find it.
+    /// next `try_meta` parses the — already updated — bytes).
     #[inline]
     fn patch_meta(&mut self, patch: impl FnOnce(&mut PacketMeta)) {
-        if self.meta.is_none() {
-            self.meta = self.lazy_meta.take();
-        }
         if let Some(m) = &mut self.meta {
             patch(m);
         }
@@ -357,11 +295,11 @@ impl Segment {
         Ipv4Packet::new_unchecked(&self.buf[..])
     }
 
-    /// Mutable IP header view. Invalidates the meta cache: the caller can
-    /// change anything, so the next meta access re-parses. Datapath code
+    /// Mutable IP header view. Clears the meta cache: the caller can
+    /// change anything, so meta accesses parse from here on. Datapath code
     /// uses the maintained mutators instead.
     pub fn ip_mut(&mut self) -> Ipv4Packet<&mut [u8]> {
-        self.invalidate_meta();
+        self.meta = None;
         Ipv4Packet::new_unchecked(&mut self.buf[..])
     }
 
@@ -381,10 +319,10 @@ impl Segment {
         UdpPacket::new_unchecked(&self.buf[ihl..])
     }
 
-    /// Mutable TCP header view. Invalidates the meta cache, like
+    /// Mutable TCP header view. Clears the meta cache, like
     /// [`Segment::ip_mut`].
     pub fn tcp_mut(&mut self) -> TcpPacket<&mut [u8]> {
-        self.invalidate_meta();
+        self.meta = None;
         let ihl = self.ip().header_len();
         TcpPacket::new_unchecked(&mut self.buf[ihl..])
     }
@@ -401,7 +339,7 @@ impl Segment {
     /// ECN codepoint from the IP header.
     #[inline]
     pub fn ecn(&self) -> Ecn {
-        match self.cached_meta() {
+        match &self.meta {
             Some(m) => m.ecn,
             None => self.ip().ecn(),
         }
@@ -425,7 +363,7 @@ impl Segment {
     /// TCP flags.
     #[inline]
     pub fn tcp_flags(&self) -> TcpFlags {
-        match self.cached_meta() {
+        match &self.meta {
             Some(m) => m.flags,
             None => self.tcp().flags(),
         }
@@ -571,7 +509,7 @@ impl Segment {
         m.l4_header_len = new_thl as u8;
         m.pack_off = Some((ihl + thl) as u16);
         m.pack = Some(pack);
-        self.set_meta(m);
+        self.meta = Some(m);
         true
     }
 
@@ -610,7 +548,7 @@ impl Segment {
         m.l4_header_len = new_thl as u8;
         m.pack_off = None;
         m.pack = None;
-        self.set_meta(m);
+        self.meta = Some(m);
         true
     }
 
@@ -679,9 +617,7 @@ impl Segment {
     }
 
     /// Verify both checksums (IP header and L4 with virtual payload).
-    /// Doubles as the cache fill: verification is the first thing a NIC
-    /// does to an arriving frame, so the single parse happens here and
-    /// every later layer hits the cache. Malformed headers fail.
+    /// Malformed headers fail.
     pub fn verify_checksums(&self) -> bool {
         let Ok(meta) = self.try_meta() else {
             return false;
@@ -701,22 +637,18 @@ impl Segment {
 }
 
 impl Clone for Segment {
-    /// Clones rent their buffer from the global pool (rotating shards);
-    /// see [`Segment::clone_in`] for the shard-pinned per-worker form.
+    /// Clones rent their buffer from the global pool.
     fn clone(&self) -> Segment {
         Segment {
             buf: crate::pool::global().take_copy(&self.buf),
             payload_len: self.payload_len,
             meta: self.meta,
-            lazy_meta: self.lazy_meta.clone(),
         }
     }
 }
 
 impl Drop for Segment {
-    /// Returns the backing buffer to the global pool. Buffers already
-    /// handed elsewhere ([`Segment::recycle_into`] leaves an empty husk)
-    /// are discarded by the pool's zero-capacity check.
+    /// Returns the backing buffer to the global pool.
     fn drop(&mut self) {
         crate::pool::global().put(core::mem::take(&mut self.buf));
     }
@@ -725,17 +657,12 @@ impl Drop for Segment {
 /// Number of 16-bit words in a maximum-size TCP header.
 const MAX_TCP_WORDS: usize = crate::tcp::MAX_HEADER_LEN / 2;
 
-/// Walk the options region; return the byte index where trailing padding
-/// begins (the first terminating EOL, or `opts.len()` if options run to
-/// the end), or `None` if an option is malformed — in which case bytes
-/// appended past the walk's stopping point would be unreachable to any
-/// parser and in-place insertion must be refused.
 /// Build the meta cache for a freshly emitted TCP segment straight from
 /// the representations — the emitter already knows every field, so a
 /// locally built packet costs *zero* parses over its whole lifetime.
 ///
-/// Returns `None` (leave the cache cold, parse lazily) for option lists a
-/// wire walk would interpret differently than a naive sweep: an explicit
+/// Returns `None` (the caller parses the emitted bytes instead) for option
+/// lists a wire walk would interpret differently than a naive sweep: an explicit
 /// `EndOfList` terminates the walk, and `Unknown` options may collide with
 /// EOL/NOP kind bytes or carry bogus lengths. The meta-coherence proptests
 /// pin this fast path to `PacketMeta::parse` of the emitted bytes.
@@ -779,6 +706,11 @@ fn tcp_meta_from_reprs(ip: &Ipv4Repr, tcp: &TcpRepr, tcp_hdr_len: usize) -> Opti
     Some(meta)
 }
 
+/// Walk the options region; return the byte index where trailing padding
+/// begins (the first terminating EOL, or `opts.len()` if options run to
+/// the end), or `None` if an option is malformed — in which case bytes
+/// appended past the walk's stopping point would be unreachable to any
+/// parser and in-place insertion must be refused.
 fn options_padding_start(opts: &[u8]) -> Option<usize> {
     let mut i = 0usize;
     while i < opts.len() {
@@ -868,7 +800,7 @@ mod tests {
     }
 
     #[test]
-    fn constructors_prepopulate_and_reparse_is_lazy() {
+    fn constructors_prepopulate_and_a_cold_cache_parses_per_call() {
         // Locally built segments are born with their meta: the emitter is
         // the single "parse" of their lifetime.
         let seg = Segment::new_tcp(ip_repr(), tcp_repr(), 100);
@@ -881,27 +813,52 @@ mod tests {
         // Clones carry the cache.
         assert!(seg.clone().meta_is_cached());
 
-        // After a raw-view invalidation the rebuild is lazy: nothing is
-        // parsed until the next accessor call.
+        // After a raw view the cache is cold and stays cold: `try_meta`
+        // answers from the bytes on every call, storing nothing.
         let mut seg = seg;
-        let _ = seg.tcp_mut();
+        seg.tcp_mut().set_window_update_checksum(77);
+        for _ in 0..2 {
+            assert!(!seg.meta_is_cached());
+            let m = seg.try_meta().unwrap();
+            assert_eq!(m.window, 77);
+            assert_eq!(m, PacketMeta::parse(seg.header_bytes()).unwrap());
+        }
+
+        // A maintained mutator on the cold segment patches bytes and
+        // checksum and has no cache to patch; what `try_meta` says next
+        // is still what the bytes say.
+        seg.rewrite_window(99);
+        seg.mark_ce();
         assert!(!seg.meta_is_cached());
-        seg.try_meta().unwrap();
+        let m = seg.try_meta().unwrap();
+        assert_eq!((m.window, m.ecn), (99, Ecn::Ce));
+        assert_eq!(m, PacketMeta::parse(seg.header_bytes()).unwrap());
+        assert!(seg.verify_checksums());
+
+        // PACK insertion installs the parse it needed anyway.
+        assert!(seg.append_pack_in_place(PackOption::default()));
         assert!(seg.meta_is_cached());
+        assert_eq!(
+            seg.try_meta().unwrap(),
+            PacketMeta::parse(seg.header_bytes()).unwrap()
+        );
+        assert!(seg.verify_checksums());
     }
 
     #[test]
-    fn exotic_options_fall_back_to_lazy_parse() {
-        // An explicit EndOfList makes the emit-time fast path bail; the
-        // cache must then be built by a real parse on first access and the
-        // two must agree.
-        let mut r = tcp_repr();
-        r.options = vec![TcpOption::MaxSegmentSize(1448), TcpOption::EndOfList];
-        let seg = Segment::new_tcp(ip_repr(), r, 0);
-        assert!(!seg.meta_is_cached());
-        let m = seg.try_meta().unwrap();
-        assert_eq!(m, PacketMeta::parse(seg.header_bytes()).unwrap());
-        assert_eq!(m.mss, Some(1448));
+    fn exotic_options_are_parsed_at_construction() {
+        // An explicit EndOfList or an Unknown option makes the emit-time
+        // fast path decline; the constructor then parses the bytes it
+        // emitted, so no constructor hands out a cold segment.
+        for exotic in [TcpOption::EndOfList, TcpOption::Unknown(254, 4)] {
+            let mut r = tcp_repr();
+            r.options = vec![TcpOption::MaxSegmentSize(1448), exotic];
+            let seg = Segment::new_tcp(ip_repr(), r, 0);
+            assert!(seg.meta_is_cached());
+            let m = seg.try_meta().unwrap();
+            assert_eq!(m, PacketMeta::parse(seg.header_bytes()).unwrap());
+            assert_eq!(m.mss, Some(1448));
+        }
     }
 
     #[test]

@@ -137,6 +137,56 @@ fn recomputed_checksums(seg: &Segment) -> (u16, u16) {
     (ip_ck, tcp_ck)
 }
 
+/// Any mutator sequence over a warm segment: the cache stays warm and
+/// equal to a fresh parse, the patched checksums equal a full recompute.
+fn check_mutation_sequence(
+    flags: u8,
+    window: u16,
+    ecn: Ecn,
+    options: Vec<TcpOption>,
+    payload_len: u16,
+    mutations: &[Mutation],
+) {
+    let mut seg = base_segment(flags, window, ecn, options, payload_len);
+    // What NIC checksum verification sees first.
+    assert!(seg.verify_checksums());
+    assert!(seg.meta_is_cached());
+
+    for m in mutations {
+        apply(&mut seg, m);
+    }
+
+    // Maintained mutators never invalidate the cache...
+    assert!(seg.meta_is_cached());
+    // ...and the cached meta equals a from-scratch parse of the bytes.
+    let cached = seg.try_meta().expect("mutated segment parses");
+    let fresh = PacketMeta::parse(seg.header_bytes()).expect("fresh parse");
+    assert_eq!(cached, fresh);
+
+    // The incrementally-patched checksums equal a full recompute.
+    let (ip_ck, tcp_ck) = recomputed_checksums(&seg);
+    assert_eq!(seg.ip().header_checksum(), ip_ck);
+    assert_eq!(seg.tcp().checksum(), tcp_ck);
+    assert!(seg.verify_checksums());
+}
+
+/// With no pre-existing options there is no EOL padding to convert, so
+/// strip is an exact inverse of append.
+fn check_append_then_strip(window: u16, payload_len: u16, total: u32, marked: u32) {
+    let mut seg = base_segment(TcpFlags::ACK.bits(), window, Ecn::Ect0, vec![], payload_len);
+    assert!(seg.verify_checksums());
+    let before = seg.header_bytes().to_vec();
+    let pack = PackOption {
+        total_bytes: total,
+        marked_bytes: marked,
+    };
+    assert!(seg.append_pack_in_place(pack));
+    assert_eq!(seg.try_meta().expect("parses").pack, Some(pack));
+    assert!(seg.strip_pack_in_place());
+    assert_eq!(seg.header_bytes(), &before[..]);
+    assert!(seg.verify_checksums());
+}
+
 proptest! {
     #[test]
     fn mutation_sequences_keep_meta_and_checksums_coherent(
@@ -147,27 +197,7 @@ proptest! {
         payload_len in 0u16..3000,
         mutations in prop::collection::vec(arb_mutation(), 0..12),
     ) {
-        let mut seg = base_segment(flags, window, ecn, options, payload_len);
-        // Warm the cache the way NIC checksum verification does.
-        prop_assert!(seg.verify_checksums());
-        prop_assert!(seg.meta_is_cached());
-
-        for m in &mutations {
-            apply(&mut seg, m);
-        }
-
-        // Maintained mutators never invalidate the cache...
-        prop_assert!(seg.meta_is_cached());
-        // ...and the cached meta equals a from-scratch parse of the bytes.
-        let cached = seg.try_meta().expect("mutated segment parses");
-        let fresh = PacketMeta::parse(seg.header_bytes()).expect("fresh parse");
-        prop_assert_eq!(cached, fresh);
-
-        // The incrementally-patched checksums equal a full recompute.
-        let (ip_ck, tcp_ck) = recomputed_checksums(&seg);
-        prop_assert_eq!(seg.ip().header_checksum(), ip_ck);
-        prop_assert_eq!(seg.tcp().checksum(), tcp_ck);
-        prop_assert!(seg.verify_checksums());
+        check_mutation_sequence(flags, window, ecn, options, payload_len, &mutations);
     }
 
     #[test]
@@ -177,22 +207,35 @@ proptest! {
         total in any::<u32>(),
         marked in any::<u32>(),
     ) {
-        let mut seg = base_segment(
-            TcpFlags::ACK.bits(),
-            window,
-            Ecn::Ect0,
-            vec![],
-            payload_len,
-        );
-        prop_assert!(seg.verify_checksums());
-        let before = seg.header_bytes().to_vec();
-        let pack = PackOption { total_bytes: total, marked_bytes: marked };
-        prop_assert!(seg.append_pack_in_place(pack));
-        prop_assert_eq!(seg.try_meta().expect("parses").pack, Some(pack));
-        prop_assert!(seg.strip_pack_in_place());
-        // With no pre-existing options there was no EOL padding to convert,
-        // so strip is an exact inverse.
-        prop_assert_eq!(seg.header_bytes(), &before[..]);
-        prop_assert!(seg.verify_checksums());
+        check_append_then_strip(window, payload_len, total, marked);
+    }
+}
+
+proptest! {
+    // The vendored proptest runs 64 cases by default; nightly.yml runs
+    // these twins (`-- --ignored`).
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+    #[test]
+    #[ignore = "4096 cases; run with --ignored (nightly)"]
+    fn mutation_sequences_keep_meta_and_checksums_coherent_4096(
+        flags in any::<u8>(),
+        window in any::<u16>(),
+        ecn in arb_ecn(),
+        options in arb_base_options(),
+        payload_len in 0u16..3000,
+        mutations in prop::collection::vec(arb_mutation(), 0..12),
+    ) {
+        check_mutation_sequence(flags, window, ecn, options, payload_len, &mutations);
+    }
+
+    #[test]
+    #[ignore = "4096 cases; run with --ignored (nightly)"]
+    fn append_then_strip_restores_original_bytes_4096(
+        window in any::<u16>(),
+        payload_len in 0u16..3000,
+        total in any::<u32>(),
+        marked in any::<u32>(),
+    ) {
+        check_append_then_strip(window, payload_len, total, marked);
     }
 }

@@ -276,17 +276,6 @@ impl Endpoint {
         }
     }
 
-    /// `snd_una` as a wire sequence number (see [`Endpoint::seq_view`]).
-    pub fn wire_snd_una(&self) -> SeqNumber {
-        self.seq_view().snd_una
-    }
-
-    /// `snd_nxt` as a wire sequence number (highest sent; see
-    /// [`Endpoint::seq_view`]).
-    pub fn wire_snd_nxt(&self) -> SeqNumber {
-        self.seq_view().snd_nxt
-    }
-
     // ------------------------------------------------------------------
     // Wire sequence mapping
     // ------------------------------------------------------------------
@@ -1230,15 +1219,17 @@ mod tests {
     }
 
     #[test]
-    fn seq_view_matches_wire_accessors() {
+    fn seq_view_is_the_wire_image_of_the_send_pointers() {
         let (mut a, b) = pair(CcKind::Cubic, 1448);
         a.open(0);
         a.send(100_000);
         let mut p = Pipe::new(a, b, 50 * MICROSECOND);
-        p.run(5 * MILLISECOND);
+        // Mid-transfer: part of the stream acknowledged, part in flight.
+        p.run(250 * MICROSECOND);
+        assert!(p.a.acked_bytes() > 0 && p.a.in_flight() > 0);
         let v = p.a.seq_view();
-        assert_eq!(v.snd_una, p.a.wire_snd_una());
-        assert_eq!(v.snd_nxt, p.a.wire_snd_nxt());
+        assert_eq!(v.snd_una, p.a.wire_seq(p.a.acked_bytes()));
+        assert_eq!(v.snd_nxt, v.snd_una + p.a.in_flight() as u32);
         assert_eq!(u64::from(v.outstanding()), p.a.in_flight());
     }
 }

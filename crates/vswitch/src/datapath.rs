@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use acdc_cc::CcConfig;
-use acdc_packet::{Ecn, Ipv4Repr, PackOption, PacketMeta, PoolHandle, Segment, TcpFlags, TcpRepr};
+use acdc_packet::{Ecn, Ipv4Repr, PackOption, PacketMeta, Segment, TcpFlags, TcpRepr};
 use acdc_stats::time::{Nanos, MILLISECOND, SECOND};
 use acdc_telemetry::{Counter, EventKind, Gauge, MetricsRegistry, Telemetry, NO_FLOW};
 
@@ -24,7 +24,7 @@ use crate::health::{HealthCell, HealthState, Watermarks};
 use crate::policy::CcPolicy;
 use crate::rwnd::RwndAction;
 use crate::table::{Admission, AdmissionPolicy, FlowTable};
-use crate::vcc::AckSignals;
+use crate::vcc::{AckSignals, VirtualCc};
 
 /// Datapath configuration.
 #[derive(Debug, Clone)]
@@ -243,69 +243,45 @@ pub struct FlowStat {
     pub closing: bool,
 }
 
-/// Where one processing context's observability goes: the counters to
-/// bump and the hub to record events on. The legacy single-threaded
-/// entry points pass the datapath's own counters/hub; the per-worker
-/// entry points pass a [`WorkerSink`]'s. Enforcement state (table,
-/// health, config) is never duplicated — only observability routes.
-struct Obs<'a> {
-    counters: &'a AcdcCounters,
-    telemetry: &'a Telemetry,
-    /// Where this context's segment buffers recycle: the datapath's main
-    /// context rotates across the global pool's shards; a worker's
-    /// context is pinned to its own shard, so feedback packets built and
-    /// FACKs absorbed on a worker stay on that worker's free list.
-    pool: PoolHandle<'static>,
-}
-
-/// One worker's observability context: a private telemetry hub plus the
-/// full `acdc.*` counter set registered in that hub's registry.
+/// Where one processing context's observability goes: a telemetry hub
+/// plus the full `acdc.*` counter set registered in that hub's registry.
+/// Enforcement state (table, health, config) is never duplicated — only
+/// observability routes.
 ///
-/// The run-to-completion engine (`acdc-workers`) hands each worker its
-/// own sink, so per-packet counting and event recording never interleave
-/// nondeterministically across workers; at snapshot time the per-worker
-/// hubs merge deterministically (counters sum, events k-way merge — see
+/// The datapath holds one for itself — what [`AcdcDatapath::egress`] and
+/// [`AcdcDatapath::ingress`] count into — and the run-to-completion
+/// engine (`acdc-workers`) hands each worker its own, so per-packet
+/// counting and event recording never interleave nondeterministically
+/// across workers; at snapshot time the per-worker hubs merge
+/// deterministically (counters sum, events k-way merge — see
 /// `acdc-telemetry`'s merge helpers). Global concerns — the health
 /// ladder, gc, the occupancy gauges — stay on the datapath's main hub
 /// regardless of which sink processed the packet, so a merged view is
 /// always "main hub + every worker hub".
 pub struct WorkerSink {
-    index: usize,
     telemetry: Arc<Telemetry>,
     counters: AcdcCounters,
-    /// This worker's pinned view of the global segment pool (shard =
-    /// worker index): buffers for feedback packets built here and FACKs
-    /// absorbed here recycle through the worker's own free list.
-    pool: PoolHandle<'static>,
 }
 
 impl WorkerSink {
-    /// The worker index this sink was created for (0-based).
-    pub fn index(&self) -> usize {
-        self.index
+    /// A fresh hub with the counter set registered under `acdc.*`.
+    fn new() -> WorkerSink {
+        let telemetry = Telemetry::with_default_capacity();
+        let counters = AcdcCounters::register(telemetry.registry());
+        WorkerSink {
+            telemetry,
+            counters,
+        }
     }
 
-    /// The worker's private telemetry hub.
+    /// The sink's private telemetry hub.
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.telemetry
     }
 
-    /// The worker's counters (same `acdc.*` names as the main hub's).
+    /// The sink's counters (same `acdc.*` names as the main hub's).
     pub fn counters(&self) -> &AcdcCounters {
         &self.counters
-    }
-
-    /// The worker's pinned segment-pool handle.
-    pub fn pool(&self) -> &PoolHandle<'static> {
-        &self.pool
-    }
-
-    fn obs(&self) -> Obs<'_> {
-        Obs {
-            counters: &self.counters,
-            telemetry: &self.telemetry,
-            pool: self.pool,
-        }
     }
 }
 
@@ -313,13 +289,14 @@ impl WorkerSink {
 pub struct AcdcDatapath {
     cfg: AcdcConfig,
     table: FlowTable,
-    counters: AcdcCounters,
     health: HealthCell,
     /// Any admission reject since the last maintenance check? Promotion
     /// requires a clean interval, not just receded occupancy.
     overload_seen: AtomicBool,
-    /// This datapath's observability domain: flight recorder + registry.
-    telemetry: Arc<Telemetry>,
+    /// This datapath's observability domain — the main hub (flight
+    /// recorder + registry) and its counters: the sink of the plain
+    /// `egress` / `ingress` entry points and of every global concern.
+    main: WorkerSink,
     /// Gauge `acdc.flows`: table occupancy, sampled on the tick.
     flows_gauge: Gauge,
     /// Gauge `acdc.health`: current rung (0 = enforcing … 2 = pass-through).
@@ -329,22 +306,20 @@ pub struct AcdcDatapath {
 impl AcdcDatapath {
     /// Create a datapath with the given configuration.
     pub fn new(cfg: AcdcConfig) -> AcdcDatapath {
-        let telemetry = Telemetry::with_default_capacity();
+        let main = WorkerSink::new();
         let mut table = match cfg.max_flows {
             Some(cap) => FlowTable::bounded(cap, cfg.admission),
             None => FlowTable::new(),
         };
-        table.set_telemetry(Arc::clone(&telemetry));
-        let counters = AcdcCounters::register(telemetry.registry());
-        let flows_gauge = telemetry.registry().gauge("acdc.flows");
-        let health_gauge = telemetry.registry().gauge("acdc.health");
+        table.set_telemetry(Arc::clone(&main.telemetry));
+        let flows_gauge = main.telemetry.registry().gauge("acdc.flows");
+        let health_gauge = main.telemetry.registry().gauge("acdc.health");
         AcdcDatapath {
             cfg,
             table,
-            counters,
             health: HealthCell::new(),
             overload_seen: AtomicBool::new(false),
-            telemetry,
+            main,
             flows_gauge,
             health_gauge,
         }
@@ -355,40 +330,24 @@ impl AcdcDatapath {
         &self.cfg
     }
 
-    fn obs(&self) -> Obs<'_> {
-        Obs {
-            counters: &self.counters,
-            telemetry: &self.telemetry,
-            pool: acdc_packet::pool::global().rotating(),
-        }
-    }
-
-    /// Build worker `index`'s observability sink: a fresh telemetry hub
-    /// with the full counter set registered under `acdc.*`, plus a
-    /// pool handle pinned to the worker's shard. Sinks are cheap and
-    /// independent; the engine creates one per worker and merges their
-    /// snapshots after a run.
-    pub fn worker_sink(&self, index: usize) -> WorkerSink {
-        let telemetry = Telemetry::with_default_capacity();
-        let counters = AcdcCounters::register(telemetry.registry());
-        WorkerSink {
-            index,
-            telemetry,
-            counters,
-            pool: acdc_packet::pool::global().pinned(index),
-        }
+    /// Build a worker's observability sink: a fresh telemetry hub with
+    /// the full counter set registered under `acdc.*`. Sinks are cheap
+    /// and independent; the engine creates one per worker and merges
+    /// their snapshots after a run.
+    pub fn worker_sink(&self) -> WorkerSink {
+        WorkerSink::new()
     }
 
     /// Event counters.
     pub fn counters(&self) -> &AcdcCounters {
-        &self.counters
+        &self.main.counters
     }
 
     /// This datapath's telemetry hub (event recorder + metrics registry).
     /// The owning host shares it for NIC-level events and drives the
     /// registry's time-series sampling from its maintenance tick.
     pub fn telemetry(&self) -> &Arc<Telemetry> {
-        &self.telemetry
+        &self.main.telemetry
     }
 
     /// The flow table (inspection; used by experiment probes).
@@ -414,12 +373,12 @@ impl AcdcDatapath {
     fn set_health(&self, now: Nanos, to: HealthState) {
         if let Some((from, to)) = self.health.transition(now, to) {
             if to > from {
-                AcdcCounters::bump(&self.counters.health_demotions);
+                AcdcCounters::bump(&self.main.counters.health_demotions);
             } else {
-                AcdcCounters::bump(&self.counters.health_promotions);
+                AcdcCounters::bump(&self.main.counters.health_promotions);
             }
             self.health_gauge.set(to as u64);
-            self.telemetry.record(
+            self.main.telemetry.record(
                 now,
                 NO_FLOW,
                 EventKind::HealthTransition {
@@ -434,7 +393,7 @@ impl AcdcDatapath {
     /// overload for the promotion logic, and drop to pass-through — if
     /// admission is failing, per-flow work is no longer trustworthy, and
     /// forwarding untouched is always safe (§3.3 fail-safe).
-    fn on_admission_reject(&self, obs: &Obs<'_>, now: Nanos, key: &acdc_packet::FlowKey) {
+    fn on_admission_reject(&self, obs: &WorkerSink, now: Nanos, key: &acdc_packet::FlowKey) {
         AcdcCounters::bump(&obs.counters.admission_rejects);
         obs.telemetry
             .record(now, *key, EventKind::AdmissionRejected);
@@ -445,7 +404,7 @@ impl AcdcDatapath {
     /// Bookkeeping after a create-capable table op that was admitted.
     fn note_admission(
         &self,
-        obs: &Obs<'_>,
+        obs: &WorkerSink,
         now: Nanos,
         key: &acdc_packet::FlowKey,
         adm: Admission,
@@ -515,11 +474,11 @@ impl AcdcDatapath {
         // re-created with pre-reset timestamps (checkpoint restores,
         // replayed traces) is spuriously collected by the next sweep.
         self.table.set_epoch(now);
-        AcdcCounters::bump(&self.counters.datapath_resets);
+        AcdcCounters::bump(&self.main.counters.datapath_resets);
         self.overload_seen.store(false, Ordering::Relaxed);
         self.health.force(now, HealthState::Enforcing);
         self.health_gauge.set(HealthState::Enforcing as u64);
-        self.telemetry.record(
+        self.main.telemetry.record(
             now,
             NO_FLOW,
             EventKind::DatapathReset {
@@ -573,7 +532,7 @@ impl AcdcDatapath {
                 .map(|(t, s)| (t, s.rung()))
                 .collect(),
             flows,
-            main_hub: HubCheckpoint::capture(&self.telemetry),
+            main_hub: HubCheckpoint::capture(&self.main.telemetry),
             worker_hubs: worker_hubs
                 .iter()
                 .map(|h| HubCheckpoint::capture(h))
@@ -638,7 +597,7 @@ impl AcdcDatapath {
         // health transition) wrote, and byte-identity means reproducing
         // exactly that staleness. The next tick resynchronizes them on
         // the same edge it would have anyway.
-        ckpt.main_hub.apply(&self.telemetry)?;
+        ckpt.main_hub.apply(&self.main.telemetry)?;
         Ok(ckpt.flows.len())
     }
 
@@ -646,21 +605,18 @@ impl AcdcDatapath {
     // Egress: VM → network
     // ------------------------------------------------------------------
 
-    /// Process a packet leaving the guest toward the network.
+    /// Process a packet leaving the guest toward the network, counting
+    /// and recording on the datapath's main hub.
     pub fn egress(&self, now: Nanos, seg: Segment) -> Verdict {
-        self.egress_obs(&self.obs(), now, seg)
+        self.egress_via(&self.main, now, seg)
     }
 
-    /// [`AcdcDatapath::egress`] with observability routed to a worker's
-    /// sink instead of the datapath's main hub. Same table, same health
-    /// ladder, same enforcement decisions — only where counters bump and
-    /// events record moves, so N workers produce the same packet
-    /// transformations as the single-threaded path.
-    pub fn egress_via(&self, sink: &WorkerSink, now: Nanos, seg: Segment) -> Verdict {
-        self.egress_obs(&sink.obs(), now, seg)
-    }
-
-    fn egress_obs(&self, obs: &Obs<'_>, now: Nanos, mut seg: Segment) -> Verdict {
+    /// [`AcdcDatapath::egress`] with observability routed to `obs` — a
+    /// worker's sink — instead of the datapath's main hub. Same table,
+    /// same health ladder, same enforcement decisions — only where
+    /// counters bump and events record moves, so N workers produce the
+    /// same packet transformations as the single-threaded path.
+    pub fn egress_via(&self, obs: &WorkerSink, now: Nanos, mut seg: Segment) -> Verdict {
         // The prototype only enforces TCP (the paper leaves UDP tunnels as
         // future work); other protocols pass through untouched (counted
         // even with AC/DC disabled — it is a visibility counter). The
@@ -833,7 +789,7 @@ impl AcdcDatapath {
                 } else if self.cfg.disable_fack {
                     // Ablation: the feedback is simply lost.
                     AcdcCounters::bump(&obs.counters.feedback_dropped);
-                } else if let Some(fack) = make_fack(&seg, pack, &obs.pool) {
+                } else if let Some(fack) = make_fack(&seg, pack) {
                     AcdcCounters::bump(&obs.counters.facks_sent);
                     return Verdict::ForwardWithExtra(seg, fack);
                 } else {
@@ -851,18 +807,15 @@ impl AcdcDatapath {
     // Ingress: network → VM
     // ------------------------------------------------------------------
 
-    /// Process a packet arriving from the network toward the guest.
+    /// Process a packet arriving from the network toward the guest,
+    /// counting and recording on the datapath's main hub.
     pub fn ingress(&self, now: Nanos, seg: Segment) -> Verdict {
-        self.ingress_obs(&self.obs(), now, seg)
+        self.ingress_via(&self.main, now, seg)
     }
 
-    /// [`AcdcDatapath::ingress`] with observability routed to a worker's
-    /// sink (see [`AcdcDatapath::egress_via`]).
-    pub fn ingress_via(&self, sink: &WorkerSink, now: Nanos, seg: Segment) -> Verdict {
-        self.ingress_obs(&sink.obs(), now, seg)
-    }
-
-    fn ingress_obs(&self, obs: &Obs<'_>, now: Nanos, mut seg: Segment) -> Verdict {
+    /// [`AcdcDatapath::ingress`] with observability routed to `obs`, a
+    /// worker's sink (see [`AcdcDatapath::egress_via`]).
+    pub fn ingress_via(&self, obs: &WorkerSink, now: Nanos, mut seg: Segment) -> Verdict {
         if !seg.is_tcp() {
             AcdcCounters::bump(&obs.counters.non_tcp_passthrough);
             return Verdict::Forward(seg);
@@ -895,7 +848,6 @@ impl AcdcDatapath {
                 if let Some(pack) = meta.pack {
                     self.absorb_feedback(&key, pack);
                 }
-                seg.recycle_into(&obs.pool);
                 return Verdict::Drop(DropReason::FackConsumed);
             }
             if meta.pack.is_some() {
@@ -930,7 +882,6 @@ impl AcdcDatapath {
             // The FACK still carries an ACK; process congestion control on
             // it so feedback takes effect immediately, then drop it.
             self.sender_ack_processing(obs, now, &mut seg, &meta, pure_ack, false);
-            seg.recycle_into(&obs.pool);
             return Verdict::Drop(DropReason::FackConsumed);
         }
 
@@ -1036,7 +987,7 @@ impl AcdcDatapath {
     /// callers fold log-only mode (config flag or health ladder) into it.
     fn sender_ack_processing(
         &self,
-        obs: &Obs<'_>,
+        obs: &WorkerSink,
         now: Nanos,
         seg: &mut Segment,
         meta: &PacketMeta,
@@ -1158,7 +1109,7 @@ impl AcdcDatapath {
     }
 
     /// Record handshake parameters from a SYN or SYN-ACK (§3.1).
-    fn on_handshake_packet(&self, obs: &Obs<'_>, now: Nanos, meta: &PacketMeta, egress: bool) {
+    fn on_handshake_packet(&self, obs: &WorkerSink, now: Nanos, meta: &PacketMeta, egress: bool) {
         let key = meta.flow;
         let flags = meta.flags;
         let wscale = meta.wscale.map(|w| w.min(14));
@@ -1237,8 +1188,9 @@ impl AcdcDatapath {
             }
         });
         for (key, cwnd) in &fired {
-            AcdcCounters::bump(&self.counters.inferred_timeouts);
-            self.telemetry
+            AcdcCounters::bump(&self.main.counters.inferred_timeouts);
+            self.main
+                .telemetry
                 .record(now, *key, EventKind::RtoFired { cwnd: *cwnd });
         }
         self.update_health(now);
@@ -1246,7 +1198,7 @@ impl AcdcDatapath {
         // then push every metric onto its time series.
         self.flows_gauge.set(self.table.len() as u64);
         self.health_gauge.set(self.health.get() as u64);
-        self.telemetry.registry().sample(now);
+        self.main.telemetry.registry().sample(now);
     }
 
     /// Garbage-collect closed/idle entries (paired with FIN tracking).
@@ -1255,7 +1207,8 @@ impl AcdcDatapath {
     pub fn gc(&self, now: Nanos, idle_timeout: Nanos) -> usize {
         let collected = self.table.gc(now, idle_timeout);
         if collected > 0 {
-            self.counters
+            self.main
+                .counters
                 .gc_evictions
                 .fetch_add(collected as u64, Ordering::Relaxed);
         }
@@ -1368,12 +1321,10 @@ impl AcdcDatapath {
 /// Build a dedicated FACK: a payload-free copy of `ack` carrying the PACK
 /// option and the FACK reserved-bit marker. The copy is produced by
 /// in-place byte patches on a clone (the paper shifts headers into skb
-/// headroom — same idea, no re-emit). The clone's buffer is rented
-/// through `pool`, so a worker-built FACK draws on the worker's own
-/// shard. `None` when even the payload-free copy has no room for the
-/// option; the caller drops the feedback.
-fn make_fack(ack: &Segment, pack: PackOption, pool: &PoolHandle<'static>) -> Option<Segment> {
-    let mut fack = ack.clone_in(pool);
+/// headroom — same idea, no re-emit). `None` when even the payload-free
+/// copy has no room for the option; the caller drops the feedback.
+fn make_fack(ack: &Segment, pack: PackOption) -> Option<Segment> {
+    let mut fack = ack.clone();
     fack.set_virtual_payload_len(0);
     fack.strip_pack_in_place();
     let vm_ece = fack.try_meta().ok()?.vm_ece;

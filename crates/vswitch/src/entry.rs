@@ -6,7 +6,7 @@
 //! sender) and the receiver-side role (ECN byte accounting, used at the
 //! host of the data receiver); each host only exercises its own half.
 
-use acdc_cc::{CcConfig, CcKind, Clamped};
+use acdc_cc::{CcConfig, CcKind};
 use acdc_packet::SeqNumber;
 use acdc_stats::time::Nanos;
 
@@ -109,12 +109,12 @@ pub struct FlowEntry {
     pub(crate) seq_valid: bool,
     /// Duplicate-ACK counter.
     pub(crate) dupacks: u32,
-    /// The enforced congestion-control algorithm, behind the
+    /// The enforced congestion-control algorithm, driven through the
     /// [`VirtualCc`] seam (the sender module feeds it [`AckSignals`]
     /// bundles and enforces whatever window it reports).
     ///
     /// [`AckSignals`]: crate::vcc::AckSignals
-    pub cc: Box<dyn VirtualCc>,
+    pub cc: EcnFractionCc,
     /// The RWND-rewrite component (window scale + enforcement target,
     /// §3.3). Its fields are private — mutation goes through its API.
     pub rwnd: RwndRewriter,
@@ -167,10 +167,7 @@ impl FlowEntry {
             snd_nxt: SeqNumber::ZERO,
             seq_valid: false,
             dupacks: 0,
-            cc: Box::new(EcnFractionCc::new(Box::new(Clamped::new(
-                kind.build(cc_cfg),
-                MAX_ENFORCED_WINDOW,
-            )))),
+            cc: EcnFractionCc::new(kind.build(cc_cfg)),
             rwnd: RwndRewriter::new(),
             vm_ecn: false,
             rtt_probe: None,

@@ -312,7 +312,7 @@ impl FlowTable {
         &self,
         key: FlowKey,
         init: impl FnOnce() -> FlowEntry,
-        f: impl FnOnce(&FlowSlot) -> R,
+        f: impl FnOnce(&Arc<FlowSlot>) -> R,
     ) -> (Option<R>, Admission) {
         {
             let shard = self.shard(&key).read();
@@ -347,42 +347,16 @@ impl FlowTable {
     }
 
     /// Look up or create an entry with `init`, subject to the
-    /// capacity/admission gate. `None` with [`Admission::Rejected`] when
-    /// the table is full and the policy refused the flow.
+    /// capacity/admission gate, and clone its `Arc` out — the cold-path
+    /// form of [`FlowTable::with_entry_or_create`]. `None` with
+    /// [`Admission::Rejected`] when the table is full and the policy
+    /// refused the flow.
     pub fn get_or_create(
         &self,
         key: FlowKey,
         init: impl FnOnce() -> FlowEntry,
     ) -> (Option<Arc<FlowSlot>>, Admission) {
-        {
-            let shard = self.shard(&key).read();
-            if let Some(slot) = shard.get(&key) {
-                return (Some(Arc::clone(slot)), Admission::Existing);
-            }
-        }
-        // Same ordering rule as `with_entry_or_create`: admit (which may
-        // evict, possibly from this very shard) before the write lock.
-        let (reserved, evicted) = self.admit(&key);
-        if !reserved {
-            return (None, Admission::Rejected);
-        }
-        let mut shard = self.shard(&key).write();
-        match shard.entry(key) {
-            MapEntry::Occupied(o) => {
-                self.release();
-                (Some(Arc::clone(o.get())), Admission::Existing)
-            }
-            MapEntry::Vacant(v) => {
-                let slot = Arc::new(FlowSlot::new(init()));
-                v.insert(Arc::clone(&slot));
-                let adm = if evicted > 0 {
-                    Admission::CreatedAfterEviction(evicted)
-                } else {
-                    Admission::Created
-                };
-                (Some(slot), adm)
-            }
-        }
+        self.with_entry_or_create(key, init, Arc::clone)
     }
 
     /// Remove an entry (FIN teardown).
@@ -454,50 +428,6 @@ impl FlowTable {
             }
         }
         evicted.len()
-    }
-
-    /// Visit a batch of keys with the lookups amortized: indices are
-    /// grouped by shard and each distinct shard's read lock is taken
-    /// *once*, instead of once per key. `f(i, slot)` runs for every batch
-    /// position — `slot` is `None` for untracked keys — ordered by shard
-    /// index, then submission order within a shard (deterministic for a
-    /// given batch). Same rule as [`FlowTable::with_entry`]: `f` must not
-    /// call back into the table.
-    pub fn with_batch(&self, keys: &[FlowKey], mut f: impl FnMut(usize, Option<&Arc<FlowSlot>>)) {
-        let mut order: Vec<(u16, u32)> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, k)| (Self::shard_of(k) as u16, i as u32))
-            .collect();
-        order.sort_unstable();
-        let mut at = 0;
-        while at < order.len() {
-            let shard_idx = order[at].0;
-            let shard = self.shards[usize::from(shard_idx)].read();
-            while at < order.len() && order[at].0 == shard_idx {
-                let i = order[at].1 as usize;
-                f(i, shard.get(&keys[i]));
-                at += 1;
-            }
-        }
-    }
-
-    /// Warm a batch ahead of the touch loop: resolve every key once
-    /// (grouped by shard, like [`FlowTable::with_batch`]) and touch each
-    /// slot's first cache line via the relaxed `rx_pending` load — the
-    /// safe-Rust stand-in for a software prefetch. Returns the resolved
-    /// slots in *submission order*, so the caller's per-packet loop runs
-    /// lock → update → unlock against already-resident slots with no
-    /// further table traffic.
-    pub fn prefetch_batch(&self, keys: &[FlowKey]) -> Vec<Option<Arc<FlowSlot>>> {
-        let mut slots: Vec<Option<Arc<FlowSlot>>> = vec![None; keys.len()];
-        self.with_batch(keys, |i, slot| {
-            slots[i] = slot.map(|s| {
-                let _ = s.rx_pending();
-                Arc::clone(s)
-            });
-        });
-        slots
     }
 
     /// Visit every entry (diagnostics, inactivity scans).
@@ -678,78 +608,6 @@ mod tests {
         assert_eq!(t.clear(), 2);
         assert!(t.is_empty());
         assert_eq!(create(&t, 3, 0).1, Admission::Created);
-    }
-
-    #[test]
-    fn with_batch_visits_every_position_once() {
-        let t = FlowTable::new();
-        for p in 0..64 {
-            create(&t, p, 0);
-        }
-        // Mix of tracked, untracked, and duplicate keys.
-        let keys: Vec<FlowKey> = (0..96).map(|p| key(p % 80)).collect();
-        let mut seen = vec![0u32; keys.len()];
-        let mut hits = 0;
-        t.with_batch(&keys, |i, slot| {
-            seen[i] += 1;
-            if let Some(s) = slot {
-                s.lock().last_activity = 7;
-                hits += 1;
-            }
-        });
-        assert!(seen.iter().all(|&n| n == 1), "each position exactly once");
-        let expected_hits = keys
-            .iter()
-            .filter(|k| u32::from(k.src_port) % 80 < 64)
-            .count();
-        assert_eq!(hits, expected_hits);
-    }
-
-    #[test]
-    fn with_batch_groups_by_shard_deterministically() {
-        let t = FlowTable::new();
-        for p in 0..32 {
-            create(&t, p, 0);
-        }
-        let keys: Vec<FlowKey> = (0..32).map(key).collect();
-        let visit = |t: &FlowTable| {
-            let mut order = Vec::new();
-            t.with_batch(&keys, |i, _| order.push(i));
-            order
-        };
-        let first = visit(&t);
-        assert_eq!(first, visit(&t), "same batch ⇒ same visit order");
-        // Within a shard group, submission order is preserved.
-        let mut shards_seen = Vec::new();
-        for &i in &first {
-            let s = FlowTable::shard_of(&keys[i]);
-            if shards_seen.last() != Some(&s) {
-                shards_seen.push(s);
-            }
-        }
-        let mut sorted = shards_seen.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(
-            shards_seen, sorted,
-            "shard groups visited in ascending order"
-        );
-    }
-
-    #[test]
-    fn prefetch_batch_resolves_in_submission_order() {
-        let t = FlowTable::new();
-        create(&t, 1, 0);
-        create(&t, 3, 0);
-        let keys = [key(1), key(2), key(3)];
-        let slots = t.prefetch_batch(&keys);
-        assert!(slots[0].is_some());
-        assert!(slots[1].is_none());
-        assert!(slots[2].is_some());
-        assert!(Arc::ptr_eq(
-            slots[0].as_ref().unwrap(),
-            &t.get(&key(1)).unwrap()
-        ));
     }
 
     #[test]

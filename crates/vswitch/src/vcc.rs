@@ -19,8 +19,10 @@
 //! DCTCP's alpha estimator wants, so the adapter is a direct translation
 //! with no behavioral change — the chaos-equivalence suites pin that.
 
-use acdc_cc::{AckEvent, CongestionControl};
+use acdc_cc::{AckEvent, Clamped, CongestionControl};
 use acdc_stats::time::Nanos;
+
+use crate::entry::MAX_ENFORCED_WINDOW;
 
 /// Everything the vSwitch can tell a virtual congestion-control
 /// algorithm about one arriving ACK. All fields are derived
@@ -94,18 +96,23 @@ pub trait VirtualCc: Send + core::fmt::Debug {
 /// Adapts a host-stack [`CongestionControl`] algorithm to the
 /// [`VirtualCc`] seam by presenting the feedback stream's ECN-marked
 /// byte counts as the algorithm's ACK input — DCTCP-from-ECN-fraction,
-/// the configuration the paper enforces by default.
+/// the configuration the paper enforces by default. The reported window
+/// is bounded by [`MAX_ENFORCED_WINDOW`], applied here.
 #[derive(Debug)]
 pub struct EcnFractionCc {
-    /// The wrapped algorithm. Private: the only write path is the
-    /// trait's own event methods (component `vswitch.virtual-cc`).
-    algo: Box<dyn CongestionControl>,
+    /// The wrapped algorithm behind the window ceiling, held by value:
+    /// the algorithm's own box is the only allocation. Private: the only
+    /// write path is the trait's own event methods (component
+    /// `vswitch.virtual-cc`).
+    algo: Clamped<Box<dyn CongestionControl>>,
 }
 
 impl EcnFractionCc {
     /// Wrap `algo` for the vSwitch seam.
     pub fn new(algo: Box<dyn CongestionControl>) -> EcnFractionCc {
-        EcnFractionCc { algo }
+        EcnFractionCc {
+            algo: Clamped::new(algo, MAX_ENFORCED_WINDOW),
+        }
     }
 }
 

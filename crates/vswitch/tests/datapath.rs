@@ -8,6 +8,7 @@ use acdc_packet::{
 };
 use acdc_vswitch::{
     AcdcConfig, AcdcDatapath, AdmissionPolicy, CcPolicy, DropReason, HealthState, Verdict,
+    VirtualCc,
 };
 
 const A: [u8; 4] = [10, 0, 0, 1];

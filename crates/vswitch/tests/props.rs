@@ -4,7 +4,7 @@
 use acdc_packet::{
     Ecn, FlowKey, Ipv4Repr, Segment, SeqNumber, TcpFlags, TcpOption, TcpRepr, PROTO_TCP,
 };
-use acdc_vswitch::{AcdcConfig, AcdcDatapath, Verdict};
+use acdc_vswitch::{AcdcConfig, AcdcDatapath, Verdict, VirtualCc};
 use proptest::prelude::*;
 
 const A: [u8; 4] = [10, 0, 0, 1];

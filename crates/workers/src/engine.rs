@@ -1,4 +1,4 @@
-//! The worker engine: steering + per-worker sinks + batch pipeline.
+//! The worker engine: steering + per-worker sinks.
 
 use std::sync::Arc;
 
@@ -23,7 +23,7 @@ pub enum Direction {
 /// The engine owns only the per-worker [`WorkerSink`]s; the datapath —
 /// table, health ladder, config — is passed to each call, so the same
 /// engine works for a borrowed bench datapath or one owned by a host.
-/// See the crate docs for the processing modes and the determinism
+/// See the crate docs for the two processing modes and the determinism
 /// contract each upholds.
 pub struct WorkerEngine {
     sinks: Vec<WorkerSink>,
@@ -35,7 +35,7 @@ impl WorkerEngine {
     pub fn new(dp: &AcdcDatapath, workers: usize) -> WorkerEngine {
         let n = workers.max(1);
         WorkerEngine {
-            sinks: (0..n).map(|i| dp.worker_sink(i)).collect(),
+            sinks: (0..n).map(|_| dp.worker_sink()).collect(),
         }
     }
 
@@ -72,88 +72,16 @@ impl WorkerEngine {
     /// path for any worker count — this is the mode the simulated NIC
     /// uses, and the one the chaos equivalence suite pins down.
     pub fn dispatch(&self, dp: &AcdcDatapath, now: Nanos, dir: Direction, seg: Segment) -> Verdict {
-        let sink = &self.sinks[self.steer(&seg)];
-        match dir {
-            Direction::Egress => dp.egress_via(sink, now, seg),
-            Direction::Ingress => dp.ingress_via(sink, now, seg),
-        }
+        run_one(dp, &self.sinks[self.steer(&seg)], now, dir, seg)
     }
 
-    /// Group a batch by worker, keeping submission order within each
-    /// group. Returns `(group index per worker, parsed flow keys per
-    /// worker)`; the keys vectors skip malformed segments.
-    fn group(&self, batch: &[Segment]) -> (Vec<Vec<usize>>, Vec<Vec<FlowKey>>) {
-        let n = self.sinks.len();
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut keys: Vec<Vec<FlowKey>> = vec![Vec::new(); n];
-        for (i, seg) in batch.iter().enumerate() {
-            // `try_meta` caches: this parse is the one the datapath
-            // would have paid anyway.
-            let w = match seg.try_meta() {
-                Ok(m) => {
-                    let w = self.worker_of(&m.flow);
-                    keys[w].push(m.flow);
-                    w
-                }
-                Err(_) => 0,
-            };
-            groups[w].push(i);
-        }
-        (groups, keys)
-    }
-
-    fn run_one(
-        &self,
-        dp: &AcdcDatapath,
-        sink: &WorkerSink,
-        now: Nanos,
-        dir: Direction,
-        seg: Segment,
-    ) -> Verdict {
-        match dir {
-            Direction::Egress => dp.egress_via(sink, now, seg),
-            Direction::Ingress => dp.ingress_via(sink, now, seg),
-        }
-    }
-
-    /// Batched single-threaded processing: group by worker, warm each
-    /// worker's flow keys through the table's shard-grouped prefetch
-    /// pass (one shard read-lock per distinct shard, slots touched ahead
-    /// of the touch loop), then run each group to completion in
-    /// submission order. Verdicts come back in submission order.
-    pub fn process_batch(
-        &self,
-        dp: &AcdcDatapath,
-        now: Nanos,
-        dir: Direction,
-        batch: Vec<Segment>,
-    ) -> Vec<Verdict> {
-        let (groups, keys) = self.group(&batch);
-        let total = batch.len();
-        let mut segs: Vec<Option<Segment>> = batch.into_iter().map(Some).collect();
-        let mut out: Vec<Option<Verdict>> = (0..total).map(|_| None).collect();
-        for (w, group) in groups.iter().enumerate() {
-            // The resolved Arcs stay alive across the touch loop so the
-            // warmed slots cannot be dropped out from under it.
-            let warm = dp.table().prefetch_batch(&keys[w]);
-            for &i in group {
-                let seg = segs[i].take().expect("each position processed once");
-                out[i] = Some(self.run_one(dp, &self.sinks[w], now, dir, seg));
-            }
-            drop(warm);
-        }
-        out.into_iter()
-            .map(|v| v.expect("every position produced a verdict"))
-            .collect()
-    }
-
-    /// [`WorkerEngine::process_batch`] with the workers actually running
-    /// in parallel, one OS thread per worker (`std::thread::scope`).
-    /// Each worker prefetches and processes its own group in submission
-    /// order; verdicts are reassembled into submission order. Per-flow
-    /// state and merged counter totals match the single-threaded batch
-    /// when distinct workers' flows are independent (the RSS assumption;
-    /// see crate docs).
+    /// A whole batch at once: steer every packet, then let each worker
+    /// run its group to completion in submission order — inline for one
+    /// worker, one OS thread per worker (`std::thread::scope`) otherwise.
+    /// Verdicts come back in submission order. Per-flow state and merged
+    /// counter totals match [`WorkerEngine::dispatch`] of the same
+    /// packets when distinct workers' flows are independent (the RSS
+    /// assumption; see crate docs).
     pub fn process_batch_parallel(
         &self,
         dp: &AcdcDatapath,
@@ -161,34 +89,29 @@ impl WorkerEngine {
         dir: Direction,
         batch: Vec<Segment>,
     ) -> Vec<Verdict> {
-        if self.sinks.len() == 1 {
-            return self.process_batch(dp, now, dir, batch);
+        if let [sink] = &self.sinks[..] {
+            return batch
+                .into_iter()
+                .map(|seg| run_one(dp, sink, now, dir, seg))
+                .collect();
         }
-        let n = self.sinks.len();
         let total = batch.len();
-        let mut groups: Vec<Vec<(usize, Segment)>> = (0..n).map(|_| Vec::new()).collect();
+        let mut groups: Vec<Vec<(usize, Segment)>> =
+            self.sinks.iter().map(|_| Vec::new()).collect();
         for (i, seg) in batch.into_iter().enumerate() {
-            let w = self.steer(&seg);
-            groups[w].push((i, seg));
+            groups[self.steer(&seg)].push((i, seg));
         }
         let per_worker: Vec<Vec<(usize, Verdict)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = groups
-                .into_iter()
-                .enumerate()
-                .map(|(w, group)| {
-                    let sink = &self.sinks[w];
+            let handles: Vec<_> = self
+                .sinks
+                .iter()
+                .zip(groups)
+                .map(|(sink, group)| {
                     s.spawn(move || {
-                        let keys: Vec<FlowKey> = group
-                            .iter()
-                            .filter_map(|(_, seg)| seg.try_meta().ok().map(|m| m.flow))
-                            .collect();
-                        let warm = dp.table().prefetch_batch(&keys);
-                        let mut done = Vec::with_capacity(group.len());
-                        for (i, seg) in group {
-                            done.push((i, self.run_one(dp, sink, now, dir, seg)));
-                        }
-                        drop(warm);
-                        done
+                        group
+                            .into_iter()
+                            .map(|(i, seg)| (i, run_one(dp, sink, now, dir, seg)))
+                            .collect()
                     })
                 })
                 .collect();
@@ -198,10 +121,8 @@ impl WorkerEngine {
                 .collect()
         });
         let mut out: Vec<Option<Verdict>> = (0..total).map(|_| None).collect();
-        for group in per_worker {
-            for (i, v) in group {
-                out[i] = Some(v);
-            }
+        for (i, v) in per_worker.into_iter().flatten() {
+            out[i] = Some(v);
         }
         out.into_iter()
             .map(|v| v.expect("every position produced a verdict"))
@@ -242,5 +163,19 @@ impl WorkerEngine {
             .iter()
             .map(|s| Arc::clone(s.telemetry()))
             .collect()
+    }
+}
+
+/// One packet through the datapath on `sink`, to completion.
+fn run_one(
+    dp: &AcdcDatapath,
+    sink: &WorkerSink,
+    now: Nanos,
+    dir: Direction,
+    seg: Segment,
+) -> Verdict {
+    match dir {
+        Direction::Egress => dp.egress_via(sink, now, seg),
+        Direction::Ingress => dp.ingress_via(sink, now, seg),
     }
 }

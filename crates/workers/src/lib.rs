@@ -37,18 +37,17 @@
 //!   is identical to the single-threaded path for **any** N: N only
 //!   routes where counters bump and events record, and merged counter
 //!   totals equal the N=1 totals exactly.
-//! * [`WorkerEngine::process_batch`] / [`process_batch_parallel`] — the
-//!   throughput path (benches, order-insensitive tests). Packets are
-//!   grouped per worker, each worker's flow keys are warmed through the
-//!   table's batched, shard-grouped pre-pass
-//!   ([`acdc_vswitch::FlowTable::prefetch_batch`]), and each worker then
-//!   processes its group in submission order. Packets of one flow —
-//!   both directions — always stay on one worker in submission order; batches
-//!   where distinct workers' flows are independent (the RSS assumption —
-//!   true for the bench workloads and the determinism suite) therefore
-//!   produce worker-count-independent per-flow state and merged counter
-//!   totals. Verdicts are returned in submission order regardless of
-//!   which worker produced them.
+//! * [`WorkerEngine::process_batch_parallel`] — the throughput path
+//!   (the harness's `workers.batch_ns_*` rows, order-insensitive
+//!   tests). Packets are steered into one group per worker and each
+//!   worker runs its group through the datapath in submission order —
+//!   inline for N=1, on its own scoped thread otherwise. Packets of one
+//!   flow — both directions — always stay on one worker in submission
+//!   order; batches where distinct workers' flows are independent (the
+//!   RSS assumption — true for the bench workloads and the determinism
+//!   suite) therefore produce worker-count-independent per-flow state
+//!   and merged counter totals. Verdicts are returned in submission
+//!   order regardless of which worker produced them.
 //!
 //! Global state transitions (health ladder, gc, occupancy gauges) stay
 //! on the datapath's main hub no matter which worker processed the

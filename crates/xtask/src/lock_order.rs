@@ -20,7 +20,8 @@ enum GuardKind {
     /// lock a `for_each` closure body runs under.
     Entry,
     /// A shard `RwLock` guard (`….read()` / `….write()`), or the implicit
-    /// shard lock a `with_entry*` / `get_or_create` closure runs under.
+    /// shard lock a `with_entry*` / `get_or_create` / `for_each_slot`
+    /// closure runs under.
     Shard,
 }
 
@@ -35,23 +36,24 @@ struct Guard {
 /// A W002 candidate: `(1-based line, message)`.
 pub type LockFinding = (usize, String);
 
-/// Tokens that re-enter the flow table (each takes shard locks, and the
-/// closure-taking ones hold one across their closure).
+/// Tokens that re-enter the flow table: its whole closure-taking API.
+/// Each takes shard locks and holds one across its closure.
 const TABLE_TOKENS: &[&str] = &[
     "with_entry_or_create",
     "with_entry",
     "get_or_create",
     "for_each",
+    "for_each_slot",
 ];
 
 /// Lexical lock-order pass over one file. Tracks `let g = ….lock()` /
 /// `.read()` / `.write()` guard bindings (combined brace/paren/bracket
 /// nesting depth) plus the implicit locks held across `with_entry*` /
-/// `get_or_create` / `for_each` closures, and reports:
+/// `get_or_create` / `for_each` / `for_each_slot` closures, and reports:
 ///
 /// * a flow-entry `.lock()` while another entry guard is live
 ///   (unordered entry→entry nesting — the classic AB/BA deadlock);
-/// * a table re-entry (`with_entry*`, `get_or_create`, `for_each`,
+/// * a table re-entry (`with_entry*`, `get_or_create`, `for_each*`,
 ///   `.gc(`, `.clear(`) while an entry or shard guard is live;
 /// * an event-bus publish (`.record(`, `.publish(`) while an entry
 ///   guard is live.
@@ -329,6 +331,23 @@ mod tests {
              }\n",
         );
         assert_eq!(f.len(), 1, "{f:?}");
+    }
+
+    #[test]
+    fn for_each_slot_closure_counts_as_shard_locked() {
+        // The checkpoint walk: locking the visited entry is the sanctioned
+        // shard→entry order, re-entering the table under it is not.
+        let f = locks(
+            "fn f(&self) {\n\
+             \x20   self.table.for_each_slot(|key, slot| {\n\
+             \x20       out.push(slot.lock().checkpoint_state());\n\
+             \x20       self.table.with_entry(&key.reverse(), |s| s.rx_pending());\n\
+             \x20   });\n\
+             }\n",
+        );
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].0, 4);
+        assert!(f[0].1.contains("with_entry"));
     }
 
     #[test]
