@@ -160,7 +160,16 @@ pub fn run_dumbbell(spec: &DumbbellSpec) -> DumbbellOut {
             match &spec.per_flow_cc {
                 Some(ccs) => {
                     let (cc, ecn) = ccs[i % ccs.len()];
-                    tb.add_bulk_with_cc(i, n + extra + i, cc, ecn, None, start, ConnTaps::default())
+                    tb.add_bulk_with_cc(
+                        i,
+                        n + extra + i,
+                        cc,
+                        ecn,
+                        None,
+                        start,
+                        ConnTaps::default(),
+                        None,
+                    )
                 }
                 None => tb.add_bulk(i, n + extra + i, None, start),
             }
@@ -177,11 +186,10 @@ pub fn run_dumbbell(spec: &DumbbellSpec) -> DumbbellOut {
     let base: Vec<u64> = flows.iter().map(|&h| tb.acked_bytes(h)).collect();
     tb.run_until(spec.duration);
 
-    let window = (spec.duration - spec.warmup) as f64;
     let tputs_gbps: Vec<f64> = flows
         .iter()
         .zip(&base)
-        .map(|(&h, &b)| (tb.acked_bytes(h) - b) as f64 * 8.0 / window)
+        .map(|(&h, &b)| tb.flow_gbps(h, b, spec.warmup, spec.duration))
         .collect();
     let jain = acdc_stats::jain_index(&tputs_gbps).unwrap_or(0.0);
 

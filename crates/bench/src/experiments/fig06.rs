@@ -27,7 +27,7 @@ fn tput_cwnd_clamp(mtu: usize, clamp_pkts: u64, dur: u64) -> f64 {
     let h = {
         // Custom plumbing: same as add_bulk but with cwnd_clamp set.
         let cc = acdc_cc::CcKind::Cubic;
-        tb.add_bulk_with_cc_clamped(
+        tb.add_bulk_with_cc(
             0,
             1,
             cc,
@@ -39,7 +39,7 @@ fn tput_cwnd_clamp(mtu: usize, clamp_pkts: u64, dur: u64) -> f64 {
         )
     };
     tb.run_until(dur);
-    tb.flow_gbps(h, 0, dur)
+    tb.flow_gbps(h, 0, 0, dur)
 }
 
 /// Throughput with AC/DC's *enforced RWND* bounded.
@@ -51,7 +51,7 @@ fn tput_rwnd_bound(mtu: usize, clamp_pkts: u64, dur: u64) -> f64 {
     });
     let h = tb.add_bulk(0, 1, None, 0);
     tb.run_until(dur);
-    tb.flow_gbps(h, 0, dur)
+    tb.flow_gbps(h, 0, 0, dur)
 }
 
 /// Run the experiment.

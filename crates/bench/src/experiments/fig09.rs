@@ -9,6 +9,7 @@ use acdc_cc::CcKind;
 use acdc_core::{ConnTaps, Scheme, Testbed};
 use acdc_packet::FlowKey;
 use acdc_stats::time::{MILLISECOND, SECOND};
+use acdc_workloads::apps::BulkSender;
 
 use super::common::{Opts, Report};
 
@@ -33,7 +34,14 @@ pub fn run(opts: &Opts) -> Report {
     let mut flows = Vec::new();
     for i in 0..5 {
         let t = if i == 0 { taps } else { ConnTaps::default() };
-        flows.push(tb.add_bulk_tapped(i, 5 + i, None, 0, t));
+        flows.push(tb.add_flow(
+            i,
+            5 + i,
+            Some(Box::new(BulkSender::unlimited())),
+            None,
+            0,
+            t,
+        ));
     }
     tb.run_until(dur);
 

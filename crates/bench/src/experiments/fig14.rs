@@ -7,6 +7,7 @@
 //! thousands of RTTs, which is what convergence needs).
 
 use acdc_core::{ConnTaps, Scheme, Testbed};
+use acdc_workloads::apps::BulkSender;
 use acdc_workloads::patterns::convergence_schedule;
 
 use super::common::{Opts, Report, SEC};
@@ -24,9 +25,10 @@ pub fn run(opts: &Opts) -> Report {
         let mut tb = Testbed::dumbbell(n, scheme, 9000);
         let mut flows = Vec::new();
         for (i, &(start, stop)) in sched.iter().enumerate() {
-            let h = tb.add_bulk_tapped(
+            let h = tb.add_flow(
                 i,
                 n + i,
+                Some(Box::new(BulkSender::unlimited())),
                 None,
                 start,
                 ConnTaps {

@@ -16,8 +16,26 @@ pub fn run_case(acdc: bool, dur: u64) -> (f64, f64, f64) {
     // WRED/ECN marking on in both cases (that *is* the hazard).
     let scheme = if acdc { Scheme::acdc() } else { Scheme::Dctcp };
     let mut tb = Testbed::dumbbell(2, scheme, 9000);
-    let cubic = tb.add_bulk_with_cc(0, 2, CcKind::Cubic, false, None, 0, ConnTaps::default());
-    let dctcp = tb.add_bulk_with_cc(1, 3, CcKind::Dctcp, true, None, 0, ConnTaps::default());
+    let cubic = tb.add_bulk_with_cc(
+        0,
+        2,
+        CcKind::Cubic,
+        false,
+        None,
+        0,
+        ConnTaps::default(),
+        None,
+    );
+    let dctcp = tb.add_bulk_with_cc(
+        1,
+        3,
+        CcKind::Dctcp,
+        true,
+        None,
+        0,
+        ConnTaps::default(),
+        None,
+    );
     let warm = dur / 5;
     tb.run_until(warm);
     let b0 = tb.acked_bytes(cubic);

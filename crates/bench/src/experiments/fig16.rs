@@ -14,8 +14,17 @@ fn probe_rtts(acdc: bool, dur: u64) -> (acdc_stats::Distribution, u64) {
     let scheme = if acdc { Scheme::acdc() } else { Scheme::Dctcp };
     // Pairs: 0/3 = DCTCP elephant, 1/4 = CUBIC elephant, 2/5 = CUBIC probe.
     let mut tb = Testbed::dumbbell(3, scheme, 9000);
-    let _d = tb.add_bulk_with_cc(0, 3, CcKind::Dctcp, true, None, 0, Default::default());
-    let _c = tb.add_bulk_with_cc(1, 4, CcKind::Cubic, false, None, 0, Default::default());
+    let _d = tb.add_bulk_with_cc(0, 3, CcKind::Dctcp, true, None, 0, Default::default(), None);
+    let _c = tb.add_bulk_with_cc(
+        1,
+        4,
+        CcKind::Cubic,
+        false,
+        None,
+        0,
+        Default::default(),
+        None,
+    );
     // The probe is a non-ECN CUBIC connection: its pings suffer the WRED
     // drops of case (a).
     let probe = tb.add_pingpong_with_cc(2, 5, CcKind::Cubic, false, 64, MILLISECOND, 0);

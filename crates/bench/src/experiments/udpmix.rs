@@ -75,5 +75,5 @@ fn udp_delivered(tb: &mut Testbed, host: usize) -> u64 {
         .datapath()
         .counters()
         .non_tcp_passthrough
-        .load(std::sync::atomic::Ordering::Relaxed)
+        .get()
 }

@@ -22,17 +22,6 @@ impl<C: CongestionControl> Clamped<C> {
         Clamped { inner, max_bytes }
     }
 
-    /// The clamp value.
-    pub fn clamp_bytes(&self) -> u64 {
-        self.max_bytes
-    }
-
-    /// Change the clamp at runtime.
-    pub fn set_clamp(&mut self, max_bytes: u64) {
-        assert!(max_bytes > 0, "clamp must be positive");
-        self.max_bytes = max_bytes;
-    }
-
     /// Access the wrapped algorithm.
     pub fn inner(&self) -> &C {
         &self.inner
@@ -102,15 +91,6 @@ mod tests {
         }
         assert_eq!(c.cwnd(), 12_000); // inner grew past clamp
         assert!(c.inner().cwnd() > 12_000);
-    }
-
-    #[test]
-    fn clamp_is_adjustable() {
-        let cfg = CcConfig::host(1000);
-        let mut c = Clamped::new(NewReno::new(cfg), 1_000);
-        assert_eq!(c.cwnd(), 1_000);
-        c.set_clamp(5_000);
-        assert_eq!(c.cwnd(), 5_000);
     }
 
     #[test]

@@ -71,11 +71,6 @@ impl Dctcp {
         self.alpha
     }
 
-    /// The priority weight β.
-    pub fn beta(&self) -> f64 {
-        self.beta
-    }
-
     /// The multiplicative-decrease factor for the current `alpha`:
     /// `1 − (α − α·β/2)`; for β = 1 this is DCTCP's `1 − α/2`.
     fn cut_factor(&self) -> f64 {

@@ -63,11 +63,6 @@ impl Illinois {
         self.alpha
     }
 
-    /// Current multiplicative-decrease factor.
-    pub fn beta_factor(&self) -> f64 {
-        self.beta
-    }
-
     fn update_params(&mut self) {
         let (Some(base), Some(max)) = (self.base_rtt, self.max_rtt) else {
             return;
@@ -255,7 +250,7 @@ mod tests {
         let now = drive(&mut i, 0, 2, 500 * MICROSECOND);
         drive(&mut i, now, 6, 100 * MICROSECOND);
         assert!(i.alpha() > 5.0, "alpha={}", i.alpha());
-        assert!(i.beta_factor() <= 0.2, "beta={}", i.beta_factor());
+        assert!(i.beta <= 0.2, "beta={}", i.beta);
     }
 
     #[test]
@@ -266,7 +261,7 @@ mod tests {
         // Sit at the top of the observed delay range.
         drive(&mut i, now, 10, 500 * MICROSECOND);
         assert!(i.alpha() < 1.0, "alpha={}", i.alpha());
-        assert!(i.beta_factor() > 0.4, "beta={}", i.beta_factor());
+        assert!(i.beta > 0.4, "beta={}", i.beta);
     }
 
     #[test]

@@ -41,13 +41,15 @@ pub use vegas::Vegas;
 
 use acdc_stats::time::Nanos;
 
+/// Initial congestion window in segments (RFC 6928's 10), for host
+/// stacks and the vSwitch alike.
+pub const INITIAL_WINDOW_PKTS: u32 = 10;
+
 /// Static configuration every algorithm instance is built with.
 #[derive(Debug, Clone, Copy)]
 pub struct CcConfig {
     /// Maximum segment size in bytes (1448 or 8948 in the paper's testbed).
     pub mss: u32,
-    /// Initial congestion window in segments (RFC 6928 default of 10).
-    pub initial_window_pkts: u32,
     /// Floor for the congestion window, in **bytes**. Host stacks use
     /// `2 * mss` (the Linux lower bound the paper calls out); the AC/DC
     /// vSwitch path may use a smaller byte-granular floor.
@@ -59,7 +61,6 @@ impl CcConfig {
     pub fn host(mss: u32) -> CcConfig {
         CcConfig {
             mss,
-            initial_window_pkts: 10,
             min_window_bytes: 2 * u64::from(mss),
         }
     }
@@ -70,14 +71,13 @@ impl CcConfig {
     pub fn vswitch(mss: u32) -> CcConfig {
         CcConfig {
             mss,
-            initial_window_pkts: 10,
             min_window_bytes: (u64::from(mss) / 10).max(1),
         }
     }
 
     /// Initial window in bytes.
     pub fn initial_window_bytes(&self) -> u64 {
-        u64::from(self.initial_window_pkts) * u64::from(self.mss)
+        u64::from(INITIAL_WINDOW_PKTS) * u64::from(self.mss)
     }
 }
 

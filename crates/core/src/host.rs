@@ -22,8 +22,8 @@ const TSQ_PER_CONN_CAP: u64 = 64 * 1024;
 /// Period of the vSwitch maintenance tick. The datapath infers RTOs for
 /// flows whose ACK clock stopped *entirely* (outage, burst loss) only
 /// from [`AcdcDatapath::tick`] — no ingress packet will ever trigger the
-/// inactivity check for them. Matches the default `inactivity_floor`.
-const DP_TICK_PERIOD: Nanos = 10 * acdc_stats::time::MILLISECOND;
+/// inactivity check for them — so the tick runs at the threshold's floor.
+const DP_TICK_PERIOD: Nanos = acdc_vswitch::INACTIVITY_FLOOR;
 use acdc_packet::{FlowKey, Segment};
 use acdc_stats::time::Nanos;
 use acdc_stats::TimeSeries;
@@ -49,8 +49,6 @@ pub struct FlowHandle {
 pub struct ConnTaps {
     /// Sample the guest congestion window over time (Figures 9/10).
     pub trace_cwnd: bool,
-    /// Sample the enforced (peer-advertised) receive window over time.
-    pub trace_rwnd: bool,
     /// Record per-interval throughput of acknowledged bytes.
     pub tput_bin: Option<Nanos>,
 }
@@ -68,7 +66,6 @@ struct Conn {
     nic_queued: u64,
     tsq_blocked: bool,
     cwnd_trace: Option<TimeSeries>,
-    rwnd_trace: Option<TimeSeries>,
     tput: Option<acdc_stats::ThroughputMeter>,
     last_acked: u64,
     /// `ep.in_flight() > 0` as of the last [`HostNode::refresh`] (counted
@@ -102,12 +99,6 @@ impl Conn {
     fn sample_taps(&mut self, now: Nanos) {
         if let Some(ts) = &mut self.cwnd_trace {
             let v = self.ep.cwnd() as f64;
-            if ts.samples().last().is_none_or(|s| s.value != v) {
-                ts.push(now, v);
-            }
-        }
-        if let Some(ts) = &mut self.rwnd_trace {
-            let v = self.ep.peer_rwnd() as f64;
             if ts.samples().last().is_none_or(|s| s.value != v) {
                 ts.push(now, v);
             }
@@ -266,7 +257,7 @@ struct RateLimiter {
 pub struct HostNode {
     ip: [u8; 4],
     nic: PortId,
-    datapath: Arc<AcdcDatapath>,
+    datapath: AcdcDatapath,
     conns: Vec<Conn>,
     by_key: BTreeMap<FlowKey, usize>,
     /// [`Conn::earliest_deadline`] of every connection, kept exact by
@@ -301,7 +292,7 @@ impl HostNode {
     /// Create a host with address `ip`, NIC port `nic`, and a fresh
     /// datapath configured by `acdc`.
     pub fn new(ip: [u8; 4], nic: PortId, acdc: AcdcConfig) -> HostNode {
-        let datapath = Arc::new(AcdcDatapath::new(acdc));
+        let datapath = AcdcDatapath::new(acdc);
         let corrupt_drops = datapath
             .telemetry()
             .registry()
@@ -344,13 +335,13 @@ impl HostNode {
     /// in the new hub with its current value carried over, the worker
     /// engine (if any) is rebuilt at the same worker count against the
     /// new datapath, and the maintenance-tick schedule is untouched.
-    /// Returns the replaced datapath (still usable read-only, e.g. to
-    /// compare against the restored one). A subsequent
+    /// Returns the replaced datapath (e.g. to compare against the
+    /// restored one). A subsequent
     /// `AcdcDatapath::restore` on the new datapath overwrites the carried
     /// counter value with the checkpointed one, by name, like every other
     /// metric.
-    pub fn replace_datapath(&mut self) -> Arc<AcdcDatapath> {
-        let fresh = Arc::new(AcdcDatapath::new(self.datapath.config().clone()));
+    pub fn replace_datapath(&mut self) -> AcdcDatapath {
+        let fresh = AcdcDatapath::new(self.datapath.config().clone());
         let corrupt_drops = fresh.telemetry().registry().counter("host.corrupt_drops");
         corrupt_drops.add(self.corrupt_drops.get());
         let n = self.workers.as_ref().map_or(0, |e| e.workers());
@@ -454,10 +445,9 @@ impl HostNode {
             nic_queued: 0,
             tsq_blocked: false,
             cwnd_trace: taps.trace_cwnd.then(TimeSeries::new),
-            rwnd_trace: taps.trace_rwnd.then(TimeSeries::new),
             tput: taps
                 .tput_bin
-                .map(|bin| acdc_stats::ThroughputMeter::new(0).with_bins(bin)),
+                .map(|bin| acdc_stats::ThroughputMeter::new(0, bin)),
             last_acked: 0,
             in_flight: false,
         });
@@ -494,11 +484,6 @@ impl HostNode {
     /// Recorded congestion-window trace.
     pub fn cwnd_trace(&self, conn: usize) -> Option<&TimeSeries> {
         self.conns[conn].cwnd_trace.as_ref()
-    }
-
-    /// Recorded peer-receive-window trace.
-    pub fn rwnd_trace(&self, conn: usize) -> Option<&TimeSeries> {
-        self.conns[conn].rwnd_trace.as_ref()
     }
 
     /// Recorded throughput meter.

@@ -2,8 +2,7 @@
 //! "Experiment details").
 
 use acdc_cc::CcKind;
-use acdc_netsim::{SwitchConfig, MILLISECOND};
-use acdc_stats::time::Nanos;
+use acdc_netsim::SwitchConfig;
 use acdc_tcp::TcpConfig;
 use acdc_vswitch::{AcdcConfig, CcPolicy};
 
@@ -133,11 +132,6 @@ impl Scheme {
         cfg.ecn = matches!(self.host_cc(), CcKind::Dctcp | CcKind::DctcpPriority(_))
             || matches!(self, Scheme::Plain { ecn: true, .. });
         cfg
-    }
-
-    /// The paper's RTOmin (system settings, §5).
-    pub fn rto_min(&self) -> Nanos {
-        10 * MILLISECOND
     }
 }
 

@@ -11,16 +11,14 @@ use acdc_packet::FlowKey;
 use acdc_stats::time::Nanos;
 use acdc_tcp::Endpoint;
 use acdc_telemetry::Telemetry;
-use acdc_workloads::apps::{
-    App, BulkSender, EchoServer, MessageSender, PingPong, SequentialSender,
-};
+use acdc_workloads::apps::{App, BulkSender, EchoServer, MessageSender, PingPong};
 use acdc_workloads::{FctKind, FctRecorder};
 
 use crate::host::{ConnTaps, FlowHandle, HostNode};
 use crate::scheme::{Scheme, DEFAULT_MARK_THRESHOLD};
 
 /// Default host/switch link: 10 GbE, 1.5 µs propagation per hop.
-pub fn default_link() -> LinkSpec {
+fn default_link() -> LinkSpec {
     LinkSpec::ten_gbe(1_500)
 }
 
@@ -199,19 +197,6 @@ impl Testbed {
         idx
     }
 
-    /// Like [`Testbed::star`] with a vSwitch-config tweak.
-    pub fn star_with(
-        n: usize,
-        scheme: Scheme,
-        mtu: usize,
-        tweak: impl Fn(&mut acdc_vswitch::AcdcConfig) + 'static,
-    ) -> Testbed {
-        let mut tb = Testbed::empty(scheme.clone(), mtu);
-        tb.set_acdc_tweak(tweak);
-        tb.build_star(n);
-        tb
-    }
-
     /// The single-switch star of the macrobenchmarks (§5.2): `n` hosts on
     /// one 48-port switch.
     pub fn star(n: usize, scheme: Scheme, mtu: usize) -> Testbed {
@@ -373,20 +358,6 @@ impl Testbed {
         node
     }
 
-    /// Attach a UDP sink to switch `sw`; returns `(node id, sink ip)` —
-    /// point sources at the returned address.
-    pub fn add_udp_sink(&mut self, sw: usize) -> (NodeId, [u8; 4]) {
-        let node = self.net.reserve_node();
-        let (_np, swp) = self.net.connect(node, self.switches[sw], default_link());
-        let ip = Self::host_ip(100 + self.host_ips.len());
-        if let Some(s) = self.net.node_mut::<SwitchNode>(self.switches[sw]) {
-            s.add_route(ip, swp);
-        }
-        self.net
-            .install(node, Box::new(crate::udp::UdpSinkNode::new()));
-        (node, ip)
-    }
-
     /// Schedule a wake-up for a host (needed after adding connections via
     /// the low-level [`HostNode::add_connection`] API so active opens at
     /// `at` actually fire).
@@ -440,12 +411,16 @@ impl Testbed {
         (port, iss_c, iss_s)
     }
 
-    /// Create a connection between two hosts with the given apps. The
-    /// client opens at `start`.
-    pub fn add_flow(
+    /// Build one connection: the client/server `TcpConfig` pair (with the
+    /// guest `stack` — `(cc, ecn, client cwnd clamp)` — overriding the
+    /// scheme's when given), both endpoints on their hosts, and the kick
+    /// that makes the client open at `start`.
+    #[allow(clippy::too_many_arguments)]
+    fn connect_pair(
         &mut self,
         client: usize,
         server: usize,
+        stack: Option<(CcKind, bool, Option<u64>)>,
         client_app: Option<Box<dyn App>>,
         server_app: Option<Box<dyn App>>,
         start: Nanos,
@@ -456,12 +431,16 @@ impl Testbed {
         let sport = 5_001;
         let cip = self.host_ips[client];
         let sip = self.host_ips[server];
-        let ccfg = self
+        let mut ccfg = self
             .scheme
             .tcp_config(cip, cport, sip, sport, self.mtu, iss_c);
-        let scfg = self
+        let mut scfg = self
             .scheme
             .tcp_config(sip, sport, cip, cport, self.mtu, iss_s);
+        if let Some((cc, ecn, cwnd_clamp)) = stack {
+            (ccfg.cc, ccfg.ecn, ccfg.cwnd_clamp) = (cc, ecn, cwnd_clamp);
+            (scfg.cc, scfg.ecn) = (cc, ecn);
+        }
         let key = FlowKey {
             src_ip: cip,
             dst_ip: sip,
@@ -482,6 +461,28 @@ impl Testbed {
         }
     }
 
+    /// An iperf-style sender of `bytes` (`None` = long-lived/unbounded).
+    fn bulk_app(bytes: Option<u64>) -> Box<dyn App> {
+        match bytes {
+            Some(b) => Box::new(BulkSender::new(b, FctKind::Background)),
+            None => Box::new(BulkSender::unlimited()),
+        }
+    }
+
+    /// Create a connection between two hosts with the given apps. The
+    /// client opens at `start`.
+    pub fn add_flow(
+        &mut self,
+        client: usize,
+        server: usize,
+        client_app: Option<Box<dyn App>>,
+        server_app: Option<Box<dyn App>>,
+        start: Nanos,
+        taps: ConnTaps,
+    ) -> FlowHandle {
+        self.connect_pair(client, server, None, client_app, server_app, start, taps)
+    }
+
     /// A bulk transfer (`None` = long-lived/unbounded), iperf-style.
     pub fn add_bulk(
         &mut self,
@@ -490,17 +491,15 @@ impl Testbed {
         bytes: Option<u64>,
         start: Nanos,
     ) -> FlowHandle {
-        let app: Box<dyn App> = match bytes {
-            Some(b) => Box::new(BulkSender::new(b, FctKind::Background)),
-            None => Box::new(BulkSender::unlimited()),
-        };
+        let app = Self::bulk_app(bytes);
         self.add_flow(client, server, Some(app), None, start, ConnTaps::default())
     }
 
     /// A bulk transfer whose *guest stack* overrides the scheme default —
     /// the mixed-stack experiments (Figures 1, 15, 17; Table 1 runs each
     /// host stack under AC/DC). `ecn` selects end-to-end ECN negotiation
-    /// for this connection.
+    /// for this connection; `cwnd_clamp` is a guest `snd_cwnd_clamp`
+    /// (Figure 6a's window cap).
     #[allow(clippy::too_many_arguments)]
     pub fn add_bulk_with_cc(
         &mut self,
@@ -511,76 +510,11 @@ impl Testbed {
         bytes: Option<u64>,
         start: Nanos,
         taps: ConnTaps,
-    ) -> FlowHandle {
-        self.add_bulk_with_cc_clamped(client, server, cc, ecn, bytes, start, taps, None)
-    }
-
-    /// [`Testbed::add_bulk_with_cc`] plus a guest `snd_cwnd_clamp`
-    /// (Figure 6a's window cap).
-    #[allow(clippy::too_many_arguments)]
-    pub fn add_bulk_with_cc_clamped(
-        &mut self,
-        client: usize,
-        server: usize,
-        cc: CcKind,
-        ecn: bool,
-        bytes: Option<u64>,
-        start: Nanos,
-        taps: ConnTaps,
         cwnd_clamp: Option<u64>,
     ) -> FlowHandle {
-        let (cport, iss_c, iss_s) = self.next_flow_params(client);
-        let sport = 5_001;
-        let cip = self.host_ips[client];
-        let sip = self.host_ips[server];
-        let mut ccfg = self
-            .scheme
-            .tcp_config(cip, cport, sip, sport, self.mtu, iss_c);
-        ccfg.cc = cc;
-        ccfg.ecn = ecn;
-        ccfg.cwnd_clamp = cwnd_clamp;
-        let mut scfg = self
-            .scheme
-            .tcp_config(sip, sport, cip, cport, self.mtu, iss_s);
-        scfg.cc = cc;
-        scfg.ecn = ecn;
-        let key = FlowKey {
-            src_ip: cip,
-            dst_ip: sip,
-            src_port: cport,
-            dst_port: sport,
-        };
-        let app: Box<dyn App> = match bytes {
-            Some(b) => Box::new(BulkSender::new(b, FctKind::Background)),
-            None => Box::new(BulkSender::unlimited()),
-        };
-        self.host_mut(client)
-            .add_connection(ccfg, true, Some(start), Some(app), taps);
-        self.host_mut(server)
-            .add_connection(scfg, false, None, None, ConnTaps::default());
-        let client_id = self.hosts[client];
-        self.net.schedule_timer_at(client_id, start, 0);
-        FlowHandle {
-            client_host: client,
-            server_host: server,
-            key,
-        }
-    }
-
-    /// A bulk transfer with measurement taps.
-    pub fn add_bulk_tapped(
-        &mut self,
-        client: usize,
-        server: usize,
-        bytes: Option<u64>,
-        start: Nanos,
-        taps: ConnTaps,
-    ) -> FlowHandle {
-        let app: Box<dyn App> = match bytes {
-            Some(b) => Box::new(BulkSender::new(b, FctKind::Background)),
-            None => Box::new(BulkSender::unlimited()),
-        };
-        self.add_flow(client, server, Some(app), None, start, taps)
+        let app = Self::bulk_app(bytes);
+        let stack = Some((cc, ecn, cwnd_clamp));
+        self.connect_pair(client, server, stack, Some(app), None, start, taps)
     }
 
     /// A ping-pong RTT probe whose guest stack overrides the scheme
@@ -596,47 +530,15 @@ impl Testbed {
         interval: Nanos,
         start: Nanos,
     ) -> FlowHandle {
-        let (cport, iss_c, iss_s) = self.next_flow_params(client);
-        let sport = 5_001;
-        let cip = self.host_ips[client];
-        let sip = self.host_ips[server];
-        let mut ccfg = self
-            .scheme
-            .tcp_config(cip, cport, sip, sport, self.mtu, iss_c);
-        ccfg.cc = cc;
-        ccfg.ecn = ecn;
-        let mut scfg = self
-            .scheme
-            .tcp_config(sip, sport, cip, cport, self.mtu, iss_s);
-        scfg.cc = cc;
-        scfg.ecn = ecn;
-        let key = FlowKey {
-            src_ip: cip,
-            dst_ip: sip,
-            src_port: cport,
-            dst_port: sport,
-        };
-        self.host_mut(client).add_connection(
-            ccfg,
-            true,
-            Some(start),
+        self.connect_pair(
+            client,
+            server,
+            Some((cc, ecn, None)),
             Some(Box::new(PingPong::new(msg, interval))),
-            ConnTaps::default(),
-        );
-        self.host_mut(server).add_connection(
-            scfg,
-            false,
-            None,
             Some(Box::new(EchoServer::new())),
+            start,
             ConnTaps::default(),
-        );
-        let client_id = self.hosts[client];
-        self.net.schedule_timer_at(client_id, start, 0);
-        FlowHandle {
-            client_host: client,
-            server_host: server,
-            key,
-        }
+        )
     }
 
     /// A sockperf-style RTT probe (ping-pong of `msg` bytes every
@@ -684,24 +586,6 @@ impl Testbed {
         )
     }
 
-    /// Sequential transfers on one connection (shuffle elements).
-    pub fn add_sequential(
-        &mut self,
-        client: usize,
-        server: usize,
-        sizes: Vec<u64>,
-        start: Nanos,
-    ) -> FlowHandle {
-        self.add_flow(
-            client,
-            server,
-            Some(Box::new(SequentialSender::new(sizes, FctKind::Background))),
-            None,
-            start,
-            ConnTaps::default(),
-        )
-    }
-
     // ------------------------------------------------------------------
     // Running & measuring
     // ------------------------------------------------------------------
@@ -743,13 +627,22 @@ impl Testbed {
         self.client_endpoint(h).acked_bytes()
     }
 
-    /// Goodput in Gbps over `[start, end]`.
-    pub fn flow_gbps(&mut self, h: FlowHandle, start: Nanos, end: Nanos) -> f64 {
-        let bytes = self.acked_bytes(h);
+    /// Goodput in Gbps over the window `[start, end]`, for a testbed that
+    /// has run until `end`: the bytes acknowledged *within* the window
+    /// over its length. `acked_at_start` is [`Testbed::acked_bytes`]
+    /// snapshotted when the run stood at `start` (0 for `start = 0`), so
+    /// warm-up bytes are not counted.
+    pub fn flow_gbps(
+        &mut self,
+        h: FlowHandle,
+        acked_at_start: u64,
+        start: Nanos,
+        end: Nanos,
+    ) -> f64 {
         if end <= start {
             return 0.0;
         }
-        bytes as f64 * 8.0 / (end - start) as f64
+        (self.acked_bytes(h) - acked_at_start) as f64 * 8.0 / (end - start) as f64
     }
 
     /// RTT samples (ms) recorded by a ping-pong client app.
@@ -771,27 +664,6 @@ impl Testbed {
             .cloned()
             .unwrap_or_default()
     }
-
-    /// Per-flow throughputs (Gbps, measured by acked bytes over the given
-    /// interval) for a set of flows — the input to Jain's index.
-    pub fn throughputs_gbps(&mut self, flows: &[FlowHandle], start: Nanos, end: Nanos) -> Vec<f64> {
-        flows
-            .iter()
-            .map(|&h| self.flow_gbps(h, start, end))
-            .collect()
-    }
-}
-
-/// Convenience: which CC kinds Figure 1 / Table 1 sweep.
-pub fn table1_host_stacks() -> Vec<CcKind> {
-    vec![
-        CcKind::Cubic,
-        CcKind::Reno,
-        CcKind::Dctcp,
-        CcKind::Illinois,
-        CcKind::HighSpeed,
-        CcKind::Vegas,
-    ]
 }
 
 #[cfg(test)]
@@ -804,9 +676,26 @@ mod tests {
         let mut tb = Testbed::dumbbell(1, Scheme::Cubic, 9000);
         let h = tb.add_bulk(0, 1, None, 0);
         tb.run_until(100 * MILLISECOND);
-        let gbps = tb.flow_gbps(h, 0, 100 * MILLISECOND);
+        let gbps = tb.flow_gbps(h, 0, 0, 100 * MILLISECOND);
         assert!(gbps > 8.0, "one flow should near line rate, got {gbps:.2}");
         assert!(gbps <= 10.0);
+    }
+
+    #[test]
+    fn sub_window_goodput_never_exceeds_line_rate() {
+        let mut tb = Testbed::dumbbell(1, Scheme::Cubic, 9000);
+        let h = tb.add_bulk(0, 1, None, 0);
+        let (mut start, mut acked) = (0, 0);
+        for end in [100, 200, 300, 400].map(|ms| ms * MILLISECOND) {
+            tb.run_until(end);
+            let gbps = tb.flow_gbps(h, acked, start, end);
+            assert!(gbps > 8.0, "[{start}, {end}]: {gbps:.2}");
+            assert!(
+                gbps <= 10.0,
+                "[{start}, {end}]: {gbps:.2} on a 10 GbE trunk"
+            );
+            (start, acked) = (end, tb.acked_bytes(h));
+        }
     }
 
     #[test]
@@ -814,7 +703,10 @@ mod tests {
         let mut tb = Testbed::dumbbell(5, Scheme::Dctcp, 9000);
         let flows: Vec<_> = (0..5).map(|i| tb.add_bulk(i, 5 + i, None, 0)).collect();
         tb.run_until(200 * MILLISECOND);
-        let tputs = tb.throughputs_gbps(&flows, 0, 200 * MILLISECOND);
+        let tputs: Vec<f64> = flows
+            .iter()
+            .map(|&h| tb.flow_gbps(h, 0, 0, 200 * MILLISECOND))
+            .collect();
         let total: f64 = tputs.iter().sum();
         assert!(total > 8.0 && total <= 10.0, "total {total:.2}");
         let jain = acdc_stats::jain_index(&tputs).unwrap();
@@ -828,12 +720,7 @@ mod tests {
         tb.run_until(50 * MILLISECOND);
         let flows = tb.host_mut(0).datapath().flows();
         assert!(flows >= 2, "AC/DC tracks both directions, got {flows}");
-        let rewrites = tb
-            .host_mut(0)
-            .datapath()
-            .counters()
-            .rwnd_rewrites
-            .load(std::sync::atomic::Ordering::Relaxed);
+        let rewrites = tb.host_mut(0).datapath().counters().rwnd_rewrites.get();
         assert!(rewrites > 0, "enforcement must have engaged");
     }
 
@@ -883,7 +770,7 @@ mod tests {
         tb.host_mut(0).set_rate_limit(2_000_000_000, 2 * 9000);
         let h = tb.add_bulk(0, 1, None, 0);
         tb.run_until(100 * MILLISECOND);
-        let gbps = tb.flow_gbps(h, 0, 100 * MILLISECOND);
+        let gbps = tb.flow_gbps(h, 0, 0, 100 * MILLISECOND);
         assert!(gbps < 2.2, "rate limit must bind: {gbps:.2}");
         assert!(gbps > 1.5, "but throughput should approach it: {gbps:.2}");
     }

@@ -58,9 +58,9 @@ fn rate_limit_applies_to_the_whole_host() {
     let f2 = tb.add_bulk(0, 3, None, 0); // second flow, same host
     let unlimited = tb.add_bulk(1, 3, None, 0); // different host, no limit
     tb.run_until(200 * MILLISECOND);
-    let g1 = tb.flow_gbps(f1, 0, 200 * MILLISECOND);
-    let g2 = tb.flow_gbps(f2, 0, 200 * MILLISECOND);
-    let gu = tb.flow_gbps(unlimited, 0, 200 * MILLISECOND);
+    let g1 = tb.flow_gbps(f1, 0, 0, 200 * MILLISECOND);
+    let g2 = tb.flow_gbps(f2, 0, 0, 200 * MILLISECOND);
+    let gu = tb.flow_gbps(unlimited, 0, 0, 200 * MILLISECOND);
     assert!(
         g1 + g2 < 1.1,
         "host limit must bound the sum: {g1:.2} + {g2:.2}"
@@ -102,12 +102,7 @@ fn per_host_datapath_counters_aggregate_flows() {
     assert_eq!(tb.host_mut(0).datapath().flows(), 4);
     assert_eq!(tb.host_mut(1).datapath().flows(), 2);
     // The receiver host saw PACK-worthy traffic from both senders.
-    let packs = tb
-        .host_mut(2)
-        .datapath()
-        .counters()
-        .packs_sent
-        .load(std::sync::atomic::Ordering::Relaxed);
+    let packs = tb.host_mut(2).datapath().counters().packs_sent.get();
     assert!(packs > 0, "receiver-side module attached feedback");
 }
 
@@ -160,7 +155,7 @@ fn every_connection_keeps_its_own_schedule_on_a_64_connection_host() {
         // the NIC stays idle enough for message FCTs to show lateness.
         let start = 150 * MICROSECOND + i * 53 * MICROSECOND;
         let stop = 6 * MILLISECOND + i * 41 * MICROSECOND;
-        let h = tb.add_bulk_with_cc_clamped(
+        let h = tb.add_bulk_with_cc(
             0,
             server,
             CcKind::Cubic,

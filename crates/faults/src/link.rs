@@ -108,19 +108,8 @@ impl FaultyLink {
         }
     }
 
-    /// Packets currently held back (reorder/jitter) and not yet released.
-    pub fn held_packets(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// The tap port facing node A (carries the attribution for B→A fault
-    /// drops in [`PortCounters`](acdc_netsim::PortCounters)).
-    pub fn port_facing_a(&self) -> PortId {
-        self.port_a
-    }
-
     /// The tap port facing node B (carries the attribution for A→B fault
-    /// drops).
+    /// drops in [`PortCounters`](acdc_netsim::PortCounters)).
     pub fn port_facing_b(&self) -> PortId {
         self.port_b
     }

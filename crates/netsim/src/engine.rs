@@ -577,11 +577,6 @@ impl Ctx<'_> {
         self.net.now
     }
 
-    /// The node this context belongs to.
-    pub fn node_id(&self) -> NodeId {
-        self.node
-    }
-
     /// Enqueue `seg` for transmission on `port` (must be owned by this
     /// node). If the transmitter is idle the packet starts serializing
     /// immediately (and `on_tx_start` is *not* called — the packet never

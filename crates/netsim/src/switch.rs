@@ -35,8 +35,6 @@ use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
 use acdc_packet::Segment;
-use acdc_stats::time::Nanos;
-use acdc_stats::TimeSeries;
 use acdc_telemetry::{Counter, Telemetry};
 
 use crate::engine::{Ctx, Node, PortId};
@@ -68,12 +66,6 @@ impl WredEcnConfig {
             drop_max_bytes: k * 115 / 100,
             drop_p_max: 0.15,
         }
-    }
-
-    /// DCTCP-style threshold for a 10 Gbps network: the paper's testbed
-    /// used K ≈ 90 KB-class thresholds (65 × 1.5 KB packets).
-    pub fn dctcp_10g() -> WredEcnConfig {
-        WredEcnConfig::centered_on(90_000)
     }
 
     /// Drop probability for a non-ECT packet at averaged depth `avg`.
@@ -220,8 +212,6 @@ pub struct SwitchNode {
     /// Total occupancy, bytes.
     total_occupancy: u64,
     counters: SwitchMetrics,
-    /// Optional queue-depth probe: (port, sampled series).
-    probe: Option<(PortId, TimeSeries)>,
     /// Deterministic RNG for the WRED drop ramp.
     rng: SmallRng,
 }
@@ -237,15 +227,8 @@ impl SwitchNode {
             avg_occupancy: BTreeMap::new(),
             total_occupancy: 0,
             counters: SwitchMetrics::standalone(),
-            probe: None,
             rng: SmallRng::seed_from_u64(0x5EED_AC0C),
         }
-    }
-
-    /// Reseed the WRED RNG (runs with multiple switches may want distinct
-    /// streams; the default seed is fixed for determinism).
-    pub fn reseed(&mut self, seed: u64) {
-        self.rng = SmallRng::seed_from_u64(seed);
     }
 
     /// Route `dst` out of `port`.
@@ -256,16 +239,6 @@ impl SwitchNode {
     /// Set the default route (used by multi-switch topologies).
     pub fn set_default_route(&mut self, port: PortId) {
         self.default_route = Some(port);
-    }
-
-    /// Record the queue depth of `port` each time a packet touches it.
-    pub fn enable_queue_probe(&mut self, port: PortId) {
-        self.probe = Some((port, TimeSeries::new()));
-    }
-
-    /// The recorded queue-depth series, if probing was enabled.
-    pub fn queue_probe(&self) -> Option<&TimeSeries> {
-        self.probe.as_ref().map(|(_, ts)| ts)
     }
 
     /// Counters snapshot (a point-in-time view of the live cells).
@@ -280,15 +253,6 @@ impl SwitchNode {
 
     fn lookup(&self, dst: [u8; 4]) -> Option<PortId> {
         self.routes.get(&dst).copied().or(self.default_route)
-    }
-
-    fn sample_probe(&mut self, now: Nanos, port: PortId) {
-        if let Some((p, ts)) = &mut self.probe {
-            if *p == port {
-                let q = self.occupancy.get(&port).copied().unwrap_or(0);
-                ts.push(now, q as f64);
-            }
-        }
     }
 }
 
@@ -316,7 +280,6 @@ impl Node for SwitchNode {
         if q + len > dyn_limit || len > free {
             self.counters.buffer_drops.inc();
             ctx.count_drop(out, crate::engine::PortDropClass::QueueFull);
-            self.sample_probe(ctx.now(), out);
             return;
         }
 
@@ -337,7 +300,6 @@ impl Node for SwitchNode {
                 let p = wred.drop_probability(avg);
                 if p > 0.0 && self.rng.random::<f64>() < p {
                     self.counters.wred_drops.inc();
-                    self.sample_probe(ctx.now(), out);
                     return;
                 }
             }
@@ -346,7 +308,6 @@ impl Node for SwitchNode {
         self.counters.forwarded.inc();
         *self.occupancy.entry(out).or_insert(0) += len;
         self.total_occupancy += len;
-        self.sample_probe(ctx.now(), out);
         ctx.enqueue(out, seg);
 
         // Occupancy counts bytes waiting in the FIFO, and each packet's are
@@ -361,12 +322,11 @@ impl Node for SwitchNode {
         }
     }
 
-    fn on_tx_start(&mut self, ctx: &mut Ctx<'_>, port: PortId, seg: &Segment) {
+    fn on_tx_start(&mut self, _ctx: &mut Ctx<'_>, port: PortId, seg: &Segment) {
         let len = seg.wire_len() as u64;
         let e = self.occupancy.entry(port).or_insert(0);
         *e = e.saturating_sub(len);
         self.total_occupancy = self.total_occupancy.saturating_sub(len);
-        self.sample_probe(ctx.now(), port);
     }
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
@@ -575,49 +535,5 @@ mod tests {
         // With alpha=1 about half the tiny pool is usable → most of the
         // burst drops.
         assert!(c.buffer_drops >= 40, "drops={}", c.buffer_drops);
-    }
-
-    #[test]
-    fn queue_probe_records_depth() {
-        let cfg = SwitchConfig::default();
-        let mut net = Network::new();
-        let h = net.reserve_node();
-        let sw = net.reserve_node();
-        let dstn = net.add_node(Box::new(Sink { got: Vec::new() }));
-        let (hp, _) = net.connect(h, sw, LinkSpec::ten_gbe(1_000));
-        let (op, _) = net.connect(
-            sw,
-            dstn,
-            LinkSpec {
-                rate_bps: 1_000_000_000,
-                propagation: 1_000,
-            },
-        );
-        let mut s = SwitchNode::new(cfg);
-        s.add_route([10, 0, 0, 9], op);
-        s.enable_queue_probe(op);
-        net.install(sw, Box::new(s));
-        net.install(
-            h,
-            Box::new(Blaster {
-                port: hp,
-                n: 10,
-                ecn: Ecn::Ect0,
-                dst: [10, 0, 0, 9],
-                payload: 1460,
-            }),
-        );
-        net.schedule_timer_at(h, 0, 0);
-        net.run_until(crate::SECOND);
-        let s = net.node_mut::<SwitchNode>(sw).unwrap();
-        let probe = s.queue_probe().unwrap();
-        assert!(!probe.is_empty());
-        let max_depth = probe
-            .samples()
-            .iter()
-            .map(|s| s.value)
-            .fold(0.0f64, f64::max);
-        assert!(max_depth > 0.0, "queue should have built up");
-        assert_eq!(probe.samples().last().unwrap().value, 0.0, "drains to zero");
     }
 }

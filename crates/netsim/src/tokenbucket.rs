@@ -98,12 +98,6 @@ impl TokenBucket {
         }
         verdict
     }
-
-    /// Current token level in bytes (after refilling to `now`).
-    pub fn tokens_bytes(&mut self, now: Nanos) -> u64 {
-        self.refill(now);
-        self.tokens_bits / 8
-    }
 }
 
 #[cfg(test)]
@@ -126,7 +120,6 @@ mod tests {
         let mut tb = TokenBucket::new(8_000_000, 1_000, 0);
         assert!(tb.try_consume(1_000, 0).is_ok());
         // After 500 µs, 500 bytes available.
-        assert_eq!(tb.tokens_bytes(500_000), 500);
         assert!(tb.try_consume(500, 500_000).is_ok());
         assert!(tb.try_consume(1, 500_000).is_err());
     }
@@ -144,7 +137,8 @@ mod tests {
     #[test]
     fn bucket_never_exceeds_burst() {
         let mut tb = TokenBucket::new(10_000_000_000, 5_000, 0);
-        assert_eq!(tb.tokens_bytes(10 * MILLISECOND), 5_000);
+        assert!(tb.try_consume(5_000, 10 * MILLISECOND).is_ok());
+        assert!(tb.try_consume(1, 10 * MILLISECOND).is_err());
     }
 
     #[test]

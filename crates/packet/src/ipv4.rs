@@ -17,16 +17,16 @@ pub const PROTO_UDP: u8 = 17;
 pub const HEADER_LEN: usize = 20;
 
 pub(crate) mod field {
-    pub const VER_IHL: usize = 0;
-    pub const DSCP_ECN: usize = 1;
-    pub const LENGTH: core::ops::Range<usize> = 2..4;
-    pub const IDENT: core::ops::Range<usize> = 4..6;
-    pub const FLG_OFF: core::ops::Range<usize> = 6..8;
-    pub const TTL: usize = 8;
-    pub const PROTOCOL: usize = 9;
-    pub const CHECKSUM: core::ops::Range<usize> = 10..12;
-    pub const SRC_ADDR: core::ops::Range<usize> = 12..16;
-    pub const DST_ADDR: core::ops::Range<usize> = 16..20;
+    pub(crate) const VER_IHL: usize = 0;
+    pub(crate) const DSCP_ECN: usize = 1;
+    pub(crate) const LENGTH: core::ops::Range<usize> = 2..4;
+    pub(crate) const IDENT: core::ops::Range<usize> = 4..6;
+    pub(crate) const FLG_OFF: core::ops::Range<usize> = 6..8;
+    pub(crate) const TTL: usize = 8;
+    pub(crate) const PROTOCOL: usize = 9;
+    pub(crate) const CHECKSUM: core::ops::Range<usize> = 10..12;
+    pub(crate) const SRC_ADDR: core::ops::Range<usize> = 12..16;
+    pub(crate) const DST_ADDR: core::ops::Range<usize> = 16..20;
 }
 
 /// A read/write view of an IPv4 packet over any byte container.
@@ -230,15 +230,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Ipv4Packet<T> {
         let ck = checksum(&data[..ihl]);
         data[field::CHECKSUM].copy_from_slice(&ck.to_be_bytes());
     }
-
-    /// Mutable access to the L4 payload.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        let ihl = self.header_len();
-        let total = self.total_len() as usize;
-        let data = self.buffer.as_mut();
-        let end = total.min(data.len());
-        &mut data[ihl..end]
-    }
 }
 
 /// High-level representation of the IPv4 header fields the system cares
@@ -380,7 +371,7 @@ mod tests {
         let mut buf = vec![0u8; HEADER_LEN + repr.payload_len];
         let mut pkt = Ipv4Packet::new_unchecked(&mut buf[..]);
         repr.emit(&mut pkt);
-        pkt.payload_mut().fill(0xab);
+        buf[HEADER_LEN..].fill(0xab);
         let pkt = Ipv4Packet::new_checked(&buf[..]).unwrap();
         assert_eq!(pkt.payload().len(), 40);
         assert!(pkt.payload().iter().all(|&b| b == 0xab));

@@ -594,13 +594,6 @@ impl Segment {
         tcp.set_checksum(ck);
     }
 
-    /// Does this segment carry payload, SYN, or FIN (i.e. occupy sequence
-    /// space and need acknowledgement)?
-    #[inline]
-    pub fn occupies_seq_space(&self) -> bool {
-        self.payload_len > 0 || self.tcp_flags().intersects(TcpFlags::SYN | TcpFlags::FIN)
-    }
-
     /// Is this a "pure ACK": no payload, no SYN/FIN/RST?
     #[inline]
     pub fn is_pure_ack(&self) -> bool {
@@ -903,17 +896,14 @@ mod tests {
     fn pure_ack_classification() {
         let ack = Segment::new_tcp(ip_repr(), tcp_repr(), 0);
         assert!(ack.is_pure_ack());
-        assert!(!ack.occupies_seq_space());
 
         let data = Segment::new_tcp(ip_repr(), tcp_repr(), 10);
         assert!(!data.is_pure_ack());
-        assert!(data.occupies_seq_space());
 
         let mut syn = tcp_repr();
         syn.flags = TcpFlags::SYN;
         let syn = Segment::new_tcp(ip_repr(), syn, 0);
         assert!(!syn.is_pure_ack());
-        assert!(syn.occupies_seq_space());
     }
 
     #[test]

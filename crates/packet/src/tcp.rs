@@ -25,15 +25,15 @@ pub const HEADER_LEN: usize = 20;
 pub const MAX_HEADER_LEN: usize = 60;
 
 mod field {
-    pub const SRC_PORT: core::ops::Range<usize> = 0..2;
-    pub const DST_PORT: core::ops::Range<usize> = 2..4;
-    pub const SEQ_NUM: core::ops::Range<usize> = 4..8;
-    pub const ACK_NUM: core::ops::Range<usize> = 8..12;
-    pub const OFF_RSVD: usize = 12;
-    pub const FLAGS: usize = 13;
-    pub const WINDOW: core::ops::Range<usize> = 14..16;
-    pub const CHECKSUM: core::ops::Range<usize> = 16..18;
-    pub const URGENT: core::ops::Range<usize> = 18..20;
+    pub(crate) const SRC_PORT: core::ops::Range<usize> = 0..2;
+    pub(crate) const DST_PORT: core::ops::Range<usize> = 2..4;
+    pub(crate) const SEQ_NUM: core::ops::Range<usize> = 4..8;
+    pub(crate) const ACK_NUM: core::ops::Range<usize> = 8..12;
+    pub(crate) const OFF_RSVD: usize = 12;
+    pub(crate) const FLAGS: usize = 13;
+    pub(crate) const WINDOW: core::ops::Range<usize> = 14..16;
+    pub(crate) const CHECKSUM: core::ops::Range<usize> = 16..18;
+    pub(crate) const URGENT: core::ops::Range<usize> = 18..20;
 }
 
 // A tiny local stand-in for the `bitflags` crate (not in the sanctioned
@@ -665,18 +665,6 @@ impl TcpRepr {
             *b = option_kind::EOL;
         }
     }
-
-    /// Does this segment occupy sequence space (data, SYN or FIN)?
-    pub fn seq_len(&self, payload_len: usize) -> u32 {
-        let mut len = payload_len as u32;
-        if self.flags.contains(TcpFlags::SYN) {
-            len += 1;
-        }
-        if self.flags.contains(TcpFlags::FIN) {
-            len += 1;
-        }
-        len
-    }
 }
 
 #[cfg(test)]
@@ -809,16 +797,6 @@ mod tests {
             TcpPacket::new_checked(&buf[..]).unwrap_err(),
             Error::Malformed
         );
-    }
-
-    #[test]
-    fn seq_len_counts_syn_fin() {
-        let mut repr = TcpRepr::new(1, 2);
-        assert_eq!(repr.seq_len(100), 100);
-        repr.flags = TcpFlags::SYN;
-        assert_eq!(repr.seq_len(0), 1);
-        repr.flags = TcpFlags::FIN | TcpFlags::ACK;
-        assert_eq!(repr.seq_len(10), 11);
     }
 
     #[test]

@@ -12,10 +12,10 @@ use crate::{Error, Result};
 pub const HEADER_LEN: usize = 8;
 
 mod field {
-    pub const SRC_PORT: core::ops::Range<usize> = 0..2;
-    pub const DST_PORT: core::ops::Range<usize> = 2..4;
-    pub const LENGTH: core::ops::Range<usize> = 4..6;
-    pub const CHECKSUM: core::ops::Range<usize> = 6..8;
+    pub(crate) const SRC_PORT: core::ops::Range<usize> = 0..2;
+    pub(crate) const DST_PORT: core::ops::Range<usize> = 2..4;
+    pub(crate) const LENGTH: core::ops::Range<usize> = 4..6;
+    pub(crate) const CHECKSUM: core::ops::Range<usize> = 6..8;
 }
 
 /// A read/write view of a UDP datagram over any byte container.

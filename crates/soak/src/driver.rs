@@ -258,7 +258,7 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, Violation> {
     let mut watchdog = Watchdog::new(WatchdogConfig {
         max_flows: cfg.max_flows,
         dropped_events_bound: cfg.dropped_events_bound,
-        pass_recover_pct: 85, // Watermarks::default().pass_recover_pct
+        pass_recover_pct: acdc_vswitch::health::PASS_RECOVER_PCT,
         max_wedged_samples: 50,
     });
     let mut resets = cfg.resets.clone();

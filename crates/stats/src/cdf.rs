@@ -1,11 +1,9 @@
-//! Empirical distributions: percentiles and CDF export.
+//! Empirical distributions: percentile queries over a full sample set.
 //!
 //! Used for every RTT and flow-completion-time figure in the paper
 //! (Figures 2, 8, 16, 19–23).
 
-use serde::Serialize;
-
-/// An accumulating sample set with percentile queries and CDF export.
+/// An accumulating sample set with percentile queries.
 ///
 /// Samples are kept in full (the experiments here collect at most a few
 /// million points); queries sort lazily and cache the sorted order.
@@ -94,68 +92,6 @@ impl Distribution {
         self.ensure_sorted();
         self.samples.last().copied()
     }
-
-    /// Standard deviation (population).
-    pub fn std_dev(&self) -> Option<f64> {
-        let mean = self.mean()?;
-        let var = self
-            .samples
-            .iter()
-            .map(|v| (v - mean) * (v - mean))
-            .sum::<f64>()
-            / self.samples.len() as f64;
-        Some(var.sqrt())
-    }
-
-    /// Export an `n`-point CDF: `(value, cumulative_fraction)` pairs.
-    pub fn cdf(&mut self, points: usize) -> Cdf {
-        self.ensure_sorted();
-        let n = self.samples.len();
-        let mut pts = Vec::with_capacity(points.min(n));
-        if n == 0 {
-            return Cdf { points: pts };
-        }
-        let steps = points.max(2).min(n);
-        for i in 0..steps {
-            let idx = if steps == 1 {
-                0
-            } else {
-                i * (n - 1) / (steps - 1)
-            };
-            pts.push(CdfPoint {
-                value: self.samples[idx],
-                fraction: (idx + 1) as f64 / n as f64,
-            });
-        }
-        Cdf { points: pts }
-    }
-}
-
-/// One point of an exported CDF.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct CdfPoint {
-    /// Sample value.
-    pub value: f64,
-    /// Cumulative fraction of samples ≤ `value`.
-    pub fraction: f64,
-}
-
-/// An exported cumulative distribution function.
-#[derive(Debug, Clone, Serialize)]
-pub struct Cdf {
-    /// The `(value, fraction)` points, in nondecreasing value order.
-    pub points: Vec<CdfPoint>,
-}
-
-impl Cdf {
-    /// Render as a gnuplot-style two-column table.
-    pub fn to_table(&self) -> String {
-        let mut out = String::new();
-        for p in &self.points {
-            out.push_str(&format!("{:.6}\t{:.4}\n", p.value, p.fraction));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -189,19 +125,6 @@ mod tests {
         assert_eq!(d.percentile(0.0), Some(42.0));
         assert_eq!(d.percentile(50.0), Some(42.0));
         assert_eq!(d.percentile(100.0), Some(42.0));
-        assert_eq!(d.std_dev(), Some(0.0));
-    }
-
-    #[test]
-    fn cdf_is_monotone() {
-        let mut d = Distribution::new();
-        d.extend([5.0, 1.0, 3.0, 2.0, 4.0, 2.5, 3.5]);
-        let cdf = d.cdf(5);
-        for w in cdf.points.windows(2) {
-            assert!(w[1].value >= w[0].value);
-            assert!(w[1].fraction >= w[0].fraction);
-        }
-        assert!((cdf.points.last().unwrap().fraction - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -1,27 +1,21 @@
 //! # acdc-stats — measurement utilities for the AC/DC reproduction
 //!
-//! Collectors and summaries used across the workspace: percentiles and CDFs
-//! (RTT/FCT distributions), Jain's fairness index, EWMAs, throughput meters
-//! and simple time series. Also hosts the [`time`] module with the
+//! Collectors used across the workspace: percentiles (RTT/FCT
+//! distributions), Jain's fairness index, throughput meters and simple
+//! time series. Also hosts the [`time`] module with the
 //! nanosecond-resolution virtual-time units every other crate shares.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cdf;
-pub mod ewma;
 pub mod fairness;
-pub mod histogram;
 pub mod series;
-pub mod summary;
 pub mod throughput;
 pub mod time;
 
-pub use cdf::{Cdf, Distribution};
-pub use ewma::Ewma;
+pub use cdf::Distribution;
 pub use fairness::jain_index;
-pub use histogram::LogHistogram;
 pub use series::TimeSeries;
-pub use summary::Summary;
 pub use throughput::ThroughputMeter;
 pub use time::{Nanos, MICROSECOND, MILLISECOND, SECOND};

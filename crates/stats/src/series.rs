@@ -2,10 +2,9 @@
 //! per-second throughput curves of the convergence test (Figure 14).
 
 use crate::time::Nanos;
-use serde::Serialize;
 
 /// One sample of a time series.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Sample {
     /// Virtual timestamp.
     pub at: Nanos,
@@ -67,34 +66,6 @@ impl TimeSeries {
             .take_while(move |s| s.at < to)
     }
 
-    /// Centered moving average over a time window: for each sample, the mean
-    /// of all samples within ± `half_window`. Used for Figure 9b's
-    /// "100 ms moving average" of window sizes.
-    pub fn moving_average(&self, half_window: Nanos) -> TimeSeries {
-        let mut out = TimeSeries::new();
-        let n = self.samples.len();
-        let mut lo = 0usize;
-        let mut hi = 0usize;
-        for i in 0..n {
-            let center = self.samples[i].at;
-            let from = center.saturating_sub(half_window);
-            let to = center.saturating_add(half_window);
-            while lo < n && self.samples[lo].at < from {
-                lo += 1;
-            }
-            if hi < lo {
-                hi = lo;
-            }
-            while hi < n && self.samples[hi].at <= to {
-                hi += 1;
-            }
-            let slice = &self.samples[lo..hi];
-            let mean = slice.iter().map(|s| s.value).sum::<f64>() / slice.len() as f64;
-            out.push(center, mean);
-        }
-        out
-    }
-
     /// Mean of all values.
     pub fn mean(&self) -> Option<f64> {
         if self.samples.is_empty() {
@@ -117,30 +88,6 @@ mod tests {
         }
         let w: Vec<_> = ts.window(200, 500).map(|s| s.value).collect();
         assert_eq!(w, vec![2.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    fn moving_average_smooths() {
-        let mut ts = TimeSeries::new();
-        // Alternating 0/10: a wide moving average should sit near 5.
-        for i in 0..100u64 {
-            ts.push(i * 10, if i % 2 == 0 { 0.0 } else { 10.0 });
-        }
-        let ma = ts.moving_average(100);
-        let mid = &ma.samples()[50];
-        assert!((mid.value - 5.0).abs() < 1.0);
-        assert_eq!(ma.len(), ts.len());
-    }
-
-    #[test]
-    fn moving_average_of_constant_is_constant() {
-        let mut ts = TimeSeries::new();
-        for i in 0..20u64 {
-            ts.push(i, 7.0);
-        }
-        for s in ts.moving_average(5).samples() {
-            assert_eq!(s.value, 7.0);
-        }
     }
 
     #[test]

@@ -1,99 +1,51 @@
-//! Throughput measurement: bytes over virtual time, with optional
-//! fixed-interval binning (the per-second curves of Figure 14).
+//! Throughput measurement: bytes over virtual time in fixed-interval bins
+//! (the per-second curves of Figure 14).
 
 use crate::time::{Nanos, SECOND};
 use crate::TimeSeries;
 
-/// Counts bytes and converts to Gbps over the observation interval;
-/// optionally bins into a time series at a fixed interval.
+/// Counts bytes into bins of a fixed interval and reports each closed
+/// bin as Gbps on a time series.
 #[derive(Debug, Clone)]
 pub struct ThroughputMeter {
-    start: Nanos,
-    last: Nanos,
-    total_bytes: u64,
-    bin_interval: Option<Nanos>,
+    interval: Nanos,
     bin_start: Nanos,
     bin_bytes: u64,
     bins: TimeSeries,
 }
 
 impl ThroughputMeter {
-    /// New meter starting its observation at `start`.
-    pub fn new(start: Nanos) -> ThroughputMeter {
+    /// New meter whose first bin opens at `start`; bins are `interval` long.
+    pub fn new(start: Nanos, interval: Nanos) -> ThroughputMeter {
+        assert!(interval > 0);
         ThroughputMeter {
-            start,
-            last: start,
-            total_bytes: 0,
-            bin_interval: None,
+            interval,
             bin_start: start,
             bin_bytes: 0,
             bins: TimeSeries::new(),
         }
     }
 
-    /// Also record a binned Gbps series at `interval`.
-    pub fn with_bins(mut self, interval: Nanos) -> ThroughputMeter {
-        assert!(interval > 0);
-        self.bin_interval = Some(interval);
-        self
-    }
-
     /// Record `bytes` delivered at time `now`.
     pub fn record(&mut self, now: Nanos, bytes: u64) {
-        self.last = self.last.max(now);
-        self.total_bytes += bytes;
-        if let Some(interval) = self.bin_interval {
-            // Close any bins that ended before `now`.
-            while now >= self.bin_start + interval {
-                let gbps = Self::gbps(self.bin_bytes, interval);
-                self.bins.push(self.bin_start + interval, gbps);
-                self.bin_start += interval;
-                self.bin_bytes = 0;
-            }
-            self.bin_bytes += bytes;
-        }
+        self.finish(now);
+        self.bin_bytes += bytes;
     }
 
-    /// Total bytes recorded.
-    pub fn total_bytes(&self) -> u64 {
-        self.total_bytes
-    }
-
-    /// Average throughput in Gbps between `start` and `end` (defaults to the
-    /// last recorded timestamp).
-    pub fn average_gbps(&self, end: Option<Nanos>) -> f64 {
-        let end = end.unwrap_or(self.last);
-        let dur = end.saturating_sub(self.start);
-        if dur == 0 {
-            return 0.0;
-        }
-        Self::gbps(self.total_bytes, dur)
-    }
-
-    /// Average throughput in Mbps.
-    pub fn average_mbps(&self, end: Option<Nanos>) -> f64 {
-        self.average_gbps(end) * 1000.0
-    }
-
-    /// The binned series (empty unless [`ThroughputMeter::with_bins`]).
+    /// The binned Gbps series.
     pub fn bins(&self) -> &TimeSeries {
         &self.bins
     }
 
-    /// Flush the current partial bin (call at experiment end).
+    /// Close every bin that ended at or before `now` (call at experiment
+    /// end to flush the last full bins).
     pub fn finish(&mut self, now: Nanos) {
-        if let Some(interval) = self.bin_interval {
-            while now >= self.bin_start + interval {
-                let gbps = Self::gbps(self.bin_bytes, interval);
-                self.bins.push(self.bin_start + interval, gbps);
-                self.bin_start += interval;
-                self.bin_bytes = 0;
-            }
+        while now >= self.bin_start + self.interval {
+            let gbps = (self.bin_bytes as f64 * 8.0) / (self.interval as f64 / SECOND as f64) / 1e9;
+            self.bins.push(self.bin_start + self.interval, gbps);
+            self.bin_start += self.interval;
+            self.bin_bytes = 0;
         }
-    }
-
-    fn gbps(bytes: u64, dur: Nanos) -> f64 {
-        (bytes as f64 * 8.0) / (dur as f64 / SECOND as f64) / 1e9
     }
 }
 
@@ -102,16 +54,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn average_over_one_second() {
-        let mut m = ThroughputMeter::new(0);
-        // 1.25 GB in 1 s = 10 Gbps.
-        m.record(SECOND, 1_250_000_000);
-        assert!((m.average_gbps(Some(SECOND)) - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn binning_splits_by_interval() {
-        let mut m = ThroughputMeter::new(0).with_bins(SECOND);
+        let mut m = ThroughputMeter::new(0, SECOND);
         // 125 MB in each of two seconds = 1 Gbps per bin.
         for i in 0..20u64 {
             m.record(i * SECOND / 10 + 1, 12_500_000);
@@ -125,14 +69,8 @@ mod tests {
     }
 
     #[test]
-    fn zero_duration_is_zero() {
-        let m = ThroughputMeter::new(100);
-        assert_eq!(m.average_gbps(Some(100)), 0.0);
-    }
-
-    #[test]
     fn idle_bins_are_recorded_as_zero() {
-        let mut m = ThroughputMeter::new(0).with_bins(SECOND);
+        let mut m = ThroughputMeter::new(0, SECOND);
         m.record(1, 1000);
         m.record(3 * SECOND + 1, 1000);
         m.finish(4 * SECOND);

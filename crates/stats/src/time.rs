@@ -15,29 +15,6 @@ pub const MILLISECOND: Nanos = 1_000_000;
 /// One second in [`Nanos`].
 pub const SECOND: Nanos = 1_000_000_000;
 
-/// Format a duration for human-readable reports (`1.234ms`, `567µs`, ...).
-pub fn fmt_duration(ns: Nanos) -> String {
-    if ns >= SECOND {
-        format!("{:.3}s", ns as f64 / SECOND as f64)
-    } else if ns >= MILLISECOND {
-        format!("{:.3}ms", ns as f64 / MILLISECOND as f64)
-    } else if ns >= MICROSECOND {
-        format!("{:.1}µs", ns as f64 / MICROSECOND as f64)
-    } else {
-        format!("{ns}ns")
-    }
-}
-
-/// Convert a duration in (possibly fractional) seconds to [`Nanos`].
-pub fn from_secs_f64(secs: f64) -> Nanos {
-    (secs * SECOND as f64).round() as Nanos
-}
-
-/// Convert [`Nanos`] to fractional seconds.
-pub fn to_secs_f64(ns: Nanos) -> f64 {
-    ns as f64 / SECOND as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -46,19 +23,5 @@ mod tests {
     fn constants_are_consistent() {
         assert_eq!(MILLISECOND, 1000 * MICROSECOND);
         assert_eq!(SECOND, 1000 * MILLISECOND);
-    }
-
-    #[test]
-    fn formatting_picks_sane_units() {
-        assert_eq!(fmt_duration(500), "500ns");
-        assert_eq!(fmt_duration(1500), "1.5µs");
-        assert_eq!(fmt_duration(2 * MILLISECOND), "2.000ms");
-        assert_eq!(fmt_duration(3 * SECOND), "3.000s");
-    }
-
-    #[test]
-    fn secs_round_trip() {
-        assert_eq!(from_secs_f64(1.5), 1_500_000_000);
-        assert!((to_secs_f64(from_secs_f64(0.125)) - 0.125).abs() < 1e-12);
     }
 }

@@ -10,7 +10,11 @@
 use acdc_packet::SeqNumber;
 use acdc_stats::time::Nanos;
 
+use crate::reliable::RTO_MIN;
 use crate::TcpState;
+
+/// How long a closed connection lingers in TIME-WAIT.
+const TIME_WAIT: Nanos = 2 * RTO_MIN;
 
 /// Connection-lifecycle state for one endpoint: where we are in the RFC
 /// 793 diagram, the negotiated parameters, and which control packets
@@ -228,7 +232,7 @@ impl ConnMgmt {
     /// Take the teardown transition driven by our-FIN acknowledgement.
     /// Returns `true` when the retransmission deadline must be cleared
     /// (the connection reached TIME-WAIT or fully closed).
-    pub fn on_fin_acked_transition(&mut self, now: Nanos, timewait: Nanos) -> bool {
+    pub fn on_fin_acked_transition(&mut self, now: Nanos) -> bool {
         match self.state {
             TcpState::FinWait1 => {
                 self.state = TcpState::FinWait2;
@@ -236,7 +240,7 @@ impl ConnMgmt {
             }
             TcpState::Closing => {
                 self.state = TcpState::TimeWait;
-                self.timewait_deadline = Some(now + timewait);
+                self.timewait_deadline = Some(now + TIME_WAIT);
                 true
             }
             TcpState::LastAck => {
@@ -250,7 +254,7 @@ impl ConnMgmt {
     /// The peer's FIN was consumed in order: take the receive-side
     /// teardown transition. Returns `true` when the retransmission
     /// deadline must be cleared (the connection reached TIME-WAIT).
-    pub fn on_fin_consumed(&mut self, now: Nanos, timewait: Nanos) -> bool {
+    pub fn on_fin_consumed(&mut self, now: Nanos) -> bool {
         match self.state {
             TcpState::Established => {
                 self.state = TcpState::CloseWait;
@@ -258,13 +262,13 @@ impl ConnMgmt {
             }
             TcpState::FinWait2 => {
                 self.state = TcpState::TimeWait;
-                self.timewait_deadline = Some(now + timewait);
+                self.timewait_deadline = Some(now + TIME_WAIT);
                 true
             }
             TcpState::FinWait1 => {
                 if self.fin_acked {
                     self.state = TcpState::TimeWait;
-                    self.timewait_deadline = Some(now + timewait);
+                    self.timewait_deadline = Some(now + TIME_WAIT);
                     true
                 } else {
                     // Simultaneous close: our FIN (and possibly data)

@@ -10,6 +10,8 @@
 
 use acdc_stats::time::Nanos;
 
+use crate::reliable::RTO_MIN;
+
 /// ECN echo and signalling state for one endpoint.
 #[derive(Debug)]
 pub struct EcnSignal {
@@ -100,11 +102,11 @@ impl EcnSignal {
     // ---- sender cuts -------------------------------------------------
 
     /// Classic ECN: may the sender cut again, at most once per RTT? The
-    /// RTT estimate falls back to `fallback` until sampled.
-    pub fn can_cut(&self, now: Nanos, srtt: Option<Nanos>, fallback: Nanos) -> bool {
+    /// RTT estimate falls back to [`RTO_MIN`] until sampled.
+    pub fn can_cut(&self, now: Nanos, srtt: Option<Nanos>) -> bool {
         match self.last_ecn_cut {
             None => true,
-            Some(t) => now.saturating_sub(t) >= srtt.unwrap_or(fallback),
+            Some(t) => now.saturating_sub(t) >= srtt.unwrap_or(RTO_MIN),
         }
     }
 

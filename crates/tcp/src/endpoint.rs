@@ -42,6 +42,9 @@ use crate::receive::Receive;
 use crate::reliable::ReliableDelivery;
 use crate::TcpConfig;
 
+/// Window-scale shift every endpoint advertises (RFC 7323).
+pub const WSCALE: u8 = 9;
+
 /// Connection states (RFC 793 subset; no simultaneous open).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TcpState {
@@ -114,7 +117,7 @@ impl Endpoint {
         };
         Endpoint {
             conn: ConnMgmt::new(SeqNumber(cfg.iss), cfg.mss, passive),
-            rel: ReliableDelivery::new(cfg.rto_min),
+            rel: ReliableDelivery::new(),
             flow: FlowCtrl::new(),
             rcv: Receive::new(),
             ecn: EcnSignal::new(),
@@ -130,7 +133,7 @@ impl Endpoint {
     /// Begin the active open (emit a SYN on the next poll).
     pub fn open(&mut self, now: Nanos) {
         self.conn.begin_active_open(now);
-        self.arm_rto(now);
+        self.rel.arm_rto(now);
     }
 
     /// Enqueue `bytes` of application data for transmission.
@@ -182,11 +185,6 @@ impl Endpoint {
     /// Effective MSS after handshake negotiation.
     pub fn mss(&self) -> u32 {
         self.conn.mss()
-    }
-
-    /// Was ECN negotiated on this connection?
-    pub fn ecn_negotiated(&self) -> bool {
-        self.ecn.ecn_ok()
     }
 
     /// The wire 5-tuple of this endpoint's *egress* (local → remote)
@@ -245,9 +243,9 @@ impl Endpoint {
     }
 
     /// Current RTO backoff exponent: the armed timeout is
-    /// `rto() << rto_backoff()` (capped at `rto_max`). Non-zero only
-    /// while consecutive timeouts go unrepaired; reset by forward ACK
-    /// progress.
+    /// `rto() << rto_backoff()` (capped at [`crate::reliable::RTO_MAX`]).
+    /// Non-zero only while consecutive timeouts go unrepaired; reset by
+    /// forward ACK progress.
     pub fn rto_backoff(&self) -> u32 {
         self.rel.backoff()
     }
@@ -333,10 +331,6 @@ impl Endpoint {
         .min()
     }
 
-    fn arm_rto(&mut self, now: Nanos) {
-        self.rel.arm_rto(now, self.cfg.rto_max);
-    }
-
     fn maybe_disarm_rto(&mut self) {
         let outstanding = self.rel.snd_nxt() > self.rel.snd_una()
             || (self.conn.fin_sent() && !self.conn.fin_acked())
@@ -363,12 +357,8 @@ impl Endpoint {
                     self.conn.state(),
                     TcpState::Established | TcpState::CloseWait | TcpState::FinWait1
                 ) && self.rel.snd_una() < self.rel.stream_len();
-                self.flow.on_persist_fire(
-                    now,
-                    self.rel.rto(),
-                    self.cfg.rto_max,
-                    probing_makes_sense,
-                );
+                self.flow
+                    .on_persist_fire(now, self.rel.rto(), probing_makes_sense);
             }
         }
     }
@@ -378,12 +368,12 @@ impl Endpoint {
             TcpState::SynSent => {
                 self.conn.retry_syn();
                 self.rel.bump_backoff();
-                self.arm_rto(now);
+                self.rel.arm_rto(now);
             }
             TcpState::SynRcvd => {
                 self.conn.retry_synack();
                 self.rel.bump_backoff();
-                self.arm_rto(now);
+                self.rel.arm_rto(now);
             }
             TcpState::Closed | TcpState::Listen | TcpState::TimeWait => {}
             _ => {
@@ -397,7 +387,7 @@ impl Endpoint {
                 // snd_una is resent as the window reopens.
                 self.rel.on_timeout_rewind();
                 self.conn.rewind_fin();
-                self.arm_rto(now);
+                self.rel.arm_rto(now);
             }
         }
     }
@@ -432,7 +422,7 @@ impl Endpoint {
                             && flags.contains(TcpFlags::ECE)
                             && flags.contains(TcpFlags::CWR),
                     );
-                    self.arm_rto(now);
+                    self.rel.arm_rto(now);
                 }
             }
             TcpState::SynSent => {
@@ -447,8 +437,7 @@ impl Endpoint {
                     self.flow.update_window(meta.window, true);
                     self.rel.disarm_rto();
                     if let Some(t0) = self.conn.syn_sent_at() {
-                        self.rel
-                            .take_rtt_sample(now - t0, self.cfg.rto_min, self.cfg.rto_max);
+                        self.rel.take_rtt_sample(now - t0);
                     }
                     self.rcv.force_ack();
                 }
@@ -517,7 +506,7 @@ impl Endpoint {
             // If a probe byte is still outstanding when the window
             // reopens, hand it back to the normal retransmission machinery.
             if self.rel.snd_nxt() > self.rel.snd_una() && self.rel.rto_deadline().is_none() {
-                self.arm_rto(now);
+                self.rel.arm_rto(now);
             }
         }
 
@@ -552,8 +541,7 @@ impl Endpoint {
         }
 
         // RTT sample (Karn: probe cleared on retransmission).
-        self.rel
-            .sample_rtt_from_probe(now, self.cfg.rto_min, self.cfg.rto_max);
+        self.rel.sample_rtt_from_probe(now);
 
         // NewReno recovery bookkeeping.
         self.rel.newreno_post_ack();
@@ -564,13 +552,13 @@ impl Endpoint {
         if self.rel.snd_nxt() > self.rel.snd_una()
             || (self.conn.fin_sent() && !self.conn.fin_acked())
         {
-            self.arm_rto(now);
+            self.rel.arm_rto(now);
         } else {
             self.maybe_disarm_rto();
         }
 
         // Teardown transitions driven by our-FIN acknowledgement.
-        if self.conn.fin_acked() && self.conn.on_fin_acked_transition(now, 2 * self.cfg.rto_min) {
+        if self.conn.fin_acked() && self.conn.on_fin_acked_transition(now) {
             self.rel.clear_rto_deadline();
         }
     }
@@ -598,11 +586,7 @@ impl Endpoint {
         };
         // Classic ECN: react to ECE like loss, at most once per RTT,
         // and schedule CWR signalling.
-        if !dctcp
-            && self.ecn.ecn_ok()
-            && ece
-            && self.ecn.can_cut(now, self.rel.srtt(), self.cfg.rto_min)
-        {
+        if !dctcp && self.ecn.ecn_ok() && ece && self.ecn.can_cut(now, self.rel.srtt()) {
             self.cc.on_fast_retransmit(now);
             self.ecn.note_cut(now);
         }
@@ -637,19 +621,13 @@ impl Endpoint {
         }
 
         if len > 0 {
-            self.rcv.accept(
-                start,
-                len,
-                now,
-                self.cfg.delack_segs,
-                self.cfg.delack_timeout,
-            );
+            self.rcv.accept(start, len, now);
         }
 
         // Consume the FIN when it is in order.
         if self.rcv.fin_in_order() {
             self.rcv.force_ack();
-            if self.conn.on_fin_consumed(now, 2 * self.cfg.rto_min) {
+            if self.conn.on_fin_consumed(now) {
                 self.rel.clear_rto_deadline();
             }
         }
@@ -673,7 +651,7 @@ impl Endpoint {
     }
 
     fn adv_window_raw(&self) -> u16 {
-        acdc_packet::scale_rwnd(self.adv_window_bytes(), self.cfg.wscale)
+        acdc_packet::scale_rwnd(self.adv_window_bytes(), WSCALE)
     }
 
     /// Build the next outgoing segment, if anything needs sending.
@@ -703,7 +681,7 @@ impl Endpoint {
 
         // 2. Head retransmission (fast retransmit / partial-ACK hole fill).
         if let Some(len) = self.rel.take_rtx_head(self.conn.mss()) {
-            self.arm_rto(now);
+            self.rel.arm_rto(now);
             return Some(self.make_data(self.rel.snd_una(), len as usize, false));
         }
 
@@ -739,7 +717,7 @@ impl Endpoint {
                 }
                 self.rel.maybe_arm_rtt_probe(now, off + len);
                 if self.rel.rto_deadline().is_none() {
-                    self.arm_rto(now);
+                    self.rel.arm_rto(now);
                 }
                 self.rcv.clear_ack_state();
                 return Some(self.make_data(off, len as usize, fin));
@@ -750,7 +728,7 @@ impl Endpoint {
         if self.fin_ready() && !self.conn.fin_sent() {
             self.conn.send_fin();
             if self.rel.rto_deadline().is_none() {
-                self.arm_rto(now);
+                self.rel.arm_rto(now);
             }
             self.rcv.clear_ack_state();
             return Some(self.make_data(self.rel.snd_nxt(), 0, true));
@@ -830,7 +808,7 @@ impl Endpoint {
         t.window = self.adv_window_bytes().min(u64::from(u16::MAX)) as u16;
         t.options = vec![
             TcpOption::MaxSegmentSize(self.cfg.mss as u16),
-            TcpOption::WindowScale(self.cfg.wscale),
+            TcpOption::WindowScale(WSCALE),
             TcpOption::NoOperation,
         ];
         Segment::new_tcp(self.ip_repr(Ecn::NotEct), t, 0)
@@ -1173,8 +1151,8 @@ mod tests {
         let b = Endpoint::new_passive(cb);
         let mut p = Pipe::new(a, b, 10 * MICROSECOND);
         p.run(100 * MILLISECOND);
-        assert!(!p.a.ecn_negotiated());
-        assert!(!p.b.ecn_negotiated());
+        assert!(!p.a.ecn.ecn_ok());
+        assert!(!p.b.ecn.ecn_ok());
         assert_eq!(p.b.delivered_bytes(), 10_000);
     }
 

@@ -12,6 +12,8 @@
 
 use acdc_stats::time::Nanos;
 
+use crate::reliable::RTO_MAX;
+
 /// The sender's view of the peer's receive window, plus the RFC 1122
 /// persist (zero-window probe) timer that keeps a closed window from
 /// deadlocking the connection.
@@ -104,11 +106,11 @@ impl FlowCtrl {
     /// 1-byte window probe and re-arm with exponential backoff; otherwise
     /// stop probing. The probe carries real stream data — a reopened
     /// window acknowledges it.
-    pub fn on_persist_fire(&mut self, now: Nanos, rto: Nanos, rto_max: Nanos, probe: bool) {
+    pub fn on_persist_fire(&mut self, now: Nanos, rto: Nanos, probe: bool) {
         if probe {
             self.window_probe_pending = true;
             self.persist_backoff = (self.persist_backoff + 1).min(10);
-            let delay = (rto << self.persist_backoff).min(rto_max);
+            let delay = (rto << self.persist_backoff).min(RTO_MAX);
             self.persist_deadline = Some(now + delay);
         } else {
             self.cancel_persist();

@@ -19,6 +19,13 @@
 //! byte counts, and delivery/acknowledgement progress is observable through
 //! stream-offset counters — all a workload needs to measure throughput and
 //! flow completion times.
+//!
+//! The timers and the delayed-ACK policy are the paper's system settings
+//! and are constants, not per-endpoint options: [`reliable::RTO_MIN`]
+//! (10 ms) and [`reliable::RTO_MAX`], [`receive::DELACK_SEGS`] and
+//! [`receive::DELACK_TIMEOUT`], and the advertised window scale
+//! [`endpoint::WSCALE`]. [`TcpConfig`] carries what differs between two
+//! endpoints of one run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +41,6 @@ pub use endpoint::{Endpoint, TcpState};
 pub use reliable::SeqView;
 
 use acdc_cc::CcKind;
-use acdc_stats::time::{Nanos, MILLISECOND};
 
 /// Static configuration for one endpoint (one side of one connection).
 #[derive(Debug, Clone)]
@@ -55,17 +61,6 @@ pub struct TcpConfig {
     pub ecn: bool,
     /// Advertised receive buffer in bytes (bounds the window we offer).
     pub rcv_buf: u64,
-    /// Window-scale shift we advertise (RFC 7323).
-    pub wscale: u8,
-    /// Minimum retransmission timeout. The paper sets 10 ms.
-    pub rto_min: Nanos,
-    /// Cap on the exponentially backed-off RTO.
-    pub rto_max: Nanos,
-    /// Acknowledge every `delack_segs`-th full segment; otherwise wait for
-    /// the delayed-ACK timer.
-    pub delack_segs: u32,
-    /// Delayed-ACK timeout.
-    pub delack_timeout: Nanos,
     /// A *non-conforming* stack: ignores the peer's advertised receive
     /// window. Used to exercise AC/DC's policing mechanism (§3.3).
     pub ignore_peer_rwnd: bool,
@@ -77,9 +72,8 @@ pub struct TcpConfig {
 }
 
 impl TcpConfig {
-    /// A sensible datacenter default between `local` and `remote`,
-    /// matching the paper's system settings (RTOmin = 10 ms, window
-    /// scaling on, 4 MB receive buffer).
+    /// The datacenter default between `local` and `remote`: ECN iff the
+    /// algorithm is DCTCP, a 4 MB receive buffer, a conforming stack.
     pub fn new(
         local_ip: [u8; 4],
         local_port: u16,
@@ -97,11 +91,6 @@ impl TcpConfig {
             cc,
             ecn: matches!(cc, CcKind::Dctcp | CcKind::DctcpPriority(_)),
             rcv_buf: 4 * 1024 * 1024,
-            wscale: 9,
-            rto_min: 10 * MILLISECOND,
-            rto_max: 640 * MILLISECOND,
-            delack_segs: 2,
-            delack_timeout: MILLISECOND,
             ignore_peer_rwnd: false,
             cwnd_clamp: None,
             iss: 1_000_000,

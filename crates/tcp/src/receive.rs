@@ -8,7 +8,13 @@
 //!
 //! [`Endpoint`]: crate::Endpoint
 
-use acdc_stats::time::Nanos;
+use acdc_stats::time::{Nanos, MILLISECOND};
+
+/// Acknowledge every `DELACK_SEGS`-th in-order segment at once; otherwise
+/// wait for the delayed-ACK timer.
+pub const DELACK_SEGS: u32 = 2;
+/// Delayed-ACK timeout.
+pub const DELACK_TIMEOUT: Nanos = MILLISECOND;
 
 /// Receive-side state for one endpoint.
 ///
@@ -96,14 +102,7 @@ impl Receive {
     /// out-of-order data is buffered and acknowledged immediately
     /// (duplicate-ACK fuel for the sender); fully duplicate data is
     /// re-acknowledged immediately.
-    pub fn accept(
-        &mut self,
-        start: i64,
-        len: u64,
-        now: Nanos,
-        delack_segs: u32,
-        delack_timeout: Nanos,
-    ) {
+    pub fn accept(&mut self, start: i64, len: u64, now: Nanos) {
         let end = start + len as i64;
         if end <= self.rcv_nxt as i64 {
             // Entirely duplicate data → ACK right away (dupack fuel).
@@ -117,10 +116,10 @@ impl Receive {
             self.rcv_nxt = e;
             self.drain_ooo();
             self.unacked_segs += 1;
-            if self.unacked_segs >= delack_segs {
+            if self.unacked_segs >= DELACK_SEGS {
                 self.ack_now = true;
             } else if self.delack_deadline.is_none() {
-                self.delack_deadline = Some(now + delack_timeout);
+                self.delack_deadline = Some(now + DELACK_TIMEOUT);
             }
         } else {
             // Out of order: buffer the range, ACK immediately.

@@ -14,7 +14,13 @@
 //! [`Endpoint`]: crate::Endpoint
 
 pub use acdc_packet::SeqView;
-use acdc_stats::time::Nanos;
+use acdc_stats::time::{Nanos, MILLISECOND};
+
+/// Minimum retransmission timeout, and the initial RTO before the first
+/// RTT sample: the paper's one system setting (RTOmin = 10 ms).
+pub const RTO_MIN: Nanos = 10 * MILLISECOND;
+/// Cap on the exponentially backed-off RTO and persist interval.
+pub const RTO_MAX: Nanos = 640 * MILLISECOND;
 
 /// A sent-segment probe for RTT sampling (Karn's algorithm: one sample
 /// at a time, never from retransmitted data).
@@ -55,8 +61,8 @@ pub struct ReliableDelivery {
 }
 
 impl ReliableDelivery {
-    /// Fresh send-side state with the RFC 6298 initial RTO floor.
-    pub fn new(rto_min: Nanos) -> ReliableDelivery {
+    /// Fresh send-side state; the RTO starts at [`RTO_MIN`].
+    pub fn new() -> ReliableDelivery {
         ReliableDelivery {
             stream_len: 0,
             snd_una: 0,
@@ -68,7 +74,7 @@ impl ReliableDelivery {
             rtt_probe: None,
             srtt: None,
             rttvar: 0,
-            rto: rto_min.max(acdc_stats::time::MILLISECOND),
+            rto: RTO_MIN,
             rto_deadline: None,
             backoff: 0,
             retransmitted_segments: 0,
@@ -159,9 +165,9 @@ impl ReliableDelivery {
     // ---- RTO timer ---------------------------------------------------
 
     /// Arm (or re-arm) the retransmission timer with the current backoff.
-    pub fn arm_rto(&mut self, now: Nanos, rto_max: Nanos) {
+    pub fn arm_rto(&mut self, now: Nanos) {
         let rto = self.rto << self.backoff.min(10);
-        self.rto_deadline = Some(now + rto.min(rto_max));
+        self.rto_deadline = Some(now + rto.min(RTO_MAX));
     }
 
     /// Disarm the retransmission timer and reset the backoff (nothing is
@@ -185,8 +191,8 @@ impl ReliableDelivery {
     // ---- RTT estimation ---------------------------------------------
 
     /// Fold one RTT sample into the RFC 6298 estimator and recompute the
-    /// RTO within `[rto_min, rto_max]`.
-    pub fn take_rtt_sample(&mut self, sample: Nanos, rto_min: Nanos, rto_max: Nanos) {
+    /// RTO within `[RTO_MIN, RTO_MAX]`.
+    pub fn take_rtt_sample(&mut self, sample: Nanos) {
         match self.srtt {
             None => {
                 self.srtt = Some(sample);
@@ -199,9 +205,7 @@ impl ReliableDelivery {
             }
         }
         let srtt = self.srtt.unwrap();
-        self.rto = (srtt + (4 * self.rttvar).max(acdc_stats::time::MILLISECOND / 1000))
-            .max(rto_min)
-            .min(rto_max);
+        self.rto = (srtt + (4 * self.rttvar).max(MILLISECOND / 1000)).clamp(RTO_MIN, RTO_MAX);
     }
 
     /// Arm an RTT probe on freshly sent data ending at `end_off`, unless
@@ -217,11 +221,11 @@ impl ReliableDelivery {
 
     /// Sample the RTT from the outstanding probe if the cumulative ACK
     /// has covered it.
-    pub fn sample_rtt_from_probe(&mut self, now: Nanos, rto_min: Nanos, rto_max: Nanos) {
+    pub fn sample_rtt_from_probe(&mut self, now: Nanos) {
         if let Some(p) = self.rtt_probe {
             if self.snd_una >= p.end_off {
                 let sample = now - p.sent_at;
-                self.take_rtt_sample(sample, rto_min, rto_max);
+                self.take_rtt_sample(sample);
                 self.rtt_probe = None;
             }
         }
@@ -325,5 +329,11 @@ impl ReliableDelivery {
         self.snd_nxt += len;
         self.snd_max = self.snd_max.max(self.snd_nxt);
         off
+    }
+}
+
+impl Default for ReliableDelivery {
+    fn default() -> ReliableDelivery {
+        ReliableDelivery::new()
     }
 }

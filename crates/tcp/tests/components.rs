@@ -7,7 +7,7 @@
 //! The components are exercised directly — no pipe, no packets — so a
 //! violated invariant pins the owning module, not the orchestration.
 
-use acdc_stats::time::{Nanos, MILLISECOND};
+use acdc_stats::time::Nanos;
 use acdc_tcp::receive::Receive;
 use acdc_tcp::reliable::ReliableDelivery;
 use proptest::prelude::*;
@@ -65,7 +65,7 @@ fn apply(rel: &mut ReliableDelivery, op: &SendOp, now: Nanos) {
             let ack_off = rel.snd_una() + span * u64::from(frac) / 255;
             if ack_off > rel.snd_una() {
                 rel.advance_una(ack_off);
-                rel.sample_rtt_from_probe(now, 10 * MILLISECOND, 640 * MILLISECOND);
+                rel.sample_rtt_from_probe(now);
                 rel.newreno_post_ack();
             } else if rel.snd_nxt() > rel.snd_una() {
                 rel.register_dupack();
@@ -95,7 +95,7 @@ proptest! {
     /// and window probes.
     #[test]
     fn reliable_pointers_stay_ordered(ops in prop::collection::vec(send_op(), 1..80)) {
-        let mut rel = ReliableDelivery::new(10 * MILLISECOND);
+        let mut rel = ReliableDelivery::new();
         let mut now: Nanos = 0;
         for op in &ops {
             now += 100; // strictly increasing clock
@@ -128,7 +128,7 @@ proptest! {
     fn timeout_rewind_then_full_ack_quiesces(
         ops in prop::collection::vec(send_op(), 1..40),
     ) {
-        let mut rel = ReliableDelivery::new(10 * MILLISECOND);
+        let mut rel = ReliableDelivery::new();
         let mut now: Nanos = 0;
         for op in &ops {
             now += 100;
@@ -187,7 +187,7 @@ proptest! {
         let mut now: Nanos = 0;
         for &(start, len) in &spans {
             now += 1_000;
-            rcv.accept(start as i64, len, now, 2, MILLISECOND);
+            rcv.accept(start as i64, len, now);
             offered_end = offered_end.max(start + len);
             prop_assert!(rcv.rcv_nxt() >= prev_rcv_nxt, "rcv_nxt moved backwards");
             prev_rcv_nxt = rcv.rcv_nxt();
@@ -199,7 +199,7 @@ proptest! {
         while off < offered_end {
             let len = 500u64.min(offered_end - off);
             now += 1_000;
-            rcv.accept(off as i64, len, now, 2, MILLISECOND);
+            rcv.accept(off as i64, len, now);
             off += len;
         }
         prop_assert_eq!(rcv.rcv_nxt(), offered_end, "prefix not fully delivered");
@@ -216,7 +216,7 @@ proptest! {
         let mut now: Nanos = 0;
         for &(start, len) in &spans {
             now += 1_000;
-            rcv.accept(start as i64, len, now, 2, MILLISECOND);
+            rcv.accept(start as i64, len, now);
         }
         // Reference model: byte-set union, then longest contiguous prefix.
         let max_end = spans.iter().map(|&(s, l)| s + l).max().unwrap() as usize;

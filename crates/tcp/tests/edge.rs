@@ -121,7 +121,7 @@ fn window_scale_is_clamped_to_14() {
 #[test]
 fn delayed_ack_fires_on_timer() {
     let (mut a, mut b) = established_pair(CcKind::Cubic);
-    a.send(100); // less than delack_segs segments
+    a.send(100); // less than DELACK_SEGS segments
     while let Some(s) = a.poll_transmit(1_000) {
         b.on_segment(1_000, &s);
     }

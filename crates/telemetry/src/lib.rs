@@ -39,9 +39,7 @@ pub mod metrics;
 pub mod recorder;
 
 pub use event::{flow_label, Event, EventKind, NO_FLOW};
-pub use merge::{
-    merge_events, merge_snapshots, merged_dropped_events, merged_events_jsonl, merged_snapshot_json,
-};
+pub use merge::{merge_snapshots, merged_dropped_events, merged_snapshot_json};
 pub use metrics::{Counter, Gauge, MetricKind, MetricValue, MetricsRegistry};
 pub use recorder::{trace_dir, FlightRecorder, TraceGuard, DEFAULT_CAPACITY};
 

@@ -3,23 +3,17 @@
 //! The run-to-completion worker engine gives every worker a private hub
 //! so recording never contends — or interleaves nondeterministically —
 //! across workers. The price is paid here, once, at snapshot time:
-//!
-//! * **Metrics** merge by name: counters *sum* (each worker counted a
-//!   disjoint share of the packets), gauges take the *max* (they sample
-//!   instantaneous state; the merged view reports the high-water rung).
-//!   The result is sorted by name, like `snapshot_all`, so the merged
-//!   JSON is byte-identical run-to-run for deterministic inputs.
-//! * **Events** merge k-way by `(at, hub index, seq)`: within one hub
-//!   the recorder's own sequence numbers order events; across hubs at
-//!   the same virtual instant the hub (worker) index breaks the tie.
-//!   Same seed + same hub list ⇒ the same byte-identical event stream,
-//!   regardless of OS thread scheduling during the run.
+//! metrics merge by name — counters *sum* (each worker counted a disjoint
+//! share of the packets), gauges take the *max* (they sample
+//! instantaneous state; the merged view reports the high-water rung).
+//! The result is sorted by name, like `snapshot_all`, so the merged JSON
+//! is byte-identical run-to-run for deterministic inputs. Events stay in
+//! their own hub's ring; each ring dumps on its own.
 
 use std::fmt::Write as _;
 
 use acdc_stats::time::Nanos;
 
-use crate::event::Event;
 use crate::metrics::{MetricKind, MetricValue};
 use crate::Telemetry;
 
@@ -97,33 +91,6 @@ pub fn merged_snapshot_json(hubs: &[&Telemetry], at: Nanos) -> String {
     out
 }
 
-/// K-way merge of every hub's event ring into one deterministic stream,
-/// ordered by `(at, hub index, seq)`. Hub order in `hubs` is the
-/// tiebreak at equal timestamps, so pass workers in index order.
-pub fn merge_events(hubs: &[&Telemetry]) -> Vec<Event> {
-    let mut keyed: Vec<(Nanos, usize, u64, Event)> = Vec::new();
-    for (idx, hub) in hubs.iter().enumerate() {
-        for e in hub.recorder().events() {
-            keyed.push((e.at, idx, e.seq, e));
-        }
-    }
-    keyed.sort_by_key(|(at, idx, seq, _)| (*at, *idx, *seq));
-    keyed.into_iter().map(|(_, _, _, e)| e).collect()
-}
-
-/// [`merge_events`] as JSON Lines (one event per line, trailing newline
-/// after every line) — the merged-stream analogue of one recorder's
-/// `dump_jsonl`.
-pub fn merged_events_jsonl(hubs: &[&Telemetry]) -> String {
-    let events = merge_events(hubs);
-    let mut out = String::with_capacity(events.len() * 96);
-    for e in &events {
-        out.push_str(&e.to_jsonl());
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,35 +149,5 @@ mod tests {
         a.registry().counter("dup").inc();
         b.registry().gauge("dup").set(1);
         merge_snapshots(&[&a, &b]);
-    }
-
-    #[test]
-    fn events_merge_by_time_then_hub_then_seq() {
-        let a = Telemetry::new(8);
-        let b = Telemetry::new(8);
-        a.record(10, NO_FLOW, EventKind::FlowCreated);
-        a.record(30, NO_FLOW, EventKind::FlowCreated);
-        b.record(10, NO_FLOW, EventKind::AdmissionRejected);
-        b.record(20, NO_FLOW, EventKind::AdmissionRejected);
-        let merged = merge_events(&[&a, &b]);
-        let shape: Vec<(Nanos, u64)> = merged.iter().map(|e| (e.at, e.seq)).collect();
-        // t=10: hub a before hub b; then b@20, a@30.
-        assert_eq!(shape, vec![(10, 0), (10, 0), (20, 1), (30, 1)]);
-        assert!(matches!(merged[0].kind, EventKind::FlowCreated));
-        assert!(matches!(merged[1].kind, EventKind::AdmissionRejected));
-    }
-
-    #[test]
-    fn merged_stream_is_stable_across_calls() {
-        let a = Telemetry::new(8);
-        let b = Telemetry::new(8);
-        for at in 0..5 {
-            a.record(at, NO_FLOW, EventKind::FlowCreated);
-            b.record(at, NO_FLOW, EventKind::AdmissionRejected);
-        }
-        assert_eq!(
-            merged_events_jsonl(&[&a, &b]),
-            merged_events_jsonl(&[&a, &b])
-        );
     }
 }

@@ -1,16 +1,17 @@
 //! The metrics registry (DESIGN.md §11).
 //!
-//! Every counter in the workspace is an `Arc<AtomicU64>` cell registered
-//! here once, under a unique dotted name (`"acdc.packs_sent"`,
+//! Every counter in the workspace is a shared cell registered here once,
+//! under a unique dotted name (`"acdc.packs_sent"`,
 //! `"port0.queue_full_drops"`, `"fault.ab.corrupted"`). Producers keep a
-//! cheap [`Counter`] / [`Gauge`] handle — bumping is exactly the atomic
-//! add the pre-registry counter structs did — while consumers read
-//! everything through one interface: [`MetricsRegistry::snapshot_all`]
-//! for point-in-time values and [`MetricsRegistry::series`] for the
-//! per-metric [`TimeSeries`] filled in by the 10 ms maintenance tick. The
-//! JSON snapshot (`acdc-telemetry/v2`) is written by
-//! [`merged_snapshot_json`](crate::merge::merged_snapshot_json) over one
-//! or more hubs.
+//! cheap [`Counter`] / [`Gauge`] handle whose whole interface is
+//! `inc` / `add` / `get` (`set` / `get` for a gauge) — one relaxed atomic
+//! operation each, and the atomic itself never leaves this file — while
+//! consumers read everything through one interface:
+//! [`MetricsRegistry::snapshot_all`] for point-in-time values and
+//! [`MetricsRegistry::series`] for the per-metric [`TimeSeries`] filled in
+//! by the 10 ms maintenance tick. The JSON snapshot (`acdc-telemetry/v2`)
+//! is written by [`merged_snapshot_json`](crate::merge::merged_snapshot_json)
+//! over one or more hubs.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -19,9 +20,7 @@ use acdc_stats::series::TimeSeries;
 use acdc_stats::time::Nanos;
 use parking_lot::Mutex;
 
-/// Handle to a registered monotonic counter. Dereferences to the shared
-/// [`AtomicU64`] so call sites migrated from raw atomic fields keep
-/// working (`c.load(..)`, `c.fetch_add(..)`) unchanged.
+/// Handle to a registered monotonic counter.
 #[derive(Debug, Clone)]
 pub struct Counter(Arc<AtomicU64>);
 
@@ -54,25 +53,12 @@ impl Counter {
     }
 }
 
-impl std::ops::Deref for Counter {
-    type Target = AtomicU64;
-    fn deref(&self) -> &AtomicU64 {
-        &self.0
-    }
-}
-
 /// Handle to a registered gauge (a sampled instantaneous value, e.g.
 /// flow-table occupancy or the health rung).
 #[derive(Debug, Clone)]
 pub struct Gauge(Arc<AtomicU64>);
 
 impl Gauge {
-    /// A gauge backed by its own unregistered cell (see
-    /// [`Counter::standalone`]).
-    pub fn standalone() -> Gauge {
-        Gauge(Arc::new(AtomicU64::new(0)))
-    }
-
     /// Overwrite the gauge value.
     #[inline]
     pub fn set(&self, v: u64) {
@@ -177,12 +163,6 @@ impl MetricsRegistry {
     /// preserving whatever it already counted. Panics on a duplicate name.
     pub fn adopt_counter(&self, name: impl Into<String>, counter: &Counter) {
         self.register(name.into(), MetricKind::Counter, Arc::clone(&counter.0));
-    }
-
-    /// Register an existing [`Gauge::standalone`] cell under `name`.
-    /// Panics on a duplicate name.
-    pub fn adopt_gauge(&self, name: impl Into<String>, gauge: &Gauge) {
-        self.register(name.into(), MetricKind::Gauge, Arc::clone(&gauge.0));
     }
 
     /// Number of registered metrics.
@@ -301,15 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn deref_keeps_atomic_call_sites_working() {
-        let reg = MetricsRegistry::new();
-        let c = reg.counter("compat");
-        c.fetch_add(3, Ordering::Relaxed);
-        assert_eq!(c.load(Ordering::Relaxed), 3);
-        assert_eq!(reg.value("compat"), Some(3));
-    }
-
-    #[test]
     fn sample_fills_series_in_lockstep() {
         let reg = MetricsRegistry::new();
         let c = reg.counter("s.c");
@@ -345,13 +316,9 @@ mod tests {
     fn adopted_cells_keep_accumulated_values() {
         let c = Counter::standalone();
         c.add(7);
-        let g = Gauge::standalone();
-        g.set(3);
         let reg = MetricsRegistry::new();
         reg.adopt_counter("late.c", &c);
-        reg.adopt_gauge("late.g", &g);
         assert_eq!(reg.value("late.c"), Some(7));
-        assert_eq!(reg.value("late.g"), Some(3));
         c.inc();
         assert_eq!(reg.value("late.c"), Some(8));
     }

@@ -16,11 +16,11 @@ use std::sync::Arc;
 
 use acdc_cc::CcConfig;
 use acdc_packet::{Ecn, Ipv4Repr, PackOption, PacketMeta, Segment, TcpFlags, TcpRepr};
-use acdc_stats::time::{Nanos, MILLISECOND, SECOND};
+use acdc_stats::time::{Nanos, SECOND};
 use acdc_telemetry::{Counter, EventKind, Gauge, MetricsRegistry, Telemetry, NO_FLOW};
 
 use crate::entry::FlowEntry;
-use crate::health::{HealthCell, HealthState, Watermarks};
+use crate::health::{HealthCell, HealthState, LOG_ONLY_PCT, LOG_RECOVER_PCT, PASS_RECOVER_PCT};
 use crate::policy::CcPolicy;
 use crate::rwnd::RwndAction;
 use crate::table::{Admission, AdmissionPolicy, FlowTable};
@@ -33,18 +33,14 @@ pub struct AcdcConfig {
     /// untouched (the plain-OVS baseline).
     pub enabled: bool,
     /// MTU in bytes: a PACK that would push a packet past this travels in
-    /// a dedicated FACK instead (§3.2).
+    /// a dedicated FACK instead (§3.2). Congestion windows are sized in
+    /// segments of `mtu − 40`.
     pub mtu: usize,
-    /// Segment size used to size congestion windows.
-    pub mss: u32,
     /// Per-flow congestion-control assignment.
     pub policy: CcPolicy,
     /// Policing (§3.3): drop egress data beyond
     /// `snd_una + cwnd + slack` when set. `None` disables the policer.
     pub police_slack_bytes: Option<u64>,
-    /// Floor for the inactivity (inferred-timeout) threshold; the paper's
-    /// system settings use RTOmin = 10 ms.
-    pub inactivity_floor: Nanos,
     /// Compute windows but do not rewrite them (Figure 9's measurement
     /// mode: RWND is logged and compared against the guest's CWND).
     pub log_only: bool,
@@ -71,9 +67,6 @@ pub struct AcdcConfig {
     /// Idle timeout for the periodic flow-table garbage collection driven
     /// from the host's maintenance tick.
     pub gc_idle_timeout: Nanos,
-    /// Occupancy watermarks driving the health degradation ladder
-    /// (meaningful only with `max_flows` set).
-    pub watermarks: Watermarks,
 }
 
 impl AcdcConfig {
@@ -82,10 +75,8 @@ impl AcdcConfig {
         AcdcConfig {
             enabled: true,
             mtu,
-            mss: (mtu - 40) as u32,
             policy: CcPolicy::dctcp(),
             police_slack_bytes: None,
-            inactivity_floor: 10 * MILLISECOND,
             log_only: false,
             trace_windows: false,
             max_rwnd_bytes: None,
@@ -94,7 +85,6 @@ impl AcdcConfig {
             max_flows: None,
             admission: AdmissionPolicy::EvictOldestIdle,
             gc_idle_timeout: 30 * SECOND,
-            watermarks: Watermarks::default(),
         }
     }
 
@@ -143,9 +133,7 @@ pub enum DropReason {
 
 /// Datapath event counters. Every field is a [`Counter`] handle into the
 /// datapath's [`MetricsRegistry`] (registered under `acdc.<name>`), so
-/// the same cells are readable through `snapshot_all()`; the handles
-/// deref to `AtomicU64` (the table is shared across threads in the CPU
-/// benchmarks), keeping pre-registry call sites source-compatible.
+/// the same cells are readable through `snapshot_all()`.
 #[derive(Debug)]
 pub struct AcdcCounters {
     /// PACK options piggy-backed onto ACKs.
@@ -214,10 +202,6 @@ impl AcdcCounters {
             datapath_resets: c("datapath_resets"),
         }
     }
-
-    fn bump(c: &Counter) {
-        c.inc();
-    }
 }
 
 /// A per-flow statistics snapshot (see [`AcdcDatapath::flow_stats`]).
@@ -253,7 +237,7 @@ pub struct FlowStat {
 /// engine (`acdc-workers`) hands each worker its own, so per-packet
 /// counting and event recording never interleave nondeterministically
 /// across workers; at snapshot time the per-worker hubs merge
-/// deterministically (counters sum, events k-way merge — see
+/// deterministically (counters sum, gauges max — see
 /// `acdc-telemetry`'s merge helpers). Global concerns — the health
 /// ladder, gc, the occupancy gauges — stay on the datapath's main hub
 /// regardless of which sink processed the packet, so a merged view is
@@ -373,9 +357,9 @@ impl AcdcDatapath {
     fn set_health(&self, now: Nanos, to: HealthState) {
         if let Some((from, to)) = self.health.transition(now, to) {
             if to > from {
-                AcdcCounters::bump(&self.main.counters.health_demotions);
+                self.main.counters.health_demotions.inc();
             } else {
-                AcdcCounters::bump(&self.main.counters.health_promotions);
+                self.main.counters.health_promotions.inc();
             }
             self.health_gauge.set(to as u64);
             self.main.telemetry.record(
@@ -394,7 +378,7 @@ impl AcdcDatapath {
     /// admission is failing, per-flow work is no longer trustworthy, and
     /// forwarding untouched is always safe (§3.3 fail-safe).
     fn on_admission_reject(&self, obs: &WorkerSink, now: Nanos, key: &acdc_packet::FlowKey) {
-        AcdcCounters::bump(&obs.counters.admission_rejects);
+        obs.counters.admission_rejects.inc();
         obs.telemetry
             .record(now, *key, EventKind::AdmissionRejected);
         self.overload_seen.store(true, Ordering::Relaxed);
@@ -410,9 +394,7 @@ impl AcdcDatapath {
         adm: Admission,
     ) {
         if let Admission::CreatedAfterEviction(n) = adm {
-            obs.counters
-                .capacity_evictions
-                .fetch_add(n as u64, Ordering::Relaxed);
+            obs.counters.capacity_evictions.add(n as u64);
             // Stamped with the admitted flow: the table does not surface
             // the victims' keys, only how many made room.
             obs.telemetry
@@ -424,7 +406,7 @@ impl AcdcDatapath {
                 // Eager demotion on the way up; recovery is left to the
                 // maintenance tick (hysteresis lives in `update_health`).
                 if self.health.get() == HealthState::Enforcing
-                    && self.table.len() * 100 >= cap * usize::from(self.cfg.watermarks.log_only_pct)
+                    && self.table.len() * 100 >= cap * usize::from(LOG_ONLY_PCT)
                 {
                     self.set_health(now, HealthState::LogOnly);
                 }
@@ -440,21 +422,20 @@ impl AcdcDatapath {
             return;
         };
         let occ = self.table.len() * 100;
-        let wm = &self.cfg.watermarks;
         let overload = self.overload_seen.swap(false, Ordering::Relaxed);
         match self.health.get() {
             HealthState::Enforcing => {
-                if occ >= cap * usize::from(wm.log_only_pct) {
+                if occ >= cap * usize::from(LOG_ONLY_PCT) {
                     self.set_health(now, HealthState::LogOnly);
                 }
             }
             HealthState::LogOnly => {
-                if !overload && occ < cap * usize::from(wm.log_recover_pct) {
+                if !overload && occ < cap * usize::from(LOG_RECOVER_PCT) {
                     self.set_health(now, HealthState::Enforcing);
                 }
             }
             HealthState::PassThrough => {
-                if !overload && occ < cap * usize::from(wm.pass_recover_pct) {
+                if !overload && occ < cap * usize::from(PASS_RECOVER_PCT) {
                     self.set_health(now, HealthState::LogOnly);
                 }
             }
@@ -474,7 +455,7 @@ impl AcdcDatapath {
         // re-created with pre-reset timestamps (checkpoint restores,
         // replayed traces) is spuriously collected by the next sweep.
         self.table.set_epoch(now);
-        AcdcCounters::bump(&self.main.counters.datapath_resets);
+        self.main.counters.datapath_resets.inc();
         self.overload_seen.store(false, Ordering::Relaxed);
         self.health.force(now, HealthState::Enforcing);
         self.health_gauge.set(HealthState::Enforcing as u64);
@@ -488,12 +469,25 @@ impl AcdcDatapath {
         dropped
     }
 
-    fn cc_config(&self) -> CcConfig {
-        let mut cfg = CcConfig::vswitch(self.cfg.mss);
+    /// A fresh entry for `key` under the configured policy: the one
+    /// place the datapath constructs per-flow state.
+    fn new_entry(&self, key: &acdc_packet::FlowKey, now: Nanos) -> FlowEntry {
+        let mut cc = CcConfig::vswitch((self.cfg.mtu - 40) as u32);
         if let Some(floor) = self.cfg.min_window_bytes {
-            cfg.min_window_bytes = floor;
+            cc.min_window_bytes = floor;
         }
-        cfg
+        FlowEntry::new(self.cfg.policy.assign(key), cc, now)
+    }
+
+    /// The headers failed the one fallible parse: count, record, drop.
+    fn drop_malformed(obs: &WorkerSink, now: Nanos) -> Verdict {
+        obs.counters.malformed_drops.inc();
+        obs.telemetry.record(
+            now,
+            NO_FLOW,
+            EventKind::PacketDropped { cause: "malformed" },
+        );
+        Verdict::Drop(DropReason::Malformed)
     }
 
     // ------------------------------------------------------------------
@@ -557,13 +551,9 @@ impl AcdcDatapath {
         use crate::checkpoint::key_label;
         self.table.clear();
         for f in &ckpt.flows {
-            let (slot, _adm) = self.table.get_or_create(f.key, || {
-                FlowEntry::new(
-                    self.cfg.policy.assign(&f.key),
-                    self.cc_config(),
-                    f.state.last_activity,
-                )
-            });
+            let (slot, _adm) = self
+                .table
+                .get_or_create(f.key, || self.new_entry(&f.key, f.state.last_activity));
             let Some(slot) = slot else {
                 return Err(format!(
                     "flow table refused {} during restore (capacity {:?})",
@@ -623,7 +613,7 @@ impl AcdcDatapath {
         // protocol check is a single byte read: pass-through traffic and
         // the plain-OVS baseline never parse headers at all.
         if !seg.is_tcp() {
-            AcdcCounters::bump(&obs.counters.non_tcp_passthrough);
+            obs.counters.non_tcp_passthrough.inc();
             return Verdict::Forward(seg);
         }
         if !self.cfg.enabled {
@@ -634,7 +624,7 @@ impl AcdcDatapath {
         // guest's own congestion control still runs (§3.3 fail-safe).
         let health = self.health.get();
         if health == HealthState::PassThrough {
-            AcdcCounters::bump(&obs.counters.overload_passthrough);
+            obs.counters.overload_passthrough.inc();
             return Verdict::Forward(seg);
         }
         let log_only = self.cfg.log_only || health == HealthState::LogOnly;
@@ -642,13 +632,7 @@ impl AcdcDatapath {
         // the NIC already verified checksums). Malformed frames are
         // dropped and counted — wire input never panics the datapath.
         let Ok(meta) = seg.try_meta() else {
-            AcdcCounters::bump(&obs.counters.malformed_drops);
-            obs.telemetry.record(
-                now,
-                NO_FLOW,
-                EventKind::PacketDropped { cause: "malformed" },
-            );
-            return Verdict::Drop(DropReason::Malformed);
+            return Self::drop_malformed(obs, now);
         };
         let key = meta.flow;
         let flags = meta.flags;
@@ -669,7 +653,7 @@ impl AcdcDatapath {
             let payload_len = seg.payload_len();
             let (tracked, admission) = self.table.with_entry_or_create(
                 key,
-                || FlowEntry::new(self.cfg.policy.assign(&key), self.cc_config(), now),
+                || self.new_entry(&key, now),
                 |slot| {
                     let mut e = slot.entry.lock();
                     e.last_activity = now;
@@ -732,7 +716,7 @@ impl AcdcDatapath {
                     v
                 }
                 Some(Err(())) => {
-                    AcdcCounters::bump(&obs.counters.policed_drops);
+                    obs.counters.policed_drops.inc();
                     obs.telemetry
                         .record(now, key, EventKind::PacketDropped { cause: "policed" });
                     return Verdict::Drop(DropReason::Policed);
@@ -785,17 +769,17 @@ impl AcdcDatapath {
                 if seg.wire_len() + PackOption::WIRE_LEN <= self.cfg.mtu
                     && seg.append_pack_in_place(pack)
                 {
-                    AcdcCounters::bump(&obs.counters.packs_sent);
+                    obs.counters.packs_sent.inc();
                 } else if self.cfg.disable_fack {
                     // Ablation: the feedback is simply lost.
-                    AcdcCounters::bump(&obs.counters.feedback_dropped);
+                    obs.counters.feedback_dropped.inc();
                 } else if let Some(fack) = make_fack(&seg, pack) {
-                    AcdcCounters::bump(&obs.counters.facks_sent);
+                    obs.counters.facks_sent.inc();
                     return Verdict::ForwardWithExtra(seg, fack);
                 } else {
                     // No room even in a payload-free copy (pathological
                     // option soup): the feedback is lost, not a panic.
-                    AcdcCounters::bump(&obs.counters.feedback_dropped);
+                    obs.counters.feedback_dropped.inc();
                 }
             }
         }
@@ -817,7 +801,7 @@ impl AcdcDatapath {
     /// worker's sink (see [`AcdcDatapath::egress_via`]).
     pub fn ingress_via(&self, obs: &WorkerSink, now: Nanos, mut seg: Segment) -> Verdict {
         if !seg.is_tcp() {
-            AcdcCounters::bump(&obs.counters.non_tcp_passthrough);
+            obs.counters.non_tcp_passthrough.inc();
             return Verdict::Forward(seg);
         }
         if !self.cfg.enabled {
@@ -826,13 +810,7 @@ impl AcdcDatapath {
         // Usually a cache hit: the host NIC's checksum verification has
         // already parsed and cached the metadata.
         let Ok(meta) = seg.try_meta() else {
-            AcdcCounters::bump(&obs.counters.malformed_drops);
-            obs.telemetry.record(
-                now,
-                NO_FLOW,
-                EventKind::PacketDropped { cause: "malformed" },
-            );
-            return Verdict::Drop(DropReason::Malformed);
+            return Self::drop_malformed(obs, now);
         };
         let key = meta.flow;
         let flags = meta.flags;
@@ -843,7 +821,7 @@ impl AcdcDatapath {
         // cleared. All of it is stateless header hygiene.
         let health = self.health.get();
         if health == HealthState::PassThrough {
-            AcdcCounters::bump(&obs.counters.overload_passthrough);
+            obs.counters.overload_passthrough.inc();
             if meta.fack {
                 if let Some(pack) = meta.pack {
                     self.absorb_feedback(&key, pack);
@@ -851,7 +829,7 @@ impl AcdcDatapath {
                 return Verdict::Drop(DropReason::FackConsumed);
             }
             if meta.pack.is_some() {
-                AcdcCounters::bump(&obs.counters.packs_received);
+                obs.counters.packs_received.inc();
                 seg.strip_pack_in_place();
             }
             if meta.vm_ece || meta.fack {
@@ -891,7 +869,7 @@ impl AcdcDatapath {
             let ce = seg.ecn().is_ce();
             let (tracked, admission) = self.table.with_entry_or_create(
                 key,
-                || FlowEntry::new(self.cfg.policy.assign(&key), self.cc_config(), now),
+                || self.new_entry(&key, now),
                 |slot| {
                     let mut e = slot.entry.lock();
                     e.last_activity = now;
@@ -942,7 +920,7 @@ impl AcdcDatapath {
         if flags.contains(TcpFlags::ACK) {
             if let Some(pack) = meta.pack {
                 self.absorb_feedback(&key, pack);
-                AcdcCounters::bump(&obs.counters.packs_received);
+                obs.counters.packs_received.inc();
                 seg.strip_pack_in_place();
             }
             self.sender_ack_processing(obs, now, &mut seg, &meta, pure_ack, !log_only);
@@ -1028,7 +1006,7 @@ impl AcdcDatapath {
                     e.dupacks += 1;
                     if e.dupacks == 3 {
                         e.cc.on_fast_retransmit(now);
-                        AcdcCounters::bump(&obs.counters.inferred_fast_rtx);
+                        obs.counters.inferred_fast_rtx.inc();
                         cut_event = Some(EventKind::CwndCut {
                             cause: "fast-retransmit",
                             cwnd: e.cc.cwnd(),
@@ -1036,15 +1014,9 @@ impl AcdcDatapath {
                     }
                 }
 
-                // Inactivity-inferred timeout (§3.1).
-                if e.snd_una < e.snd_nxt {
-                    let thresh = e.inactivity_threshold(self.cfg.inactivity_floor);
-                    if now.saturating_sub(e.last_ack_activity) > thresh {
-                        e.cc.on_retransmit_timeout(now);
-                        e.last_ack_activity = now;
-                        AcdcCounters::bump(&obs.counters.inferred_timeouts);
-                        rto_event = Some(EventKind::RtoFired { cwnd: e.cc.cwnd() });
-                    }
+                if let Some(cwnd) = e.infer_timeout(now) {
+                    obs.counters.inferred_timeouts.inc();
+                    rto_event = Some(EventKind::RtoFired { cwnd });
                 }
             }
 
@@ -1097,11 +1069,11 @@ impl AcdcDatapath {
                 match action {
                     RwndAction::Rewrite(raw_target) => {
                         seg.rewrite_window(raw_target);
-                        AcdcCounters::bump(&obs.counters.rwnd_rewrites);
+                        obs.counters.rwnd_rewrites.inc();
                     }
                     RwndAction::KeepGuest => {}
                     RwndAction::ScaleUnlearned => {
-                        AcdcCounters::bump(&obs.counters.unscaled_rwnd_skips);
+                        obs.counters.unscaled_rwnd_skips.inc();
                     }
                 }
             }
@@ -1117,9 +1089,7 @@ impl AcdcDatapath {
         // windows in ACKs *it* will send — i.e. the ACKs of the reverse
         // data direction.
         let rev = key.reverse();
-        let (rentry, radm) = self.table.get_or_create(rev, || {
-            FlowEntry::new(self.cfg.policy.assign(&rev), self.cc_config(), now)
-        });
+        let (rentry, radm) = self.table.get_or_create(rev, || self.new_entry(&rev, now));
         let Some(rentry) = rentry else {
             self.on_admission_reject(obs, now, &rev);
             return;
@@ -1140,9 +1110,7 @@ impl AcdcDatapath {
             } else {
                 flags.contains(TcpFlags::ECE) && flags.contains(TcpFlags::CWR)
             };
-            let (entry, adm) = self.table.get_or_create(key, || {
-                FlowEntry::new(self.cfg.policy.assign(&key), self.cc_config(), now)
-            });
+            let (entry, adm) = self.table.get_or_create(key, || self.new_entry(&key, now));
             let Some(entry) = entry else {
                 self.on_admission_reject(obs, now, &key);
                 return;
@@ -1172,23 +1140,17 @@ impl AcdcDatapath {
     /// Periodic tick: infer timeouts for flows whose ACK clock stopped
     /// entirely (no ingress packet will trigger the check).
     pub fn tick(&self, now: Nanos) {
-        let floor = self.cfg.inactivity_floor;
         // Timeouts are collected during the sweep and published after it:
         // the event bus must not be entered while the table's per-entry
         // locks are held (W002). Same per-flow order as before.
         let mut fired: Vec<(acdc_packet::FlowKey, u64)> = Vec::new();
         self.table.for_each(|key, e| {
-            if e.seq_valid && e.snd_una < e.snd_nxt {
-                let thresh = e.inactivity_threshold(floor);
-                if now.saturating_sub(e.last_ack_activity) > thresh {
-                    e.cc.on_retransmit_timeout(now);
-                    e.last_ack_activity = now;
-                    fired.push((*key, e.cc.cwnd()));
-                }
+            if let Some(cwnd) = e.infer_timeout(now) {
+                fired.push((*key, cwnd));
             }
         });
         for (key, cwnd) in &fired {
-            AcdcCounters::bump(&self.main.counters.inferred_timeouts);
+            self.main.counters.inferred_timeouts.inc();
             self.main
                 .telemetry
                 .record(now, *key, EventKind::RtoFired { cwnd: *cwnd });
@@ -1207,10 +1169,7 @@ impl AcdcDatapath {
     pub fn gc(&self, now: Nanos, idle_timeout: Nanos) -> usize {
         let collected = self.table.gc(now, idle_timeout);
         if collected > 0 {
-            self.main
-                .counters
-                .gc_evictions
-                .fetch_add(collected as u64, Ordering::Relaxed);
+            self.main.counters.gc_evictions.add(collected as u64);
         }
         self.update_health(now);
         collected
@@ -1265,25 +1224,8 @@ impl AcdcDatapath {
     pub fn make_window_update(&self, key: &acdc_packet::FlowKey) -> Option<Segment> {
         let entry = self.table.get(key)?;
         let e = entry.lock();
-        if !e.seq_valid {
-            return None;
-        }
-        let cwnd = e.cc.cwnd().max(1);
-        let raw = e.rwnd.raw_window(cwnd);
-        let mut t = TcpRepr::new(key.dst_port, key.src_port);
-        t.flags = TcpFlags::ACK;
-        t.ack = e.snd_una;
-        t.seq = acdc_packet::SeqNumber::ZERO; // unknown; guests ignore seq on pure window updates in-window
-        t.window = raw;
-        let ip = Ipv4Repr {
-            src_addr: key.dst_ip,
-            dst_addr: key.src_ip,
-            protocol: acdc_packet::PROTO_TCP,
-            ecn: Ecn::NotEct,
-            payload_len: 0,
-            ttl: Ipv4Repr::DEFAULT_TTL,
-        };
-        Some(Segment::new_tcp(ip, t, 0))
+        e.seq_valid
+            .then(|| make_pure_ack(key, &e, e.cc.cwnd().max(1)))
     }
 
     /// Generate `n` duplicate ACKs for the data sender of `key` to trigger
@@ -1297,25 +1239,31 @@ impl AcdcDatapath {
         if !e.seq_valid {
             return Vec::new();
         }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let mut t = TcpRepr::new(key.dst_port, key.src_port);
-            t.flags = TcpFlags::ACK;
-            t.ack = e.snd_una;
-            t.seq = acdc_packet::SeqNumber::ZERO;
-            t.window = e.rwnd.raw_window(e.cc.cwnd());
-            let ip = Ipv4Repr {
-                src_addr: key.dst_ip,
-                dst_addr: key.src_ip,
-                protocol: acdc_packet::PROTO_TCP,
-                ecn: Ecn::NotEct,
-                payload_len: 0,
-                ttl: Ipv4Repr::DEFAULT_TTL,
-            };
-            out.push(Segment::new_tcp(ip, t, 0));
-        }
-        out
+        (0..n)
+            .map(|_| make_pure_ack(key, &e, e.cc.cwnd()))
+            .collect()
     }
+}
+
+/// A pure ACK from the receiver of `key`'s data to its sender, at the
+/// tracked `snd_una`, advertising `window_bytes` under the learned scale.
+/// The sequence number is unknown to the vSwitch; guests ignore it on an
+/// in-window pure ACK.
+fn make_pure_ack(key: &acdc_packet::FlowKey, e: &FlowEntry, window_bytes: u64) -> Segment {
+    let mut t = TcpRepr::new(key.dst_port, key.src_port);
+    t.flags = TcpFlags::ACK;
+    t.ack = e.snd_una;
+    t.seq = acdc_packet::SeqNumber::ZERO;
+    t.window = e.rwnd.raw_window(window_bytes);
+    let ip = Ipv4Repr {
+        src_addr: key.dst_ip,
+        dst_addr: key.src_ip,
+        protocol: acdc_packet::PROTO_TCP,
+        ecn: Ecn::NotEct,
+        payload_len: 0,
+        ttl: Ipv4Repr::DEFAULT_TTL,
+    };
+    Segment::new_tcp(ip, t, 0)
 }
 
 /// Build a dedicated FACK: a payload-free copy of `ack` carrying the PACK

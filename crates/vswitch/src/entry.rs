@@ -8,7 +8,7 @@
 
 use acdc_cc::{CcConfig, CcKind};
 use acdc_packet::SeqNumber;
-use acdc_stats::time::Nanos;
+use acdc_stats::time::{Nanos, MILLISECOND};
 
 use crate::rwnd::RwndRewriter;
 use crate::vcc::{EcnFractionCc, VirtualCc};
@@ -20,6 +20,12 @@ use crate::vcc::{EcnFractionCc, VirtualCc};
 /// arithmetic in the policer. 32 MB is ≳ 25 ms of 10 GbE, far beyond any
 /// datacenter BDP.
 pub const MAX_ENFORCED_WINDOW: u64 = 32 << 20;
+
+/// Floor for the inactivity (inferred-timeout) threshold: the paper's
+/// system setting, RTOmin = 10 ms. Also the period of the host's
+/// maintenance tick, which runs the check for flows whose ACK clock
+/// stopped entirely.
+pub const INACTIVITY_FLOOR: Nanos = 10 * MILLISECOND;
 
 /// Plain-data image of one [`FlowEntry`] for checkpointing (DESIGN.md
 /// §14). Everything that evolves at runtime is here; construction
@@ -204,14 +210,28 @@ impl FlowEntry {
         });
     }
 
-    /// The inactivity threshold standing in for the guest's RTO: the
-    /// vSwitch cannot see the guest timer, so it infers a timeout when
-    /// `snd_una < snd_nxt` and nothing has moved for a few RTTs (§3.1).
-    pub fn inactivity_threshold(&self, floor: Nanos) -> Nanos {
+    /// The inactivity threshold standing in for the guest's RTO: a few
+    /// RTTs, never below [`INACTIVITY_FLOOR`].
+    fn inactivity_threshold(&self) -> Nanos {
         match self.srtt {
-            Some(s) => (4 * s).max(floor),
-            None => floor,
+            Some(s) => (4 * s).max(INACTIVITY_FLOOR),
+            None => INACTIVITY_FLOOR,
         }
+    }
+
+    /// Inactivity-inferred timeout (§3.1): the vSwitch cannot see the
+    /// guest's timer, so when data is outstanding and the ACK clock has
+    /// not moved for the threshold, it tells the algorithm a timeout
+    /// happened. Returns the window after the cut when one fired.
+    pub(crate) fn infer_timeout(&mut self, now: Nanos) -> Option<u64> {
+        let stalled = self.seq_valid
+            && self.snd_una < self.snd_nxt
+            && now.saturating_sub(self.last_ack_activity) > self.inactivity_threshold();
+        stalled.then(|| {
+            self.cc.on_retransmit_timeout(now);
+            self.last_ack_activity = now;
+            self.cc.cwnd()
+        })
     }
 
     /// Capture this entry's dynamic state for a checkpoint.
@@ -353,8 +373,8 @@ mod tests {
     #[test]
     fn inactivity_threshold_uses_floor() {
         let mut e = entry();
-        assert_eq!(e.inactivity_threshold(10_000_000), 10_000_000);
+        assert_eq!(e.inactivity_threshold(), 10_000_000);
         e.srtt = Some(5_000_000);
-        assert_eq!(e.inactivity_threshold(10_000_000), 20_000_000);
+        assert_eq!(e.inactivity_threshold(), 20_000_000);
     }
 }

@@ -17,6 +17,15 @@
 //! rejection); promotions are deliberate and only happen from the
 //! maintenance tick once occupancy has receded below a recovery watermark
 //! with no rejections since the last tick.
+//!
+//! The watermarks are constants, percentages of `AcdcConfig::max_flows`:
+//! demote at [`LOG_ONLY_PCT`] (90), recover at [`PASS_RECOVER_PCT`] (85)
+//! and [`LOG_RECOVER_PCT`] (75). Both recovery marks sit below the
+//! demotion mark, so a table hovering at a boundary cannot flap, and
+//! 85 > 75 makes a receding table climb one rung at a time: it resumes
+//! tracking first (`LogOnly` writes nothing, so being early costs
+//! nothing) and rewrites packets again only with ten more points of
+//! headroom.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -66,27 +75,13 @@ impl HealthState {
     }
 }
 
-/// Occupancy watermarks, as a percentage of `max_flows`. Demote-high /
-/// recover-low hysteresis keeps the ladder from flapping at a boundary.
-#[derive(Debug, Clone)]
-pub struct Watermarks {
-    /// Demote `Enforcing → LogOnly` at or above this occupancy.
-    pub log_only_pct: u8,
-    /// Promote `LogOnly → Enforcing` strictly below this occupancy.
-    pub log_recover_pct: u8,
-    /// Promote `PassThrough → LogOnly` strictly below this occupancy.
-    pub pass_recover_pct: u8,
-}
-
-impl Default for Watermarks {
-    fn default() -> Watermarks {
-        Watermarks {
-            log_only_pct: 90,
-            log_recover_pct: 75,
-            pass_recover_pct: 85,
-        }
-    }
-}
+/// Demote `Enforcing → LogOnly` at or above this occupancy, in percent
+/// of `max_flows`.
+pub const LOG_ONLY_PCT: u8 = 90;
+/// Promote `LogOnly → Enforcing` strictly below this occupancy.
+pub const LOG_RECOVER_PCT: u8 = 75;
+/// Promote `PassThrough → LogOnly` strictly below this occupancy.
+pub const PASS_RECOVER_PCT: u8 = 85;
 
 /// The current rung plus a time-stamped transition trace. Reads are a
 /// relaxed atomic load (per-packet fast path); writes are rare

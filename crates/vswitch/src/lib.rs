@@ -39,8 +39,8 @@ pub use checkpoint::{DatapathCheckpoint, FlowCheckpoint, HubCheckpoint, Recorder
 pub use datapath::{
     AcdcConfig, AcdcCounters, AcdcDatapath, DropReason, FlowStat, Verdict, WorkerSink,
 };
-pub use entry::{FlowEntry, FlowEntryState};
-pub use health::{HealthState, Watermarks};
+pub use entry::{FlowEntry, FlowEntryState, INACTIVITY_FLOOR};
+pub use health::HealthState;
 pub use policy::CcPolicy;
 pub use rwnd::{RwndAction, RwndRewriter};
 pub use table::{Admission, AdmissionPolicy, FlowTable};

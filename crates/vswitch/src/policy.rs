@@ -52,14 +52,6 @@ impl CcPolicy {
     pub fn dctcp() -> CcPolicy {
         CcPolicy::Uniform(CcKind::Dctcp)
     }
-
-    /// Priority policy: β looked up by source port (used by Figure 13's
-    /// experiment driver).
-    pub fn priority_by_src_port(map: Arc<dyn Fn(u16) -> f64 + Send + Sync>) -> CcPolicy {
-        CcPolicy::Custom(Arc::new(move |key: &FlowKey| {
-            CcKind::DctcpPriority(map(key.src_port))
-        }))
-    }
 }
 
 impl core::fmt::Debug for CcPolicy {
@@ -105,15 +97,5 @@ mod tests {
         };
         assert_eq!(p.assign(&key([10, 1, 2, 3], 1)), CcKind::Dctcp);
         assert_eq!(p.assign(&key([93, 184, 216, 34], 1)), CcKind::Cubic);
-    }
-
-    #[test]
-    fn priority_policy_maps_beta() {
-        let p = CcPolicy::priority_by_src_port(Arc::new(|port| if port == 1 { 1.0 } else { 0.25 }));
-        assert_eq!(p.assign(&key([10, 0, 0, 2], 1)), CcKind::DctcpPriority(1.0));
-        assert_eq!(
-            p.assign(&key([10, 0, 0, 2], 9)),
-            CcKind::DctcpPriority(0.25)
-        );
     }
 }

@@ -213,11 +213,6 @@ impl FlowTable {
         (key.hash64() as usize) & (SHARDS - 1)
     }
 
-    /// Number of shards (a compile-time power of two).
-    pub const fn shard_count() -> usize {
-        SHARDS
-    }
-
     fn shard(&self, key: &FlowKey) -> &RwLock<BTreeMap<FlowKey, Arc<FlowSlot>>> {
         &self.shards[Self::shard_of(key)]
     }
@@ -621,7 +616,7 @@ mod tests {
             let shard = t.shards[FlowTable::shard_of(&k)].read();
             assert!(shard.contains_key(&k));
         }
-        assert!(FlowTable::shard_count().is_power_of_two());
+        assert!(SHARDS.is_power_of_two());
     }
 
     #[test]

@@ -204,12 +204,7 @@ fn ack_carries_pack_and_sender_consumes_it() {
     let delivered = dpa.ingress(22_000, a).forwarded().unwrap();
     assert!(delivered.tcp().pack_option().is_none());
     assert!(delivered.verify_checksums());
-    assert_eq!(
-        dpa.counters()
-            .packs_received
-            .load(std::sync::atomic::Ordering::Relaxed),
-        1
-    );
+    assert_eq!(dpa.counters().packs_received.get(), 1);
     // Connection tracking advanced.
     let view = dpa.seq_view(&key_ab()).unwrap();
     assert_eq!(view.snd_una, SeqNumber(ISS_A + 1 + MSS as u32));
@@ -235,12 +230,7 @@ fn rwnd_rewritten_smaller_with_wscale() {
     assert_eq!(delivered.tcp().window(), expect_raw);
     assert!(u64::from(delivered.tcp().window()) < 65_000);
     assert!(delivered.verify_checksums());
-    assert!(
-        dpa.counters()
-            .rwnd_rewrites
-            .load(std::sync::atomic::Ordering::Relaxed)
-            >= 1
-    );
+    assert!(dpa.counters().rwnd_rewrites.get() >= 1);
 }
 
 #[test]
@@ -402,12 +392,7 @@ fn dupacks_trigger_inferred_fast_retransmit() {
             .unwrap();
         dpa.ingress(24_000 + i, a).forwarded().unwrap();
     }
-    assert_eq!(
-        dpa.counters()
-            .inferred_fast_rtx
-            .load(std::sync::atomic::Ordering::Relaxed),
-        1
-    );
+    assert_eq!(dpa.counters().inferred_fast_rtx.get(), 1);
     let e = dpa.table().get(&key_ab()).unwrap();
     assert!(e.lock().cc.cwnd() < cwnd_before, "window cut on 3 dupacks");
 }
@@ -511,22 +496,12 @@ fn inactivity_tick_infers_timeout() {
     let cwnd_before = e.lock().cc.cwnd();
     // 50 ms later (RTOmin floor is 10 ms) the tick must infer a timeout.
     dpa.tick(50_000_000);
-    assert_eq!(
-        dpa.counters()
-            .inferred_timeouts
-            .load(std::sync::atomic::Ordering::Relaxed),
-        1
-    );
+    assert_eq!(dpa.counters().inferred_timeouts.get(), 1);
     let e = dpa.table().get(&key_ab()).unwrap();
     assert!(e.lock().cc.cwnd() < cwnd_before);
     // A second immediate tick must not double-fire.
     dpa.tick(50_000_001);
-    assert_eq!(
-        dpa.counters()
-            .inferred_timeouts
-            .load(std::sync::atomic::Ordering::Relaxed),
-        1
-    );
+    assert_eq!(dpa.counters().inferred_timeouts.get(), 1);
 }
 
 #[test]
@@ -649,12 +624,7 @@ fn udp_passes_through_untouched() {
     let out = dp.ingress(1, out).forwarded().unwrap();
     assert_eq!(out.header_bytes(), &bytes_before[..]);
     assert_eq!(dp.flows(), 0, "no connection tracking for UDP");
-    assert_eq!(
-        dp.counters()
-            .non_tcp_passthrough
-            .load(std::sync::atomic::Ordering::Relaxed),
-        2
-    );
+    assert_eq!(dp.counters().non_tcp_passthrough.get(), 2);
 }
 
 #[test]

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use acdc_packet::{FlowKey, Segment};
 use acdc_stats::time::Nanos;
-use acdc_telemetry::{Event, MetricValue, Telemetry};
+use acdc_telemetry::{MetricValue, Telemetry};
 use acdc_vswitch::{AcdcDatapath, Verdict, WorkerSink};
 
 use crate::steer::worker_of;
@@ -148,12 +148,6 @@ impl WorkerEngine {
     /// byte-identical for same seed + same worker count.
     pub fn merged_snapshot_json(&self, dp: &AcdcDatapath, at: Nanos) -> String {
         acdc_telemetry::merged_snapshot_json(&self.all_hubs(dp), at)
-    }
-
-    /// Deterministic k-way merge of the main hub's and every worker
-    /// hub's event rings, ordered by `(at, hub index, seq)`.
-    pub fn merged_events(&self, dp: &AcdcDatapath) -> Vec<Event> {
-        acdc_telemetry::merge_events(&self.all_hubs(dp))
     }
 
     /// Every worker hub as owned `Arc`s (for `TraceGuard::watch` and

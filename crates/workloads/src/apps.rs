@@ -235,76 +235,6 @@ impl App for MessageSender {
 }
 
 // ----------------------------------------------------------------------
-// Sequential transfers (shuffle)
-// ----------------------------------------------------------------------
-
-/// Sends a list of transfers back to back on one connection ("when a
-/// transfer is finished, the next one is started"), recording each FCT.
-#[derive(Debug)]
-pub struct SequentialSender {
-    sizes: Vec<u64>,
-    idx: usize,
-    cur_end: u64,
-    cur_start: Nanos,
-    active: bool,
-    kind: FctKind,
-    fct: FctRecorder,
-}
-
-impl SequentialSender {
-    /// Transfers of the given sizes, in order.
-    pub fn new(sizes: Vec<u64>, kind: FctKind) -> SequentialSender {
-        SequentialSender {
-            sizes,
-            idx: 0,
-            cur_end: 0,
-            cur_start: 0,
-            active: false,
-            kind,
-            fct: FctRecorder::new(),
-        }
-    }
-}
-
-impl App for SequentialSender {
-    fn poll(&mut self, now: Nanos, conn: &mut dyn AppConn) -> Option<Nanos> {
-        if !conn.is_established() {
-            return None;
-        }
-        loop {
-            if !self.active {
-                let &size = self.sizes.get(self.idx)?;
-                conn.send(size);
-                self.cur_end = conn.queued_bytes();
-                self.cur_start = now;
-                self.active = true;
-            }
-            if conn.acked_bytes() >= self.cur_end {
-                let size = self.sizes[self.idx];
-                self.fct
-                    .record_flow(self.kind, self.cur_start, now, size, conn.flow_key());
-                self.idx += 1;
-                self.active = false;
-                if self.idx >= self.sizes.len() {
-                    return None;
-                }
-                // Loop to start the next transfer immediately.
-            } else {
-                return None;
-            }
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        self.idx >= self.sizes.len()
-    }
-
-    fn fct(&self) -> Option<&FctRecorder> {
-        Some(&self.fct)
-    }
-}
-
-// ----------------------------------------------------------------------
 // Ping-pong RTT probe (sockperf) + echo server
 // ----------------------------------------------------------------------
 
@@ -508,26 +438,6 @@ mod tests {
         app.poll(35 * MILLISECOND, &mut conn);
         // t=0, 10, 20, 30 all due by 35 ms.
         assert_eq!(conn.queued, 4_000);
-    }
-
-    #[test]
-    fn sequential_sender_walks_the_list() {
-        let mut app = SequentialSender::new(vec![100, 200, 300], FctKind::Background);
-        let mut conn = FakeConn {
-            established: true,
-            ..FakeConn::default()
-        };
-        app.poll(0, &mut conn);
-        assert_eq!(conn.queued, 100);
-        conn.acked = 100;
-        app.poll(10, &mut conn);
-        assert_eq!(conn.queued, 300, "second transfer started");
-        conn.acked = 300;
-        app.poll(20, &mut conn);
-        conn.acked = 600;
-        app.poll(30, &mut conn);
-        assert!(app.is_done());
-        assert_eq!(app.fct().unwrap().len(), 3);
     }
 
     #[test]

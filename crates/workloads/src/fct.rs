@@ -86,11 +86,6 @@ impl FctRecorder {
         });
     }
 
-    /// Samples attributed to `flow`.
-    pub fn samples_for(&self, flow: FlowKey) -> impl Iterator<Item = &FctSample> {
-        self.samples.iter().filter(move |s| s.flow == Some(flow))
-    }
-
     /// All samples.
     pub fn samples(&self) -> &[FctSample] {
         &self.samples
@@ -182,21 +177,5 @@ mod tests {
             flow: None,
         };
         assert_eq!(s.fct(), 0);
-    }
-
-    #[test]
-    fn samples_join_by_flow_key() {
-        let key = FlowKey {
-            src_ip: [10, 0, 0, 1],
-            dst_ip: [10, 0, 0, 2],
-            src_port: 40_000,
-            dst_port: 5_001,
-        };
-        let mut r = FctRecorder::new();
-        r.record(FctKind::Mice, 0, 1, 100);
-        r.record_flow(FctKind::Mice, 0, 2, 100, Some(key));
-        r.record_flow(FctKind::Mice, 0, 3, 100, Some(key.reverse()));
-        assert_eq!(r.samples_for(key).count(), 1);
-        assert_eq!(r.samples_for(key.reverse()).count(), 1);
     }
 }

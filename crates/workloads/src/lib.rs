@@ -3,8 +3,8 @@
 //! The applications and traffic patterns of the paper's evaluation (§5):
 //!
 //! * [`apps`] — per-connection applications: bulk senders (iperf),
-//!   fixed-size message generators, sequential transfers, and a
-//!   sockperf-style ping-pong RTT probe with its echo server;
+//!   fixed-size message generators, and a sockperf-style ping-pong RTT
+//!   probe with its echo server;
 //! * [`dist`] — empirical flow-size distributions for the trace-driven
 //!   workloads: the web-search CDF (DCTCP \[3\]) and the heavier-tailed
 //!   data-mining CDF (VL2 \[25\]);
@@ -23,6 +23,6 @@ pub mod dist;
 pub mod fct;
 pub mod patterns;
 
-pub use apps::{App, AppConn, BulkSender, EchoServer, MessageSender, PingPong, SequentialSender};
+pub use apps::{App, AppConn, BulkSender, EchoServer, MessageSender, PingPong};
 pub use dist::FlowSizeDist;
 pub use fct::{FctKind, FctRecorder};

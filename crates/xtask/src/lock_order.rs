@@ -34,7 +34,7 @@ struct Guard {
 }
 
 /// A W002 candidate: `(1-based line, message)`.
-pub type LockFinding = (usize, String);
+pub(crate) type LockFinding = (usize, String);
 
 /// Tokens that re-enter the flow table: its whole closure-taking API.
 /// Each takes shard locks and holds one across its closure.
@@ -57,7 +57,7 @@ const TABLE_TOKENS: &[&str] = &[
 ///   `.gc(`, `.clear(`) while an entry or shard guard is live;
 /// * an event-bus publish (`.record(`, `.publish(`) while an entry
 ///   guard is live.
-pub fn lock_order(file: &SourceFile) -> Vec<LockFinding> {
+pub(crate) fn lock_order(file: &SourceFile) -> Vec<LockFinding> {
     let mut findings = Vec::new();
     let mut depth: i32 = 0;
     let mut guards: Vec<Guard> = Vec::new();

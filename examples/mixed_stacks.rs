@@ -32,6 +32,7 @@ fn run(scheme: Scheme) -> Vec<f64> {
                 None,
                 (i as u64) * 100_000,
                 ConnTaps::default(),
+                None,
             )
         })
         .collect();

@@ -10,8 +10,6 @@
 //! did: flows tracked, PACK feedback exchanged, receive-window rewrites,
 //! and the throughput/latency the guest observed.
 
-use std::sync::atomic::Ordering;
-
 use acdc_core::{Scheme, Testbed};
 use acdc_stats::time::{MILLISECOND, SECOND};
 
@@ -58,22 +56,10 @@ fn main() {
     let c = dp.counters();
     println!("AC/DC datapath at the sender host:");
     println!("  flows tracked:        {}", dp.flows());
-    println!(
-        "  PACK feedback rx:     {}",
-        c.packs_received.load(Ordering::Relaxed)
-    );
-    println!(
-        "  RWND rewrites:        {}",
-        c.rwnd_rewrites.load(Ordering::Relaxed)
-    );
-    println!(
-        "  inferred fast rtx:    {}",
-        c.inferred_fast_rtx.load(Ordering::Relaxed)
-    );
-    println!(
-        "  inferred timeouts:    {}",
-        c.inferred_timeouts.load(Ordering::Relaxed)
-    );
+    println!("  PACK feedback rx:     {}", c.packs_received.get());
+    println!("  RWND rewrites:        {}", c.rwnd_rewrites.get());
+    println!("  inferred fast rtx:    {}", c.inferred_fast_rtx.get());
+    println!("  inferred timeouts:    {}", c.inferred_timeouts.get());
 
     // The administrator's view: what the vSwitch knows about each flow.
     println!("per-flow view (vSwitch flow table):");

@@ -20,8 +20,8 @@ stage_lint() {
     echo "==> cargo fmt --check"
     cargo fmt --all -- --check
 
-    echo "==> cargo clippy (-D warnings)"
-    cargo clippy --workspace --all-targets -- -D warnings
+    echo "==> cargo clippy (-D warnings -D unreachable_pub)"
+    cargo clippy --workspace --all-targets -- -D warnings -D unreachable_pub
 
     echo "==> acdc-xtask lint"
     cargo run -q -p acdc-xtask -- lint

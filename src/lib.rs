@@ -13,12 +13,7 @@
 //! tb.run_until(50 * MILLISECOND);
 //!
 //! assert_eq!(tb.acked_bytes(flow), 1 << 20, "transfer completed");
-//! let rewrites = tb
-//!     .host_mut(0)
-//!     .datapath()
-//!     .counters()
-//!     .rwnd_rewrites
-//!     .load(std::sync::atomic::Ordering::Relaxed);
+//! let rewrites = tb.host_mut(0).datapath().counters().rwnd_rewrites.get();
 //! assert!(rewrites > 0, "the vSwitch enforced its window");
 //! ```
 //!

@@ -7,7 +7,6 @@
 //! reconstructed sequence state agrees with the endpoint's ground truth
 //! after recovery.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use acdc_core::{FlowHandle, Scheme, Testbed};
@@ -97,12 +96,7 @@ fn reordering_triggers_dup_ack_machinery_but_not_data_loss() {
         tb.client_endpoint(h).retransmitted_segments() > 0,
         "reordering must trigger (spurious) retransmits"
     );
-    let inferred = tb
-        .host_mut(0)
-        .datapath()
-        .counters()
-        .inferred_fast_rtx
-        .load(Ordering::Relaxed);
+    let inferred = tb.host_mut(0).datapath().counters().inferred_fast_rtx.get();
     assert!(
         inferred > 0,
         "vSwitch must infer fast retransmit from dup-ACKs"

@@ -18,7 +18,7 @@ fn acdc_tracks_dctcp_latency_and_throughput() {
         tb.run_until(400 * MILLISECOND);
         let tput: f64 = flows
             .iter()
-            .map(|&h| tb.flow_gbps(h, 0, 400 * MILLISECOND))
+            .map(|&h| tb.flow_gbps(h, 0, 0, 400 * MILLISECOND))
             .sum();
         let mut rtt = acdc_stats::Distribution::new();
         rtt.extend(tb.rtt_samples_ms(probe).into_iter().skip(5));
@@ -63,12 +63,7 @@ fn enforced_window_reaches_the_guest() {
         "guest should see the enforced window, saw {} B",
         ep.peer_rwnd()
     );
-    let rewrites = tb
-        .host_mut(0)
-        .datapath()
-        .counters()
-        .rwnd_rewrites
-        .load(std::sync::atomic::Ordering::Relaxed);
+    let rewrites = tb.host_mut(0).datapath().counters().rwnd_rewrites.get();
     assert!(rewrites > 100, "rewrites = {rewrites}");
 }
 
@@ -83,12 +78,7 @@ fn policing_contains_nonconforming_stack() {
     let good = tb.add_bulk(0, 1, None, 0);
     tb.run_until(100 * MILLISECOND);
     let good_bytes = tb.acked_bytes(good);
-    let policed_good = tb
-        .host_mut(0)
-        .datapath()
-        .counters()
-        .policed_drops
-        .load(std::sync::atomic::Ordering::Relaxed);
+    let policed_good = tb.host_mut(0).datapath().counters().policed_drops.get();
     assert_eq!(policed_good, 0, "conforming flow must not be policed");
 
     // Non-conforming guest on a *congested* trunk: ECN marks keep the
@@ -116,12 +106,7 @@ fn policing_contains_nonconforming_stack() {
         .add_connection(scfg, false, None, None, ConnTaps::default());
     tb.kick_host(1, 0);
     tb.run_until(200 * MILLISECOND);
-    let policed = tb
-        .host_mut(1)
-        .datapath()
-        .counters()
-        .policed_drops
-        .load(std::sync::atomic::Ordering::Relaxed);
+    let policed = tb.host_mut(1).datapath().counters().policed_drops.get();
     assert!(policed > 0, "rogue flow must be policed");
     let _ = good_bytes;
 }
@@ -157,13 +142,17 @@ fn acdc_restores_fairness_across_stacks() {
                     None,
                     i as u64 * 100_000,
                     ConnTaps::default(),
+                    None,
                 )
             })
             .collect();
+        tb.run_until(100 * MILLISECOND);
+        let warm: Vec<u64> = flows.iter().map(|&h| tb.acked_bytes(h)).collect();
         tb.run_until(500 * MILLISECOND);
         let tputs: Vec<f64> = flows
             .iter()
-            .map(|&h| tb.flow_gbps(h, 100 * MILLISECOND, 500 * MILLISECOND))
+            .zip(warm)
+            .map(|(&h, w)| tb.flow_gbps(h, w, 100 * MILLISECOND, 500 * MILLISECOND))
             .collect();
         jains.push(acdc_stats::jain_index(&tputs).unwrap());
     }
@@ -181,11 +170,31 @@ fn ecn_coexistence_fixed_by_acdc() {
     let share = |acdc: bool| {
         let scheme = if acdc { Scheme::acdc() } else { Scheme::Dctcp };
         let mut tb = Testbed::dumbbell(2, scheme, 9000);
-        let cubic = tb.add_bulk_with_cc(0, 2, CcKind::Cubic, false, None, 0, ConnTaps::default());
-        let dctcp = tb.add_bulk_with_cc(1, 3, CcKind::Dctcp, true, None, 0, ConnTaps::default());
+        let cubic = tb.add_bulk_with_cc(
+            0,
+            2,
+            CcKind::Cubic,
+            false,
+            None,
+            0,
+            ConnTaps::default(),
+            None,
+        );
+        let dctcp = tb.add_bulk_with_cc(
+            1,
+            3,
+            CcKind::Dctcp,
+            true,
+            None,
+            0,
+            ConnTaps::default(),
+            None,
+        );
+        tb.run_until(100 * MILLISECOND);
+        let (c0, d0) = (tb.acked_bytes(cubic), tb.acked_bytes(dctcp));
         tb.run_until(500 * MILLISECOND);
-        let c = tb.flow_gbps(cubic, 100 * MILLISECOND, 500 * MILLISECOND);
-        let d = tb.flow_gbps(dctcp, 100 * MILLISECOND, 500 * MILLISECOND);
+        let c = tb.flow_gbps(cubic, c0, 100 * MILLISECOND, 500 * MILLISECOND);
+        let d = tb.flow_gbps(dctcp, d0, 100 * MILLISECOND, 500 * MILLISECOND);
         c / (c + d)
     };
     let without = share(false);

@@ -4,6 +4,7 @@
 
 use acdc_core::{Scheme, Testbed};
 use acdc_stats::time::MILLISECOND;
+use acdc_workloads::apps::BulkSender;
 
 fn incast_p50_rtt_ms(scheme: Scheme, floor_2mss: bool) -> f64 {
     let n = 12; // scaled-down fan-in
@@ -61,10 +62,13 @@ fn priority_betas_order_throughput() {
         }));
     });
     let flows: Vec<_> = (0..3).map(|i| tb.add_bulk(i, 3 + i, None, 0)).collect();
+    tb.run_until(100 * MILLISECOND);
+    let warm: Vec<u64> = flows.iter().map(|&h| tb.acked_bytes(h)).collect();
     tb.run_until(400 * MILLISECOND);
     let tputs: Vec<f64> = flows
         .iter()
-        .map(|&h| tb.flow_gbps(h, 100 * MILLISECOND, 400 * MILLISECOND))
+        .zip(warm)
+        .map(|(&h, w)| tb.flow_gbps(h, w, 100 * MILLISECOND, 400 * MILLISECOND))
         .collect();
     assert!(
         tputs[0] > tputs[1] && tputs[1] > tputs[2],
@@ -95,7 +99,7 @@ fn computed_window_tracks_native_dctcp() {
         trace_cwnd: true,
         ..ConnTaps::default()
     };
-    let h = tb.add_bulk_tapped(0, 2, None, 0, taps);
+    let h = tb.add_flow(0, 2, Some(Box::new(BulkSender::unlimited())), None, 0, taps);
     let _other = tb.add_bulk(1, 3, None, 0);
     tb.run_until(300 * MILLISECOND);
 

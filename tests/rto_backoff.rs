@@ -10,7 +10,6 @@
 use acdc_core::{Scheme, Testbed};
 use acdc_faults::FaultPlan;
 use acdc_stats::time::MILLISECOND;
-use std::sync::atomic::Ordering;
 
 #[test]
 fn sustained_ge_loss_drives_exponential_backoff_then_recovery() {
@@ -51,12 +50,7 @@ fn sustained_ge_loss_drives_exponential_backoff_then_recovery() {
 
     // The client-side vSwitch watches the same packets and must have
     // inferred the timeouts from its reconstructed state (§3.1).
-    let inferred = tb
-        .host_mut(0)
-        .datapath()
-        .counters()
-        .inferred_timeouts
-        .load(Ordering::Relaxed);
+    let inferred = tb.host_mut(0).datapath().counters().inferred_timeouts.get();
     assert!(
         inferred > 0,
         "vSwitch must infer RTOs from the packet stream"
