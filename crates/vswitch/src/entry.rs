@@ -7,7 +7,7 @@
 //! host of the data receiver); each host only exercises its own half.
 
 use acdc_cc::{CcConfig, CcKind};
-use acdc_packet::SeqNumber;
+use acdc_packet::{PackOption, SeqNumber};
 use acdc_stats::time::{Nanos, MILLISECOND};
 
 use crate::rwnd::RwndRewriter;
@@ -200,6 +200,22 @@ impl FlowEntry {
         self.rx_total = 0;
         self.rx_marked = 0;
         (total, marked)
+    }
+
+    /// Fold a PACK's counters into the sender-role feedback accumulators.
+    /// The option is wire input: `marked` is clamped to `total` here, as
+    /// [`FlowEntry::take_feedback`] clamps it on the emitting side, so a
+    /// spoofed PACK cannot hand the algorithm more marked bytes than
+    /// bytes.
+    pub(crate) fn absorb_feedback(&mut self, pack: PackOption) {
+        self.fb_total += u64::from(pack.total_bytes);
+        self.fb_marked += u64::from(pack.marked_bytes.min(pack.total_bytes));
+        debug_assert!(
+            self.fb_marked <= self.fb_total,
+            "PACK feedback counters inconsistent: marked {} > total {}",
+            self.fb_marked,
+            self.fb_total
+        );
     }
 
     /// Record an RTT sample into the entry's smoothed estimate.

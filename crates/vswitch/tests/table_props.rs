@@ -1,8 +1,14 @@
-//! Property tests for `FlowTable` capacity invariants: under arbitrary
+//! Property tests for `FlowTable`. Capacity invariants: under arbitrary
 //! interleavings of create / remove / touch / gc the table never exceeds
 //! its cap, its O(1) count always agrees with an actual enumeration, and
 //! the whole op sequence is deterministic — same ops ⇒ same survivor set
-//! and same admission outcomes, for both admission policies.
+//! and same admission outcomes, for both admission policies. The probing
+//! index inside a shard: keys that all land in one shard, run against a
+//! `BTreeMap` model, so clusters, wraparound, growth and backward-shift
+//! removal all happen.
+
+use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use acdc_cc::{CcConfig, CcKind};
 use acdc_packet::FlowKey;
@@ -133,5 +139,142 @@ proptest! {
         prop_assert!(t.get(&key(100)).is_some());
         prop_assert!(t.get(&key(101)).is_some());
         prop_assert_eq!(t.len(), 2);
+    }
+}
+
+/// Keys in the one-shard universe.
+const CROWD: usize = 24;
+
+#[derive(Debug, Clone, Copy)]
+enum ShardOp {
+    /// get_or_create the keyed flow, stamping `last_activity`.
+    Create(u8, u16),
+    /// Remove the keyed flow if present.
+    Remove(u8),
+    /// Look the keyed flow up through `with_entry`.
+    Get(u8),
+    /// Garbage-collect at the given time with a fixed idle timeout.
+    Gc(u16),
+    /// Drop every entry.
+    Clear,
+}
+
+fn shard_op_strategy() -> impl Strategy<Value = ShardOp> {
+    let k = 0u8..CROWD as u8;
+    prop_oneof![
+        6 => (k.clone(), 0u16..1000).prop_map(|(k, t)| ShardOp::Create(k, t)),
+        3 => k.clone().prop_map(ShardOp::Remove),
+        2 => k.prop_map(ShardOp::Get),
+        1 => (0u16..1000).prop_map(ShardOp::Gc),
+        1 => Just(ShardOp::Clear),
+    ]
+}
+
+/// `CROWD` keys that all map to one shard, found by searching ports.
+fn crowd() -> &'static [FlowKey] {
+    static CROWD_KEYS: OnceLock<Vec<FlowKey>> = OnceLock::new();
+    CROWD_KEYS.get_or_init(|| {
+        let shard = FlowTable::shard_of(&key(0));
+        (0..=u16::MAX)
+            .map(|p| FlowKey {
+                src_port: p,
+                ..key(0)
+            })
+            .filter(|k| FlowTable::shard_of(k) == shard)
+            .take(CROWD)
+            .collect()
+    })
+}
+
+fn last_activity(t: &FlowTable, k: &FlowKey) -> Option<u64> {
+    t.get(k)
+        .map(|slot| slot.lock().checkpoint_state().last_activity)
+}
+
+/// Run `ops` on a fresh unbounded table beside a `BTreeMap` model of
+/// key → `last_activity`, checking after every step that membership,
+/// values and `len` agree and that a walk visits each live key exactly
+/// once. Returns every step's walk order.
+fn run_shard_ops(ops: &[ShardOp]) -> Vec<Vec<u16>> {
+    const IDLE: u64 = 250;
+    let keys = crowd();
+    let t = FlowTable::new();
+    let mut model: BTreeMap<FlowKey, u64> = BTreeMap::new();
+    let mut walks = Vec::new();
+    for op in ops {
+        match *op {
+            ShardOp::Create(k, now) => {
+                let (k, now) = (keys[usize::from(k)], u64::from(now));
+                let (slot, adm) = t.get_or_create(k, || entry(now));
+                touch(&mut slot.expect("unbounded").lock(), now);
+                let expected = if model.insert(k, now).is_some() {
+                    Admission::Existing
+                } else {
+                    Admission::Created
+                };
+                assert_eq!(adm, expected, "{k}");
+            }
+            ShardOp::Remove(k) => {
+                let k = keys[usize::from(k)];
+                assert_eq!(t.remove(&k), model.remove(&k).is_some(), "{k}");
+            }
+            ShardOp::Get(k) => {
+                // The per-packet path; the checks below use `get`.
+                let k = &keys[usize::from(k)];
+                let seen = t.with_entry(k, |slot| slot.lock().checkpoint_state().last_activity);
+                assert_eq!(seen, model.get(k).copied(), "{k}");
+            }
+            ShardOp::Gc(now) => {
+                let now = u64::from(now);
+                let before = model.len();
+                model.retain(|_, last| now.saturating_sub(*last) <= IDLE);
+                assert_eq!(t.gc(now, IDLE), before - model.len());
+            }
+            ShardOp::Clear => {
+                assert_eq!(t.clear(), model.len());
+                model.clear();
+            }
+        }
+        assert_eq!(t.len(), model.len());
+        for k in keys {
+            assert_eq!(last_activity(&t, k), model.get(k).copied(), "{k}");
+        }
+        let mut walk = Vec::new();
+        t.for_each(|k, _| walk.push(*k));
+        let mut sorted = walk.clone();
+        sorted.sort_unstable();
+        assert!(
+            sorted.iter().eq(model.keys()),
+            "walk {walk:?} is not the live set"
+        );
+        walks.push(walk.iter().map(|k| k.src_port).collect());
+    }
+    walks
+}
+
+fn check_shard_ops(ops: &[ShardOp]) {
+    assert_eq!(
+        run_shard_ops(ops),
+        run_shard_ops(ops),
+        "walk order diverged"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn one_shard_matches_model(ops in prop::collection::vec(shard_op_strategy(), 1..200)) {
+        check_shard_ops(&ops);
+    }
+}
+
+proptest! {
+    // nightly.yml runs this twin (`-- --ignored`).
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+    #[test]
+    #[ignore = "4096 cases; run with --ignored (nightly)"]
+    fn one_shard_matches_model_4096(ops in prop::collection::vec(shard_op_strategy(), 1..200)) {
+        check_shard_ops(&ops);
     }
 }
