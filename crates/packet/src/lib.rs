@@ -43,7 +43,7 @@ pub use ipv4::{Ipv4Packet, Ipv4Repr, PROTO_TCP, PROTO_UDP};
 pub use meta::PacketMeta;
 pub use pack::PackOption;
 pub use pool::{PoolStats, SegmentPool};
-pub use segment::{FlowKey, Segment};
+pub use segment::{mix64, FlowKey, Segment};
 pub use seq::{SeqNumber, SeqView};
 pub use tcp::{TcpFlags, TcpOption, TcpPacket, TcpRepr};
 pub use udp::{UdpPacket, UdpRepr};

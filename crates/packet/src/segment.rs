@@ -83,6 +83,21 @@ impl FlowKey {
     }
 }
 
+/// MurmurHash3's 64-bit finalizer: full-avalanche mixing, so every input
+/// bit reaches every output bit. [`FlowKey::hash64`] needs it wherever a
+/// few of its bits index something: FNV-1a's low bit is the XOR of the
+/// input bytes' low bits, and its high bits see the last bytes only
+/// through one multiply.
+#[inline]
+pub fn mix64(mut x: u64) -> u64 {
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    x ^= x >> 33;
+    x
+}
+
 impl core::fmt::Display for FlowKey {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(

@@ -6,9 +6,10 @@ use acdc_cc::CcKind;
 use acdc_packet::{
     Ecn, FlowKey, Ipv4Repr, PackOption, Segment, SeqNumber, TcpFlags, TcpOption, TcpRepr, PROTO_TCP,
 };
+use acdc_telemetry::EventKind;
 use acdc_vswitch::{
-    AcdcConfig, AcdcDatapath, AdmissionPolicy, CcPolicy, DropReason, HealthState, Verdict,
-    VirtualCc,
+    AcdcConfig, AcdcDatapath, AdmissionPolicy, CcPolicy, DropReason, FlowTable, HealthState,
+    Verdict, VirtualCc,
 };
 
 const A: [u8; 4] = [10, 0, 0, 1];
@@ -896,6 +897,69 @@ fn checkpoint_restore_continues_byte_identically() {
         fresh.telemetry().registry().snapshot_all()
     );
     assert_eq!(dpa.seq_view(&key_ab()), fresh.seq_view(&key_ab()));
+}
+
+#[test]
+fn sweep_events_after_restore_match_the_uninterrupted_run() {
+    // 48 connections whose data-direction entries share one shard, opened
+    // in descending port order. Restore re-creates entries in ascending
+    // key order, so entries whose probes collide sit in other buckets
+    // than in the original table; the events a sweep records must not
+    // follow them.
+    let on = |p: u16| FlowKey {
+        src_port: p,
+        ..key_ab()
+    };
+    let shard = FlowTable::shard_of(&key_ab());
+    let ports: Vec<u16> = (1_024..=u16::MAX)
+        .filter(|&p| FlowTable::shard_of(&on(p)) == shard)
+        .take(48)
+        .collect();
+    assert_eq!(ports.len(), 48);
+    let dp = AcdcDatapath::new(AcdcConfig::dctcp(MTU));
+    for (i, &p) in ports.iter().rev().enumerate() {
+        let now = 1_000 * i as u64;
+        dp.egress(now, syn_on(p, 9)).forwarded().unwrap();
+        let mut sa = TcpRepr::new(BP, p);
+        sa.seq = SeqNumber(ISS_B);
+        sa.ack = SeqNumber(ISS_A + 1);
+        sa.flags = TcpFlags::SYN | TcpFlags::ACK;
+        sa.window = 65_000;
+        sa.options = vec![TcpOption::WindowScale(9)];
+        dp.ingress(now + 100, Segment::new_tcp(ip(B, A, Ecn::NotEct), sa, 0))
+            .forwarded()
+            .unwrap();
+        // Data that is never acked: every connection's timeout fires.
+        dp.egress(now + 200, data_on(p, 0, MSS))
+            .forwarded()
+            .unwrap();
+        if i % 2 == 0 {
+            // Half close, so the sweep below collects them.
+            let mut fin = TcpRepr::new(p, BP);
+            fin.seq = SeqNumber(ISS_A + 1 + MSS as u32);
+            fin.ack = SeqNumber(ISS_B + 1);
+            fin.flags = TcpFlags::ACK | TcpFlags::FIN;
+            dp.egress(now + 300, Segment::new_tcp(ip(A, B, Ecn::NotEct), fin, 0));
+        }
+    }
+    let next_seq = dp.telemetry().recorder().total_recorded();
+    let fresh = AcdcDatapath::new(AcdcConfig::dctcp(MTU));
+    fresh.restore(&dp.checkpoint(1_000_000, &[])).unwrap();
+
+    let sweep = |d: &AcdcDatapath| {
+        d.tick(50_000_000);
+        d.gc(50_000_000, 30_000_000_000);
+        let events = d.telemetry().recorder().events();
+        events
+            .into_iter()
+            .filter(|e| e.seq >= next_seq)
+            .collect::<Vec<_>>()
+    };
+    let (run, restored) = (sweep(&dp), sweep(&fresh));
+    let count = |f: fn(&EventKind) -> bool| run.iter().filter(|e| f(&e.kind)).count();
+    assert!(count(|k| matches!(k, EventKind::RtoFired { .. })) >= 24);
+    assert!(count(|k| matches!(k, EventKind::FlowEvicted { .. })) >= 24);
+    assert_eq!(run, restored, "sweep events diverged after restore");
 }
 
 #[test]

@@ -18,19 +18,7 @@
 //! selection masks ten bits and tolerates this; picking one worker out
 //! of two does not.
 
-use acdc_packet::FlowKey;
-
-/// MurmurHash3's 64-bit finalizer: full-avalanche mixing so every input
-/// bit reaches the low bits the modulo looks at.
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    x ^= x >> 33;
-    x
-}
+use acdc_packet::{mix64, FlowKey};
 
 /// The direction-normalized form of `key`: the lexicographically smaller
 /// of the key and its reverse, so a flow and its ACK stream agree.
