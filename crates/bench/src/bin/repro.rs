@@ -36,12 +36,12 @@ fn main() {
                     .unwrap_or_else(|| usage("--seed needs a number"));
             }
             "list" => {
-                for id in experiments::ALL {
+                for id in experiments::ids() {
                     println!("{id}");
                 }
                 return;
             }
-            "all" => ids.extend(experiments::ALL.iter().map(|s| s.to_string())),
+            "all" => ids.extend(experiments::ids().map(String::from)),
             other if other.starts_with('-') => usage(&format!("unknown flag {other}")),
             other => ids.push(other.to_string()),
         }
@@ -72,6 +72,6 @@ fn main() {
 fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
     eprintln!("usage: repro <id>... [--full] [--seed N] | repro all | repro list");
-    eprintln!("ids: {}", experiments::ALL.join(" "));
+    eprintln!("ids: {}", experiments::ids().collect::<Vec<_>>().join(" "));
     std::process::exit(2);
 }

@@ -21,7 +21,7 @@ use acdc_core::{Scheme, Testbed};
 use acdc_faults::FaultPlan;
 use acdc_stats::time::{MILLISECOND, SECOND};
 
-use super::common::{pctl, Opts, Report};
+use super::common::{mbps, mean, pctl, Opts, Report};
 
 /// Incast RTT with the default byte floor vs a 2-MSS floor.
 fn floor_ablation(rep: &mut Report, dur: u64) {
@@ -39,19 +39,8 @@ fn floor_ablation(rep: &mut Report, dur: u64) {
         let n = 47;
         let flows: Vec<_> = (0..n).map(|s| tb.add_bulk(s, n, None, 0)).collect();
         let probe = tb.add_pingpong(n + 1, n, 64, MILLISECOND, 0);
-        let warm = dur / 4;
-        tb.run_until(warm);
-        let base: Vec<u64> = flows.iter().map(|&h| tb.acked_bytes(h)).collect();
-        tb.run_until(dur);
-        let w = (dur - warm) as f64;
-        let avg = flows
-            .iter()
-            .zip(&base)
-            .map(|(&h, &b)| (tb.acked_bytes(h) - b) as f64 * 8.0 / w * 1000.0)
-            .sum::<f64>()
-            / n as f64;
-        let mut rtt = acdc_stats::Distribution::new();
-        rtt.extend(tb.rtt_samples_ms(probe).into_iter().skip(5));
+        let avg = mean(&mbps(tb.goodput_gbps(&flows, dur / 4, dur)));
+        let mut rtt = tb.probe_rtt_ms(probe);
         rep.line(format!(
             "    {label:<18} {:>10.3} {:>14.3} {:>15.0}",
             pctl(&mut rtt, 50.0),
@@ -72,24 +61,13 @@ fn k_ablation(rep: &mut Report, dur: u64) {
         tb.build_dumbbell(6);
         let flows: Vec<_> = (0..5).map(|i| tb.add_bulk(i, 6 + i, None, 0)).collect();
         let probe = tb.add_pingpong(5, 11, 64, MILLISECOND / 2, 0);
-        let warm = dur / 4;
-        tb.run_until(warm);
-        let base: Vec<u64> = flows.iter().map(|&h| tb.acked_bytes(h)).collect();
-        tb.run_until(dur);
-        let w = (dur - warm) as f64;
-        let mean = flows
-            .iter()
-            .zip(&base)
-            .map(|(&h, &b)| (tb.acked_bytes(h) - b) as f64 * 8.0 / w)
-            .sum::<f64>()
-            / 5.0;
-        let mut rtt = acdc_stats::Distribution::new();
-        rtt.extend(tb.rtt_samples_ms(probe).into_iter().skip(5));
+        let gbps = mean(&tb.goodput_gbps(&flows, dur / 4, dur));
+        let mut rtt = tb.probe_rtt_ms(probe);
         rep.line(format!(
             "    {:>5}   {:>11.0}   {:>15.2}",
             k / 1000,
             pctl(&mut rtt, 50.0) * 1000.0,
-            mean
+            gbps
         ));
     }
     rep.line("    → the DCTCP trade-off: small K = low RTT but (eventually) lost throughput");
@@ -120,8 +98,7 @@ fn fack_ablation(rep: &mut Report, dur: u64) {
         }
         let probe = tb.add_pingpong(2, 5, 64, MILLISECOND, 0);
         tb.run_until(dur);
-        let mut rtt = acdc_stats::Distribution::new();
-        rtt.extend(tb.rtt_samples_ms(probe).into_iter().skip(5));
+        let mut rtt = tb.probe_rtt_ms(probe);
         let (mut facks, mut dropped) = (0u64, 0u64);
         for i in 0..tb.host_count() {
             let reg = tb.host_mut(i).telemetry().registry();
@@ -150,17 +127,7 @@ fn loss_ablation(rep: &mut Report, dur: u64) {
         }
         tb.build_dumbbell(3);
         let flows: Vec<_> = (0..3).map(|i| tb.add_bulk(i, 3 + i, None, 0)).collect();
-        let warm = dur / 4;
-        tb.run_until(warm);
-        let base: Vec<u64> = flows.iter().map(|&h| tb.acked_bytes(h)).collect();
-        tb.run_until(dur);
-        let w = (dur - warm) as f64;
-        let mean = flows
-            .iter()
-            .zip(&base)
-            .map(|(&h, &b)| (tb.acked_bytes(h) - b) as f64 * 8.0 / w)
-            .sum::<f64>()
-            / 3.0;
+        let gbps = mean(&tb.goodput_gbps(&flows, dur / 4, dur));
         let rtx: u64 = flows
             .iter()
             .map(|&h| tb.client_endpoint(h).retransmitted_segments())
@@ -174,7 +141,7 @@ fn loss_ablation(rep: &mut Report, dur: u64) {
         rep.line(format!(
             "    {:>7.1}   {:>18.2} {:>11} {:>19} {:>14}",
             p * 100.0,
-            mean,
+            gbps,
             rtx,
             fast,
             rto

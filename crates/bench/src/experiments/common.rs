@@ -1,10 +1,13 @@
-//! Shared experiment plumbing: options, reports, and the dumbbell runner
-//! most microbenchmarks are built on.
+//! Shared experiment plumbing: options, reports, the dumbbell runner
+//! most microbenchmarks are built on, and the mice-beside-background
+//! runner of the FCT macrobenchmarks.
 
 use acdc_cc::CcKind;
-use acdc_core::{ConnTaps, FlowHandle, Scheme, Testbed};
+use acdc_core::{ConnTaps, FanoutSender, FlowHandle, Scheme, Testbed, WindowSample};
 use acdc_stats::time::{Nanos, MILLISECOND, SECOND};
 use acdc_stats::Distribution;
+use acdc_workloads::patterns::mice_peer;
+use acdc_workloads::{BulkSender, FctKind, FctRecorder};
 
 /// Experiment options.
 #[derive(Debug, Clone)]
@@ -136,7 +139,20 @@ pub struct DumbbellOut {
 impl DumbbellOut {
     /// Mean per-flow throughput.
     pub fn mean_gbps(&self) -> f64 {
-        self.tputs_gbps.iter().sum::<f64>() / self.tputs_gbps.len().max(1) as f64
+        mean(&self.tputs_gbps)
+    }
+
+    /// Per-flow throughput as `max / min / mean / median` (Gbps).
+    pub fn spread(&self) -> String {
+        let mut d = Distribution::new();
+        d.extend(self.tputs_gbps.iter().copied());
+        format!(
+            "{:.2} / {:.2} / {:.2} / {:.2}",
+            d.max().unwrap(),
+            d.min().unwrap(),
+            d.mean().unwrap(),
+            d.median().unwrap()
+        )
     }
 }
 
@@ -182,30 +198,136 @@ pub fn run_dumbbell(spec: &DumbbellSpec) -> DumbbellOut {
         tb.add_pingpong(n, 2 * n + 1, 64, MILLISECOND / 2, 0)
     });
 
-    tb.run_until(spec.warmup);
-    let base: Vec<u64> = flows.iter().map(|&h| tb.acked_bytes(h)).collect();
-    tb.run_until(spec.duration);
-
-    let tputs_gbps: Vec<f64> = flows
-        .iter()
-        .zip(&base)
-        .map(|(&h, &b)| tb.flow_gbps(h, b, spec.warmup, spec.duration))
-        .collect();
-    let jain = acdc_stats::jain_index(&tputs_gbps).unwrap_or(0.0);
-
-    let mut rtt_ms = Distribution::new();
-    if let Some(p) = probe {
-        // Skip the first samples (handshake warm-up).
-        let samples = tb.rtt_samples_ms(p);
-        rtt_ms.extend(samples.into_iter().skip(5));
-    }
-    let drop_rate = tb.drop_rate();
-
+    let tputs_gbps = tb.goodput_gbps(&flows, spec.warmup, spec.duration);
     DumbbellOut {
+        jain: acdc_stats::jain_index(&tputs_gbps).unwrap_or(0.0),
         tputs_gbps,
-        jain,
-        rtt_ms,
-        drop_rate,
+        rtt_ms: probe.map(|p| tb.probe_rtt_ms(p)).unwrap_or_default(),
+        drop_rate: tb.drop_rate(),
+    }
+}
+
+/// The window-trace run of Figures 9/10: five bulk flows across the
+/// 1.5 KB dumbbell for `dur`, the first traced by its guest and by the
+/// vSwitch. Returns [`Testbed::window_trace`] of that flow.
+pub fn traced_dumbbell(scheme: Scheme, log_only: bool, dur: Nanos) -> (usize, Vec<WindowSample>) {
+    let mut tb = Testbed::dumbbell_with(5, scheme, 1500, move |cfg| {
+        cfg.log_only = log_only;
+        cfg.trace_windows = true;
+    });
+    let taps = ConnTaps {
+        trace_cwnd: true,
+        ..ConnTaps::default()
+    };
+    let traced = tb.add_flow(0, 5, Some(Box::new(BulkSender::unlimited())), None, 0, taps);
+    for i in 1..5 {
+        tb.add_bulk(i, 5 + i, None, 0);
+    }
+    tb.run_until(dur);
+    tb.window_trace(traced)
+}
+
+/// The samples of `trace` in the 100 ms from `from`, at least 10 ms
+/// apart: the sparse joint trace Figures 9/10 print.
+pub fn sparse_trace(trace: &[WindowSample], from: Nanos) -> Vec<WindowSample> {
+    let mut next = from;
+    trace
+        .iter()
+        .filter(|s| s.at >= from)
+        .take_while(|s| s.at <= from + 100 * MILLISECOND)
+        .filter(|s| {
+            let due = s.at >= next;
+            if due {
+                next = s.at + 10 * MILLISECOND;
+            }
+            due
+        })
+        .copied()
+        .collect()
+}
+
+/// Hosts on the star of the FCT macrobenchmarks (the paper's 17 servers).
+pub const SERVERS: usize = 17;
+
+/// The background load of Figures 21/22: every server sends `bytes` to
+/// each of its destinations in order, `concurrency` transfers at a time,
+/// server `i` starting at `i × stagger` and repeating until shortly
+/// before the deadline.
+pub struct Background {
+    /// Per-server destination order.
+    pub orders: Vec<Vec<usize>>,
+    /// Bytes per transfer.
+    pub bytes: u64,
+    /// Transfers a server keeps open at once.
+    pub concurrency: usize,
+    /// Start offset between consecutive servers, so background phases
+    /// decorrelate (on the real testbed natural timing variation does
+    /// this) and receivers see a time-varying number of flows.
+    pub stagger: Nanos,
+}
+
+/// Run `bg` on the star beside the 16 KB mice overlay (server `i`
+/// messages [`mice_peer`]`(i)` every `mice_period`) and return the mice
+/// and background FCTs.
+fn mice_and_background_fcts(
+    scheme: Scheme,
+    bg: &Background,
+    mice_period: Nanos,
+    deadline: Nanos,
+) -> (FctRecorder, FctRecorder) {
+    let mut tb = Testbed::star(SERVERS, scheme, 9000);
+    for (i, order) in bg.orders.iter().enumerate() {
+        let conns = order
+            .iter()
+            .map(|&d| {
+                let h = tb.add_flow(i, d, None, None, 0, ConnTaps::default());
+                tb.client_conn_index(h)
+            })
+            .collect();
+        // Stop slightly early so the last transfers complete and record
+        // their FCTs.
+        tb.host_mut(i).add_multi_app(Box::new(
+            FanoutSender::new(conns, bg.bytes, bg.concurrency)
+                .repeating(deadline - deadline / 8)
+                .starting_at(i as u64 * bg.stagger),
+        ));
+    }
+    let mice: Vec<_> = (0..SERVERS)
+        .map(|i| tb.add_messages(i, mice_peer(i, SERVERS), 16_384, mice_period, None, 0))
+        .collect();
+
+    tb.run_until(deadline);
+
+    let mut mice_fct = FctRecorder::new();
+    for &m in &mice {
+        mice_fct.merge(&tb.fct_of(m));
+    }
+    let mut bg_fct = FctRecorder::new();
+    for i in 0..SERVERS {
+        if let Some(f) = tb.host_mut(i).multi_app(0).and_then(|a| a.fct()) {
+            bg_fct.merge(f);
+        }
+    }
+    (mice_fct, bg_fct)
+}
+
+/// One row per scheme of mice and background FCT percentiles under `bg`.
+pub fn mice_and_background(rep: &mut Report, bg: &Background, mice_period: Nanos, deadline: Nanos) {
+    rep.line("scheme                mice p50(ms)  mice p99.9(ms)   bg p50(s)  bg p99.9(s)   n_mice  n_bg");
+    for scheme in Testbed::compared_schemes() {
+        let name = scheme.name();
+        let (mice, bgr) = mice_and_background_fcts(scheme, bg, mice_period, deadline);
+        let mut md = mice.distribution_ms(FctKind::Mice);
+        let mut bd = bgr.distribution_ms(FctKind::Background);
+        rep.line(format!(
+            "{name:<22} {:>11.3} {:>14.3}   {:>9.3} {:>11.3}   {:>6}  {:>4}",
+            pctl(&mut md, 50.0),
+            pctl(&mut md, 99.9),
+            pctl(&mut bd, 50.0) / 1_000.0,
+            pctl(&mut bd, 99.9) / 1_000.0,
+            md.len(),
+            bd.len()
+        ));
     }
 }
 
@@ -213,6 +335,16 @@ pub fn run_dumbbell(spec: &DumbbellSpec) -> DumbbellOut {
 pub fn fmt_tputs(tputs: &[f64]) -> String {
     let parts: Vec<String> = tputs.iter().map(|t| format!("{t:.2}")).collect();
     format!("[{}]", parts.join(", "))
+}
+
+/// Gbps → Mbps, value by value.
+pub fn mbps(gbps: Vec<f64>) -> Vec<f64> {
+    gbps.into_iter().map(|g| g * 1_000.0).collect()
+}
+
+/// The arithmetic mean: the values summed in order, over their count.
+pub fn mean(v: &[f64]) -> f64 {
+    v.iter().sum::<f64>() / v.len() as f64
 }
 
 /// Shorthand percentile with empty-distribution safety.

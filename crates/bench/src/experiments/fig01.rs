@@ -11,7 +11,7 @@
 use acdc_cc::CcKind;
 use acdc_core::Scheme;
 
-use super::common::{fmt_tputs, run_dumbbell, DumbbellSpec, Opts, Report, SEC};
+use super::common::{fmt_tputs, mean, run_dumbbell, DumbbellSpec, Opts, Report, SEC};
 
 /// The five stacks of Figure 1a, in the paper's legend order.
 pub const STACKS: [CcKind; 5] = [
@@ -59,10 +59,7 @@ pub fn run(opts: &Opts) -> Report {
             agg_mixed[i].push(*v);
         }
     }
-    let means: Vec<f64> = agg_mixed
-        .iter()
-        .map(|v| v.iter().sum::<f64>() / v.len() as f64)
-        .collect();
+    let means: Vec<f64> = agg_mixed.iter().map(|v| mean(v)).collect();
     rep.line(format!("    mean  {}", fmt_tputs(&means)));
     let aggressive = means[0].max(means[4]); // illinois, highspeed
     let meek = means[2].min(means[3]); // reno, vegas
@@ -79,15 +76,10 @@ pub fn run(opts: &Opts) -> Report {
             ..DumbbellSpec::five_pairs(scheme.clone(), 9000, dur)
         };
         let out = run_dumbbell(&spec);
-        let mut d = acdc_stats::Distribution::new();
-        d.extend(out.tputs_gbps.iter().copied());
         rep.line(format!(
-            "    test {:>2}: {:.2} / {:.2} / {:.2} / {:.2}  (jain {:.3})",
+            "    test {:>2}: {}  (jain {:.3})",
             t + 1,
-            d.max().unwrap(),
-            d.min().unwrap(),
-            d.mean().unwrap(),
-            d.median().unwrap(),
+            out.spread(),
             out.jain
         ));
     }

@@ -22,24 +22,17 @@ fn sweep(mtu: usize) -> Vec<u64> {
 fn tput_cwnd_clamp(mtu: usize, clamp_pkts: u64, dur: u64) -> f64 {
     let mut tb = Testbed::dumbbell(1, Scheme::Cubic, mtu);
     let mss = u64::from(acdc_tcp::TcpConfig::mss_for_mtu(mtu));
-    // Reach into the flow config through the per-cc path: build the flow,
-    // then clamp via TcpConfig (add_flow_with_clamp below).
-    let h = {
-        // Custom plumbing: same as add_bulk but with cwnd_clamp set.
-        let cc = acdc_cc::CcKind::Cubic;
-        tb.add_bulk_with_cc(
-            0,
-            1,
-            cc,
-            false,
-            None,
-            0,
-            ConnTaps::default(),
-            Some(clamp_pkts * mss),
-        )
-    };
-    tb.run_until(dur);
-    tb.flow_gbps(h, 0, 0, dur)
+    let h = tb.add_bulk_with_cc(
+        0,
+        1,
+        acdc_cc::CcKind::Cubic,
+        false,
+        None,
+        0,
+        ConnTaps::default(),
+        Some(clamp_pkts * mss),
+    );
+    tb.goodput_gbps(&[h], 0, dur)[0]
 }
 
 /// Throughput with AC/DC's *enforced RWND* bounded.
@@ -50,8 +43,7 @@ fn tput_rwnd_bound(mtu: usize, clamp_pkts: u64, dur: u64) -> f64 {
         cfg.max_rwnd_bytes = Some(bound);
     });
     let h = tb.add_bulk(0, 1, None, 0);
-    tb.run_until(dur);
-    tb.flow_gbps(h, 0, 0, dur)
+    tb.goodput_gbps(&[h], 0, dur)[0]
 }
 
 /// Run the experiment.

@@ -6,7 +6,7 @@
 //! The paper also reports the throughput sanity check: all three schemes
 //! average ~1.98 Gbps per flow on the 5-pair dumbbell.
 
-use acdc_core::Scheme;
+use acdc_core::Testbed;
 
 use super::common::{pctl, run_dumbbell, DumbbellSpec, Opts, Report, SEC};
 use super::fig02::cdf_points;
@@ -15,7 +15,7 @@ use super::fig02::cdf_points;
 pub fn run(opts: &Opts) -> Report {
     let mut rep = Report::new("fig8", "RTT of schemes on the dumbbell topology");
     let dur = opts.dur(20 * SEC, 2 * SEC);
-    for scheme in [Scheme::Cubic, Scheme::Dctcp, Scheme::acdc()] {
+    for scheme in Testbed::compared_schemes() {
         let name = scheme.name();
         let mut out = run_dumbbell(&DumbbellSpec::five_pairs(scheme, 9000, dur));
         rep.line(format!(

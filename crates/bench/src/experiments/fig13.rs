@@ -54,15 +54,7 @@ pub fn run(opts: &Opts) -> Report {
             }));
         });
         let flows: Vec<_> = (0..5).map(|i| tb.add_bulk(i, 5 + i, None, 0)).collect();
-        let warm = dur / 5;
-        tb.run_until(warm);
-        let base: Vec<u64> = flows.iter().map(|&h| tb.acked_bytes(h)).collect();
-        tb.run_until(dur);
-        let tputs: Vec<f64> = flows
-            .iter()
-            .zip(&base)
-            .map(|(&h, &b)| (tb.acked_bytes(h) - b) as f64 * 8.0 / (dur - warm) as f64)
-            .collect();
+        let tputs = tb.goodput_gbps(&flows, dur / 5, dur);
         rep.line(format!(
             "  [{},{},{},{},{}]/4   {}",
             combo[0],

@@ -6,7 +6,7 @@
 //! Scaled default: 2 s steps instead of 30 s (each step still spans
 //! thousands of RTTs, which is what convergence needs).
 
-use acdc_core::{ConnTaps, Scheme, Testbed};
+use acdc_core::{ConnTaps, Testbed};
 use acdc_workloads::apps::BulkSender;
 use acdc_workloads::patterns::convergence_schedule;
 
@@ -20,7 +20,7 @@ pub fn run(opts: &Opts) -> Report {
     let sched = convergence_schedule(n, step);
     let total = (2 * n as u64) * step;
 
-    for scheme in [Scheme::Cubic, Scheme::Dctcp, Scheme::acdc()] {
+    for scheme in Testbed::compared_schemes() {
         let name = scheme.name();
         let mut tb = Testbed::dumbbell(n, scheme, 9000);
         let mut flows = Vec::new();

@@ -11,8 +11,8 @@ use acdc_core::{ConnTaps, Scheme, Testbed};
 
 use super::common::{Opts, Report, SEC};
 
-/// Run both halves; returns (cubic_gbps, dctcp_gbps) per case.
-pub fn run_case(acdc: bool, dur: u64) -> (f64, f64, f64) {
+/// Run one half; returns (cubic_gbps, dctcp_gbps, drop rate).
+fn run_case(acdc: bool, dur: u64) -> (f64, f64, f64) {
     // WRED/ECN marking on in both cases (that *is* the hazard).
     let scheme = if acdc { Scheme::acdc() } else { Scheme::Dctcp };
     let mut tb = Testbed::dumbbell(2, scheme, 9000);
@@ -36,15 +36,8 @@ pub fn run_case(acdc: bool, dur: u64) -> (f64, f64, f64) {
         ConnTaps::default(),
         None,
     );
-    let warm = dur / 5;
-    tb.run_until(warm);
-    let b0 = tb.acked_bytes(cubic);
-    let b1 = tb.acked_bytes(dctcp);
-    tb.run_until(dur);
-    let w = (dur - warm) as f64;
-    let c = (tb.acked_bytes(cubic) - b0) as f64 * 8.0 / w;
-    let d = (tb.acked_bytes(dctcp) - b1) as f64 * 8.0 / w;
-    (c, d, tb.drop_rate())
+    let g = tb.goodput_gbps(&[cubic, dctcp], dur / 5, dur);
+    (g[0], g[1], tb.drop_rate())
 }
 
 /// Run the experiment.

@@ -29,10 +29,8 @@ fn probe_rtts(acdc: bool, dur: u64) -> (acdc_stats::Distribution, u64) {
     // drops of case (a).
     let probe = tb.add_pingpong_with_cc(2, 5, CcKind::Cubic, false, 64, MILLISECOND, 0);
     tb.run_until(dur);
-    let mut d = acdc_stats::Distribution::new();
-    d.extend(tb.rtt_samples_ms(probe).into_iter().skip(5));
     let retx = tb.client_endpoint(probe).retransmitted_segments();
-    (d, retx)
+    (tb.probe_rtt_ms(probe), retx)
 }
 
 /// Run the experiment.

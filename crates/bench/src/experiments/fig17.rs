@@ -15,46 +15,30 @@ pub fn run(opts: &Opts) -> Report {
     );
     let runs = opts.runs(10, 5);
     let dur = opts.dur(20 * SEC, SEC);
-
-    rep.line("(a) all native DCTCP (Gbps): max / min / mean / median / jain");
-    for t in 0..runs {
-        let out = run_dumbbell(&DumbbellSpec {
-            probe: false,
-            jitter: t as u64 + 1,
-            ..DumbbellSpec::five_pairs(Scheme::Dctcp, 9000, dur)
-        });
-        let mut d = acdc_stats::Distribution::new();
-        d.extend(out.tputs_gbps.iter().copied());
-        rep.line(format!(
-            "    test {:>2}: {:.2} / {:.2} / {:.2} / {:.2} / {:.3}",
-            t + 1,
-            d.max().unwrap(),
-            d.min().unwrap(),
-            d.mean().unwrap(),
-            d.median().unwrap(),
-            out.jain
-        ));
-    }
-
-    rep.line("(b) five different stacks under AC/DC (Gbps): max / min / mean / median / jain");
-    for t in 0..runs {
-        let out = run_dumbbell(&DumbbellSpec {
-            per_flow_cc: Some(STACKS.iter().map(|&cc| (cc, false)).collect()),
-            probe: false,
-            jitter: t as u64 + 1,
-            ..DumbbellSpec::five_pairs(Scheme::acdc(), 9000, dur)
-        });
-        let mut d = acdc_stats::Distribution::new();
-        d.extend(out.tputs_gbps.iter().copied());
-        rep.line(format!(
-            "    test {:>2}: {:.2} / {:.2} / {:.2} / {:.2} / {:.3}",
-            t + 1,
-            d.max().unwrap(),
-            d.min().unwrap(),
-            d.mean().unwrap(),
-            d.median().unwrap(),
-            out.jain
-        ));
+    let mixed = Some(STACKS.iter().map(|&cc| (cc, false)).collect::<Vec<_>>());
+    for (header, scheme, per_flow_cc) in [
+        ("(a) all native DCTCP", Scheme::Dctcp, None),
+        (
+            "(b) five different stacks under AC/DC",
+            Scheme::acdc(),
+            mixed,
+        ),
+    ] {
+        rep.line(format!("{header} (Gbps): max / min / mean / median / jain"));
+        for t in 0..runs {
+            let out = run_dumbbell(&DumbbellSpec {
+                per_flow_cc: per_flow_cc.clone(),
+                probe: false,
+                jitter: t as u64 + 1,
+                ..DumbbellSpec::five_pairs(scheme.clone(), 9000, dur)
+            });
+            rep.line(format!(
+                "    test {:>2}: {} / {:.3}",
+                t + 1,
+                out.spread(),
+                out.jain
+            ));
+        }
     }
     rep.line("paper shape: (b) tracks (a) — AC/DC pins heterogeneous stacks to DCTCP fairness");
     rep

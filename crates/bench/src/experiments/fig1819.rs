@@ -9,7 +9,7 @@
 use acdc_core::{Scheme, Testbed};
 use acdc_stats::time::MILLISECOND;
 
-use super::common::{pctl, Opts, Report, SEC};
+use super::common::{mbps, mean, pctl, Opts, Report, SEC};
 
 /// Sender counts swept (the paper's 16→47, bounded by 48 switch ports).
 pub const SENDERS: [usize; 4] = [16, 32, 40, 47];
@@ -27,20 +27,10 @@ fn run_incast(scheme: Scheme, n: usize, dur: u64) -> IncastOut {
     let mut tb = Testbed::star(n + 2, scheme, 9000);
     let flows: Vec<_> = (0..n).map(|s| tb.add_bulk(s, n, None, 0)).collect();
     let probe = tb.add_pingpong(n + 1, n, 64, MILLISECOND, 0);
-    let warm = dur / 4;
-    tb.run_until(warm);
-    let base: Vec<u64> = flows.iter().map(|&h| tb.acked_bytes(h)).collect();
-    tb.run_until(dur);
-    let w = (dur - warm) as f64;
-    let tputs: Vec<f64> = flows
-        .iter()
-        .zip(&base)
-        .map(|(&h, &b)| (tb.acked_bytes(h) - b) as f64 * 8.0 / w * 1_000.0)
-        .collect();
-    let mut rtt = acdc_stats::Distribution::new();
-    rtt.extend(tb.rtt_samples_ms(probe).into_iter().skip(5));
+    let tputs = mbps(tb.goodput_gbps(&flows, dur / 4, dur));
+    let mut rtt = tb.probe_rtt_ms(probe);
     IncastOut {
-        avg_mbps: tputs.iter().sum::<f64>() / tputs.len() as f64,
+        avg_mbps: mean(&tputs),
         jain: acdc_stats::jain_index(&tputs).unwrap_or(0.0),
         rtt_p50_ms: pctl(&mut rtt, 50.0),
         rtt_p999_ms: pctl(&mut rtt, 99.9),
@@ -51,7 +41,7 @@ fn run_incast(scheme: Scheme, n: usize, dur: u64) -> IncastOut {
 fn sweep(opts: &Opts) -> Vec<(String, usize, IncastOut)> {
     let dur = opts.dur(10 * SEC, 400 * MILLISECOND);
     let mut rows = Vec::new();
-    for scheme in [Scheme::Cubic, Scheme::Dctcp, Scheme::acdc()] {
+    for scheme in Testbed::compared_schemes() {
         for &n in &SENDERS {
             let out = run_incast(scheme.clone(), n, dur);
             rows.push((scheme.name(), n, out));

@@ -3,11 +3,11 @@
 //! into B1, pressuring the dynamic shared-buffer allocator; the probe
 //! (B2→B1) traverses the single most congested port.
 
-use acdc_core::{Scheme, Testbed};
+use acdc_core::Testbed;
 use acdc_stats::time::MILLISECOND;
 use acdc_workloads::patterns::all_ports;
 
-use super::common::{pctl, Opts, Report, SEC};
+use super::common::{mbps, mean, pctl, Opts, Report, SEC};
 
 /// Run the experiment.
 pub fn run(opts: &Opts) -> Report {
@@ -20,29 +20,17 @@ pub fn run(opts: &Opts) -> Report {
     rep.line(
         "scheme                p50(ms)   p95(ms)   p99(ms)  p99.9(ms)   avg tput(Mbps)   drops(%)",
     );
-    for scheme in [Scheme::Cubic, Scheme::Dctcp, Scheme::acdc()] {
+    for scheme in Testbed::compared_schemes() {
         let name = scheme.name();
         // Hosts: 0..45 group A, 46 = B1, 47 = B2.
         let mut tb = Testbed::star(48, scheme, 9000);
-        let transfers = all_ports(group_a);
-        let flows: Vec<_> = transfers
+        let flows: Vec<_> = all_ports(group_a)
             .iter()
             .map(|t| tb.add_bulk(t.src, t.dst, None, t.start))
             .collect();
         let probe = tb.add_pingpong(47, 46, 64, MILLISECOND, 0);
-        let warm = dur / 4;
-        tb.run_until(warm);
-        let base: Vec<u64> = flows.iter().map(|&h| tb.acked_bytes(h)).collect();
-        tb.run_until(dur);
-        let w = (dur - warm) as f64;
-        let tputs: Vec<f64> = flows
-            .iter()
-            .zip(&base)
-            .map(|(&h, &b)| (tb.acked_bytes(h) - b) as f64 * 8.0 / w * 1_000.0)
-            .collect();
-        let avg = tputs.iter().sum::<f64>() / tputs.len() as f64;
-        let mut rtt = acdc_stats::Distribution::new();
-        rtt.extend(tb.rtt_samples_ms(probe).into_iter().skip(5));
+        let avg = mean(&mbps(tb.goodput_gbps(&flows, dur / 4, dur)));
+        let mut rtt = tb.probe_rtt_ms(probe);
         rep.line(format!(
             "{name:<22} {:>7.3} {:>9.3} {:>9.3} {:>9.3}   {:>13.0}   {:>8.3}",
             pctl(&mut rtt, 50.0),

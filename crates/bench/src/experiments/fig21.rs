@@ -6,93 +6,31 @@
 //! Scaled default: 64 MB background transfers and 16 KB/10 ms mice —
 //! same contention structure, shorter wall-clock.
 
-use acdc_core::{FanoutSender, Scheme, Testbed};
 use acdc_stats::time::MILLISECOND;
-use acdc_workloads::patterns::{mice_peer, stride_background};
-use acdc_workloads::{FctKind, FctRecorder};
+use acdc_workloads::patterns::stride_background;
 
-use super::common::{pctl, Opts, Report, SEC};
-
-/// Build the stride workload on a 17-host star and collect FCTs.
-pub fn run_stride(
-    scheme: Scheme,
-    bg_bytes: u64,
-    mice_period: u64,
-    deadline: u64,
-) -> (FctRecorder, FctRecorder) {
-    let n = 17usize;
-    let mut tb = Testbed::star(n, scheme, 9000);
-    let strides = stride_background(n, 4);
-
-    // Background: per host, connections to its 4 stride peers driven by a
-    // fanout app with concurrency 1 (sequential fashion).
-    for (i, dsts) in strides.iter().enumerate() {
-        let mut conn_indices = Vec::new();
-        for &d in dsts {
-            let h = tb.add_flow(i, d, None, None, 0, Default::default());
-            conn_indices.push(tb.client_conn_index(h));
-        }
-        // Background repeats for the whole run (stop slightly early so
-        // the last transfers complete and record their FCTs).
-        // Stagger senders so background phases decorrelate (on the real
-        // testbed, natural timing variation does this); receivers then see
-        // a time-varying number of concurrent background flows.
-        let stagger = (i as u64) * (deadline / 40);
-        tb.host_mut(i).add_multi_app(Box::new(
-            FanoutSender::new(conn_indices, bg_bytes, 1)
-                .repeating(deadline - deadline / 8)
-                .starting_at(stagger),
-        ));
-    }
-    // Mice: 16 KB messages to (i + 8) mod 17.
-    let mice: Vec<_> = (0..n)
-        .map(|i| tb.add_messages(i, mice_peer(i, n), 16_384, mice_period, None, 0))
-        .collect();
-
-    tb.run_until(deadline);
-
-    let mut mice_fct = FctRecorder::new();
-    for &m in &mice {
-        mice_fct.merge(&tb.fct_of(m));
-    }
-    let mut bg_fct = FctRecorder::new();
-    for i in 0..n {
-        if let Some(f) = tb.host_mut(i).multi_app(0).and_then(|a| a.fct()) {
-            bg_fct.merge(f);
-        }
-    }
-    (mice_fct, bg_fct)
-}
+use super::common::{mice_and_background, Background, Opts, Report, SEC, SERVERS};
 
 /// Run the experiment.
 pub fn run(opts: &Opts) -> Report {
     let mut rep = Report::new("fig21", "concurrent stride: mice & background FCTs");
-    let (bg, period, deadline) = if opts.full {
+    let (bytes, period, deadline) = if opts.full {
         (512u64 << 20, 100 * MILLISECOND, 60 * SEC)
     } else {
         (64u64 << 20, 10 * MILLISECOND, 4 * SEC)
     };
     rep.line(format!(
         "background {} MB ×4 per host, mice 16 KB every {} ms",
-        bg >> 20,
+        bytes >> 20,
         period / MILLISECOND
     ));
-    rep.line("scheme                mice p50(ms)  mice p99.9(ms)   bg p50(s)  bg p99.9(s)   n_mice  n_bg");
-    for scheme in [Scheme::Cubic, Scheme::Dctcp, Scheme::acdc()] {
-        let name = scheme.name();
-        let (mice, bgr) = run_stride(scheme, bg, period, deadline);
-        let mut md = mice.distribution_ms(FctKind::Mice);
-        let mut bd = bgr.distribution_ms(FctKind::Background);
-        rep.line(format!(
-            "{name:<22} {:>11.3} {:>14.3}   {:>9.3} {:>11.3}   {:>6}  {:>4}",
-            pctl(&mut md, 50.0),
-            pctl(&mut md, 99.9),
-            pctl(&mut bd, 50.0) / 1_000.0,
-            pctl(&mut bd, 99.9) / 1_000.0,
-            md.len(),
-            bd.len()
-        ));
-    }
+    let bg = Background {
+        orders: stride_background(SERVERS, 4),
+        bytes,
+        concurrency: 1,
+        stagger: deadline / 40,
+    };
+    mice_and_background(&mut rep, &bg, period, deadline);
     rep.line("paper shape: DCTCP/AC/DC cut mice p50 by ~77% and p99.9 by ~91–93% vs CUBIC;");
     rep.line("background FCTs similar for DCTCP/AC/DC, longer for CUBIC (worse fairness)");
     rep

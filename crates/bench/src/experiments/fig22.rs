@@ -5,61 +5,12 @@
 //! Scaled default: 24 MB transfers — the all-to-all contention pattern is
 //! preserved while the run stays minutes-not-hours.
 
-use acdc_core::{FanoutSender, Scheme, Testbed};
 use acdc_stats::time::MILLISECOND;
-use acdc_workloads::patterns::{mice_peer, shuffle_orders};
-use acdc_workloads::{FctKind, FctRecorder};
+use acdc_workloads::patterns::shuffle_orders;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use super::common::{pctl, Opts, Report, SEC};
-
-/// Build the shuffle workload on a 17-host star and collect FCTs.
-pub fn run_shuffle(
-    scheme: Scheme,
-    bytes: u64,
-    mice_period: u64,
-    deadline: u64,
-    seed: u64,
-) -> (FctRecorder, FctRecorder) {
-    let n = 17usize;
-    let mut tb = Testbed::star(n, scheme, 9000);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let orders = shuffle_orders(n, &mut rng);
-
-    for (i, order) in orders.iter().enumerate() {
-        let mut conn_indices = Vec::new();
-        for &d in order {
-            let h = tb.add_flow(i, d, None, None, 0, Default::default());
-            conn_indices.push(tb.client_conn_index(h));
-        }
-        // "A sender sends at most 2 flows simultaneously"; the shuffle is
-        // repeated (the paper runs it 30 times) until near the deadline.
-        let stagger = (i as u64) * (deadline / 60);
-        tb.host_mut(i).add_multi_app(Box::new(
-            FanoutSender::new(conn_indices, bytes, 2)
-                .repeating(deadline - deadline / 8)
-                .starting_at(stagger),
-        ));
-    }
-    let mice: Vec<_> = (0..n)
-        .map(|i| tb.add_messages(i, mice_peer(i, n), 16_384, mice_period, None, 0))
-        .collect();
-
-    tb.run_until(deadline);
-
-    let mut mice_fct = FctRecorder::new();
-    for &m in &mice {
-        mice_fct.merge(&tb.fct_of(m));
-    }
-    let mut bg_fct = FctRecorder::new();
-    for i in 0..n {
-        if let Some(f) = tb.host_mut(i).multi_app(0).and_then(|a| a.fct()) {
-            bg_fct.merge(f);
-        }
-    }
-    (mice_fct, bg_fct)
-}
+use super::common::{mice_and_background, Background, Opts, Report, SEC, SERVERS};
 
 /// Run the experiment.
 pub fn run(opts: &Opts) -> Report {
@@ -74,22 +25,15 @@ pub fn run(opts: &Opts) -> Report {
         bytes >> 20,
         period / MILLISECOND
     ));
-    rep.line("scheme                mice p50(ms)  mice p99.9(ms)   bg p50(s)  bg p99.9(s)   n_mice  n_bg");
-    for scheme in [Scheme::Cubic, Scheme::Dctcp, Scheme::acdc()] {
-        let name = scheme.name();
-        let (mice, bgr) = run_shuffle(scheme, bytes, period, deadline, opts.seed);
-        let mut md = mice.distribution_ms(FctKind::Mice);
-        let mut bd = bgr.distribution_ms(FctKind::Background);
-        rep.line(format!(
-            "{name:<22} {:>11.3} {:>14.3}   {:>9.3} {:>11.3}   {:>6}  {:>4}",
-            pctl(&mut md, 50.0),
-            pctl(&mut md, 99.9),
-            pctl(&mut bd, 50.0) / 1_000.0,
-            pctl(&mut bd, 99.9) / 1_000.0,
-            md.len(),
-            bd.len()
-        ));
-    }
+    // "A sender sends at most 2 flows simultaneously"; the shuffle is
+    // repeated (the paper runs it 30 times) until near the deadline.
+    let bg = Background {
+        orders: shuffle_orders(SERVERS, &mut StdRng::seed_from_u64(opts.seed)),
+        bytes,
+        concurrency: 2,
+        stagger: deadline / 60,
+    };
+    mice_and_background(&mut rep, &bg, period, deadline);
     rep.line("paper shape: DCTCP/AC/DC cut mice p50 by ~72% (p99.9 by 55%/73%) vs CUBIC;");
     rep.line("large-flow FCTs nearly identical across schemes");
     rep

@@ -7,27 +7,21 @@ use acdc_core::{Scheme, Testbed, TraceSender};
 use acdc_stats::time::SECOND;
 use acdc_workloads::{FctRecorder, FlowSizeDist};
 
-use super::common::{pctl, Opts, Report};
+use super::common::{pctl, Opts, Report, SERVERS};
+
+/// Generator apps per server.
+const APPS_PER_HOST: usize = 5;
 
 /// Run one (scheme, distribution) cell and return mice FCTs.
-pub fn run_trace(
-    scheme: Scheme,
-    dist: FlowSizeDist,
-    apps_per_host: usize,
-    deadline: u64,
-    seed: u64,
-) -> FctRecorder {
-    let n = 17usize;
+fn run_trace(scheme: Scheme, dist: &FlowSizeDist, deadline: u64, seed: u64) -> FctRecorder {
+    let n = SERVERS;
     let mut tb = Testbed::star(n, scheme, 9000);
-    // Per host: `apps_per_host` generator apps, each owning one
+    // Per host: `APPS_PER_HOST` generator apps, each owning one
     // connection to every other server.
     for i in 0..n {
-        for a in 0..apps_per_host {
+        for a in 0..APPS_PER_HOST {
             let mut conns = Vec::new();
-            for d in 0..n {
-                if d == i {
-                    continue;
-                }
+            for d in (0..n).filter(|&d| d != i) {
                 let h = tb.add_flow(i, d, None, None, 0, Default::default());
                 conns.push(tb.client_conn_index(h));
             }
@@ -46,7 +40,7 @@ pub fn run_trace(
     tb.run_until(deadline);
     let mut fct = FctRecorder::new();
     for i in 0..n {
-        for a in 0..apps_per_host {
+        for a in 0..APPS_PER_HOST {
             if let Some(f) = tb.host_mut(i).multi_app(a).and_then(|x| x.fct()) {
                 fct.merge(f);
             }
@@ -58,17 +52,13 @@ pub fn run_trace(
 /// Run the experiment.
 pub fn run(opts: &Opts) -> Report {
     let mut rep = Report::new("fig23", "trace-driven workloads: mice (<10 KB) FCTs");
-    let (apps, deadline) = if opts.full {
-        (5, 60 * SECOND)
-    } else {
-        (5, SECOND)
-    };
+    let deadline = opts.dur(60 * SECOND, SECOND);
     for dist in [FlowSizeDist::web_search(), FlowSizeDist::data_mining()] {
         rep.line(format!("workload: {}", dist.name()));
         rep.line("  scheme                p50(ms)   p99(ms)  p99.9(ms)   n_mice");
-        for scheme in [Scheme::Cubic, Scheme::Dctcp, Scheme::acdc()] {
+        for scheme in Testbed::compared_schemes() {
             let name = scheme.name();
-            let fct = run_trace(scheme, dist.clone(), apps, deadline, opts.seed);
+            let fct = run_trace(scheme, &dist, deadline, opts.seed);
             let mut mice = fct.distribution_ms_by_size(10_000);
             rep.line(format!(
                 "  {name:<22} {:>7.3} {:>9.3} {:>9.3}   {:>6}",

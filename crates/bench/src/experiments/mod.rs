@@ -25,59 +25,44 @@ pub mod udpmix;
 
 pub use common::{Opts, Report};
 
-/// All experiment ids, in figure order.
-pub const ALL: &[&str] = &[
-    "fig1",
-    "fig2",
-    "fig6",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig17",
-    "fig18",
-    "fig19",
-    "fig20",
-    "fig21",
-    "fig22",
-    "fig23",
-    "parkinglot",
-    "table1",
-    "ablations",
-    "udpmix",
+/// What runs one experiment.
+pub type Run = fn(&Opts) -> Report;
+
+/// Every experiment, in figure order: its id and what runs it.
+pub const ALL: &[(&str, Run)] = &[
+    ("fig1", fig01::run),
+    ("fig2", fig02::run),
+    ("fig6", fig06::run),
+    ("fig8", fig08::run),
+    ("fig9", fig09::run),
+    ("fig10", fig10::run),
+    ("fig11", fig1112::run_sender),
+    ("fig12", fig1112::run_receiver),
+    ("fig13", fig13::run),
+    ("fig14", fig14::run),
+    ("fig15", fig15::run),
+    ("fig16", fig16::run),
+    ("fig17", fig17::run),
+    ("fig18", fig1819::run_fig18),
+    ("fig19", fig1819::run_fig19),
+    ("fig20", fig20::run),
+    ("fig21", fig21::run),
+    ("fig22", fig22::run),
+    ("fig23", fig23::run),
+    ("parkinglot", parkinglot::run),
+    ("table1", table1::run),
+    ("ablations", ablations::run),
+    ("udpmix", udpmix::run),
 ];
+
+/// All experiment ids, in figure order.
+pub fn ids() -> impl Iterator<Item = &'static str> {
+    ALL.iter().map(|&(id, _)| id)
+}
 
 /// Run one experiment by id.
 pub fn run(id: &str, opts: &Opts) -> Option<Report> {
-    Some(match id {
-        "fig1" => fig01::run(opts),
-        "fig2" => fig02::run(opts),
-        "fig6" => fig06::run(opts),
-        "fig8" => fig08::run(opts),
-        "fig9" => fig09::run(opts),
-        "fig10" => fig10::run(opts),
-        "fig11" => fig1112::run_sender(opts),
-        "fig12" => fig1112::run_receiver(opts),
-        "fig13" => fig13::run(opts),
-        "fig14" => fig14::run(opts),
-        "fig15" => fig15::run(opts),
-        "fig16" => fig16::run(opts),
-        "fig17" => fig17::run(opts),
-        "fig18" => fig1819::run_fig18(opts),
-        "fig19" => fig1819::run_fig19(opts),
-        "fig20" => fig20::run(opts),
-        "fig21" => fig21::run(opts),
-        "fig22" => fig22::run(opts),
-        "fig23" => fig23::run(opts),
-        "parkinglot" => parkinglot::run(opts),
-        "table1" => table1::run(opts),
-        "ablations" => ablations::run(opts),
-        "udpmix" => udpmix::run(opts),
-        _ => return None,
-    })
+    ALL.iter()
+        .find(|&&(i, _)| i == id)
+        .map(|(_, run)| run(opts))
 }

@@ -13,10 +13,10 @@
 //! multi-NIC receiver admitted a higher aggregate. The fairness and RTT
 //! comparisons are unaffected.)
 
-use acdc_core::{Scheme, Testbed};
+use acdc_core::Testbed;
 use acdc_stats::time::MILLISECOND;
 
-use super::common::{pctl, Opts, Report, SEC};
+use super::common::{mean, pctl, Opts, Report, SEC};
 
 /// Run the experiment.
 pub fn run(opts: &Opts) -> Report {
@@ -26,7 +26,7 @@ pub fn run(opts: &Opts) -> Report {
     );
     let dur = opts.dur(20 * SEC, 2 * SEC);
     rep.line("scheme                avg tput(Gbps)   jain    p50 RTT     p99.9 RTT");
-    for scheme in [Scheme::Cubic, Scheme::Dctcp, Scheme::acdc()] {
+    for scheme in Testbed::compared_schemes() {
         let name = scheme.name();
         // 5 senders along the chain; host 5 is the receiver on the last
         // switch; the probe also runs along the full chain.
@@ -36,20 +36,10 @@ pub fn run(opts: &Opts) -> Report {
             .map(|s| tb.add_bulk(s, rx, None, (s as u64) * 100_000))
             .collect();
         let probe = tb.add_pingpong(0, rx, 64, MILLISECOND / 2, 0);
-        let warm = dur / 5;
-        tb.run_until(warm);
-        let base: Vec<u64> = flows.iter().map(|&h| tb.acked_bytes(h)).collect();
-        tb.run_until(dur);
-        let w = (dur - warm) as f64;
-        let tputs: Vec<f64> = flows
-            .iter()
-            .zip(&base)
-            .map(|(&h, &b)| (tb.acked_bytes(h) - b) as f64 * 8.0 / w)
-            .collect();
-        let avg = tputs.iter().sum::<f64>() / tputs.len() as f64;
+        let tputs = tb.goodput_gbps(&flows, dur / 5, dur);
+        let avg = mean(&tputs);
         let jain = acdc_stats::jain_index(&tputs).unwrap_or(0.0);
-        let mut rtt = acdc_stats::Distribution::new();
-        rtt.extend(tb.rtt_samples_ms(probe).into_iter().skip(5));
+        let mut rtt = tb.probe_rtt_ms(probe);
         rep.line(format!(
             "{name:<22} {avg:>13.2} {jain:>7.3}   {:>7.0} µs {:>10.0} µs",
             pctl(&mut rtt, 50.0) * 1000.0,

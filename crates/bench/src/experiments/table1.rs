@@ -9,7 +9,7 @@
 use acdc_cc::CcKind;
 use acdc_core::Scheme;
 
-use super::common::{pctl, run_dumbbell, DumbbellSpec, Opts, Report, SEC};
+use super::common::{mean, pctl, run_dumbbell, DumbbellSpec, Opts, Report, SEC};
 
 /// Table rows: (label, scheme).
 fn rows() -> Vec<(&'static str, Scheme)> {
@@ -58,13 +58,12 @@ pub fn run(opts: &Opts) -> Report {
                 tputs.push(out.mean_gbps());
                 jains.push(out.jain);
             }
-            let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
             rep.line(format!(
                 "    {label:<12} {:>10.0} {:>12.0} {:>15.2}  {:.3}",
-                avg(&p50s),
-                avg(&p99s),
-                avg(&tputs),
-                avg(&jains)
+                mean(&p50s),
+                mean(&p99s),
+                mean(&tputs),
+                mean(&jains)
             ));
         }
     }

@@ -39,28 +39,23 @@ pub fn run(opts: &Opts) -> Report {
         let t1 = tb.add_bulk(0, rx, None, 0);
         let t2 = tb.add_bulk(1, rx, None, 100_000);
         let udp_payload = 8_972; // full 9 KB wire datagrams
-        let udp = tb.add_udp_source(0, rx, 4_000_000_000, udp_payload, ecn);
+        tb.add_udp_source(0, rx, 4_000_000_000, udp_payload, ecn);
         let probe = tb.add_pingpong(3, rx, 64, MILLISECOND, 0);
 
         let warm = dur / 5;
         tb.run_until(warm);
-        let b1 = tb.acked_bytes(t1);
-        let b2 = tb.acked_bytes(t2);
         let udp_rx_warm = udp_delivered(&mut tb, rx);
-        tb.run_until(dur);
+        let tcp_gbps: f64 = tb.goodput_gbps(&[t1, t2], warm, dur).iter().sum();
         let w = (dur - warm) as f64;
-        let tcp_gbps = ((tb.acked_bytes(t1) - b1) + (tb.acked_bytes(t2) - b2)) as f64 * 8.0 / w;
         let udp_gbps =
             (udp_delivered(&mut tb, rx) - udp_rx_warm) as f64 * (udp_payload + 28) as f64 * 8.0 / w;
-        let mut rtt = acdc_stats::Distribution::new();
-        rtt.extend(tb.rtt_samples_ms(probe).into_iter().skip(5));
+        let mut rtt = tb.probe_rtt_ms(probe);
         let drops = tb.drop_rate() * 100.0;
         rep.line(format!(
             "{label:<32} {tcp_gbps:>12.2} {udp_gbps:>20.2} {:>14.3} {:>9.3}",
             pctl(&mut rtt, 99.0),
             drops
         ));
-        let _ = udp; // node id retained for post-run inspection if needed
     }
     rep.line("reading: on marking fabrics, non-ECT UDP pays the WRED drop ramp as a steady");
     rep.line("loss tax (ruinous for loss-sensitive apps) while enforced TCP rides markings");

@@ -11,7 +11,15 @@
 //!
 //! `--full` runs paper-scale durations; the default is a time-scaled
 //! version of each experiment that preserves the comparisons (documented
-//! per module). Performance is measured elsewhere: `acdc-harness`, the
+//! per module).
+//!
+//! [`experiments::ALL`] is the one list of ids and the functions that run
+//! them. What several artefacts measure has one body: window goodput,
+//! probe RTTs and window traces on `acdc_core::Testbed` (the root tests
+//! and examples call them too), the dumbbell runner and the
+//! mice-beside-background FCT runner in [`experiments::common`].
+//!
+//! Performance is measured elsewhere: `acdc-harness`, the
 //! standalone package under `harness/`, is the repo's one benchmark
 //! (`BENCHMARK.json`; `scripts/check.sh harness` gates CI on it).
 

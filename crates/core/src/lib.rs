@@ -28,6 +28,6 @@ pub mod udp;
 pub use fanout::FanoutSender;
 pub use host::{ConnTaps, FlowHandle, HostNode, MultiApp, MultiConnAccess};
 pub use scheme::Scheme;
-pub use testbed::Testbed;
+pub use testbed::{Testbed, WindowSample};
 pub use trace::TraceSender;
 pub use udp::{UdpSinkNode, UdpSourceNode};

@@ -9,6 +9,7 @@ use acdc_faults::{FaultPlan, FaultyLink, LinkFaultStats};
 use acdc_netsim::{LinkSpec, Network, NodeId, SwitchCounters, SwitchNode};
 use acdc_packet::FlowKey;
 use acdc_stats::time::Nanos;
+use acdc_stats::Distribution;
 use acdc_tcp::Endpoint;
 use acdc_telemetry::Telemetry;
 use acdc_workloads::apps::{App, BulkSender, EchoServer, MessageSender, PingPong};
@@ -24,6 +25,29 @@ fn default_link() -> LinkSpec {
 
 /// Per-vSwitch configuration hook applied after scheme defaults.
 type AcdcTweak = Box<dyn Fn(&mut acdc_vswitch::AcdcConfig)>;
+
+/// RTT samples a probe takes while its connection is still opening.
+const PROBE_HANDSHAKE_SAMPLES: usize = 5;
+
+/// One window AC/DC computed for a flow, beside the guest's CWND then.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WindowSample {
+    /// When the vSwitch computed the window.
+    pub at: Nanos,
+    /// The guest's CWND in bytes: its latest sample at or before `at`
+    /// (its first sample, before it has one).
+    pub guest_cwnd: f64,
+    /// The window the vSwitch computed, in bytes.
+    pub enforced_rwnd: u64,
+}
+
+impl WindowSample {
+    /// `|enforced − guest| / guest`, while the guest has a window.
+    pub fn relative_error(&self) -> Option<f64> {
+        (self.guest_cwnd > 0.0)
+            .then(|| ((self.enforced_rwnd as f64) - self.guest_cwnd).abs() / self.guest_cwnd)
+    }
+}
 
 /// A built topology with hosts, switches and flow bookkeeping.
 pub struct Testbed {
@@ -61,6 +85,11 @@ impl Testbed {
     /// WRED/ECN threshold used by all builders.
     pub fn mark_threshold() -> u64 {
         DEFAULT_MARK_THRESHOLD
+    }
+
+    /// The three schemes every comparative figure sets side by side.
+    pub fn compared_schemes() -> [Scheme; 3] {
+        [Scheme::Cubic, Scheme::Dctcp, Scheme::acdc()]
     }
 
     fn host_ip(i: usize) -> [u8; 4] {
@@ -627,22 +656,21 @@ impl Testbed {
         self.client_endpoint(h).acked_bytes()
     }
 
-    /// Goodput in Gbps over the window `[start, end]`, for a testbed that
-    /// has run until `end`: the bytes acknowledged *within* the window
-    /// over its length. `acked_at_start` is [`Testbed::acked_bytes`]
-    /// snapshotted when the run stood at `start` (0 for `start = 0`), so
-    /// warm-up bytes are not counted.
-    pub fn flow_gbps(
-        &mut self,
-        h: FlowHandle,
-        acked_at_start: u64,
-        start: Nanos,
-        end: Nanos,
-    ) -> f64 {
-        if end <= start {
-            return 0.0;
-        }
-        (self.acked_bytes(h) - acked_at_start) as f64 * 8.0 / (end - start) as f64
+    /// Per-flow goodput in Gbps over the window `[warmup, end]`: runs to
+    /// `warmup`, snapshots what each flow has acknowledged, runs to `end`
+    /// and divides the bytes acknowledged in between by the window. A
+    /// testbed already standing at `warmup` only takes the snapshot.
+    pub fn goodput_gbps(&mut self, flows: &[FlowHandle], warmup: Nanos, end: Nanos) -> Vec<f64> {
+        assert!(end > warmup, "empty goodput window [{warmup}, {end}]");
+        self.run_until(warmup);
+        let base: Vec<u64> = flows.iter().map(|&h| self.acked_bytes(h)).collect();
+        self.run_until(end);
+        let window = (end - warmup) as f64;
+        flows
+            .iter()
+            .zip(base)
+            .map(|(&h, b)| (self.acked_bytes(h) - b) as f64 * 8.0 / window)
+            .collect()
     }
 
     /// RTT samples (ms) recorded by a ping-pong client app.
@@ -653,6 +681,54 @@ impl Testbed {
             .and_then(|a| a.rtt_samples_ms())
             .map(|s| s.to_vec())
             .unwrap_or_default()
+    }
+
+    /// A probe's RTT distribution (ms) without the samples taken while
+    /// its connection was still opening.
+    pub fn probe_rtt_ms(&mut self, probe: FlowHandle) -> Distribution {
+        let mut d = Distribution::new();
+        d.extend(
+            self.rtt_samples_ms(probe)
+                .into_iter()
+                .skip(PROBE_HANDSHAKE_SAMPLES),
+        );
+        d
+    }
+
+    /// Flow `h`'s enforced-window trace beside its guest's CWND, and the
+    /// number of CWND samples the guest recorded. The flow needs
+    /// [`ConnTaps::trace_cwnd`] and its host's vSwitch `trace_windows`.
+    pub fn window_trace(&mut self, h: FlowHandle) -> (usize, Vec<WindowSample>) {
+        let conn = self.conn_index(h);
+        let host = self.host_mut(h.client_host);
+        let enforced = {
+            let entry = host
+                .datapath()
+                .table()
+                .get(&h.key)
+                .expect("the vSwitch tracks the flow");
+            let e = entry.lock();
+            e.rwnd.trace().expect("vSwitch traces windows").to_vec()
+        };
+        let guest = host
+            .cwnd_trace(conn)
+            .expect("flow traces its CWND")
+            .samples();
+        let mut gi = 0;
+        let trace = enforced
+            .into_iter()
+            .map(|(at, enforced_rwnd)| {
+                while gi + 1 < guest.len() && guest[gi + 1].at <= at {
+                    gi += 1;
+                }
+                WindowSample {
+                    at,
+                    guest_cwnd: guest[gi].value,
+                    enforced_rwnd,
+                }
+            })
+            .collect();
+        (guest.len(), trace)
     }
 
     /// FCT records from the client app of a flow.
@@ -675,8 +751,7 @@ mod tests {
     fn dumbbell_bulk_flow_saturates_the_trunk() {
         let mut tb = Testbed::dumbbell(1, Scheme::Cubic, 9000);
         let h = tb.add_bulk(0, 1, None, 0);
-        tb.run_until(100 * MILLISECOND);
-        let gbps = tb.flow_gbps(h, 0, 0, 100 * MILLISECOND);
+        let gbps = tb.goodput_gbps(&[h], 0, 100 * MILLISECOND)[0];
         assert!(gbps > 8.0, "one flow should near line rate, got {gbps:.2}");
         assert!(gbps <= 10.0);
     }
@@ -685,16 +760,93 @@ mod tests {
     fn sub_window_goodput_never_exceeds_line_rate() {
         let mut tb = Testbed::dumbbell(1, Scheme::Cubic, 9000);
         let h = tb.add_bulk(0, 1, None, 0);
-        let (mut start, mut acked) = (0, 0);
+        let mut start = 0;
         for end in [100, 200, 300, 400].map(|ms| ms * MILLISECOND) {
-            tb.run_until(end);
-            let gbps = tb.flow_gbps(h, acked, start, end);
+            let gbps = tb.goodput_gbps(&[h], start, end)[0];
             assert!(gbps > 8.0, "[{start}, {end}]: {gbps:.2}");
             assert!(
                 gbps <= 10.0,
                 "[{start}, {end}]: {gbps:.2} on a 10 GbE trunk"
             );
-            (start, acked) = (end, tb.acked_bytes(h));
+            start = end;
+        }
+    }
+
+    #[test]
+    fn goodput_is_the_bytes_acked_inside_the_window() {
+        let (warmup, end) = (30 * MILLISECOND, 80 * MILLISECOND);
+        let build = || {
+            let mut tb = Testbed::dumbbell(2, Scheme::Dctcp, 9000);
+            let flows: Vec<_> = (0..2)
+                .map(|i| tb.add_bulk(i, 2 + i, None, i as u64 * 100_000))
+                .collect();
+            (tb, flows)
+        };
+        let (mut tb, flows) = build();
+        let gbps = tb.goodput_gbps(&flows, warmup, end);
+
+        let (mut twin, flows) = build();
+        twin.run_until(warmup);
+        let at_warmup: Vec<u64> = flows.iter().map(|&h| twin.acked_bytes(h)).collect();
+        twin.run_until(end);
+        for (i, (&h, before)) in flows.iter().zip(at_warmup).enumerate() {
+            let after = twin.acked_bytes(h);
+            assert!(after > before, "flow {i} moved data in the window");
+            let bytes = after - before;
+            let want = bytes as f64 * 8.0 / (end - warmup) as f64;
+            assert_eq!(gbps[i], want, "flow {i}");
+        }
+    }
+
+    #[test]
+    fn probe_distribution_leaves_out_exactly_the_handshake_samples() {
+        let mut tb = Testbed::dumbbell(2, Scheme::Dctcp, 1500);
+        let _bulk = tb.add_bulk(0, 2, None, 0);
+        let p = tb.add_pingpong(1, 3, 64, MILLISECOND, 0);
+        tb.run_until(30 * MILLISECOND);
+        let all = tb.rtt_samples_ms(p);
+        let kept = &all[PROBE_HANDSHAKE_SAMPLES..];
+        let mut d = tb.probe_rtt_ms(p);
+        assert_eq!(d.len(), kept.len());
+        // The mean first: it sums in insertion order, as `kept` does.
+        let mean = kept.iter().sum::<f64>() / kept.len() as f64;
+        assert_eq!(d.mean(), Some(mean));
+        let (lo, hi) = kept
+            .iter()
+            .fold((f64::MAX, f64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+        assert_eq!((d.min(), d.max()), (Some(lo), Some(hi)));
+    }
+
+    #[test]
+    fn aligned_trace_pairs_each_enforced_sample_with_the_latest_guest_sample() {
+        let mut tb = Testbed::dumbbell_with(2, Scheme::acdc(), 1500, |cfg| {
+            cfg.trace_windows = true;
+        });
+        let taps = ConnTaps {
+            trace_cwnd: true,
+            ..ConnTaps::default()
+        };
+        let app = Box::new(BulkSender::unlimited());
+        let h = tb.add_flow(0, 2, Some(app), None, 0, taps);
+        let _other = tb.add_bulk(1, 3, None, 0);
+        tb.run_until(50 * MILLISECOND);
+        let (guest_samples, trace) = tb.window_trace(h);
+
+        let conn = tb.client_conn_index(h);
+        let guest = tb.host_mut(0).cwnd_trace(conn).unwrap().clone();
+        let enforced = {
+            let entry = tb.host_mut(0).datapath().table().get(&h.key).unwrap();
+            let e = entry.lock();
+            e.rwnd.trace().unwrap().to_vec()
+        };
+        assert_eq!(guest_samples, guest.len());
+        assert_eq!(trace.len(), enforced.len());
+        assert!(trace.len() > 100, "{} enforced samples", trace.len());
+        let gs = guest.samples();
+        for (s, &(at, rwnd)) in trace.iter().zip(&enforced) {
+            let latest = gs.iter().rev().find(|g| g.at <= at).unwrap_or(&gs[0]);
+            assert_eq!((s.at, s.enforced_rwnd), (at, rwnd));
+            assert_eq!(s.guest_cwnd, latest.value, "at {at}");
         }
     }
 
@@ -702,11 +854,7 @@ mod tests {
     fn five_flows_share_the_bottleneck() {
         let mut tb = Testbed::dumbbell(5, Scheme::Dctcp, 9000);
         let flows: Vec<_> = (0..5).map(|i| tb.add_bulk(i, 5 + i, None, 0)).collect();
-        tb.run_until(200 * MILLISECOND);
-        let tputs: Vec<f64> = flows
-            .iter()
-            .map(|&h| tb.flow_gbps(h, 0, 0, 200 * MILLISECOND))
-            .collect();
+        let tputs = tb.goodput_gbps(&flows, 0, 200 * MILLISECOND);
         let total: f64 = tputs.iter().sum();
         assert!(total > 8.0 && total <= 10.0, "total {total:.2}");
         let jain = acdc_stats::jain_index(&tputs).unwrap();
@@ -769,8 +917,7 @@ mod tests {
         let mut tb = Testbed::dumbbell(1, Scheme::Cubic, 9000);
         tb.host_mut(0).set_rate_limit(2_000_000_000, 2 * 9000);
         let h = tb.add_bulk(0, 1, None, 0);
-        tb.run_until(100 * MILLISECOND);
-        let gbps = tb.flow_gbps(h, 0, 0, 100 * MILLISECOND);
+        let gbps = tb.goodput_gbps(&[h], 0, 100 * MILLISECOND)[0];
         assert!(gbps < 2.2, "rate limit must bind: {gbps:.2}");
         assert!(gbps > 1.5, "but throughput should approach it: {gbps:.2}");
     }

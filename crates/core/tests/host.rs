@@ -57,10 +57,8 @@ fn rate_limit_applies_to_the_whole_host() {
     let f1 = tb.add_bulk(0, 2, None, 0);
     let f2 = tb.add_bulk(0, 3, None, 0); // second flow, same host
     let unlimited = tb.add_bulk(1, 3, None, 0); // different host, no limit
-    tb.run_until(200 * MILLISECOND);
-    let g1 = tb.flow_gbps(f1, 0, 0, 200 * MILLISECOND);
-    let g2 = tb.flow_gbps(f2, 0, 0, 200 * MILLISECOND);
-    let gu = tb.flow_gbps(unlimited, 0, 0, 200 * MILLISECOND);
+    let g = tb.goodput_gbps(&[f1, f2, unlimited], 0, 200 * MILLISECOND);
+    let (g1, g2, gu) = (g[0], g[1], g[2]);
     assert!(
         g1 + g2 < 1.1,
         "host limit must bound the sum: {g1:.2} + {g2:.2}"

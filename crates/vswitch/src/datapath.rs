@@ -914,6 +914,11 @@ impl AcdcDatapath {
                 // never negotiated ECN.
                 self.on_admission_reject(obs, now, &key);
             }
+        } else if flags.contains(TcpFlags::FIN) {
+            // A bare FIN still ends the remote's direction; one we never
+            // tracked is left untracked.
+            self.table
+                .with_entry(&key, |slot| slot.entry.lock().closing = true);
         }
 
         // --- Sender module: ACK processing + enforcement (§3.1–3.3) ---

@@ -450,6 +450,40 @@ fn fin_marks_closing_and_gc_collects() {
     assert!(dpa.flows() < flows_before);
 }
 
+/// The local guest closes, the remote answers with a FIN-ACK that carries
+/// no payload, the guest ACKs it: both directions are closing and the
+/// next sweep collects both.
+#[test]
+fn bare_fin_from_the_network_closes_its_entry() {
+    let (dpa, _dpb) = rig(false);
+    assert_eq!(dpa.flows(), 2);
+    let segment = |from_a: bool, seq: u32, ack: u32, flags: TcpFlags| {
+        let (src, dst, sport, dport) = if from_a {
+            (A, B, AP, BP)
+        } else {
+            (B, A, BP, AP)
+        };
+        let mut t = TcpRepr::new(sport, dport);
+        (t.seq, t.ack, t.flags) = (SeqNumber(seq), SeqNumber(ack), flags);
+        t.window = 65_000;
+        Segment::new_tcp(ip(src, dst, Ecn::NotEct), t, 0)
+    };
+    let fin_ack = TcpFlags::ACK | TcpFlags::FIN;
+    dpa.egress(50_000, segment(true, ISS_A + 1, ISS_B + 1, fin_ack));
+    dpa.ingress(51_000, segment(false, ISS_B + 1, ISS_A + 2, fin_ack));
+    dpa.egress(52_000, segment(true, ISS_A + 2, ISS_B + 2, TcpFlags::ACK));
+
+    let closing: Vec<_> = dpa
+        .flow_stats()
+        .iter()
+        .map(|s| (s.key, s.closing))
+        .collect();
+    assert_eq!(closing.len(), 2);
+    assert!(closing.iter().all(|&(_, c)| c), "{closing:?}");
+    assert_eq!(dpa.gc(60_000, u64::MAX), 2);
+    assert_eq!(dpa.flows(), 0);
+}
+
 #[test]
 fn window_update_generation() {
     let (dpa, dpb) = rig(false);

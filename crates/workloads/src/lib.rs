@@ -9,8 +9,8 @@
 //!   workloads: the web-search CDF (DCTCP \[3\]) and the heavier-tailed
 //!   data-mining CDF (VL2 \[25\]);
 //! * [`fct`] — flow-completion-time bookkeeping;
-//! * [`patterns`] — schedule builders for incast, concurrent stride and
-//!   shuffle.
+//! * [`patterns`] — schedule builders for concurrent stride, shuffle,
+//!   the all-ports-congested workload and the convergence test.
 //!
 //! Apps drive an [`acdc_tcp::Endpoint`] through the narrow [`apps::AppConn`]
 //! interface, so they stay independent of the simulator that hosts them.

@@ -1,36 +1,22 @@
 //! Traffic-pattern schedules for the macrobenchmarks (§5.2): who sends
-//! what to whom, and when. Pure data — the experiment harness in
-//! `acdc-core` turns these into hosts, connections and apps.
+//! to whom, and when. Pure data — the `repro` experiments in
+//! `acdc-bench` turn these into connections and apps on an
+//! `acdc_core::Testbed`.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
 
 use acdc_stats::time::Nanos;
 
-/// One planned transfer.
+/// One planned long-lived transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transfer {
     /// Sender host index.
     pub src: usize,
     /// Receiver host index.
     pub dst: usize,
-    /// Bytes to move.
-    pub bytes: u64,
     /// Start time.
     pub start: Nanos,
-}
-
-/// Incast (Figures 18/19): `n` senders start simultaneously toward one
-/// receiver (host index `n`), each with a long-lived flow.
-pub fn incast(n: usize) -> Vec<Transfer> {
-    (0..n)
-        .map(|s| Transfer {
-            src: s,
-            dst: n,
-            bytes: u64::MAX, // long-lived; the harness maps this to unlimited
-            start: 0,
-        })
-        .collect()
 }
 
 /// Concurrent stride (Figure 21): each of `n` servers sends `bytes` to
@@ -71,7 +57,6 @@ pub fn all_ports(group_a: usize) -> Vec<Transfer> {
             out.push(Transfer {
                 src: i,
                 dst: (i + k) % group_a,
-                bytes: u64::MAX,
                 start: 0,
             });
         }
@@ -79,7 +64,6 @@ pub fn all_ports(group_a: usize) -> Vec<Transfer> {
         out.push(Transfer {
             src: i,
             dst: group_a,
-            bytes: u64::MAX,
             start: 0,
         });
     }
@@ -104,14 +88,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn incast_targets_single_receiver() {
-        let t = incast(47);
-        assert_eq!(t.len(), 47);
-        assert!(t.iter().all(|x| x.dst == 47));
-        assert!(t.iter().all(|x| x.src != x.dst));
-    }
 
     #[test]
     fn stride_wraps_mod_n() {

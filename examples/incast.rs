@@ -9,7 +9,7 @@
 //! observation that AC/DC beats even native DCTCP on RTT because its
 //! byte-granular windows can drop below DCTCP's 2-packet floor.
 
-use acdc_core::{Scheme, Testbed};
+use acdc_core::Testbed;
 use acdc_stats::time::{MILLISECOND, SECOND};
 
 fn main() {
@@ -27,7 +27,7 @@ fn main() {
         "scheme", "avg Mbps", "jain", "p50 RTT", "p99.9 RTT", "drops"
     );
 
-    for scheme in [Scheme::Cubic, Scheme::Dctcp, Scheme::acdc()] {
+    for scheme in Testbed::compared_schemes() {
         let name = scheme.name();
         // Hosts 0..n = senders, n = receiver, n+1 = RTT probe.
         let mut tb = Testbed::star(n + 2, scheme, 9000);
@@ -35,21 +35,15 @@ fn main() {
         let probe = tb.add_pingpong(n + 1, n, 64, MILLISECOND, 0);
 
         let dur = SECOND / 2;
-        tb.run_until(dur / 4);
-        let base: Vec<u64> = flows.iter().map(|&h| tb.acked_bytes(h)).collect();
-        tb.run_until(dur);
-
-        let w = (dur - dur / 4) as f64;
-        let tputs: Vec<f64> = flows
+        let tputs: Vec<f64> = tb
+            .goodput_gbps(&flows, dur / 4, dur)
             .iter()
-            .zip(&base)
-            .map(|(&h, &b)| (tb.acked_bytes(h) - b) as f64 * 8.0 / w * 1000.0)
+            .map(|g| g * 1000.0)
             .collect();
         let avg = tputs.iter().sum::<f64>() / tputs.len() as f64;
         let jain = acdc_stats::jain_index(&tputs).unwrap();
 
-        let mut rtt = acdc_stats::Distribution::new();
-        rtt.extend(tb.rtt_samples_ms(probe).into_iter().skip(5));
+        let mut rtt = tb.probe_rtt_ms(probe);
         println!(
             "{name:<22} {avg:>12.0} {jain:>8.3} {:>9.3} ms {:>11.3} ms {:>9.3}%",
             rtt.percentile(50.0).unwrap_or(f64::NAN),

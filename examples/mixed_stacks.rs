@@ -36,15 +36,7 @@ fn run(scheme: Scheme) -> Vec<f64> {
             )
         })
         .collect();
-    let dur = SECOND;
-    tb.run_until(dur / 5);
-    let base: Vec<u64> = flows.iter().map(|&h| tb.acked_bytes(h)).collect();
-    tb.run_until(dur);
-    flows
-        .iter()
-        .zip(&base)
-        .map(|(&h, &b)| (tb.acked_bytes(h) - b) as f64 * 8.0 / (dur - dur / 5) as f64)
-        .collect()
+    tb.goodput_gbps(&flows, SECOND / 5, SECOND)
 }
 
 fn main() {

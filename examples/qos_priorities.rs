@@ -48,14 +48,10 @@ fn main() {
 
     let flows: Vec<_> = (0..n).map(|i| tb.add_bulk(i, n + i, None, 0)).collect();
     let dur = SECOND;
-    tb.run_until(dur / 5);
-    let base: Vec<u64> = flows.iter().map(|&h| tb.acked_bytes(h)).collect();
-    tb.run_until(dur);
+    let tputs = tb.goodput_gbps(&flows, dur / 5, dur);
 
-    let w = (dur - dur / 5) as f64;
     println!("{:<8} {:>6} {:>12}", "flow", "β/4", "tput (Gbps)");
-    for (i, (&h, &b)) in flows.iter().zip(&base).enumerate() {
-        let gbps = (tb.acked_bytes(h) - b) as f64 * 8.0 / w;
+    for (i, gbps) in tputs.into_iter().enumerate() {
         println!(
             "{:<8} {:>6} {:>12.2}",
             format!("f{}", i + 1),

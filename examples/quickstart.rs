@@ -42,9 +42,7 @@ fn main() {
         sample.bytes as f64 * 8.0 / sample.fct() as f64
     );
 
-    let rtts = tb.rtt_samples_ms(probe);
-    let mut d = acdc_stats::Distribution::new();
-    d.extend(rtts.into_iter().skip(3));
+    let mut d = tb.probe_rtt_ms(probe);
     println!(
         "probe RTT while the transfer ran: p50 {:.0} µs, p99 {:.0} µs",
         d.percentile(50.0).unwrap() * 1000.0,

@@ -11,18 +11,12 @@ use acdc_stats::time::{MILLISECOND, SECOND};
 #[test]
 fn acdc_tracks_dctcp_latency_and_throughput() {
     let mut results = Vec::new();
-    for scheme in [Scheme::Cubic, Scheme::Dctcp, Scheme::acdc()] {
+    for scheme in Testbed::compared_schemes() {
         let mut tb = Testbed::dumbbell(3, scheme, 9000);
         let flows: Vec<_> = (0..2).map(|i| tb.add_bulk(i, 3 + i, None, 0)).collect();
         let probe = tb.add_pingpong(2, 5, 64, MILLISECOND, 0);
-        tb.run_until(400 * MILLISECOND);
-        let tput: f64 = flows
-            .iter()
-            .map(|&h| tb.flow_gbps(h, 0, 0, 400 * MILLISECOND))
-            .sum();
-        let mut rtt = acdc_stats::Distribution::new();
-        rtt.extend(tb.rtt_samples_ms(probe).into_iter().skip(5));
-        results.push((tput, rtt.median().unwrap()));
+        let tput: f64 = tb.goodput_gbps(&flows, 0, 400 * MILLISECOND).iter().sum();
+        results.push((tput, tb.probe_rtt_ms(probe).median().unwrap()));
     }
     let (cubic_tput, cubic_rtt) = results[0];
     let (dctcp_tput, dctcp_rtt) = results[1];
@@ -146,14 +140,7 @@ fn acdc_restores_fairness_across_stacks() {
                 )
             })
             .collect();
-        tb.run_until(100 * MILLISECOND);
-        let warm: Vec<u64> = flows.iter().map(|&h| tb.acked_bytes(h)).collect();
-        tb.run_until(500 * MILLISECOND);
-        let tputs: Vec<f64> = flows
-            .iter()
-            .zip(warm)
-            .map(|(&h, w)| tb.flow_gbps(h, w, 100 * MILLISECOND, 500 * MILLISECOND))
-            .collect();
+        let tputs = tb.goodput_gbps(&flows, 100 * MILLISECOND, 500 * MILLISECOND);
         jains.push(acdc_stats::jain_index(&tputs).unwrap());
     }
     assert!(
@@ -190,12 +177,8 @@ fn ecn_coexistence_fixed_by_acdc() {
             ConnTaps::default(),
             None,
         );
-        tb.run_until(100 * MILLISECOND);
-        let (c0, d0) = (tb.acked_bytes(cubic), tb.acked_bytes(dctcp));
-        tb.run_until(500 * MILLISECOND);
-        let c = tb.flow_gbps(cubic, c0, 100 * MILLISECOND, 500 * MILLISECOND);
-        let d = tb.flow_gbps(dctcp, d0, 100 * MILLISECOND, 500 * MILLISECOND);
-        c / (c + d)
+        let g = tb.goodput_gbps(&[cubic, dctcp], 100 * MILLISECOND, 500 * MILLISECOND);
+        g[0] / (g[0] + g[1])
     };
     let without = share(false);
     let with = share(true);

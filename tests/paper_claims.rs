@@ -16,9 +16,7 @@ fn incast_p50_rtt_ms(scheme: Scheme, floor_2mss: bool) -> f64 {
     let _flows: Vec<_> = (0..n).map(|s| tb.add_bulk(s, n, None, 0)).collect();
     let probe = tb.add_pingpong(n + 1, n, 64, MILLISECOND, 0);
     tb.run_until(250 * MILLISECOND);
-    let mut d = acdc_stats::Distribution::new();
-    d.extend(tb.rtt_samples_ms(probe).into_iter().skip(5));
-    d.median().expect("probe samples")
+    tb.probe_rtt_ms(probe).median().expect("probe samples")
 }
 
 /// Figure 19's ordering: AC/DC < DCTCP < CUBIC on incast RTT, with the
@@ -62,14 +60,7 @@ fn priority_betas_order_throughput() {
         }));
     });
     let flows: Vec<_> = (0..3).map(|i| tb.add_bulk(i, 3 + i, None, 0)).collect();
-    tb.run_until(100 * MILLISECOND);
-    let warm: Vec<u64> = flows.iter().map(|&h| tb.acked_bytes(h)).collect();
-    tb.run_until(400 * MILLISECOND);
-    let tputs: Vec<f64> = flows
-        .iter()
-        .zip(warm)
-        .map(|(&h, w)| tb.flow_gbps(h, w, 100 * MILLISECOND, 400 * MILLISECOND))
-        .collect();
+    let tputs = tb.goodput_gbps(&flows, 100 * MILLISECOND, 400 * MILLISECOND);
     assert!(
         tputs[0] > tputs[1] && tputs[1] > tputs[2],
         "β {betas:?} must order throughputs, got {tputs:?}"
@@ -103,27 +94,10 @@ fn computed_window_tracks_native_dctcp() {
     let _other = tb.add_bulk(1, 3, None, 0);
     tb.run_until(300 * MILLISECOND);
 
-    let conn = tb.client_conn_index(h);
-    let cwnd = tb.host_mut(0).cwnd_trace(conn).unwrap().clone();
-    let rwnd = {
-        let dp = tb.host_mut(0).datapath();
-        let e = dp.table().get(&h.key).unwrap();
-        let guard = e.lock();
-        guard.rwnd.trace().unwrap().to_vec()
-    };
-    assert!(rwnd.len() > 100, "enough samples: {}", rwnd.len());
-
-    let gs = cwnd.samples();
+    let (_, trace) = tb.window_trace(h);
+    assert!(trace.len() > 100, "enough samples: {}", trace.len());
     let mut errs = acdc_stats::Distribution::new();
-    let mut gi = 0;
-    for r in rwnd.iter().skip(20) {
-        while gi + 1 < gs.len() && gs[gi + 1].at <= r.0 {
-            gi += 1;
-        }
-        if gs[gi].value > 0.0 {
-            errs.add(((r.1 as f64) - gs[gi].value).abs() / gs[gi].value);
-        }
-    }
+    errs.extend(trace.iter().skip(20).filter_map(|s| s.relative_error()));
     let p50 = errs.median().unwrap();
     assert!(
         p50 < 0.15,
