@@ -1,7 +1,11 @@
 //! Algorithm selection by name: the knob an administrator (or a per-flow
 //! policy, §3.4) turns.
 
-use crate::{CcConfig, CongestionControl, Cubic, Dctcp, HighSpeed, Illinois, NewReno, Vegas};
+use acdc_stats::time::Nanos;
+
+use crate::{
+    AckEvent, CcConfig, CongestionControl, Cubic, Dctcp, HighSpeed, Illinois, NewReno, Vegas,
+};
 
 /// The congestion-control algorithms available in this workspace.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,17 +37,23 @@ impl CcKind {
         CcKind::Dctcp,
     ];
 
-    /// Instantiate the algorithm with `cfg`.
-    pub fn build(&self, cfg: CcConfig) -> Box<dyn CongestionControl> {
+    /// Instantiate the algorithm with `cfg`, by value.
+    pub fn instantiate(&self, cfg: CcConfig) -> AnyCc {
         match *self {
-            CcKind::Reno => Box::new(NewReno::new(cfg)),
-            CcKind::Cubic => Box::new(Cubic::new(cfg)),
-            CcKind::Vegas => Box::new(Vegas::new(cfg)),
-            CcKind::Illinois => Box::new(Illinois::new(cfg)),
-            CcKind::HighSpeed => Box::new(HighSpeed::new(cfg)),
-            CcKind::Dctcp => Box::new(Dctcp::new(cfg)),
-            CcKind::DctcpPriority(beta) => Box::new(Dctcp::with_priority(cfg, beta)),
+            CcKind::Reno => AnyCc::Reno(NewReno::new(cfg)),
+            CcKind::Cubic => AnyCc::Cubic(Cubic::new(cfg)),
+            CcKind::Vegas => AnyCc::Vegas(Vegas::new(cfg)),
+            CcKind::Illinois => AnyCc::Illinois(Illinois::new(cfg)),
+            CcKind::HighSpeed => AnyCc::HighSpeed(HighSpeed::new(cfg)),
+            CcKind::Dctcp => AnyCc::Dctcp(Dctcp::new(cfg)),
+            CcKind::DctcpPriority(beta) => AnyCc::Dctcp(Dctcp::with_priority(cfg, beta)),
         }
+    }
+
+    /// Instantiate the algorithm with `cfg` behind a trait object (the
+    /// host stack's form).
+    pub fn build(&self, cfg: CcConfig) -> Box<dyn CongestionControl> {
+        Box::new(self.instantiate(cfg))
     }
 
     /// Short name matching `CongestionControl::name` (priority DCTCP maps
@@ -79,6 +89,75 @@ impl core::fmt::Display for CcKind {
             CcKind::DctcpPriority(beta) => write!(f, "dctcp(β={beta})"),
             other => write!(f, "{}", other.name()),
         }
+    }
+}
+
+/// One of the shipped algorithms, held by value ([`CcKind::instantiate`]).
+/// Dispatch is a `match`, so a holder — the vSwitch's flow entry — keeps
+/// its algorithm inline: no allocation of its own and no virtual call.
+#[derive(Debug)]
+pub enum AnyCc {
+    /// TCP New Reno.
+    Reno(NewReno),
+    /// CUBIC.
+    Cubic(Cubic),
+    /// TCP Vegas.
+    Vegas(Vegas),
+    /// TCP Illinois.
+    Illinois(Illinois),
+    /// HighSpeed TCP.
+    HighSpeed(HighSpeed),
+    /// DCTCP, priority-weighted or not.
+    Dctcp(Dctcp),
+}
+
+/// `match` on an [`AnyCc`], binding the algorithm to `$cc` in every arm.
+macro_rules! each {
+    ($any:expr, $cc:ident => $body:expr) => {
+        match $any {
+            AnyCc::Reno($cc) => $body,
+            AnyCc::Cubic($cc) => $body,
+            AnyCc::Vegas($cc) => $body,
+            AnyCc::Illinois($cc) => $body,
+            AnyCc::HighSpeed($cc) => $body,
+            AnyCc::Dctcp($cc) => $body,
+        }
+    };
+}
+
+impl CongestionControl for AnyCc {
+    fn name(&self) -> &'static str {
+        each!(self, cc => cc.name())
+    }
+    fn cwnd(&self) -> u64 {
+        each!(self, cc => cc.cwnd())
+    }
+    fn ssthresh(&self) -> u64 {
+        each!(self, cc => cc.ssthresh())
+    }
+    fn on_ack(&mut self, ack: &AckEvent) {
+        each!(self, cc => cc.on_ack(ack))
+    }
+    fn on_fast_retransmit(&mut self, now: Nanos) {
+        each!(self, cc => cc.on_fast_retransmit(now))
+    }
+    fn on_retransmit_timeout(&mut self, now: Nanos) {
+        each!(self, cc => cc.on_retransmit_timeout(now))
+    }
+    fn wants_ecn(&self) -> bool {
+        each!(self, cc => cc.wants_ecn())
+    }
+    fn alpha_micros(&self) -> Option<u64> {
+        each!(self, cc => cc.alpha_micros())
+    }
+    fn reset(&mut self, now: Nanos) {
+        each!(self, cc => cc.reset(now))
+    }
+    fn state_words(&self) -> Vec<u64> {
+        each!(self, cc => cc.state_words())
+    }
+    fn load_state_words(&mut self, words: &[u64]) -> bool {
+        each!(self, cc => cc.load_state_words(words))
     }
 }
 

@@ -10,8 +10,9 @@
 //!
 //! * **host TCP endpoints** (`acdc-tcp`) use them as the guest's native
 //!   stack;
-//! * **the vSwitch** (`acdc-vswitch`) runs one instance per flow entry and
-//!   enforces the resulting window via the receive-window rewrite.
+//! * **the vSwitch** (`acdc-vswitch`) runs one instance per flow entry,
+//!   held inline as an [`AnyCc`], and enforces the resulting window via
+//!   the receive-window rewrite.
 //!
 //! All windows are kept in **bytes** (like Linux's `snd_cwnd * mss`
 //! products); the AC/DC enforcement path specifically exploits byte
@@ -35,7 +36,7 @@ pub use cubic::Cubic;
 pub use dctcp::Dctcp;
 pub use highspeed::HighSpeed;
 pub use illinois::Illinois;
-pub use kind::CcKind;
+pub use kind::{AnyCc, CcKind};
 pub use reno::NewReno;
 pub use vegas::Vegas;
 

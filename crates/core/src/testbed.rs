@@ -701,15 +701,13 @@ impl Testbed {
     pub fn window_trace(&mut self, h: FlowHandle) -> (usize, Vec<WindowSample>) {
         let conn = self.conn_index(h);
         let host = self.host_mut(h.client_host);
-        let enforced = {
-            let entry = host
-                .datapath()
-                .table()
-                .get(&h.key)
-                .expect("the vSwitch tracks the flow");
-            let e = entry.lock();
-            e.rwnd.trace().expect("vSwitch traces windows").to_vec()
-        };
+        let enforced = host
+            .datapath()
+            .table()
+            .with_entry(&h.key, |e| {
+                e.rwnd.trace().expect("vSwitch traces windows").to_vec()
+            })
+            .expect("the vSwitch tracks the flow");
         let guest = host
             .cwnd_trace(conn)
             .expect("flow traces its CWND")
@@ -834,11 +832,12 @@ mod tests {
 
         let conn = tb.client_conn_index(h);
         let guest = tb.host_mut(0).cwnd_trace(conn).unwrap().clone();
-        let enforced = {
-            let entry = tb.host_mut(0).datapath().table().get(&h.key).unwrap();
-            let e = entry.lock();
-            e.rwnd.trace().unwrap().to_vec()
-        };
+        let enforced = tb
+            .host_mut(0)
+            .datapath()
+            .table()
+            .with_entry(&h.key, |e| e.rwnd.trace().unwrap().to_vec())
+            .unwrap();
         assert_eq!(guest_samples, guest.len());
         assert_eq!(trace.len(), enforced.len());
         assert!(trace.len() > 100, "{} enforced samples", trace.len());

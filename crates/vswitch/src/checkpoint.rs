@@ -102,7 +102,8 @@ impl HubCheckpoint {
 pub struct FlowCheckpoint {
     /// The flow's 5-tuple key (data direction).
     pub key: FlowKey,
-    /// The slot's lock-free feedback-pending flag.
+    /// [`crate::FlowEntry::rx_pending`]: derived from `state.rx_total`,
+    /// and a restore refuses a document where the two disagree.
     pub rx_pending: bool,
     /// The entry's dynamic state.
     pub state: FlowEntryState,
@@ -758,6 +759,8 @@ mod tests {
                         rtt_probe: None,
                         srtt: None,
                         rwnd: (0, true, 0),
+                        rx_total: 0,
+                        rx_marked: 0,
                         ..sample_state()
                     },
                 },

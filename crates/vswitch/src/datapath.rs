@@ -505,11 +505,11 @@ impl AcdcDatapath {
     ) -> crate::checkpoint::DatapathCheckpoint {
         use crate::checkpoint::{DatapathCheckpoint, FlowCheckpoint, HubCheckpoint};
         let mut flows: Vec<FlowCheckpoint> = Vec::with_capacity(self.table.len());
-        self.table.for_each_slot(|key, slot| {
+        self.table.for_each(|key, e| {
             flows.push(FlowCheckpoint {
                 key: *key,
-                rx_pending: slot.rx_pending(),
-                state: slot.lock().checkpoint_state(),
+                rx_pending: e.rx_pending(),
+                state: e.checkpoint_state(),
             });
         });
         flows.sort_by_key(|f| f.key);
@@ -551,25 +551,39 @@ impl AcdcDatapath {
         use crate::checkpoint::key_label;
         self.table.clear();
         for f in &ckpt.flows {
-            let (slot, _adm) = self
-                .table
-                .get_or_create(f.key, || self.new_entry(&f.key, f.state.last_activity));
-            let Some(slot) = slot else {
+            // `rx_pending` is derived (`FlowEntry::rx_pending`); a document
+            // that disagrees with its own counters no datapath wrote.
+            if f.rx_pending != (f.state.rx_total > 0) {
                 return Err(format!(
-                    "flow table refused {} during restore (capacity {:?})",
+                    "flow {} checkpointed rx_pending {} beside rx_total {}",
                     key_label(&f.key),
-                    self.cfg.max_flows
-                ));
-            };
-            if !slot.lock().restore_state(&f.state) {
-                return Err(format!(
-                    "flow {} checkpointed `{}` CC state the configured policy \
-                     does not reproduce",
-                    key_label(&f.key),
-                    f.state.cc_name
+                    f.rx_pending,
+                    f.state.rx_total
                 ));
             }
-            slot.set_rx_pending(f.rx_pending);
+            let (restored, _adm) = self.table.with_entry_or_create(
+                f.key,
+                || self.new_entry(&f.key, f.state.last_activity),
+                |e| e.restore_state(&f.state),
+            );
+            match restored {
+                None => {
+                    return Err(format!(
+                        "flow table refused {} during restore (capacity {:?})",
+                        key_label(&f.key),
+                        self.cfg.max_flows
+                    ))
+                }
+                Some(false) => {
+                    return Err(format!(
+                        "flow {} checkpointed `{}` CC state the configured policy \
+                         does not reproduce",
+                        key_label(&f.key),
+                        f.state.cc_name
+                    ))
+                }
+                Some(true) => {}
+            }
         }
         self.table.set_epoch(ckpt.gc_epoch);
         self.overload_seen
@@ -654,8 +668,7 @@ impl AcdcDatapath {
             let (tracked, admission) = self.table.with_entry_or_create(
                 key,
                 || self.new_entry(&key, now),
-                |slot| {
-                    let mut e = slot.entry.lock();
+                |e| {
                     e.last_activity = now;
                     let seq = meta.seq;
                     let seq_end = seq
@@ -745,20 +758,15 @@ impl AcdcDatapath {
 
         // --- Receiver module: attach feedback to ACKs (§3.2) ---
         if flags.contains(TcpFlags::ACK) {
-            // Lock-free probe first: a unidirectional sender has no
-            // receiver-role feedback, so the common data packet skips the
-            // reverse-entry lock (and its `last_activity` touch) entirely.
+            // A unidirectional sender has no receiver-role feedback: its
+            // reverse entry is left untouched (`last_activity` included).
             let feedback = self
                 .table
-                .with_entry(&key.reverse(), |slot| {
-                    if !slot.rx_pending() {
-                        return None;
-                    }
-                    let mut re = slot.entry.lock();
-                    re.last_activity = now;
-                    let fb = (re.rx_total > 0).then(|| re.take_feedback());
-                    slot.set_rx_pending(false);
-                    fb
+                .with_entry(&key.reverse(), |re| {
+                    re.rx_pending().then(|| {
+                        re.last_activity = now;
+                        re.take_feedback()
+                    })
                 })
                 .flatten();
             if let Some((total, marked)) = feedback {
@@ -824,9 +832,8 @@ impl AcdcDatapath {
             obs.counters.overload_passthrough.inc();
             if meta.fack {
                 if let Some(pack) = meta.pack {
-                    self.table.with_entry(&key.reverse(), |slot| {
-                        slot.entry.lock().absorb_feedback(pack);
-                    });
+                    self.table
+                        .with_entry(&key.reverse(), |e| e.absorb_feedback(pack));
                 }
                 return Verdict::Drop(DropReason::FackConsumed);
             }
@@ -870,8 +877,7 @@ impl AcdcDatapath {
             let (tracked, admission) = self.table.with_entry_or_create(
                 key,
                 || self.new_entry(&key, now),
-                |slot| {
-                    let mut e = slot.entry.lock();
+                |e| {
                     e.last_activity = now;
                     e.rx_total += payload_len;
                     e.rx_total_lifetime += payload_len;
@@ -890,8 +896,6 @@ impl AcdcDatapath {
                     if flags.contains(TcpFlags::FIN) {
                         e.closing = true;
                     }
-                    // Publish "feedback pending" for the egress fast path.
-                    slot.set_rx_pending(true);
                 },
             );
             if tracked.is_some() {
@@ -917,8 +921,7 @@ impl AcdcDatapath {
         } else if flags.contains(TcpFlags::FIN) {
             // A bare FIN still ends the remote's direction; one we never
             // tracked is left untracked.
-            self.table
-                .with_entry(&key, |slot| slot.entry.lock().closing = true);
+            self.table.with_entry(&key, |e| e.closing = true);
         }
 
         // --- Sender module: ACK processing + enforcement (§3.1–3.3) ---
@@ -963,11 +966,10 @@ impl AcdcDatapath {
         // CC events are stamped with the *data* direction's key (the flow
         // whose window is being enforced), not the arriving ACK's key.
         let data_key = meta.flow.reverse();
-        // CC events observed under the entry lock, published only after
-        // the guard drops (W002: the event bus must not be entered while
-        // a flow-entry lock is held). Fixed-size, in firing order.
-        let enforced = self.table.with_entry(&data_key, |slot| {
-            let mut e = slot.entry.lock();
+        // CC events observed under the shard lock, published only after
+        // it drops (W002: the event bus must not be entered while a table
+        // lock is held). Fixed-size, in firing order.
+        let enforced = self.table.with_entry(&data_key, |e| {
             if let Some(pack) = meta.pack {
                 e.absorb_feedback(pack);
             }
@@ -1079,17 +1081,19 @@ impl AcdcDatapath {
         // windows in ACKs *it* will send — i.e. the ACKs of the reverse
         // data direction.
         let rev = key.reverse();
-        let (rentry, radm) = self.table.get_or_create(rev, || self.new_entry(&rev, now));
-        let Some(rentry) = rentry else {
+        let (learned, radm) = self.table.with_entry_or_create(
+            rev,
+            || self.new_entry(&rev, now),
+            |re| {
+                re.last_activity = now;
+                re.rwnd.learn(wscale.unwrap_or(0));
+            },
+        );
+        if learned.is_none() {
             self.on_admission_reject(obs, now, &rev);
             return;
-        };
-        self.note_admission(obs, now, &rev, radm);
-        {
-            let mut re = rentry.lock();
-            re.last_activity = now;
-            re.rwnd.learn(wscale.unwrap_or(0));
         }
+        self.note_admission(obs, now, &rev, radm);
 
         // The VM originating this SYN is the data sender of `key`; its ECN
         // capability (SYN: ECE|CWR, SYN-ACK: ECE) matters at *its own*
@@ -1100,26 +1104,29 @@ impl AcdcDatapath {
             } else {
                 flags.contains(TcpFlags::ECE) && flags.contains(TcpFlags::CWR)
             };
-            let (entry, adm) = self.table.get_or_create(key, || self.new_entry(&key, now));
-            let Some(entry) = entry else {
+            let (tracked, adm) = self.table.with_entry_or_create(
+                key,
+                || self.new_entry(&key, now),
+                |e| {
+                    e.last_activity = now;
+                    e.vm_ecn = vm_ecn;
+                    // Initialize sequence tracking from the SYN.
+                    e.snd_una = meta.seq + 1u32;
+                    e.snd_nxt = meta.seq + 1u32;
+                    e.seq_valid = true;
+                },
+            );
+            if tracked.is_none() {
                 self.on_admission_reject(obs, now, &key);
                 return;
-            };
+            }
             self.note_admission(obs, now, &key, adm);
-            let mut e = entry.lock();
-            e.last_activity = now;
-            e.vm_ecn = vm_ecn;
-            // Initialize sequence tracking from the SYN.
-            e.snd_una = meta.seq + 1u32;
-            e.snd_nxt = meta.seq + 1u32;
-            e.seq_valid = true;
         }
     }
 
     fn mark_closing(&self, key: &acdc_packet::FlowKey) {
         for k in [*key, key.reverse()] {
-            self.table
-                .with_entry(&k, |slot| slot.entry.lock().closing = true);
+            self.table.with_entry(&k, |e| e.closing = true);
         }
     }
 
@@ -1131,9 +1138,9 @@ impl AcdcDatapath {
     /// entirely (no ingress packet will trigger the check).
     pub fn tick(&self, now: Nanos) {
         // Timeouts are collected during the sweep and published after it:
-        // the event bus must not be entered while the table's per-entry
-        // locks are held (W002). Published in `FlowTable::sweep_order`,
-        // not the walk's bucket order.
+        // the event bus must not be entered while a table lock is held
+        // (W002). Published in `FlowTable::sweep_order`, not the walk's
+        // bucket order.
         let mut fired = Vec::new();
         self.table.for_each(|key, e| {
             if let Some(cwnd) = e.infer_timeout(now) {
@@ -1196,15 +1203,14 @@ impl AcdcDatapath {
     /// `Endpoint::seq_view` exposes for its ground truth. The chaos suite
     /// compares the two after fault recovery.
     pub fn seq_view(&self, key: &acdc_packet::FlowKey) -> Option<acdc_packet::SeqView> {
-        let entry = self.table.get(key)?;
-        let e = entry.lock();
-        if !e.seq_valid {
-            return None;
-        }
-        Some(acdc_packet::SeqView {
-            snd_una: e.snd_una,
-            snd_nxt: e.snd_nxt,
-        })
+        self.table
+            .with_entry(key, |e| {
+                e.seq_valid.then_some(acdc_packet::SeqView {
+                    snd_una: e.snd_una,
+                    snd_nxt: e.snd_nxt,
+                })
+            })
+            .flatten()
     }
 
     /// Generate a TCP Window Update for the data sender of `key` without
@@ -1214,26 +1220,24 @@ impl AcdcDatapath {
     /// This packet is meant to be *delivered to the local guest* (the data
     /// sender behind this vSwitch).
     pub fn make_window_update(&self, key: &acdc_packet::FlowKey) -> Option<Segment> {
-        let entry = self.table.get(key)?;
-        let e = entry.lock();
-        e.seq_valid
-            .then(|| make_pure_ack(key, &e, e.cc.cwnd().max(1)))
+        self.table
+            .with_entry(key, |e| {
+                e.seq_valid
+                    .then(|| make_pure_ack(key, e, e.cc.cwnd().max(1)))
+            })
+            .flatten()
     }
 
     /// Generate `n` duplicate ACKs for the data sender of `key` to trigger
     /// its fast retransmit earlier than its (possibly long) RTO (§3.3,
     /// incast mitigation).
     pub fn make_dup_acks(&self, key: &acdc_packet::FlowKey, n: usize) -> Vec<Segment> {
-        let Some(entry) = self.table.get(key) else {
-            return Vec::new();
-        };
-        let e = entry.lock();
-        if !e.seq_valid {
-            return Vec::new();
-        }
-        (0..n)
-            .map(|_| make_pure_ack(key, &e, e.cc.cwnd()))
-            .collect()
+        self.table
+            .with_entry(key, |e| {
+                let n = if e.seq_valid { n } else { 0 };
+                (0..n).map(|_| make_pure_ack(key, e, e.cc.cwnd())).collect()
+            })
+            .unwrap_or_default()
     }
 }
 

@@ -173,7 +173,7 @@ impl FlowEntry {
             snd_nxt: SeqNumber::ZERO,
             seq_valid: false,
             dupacks: 0,
-            cc: EcnFractionCc::new(kind.build(cc_cfg)),
+            cc: EcnFractionCc::new(kind.instantiate(cc_cfg)),
             rwnd: RwndRewriter::new(),
             vm_ecn: false,
             rtt_probe: None,
@@ -190,6 +190,12 @@ impl FlowEntry {
             closing: false,
             last_activity: now,
         }
+    }
+
+    /// Receiver-role bytes await PACK feedback: the next egress ACK of
+    /// the reverse direction takes them ([`FlowEntry::take_feedback`]).
+    pub fn rx_pending(&self) -> bool {
+        self.rx_total > 0
     }
 
     /// Take the receiver-role feedback counters as u32 wire deltas,
@@ -350,7 +356,9 @@ mod tests {
         let mut e = entry();
         e.rx_total = 10_000;
         e.rx_marked = 2_500;
+        assert!(e.rx_pending());
         assert_eq!(e.take_feedback(), (10_000, 2_500));
+        assert!(!e.rx_pending());
         assert_eq!(e.take_feedback(), (0, 0));
     }
 

@@ -5,9 +5,9 @@
 //! through [`AcdcDatapath::egress`] / [`AcdcDatapath::ingress`], which:
 //!
 //! * reconstruct per-flow congestion-control state by watching sequence
-//!   numbers, ACKs and handshakes (§3.1) — stored in a sharded, per-entry
-//!   locked [`table::FlowTable`] mirroring the paper's RCU hash table with
-//!   per-entry spinlocks;
+//!   numbers, ACKs and handshakes (§3.1) — stored in a sharded
+//!   [`table::FlowTable`], one lock per shard, standing in for the paper's
+//!   RCU hash table with per-entry spinlocks;
 //! * implement DCTCP (or any [`acdc_cc`] algorithm, selected per flow by a
 //!   [`CcPolicy`]) inside the vSwitch: forcing ECT on egress data, counting
 //!   CE-marked bytes at the receiver, and shipping the counts back in

@@ -2,14 +2,16 @@
 //!
 //! The paper adds a hash table to OVS keyed by the flow 5-tuple, using RCU
 //! for read-mostly lookups and an individual spinlock per flow entry so
-//! distinct flows update concurrently (§4). The Rust equivalent here is a
-//! *sharded* table — 1 024 shards, each a `parking_lot::RwLock<Shard>`
-//! taken for read on lookup — holding `Arc<FlowSlot>` values (the entry
-//! behind its own lock, plus a lock-free feedback-pending flag). The
-//! per-packet fast path is [`FlowTable::with_entry`]: shard read-lock →
-//! per-entry lock, no `Arc` refcount traffic. Inserts and removals (SYN /
-//! FIN + garbage collection) take the shard writer lock, exactly the
-//! "many more lookups than insertions" profile the paper describes.
+//! distinct flows update concurrently (§4). Here the table is *sharded* —
+//! 1 024 shards, each a `parking_lot::Mutex<Shard>` — and the shard lock
+//! is the only lock: it guards the shard's index and the entries in it.
+//! The per-entry lock bought the paper concurrency between two writers of
+//! one connection; symmetric steering (`acdc-workers`) already gives
+//! every connection exactly one writing worker, so a second lock per
+//! entry would guard nothing the shard lock does not. Every access is
+//! one closure under one lock ([`FlowTable::with_entry`],
+//! [`FlowTable::with_entry_or_create`], [`FlowTable::for_each`]), handed
+//! `&mut FlowEntry`; no reference to an entry outlives its call.
 //!
 //! [`FlowKey::hash64`] (FNV-1a over the 12 key bytes — stable run-to-run
 //! and cheap enough for the two lookups every packet makes) is computed
@@ -19,12 +21,15 @@
 //! is an open-addressed index — linear probing over a power-of-two bucket
 //! array kept at most half full, removal by backward shift, so there are
 //! no tombstones and a probe for an absent key ends at the first empty
-//! bucket. `gc` halves an array left less than an eighth full; `clear`
-//! frees them all. Whole-table walks (`for_each`, `gc`, eviction) visit
-//! shards in index order and entries in bucket order, which depends on
-//! history and on the secret. Whatever a walk publishes is ordered by
-//! content instead: `tick` and `gc` sort their events by shard then key,
-//! `flow_stats` and `checkpoint` by key, and eviction takes a minimum.
+//! bucket. A bucket holds the key beside a `Box<FlowEntry>`, the entry's
+//! one allocation, so a probe compares keys without touching entries and
+//! a resize moves pointers. `gc` halves an array left less than an eighth
+//! full; `clear` frees them all. Whole-table walks (`for_each`, `gc`,
+//! eviction) visit shards in index order and entries in bucket order,
+//! which depends on history and on the secret. Whatever a walk publishes
+//! is ordered by content instead: `tick` and `gc` sort their events by
+//! shard then key, `flow_stats` and `checkpoint` by key, and eviction
+//! takes a minimum.
 //!
 //! ## Capacity & admission
 //!
@@ -41,13 +46,13 @@
 //! evictions and drive its degradation ladder.
 
 use std::hash::{BuildHasher, RandomState};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use acdc_packet::{mix64, FlowKey};
 use acdc_stats::time::Nanos;
 use acdc_telemetry::{EventKind, Telemetry};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use crate::entry::FlowEntry;
 
@@ -102,46 +107,8 @@ impl Admission {
     }
 }
 
-/// A table slot: the per-flow entry behind its lock, plus the one flag
-/// the egress fast path reads without taking that lock.
-pub struct FlowSlot {
-    /// Mirrors `entry.rx_total > 0` — receiver-module bytes awaiting PACK
-    /// feedback. The egress ACK path probes this with a relaxed load and
-    /// skips the reverse-entry lock entirely in the common unidirectional
-    /// case; it is written back under the entry lock, so a stale `true`
-    /// costs one harmless probe and a stale `false` only defers feedback
-    /// to the next ACK (which is the PACK contract anyway).
-    pub rx_pending: AtomicBool,
-    /// The flow entry proper.
-    pub entry: Mutex<FlowEntry>,
-}
-
-impl FlowSlot {
-    fn new(entry: FlowEntry) -> FlowSlot {
-        FlowSlot {
-            rx_pending: AtomicBool::new(false),
-            entry: Mutex::new(entry),
-        }
-    }
-
-    /// Lock the flow entry.
-    pub fn lock(&self) -> MutexGuard<'_, FlowEntry> {
-        self.entry.lock()
-    }
-
-    /// Relaxed probe of the feedback-pending flag.
-    pub fn rx_pending(&self) -> bool {
-        self.rx_pending.load(Ordering::Relaxed)
-    }
-
-    /// Set the feedback-pending flag (call with the entry lock held).
-    pub fn set_rx_pending(&self, pending: bool) {
-        self.rx_pending.store(pending, Ordering::Relaxed);
-    }
-}
-
-/// One bucket: 24 bytes, the `Arc`'s non-null niche encoding `None`.
-type Bucket = Option<(FlowKey, Arc<FlowSlot>)>;
+/// One bucket: 24 bytes, the `Box`'s non-null niche encoding `None`.
+type Bucket = Option<(FlowKey, Box<FlowEntry>)>;
 
 /// This process's placement secret, drawn once from the standard
 /// library's randomly keyed SipHash. Flow keys are wire input: were
@@ -198,9 +165,9 @@ impl Shard {
         }
     }
 
-    fn get(&self, key: &FlowKey, place: u64) -> Option<&Arc<FlowSlot>> {
+    fn get_mut(&mut self, key: &FlowKey, place: u64) -> Option<&mut FlowEntry> {
         let i = self.find(key, place)?;
-        self.buckets[i].as_ref().map(|(_, slot)| slot)
+        self.buckets[i].as_mut().map(|(_, e)| &mut **e)
     }
 
     /// The first empty bucket on `place`'s probe path (the array has one:
@@ -214,30 +181,33 @@ impl Shard {
         i
     }
 
-    /// Insert `key`, which must be absent, and return its slot.
+    /// Insert `key`, which must be absent, and return its entry.
     fn insert(
         &mut self,
         key: FlowKey,
         place: u64,
         secret: u64,
-        slot: Arc<FlowSlot>,
-    ) -> &Arc<FlowSlot> {
+        entry: Box<FlowEntry>,
+    ) -> &mut FlowEntry {
         let cap = self.buckets.len();
         if 2 * (self.len + 1) > cap {
             self.resize((2 * cap).max(MIN_BUCKETS), secret);
         }
         let i = self.vacant(place);
         self.len += 1;
-        &self.buckets[i].insert((key, slot)).1
+        &mut self.buckets[i].insert((key, entry)).1
     }
 
     /// Move every entry into a fresh array of `cap` buckets, a power of
     /// two at least twice `len`.
     fn resize(&mut self, cap: usize, secret: u64) {
-        let old = std::mem::replace(&mut self.buckets, vec![None; cap].into_boxed_slice());
-        for (key, slot) in old.into_vec().into_iter().flatten() {
+        let old = std::mem::replace(
+            &mut self.buckets,
+            std::iter::repeat_with(|| None).take(cap).collect(),
+        );
+        for (key, entry) in old.into_vec().into_iter().flatten() {
             let i = self.vacant(place(key.hash64(), secret));
-            self.buckets[i] = Some((key, slot));
+            self.buckets[i] = Some((key, entry));
         }
     }
 
@@ -277,7 +247,7 @@ impl Shard {
     /// peak. The walk starts just past an empty bucket, which no cluster
     /// spans: a removal only shifts entries from later in the hole's
     /// cluster, so none lands on a bucket the walk has already passed.
-    fn retain(&mut self, secret: u64, mut keep: impl FnMut(&FlowKey, &Arc<FlowSlot>) -> bool) {
+    fn retain(&mut self, secret: u64, mut keep: impl FnMut(&FlowKey, &FlowEntry) -> bool) {
         let cap = self.buckets.len();
         let Some(empty) = self.buckets.iter().position(Option::is_none) else {
             return;
@@ -285,8 +255,8 @@ impl Shard {
         let mut i = empty;
         for _ in 0..cap {
             i = (i + 1) & (cap - 1);
-            while let Some((key, slot)) = &self.buckets[i] {
-                if keep(key, slot) {
+            while let Some((key, entry)) = &self.buckets[i] {
+                if keep(key, entry) {
                     break;
                 }
                 // Re-examine i: a later entry may have shifted into it.
@@ -303,14 +273,22 @@ impl Shard {
     }
 
     /// Entries in bucket order.
-    fn iter(&self) -> impl Iterator<Item = &(FlowKey, Arc<FlowSlot>)> {
-        self.buckets.iter().flatten()
+    fn iter(&self) -> impl Iterator<Item = (&FlowKey, &FlowEntry)> {
+        self.buckets.iter().flatten().map(|(k, e)| (k, &**e))
+    }
+
+    /// Entries in bucket order, mutably.
+    fn iter_mut(&mut self) -> impl Iterator<Item = (&FlowKey, &mut FlowEntry)> {
+        self.buckets
+            .iter_mut()
+            .flatten()
+            .map(|(k, e)| (&*k, &mut **e))
     }
 }
 
-/// A sharded flow table: `FlowKey → Arc<FlowSlot>`.
+/// A sharded flow table: `FlowKey → FlowEntry`, one lock per shard.
 pub struct FlowTable {
-    shards: Vec<RwLock<Shard>>,
+    shards: Vec<Mutex<Shard>>,
     /// Keys bucket placement inside a shard ([`placement_secret`]).
     secret: u64,
     /// Tracked-entry count, maintained by reservation: incremented before
@@ -342,7 +320,7 @@ impl FlowTable {
     /// An empty, unbounded table.
     pub fn new() -> FlowTable {
         FlowTable {
-            shards: (0..SHARDS).map(|_| RwLock::default()).collect(),
+            shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
             secret: placement_secret(),
             count: AtomicUsize::new(0),
             max_flows: None,
@@ -386,9 +364,8 @@ impl FlowTable {
     }
 
     /// The shard index `key` maps to: the low bits of [`FlowKey::hash64`].
-    /// Worker steering (`acdc-workers`) masks the *same* hash, so for a
-    /// power-of-two worker count every worker touches a disjoint slice of
-    /// shards — its working set is effectively core-local.
+    /// Worker steering (`acdc-workers`) finalizes the same hash before
+    /// reducing it, so one shard's keys spread over every worker.
     pub fn shard_of(key: &FlowKey) -> usize {
         (key.hash64() as usize) & (SHARDS - 1)
     }
@@ -405,7 +382,7 @@ impl FlowTable {
     }
 
     /// The shard `key` lives in, and where its probe starts.
-    fn shard(&self, key: &FlowKey) -> (&RwLock<Shard>, u64) {
+    fn shard(&self, key: &FlowKey) -> (&Mutex<Shard>, u64) {
         let hash = key.hash64();
         (
             &self.shards[hash as usize & (SHARDS - 1)],
@@ -413,20 +390,12 @@ impl FlowTable {
         )
     }
 
-    /// Look up an entry (read path: shard read lock only). Clones the
-    /// `Arc` — fine for cold paths; per-packet code uses
-    /// [`FlowTable::with_entry`] to skip the two refcount ops.
-    pub fn get(&self, key: &FlowKey) -> Option<Arc<FlowSlot>> {
+    /// Run `f` on the entry for `key` under its shard's lock — the
+    /// per-packet path. `f` must not call back into the table (the shard
+    /// lock is held) nor publish events (W002).
+    pub fn with_entry<R>(&self, key: &FlowKey, f: impl FnOnce(&mut FlowEntry) -> R) -> Option<R> {
         let (shard, place) = self.shard(key);
-        shard.read().get(key, place).cloned()
-    }
-
-    /// Run `f` on the slot for `key`, under the shard read lock, without
-    /// touching the `Arc` refcount. `f` must not call back into the table
-    /// (the shard lock is held).
-    pub fn with_entry<R>(&self, key: &FlowKey, f: impl FnOnce(&FlowSlot) -> R) -> Option<R> {
-        let (shard, place) = self.shard(key);
-        shard.read().get(key, place).map(|slot| f(slot))
+        shard.lock().get_mut(key, place).map(f)
     }
 
     /// Reserve one slot in `count`, respecting the cap.
@@ -455,12 +424,12 @@ impl FlowTable {
     fn evict_one(&self, avoid: &FlowKey) -> bool {
         let mut victim: Option<(Nanos, FlowKey)> = None;
         for shard in &self.shards {
-            let shard = shard.read();
-            for (k, slot) in shard.iter() {
+            let shard = shard.lock();
+            for (k, e) in shard.iter() {
                 if k == avoid {
                     continue;
                 }
-                let cand = (slot.entry.lock().last_activity, *k);
+                let cand = (e.last_activity, *k);
                 if victim.is_none_or(|v| cand < v) {
                     victim = Some(cand);
                 }
@@ -496,63 +465,60 @@ impl FlowTable {
         }
     }
 
-    /// [`FlowTable::with_entry`], creating the slot with `init` when
-    /// absent — subject to the capacity/admission gate. Same rule: `f`
-    /// must not call back into the table. Returns `None` (with
-    /// [`Admission::Rejected`]) when the table is full and the policy
-    /// refused the flow; `f` is not called in that case.
+    /// [`FlowTable::with_entry`], creating the entry with `init` when
+    /// absent — subject to the capacity/admission gate. Same rules for
+    /// `f`, and `init` runs under the shard lock too. Returns `None`
+    /// (with [`Admission::Rejected`]) when the table is full and the
+    /// policy refused the flow; `f` is not called in that case.
     pub fn with_entry_or_create<R>(
         &self,
         key: FlowKey,
         init: impl FnOnce() -> FlowEntry,
-        f: impl FnOnce(&Arc<FlowSlot>) -> R,
+        f: impl FnOnce(&mut FlowEntry) -> R,
     ) -> (Option<R>, Admission) {
         let (lock, place) = self.shard(&key);
-        {
-            let shard = lock.read();
-            if let Some(slot) = shard.get(&key, place) {
-                return (Some(f(slot)), Admission::Existing);
+        let mut shard = lock.lock();
+        if let Some(e) = shard.get_mut(&key, place) {
+            return (Some(f(e)), Admission::Existing);
+        }
+        let mut evicted = 0;
+        if !self.try_reserve() {
+            // At the cap. Eviction takes every shard's lock in turn, this
+            // one included, and parking_lot locks are not re-entrant.
+            drop(shard);
+            let (reserved, n) = self.admit(&key);
+            if !reserved {
+                return (None, Admission::Rejected);
+            }
+            evicted = n;
+            shard = lock.lock();
+            if let Some(e) = shard.get_mut(&key, place) {
+                // Lost a create race: hand the reservation back.
+                self.release();
+                return (Some(f(e)), Admission::Existing);
             }
         }
-        // Admission (and any eviction it entails) happens before the
-        // target shard's write lock is taken: the victim may live in the
-        // same shard, and parking_lot locks are not re-entrant.
-        let (reserved, evicted) = self.admit(&key);
-        if !reserved {
-            return (None, Admission::Rejected);
-        }
-        let mut shard = lock.write();
-        if let Some(slot) = shard.get(&key, place) {
-            // Lost a create race: hand the reservation back.
-            self.release();
-            return (Some(f(slot)), Admission::Existing);
-        }
-        let slot = shard.insert(key, place, self.secret, Arc::new(FlowSlot::new(init())));
+        let e = shard.insert(key, place, self.secret, Box::new(init()));
         let adm = if evicted > 0 {
             Admission::CreatedAfterEviction(evicted)
         } else {
             Admission::Created
         };
-        (Some(f(slot)), adm)
+        (Some(f(e)), adm)
     }
 
     /// Look up or create an entry with `init`, subject to the
-    /// capacity/admission gate, and clone its `Arc` out — the cold-path
-    /// form of [`FlowTable::with_entry_or_create`]. `None` with
+    /// capacity/admission gate, and say which it was:
     /// [`Admission::Rejected`] when the table is full and the policy
     /// refused the flow.
-    pub fn get_or_create(
-        &self,
-        key: FlowKey,
-        init: impl FnOnce() -> FlowEntry,
-    ) -> (Option<Arc<FlowSlot>>, Admission) {
-        self.with_entry_or_create(key, init, Arc::clone)
+    pub fn get_or_create(&self, key: FlowKey, init: impl FnOnce() -> FlowEntry) -> Admission {
+        self.with_entry_or_create(key, init, |_| ()).1
     }
 
     /// Remove an entry (FIN teardown).
     pub fn remove(&self, key: &FlowKey) -> bool {
         let (shard, place) = self.shard(key);
-        let removed = shard.write().remove(key, place, self.secret).is_some();
+        let removed = shard.lock().remove(key, place, self.secret).is_some();
         if removed {
             self.release();
         }
@@ -574,7 +540,7 @@ impl FlowTable {
     pub fn clear(&self) -> usize {
         let mut removed = 0;
         for shard in &self.shards {
-            let mut shard = shard.write();
+            let mut shard = shard.lock();
             removed += shard.len;
             *shard = Shard::default();
         }
@@ -592,17 +558,16 @@ impl FlowTable {
     /// array (down to [`MIN_BUCKETS`]); [`FlowTable::clear`] frees them.
     pub fn gc(&self, now: Nanos, idle_timeout: Nanos) -> usize {
         // Evicted keys are collected during the sweep and their events
-        // published only after every shard/entry lock is released (W002:
-        // no event-bus entry while table locks are held), in
-        // `sweep_order`: shards are swept in index order, so sorting each
-        // shard's few keys is enough.
+        // published only after every shard lock is released (W002: no
+        // event-bus entry while a table lock is held), in `sweep_order`:
+        // shards are swept in index order, so sorting each shard's few
+        // keys is enough.
         let epoch = self.epoch();
         let mut evicted: Vec<FlowKey> = Vec::new();
         for shard in &self.shards {
             let first = evicted.len();
-            let mut shard = shard.write();
-            shard.retain(self.secret, |key, v| {
-                let e = v.entry.lock();
+            let mut shard = shard.lock();
+            shard.retain(self.secret, |key, e| {
                 let dead =
                     e.closing || now.saturating_sub(e.last_activity.max(epoch)) > idle_timeout;
                 if dead {
@@ -615,7 +580,7 @@ impl FlowTable {
         self.count.fetch_sub(evicted.len(), Ordering::Relaxed);
         debug_assert!(
             self.count.load(Ordering::Relaxed)
-                == self.shards.iter().map(|s| s.read().len).sum::<usize>(),
+                == self.shards.iter().map(|s| s.lock().len).sum::<usize>(),
             "flow-table count drifted from shard contents after gc"
         );
         if let Some(t) = &self.telemetry {
@@ -626,25 +591,14 @@ impl FlowTable {
         evicted.len()
     }
 
-    /// Visit every entry (diagnostics, inactivity scans).
+    /// Visit every entry, one shard lock at a time (diagnostics,
+    /// inactivity scans, checkpoint capture). Same rules for `f` as
+    /// [`FlowTable::with_entry`].
     pub fn for_each(&self, mut f: impl FnMut(&FlowKey, &mut FlowEntry)) {
         for shard in &self.shards {
-            let shard = shard.read();
-            for (k, v) in shard.iter() {
-                f(k, &mut v.entry.lock());
-            }
-        }
-    }
-
-    /// Visit every *slot* (entry plus the lock-free `rx_pending` flag) —
-    /// the checkpoint capture walk, which needs slot state `for_each`
-    /// hides. Same rule as [`FlowTable::with_entry`]: `f` must not call
-    /// back into the table (the shard read lock is held).
-    pub fn for_each_slot(&self, mut f: impl FnMut(&FlowKey, &FlowSlot)) {
-        for shard in &self.shards {
-            let shard = shard.read();
-            for (k, v) in shard.iter() {
-                f(k, v);
+            let mut shard = shard.lock();
+            for (k, e) in shard.iter_mut() {
+                f(k, e);
             }
         }
     }
@@ -668,20 +622,28 @@ mod tests {
         FlowEntry::new(CcKind::Dctcp, CcConfig::vswitch(1448), now)
     }
 
-    fn create(t: &FlowTable, p: u16, now: Nanos) -> (Arc<FlowSlot>, Admission) {
-        let (slot, adm) = t.get_or_create(key(p), || entry(now));
-        (slot.expect("admitted"), adm)
+    fn create(t: &FlowTable, p: u16, now: Nanos) -> Admission {
+        let adm = t.get_or_create(key(p), || entry(now));
+        assert!(!adm.rejected(), "admitted");
+        adm
+    }
+
+    fn last_activity(t: &FlowTable, p: u16) -> Option<Nanos> {
+        t.with_entry(&key(p), |e| e.last_activity)
+    }
+
+    fn set_last_activity(t: &FlowTable, p: u16, at: Nanos) {
+        t.with_entry(&key(p), |e| e.last_activity = at)
+            .expect("tracked");
     }
 
     #[test]
     fn create_lookup_remove() {
         let t = FlowTable::new();
-        assert!(t.get(&key(1)).is_none());
-        let (e, adm) = create(&t, 1, 0);
-        assert_eq!(adm, Admission::Created);
-        e.lock().last_activity = 42;
-        let e2 = t.get(&key(1)).unwrap();
-        assert_eq!(e2.lock().last_activity, 42);
+        assert!(last_activity(&t, 1).is_none());
+        assert_eq!(create(&t, 1, 0), Admission::Created);
+        set_last_activity(&t, 1, 42);
+        assert_eq!(last_activity(&t, 1), Some(42));
         assert_eq!(t.len(), 1);
         assert!(t.remove(&key(1)));
         assert!(t.is_empty());
@@ -691,10 +653,9 @@ mod tests {
     #[test]
     fn get_or_create_is_idempotent() {
         let t = FlowTable::new();
-        let (a, _) = create(&t, 7, 0);
-        let (b, adm) = create(&t, 7, 99);
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(adm, Admission::Existing);
+        create(&t, 7, 0);
+        assert_eq!(create(&t, 7, 99), Admission::Existing);
+        assert_eq!(last_activity(&t, 7), Some(0), "the first entry stays");
         assert_eq!(t.len(), 1);
     }
 
@@ -705,7 +666,7 @@ mod tests {
             create(&t, p, 0);
         }
         assert_eq!(t.len(), 1000);
-        let nonempty = t.shards.iter().filter(|s| s.read().len > 0).count();
+        let nonempty = t.shards.iter().filter(|s| s.lock().len > 0).count();
         assert!(nonempty > SHARDS / 2, "poor shard distribution: {nonempty}");
     }
 
@@ -713,17 +674,19 @@ mod tests {
     fn gc_collects_idle_and_closed() {
         let t = FlowTable::new();
         create(&t, 1, 0); // idle since t=0
-        let (fresh, _) = create(&t, 2, 0);
-        fresh.lock().last_activity = 1_000_000_000;
-        let (closed, _) = create(&t, 3, 0);
-        closed.lock().last_activity = 1_000_000_000;
-        closed.lock().closing = true;
+        create(&t, 2, 0);
+        set_last_activity(&t, 2, 1_000_000_000);
+        create(&t, 3, 0);
+        t.with_entry(&key(3), |e| {
+            e.last_activity = 1_000_000_000;
+            e.closing = true;
+        });
         let n = t.gc(1_000_000_001, 500_000_000);
         assert_eq!(n, 2);
         assert_eq!(t.len(), 1);
-        assert!(t.get(&key(1)).is_none());
-        assert!(t.get(&key(2)).is_some());
-        assert!(t.get(&key(3)).is_none());
+        assert!(last_activity(&t, 1).is_none());
+        assert!(last_activity(&t, 2).is_some());
+        assert!(last_activity(&t, 3).is_none());
     }
 
     #[test]
@@ -734,10 +697,13 @@ mod tests {
         // Without an epoch stamp this entry would be collected instantly.
         t.set_epoch(2_000_000_000);
         assert_eq!(t.gc(2_000_000_001, 500_000_000), 0);
-        assert!(t.get(&key(1)).is_some(), "epoch shields pre-epoch idleness");
+        assert!(
+            last_activity(&t, 1).is_some(),
+            "epoch shields pre-epoch idleness"
+        );
         // Once genuinely idle *past* the epoch, collection proceeds.
         assert_eq!(t.gc(2_600_000_001, 500_000_000), 1);
-        assert!(t.get(&key(1)).is_none());
+        assert!(last_activity(&t, 1).is_none());
         // Epoch stamps never move backwards.
         t.set_epoch(1_000_000_000);
         assert_eq!(t.epoch(), 2_000_000_000);
@@ -746,33 +712,31 @@ mod tests {
     #[test]
     fn bounded_reject_new_refuses_at_capacity() {
         let t = FlowTable::bounded(2, AdmissionPolicy::RejectNew);
-        assert_eq!(create(&t, 1, 0).1, Admission::Created);
-        assert_eq!(create(&t, 2, 0).1, Admission::Created);
-        let (slot, adm) = t.get_or_create(key(3), || entry(0));
-        assert!(slot.is_none());
-        assert_eq!(adm, Admission::Rejected);
+        assert_eq!(create(&t, 1, 0), Admission::Created);
+        assert_eq!(create(&t, 2, 0), Admission::Created);
+        assert_eq!(t.get_or_create(key(3), || entry(0)), Admission::Rejected);
+        assert!(last_activity(&t, 3).is_none());
         assert_eq!(t.len(), 2);
         // Existing keys still resolve at capacity.
-        assert_eq!(create(&t, 1, 0).1, Admission::Existing);
+        assert_eq!(create(&t, 1, 0), Admission::Existing);
         // Freeing a slot re-opens admission.
         assert!(t.remove(&key(1)));
-        assert_eq!(create(&t, 3, 0).1, Admission::Created);
+        assert_eq!(create(&t, 3, 0), Admission::Created);
         assert_eq!(t.len(), 2);
     }
 
     #[test]
     fn bounded_evict_oldest_idle_is_deterministic() {
         let t = FlowTable::bounded(2, AdmissionPolicy::EvictOldestIdle);
-        let (a, _) = create(&t, 1, 0);
-        a.lock().last_activity = 100;
-        let (b, _) = create(&t, 2, 0);
-        b.lock().last_activity = 50; // oldest → the victim
-        let (_, adm) = create(&t, 3, 0);
-        assert_eq!(adm, Admission::CreatedAfterEviction(1));
+        create(&t, 1, 0);
+        set_last_activity(&t, 1, 100);
+        create(&t, 2, 0);
+        set_last_activity(&t, 2, 50); // oldest → the victim
+        assert_eq!(create(&t, 3, 0), Admission::CreatedAfterEviction(1));
         assert_eq!(t.len(), 2);
-        assert!(t.get(&key(2)).is_none(), "oldest-idle entry evicted");
-        assert!(t.get(&key(1)).is_some());
-        assert!(t.get(&key(3)).is_some());
+        assert!(last_activity(&t, 2).is_none(), "oldest-idle entry evicted");
+        assert!(last_activity(&t, 1).is_some());
+        assert!(last_activity(&t, 3).is_some());
     }
 
     #[test]
@@ -781,9 +745,12 @@ mod tests {
         create(&t, 9, 0);
         create(&t, 4, 0); // same last_activity; smaller port loses
         create(&t, 7, 0);
-        assert!(t.get(&key(4)).is_none(), "smallest key evicted on tie");
-        assert!(t.get(&key(9)).is_some());
-        assert!(t.get(&key(7)).is_some());
+        assert!(
+            last_activity(&t, 4).is_none(),
+            "smallest key evicted on tie"
+        );
+        assert!(last_activity(&t, 9).is_some());
+        assert!(last_activity(&t, 7).is_some());
     }
 
     #[test]
@@ -803,7 +770,7 @@ mod tests {
         create(&t, 2, 0);
         assert_eq!(t.clear(), 2);
         assert!(t.is_empty());
-        assert_eq!(create(&t, 3, 0).1, Admission::Created);
+        assert_eq!(create(&t, 3, 0), Admission::Created);
     }
 
     /// `n` ports whose keys land in shard 0.
@@ -815,7 +782,7 @@ mod tests {
     }
 
     fn buckets(t: &FlowTable, shard: usize) -> usize {
-        t.shards[shard].read().buckets.len()
+        t.shards[shard].lock().buckets.len()
     }
 
     #[test]
@@ -829,7 +796,7 @@ mod tests {
         assert!(buckets(&t, 0) >= 2 * crowd.len());
         assert_eq!(t.clear(), crowd.len());
         for shard in &t.shards {
-            let shard = shard.read();
+            let shard = shard.lock();
             assert_eq!((shard.len, shard.buckets.len()), (0, 0));
         }
         // An emptied shard starts again from its first allocation.
@@ -850,24 +817,28 @@ mod tests {
         // halves to 32, where 6 is not.
         let (live, idle) = crowd.split_at(6);
         for &p in live {
-            t.get(&key(p)).unwrap().lock().last_activity = 2 * IDLE;
+            set_last_activity(&t, p, 2 * IDLE);
         }
         assert_eq!(t.gc(2 * IDLE, IDLE), idle.len());
         assert_eq!(buckets(&t, 0), 32);
         for &p in live {
-            assert!(t.get(&key(p)).is_some(), "port {p} lost in the shrink");
+            assert!(
+                last_activity(&t, p).is_some(),
+                "port {p} lost in the shrink"
+            );
         }
         for &p in idle {
-            assert!(t.get(&key(p)).is_none(), "port {p} survived gc");
+            assert!(last_activity(&t, p).is_none(), "port {p} survived gc");
         }
         // Emptied by gc, a shard keeps its smallest array.
         assert_eq!(t.gc(4 * IDLE, IDLE), live.len());
-        assert_eq!((t.shards[0].read().len, buckets(&t, 0)), (0, MIN_BUCKETS));
+        assert!(t.is_empty());
+        assert_eq!(buckets(&t, 0), MIN_BUCKETS);
     }
 
     /// The longest probe any entry of `shard` needs, in buckets.
     fn longest_probe(t: &FlowTable, shard: usize) -> usize {
-        let shard = t.shards[shard].read();
+        let shard = t.shards[shard].lock();
         let cap = shard.buckets.len();
         let start = |k: &FlowKey| home(place(k.hash64(), t.secret), cap);
         let probe = |(i, b): (usize, &Bucket)| {
@@ -927,8 +898,8 @@ mod tests {
         }
         for p in 0..200 {
             let k = key(p);
-            let shard = t.shards[FlowTable::shard_of(&k)].read();
-            assert!(shard.get(&k, place(k.hash64(), t.secret)).is_some());
+            let mut shard = t.shards[FlowTable::shard_of(&k)].lock();
+            assert!(shard.get_mut(&k, place(k.hash64(), t.secret)).is_some());
         }
         assert!(SHARDS.is_power_of_two());
     }
@@ -942,9 +913,10 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for i in 0..250u16 {
                     let k = key(tid * 250 + i);
-                    let (e, _) = t.get_or_create(k, || entry(0));
-                    e.unwrap().lock().last_activity = u64::from(i);
-                    assert!(t.get(&k).is_some());
+                    let (set, _) =
+                        t.with_entry_or_create(k, || entry(0), |e| e.last_activity = u64::from(i));
+                    assert!(set.is_some());
+                    assert_eq!(t.with_entry(&k, |e| e.last_activity), Some(u64::from(i)));
                 }
             }));
         }

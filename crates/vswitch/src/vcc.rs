@@ -19,7 +19,7 @@
 //! DCTCP's alpha estimator wants, so the adapter is a direct translation
 //! with no behavioral change — the chaos-equivalence suites pin that.
 
-use acdc_cc::{AckEvent, Clamped, CongestionControl};
+use acdc_cc::{AckEvent, AnyCc, Clamped, CongestionControl};
 use acdc_stats::time::Nanos;
 
 use crate::entry::MAX_ENFORCED_WINDOW;
@@ -100,16 +100,16 @@ pub trait VirtualCc: Send + core::fmt::Debug {
 /// is bounded by [`MAX_ENFORCED_WINDOW`], applied here.
 #[derive(Debug)]
 pub struct EcnFractionCc {
-    /// The wrapped algorithm behind the window ceiling, held by value:
-    /// the algorithm's own box is the only allocation. Private: the only
-    /// write path is the trait's own event methods (component
-    /// `vswitch.virtual-cc`).
-    algo: Clamped<Box<dyn CongestionControl>>,
+    /// The wrapped algorithm behind the window ceiling, held by value and
+    /// inline, so a flow entry carries its algorithm in its own
+    /// allocation. Private: the only write path is the trait's own event
+    /// methods (component `vswitch.virtual-cc`).
+    algo: Clamped<AnyCc>,
 }
 
 impl EcnFractionCc {
     /// Wrap `algo` for the vSwitch seam.
-    pub fn new(algo: Box<dyn CongestionControl>) -> EcnFractionCc {
+    pub fn new(algo: AnyCc) -> EcnFractionCc {
         EcnFractionCc {
             algo: Clamped::new(algo, MAX_ENFORCED_WINDOW),
         }
@@ -163,7 +163,7 @@ mod tests {
     use acdc_cc::{CcConfig, CcKind};
 
     fn vcc(kind: CcKind) -> EcnFractionCc {
-        EcnFractionCc::new(kind.build(CcConfig::vswitch(1448)))
+        EcnFractionCc::new(kind.instantiate(CcConfig::vswitch(1448)))
     }
 
     fn signals(now: Nanos, newly_acked: u64, marked: u64, total: u64) -> AckSignals {

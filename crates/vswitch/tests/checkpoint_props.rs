@@ -152,6 +152,25 @@ fn grow(ops: &[Op]) -> AcdcDatapath {
     dp
 }
 
+/// Restore fidelity: restoring through the serialized form into a fresh
+/// same-config datapath and re-checkpointing reproduces the original
+/// document byte-for-byte.
+fn check_restore_round_trip(ops: &[Op]) {
+    let dp = grow(ops);
+    let at = 1_000_000_000u64;
+    let json = dp.checkpoint(at, &[]).to_json();
+    let parsed = DatapathCheckpoint::from_json(&json).expect("parses");
+
+    let fresh = AcdcDatapath::new(AcdcConfig::dctcp(MTU));
+    let restored = fresh.restore(&parsed).expect("restore must succeed");
+    assert_eq!(restored, parsed.flows.len());
+    assert_eq!(
+        fresh.checkpoint(at, &[]).to_json(),
+        json,
+        "restored datapath must re-checkpoint to the same bytes"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -172,26 +191,23 @@ proptest! {
         prop_assert_eq!(parsed.to_json(), json, "re-serialization must be byte-identical");
     }
 
-    /// Restore fidelity: restoring through the serialized form into a
-    /// fresh same-config datapath and re-checkpointing reproduces the
-    /// original document byte-for-byte.
     #[test]
     fn restore_then_recheckpoint_is_byte_identical(
         ops in prop::collection::vec(op_strategy(), 1..60),
     ) {
-        let dp = grow(&ops);
-        let at = 1_000_000_000u64;
-        let json = dp.checkpoint(at, &[]).to_json();
-        let parsed = DatapathCheckpoint::from_json(&json).expect("parses");
+        check_restore_round_trip(&ops);
+    }
+}
 
-        let fresh = AcdcDatapath::new(AcdcConfig::dctcp(MTU));
-        let restored = fresh.restore(&parsed).expect("restore must succeed");
-        prop_assert_eq!(restored, parsed.flows.len());
-        prop_assert_eq!(
-            fresh.checkpoint(at, &[]).to_json(),
-            json,
-            "restored datapath must re-checkpoint to the same bytes"
-        );
+proptest! {
+    // nightly.yml runs this twin (`-- --ignored`).
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+    #[test]
+    #[ignore = "4096 cases; run with --ignored (nightly)"]
+    fn restore_then_recheckpoint_is_byte_identical_4096(
+        ops in prop::collection::vec(op_strategy(), 1..60),
+    ) {
+        check_restore_round_trip(&ops);
     }
 }
 

@@ -8,8 +8,8 @@ use acdc_packet::{
 };
 use acdc_telemetry::EventKind;
 use acdc_vswitch::{
-    AcdcConfig, AcdcDatapath, AdmissionPolicy, CcPolicy, DropReason, FlowTable, HealthState,
-    Verdict, VirtualCc,
+    AcdcConfig, AcdcDatapath, AdmissionPolicy, CcPolicy, DropReason, FlowEntry, FlowTable,
+    HealthState, Verdict, VirtualCc,
 };
 
 const A: [u8; 4] = [10, 0, 0, 1];
@@ -20,6 +20,11 @@ const MTU: usize = 1_500;
 const MSS: usize = 1_448;
 const ISS_A: u32 = 1_000;
 const ISS_B: u32 = 2_000_000;
+
+/// `f` applied to `key`'s entry in `dp`, which must track it.
+fn entry<R>(dp: &AcdcDatapath, key: &FlowKey, f: impl FnOnce(&mut FlowEntry) -> R) -> R {
+    dp.table().with_entry(key, f).expect("flow tracked")
+}
 
 fn ip(src: [u8; 4], dst: [u8; 4], ecn: Ecn) -> Ipv4Repr {
     Ipv4Repr {
@@ -116,9 +121,8 @@ fn handshake_creates_entries_and_records_wscale() {
     let (dpa, dpb) = rig(false);
     assert!(dpa.flows() >= 2, "two directions tracked");
     assert!(dpb.flows() >= 2);
-    let e = dpa.table().get(&key_ab()).unwrap();
     // ACKs for A→B data come from B, which advertised wscale 9.
-    assert_eq!(e.lock().rwnd.wscale(), 9);
+    assert_eq!(entry(&dpa, &key_ab(), |e| e.rwnd.wscale()), 9);
     let view = dpa.seq_view(&key_ab()).expect("sequence state valid");
     assert_eq!(view.snd_una, SeqNumber(ISS_A + 1));
 }
@@ -160,8 +164,7 @@ fn receiver_module_strips_ce_and_counts() {
     assert_eq!(delivered.ecn(), Ecn::NotEct);
     assert!(!delivered.tcp().vm_ece());
     assert!(delivered.verify_checksums());
-    let e = dpb.table().get(&key_ab()).unwrap();
-    let e = e.lock().checkpoint_state();
+    let e = entry(&dpb, &key_ab(), |e| e.checkpoint_state());
     assert_eq!(e.rx_total, MSS as u64);
     assert_eq!(e.rx_marked, MSS as u64);
 }
@@ -225,8 +228,7 @@ fn rwnd_rewritten_smaller_with_wscale() {
         .unwrap();
     let delivered = dpa.ingress(22_000, a).forwarded().unwrap();
 
-    let e = dpa.table().get(&key_ab()).unwrap();
-    let cwnd = e.lock().cc.cwnd();
+    let cwnd = entry(&dpa, &key_ab(), |e| e.cc.cwnd());
     let expect_raw = (cwnd >> 9).max(1) as u16;
     assert_eq!(delivered.tcp().window(), expect_raw);
     assert!(u64::from(delivered.tcp().window()) < 65_000);
@@ -359,10 +361,11 @@ fn log_only_mode_computes_but_does_not_rewrite() {
     let delivered = dpa.ingress(22_000, a).forwarded().unwrap();
     assert_eq!(delivered.tcp().window(), 65_000, "log-only: untouched");
 
-    let e = dpa.table().get(&key_ab()).unwrap();
-    let e = e.lock();
-    assert!(e.rwnd.target() > 0);
-    assert!(e.rwnd.trace().unwrap().len() == 1);
+    let (target, traced) = entry(&dpa, &key_ab(), |e| {
+        (e.rwnd.target(), e.rwnd.trace().unwrap().len())
+    });
+    assert!(target > 0);
+    assert!(traced == 1);
 }
 
 #[test]
@@ -384,8 +387,7 @@ fn dupacks_trigger_inferred_fast_retransmit() {
         .forwarded()
         .unwrap();
     dpa.ingress(22_000, a).forwarded().unwrap();
-    let e = dpa.table().get(&key_ab()).unwrap();
-    let cwnd_before = e.lock().cc.cwnd();
+    let cwnd_before = entry(&dpa, &key_ab(), |e| e.cc.cwnd());
     for i in 0..3 {
         let a = dpb
             .egress(23_000 + i, ack(MSS as u32, 65_000))
@@ -394,8 +396,10 @@ fn dupacks_trigger_inferred_fast_retransmit() {
         dpa.ingress(24_000 + i, a).forwarded().unwrap();
     }
     assert_eq!(dpa.counters().inferred_fast_rtx.get(), 1);
-    let e = dpa.table().get(&key_ab()).unwrap();
-    assert!(e.lock().cc.cwnd() < cwnd_before, "window cut on 3 dupacks");
+    assert!(
+        entry(&dpa, &key_ab(), |e| e.cc.cwnd()) < cwnd_before,
+        "window cut on 3 dupacks"
+    );
 }
 
 #[test]
@@ -421,8 +425,7 @@ fn per_flow_policy_assigns_different_algorithms() {
     let dp = AcdcDatapath::new(cfg);
     // Intra-DC data flow.
     dp.egress(0, data(0, MSS, Ecn::NotEct));
-    let e = dp.table().get(&key_ab()).unwrap();
-    assert_eq!(e.lock().cc.name(), "dctcp");
+    assert_eq!(entry(&dp, &key_ab(), |e| e.cc.name()), "dctcp");
 
     // WAN-bound flow.
     let mut t = TcpRepr::new(AP, 443);
@@ -431,8 +434,7 @@ fn per_flow_policy_assigns_different_algorithms() {
     let wan = Segment::new_tcp(ip(A, [93, 184, 216, 34], Ecn::NotEct), t, MSS);
     let wan_key = wan.flow_key();
     dp.egress(0, wan);
-    let e = dp.table().get(&wan_key).unwrap();
-    assert_eq!(e.lock().cc.name(), "cubic");
+    assert_eq!(entry(&dp, &wan_key, |e| e.cc.name()), "cubic");
 }
 
 #[test]
@@ -495,8 +497,7 @@ fn window_update_generation() {
     let wu = dpa.make_window_update(&key_ab()).expect("window update");
     assert!(wu.is_pure_ack());
     assert_eq!(wu.flow_key(), key_ab().reverse());
-    let e = dpa.table().get(&key_ab()).unwrap();
-    let raw = (e.lock().cc.cwnd() >> 9).max(1) as u16;
+    let raw = (entry(&dpa, &key_ab(), |e| e.cc.cwnd()) >> 9).max(1) as u16;
     assert_eq!(wu.tcp().window(), raw);
     assert!(wu.verify_checksums());
 }
@@ -527,13 +528,11 @@ fn inactivity_tick_infers_timeout() {
         .forwarded()
         .unwrap();
     dpb.ingress(11_000, d).forwarded().unwrap();
-    let e = dpa.table().get(&key_ab()).unwrap();
-    let cwnd_before = e.lock().cc.cwnd();
+    let cwnd_before = entry(&dpa, &key_ab(), |e| e.cc.cwnd());
     // 50 ms later (RTOmin floor is 10 ms) the tick must infer a timeout.
     dpa.tick(50_000_000);
     assert_eq!(dpa.counters().inferred_timeouts.get(), 1);
-    let e = dpa.table().get(&key_ab()).unwrap();
-    assert!(e.lock().cc.cwnd() < cwnd_before);
+    assert!(entry(&dpa, &key_ab(), |e| e.cc.cwnd()) < cwnd_before);
     // A second immediate tick must not double-fire.
     dpa.tick(50_000_001);
     assert_eq!(dpa.counters().inferred_timeouts.get(), 1);
@@ -557,8 +556,7 @@ fn pack_feedback_drives_dctcp_cut() {
             .unwrap();
         dpa.ingress(13_000 + i, a).forwarded().unwrap();
     }
-    let e = dpa.table().get(&key_ab()).unwrap();
-    let before = e.lock().cc.cwnd();
+    let before = entry(&dpa, &key_ab(), |e| e.cc.cwnd());
 
     // Now a marked round: data CE-marked → PACK reports it → cut.
     let mut d = dpa
@@ -572,9 +570,8 @@ fn pack_feedback_drives_dctcp_cut() {
     assert!(a.tcp().pack_option().unwrap().marked_bytes > 0);
     dpa.ingress(53_000, a).forwarded().unwrap();
 
-    let e = dpa.table().get(&key_ab()).unwrap();
     assert!(
-        e.lock().cc.cwnd() < before,
+        entry(&dpa, &key_ab(), |e| e.cc.cwnd()) < before,
         "marked feedback must shrink the enforced window"
     );
 }
@@ -627,8 +624,7 @@ fn spoofed_pack_with_more_marked_than_total_is_clamped() {
     let delivered = dpa.ingress(30_000, spoofed).forwarded().unwrap();
     assert!(delivered.tcp().pack_option().is_none(), "PACK stripped");
     assert!(delivered.verify_checksums());
-    let e = dpa.table().get(&key_ab()).unwrap();
-    let alpha = e.lock().cc.alpha_micros().expect("DCTCP publishes alpha");
+    let alpha = entry(&dpa, &key_ab(), |e| e.cc.alpha_micros()).expect("DCTCP publishes alpha");
     assert!(alpha <= 1_000_000, "alpha {alpha}e-6 escaped [0, 1]");
 }
 
@@ -747,8 +743,10 @@ fn adopted_flow_stays_log_only_until_handshake() {
         .unwrap();
     {
         assert!(dpa.seq_view(&key_ab()).is_some(), "sequence state adopted");
-        let e = dpa.table().get(&key_ab()).unwrap();
-        assert!(!e.lock().rwnd.learned(), "no handshake → scale unlearned");
+        assert!(
+            !entry(&dpa, &key_ab(), |e| e.rwnd.learned()),
+            "no handshake → scale unlearned"
+        );
     }
     // This ACK would be rewritten (the initial DCTCP window is far below
     // 65 000 B) had the scale been learned; adopted flows are left alone.
@@ -1011,6 +1009,34 @@ fn restore_rejects_cc_policy_mismatch() {
 }
 
 #[test]
+fn restore_rejects_rx_pending_that_disagrees_with_rx_total() {
+    // Capture writes `rx_pending` as `rx_total > 0`, so a document where
+    // the two disagree is one no datapath wrote.
+    let (dpa, dpb) = rig(false);
+    let d = dpa
+        .egress(10_000, data(0, MSS, Ecn::NotEct))
+        .forwarded()
+        .unwrap();
+    dpb.ingress(11_000, d).forwarded().unwrap();
+    let good = dpb.checkpoint(20_000, &[]);
+    let pending = |f: &acdc_vswitch::FlowCheckpoint| f.rx_pending;
+    assert_eq!(good.flows.iter().filter(|f| pending(f)).count(), 1);
+    assert!(good.flows.iter().any(|f| !pending(f)));
+    AcdcDatapath::new(AcdcConfig::dctcp(MTU))
+        .restore(&good)
+        .expect("a captured document restores");
+    // Either way round: a pending flag without bytes, bytes without one.
+    for i in 0..good.flows.len() {
+        let mut bad = good.clone();
+        bad.flows[i].rx_pending = !bad.flows[i].rx_pending;
+        let err = AcdcDatapath::new(AcdcConfig::dctcp(MTU))
+            .restore(&bad)
+            .unwrap_err();
+        assert!(err.contains("rx_pending"), "{err}");
+    }
+}
+
+#[test]
 fn restore_preserves_unlearned_scale_semantics() {
     // A mid-stream adopted flow (no handshake seen) must stay log-only
     // across a checkpoint/restore cycle — restoring never invents a
@@ -1023,8 +1049,10 @@ fn restore_preserves_unlearned_scale_semantics() {
     let fresh = AcdcDatapath::new(AcdcConfig::dctcp(MTU));
     fresh.restore(&ckpt).unwrap();
     {
-        let e = fresh.table().get(&key_ab()).unwrap();
-        assert!(!e.lock().rwnd.learned(), "scale still unlearned");
+        assert!(
+            !entry(&fresh, &key_ab(), |e| e.rwnd.learned()),
+            "scale still unlearned"
+        );
     }
     let a = fresh
         .ingress(3_000, ack(MSS as u32, 65_000))

@@ -19,7 +19,7 @@ const CAP: usize = 8;
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    /// get_or_create the keyed flow, stamping `last_activity`.
+    /// Look up or create the keyed flow, stamping `last_activity`.
     Create(u8, u16),
     /// Remove the keyed flow if present.
     Remove(u8),
@@ -69,19 +69,14 @@ fn run_ops(policy: AdmissionPolicy, ops: &[Op]) -> (Vec<Admission>, Vec<u16>) {
         match *op {
             Op::Create(k, now) => {
                 let now = u64::from(now);
-                let (slot, adm) = t.get_or_create(key(k), || entry(now));
-                if let Some(slot) = slot {
-                    touch(&mut slot.lock(), now);
-                }
+                let (_, adm) = t.with_entry_or_create(key(k), || entry(now), |e| touch(e, now));
                 admissions.push(adm);
             }
             Op::Remove(k) => {
                 t.remove(&key(k));
             }
             Op::Touch(k, now) => {
-                if let Some(slot) = t.get(&key(k)) {
-                    touch(&mut slot.lock(), u64::from(now));
-                }
+                t.with_entry(&key(k), |e| touch(e, u64::from(now)));
             }
             Op::Gc(now) => {
                 t.gc(u64::from(now), 250);
@@ -131,13 +126,13 @@ proptest! {
     #[test]
     fn reject_new_never_displaces(extra in prop::collection::vec(0u8..32, 1..40)) {
         let t = FlowTable::bounded(2, AdmissionPolicy::RejectNew);
-        t.get_or_create(key(100), || entry(0)).0.unwrap();
-        t.get_or_create(key(101), || entry(0)).0.unwrap();
+        prop_assert_eq!(t.get_or_create(key(100), || entry(0)), Admission::Created);
+        prop_assert_eq!(t.get_or_create(key(101), || entry(0)), Admission::Created);
         for k in extra {
             t.get_or_create(key(k), || entry(1));
         }
-        prop_assert!(t.get(&key(100)).is_some());
-        prop_assert!(t.get(&key(101)).is_some());
+        prop_assert!(t.with_entry(&key(100), |_| ()).is_some());
+        prop_assert!(t.with_entry(&key(101), |_| ()).is_some());
         prop_assert_eq!(t.len(), 2);
     }
 }
@@ -147,12 +142,10 @@ const CROWD: usize = 24;
 
 #[derive(Debug, Clone, Copy)]
 enum ShardOp {
-    /// get_or_create the keyed flow, stamping `last_activity`.
+    /// Look up or create the keyed flow, stamping `last_activity`.
     Create(u8, u16),
     /// Remove the keyed flow if present.
     Remove(u8),
-    /// Look the keyed flow up through `with_entry`.
-    Get(u8),
     /// Garbage-collect at the given time with a fixed idle timeout.
     Gc(u16),
     /// Drop every entry.
@@ -163,8 +156,7 @@ fn shard_op_strategy() -> impl Strategy<Value = ShardOp> {
     let k = 0u8..CROWD as u8;
     prop_oneof![
         6 => (k.clone(), 0u16..1000).prop_map(|(k, t)| ShardOp::Create(k, t)),
-        3 => k.clone().prop_map(ShardOp::Remove),
-        2 => k.prop_map(ShardOp::Get),
+        3 => k.prop_map(ShardOp::Remove),
         1 => (0u16..1000).prop_map(ShardOp::Gc),
         1 => Just(ShardOp::Clear),
     ]
@@ -187,8 +179,7 @@ fn crowd() -> &'static [FlowKey] {
 }
 
 fn last_activity(t: &FlowTable, k: &FlowKey) -> Option<u64> {
-    t.get(k)
-        .map(|slot| slot.lock().checkpoint_state().last_activity)
+    t.with_entry(k, |e| e.checkpoint_state().last_activity)
 }
 
 /// Run `ops` on a fresh unbounded table beside a `BTreeMap` model of
@@ -205,8 +196,8 @@ fn run_shard_ops(ops: &[ShardOp]) -> Vec<Vec<u16>> {
         match *op {
             ShardOp::Create(k, now) => {
                 let (k, now) = (keys[usize::from(k)], u64::from(now));
-                let (slot, adm) = t.get_or_create(k, || entry(now));
-                touch(&mut slot.expect("unbounded").lock(), now);
+                let (touched, adm) = t.with_entry_or_create(k, || entry(now), |e| touch(e, now));
+                assert!(touched.is_some(), "unbounded");
                 let expected = if model.insert(k, now).is_some() {
                     Admission::Existing
                 } else {
@@ -217,12 +208,6 @@ fn run_shard_ops(ops: &[ShardOp]) -> Vec<Vec<u16>> {
             ShardOp::Remove(k) => {
                 let k = keys[usize::from(k)];
                 assert_eq!(t.remove(&k), model.remove(&k).is_some(), "{k}");
-            }
-            ShardOp::Get(k) => {
-                // The per-packet path; the checks below use `get`.
-                let k = &keys[usize::from(k)];
-                let seen = t.with_entry(k, |slot| slot.lock().checkpoint_state().last_activity);
-                assert_eq!(seen, model.get(k).copied(), "{k}");
             }
             ShardOp::Gc(now) => {
                 let now = u64::from(now);

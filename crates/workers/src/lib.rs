@@ -14,8 +14,10 @@
 //!   direction-normalized first, so data packets and the ACKs flowing
 //!   back steer to the same worker; since the ACK path writes the data
 //!   direction's flow entry, every entry of a flow has exactly one
-//!   writing worker and a worker's flow-table working set is disjoint
-//!   from its peers'. (The finalizing mix matters: raw FNV-1a's low bit
+//!   writing worker and a worker's entries are disjoint from its
+//!   peers'. Their shards are not: the flow table's one lock per shard
+//!   serialises the workers that meet there. (The finalizing mix
+//!   matters: raw FNV-1a's low bit
 //!   is a XOR of input low bits and collapses on mirrored key
 //!   populations — see [`steer`]'s module docs.)
 //! * **Run to completion**: a worker takes a packet through the whole

@@ -9,80 +9,98 @@
 //!   worker count produces byte-identical merged snapshot JSON, and the
 //!   merged `acdc.*` counter totals equal the N=1 totals (worker count
 //!   routes observability, it does not change what is observed).
+//! * **One shard, many workers**: workers racing over connections that
+//!   share one flow-table shard end in the per-flow state one worker
+//!   computes, because the shard lock serialises every entry access.
 
 use acdc_packet::{
     Ecn, FlowKey, Ipv4Repr, Segment, SeqNumber, TcpFlags, TcpOption, TcpRepr, PROTO_TCP,
 };
-use acdc_vswitch::{AcdcConfig, AcdcDatapath};
+use acdc_vswitch::{AcdcConfig, AcdcDatapath, FlowTable};
 use acdc_workers::{worker_of, Direction, WorkerEngine};
 use proptest::prelude::*;
 
-fn ip(src: [u8; 4], dst: [u8; 4]) -> Ipv4Repr {
-    Ipv4Repr {
-        src_addr: src,
-        dst_addr: dst,
-        protocol: PROTO_TCP,
-        ecn: Ecn::NotEct,
-        payload_len: 0,
-        ttl: 64,
+/// Flow `i`'s guest → peer key.
+fn conn(i: usize) -> FlowKey {
+    FlowKey {
+        src_ip: [10, 1, (i >> 8) as u8, i as u8],
+        dst_ip: [10, 2, (i >> 8) as u8, i as u8],
+        src_port: 40_000,
+        dst_port: 5_001,
     }
 }
 
-fn flow_ips(i: usize) -> ([u8; 4], [u8; 4]) {
-    (
-        [10, 1, (i >> 8) as u8, i as u8],
-        [10, 2, (i >> 8) as u8, i as u8],
-    )
+/// A segment from `k`'s source to its destination.
+fn segment(k: &FlowKey, t: TcpRepr, len: usize, ecn: Ecn) -> Segment {
+    let ip = Ipv4Repr {
+        src_addr: k.src_ip,
+        dst_addr: k.dst_ip,
+        protocol: PROTO_TCP,
+        ecn,
+        payload_len: 0,
+        ttl: 64,
+    };
+    Segment::new_tcp(ip, t, len)
 }
 
-/// Establish flow `i` (SYN on egress, SYN-ACK on ingress) through `run`.
-fn handshake(run: &mut dyn FnMut(Direction, Segment), i: usize) {
-    let (a, b) = flow_ips(i);
-    let mut syn = TcpRepr::new(40_000, 5_001);
+/// An ACK-flagged segment on `k` carrying `len` payload bytes.
+fn ack_flagged(k: &FlowKey, seq: u32, ack: u32, window: u16, len: usize, ecn: Ecn) -> Segment {
+    let mut t = TcpRepr::new(k.src_port, k.dst_port);
+    t.seq = SeqNumber(seq);
+    t.ack = SeqNumber(ack);
+    t.flags = TcpFlags::ACK;
+    t.window = window;
+    segment(k, t, len, ecn)
+}
+
+/// The guest's SYN for connection `k` (guest ISS 1 000).
+fn syn(k: &FlowKey) -> Segment {
+    let mut syn = TcpRepr::new(k.src_port, k.dst_port);
     syn.seq = SeqNumber(1_000);
     syn.flags = TcpFlags::SYN;
     syn.options = vec![TcpOption::MaxSegmentSize(1448), TcpOption::WindowScale(9)];
-    run(Direction::Egress, Segment::new_tcp(ip(a, b), syn, 0));
+    segment(k, syn, 0, Ecn::NotEct)
+}
 
-    let mut synack = TcpRepr::new(5_001, 40_000);
+/// The peer's SYN-ACK for connection `k` (peer ISS 9 000).
+fn synack(k: &FlowKey) -> Segment {
+    let r = k.reverse();
+    let mut synack = TcpRepr::new(r.src_port, r.dst_port);
     synack.seq = SeqNumber(9_000);
     synack.ack = SeqNumber(1_001);
     synack.flags = TcpFlags::SYN | TcpFlags::ACK;
     synack.options = vec![TcpOption::MaxSegmentSize(1448), TcpOption::WindowScale(9)];
-    run(Direction::Ingress, Segment::new_tcp(ip(b, a), synack, 0));
+    segment(&r, synack, 0, Ecn::NotEct)
 }
 
-fn data_packet(i: usize, off: u32) -> Segment {
-    let (a, b) = flow_ips(i);
-    let mut t = TcpRepr::new(40_000, 5_001);
-    t.seq = SeqNumber(1_001 + off);
-    t.ack = SeqNumber(9_001);
-    t.flags = TcpFlags::ACK;
-    t.window = 1_000;
-    Segment::new_tcp(ip(a, b), t, 1_448)
+/// Establish connection `k` (SYN on egress, SYN-ACK on ingress) through
+/// `run`.
+fn handshake(run: &mut dyn FnMut(Direction, Segment), k: &FlowKey) {
+    run(Direction::Egress, syn(k));
+    run(Direction::Ingress, synack(k));
 }
 
-fn ack_packet(i: usize, off: u32) -> Segment {
-    let (a, b) = flow_ips(i);
-    let mut t = TcpRepr::new(5_001, 40_000);
-    t.seq = SeqNumber(9_001);
-    t.ack = SeqNumber(1_001 + off);
-    t.flags = TcpFlags::ACK;
-    t.window = 60_000;
-    Segment::new_tcp(ip(b, a), t, 0)
+/// Guest data at stream offset `off`.
+fn data_packet(k: &FlowKey, off: u32) -> Segment {
+    ack_flagged(k, 1_001 + off, 9_001, 1_000, 1_448, Ecn::NotEct)
+}
+
+/// The peer's ACK of `off` guest bytes.
+fn ack_packet(k: &FlowKey, off: u32) -> Segment {
+    ack_flagged(&k.reverse(), 9_001, 1_001 + off, 60_000, 0, Ecn::NotEct)
 }
 
 /// A deterministic mixed workload over `flows` flows and `rounds`
 /// rounds, fed packet-by-packet to `run` in delivery order.
 fn drive(run: &mut dyn FnMut(Direction, Segment), flows: usize, rounds: usize) {
     for i in 0..flows {
-        handshake(run, i);
+        handshake(run, &conn(i));
     }
     let mut off = 0u32;
     for _ in 0..rounds {
         for i in 0..flows {
-            run(Direction::Egress, data_packet(i, off));
-            run(Direction::Ingress, ack_packet(i, off + 1_448));
+            run(Direction::Egress, data_packet(&conn(i), off));
+            run(Direction::Ingress, ack_packet(&conn(i), off + 1_448));
         }
         off += 1_448;
     }
@@ -220,13 +238,15 @@ fn batch_modes_agree_with_sequential() {
                     now += 1;
                     let _ = engine.dispatch(&dp, now, dir, seg);
                 },
-                i,
+                &conn(i),
             );
         }
         // Unidirectional data batches: each worker's flows independent.
         let mut digest = Vec::new();
         for round in 0..3u32 {
-            let batch: Vec<Segment> = (0..FLOWS).map(|i| data_packet(i, round * 1_448)).collect();
+            let batch: Vec<Segment> = (0..FLOWS)
+                .map(|i| data_packet(&conn(i), round * 1_448))
+                .collect();
             now += 1;
             let verdicts = if batched {
                 engine.process_batch_parallel(&dp, now, Direction::Egress, batch)
@@ -259,5 +279,102 @@ fn batch_modes_agree_with_sequential() {
         );
         // Worker count routes observability only: the bytes do not move.
         assert_eq!(digest, one_worker_digest);
+    }
+}
+
+/// `n` connections whose keys all land in one flow-table shard, in both
+/// directions: `table_props.rs`'s search over `FlowTable::shard_of`, run
+/// on each key and its reverse. Guest and peer use the same port, so a
+/// peer address whose connections hash alike both ways (the first that
+/// does for eight ports in a row) yields every one of them.
+fn one_shard_connections(n: usize) -> Vec<FlowKey> {
+    let key = |peer: u16, port: u16| FlowKey {
+        src_ip: [10, 0, 0, 1],
+        dst_ip: [10, 1, (peer >> 8) as u8, peer as u8],
+        src_port: port,
+        dst_port: port,
+    };
+    let shard = |k: &FlowKey| (FlowTable::shard_of(k), FlowTable::shard_of(&k.reverse()));
+    let symmetric = |k: &FlowKey| shard(k).0 == shard(k).1;
+    let peer = (0..=u16::MAX)
+        .find(|&p| (0..8).all(|port| symmetric(&key(p, port))))
+        .expect("a peer whose two directions share shards");
+    let home = shard(&key(peer, 0));
+    let keys: Vec<FlowKey> = (0..=u16::MAX)
+        .map(|port| key(peer, port))
+        .filter(|k| shard(k) == home)
+        .take(n)
+        .collect();
+    assert_eq!(keys.len(), n);
+    keys
+}
+
+/// Workers racing over one shard: `process_batch_parallel` at n = 2 and
+/// 4 over 24 connections whose four dozen entries share one shard lock
+/// and one bucket array, grown by one worker's inserts while the others
+/// probe it. Data both ways, CE marks, PACK feedback and FINs ride
+/// along. A hundred repetitions at each n must all end in the per-flow
+/// state one worker computes.
+#[test]
+fn racing_workers_over_one_shard_match_one_worker() {
+    const CONNS: usize = 24;
+    let keys = one_shard_connections(CONNS);
+    let run = |n: usize| -> (String, String) {
+        let dp = AcdcDatapath::new(AcdcConfig::dctcp(1500));
+        let engine = WorkerEngine::new(&dp, n);
+        let mut now = 0u64;
+        let mut batch = |dir: Direction, make: &dyn Fn(usize, &FlowKey) -> Segment| {
+            now += 1_000;
+            let segs = keys.iter().enumerate().map(|(i, k)| make(i, k)).collect();
+            engine.process_batch_parallel(&dp, now, dir, segs);
+        };
+        batch(Direction::Egress, &|_, k| syn(k));
+        batch(Direction::Ingress, &|_, k| synack(k));
+        for round in 0..4u32 {
+            let off = round * 1_448;
+            batch(Direction::Egress, &|_, k| data_packet(k, off));
+            batch(Direction::Ingress, &|i, k| {
+                let ce = (i + round as usize).is_multiple_of(3);
+                let ecn = if ce { Ecn::Ce } else { Ecn::Ect0 };
+                ack_flagged(&k.reverse(), 9_001 + off, 1_001 + off, 60_000, 1_448, ecn)
+            });
+            batch(Direction::Egress, &|_, k| {
+                ack_flagged(
+                    k,
+                    1_001 + off + 1_448,
+                    9_001 + off + 1_448,
+                    1_000,
+                    0,
+                    Ecn::NotEct,
+                )
+            });
+            batch(Direction::Ingress, &|_, k| ack_packet(k, off + 1_448));
+        }
+        batch(Direction::Egress, &|i, k| {
+            let mut fin = TcpRepr::new(k.src_port, k.dst_port);
+            fin.seq = SeqNumber(1_001 + 4 * 1_448);
+            fin.ack = SeqNumber(9_001 + 4 * 1_448);
+            fin.flags = TcpFlags::FIN | TcpFlags::ACK;
+            segment(k, fin, if i % 2 == 0 { 0 } else { 100 }, Ecn::NotEct)
+        });
+        let stats = format!("{:?}", dp.flow_stats());
+        let json = dp.checkpoint(now, &[]).to_json();
+        let flows = json
+            .split_once("\"flows\":[")
+            .and_then(|(_, rest)| rest.split_once("],\"main_hub\""))
+            .expect("a flows array")
+            .0
+            .to_string();
+        (stats, flows)
+    };
+    let one = run(1);
+    assert!(one.0.matches("FlowStat").count() == 2 * CONNS, "{}", one.0);
+    for n in [2, 4] {
+        for rep in 0..100 {
+            assert!(
+                run(n) == one,
+                "n = {n}, repetition {rep}: state differs from n = 1"
+            );
+        }
     }
 }

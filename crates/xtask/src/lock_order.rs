@@ -5,7 +5,8 @@
 //! happens, across lines. It works on the same comment/string-stripped
 //! code channel from [`crate::scan`], with no type inference: a guard
 //! from `let g = x.lock();` lives until its enclosing scope closes or a
-//! `drop(g)` appears.
+//! `drop(g)` appears, and the closure argument of every table call runs
+//! under the shard lock that guards the entry it is handed.
 
 use crate::scan::SourceFile;
 
@@ -13,22 +14,11 @@ fn is_ident(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-/// What a live guard is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum GuardKind {
-    /// A flow-entry mutex guard (`….lock()`), or the implicit per-entry
-    /// lock a `for_each` closure body runs under.
-    Entry,
-    /// A shard `RwLock` guard (`….read()` / `….write()`), or the implicit
-    /// shard lock a `with_entry*` / `get_or_create` / `for_each_slot`
-    /// closure runs under.
-    Shard,
-}
-
+/// A live lock guard: a `let` binding of `….lock()`, or the shard lock a
+/// table call holds across its closure argument (`name: None`).
 #[derive(Debug)]
 struct Guard {
     name: Option<String>,
-    kind: GuardKind,
     /// The guard dies when nesting depth drops below this.
     drop_below: i32,
 }
@@ -36,27 +26,26 @@ struct Guard {
 /// A W002 candidate: `(1-based line, message)`.
 pub(crate) type LockFinding = (usize, String);
 
-/// Tokens that re-enter the flow table: its whole closure-taking API.
-/// Each takes shard locks and holds one across its closure.
+/// Tokens that enter the flow table: its whole closure-taking API. Each
+/// holds a shard lock across its closure, which is handed the entry.
 const TABLE_TOKENS: &[&str] = &[
     "with_entry_or_create",
     "with_entry",
     "get_or_create",
     "for_each",
-    "for_each_slot",
 ];
 
-/// Lexical lock-order pass over one file. Tracks `let g = ….lock()` /
-/// `.read()` / `.write()` guard bindings (combined brace/paren/bracket
-/// nesting depth) plus the implicit locks held across `with_entry*` /
-/// `get_or_create` / `for_each` / `for_each_slot` closures, and reports:
+/// Lexical lock-order pass over one file. Tracks `let g = ….lock()`
+/// guard bindings (combined brace/paren/bracket nesting depth) plus the
+/// shard lock held across every `with_entry*` / `get_or_create` /
+/// `for_each` closure, and reports, while any guard is live:
 ///
-/// * a flow-entry `.lock()` while another entry guard is live
-///   (unordered entry→entry nesting — the classic AB/BA deadlock);
-/// * a table re-entry (`with_entry*`, `get_or_create`, `for_each*`,
-///   `.gc(`, `.clear(`) while an entry or shard guard is live;
-/// * an event-bus publish (`.record(`, `.publish(`) while an entry
-///   guard is live.
+/// * another `.lock()` (unordered lock nesting — the classic AB/BA
+///   deadlock between two shards);
+/// * a table re-entry (`with_entry*`, `get_or_create`, `for_each`,
+///   `.gc(`, `.clear(`), which takes a shard lock;
+/// * an event-bus publish (`.record(`, `.publish(`), which takes the
+///   telemetry lock inside the per-flow critical section.
 pub(crate) fn lock_order(file: &SourceFile) -> Vec<LockFinding> {
     let mut findings = Vec::new();
     let mut depth: i32 = 0;
@@ -95,16 +84,15 @@ pub(crate) fn lock_order(file: &SourceFile) -> Vec<LockFinding> {
                 guards.retain(|g| g.name.as_deref() != Some(name.as_str()));
             }
 
-            let entry_live = guards.iter().any(|g| g.kind == GuardKind::Entry);
-            let any_live = !guards.is_empty();
+            let live = !guards.is_empty();
 
             if code[i..].starts_with(".lock()") {
-                if entry_live {
+                if live {
                     findings.push((
                         lineno,
-                        "flow-entry lock acquired while another entry guard is live \
-                         (unordered entry→entry nesting deadlocks under contention); \
-                         release the first guard before locking the second entry"
+                        "lock acquired while another lock guard is live \
+                         (unordered nesting deadlocks under contention); \
+                         release the first guard before taking the second"
                             .to_string(),
                     ));
                 }
@@ -115,36 +103,15 @@ pub(crate) fn lock_order(file: &SourceFile) -> Vec<LockFinding> {
                 if let (Some(name), true) = (&let_name, depth == line_start_depth) {
                     guards.push(Guard {
                         name: Some(name.clone()),
-                        kind: GuardKind::Entry,
                         drop_below: line_start_depth,
                     });
                 }
                 i += ".lock()".len();
                 continue;
             }
-            if code[i..].starts_with(".read()") || code[i..].starts_with(".write()") {
-                if entry_live {
-                    findings.push((
-                        lineno,
-                        "shard lock acquired while a flow-entry guard is live \
-                         (the sanctioned order is shard→entry; inverting it \
-                         deadlocks against the per-packet path)"
-                            .to_string(),
-                    ));
-                }
-                if let (Some(name), true) = (&let_name, depth == line_start_depth) {
-                    guards.push(Guard {
-                        name: Some(name.clone()),
-                        kind: GuardKind::Shard,
-                        drop_below: line_start_depth,
-                    });
-                }
-                i += ".read()".len();
-                continue;
-            }
 
             if let Some(tok) = TABLE_TOKENS.iter().find(|t| token_at(code, i, t)) {
-                if any_live {
+                if live {
                     findings.push((
                         lineno,
                         format!(
@@ -154,14 +121,9 @@ pub(crate) fn lock_order(file: &SourceFile) -> Vec<LockFinding> {
                         ),
                     ));
                 }
-                // The closure argument runs under the table's own lock:
+                // The closure argument runs under the table's shard lock:
                 // model it as an implicit guard scoped to the call's
                 // parentheses.
-                let kind = if *tok == "for_each" {
-                    GuardKind::Entry // for_each holds shard *and* entry locks
-                } else {
-                    GuardKind::Shard
-                };
                 i += tok.len();
                 if let Some(rel) = code[i..].find('(') {
                     if code[i..i + rel].trim().is_empty() {
@@ -169,27 +131,24 @@ pub(crate) fn lock_order(file: &SourceFile) -> Vec<LockFinding> {
                         depth += 1;
                         guards.push(Guard {
                             name: None,
-                            kind,
                             drop_below: depth,
                         });
                     }
                 }
                 continue;
             }
-            if (code[i..].starts_with(".gc(") || code[i..].starts_with(".clear(")) && any_live {
+            if (code[i..].starts_with(".gc(") || code[i..].starts_with(".clear(")) && live {
                 findings.push((
                     lineno,
                     "table maintenance call while a lock guard is live; \
-                     gc/clear take every shard writer lock in turn"
+                     gc/clear take every shard lock in turn"
                         .to_string(),
                 ));
             }
-            if (code[i..].starts_with(".record(") || code[i..].starts_with(".publish("))
-                && entry_live
-            {
+            if (code[i..].starts_with(".record(") || code[i..].starts_with(".publish(")) && live {
                 findings.push((
                     lineno,
-                    "event-bus publish while a flow-entry guard is live; \
+                    "event-bus publish while a lock guard is live; \
                      publishing takes the telemetry lock, extending the \
                      per-flow critical section and ordering it against an \
                      unrelated subsystem — buffer the event and publish \
@@ -236,11 +195,11 @@ mod tests {
     }
 
     #[test]
-    fn nested_entry_locks_fire() {
+    fn nested_locks_fire() {
         let f = locks(
-            "fn f(a: &FlowSlot, b: &FlowSlot) {\n\
-             \x20   let ga = a.entry.lock();\n\
-             \x20   let gb = b.entry.lock();\n\
+            "fn f(a: &Mutex<Shard>, b: &Mutex<Shard>) {\n\
+             \x20   let ga = a.lock();\n\
+             \x20   let gb = b.lock();\n\
              }\n",
         );
         assert_eq!(f.len(), 1, "{f:?}");
@@ -250,9 +209,9 @@ mod tests {
     #[test]
     fn sequential_scoped_locks_do_not_fire() {
         let f = locks(
-            "fn f(a: &FlowSlot, b: &FlowSlot) {\n\
-             \x20   {\n        let ga = a.entry.lock();\n    }\n\
-             \x20   let gb = b.entry.lock();\n\
+            "fn f(a: &Mutex<Shard>, b: &Mutex<Shard>) {\n\
+             \x20   {\n        let ga = a.lock();\n    }\n\
+             \x20   let gb = b.lock();\n\
              }\n",
         );
         assert!(f.is_empty(), "{f:?}");
@@ -261,32 +220,21 @@ mod tests {
     #[test]
     fn drop_ends_a_guard() {
         let f = locks(
-            "fn f(a: &FlowSlot, b: &FlowSlot) {\n\
-             \x20   let ga = a.entry.lock();\n\
+            "fn f(a: &Mutex<Shard>, b: &Mutex<Shard>) {\n\
+             \x20   let ga = a.lock();\n\
              \x20   drop(ga);\n\
-             \x20   let gb = b.entry.lock();\n\
+             \x20   let gb = b.lock();\n\
              }\n",
         );
         assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]
-    fn shard_then_entry_is_sanctioned() {
+    fn table_reentry_under_a_guard_fires() {
         let f = locks(
             "fn f(&self) {\n\
-             \x20   let shard = self.shards[0].read();\n\
-             \x20   let e = slot.entry.lock();\n\
-             }\n",
-        );
-        assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn table_reentry_under_entry_guard_fires() {
-        let f = locks(
-            "fn f(&self) {\n\
-             \x20   let e = slot.entry.lock();\n\
-             \x20   self.table.with_entry(&key, |s| s.rx_pending());\n\
+             \x20   let shard = self.shards[0].lock();\n\
+             \x20   self.table.with_entry(&key, |e| e.rx_pending());\n\
              }\n",
         );
         assert_eq!(f.len(), 1, "{f:?}");
@@ -294,26 +242,34 @@ mod tests {
     }
 
     #[test]
-    fn publish_under_entry_guard_fires_inside_closures_too() {
-        let f = locks(
-            "fn f(&self) {\n\
-             \x20   self.table.with_entry(&key, |slot| {\n\
-             \x20       let mut e = slot.entry.lock();\n\
-             \x20       self.telemetry.record(now, key, EventKind::FlowCreated);\n\
-             \x20   });\n\
-             }\n",
-        );
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].1.contains("publish"));
+    fn publish_inside_an_entry_closure_fires() {
+        // The closure's own shard lock is the entry guard: no explicit
+        // `.lock()` is needed for the publish to nest under it.
+        for call in [
+            "with_entry(&key, |e| {",
+            "with_entry_or_create(key, init, |e| {",
+        ] {
+            let f = locks(&format!(
+                "fn f(&self) {{\n\
+                 \x20   self.table.{call}\n\
+                 \x20       e.closing = true;\n\
+                 \x20       self.telemetry.record(now, key, EventKind::FlowCreated);\n\
+                 \x20   }});\n\
+                 }}\n"
+            ));
+            assert_eq!(f.len(), 1, "{call}: {f:?}");
+            assert_eq!(f[0].0, 4);
+            assert!(f[0].1.contains("publish"));
+        }
     }
 
     #[test]
     fn publish_after_closure_is_clean() {
         let f = locks(
             "fn f(&self) {\n\
-             \x20   self.table.with_entry(&key, |slot| {\n\
-             \x20       let mut e = slot.entry.lock();\n\
+             \x20   let fired = self.table.with_entry(&key, |e| {\n\
              \x20       e.rx_total += 1;\n\
+             \x20       e.closing\n\
              \x20   });\n\
              \x20   self.telemetry.record(now, key, EventKind::FlowCreated);\n\
              }\n",
@@ -322,41 +278,28 @@ mod tests {
     }
 
     #[test]
-    fn for_each_closure_counts_as_entry_locked() {
+    fn for_each_closure_counts_as_locked() {
         let f = locks(
             "fn f(&self) {\n\
              \x20   self.table.for_each(|key, e| {\n\
+             \x20       out.push(e.checkpoint_state());\n\
+             \x20       self.table.with_entry(&key.reverse(), |r| r.rx_pending());\n\
              \x20       self.telemetry.record(now, *key, EventKind::FlowCreated);\n\
              \x20   });\n\
              }\n",
         );
-        assert_eq!(f.len(), 1, "{f:?}");
-    }
-
-    #[test]
-    fn for_each_slot_closure_counts_as_shard_locked() {
-        // The checkpoint walk: locking the visited entry is the sanctioned
-        // shard→entry order, re-entering the table under it is not.
-        let f = locks(
-            "fn f(&self) {\n\
-             \x20   self.table.for_each_slot(|key, slot| {\n\
-             \x20       out.push(slot.lock().checkpoint_state());\n\
-             \x20       self.table.with_entry(&key.reverse(), |s| s.rx_pending());\n\
-             \x20   });\n\
-             }\n",
-        );
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].0, 4);
+        assert_eq!(f.len(), 2, "{f:?}");
+        assert_eq!((f[0].0, f[1].0), (4, 5));
         assert!(f[0].1.contains("with_entry"));
     }
 
     #[test]
-    fn temporary_guard_in_closure_does_not_leak() {
-        // `slot.entry.lock().closing = true` inside a with_entry closure:
-        // entry-under-shard is the sanctioned order, nothing fires.
+    fn closure_guard_ends_with_its_call() {
         let f = locks(
             "fn f(&self) {\n\
-             \x20   self.table.with_entry(&k, |slot| slot.entry.lock().closing = true);\n\
+             \x20   self.table.with_entry(&k, |e| e.closing = true);\n\
+             \x20   self.table.with_entry(&k.reverse(), |e| e.closing = true);\n\
+             \x20   self.table.gc(now, idle);\n\
              }\n",
         );
         assert!(f.is_empty(), "{f:?}");

@@ -124,10 +124,10 @@ pub static S001: Rule = Rule {
 pub static W002: Rule = Rule {
     id: "W002",
     name: "lock-order",
-    summary: "no nested flow-entry lock acquisitions, no table re-entry and \
-              no event-bus publish while a FlowSlot/shard guard is live \
-              (crates/vswitch/src — the deadlock shapes the worker model \
-              must never ship)",
+    summary: "no nested lock acquisitions, no table re-entry and no \
+              event-bus publish while a shard guard is live or inside a \
+              with_entry*/get_or_create/for_each closure (crates/vswitch/src \
+              — the deadlock shapes the worker model must never ship)",
 };
 
 /// All rules, in diagnostic order.
@@ -579,15 +579,12 @@ mod tests {
 
     #[test]
     fn w002_scoped_to_vswitch_src() {
-        let src = "fn f(a: &FlowSlot, b: &FlowSlot) {\n    let ga = a.entry.lock();\n    let gb = b.entry.lock();\n}\n";
+        let src = "fn f(a: &Mutex<Shard>, b: &Mutex<Shard>) {\n    let ga = a.lock();\n    let gb = b.lock();\n}\n";
         assert_eq!(run("crates/vswitch/src/x.rs", src), vec!["W002"]);
         assert!(run("crates/core/src/x.rs", src).is_empty());
         assert!(run("crates/vswitch/tests/x.rs", src).is_empty());
         // The inline escape hatch covers the cross-line rule too.
-        let allowed = src.replace(
-            "b.entry.lock();",
-            "b.entry.lock(); // acdc-lint: allow(W002)",
-        );
+        let allowed = src.replace("b.lock();", "b.lock(); // acdc-lint: allow(W002)");
         assert!(run("crates/vswitch/src/x.rs", &allowed).is_empty());
     }
 

@@ -1,20 +1,30 @@
-//! Two W002 findings. Unordered entry→entry lock nesting: the second
-//! `.lock()` while the first guard is live. And a table re-entry under
-//! the shard lock `for_each_slot` holds across its closure.
+//! Three W002 findings. Unordered lock nesting: the second `.lock()`
+//! while the first guard is live. A table re-entry under the shard lock
+//! `for_each` holds across its closure. And an event publish inside a
+//! `with_entry` closure, whose shard lock guards the entry it is handed.
 
-use crate::table::{FlowSlot, FlowTable};
+use crate::table::FlowTable;
+use acdc_telemetry::{EventKind, Telemetry};
+use parking_lot::Mutex;
 
-pub fn transfer(a: &FlowSlot, b: &FlowSlot) {
-    let ga = a.entry.lock();
-    let gb = b.entry.lock();
+pub fn transfer(a: &Mutex<u64>, b: &Mutex<u64>) {
+    let ga = a.lock();
+    let gb = b.lock();
     let _ = (ga, gb);
 }
 
 pub fn pending_reverse_entries(table: &FlowTable) -> usize {
     let mut pending = 0;
-    table.for_each_slot(|key, _| {
-        let reverse = table.with_entry(&key.reverse(), |s| s.rx_pending());
+    table.for_each(|key, _| {
+        let reverse = table.with_entry(&key.reverse(), |e| e.rx_pending());
         pending += usize::from(reverse == Some(true));
     });
     pending
+}
+
+pub fn close(table: &FlowTable, telemetry: &Telemetry, key: &acdc_packet::FlowKey, now: u64) {
+    table.with_entry(key, |e| {
+        e.closing = true;
+        telemetry.record(now, *key, EventKind::FlowEvicted { reason: "closed" });
+    });
 }

@@ -160,14 +160,13 @@ fn run_reset() -> (Snap, Snap, LinkFaultStats, u64, u64) {
     assert_eq!(get(&c0, "datapath_resets"), 1);
     {
         let dp = tb.host_mut(0).datapath();
-        let adopted = dp.table().get(&h.key).expect("flow re-adopted");
+        let learned = |key| dp.table().with_entry(key, |e| e.rwnd.learned());
         assert!(
-            !adopted.lock().rwnd.learned(),
+            !learned(&h.key).expect("flow re-adopted"),
             "adopted entry must not claim a learned scale"
         );
-        let fresh = dp.table().get(&h2.key).expect("post-reset flow tracked");
         assert!(
-            fresh.lock().rwnd.learned(),
+            learned(&h2.key).expect("post-reset flow tracked"),
             "handshake observed → scale learned"
         );
         // The restart epoch is on the health trace.
