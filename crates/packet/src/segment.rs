@@ -24,6 +24,8 @@
 //! hand-off between layers or threads copies the struct and nothing
 //! else. See DESIGN.md §9.
 
+use core::cmp::Ordering;
+
 use bytes::{Bytes, BytesMut};
 
 use crate::checksum::checksum_adjust;
@@ -65,10 +67,39 @@ impl FlowKey {
         }
     }
 
+    /// Which way this key runs along its connection: how it compares
+    /// with its reverse under the derived `Ord`. `Less`: it names the
+    /// connection ([`FlowKey::canonical`] is the key itself); `Greater`:
+    /// it is the connection key's reverse; `Equal`: it is its own reverse
+    /// (source and destination agree in address and port).
+    ///
+    /// One `u64` compare of the two `(address, port)` ends: `Ord` looks
+    /// at `src_ip` first, then `dst_ip` (equal to the reverse's `src_ip`
+    /// only when the addresses are), then the ports.
+    #[inline]
+    pub fn direction(&self) -> Ordering {
+        let end =
+            |ip: [u8; 4], port: u16| u64::from(u32::from_be_bytes(ip)) << 16 | u64::from(port);
+        end(self.src_ip, self.src_port).cmp(&end(self.dst_ip, self.dst_port))
+    }
+
+    /// The connection this key belongs to, whichever direction it names:
+    /// the smaller of the key and its reverse, so
+    /// `k.canonical() == k.reverse().canonical()`. The vSwitch flow table
+    /// files both directions under it and worker steering hashes it.
+    #[inline]
+    pub fn canonical(&self) -> FlowKey {
+        if self.direction().is_gt() {
+            self.reverse()
+        } else {
+            *self
+        }
+    }
+
     /// FNV-1a over the 12 key bytes: a fast, deterministic, well-spread
     /// hash for flow-table sharding. Unlike `DefaultHasher` it has no
-    /// per-hasher setup cost, which matters at one-to-two lookups per
-    /// packet on the datapath fast path.
+    /// per-hasher setup cost, which matters at one lookup per packet on
+    /// the datapath fast path.
     #[inline]
     pub fn hash64(&self) -> u64 {
         const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;

@@ -1,8 +1,8 @@
 //! Property-based tests for the wire formats.
 
 use acdc_packet::{
-    checksum, Ecn, Ipv4Packet, Ipv4Repr, PackOption, Segment, SeqNumber, TcpFlags, TcpOption,
-    TcpPacket, TcpRepr, PROTO_TCP,
+    checksum, Ecn, FlowKey, Ipv4Packet, Ipv4Repr, PackOption, Segment, SeqNumber, TcpFlags,
+    TcpOption, TcpPacket, TcpRepr, PROTO_TCP,
 };
 use proptest::prelude::*;
 
@@ -36,7 +36,28 @@ fn arb_options() -> impl Strategy<Value = Vec<TcpOption>> {
     )
 }
 
+/// Keys over a few addresses and ports, so that equal addresses, equal
+/// ports and keys that are their own reverse all turn up.
+fn arb_flow_key() -> impl Strategy<Value = FlowKey> {
+    let ip = || (0u8..3, 0u8..3).prop_map(|(a, b)| [10, a, 0, b]);
+    let port = || prop_oneof![0u16..3, any::<u16>()];
+    (ip(), ip(), port(), port()).prop_map(|(src_ip, dst_ip, src_port, dst_port)| FlowKey {
+        src_ip,
+        dst_ip,
+        src_port,
+        dst_port,
+    })
+}
+
 proptest! {
+    #[test]
+    fn canonical_is_the_smaller_direction(k in arb_flow_key()) {
+        let r = k.reverse();
+        prop_assert_eq!(k.canonical(), r.canonical());
+        prop_assert_eq!(k.canonical(), k.min(r));
+        prop_assert_eq!(k.direction(), k.cmp(&r));
+    }
+
     #[test]
     fn checksum_of_buffer_with_its_checksum_appended_verifies(data in prop::collection::vec(any::<u8>(), 0..128)) {
         // Only meaningful for even-length buffers: appending the checksum to

@@ -663,9 +663,10 @@ impl AcdcDatapath {
         }
 
         // --- Sender module: data packets ---
-        if seg.payload_len() > 0 || flags.contains(TcpFlags::FIN) {
+        let ack = flags.contains(TcpFlags::ACK);
+        let feedback = if seg.payload_len() > 0 || flags.contains(TcpFlags::FIN) {
             let payload_len = seg.payload_len();
-            let (tracked, admission) = self.table.with_entry_or_create(
+            let ((sent, feedback), admission) = self.table.with_connection_or_create(
                 key,
                 || self.new_entry(&key, now),
                 |e| {
@@ -716,8 +717,18 @@ impl AcdcDatapath {
                     }
                     Ok(e.vm_ecn)
                 },
+                // The receiver module's feedback for the ACK this segment
+                // carries, under the same lookup; none for a segment that
+                // is refused or policed.
+                |sent, re| {
+                    let feedback = match (&sent, re) {
+                        (Some(Ok(_)), Some(re)) if ack => pending_feedback(re, now),
+                        _ => None,
+                    };
+                    (sent, feedback)
+                },
             );
-            let vm_ecn = match tracked {
+            let vm_ecn = match sent {
                 // Table full, flow refused: forward untouched (fail-safe)
                 // and let the ladder drop to pass-through.
                 None => {
@@ -747,7 +758,15 @@ impl AcdcDatapath {
                 }
                 seg.set_reserved(vm_ecn, false);
             }
-        }
+            feedback
+        } else if ack {
+            // A pure ACK: the feedback is its only table work.
+            self.table
+                .with_entry(&key.reverse(), |re| pending_feedback(re, now))
+                .flatten()
+        } else {
+            None
+        };
 
         // "All egress packets are marked to be ECN-capable on the sender
         // module" (§3.2) — including pure ACKs, so they survive WRED on
@@ -757,38 +776,25 @@ impl AcdcDatapath {
         }
 
         // --- Receiver module: attach feedback to ACKs (§3.2) ---
-        if flags.contains(TcpFlags::ACK) {
-            // A unidirectional sender has no receiver-role feedback: its
-            // reverse entry is left untouched (`last_activity` included).
-            let feedback = self
-                .table
-                .with_entry(&key.reverse(), |re| {
-                    re.rx_pending().then(|| {
-                        re.last_activity = now;
-                        re.take_feedback()
-                    })
-                })
-                .flatten();
-            if let Some((total, marked)) = feedback {
-                let pack = PackOption {
-                    total_bytes: total,
-                    marked_bytes: marked,
-                };
-                if seg.wire_len() + PackOption::WIRE_LEN <= self.cfg.mtu
-                    && seg.append_pack_in_place(pack)
-                {
-                    obs.counters.packs_sent.inc();
-                } else if self.cfg.disable_fack {
-                    // Ablation: the feedback is simply lost.
-                    obs.counters.feedback_dropped.inc();
-                } else if let Some(fack) = make_fack(&seg, pack) {
-                    obs.counters.facks_sent.inc();
-                    return Verdict::ForwardWithExtra(seg, fack);
-                } else {
-                    // No room even in a payload-free copy (pathological
-                    // option soup): the feedback is lost, not a panic.
-                    obs.counters.feedback_dropped.inc();
-                }
+        if let Some((total, marked)) = feedback {
+            let pack = PackOption {
+                total_bytes: total,
+                marked_bytes: marked,
+            };
+            if seg.wire_len() + PackOption::WIRE_LEN <= self.cfg.mtu
+                && seg.append_pack_in_place(pack)
+            {
+                obs.counters.packs_sent.inc();
+            } else if self.cfg.disable_fack {
+                // Ablation: the feedback is simply lost.
+                obs.counters.feedback_dropped.inc();
+            } else if let Some(fack) = make_fack(&seg, pack) {
+                obs.counters.facks_sent.inc();
+                return Verdict::ForwardWithExtra(seg, fack);
+            } else {
+                // No room even in a payload-free copy (pathological
+                // option soup): the feedback is lost, not a panic.
+                obs.counters.feedback_dropped.inc();
             }
         }
 
@@ -861,20 +867,31 @@ impl AcdcDatapath {
             && flags.contains(TcpFlags::ACK)
             && !flags.intersects(TcpFlags::SYN | TcpFlags::FIN | TcpFlags::RST);
 
+        // The data direction's key: CC events are stamped with the flow
+        // whose window is enforced, not the arriving ACK's key.
+        let data_key = key.reverse();
+        let ack_update =
+            |e: &mut FlowEntry| self.sender_ack_processing(obs, now, e, &meta, pure_ack);
+
         // --- Sender module: FACKs are logged and absorbed (§3.2) ---
         if meta.fack {
             // The FACK still carries an ACK; absorb its feedback and run
             // congestion control on it so the feedback takes effect
             // immediately, then drop it.
-            self.sender_ack_processing(obs, now, &mut seg, &meta, pure_ack, false);
+            let enforced = self.table.with_entry(&data_key, ack_update);
+            self.enforce(obs, now, &mut seg, data_key, enforced, false);
             return Verdict::Drop(DropReason::FackConsumed);
         }
 
-        // --- Receiver module: account + launder ECN on data (§3.2) ---
-        if seg.payload_len() > 0 {
+        // --- Receiver module: account + launder ECN on data (§3.2), then
+        // the ACK the segment carries for the reverse direction, under
+        // the same lookup ---
+        let ack = flags.contains(TcpFlags::ACK);
+        let acked = |re: Option<&mut FlowEntry>| re.filter(|_| ack).map(ack_update);
+        let enforced = if seg.payload_len() > 0 {
             let payload_len = seg.payload_len() as u64;
             let ce = seg.ecn().is_ce();
-            let (tracked, admission) = self.table.with_entry_or_create(
+            let (enforced, admission) = self.table.with_connection_or_create(
                 key,
                 || self.new_entry(&key, now),
                 |e| {
@@ -897,8 +914,14 @@ impl AcdcDatapath {
                         e.closing = true;
                     }
                 },
+                |_, re| acked(re),
             );
-            if tracked.is_some() {
+            if admission.rejected() {
+                // Untracked at capacity: leave the wire untouched — an
+                // unlaundered CE mark is at worst ignored by a guest that
+                // never negotiated ECN.
+                self.on_admission_reject(obs, now, &key);
+            } else {
                 self.note_admission(obs, now, &key, admission);
                 // Restore what the sender VM originally put on the wire:
                 // ECT if its stack spoke ECN (hiding the CE mark from it
@@ -912,25 +935,26 @@ impl AcdcDatapath {
                         seg.set_ecn(target);
                     }
                 }
-            } else {
-                // Untracked at capacity: leave the wire untouched — an
-                // unlaundered CE mark is at worst ignored by a guest that
-                // never negotiated ECN.
-                self.on_admission_reject(obs, now, &key);
             }
+            enforced
         } else if flags.contains(TcpFlags::FIN) {
             // A bare FIN still ends the remote's direction; one we never
             // tracked is left untracked.
-            self.table.with_entry(&key, |e| e.closing = true);
-        }
+            self.table
+                .with_connection(&key, |e| e.closing = true, |_, re| acked(re))
+        } else if ack {
+            self.table.with_entry(&data_key, ack_update)
+        } else {
+            None
+        };
 
         // --- Sender module: ACK processing + enforcement (§3.1–3.3) ---
-        if flags.contains(TcpFlags::ACK) {
+        if ack {
             if meta.pack.is_some() {
                 obs.counters.packs_received.inc();
                 seg.strip_pack_in_place();
             }
-            self.sender_ack_processing(obs, now, &mut seg, &meta, pure_ack, !log_only);
+            self.enforce(obs, now, &mut seg, data_key, enforced, !log_only);
             // Hide ECN feedback from the guest so it does not also back
             // off (§3.3): AC/DC is the one reacting. Applied to every
             // non-SYN ACK — the vSwitch owns ECN on this fabric.
@@ -947,126 +971,137 @@ impl AcdcDatapath {
         Verdict::Forward(seg)
     }
 
-    /// Connection-tracking + congestion control + RWND enforcement for an
-    /// arriving ACK, including the PACK feedback it carries (absorbed
-    /// under the same lookup, ahead of the algorithm that consumes it).
-    /// When `rewrite` is true, the enforcement write is applied to the
-    /// segment (it is the one delivered to the guest); callers fold
-    /// log-only mode (config flag or health ladder) into it.
+    /// Connection-tracking + congestion control for an arriving ACK on
+    /// `e`, the entry of the direction it acknowledges, including the
+    /// PACK feedback it carries (absorbed ahead of the algorithm that
+    /// consumes it). Runs under the table lock, so the CC events it
+    /// observes come back for [`AcdcDatapath::enforce`] to publish after
+    /// the lock drops (W002: the event bus must not be entered while a
+    /// table lock is held), fixed-size and in firing order, beside the
+    /// RWND decision.
     fn sender_ack_processing(
         &self,
         obs: &WorkerSink,
         now: Nanos,
-        seg: &mut Segment,
+        e: &mut FlowEntry,
         meta: &PacketMeta,
         pure_ack: bool,
+    ) -> Enforcement {
+        let (ack, window) = (meta.ack, meta.window);
+        if let Some(pack) = meta.pack {
+            e.absorb_feedback(pack);
+        }
+        e.last_activity = now;
+        let mut newly_acked = 0u64;
+        let mut rtt_sample = None;
+        let mut cut_event = None;
+        let mut rto_event = None;
+        let mut alpha_event = None;
+
+        if e.seq_valid {
+            if ack > e.snd_una && ack <= e.snd_nxt {
+                newly_acked = (ack - e.snd_una) as u64;
+                e.snd_una = ack;
+                e.dupacks = 0;
+                e.last_ack_activity = now;
+                if let Some((probe_seq, sent_at)) = e.rtt_probe {
+                    if ack >= probe_seq {
+                        let s = now - sent_at;
+                        e.record_rtt(s);
+                        rtt_sample = Some(s);
+                        e.rtt_probe = None;
+                    }
+                }
+            } else if ack == e.snd_una && pure_ack && e.snd_nxt > e.snd_una {
+                e.dupacks += 1;
+                if e.dupacks == 3 {
+                    e.cc.on_fast_retransmit(now);
+                    obs.counters.inferred_fast_rtx.inc();
+                    cut_event = Some(EventKind::CwndCut {
+                        cause: "fast-retransmit",
+                        cwnd: e.cc.cwnd(),
+                    });
+                }
+            }
+
+            if let Some(cwnd) = e.infer_timeout(now) {
+                obs.counters.inferred_timeouts.inc();
+                rto_event = Some(EventKind::RtoFired { cwnd });
+            }
+        }
+
+        // Consume accumulated feedback and run the algorithm (Figure 5)
+        // through the VirtualCc seam — the datapath never sees how the
+        // algorithm turns the signal bundle into a window.
+        let marked = e.fb_marked;
+        let total = e.fb_total;
+        e.fb_total = 0;
+        e.fb_marked = 0;
+        let in_flight = e.in_flight();
+        let rtt = rtt_sample.or(e.srtt);
+        if newly_acked > 0 || marked > 0 {
+            e.cc.on_ack_signals(&AckSignals {
+                now,
+                newly_acked,
+                marked_bytes: marked,
+                total_bytes: total,
+                rtt,
+                in_flight,
+            });
+            // Publish alpha movements (quantized; DCTCP-family only).
+            if let Some(am) = e.cc.alpha_micros() {
+                if e.last_alpha_micros != Some(am) {
+                    e.last_alpha_micros = Some(am);
+                    alpha_event = Some(EventKind::AlphaUpdate { alpha_micros: am });
+                }
+            }
+        }
+
+        // Enforcement target: the computed window, bounded by the
+        // administrative cap (§3.4).
+        let cwnd = e.cc.cwnd().min(self.cfg.max_rwnd_bytes.unwrap_or(u64::MAX));
+        e.rwnd.set_target(now, cwnd, self.cfg.trace_windows);
+        (e.rwnd.action(window), [cut_event, rto_event, alpha_event])
+    }
+
+    /// Publish what [`AcdcDatapath::sender_ack_processing`] observed,
+    /// stamped with `data_key`, and apply its RWND decision to `seg`
+    /// when `rewrite` is true (`seg` is the ACK delivered to the guest);
+    /// callers fold log-only mode (config flag or health ladder) into it.
+    /// `enforced` is `None` when the acknowledged direction is not
+    /// tracked.
+    ///
+    /// Enforcement overwrites RWND with the computed window, only when
+    /// that is *smaller* than what the guest advertised (§3.3). Never
+    /// with an unlearned scale: an entry adopted mid-stream (restart,
+    /// migration) stays log-only until a handshake teaches the shift — a
+    /// raw write interpreted through the guest's real scale could be off
+    /// by 2^14 in either direction. The decision comes from the
+    /// RWND-rewrite component (`entry.rwnd`, see crate::rwnd).
+    fn enforce(
+        &self,
+        obs: &WorkerSink,
+        now: Nanos,
+        seg: &mut Segment,
+        data_key: acdc_packet::FlowKey,
+        enforced: Option<Enforcement>,
         rewrite: bool,
     ) {
-        let (ack, window) = (meta.ack, meta.window);
-        // CC events are stamped with the *data* direction's key (the flow
-        // whose window is being enforced), not the arriving ACK's key.
-        let data_key = meta.flow.reverse();
-        // CC events observed under the shard lock, published only after
-        // it drops (W002: the event bus must not be entered while a table
-        // lock is held). Fixed-size, in firing order.
-        let enforced = self.table.with_entry(&data_key, |e| {
-            if let Some(pack) = meta.pack {
-                e.absorb_feedback(pack);
-            }
-            e.last_activity = now;
-            let mut newly_acked = 0u64;
-            let mut rtt_sample = None;
-            let mut cut_event = None;
-            let mut rto_event = None;
-            let mut alpha_event = None;
-
-            if e.seq_valid {
-                if ack > e.snd_una && ack <= e.snd_nxt {
-                    newly_acked = (ack - e.snd_una) as u64;
-                    e.snd_una = ack;
-                    e.dupacks = 0;
-                    e.last_ack_activity = now;
-                    if let Some((probe_seq, sent_at)) = e.rtt_probe {
-                        if ack >= probe_seq {
-                            let s = now - sent_at;
-                            e.record_rtt(s);
-                            rtt_sample = Some(s);
-                            e.rtt_probe = None;
-                        }
-                    }
-                } else if ack == e.snd_una && pure_ack && e.snd_nxt > e.snd_una {
-                    e.dupacks += 1;
-                    if e.dupacks == 3 {
-                        e.cc.on_fast_retransmit(now);
-                        obs.counters.inferred_fast_rtx.inc();
-                        cut_event = Some(EventKind::CwndCut {
-                            cause: "fast-retransmit",
-                            cwnd: e.cc.cwnd(),
-                        });
-                    }
+        let Some((action, events)) = enforced else {
+            return;
+        };
+        for ev in events.into_iter().flatten() {
+            obs.telemetry.record(now, data_key, ev);
+        }
+        if rewrite {
+            match action {
+                RwndAction::Rewrite(raw_target) => {
+                    seg.rewrite_window(raw_target);
+                    obs.counters.rwnd_rewrites.inc();
                 }
-
-                if let Some(cwnd) = e.infer_timeout(now) {
-                    obs.counters.inferred_timeouts.inc();
-                    rto_event = Some(EventKind::RtoFired { cwnd });
-                }
-            }
-
-            // Consume accumulated feedback and run the algorithm (Figure 5)
-            // through the VirtualCc seam — the datapath never sees how the
-            // algorithm turns the signal bundle into a window.
-            let marked = e.fb_marked;
-            let total = e.fb_total;
-            e.fb_total = 0;
-            e.fb_marked = 0;
-            let in_flight = e.in_flight();
-            let rtt = rtt_sample.or(e.srtt);
-            if newly_acked > 0 || marked > 0 {
-                e.cc.on_ack_signals(&AckSignals {
-                    now,
-                    newly_acked,
-                    marked_bytes: marked,
-                    total_bytes: total,
-                    rtt,
-                    in_flight,
-                });
-                // Publish alpha movements (quantized; DCTCP-family only).
-                if let Some(am) = e.cc.alpha_micros() {
-                    if e.last_alpha_micros != Some(am) {
-                        e.last_alpha_micros = Some(am);
-                        alpha_event = Some(EventKind::AlphaUpdate { alpha_micros: am });
-                    }
-                }
-            }
-
-            // Enforcement target: the computed window, bounded by the
-            // administrative cap (§3.4).
-            let cwnd = e.cc.cwnd().min(self.cfg.max_rwnd_bytes.unwrap_or(u64::MAX));
-            e.rwnd.set_target(now, cwnd, self.cfg.trace_windows);
-            (e.rwnd.action(window), [cut_event, rto_event, alpha_event])
-        });
-
-        // Enforcement: overwrite RWND with the computed window, only when
-        // that is *smaller* than what the guest advertised (§3.3). Never
-        // with an unlearned scale: an entry adopted mid-stream (restart,
-        // migration) stays log-only until a handshake teaches the shift —
-        // a raw write interpreted through the guest's real scale could be
-        // off by 2^14 in either direction. The decision comes from the
-        // RWND-rewrite component (`entry.rwnd`, see crate::rwnd).
-        if let Some((action, events)) = enforced {
-            for ev in events.into_iter().flatten() {
-                obs.telemetry.record(now, data_key, ev);
-            }
-            if rewrite {
-                match action {
-                    RwndAction::Rewrite(raw_target) => {
-                        seg.rewrite_window(raw_target);
-                        obs.counters.rwnd_rewrites.inc();
-                    }
-                    RwndAction::KeepGuest => {}
-                    RwndAction::ScaleUnlearned => {
-                        obs.counters.unscaled_rwnd_skips.inc();
-                    }
+                RwndAction::KeepGuest => {}
+                RwndAction::ScaleUnlearned => {
+                    obs.counters.unscaled_rwnd_skips.inc();
                 }
             }
         }
@@ -1124,10 +1159,17 @@ impl AcdcDatapath {
         }
     }
 
+    /// An RST ends both directions.
     fn mark_closing(&self, key: &acdc_packet::FlowKey) {
-        for k in [*key, key.reverse()] {
-            self.table.with_entry(&k, |e| e.closing = true);
-        }
+        self.table.with_connection(
+            key,
+            |e| e.closing = true,
+            |_, re| {
+                if let Some(re) = re {
+                    re.closing = true;
+                }
+            },
+        );
     }
 
     // ------------------------------------------------------------------
@@ -1239,6 +1281,21 @@ impl AcdcDatapath {
             })
             .unwrap_or_default()
     }
+}
+
+/// What an ACK did to the entry of the direction it acknowledges: the
+/// RWND decision, and the CC events it fired (fast retransmit, inferred
+/// timeout, alpha update) in firing order.
+type Enforcement = (RwndAction, [Option<EventKind>; 3]);
+
+/// The receiver-role feedback that `re`, the reverse direction's entry,
+/// holds for the next egress ACK. A unidirectional sender has none: its
+/// reverse entry is left untouched (`last_activity` included).
+fn pending_feedback(re: &mut FlowEntry, now: Nanos) -> Option<(u32, u32)> {
+    re.rx_pending().then(|| {
+        re.last_activity = now;
+        re.take_feedback()
+    })
 }
 
 /// A pure ACK from the receiver of `key`'s data to its sender, at the

@@ -1,10 +1,14 @@
 //! Per-flow connection-tracking state (§3.1).
 //!
 //! One entry exists per *data direction* of a connection — the paper keeps
-//! "two flow entries for each connection" (§4). The same struct carries
-//! the sender-side role (congestion state, used at the host of the data
-//! sender) and the receiver-side role (ECN byte accounting, used at the
-//! host of the data receiver); each host only exercises its own half.
+//! "two flow entries for each connection" (§4). The flow table stores a
+//! connection's two entries side by side, as the two halves of one
+//! record in one allocation, so a packet reaches its own direction's
+//! entry and the reverse one with one lookup (`crate::table`). The same
+//! struct carries the sender-side role (congestion state, used at the
+//! host of the data sender) and the receiver-side role (ECN byte
+//! accounting, used at the host of the data receiver); each host only
+//! exercises its own role of each entry.
 
 use acdc_cc::{CcConfig, CcKind};
 use acdc_packet::{PackOption, SeqNumber};

@@ -1,49 +1,66 @@
 //! The connection-tracking flow table.
 //!
-//! The paper adds a hash table to OVS keyed by the flow 5-tuple, using RCU
-//! for read-mostly lookups and an individual spinlock per flow entry so
-//! distinct flows update concurrently (§4). Here the table is *sharded* —
-//! 1 024 shards, each a `parking_lot::Mutex<Shard>` — and the shard lock
-//! is the only lock: it guards the shard's index and the entries in it.
-//! The per-entry lock bought the paper concurrency between two writers of
-//! one connection; symmetric steering (`acdc-workers`) already gives
-//! every connection exactly one writing worker, so a second lock per
-//! entry would guard nothing the shard lock does not. Every access is
-//! one closure under one lock ([`FlowTable::with_entry`],
-//! [`FlowTable::with_entry_or_create`], [`FlowTable::for_each`]), handed
-//! `&mut FlowEntry`; no reference to an entry outlives its call.
+//! The paper adds a hash table to OVS keyed by the flow 5-tuple, with
+//! "two flow entries for each connection", RCU for read-mostly lookups
+//! and a spinlock per entry so distinct flows update concurrently (§4).
+//! Here a connection's two entries are one *record*. The table is keyed
+//! by the connection ([`FlowKey::canonical`]: the smaller of a key and
+//! its reverse, the key worker steering hashes), and a record holds both
+//! directions' [`FlowEntry`]s as optional halves in one allocation. A
+//! data packet updates its own direction and then the reverse one (the
+//! feedback an egress ACK piggybacks, the ACK an ingress segment
+//! carries), and finds both with one hash, one shard lock and one probe:
+//! `FlowTable::with_connection` and `with_connection_or_create` run `f`
+//! on `key`'s half, then `g` on the reverse half. The two run one after
+//! the other, so a key that is its own reverse (source = destination,
+//! which a tenant can send) hands its one entry to each in turn, never
+//! two aliasing handles.
+//! Everything else still speaks directions: a key names one half, `len()`
+//! and the `max_flows` cap count halves, eviction removes one half, and a
+//! record is freed with its last half.
 //!
-//! [`FlowKey::hash64`] (FNV-1a over the 12 key bytes — stable run-to-run
-//! and cheap enough for the two lookups every packet makes) is computed
-//! once per operation: its low 10 bits pick the shard; keyed by a secret
-//! drawn once per process and mixed, it picks the home bucket inside it,
-//! so a sender choosing its ports cannot choose a probe cluster. A shard
-//! is an open-addressed index — linear probing over a power-of-two bucket
-//! array kept at most half full, removal by backward shift, so there are
-//! no tombstones and a probe for an absent key ends at the first empty
-//! bucket. A bucket holds the key beside a `Box<FlowEntry>`, the entry's
-//! one allocation, so a probe compares keys without touching entries and
-//! a resize moves pointers. `gc` halves an array left less than an eighth
-//! full; `clear` frees them all. Whole-table walks (`for_each`, `gc`,
-//! eviction) visit shards in index order and entries in bucket order,
-//! which depends on history and on the secret. Whatever a walk publishes
-//! is ordered by content instead: `tick` and `gc` sort their events by
-//! shard then key, `flow_stats` and `checkpoint` by key, and eviction
-//! takes a minimum.
+//! The table is *sharded* — 1 024 shards, each a `parking_lot::Mutex<Shard>`
+//! — and the shard lock is the only lock: it guards the shard's index and
+//! the records in it. The per-entry lock bought the paper concurrency
+//! between two writers of one connection; symmetric steering
+//! (`acdc-workers`) already gives every connection exactly one writing
+//! worker, so a second lock would guard nothing the shard lock does not.
+//! Every access is closures under one lock, handed `&mut FlowEntry`
+//! ([`FlowTable::with_entry`], [`FlowTable::with_entry_or_create`] and
+//! [`FlowTable::for_each`] visit one half at a time); no reference to an
+//! entry outlives its call.
+//!
+//! [`FlowKey::hash64`] of the connection key (FNV-1a over the 12 key
+//! bytes, stable run-to-run) is computed once per operation: its low 10
+//! bits pick the shard; keyed by a secret drawn once per process and
+//! mixed, it picks the home bucket inside it, so a sender choosing its
+//! ports cannot choose a probe cluster. A shard is an open-addressed index
+//! — linear probing over a power-of-two bucket array kept at most half
+//! full, removal by backward shift, so there are no tombstones and a
+//! probe for an absent key ends at the first empty bucket. A bucket holds
+//! the connection key beside a `Box<Record>`, so a probe compares keys
+//! without touching records and a resize moves pointers. `gc` halves an
+//! array left less than an eighth full; `clear` frees them all.
+//! Whole-table walks (`for_each`, `gc`, eviction) visit shards in index
+//! order, records in bucket order and halves in order, which depends on
+//! history and on the secret. Whatever a walk publishes is ordered by
+//! content instead: `tick` and `gc` sort their events by
+//! `FlowTable::sweep_order`, `flow_stats` and `checkpoint` by key, and
+//! eviction takes a minimum.
 //!
 //! ## Capacity & admission
 //!
 //! A production vSwitch carries tens of thousands of connections and the
 //! paper sizes the design around that (§4: two ~320 B entries per
 //! connection), so the table can be *bounded*: [`FlowTable::bounded`]
-//! sets a hard `max_flows` cap enforced by a global atomic reservation
-//! counter (the count is reserved *before* the shard insert, so `len()`
-//! can never exceed the cap, not even transiently). What happens at the
-//! cap is the [`AdmissionPolicy`]: turn the new flow away (it is then
-//! forwarded untouched — the §3.3 fail-safe) or deterministically evict
-//! the entry idle the longest, smallest key breaking ties. Every create
-//! path reports an [`Admission`] outcome so the datapath can account
-//! evictions and drive its degradation ladder.
+//! sets a hard `max_flows` cap on entries (halves), enforced by a global
+//! atomic reservation counter (the count is reserved *before* the shard
+//! insert, so `len()` can never exceed the cap, not even transiently).
+//! What happens at the cap is the [`AdmissionPolicy`]: turn the new flow
+//! away (it is then forwarded untouched — the §3.3 fail-safe) or
+//! deterministically evict the entry idle the longest, smallest key
+//! breaking ties. Every create path reports an [`Admission`] outcome so
+//! the datapath can account evictions and drive its degradation ladder.
 
 use std::hash::{BuildHasher, RandomState};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -107,25 +124,70 @@ impl Admission {
     }
 }
 
+/// Both directions of one connection in one allocation. Half 0 is the
+/// direction the connection key names, half 1 its reverse; a key that is
+/// its own reverse has half 0 only. No record is ever empty: the table
+/// frees one with its last half.
+#[derive(Default)]
+struct Record {
+    halves: [Option<FlowEntry>; 2],
+}
+
+impl Record {
+    /// Entries present, 1 or 2.
+    fn len(&self) -> usize {
+        self.halves.iter().flatten().count()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.halves.iter().all(Option::is_none)
+    }
+}
+
+/// `key`'s connection key, the half of its record `key` names and the
+/// half its reverse names (the same one for a key that is its own
+/// reverse). Inlined: a call that returns the key through memory costs
+/// a lookup from another crate (the generic accessors are instantiated
+/// there) about as much again as the probe.
+#[inline]
+fn locate(key: &FlowKey) -> (FlowKey, usize, usize) {
+    let dir = key.direction();
+    (
+        key.canonical(),
+        usize::from(dir.is_gt()),
+        usize::from(dir.is_lt()),
+    )
+}
+
+/// The key of half `i` of connection `conn`.
+fn key_of(conn: &FlowKey, i: usize) -> FlowKey {
+    if i == 0 {
+        *conn
+    } else {
+        conn.reverse()
+    }
+}
+
 /// One bucket: 24 bytes, the `Box`'s non-null niche encoding `None`.
-type Bucket = Option<(FlowKey, Box<FlowEntry>)>;
+type Bucket = Option<(FlowKey, Box<Record>)>;
 
 /// This process's placement secret, drawn once from the standard
 /// library's randomly keyed SipHash. Flow keys are wire input: were
 /// bucket placement a public function of the key, a sender choosing its
 /// ports could pile a shard's keys into one probe cluster and make every
 /// operation on that shard O(cluster). The secret moves only where
-/// entries sit inside a shard — which shard a key lives in stays
+/// records sit inside a shard — which shard a connection lives in stays
 /// [`FlowTable::shard_of`] — and nothing observable reads that placement
-/// (see `FlowTable::sweep_order`), so runs still replay exactly.
+/// (see [`FlowTable::sweep_order`]), so runs still replay exactly.
 fn placement_secret() -> u64 {
     static SECRET: OnceLock<u64> = OnceLock::new();
     *SECRET.get_or_init(|| RandomState::new().hash_one(SHARDS))
 }
 
-/// Where a key whose [`FlowKey::hash64`] is `hash` starts probing, before
-/// masking to a bucket array: the hash keyed by `secret` and mixed, so
-/// its low bits are no longer the ones that picked the shard.
+/// Where a connection whose key's [`FlowKey::hash64`] is `hash` starts
+/// probing, before masking to a bucket array: the hash keyed by `secret`
+/// and mixed, so its low bits are no longer the ones that picked the
+/// shard.
 fn place(hash: u64, secret: u64) -> u64 {
     mix64(hash ^ secret)
 }
@@ -136,21 +198,22 @@ fn home(place: u64, cap: usize) -> usize {
     place as usize & (cap - 1)
 }
 
-/// One shard: an open-addressed index with linear probing, at most half
-/// full. An empty shard allocates nothing. A boxed slice plus a length
-/// keeps the header at 24 bytes (a `Vec` would add 8), which matters at
-/// 1 024 shards per datapath.
+/// One shard: an open-addressed index of records by connection key, with
+/// linear probing, at most half full. An empty shard allocates nothing. A
+/// boxed slice plus a length keeps the header at 24 bytes (a `Vec` would
+/// add 8), which matters at 1 024 shards per datapath.
 #[derive(Default)]
 struct Shard {
     buckets: Box<[Bucket]>,
+    /// Records (occupied buckets), not entries.
     len: usize,
 }
 
 const _: () = assert!(size_of::<Bucket>() == 24 && size_of::<Shard>() == 24);
 
 impl Shard {
-    /// The bucket holding `key`, if present; `place` is the key's.
-    fn find(&self, key: &FlowKey, place: u64) -> Option<usize> {
+    /// The bucket holding connection `conn`, if present; `place` is its.
+    fn find(&self, conn: &FlowKey, place: u64) -> Option<usize> {
         let cap = self.buckets.len();
         if cap == 0 {
             return None;
@@ -159,15 +222,20 @@ impl Shard {
         loop {
             match &self.buckets[i] {
                 None => return None,
-                Some((k, _)) if k == key => return Some(i),
+                Some((k, _)) if k == conn => return Some(i),
                 Some(_) => i = (i + 1) & (cap - 1),
             }
         }
     }
 
-    fn get_mut(&mut self, key: &FlowKey, place: u64) -> Option<&mut FlowEntry> {
-        let i = self.find(key, place)?;
-        self.buckets[i].as_mut().map(|(_, e)| &mut **e)
+    /// The record in bucket `at`, if it holds one.
+    fn at(&mut self, at: Option<usize>) -> Option<&mut Record> {
+        self.buckets[at?].as_mut().map(|(_, r)| &mut **r)
+    }
+
+    fn get_mut(&mut self, conn: &FlowKey, place: u64) -> Option<&mut Record> {
+        let at = self.find(conn, place);
+        self.at(at)
     }
 
     /// The first empty bucket on `place`'s probe path (the array has one:
@@ -181,58 +249,59 @@ impl Shard {
         i
     }
 
-    /// Insert `key`, which must be absent, and return its entry.
+    /// Insert a record for connection `conn`, which must be absent,
+    /// holding `entry` as half `side`. Returns its bucket.
     fn insert(
         &mut self,
-        key: FlowKey,
+        conn: FlowKey,
         place: u64,
         secret: u64,
-        entry: Box<FlowEntry>,
-    ) -> &mut FlowEntry {
+        side: usize,
+        entry: FlowEntry,
+    ) -> usize {
+        let mut rec = Box::<Record>::default();
+        rec.halves[side] = Some(entry);
         let cap = self.buckets.len();
         if 2 * (self.len + 1) > cap {
             self.resize((2 * cap).max(MIN_BUCKETS), secret);
         }
         let i = self.vacant(place);
         self.len += 1;
-        &mut self.buckets[i].insert((key, entry)).1
+        self.buckets[i] = Some((conn, rec));
+        i
     }
 
-    /// Move every entry into a fresh array of `cap` buckets, a power of
+    /// Move every record into a fresh array of `cap` buckets, a power of
     /// two at least twice `len`.
     fn resize(&mut self, cap: usize, secret: u64) {
         let old = std::mem::replace(
             &mut self.buckets,
             std::iter::repeat_with(|| None).take(cap).collect(),
         );
-        for (key, entry) in old.into_vec().into_iter().flatten() {
-            let i = self.vacant(place(key.hash64(), secret));
-            self.buckets[i] = Some((key, entry));
+        for (conn, rec) in old.into_vec().into_iter().flatten() {
+            let i = self.vacant(place(conn.hash64(), secret));
+            self.buckets[i] = Some((conn, rec));
         }
     }
 
-    fn remove(&mut self, key: &FlowKey, place: u64, secret: u64) -> Bucket {
-        let i = self.find(key, place)?;
-        self.remove_at(i, secret)
-    }
-
-    /// Empty bucket `hole`, then shift back every later entry of its
+    /// Empty bucket `hole`, then shift back every later record of its
     /// cluster whose probe path passes the hole, so that no probe ever
     /// stops short of its key.
-    fn remove_at(&mut self, mut hole: usize, secret: u64) -> Bucket {
-        let removed = self.buckets[hole].take();
+    fn remove_at(&mut self, mut hole: usize, secret: u64) {
+        self.buckets[hole] = None;
         self.len -= 1;
         let cap = self.buckets.len();
         let mask = cap - 1;
         let mut i = hole;
         loop {
             i = (i + 1) & mask;
-            let Some((key, _)) = &self.buckets[i] else {
-                return removed;
+            let Some((conn, _)) = &self.buckets[i] else {
+                return;
             };
-            // Distances forward from `key`'s home and from the hole to i:
-            // the entry may move iff the hole is no nearer to i than home.
-            let from_home = (i + cap - home(place(key.hash64(), secret), cap)) & mask;
+            // Distances forward from `conn`'s home and from the hole to
+            // i: the record may move iff the hole is no nearer to i than
+            // home.
+            let from_home = (i + cap - home(place(conn.hash64(), secret), cap)) & mask;
             if from_home >= (i + cap - hole) & mask {
                 self.buckets[hole] = self.buckets[i].take();
                 hole = i;
@@ -240,14 +309,15 @@ impl Shard {
         }
     }
 
-    /// Drop the entries `keep` rejects, offering each entry exactly once,
-    /// then halve the array while it is less than an eighth full (never
-    /// below [`MIN_BUCKETS`]), so that after a flood the shard's memory
-    /// and every later walk over it follow the live entries, not the
-    /// peak. The walk starts just past an empty bucket, which no cluster
-    /// spans: a removal only shifts entries from later in the hole's
-    /// cluster, so none lands on a bucket the walk has already passed.
-    fn retain(&mut self, secret: u64, mut keep: impl FnMut(&FlowKey, &FlowEntry) -> bool) {
+    /// Offer each record exactly once to `keep`, which may drop halves
+    /// and says whether any is left; drop the records it rejects. Then
+    /// halve the array while it is less than an eighth full (never below
+    /// [`MIN_BUCKETS`]), so that after a flood the shard's memory and
+    /// every later walk over it follow the live records, not the peak.
+    /// The walk starts just past an empty bucket, which no cluster spans:
+    /// a removal only shifts records from later in the hole's cluster, so
+    /// none lands on a bucket the walk has already passed.
+    fn retain(&mut self, secret: u64, mut keep: impl FnMut(&FlowKey, &mut Record) -> bool) {
         let cap = self.buckets.len();
         let Some(empty) = self.buckets.iter().position(Option::is_none) else {
             return;
@@ -255,11 +325,11 @@ impl Shard {
         let mut i = empty;
         for _ in 0..cap {
             i = (i + 1) & (cap - 1);
-            while let Some((key, entry)) = &self.buckets[i] {
-                if keep(key, entry) {
+            while let Some((conn, rec)) = &mut self.buckets[i] {
+                if keep(conn, rec) {
                     break;
                 }
-                // Re-examine i: a later entry may have shifted into it.
+                // Re-examine i: a later record may have shifted into it.
                 self.remove_at(i, secret);
             }
         }
@@ -272,29 +342,45 @@ impl Shard {
         }
     }
 
-    /// Entries in bucket order.
-    fn iter(&self) -> impl Iterator<Item = (&FlowKey, &FlowEntry)> {
-        self.buckets.iter().flatten().map(|(k, e)| (k, &**e))
+    /// Records in bucket order, with their connection keys.
+    fn iter(&self) -> impl Iterator<Item = (&FlowKey, &Record)> {
+        self.buckets.iter().flatten().map(|(k, r)| (k, &**r))
     }
 
-    /// Entries in bucket order, mutably.
-    fn iter_mut(&mut self) -> impl Iterator<Item = (&FlowKey, &mut FlowEntry)> {
-        self.buckets
-            .iter_mut()
-            .flatten()
-            .map(|(k, e)| (&*k, &mut **e))
+    /// Entries present, over every record.
+    fn entries(&self) -> usize {
+        self.iter().map(|(_, r)| r.len()).sum()
     }
 }
 
-/// A sharded flow table: `FlowKey → FlowEntry`, one lock per shard.
+/// `f` on half `side` of `rec`, when present, then `g` on its result and
+/// on half `rside`: the two closures of the `with_connection` pair, run
+/// in turn so that `side == rside` (a key that is its own reverse) lends
+/// the one entry twice rather than aliasing it.
+fn in_turn<A, R>(
+    rec: Option<&mut Record>,
+    side: usize,
+    rside: usize,
+    f: impl FnOnce(&mut FlowEntry) -> A,
+    g: impl FnOnce(Option<A>, Option<&mut FlowEntry>) -> R,
+) -> R {
+    let Some(rec) = rec else {
+        return g(None, None);
+    };
+    let a = rec.halves[side].as_mut().map(f);
+    g(a, rec.halves[rside].as_mut())
+}
+
+/// A sharded flow table: connection key → record of both directions'
+/// [`FlowEntry`]s, one lock per shard.
 pub struct FlowTable {
     shards: Vec<Mutex<Shard>>,
     /// Keys bucket placement inside a shard ([`placement_secret`]).
     secret: u64,
-    /// Tracked-entry count, maintained by reservation: incremented before
-    /// a shard insert, decremented on remove/gc/clear. Upper-bounds the
-    /// sum of shard lengths at all times, so a capacity check against it
-    /// can never let the table overshoot `max_flows`.
+    /// Tracked-entry (half) count, maintained by reservation: incremented
+    /// before a shard insert, decremented on remove/gc/clear.
+    /// Upper-bounds the entries in the shards at all times, so a capacity
+    /// check against it can never let the table overshoot `max_flows`.
     count: AtomicUsize,
     max_flows: Option<usize>,
     admission: AdmissionPolicy,
@@ -363,39 +449,61 @@ impl FlowTable {
         self.telemetry = Some(telemetry);
     }
 
-    /// The shard index `key` maps to: the low bits of [`FlowKey::hash64`].
-    /// Worker steering (`acdc-workers`) finalizes the same hash before
-    /// reducing it, so one shard's keys spread over every worker.
+    /// The shard index `key`'s connection lives in, the same for both
+    /// directions: the low bits of the connection key's
+    /// [`FlowKey::hash64`]. Worker steering (`acdc-workers`) finalizes
+    /// the same hash before reducing it, so one shard's connections
+    /// spread over every worker.
     pub fn shard_of(key: &FlowKey) -> usize {
-        (key.hash64() as usize) & (SHARDS - 1)
+        (key.canonical().hash64() as usize) & (SHARDS - 1)
     }
 
-    /// The order a sweep publishes its per-flow events in: shard index,
-    /// then key — the order of the table's contents, whatever history
-    /// and placement left them in which bucket. Walks themselves go in
-    /// bucket order; `tick` and `gc` put what they collected in this
-    /// order before recording it, so the recorder's sequence numbers
+    /// The order a sweep publishes its per-flow events in: the shard
+    /// `key`'s own hash picks, then `key` — the order a table of one
+    /// entry per direction held its contents in, kept so that recorded
+    /// runs keep their event sequence. Walks themselves go in bucket
+    /// order; `tick` and `gc` tag what they collect with this, once per
+    /// key, and sort before recording, so the recorder's sequence numbers
     /// replay across a checkpoint restore and under racing worker
     /// inserts.
     pub(crate) fn sweep_order(key: &FlowKey) -> (usize, FlowKey) {
-        (FlowTable::shard_of(key), *key)
+        ((key.hash64() as usize) & (SHARDS - 1), *key)
     }
 
-    /// The shard `key` lives in, and where its probe starts.
-    fn shard(&self, key: &FlowKey) -> (&Mutex<Shard>, u64) {
-        let hash = key.hash64();
+    /// The shard connection `conn` lives in, and where its probe starts.
+    fn shard(&self, conn: &FlowKey) -> (&Mutex<Shard>, u64) {
+        let hash = conn.hash64();
         (
             &self.shards[hash as usize & (SHARDS - 1)],
             place(hash, self.secret),
         )
     }
 
-    /// Run `f` on the entry for `key` under its shard's lock — the
-    /// per-packet path. `f` must not call back into the table (the shard
-    /// lock is held) nor publish events (W002).
+    /// Run `f` on the entry for `key` under its shard's lock. `f` must
+    /// not call back into the table (the shard lock is held) nor publish
+    /// events (W002).
     pub fn with_entry<R>(&self, key: &FlowKey, f: impl FnOnce(&mut FlowEntry) -> R) -> Option<R> {
-        let (shard, place) = self.shard(key);
-        shard.lock().get_mut(key, place).map(f)
+        let (conn, side, _) = locate(key);
+        let (shard, place) = self.shard(&conn);
+        shard.lock().get_mut(&conn, place)?.halves[side]
+            .as_mut()
+            .map(f)
+    }
+
+    /// Both directions of `key`'s connection under one lookup — the
+    /// per-packet path: `f` on `key`'s entry when tracked, then `g` on
+    /// `f`'s result (`None` when `f` did not run) and on the reverse
+    /// direction's entry. Same rules for both closures as for
+    /// [`FlowTable::with_entry`].
+    pub(crate) fn with_connection<A, R>(
+        &self,
+        key: &FlowKey,
+        f: impl FnOnce(&mut FlowEntry) -> A,
+        g: impl FnOnce(Option<A>, Option<&mut FlowEntry>) -> R,
+    ) -> R {
+        let (conn, side, rside) = locate(key);
+        let (shard, place) = self.shard(&conn);
+        in_turn(shard.lock().get_mut(&conn, place), side, rside, f, g)
     }
 
     /// Reserve one slot in `count`, respecting the cap.
@@ -425,20 +533,22 @@ impl FlowTable {
         let mut victim: Option<(Nanos, FlowKey)> = None;
         for shard in &self.shards {
             let shard = shard.lock();
-            for (k, e) in shard.iter() {
-                if k == avoid {
-                    continue;
-                }
-                let cand = (e.last_activity, *k);
-                if victim.is_none_or(|v| cand < v) {
-                    victim = Some(cand);
+            for (conn, rec) in shard.iter() {
+                for (i, e) in rec.halves.iter().enumerate() {
+                    let Some(e) = e else { continue };
+                    // Most entries lose on time alone; only a candidate
+                    // pays for its directional key.
+                    if victim.is_some_and(|(t, _)| e.last_activity > t) {
+                        continue;
+                    }
+                    let cand = (e.last_activity, key_of(conn, i));
+                    if cand.1 != *avoid && victim.is_none_or(|v| cand < v) {
+                        victim = Some(cand);
+                    }
                 }
             }
         }
-        match victim {
-            Some((_, k)) => self.remove(&k),
-            None => false,
-        }
+        victim.is_some_and(|(_, k)| self.remove(&k))
     }
 
     /// Reserve capacity for a new entry per the admission policy.
@@ -465,6 +575,67 @@ impl FlowTable {
         }
     }
 
+    /// [`FlowTable::with_connection`], creating `key`'s entry with `init`
+    /// when absent — subject to the capacity/admission gate, and `init`
+    /// runs under the shard lock too. When the table is full and the
+    /// policy refuses the flow ([`Admission::Rejected`]), `f` does not
+    /// run and `g` gets `None` beside the reverse entry.
+    pub(crate) fn with_connection_or_create<A, R>(
+        &self,
+        key: FlowKey,
+        init: impl FnOnce() -> FlowEntry,
+        f: impl FnOnce(&mut FlowEntry) -> A,
+        g: impl FnOnce(Option<A>, Option<&mut FlowEntry>) -> R,
+    ) -> (R, Admission) {
+        let (conn, side, rside) = locate(&key);
+        let (lock, place) = self.shard(&conn);
+        let mut shard = lock.lock();
+        let mut at = shard.find(&conn, place);
+        let tracked = |shard: &mut Shard, at| {
+            shard
+                .at(at)
+                .is_some_and(|r: &mut Record| r.halves[side].is_some())
+        };
+        let mut adm = Admission::Existing;
+        if !tracked(&mut shard, at) {
+            adm = Admission::Created;
+            if !self.try_reserve() {
+                // At the cap. Eviction takes every shard's lock in turn,
+                // this one included, and parking_lot locks are not
+                // re-entrant.
+                drop(shard);
+                let (reserved, evicted) = self.admit(&key);
+                shard = lock.lock();
+                at = shard.find(&conn, place);
+                adm = if !reserved {
+                    Admission::Rejected
+                } else if tracked(&mut shard, at) {
+                    // Lost a create race: hand the reservation back.
+                    self.release();
+                    Admission::Existing
+                } else if evicted > 0 {
+                    Admission::CreatedAfterEviction(evicted)
+                } else {
+                    Admission::Created
+                };
+            }
+            if adm.created() {
+                let entry = init();
+                match shard.at(at) {
+                    Some(rec) => rec.halves[side] = Some(entry),
+                    None => at = Some(shard.insert(conn, place, self.secret, side, entry)),
+                }
+            }
+        }
+        let rec = shard.at(at);
+        let r = if adm.rejected() {
+            g(None, rec.and_then(|r| r.halves[rside].as_mut()))
+        } else {
+            in_turn(rec, side, rside, f, g)
+        };
+        (r, adm)
+    }
+
     /// [`FlowTable::with_entry`], creating the entry with `init` when
     /// absent — subject to the capacity/admission gate. Same rules for
     /// `f`, and `init` runs under the shard lock too. Returns `None`
@@ -476,35 +647,7 @@ impl FlowTable {
         init: impl FnOnce() -> FlowEntry,
         f: impl FnOnce(&mut FlowEntry) -> R,
     ) -> (Option<R>, Admission) {
-        let (lock, place) = self.shard(&key);
-        let mut shard = lock.lock();
-        if let Some(e) = shard.get_mut(&key, place) {
-            return (Some(f(e)), Admission::Existing);
-        }
-        let mut evicted = 0;
-        if !self.try_reserve() {
-            // At the cap. Eviction takes every shard's lock in turn, this
-            // one included, and parking_lot locks are not re-entrant.
-            drop(shard);
-            let (reserved, n) = self.admit(&key);
-            if !reserved {
-                return (None, Admission::Rejected);
-            }
-            evicted = n;
-            shard = lock.lock();
-            if let Some(e) = shard.get_mut(&key, place) {
-                // Lost a create race: hand the reservation back.
-                self.release();
-                return (Some(f(e)), Admission::Existing);
-            }
-        }
-        let e = shard.insert(key, place, self.secret, Box::new(init()));
-        let adm = if evicted > 0 {
-            Admission::CreatedAfterEviction(evicted)
-        } else {
-            Admission::Created
-        };
-        (Some(f(e)), adm)
+        self.with_connection_or_create(key, init, f, |a, _| a)
     }
 
     /// Look up or create an entry with `init`, subject to the
@@ -515,17 +658,30 @@ impl FlowTable {
         self.with_entry_or_create(key, init, |_| ()).1
     }
 
-    /// Remove an entry (FIN teardown).
+    /// Remove an entry (FIN teardown), and its record with it when the
+    /// reverse direction is not tracked.
     pub fn remove(&self, key: &FlowKey) -> bool {
-        let (shard, place) = self.shard(key);
-        let removed = shard.lock().remove(key, place, self.secret).is_some();
-        if removed {
-            self.release();
+        let (conn, side, _) = locate(key);
+        let (lock, place) = self.shard(&conn);
+        let mut shard = lock.lock();
+        let Some(i) = shard.find(&conn, place) else {
+            return false;
+        };
+        let Some(rec) = shard.at(Some(i)).filter(|r| r.halves[side].is_some()) else {
+            return false;
+        };
+        // A key that is its own reverse is half 0, and half 1 is empty.
+        if rec.halves[1 - side].is_some() {
+            rec.halves[side] = None;
+        } else {
+            shard.remove_at(i, self.secret);
         }
-        removed
+        self.release();
+        true
     }
 
-    /// Number of tracked flows (O(1): the reservation counter).
+    /// Number of tracked entries, one per direction (O(1): the
+    /// reservation counter).
     pub fn len(&self) -> usize {
         self.count.load(Ordering::Relaxed)
     }
@@ -535,13 +691,19 @@ impl FlowTable {
         self.len() == 0
     }
 
+    /// Number of connection records, each holding one or both
+    /// directions. Takes every shard lock in turn (diagnostics).
+    pub fn connections(&self) -> usize {
+        self.shards.iter().map(|s| s.lock().len).sum()
+    }
+
     /// Drop every entry (vSwitch restart) and free every shard's bucket
     /// array, however large a flood grew it. Returns the number removed.
     pub fn clear(&self) -> usize {
         let mut removed = 0;
         for shard in &self.shards {
             let mut shard = shard.lock();
-            removed += shard.len;
+            removed += shard.entries();
             *shard = Shard::default();
         }
         self.count.fetch_sub(removed, Ordering::Relaxed);
@@ -550,55 +712,67 @@ impl FlowTable {
 
     /// Coarse-grained garbage collection (paired with FIN handling in the
     /// paper): drop entries idle for longer than `idle_timeout`, plus any
-    /// entry already marked closed. Idleness is measured from the later
-    /// of the entry's `last_activity` and the table [`FlowTable::epoch`],
-    /// so a reset/restore epoch stamp shields entries carrying pre-event
-    /// activity times from one spurious collection. Returns the number
-    /// collected. A shard left less than an eighth full halves its bucket
-    /// array (down to [`MIN_BUCKETS`]); [`FlowTable::clear`] frees them.
+    /// entry already marked closed, and every record left empty.
+    /// Idleness is measured from the later of the entry's
+    /// `last_activity` and the table [`FlowTable::epoch`], so a
+    /// reset/restore epoch stamp shields entries carrying pre-event
+    /// activity times from one spurious collection. Returns the number of
+    /// entries collected. A shard left less than an eighth full halves
+    /// its bucket array (down to [`MIN_BUCKETS`]); [`FlowTable::clear`]
+    /// frees them.
     pub fn gc(&self, now: Nanos, idle_timeout: Nanos) -> usize {
-        // Evicted keys are collected during the sweep and their events
-        // published only after every shard lock is released (W002: no
-        // event-bus entry while a table lock is held), in `sweep_order`:
-        // shards are swept in index order, so sorting each shard's few
-        // keys is enough.
+        // Evicted keys are collected during the sweep, each tagged with
+        // its `sweep_order` as it is found, and their events published
+        // only after every shard lock is released (W002: no event-bus
+        // entry while a table lock is held). A record's shard is not its
+        // directions' sweep shards, so the whole list is sorted once.
         let epoch = self.epoch();
-        let mut evicted: Vec<FlowKey> = Vec::new();
+        let mut evicted: Vec<(usize, FlowKey)> = Vec::new();
         for shard in &self.shards {
-            let first = evicted.len();
-            let mut shard = shard.lock();
-            shard.retain(self.secret, |key, e| {
-                let dead =
-                    e.closing || now.saturating_sub(e.last_activity.max(epoch)) > idle_timeout;
-                if dead {
-                    evicted.push(*key);
+            shard.lock().retain(self.secret, |conn, rec| {
+                for (i, h) in rec.halves.iter_mut().enumerate() {
+                    let dead = h.as_ref().is_some_and(|e| {
+                        e.closing || now.saturating_sub(e.last_activity.max(epoch)) > idle_timeout
+                    });
+                    if dead {
+                        *h = None;
+                        evicted.push(FlowTable::sweep_order(&key_of(conn, i)));
+                    }
                 }
-                !dead
+                !rec.is_empty()
             });
-            evicted[first..].sort_unstable();
         }
+        evicted.sort_unstable();
         self.count.fetch_sub(evicted.len(), Ordering::Relaxed);
         debug_assert!(
             self.count.load(Ordering::Relaxed)
-                == self.shards.iter().map(|s| s.lock().len).sum::<usize>(),
+                == self
+                    .shards
+                    .iter()
+                    .map(|s| s.lock().entries())
+                    .sum::<usize>(),
             "flow-table count drifted from shard contents after gc"
         );
         if let Some(t) = &self.telemetry {
-            for key in &evicted {
+            for (_, key) in &evicted {
                 t.record(now, *key, EventKind::FlowEvicted { reason: "gc" });
             }
         }
         evicted.len()
     }
 
-    /// Visit every entry, one shard lock at a time (diagnostics,
-    /// inactivity scans, checkpoint capture). Same rules for `f` as
-    /// [`FlowTable::with_entry`].
+    /// Visit every entry with its directional key, one shard lock at a
+    /// time (diagnostics, inactivity scans, checkpoint capture). Same
+    /// rules for `f` as [`FlowTable::with_entry`].
     pub fn for_each(&self, mut f: impl FnMut(&FlowKey, &mut FlowEntry)) {
         for shard in &self.shards {
             let mut shard = shard.lock();
-            for (k, e) in shard.iter_mut() {
-                f(k, e);
+            for (conn, rec) in shard.buckets.iter_mut().flatten() {
+                for (i, h) in rec.halves.iter_mut().enumerate() {
+                    if let Some(e) = h {
+                        f(&key_of(conn, i), e);
+                    }
+                }
             }
         }
     }
@@ -763,6 +937,97 @@ mod tests {
         assert_eq!(t.len(), 1);
     }
 
+    /// Records (occupied buckets) in `key`'s shard.
+    fn records(t: &FlowTable, key: &FlowKey) -> usize {
+        t.shards[FlowTable::shard_of(key)].lock().len
+    }
+
+    #[test]
+    fn both_directions_share_one_record() {
+        let t = FlowTable::new();
+        let (k, r) = (key(1), key(1).reverse());
+        assert_eq!(FlowTable::shard_of(&k), FlowTable::shard_of(&r));
+        assert_eq!(create(&t, 1, 10), Admission::Created);
+        assert_eq!(t.get_or_create(r, || entry(20)), Admission::Created);
+        assert_eq!((t.len(), records(&t, &k)), (2, 1));
+        // Each side sees its own entry first and the other one second.
+        let seen = |from: &FlowKey| {
+            t.with_connection(
+                from,
+                |e| e.last_activity,
+                |a, re| (a, re.map(|e| e.last_activity)),
+            )
+        };
+        assert_eq!(seen(&k), (Some(10), Some(20)));
+        assert_eq!(seen(&r), (Some(20), Some(10)));
+        // Removing one direction keeps the other and the record.
+        assert!(t.remove(&k));
+        assert_eq!(seen(&r), (Some(20), None));
+        assert_eq!((t.len(), records(&t, &k)), (1, 1));
+        // The last direction takes the record with it.
+        assert!(t.remove(&r));
+        assert_eq!((t.len(), records(&t, &k)), (0, 0));
+        assert_eq!(seen(&k), (None, None));
+    }
+
+    #[test]
+    fn a_key_that_is_its_own_reverse_is_one_entry_lent_in_turn() {
+        let own = FlowKey {
+            src_ip: [10, 0, 0, 7],
+            dst_ip: [10, 0, 0, 7],
+            src_port: 9,
+            dst_port: 9,
+        };
+        assert_eq!(own.reverse(), own);
+        let t = FlowTable::new();
+        let (seen, adm) = t.with_connection_or_create(
+            own,
+            || entry(0),
+            |e| e.last_activity = 5,
+            // The reverse of `own` is `own`: `g` gets the entry `f` wrote.
+            |a, re| a.and(re.map(|e| e.last_activity)),
+        );
+        assert_eq!((seen, adm), (Some(5), Admission::Created));
+        assert_eq!(t.get_or_create(own, || entry(0)), Admission::Existing);
+        assert_eq!((t.len(), records(&t, &own)), (1, 1));
+        assert!(t.remove(&own));
+        assert_eq!((t.len(), records(&t, &own)), (0, 0));
+    }
+
+    #[test]
+    fn eviction_and_gc_take_one_direction_and_keep_the_other() {
+        let t = FlowTable::bounded(2, AdmissionPolicy::EvictOldestIdle);
+        let (k, r) = (key(1), key(1).reverse());
+        create(&t, 1, 0);
+        t.get_or_create(r, || entry(100));
+        // The oldest entry is `k`'s half of the record; `r` stays.
+        assert_eq!(create(&t, 2, 50), Admission::CreatedAfterEviction(1));
+        assert!(last_activity(&t, 1).is_none());
+        assert!(t.with_entry(&r, |_| ()).is_some());
+        assert_eq!(records(&t, &k), 1);
+        // Idle `key(2)` goes at gc; `r` is young enough to stay.
+        assert_eq!(t.gc(200, 120), 1);
+        assert_eq!(t.len(), 1);
+        assert!(t.with_entry(&r, |_| ()).is_some());
+        // And when it goes too, so does its record.
+        assert_eq!(t.gc(300, 120), 1);
+        assert_eq!((t.len(), records(&t, &k)), (0, 0));
+    }
+
+    #[test]
+    fn a_rejected_direction_still_lends_the_reverse_one() {
+        let t = FlowTable::bounded(1, AdmissionPolicy::RejectNew);
+        t.get_or_create(key(1).reverse(), || entry(30));
+        let (seen, adm) = t.with_connection_or_create(
+            key(1),
+            || entry(0),
+            |_| unreachable!("a refused entry is not created"),
+            |a: Option<()>, re| (a, re.map(|e| e.last_activity)),
+        );
+        assert_eq!((seen, adm), ((None, Some(30)), Admission::Rejected));
+        assert_eq!(t.len(), 1);
+    }
+
     #[test]
     fn clear_empties_and_reopens_admission() {
         let t = FlowTable::bounded(2, AdmissionPolicy::RejectNew);
@@ -856,9 +1121,11 @@ mod tests {
 
     #[test]
     fn ports_chosen_against_the_public_hash_do_not_cluster() {
-        // What a sender can compute without the secret: 24 keys in shard
-        // 0 that share the high hash bits an unkeyed placement would use
-        // for a home in the 64-bucket array 24 keys grow a shard to.
+        // What a sender can compute without the secret: 24 connections in
+        // shard 0 whose keys share the high hash bits an unkeyed placement
+        // would use for a home in the 64-bucket array 24 records grow a
+        // shard to. The sender picks the data direction's ports; its
+        // connection key is the reverse (10.0.0.2 sorts first).
         let chosen: Vec<FlowKey> = (0..=u8::MAX)
             .flat_map(|a| {
                 (0..=u16::MAX).map(move |p| FlowKey {
@@ -866,10 +1133,11 @@ mod tests {
                     ..key(p)
                 })
             })
-            .filter(|k| k.hash64() & 0x0000_003f_0000_03ff == 0)
+            .filter(|k| k.canonical().hash64() & 0x0000_003f_0000_03ff == 0)
             .take(24)
             .collect();
         assert_eq!(chosen.len(), 24);
+        assert!(chosen.iter().all(|k| k.canonical() == k.reverse()));
         let golden = 0x9e37_79b9_7f4a_7c15_u64;
         for secret in (1..=32).map(|s| golden.wrapping_mul(s)) {
             let t = FlowTable {
@@ -878,10 +1146,11 @@ mod tests {
             };
             for &k in &chosen {
                 t.get_or_create(k, || entry(0));
+                t.get_or_create(k.reverse(), || entry(0));
             }
-            assert_eq!(buckets(&t, 0), 64);
+            assert_eq!((t.len(), buckets(&t, 0)), (48, 64));
             // Unkeyed, the last of them would probe 24 buckets; keyed,
-            // these 32 secrets give at most 7.
+            // these 32 secrets give at most 9.
             let longest = longest_probe(&t, 0);
             assert!(
                 longest <= 12,
@@ -897,9 +1166,11 @@ mod tests {
             create(&t, p, 0);
         }
         for p in 0..200 {
-            let k = key(p);
+            let (k, conn) = (key(p).reverse(), key(p));
             let mut shard = t.shards[FlowTable::shard_of(&k)].lock();
-            assert!(shard.get_mut(&k, place(k.hash64(), t.secret)).is_some());
+            assert!(shard
+                .get_mut(&conn, place(conn.hash64(), t.secret))
+                .is_some());
         }
         assert!(SHARDS.is_power_of_two());
     }

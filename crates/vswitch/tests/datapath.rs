@@ -1090,3 +1090,82 @@ fn reset_stamps_gc_epoch() {
         "restart stamps the GC bookkeeping epoch"
     );
 }
+
+#[test]
+fn a_connection_to_itself_runs_both_roles_on_one_entry() {
+    // A tenant can send segments whose source and destination, address
+    // and port, are equal. Such a key is its own reverse: the entry a
+    // data segment updates is the one its ACK then updates, in both
+    // directions. Nothing may panic, and the entry ends where the
+    // one-entry-per-direction table left it.
+    const S: [u8; 4] = [10, 0, 0, 9];
+    const P: u16 = 7_000;
+    let seg = |seq: u32, ack: u32, flags: TcpFlags, len: usize, ecn: Ecn| {
+        let mut t = TcpRepr::new(P, P);
+        t.seq = SeqNumber(ISS_A + seq);
+        t.ack = SeqNumber(ISS_A + ack);
+        t.flags = flags;
+        t.window = 1_000;
+        if flags.contains(TcpFlags::SYN) {
+            t.options = vec![TcpOption::WindowScale(7)];
+        }
+        Segment::new_tcp(ip(S, S, ecn), t, len)
+    };
+    let own = FlowKey {
+        src_ip: S,
+        dst_ip: S,
+        src_port: P,
+        dst_port: P,
+    };
+    assert_eq!(own.reverse(), own);
+    let dp = AcdcDatapath::new(AcdcConfig::dctcp(MTU));
+    let syn = TcpFlags::SYN | TcpFlags::ECE | TcpFlags::CWR;
+    dp.egress(0, seg(0, 0, syn, 0, Ecn::NotEct));
+    dp.ingress(100, seg(0, 1, syn | TcpFlags::ACK, 0, Ecn::NotEct));
+    let mss = MSS as u32;
+    let mut now = 1_000;
+    for round in 0..8u32 {
+        let (sent, acked) = (1 + round * mss, 1 + round.saturating_sub(1) * mss);
+        let ce = if round % 3 == 0 { Ecn::Ce } else { Ecn::Ect0 };
+        for (flags, len, ecn) in [
+            (TcpFlags::ACK, MSS, Ecn::NotEct),
+            (TcpFlags::ACK, 0, Ecn::NotEct),
+            (TcpFlags::ACK, 0, Ecn::NotEct),
+        ] {
+            now += 1_000;
+            dp.egress(now, seg(sent, acked, flags, len, ecn));
+            now += 1_000;
+            dp.ingress(now, seg(sent, acked + mss, flags, len, ce));
+        }
+    }
+    now += 1_000;
+    dp.ingress(
+        now,
+        seg(
+            1 + 8 * mss,
+            1 + 8 * mss,
+            TcpFlags::ACK | TcpFlags::FIN,
+            0,
+            Ecn::Ect0,
+        ),
+    );
+    let stats = dp.flow_stats();
+    assert_eq!(dp.flows(), 1);
+    let s = &stats[0];
+    assert_eq!(
+        (s.key, s.cwnd, s.in_flight, s.srtt, s.rx_total, s.rx_marked),
+        (own, 26_184, 0, Some(3_357), 11_584, 4_344)
+    );
+    assert!(s.closing, "the bare FIN closed it");
+    let view = dp.seq_view(&own).expect("sequence state valid");
+    assert_eq!(
+        (view.snd_una, view.snd_nxt),
+        (SeqNumber(12_585), SeqNumber(12_585))
+    );
+    let counters = ["packs_sent", "packs_received", "rwnd_rewrites"].map(|c| counter(&dp, c));
+    assert_eq!(counters, [8, 0, 25]);
+    now += 1_000;
+    dp.egress(now, seg(1, 1, TcpFlags::RST, 0, Ecn::NotEct));
+    assert_eq!(dp.gc(now, 30_000_000_000), 1);
+    assert_eq!(dp.flows(), 0);
+}

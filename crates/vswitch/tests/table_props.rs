@@ -1,13 +1,19 @@
-//! Property tests for `FlowTable`. Capacity invariants: under arbitrary
-//! interleavings of create / remove / touch / gc the table never exceeds
-//! its cap, its O(1) count always agrees with an actual enumeration, and
-//! the whole op sequence is deterministic — same ops ⇒ same survivor set
-//! and same admission outcomes, for both admission policies. The probing
-//! index inside a shard: keys that all land in one shard, run against a
-//! `BTreeMap` model, so clusters, wraparound, growth and backward-shift
-//! removal all happen.
+//! Property tests for `FlowTable`, each against a `BTreeMap` model of
+//! directional key → `last_activity`. Both directions of a connection
+//! share one record, so every op universe holds keys and their reverses:
+//! creating, removing, evicting or collecting one direction must leave
+//! the other as the model says, and a record must go with its last
+//! direction (`connections()` equals the model's distinct connections).
+//!
+//! Capacity: under arbitrary interleavings of create / remove / touch /
+//! gc a bounded table never exceeds its cap, admits and evicts exactly
+//! the entry the model picks (oldest `last_activity`, smallest key on
+//! ties), and replays — same ops ⇒ same survivors and admission outcomes
+//! — for both admission policies. The probing index inside a shard:
+//! connections that all land in one shard, so clusters, wraparound,
+//! growth, backward-shift removal and the gc shrink all happen.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 
 use acdc_cc::{CcConfig, CcKind};
@@ -16,6 +22,10 @@ use acdc_vswitch::{Admission, AdmissionPolicy, FlowEntry, FlowTable};
 use proptest::prelude::*;
 
 const CAP: usize = 8;
+const IDLE: u64 = 250;
+
+/// What the table should hold: directional key → `last_activity`.
+type Model = BTreeMap<FlowKey, u64>;
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -38,12 +48,19 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Sixteen connections, both ways: `i < 16` is connection `i`'s data
+/// direction, `i ≥ 16` the reverse of connection `i − 16`.
 fn key(i: u8) -> FlowKey {
-    FlowKey {
+    let k = FlowKey {
         src_ip: [10, 0, 0, 1],
         dst_ip: [10, 0, 0, 2],
-        src_port: 40_000 + u16::from(i),
+        src_port: 40_000 + u16::from(i % 16),
         dst_port: 80,
+    };
+    if i < 16 {
+        k
+    } else {
+        k.reverse()
     }
 }
 
@@ -59,41 +76,98 @@ fn touch(e: &mut FlowEntry, now: u64) {
     assert!(e.restore_state(&state));
 }
 
-/// Run `ops` against a fresh bounded table, checking the capacity and
-/// count invariants after every step. Returns (admission outcomes,
-/// sorted survivor ports) for determinism comparison.
-fn run_ops(policy: AdmissionPolicy, ops: &[Op]) -> (Vec<Admission>, Vec<u16>) {
+/// What a create of `k` at the cap should do under `policy`, applied to
+/// the model.
+fn model_create(model: &mut Model, policy: AdmissionPolicy, k: FlowKey, now: u64) -> Admission {
+    if let Some(last) = model.get_mut(&k) {
+        *last = now;
+        return Admission::Existing;
+    }
+    let adm = if model.len() < CAP {
+        Admission::Created
+    } else if policy == AdmissionPolicy::RejectNew {
+        return Admission::Rejected;
+    } else {
+        let victim = model
+            .iter()
+            .filter(|(v, _)| **v != k)
+            .map(|(v, last)| (*last, *v))
+            .min()
+            .expect("a full table has another entry")
+            .1;
+        model.remove(&victim);
+        Admission::CreatedAfterEviction(1)
+    };
+    model.insert(k, now);
+    adm
+}
+
+/// The model's collection at `now`: entries idle longer than [`IDLE`].
+/// Returns how many went.
+fn model_gc(model: &mut Model, now: u64) -> usize {
+    let before = model.len();
+    model.retain(|_, last| now.saturating_sub(*last) <= IDLE);
+    before - model.len()
+}
+
+/// `t` holds exactly `model`: the count, the walk (each live entry
+/// exactly once, with its value) and one record per live connection.
+/// Returns the walk, in walk order.
+fn assert_matches(t: &FlowTable, model: &Model) -> Vec<FlowKey> {
+    let mut walk = Vec::new();
+    t.for_each(|k, e| walk.push((*k, e.checkpoint_state().last_activity)));
+    let mut sorted = walk.clone();
+    sorted.sort_unstable();
+    assert!(
+        sorted
+            .iter()
+            .copied()
+            .eq(model.iter().map(|(k, v)| (*k, *v))),
+        "walk {walk:?} is not the model {model:?}"
+    );
+    assert_eq!(t.len(), model.len(), "count drifted from the contents");
+    let live: BTreeSet<FlowKey> = model.keys().map(FlowKey::canonical).collect();
+    assert_eq!(t.connections(), live.len(), "a record outlived its entries");
+    walk.into_iter().map(|(k, _)| k).collect()
+}
+
+/// Run `ops` against a fresh bounded table and the model, checking the
+/// cap and [`assert_matches`] after every step. Returns (admission
+/// outcomes, sorted survivors) for determinism comparison.
+fn run_ops(policy: AdmissionPolicy, ops: &[Op]) -> (Vec<Admission>, Vec<FlowKey>) {
     let t = FlowTable::bounded(CAP, policy);
+    let mut model = Model::new();
     let mut admissions = Vec::new();
     for op in ops {
         match *op {
             Op::Create(k, now) => {
-                let now = u64::from(now);
-                let (_, adm) = t.with_entry_or_create(key(k), || entry(now), |e| touch(e, now));
+                let (k, now) = (key(k), u64::from(now));
+                let (_, adm) = t.with_entry_or_create(k, || entry(now), |e| touch(e, now));
+                assert_eq!(adm, model_create(&mut model, policy, k, now), "{k}");
                 admissions.push(adm);
             }
             Op::Remove(k) => {
-                t.remove(&key(k));
+                let k = key(k);
+                assert_eq!(t.remove(&k), model.remove(&k).is_some(), "{k}");
             }
             Op::Touch(k, now) => {
-                t.with_entry(&key(k), |e| touch(e, u64::from(now)));
+                let (k, now) = (key(k), u64::from(now));
+                t.with_entry(&k, |e| touch(e, now));
+                if let Some(last) = model.get_mut(&k) {
+                    *last = now;
+                }
             }
             Op::Gc(now) => {
-                t.gc(u64::from(now), 250);
+                let now = u64::from(now);
+                assert_eq!(t.gc(now, IDLE), model_gc(&mut model, now));
             }
         }
-        // Invariant 1: the cap is never exceeded, not even transiently
-        // visible after any op.
+        // The cap is never exceeded, not even transiently visible after
+        // any op.
         assert!(t.len() <= CAP, "len {} exceeds cap {CAP}", t.len());
-        // Invariant 2: the O(1) count agrees with an enumeration.
-        let mut enumerated = 0usize;
-        t.for_each(|_, _| enumerated += 1);
-        assert_eq!(t.len(), enumerated, "count drifted from shard contents");
+        assert_matches(&t, &model);
     }
-    let mut survivors = Vec::new();
-    t.for_each(|k, _| survivors.push(k.src_port));
-    survivors.sort_unstable();
-    (admissions, survivors)
+    (admissions, model.into_keys().collect())
 }
 
 proptest! {
@@ -126,18 +200,23 @@ proptest! {
     #[test]
     fn reject_new_never_displaces(extra in prop::collection::vec(0u8..32, 1..40)) {
         let t = FlowTable::bounded(2, AdmissionPolicy::RejectNew);
-        prop_assert_eq!(t.get_or_create(key(100), || entry(0)), Admission::Created);
-        prop_assert_eq!(t.get_or_create(key(101), || entry(0)), Admission::Created);
+        let data = FlowKey {
+            src_port: 41_000,
+            ..key(0)
+        };
+        let ack = data.reverse();
+        prop_assert_eq!(t.get_or_create(data, || entry(0)), Admission::Created);
+        prop_assert_eq!(t.get_or_create(ack, || entry(0)), Admission::Created);
         for k in extra {
             t.get_or_create(key(k), || entry(1));
         }
-        prop_assert!(t.with_entry(&key(100), |_| ()).is_some());
-        prop_assert!(t.with_entry(&key(101), |_| ()).is_some());
-        prop_assert_eq!(t.len(), 2);
+        prop_assert!(t.with_entry(&data, |_| ()).is_some());
+        prop_assert!(t.with_entry(&ack, |_| ()).is_some());
+        prop_assert_eq!((t.len(), t.connections()), (2, 1));
     }
 }
 
-/// Keys in the one-shard universe.
+/// Connections in the one-shard universe; keys are twice as many.
 const CROWD: usize = 24;
 
 #[derive(Debug, Clone, Copy)]
@@ -153,28 +232,31 @@ enum ShardOp {
 }
 
 fn shard_op_strategy() -> impl Strategy<Value = ShardOp> {
-    let k = 0u8..CROWD as u8;
+    let k = || 0u8..2 * CROWD as u8;
     prop_oneof![
-        6 => (k.clone(), 0u16..1000).prop_map(|(k, t)| ShardOp::Create(k, t)),
-        3 => k.prop_map(ShardOp::Remove),
+        6 => (k(), 0u16..1000).prop_map(|(k, t)| ShardOp::Create(k, t)),
+        3 => k().prop_map(ShardOp::Remove),
         1 => (0u16..1000).prop_map(ShardOp::Gc),
         1 => Just(ShardOp::Clear),
     ]
 }
 
-/// `CROWD` keys that all map to one shard, found by searching ports.
+/// `CROWD` connections that all map to one shard, found by searching
+/// ports, followed by their reverses.
 fn crowd() -> &'static [FlowKey] {
     static CROWD_KEYS: OnceLock<Vec<FlowKey>> = OnceLock::new();
     CROWD_KEYS.get_or_init(|| {
         let shard = FlowTable::shard_of(&key(0));
-        (0..=u16::MAX)
+        let conns: Vec<FlowKey> = (0..=u16::MAX)
             .map(|p| FlowKey {
                 src_port: p,
                 ..key(0)
             })
             .filter(|k| FlowTable::shard_of(k) == shard)
             .take(CROWD)
-            .collect()
+            .collect();
+        let reverses = conns.iter().map(FlowKey::reverse);
+        conns.iter().copied().chain(reverses).collect()
     })
 }
 
@@ -182,15 +264,13 @@ fn last_activity(t: &FlowTable, k: &FlowKey) -> Option<u64> {
     t.with_entry(k, |e| e.checkpoint_state().last_activity)
 }
 
-/// Run `ops` on a fresh unbounded table beside a `BTreeMap` model of
-/// key → `last_activity`, checking after every step that membership,
-/// values and `len` agree and that a walk visits each live key exactly
-/// once. Returns every step's walk order.
-fn run_shard_ops(ops: &[ShardOp]) -> Vec<Vec<u16>> {
-    const IDLE: u64 = 250;
+/// Run `ops` on a fresh unbounded table beside the model, checking after
+/// every step that each key's lookup agrees with it and
+/// [`assert_matches`]. Returns every step's walk order.
+fn run_shard_ops(ops: &[ShardOp]) -> Vec<Vec<FlowKey>> {
     let keys = crowd();
     let t = FlowTable::new();
-    let mut model: BTreeMap<FlowKey, u64> = BTreeMap::new();
+    let mut model = Model::new();
     let mut walks = Vec::new();
     for op in ops {
         match *op {
@@ -211,28 +291,17 @@ fn run_shard_ops(ops: &[ShardOp]) -> Vec<Vec<u16>> {
             }
             ShardOp::Gc(now) => {
                 let now = u64::from(now);
-                let before = model.len();
-                model.retain(|_, last| now.saturating_sub(*last) <= IDLE);
-                assert_eq!(t.gc(now, IDLE), before - model.len());
+                assert_eq!(t.gc(now, IDLE), model_gc(&mut model, now));
             }
             ShardOp::Clear => {
                 assert_eq!(t.clear(), model.len());
                 model.clear();
             }
         }
-        assert_eq!(t.len(), model.len());
         for k in keys {
             assert_eq!(last_activity(&t, k), model.get(k).copied(), "{k}");
         }
-        let mut walk = Vec::new();
-        t.for_each(|k, _| walk.push(*k));
-        let mut sorted = walk.clone();
-        sorted.sort_unstable();
-        assert!(
-            sorted.iter().eq(model.keys()),
-            "walk {walk:?} is not the live set"
-        );
-        walks.push(walk.iter().map(|k| k.src_port).collect());
+        walks.push(assert_matches(&t, &model));
     }
     walks
 }

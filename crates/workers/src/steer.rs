@@ -2,15 +2,16 @@
 //!
 //! Hardware RSS hashes the 5-tuple and masks the result into a queue
 //! index; every packet of a flow lands on the same queue/core. The
-//! software equivalent here is *symmetric* RSS: the key is canonicalized
-//! (direction-normalized) before hashing, so data packets and the ACKs
-//! flowing back both steer to the same worker. That matters because the
-//! datapath's ACK path writes the *data* direction's flow entry
-//! (connection tracking, feedback accumulators, CC state): symmetric
-//! steering gives every entry of a flow exactly one writing worker.
+//! software equivalent here is *symmetric* RSS: the key is reduced to
+//! its connection ([`FlowKey::canonical`]) before hashing, so data
+//! packets and the ACKs flowing back both steer to the same worker. That
+//! matters because the flow table keeps both directions of a connection
+//! in one record under that same key, and a packet of either direction
+//! writes both (an ACK updates the data direction's congestion state):
+//! symmetric steering gives every record exactly one writing worker.
 //!
-//! The hash is [`FlowKey::hash64`] (FNV-1a, the flow table's shard hash)
-//! run through a finalizer before the modulo. FNV-1a needs that here:
+//! The hash is [`FlowKey::hash64`] of the connection key (FNV-1a, the
+//! flow table's shard hash) run through a finalizer before the modulo. FNV-1a needs that here:
 //! its low output bit is exactly the XOR of the input bytes' low bits
 //! (the final multiply is by an odd constant), so key populations with
 //! mirrored byte patterns — e.g. benchmark flows numbered into both the
@@ -20,28 +21,17 @@
 
 use acdc_packet::{mix64, FlowKey};
 
-/// The direction-normalized form of `key`: the lexicographically smaller
-/// of the key and its reverse, so a flow and its ACK stream agree.
-#[inline]
-fn canonical(key: &FlowKey) -> FlowKey {
-    let rev = key.reverse();
-    if *key <= rev {
-        *key
-    } else {
-        rev
-    }
-}
-
 /// The worker (0-based, `< workers`) that `key`'s packets steer to.
 /// Direction-independent (`worker_of(k) == worker_of(k.reverse())`) and
 /// stable for the lifetime of the process and across runs: the hash is
-/// seedless FNV-1a over the canonical key bytes, finalized.
+/// seedless FNV-1a over the connection's key bytes
+/// ([`FlowKey::canonical`]), finalized.
 ///
 /// `workers` must be non-zero.
 #[inline]
 pub fn worker_of(key: &FlowKey, workers: usize) -> usize {
     debug_assert!(workers > 0, "worker_of with zero workers");
-    (mix64(canonical(key).hash64()) % workers as u64) as usize
+    (mix64(key.canonical().hash64()) % workers as u64) as usize
 }
 
 #[cfg(test)]
@@ -81,6 +71,46 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn steering_is_pinned() {
+        // Which worker a connection steers to decides which hub records
+        // its events, so these values hold every recorded run in place: a
+        // change to the connection key or the hash must fail here first.
+        let own = FlowKey {
+            src_ip: [10, 0, 0, 9],
+            dst_ip: [10, 0, 0, 9],
+            src_port: 5_001,
+            dst_port: 5_001,
+        };
+        let keys = [
+            key(1, 0),
+            key(1, 80),
+            key(7, 40_000),
+            key(7, 40_000).reverse(),
+            own,
+            key(200, 65_535),
+            key(200, 65_535).reverse(),
+            key(3, 1),
+        ];
+        let workers: Vec<[usize; 3]> = keys
+            .iter()
+            .map(|k| [2, 3, 8].map(|n| worker_of(k, n)))
+            .collect();
+        assert_eq!(
+            workers,
+            [
+                [1, 2, 7],
+                [0, 0, 0],
+                [1, 1, 7],
+                [1, 1, 7],
+                [1, 0, 7],
+                [1, 2, 3],
+                [1, 2, 3],
+                [0, 2, 0]
+            ]
+        );
     }
 
     #[test]

@@ -282,27 +282,20 @@ fn batch_modes_agree_with_sequential() {
     }
 }
 
-/// `n` connections whose keys all land in one flow-table shard, in both
-/// directions: `table_props.rs`'s search over `FlowTable::shard_of`, run
-/// on each key and its reverse. Guest and peer use the same port, so a
-/// peer address whose connections hash alike both ways (the first that
-/// does for eight ports in a row) yields every one of them.
+/// `n` connections that all land in one flow-table shard:
+/// `table_props.rs`'s search over `FlowTable::shard_of`. Both directions
+/// of a connection share its record, so both share the shard.
 fn one_shard_connections(n: usize) -> Vec<FlowKey> {
-    let key = |peer: u16, port: u16| FlowKey {
+    let key = |port: u16| FlowKey {
         src_ip: [10, 0, 0, 1],
-        dst_ip: [10, 1, (peer >> 8) as u8, peer as u8],
+        dst_ip: [10, 1, 0, 0],
         src_port: port,
         dst_port: port,
     };
-    let shard = |k: &FlowKey| (FlowTable::shard_of(k), FlowTable::shard_of(&k.reverse()));
-    let symmetric = |k: &FlowKey| shard(k).0 == shard(k).1;
-    let peer = (0..=u16::MAX)
-        .find(|&p| (0..8).all(|port| symmetric(&key(p, port))))
-        .expect("a peer whose two directions share shards");
-    let home = shard(&key(peer, 0));
+    let home = FlowTable::shard_of(&key(0));
     let keys: Vec<FlowKey> = (0..=u16::MAX)
-        .map(|port| key(peer, port))
-        .filter(|k| shard(k) == home)
+        .map(key)
+        .filter(|k| FlowTable::shard_of(k) == home)
         .take(n)
         .collect();
     assert_eq!(keys.len(), n);
@@ -310,11 +303,11 @@ fn one_shard_connections(n: usize) -> Vec<FlowKey> {
 }
 
 /// Workers racing over one shard: `process_batch_parallel` at n = 2 and
-/// 4 over 24 connections whose four dozen entries share one shard lock
-/// and one bucket array, grown by one worker's inserts while the others
-/// probe it. Data both ways, CE marks, PACK feedback and FINs ride
-/// along. A hundred repetitions at each n must all end in the per-flow
-/// state one worker computes.
+/// 4 over 24 connections whose records (four dozen entries) share one
+/// shard lock and one bucket array, grown by one worker's inserts while
+/// the others probe it. Data both ways, CE marks, PACK feedback and FINs
+/// ride along. A hundred repetitions at each n must all end in the
+/// per-flow state one worker computes.
 #[test]
 fn racing_workers_over_one_shard_match_one_worker() {
     const CONNS: usize = 24;

@@ -27,23 +27,29 @@ struct Guard {
 pub(crate) type LockFinding = (usize, String);
 
 /// Tokens that enter the flow table: its whole closure-taking API. Each
-/// holds a shard lock across its closure, which is handed the entry.
+/// holds a shard lock across its closure arguments, each of which is
+/// handed an entry (the `with_connection` pair has two: `key`'s
+/// direction, then the reverse).
 const TABLE_TOKENS: &[&str] = &[
     "with_entry_or_create",
     "with_entry",
+    "with_connection_or_create",
+    "with_connection",
     "get_or_create",
     "for_each",
 ];
 
 /// Lexical lock-order pass over one file. Tracks `let g = ….lock()`
 /// guard bindings (combined brace/paren/bracket nesting depth) plus the
-/// shard lock held across every `with_entry*` / `get_or_create` /
-/// `for_each` closure, and reports, while any guard is live:
+/// shard lock held across the closures of every `with_entry*` /
+/// `with_connection*` / `get_or_create` / `for_each` call, and reports,
+/// while any guard is live:
 ///
 /// * another `.lock()` (unordered lock nesting — the classic AB/BA
 ///   deadlock between two shards);
-/// * a table re-entry (`with_entry*`, `get_or_create`, `for_each`,
-///   `.gc(`, `.clear(`), which takes a shard lock;
+/// * a table re-entry (`with_entry*`, `with_connection*`,
+///   `get_or_create`, `for_each`, `.gc(`, `.clear(`), which takes a
+///   shard lock;
 /// * an event-bus publish (`.record(`, `.publish(`), which takes the
 ///   telemetry lock inside the per-flow critical section.
 pub(crate) fn lock_order(file: &SourceFile) -> Vec<LockFinding> {
@@ -259,6 +265,28 @@ mod tests {
             ));
             assert_eq!(f.len(), 1, "{call}: {f:?}");
             assert_eq!(f[0].0, 4);
+            assert!(f[0].1.contains("publish"));
+        }
+    }
+
+    #[test]
+    fn publish_inside_either_closure_of_a_connection_call_fires() {
+        // The shard lock spans the whole call: the reverse direction's
+        // closure is as much an entry guard as the first one.
+        for call in [
+            "with_connection(&key, |e| e.closing = true, |_, re| {",
+            "with_connection_or_create(key, init, |e| e.rx_total += 1, |_, re| {",
+        ] {
+            let f = locks(&format!(
+                "fn f(&self) {{\n\
+                 \x20   self.table.{call}\n\
+                 \x20       self.telemetry.record(now, key, EventKind::FlowCreated);\n\
+                 \x20   }});\n\
+                 \x20   self.telemetry.record(now, key, EventKind::FlowCreated);\n\
+                 }}\n"
+            ));
+            assert_eq!(f.len(), 1, "{call}: {f:?}");
+            assert_eq!(f[0].0, 3);
             assert!(f[0].1.contains("publish"));
         }
     }

@@ -1,7 +1,9 @@
-//! Three W002 findings. Unordered lock nesting: the second `.lock()`
+//! Four W002 findings. Unordered lock nesting: the second `.lock()`
 //! while the first guard is live. A table re-entry under the shard lock
-//! `for_each` holds across its closure. And an event publish inside a
+//! `for_each` holds across its closure. An event publish inside a
 //! `with_entry` closure, whose shard lock guards the entry it is handed.
+//! And one inside the second closure of a `with_connection` call, which
+//! is handed the reverse direction's entry under the same lock.
 
 use crate::table::FlowTable;
 use acdc_telemetry::{EventKind, Telemetry};
@@ -27,4 +29,17 @@ pub fn close(table: &FlowTable, telemetry: &Telemetry, key: &acdc_packet::FlowKe
         e.closing = true;
         telemetry.record(now, *key, EventKind::FlowEvicted { reason: "closed" });
     });
+}
+
+pub fn reset_both(table: &FlowTable, telemetry: &Telemetry, key: &acdc_packet::FlowKey, now: u64) {
+    table.with_connection(
+        key,
+        |e| e.closing = true,
+        |_, reverse| {
+            if let Some(r) = reverse {
+                r.closing = true;
+            }
+            telemetry.record(now, *key, EventKind::FlowEvicted { reason: "reset" });
+        },
+    );
 }
