@@ -708,10 +708,12 @@ impl HostNode {
 impl Node for HostNode {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, _port: PortId, seg: Segment) {
         let now = ctx.now();
-        // The single parse of the receive path: `try_meta` caches the
-        // header metadata every later stage (checksum verify, vSwitch
-        // ingress, endpoint demux + processing) reads. Frames that do not
-        // even parse are counted at the port and dropped.
+        // The header metadata every later stage (checksum verify, vSwitch
+        // ingress, endpoint demux + processing) reads rides in the
+        // segment. `try_meta` cannot fail — only `from_header_bytes` reads
+        // bytes, and it refuses what does not parse — so this drop arm
+        // and its counter are unreachable; they stay while the benchmark
+        // harness pins the `Result` (DESIGN.md §9).
         let Ok(meta) = seg.try_meta() else {
             ctx.count_drop(self.nic, acdc_netsim::PortDropClass::Malformed);
             self.datapath.telemetry().record(
@@ -757,8 +759,8 @@ impl Node for HostNode {
         if port != self.nic {
             return;
         }
-        // Locally generated packets always parse; the cache built at
-        // egress rides along with the clone the engine hands back.
+        // The meta built at egress rides along with the clone the engine
+        // hands back.
         let Ok(meta) = seg.try_meta() else {
             return;
         };

@@ -66,11 +66,6 @@ impl<T: AsRef<[u8]>> Ipv4Packet<T> {
         Ok(())
     }
 
-    /// Consume the view, returning the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
     /// IP version field (always 4 for valid packets).
     pub fn version(&self) -> u8 {
         self.buffer.as_ref()[field::VER_IHL] >> 4
@@ -81,11 +76,6 @@ impl<T: AsRef<[u8]>> Ipv4Packet<T> {
         usize::from(self.buffer.as_ref()[field::VER_IHL] & 0xf) * 4
     }
 
-    /// The DSCP portion of the TOS byte.
-    pub fn dscp(&self) -> u8 {
-        self.buffer.as_ref()[field::DSCP_ECN] >> 2
-    }
-
     /// The ECN codepoint.
     pub fn ecn(&self) -> Ecn {
         Ecn::from_bits(self.buffer.as_ref()[field::DSCP_ECN])
@@ -94,16 +84,6 @@ impl<T: AsRef<[u8]>> Ipv4Packet<T> {
     /// Total packet length (header + payload) in bytes.
     pub fn total_len(&self) -> u16 {
         u16::from_be_bytes(self.buffer.as_ref()[field::LENGTH].try_into().unwrap())
-    }
-
-    /// Identification field.
-    pub fn ident(&self) -> u16 {
-        u16::from_be_bytes(self.buffer.as_ref()[field::IDENT].try_into().unwrap())
-    }
-
-    /// Time to live.
-    pub fn ttl(&self) -> u8 {
-        self.buffer.as_ref()[field::TTL]
     }
 
     /// L4 protocol number.
@@ -130,14 +110,6 @@ impl<T: AsRef<[u8]>> Ipv4Packet<T> {
     pub fn verify_checksum(&self) -> bool {
         let hdr = &self.buffer.as_ref()[..self.header_len()];
         checksum(hdr) == 0 || crate::checksum::fold(crate::checksum::sum_words(0, hdr)) == 0xffff
-    }
-
-    /// The L4 payload as a subslice.
-    pub fn payload(&self) -> &[u8] {
-        let ihl = self.header_len();
-        let total = self.total_len() as usize;
-        let data = self.buffer.as_ref();
-        &data[ihl..total.min(data.len())]
     }
 }
 
@@ -232,8 +204,8 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Ipv4Packet<T> {
     }
 }
 
-/// High-level representation of the IPv4 header fields the system cares
-/// about. Everything not listed is emitted with fixed sane defaults.
+/// The IPv4 header fields a stack sets when it emits a packet. Everything
+/// not listed is emitted with fixed sane defaults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ipv4Repr {
     /// Source address.
@@ -253,19 +225,6 @@ pub struct Ipv4Repr {
 impl Ipv4Repr {
     /// Default TTL used for emitted packets.
     pub const DEFAULT_TTL: u8 = 64;
-
-    /// Parse a representation out of a packet view.
-    pub fn parse<T: AsRef<[u8]>>(pkt: &Ipv4Packet<T>) -> Result<Ipv4Repr> {
-        pkt.check()?;
-        Ok(Ipv4Repr {
-            src_addr: pkt.src_addr(),
-            dst_addr: pkt.dst_addr(),
-            protocol: pkt.protocol(),
-            ecn: pkt.ecn(),
-            payload_len: pkt.total_len() as usize - pkt.header_len(),
-            ttl: pkt.ttl(),
-        })
-    }
 
     /// Bytes this header occupies when emitted.
     pub fn header_len(&self) -> usize {
@@ -305,14 +264,19 @@ mod tests {
     }
 
     #[test]
-    fn emit_parse_round_trip() {
+    fn emit_then_read_fields() {
         let repr = sample_repr();
-        let mut buf = vec![0u8; HEADER_LEN + repr.payload_len];
+        let mut buf = [0u8; HEADER_LEN];
         let mut pkt = Ipv4Packet::new_unchecked(&mut buf[..]);
         repr.emit(&mut pkt);
         let pkt = Ipv4Packet::new_checked(&buf[..]).unwrap();
         assert!(pkt.verify_checksum());
-        assert_eq!(Ipv4Repr::parse(&pkt).unwrap(), repr);
+        assert_eq!(
+            (pkt.src_addr(), pkt.dst_addr(), pkt.protocol(), pkt.ecn()),
+            (repr.src_addr, repr.dst_addr, repr.protocol, repr.ecn)
+        );
+        assert_eq!(usize::from(pkt.total_len()), HEADER_LEN + repr.payload_len);
+        assert_eq!(buf[field::TTL], repr.ttl);
     }
 
     #[test]
@@ -366,25 +330,14 @@ mod tests {
     }
 
     #[test]
-    fn payload_slicing() {
-        let repr = sample_repr();
-        let mut buf = vec![0u8; HEADER_LEN + repr.payload_len];
-        let mut pkt = Ipv4Packet::new_unchecked(&mut buf[..]);
-        repr.emit(&mut pkt);
-        buf[HEADER_LEN..].fill(0xab);
-        let pkt = Ipv4Packet::new_checked(&buf[..]).unwrap();
-        assert_eq!(pkt.payload().len(), 40);
-        assert!(pkt.payload().iter().all(|&b| b == 0xab));
-    }
-
-    #[test]
     fn dscp_and_ecn_do_not_clobber_each_other() {
         let mut buf = [0u8; HEADER_LEN];
         let mut pkt = Ipv4Packet::new_unchecked(&mut buf[..]);
         pkt.set_dscp(0x2e); // EF
         pkt.set_ecn(Ecn::Ce);
-        assert_eq!(pkt.dscp(), 0x2e);
         assert_eq!(pkt.ecn(), Ecn::Ce);
+        assert_eq!(buf[field::DSCP_ECN] >> 2, 0x2e);
+        let mut pkt = Ipv4Packet::new_unchecked(&mut buf[..]);
         pkt.set_dscp(0x00);
         assert_eq!(pkt.ecn(), Ecn::Ce);
     }

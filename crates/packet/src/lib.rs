@@ -6,12 +6,16 @@
 //! that carries ECN feedback between the receiver-side and sender-side
 //! vSwitch modules.
 //!
-//! The design follows the smoltcp convention of paired types:
+//! Three kinds of type, one job each:
 //!
-//! * `XPacket<T>` — a zero-copy *view* over a byte buffer with getters and
-//!   (for mutable buffers) setters for each header field;
-//! * `XRepr` — a parsed, high-level *representation* that can be emitted
-//!   back into a buffer.
+//! * `XRepr` — what to *emit*: the header a stack wants to send, written
+//!   into a buffer by `Segment::new_tcp` / `new_udp`;
+//! * [`PacketMeta`] — what is *read*: every header field the hot path
+//!   consumes, held by each segment from birth and kept coherent by its
+//!   in-place mutators. Wire bytes are read in one place,
+//!   [`Segment::from_header_bytes`];
+//! * `XPacket<T>` — a zero-copy *view* over a byte buffer with the getters
+//!   and setters the emitters, the parse and the mutators are built from.
 //!
 //! The simulator carries [`Segment`]s: real serialized IPv4+TCP header bytes
 //! plus a *virtual* payload length. Checksums are computed as if the payload
@@ -20,7 +24,7 @@
 //! checksum beyond the pseudo-header length).
 //!
 //! Nothing in this crate depends on the simulator; it is equally usable to
-//! parse and build real packets.
+//! read and build real packet headers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -56,8 +60,6 @@ pub enum Error {
     Truncated,
     /// A length/offset field is inconsistent with the buffer.
     Malformed,
-    /// A checksum did not verify.
-    Checksum,
     /// An unsupported protocol or version number was found.
     Unsupported,
 }
@@ -67,7 +69,6 @@ impl core::fmt::Display for Error {
         match self {
             Error::Truncated => write!(f, "packet truncated"),
             Error::Malformed => write!(f, "packet malformed"),
-            Error::Checksum => write!(f, "checksum mismatch"),
             Error::Unsupported => write!(f, "unsupported protocol"),
         }
     }

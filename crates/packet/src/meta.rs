@@ -8,12 +8,14 @@
 //! raw bytes at each layer is exactly the per-packet overhead the paper's
 //! §4.4 feasibility argument says the enforcement layer cannot afford.
 //!
-//! `PacketMeta` is the result of *one* forward pass over the IPv4 + L4
-//! header, including a single walk of the TCP options region. A
-//! [`Segment`](crate::Segment) caches it lazily at first access and keeps
-//! it coherent across the in-place mutators (window rewrite, ECN patch,
-//! PACK insertion/removal), so downstream consumers read fields instead
-//! of re-parsing. See `Segment::try_meta` for the caching contract.
+//! `PacketMeta` is what is *read* off a segment's headers; the `Repr`s are
+//! what is emitted. Every [`Segment`](crate::Segment) holds one from birth
+//! — built from the `Repr`s by `new_tcp` / `new_udp`, or by this module's
+//! single forward pass over the IPv4 + L4 header (one walk of the TCP
+//! options region included) when `Segment::from_header_bytes` reads wire
+//! bytes — and keeps it coherent across the in-place mutators (window
+//! rewrite, ECN patch, PACK insertion/removal), so downstream consumers
+//! read fields and nothing parses again.
 
 use crate::pack::PackOption;
 use crate::segment::FlowKey;
@@ -22,7 +24,8 @@ use crate::{
     Error, Ipv4Packet, Result, SeqNumber, TcpFlags, TcpPacket, UdpPacket, PROTO_TCP, PROTO_UDP,
 };
 
-/// Parsed header metadata for one segment, built by a single parse.
+/// Header metadata for one segment: emitted with it or read off its bytes
+/// once.
 ///
 /// For UDP segments the TCP-specific fields hold zero/empty defaults;
 /// `protocol` disambiguates. All fields are plain values (`Copy`) so the
@@ -64,20 +67,24 @@ pub struct PacketMeta {
 }
 
 impl PacketMeta {
-    /// Parse header metadata out of serialized IPv4 + L4 header bytes.
+    /// Parse header metadata out of serialized IPv4 + L4 header bytes —
+    /// exactly one IP header and one TCP or UDP header, nothing after.
     ///
-    /// This is the *only* full parse on the hot path: one validated pass
-    /// over the IP header, one over the fixed TCP/UDP header, and one walk
-    /// of the TCP options region capturing MSS, window scale, and PACK in
-    /// the same sweep. Malformed input returns `Err` — callers drop and
-    /// count the frame instead of panicking.
-    pub fn parse(buf: &[u8]) -> Result<PacketMeta> {
+    /// The only parse there is, reached through
+    /// `Segment::from_header_bytes`: one validated pass over the IP
+    /// header, one over the fixed TCP/UDP header, and one walk of the TCP
+    /// options region capturing MSS, window scale, and PACK in the same
+    /// sweep. Malformed input returns `Err`.
+    pub(crate) fn parse(buf: &[u8]) -> Result<PacketMeta> {
         let ip = Ipv4Packet::new_checked(buf)?;
         let ihl = ip.header_len();
         match ip.protocol() {
             PROTO_TCP => {
                 let tcp = TcpPacket::new_checked(&buf[ihl..])?;
                 let thl = tcp.header_len();
+                if buf.len() != ihl + thl {
+                    return Err(Error::Malformed);
+                }
                 let mut meta = PacketMeta {
                     flow: FlowKey {
                         src_ip: ip.src_addr(),
@@ -104,11 +111,14 @@ impl PacketMeta {
                     tcp.options(),
                     (ihl + crate::tcp::HEADER_LEN) as u16,
                     &mut meta,
-                );
+                )?;
                 Ok(meta)
             }
             PROTO_UDP => {
                 let udp = UdpPacket::new_checked(&buf[ihl..])?;
+                if buf.len() != ihl + crate::udp::HEADER_LEN {
+                    return Err(Error::Malformed);
+                }
                 Ok(PacketMeta {
                     flow: FlowKey {
                         src_ip: ip.src_addr(),
@@ -144,20 +154,22 @@ impl PacketMeta {
 
 /// One sweep over the options region, recording the values the simulator
 /// consumes (MSS, window scale, PACK + its absolute offset). Stops at EOL
-/// or the first malformed option, matching `TcpOptionsIter` semantics.
-fn walk_options(opts: &[u8], base_off: u16, meta: &mut PacketMeta) {
+/// or the first malformed option, where `append_pack_in_place`'s walk
+/// stops too. A second PACK is an error: the meta has room for one, and
+/// stripping it would leave the other behind.
+fn walk_options(opts: &[u8], base_off: u16, meta: &mut PacketMeta) -> Result<()> {
     let mut i = 0usize;
     while i < opts.len() {
         match opts[i] {
-            option_kind::EOL => return,
+            option_kind::EOL => return Ok(()),
             option_kind::NOP => i += 1,
             kind => {
                 if i + 1 >= opts.len() {
-                    return;
+                    return Ok(());
                 }
                 let len = opts[i + 1] as usize;
                 if len < 2 || i + len > opts.len() {
-                    return;
+                    return Ok(());
                 }
                 let body = &opts[i..i + len];
                 match (kind, len) {
@@ -168,6 +180,9 @@ fn walk_options(opts: &[u8], base_off: u16, meta: &mut PacketMeta) {
                     (option_kind::EXPERIMENT, PackOption::WIRE_LEN_U8)
                         if PackOption::matches(body) =>
                     {
+                        if meta.pack.is_some() {
+                            return Err(Error::Malformed);
+                        }
                         if let Ok(p) = PackOption::parse(body) {
                             meta.pack = Some(p);
                             meta.pack_off = Some(base_off + i as u16);
@@ -179,6 +194,7 @@ fn walk_options(opts: &[u8], base_off: u16, meta: &mut PacketMeta) {
             }
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -271,12 +287,36 @@ mod tests {
 
     #[test]
     fn rejects_unsupported_protocol() {
-        let mut seg = Segment::new_tcp(ip_repr(), TcpRepr::new(1, 2), 0);
-        seg.ip_mut().set_protocol(47);
-        assert_eq!(
-            PacketMeta::parse(seg.header_bytes()).unwrap_err(),
-            Error::Unsupported
-        );
+        let seg = Segment::new_tcp(ip_repr(), TcpRepr::new(1, 2), 0);
+        let mut bytes = seg.header_bytes().to_vec();
+        bytes[crate::ipv4::field::PROTOCOL] = 47;
+        assert_eq!(PacketMeta::parse(&bytes).unwrap_err(), Error::Unsupported);
+    }
+
+    #[test]
+    fn rejects_a_second_pack() {
+        let mut r = TcpRepr::new(1, 2);
+        r.options = vec![TcpOption::Pack(PackOption::default())];
+        let seg = Segment::new_tcp(ip_repr(), r, 0);
+        let mut bytes = seg.header_bytes().to_vec();
+        assert!(PacketMeta::parse(&bytes).is_ok());
+        // Repeat the option and grow the data offset over it.
+        bytes.extend_from_slice(&seg.header_bytes()[40..]);
+        bytes[20 + 12] = (((20 + 2 * PackOption::WIRE_LEN) / 4) << 4) as u8;
+        assert_eq!(PacketMeta::parse(&bytes).unwrap_err(), Error::Malformed);
+    }
+
+    #[test]
+    fn malformed_option_stops_the_walk() {
+        let mut r = TcpRepr::new(1, 2);
+        r.options = vec![TcpOption::Timestamps(1, 2), TcpOption::MaxSegmentSize(1448)];
+        let seg = Segment::new_tcp(ip_repr(), r, 0);
+        let mut bytes = seg.header_bytes().to_vec();
+        assert_eq!(PacketMeta::parse(&bytes).unwrap().mss, Some(1448));
+        // The Timestamps length now runs past the header: nothing after it
+        // is read.
+        bytes[40 + 1] = 40;
+        assert_eq!(PacketMeta::parse(&bytes).unwrap().mss, None);
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //!
 //! Recycling is invisible to simulation results by construction: a taken
 //! buffer is fully overwritten (cleared, then zero-filled or copied into)
-//! before anything reads it, and the parse cache on `Segment` is rebuilt
-//! by the constructor, never inherited from the buffer's previous life
+//! before anything reads it, and the meta on `Segment` is built by the
+//! constructor, never inherited from the buffer's previous life
 //! (pinned by the pool-coherence proptest in this crate's tests). Under
 //! parallel dispatch a lost `try_lock` race can vary run to run, but it
 //! only decides *which allocation* backs a segment, never its contents.

@@ -2,27 +2,25 @@
 //!
 //! A `Segment` owns the *real, serialized* IPv4 + L4 header bytes plus a
 //! *virtual* payload length. Header-mangling code (the entire AC/DC
-//! datapath) operates on genuine wire bytes — parse, rewrite, incremental
+//! datapath) operates on genuine wire bytes — rewrite, incremental
 //! checksum — while the simulator avoids allocating and copying bulk
 //! payloads. Checksums treat the payload as zeros, so they stay end-to-end
 //! verifiable (see crate docs).
 //!
 //! # The parse-once contract
 //!
-//! Each segment carries a [`PacketMeta`] — the full set of header fields
-//! the hot path consumes — in one plain `Option<PacketMeta>` field. Every
-//! constructor fills it (from the representations it emits, or from the
-//! validating parse), and the in-place mutators below (window rewrite,
-//! ECN patch, flag/reserved-bit edits, PACK insertion and removal) patch
-//! the bytes, the checksum, *and* the cached meta together, so every
-//! layer reads cached fields through [`Segment::try_meta`] and nothing
-//! parses. Only the raw escape hatches [`Segment::ip_mut`] and
-//! [`Segment::tcp_mut`] clear the cache. It then stays cold — `try_meta`
-//! takes `&self`, so it parses and returns without storing — until a
-//! PACK insert or strip re-installs it. `Segment` is plain data: no
-//! interior mutability, `Send + Sync` because its fields are, and a
-//! hand-off between layers or threads copies the struct and nothing
-//! else. See DESIGN.md §9.
+//! Each segment carries its [`PacketMeta`] — the full set of header fields
+//! the hot path consumes — in a plain field, filled when the segment is
+//! made: [`Segment::new_tcp`] / [`Segment::new_udp`] build it from the
+//! representations they emit, and [`Segment::from_header_bytes`], the one
+//! place wire bytes are read, keeps its validating parse. The in-place
+//! mutators below (window rewrite, ECN patch, flag/reserved-bit edits,
+//! PACK insertion and removal) patch the bytes, the checksum *and* the meta
+//! together, and there is no raw mutable view, so the meta always says
+//! what the bytes say and every layer reads it through
+//! [`Segment::try_meta`]. `Segment` is plain data: no interior mutability,
+//! `Send + Sync` because its fields are, and a hand-off between layers or
+//! threads copies the struct and nothing else. See DESIGN.md §9.
 
 use core::cmp::Ordering;
 
@@ -30,8 +28,6 @@ use bytes::{Bytes, BytesMut};
 
 use crate::checksum::checksum_adjust;
 use crate::tcp::option_kind;
-#[cfg(test)]
-use crate::Error;
 use crate::{
     Ecn, Ipv4Packet, Ipv4Repr, PackOption, PacketMeta, Result, SeqNumber, TcpFlags, TcpOption,
     TcpPacket, TcpRepr, UdpPacket, UdpRepr, PROTO_TCP, PROTO_UDP,
@@ -149,7 +145,7 @@ impl core::fmt::Display for FlowKey {
 }
 
 /// A simulated packet: serialized headers + virtual payload length + the
-/// cache of parsed header metadata.
+/// header metadata they hold.
 ///
 /// # Pooled backing storage
 ///
@@ -163,12 +159,12 @@ impl core::fmt::Display for FlowKey {
 pub struct Segment {
     buf: BytesMut,
     payload_len: usize,
-    /// The parse cache: filled by every constructor, kept coherent by the
-    /// maintained mutators, cleared by the raw mutable views.
-    meta: Option<PacketMeta>,
+    /// The parsed header: filled by every constructor, kept coherent by
+    /// the maintained mutators.
+    meta: PacketMeta,
 }
 
-// What a hand-off moves: the buffer handle, a length and the cache.
+// What a hand-off moves: the buffer handle, a length and the meta.
 const _: () = assert!(core::mem::size_of::<Segment>() <= 96);
 
 impl Segment {
@@ -192,13 +188,9 @@ impl Segment {
             tcp.emit(&mut tcpp);
             tcpp.fill_checksum(ip_repr.src_addr, ip_repr.dst_addr, payload_len);
         }
-        // The emitter is the "single parse" of a locally built segment: it
-        // already holds every field the meta cache wants, so downstream
-        // consumers never parse at all. Exotic options (explicit EOL,
-        // Unknown) are parsed here, once, so the cache always matches what
-        // `PacketMeta::parse` would say.
-        let meta = tcp_meta_from_reprs(&ip_repr, &tcp, tcp_hdr_len)
-            .or_else(|| PacketMeta::parse(&buf).ok());
+        // The emitter already holds every field the meta wants, so a
+        // locally built segment is never parsed at all.
+        let meta = tcp_meta_from_reprs(&ip_repr, &tcp, tcp_hdr_len);
         Segment {
             buf,
             payload_len,
@@ -251,65 +243,39 @@ impl Segment {
         Segment {
             buf,
             payload_len,
-            meta: Some(meta),
+            meta,
         }
     }
 
-    /// Is this a TCP segment (as opposed to UDP)?
-    ///
-    /// Never parses: pass-through paths (non-TCP traffic, a disabled
-    /// datapath) route on the cached protocol or, cache cold, on this
-    /// single byte. Panic-free on truncated buffers.
+    /// Is this a TCP segment (as opposed to UDP)? Pass-through paths
+    /// (non-TCP traffic, a disabled datapath) route on this alone.
     #[inline]
     pub fn is_tcp(&self) -> bool {
-        match &self.meta {
-            Some(m) => m.protocol == PROTO_TCP,
-            None => self.buf.get(crate::ipv4::field::PROTOCOL) == Some(&PROTO_TCP),
-        }
+        self.meta.is_tcp()
     }
 
     /// Reconstruct a segment from raw header bytes (e.g. off a trace) plus
-    /// a virtual payload length. The validating parse doubles as the
-    /// cache fill: the returned segment already carries its meta.
+    /// a virtual payload length: the one place wire bytes are read. `buf`
+    /// must hold exactly one IPv4 header and one TCP or UDP header; the
+    /// validating parse becomes the segment's meta. Anything else returns
+    /// `Err` — callers drop and count, never panic.
     pub fn from_header_bytes(buf: BytesMut, payload_len: usize) -> Result<Segment> {
         let meta = PacketMeta::parse(&buf)?;
         Ok(Segment {
             buf,
             payload_len,
-            meta: Some(meta),
+            meta,
         })
     }
 
-    /// The header metadata: the cached copy, or — only after a raw
-    /// mutable view cleared it — a parse of the current bytes, returned
-    /// without being stored.
+    /// The header metadata: a copy of a field, on every call.
     ///
-    /// This is the hot-path accessor, and on the hot path it is a copy of
-    /// a field: every constructor fills the cache. Malformed headers
-    /// return `Err` — callers drop and count, never panic.
+    /// It cannot fail — only [`Segment::from_header_bytes`] reads bytes,
+    /// and it refuses what does not parse. The `Result` survives only
+    /// because the benchmark harness is pinned to this signature.
     #[inline]
     pub fn try_meta(&self) -> Result<PacketMeta> {
-        match self.meta {
-            Some(m) => Ok(m),
-            None => PacketMeta::parse(&self.buf),
-        }
-    }
-
-    /// Is the meta cache currently populated? (Test hook for the
-    /// invalidation rules; not meaningful on the hot path.)
-    #[inline]
-    pub fn meta_is_cached(&self) -> bool {
-        self.meta.is_some()
-    }
-
-    /// Apply `patch` to the cached meta, if one is cached. Mutators that
-    /// keep the cache coherent use this: a cold cache stays cold (the
-    /// next `try_meta` parses the — already updated — bytes).
-    #[inline]
-    fn patch_meta(&mut self, patch: impl FnOnce(&mut PacketMeta)) {
-        if let Some(m) = &mut self.meta {
-            patch(m);
-        }
+        Ok(self.meta)
     }
 
     /// The serialized header bytes (IP + TCP, no payload).
@@ -341,14 +307,6 @@ impl Segment {
         Ipv4Packet::new_unchecked(&self.buf[..])
     }
 
-    /// Mutable IP header view. Clears the meta cache: the caller can
-    /// change anything, so meta accesses parse from here on. Datapath code
-    /// uses the maintained mutators instead.
-    pub fn ip_mut(&mut self) -> Ipv4Packet<&mut [u8]> {
-        self.meta = None;
-        Ipv4Packet::new_unchecked(&mut self.buf[..])
-    }
-
     /// Immutable TCP header view (panics when called on a UDP segment —
     /// check [`Segment::is_tcp`] first on mixed paths).
     #[inline]
@@ -365,38 +323,23 @@ impl Segment {
         UdpPacket::new_unchecked(&self.buf[ihl..])
     }
 
-    /// Mutable TCP header view. Clears the meta cache, like
-    /// [`Segment::ip_mut`].
-    pub fn tcp_mut(&mut self) -> TcpPacket<&mut [u8]> {
-        self.meta = None;
-        let ihl = self.ip().header_len();
-        TcpPacket::new_unchecked(&mut self.buf[ihl..])
-    }
-
     /// The flow key of this segment's direction (TCP or UDP ports).
-    ///
-    /// Convenience for locally constructed segments and tests; wire-input
-    /// paths use [`Segment::try_meta`] so malformed frames are dropped
-    /// and counted rather than panicking here.
     pub fn flow_key(&self) -> FlowKey {
-        self.try_meta().expect("flow_key on malformed segment").flow
+        self.meta.flow
     }
 
     /// ECN codepoint from the IP header.
     #[inline]
     pub fn ecn(&self) -> Ecn {
-        match &self.meta {
-            Some(m) => m.ecn,
-            None => self.ip().ecn(),
-        }
+        self.meta.ecn
     }
 
     /// Set the ECN codepoint, incrementally patching the IP checksum and
-    /// the cached meta.
+    /// the meta.
     #[inline]
     pub fn set_ecn(&mut self, ecn: Ecn) {
         Ipv4Packet::new_unchecked(&mut self.buf[..]).set_ecn_update_checksum(ecn);
-        self.patch_meta(|m| m.ecn = ecn);
+        self.meta.ecn = ecn;
     }
 
     /// Mark this segment CE (what a WRED/ECN switch does), keeping the IP
@@ -409,21 +352,18 @@ impl Segment {
     /// TCP flags.
     #[inline]
     pub fn tcp_flags(&self) -> TcpFlags {
-        match &self.meta {
-            Some(m) => m.flags,
-            None => self.tcp().flags(),
-        }
+        self.meta.flags
     }
 
     /// Overwrite the advertised window — the AC/DC enforcement write
     /// (§3.3 / §4): a 2-byte patch plus RFC 1624 incremental checksum,
-    /// with the cached meta updated in step.
+    /// with the meta updated in step.
     #[inline]
     pub fn rewrite_window(&mut self, window: u16) {
         debug_assert!(self.is_tcp(), "rewrite_window on a UDP segment");
         let ihl = self.ip().header_len();
         TcpPacket::new_unchecked(&mut self.buf[ihl..]).set_window_update_checksum(window);
-        self.patch_meta(|m| m.window = window);
+        self.meta.window = window;
     }
 
     /// Overwrite the TCP flag byte, patching checksum and meta.
@@ -432,7 +372,7 @@ impl Segment {
         debug_assert!(self.is_tcp(), "set_tcp_flags on a UDP segment");
         let ihl = self.ip().header_len();
         TcpPacket::new_unchecked(&mut self.buf[ihl..]).set_flags_update_checksum(flags);
-        self.patch_meta(|m| m.flags = flags);
+        self.meta.flags = flags;
     }
 
     /// Clear TCP flag bits (e.g. stripping ECE before the guest sees it),
@@ -442,7 +382,7 @@ impl Segment {
         debug_assert!(self.is_tcp(), "clear_tcp_flags on a UDP segment");
         let ihl = self.ip().header_len();
         TcpPacket::new_unchecked(&mut self.buf[ihl..]).clear_flags_update_checksum(flags);
-        self.patch_meta(|m| m.flags = m.flags.difference(flags));
+        self.meta.flags = self.meta.flags.difference(flags);
     }
 
     /// Set the AC/DC reserved-bit markers, patching checksum and meta.
@@ -451,10 +391,8 @@ impl Segment {
         debug_assert!(self.is_tcp(), "set_reserved on a UDP segment");
         let ihl = self.ip().header_len();
         TcpPacket::new_unchecked(&mut self.buf[ihl..]).set_reserved_update_checksum(vm_ece, fack);
-        self.patch_meta(|m| {
-            m.vm_ece = vm_ece;
-            m.fack = fack;
-        });
+        self.meta.vm_ece = vm_ece;
+        self.meta.fack = fack;
     }
 
     /// Clear both AC/DC reserved-bit markers, patching checksum and meta.
@@ -463,10 +401,8 @@ impl Segment {
         debug_assert!(self.is_tcp(), "clear_reserved on a UDP segment");
         let ihl = self.ip().header_len();
         TcpPacket::new_unchecked(&mut self.buf[ihl..]).clear_reserved_update_checksum();
-        self.patch_meta(|m| {
-            m.vm_ece = false;
-            m.fack = false;
-        });
+        self.meta.vm_ece = false;
+        self.meta.fack = false;
     }
 
     /// Flip the lowest bit of the raw TCP window *without* fixing the
@@ -482,7 +418,7 @@ impl Segment {
         let mut tcp = TcpPacket::new_unchecked(&mut self.buf[ihl..]);
         let w = tcp.window() ^ 0x0001;
         tcp.set_window(w);
-        self.patch_meta(|m| m.window = w);
+        self.meta.window = w;
     }
 
     /// Change the virtual payload length in place (TCP only): patches the
@@ -515,11 +451,9 @@ impl Segment {
     /// checksums are patched incrementally (no re-emit, no allocation
     /// beyond the buffer growth). Returns `false` — leaving the segment
     /// untouched — when the option does not fit, one is already present,
-    /// or the options region does not parse.
+    /// or an option in the region is malformed.
     pub fn append_pack_in_place(&mut self, pack: PackOption) -> bool {
-        let Ok(meta) = self.try_meta() else {
-            return false;
-        };
+        let meta = self.meta;
         if !meta.is_tcp() || meta.pack_off.is_some() {
             return false;
         }
@@ -551,11 +485,9 @@ impl Segment {
             (thl + self.payload_len) as u32,
             (new_thl + self.payload_len) as u32,
         );
-        let mut m = meta;
-        m.l4_header_len = new_thl as u8;
-        m.pack_off = Some((ihl + thl) as u16);
-        m.pack = Some(pack);
-        self.meta = Some(m);
+        self.meta.l4_header_len = new_thl as u8;
+        self.meta.pack_off = Some((ihl + thl) as u16);
+        self.meta.pack = Some(pack);
         true
     }
 
@@ -564,9 +496,7 @@ impl Segment {
     /// down, the header shrinks, checksums are patched incrementally.
     /// Returns `false` when no PACK option is present.
     pub fn strip_pack_in_place(&mut self) -> bool {
-        let Ok(meta) = self.try_meta() else {
-            return false;
-        };
+        let meta = self.meta;
         let Some(pack_off) = meta.pack_off else {
             return false;
         };
@@ -590,11 +520,9 @@ impl Segment {
             (thl + self.payload_len) as u32,
             (new_thl + self.payload_len) as u32,
         );
-        let mut m = meta;
-        m.l4_header_len = new_thl as u8;
-        m.pack_off = None;
-        m.pack = None;
-        self.meta = Some(m);
+        self.meta.l4_header_len = new_thl as u8;
+        self.meta.pack_off = None;
+        self.meta.pack = None;
         true
     }
 
@@ -650,22 +578,13 @@ impl Segment {
                 .intersects(TcpFlags::SYN | TcpFlags::FIN | TcpFlags::RST)
     }
 
-    /// Parse the TCP header into a full `TcpRepr`.
-    pub fn tcp_repr(&self) -> Result<TcpRepr> {
-        TcpRepr::parse(&self.tcp())
-    }
-
     /// Verify both checksums (IP header and L4 with virtual payload).
-    /// Malformed headers fail.
     pub fn verify_checksums(&self) -> bool {
-        let Ok(meta) = self.try_meta() else {
-            return false;
-        };
         let ip = self.ip();
         if !ip.verify_checksum() {
             return false;
         }
-        if meta.is_tcp() {
+        if self.is_tcp() {
             self.tcp()
                 .verify_checksum(ip.src_addr(), ip.dst_addr(), self.payload_len)
         } else {
@@ -696,16 +615,13 @@ impl Drop for Segment {
 /// Number of 16-bit words in a maximum-size TCP header.
 const MAX_TCP_WORDS: usize = crate::tcp::MAX_HEADER_LEN / 2;
 
-/// Build the meta cache for a freshly emitted TCP segment straight from
-/// the representations — the emitter already knows every field, so a
-/// locally built packet costs *zero* parses over its whole lifetime.
-///
-/// Returns `None` (the caller parses the emitted bytes instead) for option
-/// lists a wire walk would interpret differently than a naive sweep: an explicit
-/// `EndOfList` terminates the walk, and `Unknown` options may collide with
-/// EOL/NOP kind bytes or carry bogus lengths. The meta-coherence proptests
-/// pin this fast path to `PacketMeta::parse` of the emitted bytes.
-fn tcp_meta_from_reprs(ip: &Ipv4Repr, tcp: &TcpRepr, tcp_hdr_len: usize) -> Option<PacketMeta> {
+/// Build the meta of a freshly emitted TCP segment straight from the
+/// representations — the emitter already knows every field, so a locally
+/// built packet costs *zero* parses over its whole lifetime. Every
+/// [`TcpOption`] emits a well-formed option the wire walk reads back as
+/// itself; the round-trip proptests pin this to a fresh read of the
+/// emitted bytes.
+fn tcp_meta_from_reprs(ip: &Ipv4Repr, tcp: &TcpRepr, tcp_hdr_len: usize) -> PacketMeta {
     let mut meta = PacketMeta {
         flow: FlowKey {
             src_ip: ip.src_addr,
@@ -731,10 +647,10 @@ fn tcp_meta_from_reprs(ip: &Ipv4Repr, tcp: &TcpRepr, tcp_hdr_len: usize) -> Opti
     let mut off = (ip.header_len() + crate::tcp::HEADER_LEN) as u16;
     for opt in &tcp.options {
         match *opt {
-            TcpOption::EndOfList | TcpOption::Unknown(..) => return None,
             TcpOption::MaxSegmentSize(v) => meta.mss = Some(v),
             TcpOption::WindowScale(v) => meta.wscale = Some(v),
             TcpOption::Pack(p) => {
+                debug_assert!(meta.pack.is_none(), "a header carries one PACK");
                 meta.pack = Some(p);
                 meta.pack_off = Some(off);
             }
@@ -742,7 +658,7 @@ fn tcp_meta_from_reprs(ip: &Ipv4Repr, tcp: &TcpRepr, tcp_hdr_len: usize) -> Opti
         }
         off += opt.wire_len() as u16;
     }
-    Some(meta)
+    meta
 }
 
 /// Walk the options region; return the byte index where trailing padding
@@ -774,6 +690,7 @@ fn options_padding_start(opts: &[u8]) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Error;
 
     fn ip_repr() -> Ipv4Repr {
         Ipv4Repr {
@@ -786,7 +703,7 @@ mod tests {
         }
     }
 
-    fn tcp_repr() -> TcpRepr {
+    fn base_tcp() -> TcpRepr {
         let mut r = TcpRepr::new(40000, 5001);
         r.seq = SeqNumber(1000);
         r.ack = SeqNumber(2000);
@@ -802,17 +719,16 @@ mod tests {
     }
 
     #[test]
-    fn meta_cache_survives_cross_thread_move() {
-        let seg = Segment::new_tcp(ip_repr(), tcp_repr(), 100);
+    fn meta_survives_cross_thread_move() {
+        let seg = Segment::new_tcp(ip_repr(), base_tcp(), 100);
         let meta = seg.try_meta().unwrap();
         let back = std::thread::spawn(move || seg).join().unwrap();
-        assert!(back.meta_is_cached());
         assert_eq!(back.try_meta().unwrap(), meta);
     }
 
     #[test]
     fn construction_produces_consistent_lengths_and_checksums() {
-        let seg = Segment::new_tcp(ip_repr(), tcp_repr(), 1448);
+        let seg = Segment::new_tcp(ip_repr(), base_tcp(), 1448);
         assert_eq!(seg.payload_len(), 1448);
         assert_eq!(seg.wire_len(), 20 + 20 + 1448);
         assert_eq!(seg.ip().total_len() as usize, seg.wire_len());
@@ -821,7 +737,7 @@ mod tests {
 
     #[test]
     fn flow_key_and_reverse() {
-        let seg = Segment::new_tcp(ip_repr(), tcp_repr(), 0);
+        let seg = Segment::new_tcp(ip_repr(), base_tcp(), 0);
         let k = seg.flow_key();
         assert_eq!(k.src_port, 40000);
         assert_eq!(k.dst_port, 5001);
@@ -832,98 +748,38 @@ mod tests {
 
     #[test]
     fn flow_key_hash_is_stable_and_direction_sensitive() {
-        let seg = Segment::new_tcp(ip_repr(), tcp_repr(), 0);
+        let seg = Segment::new_tcp(ip_repr(), base_tcp(), 0);
         let k = seg.flow_key();
         assert_eq!(k.hash64(), k.hash64());
         assert_ne!(k.hash64(), k.reverse().hash64());
     }
 
     #[test]
-    fn constructors_prepopulate_and_a_cold_cache_parses_per_call() {
+    fn constructors_prepopulate_meta() {
         // Locally built segments are born with their meta: the emitter is
         // the single "parse" of their lifetime.
-        let seg = Segment::new_tcp(ip_repr(), tcp_repr(), 100);
-        assert!(seg.meta_is_cached());
+        let seg = Segment::new_tcp(ip_repr(), base_tcp(), 100);
         let m = seg.try_meta().unwrap();
         assert_eq!(m.window, 1234);
         assert_eq!(m.seq, SeqNumber(1000));
-        // The pre-populated cache matches a from-scratch parse exactly.
+        // The meta matches a from-scratch parse exactly.
         assert_eq!(m, PacketMeta::parse(seg.header_bytes()).unwrap());
-        // Clones carry the cache.
-        assert!(seg.clone().meta_is_cached());
-
-        // After a raw view the cache is cold and stays cold: `try_meta`
-        // answers from the bytes on every call, storing nothing.
-        let mut seg = seg;
-        seg.tcp_mut().set_window_update_checksum(77);
-        for _ in 0..2 {
-            assert!(!seg.meta_is_cached());
-            let m = seg.try_meta().unwrap();
-            assert_eq!(m.window, 77);
-            assert_eq!(m, PacketMeta::parse(seg.header_bytes()).unwrap());
-        }
-
-        // A maintained mutator on the cold segment patches bytes and
-        // checksum and has no cache to patch; what `try_meta` says next
-        // is still what the bytes say.
-        seg.rewrite_window(99);
-        seg.mark_ce();
-        assert!(!seg.meta_is_cached());
-        let m = seg.try_meta().unwrap();
-        assert_eq!((m.window, m.ecn), (99, Ecn::Ce));
-        assert_eq!(m, PacketMeta::parse(seg.header_bytes()).unwrap());
-        assert!(seg.verify_checksums());
-
-        // PACK insertion installs the parse it needed anyway.
-        assert!(seg.append_pack_in_place(PackOption::default()));
-        assert!(seg.meta_is_cached());
-        assert_eq!(
-            seg.try_meta().unwrap(),
-            PacketMeta::parse(seg.header_bytes()).unwrap()
-        );
-        assert!(seg.verify_checksums());
-    }
-
-    #[test]
-    fn exotic_options_are_parsed_at_construction() {
-        // An explicit EndOfList or an Unknown option makes the emit-time
-        // fast path decline; the constructor then parses the bytes it
-        // emitted, so no constructor hands out a cold segment.
-        for exotic in [TcpOption::EndOfList, TcpOption::Unknown(254, 4)] {
-            let mut r = tcp_repr();
-            r.options = vec![TcpOption::MaxSegmentSize(1448), exotic];
-            let seg = Segment::new_tcp(ip_repr(), r, 0);
-            assert!(seg.meta_is_cached());
-            let m = seg.try_meta().unwrap();
-            assert_eq!(m, PacketMeta::parse(seg.header_bytes()).unwrap());
-            assert_eq!(m.mss, Some(1448));
-        }
-    }
-
-    #[test]
-    fn raw_mutable_views_invalidate_meta() {
-        let mut seg = Segment::new_tcp(ip_repr(), tcp_repr(), 0);
-        seg.try_meta().unwrap();
-        let _ = seg.tcp_mut();
-        assert!(!seg.meta_is_cached());
-        seg.try_meta().unwrap();
-        let _ = seg.ip_mut();
-        assert!(!seg.meta_is_cached());
+        // Clones carry it.
+        assert_eq!(seg.clone().try_meta(), Ok(m));
     }
 
     #[test]
     fn maintained_mutators_keep_meta_coherent() {
-        let mut seg = Segment::new_tcp(ip_repr(), tcp_repr(), 100);
+        let mut seg = Segment::new_tcp(ip_repr(), base_tcp(), 100);
         seg.try_meta().unwrap();
         seg.rewrite_window(99);
         seg.mark_ce();
         seg.set_reserved(true, false);
-        assert!(seg.meta_is_cached());
         let m = seg.try_meta().unwrap();
         assert_eq!(m.window, 99);
         assert_eq!(m.ecn, Ecn::Ce);
         assert!(m.vm_ece);
-        // The cached view matches a from-scratch parse and the checksums
+        // The meta matches a from-scratch parse and the checksums
         // are still valid.
         assert_eq!(m, PacketMeta::parse(seg.header_bytes()).unwrap());
         assert!(seg.verify_checksums());
@@ -931,7 +787,7 @@ mod tests {
 
     #[test]
     fn ce_marking_keeps_ip_checksum_valid() {
-        let mut seg = Segment::new_tcp(ip_repr(), tcp_repr(), 100);
+        let mut seg = Segment::new_tcp(ip_repr(), base_tcp(), 100);
         assert_eq!(seg.ecn(), Ecn::Ect0);
         seg.mark_ce();
         assert_eq!(seg.ecn(), Ecn::Ce);
@@ -940,24 +796,16 @@ mod tests {
 
     #[test]
     fn pure_ack_classification() {
-        let ack = Segment::new_tcp(ip_repr(), tcp_repr(), 0);
+        let ack = Segment::new_tcp(ip_repr(), base_tcp(), 0);
         assert!(ack.is_pure_ack());
 
-        let data = Segment::new_tcp(ip_repr(), tcp_repr(), 10);
+        let data = Segment::new_tcp(ip_repr(), base_tcp(), 10);
         assert!(!data.is_pure_ack());
 
-        let mut syn = tcp_repr();
+        let mut syn = base_tcp();
         syn.flags = TcpFlags::SYN;
         let syn = Segment::new_tcp(ip_repr(), syn, 0);
         assert!(!syn.is_pure_ack());
-    }
-
-    #[test]
-    fn window_rewrite_through_segment_views() {
-        let mut seg = Segment::new_tcp(ip_repr(), tcp_repr(), 0);
-        seg.tcp_mut().set_window_update_checksum(99);
-        assert_eq!(seg.tcp().window(), 99);
-        assert!(seg.verify_checksums());
     }
 
     #[test]
@@ -966,14 +814,13 @@ mod tests {
             total_bytes: 100_000,
             marked_bytes: 20_000,
         };
-        let mut seg = Segment::new_tcp(ip_repr(), tcp_repr(), 0);
+        let mut seg = Segment::new_tcp(ip_repr(), base_tcp(), 0);
         let before = seg.header_bytes().to_vec();
         assert!(seg.append_pack_in_place(pack));
         assert_eq!(
             seg.header_bytes().len(),
             before.len() + PackOption::WIRE_LEN
         );
-        assert_eq!(seg.tcp().pack_option(), Some(pack));
         assert!(seg.verify_checksums());
         let m = seg.try_meta().unwrap();
         assert_eq!(m.pack, Some(pack));
@@ -983,7 +830,6 @@ mod tests {
 
         assert!(seg.strip_pack_in_place());
         assert_eq!(seg.header_bytes().len(), before.len());
-        assert_eq!(seg.tcp().pack_option(), None);
         assert!(seg.verify_checksums());
         let m = seg.try_meta().unwrap();
         assert_eq!(m.pack, None);
@@ -996,7 +842,7 @@ mod tests {
     fn append_pack_converts_eol_padding_to_nop() {
         // A Timestamps option emits 10 bytes, padded to 12 with EOL; the
         // appended PACK must stay reachable past that padding.
-        let mut r = tcp_repr();
+        let mut r = base_tcp();
         r.options = vec![crate::TcpOption::Timestamps(7, 8)];
         let mut seg = Segment::new_tcp(ip_repr(), r, 0);
         let pack = PackOption {
@@ -1004,21 +850,18 @@ mod tests {
             marked_bytes: 3,
         };
         assert!(seg.append_pack_in_place(pack));
-        assert_eq!(seg.tcp().pack_option(), Some(pack));
-        assert!(seg
-            .tcp()
-            .options_iter()
-            .any(|o| matches!(o, crate::TcpOption::Timestamps(7, 8))));
+        let opts = &seg.header_bytes()[40..];
+        assert_eq!(opts[..2], [option_kind::TS, 10], "Timestamps kept");
+        assert_eq!(opts[10..12], [option_kind::NOP; 2], "EOL became NOP");
         assert!(seg.verify_checksums());
-        assert_eq!(
-            seg.try_meta().unwrap(),
-            PacketMeta::parse(seg.header_bytes()).unwrap()
-        );
+        let m = seg.try_meta().unwrap();
+        assert_eq!(m.pack, Some(pack));
+        assert_eq!(m, PacketMeta::parse(seg.header_bytes()).unwrap());
     }
 
     #[test]
     fn append_pack_refuses_full_header() {
-        let mut r = tcp_repr();
+        let mut r = base_tcp();
         // 4 timestamps = 40 option bytes: a full 60-byte header with no
         // room for 12 more.
         r.options = vec![crate::TcpOption::Timestamps(1, 2); 4];
@@ -1031,7 +874,7 @@ mod tests {
 
     #[test]
     fn set_virtual_payload_len_keeps_checksums_valid() {
-        let mut seg = Segment::new_tcp(ip_repr(), tcp_repr(), 1448);
+        let mut seg = Segment::new_tcp(ip_repr(), base_tcp(), 1448);
         seg.set_virtual_payload_len(0);
         assert_eq!(seg.payload_len(), 0);
         assert_eq!(seg.wire_len(), 40);
@@ -1041,7 +884,7 @@ mod tests {
 
     #[test]
     fn corrupt_window_bit_breaks_checksum_but_not_meta() {
-        let mut seg = Segment::new_tcp(ip_repr(), tcp_repr(), 0);
+        let mut seg = Segment::new_tcp(ip_repr(), base_tcp(), 0);
         let w = seg.try_meta().unwrap().window;
         seg.corrupt_window_bit();
         assert!(!seg.verify_checksums());
@@ -1051,10 +894,10 @@ mod tests {
 
     #[test]
     fn from_header_bytes_round_trip() {
-        let seg = Segment::new_tcp(ip_repr(), tcp_repr(), 777);
+        let seg = Segment::new_tcp(ip_repr(), base_tcp(), 777);
         let buf = BytesMut::from(seg.header_bytes());
         let seg2 = Segment::from_header_bytes(buf, 777).unwrap();
-        assert!(seg2.meta_is_cached());
+        assert_eq!(seg2.try_meta(), seg.try_meta());
         assert_eq!(seg2.wire_len(), seg.wire_len());
         assert_eq!(seg2.flow_key(), seg.flow_key());
         assert!(seg2.verify_checksums());
@@ -1062,9 +905,9 @@ mod tests {
 
     #[test]
     fn from_header_bytes_rejects_unknown_protocol() {
-        let mut seg = Segment::new_tcp(ip_repr(), tcp_repr(), 0);
-        seg.ip_mut().set_protocol(47); // GRE: not ours
-        let buf = BytesMut::from(seg.header_bytes());
+        let seg = Segment::new_tcp(ip_repr(), base_tcp(), 0);
+        let mut buf = BytesMut::from(seg.header_bytes());
+        buf[crate::ipv4::field::PROTOCOL] = 47; // GRE: not ours
         assert_eq!(
             Segment::from_header_bytes(buf, 0).unwrap_err(),
             Error::Unsupported
@@ -1072,11 +915,25 @@ mod tests {
     }
 
     #[test]
-    fn try_meta_reports_malformed_instead_of_panicking() {
-        let mut seg = Segment::new_tcp(ip_repr(), tcp_repr(), 0);
-        seg.ip_mut().set_protocol(47);
-        assert_eq!(seg.try_meta().unwrap_err(), Error::Unsupported);
-        assert!(!seg.verify_checksums());
+    fn from_header_bytes_rejects_bytes_past_the_headers() {
+        // A PACK appended in place goes at the end of the buffer, and the
+        // meta puts it at the end of the TCP header: the two must agree.
+        let udp = UdpRepr {
+            src_port: 6000,
+            dst_port: 7000,
+            payload_len: 0,
+        };
+        for seg in [
+            Segment::new_tcp(ip_repr(), base_tcp(), 0),
+            Segment::new_udp(ip_repr(), udp, 0),
+        ] {
+            let mut buf = BytesMut::from(seg.header_bytes());
+            buf.extend_from_slice(&[0xAA, 0xBB, 0xCC, 0xDD]);
+            assert_eq!(
+                Segment::from_header_bytes(buf, 0).unwrap_err(),
+                Error::Malformed
+            );
+        }
     }
 
     #[test]

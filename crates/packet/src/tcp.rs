@@ -165,11 +165,6 @@ impl<T: AsRef<[u8]>> TcpPacket<T> {
         Ok(())
     }
 
-    /// Consume the view, returning the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
     /// Source port.
     pub fn src_port(&self) -> u16 {
         u16::from_be_bytes(self.buffer.as_ref()[field::SRC_PORT].try_into().unwrap())
@@ -227,26 +222,6 @@ impl<T: AsRef<[u8]>> TcpPacket<T> {
     /// The raw options bytes (between the fixed header and the payload).
     pub fn options(&self) -> &[u8] {
         &self.buffer.as_ref()[HEADER_LEN..self.header_len()]
-    }
-
-    /// The payload bytes actually present in the buffer.
-    pub fn payload(&self) -> &[u8] {
-        &self.buffer.as_ref()[self.header_len()..]
-    }
-
-    /// Iterate over the parsed options, stopping at EOL or a malformed one.
-    pub fn options_iter(&self) -> TcpOptionsIter<'_> {
-        TcpOptionsIter {
-            data: self.options(),
-        }
-    }
-
-    /// Find the AC/DC PACK option, if present.
-    pub fn pack_option(&self) -> Option<PackOption> {
-        self.options_iter().find_map(|opt| match opt {
-            TcpOption::Pack(p) => Some(p),
-            _ => None,
-        })
     }
 
     /// Verify the TCP checksum assuming a payload of `payload_len` zero
@@ -417,11 +392,9 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> TcpPacket<T> {
     }
 }
 
-/// A single parsed TCP option.
+/// A TCP option to emit (the options the simulator's stacks send).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TcpOption {
-    /// End of options list.
-    EndOfList,
     /// Padding.
     NoOperation,
     /// Maximum segment size (SYN only).
@@ -434,8 +407,6 @@ pub enum TcpOption {
     Timestamps(u32, u32),
     /// The AC/DC PACK feedback option.
     Pack(PackOption),
-    /// Anything we do not interpret: (kind, length).
-    Unknown(u8, u8),
 }
 
 /// Option kind numbers.
@@ -460,13 +431,12 @@ impl TcpOption {
     /// Encoded length in bytes.
     pub fn wire_len(&self) -> usize {
         match self {
-            TcpOption::EndOfList | TcpOption::NoOperation => 1,
+            TcpOption::NoOperation => 1,
             TcpOption::MaxSegmentSize(_) => 4,
             TcpOption::WindowScale(_) => 3,
             TcpOption::SackPermitted => 2,
             TcpOption::Timestamps(_, _) => 10,
             TcpOption::Pack(_) => PackOption::WIRE_LEN,
-            TcpOption::Unknown(_, len) => *len as usize,
         }
     }
 
@@ -475,7 +445,6 @@ impl TcpOption {
         let len = self.wire_len();
         assert!(buf.len() >= len, "option buffer too small");
         match *self {
-            TcpOption::EndOfList => buf[0] = option_kind::EOL,
             TcpOption::NoOperation => buf[0] = option_kind::NOP,
             TcpOption::MaxSegmentSize(mss) => {
                 buf[0] = option_kind::MSS;
@@ -498,78 +467,12 @@ impl TcpOption {
                 buf[6..10].copy_from_slice(&ecr.to_be_bytes());
             }
             TcpOption::Pack(ref p) => p.emit(&mut buf[..PackOption::WIRE_LEN]),
-            TcpOption::Unknown(kind, olen) => {
-                buf[0] = kind;
-                buf[1] = olen;
-                for b in &mut buf[2..olen as usize] {
-                    *b = 0;
-                }
-            }
         }
         &mut buf[len..]
     }
 }
 
-/// Iterator over the options region of a TCP header.
-pub struct TcpOptionsIter<'a> {
-    data: &'a [u8],
-}
-
-impl<'a> Iterator for TcpOptionsIter<'a> {
-    type Item = TcpOption;
-
-    fn next(&mut self) -> Option<TcpOption> {
-        if self.data.is_empty() {
-            return None;
-        }
-        let kind = self.data[0];
-        match kind {
-            option_kind::EOL => {
-                self.data = &[];
-                None
-            }
-            option_kind::NOP => {
-                self.data = &self.data[1..];
-                Some(TcpOption::NoOperation)
-            }
-            _ => {
-                if self.data.len() < 2 {
-                    self.data = &[];
-                    return None;
-                }
-                let len = self.data[1] as usize;
-                if len < 2 || len > self.data.len() {
-                    self.data = &[];
-                    return None;
-                }
-                let body = &self.data[..len];
-                self.data = &self.data[len..];
-                Some(match (kind, len) {
-                    (option_kind::MSS, 4) => {
-                        TcpOption::MaxSegmentSize(u16::from_be_bytes([body[2], body[3]]))
-                    }
-                    (option_kind::WS, 3) => TcpOption::WindowScale(body[2]),
-                    (option_kind::SACK_PERM, 2) => TcpOption::SackPermitted,
-                    (option_kind::TS, 10) => TcpOption::Timestamps(
-                        u32::from_be_bytes(body[2..6].try_into().unwrap()),
-                        u32::from_be_bytes(body[6..10].try_into().unwrap()),
-                    ),
-                    (option_kind::EXPERIMENT, PackOption::WIRE_LEN_U8)
-                        if PackOption::matches(body) =>
-                    {
-                        match PackOption::parse(body) {
-                            Ok(p) => TcpOption::Pack(p),
-                            Err(_) => TcpOption::Unknown(kind, len as u8),
-                        }
-                    }
-                    _ => TcpOption::Unknown(kind, len as u8),
-                })
-            }
-        }
-    }
-}
-
-/// High-level representation of a TCP segment header.
+/// A TCP header to emit: what a stack wants to send.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TcpRepr {
     /// Source port.
@@ -584,7 +487,7 @@ pub struct TcpRepr {
     pub flags: TcpFlags,
     /// Raw advertised window.
     pub window: u16,
-    /// Options to carry.
+    /// Options to carry (at most one `Pack`).
     pub options: Vec<TcpOption>,
     /// AC/DC reserved-bit: guest is ECN-capable.
     pub vm_ece: bool,
@@ -606,22 +509,6 @@ impl TcpRepr {
             vm_ece: false,
             fack: false,
         }
-    }
-
-    /// Parse a representation out of a packet view.
-    pub fn parse<T: AsRef<[u8]>>(pkt: &TcpPacket<T>) -> Result<TcpRepr> {
-        pkt.check()?;
-        Ok(TcpRepr {
-            src_port: pkt.src_port(),
-            dst_port: pkt.dst_port(),
-            seq: pkt.seq_number(),
-            ack: pkt.ack_number(),
-            flags: pkt.flags(),
-            window: pkt.window(),
-            options: pkt.options_iter().collect(),
-            vm_ece: pkt.vm_ece(),
-            fack: pkt.is_fack(),
-        })
     }
 
     /// Bytes of options when emitted, padded to a multiple of 4.
@@ -698,33 +585,6 @@ mod tests {
     }
 
     #[test]
-    fn emit_parse_round_trip() {
-        let repr = sample_repr();
-        let buf = emit(&repr);
-        let pkt = TcpPacket::new_checked(&buf[..]).unwrap();
-        assert!(pkt.verify_checksum([10, 0, 0, 1], [10, 0, 0, 2], 0));
-        assert_eq!(TcpRepr::parse(&pkt).unwrap(), repr);
-    }
-
-    #[test]
-    fn syn_options_round_trip() {
-        let mut repr = TcpRepr::new(1, 2);
-        repr.flags = TcpFlags::SYN;
-        repr.options = vec![
-            TcpOption::MaxSegmentSize(8960),
-            TcpOption::WindowScale(9),
-            TcpOption::SackPermitted,
-            TcpOption::NoOperation,
-        ];
-        let buf = emit(&repr);
-        let pkt = TcpPacket::new_checked(&buf[..]).unwrap();
-        let parsed = TcpRepr::parse(&pkt).unwrap();
-        assert!(parsed.options.contains(&TcpOption::MaxSegmentSize(8960)));
-        assert!(parsed.options.contains(&TcpOption::WindowScale(9)));
-        assert!(parsed.options.contains(&TcpOption::SackPermitted));
-    }
-
-    #[test]
     fn window_rewrite_preserves_checksum_validity() {
         let repr = sample_repr();
         let mut buf = emit(&repr);
@@ -776,17 +636,6 @@ mod tests {
         assert!(pkt.verify_checksum([1, 1, 1, 1], [2, 2, 2, 2], 1448));
         // ...and fails when we do not (pseudo-header length differs).
         assert!(!pkt.verify_checksum([1, 1, 1, 1], [2, 2, 2, 2], 0));
-    }
-
-    #[test]
-    fn malformed_option_stops_iteration() {
-        let mut repr = TcpRepr::new(1, 2);
-        repr.options = vec![TcpOption::Timestamps(1, 2)];
-        let mut buf = emit(&repr);
-        // Corrupt the option length to be longer than the header.
-        buf[HEADER_LEN + 1] = 40;
-        let pkt = TcpPacket::new_checked(&buf[..]).unwrap();
-        assert_eq!(pkt.options_iter().count(), 0);
     }
 
     #[test]

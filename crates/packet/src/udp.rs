@@ -124,16 +124,6 @@ pub struct UdpRepr {
 }
 
 impl UdpRepr {
-    /// Parse a representation from a packet view.
-    pub fn parse<T: AsRef<[u8]>>(pkt: &UdpPacket<T>) -> Result<UdpRepr> {
-        pkt.check()?;
-        Ok(UdpRepr {
-            src_port: pkt.src_port(),
-            dst_port: pkt.dst_port(),
-            payload_len: pkt.length() as usize - HEADER_LEN,
-        })
-    }
-
     /// Header length when emitted.
     pub fn header_len(&self) -> usize {
         HEADER_LEN
@@ -164,7 +154,8 @@ mod tests {
         pkt.fill_checksum([1, 2, 3, 4], [5, 6, 7, 8], 512);
         let pkt = UdpPacket::new_checked(&buf[..]).unwrap();
         assert!(pkt.verify_checksum([1, 2, 3, 4], [5, 6, 7, 8], 512));
-        assert_eq!(UdpRepr::parse(&pkt).unwrap(), repr);
+        assert_eq!((pkt.src_port(), pkt.dst_port()), (53, 5353));
+        assert_eq!(usize::from(pkt.length()), HEADER_LEN + 512);
     }
 
     #[test]

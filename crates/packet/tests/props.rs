@@ -1,9 +1,10 @@
 //! Property-based tests for the wire formats.
 
 use acdc_packet::{
-    checksum, Ecn, FlowKey, Ipv4Packet, Ipv4Repr, PackOption, Segment, SeqNumber, TcpFlags,
-    TcpOption, TcpPacket, TcpRepr, PROTO_TCP,
+    checksum, Ecn, FlowKey, Ipv4Repr, PackOption, PacketMeta, Segment, SeqNumber, TcpFlags,
+    TcpOption, TcpRepr, UdpRepr, PROTO_TCP,
 };
+use bytes::BytesMut;
 use proptest::prelude::*;
 
 fn arb_ecn() -> impl Strategy<Value = Ecn> {
@@ -19,21 +20,137 @@ fn arb_flags() -> impl Strategy<Value = TcpFlags> {
     any::<u8>().prop_map(TcpFlags::from_bits)
 }
 
+/// Up to two options of any kind, then at most one PACK.
 fn arb_options() -> impl Strategy<Value = Vec<TcpOption>> {
-    prop::collection::vec(
-        prop_oneof![
-            Just(TcpOption::NoOperation),
-            any::<u16>().prop_map(TcpOption::MaxSegmentSize),
-            (0u8..=14).prop_map(TcpOption::WindowScale),
-            Just(TcpOption::SackPermitted),
-            (any::<u32>(), any::<u32>()).prop_map(|(a, b)| TcpOption::Timestamps(a, b)),
-            (any::<u32>(), any::<u32>()).prop_map(|(t, m)| TcpOption::Pack(PackOption {
-                total_bytes: t,
-                marked_bytes: m,
-            })),
-        ],
-        0..3,
+    let pack = (any::<u32>(), any::<u32>()).prop_map(|(t, m)| {
+        TcpOption::Pack(PackOption {
+            total_bytes: t,
+            marked_bytes: m,
+        })
+    });
+    (
+        prop::collection::vec(
+            prop_oneof![
+                Just(TcpOption::NoOperation),
+                any::<u16>().prop_map(TcpOption::MaxSegmentSize),
+                (0u8..=14).prop_map(TcpOption::WindowScale),
+                Just(TcpOption::SackPermitted),
+                (any::<u32>(), any::<u32>()).prop_map(|(a, b)| TcpOption::Timestamps(a, b)),
+            ],
+            0..3,
+        ),
+        prop::option::of(pack),
     )
+        .prop_map(|(mut options, pack)| {
+            options.extend(pack);
+            options
+        })
+}
+
+fn arb_tcp_repr() -> impl Strategy<Value = TcpRepr> {
+    (
+        (any::<u16>(), any::<u16>(), any::<u32>(), any::<u32>()),
+        arb_flags(),
+        any::<u16>(),
+        arb_options(),
+        (any::<bool>(), any::<bool>()),
+    )
+        .prop_map(
+            |((src_port, dst_port, seq, ack), flags, window, options, (vm_ece, fack))| TcpRepr {
+                src_port,
+                dst_port,
+                seq: SeqNumber(seq),
+                ack: SeqNumber(ack),
+                flags,
+                window,
+                options,
+                vm_ece,
+                fack,
+            },
+        )
+}
+
+fn ip_repr(src_addr: [u8; 4], dst_addr: [u8; 4], ecn: Ecn) -> Ipv4Repr {
+    Ipv4Repr {
+        src_addr,
+        dst_addr,
+        protocol: PROTO_TCP,
+        ecn,
+        payload_len: 0, // overwritten by the constructors
+        ttl: Ipv4Repr::DEFAULT_TTL,
+    }
+}
+
+/// A segment's header bytes read afresh, as off a wire.
+fn reread(seg: &Segment) -> PacketMeta {
+    Segment::from_header_bytes(BytesMut::from(seg.header_bytes()), seg.payload_len())
+        .expect("a segment's own headers read back")
+        .try_meta()
+        .expect("a read segment has its meta")
+}
+
+/// Headers as the stacks emit them: TCP with any options, or UDP.
+fn arb_emitted() -> impl Strategy<Value = Vec<u8>> {
+    (any::<[u8; 4]>(), arb_ecn(), arb_tcp_repr(), any::<bool>()).prop_map(|(dst, ecn, tcp, udp)| {
+        let ip = ip_repr([10, 0, 0, 1], dst, ecn);
+        let seg = if udp {
+            let udp = UdpRepr {
+                src_port: tcp.src_port,
+                dst_port: tcp.dst_port,
+                payload_len: 0, // overwritten by new_udp
+            };
+            Segment::new_udp(ip, udp, 0)
+        } else {
+            Segment::new_tcp(ip, tcp, 0)
+        };
+        seg.header_bytes().to_vec()
+    })
+}
+
+/// What a trace or a fault might hand the datapath: arbitrary bytes, or
+/// emitted headers with one byte overwritten, one dropped off the end or
+/// one added.
+fn arb_wire_bytes() -> impl Strategy<Value = Vec<u8>> {
+    let edited = (arb_emitted(), any::<usize>(), any::<u8>(), 0u8..3).prop_map(
+        |(mut bytes, at, byte, edit)| {
+            match edit {
+                0 => {
+                    let i = at % bytes.len();
+                    bytes[i] = byte;
+                }
+                1 => {
+                    bytes.pop();
+                }
+                _ => bytes.push(byte),
+            }
+            bytes
+        },
+    );
+    prop_oneof![1 => prop::collection::vec(any::<u8>(), 0..80), 3 => edited]
+}
+
+/// Whatever `from_header_bytes` accepts survives every datapath edit
+/// without a panic, and its meta says what a fresh read of its bytes
+/// says after each one.
+fn check_wire_bytes(bytes: &[u8], payload_len: usize) {
+    let Ok(mut seg) = Segment::from_header_bytes(BytesMut::from(bytes), payload_len) else {
+        return;
+    };
+    let _ = seg.verify_checksums();
+    let meta = |s: &Segment| s.try_meta().expect("a read segment has its meta");
+    assert_eq!(meta(&seg), reread(&seg), "as read");
+    let _ = seg.append_pack_in_place(PackOption {
+        total_bytes: 9,
+        marked_bytes: 3,
+    });
+    assert_eq!(meta(&seg), reread(&seg), "after a PACK append");
+    let _ = seg.strip_pack_in_place();
+    assert_eq!(meta(&seg), reread(&seg), "after a PACK strip");
+    if seg.is_tcp() {
+        seg.set_virtual_payload_len(0);
+        assert_eq!(meta(&seg), reread(&seg), "as a fake ACK");
+    }
+    let _ = seg.verify_checksums();
 }
 
 /// Keys over a few addresses and ports, so that equal addresses, equal
@@ -160,50 +277,34 @@ proptest! {
     }
 
     #[test]
-    fn ipv4_emit_parse_round_trip(
+    fn emit_then_read_round_trip(
         src: [u8; 4], dst: [u8; 4], ecn in arb_ecn(),
-        payload_len in 0usize..9000, ttl in 1u8..=255,
+        tcp in arb_tcp_repr(), payload_len in 0usize..9000,
     ) {
-        let repr = Ipv4Repr { src_addr: src, dst_addr: dst, protocol: PROTO_TCP, ecn, payload_len, ttl };
-        let mut buf = vec![0u8; repr.header_len()];
-        let mut pkt = Ipv4Packet::new_unchecked(&mut buf[..]);
-        repr.emit(&mut pkt);
-        let pkt = Ipv4Packet::new_checked(&buf[..]).unwrap();
-        prop_assert!(pkt.verify_checksum());
-        prop_assert_eq!(Ipv4Repr::parse(&pkt).unwrap(), repr);
-    }
-
-    #[test]
-    fn tcp_emit_parse_round_trip(
-        src_port: u16, dst_port: u16, seq: u32, ack: u32,
-        flags in arb_flags(), window: u16, options in arb_options(),
-        vm_ece: bool, fack: bool,
-    ) {
-        let repr = TcpRepr {
-            src_port, dst_port,
-            seq: SeqNumber(seq), ack: SeqNumber(ack),
-            flags, window, options, vm_ece, fack,
-        };
-        let mut buf = vec![0u8; repr.header_len()];
-        let mut pkt = TcpPacket::new_unchecked(&mut buf[..]);
-        repr.emit(&mut pkt);
-        pkt.fill_checksum([1, 2, 3, 4], [5, 6, 7, 8], 0);
-        let pkt = TcpPacket::new_checked(&buf[..]).unwrap();
-        prop_assert!(pkt.verify_checksum([1, 2, 3, 4], [5, 6, 7, 8], 0));
-        let parsed = TcpRepr::parse(&pkt).unwrap();
-        // Emitted options may gain trailing padding, but the parsed list of
-        // non-padding options must match what we put in.
-        let strip = |v: &[TcpOption]| v.iter().copied()
-            .filter(|o| !matches!(o, TcpOption::NoOperation | TcpOption::EndOfList))
-            .collect::<Vec<_>>();
-        prop_assert_eq!(strip(&parsed.options), strip(&repr.options));
-        prop_assert_eq!(parsed.src_port, repr.src_port);
-        prop_assert_eq!(parsed.seq, repr.seq);
-        prop_assert_eq!(parsed.ack, repr.ack);
-        prop_assert_eq!(parsed.flags, repr.flags);
-        prop_assert_eq!(parsed.window, repr.window);
-        prop_assert_eq!(parsed.vm_ece, repr.vm_ece);
-        prop_assert_eq!(parsed.fack, repr.fack);
+        let seg = Segment::new_tcp(ip_repr(src, dst, ecn), tcp.clone(), payload_len);
+        prop_assert!(seg.verify_checksums());
+        prop_assert_eq!(seg.ip().total_len() as usize, seg.wire_len());
+        let m = reread(&seg);
+        prop_assert_eq!(seg.try_meta(), Ok(m));
+        prop_assert_eq!(
+            m.flow,
+            FlowKey { src_ip: src, dst_ip: dst, src_port: tcp.src_port, dst_port: tcp.dst_port }
+        );
+        prop_assert_eq!((m.protocol, m.ecn, m.ip_header_len), (PROTO_TCP, ecn, 20));
+        prop_assert_eq!(usize::from(m.l4_header_len), tcp.header_len());
+        prop_assert_eq!((m.seq, m.ack, m.flags, m.window), (tcp.seq, tcp.ack, tcp.flags, tcp.window));
+        prop_assert_eq!((m.vm_ece, m.fack), (tcp.vm_ece, tcp.fack));
+        // The walk keeps the last of each option it reads.
+        let (mut mss, mut wscale, mut pack) = (None, None, None);
+        for o in &tcp.options {
+            match *o {
+                TcpOption::MaxSegmentSize(v) => mss = Some(v),
+                TcpOption::WindowScale(v) => wscale = Some(v),
+                TcpOption::Pack(p) => pack = Some(p),
+                _ => {}
+            }
+        }
+        prop_assert_eq!((m.mss, m.wscale, m.pack), (mss, wscale, pack));
     }
 
     #[test]
@@ -218,11 +319,12 @@ proptest! {
         tcp.flags = TcpFlags::ACK;
         tcp.window = window;
         let mut seg = Segment::new_tcp(ip, tcp, payload);
-        seg.tcp_mut().set_window_update_checksum(new_window);
+        seg.rewrite_window(new_window);
         seg.mark_ce();
         prop_assert_eq!(seg.tcp().window(), new_window);
         prop_assert_eq!(seg.ecn(), Ecn::Ce);
         prop_assert!(seg.verify_checksums());
+        prop_assert_eq!(seg.try_meta(), Ok(reread(&seg)));
     }
 
     #[test]
@@ -239,14 +341,22 @@ proptest! {
     }
 
     #[test]
-    fn truncated_buffers_never_panic(data in prop::collection::vec(any::<u8>(), 0..64)) {
-        // Parsing arbitrary bytes must return Err, never panic.
-        let _ = Ipv4Packet::new_checked(&data[..]).map(|p| {
-            let _ = Ipv4Repr::parse(&p);
-        });
-        let _ = TcpPacket::new_checked(&data[..]).map(|p| {
-            let _ = TcpRepr::parse(&p);
-            let _ = p.options_iter().count();
-        });
+    fn wire_bytes_never_panic_and_read_back_as_held(
+        bytes in arb_wire_bytes(), payload_len in 0usize..9000,
+    ) {
+        check_wire_bytes(&bytes, payload_len);
+    }
+}
+
+proptest! {
+    // The vendored proptest runs 64 cases by default; nightly.yml runs
+    // this twin (`-- --ignored`).
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+    #[test]
+    #[ignore = "4096 cases; run with --ignored (nightly)"]
+    fn wire_bytes_never_panic_and_read_back_as_held_4096(
+        bytes in arb_wire_bytes(), payload_len in 0usize..9000,
+    ) {
+        check_wire_bytes(&bytes, payload_len);
     }
 }

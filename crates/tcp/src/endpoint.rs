@@ -398,9 +398,7 @@ impl Endpoint {
 
     /// Feed an arriving segment (addressed to this endpoint).
     pub fn on_segment(&mut self, now: Nanos, seg: &Segment) {
-        // One parse per packet lifetime: the NIC's checksum verification
-        // already populated the cache, so this is normally a cache read.
-        // A malformed frame (which the NIC should have dropped) is ignored.
+        // A copy of the meta the segment carries: nothing parses here.
         let Ok(meta) = seg.try_meta() else {
             return;
         };

@@ -2,9 +2,11 @@
 //! exchange (no simulator).
 
 use acdc_cc::CcKind;
+use acdc_packet::tcp::option_kind;
 use acdc_packet::{Ecn, Ipv4Repr, Segment, SeqNumber, TcpFlags, TcpRepr, PROTO_TCP};
 use acdc_stats::time::{MILLISECOND, SECOND};
 use acdc_tcp::{Endpoint, TcpConfig, TcpState};
+use bytes::BytesMut;
 
 const A_IP: [u8; 4] = [10, 0, 0, 1];
 const B_IP: [u8; 4] = [10, 0, 0, 2];
@@ -101,15 +103,18 @@ fn window_scale_is_clamped_to_14() {
     let mut b = Endpoint::new_passive(cfg_b(CcKind::Cubic));
     a.open(0);
     let syn = a.poll_transmit(0).unwrap();
-    // Tamper: replace the window-scale option with an illegal 30.
-    let mut repr = syn.tcp_repr().unwrap();
-    for o in &mut repr.options {
-        if let acdc_packet::TcpOption::WindowScale(w) = o {
-            *w = 30;
-        }
-    }
-    let ip = Ipv4Repr::parse(&syn.ip()).unwrap();
-    let tampered = Segment::new_tcp(ip, repr, 0);
+    // Tamper: the window-scale option's shift byte becomes an illegal 30.
+    let mut bytes = BytesMut::from(syn.header_bytes());
+    let wscale = syn.try_meta().unwrap().wscale.unwrap();
+    // Options start after the 20-byte IP and TCP headers.
+    let ws = 40
+        + bytes[40..]
+            .windows(3)
+            .position(|o| o == [option_kind::WS, 3, wscale])
+            .expect("the SYN carries a window scale");
+    bytes[ws + 2] = 30;
+    let tampered = Segment::from_header_bytes(bytes, 0).expect("the tampered SYN reads back");
+    assert_eq!(tampered.try_meta().unwrap().wscale, Some(30));
     b.on_segment(1, &tampered);
     // RFC 7323: receivers clamp the shift to 14.
     exchange(2, &mut a, &mut b);

@@ -150,11 +150,17 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// Render a flow key as `a.b.c.d:p>e.f.g.h:q` (or `-` for [`NO_FLOW`]).
+/// [`key_label`], or `-` for [`NO_FLOW`]: the event log's form.
 pub fn flow_label(key: &FlowKey) -> String {
     if *key == NO_FLOW {
         return "-".to_string();
     }
+    key_label(key)
+}
+
+/// Render a flow key as `a.b.c.d:p>e.f.g.h:q`, every key in full (the
+/// all-zero one too): the checkpoint's form, which its reader parses back.
+pub fn key_label(key: &FlowKey) -> String {
     let [a, b, c, d] = key.src_ip;
     let [e, f, g, h] = key.dst_ip;
     format!(

@@ -38,7 +38,7 @@ pub mod merge;
 pub mod metrics;
 pub mod recorder;
 
-pub use event::{flow_label, Event, EventKind, NO_FLOW};
+pub use event::{flow_label, key_label, Event, EventKind, NO_FLOW};
 pub use merge::{merge_snapshots, merged_dropped_events, merged_snapshot_json};
 pub use metrics::{Counter, Gauge, MetricKind, MetricValue, MetricsRegistry};
 pub use recorder::{trace_dir, FlightRecorder, TraceGuard, DEFAULT_CAPACITY};

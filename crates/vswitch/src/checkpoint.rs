@@ -32,7 +32,7 @@ use std::fmt::Write as _;
 
 use acdc_packet::FlowKey;
 use acdc_stats::time::Nanos;
-use acdc_telemetry::Telemetry;
+use acdc_telemetry::{key_label, Telemetry};
 
 use crate::entry::FlowEntryState;
 
@@ -137,18 +137,6 @@ pub struct DatapathCheckpoint {
 // ----------------------------------------------------------------------
 // Flow-key labels
 // ----------------------------------------------------------------------
-
-/// `key` as the checkpoint's `"a.b.c.d:p>e.f.g.h:q"` label (the same
-/// shape `acdc_telemetry::flow_label` uses for real flows).
-pub fn key_label(key: &FlowKey) -> String {
-    let [a, b, c, d] = key.src_ip;
-    let [e, f, g, h] = key.dst_ip;
-    format!(
-        "{a}.{b}.{c}.{d}:{sp}>{e}.{f}.{g}.{h}:{dp}",
-        sp = key.src_port,
-        dp = key.dst_port
-    )
-}
 
 /// Parse a [`key_label`]-formatted flow key.
 pub fn parse_key_label(label: &str) -> Result<FlowKey, String> {
@@ -799,6 +787,10 @@ mod tests {
         let k = key(40_000);
         assert_eq!(key_label(&k), "10.0.0.1:40000>10.0.1.2:80");
         assert_eq!(parse_key_label(&key_label(&k)).unwrap(), k);
+        // The all-zero key is written in full, not as the event log's `-`.
+        let zero = acdc_telemetry::NO_FLOW;
+        assert_eq!(key_label(&zero), "0.0.0.0:0>0.0.0.0:0");
+        assert_eq!(parse_key_label(&key_label(&zero)).unwrap(), zero);
         for bad in ["", "10.0.0.1:1", "a.b.c.d:1>e.f.g.h:2", "1.2.3:4>5.6.7.8:9"] {
             assert!(parse_key_label(bad).is_err(), "accepted `{bad}`");
         }

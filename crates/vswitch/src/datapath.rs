@@ -548,7 +548,7 @@ impl AcdcDatapath {
     /// partially restored state: discard it and restore into a fresh one.
     /// Returns the number of flows restored.
     pub fn restore(&self, ckpt: &crate::checkpoint::DatapathCheckpoint) -> Result<usize, String> {
-        use crate::checkpoint::key_label;
+        use acdc_telemetry::key_label;
         self.table.clear();
         for f in &ckpt.flows {
             // `rx_pending` is derived (`FlowEntry::rx_pending`); a document
@@ -642,9 +642,9 @@ impl AcdcDatapath {
             return Verdict::Forward(seg);
         }
         let log_only = self.cfg.log_only || health == HealthState::LogOnly;
-        // The single parse of the packet's journey (or a cache hit, when
-        // the NIC already verified checksums). Malformed frames are
-        // dropped and counted — wire input never panics the datapath.
+        // A copy of the meta the segment carries. The drop arm cannot be
+        // reached (DESIGN.md §9) and stays while the benchmark harness
+        // pins `try_meta`'s `Result`.
         let Ok(meta) = seg.try_meta() else {
             return Self::drop_malformed(obs, now);
         };
@@ -821,8 +821,8 @@ impl AcdcDatapath {
         if !self.cfg.enabled {
             return Verdict::Forward(seg);
         }
-        // Usually a cache hit: the host NIC's checksum verification has
-        // already parsed and cached the metadata.
+        // A copy of the meta the segment carries; the drop arm is
+        // unreachable, as on egress.
         let Ok(meta) = seg.try_meta() else {
             return Self::drop_malformed(obs, now);
         };

@@ -4,13 +4,15 @@
 
 use acdc_cc::CcKind;
 use acdc_packet::{
-    Ecn, FlowKey, Ipv4Repr, PackOption, Segment, SeqNumber, TcpFlags, TcpOption, TcpRepr, PROTO_TCP,
+    Ecn, FlowKey, Ipv4Repr, PackOption, PacketMeta, Segment, SeqNumber, TcpFlags, TcpOption,
+    TcpRepr, PROTO_TCP,
 };
 use acdc_telemetry::EventKind;
 use acdc_vswitch::{
     AcdcConfig, AcdcDatapath, AdmissionPolicy, CcPolicy, DropReason, FlowEntry, FlowTable,
     HealthState, Verdict, VirtualCc,
 };
+use bytes::BytesMut;
 
 const A: [u8; 4] = [10, 0, 0, 1];
 const B: [u8; 4] = [10, 0, 0, 2];
@@ -24,6 +26,14 @@ const ISS_B: u32 = 2_000_000;
 /// `f` applied to `key`'s entry in `dp`, which must track it.
 fn entry<R>(dp: &AcdcDatapath, key: &FlowKey, f: impl FnOnce(&mut FlowEntry) -> R) -> R {
     dp.table().with_entry(key, f).expect("flow tracked")
+}
+
+/// `seg`'s headers read afresh, as the next hop would read them.
+fn reread(seg: &Segment) -> PacketMeta {
+    Segment::from_header_bytes(BytesMut::from(seg.header_bytes()), seg.payload_len())
+        .expect("datapath output reads back")
+        .try_meta()
+        .expect("a read segment has its meta")
 }
 
 fn ip(src: [u8; 4], dst: [u8; 4], ecn: Ecn) -> Ipv4Repr {
@@ -199,14 +209,14 @@ fn ack_carries_pack_and_sender_consumes_it() {
         .egress(21_000, ack(MSS as u32, 65_000))
         .forwarded()
         .unwrap();
-    let pack = a.tcp().pack_option().expect("PACK attached");
+    let pack = reread(&a).pack.expect("PACK attached");
     assert_eq!(pack.total_bytes, MSS as u32);
     assert_eq!(pack.marked_bytes, MSS as u32);
     assert!(a.verify_checksums());
 
     // dpa ingress: PACK stripped before the guest sees the ACK.
     let delivered = dpa.ingress(22_000, a).forwarded().unwrap();
-    assert!(delivered.tcp().pack_option().is_none());
+    assert!(reread(&delivered).pack.is_none());
     assert!(delivered.verify_checksums());
     assert_eq!(dpa.counters().packs_received.get(), 1);
     // Connection tracking advanced.
@@ -260,11 +270,7 @@ fn ece_feedback_hidden_from_guest() {
     dpb.ingress(20_000, d).forwarded().unwrap();
     // ACK with ECE set (guest B echoing a mark).
     let mut raw_ack = ack(MSS as u32, 65_000);
-    {
-        let mut t = raw_ack.tcp_repr().unwrap();
-        t.flags |= TcpFlags::ECE;
-        raw_ack = Segment::new_tcp(Ipv4Repr::parse(&raw_ack.ip()).unwrap(), t, 0);
-    }
+    raw_ack.set_tcp_flags(raw_ack.tcp_flags() | TcpFlags::ECE);
     let a = dpb.egress(21_000, raw_ack).forwarded().unwrap();
     let delivered = dpa.ingress(22_000, a).forwarded().unwrap();
     assert!(
@@ -295,10 +301,10 @@ fn pack_overflow_generates_fack() {
 
     match dpb.egress(21_000, full) {
         Verdict::ForwardWithExtra(main, fack) => {
-            assert!(main.tcp().pack_option().is_none());
+            assert!(reread(&main).pack.is_none());
             assert!(fack.tcp().is_fack());
             assert_eq!(fack.payload_len(), 0);
-            let p = fack.tcp().pack_option().unwrap();
+            let p = reread(&fack).pack.unwrap();
             assert_eq!(p.total_bytes, MSS as u32);
             assert!(p.marked_bytes <= p.total_bytes);
             assert!(fack.verify_checksums());
@@ -567,7 +573,7 @@ fn pack_feedback_drives_dctcp_cut() {
     dpb.ingress(51_000, d).forwarded().unwrap();
     off += MSS as u32;
     let a = dpb.egress(52_000, ack(off, 65_000)).forwarded().unwrap();
-    assert!(a.tcp().pack_option().unwrap().marked_bytes > 0);
+    assert!(reread(&a).pack.unwrap().marked_bytes > 0);
     dpa.ingress(53_000, a).forwarded().unwrap();
 
     assert!(
@@ -597,7 +603,7 @@ fn pack_option_survives_only_between_vswitches() {
     })];
     let spoofed = Segment::new_tcp(ip(B, A, Ecn::NotEct), t, 0);
     let delivered = dpa.ingress(30_000, spoofed).forwarded().unwrap();
-    assert!(delivered.tcp().pack_option().is_none());
+    assert!(reread(&delivered).pack.is_none());
 }
 
 #[test]
@@ -622,7 +628,7 @@ fn spoofed_pack_with_more_marked_than_total_is_clamped() {
     })];
     let spoofed = Segment::new_tcp(ip(B, A, Ecn::NotEct), t, 0);
     let delivered = dpa.ingress(30_000, spoofed).forwarded().unwrap();
-    assert!(delivered.tcp().pack_option().is_none(), "PACK stripped");
+    assert!(reread(&delivered).pack.is_none(), "PACK stripped");
     assert!(delivered.verify_checksums());
     let alpha = entry(&dpa, &key_ab(), |e| e.cc.alpha_micros()).expect("DCTCP publishes alpha");
     assert!(alpha <= 1_000_000, "alpha {alpha}e-6 escaped [0, 1]");

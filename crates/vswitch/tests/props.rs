@@ -2,13 +2,22 @@
 //! through it, invariants must hold.
 
 use acdc_packet::{
-    Ecn, FlowKey, Ipv4Repr, Segment, SeqNumber, TcpFlags, TcpOption, TcpRepr, PROTO_TCP,
+    Ecn, FlowKey, Ipv4Repr, PacketMeta, Segment, SeqNumber, TcpFlags, TcpOption, TcpRepr, PROTO_TCP,
 };
 use acdc_vswitch::{AcdcConfig, AcdcDatapath, Verdict, VirtualCc};
+use bytes::BytesMut;
 use proptest::prelude::*;
 
 const A: [u8; 4] = [10, 0, 0, 1];
 const B: [u8; 4] = [10, 0, 0, 2];
+
+/// `seg`'s headers read afresh, as the next hop would read them.
+fn reread(seg: &Segment) -> PacketMeta {
+    Segment::from_header_bytes(BytesMut::from(seg.header_bytes()), seg.payload_len())
+        .expect("datapath output reads back")
+        .try_meta()
+        .expect("a read segment has its meta")
+}
 
 fn ip(src: [u8; 4], dst: [u8; 4], ecn: Ecn) -> Ipv4Repr {
     Ipv4Repr {
@@ -117,7 +126,7 @@ proptest! {
                             prop_assert!(a.verify_checksums());
                             if let Some(d) = dpa.ingress(now, a).forwarded() {
                                 prop_assert!(d.verify_checksums());
-                                prop_assert!(d.tcp().pack_option().is_none(), "PACK leaked");
+                                prop_assert!(reread(&d).pack.is_none(), "PACK leaked");
                                 prop_assert!(!d.tcp_flags().contains(TcpFlags::ECE), "ECE leaked");
                                 prop_assert!(d.tcp().window() <= wnd, "window may only shrink");
                             }
@@ -179,7 +188,7 @@ proptest! {
             // The receiver guest acks; feedback rides along.
             let ack = ack_seg(off, 60_000, false);
             if let Some(a) = dpb.egress(now, ack).forwarded() {
-                if let Some(p) = a.tcp().pack_option() {
+                if let Some(p) = reread(&a).pack {
                     total_reported += u64::from(p.total_bytes);
                     marked_reported += u64::from(p.marked_bytes);
                 }

@@ -80,11 +80,10 @@ pub static P003: Rule = Rule {
 
 pub static P004: Rule = Rule {
     id: "P004",
-    name: "reparse-on-meta",
-    summary: "no Ipv4Repr/TcpRepr/UdpRepr::parse or tcp_repr, and no \
-              unwrap/expect hung on try_meta(..)/::parse(..), in any crate's \
-              src/ but packet, bench and xtask (segments carry cached \
-              PacketMeta; wire input is dropped and counted, never a panic)",
+    name: "panic-on-wire-read",
+    summary: "no unwrap/expect hung on from_header_bytes(..) in any crate's \
+              src/ but packet, bench and xtask (wire bytes that do not read \
+              as a segment are dropped and counted, never a panic)",
 };
 
 pub static P005: Rule = Rule {
@@ -279,41 +278,32 @@ fn src_crate(path: &str) -> Option<&str> {
     tail.starts_with("src/").then_some(name)
 }
 
-/// P004's second half: the method hung directly on a `try_meta(..)` or
-/// `::parse(..)` call that starts on line `idx`, when that method is
-/// `unwrap` or `expect` — on the same line, or leading the next line,
-/// which is where rustfmt puts it once the chain is too long.
-fn panics_on_wire_parse(file: &SourceFile, idx: usize) -> Option<&'static str> {
+/// P004: the method hung directly on a `from_header_bytes(..)` call that
+/// starts on line `idx`, when that method is `unwrap` or `expect` — on
+/// the same line, or leading the next line, which is where rustfmt puts
+/// it once the chain is too long.
+fn panics_on_wire_read(file: &SourceFile, idx: usize) -> Option<&'static str> {
+    const CALL: &str = "from_header_bytes(";
     let code = file.lines[idx].code.as_str();
-    for call in ["try_meta(", "::parse("] {
-        let Some(args) = code.find(call).map(|at| &code[at + call.len()..]) else {
-            continue;
-        };
-        let mut depth = 1usize;
-        let Some(close) = args.find(|c| {
-            match c {
-                '(' => depth += 1,
-                ')' => depth -= 1,
-                _ => {}
-            }
-            depth == 0
-        }) else {
-            continue;
-        };
-        let mut next = args[close + 1..].trim();
-        if next.is_empty() {
-            next = file.lines.get(idx + 1).map_or("", |l| l.code.trim());
+    let args = &code[code.find(CALL)? + CALL.len()..];
+    let mut depth = 1usize;
+    let close = args.find(|c| {
+        match c {
+            '(' => depth += 1,
+            ')' => depth -= 1,
+            _ => {}
         }
-        for method in ["unwrap", "expect"] {
-            let hung = next
-                .strip_prefix('.')
-                .and_then(|n| n.trim_start().strip_prefix(method));
-            if hung.is_some_and(|rest| rest.starts_with('(')) {
-                return Some(method);
-            }
-        }
+        depth == 0
+    })?;
+    let mut next = args[close + 1..].trim();
+    if next.is_empty() {
+        next = file.lines.get(idx + 1).map_or("", |l| l.code.trim());
     }
-    None
+    ["unwrap", "expect"].into_iter().find(|method| {
+        next.strip_prefix('.')
+            .and_then(|n| n.trim_start().strip_prefix(method))
+            .is_some_and(|rest| rest.starts_with('('))
+    })
 }
 
 /// The rules applied to one file, line by line (W002 keeps guard state
@@ -333,11 +323,10 @@ pub fn lint_lines(path: &str, file: &SourceFile, findings: &mut Vec<Finding>) {
         .any(|p| path.starts_with(p))
         && path != "crates/packet/src/seq.rs";
     let p002_scope = !path.starts_with("crates/packet/") && !in_xtask;
-    // P004 guards the single-parse pipeline: every crate a Segment can
-    // flow through reads the cached PacketMeta instead of re-parsing wire
-    // bytes, and treats a failed parse as a drop. The packet crate *is*
-    // the parser; scoped to src/ so tests may still round-trip through
-    // Reprs.
+    // P004 guards the one place wire bytes are read: every crate a
+    // Segment can flow through treats bytes that do not read as a drop.
+    // The packet crate *is* the reader; scoped to src/ so tests may
+    // unwrap the bytes they built.
     let p004_scope = krate.is_some_and(|c| !matches!(c, "packet" | "bench" | "xtask"));
     // P005 guards the bounded flow table: only the vswitch's own table and
     // datapath may mint flow entries, so the capacity/admission gate and
@@ -413,24 +402,10 @@ pub fn lint_lines(path: &str, file: &SourceFile, findings: &mut Vec<Finding>) {
         }
 
         if p004_scope {
-            for tok in [
-                "Ipv4Repr::parse",
-                "TcpRepr::parse",
-                "UdpRepr::parse",
-                "tcp_repr",
-            ] {
-                if contains_token(code, tok) {
-                    hits.push((
-                        &P004,
-                        format!("`{tok}` re-parses header bytes the segment's PacketMeta cache already holds; use Segment::try_meta and the maintained accessors"),
-                    ));
-                    break;
-                }
-            }
-            if let Some(method) = panics_on_wire_parse(file, idx) {
+            if let Some(method) = panics_on_wire_read(file, idx) {
                 hits.push((
                     &P004,
-                    format!("`.{method}()` on a wire-input parse; a frame that fails to parse is dropped and counted, never a panic"),
+                    format!("`.{method}()` on a wire read; bytes that do not read as a segment are dropped and counted, never a panic"),
                 ));
             }
         }
@@ -646,59 +621,45 @@ mod tests {
     }
 
     #[test]
-    fn p004_bans_reparse_everywhere_a_segment_flows() {
-        let src = "let t = TcpRepr::parse(&seg.tcp())?;\n";
+    fn p004_bans_panics_on_a_wire_read_everywhere_a_segment_flows() {
+        let src = "let s = Segment::from_header_bytes(buf, len).unwrap();\n";
         for krate in ["vswitch", "core", "workers", "soak", "telemetry"] {
             let path = format!("crates/{krate}/src/x.rs");
             assert_eq!(run(&path, src), vec!["P004"], "{path}");
         }
-        // The packet crate *is* the parser; benches and tests round-trip
-        // through Reprs on purpose.
+        // The packet crate *is* the reader; benches and tests unwrap the
+        // bytes they built.
         assert!(run("crates/packet/src/segment.rs", src).is_empty());
         assert!(run("crates/bench/src/x.rs", src).is_empty());
         assert!(run("crates/bench/harness/src/x.rs", src).is_empty());
         assert!(run("crates/vswitch/tests/x.rs", src).is_empty());
-        // The convenience helper counts as a re-parse too.
-        assert_eq!(
-            run("crates/tcp/src/x.rs", "let r = seg.tcp_repr()?;\n"),
-            vec!["P004"]
-        );
-        // Identifier boundaries: `my_tcp_repr` must not fire.
-        assert!(run("crates/tcp/src/x.rs", "let r = my_tcp_repr();\n").is_empty());
-    }
-
-    #[test]
-    fn p004_bans_panics_hung_on_a_wire_parse() {
         let p = "crates/core/src/x.rs";
-        assert_eq!(run(p, "let m = seg.try_meta().unwrap();\n"), vec!["P004"]);
         assert_eq!(
-            run(p, "let k = CcKind::parse(name(x)) . expect(\"known\");\n"),
+            run(
+                p,
+                "let s = Segment::from_header_bytes(f(b), 0) . expect(\"ok\");\n"
+            ),
             vec!["P004"]
         );
         // rustfmt's wrapped form: the method leads the continuation line.
         assert_eq!(
             run(
                 p,
-                "let m = seg.try_meta()\n    .expect(\"parses\")\n    .flow;\n"
+                "let s = Segment::from_header_bytes(buf, 0)\n    .expect(\"reads\")\n    .flow_key();\n"
             ),
             vec!["P004"]
         );
-        // Fallible handling, and a default rather than a panic, are the
-        // blessed shapes; an unwrap further down the chain is not *on*
-        // the parse.
+        // Fallible handling is the blessed shape; an unwrap further down
+        // the chain is not *on* the read, and other calls are not reads.
         for ok in [
-            "let Ok(m) = seg.try_meta() else { return };\n",
-            "let f = seg.try_meta().map(|m| m.flow).unwrap_or(NO_FLOW);\n",
-            "let m = seg.try_meta()\n    .ok()?;\n",
-            "let v = Json::parse(text)?;\nlet w = x\n    .unwrap();\n",
+            "let Ok(s) = Segment::from_header_bytes(buf, 0) else { return };\n",
+            "let s = Segment::from_header_bytes(buf, 0)\n    .ok()?;\n",
+            "let s = Segment::from_header_bytes(buf, 0)?;\nlet w = x\n    .unwrap();\n",
+            "let m = seg.try_meta().unwrap();\n",
+            "let k = CcKind::parse(name).expect(\"known\");\n",
         ] {
             assert!(run(p, ok).is_empty(), "{ok}");
         }
-        assert!(run(
-            "crates/core/tests/x.rs",
-            "let m = seg.try_meta().unwrap();\n"
-        )
-        .is_empty());
     }
 
     #[test]

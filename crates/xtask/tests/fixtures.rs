@@ -33,9 +33,9 @@ const TRIPPING: &[(&str, &str, &str, usize)] = &[
     ("P001", "p001_seq_arith", "crates/tcp/src/bad.rs", 1),
     ("P002", "p002_wscale_shift", "crates/vswitch/src/bad.rs", 1),
     ("P003", "p003_alpha_eq", "crates/cc/src/bad.rs", 1),
-    // A re-parse, an unwrap on a wire parse, and the rustfmt-wrapped
-    // expect: all three shapes of the rule.
-    ("P004", "p004_reparse", "crates/vswitch/src/bad.rs", 3),
+    // An unwrap on a wire read and the rustfmt-wrapped expect: both
+    // shapes of the rule.
+    ("P004", "p004_wire_read", "crates/vswitch/src/bad.rs", 2),
     ("P005", "p005_flow_admission", "crates/core/src/bad.rs", 1),
     // Holds one `Copy` snapshot struct (structurally exempt) and one
     // fresh raw counter: exactly the fresh one must fire.
