@@ -30,7 +30,6 @@ use acdc_stats::TimeSeries;
 use acdc_tcp::{Endpoint, TcpConfig};
 use acdc_telemetry::{Counter, EventKind, Telemetry, NO_FLOW};
 use acdc_vswitch::{AcdcConfig, AcdcDatapath, Verdict};
-use acdc_workers::{Direction, WorkerEngine};
 use acdc_workloads::apps::App;
 
 /// Identifies one flow end-to-end in a [`crate::Testbed`].
@@ -282,10 +281,6 @@ pub struct HostNode {
     corrupt_drops: Counter,
     /// Next scheduled vSwitch maintenance tick.
     next_dp_tick: Nanos,
-    /// RSS-style worker engine: when set, every packet goes through
-    /// [`WorkerEngine::dispatch`] (run-to-completion on the steered
-    /// worker's sink) instead of the single-threaded entry points.
-    workers: Option<WorkerEngine>,
 }
 
 impl HostNode {
@@ -311,30 +306,14 @@ impl HostNode {
             armed: None,
             corrupt_drops,
             next_dp_tick: DP_TICK_PERIOD,
-            workers: None,
         }
-    }
-
-    /// Route this host's datapath through an `n`-worker engine
-    /// (dispatch mode: packets are steered by flow hash and processed
-    /// run-to-completion in delivery order, so enforcement semantics are
-    /// identical to the single-threaded path for any `n`; only the
-    /// observability routing changes). `n = 0` removes the engine.
-    pub fn set_workers(&mut self, n: usize) {
-        self.workers = (n > 0).then(|| WorkerEngine::new(&self.datapath, n));
-    }
-
-    /// The worker engine, if [`HostNode::set_workers`] installed one.
-    pub fn worker_engine(&self) -> Option<&WorkerEngine> {
-        self.workers.as_ref()
     }
 
     /// Swap in a freshly constructed datapath of the same configuration —
     /// the restore half of a checkpoint/restore cycle (DESIGN.md §14).
     /// The host's own NIC counter (`host.corrupt_drops`) is re-registered
-    /// in the new hub with its current value carried over, the worker
-    /// engine (if any) is rebuilt at the same worker count against the
-    /// new datapath, and the maintenance-tick schedule is untouched.
+    /// in the new hub with its current value carried over, and the
+    /// maintenance-tick schedule is untouched.
     /// Returns the replaced datapath (e.g. to compare against the
     /// restored one). A subsequent
     /// `AcdcDatapath::restore` on the new datapath overwrites the carried
@@ -344,21 +323,8 @@ impl HostNode {
         let fresh = AcdcDatapath::new(self.datapath.config().clone());
         let corrupt_drops = fresh.telemetry().registry().counter("host.corrupt_drops");
         corrupt_drops.add(self.corrupt_drops.get());
-        let n = self.workers.as_ref().map_or(0, |e| e.workers());
-        self.workers = (n > 0).then(|| WorkerEngine::new(&fresh, n));
         self.corrupt_drops = corrupt_drops;
         std::mem::replace(&mut self.datapath, fresh)
-    }
-
-    /// Run a segment through the datapath in the configured mode.
-    fn dp_process(&self, now: Nanos, dir: Direction, seg: Segment) -> Verdict {
-        match &self.workers {
-            Some(engine) => engine.dispatch(&self.datapath, now, dir, seg),
-            None => match dir {
-                Direction::Egress => self.datapath.egress(now, seg),
-                Direction::Ingress => self.datapath.ingress(now, seg),
-            },
-        }
     }
 
     /// Packets dropped at the NIC for failing checksum verification
@@ -506,7 +472,7 @@ impl HostNode {
     /// never wait, and the engine only reports queue departures).
     fn send_out(&mut self, ctx: &mut Ctx<'_>, seg: Segment) -> u64 {
         let now = ctx.now();
-        match self.dp_process(now, Direction::Egress, seg) {
+        match self.datapath.egress(now, seg) {
             Verdict::Forward(s) => self.rl_transmit(ctx, s),
             Verdict::ForwardWithExtra(s, extra) => {
                 self.rl_transmit(ctx, s) + self.rl_transmit(ctx, extra)
@@ -738,7 +704,7 @@ impl Node for HostNode {
             return;
         }
         let key = meta.flow.reverse();
-        match self.dp_process(now, Direction::Ingress, seg) {
+        match self.datapath.ingress(now, seg) {
             Verdict::Forward(s) => {
                 if let Some(&idx) = self.by_key.get(&key) {
                     self.conns[idx].ep.on_segment(now, &s);

@@ -64,9 +64,6 @@ pub struct Testbed {
     iss: u32,
     acdc_tweak: Option<AcdcTweak>,
     mark_bytes: u64,
-    /// Worker count installed on every host added from now on (0 = the
-    /// legacy single-threaded datapath entry points).
-    workers: usize,
     /// Fault plans for host access links, by future host index (set
     /// before `build_*`; applied in [`Testbed::add_host`]).
     host_fault_plans: BTreeMap<usize, FaultPlan>,
@@ -112,7 +109,6 @@ impl Testbed {
             iss: 7,
             acdc_tweak: None,
             mark_bytes: DEFAULT_MARK_THRESHOLD,
-            workers: 0,
             host_fault_plans: BTreeMap::new(),
             trunk_fault_plan: None,
             host_fault_taps: BTreeMap::new(),
@@ -145,15 +141,6 @@ impl Testbed {
     /// per-flow policies, policing and RWND caps).
     pub fn set_acdc_tweak(&mut self, tweak: impl Fn(&mut acdc_vswitch::AcdcConfig) + 'static) {
         self.acdc_tweak = Some(Box::new(tweak));
-    }
-
-    /// Route the vSwitch of every host added from now on through an
-    /// `n`-worker RSS engine ([`HostNode::set_workers`]). Dispatch mode
-    /// keeps enforcement semantics identical to the single-threaded path
-    /// for any `n`; `n = 0` (the default) keeps the legacy entry points.
-    /// Call before `build_*`.
-    pub fn set_workers(&mut self, n: usize) {
-        self.workers = n;
     }
 
     /// Inject faults on the access link of the host that will get index
@@ -203,10 +190,7 @@ impl Testbed {
         if let Some(tweak) = &self.acdc_tweak {
             tweak(&mut acdc_cfg);
         }
-        let mut host = HostNode::new(ip, host_port, acdc_cfg);
-        if self.workers > 0 {
-            host.set_workers(self.workers);
-        }
+        let host = HostNode::new(ip, host_port, acdc_cfg);
         let host_hub = Arc::clone(host.telemetry());
         self.net.install(node, Box::new(host));
         // A faulted access link reports onto its host's hub, so one dump

@@ -25,8 +25,8 @@
 //! buffer is fully overwritten (cleared, then zero-filled or copied into)
 //! before anything reads it, and the meta on `Segment` is built by the
 //! constructor, never inherited from the buffer's previous life
-//! (pinned by the pool-coherence proptest in this crate's tests). Under
-//! parallel dispatch a lost `try_lock` race can vary run to run, but it
+//! (pinned by the pool-coherence proptest in this crate's tests). In a
+//! threaded batch a lost `try_lock` race can vary run to run, but it
 //! only decides *which allocation* backs a segment, never its contents.
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -43,7 +43,6 @@ fn parse_flows(text: &str) -> Option<u64> {
 fn main() {
     let mut target_flows: u64 = 100_000;
     let mut duration_secs: u64 = 3_600;
-    let mut workers: usize = 2;
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -63,11 +62,7 @@ fn main() {
                 duration_secs = need(i).parse().expect("--duration-secs N");
                 i += 2;
             }
-            "--workers" => {
-                workers = need(i).parse().expect("--workers N");
-                i += 2;
-            }
-            other => panic!("unknown arg `{other}` (see --flows/--duration-secs/--workers)"),
+            other => panic!("unknown arg `{other}` (see --flows/--duration-secs)"),
         }
     }
 
@@ -84,7 +79,6 @@ fn main() {
         seed: 0xAC0_DC10,
         duration,
         slice: 10 * MILLISECOND,
-        workers,
         foreground: 1,
         rate_bps: 2_000_000,
         churn: ChurnConfig {
@@ -113,7 +107,7 @@ fn main() {
 
     eprintln!(
         "soak_acceptance: target {target_flows} flows over {duration_secs}s \
-         ({flows_per_wave}/wave), workers={workers}"
+         ({flows_per_wave}/wave)"
     );
     let report = match run_soak(&cfg) {
         Ok(r) => r,

@@ -9,20 +9,17 @@
 //! 4. at the configured moment, captures a mid-run checkpoint — and, in
 //!    restore mode, swaps in a fresh datapath and restores into it;
 //! 5. every `sample_every` slices, feeds a [`WatchdogSample`] to the
-//!    [`Watchdog`]; a violation dumps every flight recorder under
-//!    `target/acdc-traces/soak-<name>/` and aborts the run.
+//!    [`Watchdog`]; a violation dumps the watched host's flight
+//!    recorder to `target/acdc-traces/soak-<name>/main.jsonl` and aborts
+//!    the run.
 //!
 //! The checkpoint/restore equivalence contract: a run with
 //! `restore = true` must produce a [`SoakReport`] — mid checkpoint,
-//! final checkpoint and merged metric snapshot, all byte-for-byte —
-//! equal to the same config with `restore = false`. The soak tests pin
-//! this at worker counts 0, 2 and 4.
+//! final checkpoint and metric snapshot, all byte-for-byte — equal to
+//! the same config with `restore = false`. The soak tests pin this.
 
-use std::sync::Arc;
-
-use acdc_core::{FlowHandle, HostNode, Scheme, Testbed};
+use acdc_core::{FlowHandle, Scheme, Testbed};
 use acdc_stats::time::{Nanos, MILLISECOND, SECOND};
-use acdc_telemetry::Telemetry;
 use acdc_vswitch::DatapathCheckpoint;
 use acdc_workers::Direction;
 
@@ -42,8 +39,6 @@ pub struct SoakConfig {
     /// Driver slice; the vSwitch maintenance tick is 10 ms, so slices
     /// below that oversample harmlessly.
     pub slice: Nanos,
-    /// Worker-engine size on every host (0 = single-threaded path).
-    pub workers: usize,
     /// Foreground dumbbell pairs (endpoint-backed long-lived bulk
     /// flows); at least 1, to keep maintenance ticks and ground-truth
     /// probes alive.
@@ -65,7 +60,7 @@ pub struct SoakConfig {
     pub restore: bool,
     /// `max_flows` cap applied to every host's datapath.
     pub max_flows: usize,
-    /// Watchdog bound on summed flight-recorder `dropped_events`.
+    /// Watchdog bound on the flight recorder's `dropped_events`.
     pub dropped_events_bound: u64,
     /// Watchdog cadence, in slices.
     pub sample_every: u64,
@@ -78,13 +73,12 @@ impl SoakConfig {
     /// A seconds-scale smoke configuration: every soak ingredient
     /// (churn, a storm, a reset, watchdog samples) squeezed into two
     /// virtual seconds, fast enough for the tier-1 suite.
-    pub fn smoke(name: &'static str, workers: usize) -> SoakConfig {
+    pub fn smoke(name: &'static str) -> SoakConfig {
         SoakConfig {
             name,
             seed: 0xAC0_DC09,
             duration: 2 * SECOND,
             slice: 10 * MILLISECOND,
-            workers,
             foreground: 1,
             rate_bps: 50_000_000,
             churn: ChurnConfig {
@@ -113,8 +107,6 @@ impl SoakConfig {
 /// with or without a mid-run restore — must compare equal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SoakReport {
-    /// Worker count the run used.
-    pub workers: usize,
     /// Distinct flows driven: churn launches plus foreground pairs.
     pub distinct_flows: u64,
     /// Scheduled resets actually applied.
@@ -134,58 +126,8 @@ pub struct SoakReport {
     pub mid_checkpoint_json: Option<String>,
     /// The watched host's final-state checkpoint, serialized.
     pub final_checkpoint_json: String,
-    /// The watched host's final merged metric snapshot
-    /// (`acdc-telemetry/v2`).
-    pub merged_snapshot_json: String,
-}
-
-/// Serialize the watched host's datapath — main hub plus the worker
-/// hubs in sink order — at virtual time `at`.
-fn checkpoint_json(host: &HostNode, at: Nanos) -> String {
-    let hub_arcs: Vec<Arc<Telemetry>> = host
-        .worker_engine()
-        .map(|e| e.hub_arcs())
-        .unwrap_or_default();
-    let hubs: Vec<&Telemetry> = hub_arcs.iter().map(|a| a.as_ref()).collect();
-    host.datapath().checkpoint(at, &hubs).to_json()
-}
-
-/// Inject one crafted segment the way the NIC would: through the worker
-/// engine when one is installed, else the single-threaded entry points.
-fn inject(host: &HostNode, now: Nanos, dir: Direction, seg: acdc_packet::Segment) {
-    let dp = host.datapath();
-    let _ = match host.worker_engine() {
-        Some(engine) => engine.dispatch(dp, now, dir, seg),
-        None => match dir {
-            Direction::Egress => dp.egress(now, seg),
-            Direction::Ingress => dp.ingress(now, seg),
-        },
-    };
-}
-
-/// The watched host's merged snapshot (main + worker hubs) as
-/// `acdc-telemetry/v2` JSON.
-fn merged_json(host: &HostNode, at: Nanos) -> String {
-    match host.worker_engine() {
-        Some(engine) => engine.merged_snapshot_json(host.datapath(), at),
-        None => acdc_telemetry::merged_snapshot_json(&[host.telemetry().as_ref()], at),
-    }
-}
-
-/// Dump every flight recorder of the watched host for post-mortem.
-fn dump_traces(host: &HostNode, name: &str) {
-    let dir = acdc_telemetry::trace_dir().join(format!("soak-{name}"));
-    let _ = host
-        .telemetry()
-        .recorder()
-        .dump_to_file(&dir.join("main.jsonl"));
-    if let Some(engine) = host.worker_engine() {
-        for (i, hub) in engine.hub_arcs().iter().enumerate() {
-            let _ = hub
-                .recorder()
-                .dump_to_file(&dir.join(format!("worker{i}.jsonl")));
-        }
-    }
+    /// The watched host's final metric snapshot (`acdc-telemetry/v2`).
+    pub snapshot_json: String,
 }
 
 /// Capture, serialize, parse and restore the watched host's datapath
@@ -198,28 +140,11 @@ fn restore_cycle(
     series_cap: usize,
 ) -> Result<String, String> {
     let host = tb.host_mut(host_idx);
-    let json = checkpoint_json(host, at);
+    let json = host.datapath().checkpoint(at, &[]).to_json();
     let ckpt = DatapathCheckpoint::from_json(&json)?;
     let _old = host.replace_datapath();
     host.telemetry().registry().set_series_cap(series_cap);
     host.datapath().restore(&ckpt)?;
-    if let Some(engine) = host.worker_engine() {
-        if engine.workers() != ckpt.workers {
-            return Err(format!(
-                "checkpoint has {} worker hubs, engine has {}",
-                ckpt.workers,
-                engine.workers()
-            ));
-        }
-        for (i, hub) in ckpt.worker_hubs.iter().enumerate() {
-            hub.apply(engine.sink(i).telemetry())?;
-        }
-    } else if ckpt.workers != 0 {
-        return Err(format!(
-            "checkpoint has {} worker hubs but no engine is installed",
-            ckpt.workers
-        ));
-    }
     Ok(json)
 }
 
@@ -230,7 +155,6 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, Violation> {
     assert!(cfg.foreground >= 1, "need at least one foreground pair");
 
     let mut tb = Testbed::custom(Scheme::acdc(), 1_500);
-    tb.set_workers(cfg.workers);
     let max_flows = cfg.max_flows;
     tb.set_acdc_tweak(move |c| {
         c.max_flows = Some(max_flows);
@@ -279,9 +203,12 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, Violation> {
         // Churn waves due at this boundary.
         let wave = churn.poll(t);
         if !wave.is_empty() {
-            let host = tb.host_mut(watched);
+            let dp = tb.host_mut(watched).datapath();
             for (dir, seg) in wave {
-                inject(host, t, dir, seg);
+                let _ = match dir {
+                    Direction::Egress => dp.egress(t, seg),
+                    Direction::Ingress => dp.ingress(t, seg),
+                };
             }
         }
 
@@ -301,7 +228,7 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, Violation> {
                     detail: e,
                 })?
             } else {
-                checkpoint_json(tb.host_mut(watched), t)
+                tb.host_mut(watched).datapath().checkpoint(t, &[]).to_json()
             };
             mid_checkpoint_json = Some(json);
         }
@@ -324,23 +251,20 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, Violation> {
             let host = tb.host_mut(watched);
             let watched_occupancy = host.datapath().flows();
             max_occupancy = max_occupancy.max(watched_occupancy);
-            let hub_arcs: Vec<Arc<Telemetry>> = host
-                .worker_engine()
-                .map(|e| e.hub_arcs())
-                .unwrap_or_default();
-            let mut hubs: Vec<&Telemetry> = vec![host.telemetry().as_ref()];
-            hubs.extend(hub_arcs.iter().map(|a| a.as_ref()));
+            let hub = host.telemetry();
             let sample = WatchdogSample {
                 at: t,
                 occupancy,
                 health_rung: host.datapath().health().rung(),
                 watched_occupancy,
-                dropped_events: acdc_telemetry::merged_dropped_events(&hubs),
-                metrics: acdc_telemetry::merge_snapshots(&hubs),
+                dropped_events: hub.recorder().overwritten(),
+                metrics: hub.registry().snapshot_all(),
                 probes,
             };
             if let Err(v) = watchdog.check(&sample) {
-                dump_traces(tb.host_mut(watched), cfg.name);
+                let path =
+                    acdc_telemetry::trace_dir().join(format!("soak-{}/main.jsonl", cfg.name));
+                let _ = hub.recorder().dump_to_file(&path);
                 return Err(v);
             }
         }
@@ -349,10 +273,9 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, Violation> {
     let acked: Vec<u64> = handles.iter().map(|h| tb.acked_bytes(*h)).collect();
     let engine_events = tb.net.events_processed();
     let host = tb.host_mut(watched);
-    let final_checkpoint_json = checkpoint_json(host, cfg.duration);
-    let merged_snapshot_json = merged_json(host, cfg.duration);
+    let final_checkpoint_json = host.datapath().checkpoint(cfg.duration, &[]).to_json();
+    let snapshot_json = host.telemetry().snapshot_json(cfg.duration);
     Ok(SoakReport {
-        workers: cfg.workers,
         distinct_flows: churn.launched() + cfg.foreground as u64,
         resets_applied,
         storms: cfg.storms.storms(),
@@ -362,6 +285,6 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, Violation> {
         engine_events,
         mid_checkpoint_json,
         final_checkpoint_json,
-        merged_snapshot_json,
+        snapshot_json,
     })
 }

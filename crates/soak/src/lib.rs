@@ -22,12 +22,12 @@
 //!   ([`acdc_core::HostNode::replace_datapath`]), restore, and require
 //!   the continuation to be byte-identical to the uninterrupted run;
 //! * **watchdog** ([`Watchdog`]): every few ticks the driver samples
-//!   occupancy, health, merged counters and the vSwitch-vs-endpoint
+//!   occupancy, health, the watched host's counters and the vSwitch-vs-endpoint
 //!   sequence views, and enforces the invariant catalog (occupancy
 //!   under the cap, counters monotone, bounded flight-recorder loss, a
 //!   health ladder that never wedges, sequence reconstruction inside
-//!   the endpoint's ground-truth window). A violation dumps every
-//!   flight recorder under `target/acdc-traces/` and fails the run.
+//!   the endpoint's ground-truth window). A violation dumps the watched
+//!   host's flight recorder under `target/acdc-traces/` and fails the run.
 //!
 //! Everything is virtual-time deterministic: the same [`SoakConfig`]
 //! produces byte-identical [`SoakReport`]s, which is what makes the

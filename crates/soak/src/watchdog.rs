@@ -6,15 +6,15 @@
 //! The driver hands the watchdog a [`WatchdogSample`] every few
 //! maintenance ticks; the watchdog enforces the catalog below and
 //! returns the first [`Violation`] it finds, at which point the driver
-//! dumps every flight recorder and fails the run. The invariants
+//! dumps the watched host's flight recorder and fails the run. The invariants
 //! (DESIGN.md §14):
 //!
 //! 1. **occupancy-cap** — no host's flow table ever exceeds the
 //!    configured `max_flows` cap;
-//! 2. **counter-monotone** — every merged metric of counter kind is
+//! 2. **counter-monotone** — every metric of counter kind is
 //!    non-decreasing between samples (a decrease means lost or
 //!    corrupted state, e.g. a checkpoint restored over live counters);
-//! 3. **dropped-events-bound** — the summed flight-recorder
+//! 3. **dropped-events-bound** — the flight recorder's
 //!    `dropped_events` tally stays monotone and under the scenario
 //!    bound (a runaway event storm is a bug even when the ring absorbs
 //!    it);
@@ -39,7 +39,7 @@ use acdc_telemetry::{MetricKind, MetricValue};
 pub struct WatchdogConfig {
     /// The datapath's `max_flows` cap (invariants 1 and 4).
     pub max_flows: usize,
-    /// Hard bound on summed `dropped_events` (invariant 3).
+    /// Hard bound on `dropped_events` (invariant 3).
     pub dropped_events_bound: u64,
     /// The ladder's `PassThrough → LogOnly` recovery watermark, as a
     /// percentage of `max_flows` (invariant 4).
@@ -72,10 +72,9 @@ pub struct WatchdogSample {
     pub health_rung: u8,
     /// The watched host's occupancy (drives the wedge check).
     pub watched_occupancy: usize,
-    /// Summed flight-recorder `dropped_events` across the watched
-    /// host's hubs.
+    /// The watched host's flight-recorder `dropped_events` tally.
     pub dropped_events: u64,
-    /// Deterministically merged metrics of the watched host.
+    /// The watched host's metrics, sorted by name.
     pub metrics: Vec<MetricValue>,
     /// Foreground sequence-view probes.
     pub probes: Vec<FlowProbe>,

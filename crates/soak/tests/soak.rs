@@ -14,7 +14,7 @@ const HOUR: Nanos = 3_600 * SECOND;
 
 #[test]
 fn smoke_soak_passes_watchdog_and_replays_identically() {
-    let cfg = SoakConfig::smoke("smoke-n0", 0);
+    let cfg = SoakConfig::smoke("smoke");
     let a = run_soak(&cfg).expect("smoke soak must pass the watchdog");
     assert_eq!(a.resets_applied, 1, "the scheduled reset must fire");
     assert_eq!(a.storms, 1);
@@ -35,67 +35,50 @@ fn smoke_soak_passes_watchdog_and_replays_identically() {
     assert_eq!(a, b, "same config must replay byte-identically");
 }
 
-#[test]
-fn smoke_soak_watchdog_passes_with_workers() {
-    for workers in [2usize, 4] {
-        let r = run_soak(&SoakConfig::smoke("smoke-workers", workers))
-            .expect("worker-mode smoke soak must pass the watchdog");
-        assert_eq!(r.workers, workers);
-        assert!(r.acked[0] > 0);
-    }
-}
-
 /// The acceptance-criterion core: a checkpoint captured mid-soak and
 /// restored into a fresh datapath must leave the rest of the run —
-/// final checkpoint, merged metric snapshot, acked bytes, simulator
-/// event count — byte-identical to the uninterrupted run, at every
-/// supported worker count.
+/// final checkpoint, metric snapshot, acked bytes, simulator event
+/// count — byte-identical to the uninterrupted run.
 #[test]
-fn checkpoint_restore_mid_soak_is_byte_identical_at_0_2_4_workers() {
-    for workers in [0usize, 2, 4] {
-        let mut cfg = SoakConfig::smoke("ckpt-equivalence", workers);
-        cfg.checkpoint_at = Some(900 * MILLISECOND);
+fn checkpoint_restore_mid_soak_is_byte_identical() {
+    let mut cfg = SoakConfig::smoke("ckpt-equivalence");
+    cfg.checkpoint_at = Some(900 * MILLISECOND);
 
-        let uninterrupted = run_soak(&cfg).expect("A side must pass");
-        cfg.restore = true;
-        let restored = run_soak(&cfg).expect("B side (restore) must pass");
+    let uninterrupted = run_soak(&cfg).expect("A side must pass");
+    cfg.restore = true;
+    let restored = run_soak(&cfg).expect("B side (restore) must pass");
 
-        assert_eq!(
-            uninterrupted.mid_checkpoint_json, restored.mid_checkpoint_json,
-            "n={workers}: mid-run checkpoints diverge"
-        );
-        assert_eq!(
-            uninterrupted, restored,
-            "n={workers}: restored run diverged from the uninterrupted run"
-        );
-        let mid = uninterrupted
-            .mid_checkpoint_json
-            .as_deref()
-            .expect("checkpoint_at set");
-        assert!(mid.starts_with("{\"schema\":\"acdc-checkpoint/v1\""));
-        assert!(
-            mid.matches("\"workers\":").count() >= 1,
-            "checkpoint carries the worker-hub census"
-        );
-    }
+    assert_eq!(
+        uninterrupted.mid_checkpoint_json, restored.mid_checkpoint_json,
+        "mid-run checkpoints diverge"
+    );
+    assert_eq!(
+        uninterrupted, restored,
+        "restored run diverged from the uninterrupted run"
+    );
+    let mid = uninterrupted
+        .mid_checkpoint_json
+        .as_deref()
+        .expect("checkpoint_at set");
+    assert!(mid.starts_with("{\"schema\":\"acdc-checkpoint/v2\""));
 }
 
 /// Churn includes never-learned-scale (mid-stream adopted) flows; the
-/// restore cycle must keep them log-only. The merged snapshot's
+/// restore cycle must keep them log-only. The snapshot's
 /// `unscaled_rwnd_skips` counter keeps growing after the restore while
 /// staying byte-identical to the uninterrupted run — covered by the
 /// equivalence test above — so here we only pin that the skip counter
 /// is actually exercised by the soak's adopted churn flows.
 #[test]
 fn soak_exercises_no_guess_adoption_path() {
-    let r = run_soak(&SoakConfig::smoke("adoption", 0)).expect("soak");
+    let r = run_soak(&SoakConfig::smoke("adoption")).expect("soak");
     let skips = r
-        .merged_snapshot_json
+        .snapshot_json
         .split("\"acdc.unscaled_rwnd_skips\",\"kind\":\"counter\",\"value\":")
         .nth(1)
         .and_then(|rest| rest.split(['}', ',']).next())
         .and_then(|v| v.parse::<u64>().ok())
-        .expect("unscaled_rwnd_skips must be in the merged snapshot");
+        .expect("unscaled_rwnd_skips must be in the snapshot");
     assert!(
         skips > 0,
         "adopted churn flows must hit the no-guess log-only path"
@@ -113,7 +96,6 @@ fn full_hour_soak_acceptance() {
         seed: 0xAC0_DC09,
         duration: HOUR,
         slice: 10 * MILLISECOND,
-        workers: 2,
         foreground: 1,
         rate_bps: 2_000_000,
         churn: ChurnConfig {

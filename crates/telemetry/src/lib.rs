@@ -18,9 +18,9 @@
 //!   `cargo run -p acdc-xtask -- dump-trace`).
 //! * [`MetricsRegistry`] — named monotonic [`Counter`]s and [`Gauge`]s
 //!   registered once, sampled onto [`acdc_stats::TimeSeries`] from the
-//!   existing 10 ms maintenance tick, and exported through one
-//!   `snapshot_all()` JSON schema shared by tests, the soak driver and
-//!   the benchmark harness.
+//!   existing 10 ms maintenance tick, and read through one
+//!   `snapshot_all()`; [`Telemetry::snapshot_json`] writes it as the
+//!   `acdc-telemetry/v2` document the tests and the soak driver compare.
 //!
 //! ## Determinism contract
 //!
@@ -34,23 +34,23 @@
 #![warn(missing_docs)]
 
 pub mod event;
-pub mod merge;
 pub mod metrics;
 pub mod recorder;
 
 pub use event::{flow_label, key_label, Event, EventKind, NO_FLOW};
-pub use merge::{merge_snapshots, merged_dropped_events, merged_snapshot_json};
 pub use metrics::{Counter, Gauge, MetricKind, MetricValue, MetricsRegistry};
 pub use recorder::{trace_dir, FlightRecorder, TraceGuard, DEFAULT_CAPACITY};
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use acdc_packet::FlowKey;
 use acdc_stats::time::Nanos;
 
 /// One observability domain: a flight recorder plus a metrics registry,
-/// shared by every component that reports into it (an `AcdcDatapath` and
-/// its `HostNode`; a `Network`; a `FaultyLink`).
+/// shared by every component that reports into it (an `AcdcDatapath`,
+/// every thread that drives it, and its `HostNode`; a `Network`; a
+/// `FaultyLink`).
 pub struct Telemetry {
     recorder: FlightRecorder,
     registry: MetricsRegistry,
@@ -84,5 +84,66 @@ impl Telemetry {
     #[inline]
     pub fn record(&self, at: Nanos, flow: FlowKey, kind: EventKind) {
         self.recorder.record(at, flow, kind);
+    }
+
+    /// The registry's metrics in the `acdc-telemetry/v2` snapshot schema,
+    /// sorted by name like [`MetricsRegistry::snapshot_all`]:
+    ///
+    /// ```json
+    /// {"schema":"acdc-telemetry/v2","at":12345,"dropped_events":0,
+    ///  "metrics":[{"name":"acdc.packs_sent","kind":"counter","value":9}]}
+    /// ```
+    ///
+    /// `dropped_events` is the recorder's overwrite tally, so a consumer
+    /// can tell a complete event stream from one with wraparound holes.
+    pub fn snapshot_json(&self, at: Nanos) -> String {
+        let metrics = self.registry.snapshot_all();
+        let dropped = self.recorder.overwritten();
+        let mut out = String::with_capacity(64 + metrics.len() * 56);
+        let _ = write!(
+            out,
+            "{{\"schema\":\"acdc-telemetry/v2\",\"at\":{at},\"dropped_events\":{dropped},\"metrics\":["
+        );
+        for (i, m) in metrics.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(
+                out,
+                "{{\"name\":\"{}\",\"kind\":\"{}\",\"value\":{}}}",
+                m.name,
+                m.kind.name(),
+                m.value
+            );
+        }
+        out.push_str("]}");
+        out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn snapshot_json_is_v2_sorted_by_name() {
+        let hub = Telemetry::new(8);
+        hub.registry().counter("acdc.x").add(5);
+        hub.registry().gauge("acdc.g").set(2);
+        assert_eq!(
+            hub.snapshot_json(99),
+            "{\"schema\":\"acdc-telemetry/v2\",\"at\":99,\"dropped_events\":0,\"metrics\":[\
+             {\"name\":\"acdc.g\",\"kind\":\"gauge\",\"value\":2},\
+             {\"name\":\"acdc.x\",\"kind\":\"counter\",\"value\":5}]}"
+        );
+    }
+
+    #[test]
+    fn snapshot_json_carries_recorder_overwrites() {
+        let hub = Telemetry::new(2);
+        for at in 0..5 {
+            hub.record(at, NO_FLOW, EventKind::FlowCreated);
+        }
+        assert!(hub.snapshot_json(7).contains("\"dropped_events\":3"));
     }
 }

@@ -10,8 +10,7 @@
 //! [`MetricsRegistry::snapshot_all`] for point-in-time values and
 //! [`MetricsRegistry::series`] for the per-metric [`TimeSeries`] filled in
 //! by the 10 ms maintenance tick. The JSON snapshot (`acdc-telemetry/v2`)
-//! is written by [`merged_snapshot_json`](crate::merge::merged_snapshot_json)
-//! over one or more hubs.
+//! is written by [`Telemetry::snapshot_json`](crate::Telemetry::snapshot_json).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

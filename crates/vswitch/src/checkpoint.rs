@@ -5,7 +5,7 @@
 //! words, RWND-rewrite state including the learned/unlearned scale flag,
 //! sequence tracking, feedback accumulators), the health ladder and its
 //! transition trace, the GC epoch, the admission `overload_seen` latch,
-//! and every telemetry hub's counter values plus flight-recorder
+//! and the telemetry hub's counter values plus flight-recorder
 //! bookkeeping. Restoring a checkpoint into a freshly constructed
 //! datapath of the same configuration continues the run byte-identically
 //! — same counter snapshots, same subsequent event sequence numbers,
@@ -21,7 +21,7 @@
 //!
 //! ## Wire format
 //!
-//! `acdc-checkpoint/v1` is hand-rolled JSON (no serde), produced by
+//! `acdc-checkpoint/v2` is hand-rolled JSON (no serde), produced by
 //! [`DatapathCheckpoint::to_json`] and read back by
 //! [`DatapathCheckpoint::from_json`] through a small recursive-descent
 //! parser. Determinism rules (lint rule S001): flows sorted by key,
@@ -36,8 +36,9 @@ use acdc_telemetry::{key_label, Telemetry};
 
 use crate::entry::FlowEntryState;
 
-/// Schema tag every v1 checkpoint document carries.
-pub const CHECKPOINT_SCHEMA: &str = "acdc-checkpoint/v1";
+/// Schema tag every checkpoint document carries; `from_json` refuses any
+/// other.
+pub const CHECKPOINT_SCHEMA: &str = "acdc-checkpoint/v2";
 
 /// Flight-recorder bookkeeping for one hub: enough to make the restored
 /// recorder's *subsequent* event stream sequence-identical to the
@@ -50,7 +51,7 @@ pub struct RecorderCheckpoint {
     pub overwritten: u64,
 }
 
-/// One telemetry hub's checkpointed state: every registered metric's
+/// The telemetry hub's checkpointed state: every registered metric's
 /// value (sorted by name) plus the recorder bookkeeping.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HubCheckpoint {
@@ -114,10 +115,6 @@ pub struct FlowCheckpoint {
 pub struct DatapathCheckpoint {
     /// Virtual time the checkpoint was taken at.
     pub at: Nanos,
-    /// Worker count of the run (`worker_hubs.len()`; 0 = legacy
-    /// single-threaded entry points). Restore verifies the target runs
-    /// the same mode — hub counters would mis-merge otherwise.
-    pub workers: usize,
     /// The flow table's GC bookkeeping epoch at checkpoint time.
     pub gc_epoch: Nanos,
     /// The admission `overload_seen` latch (promotion hysteresis).
@@ -128,10 +125,8 @@ pub struct DatapathCheckpoint {
     pub health_trace: Vec<(Nanos, u8)>,
     /// Every tracked flow, sorted by key.
     pub flows: Vec<FlowCheckpoint>,
-    /// The datapath's main telemetry hub.
-    pub main_hub: HubCheckpoint,
-    /// Each worker's hub, in worker order (empty at `workers == 0`).
-    pub worker_hubs: Vec<HubCheckpoint>,
+    /// The datapath's telemetry hub.
+    pub hub: HubCheckpoint,
 }
 
 // ----------------------------------------------------------------------
@@ -259,15 +254,15 @@ fn write_flow(out: &mut String, f: &FlowCheckpoint) {
 }
 
 impl DatapathCheckpoint {
-    /// Serialize as one deterministic `acdc-checkpoint/v1` JSON line:
+    /// Serialize as one deterministic `acdc-checkpoint/v2` JSON line:
     /// same checkpoint ⇒ same bytes.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256 + self.flows.len() * 384);
         let _ = write!(
             out,
-            "{{\"schema\":\"{CHECKPOINT_SCHEMA}\",\"at\":{},\"workers\":{},\"gc_epoch\":{},\
+            "{{\"schema\":\"{CHECKPOINT_SCHEMA}\",\"at\":{},\"gc_epoch\":{},\
              \"overload_seen\":{},\"health\":{{\"rung\":{},\"trace\":[",
-            self.at, self.workers, self.gc_epoch, self.overload_seen, self.health_rung
+            self.at, self.gc_epoch, self.overload_seen, self.health_rung
         );
         for (i, (t, r)) in self.health_trace.iter().enumerate() {
             if i > 0 {
@@ -282,16 +277,9 @@ impl DatapathCheckpoint {
             }
             write_flow(&mut out, f);
         }
-        out.push_str("],\"main_hub\":");
-        write_hub(&mut out, &self.main_hub);
-        out.push_str(",\"worker_hubs\":[");
-        for (i, h) in self.worker_hubs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_hub(&mut out, h);
-        }
-        out.push_str("]}");
+        out.push_str("],\"hub\":");
+        write_hub(&mut out, &self.hub);
+        out.push('}');
         out
     }
 
@@ -329,25 +317,16 @@ impl DatapathCheckpoint {
             .iter()
             .map(parse_flow)
             .collect::<Result<Vec<_>, String>>()?;
-        let worker_hubs = v
-            .field("worker_hubs")?
-            .arr()?
-            .iter()
-            .map(parse_hub)
-            .collect::<Result<Vec<_>, String>>()?;
         let health_rung = health.field("rung")?.num()?;
         Ok(DatapathCheckpoint {
             at: v.field("at")?.num()?,
-            workers: usize::try_from(v.field("workers")?.num()?)
-                .map_err(|_| "worker count out of range".to_string())?,
             gc_epoch: v.field("gc_epoch")?.num()?,
             overload_seen: v.field("overload_seen")?.boolean()?,
             health_rung: u8::try_from(health_rung)
                 .map_err(|_| format!("health rung {health_rung} out of range"))?,
             health_trace,
             flows,
-            main_hub: parse_hub(v.field("main_hub")?)?,
-            worker_hubs,
+            hub: parse_hub(v.field("hub")?)?,
         })
     }
 }
@@ -729,7 +708,6 @@ mod tests {
     fn sample_checkpoint() -> DatapathCheckpoint {
         DatapathCheckpoint {
             at: 5_000_000_000,
-            workers: 2,
             gc_epoch: 4_000_000_000,
             overload_seen: true,
             health_rung: 1,
@@ -753,7 +731,7 @@ mod tests {
                     },
                 },
             ],
-            main_hub: HubCheckpoint {
+            hub: HubCheckpoint {
                 metrics: vec![
                     ("acdc.flows".to_string(), 2),
                     ("acdc.packs_sent".to_string(), 9),
@@ -763,22 +741,6 @@ mod tests {
                     overwritten: 3,
                 },
             },
-            worker_hubs: vec![
-                HubCheckpoint {
-                    metrics: vec![("acdc.packs_sent".to_string(), 4)],
-                    recorder: RecorderCheckpoint {
-                        next_seq: 4,
-                        overwritten: 0,
-                    },
-                },
-                HubCheckpoint {
-                    metrics: Vec::new(),
-                    recorder: RecorderCheckpoint {
-                        next_seq: 0,
-                        overwritten: 0,
-                    },
-                },
-            ],
         }
     }
 
@@ -809,10 +771,12 @@ mod tests {
     #[test]
     fn schema_and_shape_violations_are_errors() {
         let good = sample_checkpoint().to_json();
-        let wrong_schema = good.replace("acdc-checkpoint/v1", "acdc-checkpoint/v0");
-        assert!(DatapathCheckpoint::from_json(&wrong_schema)
-            .unwrap_err()
-            .contains("unsupported checkpoint schema"));
+        for old in ["acdc-checkpoint/v0", "acdc-checkpoint/v1"] {
+            let wrong_schema = good.replace(CHECKPOINT_SCHEMA, old);
+            assert!(DatapathCheckpoint::from_json(&wrong_schema)
+                .unwrap_err()
+                .contains("unsupported checkpoint schema"));
+        }
         assert!(DatapathCheckpoint::from_json(&good[..good.len() - 1]).is_err());
         assert!(DatapathCheckpoint::from_json("{}").is_err());
         assert!(DatapathCheckpoint::from_json("").is_err());

@@ -227,48 +227,6 @@ pub struct FlowStat {
     pub closing: bool,
 }
 
-/// Where one processing context's observability goes: a telemetry hub
-/// plus the full `acdc.*` counter set registered in that hub's registry.
-/// Enforcement state (table, health, config) is never duplicated — only
-/// observability routes.
-///
-/// The datapath holds one for itself — what [`AcdcDatapath::egress`] and
-/// [`AcdcDatapath::ingress`] count into — and the run-to-completion
-/// engine (`acdc-workers`) hands each worker its own, so per-packet
-/// counting and event recording never interleave nondeterministically
-/// across workers; at snapshot time the per-worker hubs merge
-/// deterministically (counters sum, gauges max — see
-/// `acdc-telemetry`'s merge helpers). Global concerns — the health
-/// ladder, gc, the occupancy gauges — stay on the datapath's main hub
-/// regardless of which sink processed the packet, so a merged view is
-/// always "main hub + every worker hub".
-pub struct WorkerSink {
-    telemetry: Arc<Telemetry>,
-    counters: AcdcCounters,
-}
-
-impl WorkerSink {
-    /// A fresh hub with the counter set registered under `acdc.*`.
-    fn new() -> WorkerSink {
-        let telemetry = Telemetry::with_default_capacity();
-        let counters = AcdcCounters::register(telemetry.registry());
-        WorkerSink {
-            telemetry,
-            counters,
-        }
-    }
-
-    /// The sink's private telemetry hub.
-    pub fn telemetry(&self) -> &Arc<Telemetry> {
-        &self.telemetry
-    }
-
-    /// The sink's counters (same `acdc.*` names as the main hub's).
-    pub fn counters(&self) -> &AcdcCounters {
-        &self.counters
-    }
-}
-
 /// The AC/DC datapath instance of one host's vSwitch.
 pub struct AcdcDatapath {
     cfg: AcdcConfig,
@@ -277,10 +235,12 @@ pub struct AcdcDatapath {
     /// Any admission reject since the last maintenance check? Promotion
     /// requires a clean interval, not just receded occupancy.
     overload_seen: AtomicBool,
-    /// This datapath's observability domain — the main hub (flight
-    /// recorder + registry) and its counters: the sink of the plain
-    /// `egress` / `ingress` entry points and of every global concern.
-    main: WorkerSink,
+    /// This datapath's observability domain (flight recorder +
+    /// registry): every count and event of every packet lands here,
+    /// whichever thread processed it.
+    telemetry: Arc<Telemetry>,
+    /// The `acdc.*` counters, registered in `telemetry`'s registry.
+    counters: AcdcCounters,
     /// Gauge `acdc.flows`: table occupancy, sampled on the tick.
     flows_gauge: Gauge,
     /// Gauge `acdc.health`: current rung (0 = enforcing … 2 = pass-through).
@@ -290,20 +250,22 @@ pub struct AcdcDatapath {
 impl AcdcDatapath {
     /// Create a datapath with the given configuration.
     pub fn new(cfg: AcdcConfig) -> AcdcDatapath {
-        let main = WorkerSink::new();
+        let telemetry = Telemetry::with_default_capacity();
+        let counters = AcdcCounters::register(telemetry.registry());
         let mut table = match cfg.max_flows {
             Some(cap) => FlowTable::bounded(cap, cfg.admission),
             None => FlowTable::new(),
         };
-        table.set_telemetry(Arc::clone(&main.telemetry));
-        let flows_gauge = main.telemetry.registry().gauge("acdc.flows");
-        let health_gauge = main.telemetry.registry().gauge("acdc.health");
+        table.set_telemetry(Arc::clone(&telemetry));
+        let flows_gauge = telemetry.registry().gauge("acdc.flows");
+        let health_gauge = telemetry.registry().gauge("acdc.health");
         AcdcDatapath {
             cfg,
             table,
             health: HealthCell::new(),
             overload_seen: AtomicBool::new(false),
-            main,
+            telemetry,
+            counters,
             flows_gauge,
             health_gauge,
         }
@@ -314,24 +276,16 @@ impl AcdcDatapath {
         &self.cfg
     }
 
-    /// Build a worker's observability sink: a fresh telemetry hub with
-    /// the full counter set registered under `acdc.*`. Sinks are cheap
-    /// and independent; the engine creates one per worker and merges
-    /// their snapshots after a run.
-    pub fn worker_sink(&self) -> WorkerSink {
-        WorkerSink::new()
-    }
-
     /// Event counters.
     pub fn counters(&self) -> &AcdcCounters {
-        &self.main.counters
+        &self.counters
     }
 
     /// This datapath's telemetry hub (event recorder + metrics registry).
     /// The owning host shares it for NIC-level events and drives the
     /// registry's time-series sampling from its maintenance tick.
     pub fn telemetry(&self) -> &Arc<Telemetry> {
-        &self.main.telemetry
+        &self.telemetry
     }
 
     /// The flow table (inspection; used by experiment probes).
@@ -357,12 +311,12 @@ impl AcdcDatapath {
     fn set_health(&self, now: Nanos, to: HealthState) {
         if let Some((from, to)) = self.health.transition(now, to) {
             if to > from {
-                self.main.counters.health_demotions.inc();
+                self.counters.health_demotions.inc();
             } else {
-                self.main.counters.health_promotions.inc();
+                self.counters.health_promotions.inc();
             }
             self.health_gauge.set(to as u64);
-            self.main.telemetry.record(
+            self.telemetry.record(
                 now,
                 NO_FLOW,
                 EventKind::HealthTransition {
@@ -377,31 +331,25 @@ impl AcdcDatapath {
     /// overload for the promotion logic, and drop to pass-through — if
     /// admission is failing, per-flow work is no longer trustworthy, and
     /// forwarding untouched is always safe (§3.3 fail-safe).
-    fn on_admission_reject(&self, obs: &WorkerSink, now: Nanos, key: &acdc_packet::FlowKey) {
-        obs.counters.admission_rejects.inc();
-        obs.telemetry
+    fn on_admission_reject(&self, now: Nanos, key: &acdc_packet::FlowKey) {
+        self.counters.admission_rejects.inc();
+        self.telemetry
             .record(now, *key, EventKind::AdmissionRejected);
         self.overload_seen.store(true, Ordering::Relaxed);
         self.set_health(now, HealthState::PassThrough);
     }
 
     /// Bookkeeping after a create-capable table op that was admitted.
-    fn note_admission(
-        &self,
-        obs: &WorkerSink,
-        now: Nanos,
-        key: &acdc_packet::FlowKey,
-        adm: Admission,
-    ) {
+    fn note_admission(&self, now: Nanos, key: &acdc_packet::FlowKey, adm: Admission) {
         if let Admission::CreatedAfterEviction(n) = adm {
-            obs.counters.capacity_evictions.add(n as u64);
+            self.counters.capacity_evictions.add(n as u64);
             // Stamped with the admitted flow: the table does not surface
             // the victims' keys, only how many made room.
-            obs.telemetry
+            self.telemetry
                 .record(now, *key, EventKind::FlowEvicted { reason: "capacity" });
         }
         if adm.created() {
-            obs.telemetry.record(now, *key, EventKind::FlowCreated);
+            self.telemetry.record(now, *key, EventKind::FlowCreated);
             if let Some(cap) = self.cfg.max_flows {
                 // Eager demotion on the way up; recovery is left to the
                 // maintenance tick (hysteresis lives in `update_health`).
@@ -455,11 +403,11 @@ impl AcdcDatapath {
         // re-created with pre-reset timestamps (checkpoint restores,
         // replayed traces) is spuriously collected by the next sweep.
         self.table.set_epoch(now);
-        self.main.counters.datapath_resets.inc();
+        self.counters.datapath_resets.inc();
         self.overload_seen.store(false, Ordering::Relaxed);
         self.health.force(now, HealthState::Enforcing);
         self.health_gauge.set(HealthState::Enforcing as u64);
-        self.main.telemetry.record(
+        self.telemetry.record(
             now,
             NO_FLOW,
             EventKind::DatapathReset {
@@ -480,9 +428,9 @@ impl AcdcDatapath {
     }
 
     /// The headers failed the one fallible parse: count, record, drop.
-    fn drop_malformed(obs: &WorkerSink, now: Nanos) -> Verdict {
-        obs.counters.malformed_drops.inc();
-        obs.telemetry.record(
+    fn drop_malformed(&self, now: Nanos) -> Verdict {
+        self.counters.malformed_drops.inc();
+        self.telemetry.record(
             now,
             NO_FLOW,
             EventKind::PacketDropped { cause: "malformed" },
@@ -495,14 +443,14 @@ impl AcdcDatapath {
     // ------------------------------------------------------------------
 
     /// Capture the datapath's full dynamic state at virtual time `at`.
-    /// `worker_hubs` is every worker sink's hub in worker order (empty
-    /// for the legacy single-threaded mode); the caller owns matching the
-    /// list to the engine actually driving this datapath.
+    /// `hubs` must be empty; it is there only for the benchmark harness,
+    /// which calls `checkpoint(at, &[])`.
     pub fn checkpoint(
         &self,
         at: Nanos,
-        worker_hubs: &[&Telemetry],
+        hubs: &[&Telemetry],
     ) -> crate::checkpoint::DatapathCheckpoint {
+        debug_assert!(hubs.is_empty(), "a datapath has one telemetry hub");
         use crate::checkpoint::{DatapathCheckpoint, FlowCheckpoint, HubCheckpoint};
         let mut flows: Vec<FlowCheckpoint> = Vec::with_capacity(self.table.len());
         self.table.for_each(|key, e| {
@@ -515,7 +463,6 @@ impl AcdcDatapath {
         flows.sort_by_key(|f| f.key);
         DatapathCheckpoint {
             at,
-            workers: worker_hubs.len(),
             gc_epoch: self.table.epoch(),
             overload_seen: self.overload_seen.load(Ordering::Relaxed),
             health_rung: self.health.get().rung(),
@@ -526,11 +473,7 @@ impl AcdcDatapath {
                 .map(|(t, s)| (t, s.rung()))
                 .collect(),
             flows,
-            main_hub: HubCheckpoint::capture(&self.main.telemetry),
-            worker_hubs: worker_hubs
-                .iter()
-                .map(|h| HubCheckpoint::capture(h))
-                .collect(),
+            hub: HubCheckpoint::capture(&self.telemetry),
         }
     }
 
@@ -539,10 +482,8 @@ impl AcdcDatapath {
     /// dropped first. Rebuilds every flow through the regular admission
     /// path (so policy assignment re-runs and must reproduce each flow's
     /// checkpointed CC algorithm), restores the health ladder and its
-    /// trace verbatim, stamps the GC epoch, and applies the main hub's
-    /// metric values and recorder bookkeeping. Worker hubs are *not*
-    /// applied here — the engine owns those; apply
-    /// `ckpt.worker_hubs[i]` to each of its sinks' hubs in worker order.
+    /// trace verbatim, stamps the GC epoch, and applies the hub's metric
+    /// values and recorder bookkeeping.
     ///
     /// Errors (configuration/checkpoint mismatch) leave the datapath in a
     /// partially restored state: discard it and restore into a fresh one.
@@ -601,7 +542,7 @@ impl AcdcDatapath {
         // health transition) wrote, and byte-identity means reproducing
         // exactly that staleness. The next tick resynchronizes them on
         // the same edge it would have anyway.
-        ckpt.main_hub.apply(&self.main.telemetry)?;
+        ckpt.hub.apply(&self.telemetry)?;
         Ok(ckpt.flows.len())
     }
 
@@ -609,25 +550,15 @@ impl AcdcDatapath {
     // Egress: VM → network
     // ------------------------------------------------------------------
 
-    /// Process a packet leaving the guest toward the network, counting
-    /// and recording on the datapath's main hub.
-    pub fn egress(&self, now: Nanos, seg: Segment) -> Verdict {
-        self.egress_via(&self.main, now, seg)
-    }
-
-    /// [`AcdcDatapath::egress`] with observability routed to `obs` — a
-    /// worker's sink — instead of the datapath's main hub. Same table,
-    /// same health ladder, same enforcement decisions — only where
-    /// counters bump and events record moves, so N workers produce the
-    /// same packet transformations as the single-threaded path.
-    pub fn egress_via(&self, obs: &WorkerSink, now: Nanos, mut seg: Segment) -> Verdict {
+    /// Process a packet leaving the guest toward the network.
+    pub fn egress(&self, now: Nanos, mut seg: Segment) -> Verdict {
         // The prototype only enforces TCP (the paper leaves UDP tunnels as
         // future work); other protocols pass through untouched (counted
         // even with AC/DC disabled — it is a visibility counter). The
         // protocol check is a single byte read: pass-through traffic and
         // the plain-OVS baseline never parse headers at all.
         if !seg.is_tcp() {
-            obs.counters.non_tcp_passthrough.inc();
+            self.counters.non_tcp_passthrough.inc();
             return Verdict::Forward(seg);
         }
         if !self.cfg.enabled {
@@ -638,7 +569,7 @@ impl AcdcDatapath {
         // guest's own congestion control still runs (§3.3 fail-safe).
         let health = self.health.get();
         if health == HealthState::PassThrough {
-            obs.counters.overload_passthrough.inc();
+            self.counters.overload_passthrough.inc();
             return Verdict::Forward(seg);
         }
         let log_only = self.cfg.log_only || health == HealthState::LogOnly;
@@ -646,7 +577,7 @@ impl AcdcDatapath {
         // reached (DESIGN.md §9) and stays while the benchmark harness
         // pins `try_meta`'s `Result`.
         let Ok(meta) = seg.try_meta() else {
-            return Self::drop_malformed(obs, now);
+            return self.drop_malformed(now);
         };
         let key = meta.flow;
         let flags = meta.flags;
@@ -658,7 +589,7 @@ impl AcdcDatapath {
 
         // --- Handshake monitoring (§3.1, §3.3) ---
         if flags.contains(TcpFlags::SYN) {
-            self.on_handshake_packet(obs, now, &meta, /*egress=*/ true);
+            self.on_handshake_packet(now, &meta, /*egress=*/ true);
             return Verdict::Forward(seg); // SYNs are never mangled
         }
 
@@ -732,16 +663,16 @@ impl AcdcDatapath {
                 // Table full, flow refused: forward untouched (fail-safe)
                 // and let the ladder drop to pass-through.
                 None => {
-                    self.on_admission_reject(obs, now, &key);
+                    self.on_admission_reject(now, &key);
                     return Verdict::Forward(seg);
                 }
                 Some(Ok(v)) => {
-                    self.note_admission(obs, now, &key, admission);
+                    self.note_admission(now, &key, admission);
                     v
                 }
                 Some(Err(())) => {
-                    obs.counters.policed_drops.inc();
-                    obs.telemetry
+                    self.counters.policed_drops.inc();
+                    self.telemetry
                         .record(now, key, EventKind::PacketDropped { cause: "policed" });
                     return Verdict::Drop(DropReason::Policed);
                 }
@@ -784,17 +715,17 @@ impl AcdcDatapath {
             if seg.wire_len() + PackOption::WIRE_LEN <= self.cfg.mtu
                 && seg.append_pack_in_place(pack)
             {
-                obs.counters.packs_sent.inc();
+                self.counters.packs_sent.inc();
             } else if self.cfg.disable_fack {
                 // Ablation: the feedback is simply lost.
-                obs.counters.feedback_dropped.inc();
+                self.counters.feedback_dropped.inc();
             } else if let Some(fack) = make_fack(&seg, pack) {
-                obs.counters.facks_sent.inc();
+                self.counters.facks_sent.inc();
                 return Verdict::ForwardWithExtra(seg, fack);
             } else {
                 // No room even in a payload-free copy (pathological
                 // option soup): the feedback is lost, not a panic.
-                obs.counters.feedback_dropped.inc();
+                self.counters.feedback_dropped.inc();
             }
         }
 
@@ -805,17 +736,10 @@ impl AcdcDatapath {
     // Ingress: network → VM
     // ------------------------------------------------------------------
 
-    /// Process a packet arriving from the network toward the guest,
-    /// counting and recording on the datapath's main hub.
-    pub fn ingress(&self, now: Nanos, seg: Segment) -> Verdict {
-        self.ingress_via(&self.main, now, seg)
-    }
-
-    /// [`AcdcDatapath::ingress`] with observability routed to `obs`, a
-    /// worker's sink (see [`AcdcDatapath::egress_via`]).
-    pub fn ingress_via(&self, obs: &WorkerSink, now: Nanos, mut seg: Segment) -> Verdict {
+    /// Process a packet arriving from the network toward the guest.
+    pub fn ingress(&self, now: Nanos, mut seg: Segment) -> Verdict {
         if !seg.is_tcp() {
-            obs.counters.non_tcp_passthrough.inc();
+            self.counters.non_tcp_passthrough.inc();
             return Verdict::Forward(seg);
         }
         if !self.cfg.enabled {
@@ -824,7 +748,7 @@ impl AcdcDatapath {
         // A copy of the meta the segment carries; the drop arm is
         // unreachable, as on egress.
         let Ok(meta) = seg.try_meta() else {
-            return Self::drop_malformed(obs, now);
+            return self.drop_malformed(now);
         };
         let key = meta.flow;
         let flags = meta.flags;
@@ -835,7 +759,7 @@ impl AcdcDatapath {
         // cleared. All of it is stateless header hygiene.
         let health = self.health.get();
         if health == HealthState::PassThrough {
-            obs.counters.overload_passthrough.inc();
+            self.counters.overload_passthrough.inc();
             if meta.fack {
                 if let Some(pack) = meta.pack {
                     self.table
@@ -844,7 +768,7 @@ impl AcdcDatapath {
                 return Verdict::Drop(DropReason::FackConsumed);
             }
             if meta.pack.is_some() {
-                obs.counters.packs_received.inc();
+                self.counters.packs_received.inc();
                 seg.strip_pack_in_place();
             }
             if meta.vm_ece || meta.fack {
@@ -859,7 +783,7 @@ impl AcdcDatapath {
             return Verdict::Forward(seg);
         }
         if flags.contains(TcpFlags::SYN) {
-            self.on_handshake_packet(obs, now, &meta, /*egress=*/ false);
+            self.on_handshake_packet(now, &meta, /*egress=*/ false);
             return Verdict::Forward(seg);
         }
 
@@ -870,8 +794,7 @@ impl AcdcDatapath {
         // The data direction's key: CC events are stamped with the flow
         // whose window is enforced, not the arriving ACK's key.
         let data_key = key.reverse();
-        let ack_update =
-            |e: &mut FlowEntry| self.sender_ack_processing(obs, now, e, &meta, pure_ack);
+        let ack_update = |e: &mut FlowEntry| self.sender_ack_processing(now, e, &meta, pure_ack);
 
         // --- Sender module: FACKs are logged and absorbed (§3.2) ---
         if meta.fack {
@@ -879,7 +802,7 @@ impl AcdcDatapath {
             // congestion control on it so the feedback takes effect
             // immediately, then drop it.
             let enforced = self.table.with_entry(&data_key, ack_update);
-            self.enforce(obs, now, &mut seg, data_key, enforced, false);
+            self.enforce(now, &mut seg, data_key, enforced, false);
             return Verdict::Drop(DropReason::FackConsumed);
         }
 
@@ -920,9 +843,9 @@ impl AcdcDatapath {
                 // Untracked at capacity: leave the wire untouched — an
                 // unlaundered CE mark is at worst ignored by a guest that
                 // never negotiated ECN.
-                self.on_admission_reject(obs, now, &key);
+                self.on_admission_reject(now, &key);
             } else {
-                self.note_admission(obs, now, &key, admission);
+                self.note_admission(now, &key, admission);
                 // Restore what the sender VM originally put on the wire:
                 // ECT if its stack spoke ECN (hiding the CE mark from it
                 // is the point — DCTCP in the vSwitch reacts instead),
@@ -951,10 +874,10 @@ impl AcdcDatapath {
         // --- Sender module: ACK processing + enforcement (§3.1–3.3) ---
         if ack {
             if meta.pack.is_some() {
-                obs.counters.packs_received.inc();
+                self.counters.packs_received.inc();
                 seg.strip_pack_in_place();
             }
-            self.enforce(obs, now, &mut seg, data_key, enforced, !log_only);
+            self.enforce(now, &mut seg, data_key, enforced, !log_only);
             // Hide ECN feedback from the guest so it does not also back
             // off (§3.3): AC/DC is the one reacting. Applied to every
             // non-SYN ACK — the vSwitch owns ECN on this fabric.
@@ -981,7 +904,6 @@ impl AcdcDatapath {
     /// RWND decision.
     fn sender_ack_processing(
         &self,
-        obs: &WorkerSink,
         now: Nanos,
         e: &mut FlowEntry,
         meta: &PacketMeta,
@@ -1016,7 +938,7 @@ impl AcdcDatapath {
                 e.dupacks += 1;
                 if e.dupacks == 3 {
                     e.cc.on_fast_retransmit(now);
-                    obs.counters.inferred_fast_rtx.inc();
+                    self.counters.inferred_fast_rtx.inc();
                     cut_event = Some(EventKind::CwndCut {
                         cause: "fast-retransmit",
                         cwnd: e.cc.cwnd(),
@@ -1025,7 +947,7 @@ impl AcdcDatapath {
             }
 
             if let Some(cwnd) = e.infer_timeout(now) {
-                obs.counters.inferred_timeouts.inc();
+                self.counters.inferred_timeouts.inc();
                 rto_event = Some(EventKind::RtoFired { cwnd });
             }
         }
@@ -1080,7 +1002,6 @@ impl AcdcDatapath {
     /// RWND-rewrite component (`entry.rwnd`, see crate::rwnd).
     fn enforce(
         &self,
-        obs: &WorkerSink,
         now: Nanos,
         seg: &mut Segment,
         data_key: acdc_packet::FlowKey,
@@ -1091,24 +1012,24 @@ impl AcdcDatapath {
             return;
         };
         for ev in events.into_iter().flatten() {
-            obs.telemetry.record(now, data_key, ev);
+            self.telemetry.record(now, data_key, ev);
         }
         if rewrite {
             match action {
                 RwndAction::Rewrite(raw_target) => {
                     seg.rewrite_window(raw_target);
-                    obs.counters.rwnd_rewrites.inc();
+                    self.counters.rwnd_rewrites.inc();
                 }
                 RwndAction::KeepGuest => {}
                 RwndAction::ScaleUnlearned => {
-                    obs.counters.unscaled_rwnd_skips.inc();
+                    self.counters.unscaled_rwnd_skips.inc();
                 }
             }
         }
     }
 
     /// Record handshake parameters from a SYN or SYN-ACK (§3.1).
-    fn on_handshake_packet(&self, obs: &WorkerSink, now: Nanos, meta: &PacketMeta, egress: bool) {
+    fn on_handshake_packet(&self, now: Nanos, meta: &PacketMeta, egress: bool) {
         let key = meta.flow;
         let flags = meta.flags;
         let wscale = meta.wscale.map(|w| w.min(14));
@@ -1125,10 +1046,10 @@ impl AcdcDatapath {
             },
         );
         if learned.is_none() {
-            self.on_admission_reject(obs, now, &rev);
+            self.on_admission_reject(now, &rev);
             return;
         }
-        self.note_admission(obs, now, &rev, radm);
+        self.note_admission(now, &rev, radm);
 
         // The VM originating this SYN is the data sender of `key`; its ECN
         // capability (SYN: ECE|CWR, SYN-ACK: ECE) matters at *its own*
@@ -1152,10 +1073,10 @@ impl AcdcDatapath {
                 },
             );
             if tracked.is_none() {
-                self.on_admission_reject(obs, now, &key);
+                self.on_admission_reject(now, &key);
                 return;
             }
-            self.note_admission(obs, now, &key, adm);
+            self.note_admission(now, &key, adm);
         }
     }
 
@@ -1191,9 +1112,8 @@ impl AcdcDatapath {
         });
         fired.sort_unstable();
         for ((_, key), cwnd) in &fired {
-            self.main.counters.inferred_timeouts.inc();
-            self.main
-                .telemetry
+            self.counters.inferred_timeouts.inc();
+            self.telemetry
                 .record(now, *key, EventKind::RtoFired { cwnd: *cwnd });
         }
         self.update_health(now);
@@ -1201,7 +1121,7 @@ impl AcdcDatapath {
         // then push every metric onto its time series.
         self.flows_gauge.set(self.table.len() as u64);
         self.health_gauge.set(self.health.get() as u64);
-        self.main.telemetry.registry().sample(now);
+        self.telemetry.registry().sample(now);
     }
 
     /// Garbage-collect closed/idle entries (paired with FIN tracking).
@@ -1210,7 +1130,7 @@ impl AcdcDatapath {
     pub fn gc(&self, now: Nanos, idle_timeout: Nanos) -> usize {
         let collected = self.table.gc(now, idle_timeout);
         if collected > 0 {
-            self.main.counters.gc_evictions.add(collected as u64);
+            self.counters.gc_evictions.add(collected as u64);
         }
         self.update_health(now);
         collected

@@ -37,9 +37,7 @@ pub mod table;
 pub mod vcc;
 
 pub use checkpoint::{DatapathCheckpoint, FlowCheckpoint, HubCheckpoint, RecorderCheckpoint};
-pub use datapath::{
-    AcdcConfig, AcdcCounters, AcdcDatapath, DropReason, FlowStat, Verdict, WorkerSink,
-};
+pub use datapath::{AcdcConfig, AcdcCounters, AcdcDatapath, DropReason, FlowStat, Verdict};
 pub use entry::{FlowEntry, FlowEntryState, INACTIVITY_FLOOR};
 pub use health::HealthState;
 pub use policy::CcPolicy;
@@ -47,13 +45,12 @@ pub use rwnd::{RwndAction, RwndRewriter};
 pub use table::{Admission, AdmissionPolicy, FlowTable};
 pub use vcc::{AckSignals, EcnFractionCc, VirtualCc};
 
-// `acdc-workers` shares one `&AcdcDatapath` between scoped threads and
-// hands each a `&WorkerSink`. A `Cell`, `Rc` or `RefCell` anywhere inside
-// these types fails to compile here, at the definition, not in the
-// dependent crate.
+// `acdc-workers`' `process_batch_parallel` shares one `&AcdcDatapath`
+// between scoped threads, which count into its one telemetry hub. A
+// `Cell`, `Rc` or `RefCell` anywhere inside these types fails to compile
+// here, at the definition, not in the dependent crate.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<AcdcDatapath>();
     assert_send_sync::<FlowTable>();
-    assert_send_sync::<WorkerSink>();
 };

@@ -226,7 +226,7 @@ fn ten_thousand_flow_round_trip_is_identity() {
     }
     let mut ckpt = dp.checkpoint(3, &[]);
     assert_eq!(ckpt.flows.len(), 2 * CONNS as usize);
-    ckpt.main_hub
+    ckpt.hub
         .metrics
         .push(("tëst.\"quoted\"\\slash\nline\ttab→".to_string(), 7));
 

@@ -1,11 +1,8 @@
-//! The worker engine: steering + per-worker sinks.
+//! The worker engine: steering a batch onto scoped threads.
 
-use std::sync::Arc;
-
-use acdc_packet::{FlowKey, Segment};
+use acdc_packet::Segment;
 use acdc_stats::time::Nanos;
-use acdc_telemetry::{MetricValue, Telemetry};
-use acdc_vswitch::{AcdcDatapath, Verdict, WorkerSink};
+use acdc_vswitch::{AcdcDatapath, Verdict};
 
 use crate::steer::worker_of;
 
@@ -20,68 +17,37 @@ pub enum Direction {
 
 /// N run-to-completion workers over one shared [`AcdcDatapath`].
 ///
-/// The engine owns only the per-worker [`WorkerSink`]s; the datapath —
-/// table, health ladder, config — is passed to each call, so the same
-/// engine works for a borrowed bench datapath or one owned by a host.
-/// See the crate docs for the two processing modes and the determinism
-/// contract each upholds.
+/// The engine holds only its worker count; the datapath — table, health
+/// ladder, config, telemetry hub — is passed to each call. See the crate
+/// docs for what the threads share and what that costs.
 pub struct WorkerEngine {
-    sinks: Vec<WorkerSink>,
+    workers: usize,
 }
 
 impl WorkerEngine {
-    /// An engine with `workers` workers (clamped to ≥ 1), each with its
-    /// own observability sink created from `dp`.
-    pub fn new(dp: &AcdcDatapath, workers: usize) -> WorkerEngine {
-        let n = workers.max(1);
+    /// An engine with `workers` workers (clamped to ≥ 1). `_dp` is
+    /// unused; it is there only for the benchmark harness, which calls
+    /// `new(&dp, n)`.
+    pub fn new(_dp: &AcdcDatapath, workers: usize) -> WorkerEngine {
         WorkerEngine {
-            sinks: (0..n).map(|_| dp.worker_sink()).collect(),
+            workers: workers.max(1),
         }
     }
 
-    /// Number of workers.
-    pub fn workers(&self) -> usize {
-        self.sinks.len()
-    }
-
-    /// The worker `key`'s packets steer to.
-    pub fn worker_of(&self, key: &FlowKey) -> usize {
-        worker_of(key, self.sinks.len())
-    }
-
-    /// The worker `seg` steers to. Malformed segments (no parsable flow
-    /// key) steer to worker 0, which drops and counts them.
-    pub fn steer(&self, seg: &Segment) -> usize {
-        seg.try_meta().map(|m| self.worker_of(&m.flow)).unwrap_or(0)
-    }
-
-    /// Every worker's sink, in worker order.
-    pub fn sinks(&self) -> &[WorkerSink] {
-        &self.sinks
-    }
-
-    /// Worker `i`'s sink.
-    pub fn sink(&self, i: usize) -> &WorkerSink {
-        &self.sinks[i]
-    }
-
-    /// Run-to-completion dispatch of one packet: steer, then process it
-    /// immediately on the steered worker's sink. Because nothing is
-    /// deferred or reordered, a stream dispatched in delivery order goes
-    /// through the exact table-operation sequence of the single-threaded
-    /// path for any worker count — this is the mode the simulated NIC
-    /// uses, and the one the chaos equivalence suite pins down.
+    /// One packet through the datapath on the calling thread: plain
+    /// [`AcdcDatapath::egress`] / [`AcdcDatapath::ingress`]. The
+    /// benchmark harness times it against direct calls.
     pub fn dispatch(&self, dp: &AcdcDatapath, now: Nanos, dir: Direction, seg: Segment) -> Verdict {
-        run_one(dp, &self.sinks[self.steer(&seg)], now, dir, seg)
+        run_one(dp, now, dir, seg)
     }
 
     /// A whole batch at once: steer every packet, then let each worker
     /// run its group to completion in submission order — inline for one
     /// worker, one OS thread per worker (`std::thread::scope`) otherwise.
-    /// Verdicts come back in submission order. Per-flow state and merged
-    /// counter totals match [`WorkerEngine::dispatch`] of the same
-    /// packets when distinct workers' flows are independent (the RSS
-    /// assumption; see crate docs).
+    /// Verdicts come back in submission order. Per-flow state and counter
+    /// totals match calling [`AcdcDatapath::egress`] / `ingress` on the
+    /// same packets in order when distinct workers' flows are independent
+    /// (the RSS assumption; see crate docs).
     pub fn process_batch_parallel(
         &self,
         dp: &AcdcDatapath,
@@ -89,28 +55,29 @@ impl WorkerEngine {
         dir: Direction,
         batch: Vec<Segment>,
     ) -> Vec<Verdict> {
-        if let [sink] = &self.sinks[..] {
+        if self.workers == 1 {
             return batch
                 .into_iter()
-                .map(|seg| run_one(dp, sink, now, dir, seg))
+                .map(|seg| run_one(dp, now, dir, seg))
                 .collect();
         }
         let total = batch.len();
         let mut groups: Vec<Vec<(usize, Segment)>> =
-            self.sinks.iter().map(|_| Vec::new()).collect();
+            (0..self.workers).map(|_| Vec::new()).collect();
         for (i, seg) in batch.into_iter().enumerate() {
-            groups[self.steer(&seg)].push((i, seg));
+            let w = seg
+                .try_meta()
+                .map_or(0, |m| worker_of(&m.flow, self.workers));
+            groups[w].push((i, seg));
         }
         let per_worker: Vec<Vec<(usize, Verdict)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .sinks
-                .iter()
-                .zip(groups)
-                .map(|(sink, group)| {
+            let handles: Vec<_> = groups
+                .into_iter()
+                .map(|group| {
                     s.spawn(move || {
                         group
                             .into_iter()
-                            .map(|(i, seg)| (i, run_one(dp, sink, now, dir, seg)))
+                            .map(|(i, seg)| (i, run_one(dp, now, dir, seg)))
                             .collect()
                     })
                 })
@@ -128,48 +95,12 @@ impl WorkerEngine {
             .map(|v| v.expect("every position produced a verdict"))
             .collect()
     }
-
-    /// The datapath's main hub followed by every worker hub, in worker
-    /// order — the hub list every merged view is built over.
-    pub fn all_hubs<'a>(&'a self, dp: &'a AcdcDatapath) -> Vec<&'a Telemetry> {
-        std::iter::once(dp.telemetry().as_ref())
-            .chain(self.sinks.iter().map(|s| s.telemetry().as_ref()))
-            .collect()
-    }
-
-    /// Deterministically merged metrics across the main hub and every
-    /// worker hub: counters sum, gauges max, sorted by name.
-    pub fn merged_snapshot(&self, dp: &AcdcDatapath) -> Vec<MetricValue> {
-        acdc_telemetry::merge_snapshots(&self.all_hubs(dp))
-    }
-
-    /// [`WorkerEngine::merged_snapshot`] in the `acdc-telemetry/v2` JSON
-    /// schema (metrics plus the summed per-hub `dropped_events` tally) —
-    /// byte-identical for same seed + same worker count.
-    pub fn merged_snapshot_json(&self, dp: &AcdcDatapath, at: Nanos) -> String {
-        acdc_telemetry::merged_snapshot_json(&self.all_hubs(dp), at)
-    }
-
-    /// Every worker hub as owned `Arc`s (for `TraceGuard::watch` and
-    /// other consumers that outlive the engine borrow).
-    pub fn hub_arcs(&self) -> Vec<Arc<Telemetry>> {
-        self.sinks
-            .iter()
-            .map(|s| Arc::clone(s.telemetry()))
-            .collect()
-    }
 }
 
-/// One packet through the datapath on `sink`, to completion.
-fn run_one(
-    dp: &AcdcDatapath,
-    sink: &WorkerSink,
-    now: Nanos,
-    dir: Direction,
-    seg: Segment,
-) -> Verdict {
+/// One packet through the datapath, to completion.
+fn run_one(dp: &AcdcDatapath, now: Nanos, dir: Direction, seg: Segment) -> Verdict {
     match dir {
-        Direction::Egress => dp.egress_via(sink, now, seg),
-        Direction::Ingress => dp.ingress_via(sink, now, seg),
+        Direction::Egress => dp.egress(now, seg),
+        Direction::Ingress => dp.ingress(now, seg),
     }
 }

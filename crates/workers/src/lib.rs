@@ -1,11 +1,11 @@
-//! # acdc-workers — run-to-completion parallel datapath workers
+//! # acdc-workers — RSS steering and a threaded batch over one datapath
 //!
 //! The paper's deployability argument (§3, §5.2) needs the enforcement
 //! path to stay cheap at line rate; a single thread caps that. This
-//! crate parallelizes the [`acdc_vswitch::AcdcDatapath`] the way a
-//! production vSwitch datapath does — *run-to-completion workers fed by
-//! RSS steering* — without giving up the reproduction's determinism
-//! contract (DESIGN.md §12).
+//! crate runs the [`acdc_vswitch::AcdcDatapath`] the way a production
+//! vSwitch datapath does — *run-to-completion workers fed by RSS
+//! steering* — over the datapath's one flow table and one telemetry hub
+//! (DESIGN.md §12).
 //!
 //! ## The model
 //!
@@ -20,40 +20,29 @@
 //!   matters: raw FNV-1a's low bit
 //!   is a XOR of input low bits and collapses on mirrored key
 //!   populations — see [`steer`]'s module docs.)
-//! * **Run to completion**: a worker takes a packet through the whole
-//!   datapath (parse → table → CC → rewrite) before the next one; there
-//!   is no inter-stage queueing to reorder packets of one flow.
-//! * **Per-worker observability** ([`acdc_vswitch::WorkerSink`]): each
-//!   worker counts and records into its own telemetry hub; snapshots
-//!   merge deterministically afterwards (`acdc_telemetry::merge`).
+//! * **Run to completion** ([`WorkerEngine::process_batch_parallel`]):
+//!   packets are steered into one group per worker and each worker runs
+//!   its group through the datapath (parse → table → CC → rewrite) in
+//!   submission order — inline for N = 1, on its own scoped thread
+//!   otherwise. There is no inter-stage queueing to reorder packets of
+//!   one flow. Verdicts are returned in submission order regardless of
+//!   which worker produced them.
 //!
-//! ## Determinism contract
+//! ## What the threads share
 //!
-//! Worker count must not change enforcement semantics, and same seed +
-//! same `N` must give byte-identical merged snapshots. Two processing
-//! modes uphold that at different strengths:
+//! Every worker counts and records into the datapath's one telemetry
+//! hub. Counters are relaxed atomics, so totals are exact; each bump is
+//! a read-modify-write on a cache line the other threads also write.
+//! Events take the flight recorder's mutex, and events from different
+//! threads reach the ring in whatever order the threads get there. So a
+//! batch where distinct workers' flows are independent (the RSS
+//! assumption — true for the bench workloads and the determinism suite)
+//! ends in the per-flow state and counter totals of the same packets
+//! run in order on one thread, and records the same multiset of events;
+//! at N = 1 it records the same sequence.
 //!
-//! * [`WorkerEngine::dispatch`] — the simulator path. Each packet is
-//!   processed *immediately, in delivery order*, on its steered worker's
-//!   sink. Since nothing is deferred, the sequence of table operations
-//!   is identical to the single-threaded path for **any** N: N only
-//!   routes where counters bump and events record, and merged counter
-//!   totals equal the N=1 totals exactly.
-//! * [`WorkerEngine::process_batch_parallel`] — the throughput path
-//!   (the harness's `workers.batch_ns_*` rows, order-insensitive
-//!   tests). Packets are steered into one group per worker and each
-//!   worker runs its group through the datapath in submission order —
-//!   inline for N=1, on its own scoped thread otherwise. Packets of one
-//!   flow — both directions — always stay on one worker in submission
-//!   order; batches where distinct workers' flows are independent (the
-//!   RSS assumption — true for the bench workloads and the determinism
-//!   suite) therefore produce worker-count-independent per-flow state
-//!   and merged counter totals. Verdicts are returned in submission
-//!   order regardless of which worker produced them.
-//!
-//! Global state transitions (health ladder, gc, occupancy gauges) stay
-//! on the datapath's main hub no matter which worker processed the
-//! packet, so "the merged view" is always main hub + all worker hubs.
+//! [`WorkerEngine::dispatch`] runs one packet on the calling thread; it
+//! is what the benchmark harness times against direct calls.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

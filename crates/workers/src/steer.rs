@@ -75,9 +75,10 @@ mod tests {
 
     #[test]
     fn steering_is_pinned() {
-        // Which worker a connection steers to decides which hub records
-        // its events, so these values hold every recorded run in place: a
-        // change to the connection key or the hash must fail here first.
+        // Which worker a connection steers to decides which thread runs
+        // its packets in a batch, so these values hold every recorded
+        // placement in place: a change to the connection key or the hash
+        // must fail here first.
         let own = FlowKey {
             src_ip: [10, 0, 0, 9],
             dst_ip: [10, 0, 0, 9],

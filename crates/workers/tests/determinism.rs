@@ -1,14 +1,13 @@
-//! Steering and merge determinism (DESIGN.md §12).
-//!
-//! Property tests pin the two contracts the worker engine ships with:
+//! Steering and batch determinism (DESIGN.md §12).
 //!
 //! * **Steering**: `hash64`-based steering is a pure function of the
 //!   flow key — same flow ⇒ same worker, every worker reachable across
 //!   a flow population, index always in range.
-//! * **Merge determinism**: running the same workload twice at the same
-//!   worker count produces byte-identical merged snapshot JSON, and the
-//!   merged `acdc.*` counter totals equal the N=1 totals (worker count
-//!   routes observability, it does not change what is observed).
+//! * **One hub, many threads**: a batch run on N workers over the
+//!   datapath's one telemetry hub ends in the verdicts, snapshot and
+//!   events of the same packets run in order on one thread: the same
+//!   event sequence at N = 1, the same multiset at N > 1 (threads reach
+//!   the ring in any order, but lose and duplicate nothing).
 //! * **One shard, many workers**: workers racing over connections that
 //!   share one flow-table shard end in the per-flow state one worker
 //!   computes, because the shard lock serialises every entry access.
@@ -16,7 +15,7 @@
 use acdc_packet::{
     Ecn, FlowKey, Ipv4Repr, Segment, SeqNumber, TcpFlags, TcpOption, TcpRepr, PROTO_TCP,
 };
-use acdc_vswitch::{AcdcConfig, AcdcDatapath, FlowTable};
+use acdc_vswitch::{AcdcConfig, AcdcDatapath, DropReason, FlowTable, Verdict};
 use acdc_workers::{worker_of, Direction, WorkerEngine};
 use proptest::prelude::*;
 
@@ -73,13 +72,6 @@ fn synack(k: &FlowKey) -> Segment {
     segment(&r, synack, 0, Ecn::NotEct)
 }
 
-/// Establish connection `k` (SYN on egress, SYN-ACK on ingress) through
-/// `run`.
-fn handshake(run: &mut dyn FnMut(Direction, Segment), k: &FlowKey) {
-    run(Direction::Egress, syn(k));
-    run(Direction::Ingress, synack(k));
-}
-
 /// Guest data at stream offset `off`.
 fn data_packet(k: &FlowKey, off: u32) -> Segment {
     ack_flagged(k, 1_001 + off, 9_001, 1_000, 1_448, Ecn::NotEct)
@@ -90,44 +82,109 @@ fn ack_packet(k: &FlowKey, off: u32) -> Segment {
     ack_flagged(&k.reverse(), 9_001, 1_001 + off, 60_000, 0, Ecn::NotEct)
 }
 
-/// A deterministic mixed workload over `flows` flows and `rounds`
-/// rounds, fed packet-by-packet to `run` in delivery order.
-fn drive(run: &mut dyn FnMut(Direction, Segment), flows: usize, rounds: usize) {
-    for i in 0..flows {
-        handshake(run, &conn(i));
+/// A conversation over `keys`, one batch per phase: the handshake, four
+/// rounds of data both ways (CE on every third peer segment) with the
+/// guest ACKs that carry PACK feedback, then FINs, with data on the odd
+/// keys.
+fn conversation(keys: &[FlowKey]) -> Vec<(Direction, Vec<Segment>)> {
+    let phase = |dir, make: &dyn Fn(usize, &FlowKey) -> Segment| {
+        (
+            dir,
+            keys.iter().enumerate().map(|(i, k)| make(i, k)).collect(),
+        )
+    };
+    let mut phases = vec![
+        phase(Direction::Egress, &|_, k| syn(k)),
+        phase(Direction::Ingress, &|_, k| synack(k)),
+    ];
+    for round in 0..4u32 {
+        let off = round * 1_448;
+        phases.push(phase(Direction::Egress, &|_, k| data_packet(k, off)));
+        phases.push(phase(Direction::Ingress, &|i, k| {
+            let ce = (i + round as usize).is_multiple_of(3);
+            let ecn = if ce { Ecn::Ce } else { Ecn::Ect0 };
+            ack_flagged(&k.reverse(), 9_001 + off, 1_001 + off, 60_000, 1_448, ecn)
+        }));
+        phases.push(phase(Direction::Egress, &|_, k| {
+            ack_flagged(
+                k,
+                1_001 + off + 1_448,
+                9_001 + off + 1_448,
+                1_000,
+                0,
+                Ecn::NotEct,
+            )
+        }));
+        phases.push(phase(Direction::Ingress, &|_, k| {
+            ack_packet(k, off + 1_448)
+        }));
     }
-    let mut off = 0u32;
-    for _ in 0..rounds {
-        for i in 0..flows {
-            run(Direction::Egress, data_packet(&conn(i), off));
-            run(Direction::Ingress, ack_packet(&conn(i), off + 1_448));
-        }
-        off += 1_448;
+    phases.push(phase(Direction::Egress, &|i, k| {
+        let mut fin = TcpRepr::new(k.src_port, k.dst_port);
+        fin.seq = SeqNumber(1_001 + 4 * 1_448);
+        fin.ack = SeqNumber(9_001 + 4 * 1_448);
+        fin.flags = TcpFlags::FIN | TcpFlags::ACK;
+        segment(k, fin, if i % 2 == 0 { 0 } else { 100 }, Ecn::NotEct)
+    }));
+    phases
+}
+
+/// A verdict as bytes: each forwarded segment's header and payload
+/// length, or the drop reason.
+type VerdictBytes = Result<Vec<(Vec<u8>, usize)>, DropReason>;
+
+fn verdict_bytes(v: Verdict) -> VerdictBytes {
+    let wire = |s: &Segment| (s.header_bytes_cloned().to_vec(), s.payload_len());
+    match v {
+        Verdict::Forward(s) => Ok(vec![wire(&s)]),
+        Verdict::ForwardWithExtra(s, extra) => Ok(vec![wire(&s), wire(&extra)]),
+        Verdict::Drop(reason) => Err(reason),
     }
 }
 
-/// Run the workload through an engine at `n` workers (dispatch mode) and
-/// return (merged snapshot JSON, sum of all acdc.* counters).
-fn engine_run(n: usize, flows: usize, rounds: usize) -> (String, u64) {
+/// What one run of [`conversation`] leaves behind.
+struct Run {
+    dp: AcdcDatapath,
+    /// Every verdict, in submission order.
+    verdicts: Vec<VerdictBytes>,
+    /// The hub's recorded events as `(at, flow, kind)`, in ring order.
+    events: Vec<(u64, FlowKey, String)>,
+}
+
+/// [`conversation`] over `keys` through a fresh datapath, one batch per
+/// phase at one virtual instant each: through `process_batch_parallel`
+/// at `workers`, or by direct `egress` / `ingress` calls at `None`.
+fn run(keys: &[FlowKey], workers: Option<usize>) -> Run {
     let dp = AcdcDatapath::new(AcdcConfig::dctcp(1500));
-    let engine = WorkerEngine::new(&dp, n);
+    let engine = workers.map(|n| WorkerEngine::new(&dp, n));
+    let mut verdicts = Vec::new();
     let mut now = 0u64;
-    drive(
-        &mut |dir, seg| {
-            now += 1;
-            let _ = engine.dispatch(&dp, now, dir, seg);
-        },
-        flows,
-        rounds,
-    );
-    let snapshot = engine.merged_snapshot_json(&dp, 0);
-    let total: u64 = engine
-        .merged_snapshot(&dp)
-        .iter()
-        .filter(|m| m.name.starts_with("acdc.") && m.kind == acdc_telemetry::MetricKind::Counter)
-        .map(|m| m.value)
-        .sum();
-    (snapshot, total)
+    for (dir, batch) in conversation(keys) {
+        now += 1_000;
+        let out = match &engine {
+            Some(engine) => engine.process_batch_parallel(&dp, now, dir, batch),
+            None => batch
+                .into_iter()
+                .map(|seg| match dir {
+                    Direction::Egress => dp.egress(now, seg),
+                    Direction::Ingress => dp.ingress(now, seg),
+                })
+                .collect(),
+        };
+        verdicts.extend(out.into_iter().map(verdict_bytes));
+    }
+    let events = dp
+        .telemetry()
+        .recorder()
+        .events()
+        .into_iter()
+        .map(|e| (e.at, e.flow, format!("{:?}", e.kind)))
+        .collect();
+    Run {
+        dp,
+        verdicts,
+        events,
+    }
 }
 
 proptest! {
@@ -164,121 +221,45 @@ proptest! {
         }
         prop_assert!(hit.iter().all(|&h| h), "unreachable worker at n={}", n);
     }
-
-    #[test]
-    fn merged_snapshots_deterministic_and_equal_to_n1(
-        n in 1usize..=4,
-        flows in 1usize..=12,
-        rounds in 1usize..=4,
-    ) {
-        let (snap_a, total_a) = engine_run(n, flows, rounds);
-        let (snap_b, total_b) = engine_run(n, flows, rounds);
-        prop_assert_eq!(&snap_a, &snap_b, "same workload + N ⇒ byte-identical merged snapshot");
-        prop_assert_eq!(total_a, total_b);
-        let (_, total_1) = engine_run(1, flows, rounds);
-        prop_assert_eq!(total_a, total_1, "counter totals must not depend on worker count");
-    }
 }
 
-/// Dispatch-mode packet transformations are byte-identical to the legacy
-/// single-threaded entry points, for every worker count.
-#[test]
-fn dispatch_output_matches_legacy_bytes() {
-    let digest = |run: &mut dyn FnMut(Direction, Segment) -> Option<Segment>| {
-        let mut out: Vec<(Vec<u8>, usize)> = Vec::new();
-        drive(
-            &mut |dir, seg| {
-                if let Some(fwd) = run(dir, seg) {
-                    out.push((fwd.header_bytes_cloned().to_vec(), fwd.payload_len()));
-                }
-            },
-            8,
-            3,
-        );
-        out
-    };
-
-    let legacy = {
-        let dp = AcdcDatapath::new(AcdcConfig::dctcp(1500));
-        let mut now = 0u64;
-        digest(&mut |dir, seg| {
-            now += 1;
-            let v = match dir {
-                Direction::Egress => dp.egress(now, seg),
-                Direction::Ingress => dp.ingress(now, seg),
-            };
-            v.forwarded()
-        })
-    };
-    for n in [1usize, 2, 4] {
-        let dp = AcdcDatapath::new(AcdcConfig::dctcp(1500));
-        let engine = WorkerEngine::new(&dp, n);
-        let mut now = 0u64;
-        let got = digest(&mut |dir, seg| {
-            now += 1;
-            engine.dispatch(&dp, now, dir, seg).forwarded()
-        });
-        assert_eq!(got, legacy, "dispatch at N={n} diverged from legacy bytes");
-    }
-}
-
-/// The batch path returns verdicts in submission order and produces the
-/// same per-flow state and counter totals as dispatching the same
-/// packets one by one, inline (n = 1) and on scoped threads (n > 1).
+/// `process_batch_parallel` at n ∈ {1, 2, 4} against direct `egress` /
+/// `ingress` calls on a fresh datapath: verdict bytes in submission
+/// order, the hub's snapshot, and its events — the same sequence inline
+/// (n = 1), the same multiset on scoped threads (n > 1).
 #[test]
 fn batch_modes_agree_with_sequential() {
-    const FLOWS: usize = 64;
-    let run = |batched: bool, n: usize| -> (Vec<(Vec<u8>, usize)>, String) {
-        let dp = AcdcDatapath::new(AcdcConfig::dctcp(1500));
-        let engine = WorkerEngine::new(&dp, n);
-        let mut now = 0u64;
-        for i in 0..FLOWS {
-            handshake(
-                &mut |dir, seg| {
-                    now += 1;
-                    let _ = engine.dispatch(&dp, now, dir, seg);
-                },
-                &conn(i),
-            );
-        }
-        // Unidirectional data batches: each worker's flows independent.
-        let mut digest = Vec::new();
-        for round in 0..3u32 {
-            let batch: Vec<Segment> = (0..FLOWS)
-                .map(|i| data_packet(&conn(i), round * 1_448))
-                .collect();
-            now += 1;
-            let verdicts = if batched {
-                engine.process_batch_parallel(&dp, now, Direction::Egress, batch)
-            } else {
-                batch
-                    .into_iter()
-                    .map(|seg| engine.dispatch(&dp, now, Direction::Egress, seg))
-                    .collect::<Vec<_>>()
-            };
-            for v in verdicts {
-                let fwd = v.forwarded().expect("data packets forward");
-                digest.push((fwd.header_bytes_cloned().to_vec(), fwd.payload_len()));
-            }
-        }
-        let totals = engine.merged_snapshot_json(&dp, 0);
-        (digest, totals)
-    };
-
-    let (one_worker_digest, _) = run(false, 1);
+    let keys: Vec<FlowKey> = (0..64).map(conn).collect();
+    let direct = run(&keys, None);
+    let snapshot = direct.dp.telemetry().snapshot_json(0);
+    assert!(
+        snapshot.contains("\"dropped_events\":0"),
+        "the ring must hold every event: {snapshot}"
+    );
+    assert!(
+        direct.events.iter().any(|e| e.2.starts_with("AlphaUpdate")),
+        "the conversation must exercise the CC event path"
+    );
+    let mut sorted_events = direct.events.clone();
+    sorted_events.sort();
     for n in [1usize, 2, 4] {
-        let (seq_digest, seq_totals) = run(false, n);
-        let (digest, totals) = run(true, n);
-        assert_eq!(
-            digest, seq_digest,
-            "n={n}: batched verdicts must match sequential, in submission order"
+        let got = run(&keys, Some(n));
+        assert!(
+            got.verdicts == direct.verdicts,
+            "n={n}: verdicts must match sequential, in submission order"
         );
         assert_eq!(
-            totals, seq_totals,
-            "n={n}: the batch merges to the snapshot dispatch gives"
+            got.dp.telemetry().snapshot_json(0),
+            snapshot,
+            "n={n}: the hub's snapshot"
         );
-        // Worker count routes observability only: the bytes do not move.
-        assert_eq!(digest, one_worker_digest);
+        let mut events = got.events;
+        if n > 1 {
+            events.sort();
+            assert_eq!(events, sorted_events, "n={n}: the hub's event multiset");
+        } else {
+            assert_eq!(events, direct.events, "n=1: the hub's event sequence");
+        }
     }
 }
 
@@ -312,60 +293,24 @@ fn one_shard_connections(n: usize) -> Vec<FlowKey> {
 fn racing_workers_over_one_shard_match_one_worker() {
     const CONNS: usize = 24;
     let keys = one_shard_connections(CONNS);
-    let run = |n: usize| -> (String, String) {
-        let dp = AcdcDatapath::new(AcdcConfig::dctcp(1500));
-        let engine = WorkerEngine::new(&dp, n);
-        let mut now = 0u64;
-        let mut batch = |dir: Direction, make: &dyn Fn(usize, &FlowKey) -> Segment| {
-            now += 1_000;
-            let segs = keys.iter().enumerate().map(|(i, k)| make(i, k)).collect();
-            engine.process_batch_parallel(&dp, now, dir, segs);
-        };
-        batch(Direction::Egress, &|_, k| syn(k));
-        batch(Direction::Ingress, &|_, k| synack(k));
-        for round in 0..4u32 {
-            let off = round * 1_448;
-            batch(Direction::Egress, &|_, k| data_packet(k, off));
-            batch(Direction::Ingress, &|i, k| {
-                let ce = (i + round as usize).is_multiple_of(3);
-                let ecn = if ce { Ecn::Ce } else { Ecn::Ect0 };
-                ack_flagged(&k.reverse(), 9_001 + off, 1_001 + off, 60_000, 1_448, ecn)
-            });
-            batch(Direction::Egress, &|_, k| {
-                ack_flagged(
-                    k,
-                    1_001 + off + 1_448,
-                    9_001 + off + 1_448,
-                    1_000,
-                    0,
-                    Ecn::NotEct,
-                )
-            });
-            batch(Direction::Ingress, &|_, k| ack_packet(k, off + 1_448));
-        }
-        batch(Direction::Egress, &|i, k| {
-            let mut fin = TcpRepr::new(k.src_port, k.dst_port);
-            fin.seq = SeqNumber(1_001 + 4 * 1_448);
-            fin.ack = SeqNumber(9_001 + 4 * 1_448);
-            fin.flags = TcpFlags::FIN | TcpFlags::ACK;
-            segment(k, fin, if i % 2 == 0 { 0 } else { 100 }, Ecn::NotEct)
-        });
+    let state = |n: usize| -> (String, String) {
+        let dp = run(&keys, Some(n)).dp;
         let stats = format!("{:?}", dp.flow_stats());
-        let json = dp.checkpoint(now, &[]).to_json();
+        let json = dp.checkpoint(0, &[]).to_json();
         let flows = json
             .split_once("\"flows\":[")
-            .and_then(|(_, rest)| rest.split_once("],\"main_hub\""))
+            .and_then(|(_, rest)| rest.split_once("],\"hub\""))
             .expect("a flows array")
             .0
             .to_string();
         (stats, flows)
     };
-    let one = run(1);
+    let one = state(1);
     assert!(one.0.matches("FlowStat").count() == 2 * CONNS, "{}", one.0);
     for n in [2, 4] {
         for rep in 0..100 {
             assert!(
-                run(n) == one,
+                state(n) == one,
                 "n = {n}, repetition {rep}: state differs from n = 1"
             );
         }

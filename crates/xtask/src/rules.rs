@@ -115,7 +115,7 @@ pub static S001: Rule = Rule {
     id: "S001",
     name: "checkpoint-determinism",
     summary: "no float types in the checkpoint serialization paths (vswitch \
-              checkpoint.rs, soak driver.rs): acdc-checkpoint/v1 bytes must \
+              checkpoint.rs, soak driver.rs): checkpoint document bytes must \
               be a pure function of state — u64-only numbers, no float \
               formatting (DESIGN.md §14)",
 };
@@ -450,7 +450,7 @@ pub fn lint_lines(path: &str, file: &SourceFile, findings: &mut Vec<Finding>) {
                 if contains_token(code, tok) {
                     hits.push((
                         &S001,
-                        format!("`{tok}` in a checkpoint serialization path invites float formatting; acdc-checkpoint/v1 numbers are u64 only — scale to integers before they reach the serializer"),
+                        format!("`{tok}` in a checkpoint serialization path invites float formatting; checkpoint numbers are u64 only — scale to integers before they reach the serializer"),
                     ));
                     break;
                 }

@@ -29,7 +29,7 @@ stage_lint() {
 
 # Every test of every workspace member, in debug, so the `debug_assert!`
 # oracles (the host's full-fold check, the protocol-state invariants of
-# LINTS.md) are live: chaos, overload, workers-equivalence, the soak
+# LINTS.md) are live: chaos, overload, the worker batch, the soak
 # smoke, the checkpoint and table proptests and the xtask fixtures are
 # all in here. (The hour-long acceptance soak stays behind --ignored;
 # nightly.yml runs it.)

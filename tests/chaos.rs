@@ -272,10 +272,15 @@ fn lost_facks_do_not_wedge_ecn_feedback() {
     }
 }
 
+/// The mixed-fault plan replayed: the same seed must give the same
+/// simulation (fault tallies, acked bytes, retransmits, engine events)
+/// and the same client-host vSwitch record — its `acdc-telemetry/v2`
+/// snapshot and its flight recorder's events in order — with the
+/// vSwitch's reconstructed sequence state equal to the endpoint's.
 #[test]
 fn same_seed_chaos_runs_are_byte_identical() {
-    fn run() -> (acdc_faults::LinkFaultStats, u64, u64, u64) {
-        const BYTES: u64 = 400_000;
+    const BYTES: u64 = 400_000;
+    fn run() -> (acdc_faults::LinkFaultStats, u64, u64, u64, String, String) {
         let mut tb = Testbed::custom(Scheme::acdc(), 1500);
         tb.set_trunk_fault(
             FaultPlan::new(0xACDC_0008)
@@ -291,11 +296,15 @@ fn same_seed_chaos_runs_are_byte_identical() {
         let stats = tb.trunk_fault_stats().unwrap();
         let acked = tb.acked_bytes(h);
         let rtx = tb.client_endpoint(h).retransmitted_segments();
-        (stats, acked, rtx, tb.net.events_processed())
+        let events = tb.net.events_processed();
+        assert_state_agreement(&mut tb, h);
+        let hub = tb.host_mut(h.client_host).telemetry();
+        let (snapshot, dump) = (hub.snapshot_json(0), hub.recorder().dump_jsonl());
+        (stats, acked, rtx, events, snapshot, dump)
     }
     let a = run();
     let b = run();
     assert_eq!(a, b, "same seed + same plan must replay identically");
-    assert_eq!(a.1, 400_000, "and the transfer must complete");
+    assert_eq!(a.1, BYTES, "and the transfer must complete");
     assert_ne!(a.0, acdc_faults::LinkFaultStats::default());
 }
