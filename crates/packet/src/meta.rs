@@ -74,9 +74,14 @@ impl PacketMeta {
     /// `Segment::from_header_bytes`: one validated pass over the IP
     /// header, one over the fixed TCP/UDP header, and one walk of the TCP
     /// options region capturing MSS, window scale, and PACK in the same
-    /// sweep. Malformed input returns `Err`.
+    /// sweep. Malformed input returns `Err`, and so does any IP fragment:
+    /// a non-first fragment has no L4 header where one would be read, and
+    /// a first one does not carry its whole datagram.
     pub(crate) fn parse(buf: &[u8]) -> Result<PacketMeta> {
         let ip = Ipv4Packet::new_checked(buf)?;
+        if ip.is_fragment() {
+            return Err(Error::Malformed);
+        }
         let ihl = ip.header_len();
         match ip.protocol() {
             PROTO_TCP => {

@@ -37,7 +37,7 @@ use crate::{
 /// paper hashes on addresses, ports and VLAN — we have no VLANs).
 ///
 /// This is the *one* flow identity used across the workspace: the vSwitch
-/// flow table shards on it, the host NIC demuxes on it, and the workload
+/// flow table is keyed by it, the host NIC demuxes on it, and the workload
 /// FCT bookkeeping labels samples with it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FlowKey {
@@ -93,7 +93,7 @@ impl FlowKey {
     }
 
     /// FNV-1a over the 12 key bytes: a fast, deterministic, well-spread
-    /// hash for flow-table sharding. Unlike `DefaultHasher` it has no
+    /// hash for flow-table placement. Unlike `DefaultHasher` it has no
     /// per-hasher setup cost, which matters at one lookup per packet on
     /// the datapath fast path.
     #[inline]
@@ -933,6 +933,55 @@ mod tests {
                 Segment::from_header_bytes(buf, 0).unwrap_err(),
                 Error::Malformed
             );
+        }
+    }
+
+    /// `seg`'s header bytes with the IP flags/fragment-offset word set to
+    /// `flg_off` and the header checksum refilled.
+    fn with_frag_word(seg: &Segment, flg_off: u16) -> BytesMut {
+        let mut buf = BytesMut::from(seg.header_bytes());
+        buf[crate::ipv4::field::FLG_OFF].copy_from_slice(&flg_off.to_be_bytes());
+        Ipv4Packet::new_unchecked(&mut buf[..]).fill_checksum();
+        buf
+    }
+
+    #[test]
+    fn from_header_bytes_refuses_a_non_first_fragment() {
+        // Offset 185 (1 480 bytes in), no MF: the last piece of a
+        // datagram whose payload at this point happens to look like a
+        // TCP header. Protocol 6 does not make it one.
+        let seg = Segment::new_tcp(ip_repr(), base_tcp(), 0);
+        assert!(Segment::from_header_bytes(BytesMut::from(seg.header_bytes()), 0).is_ok());
+        assert_eq!(
+            Segment::from_header_bytes(with_frag_word(&seg, 185), 0).unwrap_err(),
+            Error::Malformed
+        );
+    }
+
+    #[test]
+    fn from_header_bytes_refuses_a_first_fragment() {
+        // MF set, offset 0: the TCP header is real, the datagram is not
+        // all here.
+        let seg = Segment::new_tcp(ip_repr(), base_tcp(), 0);
+        assert_eq!(
+            Segment::from_header_bytes(with_frag_word(&seg, 0x2000), 0).unwrap_err(),
+            Error::Malformed
+        );
+    }
+
+    #[test]
+    fn from_header_bytes_reads_df_and_no_flags() {
+        // Our emitter sets DF alone (`set_no_frag`); a clear word is no
+        // fragment either.
+        let seg = Segment::new_tcp(ip_repr(), base_tcp(), 0);
+        assert_eq!(
+            seg.header_bytes()[crate::ipv4::field::FLG_OFF],
+            0x4000u16.to_be_bytes()
+        );
+        for word in [0x4000, 0] {
+            let read = Segment::from_header_bytes(with_frag_word(&seg, word), 0).unwrap();
+            assert_eq!(read.try_meta(), seg.try_meta());
+            assert!(read.verify_checksums());
         }
     }
 

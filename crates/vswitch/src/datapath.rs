@@ -293,9 +293,16 @@ impl AcdcDatapath {
         &self.table
     }
 
-    /// Number of tracked flows.
+    /// Number of tracked flows, one per direction.
     pub fn flows(&self) -> usize {
         self.table.len()
+    }
+
+    /// Number of tracked connections (O(1)): one per record, whether it
+    /// holds both directions or one — a half-closed connection, or a key
+    /// that is its own reverse.
+    pub fn connections(&self) -> usize {
+        self.table.connections()
     }
 
     /// Current rung of the degradation ladder.

@@ -5,10 +5,11 @@
 //! through [`AcdcDatapath::egress`] / [`AcdcDatapath::ingress`], which:
 //!
 //! * reconstruct per-flow congestion-control state by watching sequence
-//!   numbers, ACKs and handshakes (§3.1) — stored in a sharded
+//!   numbers, ACKs and handshakes (§3.1) — stored in a
 //!   [`table::FlowTable`] of one record per connection (both directions'
-//!   entries), one lock per shard, standing in for the paper's RCU hash
-//!   table of two entries per connection with per-entry spinlocks;
+//!   entries), one open-addressed index behind one lock, standing in for
+//!   the paper's RCU hash table of two entries per connection with
+//!   per-entry spinlocks;
 //! * implement DCTCP (or any [`acdc_cc`] algorithm, selected per flow by a
 //!   [`CcPolicy`]) inside the vSwitch: forcing ECT on egress data, counting
 //!   CE-marked bytes at the receiver, and shipping the counts back in

@@ -9,7 +9,7 @@
 //! directions' [`FlowEntry`]s as optional halves in one allocation. A
 //! data packet updates its own direction and then the reverse one (the
 //! feedback an egress ACK piggybacks, the ACK an ingress segment
-//! carries), and finds both with one hash, one shard lock and one probe:
+//! carries), and finds both with one hash, one lock and one probe:
 //! `FlowTable::with_connection` and `with_connection_or_create` run `f`
 //! on `key`'s half, then `g` on the reverse half. The two run one after
 //! the other, so a key that is its own reverse (source = destination,
@@ -19,51 +19,50 @@
 //! and the `max_flows` cap count halves, eviction removes one half, and a
 //! record is freed with its last half.
 //!
-//! The table is *sharded* — 1 024 shards, each a `parking_lot::Mutex<Shard>`
-//! — and the shard lock is the only lock: it guards the shard's index and
-//! the records in it. The per-entry lock bought the paper concurrency
-//! between two writers of one connection; symmetric steering
-//! (`acdc-workers`) already gives every connection exactly one writing
-//! worker, so a second lock would guard nothing the shard lock does not.
-//! Every access is closures under one lock, handed `&mut FlowEntry`
-//! ([`FlowTable::with_entry`], [`FlowTable::with_entry_or_create`] and
-//! [`FlowTable::for_each`] visit one half at a time); no reference to an
-//! entry outlives its call.
+//! The table is one open-addressed index behind one `parking_lot::Mutex`,
+//! which guards the index, the records in it, the entry count and the gc
+//! epoch. The per-entry lock bought the paper concurrency between two
+//! writers of one connection; nothing here writes a connection from two
+//! places at once, so a second lock would guard nothing the table lock
+//! does not. Every access is closures under that lock, handed
+//! `&mut FlowEntry` ([`FlowTable::with_entry`],
+//! [`FlowTable::with_entry_or_create`] and [`FlowTable::for_each`] visit
+//! one half at a time); no reference to an entry outlives its call.
 //!
 //! [`FlowKey::hash64`] of the connection key (FNV-1a over the 12 key
-//! bytes, stable run-to-run) is computed once per operation: its low 10
-//! bits pick the shard; keyed by a secret drawn once per process and
-//! mixed, it picks the home bucket inside it, so a sender choosing its
-//! ports cannot choose a probe cluster. A shard is an open-addressed index
-//! — linear probing over a power-of-two bucket array kept at most half
-//! full, removal by backward shift, so there are no tombstones and a
-//! probe for an absent key ends at the first empty bucket. A bucket holds
-//! the connection key beside a `Box<Record>`, so a probe compares keys
-//! without touching records and a resize moves pointers. `gc` halves an
-//! array left less than an eighth full; `clear` frees them all.
-//! Whole-table walks (`for_each`, `gc`, eviction) visit shards in index
-//! order, records in bucket order and halves in order, which depends on
-//! history and on the secret. Whatever a walk publishes is ordered by
-//! content instead: `tick` and `gc` sort their events by
-//! `FlowTable::sweep_order`, `flow_stats` and `checkpoint` by key, and
-//! eviction takes a minimum.
+//! bytes, stable run-to-run), keyed by a secret drawn once per process
+//! and mixed, picks the home bucket, so a sender choosing its ports cannot
+//! choose a probe cluster. The index is linear probing over a
+//! power-of-two bucket array kept at most half full, removal by backward
+//! shift, so there are no tombstones and a probe for an absent key ends
+//! at the first empty bucket. A bucket holds the connection key beside a
+//! `Box<Record>`, so a probe compares keys without touching records and a
+//! resize moves pointers. An empty table allocates nothing; its first
+//! insert allocates [`MIN_BUCKETS`]. `gc` halves an array left less than
+//! an eighth full and `clear` frees it, so every whole-table walk
+//! (`for_each`, `gc`, eviction) costs the buckets the table holds now,
+//! not the most it ever held. Walks visit records in bucket order and
+//! halves in order, which depends on history and on the secret. Whatever
+//! a walk publishes is ordered by content instead: `tick` and `gc` sort
+//! their events by `FlowTable::sweep_order`, `flow_stats` and
+//! `checkpoint` by key, and eviction takes a minimum.
 //!
 //! ## Capacity & admission
 //!
 //! A production vSwitch carries tens of thousands of connections and the
 //! paper sizes the design around that (§4: two ~320 B entries per
 //! connection), so the table can be *bounded*: [`FlowTable::bounded`]
-//! sets a hard `max_flows` cap on entries (halves), enforced by a global
-//! atomic reservation counter (the count is reserved *before* the shard
-//! insert, so `len()` can never exceed the cap, not even transiently).
+//! sets a hard `max_flows` cap on entries (halves). A create checks the
+//! count under the table lock, and at the cap evicts and inserts under
+//! that same lock, so `len()` never exceeds the cap.
 //! What happens at the cap is the [`AdmissionPolicy`]: turn the new flow
 //! away (it is then forwarded untouched — the §3.3 fail-safe) or
 //! deterministically evict the entry idle the longest, smallest key
-//! breaking ties. Every create path reports an [`Admission`] outcome so
-//! the datapath can account evictions and drive its degradation ladder.
+//! breaking ties, never the key being inserted. Every create path reports
+//! an [`Admission`] outcome so the datapath can account evictions and
+//! drive its degradation ladder.
 
 use std::hash::{BuildHasher, RandomState};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use acdc_packet::{mix64, FlowKey};
@@ -73,17 +72,13 @@ use parking_lot::Mutex;
 
 use crate::entry::FlowEntry;
 
-/// Number of shards (power of two). Spreads writers across locks and keeps
-/// each shard's bucket array small enough to grow cheaply.
-const SHARDS: usize = 1024;
-
-/// Buckets a shard allocates on its first insert.
+/// Buckets the index allocates on its first insert.
 const MIN_BUCKETS: usize = 8;
 
-/// Bound on evict→reserve retries when racing other inserters; the
-/// deterministic single-threaded simulation always succeeds on the first
-/// attempt.
-const MAX_EVICT_ATTEMPTS: usize = 8;
+/// Ways [`FlowTable::sweep_order`] splits keys by hash before it compares
+/// them. An ordering, not a placement: it is the shard count of the table
+/// that fixed the recorded event order, kept so recordings replay.
+const SWEEP_TAGS: usize = 1024;
 
 /// What a bounded table does when a new flow arrives at capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -174,51 +169,50 @@ type Bucket = Option<(FlowKey, Box<Record>)>;
 /// This process's placement secret, drawn once from the standard
 /// library's randomly keyed SipHash. Flow keys are wire input: were
 /// bucket placement a public function of the key, a sender choosing its
-/// ports could pile a shard's keys into one probe cluster and make every
-/// operation on that shard O(cluster). The secret moves only where
-/// records sit inside a shard — which shard a connection lives in stays
-/// [`FlowTable::shard_of`] — and nothing observable reads that placement
-/// (see [`FlowTable::sweep_order`]), so runs still replay exactly.
+/// ports could pile keys into one probe cluster and make every operation
+/// on the table O(cluster). Nothing observable reads placement (see
+/// [`FlowTable::sweep_order`]), so runs still replay exactly.
 fn placement_secret() -> u64 {
     static SECRET: OnceLock<u64> = OnceLock::new();
-    *SECRET.get_or_init(|| RandomState::new().hash_one(SHARDS))
+    *SECRET.get_or_init(|| RandomState::new().hash_one(()))
 }
 
-/// Where a connection whose key's [`FlowKey::hash64`] is `hash` starts
-/// probing, before masking to a bucket array: the hash keyed by `secret`
-/// and mixed, so its low bits are no longer the ones that picked the
-/// shard.
-fn place(hash: u64, secret: u64) -> u64 {
-    mix64(hash ^ secret)
+/// The bucket a probe for connection `conn` starts at in an array of
+/// `cap` buckets (a power of two): the key's hash keyed by `secret` and
+/// mixed.
+fn home(conn: &FlowKey, secret: u64, cap: usize) -> usize {
+    mix64(conn.hash64() ^ secret) as usize & (cap - 1)
 }
 
-/// The bucket a probe from `place` starts at in an array of `cap`
-/// buckets (a power of two).
-fn home(place: u64, cap: usize) -> usize {
-    place as usize & (cap - 1)
-}
-
-/// One shard: an open-addressed index of records by connection key, with
-/// linear probing, at most half full. An empty shard allocates nothing. A
-/// boxed slice plus a length keeps the header at 24 bytes (a `Vec` would
-/// add 8), which matters at 1 024 shards per datapath.
-#[derive(Default)]
-struct Shard {
+/// The table's contents: an open-addressed index of records by
+/// connection key, with linear probing, at most half full, plus the
+/// entry count and the gc epoch. An empty index allocates nothing.
+struct Index {
     buckets: Box<[Bucket]>,
-    /// Records (occupied buckets), not entries.
-    len: usize,
+    /// Records (occupied buckets).
+    records: usize,
+    /// Entries (halves) over every record: what `len()` and the cap count.
+    entries: usize,
+    /// GC bookkeeping epoch: idleness is measured from
+    /// `max(last_activity, epoch)`, so stamping the epoch at a datapath
+    /// reset or checkpoint restore guarantees entries carrying
+    /// `last_activity` values from before that event can never be
+    /// spuriously collected by the first sweep afterwards.
+    epoch: Nanos,
+    /// Keys bucket placement ([`placement_secret`]).
+    secret: u64,
 }
 
-const _: () = assert!(size_of::<Bucket>() == 24 && size_of::<Shard>() == 24);
+const _: () = assert!(size_of::<Bucket>() == 24);
 
-impl Shard {
-    /// The bucket holding connection `conn`, if present; `place` is its.
-    fn find(&self, conn: &FlowKey, place: u64) -> Option<usize> {
+impl Index {
+    /// The bucket holding connection `conn`, if present.
+    fn find(&self, conn: &FlowKey) -> Option<usize> {
         let cap = self.buckets.len();
         if cap == 0 {
             return None;
         }
-        let mut i = home(place, cap);
+        let mut i = home(conn, self.secret, cap);
         loop {
             match &self.buckets[i] {
                 None => return None,
@@ -233,63 +227,82 @@ impl Shard {
         self.buckets[at?].as_mut().map(|(_, r)| &mut **r)
     }
 
-    fn get_mut(&mut self, conn: &FlowKey, place: u64) -> Option<&mut Record> {
-        let at = self.find(conn, place);
+    fn get_mut(&mut self, conn: &FlowKey) -> Option<&mut Record> {
+        let at = self.find(conn);
         self.at(at)
     }
 
-    /// The first empty bucket on `place`'s probe path (the array has one:
+    /// The first empty bucket on `conn`'s probe path (the array has one:
     /// it is at most half full).
-    fn vacant(&self, place: u64) -> usize {
+    fn vacant(&self, conn: &FlowKey) -> usize {
         let cap = self.buckets.len();
-        let mut i = home(place, cap);
+        let mut i = home(conn, self.secret, cap);
         while self.buckets[i].is_some() {
             i = (i + 1) & (cap - 1);
         }
         i
     }
 
-    /// Insert a record for connection `conn`, which must be absent,
-    /// holding `entry` as half `side`. Returns its bucket.
-    fn insert(
-        &mut self,
-        conn: FlowKey,
-        place: u64,
-        secret: u64,
-        side: usize,
-        entry: FlowEntry,
-    ) -> usize {
+    /// Put `entry` in as half `side` of connection `conn`, whose record
+    /// is in bucket `at` if it has one; that half must be absent. Returns
+    /// the record's bucket.
+    fn put(&mut self, conn: FlowKey, at: Option<usize>, side: usize, entry: FlowEntry) -> usize {
+        self.entries += 1;
+        if let (Some(i), Some(rec)) = (at, self.at(at)) {
+            rec.halves[side] = Some(entry);
+            return i;
+        }
         let mut rec = Box::<Record>::default();
         rec.halves[side] = Some(entry);
         let cap = self.buckets.len();
-        if 2 * (self.len + 1) > cap {
-            self.resize((2 * cap).max(MIN_BUCKETS), secret);
+        if 2 * (self.records + 1) > cap {
+            self.resize((2 * cap).max(MIN_BUCKETS));
         }
-        let i = self.vacant(place);
-        self.len += 1;
+        let i = self.vacant(&conn);
+        self.records += 1;
         self.buckets[i] = Some((conn, rec));
         i
     }
 
     /// Move every record into a fresh array of `cap` buckets, a power of
-    /// two at least twice `len`.
-    fn resize(&mut self, cap: usize, secret: u64) {
+    /// two at least twice `records`.
+    fn resize(&mut self, cap: usize) {
         let old = std::mem::replace(
             &mut self.buckets,
             std::iter::repeat_with(|| None).take(cap).collect(),
         );
         for (conn, rec) in old.into_vec().into_iter().flatten() {
-            let i = self.vacant(place(conn.hash64(), secret));
+            let i = self.vacant(&conn);
             self.buckets[i] = Some((conn, rec));
         }
+    }
+
+    /// Drop `key`'s entry, and its record with it when the reverse
+    /// direction is not tracked.
+    fn remove(&mut self, key: &FlowKey) -> bool {
+        let (conn, side, _) = locate(key);
+        let Some(i) = self.find(&conn) else {
+            return false;
+        };
+        let Some(rec) = self.at(Some(i)).filter(|r| r.halves[side].is_some()) else {
+            return false;
+        };
+        // A key that is its own reverse is half 0, and half 1 is empty.
+        if rec.halves[1 - side].is_some() {
+            rec.halves[side] = None;
+        } else {
+            self.remove_at(i);
+        }
+        self.entries -= 1;
+        true
     }
 
     /// Empty bucket `hole`, then shift back every later record of its
     /// cluster whose probe path passes the hole, so that no probe ever
     /// stops short of its key.
-    fn remove_at(&mut self, mut hole: usize, secret: u64) {
+    fn remove_at(&mut self, mut hole: usize) {
         self.buckets[hole] = None;
-        self.len -= 1;
+        self.records -= 1;
         let cap = self.buckets.len();
         let mask = cap - 1;
         let mut i = hole;
@@ -301,7 +314,7 @@ impl Shard {
             // Distances forward from `conn`'s home and from the hole to
             // i: the record may move iff the hole is no nearer to i than
             // home.
-            let from_home = (i + cap - home(place(conn.hash64(), secret), cap)) & mask;
+            let from_home = (i + cap - home(conn, self.secret, cap)) & mask;
             if from_home >= (i + cap - hole) & mask {
                 self.buckets[hole] = self.buckets[i].take();
                 hole = i;
@@ -312,12 +325,12 @@ impl Shard {
     /// Offer each record exactly once to `keep`, which may drop halves
     /// and says whether any is left; drop the records it rejects. Then
     /// halve the array while it is less than an eighth full (never below
-    /// [`MIN_BUCKETS`]), so that after a flood the shard's memory and
+    /// [`MIN_BUCKETS`]), so that after a flood the table's memory and
     /// every later walk over it follow the live records, not the peak.
     /// The walk starts just past an empty bucket, which no cluster spans:
     /// a removal only shifts records from later in the hole's cluster, so
     /// none lands on a bucket the walk has already passed.
-    fn retain(&mut self, secret: u64, mut keep: impl FnMut(&FlowKey, &mut Record) -> bool) {
+    fn retain(&mut self, mut keep: impl FnMut(&FlowKey, &mut Record) -> bool) {
         let cap = self.buckets.len();
         let Some(empty) = self.buckets.iter().position(Option::is_none) else {
             return;
@@ -330,15 +343,15 @@ impl Shard {
                     break;
                 }
                 // Re-examine i: a later record may have shifted into it.
-                self.remove_at(i, secret);
+                self.remove_at(i);
             }
         }
         let mut fit = cap;
-        while fit > MIN_BUCKETS && 8 * self.len < fit {
+        while fit > MIN_BUCKETS && 8 * self.records < fit {
             fit /= 2;
         }
         if fit < cap {
-            self.resize(fit, secret);
+            self.resize(fit);
         }
     }
 
@@ -347,9 +360,26 @@ impl Shard {
         self.buckets.iter().flatten().map(|(k, r)| (k, &**r))
     }
 
-    /// Entries present, over every record.
-    fn entries(&self) -> usize {
-        self.iter().map(|(_, r)| r.len()).sum()
+    /// Evict the entry idle the longest (smallest key on ties), never
+    /// `avoid`, the key about to be inserted. Returns `false` when
+    /// nothing is evictable.
+    fn evict_one(&mut self, avoid: &FlowKey) -> bool {
+        let mut victim: Option<(Nanos, FlowKey)> = None;
+        for (conn, rec) in self.iter() {
+            for (i, e) in rec.halves.iter().enumerate() {
+                let Some(e) = e else { continue };
+                // Most entries lose on time alone; only a candidate
+                // pays for its directional key.
+                if victim.is_some_and(|(t, _)| e.last_activity > t) {
+                    continue;
+                }
+                let cand = (e.last_activity, key_of(conn, i));
+                if cand.1 != *avoid && victim.is_none_or(|v| cand < v) {
+                    victim = Some(cand);
+                }
+            }
+        }
+        victim.is_some_and(|(_, k)| self.remove(&k))
     }
 }
 
@@ -371,25 +401,12 @@ fn in_turn<A, R>(
     g(a, rec.halves[rside].as_mut())
 }
 
-/// A sharded flow table: connection key → record of both directions'
-/// [`FlowEntry`]s, one lock per shard.
+/// A flow table: connection key → record of both directions'
+/// [`FlowEntry`]s, behind one lock.
 pub struct FlowTable {
-    shards: Vec<Mutex<Shard>>,
-    /// Keys bucket placement inside a shard ([`placement_secret`]).
-    secret: u64,
-    /// Tracked-entry (half) count, maintained by reservation: incremented
-    /// before a shard insert, decremented on remove/gc/clear.
-    /// Upper-bounds the entries in the shards at all times, so a capacity
-    /// check against it can never let the table overshoot `max_flows`.
-    count: AtomicUsize,
+    index: Mutex<Index>,
     max_flows: Option<usize>,
     admission: AdmissionPolicy,
-    /// GC bookkeeping epoch: idleness is measured from
-    /// `max(last_activity, epoch)`, so stamping the epoch at a datapath
-    /// reset or checkpoint restore guarantees entries carrying
-    /// `last_activity` values from before that event can never be
-    /// spuriously collected by the first sweep afterwards.
-    epoch: AtomicU64,
     /// Event sink for per-key lifecycle events the table itself observes
     /// (today: idle/closed garbage collection). `None` until the owning
     /// datapath attaches its hub.
@@ -406,12 +423,15 @@ impl FlowTable {
     /// An empty, unbounded table.
     pub fn new() -> FlowTable {
         FlowTable {
-            shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
-            secret: placement_secret(),
-            count: AtomicUsize::new(0),
+            index: Mutex::new(Index {
+                buckets: Box::default(),
+                records: 0,
+                entries: 0,
+                epoch: 0,
+                secret: placement_secret(),
+            }),
             max_flows: None,
             admission: AdmissionPolicy::EvictOldestIdle,
-            epoch: AtomicU64::new(0),
             telemetry: None,
         }
     }
@@ -433,14 +453,15 @@ impl FlowTable {
 
     /// The current GC bookkeeping epoch (0 until first stamped).
     pub fn epoch(&self) -> Nanos {
-        self.epoch.load(Ordering::Relaxed)
+        self.index.lock().epoch
     }
 
     /// Stamp the GC epoch: idleness in subsequent [`FlowTable::gc`]
     /// sweeps is measured from no earlier than `at`. Called on datapath
     /// reset and checkpoint restore; stamps never move backwards.
     pub fn set_epoch(&self, at: Nanos) {
-        self.epoch.fetch_max(at, Ordering::Relaxed);
+        let mut index = self.index.lock();
+        index.epoch = index.epoch.max(at);
     }
 
     /// Attach the telemetry hub that receives the table's own lifecycle
@@ -449,43 +470,24 @@ impl FlowTable {
         self.telemetry = Some(telemetry);
     }
 
-    /// The shard index `key`'s connection lives in, the same for both
-    /// directions: the low bits of the connection key's
-    /// [`FlowKey::hash64`]. Worker steering (`acdc-workers`) finalizes
-    /// the same hash before reducing it, so one shard's connections
-    /// spread over every worker.
-    pub fn shard_of(key: &FlowKey) -> usize {
-        (key.canonical().hash64() as usize) & (SHARDS - 1)
-    }
-
-    /// The order a sweep publishes its per-flow events in: the shard
-    /// `key`'s own hash picks, then `key` — the order a table of one
-    /// entry per direction held its contents in, kept so that recorded
-    /// runs keep their event sequence. Walks themselves go in bucket
-    /// order; `tick` and `gc` tag what they collect with this, once per
-    /// key, and sort before recording, so the recorder's sequence numbers
-    /// replay across a checkpoint restore and under racing worker
-    /// inserts.
+    /// The order a sweep publishes its per-flow events in: a
+    /// [`SWEEP_TAGS`]-way tag from `key`'s own hash, then `key` — the
+    /// order a sharded table of one entry per direction held its contents
+    /// in, kept so that recorded runs keep their event sequence. Walks
+    /// themselves go in bucket order; `tick` and `gc` tag what they
+    /// collect with this, once per key, and sort before recording, so the
+    /// recorder's sequence numbers replay across a checkpoint restore and
+    /// under racing worker inserts.
     pub(crate) fn sweep_order(key: &FlowKey) -> (usize, FlowKey) {
-        ((key.hash64() as usize) & (SHARDS - 1), *key)
+        ((key.hash64() as usize) & (SWEEP_TAGS - 1), *key)
     }
 
-    /// The shard connection `conn` lives in, and where its probe starts.
-    fn shard(&self, conn: &FlowKey) -> (&Mutex<Shard>, u64) {
-        let hash = conn.hash64();
-        (
-            &self.shards[hash as usize & (SHARDS - 1)],
-            place(hash, self.secret),
-        )
-    }
-
-    /// Run `f` on the entry for `key` under its shard's lock. `f` must
-    /// not call back into the table (the shard lock is held) nor publish
-    /// events (W002).
+    /// Run `f` on the entry for `key` under the table lock. `f` must not
+    /// call back into the table (the lock is held) nor publish events
+    /// (W002).
     pub fn with_entry<R>(&self, key: &FlowKey, f: impl FnOnce(&mut FlowEntry) -> R) -> Option<R> {
         let (conn, side, _) = locate(key);
-        let (shard, place) = self.shard(&conn);
-        shard.lock().get_mut(&conn, place)?.halves[side]
+        self.index.lock().get_mut(&conn)?.halves[side]
             .as_mut()
             .map(f)
     }
@@ -502,82 +504,27 @@ impl FlowTable {
         g: impl FnOnce(Option<A>, Option<&mut FlowEntry>) -> R,
     ) -> R {
         let (conn, side, rside) = locate(key);
-        let (shard, place) = self.shard(&conn);
-        in_turn(shard.lock().get_mut(&conn, place), side, rside, f, g)
+        in_turn(self.index.lock().get_mut(&conn), side, rside, f, g)
     }
 
-    /// Reserve one slot in `count`, respecting the cap.
-    fn try_reserve(&self) -> bool {
-        match self.max_flows {
-            None => {
-                self.count.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            Some(cap) => self
-                .count
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |c| {
-                    (c < cap).then_some(c + 1)
-                })
-                .is_ok(),
-        }
-    }
-
-    fn release(&self) {
-        self.count.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Evict the entry idle the longest (smallest key on ties), never the
-    /// key about to be inserted. Returns `false` when nothing is
-    /// evictable.
-    fn evict_one(&self, avoid: &FlowKey) -> bool {
-        let mut victim: Option<(Nanos, FlowKey)> = None;
-        for shard in &self.shards {
-            let shard = shard.lock();
-            for (conn, rec) in shard.iter() {
-                for (i, e) in rec.halves.iter().enumerate() {
-                    let Some(e) = e else { continue };
-                    // Most entries lose on time alone; only a candidate
-                    // pays for its directional key.
-                    if victim.is_some_and(|(t, _)| e.last_activity > t) {
-                        continue;
-                    }
-                    let cand = (e.last_activity, key_of(conn, i));
-                    if cand.1 != *avoid && victim.is_none_or(|v| cand < v) {
-                        victim = Some(cand);
-                    }
-                }
-            }
-        }
-        victim.is_some_and(|(_, k)| self.remove(&k))
-    }
-
-    /// Reserve capacity for a new entry per the admission policy.
-    /// Returns `(reserved, entries evicted to make room)`.
-    fn admit(&self, key: &FlowKey) -> (bool, usize) {
-        if self.try_reserve() {
-            return (true, 0);
+    /// Make room for one more entry per the admission policy, evicting
+    /// never `key`.
+    fn admit(&self, index: &mut Index, key: &FlowKey) -> Admission {
+        if self.max_flows.is_none_or(|cap| index.entries < cap) {
+            return Admission::Created;
         }
         match self.admission {
-            AdmissionPolicy::RejectNew => (false, 0),
-            AdmissionPolicy::EvictOldestIdle => {
-                let mut evicted = 0;
-                for _ in 0..MAX_EVICT_ATTEMPTS {
-                    if !self.evict_one(key) {
-                        return (false, evicted);
-                    }
-                    evicted += 1;
-                    if self.try_reserve() {
-                        return (true, evicted);
-                    }
-                }
-                (false, evicted)
+            AdmissionPolicy::RejectNew => Admission::Rejected,
+            AdmissionPolicy::EvictOldestIdle if index.evict_one(key) => {
+                Admission::CreatedAfterEviction(1)
             }
+            AdmissionPolicy::EvictOldestIdle => Admission::Rejected,
         }
     }
 
     /// [`FlowTable::with_connection`], creating `key`'s entry with `init`
     /// when absent — subject to the capacity/admission gate, and `init`
-    /// runs under the shard lock too. When the table is full and the
+    /// runs under the table lock too. When the table is full and the
     /// policy refuses the flow ([`Admission::Rejected`]), `f` does not
     /// run and `g` gets `None` beside the reverse entry.
     pub(crate) fn with_connection_or_create<A, R>(
@@ -588,46 +535,20 @@ impl FlowTable {
         g: impl FnOnce(Option<A>, Option<&mut FlowEntry>) -> R,
     ) -> (R, Admission) {
         let (conn, side, rside) = locate(&key);
-        let (lock, place) = self.shard(&conn);
-        let mut shard = lock.lock();
-        let mut at = shard.find(&conn, place);
-        let tracked = |shard: &mut Shard, at| {
-            shard
-                .at(at)
-                .is_some_and(|r: &mut Record| r.halves[side].is_some())
-        };
+        let mut index = self.index.lock();
+        let mut at = index.find(&conn);
         let mut adm = Admission::Existing;
-        if !tracked(&mut shard, at) {
-            adm = Admission::Created;
-            if !self.try_reserve() {
-                // At the cap. Eviction takes every shard's lock in turn,
-                // this one included, and parking_lot locks are not
-                // re-entrant.
-                drop(shard);
-                let (reserved, evicted) = self.admit(&key);
-                shard = lock.lock();
-                at = shard.find(&conn, place);
-                adm = if !reserved {
-                    Admission::Rejected
-                } else if tracked(&mut shard, at) {
-                    // Lost a create race: hand the reservation back.
-                    self.release();
-                    Admission::Existing
-                } else if evicted > 0 {
-                    Admission::CreatedAfterEviction(evicted)
-                } else {
-                    Admission::Created
-                };
-            }
+        if index.at(at).is_none_or(|r| r.halves[side].is_none()) {
+            adm = self.admit(&mut index, &key);
             if adm.created() {
-                let entry = init();
-                match shard.at(at) {
-                    Some(rec) => rec.halves[side] = Some(entry),
-                    None => at = Some(shard.insert(conn, place, self.secret, side, entry)),
+                if adm != Admission::Created {
+                    // The victim's removal may have moved this record.
+                    at = index.find(&conn);
                 }
+                at = Some(index.put(conn, at, side, init()));
             }
         }
-        let rec = shard.at(at);
+        let rec = index.at(at);
         let r = if adm.rejected() {
             g(None, rec.and_then(|r| r.halves[rside].as_mut()))
         } else {
@@ -638,7 +559,7 @@ impl FlowTable {
 
     /// [`FlowTable::with_entry`], creating the entry with `init` when
     /// absent — subject to the capacity/admission gate. Same rules for
-    /// `f`, and `init` runs under the shard lock too. Returns `None`
+    /// `f`, and `init` runs under the table lock too. Returns `None`
     /// (with [`Admission::Rejected`]) when the table is full and the
     /// policy refused the flow; `f` is not called in that case.
     pub fn with_entry_or_create<R>(
@@ -661,29 +582,12 @@ impl FlowTable {
     /// Remove an entry (FIN teardown), and its record with it when the
     /// reverse direction is not tracked.
     pub fn remove(&self, key: &FlowKey) -> bool {
-        let (conn, side, _) = locate(key);
-        let (lock, place) = self.shard(&conn);
-        let mut shard = lock.lock();
-        let Some(i) = shard.find(&conn, place) else {
-            return false;
-        };
-        let Some(rec) = shard.at(Some(i)).filter(|r| r.halves[side].is_some()) else {
-            return false;
-        };
-        // A key that is its own reverse is half 0, and half 1 is empty.
-        if rec.halves[1 - side].is_some() {
-            rec.halves[side] = None;
-        } else {
-            shard.remove_at(i, self.secret);
-        }
-        self.release();
-        true
+        self.index.lock().remove(key)
     }
 
-    /// Number of tracked entries, one per direction (O(1): the
-    /// reservation counter).
+    /// Number of tracked entries, one per direction (O(1)).
     pub fn len(&self) -> usize {
-        self.count.load(Ordering::Relaxed)
+        self.index.lock().entries
     }
 
     /// Is the table empty?
@@ -692,22 +596,18 @@ impl FlowTable {
     }
 
     /// Number of connection records, each holding one or both
-    /// directions. Takes every shard lock in turn (diagnostics).
+    /// directions (O(1)).
     pub fn connections(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len).sum()
+        self.index.lock().records
     }
 
-    /// Drop every entry (vSwitch restart) and free every shard's bucket
-    /// array, however large a flood grew it. Returns the number removed.
+    /// Drop every entry (vSwitch restart) and free the bucket array,
+    /// however large a flood grew it. Returns the number removed.
     pub fn clear(&self) -> usize {
-        let mut removed = 0;
-        for shard in &self.shards {
-            let mut shard = shard.lock();
-            removed += shard.entries();
-            *shard = Shard::default();
-        }
-        self.count.fetch_sub(removed, Ordering::Relaxed);
-        removed
+        let mut index = self.index.lock();
+        index.buckets = Box::default();
+        index.records = 0;
+        std::mem::take(&mut index.entries)
     }
 
     /// Coarse-grained garbage collection (paired with FIN handling in the
@@ -717,19 +617,19 @@ impl FlowTable {
     /// `last_activity` and the table [`FlowTable::epoch`], so a
     /// reset/restore epoch stamp shields entries carrying pre-event
     /// activity times from one spurious collection. Returns the number of
-    /// entries collected. A shard left less than an eighth full halves
-    /// its bucket array (down to [`MIN_BUCKETS`]); [`FlowTable::clear`]
-    /// frees them.
+    /// entries collected. An array left less than an eighth full halves
+    /// (down to [`MIN_BUCKETS`]); [`FlowTable::clear`] frees it.
     pub fn gc(&self, now: Nanos, idle_timeout: Nanos) -> usize {
         // Evicted keys are collected during the sweep, each tagged with
         // its `sweep_order` as it is found, and their events published
-        // only after every shard lock is released (W002: no event-bus
-        // entry while a table lock is held). A record's shard is not its
-        // directions' sweep shards, so the whole list is sorted once.
-        let epoch = self.epoch();
+        // only after the table lock is released (W002: no event-bus entry
+        // while a table lock is held). Bucket order is not sweep order,
+        // so the whole list is sorted once.
         let mut evicted: Vec<(usize, FlowKey)> = Vec::new();
-        for shard in &self.shards {
-            shard.lock().retain(self.secret, |conn, rec| {
+        {
+            let mut index = self.index.lock();
+            let epoch = index.epoch;
+            index.retain(|conn, rec| {
                 for (i, h) in rec.halves.iter_mut().enumerate() {
                     let dead = h.as_ref().is_some_and(|e| {
                         e.closing || now.saturating_sub(e.last_activity.max(epoch)) > idle_timeout
@@ -741,18 +641,13 @@ impl FlowTable {
                 }
                 !rec.is_empty()
             });
+            index.entries -= evicted.len();
+            debug_assert!(
+                index.entries == index.iter().map(|(_, r)| r.len()).sum::<usize>(),
+                "flow-table count drifted from the index contents after gc"
+            );
         }
         evicted.sort_unstable();
-        self.count.fetch_sub(evicted.len(), Ordering::Relaxed);
-        debug_assert!(
-            self.count.load(Ordering::Relaxed)
-                == self
-                    .shards
-                    .iter()
-                    .map(|s| s.lock().entries())
-                    .sum::<usize>(),
-            "flow-table count drifted from shard contents after gc"
-        );
         if let Some(t) = &self.telemetry {
             for (_, key) in &evicted {
                 t.record(now, *key, EventKind::FlowEvicted { reason: "gc" });
@@ -761,17 +656,15 @@ impl FlowTable {
         evicted.len()
     }
 
-    /// Visit every entry with its directional key, one shard lock at a
-    /// time (diagnostics, inactivity scans, checkpoint capture). Same
-    /// rules for `f` as [`FlowTable::with_entry`].
+    /// Visit every entry with its directional key, under the table lock
+    /// (diagnostics, inactivity scans, checkpoint capture). Same rules
+    /// for `f` as [`FlowTable::with_entry`].
     pub fn for_each(&self, mut f: impl FnMut(&FlowKey, &mut FlowEntry)) {
-        for shard in &self.shards {
-            let mut shard = shard.lock();
-            for (conn, rec) in shard.buckets.iter_mut().flatten() {
-                for (i, h) in rec.halves.iter_mut().enumerate() {
-                    if let Some(e) = h {
-                        f(&key_of(conn, i), e);
-                    }
+        let mut index = self.index.lock();
+        for (conn, rec) in index.buckets.iter_mut().flatten() {
+            for (i, h) in rec.halves.iter_mut().enumerate() {
+                if let Some(e) = h {
+                    f(&key_of(conn, i), e);
                 }
             }
         }
@@ -831,17 +724,6 @@ mod tests {
         assert_eq!(create(&t, 7, 99), Admission::Existing);
         assert_eq!(last_activity(&t, 7), Some(0), "the first entry stays");
         assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn many_flows_distribute_across_shards() {
-        let t = FlowTable::new();
-        for p in 0..1000 {
-            create(&t, p, 0);
-        }
-        assert_eq!(t.len(), 1000);
-        let nonempty = t.shards.iter().filter(|s| s.lock().len > 0).count();
-        assert!(nonempty > SHARDS / 2, "poor shard distribution: {nonempty}");
     }
 
     #[test]
@@ -937,19 +819,13 @@ mod tests {
         assert_eq!(t.len(), 1);
     }
 
-    /// Records (occupied buckets) in `key`'s shard.
-    fn records(t: &FlowTable, key: &FlowKey) -> usize {
-        t.shards[FlowTable::shard_of(key)].lock().len
-    }
-
     #[test]
     fn both_directions_share_one_record() {
         let t = FlowTable::new();
         let (k, r) = (key(1), key(1).reverse());
-        assert_eq!(FlowTable::shard_of(&k), FlowTable::shard_of(&r));
         assert_eq!(create(&t, 1, 10), Admission::Created);
         assert_eq!(t.get_or_create(r, || entry(20)), Admission::Created);
-        assert_eq!((t.len(), records(&t, &k)), (2, 1));
+        assert_eq!((t.len(), t.connections()), (2, 1));
         // Each side sees its own entry first and the other one second.
         let seen = |from: &FlowKey| {
             t.with_connection(
@@ -963,10 +839,10 @@ mod tests {
         // Removing one direction keeps the other and the record.
         assert!(t.remove(&k));
         assert_eq!(seen(&r), (Some(20), None));
-        assert_eq!((t.len(), records(&t, &k)), (1, 1));
+        assert_eq!((t.len(), t.connections()), (1, 1));
         // The last direction takes the record with it.
         assert!(t.remove(&r));
-        assert_eq!((t.len(), records(&t, &k)), (0, 0));
+        assert_eq!((t.len(), t.connections()), (0, 0));
         assert_eq!(seen(&k), (None, None));
     }
 
@@ -989,29 +865,30 @@ mod tests {
         );
         assert_eq!((seen, adm), (Some(5), Admission::Created));
         assert_eq!(t.get_or_create(own, || entry(0)), Admission::Existing);
-        assert_eq!((t.len(), records(&t, &own)), (1, 1));
+        assert_eq!((t.len(), t.connections()), (1, 1));
         assert!(t.remove(&own));
-        assert_eq!((t.len(), records(&t, &own)), (0, 0));
+        assert_eq!((t.len(), t.connections()), (0, 0));
     }
 
     #[test]
     fn eviction_and_gc_take_one_direction_and_keep_the_other() {
         let t = FlowTable::bounded(2, AdmissionPolicy::EvictOldestIdle);
-        let (k, r) = (key(1), key(1).reverse());
+        let r = key(1).reverse();
         create(&t, 1, 0);
         t.get_or_create(r, || entry(100));
         // The oldest entry is `k`'s half of the record; `r` stays.
         assert_eq!(create(&t, 2, 50), Admission::CreatedAfterEviction(1));
         assert!(last_activity(&t, 1).is_none());
         assert!(t.with_entry(&r, |_| ()).is_some());
-        assert_eq!(records(&t, &k), 1);
+        // `r` keeps `k`'s record; `key(2)` has its own.
+        assert_eq!(t.connections(), 2);
         // Idle `key(2)` goes at gc; `r` is young enough to stay.
         assert_eq!(t.gc(200, 120), 1);
-        assert_eq!(t.len(), 1);
+        assert_eq!((t.len(), t.connections()), (1, 1));
         assert!(t.with_entry(&r, |_| ()).is_some());
         // And when it goes too, so does its record.
         assert_eq!(t.gc(300, 120), 1);
-        assert_eq!((t.len(), records(&t, &k)), (0, 0));
+        assert_eq!((t.len(), t.connections()), (0, 0));
     }
 
     #[test]
@@ -1038,35 +915,33 @@ mod tests {
         assert_eq!(create(&t, 3, 0), Admission::Created);
     }
 
-    /// `n` ports whose keys land in shard 0.
-    fn crowd(n: usize) -> Vec<u16> {
-        (0..u16::MAX)
-            .filter(|&p| FlowTable::shard_of(&key(p)) == 0)
-            .take(n)
-            .collect()
+    /// `n` ports. One array holds every key, so any `n` past four grows
+    /// it and any handful collides on some probe path.
+    fn crowd(n: u16) -> Vec<u16> {
+        (0..n).collect()
     }
 
-    fn buckets(t: &FlowTable, shard: usize) -> usize {
-        t.shards[shard].lock().buckets.len()
+    fn buckets(t: &FlowTable) -> usize {
+        t.index.lock().buckets.len()
     }
 
     #[test]
     fn clear_frees_bucket_arrays() {
         let t = FlowTable::new();
-        // Enough to grow the shard several times.
+        // Enough to grow the array several times.
         let crowd = crowd(40);
         for &p in &crowd {
             create(&t, p, 0);
         }
-        assert!(buckets(&t, 0) >= 2 * crowd.len());
+        assert!(buckets(&t) >= 2 * crowd.len());
         assert_eq!(t.clear(), crowd.len());
-        for shard in &t.shards {
-            let shard = shard.lock();
-            assert_eq!((shard.len, shard.buckets.len()), (0, 0));
+        {
+            let index = t.index.lock();
+            assert_eq!((index.records, index.buckets.len()), (0, 0));
         }
-        // An emptied shard starts again from its first allocation.
+        // An emptied table starts again from its first allocation.
         create(&t, crowd[0], 0);
-        assert_eq!(buckets(&t, 0), MIN_BUCKETS);
+        assert_eq!(buckets(&t), MIN_BUCKETS);
     }
 
     #[test]
@@ -1077,7 +952,7 @@ mod tests {
         for &p in &crowd {
             create(&t, p, 0);
         }
-        assert_eq!(buckets(&t, 0), 128);
+        assert_eq!(buckets(&t), 128);
         // Six stay active: 6 of 128 is under an eighth, so the array
         // halves to 32, where 6 is not.
         let (live, idle) = crowd.split_at(6);
@@ -1085,7 +960,7 @@ mod tests {
             set_last_activity(&t, p, 2 * IDLE);
         }
         assert_eq!(t.gc(2 * IDLE, IDLE), idle.len());
-        assert_eq!(buckets(&t, 0), 32);
+        assert_eq!(buckets(&t), 32);
         for &p in live {
             assert!(
                 last_activity(&t, p).is_some(),
@@ -1095,22 +970,21 @@ mod tests {
         for &p in idle {
             assert!(last_activity(&t, p).is_none(), "port {p} survived gc");
         }
-        // Emptied by gc, a shard keeps its smallest array.
+        // Emptied by gc, the table keeps its smallest array.
         assert_eq!(t.gc(4 * IDLE, IDLE), live.len());
         assert!(t.is_empty());
-        assert_eq!(buckets(&t, 0), MIN_BUCKETS);
+        assert_eq!(buckets(&t), MIN_BUCKETS);
     }
 
-    /// The longest probe any entry of `shard` needs, in buckets.
-    fn longest_probe(t: &FlowTable, shard: usize) -> usize {
-        let shard = t.shards[shard].lock();
-        let cap = shard.buckets.len();
-        let start = |k: &FlowKey| home(place(k.hash64(), t.secret), cap);
+    /// The longest probe any entry needs, in buckets.
+    fn longest_probe(t: &FlowTable) -> usize {
+        let index = t.index.lock();
+        let cap = index.buckets.len();
         let probe = |(i, b): (usize, &Bucket)| {
             b.as_ref()
-                .map(|(k, _)| ((i + cap - start(k)) & (cap - 1)) + 1)
+                .map(|(k, _)| ((i + cap - home(k, index.secret, cap)) & (cap - 1)) + 1)
         };
-        shard
+        index
             .buckets
             .iter()
             .enumerate()
@@ -1121,11 +995,11 @@ mod tests {
 
     #[test]
     fn ports_chosen_against_the_public_hash_do_not_cluster() {
-        // What a sender can compute without the secret: 24 connections in
-        // shard 0 whose keys share the high hash bits an unkeyed placement
-        // would use for a home in the 64-bucket array 24 records grow a
-        // shard to. The sender picks the data direction's ports; its
-        // connection key is the reverse (10.0.0.2 sorts first).
+        // What a sender can compute without the secret: 24 connections
+        // whose keys share the low hash bits an unkeyed placement would
+        // use for a home in the 64-bucket array 24 records grow the table
+        // to. The sender picks the data direction's ports; its connection
+        // key is the reverse (10.0.0.2 sorts first).
         let chosen: Vec<FlowKey> = (0..=u8::MAX)
             .flat_map(|a| {
                 (0..=u16::MAX).map(move |p| FlowKey {
@@ -1133,25 +1007,23 @@ mod tests {
                     ..key(p)
                 })
             })
-            .filter(|k| k.canonical().hash64() & 0x0000_003f_0000_03ff == 0)
+            .filter(|k| k.canonical().hash64() & 0x3f == 0)
             .take(24)
             .collect();
         assert_eq!(chosen.len(), 24);
         assert!(chosen.iter().all(|k| k.canonical() == k.reverse()));
         let golden = 0x9e37_79b9_7f4a_7c15_u64;
         for secret in (1..=32).map(|s| golden.wrapping_mul(s)) {
-            let t = FlowTable {
-                secret,
-                ..FlowTable::new()
-            };
+            let t = FlowTable::new();
+            t.index.lock().secret = secret;
             for &k in &chosen {
                 t.get_or_create(k, || entry(0));
                 t.get_or_create(k.reverse(), || entry(0));
             }
-            assert_eq!((t.len(), buckets(&t, 0)), (48, 64));
+            assert_eq!((t.len(), buckets(&t)), (48, 64));
             // Unkeyed, the last of them would probe 24 buckets; keyed,
             // these 32 secrets give at most 9.
-            let longest = longest_probe(&t, 0);
+            let longest = longest_probe(&t);
             assert!(
                 longest <= 12,
                 "secret {secret:#x}: a {longest}-bucket probe"
@@ -1160,19 +1032,33 @@ mod tests {
     }
 
     #[test]
-    fn shard_of_matches_internal_selection() {
+    fn a_small_table_is_all_a_sweep_visits() {
+        // Two connections, both ways: the first insert allocates the
+        // smallest array and the second fits in it.
         let t = FlowTable::new();
-        for p in 0..200 {
+        for p in [1, 2] {
+            create(&t, p, 0);
+            t.get_or_create(key(p).reverse(), || entry(0));
+        }
+        assert_eq!((t.len(), t.connections(), buckets(&t)), (4, 2, MIN_BUCKETS));
+        let mut seen = Vec::new();
+        t.for_each(|k, _| seen.push(*k));
+        seen.sort_unstable();
+        let mut want = vec![key(1), key(1).reverse(), key(2), key(2).reverse()];
+        want.sort_unstable();
+        assert_eq!(seen, want, "for_each visits the four entries once each");
+        // A sweep after a flood walks what is left, not the peak.
+        for p in 3..1_000 {
             create(&t, p, 0);
         }
-        for p in 0..200 {
-            let (k, conn) = (key(p).reverse(), key(p));
-            let mut shard = t.shards[FlowTable::shard_of(&k)].lock();
-            assert!(shard
-                .get_mut(&conn, place(conn.hash64(), t.secret))
-                .is_some());
-        }
-        assert!(SHARDS.is_power_of_two());
+        set_last_activity(&t, 1, 10);
+        t.with_entry(&key(1).reverse(), |e| e.last_activity = 10);
+        assert_eq!(buckets(&t), 2_048);
+        assert_eq!(t.gc(10, 5), 999);
+        assert_eq!((t.len(), t.connections(), buckets(&t)), (2, 1, MIN_BUCKETS));
+        assert_eq!(t.gc(10, 5), 0);
+        assert_eq!(t.gc(20, 5), 2);
+        assert_eq!((t.len(), buckets(&t)), (0, MIN_BUCKETS));
     }
 
     #[test]

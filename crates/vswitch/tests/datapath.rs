@@ -9,8 +9,8 @@ use acdc_packet::{
 };
 use acdc_telemetry::EventKind;
 use acdc_vswitch::{
-    AcdcConfig, AcdcDatapath, AdmissionPolicy, CcPolicy, DropReason, FlowEntry, FlowTable,
-    HealthState, Verdict, VirtualCc,
+    AcdcConfig, AcdcDatapath, AdmissionPolicy, CcPolicy, DropReason, FlowEntry, HealthState,
+    Verdict, VirtualCc,
 };
 use bytes::BytesMut;
 
@@ -492,6 +492,44 @@ fn bare_fin_from_the_network_closes_its_entry() {
     assert_eq!(dpa.flows(), 0);
 }
 
+/// `connections()` counts records: two entries of one connection are
+/// one, and so is a connection with one direction left, or a key that is
+/// its own reverse.
+#[test]
+fn connections_count_records_not_directions() {
+    let (dpa, _dpb) = rig(false);
+    assert_eq!((dpa.flows(), dpa.connections()), (2, 1));
+
+    // Half-closed: A's FIN is collected, B's direction stays.
+    let mut t = TcpRepr::new(AP, BP);
+    t.seq = SeqNumber(ISS_A + 1);
+    t.ack = SeqNumber(ISS_B + 1);
+    t.flags = TcpFlags::ACK | TcpFlags::FIN;
+    dpa.egress(50_000, Segment::new_tcp(ip(A, B, Ecn::NotEct), t, 0));
+    assert_eq!(dpa.gc(60_000, u64::MAX), 1);
+    let left: Vec<FlowKey> = dpa.flow_stats().iter().map(|s| s.key).collect();
+    assert_eq!(left, [key_ab().reverse()]);
+    assert_eq!((dpa.flows(), dpa.connections()), (1, 1));
+
+    // Source = destination: one entry, lent as both directions.
+    let dp = AcdcDatapath::new(AcdcConfig::dctcp(MTU));
+    let mut t = TcpRepr::new(AP, AP);
+    t.seq = SeqNumber(ISS_A);
+    t.flags = TcpFlags::SYN;
+    t.window = 65_000;
+    dp.egress(0, Segment::new_tcp(ip(A, A, Ecn::NotEct), t, 0))
+        .forwarded()
+        .unwrap();
+    let own = FlowKey {
+        src_ip: A,
+        dst_ip: A,
+        src_port: AP,
+        dst_port: AP,
+    };
+    assert_eq!(own.reverse(), own);
+    assert_eq!((dp.flows(), dp.connections()), (1, 1));
+}
+
 #[test]
 fn window_update_generation() {
     let (dpa, dpb) = rig(false);
@@ -939,21 +977,11 @@ fn checkpoint_restore_continues_byte_identically() {
 
 #[test]
 fn sweep_events_after_restore_match_the_uninterrupted_run() {
-    // 48 connections whose data-direction entries share one shard, opened
-    // in descending port order. Restore re-creates entries in ascending
-    // key order, so entries whose probes collide sit in other buckets
-    // than in the original table; the events a sweep records must not
-    // follow them.
-    let on = |p: u16| FlowKey {
-        src_port: p,
-        ..key_ab()
-    };
-    let shard = FlowTable::shard_of(&key_ab());
-    let ports: Vec<u16> = (1_024..=u16::MAX)
-        .filter(|&p| FlowTable::shard_of(&on(p)) == shard)
-        .take(48)
-        .collect();
-    assert_eq!(ports.len(), 48);
+    // 48 connections, opened in descending port order. Restore re-creates
+    // entries in ascending key order, so entries whose probes collide sit
+    // in other buckets than in the original table; the events a sweep
+    // records must not follow them.
+    let ports: Vec<u16> = (1_024..1_072).collect();
     let dp = AcdcDatapath::new(AcdcConfig::dctcp(MTU));
     for (i, &p) in ports.iter().rev().enumerate() {
         let now = 1_000 * i as u64;

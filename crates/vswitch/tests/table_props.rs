@@ -9,9 +9,10 @@
 //! gc a bounded table never exceeds its cap, admits and evicts exactly
 //! the entry the model picks (oldest `last_activity`, smallest key on
 //! ties), and replays — same ops ⇒ same survivors and admission outcomes
-//! — for both admission policies. The probing index inside a shard:
-//! connections that all land in one shard, so clusters, wraparound,
-//! growth, backward-shift removal and the gc shrink all happen.
+//! — for both admission policies. The probing index: two dozen
+//! connections in a table whose first array has eight buckets, so
+//! clusters, wraparound, growth, backward-shift removal and the gc shrink
+//! all happen.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
@@ -216,11 +217,11 @@ proptest! {
     }
 }
 
-/// Connections in the one-shard universe; keys are twice as many.
+/// Connections in the probing-index universe; keys are twice as many.
 const CROWD: usize = 24;
 
 #[derive(Debug, Clone, Copy)]
-enum ShardOp {
+enum IndexOp {
     /// Look up or create the keyed flow, stamping `last_activity`.
     Create(u8, u16),
     /// Remove the keyed flow if present.
@@ -231,29 +232,26 @@ enum ShardOp {
     Clear,
 }
 
-fn shard_op_strategy() -> impl Strategy<Value = ShardOp> {
+fn index_op_strategy() -> impl Strategy<Value = IndexOp> {
     let k = || 0u8..2 * CROWD as u8;
     prop_oneof![
-        6 => (k(), 0u16..1000).prop_map(|(k, t)| ShardOp::Create(k, t)),
-        3 => k().prop_map(ShardOp::Remove),
-        1 => (0u16..1000).prop_map(ShardOp::Gc),
-        1 => Just(ShardOp::Clear),
+        6 => (k(), 0u16..1000).prop_map(|(k, t)| IndexOp::Create(k, t)),
+        3 => k().prop_map(IndexOp::Remove),
+        1 => (0u16..1000).prop_map(IndexOp::Gc),
+        1 => Just(IndexOp::Clear),
     ]
 }
 
-/// `CROWD` connections that all map to one shard, found by searching
-/// ports, followed by their reverses.
+/// `CROWD` connections followed by their reverses. Any keys do: the
+/// table holds them all in one array.
 fn crowd() -> &'static [FlowKey] {
     static CROWD_KEYS: OnceLock<Vec<FlowKey>> = OnceLock::new();
     CROWD_KEYS.get_or_init(|| {
-        let shard = FlowTable::shard_of(&key(0));
-        let conns: Vec<FlowKey> = (0..=u16::MAX)
+        let conns: Vec<FlowKey> = (0..CROWD as u16)
             .map(|p| FlowKey {
                 src_port: p,
                 ..key(0)
             })
-            .filter(|k| FlowTable::shard_of(k) == shard)
-            .take(CROWD)
             .collect();
         let reverses = conns.iter().map(FlowKey::reverse);
         conns.iter().copied().chain(reverses).collect()
@@ -267,14 +265,14 @@ fn last_activity(t: &FlowTable, k: &FlowKey) -> Option<u64> {
 /// Run `ops` on a fresh unbounded table beside the model, checking after
 /// every step that each key's lookup agrees with it and
 /// [`assert_matches`]. Returns every step's walk order.
-fn run_shard_ops(ops: &[ShardOp]) -> Vec<Vec<FlowKey>> {
+fn run_index_ops(ops: &[IndexOp]) -> Vec<Vec<FlowKey>> {
     let keys = crowd();
     let t = FlowTable::new();
     let mut model = Model::new();
     let mut walks = Vec::new();
     for op in ops {
         match *op {
-            ShardOp::Create(k, now) => {
+            IndexOp::Create(k, now) => {
                 let (k, now) = (keys[usize::from(k)], u64::from(now));
                 let (touched, adm) = t.with_entry_or_create(k, || entry(now), |e| touch(e, now));
                 assert!(touched.is_some(), "unbounded");
@@ -285,15 +283,15 @@ fn run_shard_ops(ops: &[ShardOp]) -> Vec<Vec<FlowKey>> {
                 };
                 assert_eq!(adm, expected, "{k}");
             }
-            ShardOp::Remove(k) => {
+            IndexOp::Remove(k) => {
                 let k = keys[usize::from(k)];
                 assert_eq!(t.remove(&k), model.remove(&k).is_some(), "{k}");
             }
-            ShardOp::Gc(now) => {
+            IndexOp::Gc(now) => {
                 let now = u64::from(now);
                 assert_eq!(t.gc(now, IDLE), model_gc(&mut model, now));
             }
-            ShardOp::Clear => {
+            IndexOp::Clear => {
                 assert_eq!(t.clear(), model.len());
                 model.clear();
             }
@@ -306,10 +304,10 @@ fn run_shard_ops(ops: &[ShardOp]) -> Vec<Vec<FlowKey>> {
     walks
 }
 
-fn check_shard_ops(ops: &[ShardOp]) {
+fn check_index_ops(ops: &[IndexOp]) {
     assert_eq!(
-        run_shard_ops(ops),
-        run_shard_ops(ops),
+        run_index_ops(ops),
+        run_index_ops(ops),
         "walk order diverged"
     );
 }
@@ -318,8 +316,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn one_shard_matches_model(ops in prop::collection::vec(shard_op_strategy(), 1..200)) {
-        check_shard_ops(&ops);
+    fn probing_index_matches_model(ops in prop::collection::vec(index_op_strategy(), 1..200)) {
+        check_index_ops(&ops);
     }
 }
 
@@ -328,7 +326,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4096))]
     #[test]
     #[ignore = "4096 cases; run with --ignored (nightly)"]
-    fn one_shard_matches_model_4096(ops in prop::collection::vec(shard_op_strategy(), 1..200)) {
-        check_shard_ops(&ops);
+    fn probing_index_matches_model_4096(ops in prop::collection::vec(index_op_strategy(), 1..200)) {
+        check_index_ops(&ops);
     }
 }

@@ -15,8 +15,8 @@
 //!   back steer to the same worker; since the ACK path writes the data
 //!   direction's flow entry, every entry of a flow has exactly one
 //!   writing worker and a worker's entries are disjoint from its
-//!   peers'. Their shards are not: the flow table's one lock per shard
-//!   serialises the workers that meet there. (The finalizing mix
+//!   peers'. Their table is not: the flow table's one lock serialises
+//!   every worker's entry accesses. (The finalizing mix
 //!   matters: raw FNV-1a's low bit
 //!   is a XOR of input low bits and collapses on mirrored key
 //!   populations — see [`steer`]'s module docs.)

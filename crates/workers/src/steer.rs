@@ -11,13 +11,12 @@
 //! symmetric steering gives every record exactly one writing worker.
 //!
 //! The hash is [`FlowKey::hash64`] of the connection key (FNV-1a, the
-//! flow table's shard hash) run through a finalizer before the modulo. FNV-1a needs that here:
+//! hash the flow table keys its placement with) run through a finalizer
+//! before the modulo. FNV-1a needs that here:
 //! its low output bit is exactly the XOR of the input bytes' low bits
 //! (the final multiply is by an odd constant), so key populations with
 //! mirrored byte patterns — e.g. benchmark flows numbered into both the
-//! src and dst address — collapse `hash64 % 2` to a constant. Shard
-//! selection masks ten bits and tolerates this; picking one worker out
-//! of two does not.
+//! src and dst address — collapse `hash64 % 2` to a constant.
 
 use acdc_packet::{mix64, FlowKey};
 

@@ -8,14 +8,14 @@
 //!   events of the same packets run in order on one thread: the same
 //!   event sequence at N = 1, the same multiset at N > 1 (threads reach
 //!   the ring in any order, but lose and duplicate nothing).
-//! * **One shard, many workers**: workers racing over connections that
-//!   share one flow-table shard end in the per-flow state one worker
-//!   computes, because the shard lock serialises every entry access.
+//! * **One table, many workers**: workers racing over connections in
+//!   the one flow table end in the per-flow state one worker computes,
+//!   because the table lock serialises every entry access.
 
 use acdc_packet::{
     Ecn, FlowKey, Ipv4Repr, Segment, SeqNumber, TcpFlags, TcpOption, TcpRepr, PROTO_TCP,
 };
-use acdc_vswitch::{AcdcConfig, AcdcDatapath, DropReason, FlowTable, Verdict};
+use acdc_vswitch::{AcdcConfig, AcdcDatapath, DropReason, Verdict};
 use acdc_workers::{worker_of, Direction, WorkerEngine};
 use proptest::prelude::*;
 
@@ -263,36 +263,23 @@ fn batch_modes_agree_with_sequential() {
     }
 }
 
-/// `n` connections that all land in one flow-table shard:
-/// `table_props.rs`'s search over `FlowTable::shard_of`. Both directions
-/// of a connection share its record, so both share the shard.
-fn one_shard_connections(n: usize) -> Vec<FlowKey> {
-    let key = |port: u16| FlowKey {
-        src_ip: [10, 0, 0, 1],
-        dst_ip: [10, 1, 0, 0],
-        src_port: port,
-        dst_port: port,
-    };
-    let home = FlowTable::shard_of(&key(0));
-    let keys: Vec<FlowKey> = (0..=u16::MAX)
-        .map(key)
-        .filter(|k| FlowTable::shard_of(k) == home)
-        .take(n)
-        .collect();
-    assert_eq!(keys.len(), n);
-    keys
-}
-
-/// Workers racing over one shard: `process_batch_parallel` at n = 2 and
-/// 4 over 24 connections whose records (four dozen entries) share one
-/// shard lock and one bucket array, grown by one worker's inserts while
+/// Workers racing over the table: `process_batch_parallel` at n = 2 and
+/// 4 over 24 connections whose records (four dozen entries) share the
+/// table lock and its bucket array, grown by one worker's inserts while
 /// the others probe it. Data both ways, CE marks, PACK feedback and FINs
 /// ride along. A hundred repetitions at each n must all end in the
 /// per-flow state one worker computes.
 #[test]
-fn racing_workers_over_one_shard_match_one_worker() {
-    const CONNS: usize = 24;
-    let keys = one_shard_connections(CONNS);
+fn racing_workers_over_one_table_match_one_worker() {
+    const CONNS: u16 = 24;
+    let keys: Vec<FlowKey> = (0..CONNS)
+        .map(|port| FlowKey {
+            src_ip: [10, 0, 0, 1],
+            dst_ip: [10, 1, 0, 0],
+            src_port: port,
+            dst_port: port,
+        })
+        .collect();
     let state = |n: usize| -> (String, String) {
         let dp = run(&keys, Some(n)).dp;
         let stats = format!("{:?}", dp.flow_stats());
@@ -306,7 +293,11 @@ fn racing_workers_over_one_shard_match_one_worker() {
         (stats, flows)
     };
     let one = state(1);
-    assert!(one.0.matches("FlowStat").count() == 2 * CONNS, "{}", one.0);
+    assert!(
+        one.0.matches("FlowStat").count() == 2 * usize::from(CONNS),
+        "{}",
+        one.0
+    );
     for n in [2, 4] {
         for rep in 0..100 {
             assert!(

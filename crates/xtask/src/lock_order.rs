@@ -6,7 +6,7 @@
 //! code channel from [`crate::scan`], with no type inference: a guard
 //! from `let g = x.lock();` lives until its enclosing scope closes or a
 //! `drop(g)` appears, and the closure argument of every table call runs
-//! under the shard lock that guards the entry it is handed.
+//! under the table lock that guards the entry it is handed.
 
 use crate::scan::SourceFile;
 
@@ -14,7 +14,7 @@ fn is_ident(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-/// A live lock guard: a `let` binding of `….lock()`, or the shard lock a
+/// A live lock guard: a `let` binding of `….lock()`, or the table lock a
 /// table call holds across its closure argument (`name: None`).
 #[derive(Debug)]
 struct Guard {
@@ -27,7 +27,7 @@ struct Guard {
 pub(crate) type LockFinding = (usize, String);
 
 /// Tokens that enter the flow table: its whole closure-taking API. Each
-/// holds a shard lock across its closure arguments, each of which is
+/// holds the table lock across its closure arguments, each of which is
 /// handed an entry (the `with_connection` pair has two: `key`'s
 /// direction, then the reverse).
 const TABLE_TOKENS: &[&str] = &[
@@ -41,15 +41,15 @@ const TABLE_TOKENS: &[&str] = &[
 
 /// Lexical lock-order pass over one file. Tracks `let g = ….lock()`
 /// guard bindings (combined brace/paren/bracket nesting depth) plus the
-/// shard lock held across the closures of every `with_entry*` /
+/// table lock held across the closures of every `with_entry*` /
 /// `with_connection*` / `get_or_create` / `for_each` call, and reports,
 /// while any guard is live:
 ///
-/// * another `.lock()` (unordered lock nesting — the classic AB/BA
-///   deadlock between two shards);
+/// * another `.lock()` (lock nesting — an AB/BA deadlock between two
+///   locks, or a self-deadlock on the one non-re-entrant table lock);
 /// * a table re-entry (`with_entry*`, `with_connection*`,
-///   `get_or_create`, `for_each`, `.gc(`, `.clear(`), which takes a
-///   shard lock;
+///   `get_or_create`, `for_each`, `.gc(`, `.clear(`), which takes the
+///   table lock;
 /// * an event-bus publish (`.record(`, `.publish(`), which takes the
 ///   telemetry lock inside the per-flow critical section.
 pub(crate) fn lock_order(file: &SourceFile) -> Vec<LockFinding> {
@@ -122,12 +122,12 @@ pub(crate) fn lock_order(file: &SourceFile) -> Vec<LockFinding> {
                         lineno,
                         format!(
                             "`{tok}` re-enters the flow table while a lock guard is \
-                             live; table ops take shard locks, so this nests \
+                             live; table ops take the table lock, so this nests \
                              lock acquisitions the worker model cannot order"
                         ),
                     ));
                 }
-                // The closure argument runs under the table's shard lock:
+                // The closure argument runs under the table lock:
                 // model it as an implicit guard scoped to the call's
                 // parentheses.
                 i += tok.len();
@@ -147,7 +147,7 @@ pub(crate) fn lock_order(file: &SourceFile) -> Vec<LockFinding> {
                 findings.push((
                     lineno,
                     "table maintenance call while a lock guard is live; \
-                     gc/clear take every shard lock in turn"
+                     gc/clear take the table lock"
                         .to_string(),
                 ));
             }

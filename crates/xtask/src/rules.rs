@@ -124,7 +124,7 @@ pub static W002: Rule = Rule {
     id: "W002",
     name: "lock-order",
     summary: "no nested lock acquisitions, no table re-entry and no \
-              event-bus publish while a shard guard is live or inside a \
+              event-bus publish while a table guard is live or inside a \
               with_entry*/get_or_create/for_each closure (crates/vswitch/src \
               — the deadlock shapes the worker model must never ship)",
 };

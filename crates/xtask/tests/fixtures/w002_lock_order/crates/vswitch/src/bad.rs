@@ -1,7 +1,7 @@
 //! Four W002 findings. Unordered lock nesting: the second `.lock()`
-//! while the first guard is live. A table re-entry under the shard lock
+//! while the first guard is live. A table re-entry under the table lock
 //! `for_each` holds across its closure. An event publish inside a
-//! `with_entry` closure, whose shard lock guards the entry it is handed.
+//! `with_entry` closure, whose table lock guards the entry it is handed.
 //! And one inside the second closure of a `with_connection` call, which
 //! is handed the reverse direction's entry under the same lock.
 
