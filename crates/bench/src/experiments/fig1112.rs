@@ -15,8 +15,8 @@
 //!
 //! * **Figure 11, sender host** — every flow's guest sends a data segment
 //!   out, then the ACK for exactly that segment comes in. The ACK
-//!   advances `snd_una` to `snd_nxt`, so the `VirtualCc` update and the
-//!   RWND rewrite both run on every one.
+//!   advances `snd_una` to `snd_nxt`, so the algorithm update and the
+//!   RWND rewrite (`FlowEntry::on_ack`) both run on every one.
 //! * **Figure 12, receiver host** — every flow's data segment comes in
 //!   (one in eight CE-marked), then the guest's ACK goes out with the
 //!   pending feedback attached as a PACK.

@@ -689,7 +689,7 @@ impl Testbed {
             .datapath()
             .table()
             .with_entry(&h.key, |e| {
-                e.rwnd.trace().expect("vSwitch traces windows").to_vec()
+                e.rwnd().trace().expect("vSwitch traces windows").to_vec()
             })
             .expect("the vSwitch tracks the flow");
         let guest = host
@@ -820,7 +820,7 @@ mod tests {
             .host_mut(0)
             .datapath()
             .table()
-            .with_entry(&h.key, |e| e.rwnd.trace().unwrap().to_vec())
+            .with_entry(&h.key, |e| e.rwnd().trace().unwrap().to_vec())
             .unwrap();
         assert_eq!(guest_samples, guest.len());
         assert_eq!(trace.len(), enforced.len());

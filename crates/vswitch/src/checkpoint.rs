@@ -34,7 +34,7 @@ use acdc_packet::FlowKey;
 use acdc_stats::time::Nanos;
 use acdc_telemetry::{key_label, Telemetry};
 
-use crate::entry::FlowEntryState;
+use crate::entry::{Feedback, FlowEntryState, Lifecycle, SendSeq};
 
 /// Schema tag every checkpoint document carries; `from_json` refuses any
 /// other.
@@ -103,8 +103,9 @@ impl HubCheckpoint {
 pub struct FlowCheckpoint {
     /// The flow's 5-tuple key (data direction).
     pub key: FlowKey,
-    /// [`crate::FlowEntry::rx_pending`]: derived from `state.rx_total`,
-    /// and a restore refuses a document where the two disagree.
+    /// [`crate::FlowEntry::rx_pending`]: derived from
+    /// `state.feedback.rx_total`, and a restore refuses a document where
+    /// the two disagree.
     pub rx_pending: bool,
     /// The entry's dynamic state.
     pub state: FlowEntryState,
@@ -203,8 +204,10 @@ fn write_hub(out: &mut String, hub: &HubCheckpoint) {
     out.push_str("]}");
 }
 
+/// One flow's record, in the field order and under the names of the v2
+/// format, which do not follow the entry's components.
 fn write_flow(out: &mut String, f: &FlowCheckpoint) {
-    let s = &f.state;
+    let (s, fb, life) = (&f.state.seq, &f.state.feedback, &f.state.life);
     out.push_str("{\"key\":");
     write_str(out, &key_label(&f.key));
     let _ = write!(
@@ -212,15 +215,15 @@ fn write_flow(out: &mut String, f: &FlowCheckpoint) {
         ",\"rx_pending\":{},\"snd_una\":{},\"snd_nxt\":{},\"seq_valid\":{},\"dupacks\":{},\"cc\":",
         f.rx_pending, s.snd_una.0, s.snd_nxt.0, s.seq_valid, s.dupacks
     );
-    write_str(out, &s.cc_name);
+    write_str(out, &f.state.cc_name);
     out.push_str(",\"cc_words\":[");
-    for (i, w) in s.cc_words.iter().enumerate() {
+    for (i, w) in f.state.cc_words.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         let _ = write!(out, "{w}");
     }
-    let (wscale, learned, target) = s.rwnd;
+    let (wscale, learned, target) = f.state.rwnd;
     let _ = write!(
         out,
         "],\"rwnd\":[{},{},{}],\"vm_ecn\":{},\"rtt_probe\":",
@@ -237,19 +240,19 @@ fn write_flow(out: &mut String, f: &FlowCheckpoint) {
     let _ = write!(
         out,
         ",\"last_ack_activity\":{},\"fb_total\":{},\"fb_marked\":{},\"policed\":{},\"last_alpha\":",
-        s.last_ack_activity, s.fb_total, s.fb_marked, s.policed
+        s.last_ack_activity, fb.fb_total, fb.fb_marked, f.state.policed
     );
-    write_opt(out, s.last_alpha_micros);
+    write_opt(out, f.state.last_alpha_micros);
     let _ = write!(
         out,
         ",\"rx_total\":{},\"rx_marked\":{},\"rx_total_lifetime\":{},\"rx_marked_lifetime\":{},\
          \"closing\":{},\"last_activity\":{}}}",
-        s.rx_total,
-        s.rx_marked,
-        s.rx_total_lifetime,
-        s.rx_marked_lifetime,
-        s.closing,
-        s.last_activity
+        fb.rx_total,
+        fb.rx_marked,
+        fb.rx_total_lifetime,
+        fb.rx_marked_lifetime,
+        life.closing,
+        life.last_activity
     );
 }
 
@@ -359,12 +362,12 @@ fn parse_hub(v: &Json) -> Result<HubCheckpoint, String> {
 
 fn parse_flow(v: &Json) -> Result<FlowCheckpoint, String> {
     use acdc_packet::SeqNumber;
-    let seq = |name: &str| -> Result<SeqNumber, String> {
-        let n = v.field(name)?.num()?;
-        Ok(SeqNumber(u32::try_from(n).map_err(|_| {
-            format!("`{name}` {n} exceeds the 32-bit sequence space")
-        })?))
+    let seq32 = |what: &str, n: u64| {
+        u32::try_from(n)
+            .map(SeqNumber)
+            .map_err(|_| format!("`{what}` {n} exceeds the 32-bit sequence space"))
     };
+    let seq = |name: &str| seq32(name, v.field(name)?.num()?);
     let rwnd = v.field("rwnd")?.arr()?;
     if rwnd.len() != 3 {
         return Err("rwnd is not a [wscale, learned, target] triple".to_string());
@@ -377,22 +380,22 @@ fn parse_flow(v: &Json) -> Result<FlowCheckpoint, String> {
             if pair.len() != 2 {
                 return Err("rtt_probe is not a [seq, sent_at] pair".to_string());
             }
-            let raw = pair[0].num()?;
-            Some((
-                SeqNumber(
-                    u32::try_from(raw)
-                        .map_err(|_| format!("rtt_probe seq {raw} exceeds 32 bits"))?,
-                ),
-                pair[1].num()?,
-            ))
+            Some((seq32("rtt_probe", pair[0].num()?)?, pair[1].num()?))
         }
     };
     let dupacks = v.field("dupacks")?.num()?;
     let state = FlowEntryState {
-        snd_una: seq("snd_una")?,
-        snd_nxt: seq("snd_nxt")?,
-        seq_valid: v.field("seq_valid")?.boolean()?,
-        dupacks: u32::try_from(dupacks).map_err(|_| format!("dupacks {dupacks} out of range"))?,
+        seq: SendSeq {
+            snd_una: seq("snd_una")?,
+            snd_nxt: seq("snd_nxt")?,
+            seq_valid: v.field("seq_valid")?.boolean()?,
+            dupacks: u32::try_from(dupacks)
+                .map_err(|_| format!("dupacks {dupacks} out of range"))?,
+            rtt_probe,
+            srtt: v.field("srtt")?.opt_num()?,
+            last_ack_activity: v.field("last_ack_activity")?.num()?,
+            vm_ecn: v.field("vm_ecn")?.boolean()?,
+        },
         cc_name: v.field("cc")?.str_()?.to_string(),
         cc_words: v
             .field("cc_words")?
@@ -405,20 +408,20 @@ fn parse_flow(v: &Json) -> Result<FlowCheckpoint, String> {
             rwnd[1].boolean()?,
             rwnd[2].num()?,
         ),
-        vm_ecn: v.field("vm_ecn")?.boolean()?,
-        rtt_probe,
-        srtt: v.field("srtt")?.opt_num()?,
-        last_ack_activity: v.field("last_ack_activity")?.num()?,
-        fb_total: v.field("fb_total")?.num()?,
-        fb_marked: v.field("fb_marked")?.num()?,
         policed: v.field("policed")?.num()?,
         last_alpha_micros: v.field("last_alpha")?.opt_num()?,
-        rx_total: v.field("rx_total")?.num()?,
-        rx_marked: v.field("rx_marked")?.num()?,
-        rx_total_lifetime: v.field("rx_total_lifetime")?.num()?,
-        rx_marked_lifetime: v.field("rx_marked_lifetime")?.num()?,
-        closing: v.field("closing")?.boolean()?,
-        last_activity: v.field("last_activity")?.num()?,
+        feedback: Feedback {
+            fb_total: v.field("fb_total")?.num()?,
+            fb_marked: v.field("fb_marked")?.num()?,
+            rx_total: v.field("rx_total")?.num()?,
+            rx_marked: v.field("rx_marked")?.num()?,
+            rx_total_lifetime: v.field("rx_total_lifetime")?.num()?,
+            rx_marked_lifetime: v.field("rx_marked_lifetime")?.num()?,
+        },
+        life: Lifecycle {
+            closing: v.field("closing")?.boolean()?,
+            last_activity: v.field("last_activity")?.num()?,
+        },
     };
     Ok(FlowCheckpoint {
         key: parse_key_label(v.field("key")?.str_()?)?,
@@ -681,27 +684,33 @@ mod tests {
 
     fn sample_state() -> FlowEntryState {
         FlowEntryState {
-            snd_una: SeqNumber(1000),
-            snd_nxt: SeqNumber(6000),
-            seq_valid: true,
-            dupacks: 2,
+            seq: SendSeq {
+                snd_una: SeqNumber(1000),
+                snd_nxt: SeqNumber(6000),
+                seq_valid: true,
+                dupacks: 2,
+                rtt_probe: Some((SeqNumber(6000), 123_456)),
+                srtt: Some(250_000),
+                last_ack_activity: 1_000_000,
+                vm_ecn: true,
+            },
             cc_name: "dctcp".to_string(),
             cc_words: vec![14480, u64::MAX, 250_000, 0, 0, 1, 5_000_000, 0, 0],
             rwnd: (7, false, 14480),
-            vm_ecn: true,
-            rtt_probe: Some((SeqNumber(6000), 123_456)),
-            srtt: Some(250_000),
-            last_ack_activity: 1_000_000,
-            fb_total: 42,
-            fb_marked: 7,
             policed: 1,
             last_alpha_micros: None,
-            rx_total: 100,
-            rx_marked: 10,
-            rx_total_lifetime: 9_000,
-            rx_marked_lifetime: 900,
-            closing: false,
-            last_activity: 1_100_000,
+            feedback: Feedback {
+                fb_total: 42,
+                fb_marked: 7,
+                rx_total: 100,
+                rx_marked: 10,
+                rx_total_lifetime: 9_000,
+                rx_marked_lifetime: 900,
+            },
+            life: Lifecycle {
+                closing: false,
+                last_activity: 1_100_000,
+            },
         }
     }
 
@@ -721,13 +730,14 @@ mod tests {
                 FlowCheckpoint {
                     key: key(40_001),
                     rx_pending: false,
-                    state: FlowEntryState {
-                        rtt_probe: None,
-                        srtt: None,
-                        rwnd: (0, true, 0),
-                        rx_total: 0,
-                        rx_marked: 0,
-                        ..sample_state()
+                    state: {
+                        let mut s = sample_state();
+                        s.seq.rtt_probe = None;
+                        s.seq.srtt = None;
+                        s.rwnd = (0, true, 0);
+                        s.feedback.rx_total = 0;
+                        s.feedback.rx_marked = 0;
+                        s
                     },
                 },
             ],

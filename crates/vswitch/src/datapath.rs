@@ -14,17 +14,16 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use acdc_cc::CcConfig;
+use acdc_cc::{CcConfig, CongestionControl};
 use acdc_packet::{Ecn, Ipv4Repr, PackOption, PacketMeta, Segment, TcpFlags, TcpRepr};
 use acdc_stats::time::{Nanos, SECOND};
 use acdc_telemetry::{Counter, EventKind, Gauge, MetricsRegistry, Telemetry, NO_FLOW};
 
-use crate::entry::FlowEntry;
+use crate::entry::{Enforcement, FlowEntry, Policed};
 use crate::health::{HealthCell, HealthState, LOG_ONLY_PCT, LOG_RECOVER_PCT, PASS_RECOVER_PCT};
 use crate::policy::CcPolicy;
 use crate::rwnd::RwndAction;
 use crate::table::{Admission, AdmissionPolicy, FlowTable};
-use crate::vcc::{AckSignals, VirtualCc};
 
 /// Datapath configuration.
 #[derive(Debug, Clone)]
@@ -501,17 +500,17 @@ impl AcdcDatapath {
         for f in &ckpt.flows {
             // `rx_pending` is derived (`FlowEntry::rx_pending`); a document
             // that disagrees with its own counters no datapath wrote.
-            if f.rx_pending != (f.state.rx_total > 0) {
+            if f.rx_pending != (f.state.feedback.rx_total > 0) {
                 return Err(format!(
                     "flow {} checkpointed rx_pending {} beside rx_total {}",
                     key_label(&f.key),
                     f.rx_pending,
-                    f.state.rx_total
+                    f.state.feedback.rx_total
                 ));
             }
             let (restored, _adm) = self.table.with_entry_or_create(
                 f.key,
-                || self.new_entry(&f.key, f.state.last_activity),
+                || self.new_entry(&f.key, f.state.life.last_activity),
                 |e| e.restore_state(&f.state),
             );
             match restored {
@@ -590,7 +589,7 @@ impl AcdcDatapath {
         let flags = meta.flags;
 
         if flags.contains(TcpFlags::RST) {
-            self.mark_closing(&key);
+            self.close_connection(&key);
             return Verdict::Forward(seg);
         }
 
@@ -603,64 +602,18 @@ impl AcdcDatapath {
         // --- Sender module: data packets ---
         let ack = flags.contains(TcpFlags::ACK);
         let feedback = if seg.payload_len() > 0 || flags.contains(TcpFlags::FIN) {
-            let payload_len = seg.payload_len();
+            let fin = flags.contains(TcpFlags::FIN);
+            let police = self.cfg.police_slack_bytes.filter(|_| !log_only);
             let ((sent, feedback), admission) = self.table.with_connection_or_create(
                 key,
                 || self.new_entry(&key, now),
-                |e| {
-                    e.last_activity = now;
-                    let seq = meta.seq;
-                    let seq_end = seq
-                        + (payload_len as u32)
-                        + if flags.contains(TcpFlags::FIN) {
-                            1u32
-                        } else {
-                            0u32
-                        };
-                    if !e.seq_valid {
-                        e.snd_una = seq;
-                        e.snd_nxt = seq_end;
-                        e.seq_valid = true;
-                    }
-
-                    // Policing: a conforming stack never sends beyond the
-                    // window we enforced; drop the excess of one that
-                    // does (§3.3). A window we never rewrote (unlearned
-                    // scale) was never enforced, so it is not policed.
-                    if let Some(slack) = self.cfg.police_slack_bytes {
-                        if !log_only && e.rwnd.learned() && payload_len > 0 {
-                            let allowed_end = e.snd_una + (e.cc.cwnd() + slack) as usize;
-                            if seq_end > allowed_end {
-                                e.policed += 1;
-                                return Err(());
-                            }
-                        }
-                    }
-
-                    if seq_end > e.snd_nxt {
-                        e.snd_nxt = seq_end;
-                        if e.rtt_probe.is_none() {
-                            e.rtt_probe = Some((seq_end, now));
-                        }
-                    } else if seq < e.snd_nxt {
-                        // Retransmission: invalidate the RTT probe (Karn).
-                        if let Some((p, _)) = e.rtt_probe {
-                            if seq < p {
-                                e.rtt_probe = None;
-                            }
-                        }
-                    }
-                    if flags.contains(TcpFlags::FIN) {
-                        e.closing = true;
-                    }
-                    Ok(e.vm_ecn)
-                },
+                |e| e.on_egress_data(now, meta.seq, seg.payload_len(), fin, police),
                 // The receiver module's feedback for the ACK this segment
                 // carries, under the same lookup; none for a segment that
                 // is refused or policed.
                 |sent, re| {
                     let feedback = match (&sent, re) {
-                        (Some(Ok(_)), Some(re)) if ack => pending_feedback(re, now),
+                        (Some(Ok(_)), Some(re)) if ack => re.take_pending_feedback(now),
                         _ => None,
                     };
                     (sent, feedback)
@@ -677,7 +630,7 @@ impl AcdcDatapath {
                     self.note_admission(now, &key, admission);
                     v
                 }
-                Some(Err(())) => {
+                Some(Err(Policed)) => {
                     self.counters.policed_drops.inc();
                     self.telemetry
                         .record(now, key, EventKind::PacketDropped { cause: "policed" });
@@ -700,7 +653,7 @@ impl AcdcDatapath {
         } else if ack {
             // A pure ACK: the feedback is its only table work.
             self.table
-                .with_entry(&key.reverse(), |re| pending_feedback(re, now))
+                .with_entry(&key.reverse(), |re| re.take_pending_feedback(now))
                 .flatten()
         } else {
             None
@@ -786,7 +739,7 @@ impl AcdcDatapath {
         let log_only = self.cfg.log_only || health == HealthState::LogOnly;
 
         if flags.contains(TcpFlags::RST) {
-            self.mark_closing(&key);
+            self.close_connection(&key);
             return Verdict::Forward(seg);
         }
         if flags.contains(TcpFlags::SYN) {
@@ -801,7 +754,11 @@ impl AcdcDatapath {
         // The data direction's key: CC events are stamped with the flow
         // whose window is enforced, not the arriving ACK's key.
         let data_key = key.reverse();
-        let ack_update = |e: &mut FlowEntry| self.sender_ack_processing(now, e, &meta, pure_ack);
+        let (cap, trace) = (
+            self.cfg.max_rwnd_bytes.unwrap_or(u64::MAX),
+            self.cfg.trace_windows,
+        );
+        let ack_update = |e: &mut FlowEntry| e.on_ack(now, &meta, pure_ack, cap, trace);
 
         // --- Sender module: FACKs are logged and absorbed (§3.2) ---
         if meta.fack {
@@ -824,26 +781,7 @@ impl AcdcDatapath {
             let (enforced, admission) = self.table.with_connection_or_create(
                 key,
                 || self.new_entry(&key, now),
-                |e| {
-                    e.last_activity = now;
-                    e.rx_total += payload_len;
-                    e.rx_total_lifetime += payload_len;
-                    if ce {
-                        e.rx_marked += payload_len;
-                        e.rx_marked_lifetime += payload_len;
-                    }
-                    debug_assert!(
-                        e.rx_marked <= e.rx_total && e.rx_marked_lifetime <= e.rx_total_lifetime,
-                        "PACK receive counters inconsistent: marked {}/{} lifetime {}/{}",
-                        e.rx_marked,
-                        e.rx_total,
-                        e.rx_marked_lifetime,
-                        e.rx_total_lifetime
-                    );
-                    if flags.contains(TcpFlags::FIN) {
-                        e.closing = true;
-                    }
-                },
+                |e| e.on_rx_data(now, payload_len, ce, flags.contains(TcpFlags::FIN)),
                 |_, re| acked(re),
             );
             if admission.rejected() {
@@ -871,7 +809,7 @@ impl AcdcDatapath {
             // A bare FIN still ends the remote's direction; one we never
             // tracked is left untracked.
             self.table
-                .with_connection(&key, |e| e.closing = true, |_, re| acked(re))
+                .with_connection(&key, FlowEntry::close, |_, re| acked(re))
         } else if ack {
             self.table.with_entry(&data_key, ack_update)
         } else {
@@ -901,99 +839,7 @@ impl AcdcDatapath {
         Verdict::Forward(seg)
     }
 
-    /// Connection-tracking + congestion control for an arriving ACK on
-    /// `e`, the entry of the direction it acknowledges, including the
-    /// PACK feedback it carries (absorbed ahead of the algorithm that
-    /// consumes it). Runs under the table lock, so the CC events it
-    /// observes come back for [`AcdcDatapath::enforce`] to publish after
-    /// the lock drops (W002: the event bus must not be entered while a
-    /// table lock is held), fixed-size and in firing order, beside the
-    /// RWND decision.
-    fn sender_ack_processing(
-        &self,
-        now: Nanos,
-        e: &mut FlowEntry,
-        meta: &PacketMeta,
-        pure_ack: bool,
-    ) -> Enforcement {
-        let (ack, window) = (meta.ack, meta.window);
-        if let Some(pack) = meta.pack {
-            e.absorb_feedback(pack);
-        }
-        e.last_activity = now;
-        let mut newly_acked = 0u64;
-        let mut rtt_sample = None;
-        let mut cut_event = None;
-        let mut rto_event = None;
-        let mut alpha_event = None;
-
-        if e.seq_valid {
-            if ack > e.snd_una && ack <= e.snd_nxt {
-                newly_acked = (ack - e.snd_una) as u64;
-                e.snd_una = ack;
-                e.dupacks = 0;
-                e.last_ack_activity = now;
-                if let Some((probe_seq, sent_at)) = e.rtt_probe {
-                    if ack >= probe_seq {
-                        let s = now - sent_at;
-                        e.record_rtt(s);
-                        rtt_sample = Some(s);
-                        e.rtt_probe = None;
-                    }
-                }
-            } else if ack == e.snd_una && pure_ack && e.snd_nxt > e.snd_una {
-                e.dupacks += 1;
-                if e.dupacks == 3 {
-                    e.cc.on_fast_retransmit(now);
-                    self.counters.inferred_fast_rtx.inc();
-                    cut_event = Some(EventKind::CwndCut {
-                        cause: "fast-retransmit",
-                        cwnd: e.cc.cwnd(),
-                    });
-                }
-            }
-
-            if let Some(cwnd) = e.infer_timeout(now) {
-                self.counters.inferred_timeouts.inc();
-                rto_event = Some(EventKind::RtoFired { cwnd });
-            }
-        }
-
-        // Consume accumulated feedback and run the algorithm (Figure 5)
-        // through the VirtualCc seam — the datapath never sees how the
-        // algorithm turns the signal bundle into a window.
-        let marked = e.fb_marked;
-        let total = e.fb_total;
-        e.fb_total = 0;
-        e.fb_marked = 0;
-        let in_flight = e.in_flight();
-        let rtt = rtt_sample.or(e.srtt);
-        if newly_acked > 0 || marked > 0 {
-            e.cc.on_ack_signals(&AckSignals {
-                now,
-                newly_acked,
-                marked_bytes: marked,
-                total_bytes: total,
-                rtt,
-                in_flight,
-            });
-            // Publish alpha movements (quantized; DCTCP-family only).
-            if let Some(am) = e.cc.alpha_micros() {
-                if e.last_alpha_micros != Some(am) {
-                    e.last_alpha_micros = Some(am);
-                    alpha_event = Some(EventKind::AlphaUpdate { alpha_micros: am });
-                }
-            }
-        }
-
-        // Enforcement target: the computed window, bounded by the
-        // administrative cap (§3.4).
-        let cwnd = e.cc.cwnd().min(self.cfg.max_rwnd_bytes.unwrap_or(u64::MAX));
-        e.rwnd.set_target(now, cwnd, self.cfg.trace_windows);
-        (e.rwnd.action(window), [cut_event, rto_event, alpha_event])
-    }
-
-    /// Publish what [`AcdcDatapath::sender_ack_processing`] observed,
+    /// Count and publish the CC events [`FlowEntry::on_ack`] fired,
     /// stamped with `data_key`, and apply its RWND decision to `seg`
     /// when `rewrite` is true (`seg` is the ACK delivered to the guest);
     /// callers fold log-only mode (config flag or health ladder) into it.
@@ -1006,7 +852,7 @@ impl AcdcDatapath {
     /// migration) stays log-only until a handshake teaches the shift — a
     /// raw write interpreted through the guest's real scale could be off
     /// by 2^14 in either direction. The decision comes from the
-    /// RWND-rewrite component (`entry.rwnd`, see crate::rwnd).
+    /// RWND-rewrite component (`FlowEntry::rwnd`, see crate::rwnd).
     fn enforce(
         &self,
         now: Nanos,
@@ -1019,6 +865,11 @@ impl AcdcDatapath {
             return;
         };
         for ev in events.into_iter().flatten() {
+            match ev {
+                EventKind::CwndCut { .. } => self.counters.inferred_fast_rtx.inc(),
+                EventKind::RtoFired { .. } => self.counters.inferred_timeouts.inc(),
+                _ => {}
+            }
             self.telemetry.record(now, data_key, ev);
         }
         if rewrite {
@@ -1035,7 +886,12 @@ impl AcdcDatapath {
         }
     }
 
-    /// Record handshake parameters from a SYN or SYN-ACK (§3.1).
+    /// Record handshake parameters from a SYN or SYN-ACK (§3.1). A SYN on
+    /// a tuple whose entries saw FIN or RST opens a new connection: each
+    /// closing entry starts again from a fresh one before it learns
+    /// anything, so the next sweep does not collect the new connection's
+    /// state. An entry that is not closing (say, a retransmitted SYN's)
+    /// keeps its state.
     fn on_handshake_packet(&self, now: Nanos, meta: &PacketMeta, egress: bool) {
         let key = meta.flow;
         let flags = meta.flags;
@@ -1048,8 +904,8 @@ impl AcdcDatapath {
             rev,
             || self.new_entry(&rev, now),
             |re| {
-                re.last_activity = now;
-                re.rwnd.learn(wscale.unwrap_or(0));
+                self.reopen(re, &rev, now)
+                    .learn_scale(now, wscale.unwrap_or(0))
             },
         );
         if learned.is_none() {
@@ -1070,14 +926,7 @@ impl AcdcDatapath {
             let (tracked, adm) = self.table.with_entry_or_create(
                 key,
                 || self.new_entry(&key, now),
-                |e| {
-                    e.last_activity = now;
-                    e.vm_ecn = vm_ecn;
-                    // Initialize sequence tracking from the SYN.
-                    e.snd_una = meta.seq + 1u32;
-                    e.snd_nxt = meta.seq + 1u32;
-                    e.seq_valid = true;
-                },
+                |e| self.reopen(e, &key, now).learn_syn(now, meta.seq, vm_ecn),
             );
             if tracked.is_none() {
                 self.on_admission_reject(now, &key);
@@ -1087,17 +936,23 @@ impl AcdcDatapath {
         }
     }
 
+    /// `e`, or a fresh entry for `key` in its place when `e` is closing.
+    fn reopen<'e>(
+        &self,
+        e: &'e mut FlowEntry,
+        key: &acdc_packet::FlowKey,
+        now: Nanos,
+    ) -> &'e mut FlowEntry {
+        if e.life().closing {
+            *e = self.new_entry(key, now);
+        }
+        e
+    }
+
     /// An RST ends both directions.
-    fn mark_closing(&self, key: &acdc_packet::FlowKey) {
-        self.table.with_connection(
-            key,
-            |e| e.closing = true,
-            |_, re| {
-                if let Some(re) = re {
-                    re.closing = true;
-                }
-            },
-        );
+    fn close_connection(&self, key: &acdc_packet::FlowKey) {
+        self.table
+            .with_connection(key, FlowEntry::close, |_, re| re.map(FlowEntry::close));
     }
 
     // ------------------------------------------------------------------
@@ -1152,14 +1007,14 @@ impl AcdcDatapath {
         self.table.for_each(|key, e| {
             out.push(FlowStat {
                 key: *key,
-                cc_name: e.cc.name(),
-                cwnd: e.cc.cwnd(),
+                cc_name: e.cc().name(),
+                cwnd: e.cc().cwnd(),
                 in_flight: e.in_flight(),
-                srtt: e.srtt,
-                rx_total: e.rx_total_lifetime,
-                rx_marked: e.rx_marked_lifetime,
-                policed: e.policed,
-                closing: e.closing,
+                srtt: e.seq().srtt,
+                rx_total: e.feedback().rx_total_lifetime,
+                rx_marked: e.feedback().rx_marked_lifetime,
+                policed: e.policed(),
+                closing: e.life().closing,
             });
         });
         out.sort_by_key(|s| s.key);
@@ -1172,14 +1027,7 @@ impl AcdcDatapath {
     /// `Endpoint::seq_view` exposes for its ground truth. The chaos suite
     /// compares the two after fault recovery.
     pub fn seq_view(&self, key: &acdc_packet::FlowKey) -> Option<acdc_packet::SeqView> {
-        self.table
-            .with_entry(key, |e| {
-                e.seq_valid.then_some(acdc_packet::SeqView {
-                    snd_una: e.snd_una,
-                    snd_nxt: e.snd_nxt,
-                })
-            })
-            .flatten()
+        self.table.with_entry(key, |e| e.seq().view()).flatten()
     }
 
     /// Generate a TCP Window Update for the data sender of `key` without
@@ -1190,10 +1038,7 @@ impl AcdcDatapath {
     /// sender behind this vSwitch).
     pub fn make_window_update(&self, key: &acdc_packet::FlowKey) -> Option<Segment> {
         self.table
-            .with_entry(key, |e| {
-                e.seq_valid
-                    .then(|| make_pure_ack(key, e, e.cc.cwnd().max(1)))
-            })
+            .with_entry(key, |e| make_pure_ack(key, e, e.cc().cwnd().max(1)))
             .flatten()
     }
 
@@ -1203,38 +1048,25 @@ impl AcdcDatapath {
     pub fn make_dup_acks(&self, key: &acdc_packet::FlowKey, n: usize) -> Vec<Segment> {
         self.table
             .with_entry(key, |e| {
-                let n = if e.seq_valid { n } else { 0 };
-                (0..n).map(|_| make_pure_ack(key, e, e.cc.cwnd())).collect()
+                (0..n)
+                    .map_while(|_| make_pure_ack(key, e, e.cc().cwnd()))
+                    .collect()
             })
             .unwrap_or_default()
     }
 }
 
-/// What an ACK did to the entry of the direction it acknowledges: the
-/// RWND decision, and the CC events it fired (fast retransmit, inferred
-/// timeout, alpha update) in firing order.
-type Enforcement = (RwndAction, [Option<EventKind>; 3]);
-
-/// The receiver-role feedback that `re`, the reverse direction's entry,
-/// holds for the next egress ACK. A unidirectional sender has none: its
-/// reverse entry is left untouched (`last_activity` included).
-fn pending_feedback(re: &mut FlowEntry, now: Nanos) -> Option<(u32, u32)> {
-    re.rx_pending().then(|| {
-        re.last_activity = now;
-        re.take_feedback()
-    })
-}
-
 /// A pure ACK from the receiver of `key`'s data to its sender, at the
 /// tracked `snd_una`, advertising `window_bytes` under the learned scale.
 /// The sequence number is unknown to the vSwitch; guests ignore it on an
-/// in-window pure ACK.
-fn make_pure_ack(key: &acdc_packet::FlowKey, e: &FlowEntry, window_bytes: u64) -> Segment {
+/// in-window pure ACK. `None` until the sequence state is valid.
+fn make_pure_ack(key: &acdc_packet::FlowKey, e: &FlowEntry, window_bytes: u64) -> Option<Segment> {
+    let view = e.seq().view()?;
     let mut t = TcpRepr::new(key.dst_port, key.src_port);
     t.flags = TcpFlags::ACK;
-    t.ack = e.snd_una;
+    t.ack = view.snd_una;
     t.seq = acdc_packet::SeqNumber::ZERO;
-    t.window = e.rwnd.raw_window(window_bytes);
+    t.window = e.rwnd().raw_window(window_bytes);
     let ip = Ipv4Repr {
         src_addr: key.dst_ip,
         dst_addr: key.src_ip,
@@ -1243,7 +1075,7 @@ fn make_pure_ack(key: &acdc_packet::FlowKey, e: &FlowEntry, window_bytes: u64) -
         payload_len: 0,
         ttl: Ipv4Repr::DEFAULT_TTL,
     };
-    Segment::new_tcp(ip, t, 0)
+    Some(Segment::new_tcp(ip, t, 0))
 }
 
 /// Build a dedicated FACK: a payload-free copy of `ack` carrying the PACK

@@ -5,11 +5,11 @@
 //! through [`AcdcDatapath::egress`] / [`AcdcDatapath::ingress`], which:
 //!
 //! * reconstruct per-flow congestion-control state by watching sequence
-//!   numbers, ACKs and handshakes (§3.1) — stored in a
-//!   [`table::FlowTable`] of one record per connection (both directions'
-//!   entries), one open-addressed index behind one lock, standing in for
-//!   the paper's RCU hash table of two entries per connection with
-//!   per-entry spinlocks;
+//!   numbers, ACKs and handshakes (§3.1) — one [`FlowEntry`] per
+//!   direction, advanced only by its own transition methods, two to a
+//!   record in a [`table::FlowTable`] (one index behind one lock),
+//!   standing in for the paper's RCU hash table of two entries per
+//!   connection with per-entry spinlocks;
 //! * implement DCTCP (or any [`acdc_cc`] algorithm, selected per flow by a
 //!   [`CcPolicy`]) inside the vSwitch: forcing ECT on egress data, counting
 //!   CE-marked bytes at the receiver, and shipping the counts back in
@@ -35,7 +35,6 @@ pub mod health;
 pub mod policy;
 pub mod rwnd;
 pub mod table;
-pub mod vcc;
 
 pub use checkpoint::{DatapathCheckpoint, FlowCheckpoint, HubCheckpoint, RecorderCheckpoint};
 pub use datapath::{AcdcConfig, AcdcCounters, AcdcDatapath, DropReason, FlowStat, Verdict};
@@ -44,7 +43,6 @@ pub use health::HealthState;
 pub use policy::CcPolicy;
 pub use rwnd::{RwndAction, RwndRewriter};
 pub use table::{Admission, AdmissionPolicy, FlowTable};
-pub use vcc::{AckSignals, EcnFractionCc, VirtualCc};
 
 // `acdc-workers`' `process_batch_parallel` shares one `&AcdcDatapath`
 // between scoped threads, which count into its one telemetry hub. A

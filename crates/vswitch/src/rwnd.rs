@@ -4,8 +4,8 @@
 //! to rewrite ACK receive windows live behind this struct's private
 //! fields, so the *only* code that can mutate them is this module. The
 //! datapath asks for a decision ([`RwndRewriter::action`]) and applies it
-//! to the segment; it cannot scribble on the scale state directly —
-//! which is exactly the property the parallel-datapath workers need.
+//! to the segment; it cannot scribble on the scale state directly, and
+//! an entry holder outside the crate gets it only by `&` reference.
 
 use acdc_stats::time::Nanos;
 

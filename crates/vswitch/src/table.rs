@@ -370,10 +370,11 @@ impl Index {
                 let Some(e) = e else { continue };
                 // Most entries lose on time alone; only a candidate
                 // pays for its directional key.
-                if victim.is_some_and(|(t, _)| e.last_activity > t) {
+                let at = e.life().last_activity;
+                if victim.is_some_and(|(t, _)| at > t) {
                     continue;
                 }
-                let cand = (e.last_activity, key_of(conn, i));
+                let cand = (at, key_of(conn, i));
                 if cand.1 != *avoid && victim.is_none_or(|v| cand < v) {
                     victim = Some(cand);
                 }
@@ -632,7 +633,9 @@ impl FlowTable {
             index.retain(|conn, rec| {
                 for (i, h) in rec.halves.iter_mut().enumerate() {
                     let dead = h.as_ref().is_some_and(|e| {
-                        e.closing || now.saturating_sub(e.last_activity.max(epoch)) > idle_timeout
+                        let life = e.life();
+                        life.closing
+                            || now.saturating_sub(life.last_activity.max(epoch)) > idle_timeout
                     });
                     if dead {
                         *h = None;
@@ -696,12 +699,18 @@ mod tests {
     }
 
     fn last_activity(t: &FlowTable, p: u16) -> Option<Nanos> {
-        t.with_entry(&key(p), |e| e.last_activity)
+        t.with_entry(&key(p), |e| e.life().last_activity)
+    }
+
+    /// Stamp `e`'s `last_activity`, through the one outside write path.
+    fn touch(e: &mut FlowEntry, at: Nanos) {
+        let mut s = e.checkpoint_state();
+        s.life.last_activity = at;
+        assert!(e.restore_state(&s));
     }
 
     fn set_last_activity(t: &FlowTable, p: u16, at: Nanos) {
-        t.with_entry(&key(p), |e| e.last_activity = at)
-            .expect("tracked");
+        t.with_entry(&key(p), |e| touch(e, at)).expect("tracked");
     }
 
     #[test]
@@ -734,8 +743,8 @@ mod tests {
         set_last_activity(&t, 2, 1_000_000_000);
         create(&t, 3, 0);
         t.with_entry(&key(3), |e| {
-            e.last_activity = 1_000_000_000;
-            e.closing = true;
+            touch(e, 1_000_000_000);
+            e.close();
         });
         let n = t.gc(1_000_000_001, 500_000_000);
         assert_eq!(n, 2);
@@ -830,8 +839,8 @@ mod tests {
         let seen = |from: &FlowKey| {
             t.with_connection(
                 from,
-                |e| e.last_activity,
-                |a, re| (a, re.map(|e| e.last_activity)),
+                |e| e.life().last_activity,
+                |a, re| (a, re.map(|e| e.life().last_activity)),
             )
         };
         assert_eq!(seen(&k), (Some(10), Some(20)));
@@ -859,9 +868,9 @@ mod tests {
         let (seen, adm) = t.with_connection_or_create(
             own,
             || entry(0),
-            |e| e.last_activity = 5,
+            |e| touch(e, 5),
             // The reverse of `own` is `own`: `g` gets the entry `f` wrote.
-            |a, re| a.and(re.map(|e| e.last_activity)),
+            |a, re| a.and(re.map(|e| e.life().last_activity)),
         );
         assert_eq!((seen, adm), (Some(5), Admission::Created));
         assert_eq!(t.get_or_create(own, || entry(0)), Admission::Existing);
@@ -899,7 +908,7 @@ mod tests {
             key(1),
             || entry(0),
             |_| unreachable!("a refused entry is not created"),
-            |a: Option<()>, re| (a, re.map(|e| e.last_activity)),
+            |a: Option<()>, re| (a, re.map(|e| e.life().last_activity)),
         );
         assert_eq!((seen, adm), ((None, Some(30)), Admission::Rejected));
         assert_eq!(t.len(), 1);
@@ -1052,7 +1061,7 @@ mod tests {
             create(&t, p, 0);
         }
         set_last_activity(&t, 1, 10);
-        t.with_entry(&key(1).reverse(), |e| e.last_activity = 10);
+        t.with_entry(&key(1).reverse(), |e| touch(e, 10));
         assert_eq!(buckets(&t), 2_048);
         assert_eq!(t.gc(10, 5), 999);
         assert_eq!((t.len(), t.connections(), buckets(&t)), (2, 1, MIN_BUCKETS));
@@ -1071,9 +1080,12 @@ mod tests {
                 for i in 0..250u16 {
                     let k = key(tid * 250 + i);
                     let (set, _) =
-                        t.with_entry_or_create(k, || entry(0), |e| e.last_activity = u64::from(i));
+                        t.with_entry_or_create(k, || entry(0), |e| touch(e, u64::from(i)));
                     assert!(set.is_some());
-                    assert_eq!(t.with_entry(&k, |e| e.last_activity), Some(u64::from(i)));
+                    assert_eq!(
+                        t.with_entry(&k, |e| e.life().last_activity),
+                        Some(u64::from(i))
+                    );
                 }
             }));
         }

@@ -2,7 +2,7 @@
 //! sender, host B = data receiver) processing hand-crafted packets, as in
 //! Figure 3 of the paper.
 
-use acdc_cc::CcKind;
+use acdc_cc::{CcKind, CongestionControl};
 use acdc_packet::{
     Ecn, FlowKey, Ipv4Repr, PackOption, PacketMeta, Segment, SeqNumber, TcpFlags, TcpOption,
     TcpRepr, PROTO_TCP,
@@ -10,7 +10,7 @@ use acdc_packet::{
 use acdc_telemetry::EventKind;
 use acdc_vswitch::{
     AcdcConfig, AcdcDatapath, AdmissionPolicy, CcPolicy, DropReason, FlowEntry, HealthState,
-    Verdict, VirtualCc,
+    Verdict,
 };
 use bytes::BytesMut;
 
@@ -132,7 +132,7 @@ fn handshake_creates_entries_and_records_wscale() {
     assert!(dpa.flows() >= 2, "two directions tracked");
     assert!(dpb.flows() >= 2);
     // ACKs for A→B data come from B, which advertised wscale 9.
-    assert_eq!(entry(&dpa, &key_ab(), |e| e.rwnd.wscale()), 9);
+    assert_eq!(entry(&dpa, &key_ab(), |e| e.rwnd().wscale()), 9);
     let view = dpa.seq_view(&key_ab()).expect("sequence state valid");
     assert_eq!(view.snd_una, SeqNumber(ISS_A + 1));
 }
@@ -175,8 +175,8 @@ fn receiver_module_strips_ce_and_counts() {
     assert!(!delivered.tcp().vm_ece());
     assert!(delivered.verify_checksums());
     let e = entry(&dpb, &key_ab(), |e| e.checkpoint_state());
-    assert_eq!(e.rx_total, MSS as u64);
-    assert_eq!(e.rx_marked, MSS as u64);
+    assert_eq!(e.feedback.rx_total, MSS as u64);
+    assert_eq!(e.feedback.rx_marked, MSS as u64);
 }
 
 #[test]
@@ -238,7 +238,7 @@ fn rwnd_rewritten_smaller_with_wscale() {
         .unwrap();
     let delivered = dpa.ingress(22_000, a).forwarded().unwrap();
 
-    let cwnd = entry(&dpa, &key_ab(), |e| e.cc.cwnd());
+    let cwnd = entry(&dpa, &key_ab(), |e| e.cc().cwnd());
     let expect_raw = (cwnd >> 9).max(1) as u16;
     assert_eq!(delivered.tcp().window(), expect_raw);
     assert!(u64::from(delivered.tcp().window()) < 65_000);
@@ -368,7 +368,7 @@ fn log_only_mode_computes_but_does_not_rewrite() {
     assert_eq!(delivered.tcp().window(), 65_000, "log-only: untouched");
 
     let (target, traced) = entry(&dpa, &key_ab(), |e| {
-        (e.rwnd.target(), e.rwnd.trace().unwrap().len())
+        (e.rwnd().target(), e.rwnd().trace().unwrap().len())
     });
     assert!(target > 0);
     assert!(traced == 1);
@@ -393,7 +393,7 @@ fn dupacks_trigger_inferred_fast_retransmit() {
         .forwarded()
         .unwrap();
     dpa.ingress(22_000, a).forwarded().unwrap();
-    let cwnd_before = entry(&dpa, &key_ab(), |e| e.cc.cwnd());
+    let cwnd_before = entry(&dpa, &key_ab(), |e| e.cc().cwnd());
     for i in 0..3 {
         let a = dpb
             .egress(23_000 + i, ack(MSS as u32, 65_000))
@@ -403,7 +403,7 @@ fn dupacks_trigger_inferred_fast_retransmit() {
     }
     assert_eq!(dpa.counters().inferred_fast_rtx.get(), 1);
     assert!(
-        entry(&dpa, &key_ab(), |e| e.cc.cwnd()) < cwnd_before,
+        entry(&dpa, &key_ab(), |e| e.cc().cwnd()) < cwnd_before,
         "window cut on 3 dupacks"
     );
 }
@@ -431,7 +431,7 @@ fn per_flow_policy_assigns_different_algorithms() {
     let dp = AcdcDatapath::new(cfg);
     // Intra-DC data flow.
     dp.egress(0, data(0, MSS, Ecn::NotEct));
-    assert_eq!(entry(&dp, &key_ab(), |e| e.cc.name()), "dctcp");
+    assert_eq!(entry(&dp, &key_ab(), |e| e.cc().name()), "dctcp");
 
     // WAN-bound flow.
     let mut t = TcpRepr::new(AP, 443);
@@ -440,7 +440,7 @@ fn per_flow_policy_assigns_different_algorithms() {
     let wan = Segment::new_tcp(ip(A, [93, 184, 216, 34], Ecn::NotEct), t, MSS);
     let wan_key = wan.flow_key();
     dp.egress(0, wan);
-    assert_eq!(entry(&dp, &wan_key, |e| e.cc.name()), "cubic");
+    assert_eq!(entry(&dp, &wan_key, |e| e.cc().name()), "cubic");
 }
 
 #[test]
@@ -465,21 +465,10 @@ fn fin_marks_closing_and_gc_collects() {
 fn bare_fin_from_the_network_closes_its_entry() {
     let (dpa, _dpb) = rig(false);
     assert_eq!(dpa.flows(), 2);
-    let segment = |from_a: bool, seq: u32, ack: u32, flags: TcpFlags| {
-        let (src, dst, sport, dport) = if from_a {
-            (A, B, AP, BP)
-        } else {
-            (B, A, BP, AP)
-        };
-        let mut t = TcpRepr::new(sport, dport);
-        (t.seq, t.ack, t.flags) = (SeqNumber(seq), SeqNumber(ack), flags);
-        t.window = 65_000;
-        Segment::new_tcp(ip(src, dst, Ecn::NotEct), t, 0)
-    };
     let fin_ack = TcpFlags::ACK | TcpFlags::FIN;
-    dpa.egress(50_000, segment(true, ISS_A + 1, ISS_B + 1, fin_ack));
-    dpa.ingress(51_000, segment(false, ISS_B + 1, ISS_A + 2, fin_ack));
-    dpa.egress(52_000, segment(true, ISS_A + 2, ISS_B + 2, TcpFlags::ACK));
+    dpa.egress(50_000, control(true, ISS_A + 1, ISS_B + 1, fin_ack));
+    dpa.ingress(51_000, control(false, ISS_B + 1, ISS_A + 2, fin_ack));
+    dpa.egress(52_000, control(true, ISS_A + 2, ISS_B + 2, TcpFlags::ACK));
 
     let closing: Vec<_> = dpa
         .flow_stats()
@@ -490,6 +479,89 @@ fn bare_fin_from_the_network_closes_its_entry() {
     assert!(closing.iter().all(|&(_, c)| c), "{closing:?}");
     assert_eq!(dpa.gc(60_000, u64::MAX), 2);
     assert_eq!(dpa.flows(), 0);
+}
+
+/// A payload-free control segment, from A's guest or from B's.
+fn control(from_a: bool, seq: u32, ack: u32, flags: TcpFlags) -> Segment {
+    let (src, dst, sport, dport) = if from_a {
+        (A, B, AP, BP)
+    } else {
+        (B, A, BP, AP)
+    };
+    let mut t = TcpRepr::new(sport, dport);
+    (t.seq, t.ack, t.flags) = (SeqNumber(seq), SeqNumber(ack), flags);
+    t.window = 65_000;
+    Segment::new_tcp(ip(src, dst, Ecn::NotEct), t, 0)
+}
+
+/// A connection ends through `close` and a new one reuses its 4-tuple
+/// before the next sweep. Its handshake starts each closing entry afresh,
+/// so the sweep keeps all four entries, the new scale is learned, and the
+/// next ACK is rewritten under it.
+fn reuse_after_close(close: impl Fn(&AcdcDatapath, &AcdcDatapath)) {
+    let (dpa, dpb) = rig(false);
+    close(&dpa, &dpb);
+    for dp in [&dpa, &dpb] {
+        let stats = dp.flow_stats();
+        assert_eq!(stats.len(), 2);
+        assert!(stats.iter().all(|s| s.closing), "{stats:?}");
+    }
+
+    // The new connection, within one sweep of the close; B now
+    // advertises scale 7.
+    let s = dpa.egress(100_000, syn(false, 9)).forwarded().unwrap();
+    dpb.ingress(101_000, s).forwarded().unwrap();
+    let sa = dpb.egress(102_000, synack(false, 7)).forwarded().unwrap();
+    dpa.ingress(103_000, sa).forwarded().unwrap();
+    assert_eq!(dpa.gc(110_000, u64::MAX), 0);
+    assert_eq!(dpb.gc(110_000, u64::MAX), 0);
+    assert_eq!((dpa.flows(), dpb.flows()), (2, 2));
+    assert!(entry(&dpa, &key_ab(), |e| e.rwnd().learned()));
+    assert_eq!(entry(&dpa, &key_ab(), |e| e.rwnd().wscale()), 7);
+
+    let d = dpa
+        .egress(120_000, data(0, MSS, Ecn::NotEct))
+        .forwarded()
+        .unwrap();
+    dpb.ingress(121_000, d).forwarded().unwrap();
+    let rewrites = dpa.counters().rwnd_rewrites.get();
+    let a = dpb
+        .egress(122_000, ack(MSS as u32, 65_000))
+        .forwarded()
+        .unwrap();
+    let delivered = dpa.ingress(123_000, a).forwarded().unwrap();
+    let cwnd = entry(&dpa, &key_ab(), |e| e.cc().cwnd());
+    assert_eq!(delivered.tcp().window(), (cwnd >> 7).max(1) as u16);
+    assert_eq!(dpa.counters().rwnd_rewrites.get(), rewrites + 1);
+    assert_eq!(dpa.counters().unscaled_rwnd_skips.get(), 0);
+}
+
+#[test]
+fn syn_after_rst_on_the_same_tuple_is_a_new_enforced_connection() {
+    reuse_after_close(|dpa, dpb| {
+        let rst = control(true, ISS_A + 1, 0, TcpFlags::RST);
+        let rst = dpa.egress(50_000, rst).forwarded().unwrap();
+        dpb.ingress(51_000, rst).forwarded().unwrap();
+    });
+}
+
+#[test]
+fn syn_after_fins_on_the_same_tuple_is_a_new_enforced_connection() {
+    reuse_after_close(|dpa, dpb| {
+        let fin_ack = TcpFlags::ACK | TcpFlags::FIN;
+        let wire = |from_a: bool, at: u64, seg: Segment| {
+            let (tx, rx) = if from_a { (dpa, dpb) } else { (dpb, dpa) };
+            let seg = tx.egress(at, seg).forwarded().unwrap();
+            rx.ingress(at + 1_000, seg).forwarded().unwrap();
+        };
+        wire(true, 50_000, control(true, ISS_A + 1, ISS_B + 1, fin_ack));
+        wire(false, 60_000, control(false, ISS_B + 1, ISS_A + 2, fin_ack));
+        wire(
+            true,
+            70_000,
+            control(true, ISS_A + 2, ISS_B + 2, TcpFlags::ACK),
+        );
+    });
 }
 
 /// `connections()` counts records: two entries of one connection are
@@ -541,7 +613,7 @@ fn window_update_generation() {
     let wu = dpa.make_window_update(&key_ab()).expect("window update");
     assert!(wu.is_pure_ack());
     assert_eq!(wu.flow_key(), key_ab().reverse());
-    let raw = (entry(&dpa, &key_ab(), |e| e.cc.cwnd()) >> 9).max(1) as u16;
+    let raw = (entry(&dpa, &key_ab(), |e| e.cc().cwnd()) >> 9).max(1) as u16;
     assert_eq!(wu.tcp().window(), raw);
     assert!(wu.verify_checksums());
 }
@@ -572,11 +644,11 @@ fn inactivity_tick_infers_timeout() {
         .forwarded()
         .unwrap();
     dpb.ingress(11_000, d).forwarded().unwrap();
-    let cwnd_before = entry(&dpa, &key_ab(), |e| e.cc.cwnd());
+    let cwnd_before = entry(&dpa, &key_ab(), |e| e.cc().cwnd());
     // 50 ms later (RTOmin floor is 10 ms) the tick must infer a timeout.
     dpa.tick(50_000_000);
     assert_eq!(dpa.counters().inferred_timeouts.get(), 1);
-    assert!(entry(&dpa, &key_ab(), |e| e.cc.cwnd()) < cwnd_before);
+    assert!(entry(&dpa, &key_ab(), |e| e.cc().cwnd()) < cwnd_before);
     // A second immediate tick must not double-fire.
     dpa.tick(50_000_001);
     assert_eq!(dpa.counters().inferred_timeouts.get(), 1);
@@ -600,7 +672,7 @@ fn pack_feedback_drives_dctcp_cut() {
             .unwrap();
         dpa.ingress(13_000 + i, a).forwarded().unwrap();
     }
-    let before = entry(&dpa, &key_ab(), |e| e.cc.cwnd());
+    let before = entry(&dpa, &key_ab(), |e| e.cc().cwnd());
 
     // Now a marked round: data CE-marked → PACK reports it → cut.
     let mut d = dpa
@@ -615,7 +687,7 @@ fn pack_feedback_drives_dctcp_cut() {
     dpa.ingress(53_000, a).forwarded().unwrap();
 
     assert!(
-        entry(&dpa, &key_ab(), |e| e.cc.cwnd()) < before,
+        entry(&dpa, &key_ab(), |e| e.cc().cwnd()) < before,
         "marked feedback must shrink the enforced window"
     );
 }
@@ -668,7 +740,7 @@ fn spoofed_pack_with_more_marked_than_total_is_clamped() {
     let delivered = dpa.ingress(30_000, spoofed).forwarded().unwrap();
     assert!(reread(&delivered).pack.is_none(), "PACK stripped");
     assert!(delivered.verify_checksums());
-    let alpha = entry(&dpa, &key_ab(), |e| e.cc.alpha_micros()).expect("DCTCP publishes alpha");
+    let alpha = entry(&dpa, &key_ab(), |e| e.cc().alpha_micros()).expect("DCTCP publishes alpha");
     assert!(alpha <= 1_000_000, "alpha {alpha}e-6 escaped [0, 1]");
 }
 
@@ -788,7 +860,7 @@ fn adopted_flow_stays_log_only_until_handshake() {
     {
         assert!(dpa.seq_view(&key_ab()).is_some(), "sequence state adopted");
         assert!(
-            !entry(&dpa, &key_ab(), |e| e.rwnd.learned()),
+            !entry(&dpa, &key_ab(), |e| e.rwnd().learned()),
             "no handshake → scale unlearned"
         );
     }
@@ -907,7 +979,7 @@ fn ladder_recovers_with_hysteresis_after_gc() {
     // All guests close; the entries become collectable.
     dpa.table().for_each(|_, e| {
         let mut closed = e.checkpoint_state();
-        closed.closing = true;
+        closed.life.closing = true;
         assert!(e.restore_state(&closed));
     });
     // First gc: occupancy drops to zero, but the reject is still
@@ -1084,7 +1156,7 @@ fn restore_preserves_unlearned_scale_semantics() {
     fresh.restore(&ckpt).unwrap();
     {
         assert!(
-            !entry(&fresh, &key_ab(), |e| e.rwnd.learned()),
+            !entry(&fresh, &key_ab(), |e| e.rwnd().learned()),
             "scale still unlearned"
         );
     }

@@ -73,7 +73,7 @@ fn entry(now: u64) -> FlowEntry {
 /// public state image.
 fn touch(e: &mut FlowEntry, now: u64) {
     let mut state = e.checkpoint_state();
-    state.last_activity = now;
+    state.life.last_activity = now;
     assert!(e.restore_state(&state));
 }
 
@@ -116,7 +116,7 @@ fn model_gc(model: &mut Model, now: u64) -> usize {
 /// Returns the walk, in walk order.
 fn assert_matches(t: &FlowTable, model: &Model) -> Vec<FlowKey> {
     let mut walk = Vec::new();
-    t.for_each(|k, e| walk.push((*k, e.checkpoint_state().last_activity)));
+    t.for_each(|k, e| walk.push((*k, e.checkpoint_state().life.last_activity)));
     let mut sorted = walk.clone();
     sorted.sort_unstable();
     assert!(
@@ -259,7 +259,7 @@ fn crowd() -> &'static [FlowKey] {
 }
 
 fn last_activity(t: &FlowTable, k: &FlowKey) -> Option<u64> {
-    t.with_entry(k, |e| e.checkpoint_state().last_activity)
+    t.with_entry(k, |e| e.checkpoint_state().life.last_activity)
 }
 
 /// Run `ops` on a fresh unbounded table beside the model, checking after

@@ -160,7 +160,7 @@ fn run_reset() -> (Snap, Snap, LinkFaultStats, u64, u64) {
     assert_eq!(get(&c0, "datapath_resets"), 1);
     {
         let dp = tb.host_mut(0).datapath();
-        let learned = |key| dp.table().with_entry(key, |e| e.rwnd.learned());
+        let learned = |key| dp.table().with_entry(key, |e| e.rwnd().learned());
         assert!(
             !learned(&h.key).expect("flow re-adopted"),
             "adopted entry must not claim a learned scale"
