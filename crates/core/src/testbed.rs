@@ -72,8 +72,9 @@ pub struct Testbed {
     /// Installed fault-injector taps, by host index.
     host_fault_taps: BTreeMap<usize, NodeId>,
     trunk_fault_tap: Option<NodeId>,
-    /// Network-level telemetry hub: port counters and switch/trunk drop
-    /// events land here. Each host additionally owns a per-datapath hub
+    /// Network-level telemetry hub: port counters, switch drops and every
+    /// fault tap's counters and events (`fault.trunk`, `fault.host{i}`)
+    /// land here. Each host additionally owns a per-datapath hub
     /// (reachable via [`HostNode::telemetry`]).
     telemetry: Arc<Telemetry>,
 }
@@ -117,9 +118,9 @@ impl Testbed {
         }
     }
 
-    /// The network-level telemetry hub (port counters, trunk fault
-    /// events). Per-host vSwitch events live on each host's own hub:
-    /// `testbed.host_mut(i).telemetry()`.
+    /// The network-level telemetry hub (port counters, every fault tap's
+    /// counters and events). Per-host vSwitch events live on each host's
+    /// own hub: `testbed.host_mut(i).telemetry()`.
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.telemetry
     }
@@ -147,7 +148,8 @@ impl Testbed {
     /// `host` when a `build_*` method runs (hosts are numbered in creation
     /// order). The plan's scripted/A→B direction is host→switch (the
     /// host's egress). Call before `build_*`; read results afterwards with
-    /// [`Testbed::host_fault_stats`].
+    /// [`Testbed::host_fault_stats`] or on the network hub, under
+    /// `fault.host{host}`.
     pub fn set_host_fault(&mut self, host: usize, plan: FaultPlan) {
         self.host_fault_plans.insert(host, plan);
     }
@@ -182,6 +184,13 @@ impl Testbed {
                     Box::new(FaultyLink::new(plan, ta, tb))
                 });
                 self.host_fault_taps.insert(idx, tap);
+                // Network state, like the trunk tap: never on the host's
+                // datapath hub, which a checkpoint carries and
+                // `replace_datapath` swaps out.
+                if let Some(link) = self.net.node_mut::<FaultyLink>(tap) {
+                    let prefix = format!("fault.host{idx}");
+                    link.set_telemetry(Arc::clone(&self.telemetry), &prefix);
+                }
                 (hp, sp)
             }
             None => self.net.connect(node, switch, link),
@@ -191,15 +200,7 @@ impl Testbed {
             tweak(&mut acdc_cfg);
         }
         let host = HostNode::new(ip, host_port, acdc_cfg);
-        let host_hub = Arc::clone(host.telemetry());
         self.net.install(node, Box::new(host));
-        // A faulted access link reports onto its host's hub, so one dump
-        // interleaves the injected faults with the resulting NIC drops.
-        if let Some(&tap) = self.host_fault_taps.get(&idx) {
-            if let Some(link) = self.net.node_mut::<FaultyLink>(tap) {
-                link.set_telemetry(host_hub, "fault");
-            }
-        }
         // Route the host's address at its switch.
         if let Some(sw) = self.net.node_mut::<SwitchNode>(switch) {
             sw.add_route(ip, switch_port);

@@ -3,8 +3,10 @@
 
 use acdc_cc::CcKind;
 use acdc_core::{ConnTaps, FlowHandle, Scheme, Testbed, TraceSender};
+use acdc_faults::FaultPlan;
 use acdc_stats::time::{Nanos, MICROSECOND, MILLISECOND, SECOND};
 use acdc_tcp::TcpState;
+use acdc_vswitch::DatapathCheckpoint;
 use acdc_workloads::apps::{BulkSender, MessageSender};
 use acdc_workloads::{FctKind, FlowSizeDist};
 
@@ -283,4 +285,52 @@ fn all_pairs_trace_scenario_is_deterministic() {
     let (events, acked) = run();
     assert!(acked.iter().filter(|&&b| b > 0).count() > acked.len() / 2);
     assert_eq!(run(), (events, acked));
+}
+
+/// A host whose access link carries a fault plan restores from its own
+/// checkpoint: the tap's counters live on the network hub, not in the
+/// datapath hub the checkpoint carries, and after the restore the host
+/// hub reports exactly what an uninterrupted twin's does.
+#[test]
+fn faulted_host_restores_like_an_uninterrupted_twin() {
+    const CUT: Nanos = 50 * MILLISECOND;
+    fn run(restore: bool) -> (String, String) {
+        let mut tb = Testbed::custom(Scheme::acdc(), 1500);
+        let plan = FaultPlan::new(0xACDC_0010)
+            .with_iid_loss(0.01)
+            .with_corruption(0.01);
+        tb.set_host_fault(0, plan);
+        tb.build_dumbbell(1);
+        tb.add_bulk(0, 1, None, 0);
+        tb.run_until(CUT);
+        let host = tb.host_mut(0);
+        let json = host.datapath().checkpoint(CUT, &[]).to_json();
+        let next_seq = host.telemetry().recorder().total_recorded();
+        if restore {
+            let ckpt = DatapathCheckpoint::from_json(&json).expect("parses");
+            let _old = host.replace_datapath();
+            host.datapath().restore(&ckpt).expect("restores");
+        }
+        tb.run_until(2 * CUT);
+        let link = tb.host_fault_stats(0).expect("host 0 is faulted");
+        let stats = link.total();
+        assert!(stats.random_drops > 0 && stats.corrupted > 0, "{stats:?}");
+        let on_network_hub = tb.telemetry().registry().value("fault.host0.ab.corrupted");
+        assert_eq!(on_network_hub, Some(link.a_to_b.corrupted));
+        let hub = tb.host_mut(0).telemetry();
+        // The restored ring starts empty at the checkpoint: compare the
+        // events recorded since then.
+        let dump: String = hub
+            .recorder()
+            .events()
+            .iter()
+            .filter(|e| e.seq >= next_seq)
+            .map(|e| e.to_jsonl() + "\n")
+            .collect();
+        (hub.snapshot_json(2 * CUT), dump)
+    }
+    let restored = run(true);
+    let twin = run(false);
+    assert!(!restored.1.is_empty(), "no events after the cut");
+    assert_eq!(restored, twin);
 }

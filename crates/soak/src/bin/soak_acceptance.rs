@@ -102,7 +102,6 @@ fn main() {
         max_flows: 4_096,
         dropped_events_bound: u64::MAX / 2,
         sample_every: 10,
-        series_cap: 4_096,
     };
 
     eprintln!(

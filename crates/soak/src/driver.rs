@@ -64,9 +64,6 @@ pub struct SoakConfig {
     pub dropped_events_bound: u64,
     /// Watchdog cadence, in slices.
     pub sample_every: u64,
-    /// Per-metric bound on sampled series history (0 = unbounded); see
-    /// `MetricsRegistry::set_series_cap`.
-    pub series_cap: usize,
 }
 
 impl SoakConfig {
@@ -98,7 +95,6 @@ impl SoakConfig {
             max_flows: 512,
             dropped_events_bound: 5_000_000,
             sample_every: 5,
-            series_cap: 4_096,
         }
     }
 }
@@ -133,17 +129,11 @@ pub struct SoakReport {
 /// Capture, serialize, parse and restore the watched host's datapath
 /// state into a freshly constructed datapath — the full §14 cycle, wire
 /// format included. Returns the serialized checkpoint.
-fn restore_cycle(
-    tb: &mut Testbed,
-    host_idx: usize,
-    at: Nanos,
-    series_cap: usize,
-) -> Result<String, String> {
+fn restore_cycle(tb: &mut Testbed, host_idx: usize, at: Nanos) -> Result<String, String> {
     let host = tb.host_mut(host_idx);
     let json = host.datapath().checkpoint(at, &[]).to_json();
     let ckpt = DatapathCheckpoint::from_json(&json)?;
     let _old = host.replace_datapath();
-    host.telemetry().registry().set_series_cap(series_cap);
     host.datapath().restore(&ckpt)?;
     Ok(json)
 }
@@ -164,12 +154,8 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, Violation> {
     });
     tb.set_trunk_fault(cfg.storms.trunk_plan(cfg.seed));
     tb.build_dumbbell(cfg.foreground);
-    for i in 0..2 * cfg.foreground {
-        tb.host_mut(i)
-            .telemetry()
-            .registry()
-            .set_series_cap(cfg.series_cap);
-        if cfg.rate_bps > 0 && i < cfg.foreground {
+    if cfg.rate_bps > 0 {
+        for i in 0..cfg.foreground {
             tb.host_mut(i).set_rate_limit(cfg.rate_bps, 30_000);
         }
     }
@@ -222,7 +208,7 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, Violation> {
         // Mid-run checkpoint (and, on the B side, the restore cycle).
         if cfg.checkpoint_at.is_some_and(|at| at <= t) && mid_checkpoint_json.is_none() {
             let json = if cfg.restore {
-                restore_cycle(&mut tb, watched, t, cfg.series_cap).map_err(|e| Violation {
+                restore_cycle(&mut tb, watched, t).map_err(|e| Violation {
                     at: t,
                     invariant: "checkpoint-restore",
                     detail: e,

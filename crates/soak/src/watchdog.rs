@@ -11,8 +11,8 @@
 //!
 //! 1. **occupancy-cap** — no host's flow table ever exceeds the
 //!    configured `max_flows` cap;
-//! 2. **counter-monotone** — every metric of counter kind is
-//!    non-decreasing between samples (a decrease means lost or
+//! 2. **counter-monotone** — every metric (the registry holds counters
+//!    only) is non-decreasing between samples (a decrease means lost or
 //!    corrupted state, e.g. a checkpoint restored over live counters);
 //! 3. **dropped-events-bound** — the flight recorder's
 //!    `dropped_events` tally stays monotone and under the scenario
@@ -20,8 +20,8 @@
 //!    it);
 //! 4. **health-wedged** — the ladder never sits in `PassThrough` while
 //!    occupancy is below the recovery watermark for more than a grace
-//!    number of consecutive samples: recovery is gc/tick-driven and
-//!    must happen within a couple of ticks of the pressure receding;
+//!    number of consecutive samples: recovery is gc-driven and must
+//!    happen within a couple of ticks of the pressure receding;
 //! 5. **seq-divergence** — the vSwitch's passively reconstructed
 //!    [`SeqView`] for a foreground flow stays inside the endpoint's
 //!    ground-truth window: `ep.snd_una ≤ dp.snd_una ≤ ep.snd_nxt` and
@@ -32,7 +32,7 @@ use std::collections::BTreeMap;
 
 use acdc_packet::{FlowKey, SeqView};
 use acdc_stats::time::Nanos;
-use acdc_telemetry::{MetricKind, MetricValue};
+use acdc_telemetry::MetricValue;
 
 /// Watchdog tuning; mirrors the scenario's datapath configuration.
 #[derive(Debug, Clone)]
@@ -149,9 +149,6 @@ impl Watchdog {
 
         // 2. counter-monotone
         for m in &s.metrics {
-            if m.kind != MetricKind::Counter {
-                continue;
-            }
             if let Some(&prev) = self.prev_counters.get(&m.name) {
                 if m.value < prev {
                     return fail(
@@ -162,9 +159,7 @@ impl Watchdog {
             }
         }
         for m in &s.metrics {
-            if m.kind == MetricKind::Counter {
-                self.prev_counters.insert(m.name.clone(), m.value);
-            }
+            self.prev_counters.insert(m.name.clone(), m.value);
         }
 
         // 3. dropped-events-bound
@@ -237,6 +232,7 @@ impl Watchdog {
 mod tests {
     use super::*;
     use acdc_packet::SeqNumber;
+    use acdc_telemetry::MetricKind;
 
     fn cfg() -> WatchdogConfig {
         WatchdogConfig {
@@ -292,18 +288,6 @@ mod tests {
         s.metrics[0].value = 3;
         let v = w.check(&s).unwrap_err();
         assert_eq!(v.invariant, "counter-monotone");
-
-        // Gauges may go down freely.
-        let mut w = Watchdog::new(cfg());
-        let mut s = sample(1);
-        s.metrics = vec![MetricValue {
-            name: "acdc.flows".into(),
-            kind: MetricKind::Gauge,
-            value: 7,
-        }];
-        w.check(&s).unwrap();
-        s.metrics[0].value = 0;
-        w.check(&s).expect("gauge decrease is not a violation");
     }
 
     #[test]

@@ -119,7 +119,6 @@ fn full_hour_soak_acceptance() {
         max_flows: 4_096,
         dropped_events_bound: u64::MAX / 2,
         sample_every: 10,
-        series_cap: 4_096,
     };
     let r = run_soak(&cfg).expect("the hour soak must finish with zero violations");
     assert!(

@@ -16,11 +16,11 @@
 //!   per datapath/host/link; seed-replayable and dumpable as JSON Lines
 //!   (on test failure via [`TraceGuard`], offline via
 //!   `cargo run -p acdc-xtask -- dump-trace`).
-//! * [`MetricsRegistry`] — named monotonic [`Counter`]s and [`Gauge`]s
-//!   registered once, sampled onto [`acdc_stats::TimeSeries`] from the
-//!   existing 10 ms maintenance tick, and read through one
-//!   `snapshot_all()`; [`Telemetry::snapshot_json`] writes it as the
-//!   `acdc-telemetry/v2` document the tests and the soak driver compare.
+//! * [`MetricsRegistry`] — named monotonic [`Counter`]s registered once
+//!   and read through one `snapshot_all()`; [`Telemetry::snapshot_json`]
+//!   writes it as the `acdc-telemetry/v2` document the tests and the
+//!   soak driver compare. Nothing copies live state into it on a tick:
+//!   occupancy and health are asked of the datapath that holds them.
 //!
 //! ## Determinism contract
 //!
@@ -38,7 +38,7 @@ pub mod metrics;
 pub mod recorder;
 
 pub use event::{flow_label, key_label, Event, EventKind, NO_FLOW};
-pub use metrics::{Counter, Gauge, MetricKind, MetricValue, MetricsRegistry};
+pub use metrics::{Counter, MetricKind, MetricValue, MetricsRegistry};
 pub use recorder::{trace_dir, FlightRecorder, TraceGuard, DEFAULT_CAPACITY};
 
 use std::fmt::Write as _;
@@ -129,11 +129,11 @@ mod tests {
     fn snapshot_json_is_v2_sorted_by_name() {
         let hub = Telemetry::new(8);
         hub.registry().counter("acdc.x").add(5);
-        hub.registry().gauge("acdc.g").set(2);
+        hub.registry().counter("acdc.g").add(2);
         assert_eq!(
             hub.snapshot_json(99),
             "{\"schema\":\"acdc-telemetry/v2\",\"at\":99,\"dropped_events\":0,\"metrics\":[\
-             {\"name\":\"acdc.g\",\"kind\":\"gauge\",\"value\":2},\
+             {\"name\":\"acdc.g\",\"kind\":\"counter\",\"value\":2},\
              {\"name\":\"acdc.x\",\"kind\":\"counter\",\"value\":5}]}"
         );
     }

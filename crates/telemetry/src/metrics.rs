@@ -3,14 +3,14 @@
 //! Every counter in the workspace is a shared cell registered here once,
 //! under a unique dotted name (`"acdc.packs_sent"`,
 //! `"port0.queue_full_drops"`, `"fault.ab.corrupted"`). Producers keep a
-//! cheap [`Counter`] / [`Gauge`] handle whose whole interface is
-//! `inc` / `add` / `get` (`set` / `get` for a gauge) — one relaxed atomic
-//! operation each, and the atomic itself never leaves this file — while
-//! consumers read everything through one interface:
-//! [`MetricsRegistry::snapshot_all`] for point-in-time values and
-//! [`MetricsRegistry::series`] for the per-metric [`TimeSeries`] filled in
-//! by the 10 ms maintenance tick. The JSON snapshot (`acdc-telemetry/v2`)
-//! is written by [`Telemetry::snapshot_json`](crate::Telemetry::snapshot_json).
+//! cheap [`Counter`] handle whose whole interface is `inc` / `add` /
+//! `get` — one relaxed atomic operation each, and the atomic itself never
+//! leaves this file — while consumers read everything through one
+//! interface: [`MetricsRegistry::snapshot_all`] for point-in-time values.
+//! Live state (table occupancy, the health rung) is not mirrored here: the
+//! component that owns it answers for it. The JSON snapshot
+//! (`acdc-telemetry/v2`) is written by
+//! [`Telemetry::snapshot_json`](crate::Telemetry::snapshot_json).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -52,32 +52,13 @@ impl Counter {
     }
 }
 
-/// Handle to a registered gauge (a sampled instantaneous value, e.g.
-/// flow-table occupancy or the health rung).
-#[derive(Debug, Clone)]
-pub struct Gauge(Arc<AtomicU64>);
-
-impl Gauge {
-    /// Overwrite the gauge value.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// Is a metric a monotonic counter or an instantaneous gauge?
+/// The kind of a metric. Every registered metric is a counter; the enum
+/// stays because the benchmark harness filters on it (ROADMAP item 1
+/// deletes it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricKind {
     /// Monotonically non-decreasing.
     Counter,
-    /// Set to an instantaneous value; may go down.
-    Gauge,
 }
 
 impl MetricKind {
@@ -85,7 +66,6 @@ impl MetricKind {
     pub fn name(self) -> &'static str {
         match self {
             MetricKind::Counter => "counter",
-            MetricKind::Gauge => "gauge",
         }
     }
 }
@@ -96,7 +76,7 @@ impl MetricKind {
 pub struct MetricValue {
     /// Registered name.
     pub name: String,
-    /// Counter or gauge.
+    /// Always [`MetricKind::Counter`].
     pub kind: MetricKind,
     /// Value at snapshot time.
     pub value: u64,
@@ -109,7 +89,7 @@ struct Slot {
     series: TimeSeries,
 }
 
-/// A registry of named counters and gauges. One registry exists per
+/// A registry of named counters. One registry exists per
 /// observability domain (one per datapath/host, one per simulated
 /// network, one per fault tap); names are unique within a registry and
 /// registering a duplicate panics — metrics are registered once, at
@@ -117,9 +97,8 @@ struct Slot {
 #[derive(Default)]
 pub struct MetricsRegistry {
     slots: Mutex<Vec<Slot>>,
-    /// Upper bound on retained samples per metric series (0 = unbounded).
-    /// Amortized: a series is trimmed back to the cap once it reaches
-    /// twice the cap, so steady-state memory stays within `2 × cap`.
+    /// Upper bound on retained samples per metric series (0 = unbounded),
+    /// for [`MetricsRegistry::sample`] alone.
     series_cap: AtomicU64,
 }
 
@@ -153,11 +132,6 @@ impl MetricsRegistry {
         ))
     }
 
-    /// Register a gauge. Panics if `name` is already taken.
-    pub fn gauge(&self, name: impl Into<String>) -> Gauge {
-        Gauge(self.register(name.into(), MetricKind::Gauge, Arc::new(AtomicU64::new(0))))
-    }
-
     /// Register an existing [`Counter::standalone`] cell under `name`,
     /// preserving whatever it already counted. Panics on a duplicate name.
     pub fn adopt_counter(&self, name: impl Into<String>, counter: &Counter) {
@@ -174,11 +148,6 @@ impl MetricsRegistry {
         self.len() == 0
     }
 
-    /// All registered names, in registration order.
-    pub fn names(&self) -> Vec<String> {
-        self.slots.lock().iter().map(|s| s.name.clone()).collect()
-    }
-
     /// Current value of one metric by name.
     pub fn value(&self, name: &str) -> Option<u64> {
         self.slots
@@ -191,9 +160,7 @@ impl MetricsRegistry {
     /// Overwrite the named metric's cell with a checkpointed value
     /// (DESIGN.md §14). Returns `false` when no metric of that name is
     /// registered — the caller decides whether an unknown name is a
-    /// checkpoint/config mismatch worth failing on. The sampled
-    /// [`TimeSeries`] is left untouched: series history is diagnostic
-    /// state, not part of the checkpoint contract.
+    /// checkpoint/config mismatch worth failing on.
     pub fn restore_value(&self, name: &str, value: u64) -> bool {
         let slots = self.slots.lock();
         match slots.iter().find(|s| s.name == name) {
@@ -206,17 +173,16 @@ impl MetricsRegistry {
     }
 
     /// Bound the per-metric sampled history to roughly `cap` samples
-    /// (`0` restores the unbounded default). Long-haul runs — hours of
-    /// 10 ms maintenance ticks in the soak harness — must cap diagnostic
-    /// history or the series alone grow to hundreds of megabytes. The
-    /// trim is amortized: a series is cut back to `cap` samples whenever
-    /// it reaches `2 × cap`.
+    /// (`0` restores the unbounded default): a series is cut back to
+    /// `cap` samples whenever it reaches `2 × cap`. Only the benchmark
+    /// harness calls this; ROADMAP item 1 deletes it.
     pub fn set_series_cap(&self, cap: usize) {
         self.series_cap.store(cap as u64, Ordering::Relaxed);
     }
 
     /// Push every metric's current value onto its [`TimeSeries`] with
-    /// timestamp `at`. Called from the existing 10 ms maintenance tick.
+    /// timestamp `at`. Nothing in the workspace samples: only the
+    /// benchmark harness calls this, and ROADMAP item 1 deletes it.
     pub fn sample(&self, at: Nanos) {
         let cap = self.series_cap.load(Ordering::Relaxed) as usize;
         let mut slots = self.slots.lock();
@@ -229,7 +195,9 @@ impl MetricsRegistry {
         }
     }
 
-    /// Clone of one metric's sampled series.
+    /// Clone of one metric's sampled series: the read side of
+    /// [`MetricsRegistry::sample`], which only the benchmark harness
+    /// calls. ROADMAP item 1 deletes both.
     pub fn series(&self, name: &str) -> Option<TimeSeries> {
         self.slots
             .lock()
@@ -259,15 +227,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_and_gauges_round_trip() {
+    fn counters_round_trip() {
         let reg = MetricsRegistry::new();
         let c = reg.counter("x.count_a");
-        let g = reg.gauge("x.depth");
         c.inc();
         c.add(4);
-        g.set(9);
         assert_eq!(reg.value("x.count_a"), Some(5));
-        assert_eq!(reg.value("x.depth"), Some(9));
         assert_eq!(reg.value("missing"), None);
     }
 
@@ -276,7 +241,7 @@ mod tests {
     fn duplicate_name_panics() {
         let reg = MetricsRegistry::new();
         let _a = reg.counter("dup");
-        let _b = reg.gauge("dup");
+        reg.adopt_counter("dup", &Counter::standalone());
     }
 
     #[test]

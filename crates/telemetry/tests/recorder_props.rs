@@ -5,7 +5,7 @@
 
 use acdc_packet::FlowKey;
 use acdc_stats::time::Nanos;
-use acdc_telemetry::{EventKind, FlightRecorder, MetricsRegistry, NO_FLOW};
+use acdc_telemetry::{Counter, EventKind, FlightRecorder, MetricsRegistry, NO_FLOW};
 use proptest::prelude::*;
 
 /// A synthetic event "plan": the deterministic function from (plan,
@@ -101,38 +101,39 @@ proptest! {
     }
 
     /// Every registered metric name is unique and appears in
-    /// `snapshot_all()` with the value its handle reports.
+    /// `snapshot_all()`, sorted by name, with the value its handle reports.
     #[test]
     fn registered_names_are_unique_and_all_snapshot(
         n_counters in 0usize..24,
-        n_gauges in 0usize..24,
+        n_adopted in 0usize..24,
         bumps in proptest::collection::vec(0u64..1000, 0..24),
     ) {
         let reg = MetricsRegistry::new();
-        let counters: Vec<_> = (0..n_counters)
-            .map(|i| reg.counter(format!("c.m{i}")))
+        let mut counters: Vec<_> = (0..n_counters)
+            .map(|i| (format!("c.m{i}"), reg.counter(format!("c.m{i}"))))
             .collect();
-        let _gauges: Vec<_> = (0..n_gauges)
-            .map(|i| reg.gauge(format!("g.m{i}")))
-            .collect();
+        for i in 0..n_adopted {
+            let c = Counter::standalone();
+            reg.adopt_counter(format!("a.m{i}"), &c);
+            counters.push((format!("a.m{i}"), c));
+        }
         for (i, b) in bumps.iter().enumerate() {
-            if let Some(c) = counters.get(i % n_counters.max(1)) {
+            if let Some((_, c)) = counters.get(i % counters.len().max(1)) {
                 c.add(*b);
             }
         }
 
-        let names = reg.names();
-        let mut sorted = names.clone();
-        sorted.sort();
-        sorted.dedup();
-        prop_assert_eq!(sorted.len(), names.len(), "names must be unique");
-
         let snap = reg.snapshot_all();
-        prop_assert_eq!(snap.len(), names.len());
-        for name in &names {
+        prop_assert_eq!(snap.len(), counters.len());
+        prop_assert!(
+            snap.windows(2).all(|w| w[0].name < w[1].name),
+            "names must be unique and sorted"
+        );
+        for (name, c) in &counters {
             let m = snap.iter().find(|m| &m.name == name);
             prop_assert!(m.is_some(), "{} missing from snapshot_all()", name);
-            prop_assert_eq!(m.unwrap().value, reg.value(name).unwrap());
+            prop_assert_eq!(m.unwrap().value, c.get());
+            prop_assert_eq!(reg.value(name), Some(c.get()));
         }
     }
 }

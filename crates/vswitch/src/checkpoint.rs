@@ -16,7 +16,7 @@
 //! (the [`crate::AcdcConfig`], CC configs, the priority weights) — the
 //! restoring side rebuilds those through the same construction path, and
 //! per-flow `cc` names verify the reproduction matches; diagnostic state
-//! (per-flow window traces, sampled time series, the flight recorder's
+//! (per-flow window traces, the flight recorder's
 //! buffered events) — it describes the past, not the future.
 //!
 //! ## Wire format
@@ -55,7 +55,7 @@ pub struct RecorderCheckpoint {
 /// value (sorted by name) plus the recorder bookkeeping.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HubCheckpoint {
-    /// `(name, value)` for every registered counter and gauge, sorted by
+    /// `(name, value)` for every registered counter, sorted by
     /// name. Kinds are not carried: the restoring registry was built by
     /// the same construction path and already knows them.
     pub metrics: Vec<(String, u64)>,
@@ -743,7 +743,7 @@ mod tests {
             ],
             hub: HubCheckpoint {
                 metrics: vec![
-                    ("acdc.flows".to_string(), 2),
+                    ("acdc.gc_evictions".to_string(), 2),
                     ("acdc.packs_sent".to_string(), 9),
                 ],
                 recorder: RecorderCheckpoint {

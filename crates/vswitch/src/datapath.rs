@@ -17,7 +17,7 @@ use std::sync::Arc;
 use acdc_cc::{CcConfig, CongestionControl};
 use acdc_packet::{Ecn, Ipv4Repr, PackOption, PacketMeta, Segment, TcpFlags, TcpRepr};
 use acdc_stats::time::{Nanos, SECOND};
-use acdc_telemetry::{Counter, EventKind, Gauge, MetricsRegistry, Telemetry, NO_FLOW};
+use acdc_telemetry::{Counter, EventKind, MetricsRegistry, Telemetry, NO_FLOW};
 
 use crate::entry::{Enforcement, FlowEntry, Policed};
 use crate::health::{HealthCell, HealthState, LOG_ONLY_PCT, LOG_RECOVER_PCT, PASS_RECOVER_PCT};
@@ -240,10 +240,6 @@ pub struct AcdcDatapath {
     telemetry: Arc<Telemetry>,
     /// The `acdc.*` counters, registered in `telemetry`'s registry.
     counters: AcdcCounters,
-    /// Gauge `acdc.flows`: table occupancy, sampled on the tick.
-    flows_gauge: Gauge,
-    /// Gauge `acdc.health`: current rung (0 = enforcing … 2 = pass-through).
-    health_gauge: Gauge,
 }
 
 impl AcdcDatapath {
@@ -256,8 +252,6 @@ impl AcdcDatapath {
             None => FlowTable::new(),
         };
         table.set_telemetry(Arc::clone(&telemetry));
-        let flows_gauge = telemetry.registry().gauge("acdc.flows");
-        let health_gauge = telemetry.registry().gauge("acdc.health");
         AcdcDatapath {
             cfg,
             table,
@@ -265,8 +259,6 @@ impl AcdcDatapath {
             overload_seen: AtomicBool::new(false),
             telemetry,
             counters,
-            flows_gauge,
-            health_gauge,
         }
     }
 
@@ -281,8 +273,7 @@ impl AcdcDatapath {
     }
 
     /// This datapath's telemetry hub (event recorder + metrics registry).
-    /// The owning host shares it for NIC-level events and drives the
-    /// registry's time-series sampling from its maintenance tick.
+    /// The owning host shares it for NIC-level events.
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.telemetry
     }
@@ -321,7 +312,6 @@ impl AcdcDatapath {
             } else {
                 self.counters.health_promotions.inc();
             }
-            self.health_gauge.set(to as u64);
             self.telemetry.record(
                 now,
                 NO_FLOW,
@@ -368,7 +358,8 @@ impl AcdcDatapath {
         }
     }
 
-    /// Re-evaluate the ladder against occupancy (maintenance-tick path).
+    /// Re-evaluate the ladder against occupancy. [`Self::gc`] is the one
+    /// caller, so each maintenance interval evaluates it exactly once.
     /// Promotions require occupancy below the recovery watermark *and* a
     /// reject-free interval since the last check.
     fn update_health(&self, now: Nanos) {
@@ -412,7 +403,6 @@ impl AcdcDatapath {
         self.counters.datapath_resets.inc();
         self.overload_seen.store(false, Ordering::Relaxed);
         self.health.force(now, HealthState::Enforcing);
-        self.health_gauge.set(HealthState::Enforcing as u64);
         self.telemetry.record(
             now,
             NO_FLOW,
@@ -542,12 +532,6 @@ impl AcdcDatapath {
                 .map(|&(t, r)| (t, HealthState::from_rung(r)))
                 .collect(),
         );
-        // The gauge cells (`acdc.flows`, `acdc.health`) are restored by
-        // name like every other metric — NOT refreshed from live state:
-        // in the uninterrupted run they hold whatever the last tick (or
-        // health transition) wrote, and byte-identity means reproducing
-        // exactly that staleness. The next tick resynchronizes them on
-        // the same edge it would have anyway.
         ckpt.hub.apply(&self.telemetry)?;
         Ok(ckpt.flows.len())
     }
@@ -978,17 +962,12 @@ impl AcdcDatapath {
             self.telemetry
                 .record(now, *key, EventKind::RtoFired { cwnd: *cwnd });
         }
-        self.update_health(now);
-        // The tick is also the registry's sampling edge: refresh gauges,
-        // then push every metric onto its time series.
-        self.flows_gauge.set(self.table.len() as u64);
-        self.health_gauge.set(self.health.get() as u64);
-        self.telemetry.registry().sample(now);
     }
 
     /// Garbage-collect closed/idle entries (paired with FIN tracking).
-    /// Driven from the host's 10 ms maintenance tick; also the moment the
-    /// health ladder re-evaluates recovery (occupancy just receded).
+    /// Driven from the host's 10 ms maintenance tick, after [`Self::tick`];
+    /// also the one place the health ladder is evaluated, once per
+    /// maintenance interval, right after occupancy receded.
     pub fn gc(&self, now: Nanos, idle_timeout: Nanos) -> usize {
         let collected = self.table.gc(now, idle_timeout);
         if collected > 0 {

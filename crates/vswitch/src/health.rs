@@ -53,8 +53,8 @@ impl HealthState {
         }
     }
 
-    /// The rung as its stable checkpoint encoding (0/1/2, the same value
-    /// the `acdc.health` gauge reports).
+    /// The rung as its stable checkpoint encoding (0/1/2, also the soak
+    /// watchdog's `health_rung`).
     pub fn rung(self) -> u8 {
         self as u8
     }

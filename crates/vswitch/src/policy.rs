@@ -14,17 +14,8 @@ use acdc_packet::FlowKey;
 pub enum CcPolicy {
     /// Every flow gets the same algorithm (the paper's default: DCTCP).
     Uniform(CcKind),
-    /// Flows whose destination is outside `dc_prefix`/8 are treated as
-    /// WAN-bound and get `wan`; everything else gets `datacenter`.
-    WanSplit {
-        /// First octet of the datacenter prefix (e.g. `10`).
-        dc_prefix: u8,
-        /// Algorithm for intra-datacenter flows.
-        datacenter: CcKind,
-        /// Algorithm for WAN flows.
-        wan: CcKind,
-    },
-    /// Arbitrary administrator policy.
+    /// Arbitrary administrator policy: a WAN/datacenter split on the
+    /// destination prefix, per-flow priority weights, …
     Custom(Arc<dyn Fn(&FlowKey) -> CcKind + Send + Sync>),
 }
 
@@ -33,17 +24,6 @@ impl CcPolicy {
     pub fn assign(&self, key: &FlowKey) -> CcKind {
         match self {
             CcPolicy::Uniform(kind) => *kind,
-            CcPolicy::WanSplit {
-                dc_prefix,
-                datacenter,
-                wan,
-            } => {
-                if key.dst_ip[0] == *dc_prefix {
-                    *datacenter
-                } else {
-                    *wan
-                }
-            }
             CcPolicy::Custom(f) => f(key),
         }
     }
@@ -58,11 +38,6 @@ impl core::fmt::Debug for CcPolicy {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             CcPolicy::Uniform(k) => write!(f, "Uniform({k})"),
-            CcPolicy::WanSplit {
-                dc_prefix,
-                datacenter,
-                wan,
-            } => write!(f, "WanSplit({dc_prefix}/8 → {datacenter}, wan → {wan})"),
             CcPolicy::Custom(_) => write!(f, "Custom(..)"),
         }
     }
@@ -89,12 +64,14 @@ mod tests {
     }
 
     #[test]
-    fn wan_split_routes_by_prefix() {
-        let p = CcPolicy::WanSplit {
-            dc_prefix: 10,
-            datacenter: CcKind::Dctcp,
-            wan: CcKind::Cubic,
-        };
+    fn custom_routes_by_key() {
+        let p = CcPolicy::Custom(Arc::new(|k: &FlowKey| {
+            if k.dst_ip[0] == 10 {
+                CcKind::Dctcp
+            } else {
+                CcKind::Cubic
+            }
+        }));
         assert_eq!(p.assign(&key([10, 1, 2, 3], 1)), CcKind::Dctcp);
         assert_eq!(p.assign(&key([93, 184, 216, 34], 1)), CcKind::Cubic);
     }

@@ -43,7 +43,7 @@ enum Op {
     Ack { flow: u8, round: u8, wnd: u16 },
     /// Guest FIN (half-close; entries become gc-eligible).
     Fin { flow: u8 },
-    /// Maintenance tick (health re-evaluation, gauge refresh).
+    /// Maintenance tick (inferred timeouts).
     Tick,
     /// GC sweep with a short idle timeout.
     Gc,

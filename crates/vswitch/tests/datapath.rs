@@ -13,6 +13,7 @@ use acdc_vswitch::{
     Verdict,
 };
 use bytes::BytesMut;
+use std::sync::Arc;
 
 const A: [u8; 4] = [10, 0, 0, 1];
 const B: [u8; 4] = [10, 0, 0, 2];
@@ -423,11 +424,14 @@ fn disabled_datapath_is_passthrough() {
 #[test]
 fn per_flow_policy_assigns_different_algorithms() {
     let mut cfg = AcdcConfig::dctcp(MTU);
-    cfg.policy = CcPolicy::WanSplit {
-        dc_prefix: 10,
-        datacenter: CcKind::Dctcp,
-        wan: CcKind::Cubic,
-    };
+    // Destinations outside 10/8 are WAN-bound and get CUBIC.
+    cfg.policy = CcPolicy::Custom(Arc::new(|k: &FlowKey| {
+        if k.dst_ip[0] == 10 {
+            CcKind::Dctcp
+        } else {
+            CcKind::Cubic
+        }
+    }));
     let dp = AcdcDatapath::new(cfg);
     // Intra-DC data flow.
     dp.egress(0, data(0, MSS, Ecn::NotEct));
@@ -964,36 +968,52 @@ fn evict_oldest_idle_admits_new_flows_at_capacity() {
 
 #[test]
 fn ladder_recovers_with_hysteresis_after_gc() {
-    let cfg = AcdcConfig {
-        max_flows: Some(4),
-        admission: AdmissionPolicy::RejectNew,
-        ..AcdcConfig::dctcp(MTU)
-    };
-    let dpa = AcdcDatapath::new(cfg);
-    for p in 0..3u16 {
-        dpa.egress(u64::from(p), syn_on(41_000 + p, 9))
-            .forwarded()
-            .unwrap();
+    // One maintenance interval evaluates the ladder once, whether it is
+    // driven by `gc` alone or, as the host drives it, by `tick` then `gc`
+    // at the same instant.
+    type Maintain = fn(&AcdcDatapath, u64);
+    let drivers: [(&str, Maintain); 2] = [
+        ("gc only", |dp, now| {
+            dp.gc(now, 1);
+        }),
+        ("tick then gc", |dp, now| {
+            dp.tick(now);
+            dp.gc(now, 1);
+        }),
+    ];
+    for (driver, maintain) in drivers {
+        let cfg = AcdcConfig {
+            max_flows: Some(4),
+            admission: AdmissionPolicy::RejectNew,
+            ..AcdcConfig::dctcp(MTU)
+        };
+        let dpa = AcdcDatapath::new(cfg);
+        for p in 0..3u16 {
+            dpa.egress(u64::from(p), syn_on(41_000 + p, 9))
+                .forwarded()
+                .unwrap();
+        }
+        assert_eq!(dpa.health(), HealthState::PassThrough, "{driver}");
+        // All guests close; the entries become collectable.
+        dpa.table().for_each(|_, e| {
+            let mut closed = e.checkpoint_state();
+            closed.life.closing = true;
+            assert!(e.restore_state(&closed));
+        });
+        // First interval: occupancy drops to zero, but the reject is
+        // still "recent" — the overload flag covers the interval up to
+        // this check.
+        maintain(&dpa, 10_000);
+        assert_eq!(dpa.flows(), 0, "{driver}");
+        assert_eq!(dpa.health(), HealthState::PassThrough, "{driver}");
+        // Clean intervals then promote one rung at a time, never two.
+        maintain(&dpa, 20_000);
+        assert_eq!(dpa.health(), HealthState::LogOnly, "{driver}");
+        maintain(&dpa, 30_000);
+        assert_eq!(dpa.health(), HealthState::Enforcing, "{driver}");
+        assert_eq!(counter(&dpa, "health_promotions"), 2, "{driver}");
+        assert!(counter(&dpa, "gc_evictions") >= 4, "{driver}");
     }
-    assert_eq!(dpa.health(), HealthState::PassThrough);
-    // All guests close; the entries become collectable.
-    dpa.table().for_each(|_, e| {
-        let mut closed = e.checkpoint_state();
-        closed.life.closing = true;
-        assert!(e.restore_state(&closed));
-    });
-    // First gc: occupancy drops to zero, but the reject is still
-    // "recent" — the overload flag covers the interval up to this check.
-    dpa.gc(10_000, 1);
-    assert_eq!(dpa.flows(), 0);
-    assert_eq!(dpa.health(), HealthState::PassThrough);
-    // Clean intervals then promote one rung at a time, never two.
-    dpa.gc(20_000, 1);
-    assert_eq!(dpa.health(), HealthState::LogOnly);
-    dpa.gc(30_000, 1);
-    assert_eq!(dpa.health(), HealthState::Enforcing);
-    assert_eq!(counter(&dpa, "health_promotions"), 2);
-    assert!(counter(&dpa, "gc_evictions") >= 4);
 }
 
 // ----------------------------------------------------------------------

@@ -100,7 +100,7 @@ pub static O001: Rule = Rule {
     summary: "no new raw *_drops/*_count integer fields and no live \
               *_drops increments in any crate's src/ but telemetry, stats, \
               bench and xtask (register an \
-              acdc_telemetry Counter/Gauge — or adopt the cell — so the \
+              acdc_telemetry Counter — or adopt the cell — so the \
               metric appears in the unified snapshot_all(); `Copy` \
               snapshot views of registry cells are exempt)",
 };
@@ -173,7 +173,7 @@ pub fn contains_token_suffix(code: &str, suffix: &str) -> bool {
 }
 
 /// Raw integer/atomic types that make a counter field "ad-hoc" for O001.
-/// `Counter`/`Gauge` fields (registry-backed cells) are the blessed path.
+/// `Counter` fields (registry-backed cells) are the blessed path.
 const O001_RAW_TYPES: &[&str] = &["u64", "u32", "usize", "AtomicU64", "AtomicUsize"];
 
 /// True when `code` declares something named `…_drops` or `…_count`
@@ -203,8 +203,8 @@ fn has_counter_field_name(code: &str) -> bool {
 
 /// Does the struct enclosing the field at `field_idx` derive `Copy`?
 ///
-/// A `Copy` struct cannot hold live registry cells (`Counter`/`Gauge`
-/// are `Arc`-backed and not `Copy`), so its counter-named integer fields
+/// A `Copy` struct cannot hold live registry cells (a `Counter` is
+/// `Arc`-backed and not `Copy`), so its counter-named integer fields
 /// are necessarily pure point-in-time *values* — the snapshot views
 /// (`SwitchCounters`, `PortCounters`, `FaultStats`, …) the registry
 /// migration deliberately kept for field-access ergonomics. This
@@ -440,7 +440,7 @@ pub fn lint_lines(path: &str, file: &SourceFile, findings: &mut Vec<Finding>) {
         {
             hits.push((
                 &O001,
-                "raw counter field bypasses the metrics registry; hold an acdc_telemetry::Counter/Gauge (adopt_counter keeps snapshot-struct compat) so the value shows up in snapshot_all()"
+                "raw counter field bypasses the metrics registry; hold an acdc_telemetry::Counter (adopt_counter keeps snapshot-struct compat) so the value shows up in snapshot_all()"
                     .to_string(),
             ));
         }
