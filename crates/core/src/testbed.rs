@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use acdc_cc::CcKind;
 use acdc_faults::{FaultPlan, FaultyLink, LinkFaultStats};
-use acdc_netsim::{LinkSpec, Network, NodeId, SwitchCounters, SwitchNode};
+use acdc_netsim::{LinkSpec, Network, NodeId, PortId, SwitchCounters, SwitchNode};
 use acdc_packet::FlowKey;
 use acdc_stats::time::Nanos;
 use acdc_stats::Distribution;
@@ -65,13 +65,13 @@ pub struct Testbed {
     acdc_tweak: Option<AcdcTweak>,
     mark_bytes: u64,
     /// Fault plans for host access links, by future host index (set
-    /// before `build_*`; applied in [`Testbed::add_host`]).
+    /// before `build_*`; taken by [`Testbed::add_host`]).
     host_fault_plans: BTreeMap<usize, FaultPlan>,
     /// Fault plan for the dumbbell trunk (set before `build_dumbbell`).
     trunk_fault_plan: Option<FaultPlan>,
-    /// Installed fault-injector taps, by host index.
-    host_fault_taps: BTreeMap<usize, NodeId>,
-    trunk_fault_tap: Option<NodeId>,
+    /// Installed fault-injector taps, by hub prefix (`fault.trunk`,
+    /// `fault.host{i}`).
+    fault_taps: BTreeMap<String, NodeId>,
     /// Network-level telemetry hub: port counters, switch drops and every
     /// fault tap's counters and events (`fault.trunk`, `fault.host{i}`)
     /// land here. Each host additionally owns a per-datapath hub
@@ -112,8 +112,7 @@ impl Testbed {
             mark_bytes: DEFAULT_MARK_THRESHOLD,
             host_fault_plans: BTreeMap::new(),
             trunk_fault_plan: None,
-            host_fault_taps: BTreeMap::new(),
-            trunk_fault_tap: None,
+            fault_taps: BTreeMap::new(),
             telemetry,
         }
     }
@@ -163,14 +162,42 @@ impl Testbed {
 
     /// Fault counters of host `idx`'s access link, if one was faulted.
     pub fn host_fault_stats(&mut self, host: usize) -> Option<LinkFaultStats> {
-        let id = *self.host_fault_taps.get(&host)?;
-        self.net.node_mut::<FaultyLink>(id).map(|f| f.stats())
+        self.fault_stats(&format!("fault.host{host}"))
     }
 
     /// Fault counters of the trunk, if it was faulted.
     pub fn trunk_fault_stats(&mut self) -> Option<LinkFaultStats> {
-        let id = self.trunk_fault_tap?;
+        self.fault_stats("fault.trunk")
+    }
+
+    fn fault_stats(&mut self, prefix: &str) -> Option<LinkFaultStats> {
+        let id = *self.fault_taps.get(prefix)?;
         self.net.node_mut::<FaultyLink>(id).map(|f| f.stats())
+    }
+
+    /// Connect `a` to `b` over `link`, through a fault tap when `plan` is
+    /// set. The tap reports on the network hub under `prefix`: never on a
+    /// host's datapath hub, which a checkpoint carries and
+    /// `replace_datapath` swaps out.
+    fn connect_faulted(
+        &mut self,
+        a: NodeId,
+        b: NodeId,
+        link: LinkSpec,
+        plan: Option<FaultPlan>,
+        prefix: String,
+    ) -> (PortId, PortId) {
+        let Some(plan) = plan else {
+            return self.net.connect(a, b, link);
+        };
+        let (pa, pb, tap) = self.net.connect_interposed(a, b, link, |ta, tb| {
+            Box::new(FaultyLink::new(&plan, ta, tb))
+        });
+        if let Some(link) = self.net.node_mut::<FaultyLink>(tap) {
+            link.set_telemetry(Arc::clone(&self.telemetry), &prefix);
+        }
+        self.fault_taps.insert(prefix, tap);
+        (pa, pb)
     }
 
     /// Add a host attached to `switch` via `link`; returns its index.
@@ -178,23 +205,9 @@ impl Testbed {
         let idx = self.hosts.len();
         let ip = Self::host_ip(idx);
         let node = self.net.reserve_node();
-        let (host_port, switch_port) = match self.host_fault_plans.get(&idx) {
-            Some(plan) => {
-                let (hp, sp, tap) = self.net.connect_interposed(node, switch, link, |ta, tb| {
-                    Box::new(FaultyLink::new(plan, ta, tb))
-                });
-                self.host_fault_taps.insert(idx, tap);
-                // Network state, like the trunk tap: never on the host's
-                // datapath hub, which a checkpoint carries and
-                // `replace_datapath` swaps out.
-                if let Some(link) = self.net.node_mut::<FaultyLink>(tap) {
-                    let prefix = format!("fault.host{idx}");
-                    link.set_telemetry(Arc::clone(&self.telemetry), &prefix);
-                }
-                (hp, sp)
-            }
-            None => self.net.connect(node, switch, link),
-        };
+        let plan = self.host_fault_plans.remove(&idx);
+        let (host_port, switch_port) =
+            self.connect_faulted(node, switch, link, plan, format!("fault.host{idx}"));
         let mut acdc_cfg = self.scheme.acdc_config(self.mtu);
         if let Some(tweak) = &self.acdc_tweak {
             tweak(&mut acdc_cfg);
@@ -259,21 +272,8 @@ impl Testbed {
         let sw2 = tb.net.add_node(Box::new(SwitchNode::new(cfg)));
         tb.switches.push(sw1);
         tb.switches.push(sw2);
-        let (p1, p2) = match tb.trunk_fault_plan.take() {
-            Some(plan) => {
-                let (p1, p2, tap) =
-                    tb.net
-                        .connect_interposed(sw1, sw2, default_link(), |ta, tb_port| {
-                            Box::new(FaultyLink::new(&plan, ta, tb_port))
-                        });
-                tb.trunk_fault_tap = Some(tap);
-                if let Some(link) = tb.net.node_mut::<FaultyLink>(tap) {
-                    link.set_telemetry(Arc::clone(&tb.telemetry), "fault.trunk");
-                }
-                (p1, p2)
-            }
-            None => tb.net.connect(sw1, sw2, default_link()),
-        };
+        let plan = tb.trunk_fault_plan.take();
+        let (p1, p2) = tb.connect_faulted(sw1, sw2, default_link(), plan, "fault.trunk".into());
         // Default routes point across the trunk.
         tb.net
             .node_mut::<SwitchNode>(sw1)

@@ -1,15 +1,17 @@
 //! The soak driver: hours of virtual time in 10 ms slices.
 //!
-//! The driver owns the loop the module docs of [`crate`] describe. Each
-//! slice it (in this fixed order, so runs replay byte-identically):
+//! The driver owns the loop the module docs of [`crate`] describe. The
+//! testbed is a one-pair dumbbell: host 0 sends one bulk flow to host 1
+//! and is the watched host. Each slice the driver (in this fixed order,
+//! so runs replay byte-identically):
 //!
 //! 1. advances the testbed to the slice boundary (`Testbed::run_until`);
 //! 2. injects any due churn waves into the watched host's vSwitch;
 //! 3. applies scheduled datapath resets;
 //! 4. at the configured moment, captures a mid-run checkpoint — and, in
 //!    restore mode, swaps in a fresh datapath and restores into it;
-//! 5. every `sample_every` slices, feeds a [`WatchdogSample`] to the
-//!    [`Watchdog`]; a violation dumps the watched host's flight
+//! 5. every `sample_every` slices, feeds a `WatchdogSample` to the
+//!    `Watchdog`; a violation dumps the watched host's flight
 //!    recorder to `target/acdc-traces/soak-<name>/main.jsonl` and aborts
 //!    the run.
 //!
@@ -18,14 +20,20 @@
 //! final checkpoint and metric snapshot, all byte-for-byte — equal to
 //! the same config with `restore = false`. The soak tests pin this.
 
-use acdc_core::{FlowHandle, Scheme, Testbed};
+use acdc_core::{Scheme, Testbed};
 use acdc_stats::time::{Nanos, MILLISECOND, SECOND};
 use acdc_vswitch::DatapathCheckpoint;
-use acdc_workers::Direction;
 
 use crate::churn::{ChurnConfig, ChurnGenerator};
 use crate::storm::StormSchedule;
-use crate::watchdog::{FlowProbe, Violation, Watchdog, WatchdogConfig, WatchdogSample};
+use crate::watchdog::{FlowProbe, Violation, Watchdog, WatchdogSample};
+
+/// Driver slice: the vSwitch maintenance tick.
+const SLICE: Nanos = 10 * MILLISECOND;
+
+/// The watched host: churn, reset and checkpoint target, and the
+/// foreground flow's sender.
+const WATCHED: usize = 0;
 
 /// Everything one soak run needs; equal configs replay byte-identically.
 #[derive(Debug, Clone)]
@@ -36,15 +44,8 @@ pub struct SoakConfig {
     pub seed: u64,
     /// Total virtual duration.
     pub duration: Nanos,
-    /// Driver slice; the vSwitch maintenance tick is 10 ms, so slices
-    /// below that oversample harmlessly.
-    pub slice: Nanos,
-    /// Foreground dumbbell pairs (endpoint-backed long-lived bulk
-    /// flows); at least 1, to keep maintenance ticks and ground-truth
-    /// probes alive.
-    pub foreground: usize,
-    /// Client egress rate limit in bits/s (0 = unlimited). Bounding the
-    /// foreground rate is what makes an hour of virtual time cheap.
+    /// The foreground flow's egress rate limit in bits/s. Bounding it is
+    /// what makes an hour of virtual time cheap.
     pub rate_bps: u64,
     /// Synthetic churn shape.
     pub churn: ChurnConfig,
@@ -60,9 +61,7 @@ pub struct SoakConfig {
     pub restore: bool,
     /// `max_flows` cap applied to every host's datapath.
     pub max_flows: usize,
-    /// Watchdog bound on the flight recorder's `dropped_events`.
-    pub dropped_events_bound: u64,
-    /// Watchdog cadence, in slices.
+    /// Watchdog cadence, in 10 ms slices.
     pub sample_every: u64,
 }
 
@@ -75,25 +74,20 @@ impl SoakConfig {
             name,
             seed: 0xAC0_DC09,
             duration: 2 * SECOND,
-            slice: 10 * MILLISECOND,
-            foreground: 1,
             rate_bps: 50_000_000,
             churn: ChurnConfig {
                 flows_per_wave: 2,
                 wave_period: 50 * MILLISECOND,
-                ..ChurnConfig::default()
             },
             resets: vec![1_300 * MILLISECOND],
             storms: StormSchedule {
                 windows: vec![(400 * MILLISECOND, 700 * MILLISECOND)],
                 background_loss: 0.005,
                 corruption: 0.002,
-                jitter: 10_000,
             },
             checkpoint_at: None,
             restore: false,
             max_flows: 512,
-            dropped_events_bound: 5_000_000,
             sample_every: 5,
         }
     }
@@ -103,7 +97,7 @@ impl SoakConfig {
 /// with or without a mid-run restore — must compare equal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SoakReport {
-    /// Distinct flows driven: churn launches plus foreground pairs.
+    /// Distinct flows driven: churn launches plus the foreground flow.
     pub distinct_flows: u64,
     /// Scheduled resets actually applied.
     pub resets_applied: usize,
@@ -114,7 +108,7 @@ pub struct SoakReport {
     pub watchdog_samples: u64,
     /// Highest watched-host occupancy seen at a sampling edge.
     pub max_occupancy: usize,
-    /// Stream bytes acknowledged per foreground flow.
+    /// Stream bytes acknowledged per foreground flow (there is one).
     pub acked: Vec<u64>,
     /// Simulator events processed.
     pub engine_events: u64,
@@ -129,8 +123,8 @@ pub struct SoakReport {
 /// Capture, serialize, parse and restore the watched host's datapath
 /// state into a freshly constructed datapath — the full §14 cycle, wire
 /// format included. Returns the serialized checkpoint.
-fn restore_cycle(tb: &mut Testbed, host_idx: usize, at: Nanos) -> Result<String, String> {
-    let host = tb.host_mut(host_idx);
+fn restore_cycle(tb: &mut Testbed, at: Nanos) -> Result<String, String> {
+    let host = tb.host_mut(WATCHED);
     let json = host.datapath().checkpoint(at, &[]).to_json();
     let ckpt = DatapathCheckpoint::from_json(&json)?;
     let _old = host.replace_datapath();
@@ -141,9 +135,6 @@ fn restore_cycle(tb: &mut Testbed, host_idx: usize, at: Nanos) -> Result<String,
 /// Run one soak scenario to completion. `Err` carries the first broken
 /// invariant (traces are dumped) or a checkpoint/restore failure.
 pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, Violation> {
-    assert!(cfg.slice > 0, "slice must be positive");
-    assert!(cfg.foreground >= 1, "need at least one foreground pair");
-
     let mut tb = Testbed::custom(Scheme::acdc(), 1_500);
     let max_flows = cfg.max_flows;
     tb.set_acdc_tweak(move |c| {
@@ -153,24 +144,12 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, Violation> {
         c.gc_idle_timeout = 2 * SECOND;
     });
     tb.set_trunk_fault(cfg.storms.trunk_plan(cfg.seed));
-    tb.build_dumbbell(cfg.foreground);
-    if cfg.rate_bps > 0 {
-        for i in 0..cfg.foreground {
-            tb.host_mut(i).set_rate_limit(cfg.rate_bps, 30_000);
-        }
-    }
-    let handles: Vec<FlowHandle> = (0..cfg.foreground)
-        .map(|i| tb.add_bulk(i, cfg.foreground + i, None, 0))
-        .collect();
+    tb.build_dumbbell(1);
+    tb.host_mut(WATCHED).set_rate_limit(cfg.rate_bps, 30_000);
+    let handle = tb.add_bulk(WATCHED, 1, None, 0);
 
-    let watched = 0usize; // host 0: churn target, reset target, checkpoint target
     let mut churn = ChurnGenerator::new(cfg.churn.clone());
-    let mut watchdog = Watchdog::new(WatchdogConfig {
-        max_flows: cfg.max_flows,
-        dropped_events_bound: cfg.dropped_events_bound,
-        pass_recover_pct: acdc_vswitch::health::PASS_RECOVER_PCT,
-        max_wedged_samples: 50,
-    });
+    let mut watchdog = Watchdog::new(cfg.max_flows);
     let mut resets = cfg.resets.clone();
     resets.sort_unstable();
     let mut next_reset = 0usize;
@@ -181,26 +160,17 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, Violation> {
     let mut t: Nanos = 0;
     let mut slice_idx: u64 = 0;
     while t < cfg.duration {
-        let target = (t + cfg.slice).min(cfg.duration);
+        let target = (t + SLICE).min(cfg.duration);
         tb.run_until(target);
         t = target;
         slice_idx += 1;
 
         // Churn waves due at this boundary.
-        let wave = churn.poll(t);
-        if !wave.is_empty() {
-            let dp = tb.host_mut(watched).datapath();
-            for (dir, seg) in wave {
-                let _ = match dir {
-                    Direction::Egress => dp.egress(t, seg),
-                    Direction::Ingress => dp.ingress(t, seg),
-                };
-            }
-        }
+        churn.poll(t, tb.host_mut(WATCHED).datapath());
 
         // Scheduled resets.
         while next_reset < resets.len() && resets[next_reset] <= t {
-            tb.host_mut(watched).datapath().reset(t);
+            tb.host_mut(WATCHED).datapath().reset(t);
             next_reset += 1;
             resets_applied += 1;
         }
@@ -208,33 +178,34 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, Violation> {
         // Mid-run checkpoint (and, on the B side, the restore cycle).
         if cfg.checkpoint_at.is_some_and(|at| at <= t) && mid_checkpoint_json.is_none() {
             let json = if cfg.restore {
-                restore_cycle(&mut tb, watched, t).map_err(|e| Violation {
+                restore_cycle(&mut tb, t).map_err(|e| Violation {
                     at: t,
                     invariant: "checkpoint-restore",
                     detail: e,
                 })?
             } else {
-                tb.host_mut(watched).datapath().checkpoint(t, &[]).to_json()
+                tb.host_mut(WATCHED).datapath().checkpoint(t, &[]).to_json()
             };
             mid_checkpoint_json = Some(json);
         }
 
         // Watchdog sampling edge.
         if slice_idx.is_multiple_of(cfg.sample_every.max(1)) {
-            let mut probes = Vec::with_capacity(handles.len());
-            for h in &handles {
-                let ep = {
-                    let ep = tb.client_endpoint(*h);
-                    ep.is_established().then(|| ep.seq_view())
-                };
-                let dp = tb.host_mut(h.client_host).datapath().seq_view(&h.key);
-                probes.push(FlowProbe { key: h.key, dp, ep });
-            }
-            let mut occupancy = Vec::with_capacity(2 * cfg.foreground);
-            for i in 0..2 * cfg.foreground {
-                occupancy.push((i, tb.host_mut(i).datapath().flows()));
-            }
-            let host = tb.host_mut(watched);
+            let ep = {
+                let ep = tb.client_endpoint(handle);
+                ep.is_established().then(|| ep.seq_view())
+            };
+            let dp = tb.host_mut(WATCHED).datapath().seq_view(&handle.key);
+            let probe = FlowProbe {
+                key: handle.key,
+                dp,
+                ep,
+            };
+            let occupancy = vec![
+                (0, tb.host_mut(0).datapath().flows()),
+                (1, tb.host_mut(1).datapath().flows()),
+            ];
+            let host = tb.host_mut(WATCHED);
             let watched_occupancy = host.datapath().flows();
             max_occupancy = max_occupancy.max(watched_occupancy);
             let hub = host.telemetry();
@@ -245,7 +216,7 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, Violation> {
                 watched_occupancy,
                 dropped_events: hub.recorder().overwritten(),
                 metrics: hub.registry().snapshot_all(),
-                probes,
+                probe,
             };
             if let Err(v) = watchdog.check(&sample) {
                 let path =
@@ -256,13 +227,13 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, Violation> {
         }
     }
 
-    let acked: Vec<u64> = handles.iter().map(|h| tb.acked_bytes(*h)).collect();
+    let acked = vec![tb.acked_bytes(handle)];
     let engine_events = tb.net.events_processed();
-    let host = tb.host_mut(watched);
+    let host = tb.host_mut(WATCHED);
     let final_checkpoint_json = host.datapath().checkpoint(cfg.duration, &[]).to_json();
     let snapshot_json = host.telemetry().snapshot_json(cfg.duration);
     Ok(SoakReport {
-        distinct_flows: churn.launched() + cfg.foreground as u64,
+        distinct_flows: churn.launched() + 1,
         resets_applied,
         storms: cfg.storms.storms(),
         watchdog_samples: watchdog.samples(),

@@ -6,7 +6,7 @@
 //! storms and restarts many times. This crate drives a [`acdc_core`]
 //! testbed through hours of *virtual* time and watches it the whole way:
 //!
-//! * **churn** ([`ChurnGenerator`]): a seedless, fully deterministic
+//! * **churn** ([`ChurnConfig`]): a seedless, fully deterministic
 //!   stream of short-lived synthetic flows injected straight into one
 //!   host's vSwitch — handshake, a few data/ACK rounds, FIN — with a
 //!   periodic mid-stream variant that skips its handshake to keep the
@@ -21,12 +21,12 @@
 //!   (`acdc_vswitch::DatapathCheckpoint`)), swap in a fresh one
 //!   ([`acdc_core::HostNode::replace_datapath`]), restore, and require
 //!   the continuation to be byte-identical to the uninterrupted run;
-//! * **watchdog** ([`Watchdog`]): every few ticks the driver samples
-//!   occupancy, health, the watched host's counters and the vSwitch-vs-endpoint
-//!   sequence views, and enforces the invariant catalog (occupancy
-//!   under the cap, counters monotone, bounded flight-recorder loss, a
-//!   health ladder that never wedges, sequence reconstruction inside
-//!   the endpoint's ground-truth window). A violation dumps the watched
+//! * **watchdog**: every few ticks the driver samples occupancy, health,
+//!   the watched host's counters and the vSwitch-vs-endpoint sequence
+//!   views, and enforces the invariant catalog (occupancy under the cap,
+//!   counters monotone, a bounded flight-recorder overwrite rate, a
+//!   health ladder that never wedges, sequence reconstruction inside the
+//!   endpoint's ground-truth window). A violation dumps the watched
 //!   host's flight recorder under `target/acdc-traces/` and fails the run.
 //!
 //! Everything is virtual-time deterministic: the same [`SoakConfig`]
@@ -36,12 +36,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod churn;
-pub mod driver;
-pub mod storm;
-pub mod watchdog;
+mod churn;
+mod driver;
+mod storm;
+mod watchdog;
 
-pub use churn::{ChurnConfig, ChurnGenerator};
+pub use churn::ChurnConfig;
 pub use driver::{run_soak, SoakConfig, SoakReport};
 pub use storm::StormSchedule;
-pub use watchdog::{FlowProbe, Violation, Watchdog, WatchdogConfig, WatchdogSample};
+pub use watchdog::Violation;

@@ -3,12 +3,15 @@
 //! A storm is a scheduled outage window ([`FaultPlan::with_flap`]): the
 //! trunk discards everything for its duration, forcing retransmission
 //! timeouts, inferred-RTO handling and post-outage recovery through the
-//! vSwitch. Between storms a configurable background of random loss,
-//! corruption and jitter keeps the fault paths warm. All of it derives
-//! from the soak seed, so the schedule replays byte-identically.
+//! vSwitch. Between storms a configurable background of random loss and
+//! corruption, plus a fixed jitter, keeps the fault paths warm. All of it
+//! derives from the soak seed, so the schedule replays byte-identically.
 
 use acdc_faults::FaultPlan;
 use acdc_stats::time::Nanos;
+
+/// Background jitter bound on the trunk, in nanoseconds.
+const JITTER: Nanos = 10_000;
 
 /// Outage windows plus the always-on background fault processes.
 #[derive(Debug, Clone)]
@@ -19,34 +22,17 @@ pub struct StormSchedule {
     pub background_loss: f64,
     /// Background header-corruption probability (0 disables).
     pub corruption: f64,
-    /// Background jitter bound in nanoseconds (0 disables).
-    pub jitter: Nanos,
 }
 
 impl StormSchedule {
-    /// A quiet trunk: no storms, no background faults.
-    pub fn none() -> StormSchedule {
-        StormSchedule {
-            windows: Vec::new(),
-            background_loss: 0.0,
-            corruption: 0.0,
-            jitter: 0,
-        }
-    }
-
     /// Number of scheduled storms.
-    pub fn storms(&self) -> usize {
+    pub(crate) fn storms(&self) -> usize {
         self.windows.len()
-    }
-
-    /// Is any storm window active at `now`?
-    pub fn active(&self, now: Nanos) -> bool {
-        self.windows.iter().any(|&(d, u)| now >= d && now < u)
     }
 
     /// Compile the schedule into the trunk's [`FaultPlan`], deriving the
     /// fault RNG streams from the soak seed.
-    pub fn trunk_plan(&self, seed: u64) -> FaultPlan {
+    pub(crate) fn trunk_plan(&self, seed: u64) -> FaultPlan {
         let mut plan = FaultPlan::new(seed ^ 0x5EED_5708_4AC0_DC01);
         if self.background_loss > 0.0 {
             plan = plan.with_iid_loss(self.background_loss);
@@ -54,9 +40,7 @@ impl StormSchedule {
         if self.corruption > 0.0 {
             plan = plan.with_corruption(self.corruption);
         }
-        if self.jitter > 0 {
-            plan = plan.with_jitter(self.jitter);
-        }
+        plan = plan.with_jitter(JITTER);
         for &(down, up) in &self.windows {
             plan = plan.with_flap(down, up);
         }
@@ -74,18 +58,13 @@ mod tests {
             windows: vec![(100, 200), (500, 700)],
             background_loss: 0.01,
             corruption: 0.005,
-            jitter: 10_000,
         };
         assert_eq!(s.storms(), 2);
-        assert!(s.active(150));
-        assert!(!s.active(300));
         let plan = s.trunk_plan(7);
         assert!(plan.is_down(150));
+        assert!(!plan.is_down(300));
         assert!(plan.is_down(699));
         assert!(!plan.is_down(99));
         assert!(!plan.is_healthy());
-
-        let quiet = StormSchedule::none().trunk_plan(7);
-        assert!(quiet.is_healthy());
     }
 }
