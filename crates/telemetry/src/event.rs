@@ -11,6 +11,8 @@
 use acdc_packet::FlowKey;
 use acdc_stats::time::Nanos;
 
+use crate::json::{key_label, Writer};
+
 /// The all-zero key used to stamp events that are not attributable to a
 /// single flow (health transitions, datapath resets, drops of frames too
 /// mangled to parse a key out of).
@@ -86,53 +88,35 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// Stable kind label used as the `"kind"` field of the JSONL form.
-    pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::FlowCreated => "flow-created",
-            EventKind::FlowEvicted { .. } => "flow-evicted",
-            EventKind::AdmissionRejected => "admission-rejected",
-            EventKind::AlphaUpdate { .. } => "alpha-update",
-            EventKind::CwndCut { .. } => "cwnd-cut",
-            EventKind::RtoFired { .. } => "rto-fired",
-            EventKind::HealthTransition { .. } => "health-transition",
-            EventKind::FaultInjected { .. } => "fault-injected",
-            EventKind::PacketDropped { .. } => "drop",
-            EventKind::DatapathReset { .. } => "datapath-reset",
-        }
-    }
-
-    /// Append this kind's variant-specific JSON fields (each preceded by
-    /// a comma) to `out`.
-    fn write_fields(&self, out: &mut String) {
-        use std::fmt::Write;
-        match self {
-            EventKind::FlowCreated | EventKind::AdmissionRejected => {}
-            EventKind::FlowEvicted { reason } => {
-                let _ = write!(out, ",\"reason\":\"{reason}\"");
-            }
+    /// Write `"kind"`, this kind's stable label, then the variant's
+    /// payload fields into the event's object.
+    fn write(&self, w: &mut Writer) {
+        let w = w.key("kind");
+        match *self {
+            EventKind::FlowCreated => w.str("flow-created"),
+            EventKind::FlowEvicted { reason } => w.str("flow-evicted").key("reason").str(reason),
+            EventKind::AdmissionRejected => w.str("admission-rejected"),
             EventKind::AlphaUpdate { alpha_micros } => {
-                let _ = write!(out, ",\"alpha_micros\":{alpha_micros}");
+                w.str("alpha-update").key("alpha_micros").num(alpha_micros)
             }
             EventKind::CwndCut { cause, cwnd } => {
-                let _ = write!(out, ",\"cause\":\"{cause}\",\"cwnd\":{cwnd}");
+                w.str("cwnd-cut").key("cause").str(cause);
+                w.key("cwnd").num(cwnd)
             }
-            EventKind::RtoFired { cwnd } => {
-                let _ = write!(out, ",\"cwnd\":{cwnd}");
-            }
+            EventKind::RtoFired { cwnd } => w.str("rto-fired").key("cwnd").num(cwnd),
             EventKind::HealthTransition { from, to } => {
-                let _ = write!(out, ",\"from\":\"{from}\",\"to\":\"{to}\"");
+                w.str("health-transition").key("from").str(from);
+                w.key("to").str(to)
             }
             EventKind::FaultInjected { effect } => {
-                let _ = write!(out, ",\"effect\":\"{effect}\"");
+                w.str("fault-injected").key("effect").str(effect)
             }
-            EventKind::PacketDropped { cause } => {
-                let _ = write!(out, ",\"cause\":\"{cause}\"");
-            }
+            EventKind::PacketDropped { cause } => w.str("drop").key("cause").str(cause),
             EventKind::DatapathReset { flows_cleared } => {
-                let _ = write!(out, ",\"flows_cleared\":{flows_cleared}");
+                w.str("datapath-reset");
+                w.key("flows_cleared").num(flows_cleared)
             }
-        }
+        };
     }
 }
 
@@ -150,50 +134,25 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// [`key_label`], or `-` for [`NO_FLOW`]: the event log's form.
-pub fn flow_label(key: &FlowKey) -> String {
-    if *key == NO_FLOW {
-        return "-".to_string();
-    }
-    key_label(key)
-}
-
-/// Render a flow key as `a.b.c.d:p>e.f.g.h:q`, every key in full (the
-/// all-zero one too): the checkpoint's form, which its reader parses back.
-pub fn key_label(key: &FlowKey) -> String {
-    let [a, b, c, d] = key.src_ip;
-    let [e, f, g, h] = key.dst_ip;
-    format!(
-        "{a}.{b}.{c}.{d}:{sp}>{e}.{f}.{g}.{h}:{dp}",
-        sp = key.src_port,
-        dp = key.dst_port
-    )
-}
-
 impl Event {
-    /// One JSON object, no trailing newline. All labels are static and
-    /// contain no characters needing JSON escaping, so the encoding is a
-    /// straight format.
+    /// One JSON object, no trailing newline. The flow is its
+    /// [`key_label`], or `-` for [`NO_FLOW`].
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(96);
-        use std::fmt::Write;
-        let _ = write!(
-            out,
-            "{{\"seq\":{},\"at\":{},\"flow\":\"{}\",\"kind\":\"{}\"",
-            self.seq,
-            self.at,
-            flow_label(&self.flow),
-            self.kind.name()
-        );
-        self.kind.write_fields(&mut out);
-        out.push('}');
-        out
+        let flow = match self.flow {
+            NO_FLOW => "-".to_string(),
+            key => key_label(&key),
+        };
+        Writer::object(96, |w| {
+            w.key("seq").num(self.seq).key("at").num(self.at);
+            self.kind.write(w.key("flow").str(&flow));
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Json;
 
     #[test]
     fn jsonl_round_shape() {
@@ -231,5 +190,87 @@ mod tests {
         let line = e.to_jsonl();
         assert!(line.contains("\"flow\":\"-\""), "{line}");
         assert!(line.contains("\"from\":\"enforcing\""), "{line}");
+    }
+
+    #[test]
+    fn every_kind_writes_a_json_line() {
+        let flow = FlowKey {
+            src_ip: [10, 0, 0, 1],
+            dst_ip: [10, 0, 0, 2],
+            src_port: 40000,
+            dst_port: 5001,
+        };
+        let s = |v: &str| Json::Str(v.to_string());
+        let n = Json::Num;
+        let cases = [
+            (EventKind::FlowCreated, "flow-created", vec![]),
+            (
+                EventKind::FlowEvicted { reason: "gc" },
+                "flow-evicted",
+                vec![("reason", s("gc"))],
+            ),
+            (EventKind::AdmissionRejected, "admission-rejected", vec![]),
+            (
+                EventKind::AlphaUpdate {
+                    alpha_micros: 62_500,
+                },
+                "alpha-update",
+                vec![("alpha_micros", n(62_500))],
+            ),
+            (
+                EventKind::CwndCut {
+                    cause: "ecn",
+                    cwnd: 14_480,
+                },
+                "cwnd-cut",
+                vec![("cause", s("ecn")), ("cwnd", n(14_480))],
+            ),
+            (
+                EventKind::RtoFired { cwnd: 1_448 },
+                "rto-fired",
+                vec![("cwnd", n(1_448))],
+            ),
+            (
+                EventKind::HealthTransition {
+                    from: "enforcing",
+                    to: "log-only",
+                },
+                "health-transition",
+                vec![("from", s("enforcing")), ("to", s("log-only"))],
+            ),
+            (
+                EventKind::FaultInjected { effect: "corrupt" },
+                "fault-injected",
+                vec![("effect", s("corrupt"))],
+            ),
+            (
+                EventKind::PacketDropped { cause: "policed" },
+                "drop",
+                vec![("cause", s("policed"))],
+            ),
+            (
+                EventKind::DatapathReset { flows_cleared: 9 },
+                "datapath-reset",
+                vec![("flows_cleared", n(9))],
+            ),
+        ];
+        for (i, (kind, label, payload)) in cases.into_iter().enumerate() {
+            let e = Event {
+                seq: i as u64,
+                at: 1_000 + i as u64,
+                flow,
+                kind,
+            };
+            let line = e.to_jsonl();
+            let mut want = vec![
+                ("seq", n(e.seq)),
+                ("at", n(e.at)),
+                ("flow", s("10.0.0.1:40000>10.0.0.2:5001")),
+                ("kind", s(label)),
+            ];
+            want.extend(payload);
+            let want = want.into_iter().map(|(k, v)| (k.to_string(), v));
+            assert_eq!(Json::parse(&line), Ok(Json::Obj(want.collect())), "{line}");
+        }
     }
 }

@@ -21,6 +21,12 @@
 //!   writes it as the `acdc-telemetry/v2` document the tests and the
 //!   soak driver compare. Nothing copies live state into it on a tick:
 //!   occupancy and health are asked of the datapath that holds them.
+//! * [`Writer`] / [`Json`] — the workspace's one JSON codec: one
+//!   writer, one string escaper and one reader, `u64`-only numbers. The
+//!   snapshot, every event's JSON line and the vSwitch's
+//!   `acdc-checkpoint/v2` document are written and read through it, and
+//!   flow keys travel as [`key_label`] strings that [`parse_key_label`]
+//!   reads back.
 //!
 //! ## Determinism contract
 //!
@@ -34,14 +40,15 @@
 #![warn(missing_docs)]
 
 pub mod event;
+mod json;
 pub mod metrics;
 pub mod recorder;
 
-pub use event::{flow_label, key_label, Event, EventKind, NO_FLOW};
+pub use event::{Event, EventKind, NO_FLOW};
+pub use json::{key_label, parse_key_label, Json, Writer};
 pub use metrics::{Counter, MetricKind, MetricValue, MetricsRegistry};
 pub use recorder::{trace_dir, FlightRecorder, TraceGuard, DEFAULT_CAPACITY};
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use acdc_packet::FlowKey;
@@ -98,26 +105,18 @@ impl Telemetry {
     /// can tell a complete event stream from one with wraparound holes.
     pub fn snapshot_json(&self, at: Nanos) -> String {
         let metrics = self.registry.snapshot_all();
-        let dropped = self.recorder.overwritten();
-        let mut out = String::with_capacity(64 + metrics.len() * 56);
-        let _ = write!(
-            out,
-            "{{\"schema\":\"acdc-telemetry/v2\",\"at\":{at},\"dropped_events\":{dropped},\"metrics\":["
-        );
-        for (i, m) in metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"kind\":\"{}\",\"value\":{}}}",
-                m.name,
-                m.kind.name(),
-                m.value
-            );
-        }
-        out.push_str("]}");
-        out
+        Writer::object(64 + metrics.len() * 56, |w| {
+            w.key("schema").str("acdc-telemetry/v2").key("at").num(at);
+            w.key("dropped_events").num(self.recorder.overwritten());
+            w.key("metrics").arr(|w| {
+                for m in &metrics {
+                    w.obj(|w| {
+                        w.key("name").str(&m.name);
+                        w.key("kind").str(m.kind.name()).key("value").num(m.value);
+                    });
+                }
+            });
+        })
     }
 }
 
@@ -145,5 +144,16 @@ mod tests {
             hub.record(at, NO_FLOW, EventKind::FlowCreated);
         }
         assert!(hub.snapshot_json(7).contains("\"dropped_events\":3"));
+    }
+
+    #[test]
+    fn snapshot_json_escapes_metric_names() {
+        let name = "tëst.\"quoted\"\\slash\nline\ttab→";
+        let hub = Telemetry::new(8);
+        hub.registry().counter(name).add(3);
+        let doc = Json::parse(&hub.snapshot_json(4)).expect("the snapshot is JSON");
+        let metric = &doc.field("metrics").unwrap().arr().unwrap()[0];
+        assert_eq!(metric.field("name").unwrap().str_().unwrap(), name);
+        assert_eq!(metric.field("value").unwrap().num::<u64>().unwrap(), 3);
     }
 }

@@ -116,13 +116,7 @@ impl FlightRecorder {
     /// The whole ring as JSON Lines (one event object per line, oldest
     /// first, trailing newline after every line).
     pub fn dump_jsonl(&self) -> String {
-        let events = self.events();
-        let mut out = String::with_capacity(events.len() * 96);
-        for e in &events {
-            out.push_str(&e.to_jsonl());
-            out.push('\n');
-        }
-        out
+        self.events().iter().map(|e| e.to_jsonl() + "\n").collect()
     }
 
     /// Write [`FlightRecorder::dump_jsonl`] to `path`, creating parent

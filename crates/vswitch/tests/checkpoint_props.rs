@@ -228,10 +228,10 @@ fn ten_thousand_flow_round_trip_is_identity() {
     assert_eq!(ckpt.flows.len(), 2 * CONNS as usize);
     ckpt.hub
         .metrics
-        .push(("tëst.\"quoted\"\\slash\nline\ttab→".to_string(), 7));
+        .push(("tëst.\"quoted\"\\slash\nline\ttab→\r\u{1}".to_string(), 7));
 
     let json = ckpt.to_json();
-    assert!(json.contains(r#"["tëst.\"quoted\"\\slash\nline\ttab→",7]"#));
+    assert!(json.contains(r#"["tëst.\"quoted\"\\slash\nline\ttab→\u000d\u0001",7]"#));
     let parsed = DatapathCheckpoint::from_json(&json).expect("own serialization must parse");
     assert_eq!(parsed, ckpt, "parse must invert serialize");
     assert_eq!(

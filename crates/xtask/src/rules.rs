@@ -115,9 +115,9 @@ pub static S001: Rule = Rule {
     id: "S001",
     name: "checkpoint-determinism",
     summary: "no float types in the checkpoint serialization paths (vswitch \
-              checkpoint.rs, soak driver.rs): checkpoint document bytes must \
-              be a pure function of state — u64-only numbers, no float \
-              formatting (DESIGN.md §14)",
+              checkpoint.rs, telemetry json.rs, soak driver.rs): checkpoint \
+              document bytes must be a pure function of state — u64-only \
+              numbers, no float formatting (DESIGN.md §14)",
 };
 
 pub static W002: Rule = Rule {
@@ -344,9 +344,11 @@ pub fn lint_lines(path: &str, file: &SourceFile, findings: &mut Vec<Finding>) {
     let o001_scope = krate.is_some_and(|c| !matches!(c, "telemetry" | "stats" | "bench" | "xtask"));
     // S001 guards the checkpoint wire format's determinism contract:
     // floats are banned in the files that *write* checkpoint bytes (you
-    // cannot float-format a value you never hold).
-    let s001_scope =
-        path == "crates/vswitch/src/checkpoint.rs" || path == "crates/soak/src/driver.rs";
+    // cannot float-format a value you never hold): the document's shape,
+    // the JSON codec that writes its bytes, and the soak report.
+    let s001_scope = path == "crates/vswitch/src/checkpoint.rs"
+        || path == "crates/telemetry/src/json.rs"
+        || path == "crates/soak/src/driver.rs";
     let lock_findings = if path.starts_with("crates/vswitch/src/") {
         crate::lock_order::lock_order(file)
     } else {
@@ -783,6 +785,7 @@ mod tests {
     fn s001_bans_floats_in_serialization_paths_only() {
         let float = "fn pct(x: f64) -> u64 { (x * 100.0) as u64 }\n";
         assert_eq!(run("crates/vswitch/src/checkpoint.rs", float), vec!["S001"]);
+        assert_eq!(run("crates/telemetry/src/json.rs", float), vec!["S001"]);
         assert_eq!(run("crates/soak/src/driver.rs", float), vec!["S001"]);
         // Floats elsewhere in the soak crate (e.g. fault probabilities)
         // never touch the serializer and are fine.

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use acdc_core::{FlowHandle, Scheme, Testbed};
 use acdc_faults::FaultPlan;
 use acdc_stats::time::{MILLISECOND, SECOND};
-use acdc_telemetry::{EventKind, TraceGuard};
+use acdc_telemetry::{EventKind, Json, TraceGuard};
 use acdc_workloads::{BulkSender, FctKind};
 
 /// After quiescence, the client-side vSwitch's reconstructed
@@ -202,6 +202,14 @@ fn corruption_is_dropped_at_the_nic_and_repaired_by_retransmission() {
         a, b,
         "same plan + seed must replay a byte-identical event history"
     );
+    // Every dumped line is one JSON event object.
+    for dump in [&a.0, &a.1, &a.2] {
+        assert!(!dump.is_empty());
+        for line in dump.lines() {
+            let event = Json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+            event.field("kind").and_then(Json::str_).expect(line);
+        }
+    }
 }
 
 #[test]
