@@ -21,7 +21,6 @@ pub struct Cubic {
     cfg: CcConfig,
     cwnd: u64,
     ssthresh: u64,
-    ecn_enabled: bool,
 
     /// Window size (bytes) just before the last reduction.
     w_max: f64,
@@ -47,7 +46,6 @@ impl Cubic {
             cfg,
             cwnd: cfg.initial_window_bytes(),
             ssthresh: u64::MAX,
-            ecn_enabled: false,
             w_max: 0.0,
             epoch_start: None,
             w_epoch: 0.0,
@@ -57,12 +55,6 @@ impl Cubic {
             acked_since_est: 0,
             last_cut: None,
         }
-    }
-
-    /// Enable classic ECN reaction (treat ECE as a loss event).
-    pub fn with_ecn(mut self) -> Cubic {
-        self.ecn_enabled = true;
-        self
     }
 
     fn mss_f(&self) -> f64 {
@@ -129,12 +121,6 @@ impl CongestionControl for Cubic {
         if let Some(rtt) = ack.rtt {
             self.srtt = (self.srtt * 7 + rtt) / 8;
         }
-        if self.ecn_enabled && ack.ece {
-            if self.can_cut(ack.now) {
-                self.reduction(ack.now);
-            }
-            return;
-        }
         if ack.newly_acked == 0 {
             return;
         }
@@ -183,27 +169,11 @@ impl CongestionControl for Cubic {
         self.last_cut = None;
     }
 
-    fn wants_ecn(&self) -> bool {
-        self.ecn_enabled
-    }
-
-    fn reset(&mut self, _now: Nanos) {
-        *self = Cubic {
-            ecn_enabled: self.ecn_enabled,
-            ..Cubic::new(self.cfg)
-        };
-    }
-
-    /// Layout: `[cwnd, ssthresh, ecn_enabled, w_max, epoch_start?,
+    /// Layout: `[cwnd, ssthresh, w_max, epoch_start?,
     /// w_epoch, k, w_est, srtt, acked_since_est, last_cut?]` with the
     /// `f64` fields bit-cast.
     fn state_words(&self) -> Vec<u64> {
-        let mut w = vec![
-            self.cwnd,
-            self.ssthresh,
-            u64::from(self.ecn_enabled),
-            self.w_max.to_bits(),
-        ];
+        let mut w = vec![self.cwnd, self.ssthresh, self.w_max.to_bits()];
         crate::push_opt(&mut w, self.epoch_start);
         w.extend([
             self.w_epoch.to_bits(),
@@ -217,14 +187,13 @@ impl CongestionControl for Cubic {
     }
 
     fn load_state_words(&mut self, words: &[u64]) -> bool {
-        let [cwnd, ssthresh, ecn, w_max, ep_f, ep_v, w_epoch, k, w_est, srtt, acked, cut_f, cut_v] =
+        let [cwnd, ssthresh, w_max, ep_f, ep_v, w_epoch, k, w_est, srtt, acked, cut_f, cut_v] =
             *words
         else {
             return false;
         };
         self.cwnd = cwnd;
         self.ssthresh = ssthresh;
-        self.ecn_enabled = ecn != 0;
         self.w_max = f64::from_bits(w_max);
         self.epoch_start = crate::read_opt(ep_f, ep_v);
         self.w_epoch = f64::from_bits(w_epoch);
@@ -341,15 +310,5 @@ mod tests {
         let mut c = Cubic::new(cfg());
         c.on_retransmit_timeout(SECOND);
         assert_eq!(c.cwnd(), 1448);
-    }
-
-    #[test]
-    fn ecn_mode_reacts_to_ece() {
-        let mut c = Cubic::new(cfg()).with_ecn();
-        let before = c.cwnd();
-        let mut a = rtt_ack(MILLISECOND, 1448);
-        a.ece = true;
-        c.on_ack(&a);
-        assert!(c.cwnd() < before);
     }
 }

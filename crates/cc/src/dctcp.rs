@@ -173,10 +173,6 @@ impl CongestionControl for Dctcp {
         Some((self.alpha * 1e6) as u64)
     }
 
-    fn reset(&mut self, _now: Nanos) {
-        *self = Dctcp::with_priority(self.cfg, self.beta);
-    }
-
     /// Layout: `[cwnd, ssthresh, alpha, acked_bytes, marked_bytes,
     /// window_end?, srtt, cut_in_window]`. `gain` and `beta` are
     /// construction parameters and deliberately excluded — a restore

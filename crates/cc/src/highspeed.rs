@@ -161,10 +161,6 @@ impl CongestionControl for HighSpeed {
         self.idx = 0;
     }
 
-    fn reset(&mut self, _now: Nanos) {
-        *self = HighSpeed::new(self.cfg);
-    }
-
     /// Layout: `[cwnd, ssthresh, idx, acked_accum]`.
     fn state_words(&self) -> Vec<u64> {
         vec![self.cwnd, self.ssthresh, self.idx as u64, self.acked_accum]

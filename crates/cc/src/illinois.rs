@@ -162,10 +162,6 @@ impl CongestionControl for Illinois {
         self.epoch_end = None;
     }
 
-    fn reset(&mut self, _now: Nanos) {
-        *self = Illinois::new(self.cfg);
-    }
-
     /// Layout: `[cwnd, ssthresh, base_rtt?, max_rtt?, rtt_sum_lo,
     /// rtt_sum_hi, rtt_cnt, alpha, beta, epoch_end?, acked_accum]` with
     /// `rtt_sum` split into two little-endian words and the `f64`

@@ -4,15 +4,19 @@
 //! TCP New Reno, CUBIC, Vegas, Illinois, HighSpeed and DCTCP, plus the
 //! paper's priority-weighted DCTCP variant (§3.4, Equation 1).
 //!
-//! The same [`CongestionControl`] objects are driven from two places,
-//! mirroring the paper's central claim that congestion control is portable
-//! across layers:
+//! Both layers of the paper's central claim — congestion control is
+//! portable across layers — hold an algorithm the same way: a [`CcKind`]
+//! instantiated by value as an [`AnyCc`], under a [`Clamped`] ceiling.
 //!
-//! * **host TCP endpoints** (`acdc-tcp`) use them as the guest's native
-//!   stack;
-//! * **the vSwitch** (`acdc-vswitch`) runs one instance per flow entry,
-//!   held inline as an [`AnyCc`], and enforces the resulting window via
-//!   the receive-window rewrite.
+//! * **host TCP endpoints** (`acdc-tcp`) run it as the guest's native
+//!   stack, with no ceiling unless the run sets a `snd_cwnd_clamp`;
+//! * **the vSwitch** (`acdc-vswitch`) runs one per flow entry and
+//!   enforces the resulting window via the receive-window rewrite.
+//!
+//! The algorithms react to ACKs, losses, delay and DCTCP's marked bytes.
+//! Classic RFC 3168 ECN is not theirs to handle: the guest stack reacts
+//! to an ECN echo like a loss, once per RTT, through
+//! [`CongestionControl::on_fast_retransmit`], and signals CWR itself.
 //!
 //! All windows are kept in **bytes** (like Linux's `snd_cwnd * mss`
 //! products); the AC/DC enforcement path specifically exploits byte
@@ -96,8 +100,8 @@ pub struct AckEvent {
     pub rtt: Option<Nanos>,
     /// Bytes still in flight *after* processing this ACK.
     pub in_flight: u64,
-    /// Classic ECN echo flag as seen on the wire (used by non-DCTCP stacks
-    /// that react to ECN like loss).
+    /// ECN echo flag as seen on the wire: DCTCP counts it as a
+    /// congestion signal; the guest stack reacts to classic ECN itself.
     pub ece: bool,
 }
 
@@ -142,9 +146,9 @@ pub trait CongestionControl: Send + core::fmt::Debug {
     /// The retransmission timer fired.
     fn on_retransmit_timeout(&mut self, now: Nanos);
 
-    /// Does this algorithm want ECT set on its packets and ECN feedback
-    /// delivered? (DCTCP: yes; classic loss-based stacks: configurable,
-    /// and delay-based Vegas: no.)
+    /// Does this algorithm take marked-byte ECN feedback (DCTCP)? A guest
+    /// running any other algorithm reacts to classic ECN itself, when the
+    /// connection negotiated it.
     fn wants_ecn(&self) -> bool {
         false
     }
@@ -161,9 +165,6 @@ pub trait CongestionControl: Send + core::fmt::Debug {
     fn alpha_micros(&self) -> Option<u64> {
         None
     }
-
-    /// Reset to initial state (new connection reusing the object).
-    fn reset(&mut self, now: Nanos);
 
     /// Serialize the algorithm's *dynamic* state as a flat word list for
     /// checkpointing. Construction-time configuration ([`CcConfig`],
@@ -186,45 +187,6 @@ pub trait CongestionControl: Send + core::fmt::Debug {
     /// The stateless default accepts only an empty list.
     fn load_state_words(&mut self, words: &[u64]) -> bool {
         words.is_empty()
-    }
-}
-
-impl CongestionControl for Box<dyn CongestionControl> {
-    fn name(&self) -> &'static str {
-        self.as_ref().name()
-    }
-    fn cwnd(&self) -> u64 {
-        self.as_ref().cwnd()
-    }
-    fn ssthresh(&self) -> u64 {
-        self.as_ref().ssthresh()
-    }
-    fn on_ack(&mut self, ack: &AckEvent) {
-        self.as_mut().on_ack(ack)
-    }
-    fn on_fast_retransmit(&mut self, now: Nanos) {
-        self.as_mut().on_fast_retransmit(now)
-    }
-    fn on_retransmit_timeout(&mut self, now: Nanos) {
-        self.as_mut().on_retransmit_timeout(now)
-    }
-    fn wants_ecn(&self) -> bool {
-        self.as_ref().wants_ecn()
-    }
-    fn in_slow_start(&self) -> bool {
-        self.as_ref().in_slow_start()
-    }
-    fn alpha_micros(&self) -> Option<u64> {
-        self.as_ref().alpha_micros()
-    }
-    fn reset(&mut self, now: Nanos) {
-        self.as_mut().reset(now)
-    }
-    fn state_words(&self) -> Vec<u64> {
-        self.as_ref().state_words()
-    }
-    fn load_state_words(&mut self, words: &[u64]) -> bool {
-        self.as_mut().load_state_words(words)
     }
 }
 

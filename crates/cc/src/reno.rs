@@ -11,8 +11,6 @@ pub struct NewReno {
     cfg: CcConfig,
     cwnd: u64,
     ssthresh: u64,
-    /// React to classic ECN echoes (RFC 3168) as to loss?
-    ecn_enabled: bool,
     /// Start of the current "reaction window": we cut at most once per RTT.
     last_cut: Option<Nanos>,
     srtt_hint: Nanos,
@@ -25,16 +23,9 @@ impl NewReno {
             cfg,
             cwnd: cfg.initial_window_bytes(),
             ssthresh: u64::MAX,
-            ecn_enabled: false,
             last_cut: None,
             srtt_hint: acdc_stats::time::MILLISECOND,
         }
-    }
-
-    /// Enable classic ECN reaction (halve on ECE, once per RTT).
-    pub fn with_ecn(mut self) -> NewReno {
-        self.ecn_enabled = true;
-        self
     }
 
     fn halve(&mut self, now: Nanos) {
@@ -69,12 +60,6 @@ impl CongestionControl for NewReno {
             // Keep a rough RTT to pace once-per-RTT reactions.
             self.srtt_hint = (self.srtt_hint * 7 + rtt) / 8;
         }
-        if self.ecn_enabled && ack.ece {
-            if self.can_cut(ack.now) {
-                self.halve(ack.now);
-            }
-            return;
-        }
         if ack.newly_acked == 0 {
             return;
         }
@@ -94,31 +79,20 @@ impl CongestionControl for NewReno {
         self.last_cut = None;
     }
 
-    fn wants_ecn(&self) -> bool {
-        self.ecn_enabled
-    }
-
-    fn reset(&mut self, _now: Nanos) {
-        self.cwnd = self.cfg.initial_window_bytes();
-        self.ssthresh = u64::MAX;
-        self.last_cut = None;
-    }
-
-    /// Layout: `[cwnd, ssthresh, ecn_enabled, last_cut?, srtt_hint]`.
+    /// Layout: `[cwnd, ssthresh, last_cut?, srtt_hint]`.
     fn state_words(&self) -> Vec<u64> {
-        let mut w = vec![self.cwnd, self.ssthresh, u64::from(self.ecn_enabled)];
+        let mut w = vec![self.cwnd, self.ssthresh];
         crate::push_opt(&mut w, self.last_cut);
         w.push(self.srtt_hint);
         w
     }
 
     fn load_state_words(&mut self, words: &[u64]) -> bool {
-        let [cwnd, ssthresh, ecn, cut_f, cut_v, srtt_hint] = *words else {
+        let [cwnd, ssthresh, cut_f, cut_v, srtt_hint] = *words else {
             return false;
         };
         self.cwnd = cwnd;
         self.ssthresh = ssthresh;
-        self.ecn_enabled = ecn != 0;
         self.last_cut = crate::read_opt(cut_f, cut_v);
         self.srtt_hint = srtt_hint;
         true
@@ -186,27 +160,5 @@ mod tests {
             r.on_fast_retransmit(i * 10 * MILLISECOND);
         }
         assert!(r.cwnd() >= cfg().min_window_bytes);
-    }
-
-    #[test]
-    fn ece_ignored_unless_enabled() {
-        let mut r = NewReno::new(cfg());
-        let mut ack = AckEvent::simple(0, 1000);
-        ack.ece = true;
-        r.on_ack(&ack);
-        assert_eq!(r.cwnd(), 11_000); // grew, did not cut
-
-        let mut r = NewReno::new(cfg()).with_ecn();
-        r.on_ack(&ack);
-        assert_eq!(r.cwnd(), 5_000); // cut like loss
-    }
-
-    #[test]
-    fn reset_restores_initial_state() {
-        let mut r = NewReno::new(cfg());
-        r.on_fast_retransmit(0);
-        r.reset(0);
-        assert_eq!(r.cwnd(), 10_000);
-        assert!(r.in_slow_start());
     }
 }

@@ -129,10 +129,6 @@ impl CongestionControl for Vegas {
         self.epoch_end = None;
     }
 
-    fn reset(&mut self, _now: Nanos) {
-        *self = Vegas::new(self.cfg);
-    }
-
     /// Layout: `[cwnd, ssthresh, base_rtt?, min_rtt_window?, rtt_count,
     /// epoch_end?, ss_grow_this_epoch]`.
     fn state_words(&self) -> Vec<u64> {

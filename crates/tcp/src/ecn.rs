@@ -2,9 +2,12 @@
 //! classic-ECE receiver state, and the sender-side CWR/cut bookkeeping.
 //!
 //! The fields are private, so every mutation of the ECN echo and cut
-//! state lives in this file. The congestion-control *reaction* to these
-//! signals stays in the pluggable `acdc-cc` box; this component only
-//! tracks what must be echoed or signalled on the wire.
+//! state lives in this file. This component only tracks what must be
+//! echoed or signalled on the wire. The window reaction is the
+//! [`Endpoint`]'s: DCTCP gets marked bytes, and for every other algorithm
+//! the endpoint cuts on an echo like on a loss, gated by
+//! [`EcnSignal::can_cut`]. That is the workspace's one classic-ECN
+//! reaction; no `acdc-cc` algorithm has its own.
 //!
 //! [`Endpoint`]: crate::Endpoint
 

@@ -28,7 +28,7 @@
 //! builds segments, reads the components through their view methods, and
 //! drives every state change through their transition methods.
 
-use acdc_cc::{AckEvent, CcConfig, CongestionControl};
+use acdc_cc::{AckEvent, AnyCc, CcConfig, Clamped, CongestionControl};
 use acdc_packet::{
     Ecn, FlowKey, Ipv4Repr, PacketMeta, Segment, SeqNumber, SeqView, TcpFlags, TcpOption, TcpRepr,
     PROTO_TCP,
@@ -76,7 +76,7 @@ pub enum TcpState {
 /// One side of a TCP connection.
 pub struct Endpoint {
     cfg: TcpConfig,
-    cc: Box<dyn CongestionControl>,
+    cc: Clamped<AnyCc>,
     conn: ConnMgmt,
     rel: ReliableDelivery,
     flow: FlowCtrl,
@@ -109,12 +109,10 @@ impl Endpoint {
     }
 
     fn new(cfg: TcpConfig, passive: bool) -> Endpoint {
-        let cc_cfg = CcConfig::host(cfg.mss);
-        let cc = cfg.cc.build(cc_cfg);
-        let cc: Box<dyn CongestionControl> = match cfg.cwnd_clamp {
-            Some(clamp) => Box::new(acdc_cc::Clamped::new(cc, clamp)),
-            None => cc,
-        };
+        let cc = Clamped::new(
+            cfg.cc.instantiate(CcConfig::host(cfg.mss)),
+            cfg.cwnd_clamp.unwrap_or(u64::MAX),
+        );
         Endpoint {
             conn: ConnMgmt::new(SeqNumber(cfg.iss), cfg.mss, passive),
             rel: ReliableDelivery::new(),
@@ -217,9 +215,10 @@ impl Endpoint {
         self.cc.cwnd()
     }
 
-    /// The congestion-control algorithm (for inspection).
-    pub fn cc(&self) -> &dyn CongestionControl {
-        self.cc.as_ref()
+    /// The congestion-control algorithm (for inspection), held as the
+    /// vSwitch holds a flow's: by value, under the `cwnd_clamp` ceiling.
+    pub fn cc(&self) -> &Clamped<AnyCc> {
+        &self.cc
     }
 
     /// Smoothed RTT estimate, if sampled yet.

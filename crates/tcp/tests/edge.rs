@@ -1,10 +1,12 @@
 //! Edge-case tests for the TCP endpoint, driven by direct segment
 //! exchange (no simulator).
 
-use acdc_cc::CcKind;
+use std::collections::VecDeque;
+
+use acdc_cc::{CcKind, CongestionControl};
 use acdc_packet::tcp::option_kind;
 use acdc_packet::{Ecn, Ipv4Repr, Segment, SeqNumber, TcpFlags, TcpRepr, PROTO_TCP};
-use acdc_stats::time::{MILLISECOND, SECOND};
+use acdc_stats::time::{Nanos, MICROSECOND, MILLISECOND, SECOND};
 use acdc_tcp::{Endpoint, TcpConfig, TcpState};
 use bytes::BytesMut;
 
@@ -306,5 +308,114 @@ fn persist_probe_backs_off_exponentially() {
         "persist interval must back off: {} then {}",
         t2 - t1,
         t3 - t2
+    );
+}
+
+/// Classic ECN (RFC 3168) on an ECN-negotiated connection. One CE-marked
+/// data segment latches ECE at the receiver until CWR arrives, so
+/// several ACKs echo it; the sender cuts by its algorithm's β on the
+/// first of them only, and its next data segment carries CWR. CUBIC
+/// paces its own cuts; Vegas does not, so it shows the endpoint's
+/// once-per-RTT gate.
+#[test]
+fn classic_ecn_cuts_once_per_rtt_and_signals_cwr() {
+    for (kind, beta) in [(CcKind::Cubic, 717.0 / 1024.0), (CcKind::Vegas, 0.5)] {
+        classic_ecn_echo(kind, beta);
+    }
+}
+
+fn classic_ecn_echo(kind: CcKind, beta: f64) {
+    const DELAY: Nanos = 50 * MICROSECOND;
+    const MARKED: u32 = 11;
+    const BYTES: u64 = 1_000_000;
+    let (mut ca, mut cb) = (cfg_a(kind), cfg_b(kind));
+    ca.ecn = true;
+    cb.ecn = true;
+    let (mut a, mut b) = (Endpoint::new_active(ca), Endpoint::new_passive(cb));
+    a.open(0);
+    a.send(BYTES);
+
+    // In flight, in arrival order: (arrival, towards b, segment). One
+    // fixed delay keeps the queue sorted.
+    let mut wire: VecDeque<(Nanos, bool, Segment)> = VecDeque::new();
+    let mut now: Nanos = 0;
+    let mut data_segs = 0;
+    // (arrival, cwnd before, ssthresh after) of every ECE ACK the sender
+    // took in.
+    let mut echoes: Vec<(Nanos, u64, u64)> = Vec::new();
+    let mut cwr_after_echo = None;
+    while a.acked_bytes() < BYTES && now < SECOND {
+        while let Some(mut s) = a.poll_transmit(now) {
+            if s.payload_len() > 0 {
+                data_segs += 1;
+                if data_segs == MARKED {
+                    assert!(s.ecn().is_ect(), "ECN-capable data");
+                    s.mark_ce();
+                }
+                let cwr = s.tcp_flags().contains(TcpFlags::CWR);
+                if echoes.is_empty() {
+                    assert!(!cwr, "CWR before any echo");
+                } else if cwr_after_echo.is_none() {
+                    cwr_after_echo = Some(cwr);
+                }
+            }
+            wire.push_back((now + DELAY, true, s));
+        }
+        while let Some(s) = b.poll_transmit(now) {
+            wire.push_back((now + DELAY, false, s));
+        }
+        // One arrival at a time, so each ACK leaves as its segment lands;
+        // timers fire when nothing arrives first.
+        let timer = [a.next_timer(), b.next_timer()].into_iter().flatten().min();
+        let arrival = wire.front().map(|w| w.0);
+        if timer.is_some_and(|t| arrival.is_none_or(|w| t < w)) {
+            now = timer.unwrap();
+            for ep in [&mut a, &mut b] {
+                if ep.next_timer().is_some_and(|t| t <= now) {
+                    ep.on_timer(now);
+                }
+            }
+            continue;
+        }
+        let (at, to_b, s) = wire
+            .pop_front()
+            .expect("the transfer has something pending");
+        now = at;
+        if to_b {
+            b.on_segment(now, &s);
+            continue;
+        }
+        let cwnd = a.cwnd();
+        a.on_segment(now, &s);
+        // An ECN-setup SYN-ACK carries ECE too; it is no echo.
+        let flags = s.tcp_flags();
+        if flags.contains(TcpFlags::ECE) && !flags.contains(TcpFlags::SYN) {
+            echoes.push((now, cwnd, a.cc().ssthresh()));
+        } else if echoes.is_empty() {
+            assert_eq!(
+                a.cc().ssthresh(),
+                u64::MAX,
+                "{kind}: no cut before the echo"
+            );
+        }
+    }
+    assert_eq!(b.delivered_bytes(), BYTES);
+
+    let &(at, before, _) = echoes.first().expect("the CE mark is echoed");
+    let cut_to = (before as f64 * beta) as u64;
+    let srtt = a.srtt().expect("sampled");
+    let same_rtt: Vec<_> = echoes.iter().filter(|e| e.0 < at + srtt).collect();
+    assert!(
+        same_rtt.len() > 1,
+        "{kind}: the latch echoes more than once: {echoes:?}"
+    );
+    assert!(
+        same_rtt.iter().all(|e| e.2 == cut_to),
+        "{kind}: one cut by beta, from {before}, within the RTT: {echoes:?}"
+    );
+    assert_eq!(
+        cwr_after_echo,
+        Some(true),
+        "{kind}: the next data segment carries CWR"
     );
 }

@@ -13,9 +13,10 @@
 //!   injections and drops, each stamped with virtual-time [`Nanos`] and
 //!   a [`FlowKey`].
 //! * [`FlightRecorder`] — a **bounded ring** of the most recent events
-//!   per datapath/host/link; seed-replayable and dumpable as JSON Lines
-//!   (on test failure via [`TraceGuard`], offline via
-//!   `cargo run -p acdc-xtask -- dump-trace`).
+//!   per datapath/host/link; seed-replayable and dumpable as JSON Lines.
+//!   On test failure [`TraceGuard`] writes one plain JSONL file per
+//!   watched hub under [`trace_dir`] (`target/acdc-traces/`), one event
+//!   object per line.
 //! * [`MetricsRegistry`] — named monotonic [`Counter`]s registered once
 //!   and read through one `snapshot_all()`; [`Telemetry::snapshot_json`]
 //!   writes it as the `acdc-telemetry/v2` document the tests and the

@@ -131,8 +131,9 @@ impl FlightRecorder {
 }
 
 /// Directory failing tests dump flight-recorder traces into, relative to
-/// the working directory of the test process: `target/acdc-traces/`.
-/// `cargo run -p acdc-xtask -- dump-trace` reads the same location.
+/// the working directory of the test process: `target/acdc-traces/`
+/// (under `$CARGO_TARGET_DIR` when set). The dumps are plain JSONL, one
+/// event object per line.
 pub fn trace_dir() -> PathBuf {
     let target = std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".to_string());
     Path::new(&target).join("acdc-traces")
@@ -141,7 +142,7 @@ pub fn trace_dir() -> PathBuf {
 /// Dump-on-failure guard: holds named telemetry hubs for the duration of
 /// a test and, if the thread unwinds (assertion failure), writes each
 /// hub's recorder to `target/acdc-traces/<test>.<label>.jsonl` so the
-/// failing run's event history survives for `acdc-xtask dump-trace`.
+/// failing run's event history survives the test.
 pub struct TraceGuard {
     test: &'static str,
     hubs: Vec<(&'static str, Arc<crate::Telemetry>)>,

@@ -247,11 +247,10 @@ impl AcdcDatapath {
     pub fn new(cfg: AcdcConfig) -> AcdcDatapath {
         let telemetry = Telemetry::with_default_capacity();
         let counters = AcdcCounters::register(telemetry.registry());
-        let mut table = match cfg.max_flows {
+        let table = match cfg.max_flows {
             Some(cap) => FlowTable::bounded(cap, cfg.admission),
             None => FlowTable::new(),
         };
-        table.set_telemetry(Arc::clone(&telemetry));
         AcdcDatapath {
             cfg,
             table,
@@ -970,11 +969,16 @@ impl AcdcDatapath {
     /// maintenance interval, right after occupancy receded.
     pub fn gc(&self, now: Nanos, idle_timeout: Nanos) -> usize {
         let collected = self.table.gc(now, idle_timeout);
-        if collected > 0 {
-            self.counters.gc_evictions.add(collected as u64);
+        let n = collected.len();
+        for key in collected {
+            self.telemetry
+                .record(now, key, EventKind::FlowEvicted { reason: "gc" });
+        }
+        if n > 0 {
+            self.counters.gc_evictions.add(n as u64);
         }
         self.update_health(now);
-        collected
+        n
     }
 
     /// Snapshot per-flow statistics for every tracked entry — the

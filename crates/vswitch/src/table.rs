@@ -63,11 +63,10 @@
 //! drive its degradation ladder.
 
 use std::hash::{BuildHasher, RandomState};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use acdc_packet::{mix64, FlowKey};
 use acdc_stats::time::Nanos;
-use acdc_telemetry::{EventKind, Telemetry};
 use parking_lot::Mutex;
 
 use crate::entry::FlowEntry;
@@ -408,10 +407,6 @@ pub struct FlowTable {
     index: Mutex<Index>,
     max_flows: Option<usize>,
     admission: AdmissionPolicy,
-    /// Event sink for per-key lifecycle events the table itself observes
-    /// (today: idle/closed garbage collection). `None` until the owning
-    /// datapath attaches its hub.
-    telemetry: Option<Arc<Telemetry>>,
 }
 
 impl Default for FlowTable {
@@ -433,7 +428,6 @@ impl FlowTable {
             }),
             max_flows: None,
             admission: AdmissionPolicy::EvictOldestIdle,
-            telemetry: None,
         }
     }
 
@@ -463,12 +457,6 @@ impl FlowTable {
     pub fn set_epoch(&self, at: Nanos) {
         let mut index = self.index.lock();
         index.epoch = index.epoch.max(at);
-    }
-
-    /// Attach the telemetry hub that receives the table's own lifecycle
-    /// events (gc evictions carry the collected flow's key).
-    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        self.telemetry = Some(telemetry);
     }
 
     /// The order a sweep publishes its per-flow events in: a
@@ -617,15 +605,14 @@ impl FlowTable {
     /// Idleness is measured from the later of the entry's
     /// `last_activity` and the table [`FlowTable::epoch`], so a
     /// reset/restore epoch stamp shields entries carrying pre-event
-    /// activity times from one spurious collection. Returns the number of
-    /// entries collected. An array left less than an eighth full halves
+    /// activity times from one spurious collection. Yields the collected
+    /// keys in [`FlowTable::sweep_order`], the order the datapath records
+    /// their evictions in. An array left less than an eighth full halves
     /// (down to [`MIN_BUCKETS`]); [`FlowTable::clear`] frees it.
-    pub fn gc(&self, now: Nanos, idle_timeout: Nanos) -> usize {
-        // Evicted keys are collected during the sweep, each tagged with
-        // its `sweep_order` as it is found, and their events published
-        // only after the table lock is released (W002: no event-bus entry
-        // while a table lock is held). Bucket order is not sweep order,
-        // so the whole list is sorted once.
+    pub fn gc(&self, now: Nanos, idle_timeout: Nanos) -> impl ExactSizeIterator<Item = FlowKey> {
+        // Each collected key is tagged with its `sweep_order` as it is
+        // found. Bucket order is not sweep order, so the whole list is
+        // sorted once, after the lock is released.
         let mut evicted: Vec<(usize, FlowKey)> = Vec::new();
         {
             let mut index = self.index.lock();
@@ -651,12 +638,7 @@ impl FlowTable {
             );
         }
         evicted.sort_unstable();
-        if let Some(t) = &self.telemetry {
-            for (_, key) in &evicted {
-                t.record(now, *key, EventKind::FlowEvicted { reason: "gc" });
-            }
-        }
-        evicted.len()
+        evicted.into_iter().map(|(_, key)| key)
     }
 
     /// Visit every entry with its directional key, under the table lock
@@ -678,6 +660,7 @@ impl FlowTable {
 mod tests {
     use super::*;
     use acdc_cc::{CcConfig, CcKind};
+    use std::sync::Arc;
 
     fn key(p: u16) -> FlowKey {
         FlowKey {
@@ -746,8 +729,10 @@ mod tests {
             touch(e, 1_000_000_000);
             e.close();
         });
-        let n = t.gc(1_000_000_001, 500_000_000);
-        assert_eq!(n, 2);
+        let gone: Vec<FlowKey> = t.gc(1_000_000_001, 500_000_000).collect();
+        let mut want = [key(1), key(3)];
+        want.sort_by_key(FlowTable::sweep_order);
+        assert_eq!(gone, want, "collected keys, in sweep order");
         assert_eq!(t.len(), 1);
         assert!(last_activity(&t, 1).is_none());
         assert!(last_activity(&t, 2).is_some());
@@ -761,13 +746,13 @@ mod tests {
         assert_eq!(t.epoch(), 0);
         // Without an epoch stamp this entry would be collected instantly.
         t.set_epoch(2_000_000_000);
-        assert_eq!(t.gc(2_000_000_001, 500_000_000), 0);
+        assert_eq!(t.gc(2_000_000_001, 500_000_000).len(), 0);
         assert!(
             last_activity(&t, 1).is_some(),
             "epoch shields pre-epoch idleness"
         );
         // Once genuinely idle *past* the epoch, collection proceeds.
-        assert_eq!(t.gc(2_600_000_001, 500_000_000), 1);
+        assert_eq!(t.gc(2_600_000_001, 500_000_000).len(), 1);
         assert!(last_activity(&t, 1).is_none());
         // Epoch stamps never move backwards.
         t.set_epoch(1_000_000_000);
@@ -892,11 +877,11 @@ mod tests {
         // `r` keeps `k`'s record; `key(2)` has its own.
         assert_eq!(t.connections(), 2);
         // Idle `key(2)` goes at gc; `r` is young enough to stay.
-        assert_eq!(t.gc(200, 120), 1);
+        assert_eq!(t.gc(200, 120).len(), 1);
         assert_eq!((t.len(), t.connections()), (1, 1));
         assert!(t.with_entry(&r, |_| ()).is_some());
         // And when it goes too, so does its record.
-        assert_eq!(t.gc(300, 120), 1);
+        assert_eq!(t.gc(300, 120).len(), 1);
         assert_eq!((t.len(), t.connections()), (0, 0));
     }
 
@@ -968,7 +953,7 @@ mod tests {
         for &p in live {
             set_last_activity(&t, p, 2 * IDLE);
         }
-        assert_eq!(t.gc(2 * IDLE, IDLE), idle.len());
+        assert_eq!(t.gc(2 * IDLE, IDLE).len(), idle.len());
         assert_eq!(buckets(&t), 32);
         for &p in live {
             assert!(
@@ -980,7 +965,7 @@ mod tests {
             assert!(last_activity(&t, p).is_none(), "port {p} survived gc");
         }
         // Emptied by gc, the table keeps its smallest array.
-        assert_eq!(t.gc(4 * IDLE, IDLE), live.len());
+        assert_eq!(t.gc(4 * IDLE, IDLE).len(), live.len());
         assert!(t.is_empty());
         assert_eq!(buckets(&t), MIN_BUCKETS);
     }
@@ -1063,10 +1048,10 @@ mod tests {
         set_last_activity(&t, 1, 10);
         t.with_entry(&key(1).reverse(), |e| touch(e, 10));
         assert_eq!(buckets(&t), 2_048);
-        assert_eq!(t.gc(10, 5), 999);
+        assert_eq!(t.gc(10, 5).len(), 999);
         assert_eq!((t.len(), t.connections(), buckets(&t)), (2, 1, MIN_BUCKETS));
-        assert_eq!(t.gc(10, 5), 0);
-        assert_eq!(t.gc(20, 5), 2);
+        assert_eq!(t.gc(10, 5).len(), 0);
+        assert_eq!(t.gc(20, 5).len(), 2);
         assert_eq!((t.len(), buckets(&t)), (0, MIN_BUCKETS));
     }
 

@@ -483,6 +483,19 @@ fn bare_fin_from_the_network_closes_its_entry() {
     assert!(closing.iter().all(|&(_, c)| c), "{closing:?}");
     assert_eq!(dpa.gc(60_000, u64::MAX), 2);
     assert_eq!(dpa.flows(), 0);
+    // The datapath records each collected key once, at the sweep's time.
+    let mut evicted: Vec<_> = dpa
+        .telemetry()
+        .recorder()
+        .events()
+        .into_iter()
+        .filter(|e| e.kind == EventKind::FlowEvicted { reason: "gc" })
+        .map(|e| (e.at, e.flow))
+        .collect();
+    evicted.sort();
+    let mut want = [(60_000, key_ab()), (60_000, key_ab().reverse())];
+    want.sort();
+    assert_eq!(evicted, want);
 }
 
 /// A payload-free control segment, from A's guest or from B's.

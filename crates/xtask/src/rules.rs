@@ -658,7 +658,7 @@ mod tests {
             "let s = Segment::from_header_bytes(buf, 0)\n    .ok()?;\n",
             "let s = Segment::from_header_bytes(buf, 0)?;\nlet w = x\n    .unwrap();\n",
             "let m = seg.try_meta().unwrap();\n",
-            "let k = CcKind::parse(name).expect(\"known\");\n",
+            "let n: u16 = s.parse().expect(\"a port\");\n",
         ] {
             assert!(run(p, ok).is_empty(), "{ok}");
         }

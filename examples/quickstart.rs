@@ -10,6 +10,7 @@
 //! did: flows tracked, PACK feedback exchanged, receive-window rewrites,
 //! and the throughput/latency the guest observed.
 
+use acdc_cc::CongestionControl;
 use acdc_core::{Scheme, Testbed};
 use acdc_stats::time::{MILLISECOND, SECOND};
 
