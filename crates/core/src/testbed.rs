@@ -69,14 +69,9 @@ pub struct Testbed {
     host_fault_plans: BTreeMap<usize, FaultPlan>,
     /// Fault plan for the dumbbell trunk (set before `build_dumbbell`).
     trunk_fault_plan: Option<FaultPlan>,
-    /// Installed fault-injector taps, by hub prefix (`fault.trunk`,
+    /// Installed fault-injector taps, by name (`fault.trunk`,
     /// `fault.host{i}`).
     fault_taps: BTreeMap<String, NodeId>,
-    /// Network-level telemetry hub: port counters, switch drops and every
-    /// fault tap's counters and events (`fault.trunk`, `fault.host{i}`)
-    /// land here. Each host additionally owns a per-datapath hub
-    /// (reachable via [`HostNode::telemetry`]).
-    telemetry: Arc<Telemetry>,
 }
 
 impl Testbed {
@@ -95,12 +90,8 @@ impl Testbed {
     }
 
     fn empty(scheme: Scheme, mtu: usize) -> Testbed {
-        let telemetry = Telemetry::with_default_capacity();
-        let mut net = Network::new();
-        // Attach before any `connect`, so every port's counters register.
-        net.set_telemetry(Arc::clone(&telemetry));
         Testbed {
-            net,
+            net: Network::new(),
             scheme,
             mtu,
             hosts: Vec::new(),
@@ -113,15 +104,14 @@ impl Testbed {
             host_fault_plans: BTreeMap::new(),
             trunk_fault_plan: None,
             fault_taps: BTreeMap::new(),
-            telemetry,
         }
     }
 
-    /// The network-level telemetry hub (port counters, every fault tap's
-    /// counters and events). Per-host vSwitch events live on each host's
-    /// own hub: `testbed.host_mut(i).telemetry()`.
+    /// The network's telemetry hub: port drops and every fault tap's
+    /// events. Per-host vSwitch events live on each host's own hub:
+    /// `testbed.host_mut(i).telemetry()`.
     pub fn telemetry(&self) -> &Arc<Telemetry> {
-        &self.telemetry
+        self.net.telemetry()
     }
 
     /// An empty testbed for custom construction: set options (marking
@@ -147,8 +137,7 @@ impl Testbed {
     /// `host` when a `build_*` method runs (hosts are numbered in creation
     /// order). The plan's scripted/A→B direction is host→switch (the
     /// host's egress). Call before `build_*`; read results afterwards with
-    /// [`Testbed::host_fault_stats`] or on the network hub, under
-    /// `fault.host{host}`.
+    /// [`Testbed::host_fault_stats`].
     pub fn set_host_fault(&mut self, host: usize, plan: FaultPlan) {
         self.host_fault_plans.insert(host, plan);
     }
@@ -170,22 +159,21 @@ impl Testbed {
         self.fault_stats("fault.trunk")
     }
 
-    fn fault_stats(&mut self, prefix: &str) -> Option<LinkFaultStats> {
-        let id = *self.fault_taps.get(prefix)?;
+    fn fault_stats(&mut self, name: &str) -> Option<LinkFaultStats> {
+        let id = *self.fault_taps.get(name)?;
         self.net.node_mut::<FaultyLink>(id).map(|f| f.stats())
     }
 
-    /// Connect `a` to `b` over `link`, through a fault tap when `plan` is
-    /// set. The tap reports on the network hub under `prefix`: never on a
-    /// host's datapath hub, which a checkpoint carries and
-    /// `replace_datapath` swaps out.
+    /// Connect `a` to `b` over `link`, through a fault tap named `name`
+    /// when `plan` is set. The tap counts in its own `FaultStats` and
+    /// records its events on the network hub.
     fn connect_faulted(
         &mut self,
         a: NodeId,
         b: NodeId,
         link: LinkSpec,
         plan: Option<FaultPlan>,
-        prefix: String,
+        name: String,
     ) -> (PortId, PortId) {
         let Some(plan) = plan else {
             return self.net.connect(a, b, link);
@@ -193,10 +181,7 @@ impl Testbed {
         let (pa, pb, tap) = self.net.connect_interposed(a, b, link, |ta, tb| {
             Box::new(FaultyLink::new(&plan, ta, tb))
         });
-        if let Some(link) = self.net.node_mut::<FaultyLink>(tap) {
-            link.set_telemetry(Arc::clone(&self.telemetry), &prefix);
-        }
-        self.fault_taps.insert(prefix, tap);
+        self.fault_taps.insert(name, tap);
         (pa, pb)
     }
 

@@ -19,12 +19,11 @@
 
 use std::any::Any;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use acdc_netsim::{Ctx, Node, PortDropClass, PortId};
-use acdc_packet::Segment;
+use acdc_packet::{FlowKey, Segment};
 use acdc_stats::time::Nanos;
-use acdc_telemetry::{EventKind, Telemetry, NO_FLOW};
+use acdc_telemetry::{EventKind, NO_FLOW};
 
 use crate::plan::FaultPlan;
 use crate::process::{DropCause, Fate, FaultProcess, FaultStats};
@@ -51,7 +50,9 @@ const B_TO_A_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// A transparent-unless-faulty interposer node. Direction A→B runs the
 /// plan's scripted `*_nth` sets; both directions run the random processes
-/// on independent streams derived from `plan.seed`.
+/// on independent streams derived from `plan.seed`. Every fault it
+/// applies is recorded on the network's hub as a `fault-injected` event
+/// carrying the victim packet's flow key.
 pub struct FaultyLink {
     port_a: PortId,
     port_b: PortId,
@@ -60,9 +61,6 @@ pub struct FaultyLink {
     /// Held packets (reorder/jitter), keyed by timer token.
     pending: BTreeMap<u64, (PortId, Segment)>,
     next_token: u64,
-    /// Event sink for `fault-injected` events (and the registry the
-    /// per-direction counters are adopted into).
-    telemetry: Option<Arc<Telemetry>>,
 }
 
 impl FaultyLink {
@@ -76,27 +74,6 @@ impl FaultyLink {
             ba: FaultProcess::new(plan, plan.seed ^ B_TO_A_SALT, false),
             pending: BTreeMap::new(),
             next_token: 0,
-            telemetry: None,
-        }
-    }
-
-    /// Attach a telemetry hub (typically the one shared with the network
-    /// and the endpoints under test): every fault the link applies is
-    /// recorded as a `fault-injected` event carrying the victim packet's
-    /// flow key, and both directions' counters are adopted into the
-    /// registry under `"{prefix}.ab.*"` / `"{prefix}.ba.*"` names.
-    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>, prefix: &str) {
-        self.ab
-            .register_metrics(&telemetry, &format!("{prefix}.ab"));
-        self.ba
-            .register_metrics(&telemetry, &format!("{prefix}.ba"));
-        self.telemetry = Some(telemetry);
-    }
-
-    fn trace(&self, now: Nanos, seg: &Segment, effect: &'static str) {
-        if let Some(t) = &self.telemetry {
-            let flow = seg.try_meta().map(|m| m.flow).unwrap_or(NO_FLOW);
-            t.record(now, flow, EventKind::FaultInjected { effect });
         }
     }
 
@@ -126,47 +103,55 @@ impl FaultyLink {
     }
 }
 
+/// The flow `seg` belongs to, or [`NO_FLOW`] when it does not parse.
+fn flow_of(seg: &Segment) -> FlowKey {
+    seg.try_meta().map(|m| m.flow).unwrap_or(NO_FLOW)
+}
+
+/// Record on the network's hub that `effect` was applied to `seg`.
+fn trace(ctx: &Ctx<'_>, seg: &Segment, effect: &'static str) {
+    ctx.record(flow_of(seg), EventKind::FaultInjected { effect });
+}
+
 impl Node for FaultyLink {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: PortId, mut seg: Segment) {
-        let now = ctx.now();
         let (proc_, out) = if port == self.port_a {
             (&mut self.ab, self.port_b)
         } else {
             (&mut self.ba, self.port_a)
         };
         let is_data = seg.payload_len() > 0;
-        match proc_.decide(now, is_data) {
+        match proc_.decide(ctx.now(), is_data) {
             Fate::Drop(cause) => {
                 let effect = match cause {
                     DropCause::Random => "drop-random",
                     DropCause::Scripted => "drop-scripted",
                     DropCause::LinkDown => "drop-link-down",
                 };
-                self.trace(now, &seg, effect);
-                let flow = seg.try_meta().map(|m| m.flow).unwrap_or(NO_FLOW);
-                ctx.count_drop_for(out, PortDropClass::FaultInjected, flow);
+                trace(ctx, &seg, effect);
+                ctx.count_drop_for(out, PortDropClass::FaultInjected, flow_of(&seg));
             }
             Fate::Deliver(d) => {
                 if d.corrupt {
                     // Damage the header so the receiver's checksum check
                     // fails while the packet still parses: one raw window
                     // bit, checksum left stale, cached meta kept in step.
-                    self.trace(now, &seg, "corrupt");
+                    trace(ctx, &seg, "corrupt");
                     seg.corrupt_window_bit();
                 }
                 if d.mark_ce && seg.ecn().is_ect() {
-                    self.trace(now, &seg, "ce-mark");
+                    trace(ctx, &seg, "ce-mark");
                     seg.mark_ce();
                 }
                 if d.reordered {
-                    self.trace(now, &seg, "reorder");
+                    trace(ctx, &seg, "reorder");
                 } else if d.delay > 0 {
-                    self.trace(now, &seg, "jitter");
+                    trace(ctx, &seg, "jitter");
                 }
                 if d.duplicate {
                     // The copy goes out immediately, ahead of a held
                     // original.
-                    self.trace(now, &seg, "duplicate");
+                    trace(ctx, &seg, "duplicate");
                     self.send(ctx, out, seg.clone(), 0);
                 }
                 self.send(ctx, out, seg, d.delay);

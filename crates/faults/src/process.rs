@@ -6,7 +6,6 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use acdc_stats::time::Nanos;
-use acdc_telemetry::{Counter, Telemetry};
 
 use crate::plan::{FaultPlan, LossModel};
 
@@ -48,9 +47,9 @@ pub enum Fate {
 }
 
 /// Counters for one direction of a faulty link. All-`u64` and `Eq`, so
-/// determinism tests can require byte-identical stats across runs. This
-/// is the snapshot *view* of the live [`Counter`] cells inside
-/// [`FaultProcess`], loaded by [`FaultProcess::stats`].
+/// determinism tests can require byte-identical stats across runs. The
+/// [`FaultProcess`] counts in these fields, and [`FaultProcess::stats`]
+/// returns a copy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Packets offered to the process.
@@ -99,75 +98,6 @@ impl FaultStats {
     }
 }
 
-/// The live counter cells behind [`FaultStats`]. Standalone until a
-/// telemetry hub adopts them (see [`FaultProcess::register_metrics`]);
-/// either way the same cells back [`FaultProcess::stats`], so no value
-/// is lost when a registry attaches mid-run.
-#[derive(Debug)]
-struct FaultCounters {
-    offered: Counter,
-    delivered: Counter,
-    random_drops: Counter,
-    scripted_drops: Counter,
-    flap_drops: Counter,
-    duplicated: Counter,
-    reordered: Counter,
-    corrupted: Counter,
-    jittered: Counter,
-    ce_marked: Counter,
-}
-
-impl FaultCounters {
-    fn standalone() -> FaultCounters {
-        FaultCounters {
-            offered: Counter::standalone(),
-            delivered: Counter::standalone(),
-            random_drops: Counter::standalone(),
-            scripted_drops: Counter::standalone(),
-            flap_drops: Counter::standalone(),
-            duplicated: Counter::standalone(),
-            reordered: Counter::standalone(),
-            corrupted: Counter::standalone(),
-            jittered: Counter::standalone(),
-            ce_marked: Counter::standalone(),
-        }
-    }
-
-    fn register(&self, telemetry: &Telemetry, prefix: &str) {
-        let reg = telemetry.registry();
-        let each: [(&str, &Counter); 10] = [
-            ("offered", &self.offered),
-            ("delivered", &self.delivered),
-            ("random_drops", &self.random_drops),
-            ("scripted_drops", &self.scripted_drops),
-            ("flap_drops", &self.flap_drops),
-            ("duplicated", &self.duplicated),
-            ("reordered", &self.reordered),
-            ("corrupted", &self.corrupted),
-            ("jittered", &self.jittered),
-            ("ce_marked", &self.ce_marked),
-        ];
-        for (field, cell) in each {
-            reg.adopt_counter(format!("{prefix}.{field}"), cell);
-        }
-    }
-
-    fn snapshot(&self) -> FaultStats {
-        FaultStats {
-            offered: self.offered.get(),
-            delivered: self.delivered.get(),
-            random_drops: self.random_drops.get(),
-            scripted_drops: self.scripted_drops.get(),
-            flap_drops: self.flap_drops.get(),
-            duplicated: self.duplicated.get(),
-            reordered: self.reordered.get(),
-            corrupted: self.corrupted.get(),
-            jittered: self.jittered.get(),
-            ce_marked: self.ce_marked.get(),
-        }
-    }
-}
-
 /// One direction's fault process: plan + RNG stream + channel state.
 ///
 /// ## Determinism contract
@@ -186,7 +116,7 @@ pub struct FaultProcess {
     apply_scripts: bool,
     seen_any: u64,
     seen_data: u64,
-    stats: FaultCounters,
+    stats: FaultStats,
 }
 
 impl FaultProcess {
@@ -201,35 +131,27 @@ impl FaultProcess {
             apply_scripts,
             seen_any: 0,
             seen_data: 0,
-            stats: FaultCounters::standalone(),
+            stats: FaultStats::default(),
         }
     }
 
     /// Counters so far.
     pub fn stats(&self) -> FaultStats {
-        self.stats.snapshot()
-    }
-
-    /// Adopt this process's counter cells into `telemetry`'s registry as
-    /// `"{prefix}.offered"`, `"{prefix}.random_drops"`, … metrics.
-    /// Already-accumulated values carry over. Panics if the prefix was
-    /// registered before.
-    pub fn register_metrics(&self, telemetry: &Telemetry, prefix: &str) {
-        self.stats.register(telemetry, prefix);
+        self.stats
     }
 
     /// Decide the fate of the next offered packet. `now` is virtual time
     /// (for the flap schedule); `is_data` selects the scripted data-packet
     /// indices (payload-carrying segments).
     pub fn decide(&mut self, now: Nanos, is_data: bool) -> Fate {
-        self.stats.offered.inc();
+        self.stats.offered += 1;
         self.seen_any += 1;
         if is_data {
             self.seen_data += 1;
         }
 
         if self.plan.is_down(now) {
-            self.stats.flap_drops.inc();
+            self.stats.flap_drops += 1;
             return Fate::Drop(DropCause::LinkDown);
         }
 
@@ -237,7 +159,7 @@ impl FaultProcess {
             let scripted = self.plan.drop_any_nth.contains(&self.seen_any)
                 || (is_data && self.plan.drop_data_nth.contains(&self.seen_data));
             if scripted {
-                self.stats.scripted_drops.inc();
+                self.stats.scripted_drops += 1;
                 return Fate::Drop(DropCause::Scripted);
             }
         }
@@ -264,40 +186,40 @@ impl FaultProcess {
             }
         };
         if lost {
-            self.stats.random_drops.inc();
+            self.stats.random_drops += 1;
             return Fate::Drop(DropCause::Random);
         }
 
         let mut d = Delivery::default();
         if self.plan.duplicate_p > 0.0 && self.rng.random_bool(self.plan.duplicate_p) {
             d.duplicate = true;
-            self.stats.duplicated.inc();
+            self.stats.duplicated += 1;
         }
         if self.plan.corrupt_p > 0.0 && self.rng.random_bool(self.plan.corrupt_p) {
             d.corrupt = true;
-            self.stats.corrupted.inc();
+            self.stats.corrupted += 1;
         }
         if let Some(r) = self.plan.reorder {
             if r.p > 0.0 && self.rng.random_bool(r.p) {
                 d.delay += r.hold;
                 d.reordered = true;
-                self.stats.reordered.inc();
+                self.stats.reordered += 1;
             }
         }
         if let Some(j) = self.plan.jitter {
             if j.max > 0 {
                 let extra = self.rng.random_range(0..=j.max);
                 if extra > 0 {
-                    self.stats.jittered.inc();
+                    self.stats.jittered += 1;
                 }
                 d.delay += extra;
             }
         }
         if self.apply_scripts && is_data && self.plan.mark_data_nth.contains(&self.seen_data) {
             d.mark_ce = true;
-            self.stats.ce_marked.inc();
+            self.stats.ce_marked += 1;
         }
-        self.stats.delivered.inc();
+        self.stats.delivered += 1;
         Fate::Deliver(d)
     }
 }

@@ -8,6 +8,7 @@ use acdc_faults::{FaultPlan, FaultyLink, LinkFaultStats};
 use acdc_netsim::{Ctx, LinkSpec, Network, Node, NodeId, PortId};
 use acdc_packet::{Ecn, Ipv4Repr, Segment, TcpFlags, TcpRepr, PROTO_TCP};
 use acdc_stats::time::Nanos;
+use acdc_telemetry::EventKind;
 
 const SECOND: Nanos = 1_000_000_000;
 
@@ -110,6 +111,33 @@ fn iid_loss_drops_and_attributes_to_port_counters() {
     let pc = net.port_counters(pb_facing);
     assert_eq!(pc.fault_drops, stats.a_to_b.total_drops());
     assert_eq!(pc.queue_full_drops, 0);
+}
+
+#[test]
+fn a_bare_network_hub_records_every_fault_with_its_flow() {
+    let plan = FaultPlan::new(17).with_iid_loss(0.1).with_corruption(0.1);
+    let (_, stats, net, _) = run(&plan, 300);
+    let s = stats.total();
+    assert!(s.random_drops > 0 && s.corrupted > 0, "{s:?}");
+    let hub = net.telemetry();
+    assert_eq!(hub.recorder().overwritten(), 0);
+    let events = hub.recorder().events();
+    let flow = seg(0, 1000).flow_key();
+    assert!(events.iter().all(|e| e.flow == flow), "{events:?}");
+    let count = |want: EventKind| events.iter().filter(|e| e.kind == want).count() as u64;
+    let injected = |effect| count(EventKind::FaultInjected { effect });
+    assert_eq!(injected("drop-random"), s.random_drops);
+    assert_eq!(injected("corrupt"), s.corrupted);
+    let faults = events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::FaultInjected { .. }))
+        .count() as u64;
+    assert_eq!(faults, s.total_drops() + s.corrupted);
+    let dropped = count(EventKind::PacketDropped {
+        cause: "fault-injected",
+    });
+    assert_eq!(dropped, s.total_drops());
+    assert_eq!(events.len() as u64, faults + dropped);
 }
 
 #[test]

@@ -38,7 +38,7 @@ use std::sync::Arc;
 
 use acdc_packet::{FlowKey, Segment};
 use acdc_stats::time::Nanos;
-use acdc_telemetry::{Counter, EventKind as TraceEvent, Telemetry, NO_FLOW};
+use acdc_telemetry::{EventKind as TraceEvent, Telemetry, NO_FLOW};
 
 use crate::link::LinkSpec;
 use crate::wheel::TimerWheel;
@@ -67,17 +67,10 @@ pub trait Node: Any {
     /// Downcast support so experiment code can inspect node state after a
     /// run.
     fn as_any_mut(&mut self) -> &mut dyn Any;
-
-    /// Adopt this node's counter cells into `telemetry`'s registry.
-    /// Called once per node when a hub is attached (or at install time if
-    /// one already is); `node` is the node's engine id, for naming.
-    /// Default: the node keeps no registry-worthy counters.
-    fn register_metrics(&self, _telemetry: &Telemetry, _node: usize) {}
 }
 
-/// Byte/packet counters kept per port by the engine — the compatibility
-/// *view* of [`PortMetrics`], loaded on demand by
-/// [`Network::port_counters`].
+/// Byte/packet counters kept per port by the engine: the port counts in
+/// these fields, and [`Network::port_counters`] returns a copy.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PortCounters {
     /// Packets transmitted (fully serialized).
@@ -98,63 +91,6 @@ pub struct PortCounters {
     /// Packets whose headers failed to parse (malformed wire input). The
     /// receiving node drops and counts these instead of panicking.
     pub malformed_drops: u64,
-}
-
-/// The engine's live per-port counter cells. Ports start with standalone
-/// cells; attaching a [`Telemetry`] hub to the [`Network`] adopts every
-/// cell into its registry under `"portN.<field>"` names, preserving
-/// already-accumulated values.
-#[derive(Debug)]
-struct PortMetrics {
-    tx_pkts: Counter,
-    tx_bytes: Counter,
-    rx_pkts: Counter,
-    rx_bytes: Counter,
-    queue_full_drops: Counter,
-    fault_drops: Counter,
-    malformed_drops: Counter,
-}
-
-impl PortMetrics {
-    fn standalone() -> PortMetrics {
-        PortMetrics {
-            tx_pkts: Counter::standalone(),
-            tx_bytes: Counter::standalone(),
-            rx_pkts: Counter::standalone(),
-            rx_bytes: Counter::standalone(),
-            queue_full_drops: Counter::standalone(),
-            fault_drops: Counter::standalone(),
-            malformed_drops: Counter::standalone(),
-        }
-    }
-
-    fn register(&self, telemetry: &Telemetry, port: usize) {
-        let reg = telemetry.registry();
-        let each: [(&str, &Counter); 7] = [
-            ("tx_pkts", &self.tx_pkts),
-            ("tx_bytes", &self.tx_bytes),
-            ("rx_pkts", &self.rx_pkts),
-            ("rx_bytes", &self.rx_bytes),
-            ("queue_full_drops", &self.queue_full_drops),
-            ("fault_drops", &self.fault_drops),
-            ("malformed_drops", &self.malformed_drops),
-        ];
-        for (field, cell) in each {
-            reg.adopt_counter(format!("port{port}.{field}"), cell);
-        }
-    }
-
-    fn snapshot(&self) -> PortCounters {
-        PortCounters {
-            tx_pkts: self.tx_pkts.get(),
-            tx_bytes: self.tx_bytes.get(),
-            rx_pkts: self.rx_pkts.get(),
-            rx_bytes: self.rx_bytes.get(),
-            queue_full_drops: self.queue_full_drops.get(),
-            fault_drops: self.fault_drops.get(),
-            malformed_drops: self.malformed_drops.get(),
-        }
-    }
 }
 
 /// Why a node dropped a packet it was about to forward out of a port.
@@ -185,7 +121,7 @@ struct Port {
     /// included. The `TxDone` itself is scheduled only while `queue` is
     /// non-empty (a drain is *armed*), by whoever makes it so.
     idle_at: (Nanos, u64),
-    counters: PortMetrics,
+    counters: PortCounters,
 }
 
 /// What the wheel stores: 24 bytes, so a wheel entry is 40. A segment in
@@ -249,7 +185,9 @@ pub struct Network {
     dispatching_seq: u64,
     seq: u64,
     events_processed: u64,
-    telemetry: Option<Arc<Telemetry>>,
+    /// The network's hub: drops and fault injections reported through
+    /// [`Ctx`] land in its recorder.
+    telemetry: Arc<Telemetry>,
 }
 
 impl Default for Network {
@@ -270,33 +208,14 @@ impl Network {
             dispatching_seq: 0,
             seq: 0,
             events_processed: 0,
-            telemetry: None,
+            telemetry: Telemetry::with_default_capacity(),
         }
     }
 
-    /// Attach a telemetry hub: every existing port's counter cells are
-    /// adopted into its registry as `"portN.<field>"` metrics (values
-    /// carry over), ports created later register at
-    /// [`Network::connect`] time, and node drops reported through
-    /// [`Ctx::count_drop`] additionally land in the flight recorder.
-    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        telemetry
-            .registry()
-            .adopt_counter("engine.wheel.slot_drains", self.events.slot_drains());
-        for (i, p) in self.ports.iter().enumerate() {
-            p.counters.register(&telemetry, i);
-        }
-        for (i, n) in self.nodes.iter().enumerate() {
-            if let Some(n) = n {
-                n.register_metrics(&telemetry, i);
-            }
-        }
-        self.telemetry = Some(telemetry);
-    }
-
-    /// The attached telemetry hub, if any.
-    pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
-        self.telemetry.as_ref()
+    /// The network's telemetry hub, whose recorder holds the events nodes
+    /// report through [`Ctx::record`] and [`Ctx::count_drop`].
+    pub fn telemetry(&self) -> &Arc<Telemetry> {
+        &self.telemetry
     }
 
     /// Current virtual time.
@@ -320,9 +239,6 @@ impl Network {
     /// Add a node directly.
     pub fn add_node(&mut self, node: Box<dyn Node>) -> NodeId {
         let id = NodeId(self.nodes.len());
-        if let Some(t) = &self.telemetry {
-            node.register_metrics(t, id.0);
-        }
         self.nodes.push(Some(node));
         id
     }
@@ -330,9 +246,6 @@ impl Network {
     /// Install the implementation for a reserved slot.
     pub fn install(&mut self, id: NodeId, node: Box<dyn Node>) {
         assert!(self.nodes[id.0].is_none(), "node {id:?} already installed");
-        if let Some(t) = &self.telemetry {
-            node.register_metrics(t, id.0);
-        }
         self.nodes[id.0] = Some(node);
     }
 
@@ -346,7 +259,7 @@ impl Network {
             link,
             queue: VecDeque::new(),
             idle_at: (0, 0),
-            counters: PortMetrics::standalone(),
+            counters: PortCounters::default(),
         });
         let pb = PortId(self.ports.len());
         self.ports.push(Port {
@@ -355,13 +268,9 @@ impl Network {
             link,
             queue: VecDeque::new(),
             idle_at: (0, 0),
-            counters: PortMetrics::standalone(),
+            counters: PortCounters::default(),
         });
         self.ports[pa.0].peer = Some(pb);
-        if let Some(t) = &self.telemetry {
-            self.ports[pa.0].counters.register(t, pa.0);
-            self.ports[pb.0].counters.register(t, pb.0);
-        }
         (pa, pb)
     }
 
@@ -402,9 +311,9 @@ impl Network {
         self.ports[port.0].owner
     }
 
-    /// Counters for a port (a point-in-time snapshot of the live cells).
+    /// Counters for a port, as of now.
     pub fn port_counters(&self, port: PortId) -> PortCounters {
-        self.ports[port.0].counters.snapshot()
+        self.ports[port.0].counters
     }
 
     /// Current queue depth of a port, in bytes (excluding the packet being
@@ -470,12 +379,10 @@ impl Network {
         match kind {
             EventKind::Deliver { port, cell } => {
                 let seg = self.in_flight.take(cell);
-                let owner = self.ports[port.0].owner;
-                {
-                    let c = &self.ports[port.0].counters;
-                    c.rx_pkts.inc();
-                    c.rx_bytes.add(seg.wire_len() as u64);
-                }
+                let p = &mut self.ports[port.0];
+                p.counters.rx_pkts += 1;
+                p.counters.rx_bytes += seg.wire_len() as u64;
+                let owner = p.owner;
                 self.with_node(owner, |node, ctx| node.on_packet(ctx, port, seg));
             }
             EventKind::TxDone { port } => {
@@ -517,8 +424,8 @@ impl Network {
         let seq = self.next_seq();
         let p = &mut self.ports[port.0];
         p.idle_at = (at_done, done_seq);
-        p.counters.tx_pkts.inc();
-        p.counters.tx_bytes.add(wire_len as u64);
+        p.counters.tx_pkts += 1;
+        p.counters.tx_bytes += wire_len as u64;
         Delivery {
             at: at_done + p.link.propagation,
             seq,
@@ -609,13 +516,18 @@ impl Ctx<'_> {
         self.net.ports[port.0].queue.len()
     }
 
+    /// Record `kind` about `flow` at the current time in the network's
+    /// hub ([`Network::telemetry`]).
+    pub fn record(&self, flow: FlowKey, kind: TraceEvent) {
+        self.net.telemetry.record(self.net.now, flow, kind);
+    }
+
     /// Record that this node dropped a packet it would otherwise have
     /// forwarded out `port` (must be owned by this node). The drop shows up
     /// in the port's [`PortCounters`] under the matching reason field, and
-    /// — when a telemetry hub is attached — as an anonymous `drop` event
-    /// in the flight recorder. Callers that know which flow the packet
-    /// belonged to should use [`Ctx::count_drop_for`] instead so the event
-    /// carries the key.
+    /// as an anonymous `drop` event in the network hub's recorder. Callers
+    /// that know which flow the packet belonged to should use
+    /// [`Ctx::count_drop_for`] instead so the event carries the key.
     pub fn count_drop(&mut self, port: PortId, class: PortDropClass) {
         self.count_drop_inner(port, class, NO_FLOW);
     }
@@ -632,24 +544,22 @@ impl Ctx<'_> {
             "node {:?} counting drop on foreign port {port:?}",
             self.node
         );
-        let c = &self.net.ports[port.0].counters;
+        let c = &mut self.net.ports[port.0].counters;
         let cause = match class {
             PortDropClass::QueueFull => {
-                c.queue_full_drops.inc();
+                c.queue_full_drops += 1;
                 "queue-full"
             }
             PortDropClass::FaultInjected => {
-                c.fault_drops.inc();
+                c.fault_drops += 1;
                 "fault-injected"
             }
             PortDropClass::Malformed => {
-                c.malformed_drops.inc();
+                c.malformed_drops += 1;
                 "malformed"
             }
         };
-        if let Some(t) = &self.net.telemetry {
-            t.record(self.net.now, flow, TraceEvent::PacketDropped { cause });
-        }
+        self.record(flow, TraceEvent::PacketDropped { cause });
     }
 
     /// Schedule a timer for this node `delay` from now.

@@ -35,7 +35,6 @@ use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
 use acdc_packet::Segment;
-use acdc_telemetry::{Counter, Telemetry};
 
 use crate::engine::{Ctx, Node, PortId};
 
@@ -113,9 +112,8 @@ impl SwitchConfig {
 }
 
 /// Drop/marking counters (the paper reads drop rates off switch counters).
-/// This is the snapshot *view* of the live [`Counter`] cells inside
-/// [`SwitchMetrics`], loaded by [`SwitchNode::counters`]; the cells are
-/// adopted into an attached telemetry registry as `"switchN.<field>"`.
+/// The switch counts in these fields, and [`SwitchNode::counters`]
+/// returns a copy.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SwitchCounters {
     /// Packets forwarded (admitted to an output queue or transmitter).
@@ -147,56 +145,6 @@ impl SwitchCounters {
     }
 }
 
-/// The live counter cells behind [`SwitchCounters`]. Standalone until a
-/// telemetry hub adopts them (via [`Node::register_metrics`], called by
-/// the engine when a hub is attached); either way the same cells back
-/// [`SwitchNode::counters`], so no value is lost when a registry
-/// attaches mid-run.
-#[derive(Debug)]
-struct SwitchMetrics {
-    forwarded: Counter,
-    ce_marked: Counter,
-    wred_drops: Counter,
-    buffer_drops: Counter,
-    no_route_drops: Counter,
-}
-
-impl SwitchMetrics {
-    fn standalone() -> SwitchMetrics {
-        SwitchMetrics {
-            forwarded: Counter::standalone(),
-            ce_marked: Counter::standalone(),
-            wred_drops: Counter::standalone(),
-            buffer_drops: Counter::standalone(),
-            no_route_drops: Counter::standalone(),
-        }
-    }
-
-    fn register(&self, telemetry: &Telemetry, node: usize) {
-        let reg = telemetry.registry();
-        let each: [(&str, &Counter); 5] = [
-            ("forwarded", &self.forwarded),
-            ("ce_marked", &self.ce_marked),
-            ("wred_drops", &self.wred_drops),
-            ("buffer_drops", &self.buffer_drops),
-            ("no_route_drops", &self.no_route_drops),
-        ];
-        for (field, cell) in each {
-            reg.adopt_counter(format!("switch{node}.{field}"), cell);
-        }
-    }
-
-    fn snapshot(&self) -> SwitchCounters {
-        SwitchCounters {
-            forwarded: self.forwarded.get(),
-            ce_marked: self.ce_marked.get(),
-            wred_drops: self.wred_drops.get(),
-            buffer_drops: self.buffer_drops.get(),
-            no_route_drops: self.no_route_drops.get(),
-        }
-    }
-}
-
 /// The switch node.
 pub struct SwitchNode {
     cfg: SwitchConfig,
@@ -211,7 +159,7 @@ pub struct SwitchNode {
     avg_occupancy: BTreeMap<PortId, f64>,
     /// Total occupancy, bytes.
     total_occupancy: u64,
-    counters: SwitchMetrics,
+    counters: SwitchCounters,
     /// Deterministic RNG for the WRED drop ramp.
     rng: SmallRng,
 }
@@ -226,7 +174,7 @@ impl SwitchNode {
             occupancy: BTreeMap::new(),
             avg_occupancy: BTreeMap::new(),
             total_occupancy: 0,
-            counters: SwitchMetrics::standalone(),
+            counters: SwitchCounters::default(),
             rng: SmallRng::seed_from_u64(0x5EED_AC0C),
         }
     }
@@ -241,9 +189,9 @@ impl SwitchNode {
         self.default_route = Some(port);
     }
 
-    /// Counters snapshot (a point-in-time view of the live cells).
+    /// Counters, as of now.
     pub fn counters(&self) -> SwitchCounters {
-        self.counters.snapshot()
+        self.counters
     }
 
     /// Current occupancy of one output queue, in bytes.
@@ -260,12 +208,12 @@ impl Node for SwitchNode {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, in_port: PortId, mut seg: Segment) {
         let dst = seg.ip().dst_addr();
         let Some(out) = self.lookup(dst) else {
-            self.counters.no_route_drops.inc();
+            self.counters.no_route_drops += 1;
             return;
         };
         // Never hairpin back out the ingress port (would loop).
         if out == in_port {
-            self.counters.no_route_drops.inc();
+            self.counters.no_route_drops += 1;
             return;
         }
         let len = seg.wire_len() as u64;
@@ -278,7 +226,7 @@ impl Node for SwitchNode {
             .saturating_sub(self.total_occupancy);
         let dyn_limit = (self.cfg.dynamic_alpha * free as f64) as u64;
         if q + len > dyn_limit || len > free {
-            self.counters.buffer_drops.inc();
+            self.counters.buffer_drops += 1;
             ctx.count_drop(out, crate::engine::PortDropClass::QueueFull);
             return;
         }
@@ -294,18 +242,18 @@ impl Node for SwitchNode {
             if seg.ecn().is_ect() {
                 if q >= wred.threshold_bytes {
                     seg.mark_ce();
-                    self.counters.ce_marked.inc();
+                    self.counters.ce_marked += 1;
                 }
             } else {
                 let p = wred.drop_probability(avg);
                 if p > 0.0 && self.rng.random::<f64>() < p {
-                    self.counters.wred_drops.inc();
+                    self.counters.wred_drops += 1;
                     return;
                 }
             }
         }
 
-        self.counters.forwarded.inc();
+        self.counters.forwarded += 1;
         *self.occupancy.entry(out).or_insert(0) += len;
         self.total_occupancy += len;
         ctx.enqueue(out, seg);
@@ -331,10 +279,6 @@ impl Node for SwitchNode {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
-    }
-
-    fn register_metrics(&self, telemetry: &Telemetry, node: usize) {
-        self.counters.register(telemetry, node);
     }
 }
 

@@ -11,7 +11,8 @@
 //! Scheduling drops an entry into the innermost level whose horizon
 //! covers its deadline — O(1), no comparisons — and anything beyond L2's
 //! horizon goes to the sorted far-future heap in [`overflow`] (the only
-//! module in this crate allowed to name `BinaryHeap`; lint rule D004).
+//! module in the workspace's sources allowed to name `BinaryHeap`, which
+//! `clippy.toml` bans everywhere else).
 //! As the cursor advances, higher-level slots *cascade*: their entries
 //! redistribute into the levels below, which the slot-width alignment
 //! (each level's granularity divides the next) makes exact — a higher
@@ -36,7 +37,7 @@
 //!
 //! Draining a slot serves every event in it — in particular whole
 //! same-timestamp runs — from one scan and one sort;
-//! `engine.wheel.slot_drains` counts the drains, so pops per drain is
+//! [`TimerWheel::slot_drains`] counts the drains, so pops per drain is
 //! the mean batch size. A drained slot is left with no capacity (256
 //! slots per level each holding their high-water mark is megabytes of
 //! resident set), and the buffer it gave up, once emptied, waits on a
@@ -48,7 +49,6 @@ use std::collections::BTreeSet;
 use std::mem;
 
 use acdc_stats::time::Nanos;
-use acdc_telemetry::Counter;
 
 pub(crate) mod overflow;
 
@@ -144,8 +144,8 @@ pub struct TimerWheel<T> {
     len: usize,
     /// Lazily-reaped cancelled sequences (see [`TimerWheel::cancel`]).
     cancelled: BTreeSet<u64>,
-    /// L0 slots drained into `ready` (`engine.wheel.slot_drains`).
-    slot_drains: Counter,
+    /// L0 slots drained into `ready`.
+    slot_drains: u64,
 }
 
 impl<T> Default for TimerWheel<T> {
@@ -166,7 +166,7 @@ impl<T> TimerWheel<T> {
             cur: 0,
             len: 0,
             cancelled: BTreeSet::new(),
-            slot_drains: Counter::standalone(),
+            slot_drains: 0,
         }
     }
 
@@ -180,11 +180,10 @@ impl<T> TimerWheel<T> {
         self.len == 0
     }
 
-    /// The live cell counting L0 slot drains, one per sorted batch, for
-    /// adoption into a telemetry registry (`engine.wheel.slot_drains`).
-    /// Pops divided by drains is the mean batch size.
-    pub fn slot_drains(&self) -> &Counter {
-        &self.slot_drains
+    /// L0 slots drained so far, one per sorted batch. Pops divided by
+    /// drains is the mean batch size.
+    pub fn slot_drains(&self) -> u64 {
+        self.slot_drains
     }
 
     /// Schedule `val` at absolute time `at` with insertion sequence
@@ -402,7 +401,7 @@ impl<T> TimerWheel<T> {
             let emptied = mem::replace(&mut self.ready, batch);
             self.recycle(emptied);
             self.drained_slot = sn;
-            self.slot_drains.inc();
+            self.slot_drains += 1;
             return true;
         }
     }
@@ -441,7 +440,7 @@ mod tests {
             wheel.schedule(i * GAP, seq, i);
         }
         let mut most_spares = 0;
-        while wheel.slot_drains.get() < 4_000 {
+        while wheel.slot_drains < 4_000 {
             let (at, _, i) = wheel.pop_before(u64::MAX).expect("steady population");
             seq += 1;
             wheel.schedule(at + POPULATION * GAP, seq, i);

@@ -5,9 +5,14 @@
 //! from the wheel's cursor) are rare — long RTO backoffs, soak-scale
 //! schedules — so they pay the classic O(log n) heap here and migrate
 //! into the wheel proper when the cursor catches up. This module is the
-//! **only** place in `crates/netsim/src` allowed to name `BinaryHeap`
-//! (lint rule D004); everything near-horizon must go through the O(1)
+//! **only** source file allowed to name `BinaryHeap` (`clippy.toml`
+//! bans it elsewhere); everything near-horizon must go through the O(1)
 //! wheel slots instead.
+
+#![allow(
+    clippy::disallowed_types,
+    reason = "the timing wheel is the scheduler, and this module is its one far-future heap"
+)]
 
 use std::collections::BinaryHeap;
 

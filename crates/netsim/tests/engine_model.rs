@@ -13,6 +13,11 @@
 //! difference allowed is the one the engine exists for: the model's
 //! `TxDone`s that found nothing queued are not events in `Network`.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the timing wheel is the scheduler; the BinaryHeap here is the reference model it is checked against"
+)]
+
 use std::any::Any;
 use std::cell::RefCell;
 use std::cmp::Reverse;

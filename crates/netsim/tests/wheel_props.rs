@@ -13,6 +13,11 @@
 //! `Step` pops a single entry so that schedules land in the middle of a
 //! drained batch, as they do when the engine dispatches an event.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the timing wheel is the scheduler; the BinaryHeap here is the reference model it is checked against"
+)]
+
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
 

@@ -2,10 +2,10 @@
 //!
 //! The paper's evaluation (§4) is an exercise in per-flow visibility:
 //! congestion-window convergence (Fig. 4/16), ECN feedback, RTO
-//! behaviour, per-port drop accounting. This crate is the one interface
-//! all of that flows through, replacing the ad-hoc counter structs that
-//! grew per-crate (`AcdcCounters`, `PortCounters`, `FaultStats`,
-//! `health_trace`):
+//! behaviour, per-port drop accounting. Every event flows through this
+//! crate, and so does every counter a hub snapshots or checkpoints (the
+//! simulator's ports, switches and fault taps count in the `Copy` views
+//! their owners return, `PortCounters`, `SwitchCounters`, `FaultStats`):
 //!
 //! * [`Event`] / [`EventKind`] — the structured **event bus** taxonomy:
 //!   flow lifecycle, CC state changes (alpha updates, cwnd cuts, RTO
@@ -17,10 +17,10 @@
 //!   On test failure [`TraceGuard`] writes one plain JSONL file per
 //!   watched hub under [`trace_dir`] (`target/acdc-traces/`), one event
 //!   object per line.
-//! * [`MetricsRegistry`] — named monotonic [`Counter`]s registered once
-//!   and read through one `snapshot_all()`; [`Telemetry::snapshot_json`]
-//!   writes it as the `acdc-telemetry/v2` document the tests and the
-//!   soak driver compare. Nothing copies live state into it on a tick:
+//! * [`MetricsRegistry`] — named monotonic [`Counter`]s, each minted by
+//!   the registry once and read through one `snapshot_all()`;
+//!   [`Telemetry::snapshot_json`] writes it as the `acdc-telemetry/v2`
+//!   document the tests and the soak driver compare. Nothing copies live state into it on a tick:
 //!   occupancy and health are asked of the datapath that holds them.
 //! * [`Writer`] / [`Json`] — the workspace's one JSON codec: one
 //!   writer, one string escaper and one reader, `u64`-only numbers. The
@@ -57,8 +57,8 @@ use acdc_stats::time::Nanos;
 
 /// One observability domain: a flight recorder plus a metrics registry,
 /// shared by every component that reports into it (an `AcdcDatapath`,
-/// every thread that drives it, and its `HostNode`; a `Network`; a
-/// `FaultyLink`).
+/// every thread that drives it, and its `HostNode`; or a `Network` and
+/// the nodes that record through its `Ctx`).
 pub struct Telemetry {
     recorder: FlightRecorder,
     registry: MetricsRegistry,

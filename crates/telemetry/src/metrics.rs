@@ -1,12 +1,16 @@
 //! The metrics registry (DESIGN.md §11).
 //!
-//! Every counter in the workspace is a shared cell registered here once,
-//! under a unique dotted name (`"acdc.packs_sent"`,
-//! `"port0.queue_full_drops"`, `"fault.ab.corrupted"`). Producers keep a
-//! cheap [`Counter`] handle whose whole interface is `inc` / `add` /
+//! The counters a hub snapshots and checkpoints (a vSwitch datapath's
+//! `acdc.*` tallies, its host's `host.*` drops) are shared cells minted
+//! here once, under a unique dotted name (`"acdc.packs_sent"`), because
+//! the worker threads that drive a datapath bump them too. Producers keep
+//! a cheap [`Counter`] handle whose whole interface is `inc` / `add` /
 //! `get` — one relaxed atomic operation each, and the atomic itself never
 //! leaves this file — while consumers read everything through one
 //! interface: [`MetricsRegistry::snapshot_all`] for point-in-time values.
+//! The single-threaded simulator's ports, switches and fault taps are not
+//! here: each counts in plain `u64` fields of the `Copy` view its owner
+//! returns whole.
 //! Live state (table occupancy, the health rung) is not mirrored here: the
 //! component that owns it answers for it. The JSON snapshot
 //! (`acdc-telemetry/v2`) is written by
@@ -24,15 +28,6 @@ use parking_lot::Mutex;
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    /// A counter backed by its own unregistered cell. Producers that may
-    /// run with or without a registry (e.g. simulator ports) start
-    /// standalone and are adopted later via
-    /// [`MetricsRegistry::adopt_counter`] — the cell, and any value it
-    /// already accumulated, carries over.
-    pub fn standalone() -> Counter {
-        Counter(Arc::new(AtomicU64::new(0)))
-    }
-
     /// Add one.
     #[inline]
     pub fn inc(&self) {
@@ -90,8 +85,8 @@ struct Slot {
 }
 
 /// A registry of named counters. One registry exists per
-/// observability domain (one per datapath/host, one per simulated
-/// network, one per fault tap); names are unique within a registry and
+/// observability domain (one per datapath/host); names are unique within
+/// a registry and
 /// registering a duplicate panics — metrics are registered once, at
 /// construction time, never dynamically per packet.
 #[derive(Default)]
@@ -108,34 +103,23 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    fn register(&self, name: String, kind: MetricKind, cell: Arc<AtomicU64>) -> Arc<AtomicU64> {
+    /// Register a monotonic counter, starting at zero, and return the
+    /// one handle to its cell. Panics if `name` is already taken.
+    pub fn counter(&self, name: impl Into<String>) -> Counter {
+        let name = name.into();
         let mut slots = self.slots.lock();
         assert!(
             !slots.iter().any(|s| s.name == name),
             "metric name registered twice: {name}"
         );
+        let cell = Arc::new(AtomicU64::new(0));
         slots.push(Slot {
             name,
-            kind,
+            kind: MetricKind::Counter,
             cell: Arc::clone(&cell),
             series: TimeSeries::new(),
         });
-        cell
-    }
-
-    /// Register a monotonic counter. Panics if `name` is already taken.
-    pub fn counter(&self, name: impl Into<String>) -> Counter {
-        Counter(self.register(
-            name.into(),
-            MetricKind::Counter,
-            Arc::new(AtomicU64::new(0)),
-        ))
-    }
-
-    /// Register an existing [`Counter::standalone`] cell under `name`,
-    /// preserving whatever it already counted. Panics on a duplicate name.
-    pub fn adopt_counter(&self, name: impl Into<String>, counter: &Counter) {
-        self.register(name.into(), MetricKind::Counter, Arc::clone(&counter.0));
+        Counter(cell)
     }
 
     /// Number of registered metrics.
@@ -241,7 +225,7 @@ mod tests {
     fn duplicate_name_panics() {
         let reg = MetricsRegistry::new();
         let _a = reg.counter("dup");
-        reg.adopt_counter("dup", &Counter::standalone());
+        let _b = reg.counter("dup");
     }
 
     #[test]
@@ -274,16 +258,5 @@ mod tests {
         // The newest sample always survives the trim.
         let last = series.samples().last().unwrap();
         assert_eq!((last.at, last.value), (190, 20.0));
-    }
-
-    #[test]
-    fn adopted_cells_keep_accumulated_values() {
-        let c = Counter::standalone();
-        c.add(7);
-        let reg = MetricsRegistry::new();
-        reg.adopt_counter("late.c", &c);
-        assert_eq!(reg.value("late.c"), Some(7));
-        c.inc();
-        assert_eq!(reg.value("late.c"), Some(8));
     }
 }

@@ -49,14 +49,6 @@ pub static D003: Rule = Rule {
               fault injection and simulations must replay byte-identically)",
 };
 
-pub static D004: Rule = Rule {
-    id: "D004",
-    name: "heap-outside-wheel",
-    summary: "no BinaryHeap in crates/netsim/src outside the timing wheel's \
-              overflow module (near-horizon timers must go through the O(1) \
-              wheel slots; wheel/overflow.rs is the single far-future heap)",
-};
-
 pub static P001: Rule = Rule {
     id: "P001",
     name: "raw-seq-arith",
@@ -97,12 +89,12 @@ pub static P005: Rule = Rule {
 pub static O001: Rule = Rule {
     id: "O001",
     name: "ad-hoc-counter",
-    summary: "no new raw *_drops/*_count integer fields and no live \
-              *_drops increments in any crate's src/ but telemetry, stats, \
-              bench and xtask (register an \
-              acdc_telemetry Counter — or adopt the cell — so the \
-              metric appears in the unified snapshot_all(); `Copy` \
-              snapshot views of registry cells are exempt)",
+    summary: "no raw *_drops/*_count integer fields outside a `Copy` struct \
+              and no *_drops increments but into a field of a `Copy` struct \
+              declared in the same file, in any crate's src/ but telemetry, \
+              stats, bench and xtask (a component counts in the `Copy` view \
+              its owner returns whole, or in an acdc_telemetry Counter when \
+              a hub must snapshot it)",
 };
 
 pub static H001: Rule = Rule {
@@ -130,8 +122,8 @@ pub static W002: Rule = Rule {
 };
 
 /// All rules, in diagnostic order.
-pub static CATALOG: [&Rule; 11] = [
-    &D003, &D004, &P001, &P002, &P003, &P004, &P005, &O001, &S001, &H001, &W002,
+pub static CATALOG: [&Rule; 10] = [
+    &D003, &P001, &P002, &P003, &P004, &P005, &O001, &S001, &H001, &W002,
 ];
 
 pub fn catalog() -> &'static [&'static Rule] {
@@ -139,8 +131,8 @@ pub fn catalog() -> &'static [&'static Rule] {
 }
 
 /// True when `code` contains `token` as a standalone identifier-path, i.e.
-/// not embedded in a longer identifier (`MyBinaryHeapLike` must not match
-/// `BinaryHeap`).
+/// not embedded in a longer identifier (`my_thread_rng_like` must not
+/// match `thread_rng`).
 pub fn contains_token(code: &str, token: &str) -> bool {
     let is_ident = |c: char| c.is_alphanumeric() || c == '_';
     let mut start = 0;
@@ -160,58 +152,60 @@ pub fn contains_token(code: &str, token: &str) -> bool {
 /// True when `code` contains an identifier *ending* in `suffix`
 /// (`wscale`, `ack_wscale`, `self.peer_wscale` all count for `wscale`).
 pub fn contains_token_suffix(code: &str, suffix: &str) -> bool {
-    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
-    let mut start = 0;
-    while let Some(pos) = code[start..].find(suffix) {
-        let after = start + pos + suffix.len();
-        if after >= code.len() || !is_ident(code[after..].chars().next().unwrap()) {
-            return true;
-        }
-        start = start + pos + 1;
-    }
-    false
+    !suffixed_idents(code, suffix).is_empty()
 }
 
 /// Raw integer/atomic types that make a counter field "ad-hoc" for O001.
 /// `Counter` fields (registry-backed cells) are the blessed path.
 const O001_RAW_TYPES: &[&str] = &["u64", "u32", "usize", "AtomicU64", "AtomicUsize"];
 
+/// Every identifier in `code` that ends in `suffix`, with the code that
+/// follows it (`self.counters.wred_drops += 1` yields `("wred_drops",
+/// " += 1")` for `_drops`).
+fn suffixed_idents<'a>(code: &'a str, suffix: &str) -> Vec<(&'a str, &'a str)> {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    code.match_indices(suffix)
+        .filter_map(|(at, _)| {
+            let rest = &code[at + suffix.len()..];
+            if rest.chars().next().is_some_and(is_ident) {
+                return None;
+            }
+            let start = code[..at]
+                .char_indices()
+                .rev()
+                .find(|&(_, c)| !is_ident(c))
+                .map_or(0, |(i, c)| i + c.len_utf8());
+            Some((&code[start..at + suffix.len()], rest))
+        })
+        .collect()
+}
+
+/// Is `rest`, the code after a name, a `:` type annotation?
+fn annotated(rest: &str) -> bool {
+    let t = rest.trim_start();
+    t.starts_with(':') && !t.starts_with("::")
+}
+
 /// True when `code` declares something named `…_drops` or `…_count`
 /// immediately followed by a `:` type annotation — the shape of a struct
 /// counter field (`pub rto_count: u64`).
 fn has_counter_field_name(code: &str) -> bool {
-    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
-    for suffix in ["_drops", "_count"] {
-        let mut start = 0;
-        while let Some(pos) = code[start..].find(suffix) {
-            let at = start + pos;
-            let after = at + suffix.len();
-            let rest = &code[after..];
-            let boundary_ok = rest.chars().next().is_none_or(|c| !is_ident(c));
-            let annotated = {
-                let t = rest.trim_start();
-                t.starts_with(':') && !t.starts_with("::")
-            };
-            if boundary_ok && annotated {
-                return true;
-            }
-            start = at + 1;
-        }
-    }
-    false
+    ["_drops", "_count"].iter().any(|suffix| {
+        suffixed_idents(code, suffix)
+            .iter()
+            .any(|(_, rest)| annotated(rest))
+    })
 }
 
 /// Does the struct enclosing the field at `field_idx` derive `Copy`?
 ///
-/// A `Copy` struct cannot hold live registry cells (a `Counter` is
-/// `Arc`-backed and not `Copy`), so its counter-named integer fields
-/// are necessarily pure point-in-time *values* — the snapshot views
-/// (`SwitchCounters`, `PortCounters`, `FaultStats`, …) the registry
-/// migration deliberately kept for field-access ergonomics. This
-/// structural exemption is what retired the O001 grandfather allow-list:
-/// a *live* counter struct cannot be `Copy`-derived without giving up
-/// accumulation, and compound-assignment accumulation into `_drops`
-/// fields is a finding in its own right (see `has_live_counter_update`).
+/// A `Copy` struct cannot hold a registry `Counter` (it is `Arc`-backed
+/// and not `Copy`), so it is a plain value: the view its owner keeps as a
+/// field, counts in and returns whole (`SwitchCounters`, `PortCounters`,
+/// `FaultStats`, …). Its counter-named fields are exempt from the field
+/// check, and increments of them from the increment check when the
+/// struct is declared in the incrementing file (see
+/// `copy_view_drops`).
 fn enclosing_struct_derives_copy(file: &SourceFile, field_idx: usize) -> bool {
     let mut l = field_idx;
     while l > 0 {
@@ -244,31 +238,32 @@ fn enclosing_struct_derives_copy(file: &SourceFile, field_idx: usize) -> bool {
     false
 }
 
-/// True when `code` *accumulates into* something named `…_drops` — a
-/// compound assignment (`+=`) or an atomic `fetch_add` — the shape of a
-/// live ad-hoc counter being bumped. This closes the hole the field
-/// check's `Copy` exemption would otherwise leave open (a `Copy` struct
-/// kept live by value replacement): registry-backed cells are bumped via
-/// `Counter::inc`/`add`, never `+=`. Scoped to `_drops` only: `_count`
-/// names also cover private algorithm state (e.g. Vegas' per-RTT ACK
-/// tally) that is not a metric and may legitimately accumulate.
-fn has_live_counter_update(code: &str) -> bool {
-    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
-    let suffix = "_drops";
-    let mut start = 0;
-    while let Some(pos) = code[start..].find(suffix) {
-        let at = start + pos;
-        let rest = &code[at + suffix.len()..];
-        let boundary_ok = rest.chars().next().is_none_or(|c| !is_ident(c));
-        if boundary_ok {
-            let t = rest.trim_start();
-            if t.starts_with("+=") || t.starts_with(".fetch_add(") {
-                return true;
+/// The `…_drops` fields declared in `Copy` structs in `file`: the views
+/// their owners count in, so `+=` into them is how those owners count.
+fn copy_view_drops(file: &SourceFile) -> Vec<&str> {
+    let mut names = Vec::new();
+    for (idx, line) in file.lines.iter().enumerate() {
+        for (name, rest) in suffixed_idents(&line.code, "_drops") {
+            if annotated(rest) && enclosing_struct_derives_copy(file, idx) {
+                names.push(name);
             }
         }
-        start = at + 1;
     }
-    false
+    names
+}
+
+/// True when `code` *accumulates into* something named `…_drops` that is
+/// not a field of a `Copy` view declared in the same file: a compound
+/// assignment (`+=`) into any other name, or an atomic `fetch_add` into
+/// any name at all. Registry cells are bumped via `Counter::inc`/`add`.
+/// Scoped to `_drops` only: `_count` names also cover private algorithm
+/// state (e.g. Vegas' per-RTT ACK tally) that is not a metric and may
+/// legitimately accumulate.
+fn has_live_counter_update(code: &str, copy_view_drops: &[&str]) -> bool {
+    suffixed_idents(code, "_drops").iter().any(|(name, rest)| {
+        let t = rest.trim_start();
+        t.starts_with(".fetch_add(") || (t.starts_with("+=") && !copy_view_drops.contains(name))
+    })
 }
 
 /// `crates/<name>/src/…` → `<name>`. `None` for tests, benches, examples,
@@ -313,11 +308,6 @@ pub fn lint_lines(path: &str, file: &SourceFile, findings: &mut Vec<Finding>) {
     let in_bench = path.starts_with("crates/bench/");
     let in_xtask = path.starts_with("crates/xtask/");
     let krate = src_crate(path);
-    // D004 keeps the engine's fast path on the timing wheel: the far-
-    // future overflow module is the one sanctioned heap; any other
-    // BinaryHeap in the simulator core is a scheduler bypass.
-    let d004_scope =
-        path.starts_with("crates/netsim/src/") && path != "crates/netsim/src/wheel/overflow.rs";
     let p001_scope = ["crates/packet/", "crates/tcp/", "crates/vswitch/"]
         .iter()
         .any(|p| path.starts_with(p))
@@ -337,11 +327,12 @@ pub fn lint_lines(path: &str, file: &SourceFile, findings: &mut Vec<Finding>) {
         && path.contains("/src/")
         && path != "crates/vswitch/src/table.rs"
         && path != "crates/vswitch/src/datapath.rs";
-    // O001 guards the unified metrics registry: no crate may grow raw
-    // counter fields on the side. The telemetry and stats crates
+    // O001: a counter is a field of the `Copy` view its owner returns
+    // whole, or a registry `Counter`. The telemetry and stats crates
     // *implement* the machinery; non-src code (tests/benches build
     // expectation structs) is exempt.
     let o001_scope = krate.is_some_and(|c| !matches!(c, "telemetry" | "stats" | "bench" | "xtask"));
+    let copy_view_drops = copy_view_drops(file);
     // S001 guards the checkpoint wire format's determinism contract:
     // floats are banned in the files that *write* checkpoint bytes (you
     // cannot float-format a value you never hold): the document's shape,
@@ -381,14 +372,6 @@ pub fn lint_lines(path: &str, file: &SourceFile, findings: &mut Vec<Finding>) {
                     break;
                 }
             }
-        }
-
-        if d004_scope && contains_token(code, "BinaryHeap") {
-            hits.push((
-                &D004,
-                "`BinaryHeap` bypasses the timing wheel's O(1) slots; schedule through TimerWheel (far-future storage belongs in wheel/overflow.rs)"
-                    .to_string(),
-            ));
         }
 
         if p001_scope {
@@ -442,7 +425,7 @@ pub fn lint_lines(path: &str, file: &SourceFile, findings: &mut Vec<Finding>) {
         {
             hits.push((
                 &O001,
-                "raw counter field bypasses the metrics registry; hold an acdc_telemetry::Counter (adopt_counter keeps snapshot-struct compat) so the value shows up in snapshot_all()"
+                "raw counter field outside a `Copy` view; count in a field of the `Copy` struct the owner returns whole, or hold an acdc_telemetry::Counter when a hub must snapshot it"
                     .to_string(),
             ));
         }
@@ -459,10 +442,10 @@ pub fn lint_lines(path: &str, file: &SourceFile, findings: &mut Vec<Finding>) {
             }
         }
 
-        if o001_scope && has_live_counter_update(code) {
+        if o001_scope && has_live_counter_update(code, &copy_view_drops) {
             hits.push((
                 &O001,
-                "live ad-hoc counter increment bypasses the metrics registry; bump an acdc_telemetry::Counter (inc/add) so the value shows up in snapshot_all()"
+                "ad-hoc counter increment; bump a field of a `Copy` view declared in this file, or an acdc_telemetry::Counter (inc/add)"
                     .to_string(),
             ));
         }
@@ -493,13 +476,10 @@ pub fn lint_lines(path: &str, file: &SourceFile, findings: &mut Vec<Finding>) {
             if allows.iter().any(|a| a == rule.id) {
                 continue;
             }
-            // O001's field check exempts `Copy` snapshot structs: they
-            // cannot hold live registry cells, so their counter-named
-            // fields are point-in-time values by construction. Live
-            // accumulation (`+=` / `fetch_add`) is caught separately by
-            // `has_live_counter_update`, which this exemption never
-            // applies to (increments live in method bodies, not struct
-            // field blocks).
+            // O001's field check exempts `Copy` views: they cannot hold a
+            // registry cell, so their counter-named fields are plain
+            // values their owner counts in. Increments are judged
+            // separately by `has_live_counter_update`.
             if rule.id == "O001"
                 && has_counter_field_name(&file.lines[idx].code)
                 && enclosing_struct_derives_copy(file, idx)
@@ -545,16 +525,6 @@ mod tests {
     }
 
     #[test]
-    fn d004_heap_banned_outside_overflow_module() {
-        let src = "use std::collections::BinaryHeap;\n";
-        assert_eq!(run("crates/netsim/src/engine.rs", src), vec!["D004"]);
-        assert_eq!(run("crates/netsim/src/wheel/mod.rs", src), vec!["D004"]);
-        assert!(run("crates/netsim/src/wheel/overflow.rs", src).is_empty());
-        assert!(run("crates/netsim/tests/wheel_props.rs", src).is_empty());
-        assert!(run("crates/core/src/host.rs", src).is_empty());
-    }
-
-    #[test]
     fn w002_scoped_to_vswitch_src() {
         let src = "fn f(a: &Mutex<Shard>, b: &Mutex<Shard>) {\n    let ga = a.lock();\n    let gb = b.lock();\n}\n";
         assert_eq!(run("crates/vswitch/src/x.rs", src), vec!["W002"]);
@@ -567,9 +537,12 @@ mod tests {
 
     #[test]
     fn token_boundaries() {
-        assert!(contains_token("let m: BinaryHeap<u32>;", "BinaryHeap"));
-        assert!(!contains_token("let m: MyBinaryHeapLike;", "BinaryHeap"));
-        assert!(!contains_token("let m: BinaryHeapx;", "BinaryHeap"));
+        assert!(contains_token("let r = rand::thread_rng();", "thread_rng"));
+        assert!(!contains_token(
+            "let r = my_thread_rng_like();",
+            "thread_rng"
+        ));
+        assert!(!contains_token("let r = thread_rngx();", "thread_rng"));
     }
 
     #[test]
@@ -754,9 +727,32 @@ mod tests {
     }
 
     #[test]
+    fn o001_accepts_increments_of_a_copy_view_declared_in_the_file() {
+        let view = "#[derive(Debug, Clone, Copy, Default)]\n\
+                    pub struct SwitchCounters {\n\
+                    \x20   pub wred_drops: u64,\n\
+                    }\n";
+        let bump = "fn drop_one(&mut self) {\n    self.counters.wred_drops += 1;\n}\n";
+        assert!(run("crates/netsim/src/x.rs", &format!("{view}{bump}")).is_empty());
+        // Another `_drops` name in the same file is still ad hoc, and so
+        // is an atomic bump of the view's own field.
+        let other = format!("{view}fn f(&mut self) {{\n    self.buffer_drops += 1;\n}}\n");
+        assert_eq!(run("crates/netsim/src/x.rs", &other), vec!["O001"]);
+        let atomic = format!("{view}fn f(&self) {{\n    c.wred_drops.fetch_add(1, Relaxed);\n}}\n");
+        assert_eq!(run("crates/netsim/src/x.rs", &atomic), vec!["O001"]);
+        // A struct that does not derive `Copy` is no view: its field and
+        // the bump both fire.
+        let live = view.replace(", Copy", "");
+        assert_eq!(
+            run("crates/netsim/src/x.rs", &format!("{live}{bump}")),
+            vec!["O001", "O001"]
+        );
+    }
+
+    #[test]
     fn o001_flags_live_drop_counter_increments() {
-        // Accumulating into a `_drops` name is a live ad-hoc counter
-        // regardless of where the field is declared.
+        // Accumulating into a `_drops` name declared in no `Copy` view of
+        // the file is an ad-hoc counter.
         assert_eq!(
             run("crates/netsim/src/x.rs", "self.wred_drops += 1;\n"),
             vec!["O001"]
@@ -797,14 +793,14 @@ mod tests {
 
     #[test]
     fn inline_allow_suppresses() {
-        let src = "use std::collections::BinaryHeap; // acdc-lint: allow(D004)\n";
-        assert!(run("crates/netsim/src/x.rs", src).is_empty());
+        let src = "let n = a.wrapping_add(b); // acdc-lint: allow(P001)\n";
+        assert!(run("crates/tcp/src/x.rs", src).is_empty());
     }
 
     #[test]
     fn comment_mentions_do_not_fire() {
-        let src = "// BinaryHeap would be wrong here\nlet x = 1;\n";
-        assert!(run("crates/netsim/src/x.rs", src).is_empty());
+        let src = "// thread_rng would be wrong here\nlet x = 1;\n";
+        assert!(run("crates/faults/src/x.rs", src).is_empty());
     }
 
     #[test]

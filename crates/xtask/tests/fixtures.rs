@@ -29,7 +29,6 @@ fn lint(name: &str) -> Vec<(String, String)> {
 /// many findings it holds there.
 const TRIPPING: &[(&str, &str, &str, usize)] = &[
     ("D003", "d003_unseeded_rng", "crates/faults/src/bad.rs", 1),
-    ("D004", "d004_binary_heap", "crates/netsim/src/bad.rs", 1),
     ("P001", "p001_seq_arith", "crates/tcp/src/bad.rs", 1),
     ("P002", "p002_wscale_shift", "crates/vswitch/src/bad.rs", 1),
     ("P003", "p003_alpha_eq", "crates/cc/src/bad.rs", 1),
@@ -117,13 +116,13 @@ fn lint_binary_exit_codes() {
 
     let bad = std::process::Command::new(bin)
         .args(["lint", "--root"])
-        .arg(fixture("d004_binary_heap"))
+        .arg(fixture("d003_unseeded_rng"))
         .output()
         .expect("run binary");
     assert_eq!(bad.status.code(), Some(1), "findings must exit 1");
     let stdout = String::from_utf8_lossy(&bad.stdout);
     assert!(
-        stdout.contains("crates/netsim/src/bad.rs:1: D004"),
+        stdout.contains("crates/faults/src/bad.rs:3: D003"),
         "diagnostic must carry file:line and rule id, got: {stdout}"
     );
 

@@ -1,8 +1,8 @@
-// A new raw counter field smuggled past the telemetry registry: O001.
-// The `Copy` snapshot struct above it shows the structural exemption
-// working in the same file — no allow directive needed.
+// A raw counter field outside a `Copy` view: O001. The `Copy` view
+// above it shows the structural exemption working in the same file — no
+// allow directive needed.
 
-/// Point-in-time view of registry-backed counter cells.
+/// The view its owner counts in and returns whole.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SnapshotStats {
     pub random_drops: u64,
