@@ -33,7 +33,7 @@ fn floor_ablation(rep: &mut Report, dur: u64) {
     ] {
         let mut tb = Testbed::custom(Scheme::acdc(), 9000);
         if let Some(f) = floor {
-            tb.set_acdc_tweak(move |cfg| cfg.min_window_bytes = Some(f));
+            tb.acdc.min_window_bytes = Some(f);
         }
         tb.build_star(49);
         let n = 47;
@@ -79,7 +79,7 @@ fn fack_ablation(rep: &mut Report, dur: u64) {
     rep.line("    facks      p50 RTT(ms)   facks_sent   feedback_dropped");
     for disable in [false, true] {
         let mut tb = Testbed::custom(Scheme::acdc(), 1500);
-        tb.set_acdc_tweak(move |cfg| cfg.disable_fack = disable);
+        tb.acdc.disable_fack = disable;
         tb.build_dumbbell(3);
         // Bidirectional *single connections*: both endpoints send bulk, so
         // every ACK rides a full-MTU data packet and PACKs cannot

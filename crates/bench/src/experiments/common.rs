@@ -211,14 +211,11 @@ pub fn run_dumbbell(spec: &DumbbellSpec) -> DumbbellOut {
 /// 1.5 KB dumbbell for `dur`, the first traced by its guest and by the
 /// vSwitch. Returns [`Testbed::window_trace`] of that flow.
 pub fn traced_dumbbell(scheme: Scheme, log_only: bool, dur: Nanos) -> (usize, Vec<WindowSample>) {
-    let mut tb = Testbed::dumbbell_with(5, scheme, 1500, move |cfg| {
-        cfg.log_only = log_only;
-        cfg.trace_windows = true;
-    });
-    let taps = ConnTaps {
-        trace_cwnd: true,
-        ..ConnTaps::default()
-    };
+    let mut tb = Testbed::custom(scheme, 1500);
+    tb.acdc.log_only = log_only;
+    tb.acdc.trace_windows = true;
+    tb.build_dumbbell(5);
+    let taps = ConnTaps { trace_cwnd: true };
     let traced = tb.add_flow(0, 5, Some(Box::new(BulkSender::unlimited())), None, 0, taps);
     for i in 1..5 {
         tb.add_bulk(i, 5 + i, None, 0);

@@ -39,9 +39,9 @@ fn tput_cwnd_clamp(mtu: usize, clamp_pkts: u64, dur: u64) -> f64 {
 fn tput_rwnd_bound(mtu: usize, clamp_pkts: u64, dur: u64) -> f64 {
     let mss = u64::from(acdc_tcp::TcpConfig::mss_for_mtu(mtu));
     let bound = clamp_pkts * mss;
-    let mut tb = Testbed::dumbbell_with(1, Scheme::acdc(), mtu, move |cfg| {
-        cfg.max_rwnd_bytes = Some(bound);
-    });
+    let mut tb = Testbed::custom(Scheme::acdc(), mtu);
+    tb.acdc.max_rwnd_bytes = Some(bound);
+    tb.build_dumbbell(1);
     let h = tb.add_bulk(0, 1, None, 0);
     tb.goodput_gbps(&[h], 0, dur)[0]
 }

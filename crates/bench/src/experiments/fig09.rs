@@ -15,10 +15,7 @@ use super::common::{sparse_trace, traced_dumbbell, Opts, Report};
 pub fn run(opts: &Opts) -> Report {
     let mut rep = Report::new("fig9", "AC/DC's RWND tracks DCTCP's CWND (log-only mode)");
     let dur = opts.dur(5 * SECOND, SECOND);
-    let scheme = Scheme::Acdc {
-        host_cc: CcKind::Dctcp,
-        vswitch_cc: CcKind::Dctcp,
-    };
+    let scheme = Scheme::acdc_with_host(CcKind::Dctcp);
     let (guest_samples, trace) = traced_dumbbell(scheme, true, dur);
     rep.line(format!(
         "guest cwnd samples: {guest_samples}, AC/DC computed-rwnd samples: {}",

@@ -35,24 +35,16 @@ pub fn run(opts: &Opts) -> Report {
     for combo in COMBOS {
         // β per sender, looked up by the sender's IP (senders are hosts
         // 0..5, whose addresses end .1...5).
-        let betas: Arc<[f64; 5]> = Arc::new([
-            f64::from(combo[0]) / 4.0,
-            f64::from(combo[1]) / 4.0,
-            f64::from(combo[2]) / 4.0,
-            f64::from(combo[3]) / 4.0,
-            f64::from(combo[4]) / 4.0,
-        ]);
-        let policy_betas = Arc::clone(&betas);
-        let mut tb = Testbed::dumbbell_with(5, Scheme::acdc(), 9000, move |cfg| {
-            let betas = Arc::clone(&policy_betas);
-            cfg.policy = CcPolicy::Custom(Arc::new(move |key| {
-                let idx = (key.src_ip[3] as usize).saturating_sub(1);
-                match betas.get(idx) {
-                    Some(&b) => CcKind::DctcpPriority(b),
-                    None => CcKind::Dctcp,
-                }
-            }));
-        });
+        let betas = combo.map(|q| f64::from(q) / 4.0);
+        let mut tb = Testbed::custom(Scheme::acdc(), 9000);
+        tb.acdc.policy = CcPolicy::Custom(Arc::new(move |key| {
+            let idx = (key.src_ip[3] as usize).saturating_sub(1);
+            match betas.get(idx) {
+                Some(&b) => CcKind::DctcpPriority(b),
+                None => CcKind::Dctcp,
+            }
+        }));
+        tb.build_dumbbell(5);
         let flows: Vec<_> = (0..5).map(|i| tb.add_bulk(i, 5 + i, None, 0)).collect();
         let tputs = tb.goodput_gbps(&flows, dur / 5, dur);
         rep.line(format!(

@@ -48,8 +48,6 @@ pub struct FlowHandle {
 pub struct ConnTaps {
     /// Sample the guest congestion window over time (Figures 9/10).
     pub trace_cwnd: bool,
-    /// Record per-interval throughput of acknowledged bytes.
-    pub tput_bin: Option<Nanos>,
 }
 
 struct Conn {
@@ -65,8 +63,6 @@ struct Conn {
     nic_queued: u64,
     tsq_blocked: bool,
     cwnd_trace: Option<TimeSeries>,
-    tput: Option<acdc_stats::ThroughputMeter>,
-    last_acked: u64,
     /// `ep.in_flight() > 0` as of the last [`HostNode::refresh`] (counted
     /// in the host's `in_flight_conns`).
     in_flight: bool,
@@ -100,13 +96,6 @@ impl Conn {
             let v = self.ep.cwnd() as f64;
             if ts.samples().last().is_none_or(|s| s.value != v) {
                 ts.push(now, v);
-            }
-        }
-        if let Some(m) = &mut self.tput {
-            let acked = self.ep.acked_bytes();
-            if acked > self.last_acked {
-                m.record(now, acked - self.last_acked);
-                self.last_acked = acked;
             }
         }
     }
@@ -411,10 +400,6 @@ impl HostNode {
             nic_queued: 0,
             tsq_blocked: false,
             cwnd_trace: taps.trace_cwnd.then(TimeSeries::new),
-            tput: taps
-                .tput_bin
-                .map(|bin| acdc_stats::ThroughputMeter::new(0, bin)),
-            last_acked: 0,
             in_flight: false,
         });
         self.by_key.insert(key, idx);
@@ -450,11 +435,6 @@ impl HostNode {
     /// Recorded congestion-window trace.
     pub fn cwnd_trace(&self, conn: usize) -> Option<&TimeSeries> {
         self.conns[conn].cwnd_trace.as_ref()
-    }
-
-    /// Recorded throughput meter.
-    pub fn tput(&self, conn: usize) -> Option<&acdc_stats::ThroughputMeter> {
-        self.conns[conn].tput.as_ref()
     }
 
     /// Number of connections.

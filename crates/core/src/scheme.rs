@@ -4,7 +4,7 @@
 use acdc_cc::CcKind;
 use acdc_netsim::SwitchConfig;
 use acdc_tcp::TcpConfig;
-use acdc_vswitch::{AcdcConfig, CcPolicy};
+use acdc_vswitch::AcdcConfig;
 
 /// Default WRED/ECN marking threshold in bytes (≈ 65 × 1.5 KB packets,
 /// the classic DCTCP configuration for 10 GbE).
@@ -17,14 +17,13 @@ pub enum Scheme {
     Cubic,
     /// Target: host stack DCTCP, unmodified OVS, switch WRED/ECN on.
     Dctcp,
-    /// AC/DC: the given host stack, AC/DC running `vswitch_cc` in OVS,
-    /// switch WRED/ECN on.
+    /// AC/DC: the given host stack, AC/DC enforcing DCTCP in OVS (as the
+    /// paper always does; Figure 13's per-flow priorities are a
+    /// [`acdc_vswitch::CcPolicy`] in the testbed's `acdc` config), switch
+    /// WRED/ECN on.
     Acdc {
         /// The guest ("VM") stack.
         host_cc: CcKind,
-        /// What AC/DC enforces (the paper always uses DCTCP; Figure 13
-        /// uses the priority variant per flow via `policy` overrides).
-        vswitch_cc: CcKind,
     },
     /// An arbitrary host stack over plain OVS (Figure 1's mixed-stack
     /// motivation runs). `ecn` controls both the stack capability and
@@ -40,18 +39,12 @@ pub enum Scheme {
 impl Scheme {
     /// Standard AC/DC (host CUBIC, vSwitch DCTCP).
     pub fn acdc() -> Scheme {
-        Scheme::Acdc {
-            host_cc: CcKind::Cubic,
-            vswitch_cc: CcKind::Dctcp,
-        }
+        Scheme::acdc_with_host(CcKind::Cubic)
     }
 
     /// AC/DC with a specific guest stack (Table 1 rows).
     pub fn acdc_with_host(host_cc: CcKind) -> Scheme {
-        Scheme::Acdc {
-            host_cc,
-            vswitch_cc: CcKind::Dctcp,
-        }
+        Scheme::Acdc { host_cc }
     }
 
     /// Short name for report rows.
@@ -59,7 +52,7 @@ impl Scheme {
         match self {
             Scheme::Cubic => "CUBIC".into(),
             Scheme::Dctcp => "DCTCP".into(),
-            Scheme::Acdc { host_cc, .. } => format!("AC/DC(host={host_cc})"),
+            Scheme::Acdc { host_cc } => format!("AC/DC(host={host_cc})"),
             Scheme::Plain { host_cc, ecn } => {
                 format!("{host_cc}{}", if *ecn { "+ecn" } else { "" })
             }
@@ -71,7 +64,7 @@ impl Scheme {
         match self {
             Scheme::Cubic => CcKind::Cubic,
             Scheme::Dctcp => CcKind::Dctcp,
-            Scheme::Acdc { host_cc, .. } => *host_cc,
+            Scheme::Acdc { host_cc } => *host_cc,
             Scheme::Plain { host_cc, .. } => *host_cc,
         }
     }
@@ -87,20 +80,15 @@ impl Scheme {
 
     /// Switch configuration for this scheme.
     pub fn switch_config(&self, mark_threshold: u64) -> SwitchConfig {
-        if self.wred_ecn() {
-            SwitchConfig::with_wred_ecn(mark_threshold)
-        } else {
-            SwitchConfig::default()
+        SwitchConfig {
+            mark_threshold: self.wred_ecn().then_some(mark_threshold),
         }
     }
 
     /// vSwitch datapath configuration for this scheme.
     pub fn acdc_config(&self, mtu: usize) -> AcdcConfig {
         match self {
-            Scheme::Acdc { vswitch_cc, .. } => AcdcConfig {
-                policy: CcPolicy::Uniform(*vswitch_cc),
-                ..AcdcConfig::dctcp(mtu)
-            },
+            Scheme::Acdc { .. } => AcdcConfig::dctcp(mtu),
             _ => AcdcConfig::disabled(mtu),
         }
     }
@@ -143,7 +131,7 @@ mod tests {
     fn cubic_baseline_has_no_marking_or_acdc() {
         let s = Scheme::Cubic;
         assert!(!s.wred_ecn());
-        assert!(s.switch_config(90_000).wred_ecn.is_none());
+        assert!(s.switch_config(90_000).mark_threshold.is_none());
         assert!(!s.acdc_config(1500).enabled);
         assert_eq!(s.host_cc(), CcKind::Cubic);
     }
@@ -151,7 +139,7 @@ mod tests {
     #[test]
     fn dctcp_native_marks_but_no_acdc() {
         let s = Scheme::Dctcp;
-        assert!(s.switch_config(90_000).wred_ecn.is_some());
+        assert_eq!(s.switch_config(90_000).mark_threshold, Some(90_000));
         assert!(!s.acdc_config(1500).enabled);
         let cfg = s.tcp_config([1, 1, 1, 1], 1, [2, 2, 2, 2], 2, 1500, 0);
         assert!(cfg.ecn);
@@ -160,7 +148,7 @@ mod tests {
     #[test]
     fn acdc_enables_datapath_and_marking() {
         let s = Scheme::acdc();
-        assert!(s.switch_config(90_000).wred_ecn.is_some());
+        assert_eq!(s.switch_config(90_000).mark_threshold, Some(90_000));
         assert!(s.acdc_config(9000).enabled);
         // The guest stack is CUBIC without ECN: AC/DC owns ECN.
         let cfg = s.tcp_config([1, 1, 1, 1], 1, [2, 2, 2, 2], 2, 9000, 0);

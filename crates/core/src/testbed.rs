@@ -12,6 +12,7 @@ use acdc_stats::time::Nanos;
 use acdc_stats::Distribution;
 use acdc_tcp::Endpoint;
 use acdc_telemetry::Telemetry;
+use acdc_vswitch::AcdcConfig;
 use acdc_workloads::apps::{App, BulkSender, EchoServer, MessageSender, PingPong};
 use acdc_workloads::{FctKind, FctRecorder};
 
@@ -22,9 +23,6 @@ use crate::scheme::{Scheme, DEFAULT_MARK_THRESHOLD};
 fn default_link() -> LinkSpec {
     LinkSpec::ten_gbe(1_500)
 }
-
-/// Per-vSwitch configuration hook applied after scheme defaults.
-type AcdcTweak = Box<dyn Fn(&mut acdc_vswitch::AcdcConfig)>;
 
 /// RTT samples a probe takes while its connection is still opening.
 const PROBE_HANDSHAKE_SAMPLES: usize = 5;
@@ -57,12 +55,15 @@ pub struct Testbed {
     pub scheme: Scheme,
     /// MTU used by all links/stacks.
     pub mtu: usize,
+    /// The vSwitch configuration every host gets: the scheme's, edited
+    /// between [`Testbed::custom`] and a `build_*` call (log-only mode,
+    /// window traces, per-flow policies, policing, RWND caps, …).
+    pub acdc: AcdcConfig,
     hosts: Vec<NodeId>,
     host_ips: Vec<[u8; 4]>,
     switches: Vec<NodeId>,
     next_port: Vec<u16>,
     iss: u32,
-    acdc_tweak: Option<AcdcTweak>,
     mark_bytes: u64,
     /// Fault plans for host access links, by future host index (set
     /// before `build_*`; taken by [`Testbed::add_host`]).
@@ -75,11 +76,6 @@ pub struct Testbed {
 }
 
 impl Testbed {
-    /// WRED/ECN threshold used by all builders.
-    pub fn mark_threshold() -> u64 {
-        DEFAULT_MARK_THRESHOLD
-    }
-
     /// The three schemes every comparative figure sets side by side.
     pub fn compared_schemes() -> [Scheme; 3] {
         [Scheme::Cubic, Scheme::Dctcp, Scheme::acdc()]
@@ -89,9 +85,12 @@ impl Testbed {
         [10, 0, (i / 250) as u8, (i % 250 + 1) as u8]
     }
 
-    fn empty(scheme: Scheme, mtu: usize) -> Testbed {
+    /// An empty testbed for custom construction: set options (marking
+    /// threshold, [`Testbed::acdc`]) and then call a `build_*` method.
+    pub fn custom(scheme: Scheme, mtu: usize) -> Testbed {
         Testbed {
             net: Network::new(),
+            acdc: scheme.acdc_config(mtu),
             scheme,
             mtu,
             hosts: Vec::new(),
@@ -99,7 +98,6 @@ impl Testbed {
             switches: Vec::new(),
             next_port: Vec::new(),
             iss: 7,
-            acdc_tweak: None,
             mark_bytes: DEFAULT_MARK_THRESHOLD,
             host_fault_plans: BTreeMap::new(),
             trunk_fault_plan: None,
@@ -114,23 +112,10 @@ impl Testbed {
         self.net.telemetry()
     }
 
-    /// An empty testbed for custom construction: set options (marking
-    /// threshold, vSwitch tweaks) and then call a `build_*` method.
-    pub fn custom(scheme: Scheme, mtu: usize) -> Testbed {
-        Testbed::empty(scheme, mtu)
-    }
-
     /// Override the switch WRED/ECN marking threshold `K` (takes effect
     /// for switches created by a subsequent `build_*` call).
     pub fn set_mark_threshold(&mut self, bytes: u64) {
         self.mark_bytes = bytes;
-    }
-
-    /// Install a vSwitch-config tweak applied to every host added from now
-    /// on (experiments use it for log-only mode, window traces, custom
-    /// per-flow policies, policing and RWND caps).
-    pub fn set_acdc_tweak(&mut self, tweak: impl Fn(&mut acdc_vswitch::AcdcConfig) + 'static) {
-        self.acdc_tweak = Some(Box::new(tweak));
     }
 
     /// Inject faults on the access link of the host that will get index
@@ -193,11 +178,7 @@ impl Testbed {
         let plan = self.host_fault_plans.remove(&idx);
         let (host_port, switch_port) =
             self.connect_faulted(node, switch, link, plan, format!("fault.host{idx}"));
-        let mut acdc_cfg = self.scheme.acdc_config(self.mtu);
-        if let Some(tweak) = &self.acdc_tweak {
-            tweak(&mut acdc_cfg);
-        }
-        let host = HostNode::new(ip, host_port, acdc_cfg);
+        let host = HostNode::new(ip, host_port, self.acdc.clone());
         self.net.install(node, Box::new(host));
         // Route the host's address at its switch.
         if let Some(sw) = self.net.node_mut::<SwitchNode>(switch) {
@@ -212,7 +193,7 @@ impl Testbed {
     /// The single-switch star of the macrobenchmarks (§5.2): `n` hosts on
     /// one 48-port switch.
     pub fn star(n: usize, scheme: Scheme, mtu: usize) -> Testbed {
-        let mut tb = Testbed::empty(scheme, mtu);
+        let mut tb = Testbed::custom(scheme, mtu);
         tb.build_star(n);
         tb
     }
@@ -228,23 +209,10 @@ impl Testbed {
         }
     }
 
-    /// Like [`Testbed::dumbbell`] with a vSwitch-config tweak.
-    pub fn dumbbell_with(
-        n: usize,
-        scheme: Scheme,
-        mtu: usize,
-        tweak: impl Fn(&mut acdc_vswitch::AcdcConfig) + 'static,
-    ) -> Testbed {
-        let mut tb = Testbed::empty(scheme.clone(), mtu);
-        tb.set_acdc_tweak(tweak);
-        tb.build_dumbbell(n);
-        tb
-    }
-
     /// The dumbbell of Figure 7a: `n` sender/receiver pairs across a
     /// 10 G trunk. Hosts `0..n` are senders, `n..2n` receivers.
     pub fn dumbbell(n: usize, scheme: Scheme, mtu: usize) -> Testbed {
-        let mut tb = Testbed::empty(scheme, mtu);
+        let mut tb = Testbed::custom(scheme, mtu);
         tb.build_dumbbell(n);
         tb
     }
@@ -281,7 +249,7 @@ impl Testbed {
     /// receiver attached to the last switch. Host `n` is the receiver.
     pub fn parking_lot(n: usize, scheme: Scheme, mtu: usize) -> Testbed {
         assert!(n >= 2);
-        let mut tb = Testbed::empty(scheme, mtu);
+        let mut tb = Testbed::custom(scheme, mtu);
         let cfg = tb.scheme.switch_config(tb.mark_bytes);
         for _ in 0..n {
             let sw = tb.net.add_node(Box::new(SwitchNode::new(cfg)));
@@ -787,13 +755,10 @@ mod tests {
 
     #[test]
     fn aligned_trace_pairs_each_enforced_sample_with_the_latest_guest_sample() {
-        let mut tb = Testbed::dumbbell_with(2, Scheme::acdc(), 1500, |cfg| {
-            cfg.trace_windows = true;
-        });
-        let taps = ConnTaps {
-            trace_cwnd: true,
-            ..ConnTaps::default()
-        };
+        let mut tb = Testbed::custom(Scheme::acdc(), 1500);
+        tb.acdc.trace_windows = true;
+        tb.build_dumbbell(2);
+        let taps = ConnTaps { trace_cwnd: true };
         let app = Box::new(BulkSender::unlimited());
         let h = tb.add_flow(0, 2, Some(app), None, 0, taps);
         let _other = tb.add_bulk(1, 3, None, 0);

@@ -109,17 +109,11 @@ impl FaultPlan {
         self
     }
 
-    /// Set a Gilbert-Elliott burst-loss channel that drops every packet
-    /// while Bad. Note the chain is packet-clocked: with `loss_bad` at
-    /// 1.0, a burst only ends after `~1/p_exit_bad` *offered* packets, so
-    /// an RTO-backoff sender probes its way out slowly — use
-    /// [`FaultPlan::with_gilbert_elliott`] with `loss_bad < 1` for
-    /// escapable bursts.
-    pub fn with_burst_loss(self, p_enter_bad: f64, p_exit_bad: f64) -> FaultPlan {
-        self.with_gilbert_elliott(p_enter_bad, p_exit_bad, 0.0, 1.0)
-    }
-
-    /// Set a fully parameterized Gilbert-Elliott loss channel.
+    /// Set a Gilbert-Elliott burst-loss channel: loss probability
+    /// `loss_good` / `loss_bad` in each state. The chain is
+    /// packet-clocked: with `loss_bad` at 1.0, a burst only ends after
+    /// `~1/p_exit_bad` *offered* packets, so an RTO-backoff sender probes
+    /// its way out slowly; `loss_bad < 1` makes bursts escapable.
     pub fn with_gilbert_elliott(
         mut self,
         p_enter_bad: f64,

@@ -276,7 +276,7 @@ mod tests {
     fn gilbert_elliott_loss_is_bursty() {
         // Long Bad dwell (p_exit 0.05 → mean burst 20) with rare entry:
         // drops must cluster into runs far longer than i.i.d. would give.
-        let plan = FaultPlan::new(3).with_burst_loss(0.01, 0.05);
+        let plan = FaultPlan::new(3).with_gilbert_elliott(0.01, 0.05, 0.0, 1.0);
         let mut p = FaultProcess::new(&plan, plan.seed, true);
         let mut run = 0u64;
         let mut max_run = 0u64;

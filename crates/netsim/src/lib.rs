@@ -28,7 +28,7 @@ pub mod wheel;
 
 pub use engine::{Ctx, Network, Node, NodeId, PortCounters, PortDropClass, PortId};
 pub use link::LinkSpec;
-pub use switch::{SwitchConfig, SwitchCounters, SwitchNode, WredEcnConfig};
+pub use switch::{SwitchConfig, SwitchCounters, SwitchNode};
 pub use tokenbucket::TokenBucket;
 pub use wheel::TimerWheel;
 

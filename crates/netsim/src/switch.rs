@@ -38,77 +38,43 @@ use acdc_packet::Segment;
 
 use crate::engine::{Ctx, Node, PortId};
 
-/// WRED/ECN marking parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct WredEcnConfig {
+/// Shared buffer pool in bytes (9 MB on the G8264).
+const SHARED_BUFFER_BYTES: u64 = 9 * 1024 * 1024;
+
+/// Dynamic-threshold alpha: a queue may hold up to alpha × the free pool,
+/// so one queue alone tops out at alpha / (1 + alpha) of it.
+const DYNAMIC_ALPHA: u64 = 8;
+
+/// WRED ramp for non-ECT packets, in percent of `K`: the drop probability
+/// rises linearly from 0 at the lower end to [`DROP_P_MAX`] at the upper
+/// end of the averaged queue, and is 1 beyond it.
+const DROP_RAMP_PCT: (u64, u64) = (85, 115);
+
+/// Drop probability at the top of the WRED ramp.
+const DROP_P_MAX: f64 = 0.15;
+
+/// Drop probability for a non-ECT packet at averaged depth `avg` under
+/// marking threshold `k`.
+fn drop_probability(k: u64, avg: f64) -> f64 {
+    let (lo, hi) = (k * DROP_RAMP_PCT.0 / 100, k * DROP_RAMP_PCT.1 / 100);
+    if avg < lo as f64 {
+        0.0
+    } else if avg >= hi as f64 {
+        1.0
+    } else {
+        DROP_P_MAX * (avg - lo as f64) / (hi - lo).max(1) as f64
+    }
+}
+
+/// Switch configuration: the G8264's buffer, with WRED/ECN marking on or
+/// off. `Default` is unmarked (the CUBIC baseline).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SwitchConfig {
     /// Marking threshold `K` in bytes of *instantaneous* queue occupancy:
     /// ECT packets are CE-marked at or above this depth (DCTCP-style step
-    /// marking).
-    pub threshold_bytes: u64,
-    /// WRED ramp for **non-ECT** packets, evaluated on the *averaged*
-    /// queue: drop probability rises linearly from 0 at `drop_min_bytes`
-    /// to `drop_p_max` at `drop_max_bytes`, and is 1 beyond it.
-    pub drop_min_bytes: u64,
-    /// Upper end of the WRED ramp.
-    pub drop_max_bytes: u64,
-    /// Drop probability at the top of the ramp.
-    pub drop_p_max: f64,
-}
-
-impl WredEcnConfig {
-    /// A WRED/ECN profile centred on marking threshold `k` with the
-    /// classic ramp (85%–115% of `k`, max probability 15%).
-    pub fn centered_on(k: u64) -> WredEcnConfig {
-        WredEcnConfig {
-            threshold_bytes: k,
-            drop_min_bytes: k * 85 / 100,
-            drop_max_bytes: k * 115 / 100,
-            drop_p_max: 0.15,
-        }
-    }
-
-    /// Drop probability for a non-ECT packet at averaged depth `avg`.
-    pub fn drop_probability(&self, avg: f64) -> f64 {
-        if avg < self.drop_min_bytes as f64 {
-            0.0
-        } else if avg >= self.drop_max_bytes as f64 {
-            1.0
-        } else {
-            self.drop_p_max * (avg - self.drop_min_bytes as f64)
-                / (self.drop_max_bytes - self.drop_min_bytes).max(1) as f64
-        }
-    }
-}
-
-/// Switch configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct SwitchConfig {
-    /// Shared buffer pool size in bytes (9 MB on the G8264).
-    pub shared_buffer_bytes: u64,
-    /// Dynamic-threshold alpha: per-port limit = alpha × free buffer.
-    pub dynamic_alpha: f64,
-    /// WRED/ECN marking; `None` disables it (baseline CUBIC config).
-    pub wred_ecn: Option<WredEcnConfig>,
-}
-
-impl Default for SwitchConfig {
-    fn default() -> SwitchConfig {
-        SwitchConfig {
-            shared_buffer_bytes: 9 * 1024 * 1024,
-            dynamic_alpha: 8.0,
-            wred_ecn: None,
-        }
-    }
-}
-
-impl SwitchConfig {
-    /// The G8264 with WRED/ECN configured (DCTCP / AC/DC experiments).
-    pub fn with_wred_ecn(threshold_bytes: u64) -> SwitchConfig {
-        SwitchConfig {
-            wred_ecn: Some(WredEcnConfig::centered_on(threshold_bytes)),
-            ..SwitchConfig::default()
-        }
-    }
+    /// marking), and non-ECT packets meet a WRED drop ramp around it.
+    /// `None` disables WRED/ECN.
+    pub mark_threshold: Option<u64>,
 }
 
 /// Drop/marking counters (the paper reads drop rates off switch counters).
@@ -220,12 +186,8 @@ impl Node for SwitchNode {
         let q = self.occupancy.get(&out).copied().unwrap_or(0);
 
         // Shared-buffer admission (dynamic threshold).
-        let free = self
-            .cfg
-            .shared_buffer_bytes
-            .saturating_sub(self.total_occupancy);
-        let dyn_limit = (self.cfg.dynamic_alpha * free as f64) as u64;
-        if q + len > dyn_limit || len > free {
+        let free = SHARED_BUFFER_BYTES.saturating_sub(self.total_occupancy);
+        if q + len > DYNAMIC_ALPHA * free || len > free {
             self.counters.buffer_drops += 1;
             ctx.count_drop(out, crate::engine::PortDropClass::QueueFull);
             return;
@@ -233,19 +195,19 @@ impl Node for SwitchNode {
 
         // WRED/ECN: instantaneous queue for ECN marking (DCTCP-style),
         // averaged queue + probability ramp for non-ECT drops (WRED).
-        if let Some(wred) = self.cfg.wred_ecn {
+        if let Some(k) = self.cfg.mark_threshold {
             let avg = {
                 let a = self.avg_occupancy.entry(out).or_insert(0.0);
                 *a = *a * (15.0 / 16.0) + q as f64 / 16.0;
                 *a
             };
             if seg.ecn().is_ect() {
-                if q >= wred.threshold_bytes {
+                if q >= k {
                     seg.mark_ce();
                     self.counters.ce_marked += 1;
                 }
             } else {
-                let p = wred.drop_probability(avg);
+                let p = drop_probability(k, avg);
                 if p > 0.0 && self.rng.random::<f64>() < p {
                     self.counters.wred_drops += 1;
                     return;
@@ -341,6 +303,7 @@ mod tests {
         cfg: SwitchConfig,
         n: usize,
         ecn: Ecn,
+        payload: usize,
     ) -> (Network, crate::engine::NodeId, crate::engine::NodeId) {
         let mut net = Network::new();
         let h = net.reserve_node();
@@ -365,7 +328,7 @@ mod tests {
                 n,
                 ecn,
                 dst: [10, 0, 0, 9],
-                payload: 1460,
+                payload,
             }),
         );
         net.schedule_timer_at(h, 0, 0);
@@ -374,7 +337,7 @@ mod tests {
 
     #[test]
     fn forwards_by_route() {
-        let (mut net, sw, dst) = rig(SwitchConfig::default(), 3, Ecn::NotEct);
+        let (mut net, sw, dst) = rig(SwitchConfig::default(), 3, Ecn::NotEct, 1460);
         net.run_until(crate::SECOND);
         assert_eq!(net.node_mut::<Sink>(dst).unwrap().got.len(), 3);
         let sw = net.node_mut::<SwitchNode>(sw).unwrap();
@@ -408,8 +371,10 @@ mod tests {
     #[test]
     fn wred_marks_ect_above_threshold() {
         // Threshold of ~3 packets: the 10G→1G mismatch queues a burst.
-        let cfg = SwitchConfig::with_wred_ecn(3 * 1500);
-        let (mut net, sw, dst) = rig(cfg, 20, Ecn::Ect0);
+        let cfg = SwitchConfig {
+            mark_threshold: Some(3 * 1500),
+        };
+        let (mut net, sw, dst) = rig(cfg, 20, Ecn::Ect0, 1460);
         net.run_until(crate::SECOND);
         let marked_at_dst = net
             .node_mut::<Sink>(dst)
@@ -432,8 +397,10 @@ mod tests {
 
     #[test]
     fn wred_drops_non_ect_above_threshold() {
-        let cfg = SwitchConfig::with_wred_ecn(3 * 1500);
-        let (mut net, sw, dst) = rig(cfg, 20, Ecn::NotEct);
+        let cfg = SwitchConfig {
+            mark_threshold: Some(3 * 1500),
+        };
+        let (mut net, sw, dst) = rig(cfg, 20, Ecn::NotEct, 1460);
         net.run_until(crate::SECOND);
         let sw_counters = net.node_mut::<SwitchNode>(sw).unwrap().counters();
         assert!(sw_counters.wred_drops > 0, "non-ECT must be dropped over K");
@@ -443,20 +410,29 @@ mod tests {
         assert_eq!(delivered + sw_counters.wred_drops, 20);
     }
 
+    /// Payload of a 9000-byte jumbo frame.
+    const JUMBO: usize = 8960;
+
+    /// Jumbo frames blasted at the 1 G egress: 10.8 MB against one
+    /// queue's 8/9 share of the 9 MiB pool, so the burst overflows it
+    /// while the drain (one frame per 72 µs) keeps up with a tenth.
+    const OVERFLOW_BURST: usize = 1_200;
+
     #[test]
     fn shared_buffer_limit_drops() {
-        // Tiny shared buffer: a burst overflows it even without WRED.
-        let cfg = SwitchConfig {
-            shared_buffer_bytes: 8 * 1500,
-            dynamic_alpha: 8.0,
-            wred_ecn: None,
-        };
-        let (mut net, sw, _) = rig(cfg, 50, Ecn::Ect0);
+        let (mut net, sw, dst) = rig(SwitchConfig::default(), OVERFLOW_BURST, Ecn::Ect0, JUMBO);
         net.run_until(crate::SECOND);
+        let delivered = net.node_mut::<Sink>(dst).unwrap().got.len() as u64;
         let c = net.node_mut::<SwitchNode>(sw).unwrap().counters();
+        let offered = OVERFLOW_BURST as u64;
         assert!(c.buffer_drops > 0);
-        assert!(c.forwarded < 50);
-        assert!((c.drop_rate() - c.buffer_drops as f64 / 50.0).abs() < 1e-9);
+        assert_eq!(c.forwarded, delivered);
+        assert_eq!(
+            c.forwarded + c.total_drops(),
+            offered,
+            "forwarded + drops = offered"
+        );
+        assert!((c.drop_rate() - c.buffer_drops as f64 / offered as f64).abs() < 1e-9);
         // The per-port breakdown attributes every buffer drop to the
         // egress port the packet would have taken (PortId(2) in the rig).
         let pc = net.port_counters(PortId(2));
@@ -466,18 +442,25 @@ mod tests {
 
     #[test]
     fn dynamic_threshold_tightens_as_pool_fills() {
-        // alpha = 1 with a pool of 10 packets: a single queue can use at
-        // most half the pool in steady state (q ≤ free ⇒ q ≤ B/2).
-        let cfg = SwitchConfig {
-            shared_buffer_bytes: 10 * 1500,
-            dynamic_alpha: 1.0,
-            wred_ecn: None,
-        };
-        let (mut net, sw, _) = rig(cfg, 50, Ecn::Ect0);
-        net.run_until(crate::SECOND);
+        // A queue may hold alpha × the free pool, and its own bytes are
+        // not free: alone, it tops out at alpha / (1 + alpha) = 8/9 of
+        // the pool, within one frame, and never reaches the pool itself.
+        let (mut net, sw, _) = rig(SwitchConfig::default(), OVERFLOW_BURST, Ecn::Ect0, JUMBO);
+        let frame = seg([10, 0, 0, 9], Ecn::Ect0, JUMBO).wire_len() as u64;
+        // 8/9 of the G8264's 9 MiB.
+        let share: u64 = 8 * 1024 * 1024;
+        // The burst arrives one frame per 7.2 µs; sample every 1 µs.
+        let mut peak = 0;
+        for t in (0..=10 * crate::MILLISECOND).step_by(crate::MICROSECOND as usize) {
+            net.run_until(t);
+            let sw = net.node_mut::<SwitchNode>(sw).unwrap();
+            peak = peak.max(sw.port_occupancy(PortId(2)));
+        }
+        assert!(
+            share - frame < peak && peak <= share + frame,
+            "peak {peak} B against 8/9 of the pool, {share} B"
+        );
         let c = net.node_mut::<SwitchNode>(sw).unwrap().counters();
-        // With alpha=1 about half the tiny pool is usable → most of the
-        // burst drops.
-        assert!(c.buffer_drops >= 40, "drops={}", c.buffer_drops);
+        assert!(c.buffer_drops > 0, "the queue refused frames at its share");
     }
 }

@@ -136,13 +136,10 @@ fn restore_cycle(tb: &mut Testbed, at: Nanos) -> Result<String, String> {
 /// invariant (traces are dumped) or a checkpoint/restore failure.
 pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, Violation> {
     let mut tb = Testbed::custom(Scheme::acdc(), 1_500);
-    let max_flows = cfg.max_flows;
-    tb.set_acdc_tweak(move |c| {
-        c.max_flows = Some(max_flows);
-        // Churn flows close after ~a wave; reap them well before the
-        // 30 s default would let occupancy build up.
-        c.gc_idle_timeout = 2 * SECOND;
-    });
+    tb.acdc.max_flows = Some(cfg.max_flows);
+    // Churn flows close after ~a wave; reap them well before the 30 s
+    // default would let occupancy build up.
+    tb.acdc.gc_idle_timeout = 2 * SECOND;
     tb.set_trunk_fault(cfg.storms.trunk_plan(cfg.seed));
     tb.build_dumbbell(1);
     tb.host_mut(WATCHED).set_rate_limit(cfg.rate_bps, 30_000);

@@ -1,9 +1,9 @@
 //! # acdc-stats — measurement utilities for the AC/DC reproduction
 //!
 //! Collectors used across the workspace: percentiles (RTT/FCT
-//! distributions), Jain's fairness index, throughput meters and simple
-//! time series. Also hosts the [`time`] module with the
-//! nanosecond-resolution virtual-time units every other crate shares.
+//! distributions), Jain's fairness index and simple time series. Also
+//! hosts the [`time`] module with the nanosecond-resolution virtual-time
+//! units every other crate shares.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -11,11 +11,9 @@
 pub mod cdf;
 pub mod fairness;
 pub mod series;
-pub mod throughput;
 pub mod time;
 
 pub use cdf::Distribution;
 pub use fairness::jain_index;
 pub use series::TimeSeries;
-pub use throughput::ThroughputMeter;
 pub use time::{Nanos, MICROSECOND, MILLISECOND, SECOND};

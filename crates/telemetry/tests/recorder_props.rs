@@ -57,78 +57,125 @@ fn run_plan(plan: &Plan) -> FlightRecorder {
     rec
 }
 
+/// Same plan + seed ⇒ byte-identical JSONL dump.
+fn dumps_identically(plan: &Plan) {
+    let a = run_plan(plan).dump_jsonl();
+    let b = run_plan(plan).dump_jsonl();
+    prop_assert_eq!(a.as_bytes(), b.as_bytes());
+}
+
+/// Wraparound keeps exactly the newest `capacity` events, in record
+/// order, with strictly increasing sequence numbers (no reorder, no
+/// duplicate, no gap in the retained suffix).
+fn wraparound_keeps_the_suffix(plan: &Plan) {
+    let rec = run_plan(plan);
+    let events = rec.events();
+
+    let kept = plan.count.min(plan.capacity);
+    prop_assert_eq!(events.len(), kept);
+    prop_assert_eq!(rec.total_recorded(), plan.count as u64);
+    prop_assert_eq!(rec.overwritten(), (plan.count - kept) as u64);
+
+    // The retained window is the contiguous suffix of the stream.
+    for (j, e) in events.iter().enumerate() {
+        let expect_seq = (plan.count - kept + j) as u64;
+        prop_assert_eq!(e.seq, expect_seq, "event {} out of order", j);
+        let (at, flow, kind) = planned_event(plan, expect_seq as usize);
+        prop_assert_eq!(e.at, at);
+        prop_assert_eq!(e.flow, flow);
+        prop_assert_eq!(e.kind, kind);
+    }
+}
+
+/// Every registered metric name is unique and appears in
+/// `snapshot_all()`, sorted by name, with the value its handle reports.
+fn names_unique_and_snapshotted(n_counters: usize, bumps: &[u64]) {
+    let reg = MetricsRegistry::new();
+    let counters: Vec<_> = (0..n_counters)
+        .map(|i| (format!("c.m{i}"), reg.counter(format!("c.m{i}"))))
+        .collect();
+    for (i, b) in bumps.iter().enumerate() {
+        if let Some((_, c)) = counters.get(i % counters.len().max(1)) {
+            c.add(*b);
+        }
+    }
+
+    let snap = reg.snapshot_all();
+    prop_assert_eq!(snap.len(), counters.len());
+    prop_assert!(
+        snap.windows(2).all(|w| w[0].name < w[1].name),
+        "names must be unique and sorted"
+    );
+    for (name, c) in &counters {
+        let m = snap.iter().find(|m| &m.name == name);
+        prop_assert!(m.is_some(), "{} missing from snapshot_all()", name);
+        prop_assert_eq!(m.unwrap().value, c.get());
+        prop_assert_eq!(reg.value(name), Some(c.get()));
+    }
+}
+
 proptest! {
-    /// Same plan + seed ⇒ byte-identical JSONL dump.
+    /// [`dumps_identically`] over arbitrary plans.
     #[test]
     fn same_plan_and_seed_dumps_identically(
         seed in any::<u64>(),
         count in 0usize..600,
         capacity in 1usize..96,
     ) {
-        let plan = Plan { seed, count, capacity };
-        let a = run_plan(&plan).dump_jsonl();
-        let b = run_plan(&plan).dump_jsonl();
-        prop_assert_eq!(a.as_bytes(), b.as_bytes());
+        dumps_identically(&Plan { seed, count, capacity });
     }
 
-    /// Wraparound keeps exactly the newest `capacity` events, in record
-    /// order, with strictly increasing sequence numbers (no reorder, no
-    /// duplicate, no gap in the retained suffix).
+    /// [`wraparound_keeps_the_suffix`] over arbitrary plans.
     #[test]
     fn wraparound_never_reorders_or_duplicates(
         seed in any::<u64>(),
         count in 0usize..600,
         capacity in 1usize..96,
     ) {
-        let plan = Plan { seed, count, capacity };
-        let rec = run_plan(&plan);
-        let events = rec.events();
-
-        let kept = count.min(capacity);
-        prop_assert_eq!(events.len(), kept);
-        prop_assert_eq!(rec.total_recorded(), count as u64);
-        prop_assert_eq!(rec.overwritten(), (count - kept) as u64);
-
-        // The retained window is the contiguous suffix of the stream.
-        for (j, e) in events.iter().enumerate() {
-            let expect_seq = (count - kept + j) as u64;
-            prop_assert_eq!(e.seq, expect_seq, "event {} out of order", j);
-            let (at, flow, kind) = planned_event(&plan, expect_seq as usize);
-            prop_assert_eq!(e.at, at);
-            prop_assert_eq!(e.flow, flow);
-            prop_assert_eq!(e.kind, kind);
-        }
+        wraparound_keeps_the_suffix(&Plan { seed, count, capacity });
     }
 
-    /// Every registered metric name is unique and appears in
-    /// `snapshot_all()`, sorted by name, with the value its handle reports.
+    /// [`names_unique_and_snapshotted`] over arbitrary registries.
     #[test]
     fn registered_names_are_unique_and_all_snapshot(
         n_counters in 0usize..48,
         bumps in proptest::collection::vec(0u64..1000, 0..24),
     ) {
-        let reg = MetricsRegistry::new();
-        let counters: Vec<_> = (0..n_counters)
-            .map(|i| (format!("c.m{i}"), reg.counter(format!("c.m{i}"))))
-            .collect();
-        for (i, b) in bumps.iter().enumerate() {
-            if let Some((_, c)) = counters.get(i % counters.len().max(1)) {
-                c.add(*b);
-            }
-        }
+        names_unique_and_snapshotted(n_counters, &bumps);
+    }
+}
 
-        let snap = reg.snapshot_all();
-        prop_assert_eq!(snap.len(), counters.len());
-        prop_assert!(
-            snap.windows(2).all(|w| w[0].name < w[1].name),
-            "names must be unique and sorted"
-        );
-        for (name, c) in &counters {
-            let m = snap.iter().find(|m| &m.name == name);
-            prop_assert!(m.is_some(), "{} missing from snapshot_all()", name);
-            prop_assert_eq!(m.unwrap().value, c.get());
-            prop_assert_eq!(reg.value(name), Some(c.get()));
-        }
+proptest! {
+    // nightly.yml runs these twins (`-- --ignored`).
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    #[test]
+    #[ignore = "4096 cases; run with --ignored (nightly)"]
+    fn same_plan_and_seed_dumps_identically_4096(
+        seed in any::<u64>(),
+        count in 0usize..600,
+        capacity in 1usize..96,
+    ) {
+        dumps_identically(&Plan { seed, count, capacity });
+    }
+
+    #[test]
+    #[ignore = "4096 cases; run with --ignored (nightly)"]
+    fn wraparound_never_reorders_or_duplicates_4096(
+        seed in any::<u64>(),
+        count in 0usize..600,
+        capacity in 1usize..96,
+    ) {
+        wraparound_keeps_the_suffix(&Plan { seed, count, capacity });
+    }
+
+    #[test]
+    #[ignore = "4096 cases; run with --ignored (nightly)"]
+    fn registered_names_are_unique_and_all_snapshot_4096(
+        n_counters in 0usize..48,
+        bumps in proptest::collection::vec(0u64..1000, 0..24),
+    ) {
+        names_unique_and_snapshotted(n_counters, &bumps);
     }
 }
 

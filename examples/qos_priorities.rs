@@ -33,18 +33,16 @@ fn main() {
     println!("per-flow priorities (β/4): {quarters:?}");
 
     // AC/DC with a custom policy: β looked up by the sender's address.
-    let betas: Arc<Vec<f64>> = Arc::new(quarters.iter().map(|&q| f64::from(q) / 4.0).collect());
-    let policy_betas = Arc::clone(&betas);
-    let mut tb = Testbed::dumbbell_with(n, Scheme::acdc(), 9000, move |cfg| {
-        let betas = Arc::clone(&policy_betas);
-        cfg.policy = CcPolicy::Custom(Arc::new(move |key| {
-            let idx = (key.src_ip[3] as usize).saturating_sub(1);
-            betas
-                .get(idx)
-                .map(|&b| CcKind::DctcpPriority(b))
-                .unwrap_or(CcKind::Dctcp)
-        }));
-    });
+    let betas: Vec<f64> = quarters.iter().map(|&q| f64::from(q) / 4.0).collect();
+    let mut tb = Testbed::custom(Scheme::acdc(), 9000);
+    tb.acdc.policy = CcPolicy::Custom(Arc::new(move |key| {
+        let idx = (key.src_ip[3] as usize).saturating_sub(1);
+        betas
+            .get(idx)
+            .map(|&b| CcKind::DctcpPriority(b))
+            .unwrap_or(CcKind::Dctcp)
+    }));
+    tb.build_dumbbell(n);
 
     let flows: Vec<_> = (0..n).map(|i| tb.add_bulk(i, n + i, None, 0)).collect();
     let dur = SECOND;

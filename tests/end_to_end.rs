@@ -66,9 +66,9 @@ fn enforced_window_reaches_the_guest() {
 #[test]
 fn policing_contains_nonconforming_stack() {
     // Conforming guest for reference.
-    let mut tb = Testbed::dumbbell_with(1, Scheme::acdc(), 1500, |cfg| {
-        cfg.police_slack_bytes = Some(16 * 1448);
-    });
+    let mut tb = Testbed::custom(Scheme::acdc(), 1500);
+    tb.acdc.police_slack_bytes = Some(16 * 1448);
+    tb.build_dumbbell(1);
     let good = tb.add_bulk(0, 1, None, 0);
     tb.run_until(100 * MILLISECOND);
     let good_bytes = tb.acked_bytes(good);
@@ -77,9 +77,9 @@ fn policing_contains_nonconforming_stack() {
 
     // Non-conforming guest on a *congested* trunk: ECN marks keep the
     // enforced window small while the rogue stack keeps pushing.
-    let mut tb = Testbed::dumbbell_with(2, Scheme::acdc(), 1500, |cfg| {
-        cfg.police_slack_bytes = Some(16 * 1448);
-    });
+    let mut tb = Testbed::custom(Scheme::acdc(), 1500);
+    tb.acdc.police_slack_bytes = Some(16 * 1448);
+    tb.build_dumbbell(2);
     let _competing = tb.add_bulk(0, 2, None, 0);
     // Low-level construction for the rogue flow (host 1 → host 3).
     let mut cfg = tb

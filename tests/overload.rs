@@ -28,10 +28,8 @@ fn run_syn_flood() -> (Vec<Snap>, LinkFaultStats, u64, u64) {
     const CAP: usize = 256;
     const PAIRS: usize = 4;
     let mut tb = Testbed::custom(Scheme::acdc(), 1500);
-    tb.set_acdc_tweak(|cfg| {
-        cfg.max_flows = Some(CAP);
-        cfg.admission = AdmissionPolicy::RejectNew;
-    });
+    tb.acdc.max_flows = Some(CAP);
+    tb.acdc.admission = AdmissionPolicy::RejectNew;
     tb.set_trunk_fault(FaultPlan::new(0xACDC_0401).with_iid_loss(0.001));
     tb.build_dumbbell(PAIRS);
     let flows: Vec<FlowHandle> = (0..FLOWS)
@@ -98,10 +96,8 @@ fn flow_churn_under_tight_capacity_evicts_but_all_complete() {
     const FLOWS: usize = 96;
     const CAP: usize = 32;
     let mut tb = Testbed::custom(Scheme::acdc(), 1500);
-    tb.set_acdc_tweak(|cfg| {
-        cfg.max_flows = Some(CAP);
-        cfg.admission = AdmissionPolicy::EvictOldestIdle;
-    });
+    tb.acdc.max_flows = Some(CAP);
+    tb.acdc.admission = AdmissionPolicy::EvictOldestIdle;
     tb.build_dumbbell(1);
     let flows: Vec<FlowHandle> = (0..FLOWS)
         .map(|i| tb.add_bulk(0, 1, Some(BYTES), (i as u64) * 3 * MILLISECOND))

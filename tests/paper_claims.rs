@@ -10,7 +10,7 @@ fn incast_p50_rtt_ms(scheme: Scheme, floor_2mss: bool) -> f64 {
     let n = 12; // scaled-down fan-in
     let mut tb = Testbed::custom(scheme, 9000);
     if floor_2mss {
-        tb.set_acdc_tweak(|cfg| cfg.min_window_bytes = Some(2 * 8960));
+        tb.acdc.min_window_bytes = Some(2 * 8960);
     }
     tb.build_star(n + 2);
     let _flows: Vec<_> = (0..n).map(|s| tb.add_bulk(s, n, None, 0)).collect();
@@ -53,12 +53,12 @@ fn priority_betas_order_throughput() {
     use std::sync::Arc;
 
     let betas = [1.0f64, 0.5, 0.25];
-    let mut tb = Testbed::dumbbell_with(3, Scheme::acdc(), 9000, move |cfg| {
-        cfg.policy = CcPolicy::Custom(Arc::new(move |key| {
-            let idx = (key.src_ip[3] as usize).saturating_sub(1);
-            CcKind::DctcpPriority(*[1.0f64, 0.5, 0.25].get(idx).unwrap_or(&1.0))
-        }));
-    });
+    let mut tb = Testbed::custom(Scheme::acdc(), 9000);
+    tb.acdc.policy = CcPolicy::Custom(Arc::new(move |key| {
+        let idx = (key.src_ip[3] as usize).saturating_sub(1);
+        CcKind::DctcpPriority(*[1.0f64, 0.5, 0.25].get(idx).unwrap_or(&1.0))
+    }));
+    tb.build_dumbbell(3);
     let flows: Vec<_> = (0..3).map(|i| tb.add_bulk(i, 3 + i, None, 0)).collect();
     let tputs = tb.goodput_gbps(&flows, 100 * MILLISECOND, 400 * MILLISECOND);
     assert!(
@@ -78,18 +78,11 @@ fn computed_window_tracks_native_dctcp() {
     use acdc_cc::CcKind;
     use acdc_core::ConnTaps;
 
-    let scheme = Scheme::Acdc {
-        host_cc: CcKind::Dctcp,
-        vswitch_cc: CcKind::Dctcp,
-    };
-    let mut tb = Testbed::dumbbell_with(2, scheme, 1500, |cfg| {
-        cfg.log_only = true;
-        cfg.trace_windows = true;
-    });
-    let taps = ConnTaps {
-        trace_cwnd: true,
-        ..ConnTaps::default()
-    };
+    let mut tb = Testbed::custom(Scheme::acdc_with_host(CcKind::Dctcp), 1500);
+    tb.acdc.log_only = true;
+    tb.acdc.trace_windows = true;
+    tb.build_dumbbell(2);
+    let taps = ConnTaps { trace_cwnd: true };
     let h = tb.add_flow(0, 2, Some(Box::new(BulkSender::unlimited())), None, 0, taps);
     let _other = tb.add_bulk(1, 3, None, 0);
     tb.run_until(300 * MILLISECOND);
