@@ -83,8 +83,8 @@ pub fn run(opts: &Opts) -> Report {
 /// of acknowledged bytes, stamped at the bin's end. An ACK at a bin's
 /// edge counts in the next bin, so the bytes of bin `k` are those
 /// acknowledged by `(k + 1) · bin − 1`; `run_until` includes events at its
-/// deadline. A bin is reported once a later ACK shows the flow moved on,
-/// so a flow's series ends at its last ACK.
+/// deadline. A flow's series runs through the bin holding its last ACK
+/// and stops there; a flow that never acknowledged anything has none.
 fn binned_gbps(tb: &mut Testbed, flows: &[FlowHandle], bin: u64, end: u64) -> Vec<TimeSeries> {
     let mut acked = vec![Vec::new(); flows.len()];
     for edge in (bin..=end).step_by(bin as usize) {
@@ -102,7 +102,11 @@ fn binned_gbps(tb: &mut Testbed, flows: &[FlowHandle], bin: u64, end: u64) -> Ve
             let last = tb.acked_bytes(h);
             let mut bins = TimeSeries::new();
             let mut before = 0;
-            for (k, &a) in acked.iter().take_while(|&&a| a < last).enumerate() {
+            for (k, &a) in acked.iter().enumerate() {
+                if before == last {
+                    // The previous bin held the last ACK.
+                    break;
+                }
                 bins.push((k as u64 + 1) * bin, (a - before) as f64 * 8.0 / secs / 1e9);
                 before = a;
             }
@@ -129,7 +133,7 @@ mod tests {
 
     /// 1 ms bins over 6 ms. Each reported bin holds, in Gbps, the bytes
     /// acknowledged between two edges; idle bins read zero while a later
-    /// ACK exists; a series stops at the bin holding the flow's last ACK.
+    /// ACK exists; a series ends with the bin holding the flow's last ACK.
     #[test]
     fn bins_hold_the_bytes_acked_in_them() {
         let (bin, end) = (MS, 6 * MS);
@@ -163,19 +167,20 @@ mod tests {
                 .collect();
             assert_eq!(bytes, acked, "bin k holds the bytes acked in it");
             let last = tb.acked_bytes(h);
-            assert!(upto[n - 1] < last, "every reported bin has a later ACK");
-            assert!(
-                upto[n..].iter().all(|&a| a == last),
-                "the series ends at the bin holding the last ACK"
+            assert_eq!(
+                upto[n - 1],
+                last,
+                "the last reported bin holds the last ACK"
             );
+            assert!(n == 1 || upto[n - 2] < last, "and no earlier bin does");
             per_flow.push(bytes);
         }
         let [early, late] = &per_flow[..] else {
             unreachable!()
         };
-        assert_eq!(early.len(), 3, "early's last ACK lands in [3, 4) ms");
+        assert_eq!(early.len(), 4, "early's last ACK lands in [3, 4) ms");
         assert!(early.iter().all(|&b| b > 0));
-        assert_eq!(late.len(), 5, "late's last ACK lands in [5, 6] ms");
+        assert_eq!(late.len(), 6, "late's last ACK lands in [5, 6) ms");
         assert_eq!(late[..3], [0, 0, 0], "idle bins before late starts");
         assert!(late[3..].iter().all(|&b| b > 0));
     }

@@ -8,7 +8,7 @@
 //! ```
 
 use std::any::Any;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use acdc_netsim::{Ctx, Node, PortId, TokenBucket};
@@ -24,7 +24,7 @@ const TSQ_PER_CONN_CAP: u64 = 64 * 1024;
 /// from [`AcdcDatapath::tick`] — no ingress packet will ever trigger the
 /// inactivity check for them — so the tick runs at the threshold's floor.
 const DP_TICK_PERIOD: Nanos = acdc_vswitch::INACTIVITY_FLOOR;
-use acdc_packet::{FlowKey, Segment};
+use acdc_packet::{FlowIndex, FlowKey, Segment};
 use acdc_stats::time::Nanos;
 use acdc_stats::TimeSeries;
 use acdc_tcp::{Endpoint, TcpConfig};
@@ -247,7 +247,12 @@ pub struct HostNode {
     nic: PortId,
     datapath: AcdcDatapath,
     conns: Vec<Conn>,
-    by_key: BTreeMap<FlowKey, usize>,
+    /// Each connection's index in `conns`, by its egress 5-tuple: one
+    /// probe per packet demuxes an arrival (by the reverse of its key)
+    /// and finds the owner of a packet starting on the wire. Nothing
+    /// walks it, so its bucket order, which follows a per-process secret,
+    /// reaches no output.
+    by_key: FlowIndex<u32>,
     /// [`Conn::earliest_deadline`] of every connection, kept exact by
     /// [`HostNode::refresh`]: the host's next wake-up is its minimum, and
     /// a timer services only the connections that are due.
@@ -286,7 +291,7 @@ impl HostNode {
             nic,
             datapath,
             conns: Vec::new(),
-            by_key: BTreeMap::new(),
+            by_key: FlowIndex::new(),
             deadlines: DeadlineTree::new(),
             in_flight_conns: 0,
             scratch: Vec::new(),
@@ -402,7 +407,8 @@ impl HostNode {
             cwnd_trace: taps.trace_cwnd.then(TimeSeries::new),
             in_flight: false,
         });
-        self.by_key.insert(key, idx);
+        let idx32 = u32::try_from(idx).expect("fewer than 2^32 connections per host");
+        self.by_key.insert(key, idx32);
         self.deadlines.grow_to(self.conns.len());
         // Room for every connection to be due at once, so that timers
         // never allocate.
@@ -419,7 +425,7 @@ impl HostNode {
 
     /// Index of the connection whose egress 5-tuple is `key`.
     pub fn conn_index_of(&self, key: &FlowKey) -> Option<usize> {
-        self.by_key.get(key).copied()
+        self.by_key.get(key).map(|&i| i as usize)
     }
 
     /// Immutable access to a connection's endpoint.
@@ -686,7 +692,7 @@ impl Node for HostNode {
         let key = meta.flow.reverse();
         match self.datapath.ingress(now, seg) {
             Verdict::Forward(s) => {
-                if let Some(&idx) = self.by_key.get(&key) {
+                if let Some(idx) = self.conn_index_of(&key) {
                     self.conns[idx].ep.on_segment(now, &s);
                     self.service_conn(ctx, idx);
                     self.poll_multi(ctx);
@@ -710,7 +716,7 @@ impl Node for HostNode {
         let Ok(meta) = seg.try_meta() else {
             return;
         };
-        if let Some(&idx) = self.by_key.get(&meta.flow) {
+        if let Some(idx) = self.conn_index_of(&meta.flow) {
             let c = &mut self.conns[idx];
             c.nic_queued = c.nic_queued.saturating_sub(seg.wire_len() as u64);
             if c.tsq_blocked && c.nic_queued < TSQ_PER_CONN_CAP {

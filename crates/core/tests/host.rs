@@ -4,6 +4,7 @@
 use acdc_cc::CcKind;
 use acdc_core::{ConnTaps, FlowHandle, Scheme, Testbed, TraceSender};
 use acdc_faults::FaultPlan;
+use acdc_packet::FlowKey;
 use acdc_stats::time::{Nanos, MICROSECOND, MILLISECOND, SECOND};
 use acdc_tcp::TcpState;
 use acdc_vswitch::DatapathCheckpoint;
@@ -340,4 +341,38 @@ fn faulted_host_restores_like_an_uninterrupted_twin() {
     let twin = run(false);
     assert!(!restored.1.is_empty(), "no events after the cut");
     assert_eq!(restored, twin);
+}
+
+/// Demux at `trace_star`'s scale: 160 connections on one host, half of
+/// them opened by it to 16 peers and half accepted from those peers on
+/// the one server port. Every connection's own 5-tuple leads back to its
+/// index, and no 5-tuple the host does not hold leads anywhere.
+#[test]
+fn a_160_connection_host_demuxes_every_connection_by_its_key() {
+    const PEERS: usize = 16;
+    let mut tb = Testbed::star(PEERS + 1, Scheme::acdc(), 9000);
+    let mut server_ports = std::collections::BTreeSet::new();
+    for peer in 1..=PEERS {
+        for _ in 0..5 {
+            tb.add_flow(0, peer, None, None, 0, ConnTaps::default());
+            let accepted = tb.add_flow(peer, 0, None, None, 0, ConnTaps::default());
+            server_ports.insert(accepted.key.dst_port);
+        }
+    }
+    assert_eq!(server_ports.len(), 1, "the accepted ones share a port");
+    let host = tb.host_mut(0);
+    assert_eq!(host.conn_count(), 10 * PEERS);
+    let keys: Vec<FlowKey> = (0..host.conn_count())
+        .map(|i| host.endpoint(i).flow_key())
+        .collect();
+    for (i, k) in keys.iter().enumerate() {
+        assert_eq!(host.conn_index_of(k), Some(i), "connection {i}: {k}");
+        // Arrivals demux by the reverse of their key, which is not ours.
+        assert_eq!(host.conn_index_of(&k.reverse()), None, "{k} reversed");
+        let elsewhere = FlowKey {
+            dst_port: k.dst_port ^ 0x8000,
+            ..*k
+        };
+        assert_eq!(host.conn_index_of(&elsewhere), None, "{elsewhere}");
+    }
 }

@@ -29,7 +29,6 @@
 //! buffer limits drop packets.
 
 use std::any::Any;
-use std::collections::BTreeMap;
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -111,18 +110,25 @@ impl SwitchCounters {
     }
 }
 
+/// One output port's queue state.
+struct PortSlot {
+    port: PortId,
+    /// Bytes waiting in the port's FIFO (see `on_packet`).
+    occupancy: u64,
+    /// WRED-averaged occupancy (EWMA, weight 1/16).
+    avg_occupancy: f64,
+}
+
 /// The switch node.
 pub struct SwitchNode {
     cfg: SwitchConfig,
-    /// Destination IPv4 → output port. Ordered so that any future
-    /// iteration over routes is deterministic.
-    routes: BTreeMap<[u8; 4], PortId>,
-    /// Fallback port for unmatched destinations (inter-switch trunk).
-    default_route: Option<PortId>,
-    /// Occupancy per output port: bytes waiting in its FIFO (see `on_packet`).
-    occupancy: BTreeMap<PortId, u64>,
-    /// WRED-averaged occupancy per output port (EWMA, weight 1/16).
-    avg_occupancy: BTreeMap<PortId, f64>,
+    /// One slot per output port, sorted by port.
+    slots: Vec<PortSlot>,
+    /// Destination IPv4 → index into `slots`, sorted by destination.
+    routes: Vec<([u8; 4], usize)>,
+    /// Slot of the fallback port for unmatched destinations (inter-switch
+    /// trunk).
+    default_slot: Option<usize>,
     /// Total occupancy, bytes.
     total_occupancy: u64,
     counters: SwitchCounters,
@@ -135,24 +141,51 @@ impl SwitchNode {
     pub fn new(cfg: SwitchConfig) -> SwitchNode {
         SwitchNode {
             cfg,
-            routes: BTreeMap::new(),
-            default_route: None,
-            occupancy: BTreeMap::new(),
-            avg_occupancy: BTreeMap::new(),
+            slots: Vec::new(),
+            routes: Vec::new(),
+            default_slot: None,
             total_occupancy: 0,
             counters: SwitchCounters::default(),
             rng: SmallRng::seed_from_u64(0x5EED_AC0C),
         }
     }
 
+    /// `port`'s slot, made when the port is first routed to. A slot made
+    /// in the middle moves the later ones up one.
+    fn slot_for(&mut self, port: PortId) -> usize {
+        let at = match self.slots.binary_search_by_key(&port, |s| s.port) {
+            Ok(at) => return at,
+            Err(at) => at,
+        };
+        self.slots.insert(
+            at,
+            PortSlot {
+                port,
+                occupancy: 0,
+                avg_occupancy: 0.0,
+            },
+        );
+        let later = self.routes.iter_mut().map(|(_, s)| s);
+        for s in later.chain(self.default_slot.as_mut()) {
+            if *s >= at {
+                *s += 1;
+            }
+        }
+        at
+    }
+
     /// Route `dst` out of `port`.
     pub fn add_route(&mut self, dst: [u8; 4], port: PortId) {
-        self.routes.insert(dst, port);
+        let slot = self.slot_for(port);
+        match self.routes.binary_search_by_key(&dst, |r| r.0) {
+            Ok(at) => self.routes[at].1 = slot,
+            Err(at) => self.routes.insert(at, (dst, slot)),
+        }
     }
 
     /// Set the default route (used by multi-switch topologies).
     pub fn set_default_route(&mut self, port: PortId) {
-        self.default_route = Some(port);
+        self.default_slot = Some(self.slot_for(port));
     }
 
     /// Counters, as of now.
@@ -162,28 +195,43 @@ impl SwitchNode {
 
     /// Current occupancy of one output queue, in bytes.
     pub fn port_occupancy(&self, port: PortId) -> u64 {
-        self.occupancy.get(&port).copied().unwrap_or(0)
+        self.slots
+            .binary_search_by_key(&port, |s| s.port)
+            .map_or(0, |at| self.slots[at].occupancy)
     }
 
-    fn lookup(&self, dst: [u8; 4]) -> Option<PortId> {
-        self.routes.get(&dst).copied().or(self.default_route)
+    /// The slot `dst` leaves by.
+    fn lookup(&self, dst: [u8; 4]) -> Option<usize> {
+        self.routes
+            .binary_search_by_key(&dst, |r| r.0)
+            .map(|at| self.routes[at].1)
+            .ok()
+            .or(self.default_slot)
+    }
+
+    /// Release `len` bytes that left `slot`'s FIFO.
+    fn release(&mut self, slot: usize, len: u64) {
+        let q = &mut self.slots[slot].occupancy;
+        *q = q.saturating_sub(len);
+        self.total_occupancy = self.total_occupancy.saturating_sub(len);
     }
 }
 
 impl Node for SwitchNode {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, in_port: PortId, mut seg: Segment) {
         let dst = seg.ip().dst_addr();
-        let Some(out) = self.lookup(dst) else {
+        let Some(slot) = self.lookup(dst) else {
             self.counters.no_route_drops += 1;
             return;
         };
+        let out = self.slots[slot].port;
         // Never hairpin back out the ingress port (would loop).
         if out == in_port {
             self.counters.no_route_drops += 1;
             return;
         }
         let len = seg.wire_len() as u64;
-        let q = self.occupancy.get(&out).copied().unwrap_or(0);
+        let q = self.slots[slot].occupancy;
 
         // Shared-buffer admission (dynamic threshold).
         let free = SHARED_BUFFER_BYTES.saturating_sub(self.total_occupancy);
@@ -197,7 +245,7 @@ impl Node for SwitchNode {
         // averaged queue + probability ramp for non-ECT drops (WRED).
         if let Some(k) = self.cfg.mark_threshold {
             let avg = {
-                let a = self.avg_occupancy.entry(out).or_insert(0.0);
+                let a = &mut self.slots[slot].avg_occupancy;
                 *a = *a * (15.0 / 16.0) + q as f64 / 16.0;
                 *a
             };
@@ -216,7 +264,7 @@ impl Node for SwitchNode {
         }
 
         self.counters.forwarded += 1;
-        *self.occupancy.entry(out).or_insert(0) += len;
+        self.slots[slot].occupancy += len;
         self.total_occupancy += len;
         ctx.enqueue(out, seg);
 
@@ -226,17 +274,15 @@ impl Node for SwitchNode {
         // and its bytes are released here; otherwise `on_tx_start` releases
         // them when it leaves the queue.
         if ctx.queued_pkts(out) == 0 {
-            let e = self.occupancy.entry(out).or_insert(0);
-            *e = e.saturating_sub(len);
-            self.total_occupancy = self.total_occupancy.saturating_sub(len);
+            self.release(slot, len);
         }
     }
 
     fn on_tx_start(&mut self, _ctx: &mut Ctx<'_>, port: PortId, seg: &Segment) {
-        let len = seg.wire_len() as u64;
-        let e = self.occupancy.entry(port).or_insert(0);
-        *e = e.saturating_sub(len);
-        self.total_occupancy = self.total_occupancy.saturating_sub(len);
+        // Only a routed port transmits the switch's packets.
+        if let Ok(slot) = self.slots.binary_search_by_key(&port, |s| s.port) {
+            self.release(slot, seg.wire_len() as u64);
+        }
     }
 
     fn as_any_mut(&mut self) -> &mut dyn Any {

@@ -78,7 +78,8 @@ proptest! {
     /// Conservation: every packet offered to a switch is either forwarded
     /// (and eventually delivered) or counted as dropped; arrivals at the
     /// sink are in nondecreasing time order and spaced at least a
-    /// serialization time apart on the bottleneck.
+    /// serialization time apart on the bottleneck. After every event time
+    /// each switch port's occupancy equals the bytes in its FIFO.
     ///
     /// Without WRED the schedule runs behind a burst of jumbo frames that
     /// overflows one queue's share of the 9 MiB pool, so buffer drops are
@@ -94,7 +95,7 @@ proptest! {
         let h = net.reserve_node();
         let sw = net.reserve_node();
         let dst = net.add_node(Box::new(Sink { got: Vec::new() }));
-        let (hp, _) = net.connect(h, sw, LinkSpec::ten_gbe(1_000));
+        let (hp, ip) = net.connect(h, sw, LinkSpec::ten_gbe(1_000));
         let bottleneck = LinkSpec {
             rate_bps: 1_000_000_000,
             propagation: 1_000,
@@ -105,10 +106,23 @@ proptest! {
         };
         let mut s = SwitchNode::new(cfg);
         s.add_route([10, 0, 0, 9], op);
+        // A second slot, made after the route and ordered before it, so
+        // the egress port's slot is not the only one.
+        s.set_default_route(ip);
         net.install(sw, Box::new(s));
         net.install(h, Box::new(Blaster { port: hp, schedule, sent: 0 }));
         net.schedule_timer_at(h, 0, 0);
-        net.run_until(10_000_000_000);
+        // Step through every event time: each of the switch's ports holds
+        // in its slot exactly the bytes waiting in the engine's FIFO.
+        const END: u64 = 10_000_000_000;
+        while let Some(t) = net.peek_time().filter(|&t| t <= END) {
+            net.run_until(t);
+            for p in [ip, op] {
+                let held = net.node_mut::<SwitchNode>(sw).unwrap().port_occupancy(p);
+                prop_assert_eq!(held, net.port_queue_bytes(p), "port {:?} at {} ns", p, t);
+            }
+        }
+        net.run_until(END);
 
         let delivered = net.node_mut::<Sink>(dst).unwrap().got.clone();
         // Arrival order is time-sorted.

@@ -31,6 +31,7 @@
 
 pub mod checksum;
 pub mod ecn;
+pub mod flow_index;
 pub mod ipv4;
 pub mod meta;
 pub mod pack;
@@ -43,6 +44,7 @@ pub mod window;
 
 pub use checksum::{checksum, checksum_adjust, pseudo_header_sum};
 pub use ecn::Ecn;
+pub use flow_index::FlowIndex;
 pub use ipv4::{Ipv4Packet, Ipv4Repr, PROTO_TCP, PROTO_UDP};
 pub use meta::PacketMeta;
 pub use pack::PackOption;

@@ -92,10 +92,10 @@ impl FlowKey {
         }
     }
 
-    /// FNV-1a over the 12 key bytes: a fast, deterministic, well-spread
-    /// hash for flow-table placement. Unlike `DefaultHasher` it has no
-    /// per-hasher setup cost, which matters at one lookup per packet on
-    /// the datapath fast path.
+    /// FNV-1a over the 12 key bytes: a deterministic hash, the same in
+    /// every process, for what must replay — the flow table's sweep order
+    /// and worker steering. It places nothing: a [`crate::FlowIndex`]
+    /// places keys by a word-wise hash keyed by a per-process secret.
     #[inline]
     pub fn hash64(&self) -> u64 {
         const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;

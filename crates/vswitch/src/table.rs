@@ -29,16 +29,12 @@
 //! [`FlowTable::with_entry_or_create`] and [`FlowTable::for_each`] visit
 //! one half at a time); no reference to an entry outlives its call.
 //!
-//! [`FlowKey::hash64`] of the connection key (FNV-1a over the 12 key
-//! bytes, stable run-to-run), keyed by a secret drawn once per process
-//! and mixed, picks the home bucket, so a sender choosing its ports cannot
-//! choose a probe cluster. The index is linear probing over a
-//! power-of-two bucket array kept at most half full, removal by backward
-//! shift, so there are no tombstones and a probe for an absent key ends
-//! at the first empty bucket. A bucket holds the connection key beside a
-//! `Box<Record>`, so a probe compares keys without touching records and a
-//! resize moves pointers. An empty table allocates nothing; its first
-//! insert allocates [`MIN_BUCKETS`]. `gc` halves an array left less than
+//! The index is an [`acdc_packet::FlowIndex`] of records by connection
+//! key: linear probing from a home bucket keyed by a secret drawn once per
+//! process, so a sender choosing its ports cannot choose a probe cluster.
+//! A bucket holds the connection key beside a `Box<Record>`, so a probe
+//! compares keys without touching records and a resize moves pointers.
+//! An empty table allocates nothing; `gc` halves an array left less than
 //! an eighth full and `clear` frees it, so every whole-table walk
 //! (`for_each`, `gc`, eviction) costs the buckets the table holds now,
 //! not the most it ever held. Walks visit records in bucket order and
@@ -62,17 +58,11 @@
 //! an [`Admission`] outcome so the datapath can account evictions and
 //! drive its degradation ladder.
 
-use std::hash::{BuildHasher, RandomState};
-use std::sync::OnceLock;
-
-use acdc_packet::{mix64, FlowKey};
+use acdc_packet::{FlowIndex, FlowKey};
 use acdc_stats::time::Nanos;
 use parking_lot::Mutex;
 
 use crate::entry::FlowEntry;
-
-/// Buckets the index allocates on its first insert.
-const MIN_BUCKETS: usize = 8;
 
 /// Ways [`FlowTable::sweep_order`] splits keys by hash before it compares
 /// them. An ordering, not a placement: it is the shard count of the table
@@ -162,34 +152,10 @@ fn key_of(conn: &FlowKey, i: usize) -> FlowKey {
     }
 }
 
-/// One bucket: 24 bytes, the `Box`'s non-null niche encoding `None`.
-type Bucket = Option<(FlowKey, Box<Record>)>;
-
-/// This process's placement secret, drawn once from the standard
-/// library's randomly keyed SipHash. Flow keys are wire input: were
-/// bucket placement a public function of the key, a sender choosing its
-/// ports could pile keys into one probe cluster and make every operation
-/// on the table O(cluster). Nothing observable reads placement (see
-/// [`FlowTable::sweep_order`]), so runs still replay exactly.
-fn placement_secret() -> u64 {
-    static SECRET: OnceLock<u64> = OnceLock::new();
-    *SECRET.get_or_init(|| RandomState::new().hash_one(()))
-}
-
-/// The bucket a probe for connection `conn` starts at in an array of
-/// `cap` buckets (a power of two): the key's hash keyed by `secret` and
-/// mixed.
-fn home(conn: &FlowKey, secret: u64, cap: usize) -> usize {
-    mix64(conn.hash64() ^ secret) as usize & (cap - 1)
-}
-
-/// The table's contents: an open-addressed index of records by
-/// connection key, with linear probing, at most half full, plus the
-/// entry count and the gc epoch. An empty index allocates nothing.
-struct Index {
-    buckets: Box<[Bucket]>,
-    /// Records (occupied buckets).
-    records: usize,
+/// The table's contents: connection records in a [`FlowIndex`], plus the
+/// entry count and the gc epoch.
+struct Inner {
+    index: FlowIndex<Box<Record>>,
     /// Entries (halves) over every record: what `len()` and the cap count.
     entries: usize,
     /// GC bookkeeping epoch: idleness is measured from
@@ -198,48 +164,16 @@ struct Index {
     /// `last_activity` values from before that event can never be
     /// spuriously collected by the first sweep afterwards.
     epoch: Nanos,
-    /// Keys bucket placement ([`placement_secret`]).
-    secret: u64,
 }
 
-const _: () = assert!(size_of::<Bucket>() == 24);
+// A bucket is the connection key beside the `Box`, whose niche encodes
+// an empty one.
+const _: () = assert!(size_of::<Option<(FlowKey, Box<Record>)>>() == 24);
 
-impl Index {
-    /// The bucket holding connection `conn`, if present.
-    fn find(&self, conn: &FlowKey) -> Option<usize> {
-        let cap = self.buckets.len();
-        if cap == 0 {
-            return None;
-        }
-        let mut i = home(conn, self.secret, cap);
-        loop {
-            match &self.buckets[i] {
-                None => return None,
-                Some((k, _)) if k == conn => return Some(i),
-                Some(_) => i = (i + 1) & (cap - 1),
-            }
-        }
-    }
-
+impl Inner {
     /// The record in bucket `at`, if it holds one.
     fn at(&mut self, at: Option<usize>) -> Option<&mut Record> {
-        self.buckets[at?].as_mut().map(|(_, r)| &mut **r)
-    }
-
-    fn get_mut(&mut self, conn: &FlowKey) -> Option<&mut Record> {
-        let at = self.find(conn);
-        self.at(at)
-    }
-
-    /// The first empty bucket on `conn`'s probe path (the array has one:
-    /// it is at most half full).
-    fn vacant(&self, conn: &FlowKey) -> usize {
-        let cap = self.buckets.len();
-        let mut i = home(conn, self.secret, cap);
-        while self.buckets[i].is_some() {
-            i = (i + 1) & (cap - 1);
-        }
-        i
+        self.index.at_mut(at?).map(|r| &mut **r)
     }
 
     /// Put `entry` in as half `side` of connection `conn`, whose record
@@ -253,110 +187,25 @@ impl Index {
         }
         let mut rec = Box::<Record>::default();
         rec.halves[side] = Some(entry);
-        let cap = self.buckets.len();
-        if 2 * (self.records + 1) > cap {
-            self.resize((2 * cap).max(MIN_BUCKETS));
-        }
-        let i = self.vacant(&conn);
-        self.records += 1;
-        self.buckets[i] = Some((conn, rec));
-        i
-    }
-
-    /// Move every record into a fresh array of `cap` buckets, a power of
-    /// two at least twice `records`.
-    fn resize(&mut self, cap: usize) {
-        let old = std::mem::replace(
-            &mut self.buckets,
-            std::iter::repeat_with(|| None).take(cap).collect(),
-        );
-        for (conn, rec) in old.into_vec().into_iter().flatten() {
-            let i = self.vacant(&conn);
-            self.buckets[i] = Some((conn, rec));
-        }
+        self.index.insert(conn, rec)
     }
 
     /// Drop `key`'s entry, and its record with it when the reverse
     /// direction is not tracked.
     fn remove(&mut self, key: &FlowKey) -> bool {
         let (conn, side, _) = locate(key);
-        let Some(i) = self.find(&conn) else {
-            return false;
-        };
-        let Some(rec) = self.at(Some(i)).filter(|r| r.halves[side].is_some()) else {
+        let at = self.index.find(&conn);
+        let Some(rec) = self.at(at).filter(|r| r.halves[side].is_some()) else {
             return false;
         };
         // A key that is its own reverse is half 0, and half 1 is empty.
         if rec.halves[1 - side].is_some() {
             rec.halves[side] = None;
-        } else {
-            self.remove_at(i);
+        } else if let Some(i) = at {
+            self.index.remove_at(i);
         }
         self.entries -= 1;
         true
-    }
-
-    /// Empty bucket `hole`, then shift back every later record of its
-    /// cluster whose probe path passes the hole, so that no probe ever
-    /// stops short of its key.
-    fn remove_at(&mut self, mut hole: usize) {
-        self.buckets[hole] = None;
-        self.records -= 1;
-        let cap = self.buckets.len();
-        let mask = cap - 1;
-        let mut i = hole;
-        loop {
-            i = (i + 1) & mask;
-            let Some((conn, _)) = &self.buckets[i] else {
-                return;
-            };
-            // Distances forward from `conn`'s home and from the hole to
-            // i: the record may move iff the hole is no nearer to i than
-            // home.
-            let from_home = (i + cap - home(conn, self.secret, cap)) & mask;
-            if from_home >= (i + cap - hole) & mask {
-                self.buckets[hole] = self.buckets[i].take();
-                hole = i;
-            }
-        }
-    }
-
-    /// Offer each record exactly once to `keep`, which may drop halves
-    /// and says whether any is left; drop the records it rejects. Then
-    /// halve the array while it is less than an eighth full (never below
-    /// [`MIN_BUCKETS`]), so that after a flood the table's memory and
-    /// every later walk over it follow the live records, not the peak.
-    /// The walk starts just past an empty bucket, which no cluster spans:
-    /// a removal only shifts records from later in the hole's cluster, so
-    /// none lands on a bucket the walk has already passed.
-    fn retain(&mut self, mut keep: impl FnMut(&FlowKey, &mut Record) -> bool) {
-        let cap = self.buckets.len();
-        let Some(empty) = self.buckets.iter().position(Option::is_none) else {
-            return;
-        };
-        let mut i = empty;
-        for _ in 0..cap {
-            i = (i + 1) & (cap - 1);
-            while let Some((conn, rec)) = &mut self.buckets[i] {
-                if keep(conn, rec) {
-                    break;
-                }
-                // Re-examine i: a later record may have shifted into it.
-                self.remove_at(i);
-            }
-        }
-        let mut fit = cap;
-        while fit > MIN_BUCKETS && 8 * self.records < fit {
-            fit /= 2;
-        }
-        if fit < cap {
-            self.resize(fit);
-        }
-    }
-
-    /// Records in bucket order, with their connection keys.
-    fn iter(&self) -> impl Iterator<Item = (&FlowKey, &Record)> {
-        self.buckets.iter().flatten().map(|(k, r)| (k, &**r))
     }
 
     /// Evict the entry idle the longest (smallest key on ties), never
@@ -364,7 +213,7 @@ impl Index {
     /// nothing is evictable.
     fn evict_one(&mut self, avoid: &FlowKey) -> bool {
         let mut victim: Option<(Nanos, FlowKey)> = None;
-        for (conn, rec) in self.iter() {
+        for (conn, rec) in self.index.iter() {
             for (i, e) in rec.halves.iter().enumerate() {
                 let Some(e) = e else { continue };
                 // Most entries lose on time alone; only a candidate
@@ -404,7 +253,7 @@ fn in_turn<A, R>(
 /// A flow table: connection key → record of both directions'
 /// [`FlowEntry`]s, behind one lock.
 pub struct FlowTable {
-    index: Mutex<Index>,
+    inner: Mutex<Inner>,
     max_flows: Option<usize>,
     admission: AdmissionPolicy,
 }
@@ -419,12 +268,10 @@ impl FlowTable {
     /// An empty, unbounded table.
     pub fn new() -> FlowTable {
         FlowTable {
-            index: Mutex::new(Index {
-                buckets: Box::default(),
-                records: 0,
+            inner: Mutex::new(Inner {
+                index: FlowIndex::new(),
                 entries: 0,
                 epoch: 0,
-                secret: placement_secret(),
             }),
             max_flows: None,
             admission: AdmissionPolicy::EvictOldestIdle,
@@ -448,15 +295,15 @@ impl FlowTable {
 
     /// The current GC bookkeeping epoch (0 until first stamped).
     pub fn epoch(&self) -> Nanos {
-        self.index.lock().epoch
+        self.inner.lock().epoch
     }
 
     /// Stamp the GC epoch: idleness in subsequent [`FlowTable::gc`]
     /// sweeps is measured from no earlier than `at`. Called on datapath
     /// reset and checkpoint restore; stamps never move backwards.
     pub fn set_epoch(&self, at: Nanos) {
-        let mut index = self.index.lock();
-        index.epoch = index.epoch.max(at);
+        let mut inner = self.inner.lock();
+        inner.epoch = inner.epoch.max(at);
     }
 
     /// The order a sweep publishes its per-flow events in: a
@@ -476,7 +323,7 @@ impl FlowTable {
     /// (W002).
     pub fn with_entry<R>(&self, key: &FlowKey, f: impl FnOnce(&mut FlowEntry) -> R) -> Option<R> {
         let (conn, side, _) = locate(key);
-        self.index.lock().get_mut(&conn)?.halves[side]
+        self.inner.lock().index.get_mut(&conn)?.halves[side]
             .as_mut()
             .map(f)
     }
@@ -493,18 +340,25 @@ impl FlowTable {
         g: impl FnOnce(Option<A>, Option<&mut FlowEntry>) -> R,
     ) -> R {
         let (conn, side, rside) = locate(key);
-        in_turn(self.index.lock().get_mut(&conn), side, rside, f, g)
+        let mut inner = self.inner.lock();
+        in_turn(
+            inner.index.get_mut(&conn).map(|r| &mut **r),
+            side,
+            rside,
+            f,
+            g,
+        )
     }
 
     /// Make room for one more entry per the admission policy, evicting
     /// never `key`.
-    fn admit(&self, index: &mut Index, key: &FlowKey) -> Admission {
-        if self.max_flows.is_none_or(|cap| index.entries < cap) {
+    fn admit(&self, inner: &mut Inner, key: &FlowKey) -> Admission {
+        if self.max_flows.is_none_or(|cap| inner.entries < cap) {
             return Admission::Created;
         }
         match self.admission {
             AdmissionPolicy::RejectNew => Admission::Rejected,
-            AdmissionPolicy::EvictOldestIdle if index.evict_one(key) => {
+            AdmissionPolicy::EvictOldestIdle if inner.evict_one(key) => {
                 Admission::CreatedAfterEviction(1)
             }
             AdmissionPolicy::EvictOldestIdle => Admission::Rejected,
@@ -524,20 +378,20 @@ impl FlowTable {
         g: impl FnOnce(Option<A>, Option<&mut FlowEntry>) -> R,
     ) -> (R, Admission) {
         let (conn, side, rside) = locate(&key);
-        let mut index = self.index.lock();
-        let mut at = index.find(&conn);
+        let mut inner = self.inner.lock();
+        let mut at = inner.index.find(&conn);
         let mut adm = Admission::Existing;
-        if index.at(at).is_none_or(|r| r.halves[side].is_none()) {
-            adm = self.admit(&mut index, &key);
+        if inner.at(at).is_none_or(|r| r.halves[side].is_none()) {
+            adm = self.admit(&mut inner, &key);
             if adm.created() {
                 if adm != Admission::Created {
                     // The victim's removal may have moved this record.
-                    at = index.find(&conn);
+                    at = inner.index.find(&conn);
                 }
-                at = Some(index.put(conn, at, side, init()));
+                at = Some(inner.put(conn, at, side, init()));
             }
         }
-        let rec = index.at(at);
+        let rec = inner.at(at);
         let r = if adm.rejected() {
             g(None, rec.and_then(|r| r.halves[rside].as_mut()))
         } else {
@@ -571,12 +425,12 @@ impl FlowTable {
     /// Remove an entry (FIN teardown), and its record with it when the
     /// reverse direction is not tracked.
     pub fn remove(&self, key: &FlowKey) -> bool {
-        self.index.lock().remove(key)
+        self.inner.lock().remove(key)
     }
 
     /// Number of tracked entries, one per direction (O(1)).
     pub fn len(&self) -> usize {
-        self.index.lock().entries
+        self.inner.lock().entries
     }
 
     /// Is the table empty?
@@ -587,16 +441,15 @@ impl FlowTable {
     /// Number of connection records, each holding one or both
     /// directions (O(1)).
     pub fn connections(&self) -> usize {
-        self.index.lock().records
+        self.inner.lock().index.len()
     }
 
     /// Drop every entry (vSwitch restart) and free the bucket array,
     /// however large a flood grew it. Returns the number removed.
     pub fn clear(&self) -> usize {
-        let mut index = self.index.lock();
-        index.buckets = Box::default();
-        index.records = 0;
-        std::mem::take(&mut index.entries)
+        let mut inner = self.inner.lock();
+        inner.index = FlowIndex::new();
+        std::mem::take(&mut inner.entries)
     }
 
     /// Coarse-grained garbage collection (paired with FIN handling in the
@@ -608,16 +461,16 @@ impl FlowTable {
     /// activity times from one spurious collection. Yields the collected
     /// keys in [`FlowTable::sweep_order`], the order the datapath records
     /// their evictions in. An array left less than an eighth full halves
-    /// (down to [`MIN_BUCKETS`]); [`FlowTable::clear`] frees it.
+    /// (down to 8 buckets); [`FlowTable::clear`] frees it.
     pub fn gc(&self, now: Nanos, idle_timeout: Nanos) -> impl ExactSizeIterator<Item = FlowKey> {
         // Each collected key is tagged with its `sweep_order` as it is
         // found. Bucket order is not sweep order, so the whole list is
         // sorted once, after the lock is released.
         let mut evicted: Vec<(usize, FlowKey)> = Vec::new();
         {
-            let mut index = self.index.lock();
-            let epoch = index.epoch;
-            index.retain(|conn, rec| {
+            let mut inner = self.inner.lock();
+            let epoch = inner.epoch;
+            inner.index.retain(|conn, rec| {
                 for (i, h) in rec.halves.iter_mut().enumerate() {
                     let dead = h.as_ref().is_some_and(|e| {
                         let life = e.life();
@@ -631,9 +484,9 @@ impl FlowTable {
                 }
                 !rec.is_empty()
             });
-            index.entries -= evicted.len();
+            inner.entries -= evicted.len();
             debug_assert!(
-                index.entries == index.iter().map(|(_, r)| r.len()).sum::<usize>(),
+                inner.entries == inner.index.iter().map(|(_, r)| r.len()).sum::<usize>(),
                 "flow-table count drifted from the index contents after gc"
             );
         }
@@ -645,8 +498,8 @@ impl FlowTable {
     /// (diagnostics, inactivity scans, checkpoint capture). Same rules
     /// for `f` as [`FlowTable::with_entry`].
     pub fn for_each(&self, mut f: impl FnMut(&FlowKey, &mut FlowEntry)) {
-        let mut index = self.index.lock();
-        for (conn, rec) in index.buckets.iter_mut().flatten() {
+        let mut inner = self.inner.lock();
+        for (conn, rec) in inner.index.iter_mut() {
             for (i, h) in rec.halves.iter_mut().enumerate() {
                 if let Some(e) = h {
                     f(&key_of(conn, i), e);
@@ -660,6 +513,7 @@ impl FlowTable {
 mod tests {
     use super::*;
     use acdc_cc::{CcConfig, CcKind};
+    use acdc_packet::flow_index::MIN_BUCKETS;
     use std::sync::Arc;
 
     fn key(p: u16) -> FlowKey {
@@ -916,7 +770,7 @@ mod tests {
     }
 
     fn buckets(t: &FlowTable) -> usize {
-        t.index.lock().buckets.len()
+        t.inner.lock().index.buckets()
     }
 
     #[test]
@@ -929,10 +783,7 @@ mod tests {
         }
         assert!(buckets(&t) >= 2 * crowd.len());
         assert_eq!(t.clear(), crowd.len());
-        {
-            let index = t.index.lock();
-            assert_eq!((index.records, index.buckets.len()), (0, 0));
-        }
+        assert_eq!((t.connections(), buckets(&t)), (0, 0));
         // An emptied table starts again from its first allocation.
         create(&t, crowd[0], 0);
         assert_eq!(buckets(&t), MIN_BUCKETS);
@@ -968,61 +819,6 @@ mod tests {
         assert_eq!(t.gc(4 * IDLE, IDLE).len(), live.len());
         assert!(t.is_empty());
         assert_eq!(buckets(&t), MIN_BUCKETS);
-    }
-
-    /// The longest probe any entry needs, in buckets.
-    fn longest_probe(t: &FlowTable) -> usize {
-        let index = t.index.lock();
-        let cap = index.buckets.len();
-        let probe = |(i, b): (usize, &Bucket)| {
-            b.as_ref()
-                .map(|(k, _)| ((i + cap - home(k, index.secret, cap)) & (cap - 1)) + 1)
-        };
-        index
-            .buckets
-            .iter()
-            .enumerate()
-            .filter_map(probe)
-            .max()
-            .unwrap_or(0)
-    }
-
-    #[test]
-    fn ports_chosen_against_the_public_hash_do_not_cluster() {
-        // What a sender can compute without the secret: 24 connections
-        // whose keys share the low hash bits an unkeyed placement would
-        // use for a home in the 64-bucket array 24 records grow the table
-        // to. The sender picks the data direction's ports; its connection
-        // key is the reverse (10.0.0.2 sorts first).
-        let chosen: Vec<FlowKey> = (0..=u8::MAX)
-            .flat_map(|a| {
-                (0..=u16::MAX).map(move |p| FlowKey {
-                    src_ip: [10, 0, 1, a],
-                    ..key(p)
-                })
-            })
-            .filter(|k| k.canonical().hash64() & 0x3f == 0)
-            .take(24)
-            .collect();
-        assert_eq!(chosen.len(), 24);
-        assert!(chosen.iter().all(|k| k.canonical() == k.reverse()));
-        let golden = 0x9e37_79b9_7f4a_7c15_u64;
-        for secret in (1..=32).map(|s| golden.wrapping_mul(s)) {
-            let t = FlowTable::new();
-            t.index.lock().secret = secret;
-            for &k in &chosen {
-                t.get_or_create(k, || entry(0));
-                t.get_or_create(k.reverse(), || entry(0));
-            }
-            assert_eq!((t.len(), buckets(&t)), (48, 64));
-            // Unkeyed, the last of them would probe 24 buckets; keyed,
-            // these 32 secrets give at most 9.
-            let longest = longest_probe(&t);
-            assert!(
-                longest <= 12,
-                "secret {secret:#x}: a {longest}-bucket probe"
-            );
-        }
     }
 
     #[test]
