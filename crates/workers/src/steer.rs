@@ -11,8 +11,8 @@
 //! symmetric steering gives every record exactly one writing worker.
 //!
 //! The hash is [`FlowKey::hash64`] of the connection key (FNV-1a, the
-//! hash the flow table keys its placement with) run through a finalizer
-//! before the modulo. FNV-1a needs that here:
+//! same in every process, as steering must be to replay) run through a
+//! finalizer before the modulo. FNV-1a needs that here:
 //! its low output bit is exactly the XOR of the input bytes' low bits
 //! (the final multiply is by an odd constant), so key populations with
 //! mirrored byte patterns — e.g. benchmark flows numbered into both the
