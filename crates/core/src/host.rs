@@ -306,8 +306,9 @@ impl HostNode {
     /// Swap in a freshly constructed datapath of the same configuration —
     /// the restore half of a checkpoint/restore cycle (DESIGN.md §14).
     /// The host's own NIC counter (`host.corrupt_drops`) is re-registered
-    /// in the new hub with its current value carried over, and the
-    /// maintenance-tick schedule is untouched.
+    /// in the new hub with its current value carried over, the new
+    /// recorder's event digest continues from the old one's (a restore
+    /// does not touch it), and the maintenance-tick schedule is untouched.
     /// Returns the replaced datapath (e.g. to compare against the
     /// restored one). A subsequent
     /// `AcdcDatapath::restore` on the new datapath overwrites the carried
@@ -317,6 +318,8 @@ impl HostNode {
         let fresh = AcdcDatapath::new(self.datapath.config().clone());
         let corrupt_drops = fresh.telemetry().registry().counter("host.corrupt_drops");
         corrupt_drops.add(self.corrupt_drops.get());
+        let digest = self.telemetry().recorder().digest();
+        fresh.telemetry().recorder().resume_digest(digest);
         self.corrupt_drops = corrupt_drops;
         std::mem::replace(&mut self.datapath, fresh)
     }

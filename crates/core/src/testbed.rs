@@ -11,7 +11,7 @@ use acdc_packet::FlowKey;
 use acdc_stats::time::Nanos;
 use acdc_stats::Distribution;
 use acdc_tcp::Endpoint;
-use acdc_telemetry::Telemetry;
+use acdc_telemetry::{Digest, Telemetry};
 use acdc_vswitch::AcdcConfig;
 use acdc_workloads::apps::{App, BulkSender, EchoServer, MessageSender, PingPong};
 use acdc_workloads::{FctKind, FctRecorder};
@@ -110,6 +110,33 @@ impl Testbed {
     /// `testbed.host_mut(i).telemetry()`.
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         self.net.telemetry()
+    }
+
+    /// The event digest of the network's hub and of each host's hub, in
+    /// host order, folded into one: a run's whole event history, ring
+    /// overwrites included, as one number.
+    pub fn digest(&mut self) -> u64 {
+        let net = Digest::new().word(self.telemetry().recorder().digest());
+        (0..self.hosts.len())
+            .fold(net, |d, i| {
+                d.word(self.host_mut(i).telemetry().recorder().digest())
+            })
+            .value()
+    }
+
+    /// Check this run against `name`'s line in `tests/golden.txt` (see
+    /// [`acdc_telemetry::golden`]): [`Testbed::digest`], and `report`
+    /// beside the engine's event count and each host's metric snapshot
+    /// and flow statistics.
+    pub fn golden(&mut self, name: &str, report: &impl std::fmt::Debug) {
+        let hosts: Vec<_> = (0..self.hosts.len())
+            .map(|i| {
+                let dp = self.host_mut(i).datapath();
+                (dp.telemetry().snapshot_json(0), dp.flow_stats())
+            })
+            .collect();
+        let events = self.net.events_processed();
+        acdc_telemetry::golden(name, &[self.digest()], &(report, events, hosts));
     }
 
     /// Override the switch WRED/ECN marking threshold `K` (takes effect

@@ -118,6 +118,10 @@ pub struct SoakReport {
     pub final_checkpoint_json: String,
     /// The watched host's final metric snapshot (`acdc-telemetry/v2`).
     pub snapshot_json: String,
+    /// [`Testbed::digest`] at the end: every hub's events, overwritten
+    /// ones included. The restore cycle carries the replaced hub's
+    /// digest into the fresh one, so a restored run matches here too.
+    pub events_digest: u64,
 }
 
 /// Capture, serialize, parse and restore the watched host's datapath
@@ -229,6 +233,7 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, Violation> {
     let host = tb.host_mut(WATCHED);
     let final_checkpoint_json = host.datapath().checkpoint(cfg.duration, &[]).to_json();
     let snapshot_json = host.telemetry().snapshot_json(cfg.duration);
+    let events_digest = tb.digest();
     Ok(SoakReport {
         distinct_flows: churn.launched() + 1,
         resets_applied,
@@ -240,5 +245,6 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, Violation> {
         mid_checkpoint_json,
         final_checkpoint_json,
         snapshot_json,
+        events_digest,
     })
 }

@@ -8,10 +8,15 @@
 //! zero violations
 //! (`cargo test --release -p acdc-soak -- --ignored --nocapture`).
 
-use acdc_soak::{run_soak, ChurnConfig, SoakConfig, StormSchedule};
+use acdc_soak::{run_soak, ChurnConfig, SoakConfig, SoakReport, StormSchedule};
 use acdc_stats::time::{Nanos, MILLISECOND, SECOND};
 
 const MINUTE: Nanos = 60 * SECOND;
+
+/// Check a run against its line in `tests/golden.txt`.
+fn golden(name: &str, r: &SoakReport) {
+    acdc_telemetry::golden(name, &[r.events_digest], r);
+}
 
 #[test]
 fn smoke_soak_passes_watchdog_and_replays_identically() {
@@ -34,6 +39,7 @@ fn smoke_soak_passes_watchdog_and_replays_identically() {
 
     let b = run_soak(&cfg).expect("second run");
     assert_eq!(a, b, "same config must replay byte-identically");
+    golden("soak.smoke", &a);
 }
 
 /// The acceptance-criterion core: a checkpoint captured mid-soak and
@@ -62,6 +68,8 @@ fn checkpoint_restore_mid_soak_is_byte_identical() {
         .as_deref()
         .expect("checkpoint_at set");
     assert!(mid.starts_with("{\"schema\":\"acdc-checkpoint/v2\""));
+    golden("soak.ckpt_equivalence", &uninterrupted);
+    golden("soak.ckpt_equivalence_restore", &restored);
 }
 
 /// Churn includes never-learned-scale (mid-stream adopted) flows; the

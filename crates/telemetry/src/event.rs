@@ -11,6 +11,7 @@
 use acdc_packet::FlowKey;
 use acdc_stats::time::Nanos;
 
+use crate::digest::Digest;
 use crate::json::{key_label, Writer};
 
 /// The all-zero key used to stamp events that are not attributable to a
@@ -88,6 +89,24 @@ pub enum EventKind {
 }
 
 impl EventKind {
+    /// Fold this kind into `d`: its variant's index, then its payload.
+    fn fold(&self, d: Digest) -> Digest {
+        match *self {
+            EventKind::FlowCreated => d.word(0),
+            EventKind::FlowEvicted { reason } => d.word(1).bytes(reason.as_bytes()),
+            EventKind::AdmissionRejected => d.word(2),
+            EventKind::AlphaUpdate { alpha_micros } => d.word(3).word(alpha_micros),
+            EventKind::CwndCut { cause, cwnd } => d.word(4).bytes(cause.as_bytes()).word(cwnd),
+            EventKind::RtoFired { cwnd } => d.word(5).word(cwnd),
+            EventKind::HealthTransition { from, to } => {
+                d.word(6).bytes(from.as_bytes()).bytes(to.as_bytes())
+            }
+            EventKind::FaultInjected { effect } => d.word(7).bytes(effect.as_bytes()),
+            EventKind::PacketDropped { cause } => d.word(8).bytes(cause.as_bytes()),
+            EventKind::DatapathReset { flows_cleared } => d.word(9).word(flows_cleared),
+        }
+    }
+
     /// Write `"kind"`, this kind's stable label, then the variant's
     /// payload fields into the event's object.
     fn write(&self, w: &mut Writer) {
@@ -135,6 +154,17 @@ pub struct Event {
 }
 
 impl Event {
+    /// Fold `(seq, at, flow, kind)` into `d`: what a recorder's digest
+    /// is made of.
+    pub(crate) fn fold(&self, d: Digest) -> Digest {
+        let f = &self.flow;
+        let ips =
+            u64::from(u32::from_be_bytes(f.src_ip)) << 32 | u64::from(u32::from_be_bytes(f.dst_ip));
+        let ports = u64::from(f.src_port) << 16 | u64::from(f.dst_port);
+        self.kind
+            .fold(d.word(self.seq).word(self.at).word(ips).word(ports))
+    }
+
     /// One JSON object, no trailing newline. The flow is its
     /// [`key_label`], or `-` for [`NO_FLOW`].
     pub fn to_jsonl(&self) -> String {

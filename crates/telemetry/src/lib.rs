@@ -16,7 +16,9 @@
 //!   per datapath/host/link; seed-replayable and dumpable as JSON Lines.
 //!   On test failure [`TraceGuard`] writes one plain JSONL file per
 //!   watched hub under [`trace_dir`] (`target/acdc-traces/`), one event
-//!   object per line.
+//!   object per line. Its [`Digest`] of every event ever recorded,
+//!   overwritten ones included, is what [`golden`] checks a scenario's
+//!   line in `tests/golden.txt` against.
 //! * [`MetricsRegistry`] — named monotonic [`Counter`]s, each minted by
 //!   the registry once and read through one `snapshot_all()`;
 //!   [`Telemetry::snapshot_json`] writes it as the `acdc-telemetry/v2`
@@ -40,11 +42,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod digest;
 pub mod event;
 mod json;
 pub mod metrics;
 pub mod recorder;
 
+pub use digest::{golden, Digest};
 pub use event::{Event, EventKind, NO_FLOW};
 pub use json::{key_label, parse_key_label, Json, Writer};
 pub use metrics::{Counter, MetricKind, MetricValue, MetricsRegistry};

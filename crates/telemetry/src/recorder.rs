@@ -18,6 +18,7 @@ use acdc_packet::FlowKey;
 use acdc_stats::time::Nanos;
 use parking_lot::Mutex;
 
+use crate::digest::Digest;
 use crate::event::{Event, EventKind};
 
 /// Default ring capacity used by datapaths and fault taps. Big enough to
@@ -29,6 +30,8 @@ struct Ring {
     buf: VecDeque<Event>,
     next_seq: u64,
     overwritten: u64,
+    /// Every event ever recorded, folded in order.
+    digest: Digest,
 }
 
 /// A bounded, seed-replayable ring of recent events.
@@ -47,6 +50,7 @@ impl FlightRecorder {
                 buf: VecDeque::with_capacity(capacity),
                 next_seq: 0,
                 overwritten: 0,
+                digest: Digest::new(),
             }),
         }
     }
@@ -56,22 +60,37 @@ impl FlightRecorder {
         self.capacity
     }
 
-    /// Record one event, assigning it the next sequence number. If the
-    /// ring is full the oldest event is overwritten.
+    /// Record one event, assigning it the next sequence number and
+    /// folding it into the digest. If the ring is full the oldest event
+    /// is overwritten.
     pub fn record(&self, at: Nanos, flow: FlowKey, kind: EventKind) {
         let mut r = self.inner.lock();
-        let seq = r.next_seq;
+        let event = Event {
+            seq: r.next_seq,
+            at,
+            flow,
+            kind,
+        };
         r.next_seq += 1;
+        r.digest = event.fold(r.digest);
         if r.buf.len() == self.capacity {
             r.buf.pop_front();
             r.overwritten += 1;
         }
-        r.buf.push_back(Event {
-            seq,
-            at,
-            flow,
-            kind,
-        });
+        r.buf.push_back(event);
+    }
+
+    /// The digest of every event recorded so far, overwritten ones
+    /// included: `(seq, at, flow, kind)` folded in order. Not part of
+    /// any snapshot or checkpoint document.
+    pub fn digest(&self) -> u64 {
+        self.inner.lock().digest.value()
+    }
+
+    /// Continue the digest from `digest`, another recorder's: what a
+    /// fresh recorder that takes over from a replaced one carries over.
+    pub fn resume_digest(&self, digest: u64) {
+        self.inner.lock().digest = Digest::resume(digest);
     }
 
     /// Number of events currently held (≤ capacity).
@@ -213,6 +232,25 @@ mod tests {
         let dump = rec.dump_jsonl();
         assert_eq!(dump.lines().count(), 2);
         assert!(dump.ends_with('\n'));
+    }
+
+    #[test]
+    fn the_digest_sees_what_the_ring_overwrote() {
+        let (a, b) = (FlightRecorder::new(2), FlightRecorder::new(2));
+        a.record(1, NO_FLOW, EventKind::FlowCreated);
+        b.record(1, NO_FLOW, EventKind::AdmissionRejected);
+        for rec in [&a, &b] {
+            ev(rec, 2);
+            ev(rec, 3);
+        }
+        assert_eq!(
+            a.dump_jsonl(),
+            b.dump_jsonl(),
+            "the ring forgot the difference"
+        );
+        assert_ne!(a.digest(), b.digest(), "the digest did not");
+        b.resume_digest(a.digest());
+        assert_eq!(a.digest(), b.digest());
     }
 
     #[test]

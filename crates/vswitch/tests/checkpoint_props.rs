@@ -239,4 +239,9 @@ fn ten_thousand_flow_round_trip_is_identity() {
         json,
         "re-serialization must be byte-identical"
     );
+    acdc_telemetry::golden(
+        "vswitch.ten_thousand_flow_round_trip",
+        &[dp.telemetry().recorder().digest()],
+        &json,
+    );
 }

@@ -29,6 +29,11 @@ fn entry<R>(dp: &AcdcDatapath, key: &FlowKey, f: impl FnOnce(&mut FlowEntry) -> 
     dp.table().with_entry(key, f).expect("flow tracked")
 }
 
+/// `dp`'s event digest.
+fn digest(dp: &AcdcDatapath) -> u64 {
+    dp.telemetry().recorder().digest()
+}
+
 /// `seg`'s headers read afresh, as the next hop would read them.
 fn reread(seg: &Segment) -> PacketMeta {
     Segment::from_header_bytes(BytesMut::from(seg.header_bytes()), seg.payload_len())
@@ -1073,11 +1078,14 @@ fn checkpoint_restore_continues_byte_identically() {
     let a1 = dpa.ingress(30_000, ack(off, 65_000)).forwarded().unwrap();
     let a2 = fresh.ingress(30_000, ack(off, 65_000)).forwarded().unwrap();
     assert_eq!(a1.header_bytes(), a2.header_bytes());
-    assert_eq!(
-        dpa.telemetry().registry().snapshot_all(),
-        fresh.telemetry().registry().snapshot_all()
-    );
+    let snapshot = dpa.telemetry().registry().snapshot_all();
+    assert_eq!(snapshot, fresh.telemetry().registry().snapshot_all());
     assert_eq!(dpa.seq_view(&key_ab()), fresh.seq_view(&key_ab()));
+    acdc_telemetry::golden(
+        "vswitch.checkpoint_restore_continues",
+        &[digest(&dpa), digest(&dpb), digest(&fresh)],
+        &(json, a1.header_bytes(), snapshot),
+    );
 }
 
 #[test]
@@ -1131,6 +1139,11 @@ fn sweep_events_after_restore_match_the_uninterrupted_run() {
     assert!(count(|k| matches!(k, EventKind::RtoFired { .. })) >= 24);
     assert!(count(|k| matches!(k, EventKind::FlowEvicted { .. })) >= 24);
     assert_eq!(run, restored, "sweep events diverged after restore");
+    acdc_telemetry::golden(
+        "vswitch.sweep_events_after_restore",
+        &[digest(&dp), digest(&fresh)],
+        &run,
+    );
 }
 
 #[test]

@@ -52,7 +52,9 @@ fn iid_loss_transfer_completes_with_state_agreement() {
     assert!(stats.total().random_drops > 0, "loss must actually occur");
     assert_state_agreement(&mut tb, h);
     // The endpoint had to retransmit what the link ate.
-    assert!(tb.client_endpoint(h).retransmitted_segments() > 0);
+    let rtx = tb.client_endpoint(h).retransmitted_segments();
+    assert!(rtx > 0);
+    tb.golden("chaos.iid_loss", &(stats, rtx));
 }
 
 #[test]
@@ -74,6 +76,7 @@ fn gilbert_elliott_bursts_drive_rto_backoff_and_recovery() {
     let stats = tb.trunk_fault_stats().unwrap();
     assert!(stats.total().random_drops > 0);
     assert_state_agreement(&mut tb, h);
+    tb.golden("chaos.gilbert_elliott", &stats);
 }
 
 #[test]
@@ -102,6 +105,7 @@ fn reordering_triggers_dup_ack_machinery_but_not_data_loss() {
         "vSwitch must infer fast retransmit from dup-ACKs"
     );
     assert_state_agreement(&mut tb, h);
+    tb.golden("chaos.reordering", &stats);
 }
 
 #[test]
@@ -121,6 +125,7 @@ fn duplication_does_not_overcount_delivered_bytes() {
     let stats = tb.trunk_fault_stats().unwrap();
     assert!(stats.total().duplicated > 0, "{stats:?}");
     assert_state_agreement(&mut tb, h);
+    tb.golden("chaos.duplication", &stats);
 }
 
 #[test]
@@ -190,6 +195,7 @@ fn corruption_is_dropped_at_the_nic_and_repaired_by_retransmission() {
         }
 
         assert_state_agreement(&mut tb, h);
+        tb.golden("chaos.corruption", &stats);
         let trunk = tb.telemetry().recorder().dump_jsonl();
         let host0 = tb.host_mut(0).telemetry().recorder().dump_jsonl();
         let host1 = tb.host_mut(1).telemetry().recorder().dump_jsonl();
@@ -233,6 +239,7 @@ fn link_flap_outage_recovers_via_rto() {
     let stats = tb.trunk_fault_stats().unwrap();
     assert!(stats.total().flap_drops > 0, "{stats:?}");
     assert_state_agreement(&mut tb, h);
+    tb.golden("chaos.link_flap", &stats);
 }
 
 #[test]
@@ -278,6 +285,7 @@ fn lost_facks_do_not_wedge_ecn_feedback() {
     for &h in &flows {
         assert_state_agreement(&mut tb, h);
     }
+    tb.golden("chaos.lost_facks", &(facks, packs));
 }
 
 /// The mixed-fault plan replayed: the same seed must give the same
@@ -308,6 +316,7 @@ fn same_seed_chaos_runs_are_byte_identical() {
         assert_state_agreement(&mut tb, h);
         let hub = tb.host_mut(h.client_host).telemetry();
         let (snapshot, dump) = (hub.snapshot_json(0), hub.recorder().dump_jsonl());
+        tb.golden("chaos.mixed_replay", &(stats, acked, rtx));
         (stats, acked, rtx, events, snapshot, dump)
     }
     let a = run();

@@ -63,6 +63,7 @@ fn run_syn_flood() -> (Vec<Snap>, LinkFaultStats, u64, u64) {
     let stats = tb.trunk_fault_stats().unwrap();
     let events = tb.net.events_processed();
     let total: u64 = flows.iter().map(|&h| tb.acked_bytes(h)).sum();
+    tb.golden("overload.syn_flood", &(stats, total));
     (snaps, stats, events, total)
 }
 
@@ -122,7 +123,9 @@ fn flow_churn_under_tight_capacity_evicts_but_all_complete() {
     assert_eq!(get(&c0, "admission_rejects"), 0, "{c0:?}");
     // Eviction keeps admitting, so the ladder never falls to
     // pass-through.
-    assert_ne!(tb.host_mut(0).datapath().health(), HealthState::PassThrough);
+    let health = tb.host_mut(0).datapath().health();
+    assert_ne!(health, HealthState::PassThrough);
+    tb.golden("overload.flow_churn", &health);
 }
 
 /// Reset the sender-side datapath mid-transfer. The orphaned flow is
@@ -192,6 +195,7 @@ fn run_reset() -> (Snap, Snap, LinkFaultStats, u64, u64) {
     let stats = tb.trunk_fault_stats().unwrap();
     let events = tb.net.events_processed();
     let acked = tb.acked_bytes(h) + tb.acked_bytes(h2);
+    tb.golden("overload.reset", &(stats, acked));
     (c0, c1, stats, acked, events)
 }
 
