@@ -366,10 +366,9 @@ impl FlowEntry {
     /// `pure_ack` counts as a duplicate. Runs connection tracking and the
     /// algorithm (Figure 5), then sets the enforcement target: the
     /// computed window, bounded by the administrative `cap` (§3.4),
-    /// appended to the window trace when `trace`. Runs under the table
-    /// lock, so the CC events it fires come back, fixed-size and in
-    /// firing order, beside the RWND decision, for the datapath to count
-    /// and publish after the lock drops (W002).
+    /// appended to the window trace when `trace`. The CC events it fires
+    /// come back, fixed-size and in firing order, beside the RWND
+    /// decision, for the datapath to count and hand to its boundary.
     pub(crate) fn on_ack(
         &mut self,
         now: Nanos,

@@ -27,16 +27,14 @@
 //! nothing) and rewrites packets again only with ten more points of
 //! headroom.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
 use acdc_stats::time::Nanos;
-use parking_lot::Mutex;
 
 /// Degradation rung of one datapath. `Ord` follows intervention level:
 /// a transition to a *greater* state is a demotion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum HealthState {
     /// Full enforcement: RWND rewriting, ECN ownership, policing.
+    #[default]
     Enforcing,
     /// Track state and compute windows, but rewrite nothing.
     LogOnly,
@@ -45,14 +43,6 @@ pub enum HealthState {
 }
 
 impl HealthState {
-    fn from_u8(v: u8) -> HealthState {
-        match v {
-            0 => HealthState::Enforcing,
-            1 => HealthState::LogOnly,
-            _ => HealthState::PassThrough,
-        }
-    }
-
     /// The rung as its stable checkpoint encoding (0/1/2, also the soak
     /// watchdog's `health_rung`).
     pub fn rung(self) -> u8 {
@@ -62,7 +52,11 @@ impl HealthState {
     /// Decode a rung written by [`HealthState::rung`]; values outside
     /// 0..=2 saturate to the always-safe `PassThrough`.
     pub fn from_rung(v: u8) -> HealthState {
-        HealthState::from_u8(v)
+        match v {
+            0 => HealthState::Enforcing,
+            1 => HealthState::LogOnly,
+            _ => HealthState::PassThrough,
+        }
     }
 
     /// Stable label for traces and counters.
@@ -83,63 +77,35 @@ pub const LOG_RECOVER_PCT: u8 = 75;
 /// Promote `PassThrough → LogOnly` strictly below this occupancy.
 pub const PASS_RECOVER_PCT: u8 = 85;
 
-/// The current rung plus a time-stamped transition trace. Reads are a
-/// relaxed atomic load (per-packet fast path); writes are rare
-/// (watermark crossings, admission rejects, restarts).
-pub struct HealthCell {
-    state: AtomicU8,
-    trace: Mutex<Vec<(Nanos, HealthState)>>,
+/// The current rung plus a time-stamped transition trace: plain state,
+/// behind the datapath's one lock with the rest of what it mutates.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct Health {
+    pub(crate) state: HealthState,
+    pub(crate) trace: Vec<(Nanos, HealthState)>,
 }
 
-impl Default for HealthCell {
-    fn default() -> Self {
-        HealthCell::new()
-    }
-}
-
-impl HealthCell {
-    /// A fresh cell: `Enforcing`, empty trace.
-    pub fn new() -> HealthCell {
-        HealthCell {
-            state: AtomicU8::new(HealthState::Enforcing as u8),
-            trace: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Current rung.
-    pub fn get(&self) -> HealthState {
-        HealthState::from_u8(self.state.load(Ordering::Relaxed))
-    }
-
+impl Health {
     /// Move to `to` if not already there; records the transition in the
     /// trace and returns `(from, to)` when a change actually happened.
-    pub fn transition(&self, now: Nanos, to: HealthState) -> Option<(HealthState, HealthState)> {
-        let from = HealthState::from_u8(self.state.swap(to as u8, Ordering::Relaxed));
+    pub(crate) fn transition(
+        &mut self,
+        now: Nanos,
+        to: HealthState,
+    ) -> Option<(HealthState, HealthState)> {
+        let from = std::mem::replace(&mut self.state, to);
         if from == to {
             return None;
         }
-        self.trace.lock().push((now, to));
+        self.trace.push((now, to));
         Some((from, to))
     }
 
     /// Move to `to` unconditionally, always appending a trace entry even
     /// when the rung does not change — marks a restart epoch.
-    pub fn force(&self, now: Nanos, to: HealthState) {
-        self.state.store(to as u8, Ordering::Relaxed);
-        self.trace.lock().push((now, to));
-    }
-
-    /// Snapshot of the transition trace.
-    pub fn trace(&self) -> Vec<(Nanos, HealthState)> {
-        self.trace.lock().clone()
-    }
-
-    /// Restore a checkpointed rung and transition trace verbatim —
-    /// unlike [`HealthCell::force`], no new trace mark is appended, so a
-    /// restored cell is indistinguishable from the checkpointed one.
-    pub fn restore(&self, state: HealthState, trace: Vec<(Nanos, HealthState)>) {
-        self.state.store(state as u8, Ordering::Relaxed);
-        *self.trace.lock() = trace;
+    pub(crate) fn force(&mut self, now: Nanos, to: HealthState) {
+        self.state = to;
+        self.trace.push((now, to));
     }
 }
 
@@ -155,8 +121,8 @@ mod tests {
 
     #[test]
     fn transition_records_changes_only() {
-        let c = HealthCell::new();
-        assert_eq!(c.get(), HealthState::Enforcing);
+        let mut c = Health::default();
+        assert_eq!(c.state, HealthState::Enforcing);
         assert_eq!(c.transition(5, HealthState::Enforcing), None);
         assert_eq!(
             c.transition(10, HealthState::LogOnly),
@@ -167,16 +133,16 @@ mod tests {
             Some((HealthState::LogOnly, HealthState::Enforcing))
         );
         assert_eq!(
-            c.trace(),
+            c.trace,
             vec![(10, HealthState::LogOnly), (20, HealthState::Enforcing)]
         );
     }
 
     #[test]
     fn force_always_leaves_a_trace_mark() {
-        let c = HealthCell::new();
+        let mut c = Health::default();
         c.force(7, HealthState::Enforcing); // restart epoch, no rung change
-        assert_eq!(c.get(), HealthState::Enforcing);
-        assert_eq!(c.trace(), vec![(7, HealthState::Enforcing)]);
+        assert_eq!(c.state, HealthState::Enforcing);
+        assert_eq!(c.trace, vec![(7, HealthState::Enforcing)]);
     }
 }

@@ -7,9 +7,8 @@
 //! * reconstruct per-flow congestion-control state by watching sequence
 //!   numbers, ACKs and handshakes (§3.1) — one [`FlowEntry`] per
 //!   direction, advanced only by its own transition methods, two to a
-//!   record in a [`table::FlowTable`] (one index behind one lock),
-//!   standing in for the paper's RCU hash table of two entries per
-//!   connection with per-entry spinlocks;
+//!   record in a [`table::FlowTable`], standing in for the paper's RCU
+//!   hash table of two entries per connection with per-entry spinlocks;
 //! * implement DCTCP (or any [`acdc_cc`] algorithm, selected per flow by a
 //!   [`CcPolicy`]) inside the vSwitch: forcing ECT on egress data, counting
 //!   CE-marked bytes at the receiver, and shipping the counts back in
@@ -21,9 +20,14 @@
 //! * support per-flow differentiation, including the priority-weighted
 //!   DCTCP of Equation 1 (§3.4).
 //!
-//! The datapath is simulator-agnostic and thread-safe: the benchmark
-//! harness's vSwitch-only workloads drive the very same code the
-//! simulation uses.
+//! Everything the datapath mutates — flow records, health ladder,
+//! overload flag — is one core behind the flow table's one lock, and
+//! each `AcdcDatapath` call takes it once and runs a plain `&mut`
+//! function on it. The core names neither the telemetry hub nor the
+//! table: its events come back to the call, which records them after
+//! dropping the guard. The datapath is simulator-agnostic and
+//! thread-safe: the benchmark harness's vSwitch-only workloads drive the
+//! very same code the simulation uses.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,6 +38,7 @@ pub mod entry;
 pub mod health;
 pub mod policy;
 pub mod rwnd;
+mod state;
 pub mod table;
 
 pub use checkpoint::{DatapathCheckpoint, FlowCheckpoint, HubCheckpoint, RecorderCheckpoint};

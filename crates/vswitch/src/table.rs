@@ -9,25 +9,27 @@
 //! directions' [`FlowEntry`]s as optional halves in one allocation. A
 //! data packet updates its own direction and then the reverse one (the
 //! feedback an egress ACK piggybacks, the ACK an ingress segment
-//! carries), and finds both with one hash, one lock and one probe:
-//! `FlowTable::with_connection` and `with_connection_or_create` run `f`
-//! on `key`'s half, then `g` on the reverse half. The two run one after
-//! the other, so a key that is its own reverse (source = destination,
-//! which a tenant can send) hands its one entry to each in turn, never
-//! two aliasing handles.
+//! carries), and finds both with one hash and one probe: a lookup
+//! returns a `Conn` that lends `key`'s half, then the reverse half, each
+//! as `&mut FlowEntry` for as long as the caller holds it. A key that is
+//! its own reverse (source = destination, which a tenant can send) has
+//! one half, and the `Conn` lends it to each in turn, never as two
+//! aliasing borrows.
 //! Everything else still speaks directions: a key names one half, `len()`
 //! and the `max_flows` cap count halves, eviction removes one half, and a
 //! record is freed with its last half.
 //!
-//! The table is one open-addressed index behind one `parking_lot::Mutex`,
-//! which guards the index, the records in it, the entry count and the gc
-//! epoch. The per-entry lock bought the paper concurrency between two
-//! writers of one connection; nothing here writes a connection from two
-//! places at once, so a second lock would guard nothing the table lock
-//! does not. Every access is closures under that lock, handed
-//! `&mut FlowEntry` ([`FlowTable::with_entry`],
-//! [`FlowTable::with_entry_or_create`] and [`FlowTable::for_each`] visit
-//! one half at a time); no reference to an entry outlives its call.
+//! The records, the entry count, the gc epoch and the capacity gate are
+//! `Flows`, plain `&mut` state. [`FlowTable`] keeps them, with the rest
+//! of what the datapath mutates (the health ladder, the overload flag:
+//! the datapath's core, `crate::state`), behind one
+//! `parking_lot::Mutex`, and each datapath call takes it once. The
+//! per-entry lock bought the paper concurrency between two writers of
+//! one connection; nothing here writes a connection from two places at
+//! once, so a second lock would guard nothing this one does not. The
+//! table's own methods ([`FlowTable::with_entry`] and the rest) are thin
+//! wrappers, each taking the lock once, for callers that drive a table
+//! by itself.
 //!
 //! The index is an [`acdc_packet::FlowIndex`] of records by connection
 //! key: linear probing from a home bucket keyed by a secret drawn once per
@@ -36,11 +38,11 @@
 //! compares keys without touching records and a resize moves pointers.
 //! An empty table allocates nothing; `gc` halves an array left less than
 //! an eighth full and `clear` frees it, so every whole-table walk
-//! (`for_each`, `gc`, eviction) costs the buckets the table holds now,
-//! not the most it ever held. Walks visit records in bucket order and
-//! halves in order, which depends on history and on the secret. Whatever
-//! a walk publishes is ordered by content instead: `tick` and `gc` sort
-//! their events by `FlowTable::sweep_order`, `flow_stats` and
+//! (`tick`, `gc`, eviction, a checkpoint) costs the buckets the table
+//! holds now, not the most it ever held. Walks visit records in bucket
+//! order and halves in order, which depends on history and on the
+//! secret. Whatever a walk hands out is ordered by content instead:
+//! `tick` and `gc` sort their events by `sweep_order`, `flow_stats` and
 //! `checkpoint` by key, and eviction takes a minimum.
 //!
 //! ## Capacity & admission
@@ -49,8 +51,8 @@
 //! paper sizes the design around that (§4: two ~320 B entries per
 //! connection), so the table can be *bounded*: [`FlowTable::bounded`]
 //! sets a hard `max_flows` cap on entries (halves). A create checks the
-//! count under the table lock, and at the cap evicts and inserts under
-//! that same lock, so `len()` never exceeds the cap.
+//! count, and at the cap evicts and inserts, in one `&mut` call, so
+//! `len()` never exceeds the cap.
 //! What happens at the cap is the [`AdmissionPolicy`]: turn the new flow
 //! away (it is then forwarded untouched — the §3.3 fail-safe) or
 //! deterministically evict the entry idle the longest, smallest key
@@ -58,13 +60,16 @@
 //! an [`Admission`] outcome so the datapath can account evictions and
 //! drive its degradation ladder.
 
+use std::ops::DerefMut;
+
 use acdc_packet::{FlowIndex, FlowKey};
 use acdc_stats::time::Nanos;
 use parking_lot::Mutex;
 
 use crate::entry::FlowEntry;
+use crate::state::Core;
 
-/// Ways [`FlowTable::sweep_order`] splits keys by hash before it compares
+/// Ways [`sweep_order`] splits keys by hash before it compares
 /// them. An ordering, not a placement: it is the shard count of the table
 /// that fixed the recorded event order, kept so recordings replay.
 const SWEEP_TAGS: usize = 1024;
@@ -131,8 +136,7 @@ impl Record {
 /// `key`'s connection key, the half of its record `key` names and the
 /// half its reverse names (the same one for a key that is its own
 /// reverse). Inlined: a call that returns the key through memory costs
-/// a lookup from another crate (the generic accessors are instantiated
-/// there) about as much again as the probe.
+/// a lookup about as much again as the probe.
 #[inline]
 fn locate(key: &FlowKey) -> (FlowKey, usize, usize) {
     let dir = key.direction();
@@ -152,9 +156,49 @@ fn key_of(conn: &FlowKey, i: usize) -> FlowKey {
     }
 }
 
-/// The table's contents: connection records in a [`FlowIndex`], plus the
-/// entry count and the gc epoch.
-struct Inner {
+/// The order a sweep publishes its per-flow events in: a
+/// [`SWEEP_TAGS`]-way tag from `key`'s own hash, then `key` — the order a
+/// sharded table of one entry per direction held its contents in, kept
+/// so that recorded runs keep their event sequence. Walks themselves go
+/// in bucket order; `tick` and `gc` tag what they collect with this, once
+/// per key, and sort before they hand it out, so the recorder's sequence
+/// numbers replay across a checkpoint restore and under racing worker
+/// inserts.
+pub(crate) fn sweep_order(key: &FlowKey) -> (usize, FlowKey) {
+    ((key.hash64() as usize) & (SWEEP_TAGS - 1), *key)
+}
+
+/// Both directions of one connection, from one lookup: `key`'s half and
+/// the reverse half, each lent in turn. A key that is its own reverse
+/// has one half, and both accessors lend it, one borrow at a time.
+pub(crate) struct Conn<'a> {
+    rec: Option<&'a mut Record>,
+    side: usize,
+    rside: usize,
+}
+
+impl<'a> Conn<'a> {
+    /// `key`'s entry, when tracked.
+    pub(crate) fn this(&mut self) -> Option<&mut FlowEntry> {
+        self.rec.as_deref_mut()?.halves[self.side].as_mut()
+    }
+
+    /// The reverse direction's entry, when tracked.
+    pub(crate) fn reverse(&mut self) -> Option<&mut FlowEntry> {
+        self.rec.as_deref_mut()?.halves[self.rside].as_mut()
+    }
+
+    /// `key`'s entry, for as long as the lookup's borrow lasts.
+    pub(crate) fn into_this(self) -> Option<&'a mut FlowEntry> {
+        self.rec?.halves[self.side].as_mut()
+    }
+}
+
+/// The table's contents: connection records in a [`FlowIndex`], the
+/// entry count, the gc epoch and the capacity gate. Plain `&mut` state:
+/// [`FlowTable`] keeps it, with the rest of the datapath's, behind its
+/// one lock.
+pub(crate) struct Flows {
     index: FlowIndex<Box<Record>>,
     /// Entries (halves) over every record: what `len()` and the cap count.
     entries: usize,
@@ -164,13 +208,89 @@ struct Inner {
     /// `last_activity` values from before that event can never be
     /// spuriously collected by the first sweep afterwards.
     epoch: Nanos,
+    max_flows: Option<usize>,
+    admission: AdmissionPolicy,
 }
 
 // A bucket is the connection key beside the `Box`, whose niche encodes
 // an empty one.
 const _: () = assert!(size_of::<Option<(FlowKey, Box<Record>)>>() == 24);
 
-impl Inner {
+impl Flows {
+    /// An empty table: at most `max_flows` entries (`None` = unbounded),
+    /// applying `admission` when a new flow arrives at capacity.
+    pub(crate) fn new(max_flows: Option<usize>, admission: AdmissionPolicy) -> Flows {
+        Flows {
+            index: FlowIndex::new(),
+            entries: 0,
+            epoch: 0,
+            max_flows,
+            admission,
+        }
+    }
+
+    /// Number of tracked entries, one per direction (O(1)).
+    pub(crate) fn len(&self) -> usize {
+        self.entries
+    }
+
+    /// Number of connection records (O(1)).
+    pub(crate) fn connections(&self) -> usize {
+        self.index.len()
+    }
+
+    /// The current GC bookkeeping epoch (0 until first stamped).
+    pub(crate) fn epoch(&self) -> Nanos {
+        self.epoch
+    }
+
+    /// Stamp the GC epoch: idleness in later sweeps is measured from no
+    /// earlier than `at`. Stamps never move backwards.
+    pub(crate) fn set_epoch(&mut self, at: Nanos) {
+        self.epoch = self.epoch.max(at);
+    }
+
+    /// Both directions of `key`'s connection.
+    pub(crate) fn connection(&mut self, key: &FlowKey) -> Conn<'_> {
+        let (conn, side, rside) = locate(key);
+        Conn {
+            rec: self.index.get_mut(&conn).map(|r| &mut **r),
+            side,
+            rside,
+        }
+    }
+
+    /// `key`'s entry, when tracked.
+    pub(crate) fn get(&mut self, key: &FlowKey) -> Option<&mut FlowEntry> {
+        self.connection(key).into_this()
+    }
+
+    /// [`Flows::connection`], creating `key`'s entry with `init` when
+    /// absent — subject to the capacity/admission gate. When the policy
+    /// refuses the flow ([`Admission::Rejected`]), `key`'s half stays
+    /// absent and the reverse one is still lent.
+    pub(crate) fn connection_or_create(
+        &mut self,
+        key: &FlowKey,
+        init: impl FnOnce() -> FlowEntry,
+    ) -> (Conn<'_>, Admission) {
+        let (conn, side, rside) = locate(key);
+        let mut at = self.index.find(&conn);
+        let mut adm = Admission::Existing;
+        if self.at(at).is_none_or(|r| r.halves[side].is_none()) {
+            adm = self.admit(key);
+            if adm.created() {
+                if adm != Admission::Created {
+                    // The victim's removal may have moved this record.
+                    at = self.index.find(&conn);
+                }
+                at = Some(self.put(conn, at, side, init()));
+            }
+        }
+        let rec = self.at(at);
+        (Conn { rec, side, rside }, adm)
+    }
+
     /// The record in bucket `at`, if it holds one.
     fn at(&mut self, at: Option<usize>) -> Option<&mut Record> {
         self.index.at_mut(at?).map(|r| &mut **r)
@@ -190,9 +310,22 @@ impl Inner {
         self.index.insert(conn, rec)
     }
 
+    /// Make room for one more entry per the admission policy, evicting
+    /// never `key`.
+    fn admit(&mut self, key: &FlowKey) -> Admission {
+        if self.max_flows.is_none_or(|cap| self.entries < cap) {
+            return Admission::Created;
+        }
+        if self.admission == AdmissionPolicy::EvictOldestIdle && self.evict_one(key) {
+            Admission::CreatedAfterEviction(1)
+        } else {
+            Admission::Rejected
+        }
+    }
+
     /// Drop `key`'s entry, and its record with it when the reverse
     /// direction is not tracked.
-    fn remove(&mut self, key: &FlowKey) -> bool {
+    pub(crate) fn remove(&mut self, key: &FlowKey) -> bool {
         let (conn, side, _) = locate(key);
         let at = self.index.find(&conn);
         let Some(rec) = self.at(at).filter(|r| r.halves[side].is_some()) else {
@@ -230,32 +363,74 @@ impl Inner {
         }
         victim.is_some_and(|(_, k)| self.remove(&k))
     }
-}
 
-/// `f` on half `side` of `rec`, when present, then `g` on its result and
-/// on half `rside`: the two closures of the `with_connection` pair, run
-/// in turn so that `side == rside` (a key that is its own reverse) lends
-/// the one entry twice rather than aliasing it.
-fn in_turn<A, R>(
-    rec: Option<&mut Record>,
-    side: usize,
-    rside: usize,
-    f: impl FnOnce(&mut FlowEntry) -> A,
-    g: impl FnOnce(Option<A>, Option<&mut FlowEntry>) -> R,
-) -> R {
-    let Some(rec) = rec else {
-        return g(None, None);
-    };
-    let a = rec.halves[side].as_mut().map(f);
-    g(a, rec.halves[rside].as_mut())
+    /// Drop every entry and free the bucket array, however large a flood
+    /// grew it. Returns the number removed.
+    pub(crate) fn clear(&mut self) -> usize {
+        self.index.clear();
+        std::mem::take(&mut self.entries)
+    }
+
+    /// Coarse-grained garbage collection (paired with FIN handling in the
+    /// paper): drop entries idle for longer than `idle_timeout`, plus any
+    /// entry already marked closed, and every record left empty.
+    /// Idleness is measured from the later of the entry's
+    /// `last_activity` and the epoch, so a reset/restore epoch stamp
+    /// shields entries carrying pre-event activity times from one
+    /// spurious collection. Returns the collected keys in
+    /// [`sweep_order`], the order the datapath records their evictions
+    /// in. An array left less than an eighth full halves (down to 8
+    /// buckets); [`Flows::clear`] frees it.
+    pub(crate) fn gc(
+        &mut self,
+        now: Nanos,
+        idle_timeout: Nanos,
+    ) -> impl ExactSizeIterator<Item = FlowKey> {
+        // Each collected key is tagged with its `sweep_order` as it is
+        // found; bucket order is not sweep order, so the list is sorted
+        // once, at the end.
+        let mut evicted: Vec<(usize, FlowKey)> = Vec::new();
+        let epoch = self.epoch;
+        self.index.retain(|conn, rec| {
+            for (i, h) in rec.halves.iter_mut().enumerate() {
+                let dead = h.as_ref().is_some_and(|e| {
+                    let life = e.life();
+                    life.closing || now.saturating_sub(life.last_activity.max(epoch)) > idle_timeout
+                });
+                if dead {
+                    *h = None;
+                    evicted.push(sweep_order(&key_of(conn, i)));
+                }
+            }
+            !rec.is_empty()
+        });
+        self.entries -= evicted.len();
+        debug_assert!(
+            self.entries == self.index.iter().map(|(_, r)| r.len()).sum::<usize>(),
+            "flow-table count drifted from the index contents after gc"
+        );
+        evicted.sort_unstable();
+        evicted.into_iter().map(|(_, key)| key)
+    }
+
+    /// Every entry with its directional key, in bucket order.
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = (FlowKey, &mut FlowEntry)> {
+        self.index.iter_mut().flat_map(|(conn, rec)| {
+            rec.halves
+                .iter_mut()
+                .enumerate()
+                .filter_map(move |(i, h)| Some((key_of(conn, i), h.as_mut()?)))
+        })
+    }
 }
 
 /// A flow table: connection key → record of both directions'
-/// [`FlowEntry`]s, behind one lock.
+/// [`FlowEntry`]s, behind one lock — the lock that guards everything
+/// else the datapath mutates too (its core, `crate::state`). The methods here are thin
+/// wrappers, each taking the lock once, for callers that drive a table
+/// by itself.
 pub struct FlowTable {
-    inner: Mutex<Inner>,
-    max_flows: Option<usize>,
-    admission: AdmissionPolicy,
+    core: Mutex<Core>,
 }
 
 impl Default for FlowTable {
@@ -267,142 +442,45 @@ impl Default for FlowTable {
 impl FlowTable {
     /// An empty, unbounded table.
     pub fn new() -> FlowTable {
-        FlowTable {
-            inner: Mutex::new(Inner {
-                index: FlowIndex::new(),
-                entries: 0,
-                epoch: 0,
-            }),
-            max_flows: None,
-            admission: AdmissionPolicy::EvictOldestIdle,
-        }
+        FlowTable::with_flows(Flows::new(None, AdmissionPolicy::EvictOldestIdle))
     }
 
     /// An empty table holding at most `max_flows` entries, applying
     /// `admission` when a new flow arrives at capacity.
     pub fn bounded(max_flows: usize, admission: AdmissionPolicy) -> FlowTable {
+        FlowTable::with_flows(Flows::new(Some(max_flows), admission))
+    }
+
+    fn with_flows(flows: Flows) -> FlowTable {
         FlowTable {
-            max_flows: Some(max_flows),
-            admission,
-            ..FlowTable::new()
+            core: Mutex::new(Core::new(flows)),
         }
     }
 
-    /// The configured capacity (`None` = unbounded).
-    pub fn max_flows(&self) -> Option<usize> {
-        self.max_flows
+    /// The lock, taken: the one place anything takes it.
+    pub(crate) fn core(&self) -> impl DerefMut<Target = Core> + '_ {
+        self.core.lock()
     }
 
     /// The current GC bookkeeping epoch (0 until first stamped).
     pub fn epoch(&self) -> Nanos {
-        self.inner.lock().epoch
+        self.core().flows.epoch()
     }
 
     /// Stamp the GC epoch: idleness in subsequent [`FlowTable::gc`]
     /// sweeps is measured from no earlier than `at`. Called on datapath
     /// reset and checkpoint restore; stamps never move backwards.
     pub fn set_epoch(&self, at: Nanos) {
-        let mut inner = self.inner.lock();
-        inner.epoch = inner.epoch.max(at);
+        self.core().flows.set_epoch(at);
     }
 
-    /// The order a sweep publishes its per-flow events in: a
-    /// [`SWEEP_TAGS`]-way tag from `key`'s own hash, then `key` — the
-    /// order a sharded table of one entry per direction held its contents
-    /// in, kept so that recorded runs keep their event sequence. Walks
-    /// themselves go in bucket order; `tick` and `gc` tag what they
-    /// collect with this, once per key, and sort before recording, so the
-    /// recorder's sequence numbers replay across a checkpoint restore and
-    /// under racing worker inserts.
-    pub(crate) fn sweep_order(key: &FlowKey) -> (usize, FlowKey) {
-        ((key.hash64() as usize) & (SWEEP_TAGS - 1), *key)
-    }
-
-    /// Run `f` on the entry for `key` under the table lock. `f` must not
-    /// call back into the table (the lock is held) nor publish events
-    /// (W002).
+    /// Run `f` on the entry for `key` under the table lock.
     pub fn with_entry<R>(&self, key: &FlowKey, f: impl FnOnce(&mut FlowEntry) -> R) -> Option<R> {
-        let (conn, side, _) = locate(key);
-        self.inner.lock().index.get_mut(&conn)?.halves[side]
-            .as_mut()
-            .map(f)
-    }
-
-    /// Both directions of `key`'s connection under one lookup — the
-    /// per-packet path: `f` on `key`'s entry when tracked, then `g` on
-    /// `f`'s result (`None` when `f` did not run) and on the reverse
-    /// direction's entry. Same rules for both closures as for
-    /// [`FlowTable::with_entry`].
-    pub(crate) fn with_connection<A, R>(
-        &self,
-        key: &FlowKey,
-        f: impl FnOnce(&mut FlowEntry) -> A,
-        g: impl FnOnce(Option<A>, Option<&mut FlowEntry>) -> R,
-    ) -> R {
-        let (conn, side, rside) = locate(key);
-        let mut inner = self.inner.lock();
-        in_turn(
-            inner.index.get_mut(&conn).map(|r| &mut **r),
-            side,
-            rside,
-            f,
-            g,
-        )
-    }
-
-    /// Make room for one more entry per the admission policy, evicting
-    /// never `key`.
-    fn admit(&self, inner: &mut Inner, key: &FlowKey) -> Admission {
-        if self.max_flows.is_none_or(|cap| inner.entries < cap) {
-            return Admission::Created;
-        }
-        match self.admission {
-            AdmissionPolicy::RejectNew => Admission::Rejected,
-            AdmissionPolicy::EvictOldestIdle if inner.evict_one(key) => {
-                Admission::CreatedAfterEviction(1)
-            }
-            AdmissionPolicy::EvictOldestIdle => Admission::Rejected,
-        }
-    }
-
-    /// [`FlowTable::with_connection`], creating `key`'s entry with `init`
-    /// when absent — subject to the capacity/admission gate, and `init`
-    /// runs under the table lock too. When the table is full and the
-    /// policy refuses the flow ([`Admission::Rejected`]), `f` does not
-    /// run and `g` gets `None` beside the reverse entry.
-    pub(crate) fn with_connection_or_create<A, R>(
-        &self,
-        key: FlowKey,
-        init: impl FnOnce() -> FlowEntry,
-        f: impl FnOnce(&mut FlowEntry) -> A,
-        g: impl FnOnce(Option<A>, Option<&mut FlowEntry>) -> R,
-    ) -> (R, Admission) {
-        let (conn, side, rside) = locate(&key);
-        let mut inner = self.inner.lock();
-        let mut at = inner.index.find(&conn);
-        let mut adm = Admission::Existing;
-        if inner.at(at).is_none_or(|r| r.halves[side].is_none()) {
-            adm = self.admit(&mut inner, &key);
-            if adm.created() {
-                if adm != Admission::Created {
-                    // The victim's removal may have moved this record.
-                    at = inner.index.find(&conn);
-                }
-                at = Some(inner.put(conn, at, side, init()));
-            }
-        }
-        let rec = inner.at(at);
-        let r = if adm.rejected() {
-            g(None, rec.and_then(|r| r.halves[rside].as_mut()))
-        } else {
-            in_turn(rec, side, rside, f, g)
-        };
-        (r, adm)
+        self.core().flows.get(key).map(f)
     }
 
     /// [`FlowTable::with_entry`], creating the entry with `init` when
-    /// absent — subject to the capacity/admission gate. Same rules for
-    /// `f`, and `init` runs under the table lock too. Returns `None`
+    /// absent — subject to the capacity/admission gate. Returns `None`
     /// (with [`Admission::Rejected`]) when the table is full and the
     /// policy refused the flow; `f` is not called in that case.
     pub fn with_entry_or_create<R>(
@@ -411,7 +489,9 @@ impl FlowTable {
         init: impl FnOnce() -> FlowEntry,
         f: impl FnOnce(&mut FlowEntry) -> R,
     ) -> (Option<R>, Admission) {
-        self.with_connection_or_create(key, init, f, |a, _| a)
+        let mut core = self.core();
+        let (conn, adm) = core.flows.connection_or_create(&key, init);
+        (conn.into_this().map(f), adm)
     }
 
     /// Look up or create an entry with `init`, subject to the
@@ -419,18 +499,18 @@ impl FlowTable {
     /// [`Admission::Rejected`] when the table is full and the policy
     /// refused the flow.
     pub fn get_or_create(&self, key: FlowKey, init: impl FnOnce() -> FlowEntry) -> Admission {
-        self.with_entry_or_create(key, init, |_| ()).1
+        self.core().flows.connection_or_create(&key, init).1
     }
 
     /// Remove an entry (FIN teardown), and its record with it when the
     /// reverse direction is not tracked.
     pub fn remove(&self, key: &FlowKey) -> bool {
-        self.inner.lock().remove(key)
+        self.core().flows.remove(key)
     }
 
     /// Number of tracked entries, one per direction (O(1)).
     pub fn len(&self) -> usize {
-        self.inner.lock().entries
+        self.core().flows.len()
     }
 
     /// Is the table empty?
@@ -441,71 +521,21 @@ impl FlowTable {
     /// Number of connection records, each holding one or both
     /// directions (O(1)).
     pub fn connections(&self) -> usize {
-        self.inner.lock().index.len()
+        self.core().flows.connections()
     }
 
-    /// Drop every entry (vSwitch restart) and free the bucket array,
-    /// however large a flood grew it. Returns the number removed.
+    /// Drop every entry (vSwitch restart) and free the bucket array.
+    /// Returns the number removed.
     pub fn clear(&self) -> usize {
-        let mut inner = self.inner.lock();
-        inner.index = FlowIndex::new();
-        std::mem::take(&mut inner.entries)
+        self.core().flows.clear()
     }
 
-    /// Coarse-grained garbage collection (paired with FIN handling in the
-    /// paper): drop entries idle for longer than `idle_timeout`, plus any
-    /// entry already marked closed, and every record left empty.
-    /// Idleness is measured from the later of the entry's
-    /// `last_activity` and the table [`FlowTable::epoch`], so a
-    /// reset/restore epoch stamp shields entries carrying pre-event
-    /// activity times from one spurious collection. Yields the collected
-    /// keys in [`FlowTable::sweep_order`], the order the datapath records
-    /// their evictions in. An array left less than an eighth full halves
-    /// (down to 8 buckets); [`FlowTable::clear`] frees it.
+    /// Coarse-grained garbage collection: drop entries idle for longer
+    /// than `idle_timeout` (measured from no earlier than the epoch) and
+    /// entries marked closed, yielding their keys in the order the
+    /// datapath records their evictions in.
     pub fn gc(&self, now: Nanos, idle_timeout: Nanos) -> impl ExactSizeIterator<Item = FlowKey> {
-        // Each collected key is tagged with its `sweep_order` as it is
-        // found. Bucket order is not sweep order, so the whole list is
-        // sorted once, after the lock is released.
-        let mut evicted: Vec<(usize, FlowKey)> = Vec::new();
-        {
-            let mut inner = self.inner.lock();
-            let epoch = inner.epoch;
-            inner.index.retain(|conn, rec| {
-                for (i, h) in rec.halves.iter_mut().enumerate() {
-                    let dead = h.as_ref().is_some_and(|e| {
-                        let life = e.life();
-                        life.closing
-                            || now.saturating_sub(life.last_activity.max(epoch)) > idle_timeout
-                    });
-                    if dead {
-                        *h = None;
-                        evicted.push(FlowTable::sweep_order(&key_of(conn, i)));
-                    }
-                }
-                !rec.is_empty()
-            });
-            inner.entries -= evicted.len();
-            debug_assert!(
-                inner.entries == inner.index.iter().map(|(_, r)| r.len()).sum::<usize>(),
-                "flow-table count drifted from the index contents after gc"
-            );
-        }
-        evicted.sort_unstable();
-        evicted.into_iter().map(|(_, key)| key)
-    }
-
-    /// Visit every entry with its directional key, under the table lock
-    /// (diagnostics, inactivity scans, checkpoint capture). Same rules
-    /// for `f` as [`FlowTable::with_entry`].
-    pub fn for_each(&self, mut f: impl FnMut(&FlowKey, &mut FlowEntry)) {
-        let mut inner = self.inner.lock();
-        for (conn, rec) in inner.index.iter_mut() {
-            for (i, h) in rec.halves.iter_mut().enumerate() {
-                if let Some(e) = h {
-                    f(&key_of(conn, i), e);
-                }
-            }
-        }
+        self.core().flows.gc(now, idle_timeout)
     }
 }
 
@@ -585,7 +615,7 @@ mod tests {
         });
         let gone: Vec<FlowKey> = t.gc(1_000_000_001, 500_000_000).collect();
         let mut want = [key(1), key(3)];
-        want.sort_by_key(FlowTable::sweep_order);
+        want.sort_by_key(sweep_order);
         assert_eq!(gone, want, "collected keys, in sweep order");
         assert_eq!(t.len(), 1);
         assert!(last_activity(&t, 1).is_none());
@@ -676,11 +706,10 @@ mod tests {
         assert_eq!((t.len(), t.connections()), (2, 1));
         // Each side sees its own entry first and the other one second.
         let seen = |from: &FlowKey| {
-            t.with_connection(
-                from,
-                |e| e.life().last_activity,
-                |a, re| (a, re.map(|e| e.life().last_activity)),
-            )
+            let mut core = t.core();
+            let mut conn = core.flows.connection(from);
+            let at = |e: &mut FlowEntry| e.life().last_activity;
+            (conn.this().map(at), conn.reverse().map(at))
         };
         assert_eq!(seen(&k), (Some(10), Some(20)));
         assert_eq!(seen(&r), (Some(20), Some(10)));
@@ -704,14 +733,15 @@ mod tests {
         };
         assert_eq!(own.reverse(), own);
         let t = FlowTable::new();
-        let (seen, adm) = t.with_connection_or_create(
-            own,
-            || entry(0),
-            |e| touch(e, 5),
-            // The reverse of `own` is `own`: `g` gets the entry `f` wrote.
-            |a, re| a.and(re.map(|e| e.life().last_activity)),
-        );
-        assert_eq!((seen, adm), (Some(5), Admission::Created));
+        {
+            let mut core = t.core();
+            let (mut conn, adm) = core.flows.connection_or_create(&own, || entry(0));
+            assert_eq!(adm, Admission::Created);
+            touch(conn.this().expect("created"), 5);
+            // The reverse of `own` is `own`: the entry just written.
+            let seen = conn.reverse().map(|e| e.life().last_activity);
+            assert_eq!(seen, Some(5));
+        }
         assert_eq!(t.get_or_create(own, || entry(0)), Admission::Existing);
         assert_eq!((t.len(), t.connections()), (1, 1));
         assert!(t.remove(&own));
@@ -743,13 +773,14 @@ mod tests {
     fn a_rejected_direction_still_lends_the_reverse_one() {
         let t = FlowTable::bounded(1, AdmissionPolicy::RejectNew);
         t.get_or_create(key(1).reverse(), || entry(30));
-        let (seen, adm) = t.with_connection_or_create(
-            key(1),
-            || entry(0),
-            |_| unreachable!("a refused entry is not created"),
-            |a: Option<()>, re| (a, re.map(|e| e.life().last_activity)),
-        );
-        assert_eq!((seen, adm), ((None, Some(30)), Admission::Rejected));
+        {
+            let mut core = t.core();
+            let (mut conn, adm) = core.flows.connection_or_create(&key(1), || entry(0));
+            assert_eq!(adm, Admission::Rejected);
+            assert!(conn.this().is_none(), "a refused entry is not created");
+            let seen = conn.reverse().map(|e| e.life().last_activity);
+            assert_eq!(seen, Some(30));
+        }
         assert_eq!(t.len(), 1);
     }
 
@@ -770,7 +801,7 @@ mod tests {
     }
 
     fn buckets(t: &FlowTable) -> usize {
-        t.inner.lock().index.buckets()
+        t.core().flows.index.buckets()
     }
 
     #[test]
@@ -831,12 +862,11 @@ mod tests {
             t.get_or_create(key(p).reverse(), || entry(0));
         }
         assert_eq!((t.len(), t.connections(), buckets(&t)), (4, 2, MIN_BUCKETS));
-        let mut seen = Vec::new();
-        t.for_each(|k, _| seen.push(*k));
+        let mut seen: Vec<FlowKey> = t.core().flows.iter_mut().map(|(k, _)| k).collect();
         seen.sort_unstable();
         let mut want = vec![key(1), key(1).reverse(), key(2), key(2).reverse()];
         want.sort_unstable();
-        assert_eq!(seen, want, "for_each visits the four entries once each");
+        assert_eq!(seen, want, "a walk visits the four entries once each");
         // A sweep after a flood walks what is left, not the peak.
         for p in 3..1_000 {
             create(&t, p, 0);

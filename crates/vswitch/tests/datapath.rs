@@ -1013,11 +1013,13 @@ fn ladder_recovers_with_hysteresis_after_gc() {
         }
         assert_eq!(dpa.health(), HealthState::PassThrough, "{driver}");
         // All guests close; the entries become collectable.
-        dpa.table().for_each(|_, e| {
-            let mut closed = e.checkpoint_state();
-            closed.life.closing = true;
-            assert!(e.restore_state(&closed));
-        });
+        for s in dpa.flow_stats() {
+            entry(&dpa, &s.key, |e| {
+                let mut closed = e.checkpoint_state();
+                closed.life.closing = true;
+                assert!(e.restore_state(&closed));
+            });
+        }
         // First interval: occupancy drops to zero, but the reject is
         // still "recent" — the overload flag covers the interval up to
         // this check.

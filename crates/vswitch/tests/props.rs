@@ -1,12 +1,11 @@
 //! Property-based tests for the AC/DC datapath: whatever packets fly
 //! through it, invariants must hold.
 
-use acdc_cc::CongestionControl;
 use acdc_packet::{
-    Ecn, FlowKey, Ipv4Repr, PacketMeta, Segment, SeqNumber, TcpFlags, TcpOption, TcpRepr, PROTO_TCP,
+    Ecn, Ipv4Repr, PacketMeta, Segment, SeqNumber, TcpFlags, TcpOption, TcpRepr, PROTO_TCP,
 };
 use acdc_vswitch::entry::MAX_ENFORCED_WINDOW;
-use acdc_vswitch::{AcdcConfig, AcdcDatapath, Verdict};
+use acdc_vswitch::{AcdcConfig, AcdcDatapath, FlowCheckpoint, FlowStat, Verdict};
 use bytes::BytesMut;
 use proptest::prelude::*;
 
@@ -97,18 +96,18 @@ fn ack_seg(off: u32, wnd: u16, ece: bool) -> Segment {
     Segment::new_tcp(ip(B, A, Ecn::NotEct), t, 0)
 }
 
-/// Every entry of `dp`, read through `checkpoint_state` (and the window
-/// through `cc()`), holds the invariants the datapath's transitions
-/// keep: an enforceable window, marked bytes never above their totals,
-/// and send pointers in order.
+/// Every entry of `dp`, read through its checkpoint (and the window
+/// through `flow_stats()`), holds the invariants the datapath's
+/// transitions keep: an enforceable window, marked bytes never above
+/// their totals, and send pointers in order.
 fn check_entries(dp: &AcdcDatapath) {
-    dp.table().for_each(|key, e| {
-        let cwnd = e.cc().cwnd();
+    for FlowStat { key, cwnd, .. } in dp.flow_stats() {
         assert!(
             (1..=MAX_ENFORCED_WINDOW).contains(&cwnd),
             "{key:?}: cwnd {cwnd} outside [1, {MAX_ENFORCED_WINDOW}]"
         );
-        let s = e.checkpoint_state();
+    }
+    for FlowCheckpoint { key, state: s, .. } in dp.checkpoint(0, &[]).flows {
         let fb = s.feedback;
         assert!(fb.rx_marked <= fb.rx_total, "{key:?}: {fb:?}");
         assert!(
@@ -120,7 +119,7 @@ fn check_entries(dp: &AcdcDatapath) {
             // `SeqNumber` differences are signed 32-bit: in [0, 2^31).
             assert!(s.seq.snd_nxt - s.seq.snd_una >= 0, "{key:?}: {:?}", s.seq);
         }
-    });
+    }
 }
 
 /// A SYN from A, seq 1 000, with `wscale` (and ECN when `ecn`).
@@ -306,13 +305,8 @@ proptest! {
         let collected = dp.gc(1_000_000_001, 500_000_000);
         prop_assert_eq!(collected, dead);
         prop_assert_eq!(dp.flows(), live);
-        let keys_left = {
-            let mut v = Vec::new();
-            dp.table().for_each(|k, _| v.push(*k));
-            v
-        };
-        let all_live = keys_left.iter().all(|k: &FlowKey| {
-            let i = (usize::from(k.src_port)) - 40_000;
+        let all_live = dp.flow_stats().iter().all(|s| {
+            let i = (usize::from(s.key.src_port)) - 40_000;
             i < live
         });
         prop_assert!(all_live);
