@@ -15,7 +15,6 @@
 
 #![forbid(unsafe_code)]
 
-mod lock_order;
 pub mod rules;
 pub mod scan;
 

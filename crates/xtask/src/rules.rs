@@ -112,18 +112,9 @@ pub static S001: Rule = Rule {
               numbers, no float formatting (DESIGN.md §14)",
 };
 
-pub static W002: Rule = Rule {
-    id: "W002",
-    name: "lock-order",
-    summary: "no nested lock acquisitions, no table re-entry and no \
-              event-bus publish while a table guard is live or inside a \
-              with_entry*/get_or_create/for_each closure (crates/vswitch/src \
-              — the deadlock shapes the worker model must never ship)",
-};
-
 /// All rules, in diagnostic order.
-pub static CATALOG: [&Rule; 10] = [
-    &D003, &P001, &P002, &P003, &P004, &P005, &O001, &S001, &H001, &W002,
+pub static CATALOG: [&Rule; 9] = [
+    &D003, &P001, &P002, &P003, &P004, &P005, &O001, &S001, &H001,
 ];
 
 pub fn catalog() -> &'static [&'static Rule] {
@@ -301,9 +292,8 @@ fn panics_on_wire_read(file: &SourceFile, idx: usize) -> Option<&'static str> {
     })
 }
 
-/// The rules applied to one file, line by line (W002 keeps guard state
-/// across lines but reports per line too). `path` is repo-relative with
-/// forward slashes.
+/// The rules applied to one file, line by line. `path` is repo-relative
+/// with forward slashes.
 pub fn lint_lines(path: &str, file: &SourceFile, findings: &mut Vec<Finding>) {
     let in_bench = path.starts_with("crates/bench/");
     let in_xtask = path.starts_with("crates/xtask/");
@@ -340,11 +330,6 @@ pub fn lint_lines(path: &str, file: &SourceFile, findings: &mut Vec<Finding>) {
     let s001_scope = path == "crates/vswitch/src/checkpoint.rs"
         || path == "crates/telemetry/src/json.rs"
         || path == "crates/soak/src/driver.rs";
-    let lock_findings = if path.starts_with("crates/vswitch/src/") {
-        crate::lock_order::lock_order(file)
-    } else {
-        Vec::new()
-    };
 
     for (idx, line) in file.lines.iter().enumerate() {
         let lineno = idx + 1;
@@ -464,10 +449,6 @@ pub fn lint_lines(path: &str, file: &SourceFile, findings: &mut Vec<Finding>) {
             ));
         }
 
-        for (_, message) in lock_findings.iter().filter(|(l, _)| *l == lineno) {
-            hits.push((&W002, message.clone()));
-        }
-
         if hits.is_empty() {
             continue;
         }
@@ -522,17 +503,6 @@ mod tests {
         let mut out = Vec::new();
         lint_lines(path, &f, &mut out);
         out.iter().map(|f| f.rule.id.to_string()).collect()
-    }
-
-    #[test]
-    fn w002_scoped_to_vswitch_src() {
-        let src = "fn f(a: &Mutex<Shard>, b: &Mutex<Shard>) {\n    let ga = a.lock();\n    let gb = b.lock();\n}\n";
-        assert_eq!(run("crates/vswitch/src/x.rs", src), vec!["W002"]);
-        assert!(run("crates/core/src/x.rs", src).is_empty());
-        assert!(run("crates/vswitch/tests/x.rs", src).is_empty());
-        // The inline escape hatch covers the cross-line rule too.
-        let allowed = src.replace("b.lock();", "b.lock(); // acdc-lint: allow(W002)");
-        assert!(run("crates/vswitch/src/x.rs", &allowed).is_empty());
     }
 
     #[test]
@@ -792,9 +762,15 @@ mod tests {
     }
 
     #[test]
-    fn inline_allow_suppresses() {
-        let src = "let n = a.wrapping_add(b); // acdc-lint: allow(P001)\n";
-        assert!(run("crates/tcp/src/x.rs", src).is_empty());
+    fn inline_allow_suppresses_only_the_rule_it_names() {
+        let src = "let n = a.wrapping_add(b);\n";
+        assert_eq!(run("crates/tcp/src/x.rs", src), vec!["P001"]);
+        let allowed = "let n = a.wrapping_add(b); // acdc-lint: allow(P001)\n";
+        assert!(run("crates/tcp/src/x.rs", allowed).is_empty());
+        let above = "// acdc-lint: allow(P001)\nlet n = a.wrapping_add(b);\n";
+        assert!(run("crates/tcp/src/x.rs", above).is_empty());
+        let other = "let n = a.wrapping_add(b); // acdc-lint: allow(P002)\n";
+        assert_eq!(run("crates/tcp/src/x.rs", other), vec!["P001"]);
     }
 
     #[test]

@@ -46,9 +46,6 @@ const TRIPPING: &[(&str, &str, &str, usize)] = &[
         1,
     ),
     ("H001", "h001_no_forbid", "crates/foo/src/lib.rs", 1),
-    // Nested locks, a table re-entry under `for_each`, a publish inside
-    // a `with_entry` closure and one inside `with_connection`'s second.
-    ("W002", "w002_lock_order", "crates/vswitch/src/bad.rs", 4),
 ];
 
 #[test]
