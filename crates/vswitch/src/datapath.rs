@@ -225,9 +225,10 @@ pub struct FlowStat {
 }
 
 /// The AC/DC datapath instance of one host's vSwitch: the boundary
-/// around its core (`crate::state`). Each call takes the table's lock once, runs one
-/// `&mut` function on the core, drops the guard, and then records the
-/// events the core handed back, in the order it produced them.
+/// around its core (`crate::state`). Each call takes the table's lock
+/// once, runs one `&mut` function on the core, drops the guard, and then
+/// records the events the core handed back, in the order it produced
+/// them.
 pub struct AcdcDatapath {
     cfg: AcdcConfig,
     /// The flow table, whose lock guards the whole core: flow records,
@@ -301,16 +302,11 @@ impl AcdcDatapath {
         self.table.core().health_trace()
     }
 
-    /// A call's context at virtual time `now`.
-    fn cx(&self, now: Nanos) -> Cx<'_> {
-        Cx::new(&self.cfg, &self.counters, now)
-    }
-
-    /// Record the events `cx` collected, in order. Called with the guard
-    /// dropped.
-    fn publish(&self, cx: &Cx) {
-        for &(flow, kind) in cx.events.iter() {
-            self.telemetry.record(cx.now, flow, kind);
+    /// The outbox of a call at virtual time `now`.
+    fn outbox(&self, now: Nanos) -> Outbox<'_> {
+        Outbox {
+            hub: &self.telemetry,
+            cx: Cx::new(&self.cfg, &self.counters, now),
         }
     }
 
@@ -321,10 +317,9 @@ impl AcdcDatapath {
     /// until a new SYN teaches its window scale. Returns the number of
     /// entries dropped.
     pub fn reset(&self, now: Nanos) -> usize {
-        let mut cx = self.cx(now);
-        let dropped = self.table.core().reset(&mut cx);
-        self.publish(&cx);
-        dropped
+        let mut out = self.outbox(now);
+        let mut core = self.table.core();
+        core.reset(&mut out.cx)
     }
 
     // ------------------------------------------------------------------
@@ -376,10 +371,9 @@ impl AcdcDatapath {
         if !self.cfg.enabled {
             return Verdict::Forward(seg);
         }
-        let mut cx = self.cx(now);
-        let verdict = self.table.core().egress(&mut cx, seg);
-        self.publish(&cx);
-        verdict
+        let mut out = self.outbox(now);
+        let mut core = self.table.core();
+        core.egress(&mut out.cx, seg)
     }
 
     /// Process a packet arriving from the network toward the guest.
@@ -391,10 +385,9 @@ impl AcdcDatapath {
         if !self.cfg.enabled {
             return Verdict::Forward(seg);
         }
-        let mut cx = self.cx(now);
-        let verdict = self.table.core().ingress(&mut cx, seg);
-        self.publish(&cx);
-        verdict
+        let mut out = self.outbox(now);
+        let mut core = self.table.core();
+        core.ingress(&mut out.cx, seg)
     }
 
     // ------------------------------------------------------------------
@@ -404,8 +397,8 @@ impl AcdcDatapath {
     /// Periodic tick: infer timeouts for flows whose ACK clock stopped
     /// entirely (no ingress packet will trigger the check).
     pub fn tick(&self, now: Nanos) {
-        let mut cx = self.cx(now);
-        let fired = self.table.core().tick(&mut cx);
+        let mut out = self.outbox(now);
+        let fired = self.table.core().tick(&mut out.cx);
         for ((_, key), cwnd) in fired {
             self.telemetry
                 .record(now, key, EventKind::RtoFired { cwnd });
@@ -417,14 +410,15 @@ impl AcdcDatapath {
     /// also the one place the health ladder is evaluated, once per
     /// maintenance interval, right after occupancy receded.
     pub fn gc(&self, now: Nanos, idle_timeout: Nanos) -> usize {
-        let mut cx = self.cx(now);
-        let collected = self.table.core().gc(&mut cx, idle_timeout);
+        let mut out = self.outbox(now);
+        let collected = self.table.core().gc(&mut out.cx, idle_timeout);
         let n = collected.len();
         for key in collected {
             self.telemetry
                 .record(now, key, EventKind::FlowEvicted { reason: "gc" });
         }
-        self.publish(&cx);
+        // The ladder's move, if any, after the evictions that made it.
+        drop(out);
         n
     }
 
@@ -460,5 +454,25 @@ impl AcdcDatapath {
     /// incast mitigation).
     pub fn make_dup_acks(&self, key: &FlowKey, n: usize) -> Vec<Segment> {
         self.table.core().make_dup_acks(key, n)
+    }
+}
+
+/// One call's events on their way out: the call's context, whose events
+/// are recorded into the hub, in the order the core produced them, when
+/// the outbox drops. A call makes its outbox before it takes the guard,
+/// and holds the guard in a later local or a temporary of an earlier
+/// statement, so the guard always drops first. Recording on drop also
+/// lets a verdict go straight to the caller rather than wait, copied
+/// aside, for the recording.
+struct Outbox<'a> {
+    hub: &'a Telemetry,
+    cx: Cx<'a>,
+}
+
+impl Drop for Outbox<'_> {
+    fn drop(&mut self) {
+        for &(flow, kind) in self.cx.events.iter() {
+            self.hub.record(self.cx.now, flow, kind);
+        }
     }
 }

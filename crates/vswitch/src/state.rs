@@ -34,28 +34,32 @@ const CALL_EVENTS: usize = 6;
 
 /// The events one call produced, in order, each with the flow it is
 /// stamped with: a fixed array on the caller's stack, so a packet
-/// allocates nothing for them.
+/// allocates nothing for them. The slots are `Option`s so that an empty
+/// buffer is six tag bytes to write, not six events to build and copy.
 pub(crate) struct Events {
-    buf: [(FlowKey, EventKind); CALL_EVENTS],
+    buf: [Option<(FlowKey, EventKind)>; CALL_EVENTS],
     len: usize,
 }
 
 impl Events {
+    #[inline]
     fn new() -> Events {
         Events {
-            buf: [(NO_FLOW, EventKind::FlowCreated); CALL_EVENTS],
+            buf: [None; CALL_EVENTS],
             len: 0,
         }
     }
 
+    #[inline]
     fn push(&mut self, flow: FlowKey, kind: EventKind) {
-        self.buf[self.len] = (flow, kind);
+        self.buf[self.len] = Some((flow, kind));
         self.len += 1;
     }
 
     /// The events, oldest first.
+    #[inline]
     pub(crate) fn iter(&self) -> impl Iterator<Item = &(FlowKey, EventKind)> {
-        self.buf[..self.len].iter()
+        self.buf[..self.len].iter().flatten()
     }
 }
 
@@ -70,6 +74,7 @@ pub(crate) struct Cx<'a> {
 }
 
 impl<'a> Cx<'a> {
+    #[inline]
     pub(crate) fn new(cfg: &'a AcdcConfig, counters: &'a AcdcCounters, now: Nanos) -> Cx<'a> {
         Cx {
             cfg,
@@ -79,6 +84,7 @@ impl<'a> Cx<'a> {
         }
     }
 
+    #[inline]
     fn push(&mut self, flow: FlowKey, kind: EventKind) {
         self.events.push(flow, kind);
     }
@@ -300,6 +306,7 @@ impl Core {
     // ------------------------------------------------------------------
 
     /// A TCP packet leaving the guest, on an enabled datapath.
+    #[inline]
     pub(crate) fn egress(&mut self, cx: &mut Cx, mut seg: Segment) -> Verdict {
         let (cfg, now) = (cx.cfg, cx.now);
         // Degradation ladder: an overloaded datapath forwards guest
@@ -425,6 +432,7 @@ impl Core {
 
     /// A TCP packet arriving from the network toward the guest, on an
     /// enabled datapath.
+    #[inline]
     pub(crate) fn ingress(&mut self, cx: &mut Cx, mut seg: Segment) -> Verdict {
         let (cfg, now) = (cx.cfg, cx.now);
         // A copy of the meta the segment carries; the drop arm is

@@ -179,16 +179,19 @@ pub(crate) struct Conn<'a> {
 
 impl<'a> Conn<'a> {
     /// `key`'s entry, when tracked.
+    #[inline]
     pub(crate) fn this(&mut self) -> Option<&mut FlowEntry> {
         self.rec.as_deref_mut()?.halves[self.side].as_mut()
     }
 
     /// The reverse direction's entry, when tracked.
+    #[inline]
     pub(crate) fn reverse(&mut self) -> Option<&mut FlowEntry> {
         self.rec.as_deref_mut()?.halves[self.rside].as_mut()
     }
 
     /// `key`'s entry, for as long as the lookup's borrow lasts.
+    #[inline]
     pub(crate) fn into_this(self) -> Option<&'a mut FlowEntry> {
         self.rec?.halves[self.side].as_mut()
     }
@@ -230,6 +233,7 @@ impl Flows {
     }
 
     /// Number of tracked entries, one per direction (O(1)).
+    #[inline]
     pub(crate) fn len(&self) -> usize {
         self.entries
     }
@@ -251,6 +255,7 @@ impl Flows {
     }
 
     /// Both directions of `key`'s connection.
+    #[inline(always)]
     pub(crate) fn connection(&mut self, key: &FlowKey) -> Conn<'_> {
         let (conn, side, rside) = locate(key);
         Conn {
@@ -261,6 +266,7 @@ impl Flows {
     }
 
     /// `key`'s entry, when tracked.
+    #[inline(always)]
     pub(crate) fn get(&mut self, key: &FlowKey) -> Option<&mut FlowEntry> {
         self.connection(key).into_this()
     }
@@ -292,6 +298,7 @@ impl Flows {
     }
 
     /// The record in bucket `at`, if it holds one.
+    #[inline]
     fn at(&mut self, at: Option<usize>) -> Option<&mut Record> {
         self.index.at_mut(at?).map(|r| &mut **r)
     }
@@ -458,6 +465,7 @@ impl FlowTable {
     }
 
     /// The lock, taken: the one place anything takes it.
+    #[inline]
     pub(crate) fn core(&self) -> impl DerefMut<Target = Core> + '_ {
         self.core.lock()
     }
