@@ -20,7 +20,7 @@ use acdc_telemetry::{Counter, EventKind, MetricsRegistry, Telemetry};
 use crate::checkpoint::{DatapathCheckpoint, HubCheckpoint};
 use crate::health::HealthState;
 use crate::policy::CcPolicy;
-use crate::state::Cx;
+use crate::state::{Cx, Events};
 use crate::table::{AdmissionPolicy, FlowTable};
 
 /// Datapath configuration.
@@ -294,19 +294,24 @@ impl AcdcDatapath {
 
     /// Current rung of the degradation ladder.
     pub fn health(&self) -> HealthState {
-        self.table.core().health()
+        self.table.core().health.state
     }
 
     /// Time-stamped health transition trace (restart epochs included).
     pub fn health_trace(&self) -> Vec<(Nanos, HealthState)> {
-        self.table.core().health_trace()
+        self.table.core().health.trace.clone()
     }
 
     /// The outbox of a call at virtual time `now`.
     fn outbox(&self, now: Nanos) -> Outbox<'_> {
         Outbox {
             hub: &self.telemetry,
-            cx: Cx::new(&self.cfg, &self.counters, now),
+            cx: Cx {
+                cfg: &self.cfg,
+                counters: &self.counters,
+                now,
+                events: Events::new(),
+            },
         }
     }
 

@@ -43,7 +43,7 @@ pub(crate) struct Events {
 
 impl Events {
     #[inline]
-    fn new() -> Events {
+    pub(crate) fn new() -> Events {
         Events {
             buf: [None; CALL_EVENTS],
             len: 0,
@@ -73,17 +73,7 @@ pub(crate) struct Cx<'a> {
     pub(crate) events: Events,
 }
 
-impl<'a> Cx<'a> {
-    #[inline]
-    pub(crate) fn new(cfg: &'a AcdcConfig, counters: &'a AcdcCounters, now: Nanos) -> Cx<'a> {
-        Cx {
-            cfg,
-            counters,
-            now,
-            events: Events::new(),
-        }
-    }
-
+impl Cx<'_> {
     #[inline]
     fn push(&mut self, flow: FlowKey, kind: EventKind) {
         self.events.push(flow, kind);
@@ -93,7 +83,7 @@ impl<'a> Cx<'a> {
 /// Everything the datapath mutates.
 pub(crate) struct Core {
     pub(crate) flows: Flows,
-    health: Health,
+    pub(crate) health: Health,
     /// Any admission reject since the last maintenance check? Promotion
     /// requires a clean interval, not just receded occupancy.
     overload_seen: bool,
@@ -106,14 +96,6 @@ impl Core {
             health: Health::default(),
             overload_seen: false,
         }
-    }
-
-    pub(crate) fn health(&self) -> HealthState {
-        self.health.state
-    }
-
-    pub(crate) fn health_trace(&self) -> Vec<(Nanos, HealthState)> {
-        self.health.trace.clone()
     }
 
     fn set_health(&mut self, cx: &mut Cx, to: HealthState) {

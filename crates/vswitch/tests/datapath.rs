@@ -1221,12 +1221,11 @@ fn restore_preserves_unlearned_scale_semantics() {
 fn restore_stamps_gc_epoch_and_shields_flows() {
     const T: u64 = 35_000_000_000;
     let (dpa, _dpb) = rig(false);
-    dpa.table().set_epoch(T);
-    let ckpt = dpa.checkpoint(T, &[]);
-    assert_eq!(ckpt.gc_epoch, T);
+    let mut ckpt = dpa.checkpoint(T, &[]);
+    ckpt.gc_epoch = T;
     let fresh = AcdcDatapath::new(AcdcConfig::dctcp(MTU));
     fresh.restore(&ckpt).unwrap();
-    assert_eq!(fresh.table().epoch(), T);
+    assert_eq!(fresh.checkpoint(T, &[]).gc_epoch, T);
     // Entries carry handshake-era activity times (~0 ns), but the epoch
     // shields them from the first sweep after restore.
     assert_eq!(fresh.gc(T + 1, 30_000_000_000), 0);
@@ -1236,13 +1235,10 @@ fn restore_stamps_gc_epoch_and_shields_flows() {
 #[test]
 fn reset_stamps_gc_epoch() {
     let dp = AcdcDatapath::new(AcdcConfig::dctcp(MTU));
-    assert_eq!(dp.table().epoch(), 0);
+    let epoch = |dp: &AcdcDatapath| dp.checkpoint(0, &[]).gc_epoch;
+    assert_eq!(epoch(&dp), 0);
     dp.reset(7_000);
-    assert_eq!(
-        dp.table().epoch(),
-        7_000,
-        "restart stamps the GC bookkeeping epoch"
-    );
+    assert_eq!(epoch(&dp), 7_000, "restart stamps the GC bookkeeping epoch");
 }
 
 #[test]
