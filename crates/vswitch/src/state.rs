@@ -73,13 +73,6 @@ pub(crate) struct Cx<'a> {
     pub(crate) events: Events,
 }
 
-impl Cx<'_> {
-    #[inline]
-    fn push(&mut self, flow: FlowKey, kind: EventKind) {
-        self.events.push(flow, kind);
-    }
-}
-
 /// Everything the datapath mutates.
 pub(crate) struct Core {
     pub(crate) flows: Flows,
@@ -105,7 +98,7 @@ impl Core {
             } else {
                 cx.counters.health_promotions.inc();
             }
-            cx.push(
+            cx.events.push(
                 NO_FLOW,
                 EventKind::HealthTransition {
                     from: from.name(),
@@ -121,7 +114,7 @@ impl Core {
     /// forwarding untouched is always safe (§3.3 fail-safe).
     fn on_admission_reject(&mut self, cx: &mut Cx, key: &FlowKey) {
         cx.counters.admission_rejects.inc();
-        cx.push(*key, EventKind::AdmissionRejected);
+        cx.events.push(*key, EventKind::AdmissionRejected);
         self.overload_seen = true;
         self.set_health(cx, HealthState::PassThrough);
     }
@@ -132,10 +125,11 @@ impl Core {
             cx.counters.capacity_evictions.add(n as u64);
             // Stamped with the admitted flow: the table does not surface
             // the victims' keys, only how many made room.
-            cx.push(*key, EventKind::FlowEvicted { reason: "capacity" });
+            cx.events
+                .push(*key, EventKind::FlowEvicted { reason: "capacity" });
         }
         if adm.created() {
-            cx.push(*key, EventKind::FlowCreated);
+            cx.events.push(*key, EventKind::FlowCreated);
             if let Some(cap) = cx.cfg.max_flows {
                 // Eager demotion on the way up; recovery is left to the
                 // maintenance tick (hysteresis lives in `update_health`).
@@ -190,7 +184,7 @@ impl Core {
         cx.counters.datapath_resets.inc();
         self.overload_seen = false;
         self.health.force(cx.now, HealthState::Enforcing);
-        cx.push(
+        cx.events.push(
             NO_FLOW,
             EventKind::DatapathReset {
                 flows_cleared: dropped as u64,
@@ -351,7 +345,8 @@ impl Core {
                 }
                 Some(Err(Policed)) => {
                     cx.counters.policed_drops.inc();
-                    cx.push(key, EventKind::PacketDropped { cause: "policed" });
+                    cx.events
+                        .push(key, EventKind::PacketDropped { cause: "policed" });
                     return Verdict::Drop(DropReason::Policed);
                 }
             };
@@ -716,7 +711,8 @@ fn reopen<'e>(
 /// The headers failed the one fallible parse: count, record, drop.
 fn drop_malformed(cx: &mut Cx) -> Verdict {
     cx.counters.malformed_drops.inc();
-    cx.push(NO_FLOW, EventKind::PacketDropped { cause: "malformed" });
+    cx.events
+        .push(NO_FLOW, EventKind::PacketDropped { cause: "malformed" });
     Verdict::Drop(DropReason::Malformed)
 }
 
@@ -749,7 +745,7 @@ fn enforce(
             EventKind::RtoFired { .. } => cx.counters.inferred_timeouts.inc(),
             _ => {}
         }
-        cx.push(data_key, ev);
+        cx.events.push(data_key, ev);
     }
     if rewrite {
         match action {
