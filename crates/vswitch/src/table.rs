@@ -577,6 +577,19 @@ mod tests {
     }
 
     #[test]
+    fn create_lookup_remove() {
+        let t = FlowTable::new();
+        assert!(last_activity(&t, 1).is_none());
+        assert_eq!(create(&t, 1, 0), Admission::Created);
+        set_last_activity(&t, 1, 42);
+        assert_eq!(last_activity(&t, 1), Some(42));
+        assert_eq!(t.len(), 1);
+        assert!(t.remove(&key(1)));
+        assert!(t.is_empty());
+        assert!(!t.remove(&key(1)));
+    }
+
+    #[test]
     fn get_or_create_is_idempotent() {
         let t = FlowTable::new();
         create(&t, 7, 0);
@@ -625,6 +638,50 @@ mod tests {
         // Epoch stamps never move backwards.
         set_epoch(1_000_000_000);
         assert_eq!(t.core().flows.epoch(), 2_000_000_000);
+    }
+
+    #[test]
+    fn bounded_reject_new_refuses_at_capacity() {
+        let t = FlowTable::bounded(2, AdmissionPolicy::RejectNew);
+        assert_eq!(create(&t, 1, 0), Admission::Created);
+        assert_eq!(create(&t, 2, 0), Admission::Created);
+        assert_eq!(t.get_or_create(key(3), || entry(0)), Admission::Rejected);
+        assert!(last_activity(&t, 3).is_none());
+        assert_eq!(t.len(), 2);
+        // Existing keys still resolve at capacity.
+        assert_eq!(create(&t, 1, 0), Admission::Existing);
+        // Freeing a slot re-opens admission.
+        assert!(t.remove(&key(1)));
+        assert_eq!(create(&t, 3, 0), Admission::Created);
+        assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn bounded_evict_oldest_idle_is_deterministic() {
+        let t = FlowTable::bounded(2, AdmissionPolicy::EvictOldestIdle);
+        create(&t, 1, 0);
+        set_last_activity(&t, 1, 100);
+        create(&t, 2, 0);
+        set_last_activity(&t, 2, 50); // oldest → the victim
+        assert_eq!(create(&t, 3, 0), Admission::CreatedAfterEviction(1));
+        assert_eq!(t.len(), 2);
+        assert!(last_activity(&t, 2).is_none(), "oldest-idle entry evicted");
+        assert!(last_activity(&t, 1).is_some());
+        assert!(last_activity(&t, 3).is_some());
+    }
+
+    #[test]
+    fn eviction_ties_break_on_smallest_key() {
+        let t = FlowTable::bounded(2, AdmissionPolicy::EvictOldestIdle);
+        create(&t, 9, 0);
+        create(&t, 4, 0); // same last_activity; smaller port loses
+        create(&t, 7, 0);
+        assert!(
+            last_activity(&t, 4).is_none(),
+            "smallest key evicted on tie"
+        );
+        assert!(last_activity(&t, 9).is_some());
+        assert!(last_activity(&t, 7).is_some());
     }
 
     #[test]
@@ -685,6 +742,27 @@ mod tests {
         assert_eq!(t.get_or_create(own, || entry(0)), Admission::Existing);
         assert_eq!((t.len(), t.connections()), (1, 1));
         assert!(t.remove(&own));
+        assert_eq!((t.len(), t.connections()), (0, 0));
+    }
+
+    #[test]
+    fn eviction_and_gc_take_one_direction_and_keep_the_other() {
+        let t = FlowTable::bounded(2, AdmissionPolicy::EvictOldestIdle);
+        let r = key(1).reverse();
+        create(&t, 1, 0);
+        t.get_or_create(r, || entry(100));
+        // The oldest entry is `k`'s half of the record; `r` stays.
+        assert_eq!(create(&t, 2, 50), Admission::CreatedAfterEviction(1));
+        assert!(last_activity(&t, 1).is_none());
+        assert!(t.with_entry(&r, |_| ()).is_some());
+        // `r` keeps `k`'s record; `key(2)` has its own.
+        assert_eq!(t.connections(), 2);
+        // Idle `key(2)` goes at gc; `r` is young enough to stay.
+        assert_eq!(t.gc(200, 120).len(), 1);
+        assert_eq!((t.len(), t.connections()), (1, 1));
+        assert!(t.with_entry(&r, |_| ()).is_some());
+        // And when it goes too, so does its record.
+        assert_eq!(t.gc(300, 120).len(), 1);
         assert_eq!((t.len(), t.connections()), (0, 0));
     }
 
@@ -798,6 +876,36 @@ mod tests {
         assert_eq!(t.gc(10, 5).len(), 0);
         assert_eq!(t.gc(20, 5).len(), 2);
         assert_eq!((t.len(), buckets(&t)), (0, MIN_BUCKETS));
+    }
+
+    /// Every entry's key, in walk order.
+    fn walk(t: &FlowTable) -> Vec<FlowKey> {
+        t.core().flows.iter_mut().map(|(k, _)| k).collect()
+    }
+
+    proptest::proptest! {
+        /// Bucket order depends on history and on the secret only: two
+        /// tables fed the same creates, removes, sweeps and clears over
+        /// two dozen connections, both ways, walk alike after every op.
+        #[test]
+        fn same_ops_walk_in_the_same_order(
+            ops in proptest::collection::vec((0u8..11, 0u16..48, 0u16..1000), 1..200)
+        ) {
+            let (a, b) = (FlowTable::new(), FlowTable::new());
+            for &(op, k, now) in &ops {
+                let k = if k < 24 { key(k) } else { key(k - 24).reverse() };
+                let now = Nanos::from(now);
+                for t in [&a, &b] {
+                    match op {
+                        0..=5 => drop(t.with_entry_or_create(k, || entry(now), |e| touch(e, now))),
+                        6..=8 => drop(t.remove(&k)),
+                        9 => drop(t.gc(now, 250)),
+                        _ => drop(t.clear()),
+                    }
+                }
+                proptest::prop_assert_eq!(walk(&a), walk(&b));
+            }
+        }
     }
 
     #[test]
