@@ -20,7 +20,7 @@ use acdc_telemetry::{Counter, EventKind, MetricsRegistry, Telemetry};
 use crate::checkpoint::{DatapathCheckpoint, HubCheckpoint};
 use crate::health::HealthState;
 use crate::policy::CcPolicy;
-use crate::state::{Cx, Events};
+use crate::state::{Core, Cx, Events};
 use crate::table::{AdmissionPolicy, FlowTable};
 
 /// Datapath configuration.
@@ -294,12 +294,12 @@ impl AcdcDatapath {
 
     /// Current rung of the degradation ladder.
     pub fn health(&self) -> HealthState {
-        self.table.core().health.state
+        self.table.run((), |core, ()| core.health.state)
     }
 
     /// Time-stamped health transition trace (restart epochs included).
     pub fn health_trace(&self) -> Vec<(Nanos, HealthState)> {
-        self.table.core().health.trace.clone()
+        self.table.run((), |core, ()| core.health.trace.clone())
     }
 
     /// The outbox of a call at virtual time `now`.
@@ -323,8 +323,7 @@ impl AcdcDatapath {
     /// entries dropped.
     pub fn reset(&self, now: Nanos) -> usize {
         let mut out = self.outbox(now);
-        let mut core = self.table.core();
-        core.reset(&mut out.cx)
+        self.table.run(&mut out.cx, Core::reset)
     }
 
     // ------------------------------------------------------------------
@@ -337,7 +336,8 @@ impl AcdcDatapath {
     pub fn checkpoint(&self, at: Nanos, hubs: &[&Telemetry]) -> DatapathCheckpoint {
         debug_assert!(hubs.is_empty(), "a datapath has one telemetry hub");
         let hub = HubCheckpoint::capture(&self.telemetry);
-        self.table.core().checkpoint(at, hub)
+        self.table
+            .run((at, hub), |core, (at, hub)| core.checkpoint(at, hub))
     }
 
     /// Restore `ckpt` into this datapath — normally a freshly constructed
@@ -352,7 +352,9 @@ impl AcdcDatapath {
     /// partially restored state: discard it and restore into a fresh one.
     /// Returns the number of flows restored.
     pub fn restore(&self, ckpt: &DatapathCheckpoint) -> Result<usize, String> {
-        let flows = self.table.core().restore(&self.cfg, ckpt)?;
+        let flows = self.table.run((&self.cfg, ckpt), |core, (cfg, ckpt)| {
+            core.restore(cfg, ckpt)
+        })?;
         ckpt.hub.apply(&self.telemetry)?;
         Ok(flows)
     }
@@ -377,8 +379,8 @@ impl AcdcDatapath {
             return Verdict::Forward(seg);
         }
         let mut out = self.outbox(now);
-        let mut core = self.table.core();
-        core.egress(&mut out.cx, seg)
+        self.table
+            .run((&mut out.cx, seg), |core, (cx, seg)| core.egress(cx, seg))
     }
 
     /// Process a packet arriving from the network toward the guest.
@@ -391,8 +393,8 @@ impl AcdcDatapath {
             return Verdict::Forward(seg);
         }
         let mut out = self.outbox(now);
-        let mut core = self.table.core();
-        core.ingress(&mut out.cx, seg)
+        self.table
+            .run((&mut out.cx, seg), |core, (cx, seg)| core.ingress(cx, seg))
     }
 
     // ------------------------------------------------------------------
@@ -403,7 +405,7 @@ impl AcdcDatapath {
     /// entirely (no ingress packet will trigger the check).
     pub fn tick(&self, now: Nanos) {
         let mut out = self.outbox(now);
-        let fired = self.table.core().tick(&mut out.cx);
+        let fired = self.table.run(&mut out.cx, Core::tick);
         for ((_, key), cwnd) in fired {
             self.telemetry
                 .record(now, key, EventKind::RtoFired { cwnd });
@@ -416,7 +418,11 @@ impl AcdcDatapath {
     /// maintenance interval, right after occupancy receded.
     pub fn gc(&self, now: Nanos, idle_timeout: Nanos) -> usize {
         let mut out = self.outbox(now);
-        let collected = self.table.core().gc(&mut out.cx, idle_timeout);
+        let collected = self
+            .table
+            .run((&mut out.cx, idle_timeout), |core, (cx, idle)| {
+                core.gc(cx, idle)
+            });
         let n = collected.len();
         for key in collected {
             self.telemetry
@@ -432,7 +438,7 @@ impl AcdcDatapath {
     /// (which flows it is enforcing, at what windows, with how much
     /// congestion feedback).
     pub fn flow_stats(&self) -> Vec<FlowStat> {
-        self.table.core().flow_stats()
+        self.table.run((), |core, ()| core.flow_stats())
     }
 
     /// The passively reconstructed send pointers for `key`'s data sender,
@@ -441,7 +447,7 @@ impl AcdcDatapath {
     /// `Endpoint::seq_view` exposes for its ground truth. The chaos suite
     /// compares the two after fault recovery.
     pub fn seq_view(&self, key: &FlowKey) -> Option<acdc_packet::SeqView> {
-        self.table.core().seq_view(key)
+        self.table.run(key, Core::seq_view)
     }
 
     /// Generate a TCP Window Update for the data sender of `key` without
@@ -451,24 +457,25 @@ impl AcdcDatapath {
     /// This packet is meant to be *delivered to the local guest* (the data
     /// sender behind this vSwitch).
     pub fn make_window_update(&self, key: &FlowKey) -> Option<Segment> {
-        self.table.core().make_window_update(key)
+        self.table.run(key, Core::make_window_update)
     }
 
     /// Generate `n` duplicate ACKs for the data sender of `key` to trigger
     /// its fast retransmit earlier than its (possibly long) RTO (§3.3,
     /// incast mitigation).
     pub fn make_dup_acks(&self, key: &FlowKey, n: usize) -> Vec<Segment> {
-        self.table.core().make_dup_acks(key, n)
+        self.table
+            .run((key, n), |core, (key, n)| core.make_dup_acks(key, n))
     }
 }
 
 /// One call's events on their way out: the call's context, whose events
 /// are recorded into the hub, in the order the core produced them, when
-/// the outbox drops. A call makes its outbox before it takes the guard,
-/// and holds the guard in a later local or a temporary of an earlier
-/// statement, so the guard always drops first. Recording on drop also
-/// lets a verdict go straight to the caller rather than wait, copied
-/// aside, for the recording.
+/// the outbox drops. A call makes its outbox first and lends its `Cx` to
+/// [`FlowTable::run`], so the outbox outlives the guard: the events are
+/// recorded after the lock is released. Recording on drop also lets a
+/// verdict go straight to the caller rather than wait, copied aside, for
+/// the recording.
 struct Outbox<'a> {
     hub: &'a Telemetry,
     cx: Cx<'a>,

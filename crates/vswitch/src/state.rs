@@ -5,11 +5,12 @@
 //! trace, and the overload flag. It lives behind the flow table's one
 //! lock, and each public `AcdcDatapath` call takes that lock once and runs
 //! one function here on `&mut Core`. This module names neither the
-//! telemetry hub nor the table that locks it: what a call has to say
+//! telemetry hub nor the table that locks it, so nothing here can
+//! re-enter the table or publish under the lock: what a call has to say
 //! leaves as the [`Events`] it wrote into its [`Cx`], in the order it
-//! produced them, and the datapath records them after it drops the
-//! guard. Re-entering the table or publishing under the lock are then
-//! not mistakes a reviewer or a lint has to catch: neither compiles.
+//! produced them, and the datapath records them after the guard drops.
+//! The datapath reaches the core through `FlowTable::run` alone, whose
+//! `fn` argument captures nothing and sees only what the call lends it.
 
 use acdc_cc::{CcConfig, CongestionControl};
 use acdc_packet::{

@@ -464,10 +464,21 @@ impl FlowTable {
         }
     }
 
-    /// The lock, taken: the one place anything takes it.
+    /// The lock, taken: the one place anything takes it. Private: past
+    /// this module the core is reached through [`FlowTable::run`] alone.
     #[inline]
-    pub(crate) fn core(&self) -> impl DerefMut<Target = Core> + '_ {
+    fn core(&self) -> impl DerefMut<Target = Core> + '_ {
         self.core.lock()
+    }
+
+    /// `f` on the core, under the lock: the way the datapath reaches its
+    /// core, once per call. `f` is a `fn`, so it captures nothing and
+    /// sees the core and `arg` only, and the guard drops when it returns:
+    /// whatever `arg` lends (a call's `Cx`, holding its events) outlives
+    /// the guard.
+    #[inline(always)]
+    pub(crate) fn run<A, R>(&self, arg: A, f: fn(&mut Core, A) -> R) -> R {
+        f(&mut self.core(), arg)
     }
 
     /// Run `f` on the entry for `key` under the table lock.
