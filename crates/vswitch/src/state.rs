@@ -26,17 +26,21 @@ use crate::health::{Health, HealthState, LOG_ONLY_PCT, LOG_RECOVER_PCT, PASS_REC
 use crate::rwnd::RwndAction;
 use crate::table::{sweep_order, Admission, Flows};
 
-/// Room for the events of one packet. A packet produces at most six: a
-/// SYN two admissions (three events for the first — eviction, creation,
-/// demotion — and two for the second, whose demotion the first already
-/// made, or a reject and its demotion), a data segment one admission and
-/// the three CC events of the ACK it carries.
-const CALL_EVENTS: usize = 6;
+/// Room for the events of one packet, which produces at most five. An
+/// egress SYN makes two admissions: three events for the first
+/// (eviction, creation, demotion) and two for the second (an eviction
+/// and a creation, the demotion already made, or a reject and its
+/// demotion). An ingress data segment makes one admission, three events,
+/// and carries an ACK that can fire two CC events: an inferred timeout
+/// and an alpha update. A fast retransmit needs a pure ACK, which makes
+/// no admission. `tests/datapath.rs::the_busiest_packets_fill_the_event_buffer`
+/// drives both five-event paths.
+const CALL_EVENTS: usize = 5;
 
 /// The events one call produced, in order, each with the flow it is
 /// stamped with: a fixed array on the caller's stack, so a packet
 /// allocates nothing for them. The slots are `Option`s so that an empty
-/// buffer is six tag bytes to write, not six events to build and copy.
+/// buffer is five tag bytes to write, not five events to build and copy.
 pub(crate) struct Events {
     buf: [Option<(FlowKey, EventKind)>; CALL_EVENTS],
     len: usize,

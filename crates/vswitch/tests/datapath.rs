@@ -2,12 +2,12 @@
 //! sender, host B = data receiver) processing hand-crafted packets, as in
 //! Figure 3 of the paper.
 
-use acdc_cc::{CcKind, CongestionControl};
+use acdc_cc::{CcConfig, CcKind, CongestionControl};
 use acdc_packet::{
     Ecn, FlowKey, Ipv4Repr, PackOption, PacketMeta, Segment, SeqNumber, TcpFlags, TcpOption,
     TcpRepr, PROTO_TCP,
 };
-use acdc_telemetry::EventKind;
+use acdc_telemetry::{EventKind, NO_FLOW};
 use acdc_vswitch::{
     AcdcConfig, AcdcDatapath, AdmissionPolicy, CcPolicy, DropReason, FlowEntry, HealthState,
     Verdict,
@@ -34,6 +34,16 @@ fn digest(dp: &AcdcDatapath) -> u64 {
     dp.telemetry().recorder().digest()
 }
 
+/// `seg` through `dp`'s egress at `at`, which must forward it.
+fn egress(dp: &AcdcDatapath, at: u64, seg: Segment) -> Segment {
+    dp.egress(at, seg).forwarded().expect("egress forwards")
+}
+
+/// `seg` through `dp`'s ingress at `at`, which must forward it.
+fn ingress(dp: &AcdcDatapath, at: u64, seg: Segment) -> Segment {
+    dp.ingress(at, seg).forwarded().expect("ingress forwards")
+}
+
 /// `seg`'s headers read afresh, as the next hop would read them.
 fn reread(seg: &Segment) -> PacketMeta {
     Segment::from_header_bytes(BytesMut::from(seg.header_bytes()), seg.payload_len())
@@ -54,7 +64,12 @@ fn ip(src: [u8; 4], dst: [u8; 4], ecn: Ecn) -> Ipv4Repr {
 }
 
 fn syn(ecn_capable: bool, wscale: u8) -> Segment {
-    let mut t = TcpRepr::new(AP, BP);
+    syn_on(AP, ecn_capable, wscale)
+}
+
+/// A SYN from A's guest at port `sport`.
+fn syn_on(sport: u16, ecn_capable: bool, wscale: u8) -> Segment {
+    let mut t = TcpRepr::new(sport, BP);
     t.seq = SeqNumber(ISS_A);
     t.flags = TcpFlags::SYN;
     if ecn_capable {
@@ -86,7 +101,12 @@ fn synack(ecn_capable: bool, wscale: u8) -> Segment {
 
 /// Data from A's guest: `off` bytes into the stream, `len` payload.
 fn data(off: u32, len: usize, ecn: Ecn) -> Segment {
-    let mut t = TcpRepr::new(AP, BP);
+    data_on(AP, off, len, ecn)
+}
+
+/// [`data`] from A's guest at port `sport`.
+fn data_on(sport: u16, off: u32, len: usize, ecn: Ecn) -> Segment {
+    let mut t = TcpRepr::new(sport, BP);
     t.seq = SeqNumber(ISS_A + 1 + off);
     t.ack = SeqNumber(ISS_B + 1);
     t.flags = TcpFlags::ACK;
@@ -96,12 +116,19 @@ fn data(off: u32, len: usize, ecn: Ecn) -> Segment {
 
 /// ACK from B's guest covering `off` stream bytes, advertising `raw_wnd`.
 fn ack(off: u32, raw_wnd: u16) -> Segment {
+    from_b(off, raw_wnd, 0, None)
+}
+
+/// B's side on the wire: `len` bytes of data that acknowledge `off`
+/// stream bytes under `raw_wnd`, with `pack` if given, whoever sent it.
+fn from_b(off: u32, raw_wnd: u16, len: usize, pack: Option<PackOption>) -> Segment {
     let mut t = TcpRepr::new(BP, AP);
     t.seq = SeqNumber(ISS_B + 1);
     t.ack = SeqNumber(ISS_A + 1 + off);
     t.flags = TcpFlags::ACK;
     t.window = raw_wnd;
-    Segment::new_tcp(ip(B, A, Ecn::NotEct), t, 0)
+    t.options = pack.into_iter().map(TcpOption::Pack).collect();
+    Segment::new_tcp(ip(B, A, Ecn::NotEct), t, len)
 }
 
 fn key_ab() -> FlowKey {
@@ -123,12 +150,12 @@ fn rig(guest_ecn: bool) -> (AcdcDatapath, AcdcDatapath) {
 
 fn handshake(dpa: &AcdcDatapath, dpb: &AcdcDatapath, guest_ecn: bool) {
     // A guest SYN → dpa egress → wire → dpb ingress → B guest.
-    let s = dpa.egress(0, syn(guest_ecn, 9)).forwarded().unwrap();
-    let s = dpb.ingress(1_000, s).forwarded().unwrap();
+    let s = egress(dpa, 0, syn(guest_ecn, 9));
+    let s = ingress(dpb, 1_000, s);
     assert!(s.tcp_flags().contains(TcpFlags::SYN));
     // B guest SYNACK back.
-    let sa = dpb.egress(2_000, synack(guest_ecn, 9)).forwarded().unwrap();
-    let sa = dpa.ingress(3_000, sa).forwarded().unwrap();
+    let sa = egress(dpb, 2_000, synack(guest_ecn, 9));
+    let sa = ingress(dpa, 3_000, sa);
     assert!(sa.tcp_flags().contains(TcpFlags::ACK));
 }
 
@@ -147,20 +174,14 @@ fn handshake_creates_entries_and_records_wscale() {
 fn egress_data_forced_ect_and_reserved_bit_reflects_guest() {
     // Non-ECN guest: packets leave NotEct, must become ECT0 + bit clear.
     let (dpa, _) = rig(false);
-    let d = dpa
-        .egress(10_000, data(0, MSS, Ecn::NotEct))
-        .forwarded()
-        .unwrap();
+    let d = egress(&dpa, 10_000, data(0, MSS, Ecn::NotEct));
     assert_eq!(d.ecn(), Ecn::Ect0, "AC/DC forces ECT");
     assert!(!d.tcp().vm_ece());
     assert!(d.verify_checksums());
 
     // ECN guest: bit set.
     let (dpa, _) = rig(true);
-    let d = dpa
-        .egress(10_000, data(0, MSS, Ecn::Ect0))
-        .forwarded()
-        .unwrap();
+    let d = egress(&dpa, 10_000, data(0, MSS, Ecn::Ect0));
     assert_eq!(d.ecn(), Ecn::Ect0);
     assert!(d.tcp().vm_ece());
     assert!(d.verify_checksums());
@@ -169,13 +190,10 @@ fn egress_data_forced_ect_and_reserved_bit_reflects_guest() {
 #[test]
 fn receiver_module_strips_ce_and_counts() {
     let (dpa, dpb) = rig(false);
-    let d = dpa
-        .egress(10_000, data(0, MSS, Ecn::NotEct))
-        .forwarded()
-        .unwrap();
+    let d = egress(&dpa, 10_000, data(0, MSS, Ecn::NotEct));
     let mut d = d;
     d.mark_ce(); // switch marks it
-    let delivered = dpb.ingress(20_000, d).forwarded().unwrap();
+    let delivered = ingress(&dpb, 20_000, d);
     // Guest was not ECN-capable → delivered NotEct, reserved bits clear.
     assert_eq!(delivered.ecn(), Ecn::NotEct);
     assert!(!delivered.tcp().vm_ece());
@@ -188,12 +206,9 @@ fn receiver_module_strips_ce_and_counts() {
 #[test]
 fn ce_stripped_to_ect_for_ecn_guest() {
     let (dpa, dpb) = rig(true);
-    let mut d = dpa
-        .egress(10_000, data(0, MSS, Ecn::Ect0))
-        .forwarded()
-        .unwrap();
+    let mut d = egress(&dpa, 10_000, data(0, MSS, Ecn::Ect0));
     d.mark_ce();
-    let delivered = dpb.ingress(20_000, d).forwarded().unwrap();
+    let delivered = ingress(&dpb, 20_000, d);
     // Guest spoke ECN → restore ECT0 (hide only the CE mark).
     assert_eq!(delivered.ecn(), Ecn::Ect0);
     assert!(delivered.verify_checksums());
@@ -203,25 +218,19 @@ fn ce_stripped_to_ect_for_ecn_guest() {
 fn ack_carries_pack_and_sender_consumes_it() {
     let (dpa, dpb) = rig(false);
     // Data A→B, marked in the network.
-    let mut d = dpa
-        .egress(10_000, data(0, MSS, Ecn::NotEct))
-        .forwarded()
-        .unwrap();
+    let mut d = egress(&dpa, 10_000, data(0, MSS, Ecn::NotEct));
     d.mark_ce();
-    dpb.ingress(20_000, d).forwarded().unwrap();
+    ingress(&dpb, 20_000, d);
 
     // B guest ACKs; dpb egress must attach a PACK with the counts.
-    let a = dpb
-        .egress(21_000, ack(MSS as u32, 65_000))
-        .forwarded()
-        .unwrap();
+    let a = egress(&dpb, 21_000, ack(MSS as u32, 65_000));
     let pack = reread(&a).pack.expect("PACK attached");
     assert_eq!(pack.total_bytes, MSS as u32);
     assert_eq!(pack.marked_bytes, MSS as u32);
     assert!(a.verify_checksums());
 
     // dpa ingress: PACK stripped before the guest sees the ACK.
-    let delivered = dpa.ingress(22_000, a).forwarded().unwrap();
+    let delivered = ingress(&dpa, 22_000, a);
     assert!(reread(&delivered).pack.is_none());
     assert!(delivered.verify_checksums());
     assert_eq!(dpa.counters().packs_received.get(), 1);
@@ -233,16 +242,10 @@ fn ack_carries_pack_and_sender_consumes_it() {
 #[test]
 fn rwnd_rewritten_smaller_with_wscale() {
     let (dpa, dpb) = rig(false);
-    let d = dpa
-        .egress(10_000, data(0, MSS, Ecn::NotEct))
-        .forwarded()
-        .unwrap();
-    dpb.ingress(20_000, d).forwarded().unwrap();
-    let a = dpb
-        .egress(21_000, ack(MSS as u32, 65_000))
-        .forwarded()
-        .unwrap();
-    let delivered = dpa.ingress(22_000, a).forwarded().unwrap();
+    let d = egress(&dpa, 10_000, data(0, MSS, Ecn::NotEct));
+    ingress(&dpb, 20_000, d);
+    let a = egress(&dpb, 21_000, ack(MSS as u32, 65_000));
+    let delivered = ingress(&dpa, 22_000, a);
 
     let cwnd = entry(&dpa, &key_ab(), |e| e.cc().cwnd());
     let expect_raw = (cwnd >> 9).max(1) as u16;
@@ -255,30 +258,24 @@ fn rwnd_rewritten_smaller_with_wscale() {
 #[test]
 fn rwnd_not_rewritten_when_guest_window_already_smaller() {
     let (dpa, dpb) = rig(false);
-    let d = dpa
-        .egress(10_000, data(0, MSS, Ecn::NotEct))
-        .forwarded()
-        .unwrap();
-    dpb.ingress(20_000, d).forwarded().unwrap();
+    let d = egress(&dpa, 10_000, data(0, MSS, Ecn::NotEct));
+    ingress(&dpb, 20_000, d);
     // Guest advertises raw 2 (scaled: 1 KB) — far below cwnd.
-    let a = dpb.egress(21_000, ack(MSS as u32, 2)).forwarded().unwrap();
-    let delivered = dpa.ingress(22_000, a).forwarded().unwrap();
+    let a = egress(&dpb, 21_000, ack(MSS as u32, 2));
+    let delivered = ingress(&dpa, 22_000, a);
     assert_eq!(delivered.tcp().window(), 2, "original smaller window kept");
 }
 
 #[test]
 fn ece_feedback_hidden_from_guest() {
     let (dpa, dpb) = rig(true);
-    let d = dpa
-        .egress(10_000, data(0, MSS, Ecn::Ect0))
-        .forwarded()
-        .unwrap();
-    dpb.ingress(20_000, d).forwarded().unwrap();
+    let d = egress(&dpa, 10_000, data(0, MSS, Ecn::Ect0));
+    ingress(&dpb, 20_000, d);
     // ACK with ECE set (guest B echoing a mark).
     let mut raw_ack = ack(MSS as u32, 65_000);
     raw_ack.set_tcp_flags(raw_ack.tcp_flags() | TcpFlags::ECE);
-    let a = dpb.egress(21_000, raw_ack).forwarded().unwrap();
-    let delivered = dpa.ingress(22_000, a).forwarded().unwrap();
+    let a = egress(&dpb, 21_000, raw_ack);
+    let delivered = ingress(&dpa, 22_000, a);
     assert!(
         !delivered.tcp_flags().contains(TcpFlags::ECE),
         "ECE must be stripped so the guest does not also back off"
@@ -289,20 +286,12 @@ fn ece_feedback_hidden_from_guest() {
 #[test]
 fn pack_overflow_generates_fack() {
     let (dpa, dpb) = rig(false);
-    let d = dpa
-        .egress(10_000, data(0, MSS, Ecn::NotEct))
-        .forwarded()
-        .unwrap();
-    dpb.ingress(20_000, d).forwarded().unwrap();
+    let d = egress(&dpa, 10_000, data(0, MSS, Ecn::NotEct));
+    ingress(&dpb, 20_000, d);
 
     // B sends a full-MTU data packet that also acks: no room for PACK.
-    let mut t = TcpRepr::new(BP, AP);
-    t.seq = SeqNumber(ISS_B + 1);
-    t.ack = SeqNumber(ISS_A + 1 + MSS as u32);
-    t.flags = TcpFlags::ACK;
-    t.window = 65_000;
     // Full-MTU frame: 20 B IP + 20 B TCP + 1460 B payload.
-    let full = Segment::new_tcp(ip(B, A, Ecn::NotEct), t, MTU - 40);
+    let full = from_b(MSS as u32, 65_000, MTU - 40, None);
     assert_eq!(full.wire_len(), MTU);
 
     match dpb.egress(21_000, full) {
@@ -361,16 +350,10 @@ fn log_only_mode_computes_but_does_not_rewrite() {
     let dpb = AcdcDatapath::new(AcdcConfig::dctcp(MTU));
     handshake(&dpa, &dpb, false);
 
-    let d = dpa
-        .egress(10_000, data(0, MSS, Ecn::NotEct))
-        .forwarded()
-        .unwrap();
-    dpb.ingress(20_000, d).forwarded().unwrap();
-    let a = dpb
-        .egress(21_000, ack(MSS as u32, 65_000))
-        .forwarded()
-        .unwrap();
-    let delivered = dpa.ingress(22_000, a).forwarded().unwrap();
+    let d = egress(&dpa, 10_000, data(0, MSS, Ecn::NotEct));
+    ingress(&dpb, 20_000, d);
+    let a = egress(&dpb, 21_000, ack(MSS as u32, 65_000));
+    let delivered = ingress(&dpa, 22_000, a);
     assert_eq!(delivered.tcp().window(), 65_000, "log-only: untouched");
 
     let (target, traced) = entry(&dpa, &key_ab(), |e| {
@@ -384,28 +367,20 @@ fn log_only_mode_computes_but_does_not_rewrite() {
 fn dupacks_trigger_inferred_fast_retransmit() {
     let (dpa, dpb) = rig(false);
     for i in 0..5u32 {
-        let d = dpa
-            .egress(
-                10_000 + u64::from(i),
-                data(i * MSS as u32, MSS, Ecn::NotEct),
-            )
-            .forwarded()
-            .unwrap();
-        dpb.ingress(11_000 + u64::from(i), d).forwarded().unwrap();
+        let d = egress(
+            &dpa,
+            10_000 + u64::from(i),
+            data(i * MSS as u32, MSS, Ecn::NotEct),
+        );
+        ingress(&dpb, 11_000 + u64::from(i), d);
     }
     // First ACK advances; then three duplicates.
-    let a = dpb
-        .egress(21_000, ack(MSS as u32, 65_000))
-        .forwarded()
-        .unwrap();
-    dpa.ingress(22_000, a).forwarded().unwrap();
+    let a = egress(&dpb, 21_000, ack(MSS as u32, 65_000));
+    ingress(&dpa, 22_000, a);
     let cwnd_before = entry(&dpa, &key_ab(), |e| e.cc().cwnd());
     for i in 0..3 {
-        let a = dpb
-            .egress(23_000 + i, ack(MSS as u32, 65_000))
-            .forwarded()
-            .unwrap();
-        dpa.ingress(24_000 + i, a).forwarded().unwrap();
+        let a = egress(&dpb, 23_000 + i, ack(MSS as u32, 65_000));
+        ingress(&dpa, 24_000 + i, a);
     }
     assert_eq!(dpa.counters().inferred_fast_rtx.get(), 1);
     assert!(
@@ -419,10 +394,10 @@ fn disabled_datapath_is_passthrough() {
     let dp = AcdcDatapath::new(AcdcConfig::disabled(MTU));
     let before = data(0, MSS, Ecn::NotEct);
     let bytes_before = before.header_bytes().to_vec();
-    let out = dp.egress(0, before).forwarded().unwrap();
+    let out = egress(&dp, 0, before);
     assert_eq!(out.header_bytes(), &bytes_before[..]);
     assert_eq!(dp.flows(), 0);
-    let out = dp.ingress(0, out).forwarded().unwrap();
+    let out = ingress(&dp, 0, out);
     assert_eq!(out.header_bytes(), &bytes_before[..]);
 }
 
@@ -456,12 +431,8 @@ fn per_flow_policy_assigns_different_algorithms() {
 fn fin_marks_closing_and_gc_collects() {
     let (dpa, _dpb) = rig(false);
     let flows_before = dpa.flows();
-    let mut t = TcpRepr::new(AP, BP);
-    t.seq = SeqNumber(ISS_A + 1);
-    t.ack = SeqNumber(ISS_B + 1);
-    t.flags = TcpFlags::ACK | TcpFlags::FIN;
-    let fin = Segment::new_tcp(ip(A, B, Ecn::NotEct), t, 0);
-    dpa.egress(50_000, fin);
+    let fin = TcpFlags::ACK | TcpFlags::FIN;
+    dpa.egress(50_000, control(true, ISS_A + 1, ISS_B + 1, fin));
     let collected = dpa.gc(60_000, u64::MAX);
     assert!(collected >= 1, "FIN-marked entry collected");
     assert!(dpa.flows() < flows_before);
@@ -531,27 +502,21 @@ fn reuse_after_close(close: impl Fn(&AcdcDatapath, &AcdcDatapath)) {
 
     // The new connection, within one sweep of the close; B now
     // advertises scale 7.
-    let s = dpa.egress(100_000, syn(false, 9)).forwarded().unwrap();
-    dpb.ingress(101_000, s).forwarded().unwrap();
-    let sa = dpb.egress(102_000, synack(false, 7)).forwarded().unwrap();
-    dpa.ingress(103_000, sa).forwarded().unwrap();
+    let s = egress(&dpa, 100_000, syn(false, 9));
+    ingress(&dpb, 101_000, s);
+    let sa = egress(&dpb, 102_000, synack(false, 7));
+    ingress(&dpa, 103_000, sa);
     assert_eq!(dpa.gc(110_000, u64::MAX), 0);
     assert_eq!(dpb.gc(110_000, u64::MAX), 0);
     assert_eq!((dpa.flows(), dpb.flows()), (2, 2));
     assert!(entry(&dpa, &key_ab(), |e| e.rwnd().learned()));
     assert_eq!(entry(&dpa, &key_ab(), |e| e.rwnd().wscale()), 7);
 
-    let d = dpa
-        .egress(120_000, data(0, MSS, Ecn::NotEct))
-        .forwarded()
-        .unwrap();
-    dpb.ingress(121_000, d).forwarded().unwrap();
+    let d = egress(&dpa, 120_000, data(0, MSS, Ecn::NotEct));
+    ingress(&dpb, 121_000, d);
     let rewrites = dpa.counters().rwnd_rewrites.get();
-    let a = dpb
-        .egress(122_000, ack(MSS as u32, 65_000))
-        .forwarded()
-        .unwrap();
-    let delivered = dpa.ingress(123_000, a).forwarded().unwrap();
+    let a = egress(&dpb, 122_000, ack(MSS as u32, 65_000));
+    let delivered = ingress(&dpa, 123_000, a);
     let cwnd = entry(&dpa, &key_ab(), |e| e.cc().cwnd());
     assert_eq!(delivered.tcp().window(), (cwnd >> 7).max(1) as u16);
     assert_eq!(dpa.counters().rwnd_rewrites.get(), rewrites + 1);
@@ -562,8 +527,8 @@ fn reuse_after_close(close: impl Fn(&AcdcDatapath, &AcdcDatapath)) {
 fn syn_after_rst_on_the_same_tuple_is_a_new_enforced_connection() {
     reuse_after_close(|dpa, dpb| {
         let rst = control(true, ISS_A + 1, 0, TcpFlags::RST);
-        let rst = dpa.egress(50_000, rst).forwarded().unwrap();
-        dpb.ingress(51_000, rst).forwarded().unwrap();
+        let rst = egress(dpa, 50_000, rst);
+        ingress(dpb, 51_000, rst);
     });
 }
 
@@ -573,8 +538,8 @@ fn syn_after_fins_on_the_same_tuple_is_a_new_enforced_connection() {
         let fin_ack = TcpFlags::ACK | TcpFlags::FIN;
         let wire = |from_a: bool, at: u64, seg: Segment| {
             let (tx, rx) = if from_a { (dpa, dpb) } else { (dpb, dpa) };
-            let seg = tx.egress(at, seg).forwarded().unwrap();
-            rx.ingress(at + 1_000, seg).forwarded().unwrap();
+            let seg = egress(tx, at, seg);
+            ingress(rx, at + 1_000, seg);
         };
         wire(true, 50_000, control(true, ISS_A + 1, ISS_B + 1, fin_ack));
         wire(false, 60_000, control(false, ISS_B + 1, ISS_A + 2, fin_ack));
@@ -595,11 +560,8 @@ fn connections_count_records_not_directions() {
     assert_eq!((dpa.flows(), dpa.connections()), (2, 1));
 
     // Half-closed: A's FIN is collected, B's direction stays.
-    let mut t = TcpRepr::new(AP, BP);
-    t.seq = SeqNumber(ISS_A + 1);
-    t.ack = SeqNumber(ISS_B + 1);
-    t.flags = TcpFlags::ACK | TcpFlags::FIN;
-    dpa.egress(50_000, Segment::new_tcp(ip(A, B, Ecn::NotEct), t, 0));
+    let fin = TcpFlags::ACK | TcpFlags::FIN;
+    dpa.egress(50_000, control(true, ISS_A + 1, ISS_B + 1, fin));
     assert_eq!(dpa.gc(60_000, u64::MAX), 1);
     let left: Vec<FlowKey> = dpa.flow_stats().iter().map(|s| s.key).collect();
     assert_eq!(left, [key_ab().reverse()]);
@@ -611,9 +573,7 @@ fn connections_count_records_not_directions() {
     t.seq = SeqNumber(ISS_A);
     t.flags = TcpFlags::SYN;
     t.window = 65_000;
-    dp.egress(0, Segment::new_tcp(ip(A, A, Ecn::NotEct), t, 0))
-        .forwarded()
-        .unwrap();
+    egress(&dp, 0, Segment::new_tcp(ip(A, A, Ecn::NotEct), t, 0));
     let own = FlowKey {
         src_ip: A,
         dst_ip: A,
@@ -627,11 +587,8 @@ fn connections_count_records_not_directions() {
 #[test]
 fn window_update_generation() {
     let (dpa, dpb) = rig(false);
-    let d = dpa
-        .egress(10_000, data(0, MSS, Ecn::NotEct))
-        .forwarded()
-        .unwrap();
-    dpb.ingress(20_000, d).forwarded().unwrap();
+    let d = egress(&dpa, 10_000, data(0, MSS, Ecn::NotEct));
+    ingress(&dpb, 20_000, d);
     let wu = dpa.make_window_update(&key_ab()).expect("window update");
     assert!(wu.is_pure_ack());
     assert_eq!(wu.flow_key(), key_ab().reverse());
@@ -643,11 +600,8 @@ fn window_update_generation() {
 #[test]
 fn dup_ack_generation() {
     let (dpa, dpb) = rig(false);
-    let d = dpa
-        .egress(10_000, data(0, MSS, Ecn::NotEct))
-        .forwarded()
-        .unwrap();
-    dpb.ingress(20_000, d).forwarded().unwrap();
+    let d = egress(&dpa, 10_000, data(0, MSS, Ecn::NotEct));
+    ingress(&dpb, 20_000, d);
     let dups = dpa.make_dup_acks(&key_ab(), 3);
     assert_eq!(dups.len(), 3);
     for dup in &dups {
@@ -661,11 +615,8 @@ fn dup_ack_generation() {
 fn inactivity_tick_infers_timeout() {
     let (dpa, dpb) = rig(false);
     // Send data that never gets acked.
-    let d = dpa
-        .egress(10_000, data(0, MSS, Ecn::NotEct))
-        .forwarded()
-        .unwrap();
-    dpb.ingress(11_000, d).forwarded().unwrap();
+    let d = egress(&dpa, 10_000, data(0, MSS, Ecn::NotEct));
+    ingress(&dpb, 11_000, d);
     let cwnd_before = entry(&dpa, &key_ab(), |e| e.cc().cwnd());
     // 50 ms later (RTOmin floor is 10 ms) the tick must infer a timeout.
     dpa.tick(50_000_000);
@@ -682,31 +633,22 @@ fn pack_feedback_drives_dctcp_cut() {
     // Establish some progress first so cwnd > floor.
     let mut off = 0u32;
     for i in 0..10 {
-        let d = dpa
-            .egress(10_000 + i, data(off, MSS, Ecn::NotEct))
-            .forwarded()
-            .unwrap();
-        dpb.ingress(11_000 + i, d).forwarded().unwrap();
+        let d = egress(&dpa, 10_000 + i, data(off, MSS, Ecn::NotEct));
+        ingress(&dpb, 11_000 + i, d);
         off += MSS as u32;
-        let a = dpb
-            .egress(12_000 + i, ack(off, 65_000))
-            .forwarded()
-            .unwrap();
-        dpa.ingress(13_000 + i, a).forwarded().unwrap();
+        let a = egress(&dpb, 12_000 + i, ack(off, 65_000));
+        ingress(&dpa, 13_000 + i, a);
     }
     let before = entry(&dpa, &key_ab(), |e| e.cc().cwnd());
 
     // Now a marked round: data CE-marked → PACK reports it → cut.
-    let mut d = dpa
-        .egress(50_000, data(off, MSS, Ecn::NotEct))
-        .forwarded()
-        .unwrap();
+    let mut d = egress(&dpa, 50_000, data(off, MSS, Ecn::NotEct));
     d.mark_ce();
-    dpb.ingress(51_000, d).forwarded().unwrap();
+    ingress(&dpb, 51_000, d);
     off += MSS as u32;
-    let a = dpb.egress(52_000, ack(off, 65_000)).forwarded().unwrap();
+    let a = egress(&dpb, 52_000, ack(off, 65_000));
     assert!(reread(&a).pack.unwrap().marked_bytes > 0);
-    dpa.ingress(53_000, a).forwarded().unwrap();
+    ingress(&dpa, 53_000, a);
 
     assert!(
         entry(&dpa, &key_ab(), |e| e.cc().cwnd()) < before,
@@ -719,22 +661,14 @@ fn pack_option_survives_only_between_vswitches() {
     // A PACK injected from outside (malformed/spoofed) still gets stripped
     // before reaching the guest.
     let (dpa, dpb) = rig(false);
-    let d = dpa
-        .egress(10_000, data(0, MSS, Ecn::NotEct))
-        .forwarded()
-        .unwrap();
-    dpb.ingress(20_000, d).forwarded().unwrap();
-    let mut t = TcpRepr::new(BP, AP);
-    t.seq = SeqNumber(ISS_B + 1);
-    t.ack = SeqNumber(ISS_A + 1 + MSS as u32);
-    t.flags = TcpFlags::ACK;
-    t.window = 65_000;
-    t.options = vec![TcpOption::Pack(PackOption {
+    let d = egress(&dpa, 10_000, data(0, MSS, Ecn::NotEct));
+    ingress(&dpb, 20_000, d);
+    let pack = PackOption {
         total_bytes: 999,
         marked_bytes: 0,
-    })];
-    let spoofed = Segment::new_tcp(ip(B, A, Ecn::NotEct), t, 0);
-    let delivered = dpa.ingress(30_000, spoofed).forwarded().unwrap();
+    };
+    let spoofed = from_b(MSS as u32, 65_000, 0, Some(pack));
+    let delivered = ingress(&dpa, 30_000, spoofed);
     assert!(reread(&delivered).pack.is_none());
 }
 
@@ -744,22 +678,14 @@ fn spoofed_pack_with_more_marked_than_total_is_clamped() {
     // than bytes. The sender module must neither trip its own counter
     // assertion on it nor hand the algorithm a fraction above one.
     let (dpa, dpb) = rig(false);
-    let d = dpa
-        .egress(10_000, data(0, MSS, Ecn::NotEct))
-        .forwarded()
-        .unwrap();
-    dpb.ingress(20_000, d).forwarded().unwrap();
-    let mut t = TcpRepr::new(BP, AP);
-    t.seq = SeqNumber(ISS_B + 1);
-    t.ack = SeqNumber(ISS_A + 1 + MSS as u32);
-    t.flags = TcpFlags::ACK;
-    t.window = 65_000;
-    t.options = vec![TcpOption::Pack(PackOption {
+    let d = egress(&dpa, 10_000, data(0, MSS, Ecn::NotEct));
+    ingress(&dpb, 20_000, d);
+    let pack = PackOption {
         total_bytes: 10,
         marked_bytes: 4_000_000_000,
-    })];
-    let spoofed = Segment::new_tcp(ip(B, A, Ecn::NotEct), t, 0);
-    let delivered = dpa.ingress(30_000, spoofed).forwarded().unwrap();
+    };
+    let spoofed = from_b(MSS as u32, 65_000, 0, Some(pack));
+    let delivered = ingress(&dpa, 30_000, spoofed);
     assert!(reread(&delivered).pack.is_none(), "PACK stripped");
     assert!(delivered.verify_checksums());
     let alpha = entry(&dpa, &key_ab(), |e| e.cc().alpha_micros()).expect("DCTCP publishes alpha");
@@ -774,23 +700,16 @@ fn udp_passes_through_untouched() {
         dst_port: 53,
         payload_len: 0,
     };
-    let seg = acdc_packet::Segment::new_udp(
-        acdc_packet::Ipv4Repr {
-            src_addr: A,
-            dst_addr: B,
-            protocol: acdc_packet::PROTO_UDP,
-            ecn: Ecn::NotEct,
-            payload_len: 0,
-            ttl: 64,
-        },
-        udp,
-        256,
-    );
+    let ip = Ipv4Repr {
+        protocol: acdc_packet::PROTO_UDP,
+        ..ip(A, B, Ecn::NotEct)
+    };
+    let seg = Segment::new_udp(ip, udp, 256);
     let bytes_before = seg.header_bytes().to_vec();
-    let out = dp.egress(0, seg).forwarded().unwrap();
+    let out = egress(&dp, 0, seg);
     assert_eq!(out.header_bytes(), &bytes_before[..], "no mangling");
     assert_eq!(out.ecn(), Ecn::NotEct, "UDP is not forced ECT");
-    let out = dp.ingress(1, out).forwarded().unwrap();
+    let out = ingress(&dp, 1, out);
     assert_eq!(out.header_bytes(), &bytes_before[..]);
     assert_eq!(dp.flows(), 0, "no connection tracking for UDP");
     assert_eq!(dp.counters().non_tcp_passthrough.get(), 2);
@@ -801,20 +720,14 @@ fn flow_stats_snapshot_reflects_activity() {
     let (dpa, dpb) = rig(false);
     let mut off = 0u32;
     for i in 0..5 {
-        let mut d = dpa
-            .egress(10_000 + i, data(off, MSS, Ecn::NotEct))
-            .forwarded()
-            .unwrap();
+        let mut d = egress(&dpa, 10_000 + i, data(off, MSS, Ecn::NotEct));
         if i % 2 == 0 {
             d.mark_ce();
         }
-        dpb.ingress(11_000 + i, d).forwarded().unwrap();
+        ingress(&dpb, 11_000 + i, d);
         off += MSS as u32;
-        let a = dpb
-            .egress(12_000 + i, ack(off, 65_000))
-            .forwarded()
-            .unwrap();
-        dpa.ingress(13_000 + i, a).forwarded().unwrap();
+        let a = egress(&dpb, 12_000 + i, ack(off, 65_000));
+        ingress(&dpa, 13_000 + i, a);
     }
     // Sender-side view: the enforced flow with its window and RTT.
     let stats = dpa.flow_stats();
@@ -849,36 +762,11 @@ fn counter(dp: &AcdcDatapath, name: &str) -> u64 {
         .expect("registered acdc.* counter")
 }
 
-/// A SYN from a guest at `sport` (distinct flows for capacity tests).
-fn syn_on(sport: u16, wscale: u8) -> Segment {
-    let mut t = TcpRepr::new(sport, BP);
-    t.seq = SeqNumber(ISS_A);
-    t.flags = TcpFlags::SYN;
-    t.window = 65_000;
-    t.options = vec![
-        TcpOption::MaxSegmentSize(MSS as u16),
-        TcpOption::WindowScale(wscale),
-    ];
-    Segment::new_tcp(ip(A, B, Ecn::NotEct), t, 0)
-}
-
-/// Data from the guest at `sport`.
-fn data_on(sport: u16, off: u32, len: usize) -> Segment {
-    let mut t = TcpRepr::new(sport, BP);
-    t.seq = SeqNumber(ISS_A + 1 + off);
-    t.ack = SeqNumber(ISS_B + 1);
-    t.flags = TcpFlags::ACK;
-    t.window = 127;
-    Segment::new_tcp(ip(A, B, Ecn::NotEct), t, len)
-}
-
 #[test]
 fn adopted_flow_stays_log_only_until_handshake() {
     let dpa = AcdcDatapath::new(AcdcConfig::dctcp(MTU));
     // No SYN observed: the entry is adopted from a data packet.
-    dpa.egress(1_000, data(0, MSS, Ecn::NotEct))
-        .forwarded()
-        .unwrap();
+    egress(&dpa, 1_000, data(0, MSS, Ecn::NotEct));
     {
         assert!(dpa.seq_view(&key_ab()).is_some(), "sequence state adopted");
         assert!(
@@ -888,22 +776,16 @@ fn adopted_flow_stays_log_only_until_handshake() {
     }
     // This ACK would be rewritten (the initial DCTCP window is far below
     // 65 000 B) had the scale been learned; adopted flows are left alone.
-    let a = dpa
-        .ingress(2_000, ack(MSS as u32, 65_000))
-        .forwarded()
-        .unwrap();
+    let a = ingress(&dpa, 2_000, ack(MSS as u32, 65_000));
     assert_eq!(a.tcp().window(), 65_000, "no rewrite with unlearned scale");
     assert!(counter(&dpa, "unscaled_rwnd_skips") >= 1);
     assert_eq!(counter(&dpa, "rwnd_rewrites"), 0);
 
     // A (retransmitted) handshake teaches the scale, restoring
     // enforcement for the same flow.
-    dpa.egress(3_000, syn(false, 9)).forwarded().unwrap();
-    dpa.ingress(4_000, synack(false, 9)).forwarded().unwrap();
-    let a = dpa
-        .ingress(5_000, ack(MSS as u32, 65_000))
-        .forwarded()
-        .unwrap();
+    egress(&dpa, 3_000, syn(false, 9));
+    ingress(&dpa, 4_000, synack(false, 9));
+    let a = ingress(&dpa, 5_000, ack(MSS as u32, 65_000));
     assert!(
         a.tcp().window() < 65_000,
         "rewrite active after handshake, got {}",
@@ -924,15 +806,10 @@ fn reset_drops_state_and_readopts_conservatively() {
     assert_eq!(dpa.health_trace().len(), 1, "restart epoch recorded");
 
     // Mid-stream re-adoption from the next data packet...
-    dpa.egress(60_000, data(0, MSS, Ecn::NotEct))
-        .forwarded()
-        .unwrap();
+    egress(&dpa, 60_000, data(0, MSS, Ecn::NotEct));
     assert!(dpa.flows() >= 1);
     // ...but the adopted flow is never enforced with the lost scale.
-    let a = dpa
-        .ingress(70_000, ack(MSS as u32, 65_000))
-        .forwarded()
-        .unwrap();
+    let a = ingress(&dpa, 70_000, ack(MSS as u32, 65_000));
     assert_eq!(a.tcp().window(), 65_000);
     assert!(counter(&dpa, "unscaled_rwnd_skips") >= 1);
     assert_eq!(counter(&dpa, "rwnd_rewrites"), 0);
@@ -947,23 +824,20 @@ fn capacity_exhaustion_walks_the_degradation_ladder() {
     };
     let dpa = AcdcDatapath::new(cfg);
     // Flow 1 handshake: 2 entries, 50 % occupancy → still enforcing.
-    dpa.egress(0, syn_on(41_000, 9)).forwarded().unwrap();
+    egress(&dpa, 0, syn_on(41_000, false, 9));
     assert_eq!(dpa.health(), HealthState::Enforcing);
     // Flow 2: 4 entries, 100 % ≥ the 90 % watermark → log-only.
-    dpa.egress(1_000, syn_on(41_001, 9)).forwarded().unwrap();
+    egress(&dpa, 1_000, syn_on(41_001, false, 9));
     assert_eq!(dpa.flows(), 4);
     assert_eq!(dpa.health(), HealthState::LogOnly);
     // Flow 3: the table is full — rejected; drop to pass-through.
-    dpa.egress(2_000, syn_on(41_002, 9)).forwarded().unwrap();
+    egress(&dpa, 2_000, syn_on(41_002, false, 9));
     assert_eq!(dpa.flows(), 4);
     assert_eq!(dpa.health(), HealthState::PassThrough);
     assert!(counter(&dpa, "admission_rejects") >= 1);
     assert_eq!(counter(&dpa, "health_demotions"), 2);
     // Unadmitted traffic is forwarded untouched — no forced ECT.
-    let d = dpa
-        .egress(3_000, data_on(41_002, 0, MSS))
-        .forwarded()
-        .unwrap();
+    let d = egress(&dpa, 3_000, data_on(41_002, 0, MSS, Ecn::NotEct));
     assert_eq!(d.ecn(), Ecn::NotEct, "pass-through leaves the wire alone");
     assert!(counter(&dpa, "overload_passthrough") >= 1);
 }
@@ -976,12 +850,87 @@ fn evict_oldest_idle_admits_new_flows_at_capacity() {
         ..AcdcConfig::dctcp(MTU)
     };
     let dpa = AcdcDatapath::new(cfg);
-    dpa.egress(0, syn_on(41_000, 9)).forwarded().unwrap();
-    dpa.egress(1_000, syn_on(41_001, 9)).forwarded().unwrap();
+    egress(&dpa, 0, syn_on(41_000, false, 9));
+    egress(&dpa, 1_000, syn_on(41_001, false, 9));
     assert_eq!(dpa.flows(), 2, "capacity never exceeded");
     assert!(counter(&dpa, "capacity_evictions") >= 2);
     assert_eq!(counter(&dpa, "admission_rejects"), 0);
     assert_ne!(dpa.health(), HealthState::PassThrough);
+}
+
+/// The events `dp` records while `f` runs, with their flows, in order.
+fn events_of(dp: &AcdcDatapath, f: impl FnOnce()) -> Vec<(FlowKey, EventKind)> {
+    let before = dp.telemetry().recorder().events().len();
+    f();
+    let events = dp.telemetry().recorder().events().into_iter();
+    events.skip(before).map(|e| (e.flow, e.kind)).collect()
+}
+
+/// Fill `dp`'s table with entries idle since t = 0, straight through the
+/// table, so the ladder does not move.
+fn fill(dp: &AcdcDatapath, ports: &[u16]) {
+    for &p in ports {
+        let k = FlowKey {
+            src_port: p,
+            ..key_ab()
+        };
+        let e = || FlowEntry::new(CcKind::Dctcp, CcConfig::vswitch(MSS as u32), 0);
+        assert!(dp.table().get_or_create(k, e).created());
+    }
+}
+
+#[test]
+fn the_busiest_packets_fill_the_event_buffer() {
+    // The datapath hands a call's events out through a fixed buffer: the
+    // two packets that produce the most must fit it, in order.
+    let (ab, ba) = (key_ab(), key_ab().reverse());
+    let at_the_watermark = AcdcConfig {
+        max_flows: Some(2),
+        admission: AdmissionPolicy::EvictOldestIdle,
+        ..AcdcConfig::dctcp(MTU)
+    };
+    let created = |k| {
+        [
+            (k, EventKind::FlowEvicted { reason: "capacity" }),
+            (k, EventKind::FlowCreated),
+        ]
+    };
+    let demoted = (
+        NO_FLOW,
+        EventKind::HealthTransition {
+            from: "enforcing",
+            to: "log-only",
+        },
+    );
+
+    // An egress SYN: two evictions, two creations and the demotion the
+    // first creation makes.
+    let dp = AcdcDatapath::new(at_the_watermark.clone());
+    fill(&dp, &[1, 2]);
+    let got = events_of(&dp, || drop(dp.egress(1_000, syn(false, 9))));
+    let want = [&created(ba)[..], &[demoted], &created(ab)[..]].concat();
+    assert_eq!(got, want);
+
+    // An ingress data segment: an eviction, a creation and the demotion,
+    // then the two CC events of the ACK it carries for the stalled data
+    // direction, an inferred timeout and, from its marked PACK, an alpha
+    // update.
+    let dp = AcdcDatapath::new(at_the_watermark.clone());
+    dp.egress(1_000, data(0, MSS, Ecn::NotEct));
+    fill(&dp, &[1]);
+    assert_eq!(dp.health(), HealthState::Enforcing);
+    let pack = PackOption {
+        total_bytes: MSS as u32,
+        marked_bytes: MSS as u32,
+    };
+    let seg = from_b(0, 65_000, MSS, Some(pack));
+    let got = events_of(&dp, || drop(dp.ingress(50_000_000, seg)));
+    assert_eq!(got[..3], [&created(ba)[..], &[demoted]].concat()[..]);
+    let kind = std::mem::discriminant::<EventKind>;
+    let cc: Vec<_> = got[3..].iter().map(|(k, e)| (*k, kind(e))).collect();
+    let rto = kind(&EventKind::RtoFired { cwnd: 0 });
+    let update = kind(&EventKind::AlphaUpdate { alpha_micros: 0 });
+    assert_eq!(cc, [(ab, rto), (ab, update)], "{got:?}");
 }
 
 #[test]
@@ -1007,9 +956,7 @@ fn ladder_recovers_with_hysteresis_after_gc() {
         };
         let dpa = AcdcDatapath::new(cfg);
         for p in 0..3u16 {
-            dpa.egress(u64::from(p), syn_on(41_000 + p, 9))
-                .forwarded()
-                .unwrap();
+            egress(&dpa, u64::from(p), syn_on(41_000 + p, false, 9));
         }
         assert_eq!(dpa.health(), HealthState::PassThrough, "{driver}");
         // All guests close; the entries become collectable.
@@ -1047,20 +994,14 @@ fn checkpoint_restore_continues_byte_identically() {
     let (dpa, dpb) = rig(false);
     let mut off = 0u32;
     for i in 0..6 {
-        let mut d = dpa
-            .egress(10_000 + i, data(off, MSS, Ecn::NotEct))
-            .forwarded()
-            .unwrap();
+        let mut d = egress(&dpa, 10_000 + i, data(off, MSS, Ecn::NotEct));
         if i % 3 == 0 {
             d.mark_ce();
         }
-        dpb.ingress(11_000 + i, d).forwarded().unwrap();
+        ingress(&dpb, 11_000 + i, d);
         off += MSS as u32;
-        let a = dpb
-            .egress(12_000 + i, ack(off, 65_000))
-            .forwarded()
-            .unwrap();
-        dpa.ingress(13_000 + i, a).forwarded().unwrap();
+        let a = egress(&dpb, 12_000 + i, ack(off, 65_000));
+        ingress(&dpa, 13_000 + i, a);
     }
 
     let ckpt = dpa.checkpoint(20_000, &[]);
@@ -1077,8 +1018,8 @@ fn checkpoint_restore_continues_byte_identically() {
     assert_eq!(fresh.checkpoint(20_000, &[]).to_json(), json);
 
     // Both datapaths now process the *same* next packet identically.
-    let a1 = dpa.ingress(30_000, ack(off, 65_000)).forwarded().unwrap();
-    let a2 = fresh.ingress(30_000, ack(off, 65_000)).forwarded().unwrap();
+    let a1 = ingress(&dpa, 30_000, ack(off, 65_000));
+    let a2 = ingress(&fresh, 30_000, ack(off, 65_000));
     assert_eq!(a1.header_bytes(), a2.header_bytes());
     let snapshot = dpa.telemetry().registry().snapshot_all();
     assert_eq!(snapshot, fresh.telemetry().registry().snapshot_all());
@@ -1100,20 +1041,20 @@ fn sweep_events_after_restore_match_the_uninterrupted_run() {
     let dp = AcdcDatapath::new(AcdcConfig::dctcp(MTU));
     for (i, &p) in ports.iter().rev().enumerate() {
         let now = 1_000 * i as u64;
-        dp.egress(now, syn_on(p, 9)).forwarded().unwrap();
+        egress(&dp, now, syn_on(p, false, 9));
         let mut sa = TcpRepr::new(BP, p);
         sa.seq = SeqNumber(ISS_B);
         sa.ack = SeqNumber(ISS_A + 1);
         sa.flags = TcpFlags::SYN | TcpFlags::ACK;
         sa.window = 65_000;
         sa.options = vec![TcpOption::WindowScale(9)];
-        dp.ingress(now + 100, Segment::new_tcp(ip(B, A, Ecn::NotEct), sa, 0))
-            .forwarded()
-            .unwrap();
+        ingress(
+            &dp,
+            now + 100,
+            Segment::new_tcp(ip(B, A, Ecn::NotEct), sa, 0),
+        );
         // Data that is never acked: every connection's timeout fires.
-        dp.egress(now + 200, data_on(p, 0, MSS))
-            .forwarded()
-            .unwrap();
+        egress(&dp, now + 200, data_on(p, 0, MSS, Ecn::NotEct));
         if i % 2 == 0 {
             // Half close, so the sweep below collects them.
             let mut fin = TcpRepr::new(p, BP);
@@ -1151,9 +1092,7 @@ fn sweep_events_after_restore_match_the_uninterrupted_run() {
 #[test]
 fn restore_rejects_cc_policy_mismatch() {
     let (dpa, _dpb) = rig(false);
-    dpa.egress(10_000, data(0, MSS, Ecn::NotEct))
-        .forwarded()
-        .unwrap();
+    egress(&dpa, 10_000, data(0, MSS, Ecn::NotEct));
     let ckpt = dpa.checkpoint(20_000, &[]);
     let mut cfg = AcdcConfig::dctcp(MTU);
     cfg.policy = CcPolicy::Uniform(CcKind::Cubic);
@@ -1167,11 +1106,8 @@ fn restore_rejects_rx_pending_that_disagrees_with_rx_total() {
     // Capture writes `rx_pending` as `rx_total > 0`, so a document where
     // the two disagree is one no datapath wrote.
     let (dpa, dpb) = rig(false);
-    let d = dpa
-        .egress(10_000, data(0, MSS, Ecn::NotEct))
-        .forwarded()
-        .unwrap();
-    dpb.ingress(11_000, d).forwarded().unwrap();
+    let d = egress(&dpa, 10_000, data(0, MSS, Ecn::NotEct));
+    ingress(&dpb, 11_000, d);
     let good = dpb.checkpoint(20_000, &[]);
     let pending = |f: &acdc_vswitch::FlowCheckpoint| f.rx_pending;
     assert_eq!(good.flows.iter().filter(|f| pending(f)).count(), 1);
@@ -1196,9 +1132,7 @@ fn restore_preserves_unlearned_scale_semantics() {
     // across a checkpoint/restore cycle — restoring never invents a
     // window scale.
     let dpa = AcdcDatapath::new(AcdcConfig::dctcp(MTU));
-    dpa.egress(1_000, data(0, MSS, Ecn::NotEct))
-        .forwarded()
-        .unwrap();
+    egress(&dpa, 1_000, data(0, MSS, Ecn::NotEct));
     let ckpt = dpa.checkpoint(2_000, &[]);
     let fresh = AcdcDatapath::new(AcdcConfig::dctcp(MTU));
     fresh.restore(&ckpt).unwrap();
@@ -1208,10 +1142,7 @@ fn restore_preserves_unlearned_scale_semantics() {
             "scale still unlearned"
         );
     }
-    let a = fresh
-        .ingress(3_000, ack(MSS as u32, 65_000))
-        .forwarded()
-        .unwrap();
+    let a = ingress(&fresh, 3_000, ack(MSS as u32, 65_000));
     assert_eq!(a.tcp().window(), 65_000, "no rewrite after restore");
     assert!(counter(&fresh, "unscaled_rwnd_skips") >= 1);
     assert_eq!(counter(&fresh, "rwnd_rewrites"), 0);
