@@ -21,7 +21,6 @@ pub mod fig22;
 pub mod fig23;
 pub mod parkinglot;
 pub mod table1;
-pub mod udpmix;
 
 pub use common::{Opts, Report};
 
@@ -52,7 +51,6 @@ pub const ALL: &[(&str, Run)] = &[
     ("parkinglot", parkinglot::run),
     ("table1", table1::run),
     ("ablations", ablations::run),
-    ("udpmix", udpmix::run),
 ];
 
 /// All experiment ids, in figure order.

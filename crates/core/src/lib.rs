@@ -23,11 +23,9 @@ pub mod host;
 pub mod scheme;
 pub mod testbed;
 pub mod trace;
-pub mod udp;
 
 pub use fanout::FanoutSender;
 pub use host::{ConnTaps, FlowHandle, HostNode, MultiApp, MultiConnAccess};
 pub use scheme::Scheme;
 pub use testbed::{Testbed, WindowSample};
 pub use trace::TraceSender;
-pub use udp::{UdpSinkNode, UdpSourceNode};

@@ -324,34 +324,6 @@ impl Testbed {
         self.host_ips[host]
     }
 
-    /// Attach a CBR UDP source to switch `sw` targeting `dst_host`'s IP;
-    /// returns the source's engine node id (for post-run inspection).
-    pub fn add_udp_source(
-        &mut self,
-        sw: usize,
-        dst_host: usize,
-        rate_bps: u64,
-        payload: usize,
-        ecn: acdc_packet::Ecn,
-    ) -> NodeId {
-        let node = self.net.reserve_node();
-        let (np, swp) = self.net.connect(node, self.switches[sw], default_link());
-        // Give the source its own routable address (unused for replies).
-        let src_ip = Self::host_ip(200 + self.host_ips.len());
-        if let Some(s) = self.net.node_mut::<SwitchNode>(self.switches[sw]) {
-            s.add_route(src_ip, swp);
-        }
-        let dst_ip = self.host_ips[dst_host];
-        self.net.install(
-            node,
-            Box::new(crate::udp::UdpSourceNode::new(
-                np, src_ip, dst_ip, rate_bps, payload, ecn,
-            )),
-        );
-        self.net.schedule_timer_at(node, 0, 0);
-        node
-    }
-
     /// Schedule a wake-up for a host (needed after adding connections via
     /// the low-level [`HostNode::add_connection`] API so active opens at
     /// `at` actually fire).

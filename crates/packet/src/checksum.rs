@@ -30,8 +30,8 @@ pub fn checksum(data: &[u8]) -> u16 {
     !fold(sum_words(0, data))
 }
 
-/// Compute the IPv4 pseudo-header contribution used by TCP and UDP
-/// checksums: source address, destination address, protocol and L4 length.
+/// Compute the IPv4 pseudo-header contribution to the TCP checksum:
+/// source address, destination address, protocol and TCP length.
 pub fn pseudo_header_sum(src: [u8; 4], dst: [u8; 4], proto: u8, l4_len: u32) -> u32 {
     let mut sum = 0u32;
     sum = sum_words(sum, &src);

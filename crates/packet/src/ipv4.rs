@@ -10,8 +10,6 @@ use crate::{Ecn, Error, Result};
 
 /// IP protocol number for TCP.
 pub const PROTO_TCP: u8 = 6;
-/// IP protocol number for UDP.
-pub const PROTO_UDP: u8 = 17;
 
 /// Length of the fixed IPv4 header (we do not emit IP options).
 pub const HEADER_LEN: usize = 20;

@@ -1,7 +1,7 @@
 //! # acdc-packet — wire formats for the AC/DC TCP reproduction
 //!
 //! This crate provides byte-level representations of the packet formats the
-//! AC/DC datapath manipulates: IPv4, TCP (including options), UDP, ECN
+//! AC/DC datapath manipulates: IPv4, TCP (including options), ECN
 //! codepoints, and the AC/DC-specific **PACK** (piggy-backed ACK) TCP option
 //! that carries ECN feedback between the receiver-side and sender-side
 //! vSwitch modules.
@@ -9,11 +9,11 @@
 //! Three kinds of type, one job each:
 //!
 //! * `XRepr` — what to *emit*: the header a stack wants to send, written
-//!   into a buffer by `Segment::new_tcp` / `new_udp`;
+//!   into a buffer by `Segment::new_tcp`;
 //! * [`PacketMeta`] — what is *read*: every header field the hot path
 //!   consumes, held by each segment from birth and kept coherent by its
 //!   in-place mutators. Wire bytes are read in one place,
-//!   [`Segment::from_header_bytes`];
+//!   [`Segment::from_header_bytes`], which refuses every protocol but TCP;
 //! * `XPacket<T>` — a zero-copy *view* over a byte buffer with the getters
 //!   and setters the emitters, the parse and the mutators are built from.
 //!
@@ -39,20 +39,18 @@ pub mod pool;
 pub mod segment;
 pub mod seq;
 pub mod tcp;
-pub mod udp;
 pub mod window;
 
 pub use checksum::{checksum, checksum_adjust, pseudo_header_sum};
 pub use ecn::Ecn;
 pub use flow_index::FlowIndex;
-pub use ipv4::{Ipv4Packet, Ipv4Repr, PROTO_TCP, PROTO_UDP};
+pub use ipv4::{Ipv4Packet, Ipv4Repr, PROTO_TCP};
 pub use meta::PacketMeta;
 pub use pack::PackOption;
 pub use pool::{PoolStats, SegmentPool};
 pub use segment::{mix64, FlowKey, Segment};
 pub use seq::{SeqNumber, SeqView};
 pub use tcp::{TcpFlags, TcpOption, TcpPacket, TcpRepr};
-pub use udp::{UdpPacket, UdpRepr};
 pub use window::{scale_rwnd, scale_rwnd_nonzero, unscale_rwnd, MAX_WSCALE};
 
 /// Errors produced when parsing malformed packets.

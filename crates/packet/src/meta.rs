@@ -10,9 +10,9 @@
 //!
 //! `PacketMeta` is what is *read* off a segment's headers; the `Repr`s are
 //! what is emitted. Every [`Segment`](crate::Segment) holds one from birth
-//! — built from the `Repr`s by `new_tcp` / `new_udp`, or by this module's
-//! single forward pass over the IPv4 + L4 header (one walk of the TCP
-//! options region included) when `Segment::from_header_bytes` reads wire
+//! — built from the `Repr`s by `new_tcp`, or by this module's single
+//! forward pass over the IPv4 + TCP header (one walk of the options
+//! region included) when `Segment::from_header_bytes` reads wire
 //! bytes — and keeps it coherent across the in-place mutators (window
 //! rewrite, ECN patch, PACK insertion/removal), so downstream consumers
 //! read fields and nothing parses again.
@@ -20,35 +20,31 @@
 use crate::pack::PackOption;
 use crate::segment::FlowKey;
 use crate::tcp::option_kind;
-use crate::{
-    Error, Ipv4Packet, Result, SeqNumber, TcpFlags, TcpPacket, UdpPacket, PROTO_TCP, PROTO_UDP,
-};
+use crate::{Error, Ipv4Packet, Result, SeqNumber, TcpFlags, TcpPacket, PROTO_TCP};
 
 /// Header metadata for one segment: emitted with it or read off its bytes
 /// once.
 ///
-/// For UDP segments the TCP-specific fields hold zero/empty defaults;
-/// `protocol` disambiguates. All fields are plain values (`Copy`) so the
-/// whole struct lives in registers/cache once built.
+/// Every segment is TCP, so every field is a TCP or IPv4 header field.
+/// All fields are plain values (`Copy`) so the whole struct lives in
+/// registers/cache once built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketMeta {
     /// The 5-tuple-minus-protocol flow key of this direction.
     pub flow: FlowKey,
-    /// IP protocol number ([`PROTO_TCP`] or [`PROTO_UDP`]).
-    pub protocol: u8,
     /// ECN codepoint from the IP header.
     pub ecn: crate::Ecn,
     /// IPv4 header length in bytes.
     pub ip_header_len: u8,
-    /// L4 (TCP or UDP) header length in bytes.
+    /// TCP header length in bytes.
     pub l4_header_len: u8,
-    /// TCP flag bits (empty for UDP).
+    /// TCP flag bits.
     pub flags: TcpFlags,
-    /// TCP sequence number (zero for UDP).
+    /// TCP sequence number.
     pub seq: SeqNumber,
-    /// TCP acknowledgement number (zero for UDP).
+    /// TCP acknowledgement number.
     pub ack: SeqNumber,
-    /// Raw advertised window (zero for UDP).
+    /// Raw advertised window.
     pub window: u16,
     /// AC/DC reserved bit: guest stack is ECN-capable.
     pub vm_ece: bool,
@@ -67,93 +63,58 @@ pub struct PacketMeta {
 }
 
 impl PacketMeta {
-    /// Parse header metadata out of serialized IPv4 + L4 header bytes —
-    /// exactly one IP header and one TCP or UDP header, nothing after.
+    /// Parse header metadata out of serialized IPv4 + TCP header bytes —
+    /// exactly one IP header and one TCP header, nothing after.
     ///
     /// The only parse there is, reached through
     /// `Segment::from_header_bytes`: one validated pass over the IP
-    /// header, one over the fixed TCP/UDP header, and one walk of the TCP
-    /// options region capturing MSS, window scale, and PACK in the same
-    /// sweep. Malformed input returns `Err`, and so does any IP fragment:
-    /// a non-first fragment has no L4 header where one would be read, and
-    /// a first one does not carry its whole datagram.
+    /// header, one over the fixed TCP header, and one walk of the options
+    /// region capturing MSS, window scale, and PACK in the same sweep.
+    /// Any protocol but TCP returns `Err(Unsupported)`: AC/DC enforces
+    /// TCP only. Malformed input returns `Err`, and so does any IP
+    /// fragment: a non-first fragment has no TCP header where one would
+    /// be read, and a first one does not carry its whole datagram.
     pub(crate) fn parse(buf: &[u8]) -> Result<PacketMeta> {
         let ip = Ipv4Packet::new_checked(buf)?;
         if ip.is_fragment() {
             return Err(Error::Malformed);
         }
-        let ihl = ip.header_len();
-        match ip.protocol() {
-            PROTO_TCP => {
-                let tcp = TcpPacket::new_checked(&buf[ihl..])?;
-                let thl = tcp.header_len();
-                if buf.len() != ihl + thl {
-                    return Err(Error::Malformed);
-                }
-                let mut meta = PacketMeta {
-                    flow: FlowKey {
-                        src_ip: ip.src_addr(),
-                        dst_ip: ip.dst_addr(),
-                        src_port: tcp.src_port(),
-                        dst_port: tcp.dst_port(),
-                    },
-                    protocol: PROTO_TCP,
-                    ecn: ip.ecn(),
-                    ip_header_len: ihl as u8,
-                    l4_header_len: thl as u8,
-                    flags: tcp.flags(),
-                    seq: tcp.seq_number(),
-                    ack: tcp.ack_number(),
-                    window: tcp.window(),
-                    vm_ece: tcp.vm_ece(),
-                    fack: tcp.is_fack(),
-                    pack_off: None,
-                    pack: None,
-                    wscale: None,
-                    mss: None,
-                };
-                walk_options(
-                    tcp.options(),
-                    (ihl + crate::tcp::HEADER_LEN) as u16,
-                    &mut meta,
-                )?;
-                Ok(meta)
-            }
-            PROTO_UDP => {
-                let udp = UdpPacket::new_checked(&buf[ihl..])?;
-                if buf.len() != ihl + crate::udp::HEADER_LEN {
-                    return Err(Error::Malformed);
-                }
-                Ok(PacketMeta {
-                    flow: FlowKey {
-                        src_ip: ip.src_addr(),
-                        dst_ip: ip.dst_addr(),
-                        src_port: udp.src_port(),
-                        dst_port: udp.dst_port(),
-                    },
-                    protocol: PROTO_UDP,
-                    ecn: ip.ecn(),
-                    ip_header_len: ihl as u8,
-                    l4_header_len: crate::udp::HEADER_LEN as u8,
-                    flags: TcpFlags::empty(),
-                    seq: SeqNumber::ZERO,
-                    ack: SeqNumber::ZERO,
-                    window: 0,
-                    vm_ece: false,
-                    fack: false,
-                    pack_off: None,
-                    pack: None,
-                    wscale: None,
-                    mss: None,
-                })
-            }
-            _ => Err(Error::Unsupported),
+        if ip.protocol() != PROTO_TCP {
+            return Err(Error::Unsupported);
         }
-    }
-
-    /// Is this a TCP segment?
-    pub fn is_tcp(&self) -> bool {
-        self.protocol == PROTO_TCP
+        let ihl = ip.header_len();
+        let tcp = TcpPacket::new_checked(&buf[ihl..])?;
+        let thl = tcp.header_len();
+        if buf.len() != ihl + thl {
+            return Err(Error::Malformed);
+        }
+        let mut meta = PacketMeta {
+            flow: FlowKey {
+                src_ip: ip.src_addr(),
+                dst_ip: ip.dst_addr(),
+                src_port: tcp.src_port(),
+                dst_port: tcp.dst_port(),
+            },
+            ecn: ip.ecn(),
+            ip_header_len: ihl as u8,
+            l4_header_len: thl as u8,
+            flags: tcp.flags(),
+            seq: tcp.seq_number(),
+            ack: tcp.ack_number(),
+            window: tcp.window(),
+            vm_ece: tcp.vm_ece(),
+            fack: tcp.is_fack(),
+            pack_off: None,
+            pack: None,
+            wscale: None,
+            mss: None,
+        };
+        walk_options(
+            tcp.options(),
+            (ihl + crate::tcp::HEADER_LEN) as u16,
+            &mut meta,
+        )?;
+        Ok(meta)
     }
 }
 
@@ -205,7 +166,7 @@ fn walk_options(opts: &[u8], base_off: u16, meta: &mut PacketMeta) -> Result<()>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Ecn, Ipv4Repr, Segment, TcpOption, TcpRepr, UdpRepr};
+    use crate::{Ecn, Ipv4Repr, Segment, TcpOption, TcpRepr};
 
     fn ip_repr() -> Ipv4Repr {
         Ipv4Repr {
@@ -228,7 +189,6 @@ mod tests {
         r.vm_ece = true;
         let seg = Segment::new_tcp(ip_repr(), r, 100);
         let m = PacketMeta::parse(seg.header_bytes()).unwrap();
-        assert!(m.is_tcp());
         assert_eq!(m.flow.src_port, 40_000);
         assert_eq!(m.flow.dst_port, 5_001);
         assert_eq!(m.seq, SeqNumber(1000));
@@ -273,21 +233,6 @@ mod tests {
         let off = m.pack_off.unwrap() as usize;
         assert_eq!(seg.header_bytes()[off], option_kind::EXPERIMENT);
         assert_eq!(seg.header_bytes()[off + 1], PackOption::WIRE_LEN as u8);
-    }
-
-    #[test]
-    fn udp_meta_has_empty_tcp_fields() {
-        let udp = UdpRepr {
-            src_port: 6000,
-            dst_port: 7000,
-            payload_len: 0,
-        };
-        let seg = Segment::new_udp(ip_repr(), udp, 64);
-        let m = PacketMeta::parse(seg.header_bytes()).unwrap();
-        assert!(!m.is_tcp());
-        assert_eq!(m.flow.src_port, 6000);
-        assert_eq!(m.flags, TcpFlags::empty());
-        assert_eq!(m.window, 0);
     }
 
     #[test]

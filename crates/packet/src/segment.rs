@@ -1,6 +1,6 @@
 //! [`Segment`]: the unit of traffic carried by the simulator.
 //!
-//! A `Segment` owns the *real, serialized* IPv4 + L4 header bytes plus a
+//! A `Segment` owns the *real, serialized* IPv4 + TCP header bytes plus a
 //! *virtual* payload length. Header-mangling code (the entire AC/DC
 //! datapath) operates on genuine wire bytes — rewrite, incremental
 //! checksum — while the simulator avoids allocating and copying bulk
@@ -11,13 +11,14 @@
 //!
 //! Each segment carries its [`PacketMeta`] — the full set of header fields
 //! the hot path consumes — in a plain field, filled when the segment is
-//! made: [`Segment::new_tcp`] / [`Segment::new_udp`] build it from the
-//! representations they emit, and [`Segment::from_header_bytes`], the one
-//! place wire bytes are read, keeps its validating parse. The in-place
-//! mutators below (window rewrite, ECN patch, flag/reserved-bit edits,
-//! PACK insertion and removal) patch the bytes, the checksum *and* the meta
-//! together, and there is no raw mutable view, so the meta always says
-//! what the bytes say and every layer reads it through
+//! made: [`Segment::new_tcp`] builds it from the representations it
+//! emits, and [`Segment::from_header_bytes`], the one place wire bytes are
+//! read, keeps its validating parse. AC/DC enforces TCP only (§3.3), so a
+//! segment is a TCP segment: the parse refuses every other protocol. The
+//! in-place mutators below (window rewrite, ECN patch, flag/reserved-bit
+//! edits, PACK insertion and removal) patch the bytes, the checksum *and*
+//! the meta together, and there is no raw mutable view, so the meta always
+//! says what the bytes say and every layer reads it through
 //! [`Segment::try_meta`]. `Segment` is plain data: no interior mutability,
 //! `Send + Sync` because its fields are, and a hand-off between layers or
 //! threads copies the struct and nothing else. See DESIGN.md §9.
@@ -29,8 +30,8 @@ use bytes::{Bytes, BytesMut};
 use crate::checksum::checksum_adjust;
 use crate::tcp::option_kind;
 use crate::{
-    Ecn, Ipv4Packet, Ipv4Repr, PackOption, PacketMeta, Result, SeqNumber, TcpFlags, TcpOption,
-    TcpPacket, TcpRepr, UdpPacket, UdpRepr, PROTO_TCP, PROTO_UDP,
+    Ecn, Ipv4Packet, Ipv4Repr, PackOption, PacketMeta, Result, TcpFlags, TcpOption, TcpPacket,
+    TcpRepr, PROTO_TCP,
 };
 
 /// A 5-tuple-minus-protocol flow key (the simulator is IPv4/TCP only; the
@@ -198,67 +199,12 @@ impl Segment {
         }
     }
 
-    /// Build a UDP datagram (the vSwitch forwards these untouched; the
-    /// paper leaves UDP congestion enforcement as future work).
-    pub fn new_udp(ip: Ipv4Repr, udp: UdpRepr, payload_len: usize) -> Segment {
-        let ip_repr = Ipv4Repr {
-            protocol: PROTO_UDP,
-            payload_len: udp.header_len() + payload_len,
-            ..ip
-        };
-        let total_hdr = ip_repr.header_len() + udp.header_len();
-        let mut buf = crate::pool::global().take(total_hdr);
-        {
-            let mut ipp = Ipv4Packet::new_unchecked(&mut buf[..]);
-            ip_repr.emit(&mut ipp);
-        }
-        {
-            let udp_repr = UdpRepr { payload_len, ..udp };
-            let mut udpp = UdpPacket::new_unchecked(&mut buf[ip_repr.header_len()..]);
-            udp_repr.emit(&mut udpp);
-            udpp.fill_checksum(ip_repr.src_addr, ip_repr.dst_addr, payload_len);
-        }
-        let meta = PacketMeta {
-            flow: FlowKey {
-                src_ip: ip_repr.src_addr,
-                dst_ip: ip_repr.dst_addr,
-                src_port: udp.src_port,
-                dst_port: udp.dst_port,
-            },
-            protocol: PROTO_UDP,
-            ecn: ip_repr.ecn,
-            ip_header_len: ip_repr.header_len() as u8,
-            l4_header_len: crate::udp::HEADER_LEN as u8,
-            flags: TcpFlags::empty(),
-            seq: SeqNumber::ZERO,
-            ack: SeqNumber::ZERO,
-            window: 0,
-            vm_ece: false,
-            fack: false,
-            pack_off: None,
-            pack: None,
-            wscale: None,
-            mss: None,
-        };
-        Segment {
-            buf,
-            payload_len,
-            meta,
-        }
-    }
-
-    /// Is this a TCP segment (as opposed to UDP)? Pass-through paths
-    /// (non-TCP traffic, a disabled datapath) route on this alone.
-    #[inline]
-    pub fn is_tcp(&self) -> bool {
-        self.meta.is_tcp()
-    }
-
     /// Reconstruct a segment from raw header bytes (e.g. off a trace) plus
     /// a virtual payload length: the one place wire bytes are read. `buf`
-    /// must hold exactly one IPv4 header and one TCP or UDP header; the
+    /// must hold exactly one IPv4 header and one TCP header; the
     /// validating parse becomes the segment's meta. Anything else returns
-    /// `Err` — callers drop and count, never panic.
+    /// `Err` — any other protocol `Err(Error::Unsupported)` — and callers
+    /// drop and count, never panic.
     pub fn from_header_bytes(buf: BytesMut, payload_len: usize) -> Result<Segment> {
         let meta = PacketMeta::parse(&buf)?;
         Ok(Segment {
@@ -307,23 +253,14 @@ impl Segment {
         Ipv4Packet::new_unchecked(&self.buf[..])
     }
 
-    /// Immutable TCP header view (panics when called on a UDP segment —
-    /// check [`Segment::is_tcp`] first on mixed paths).
+    /// Immutable TCP header view.
     #[inline]
     pub fn tcp(&self) -> TcpPacket<&[u8]> {
-        debug_assert!(self.is_tcp(), "tcp() on a UDP segment");
         let ihl = self.ip().header_len();
         TcpPacket::new_unchecked(&self.buf[ihl..])
     }
 
-    /// Immutable UDP header view (panics when called on a TCP segment).
-    pub fn udp(&self) -> UdpPacket<&[u8]> {
-        debug_assert!(!self.is_tcp(), "udp() on a TCP segment");
-        let ihl = self.ip().header_len();
-        UdpPacket::new_unchecked(&self.buf[ihl..])
-    }
-
-    /// The flow key of this segment's direction (TCP or UDP ports).
+    /// The flow key of this segment's direction.
     pub fn flow_key(&self) -> FlowKey {
         self.meta.flow
     }
@@ -360,7 +297,6 @@ impl Segment {
     /// with the meta updated in step.
     #[inline]
     pub fn rewrite_window(&mut self, window: u16) {
-        debug_assert!(self.is_tcp(), "rewrite_window on a UDP segment");
         let ihl = self.ip().header_len();
         TcpPacket::new_unchecked(&mut self.buf[ihl..]).set_window_update_checksum(window);
         self.meta.window = window;
@@ -369,7 +305,6 @@ impl Segment {
     /// Overwrite the TCP flag byte, patching checksum and meta.
     #[inline]
     pub fn set_tcp_flags(&mut self, flags: TcpFlags) {
-        debug_assert!(self.is_tcp(), "set_tcp_flags on a UDP segment");
         let ihl = self.ip().header_len();
         TcpPacket::new_unchecked(&mut self.buf[ihl..]).set_flags_update_checksum(flags);
         self.meta.flags = flags;
@@ -379,7 +314,6 @@ impl Segment {
     /// patching checksum and meta.
     #[inline]
     pub fn clear_tcp_flags(&mut self, flags: TcpFlags) {
-        debug_assert!(self.is_tcp(), "clear_tcp_flags on a UDP segment");
         let ihl = self.ip().header_len();
         TcpPacket::new_unchecked(&mut self.buf[ihl..]).clear_flags_update_checksum(flags);
         self.meta.flags = self.meta.flags.difference(flags);
@@ -388,7 +322,6 @@ impl Segment {
     /// Set the AC/DC reserved-bit markers, patching checksum and meta.
     #[inline]
     pub fn set_reserved(&mut self, vm_ece: bool, fack: bool) {
-        debug_assert!(self.is_tcp(), "set_reserved on a UDP segment");
         let ihl = self.ip().header_len();
         TcpPacket::new_unchecked(&mut self.buf[ihl..]).set_reserved_update_checksum(vm_ece, fack);
         self.meta.vm_ece = vm_ece;
@@ -398,7 +331,6 @@ impl Segment {
     /// Clear both AC/DC reserved-bit markers, patching checksum and meta.
     #[inline]
     pub fn clear_reserved(&mut self) {
-        debug_assert!(self.is_tcp(), "clear_reserved on a UDP segment");
         let ihl = self.ip().header_len();
         TcpPacket::new_unchecked(&mut self.buf[ihl..]).clear_reserved_update_checksum();
         self.meta.vm_ece = false;
@@ -408,12 +340,9 @@ impl Segment {
     /// Flip the lowest bit of the raw TCP window *without* fixing the
     /// checksum — deliberate header damage for fault injection. The meta
     /// is kept in step with the (corrupted) bytes so classification after
-    /// the fault still reads the truth; non-TCP segments pass unharmed.
+    /// the fault still reads the truth.
     #[inline]
     pub fn corrupt_window_bit(&mut self) {
-        if !self.is_tcp() {
-            return;
-        }
         let ihl = self.ip().header_len();
         let mut tcp = TcpPacket::new_unchecked(&mut self.buf[ihl..]);
         let w = tcp.window() ^ 0x0001;
@@ -421,12 +350,11 @@ impl Segment {
         self.meta.window = w;
     }
 
-    /// Change the virtual payload length in place (TCP only): patches the
+    /// Change the virtual payload length in place: patches the
     /// IP total length and both checksums incrementally. Used to turn a
     /// cloned data packet into a feedback-only fake ACK.
     #[inline]
     pub fn set_virtual_payload_len(&mut self, new_len: usize) {
-        debug_assert!(self.is_tcp(), "set_virtual_payload_len on a UDP segment");
         if new_len == self.payload_len {
             return;
         }
@@ -454,7 +382,7 @@ impl Segment {
     /// or an option in the region is malformed.
     pub fn append_pack_in_place(&mut self, pack: PackOption) -> bool {
         let meta = self.meta;
-        if !meta.is_tcp() || meta.pack_off.is_some() {
+        if meta.pack_off.is_some() {
             return false;
         }
         let ihl = usize::from(meta.ip_header_len);
@@ -578,19 +506,13 @@ impl Segment {
                 .intersects(TcpFlags::SYN | TcpFlags::FIN | TcpFlags::RST)
     }
 
-    /// Verify both checksums (IP header and L4 with virtual payload).
+    /// Verify both checksums (IP header and TCP with virtual payload).
     pub fn verify_checksums(&self) -> bool {
         let ip = self.ip();
-        if !ip.verify_checksum() {
-            return false;
-        }
-        if self.is_tcp() {
-            self.tcp()
+        ip.verify_checksum()
+            && self
+                .tcp()
                 .verify_checksum(ip.src_addr(), ip.dst_addr(), self.payload_len)
-        } else {
-            self.udp()
-                .verify_checksum(ip.src_addr(), ip.dst_addr(), self.payload_len)
-        }
     }
 }
 
@@ -629,7 +551,6 @@ fn tcp_meta_from_reprs(ip: &Ipv4Repr, tcp: &TcpRepr, tcp_hdr_len: usize) -> Pack
             src_port: tcp.src_port,
             dst_port: tcp.dst_port,
         },
-        protocol: PROTO_TCP,
         ecn: ip.ecn,
         ip_header_len: ip.header_len() as u8,
         l4_header_len: tcp_hdr_len as u8,
@@ -690,7 +611,7 @@ fn options_padding_start(opts: &[u8]) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Error;
+    use crate::{Error, SeqNumber};
 
     fn ip_repr() -> Ipv4Repr {
         Ipv4Repr {
@@ -906,34 +827,38 @@ mod tests {
     #[test]
     fn from_header_bytes_rejects_unknown_protocol() {
         let seg = Segment::new_tcp(ip_repr(), base_tcp(), 0);
-        let mut buf = BytesMut::from(seg.header_bytes());
-        buf[crate::ipv4::field::PROTOCOL] = 47; // GRE: not ours
-        assert_eq!(
-            Segment::from_header_bytes(buf, 0).unwrap_err(),
-            Error::Unsupported
-        );
+        let mut gre = BytesMut::from(seg.header_bytes());
+        gre[crate::ipv4::field::PROTOCOL] = 47;
+        // An RFC 768 datagram, 10.0.0.1:6000 -> 10.0.0.9:7000, no payload:
+        // a well-formed IPv4 header (protocol 17, valid checksum) and the
+        // 8-byte UDP header (length 8, checksum 0 = none). AC/DC enforces
+        // TCP only, and the byte boundary refuses the rest.
+        #[rustfmt::skip]
+        let udp: [u8; 28] = [
+            0x45, 0x00, 0x00, 0x1c, 0x00, 0x00, 0x40, 0x00, 0x40, 0x11, // v4, 28 B, DF, TTL 64, UDP
+            0x26, 0xc8, 10, 0, 0, 1, 10, 0, 0, 9,                       // checksum, addresses
+            0x17, 0x70, 0x1b, 0x58, 0x00, 0x08, 0x00, 0x00,             // ports, length, checksum
+        ];
+        assert!(Ipv4Packet::new_unchecked(&udp[..]).verify_checksum());
+        for buf in [gre, BytesMut::from(&udp[..])] {
+            assert_eq!(
+                Segment::from_header_bytes(buf, 0).unwrap_err(),
+                Error::Unsupported
+            );
+        }
     }
 
     #[test]
     fn from_header_bytes_rejects_bytes_past_the_headers() {
         // A PACK appended in place goes at the end of the buffer, and the
         // meta puts it at the end of the TCP header: the two must agree.
-        let udp = UdpRepr {
-            src_port: 6000,
-            dst_port: 7000,
-            payload_len: 0,
-        };
-        for seg in [
-            Segment::new_tcp(ip_repr(), base_tcp(), 0),
-            Segment::new_udp(ip_repr(), udp, 0),
-        ] {
-            let mut buf = BytesMut::from(seg.header_bytes());
-            buf.extend_from_slice(&[0xAA, 0xBB, 0xCC, 0xDD]);
-            assert_eq!(
-                Segment::from_header_bytes(buf, 0).unwrap_err(),
-                Error::Malformed
-            );
-        }
+        let seg = Segment::new_tcp(ip_repr(), base_tcp(), 0);
+        let mut buf = BytesMut::from(seg.header_bytes());
+        buf.extend_from_slice(&[0xAA, 0xBB, 0xCC, 0xDD]);
+        assert_eq!(
+            Segment::from_header_bytes(buf, 0).unwrap_err(),
+            Error::Malformed
+        );
     }
 
     /// `seg`'s header bytes with the IP flags/fragment-offset word set to
@@ -983,45 +908,5 @@ mod tests {
             assert_eq!(read.try_meta(), seg.try_meta());
             assert!(read.verify_checksums());
         }
-    }
-
-    #[test]
-    fn udp_segment_round_trip() {
-        let udp = UdpRepr {
-            src_port: 6000,
-            dst_port: 7000,
-            payload_len: 0, // overwritten by new_udp
-        };
-        let seg = Segment::new_udp(ip_repr(), udp, 512);
-        assert!(!seg.is_tcp());
-        assert_eq!(seg.wire_len(), 20 + 8 + 512);
-        assert!(seg.verify_checksums());
-        let k = seg.flow_key();
-        assert_eq!(k.src_port, 6000);
-        assert_eq!(k.dst_port, 7000);
-        let buf = BytesMut::from(seg.header_bytes());
-        let seg2 = Segment::from_header_bytes(buf, 512).unwrap();
-        assert_eq!(seg2.flow_key(), k);
-        assert!(seg2.verify_checksums());
-    }
-
-    #[test]
-    fn udp_segment_ce_marking_keeps_ip_checksum() {
-        let udp = UdpRepr {
-            src_port: 1,
-            dst_port: 2,
-            payload_len: 0,
-        };
-        let mut seg = Segment::new_udp(
-            Ipv4Repr {
-                ecn: Ecn::Ect0,
-                ..ip_repr()
-            },
-            udp,
-            100,
-        );
-        seg.mark_ce();
-        assert_eq!(seg.ecn(), Ecn::Ce);
-        assert!(seg.verify_checksums());
     }
 }

@@ -2,7 +2,7 @@
 
 use acdc_packet::{
     checksum, Ecn, FlowKey, Ipv4Repr, PackOption, PacketMeta, Segment, SeqNumber, TcpFlags,
-    TcpOption, TcpRepr, UdpRepr, PROTO_TCP,
+    TcpOption, TcpRepr, PROTO_TCP,
 };
 use bytes::BytesMut;
 use proptest::prelude::*;
@@ -89,21 +89,11 @@ fn reread(seg: &Segment) -> PacketMeta {
         .expect("a read segment has its meta")
 }
 
-/// Headers as the stacks emit them: TCP with any options, or UDP.
+/// Headers as the stacks emit them: TCP with any options.
 fn arb_emitted() -> impl Strategy<Value = Vec<u8>> {
-    (any::<[u8; 4]>(), arb_ecn(), arb_tcp_repr(), any::<bool>()).prop_map(|(dst, ecn, tcp, udp)| {
+    (any::<[u8; 4]>(), arb_ecn(), arb_tcp_repr()).prop_map(|(dst, ecn, tcp)| {
         let ip = ip_repr([10, 0, 0, 1], dst, ecn);
-        let seg = if udp {
-            let udp = UdpRepr {
-                src_port: tcp.src_port,
-                dst_port: tcp.dst_port,
-                payload_len: 0, // overwritten by new_udp
-            };
-            Segment::new_udp(ip, udp, 0)
-        } else {
-            Segment::new_tcp(ip, tcp, 0)
-        };
-        seg.header_bytes().to_vec()
+        Segment::new_tcp(ip, tcp, 0).header_bytes().to_vec()
     })
 }
 
@@ -146,10 +136,8 @@ fn check_wire_bytes(bytes: &[u8], payload_len: usize) {
     assert_eq!(meta(&seg), reread(&seg), "after a PACK append");
     let _ = seg.strip_pack_in_place();
     assert_eq!(meta(&seg), reread(&seg), "after a PACK strip");
-    if seg.is_tcp() {
-        seg.set_virtual_payload_len(0);
-        assert_eq!(meta(&seg), reread(&seg), "as a fake ACK");
-    }
+    seg.set_virtual_payload_len(0);
+    assert_eq!(meta(&seg), reread(&seg), "as a fake ACK");
     let _ = seg.verify_checksums();
 }
 
@@ -290,7 +278,7 @@ proptest! {
             m.flow,
             FlowKey { src_ip: src, dst_ip: dst, src_port: tcp.src_port, dst_port: tcp.dst_port }
         );
-        prop_assert_eq!((m.protocol, m.ecn, m.ip_header_len), (PROTO_TCP, ecn, 20));
+        prop_assert_eq!((seg.ip().protocol(), m.ecn, m.ip_header_len), (PROTO_TCP, ecn, 20));
         prop_assert_eq!(usize::from(m.l4_header_len), tcp.header_len());
         prop_assert_eq!((m.seq, m.ack, m.flags, m.window), (tcp.seq, tcp.ack, tcp.flags, tcp.window));
         prop_assert_eq!((m.vm_ece, m.fack), (tcp.vm_ece, tcp.fack));

@@ -149,7 +149,10 @@ pub struct AcdcCounters {
     pub inferred_fast_rtx: Counter,
     /// Feedback lost because FACKs were disabled (ablation only).
     pub feedback_dropped: Counter,
-    /// Non-TCP (UDP) packets forwarded untouched.
+    /// Always zero: every segment is TCP, so nothing bypasses the
+    /// datapath for its protocol. Registered still because every harness
+    /// fingerprint and `Testbed::golden` line folds each `acdc.*` counter;
+    /// it leaves with `malformed_drops` when the benchmark is re-baselined.
     pub non_tcp_passthrough: Counter,
     /// Malformed frames dropped by the fallible parse.
     pub malformed_drops: Counter,
@@ -365,16 +368,7 @@ impl AcdcDatapath {
 
     /// Process a packet leaving the guest toward the network.
     pub fn egress(&self, now: Nanos, seg: Segment) -> Verdict {
-        // The prototype only enforces TCP (the paper leaves UDP tunnels as
-        // future work); other protocols pass through untouched (counted
-        // even with AC/DC disabled — it is a visibility counter). The
-        // protocol check is a single byte read: pass-through traffic and
-        // the plain-OVS baseline never parse headers at all, nor take the
-        // lock.
-        if !seg.is_tcp() {
-            self.counters.non_tcp_passthrough.inc();
-            return Verdict::Forward(seg);
-        }
+        // The plain-OVS baseline forwards without taking the lock.
         if !self.cfg.enabled {
             return Verdict::Forward(seg);
         }
@@ -385,10 +379,6 @@ impl AcdcDatapath {
 
     /// Process a packet arriving from the network toward the guest.
     pub fn ingress(&self, now: Nanos, seg: Segment) -> Verdict {
-        if !seg.is_tcp() {
-            self.counters.non_tcp_passthrough.inc();
-            return Verdict::Forward(seg);
-        }
         if !self.cfg.enabled {
             return Verdict::Forward(seg);
         }

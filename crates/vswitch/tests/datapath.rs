@@ -693,29 +693,6 @@ fn spoofed_pack_with_more_marked_than_total_is_clamped() {
 }
 
 #[test]
-fn udp_passes_through_untouched() {
-    let dp = AcdcDatapath::new(AcdcConfig::dctcp(MTU));
-    let udp = acdc_packet::UdpRepr {
-        src_port: 5353,
-        dst_port: 53,
-        payload_len: 0,
-    };
-    let ip = Ipv4Repr {
-        protocol: acdc_packet::PROTO_UDP,
-        ..ip(A, B, Ecn::NotEct)
-    };
-    let seg = Segment::new_udp(ip, udp, 256);
-    let bytes_before = seg.header_bytes().to_vec();
-    let out = egress(&dp, 0, seg);
-    assert_eq!(out.header_bytes(), &bytes_before[..], "no mangling");
-    assert_eq!(out.ecn(), Ecn::NotEct, "UDP is not forced ECT");
-    let out = ingress(&dp, 1, out);
-    assert_eq!(out.header_bytes(), &bytes_before[..]);
-    assert_eq!(dp.flows(), 0, "no connection tracking for UDP");
-    assert_eq!(dp.counters().non_tcp_passthrough.get(), 2);
-}
-
-#[test]
 fn flow_stats_snapshot_reflects_activity() {
     let (dpa, dpb) = rig(false);
     let mut off = 0u32;
