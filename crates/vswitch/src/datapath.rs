@@ -292,7 +292,7 @@ impl AcdcDatapath {
     /// holds both directions or one — a half-closed connection, or a key
     /// that is its own reverse.
     pub fn connections(&self) -> usize {
-        self.table.connections()
+        self.table.run((), |core, ()| core.flows.connections())
     }
 
     /// Current rung of the degradation ladder.

@@ -40,6 +40,8 @@ pub mod policy;
 pub mod rwnd;
 mod state;
 pub mod table;
+#[cfg(test)]
+mod table_props;
 
 pub use checkpoint::{DatapathCheckpoint, FlowCheckpoint, HubCheckpoint, RecorderCheckpoint};
 pub use datapath::{AcdcConfig, AcdcCounters, AcdcDatapath, DropReason, FlowStat, Verdict};

@@ -126,10 +126,10 @@ impl Core {
 
     /// Bookkeeping after a create-capable lookup that was admitted.
     fn note_admission(&mut self, cx: &mut Cx, key: &FlowKey, adm: Admission) {
-        if let Admission::CreatedAfterEviction(n) = adm {
-            cx.counters.capacity_evictions.add(n as u64);
+        if adm == Admission::CreatedAfterEviction {
+            cx.counters.capacity_evictions.inc();
             // Stamped with the admitted flow: the table does not surface
-            // the victims' keys, only how many made room.
+            // the victim's key, only that one made room.
             cx.events
                 .push(*key, EventKind::FlowEvicted { reason: "capacity" });
         }

@@ -26,10 +26,11 @@
 //! `parking_lot::Mutex`, and each datapath call takes it once. The
 //! per-entry lock bought the paper concurrency between two writers of
 //! one connection; nothing here writes a connection from two places at
-//! once, so a second lock would guard nothing this one does not. The
-//! table's own methods ([`FlowTable::with_entry`] and the rest) are thin
-//! wrappers, each taking the lock once, for callers that drive a table
-//! by itself.
+//! once, so a second lock would guard nothing this one does not. Past
+//! `run`, the wrapper keeps only the names the benchmark harness builds
+//! against (`new`, `bounded`, `get_or_create`, `with_entry`, `remove`,
+//! `len`, `is_empty`), each taking the lock once; the tests drive
+//! `Flows` itself.
 //!
 //! The index is an [`acdc_packet::FlowIndex`] of records by connection
 //! key: linear probing from a home bucket keyed by a secret drawn once per
@@ -92,8 +93,9 @@ pub enum Admission {
     Existing,
     /// A fresh entry was inserted within capacity.
     Created,
-    /// A fresh entry was inserted after evicting this many idle entries.
-    CreatedAfterEviction(usize),
+    /// A fresh entry was inserted after evicting the entry idle the
+    /// longest.
+    CreatedAfterEviction,
     /// The table is full and the policy refused the flow.
     Rejected,
 }
@@ -101,10 +103,7 @@ pub enum Admission {
 impl Admission {
     /// Did this call insert a fresh entry?
     pub fn created(self) -> bool {
-        matches!(
-            self,
-            Admission::Created | Admission::CreatedAfterEviction(_)
-        )
+        matches!(self, Admission::Created | Admission::CreatedAfterEviction)
     }
 
     /// Was the flow turned away at the capacity gate?
@@ -324,7 +323,7 @@ impl Flows {
             return Admission::Created;
         }
         if self.admission == AdmissionPolicy::EvictOldestIdle && self.evict_one(key) {
-            Admission::CreatedAfterEviction(1)
+            Admission::CreatedAfterEviction
         } else {
             Admission::Rejected
         }
@@ -433,9 +432,10 @@ impl Flows {
 
 /// A flow table: connection key → record of both directions'
 /// [`FlowEntry`]s, behind one lock — the lock that guards everything
-/// else the datapath mutates too (its core, `crate::state`). The methods here are thin
-/// wrappers, each taking the lock once, for callers that drive a table
-/// by itself.
+/// else the datapath mutates too (its core, `crate::state`). The public
+/// methods are the names the benchmark harness builds against, each
+/// taking the lock once; the datapath reaches its core through
+/// [`FlowTable::run`] alone.
 pub struct FlowTable {
     core: Mutex<Core>,
 }
@@ -486,21 +486,6 @@ impl FlowTable {
         self.core().flows.get(key).map(f)
     }
 
-    /// [`FlowTable::with_entry`], creating the entry with `init` when
-    /// absent — subject to the capacity/admission gate. Returns `None`
-    /// (with [`Admission::Rejected`]) when the table is full and the
-    /// policy refused the flow; `f` is not called in that case.
-    pub fn with_entry_or_create<R>(
-        &self,
-        key: FlowKey,
-        init: impl FnOnce() -> FlowEntry,
-        f: impl FnOnce(&mut FlowEntry) -> R,
-    ) -> (Option<R>, Admission) {
-        let mut core = self.core();
-        let (conn, adm) = core.flows.connection_or_create(&key, init);
-        (conn.into_this().map(f), adm)
-    }
-
     /// Look up or create an entry with `init`, subject to the
     /// capacity/admission gate, and say which it was:
     /// [`Admission::Rejected`] when the table is full and the policy
@@ -524,26 +509,6 @@ impl FlowTable {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Number of connection records, each holding one or both
-    /// directions (O(1)).
-    pub fn connections(&self) -> usize {
-        self.core().flows.connections()
-    }
-
-    /// Drop every entry (vSwitch restart) and free the bucket array.
-    /// Returns the number removed.
-    pub fn clear(&self) -> usize {
-        self.core().flows.clear()
-    }
-
-    /// Coarse-grained garbage collection: drop entries idle for longer
-    /// than `idle_timeout` (measured from no earlier than the epoch) and
-    /// entries marked closed, yielding their keys in the order the
-    /// datapath records their evictions in.
-    pub fn gc(&self, now: Nanos, idle_timeout: Nanos) -> impl ExactSizeIterator<Item = FlowKey> {
-        self.core().flows.gc(now, idle_timeout)
-    }
 }
 
 #[cfg(test)]
@@ -566,14 +531,27 @@ mod tests {
         FlowEntry::new(CcKind::Dctcp, CcConfig::vswitch(1448), now)
     }
 
-    fn create(t: &FlowTable, p: u16, now: Nanos) -> Admission {
-        let adm = t.get_or_create(key(p), || entry(now));
+    fn unbounded() -> Flows {
+        Flows::new(None, AdmissionPolicy::EvictOldestIdle)
+    }
+
+    fn bounded(cap: usize, admission: AdmissionPolicy) -> Flows {
+        Flows::new(Some(cap), admission)
+    }
+
+    /// Look up or create `k`'s entry, stamped `now` if created.
+    fn add(t: &mut Flows, k: FlowKey, now: Nanos) -> Admission {
+        t.connection_or_create(&k, || entry(now)).1
+    }
+
+    fn create(t: &mut Flows, p: u16, now: Nanos) -> Admission {
+        let adm = add(t, key(p), now);
         assert!(!adm.rejected(), "admitted");
         adm
     }
 
-    fn last_activity(t: &FlowTable, p: u16) -> Option<Nanos> {
-        t.with_entry(&key(p), |e| e.life().last_activity)
+    fn last_activity(t: &mut Flows, p: u16) -> Option<Nanos> {
+        t.get(&key(p)).map(|e| e.life().last_activity)
     }
 
     /// Stamp `e`'s `last_activity`, through the one outside write path.
@@ -583,152 +561,144 @@ mod tests {
         assert!(e.restore_state(&s));
     }
 
-    fn set_last_activity(t: &FlowTable, p: u16, at: Nanos) {
-        t.with_entry(&key(p), |e| touch(e, at)).expect("tracked");
+    fn set_last_activity(t: &mut Flows, p: u16, at: Nanos) {
+        touch(t.get(&key(p)).expect("tracked"), at);
+    }
+
+    /// `from`'s own `last_activity`, then its reverse's, from one lookup.
+    fn seen(t: &mut Flows, from: &FlowKey) -> (Option<Nanos>, Option<Nanos>) {
+        let mut conn = t.connection(from);
+        let at = |e: &mut FlowEntry| e.life().last_activity;
+        (conn.this().map(at), conn.reverse().map(at))
     }
 
     #[test]
     fn create_lookup_remove() {
-        let t = FlowTable::new();
-        assert!(last_activity(&t, 1).is_none());
-        assert_eq!(create(&t, 1, 0), Admission::Created);
-        set_last_activity(&t, 1, 42);
-        assert_eq!(last_activity(&t, 1), Some(42));
+        let mut t = unbounded();
+        assert!(last_activity(&mut t, 1).is_none());
+        assert_eq!(create(&mut t, 1, 0), Admission::Created);
+        set_last_activity(&mut t, 1, 42);
+        assert_eq!(last_activity(&mut t, 1), Some(42));
         assert_eq!(t.len(), 1);
         assert!(t.remove(&key(1)));
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 0);
         assert!(!t.remove(&key(1)));
     }
 
     #[test]
     fn get_or_create_is_idempotent() {
-        let t = FlowTable::new();
-        create(&t, 7, 0);
-        assert_eq!(create(&t, 7, 99), Admission::Existing);
-        assert_eq!(last_activity(&t, 7), Some(0), "the first entry stays");
+        let mut t = unbounded();
+        create(&mut t, 7, 0);
+        assert_eq!(create(&mut t, 7, 99), Admission::Existing);
+        assert_eq!(last_activity(&mut t, 7), Some(0), "the first entry stays");
         assert_eq!(t.len(), 1);
     }
 
     #[test]
     fn gc_collects_idle_and_closed() {
-        let t = FlowTable::new();
-        create(&t, 1, 0); // idle since t=0
-        create(&t, 2, 0);
-        set_last_activity(&t, 2, 1_000_000_000);
-        create(&t, 3, 0);
-        t.with_entry(&key(3), |e| {
-            touch(e, 1_000_000_000);
-            e.close();
-        });
+        let mut t = unbounded();
+        create(&mut t, 1, 0); // idle since t=0
+        create(&mut t, 2, 0);
+        set_last_activity(&mut t, 2, 1_000_000_000);
+        create(&mut t, 3, 0);
+        let e = t.get(&key(3)).expect("tracked");
+        touch(e, 1_000_000_000);
+        e.close();
         let gone: Vec<FlowKey> = t.gc(1_000_000_001, 500_000_000).collect();
         let mut want = [key(1), key(3)];
         want.sort_by_key(sweep_order);
         assert_eq!(gone, want, "collected keys, in sweep order");
         assert_eq!(t.len(), 1);
-        assert!(last_activity(&t, 1).is_none());
-        assert!(last_activity(&t, 2).is_some());
-        assert!(last_activity(&t, 3).is_none());
+        assert!(last_activity(&mut t, 1).is_none());
+        assert!(last_activity(&mut t, 2).is_some());
+        assert!(last_activity(&mut t, 3).is_none());
     }
 
     #[test]
     fn gc_epoch_shields_pre_epoch_idle_times() {
-        let t = FlowTable::new();
-        create(&t, 1, 0); // last_activity = 0, ancient
-        let set_epoch = |at| t.core().flows.set_epoch(at);
-        assert_eq!(t.core().flows.epoch(), 0);
+        let mut t = unbounded();
+        create(&mut t, 1, 0); // last_activity = 0, ancient
+        assert_eq!(t.epoch(), 0);
         // Without an epoch stamp this entry would be collected instantly.
-        set_epoch(2_000_000_000);
+        t.set_epoch(2_000_000_000);
         assert_eq!(t.gc(2_000_000_001, 500_000_000).len(), 0);
         assert!(
-            last_activity(&t, 1).is_some(),
+            last_activity(&mut t, 1).is_some(),
             "epoch shields pre-epoch idleness"
         );
         // Once genuinely idle *past* the epoch, collection proceeds.
         assert_eq!(t.gc(2_600_000_001, 500_000_000).len(), 1);
-        assert!(last_activity(&t, 1).is_none());
+        assert!(last_activity(&mut t, 1).is_none());
         // Epoch stamps never move backwards.
-        set_epoch(1_000_000_000);
-        assert_eq!(t.core().flows.epoch(), 2_000_000_000);
+        t.set_epoch(1_000_000_000);
+        assert_eq!(t.epoch(), 2_000_000_000);
     }
 
     #[test]
     fn bounded_reject_new_refuses_at_capacity() {
-        let t = FlowTable::bounded(2, AdmissionPolicy::RejectNew);
-        assert_eq!(create(&t, 1, 0), Admission::Created);
-        assert_eq!(create(&t, 2, 0), Admission::Created);
-        assert_eq!(t.get_or_create(key(3), || entry(0)), Admission::Rejected);
-        assert!(last_activity(&t, 3).is_none());
+        let mut t = bounded(2, AdmissionPolicy::RejectNew);
+        assert_eq!(create(&mut t, 1, 0), Admission::Created);
+        assert_eq!(create(&mut t, 2, 0), Admission::Created);
+        assert_eq!(add(&mut t, key(3), 0), Admission::Rejected);
+        assert!(last_activity(&mut t, 3).is_none());
         assert_eq!(t.len(), 2);
         // Existing keys still resolve at capacity.
-        assert_eq!(create(&t, 1, 0), Admission::Existing);
+        assert_eq!(create(&mut t, 1, 0), Admission::Existing);
         // Freeing a slot re-opens admission.
         assert!(t.remove(&key(1)));
-        assert_eq!(create(&t, 3, 0), Admission::Created);
+        assert_eq!(create(&mut t, 3, 0), Admission::Created);
         assert_eq!(t.len(), 2);
     }
 
     #[test]
     fn bounded_evict_oldest_idle_is_deterministic() {
-        let t = FlowTable::bounded(2, AdmissionPolicy::EvictOldestIdle);
-        create(&t, 1, 0);
-        set_last_activity(&t, 1, 100);
-        create(&t, 2, 0);
-        set_last_activity(&t, 2, 50); // oldest → the victim
-        assert_eq!(create(&t, 3, 0), Admission::CreatedAfterEviction(1));
+        let mut t = bounded(2, AdmissionPolicy::EvictOldestIdle);
+        create(&mut t, 1, 0);
+        set_last_activity(&mut t, 1, 100);
+        create(&mut t, 2, 0);
+        set_last_activity(&mut t, 2, 50); // oldest → the victim
+        assert_eq!(create(&mut t, 3, 0), Admission::CreatedAfterEviction);
         assert_eq!(t.len(), 2);
-        assert!(last_activity(&t, 2).is_none(), "oldest-idle entry evicted");
-        assert!(last_activity(&t, 1).is_some());
-        assert!(last_activity(&t, 3).is_some());
+        assert!(
+            last_activity(&mut t, 2).is_none(),
+            "oldest-idle entry evicted"
+        );
+        assert!(last_activity(&mut t, 1).is_some());
+        assert!(last_activity(&mut t, 3).is_some());
     }
 
     #[test]
     fn eviction_ties_break_on_smallest_key() {
-        let t = FlowTable::bounded(2, AdmissionPolicy::EvictOldestIdle);
-        create(&t, 9, 0);
-        create(&t, 4, 0); // same last_activity; smaller port loses
-        create(&t, 7, 0);
+        let mut t = bounded(2, AdmissionPolicy::EvictOldestIdle);
+        create(&mut t, 9, 0);
+        create(&mut t, 4, 0); // same last_activity; smaller port loses
+        create(&mut t, 7, 0);
         assert!(
-            last_activity(&t, 4).is_none(),
+            last_activity(&mut t, 4).is_none(),
             "smallest key evicted on tie"
         );
-        assert!(last_activity(&t, 9).is_some());
-        assert!(last_activity(&t, 7).is_some());
-    }
-
-    #[test]
-    fn with_entry_or_create_respects_capacity() {
-        let t = FlowTable::bounded(1, AdmissionPolicy::RejectNew);
-        let (r, adm) = t.with_entry_or_create(key(1), || entry(0), |_| 1u32);
-        assert_eq!((r, adm), (Some(1), Admission::Created));
-        let (r, adm) = t.with_entry_or_create(key(2), || entry(0), |_| 2u32);
-        assert_eq!((r, adm), (None, Admission::Rejected));
-        assert_eq!(t.len(), 1);
+        assert!(last_activity(&mut t, 9).is_some());
+        assert!(last_activity(&mut t, 7).is_some());
     }
 
     #[test]
     fn both_directions_share_one_record() {
-        let t = FlowTable::new();
+        let mut t = unbounded();
         let (k, r) = (key(1), key(1).reverse());
-        assert_eq!(create(&t, 1, 10), Admission::Created);
-        assert_eq!(t.get_or_create(r, || entry(20)), Admission::Created);
+        assert_eq!(create(&mut t, 1, 10), Admission::Created);
+        assert_eq!(add(&mut t, r, 20), Admission::Created);
         assert_eq!((t.len(), t.connections()), (2, 1));
         // Each side sees its own entry first and the other one second.
-        let seen = |from: &FlowKey| {
-            let mut core = t.core();
-            let mut conn = core.flows.connection(from);
-            let at = |e: &mut FlowEntry| e.life().last_activity;
-            (conn.this().map(at), conn.reverse().map(at))
-        };
-        assert_eq!(seen(&k), (Some(10), Some(20)));
-        assert_eq!(seen(&r), (Some(20), Some(10)));
+        assert_eq!(seen(&mut t, &k), (Some(10), Some(20)));
+        assert_eq!(seen(&mut t, &r), (Some(20), Some(10)));
         // Removing one direction keeps the other and the record.
         assert!(t.remove(&k));
-        assert_eq!(seen(&r), (Some(20), None));
+        assert_eq!(seen(&mut t, &r), (Some(20), None));
         assert_eq!((t.len(), t.connections()), (1, 1));
         // The last direction takes the record with it.
         assert!(t.remove(&r));
         assert_eq!((t.len(), t.connections()), (0, 0));
-        assert_eq!(seen(&k), (None, None));
+        assert_eq!(seen(&mut t, &k), (None, None));
     }
 
     #[test]
@@ -740,17 +710,14 @@ mod tests {
             dst_port: 9,
         };
         assert_eq!(own.reverse(), own);
-        let t = FlowTable::new();
-        {
-            let mut core = t.core();
-            let (mut conn, adm) = core.flows.connection_or_create(&own, || entry(0));
-            assert_eq!(adm, Admission::Created);
-            touch(conn.this().expect("created"), 5);
-            // The reverse of `own` is `own`: the entry just written.
-            let seen = conn.reverse().map(|e| e.life().last_activity);
-            assert_eq!(seen, Some(5));
-        }
-        assert_eq!(t.get_or_create(own, || entry(0)), Admission::Existing);
+        let mut t = unbounded();
+        let (mut conn, adm) = t.connection_or_create(&own, || entry(0));
+        assert_eq!(adm, Admission::Created);
+        touch(conn.this().expect("created"), 5);
+        // The reverse of `own` is `own`: the entry just written.
+        let seen = conn.reverse().map(|e| e.life().last_activity);
+        assert_eq!(seen, Some(5));
+        assert_eq!(add(&mut t, own, 0), Admission::Existing);
         assert_eq!((t.len(), t.connections()), (1, 1));
         assert!(t.remove(&own));
         assert_eq!((t.len(), t.connections()), (0, 0));
@@ -758,20 +725,20 @@ mod tests {
 
     #[test]
     fn eviction_and_gc_take_one_direction_and_keep_the_other() {
-        let t = FlowTable::bounded(2, AdmissionPolicy::EvictOldestIdle);
+        let mut t = bounded(2, AdmissionPolicy::EvictOldestIdle);
         let r = key(1).reverse();
-        create(&t, 1, 0);
-        t.get_or_create(r, || entry(100));
+        create(&mut t, 1, 0);
+        add(&mut t, r, 100);
         // The oldest entry is `k`'s half of the record; `r` stays.
-        assert_eq!(create(&t, 2, 50), Admission::CreatedAfterEviction(1));
-        assert!(last_activity(&t, 1).is_none());
-        assert!(t.with_entry(&r, |_| ()).is_some());
+        assert_eq!(create(&mut t, 2, 50), Admission::CreatedAfterEviction);
+        assert!(last_activity(&mut t, 1).is_none());
+        assert!(t.get(&r).is_some());
         // `r` keeps `k`'s record; `key(2)` has its own.
         assert_eq!(t.connections(), 2);
         // Idle `key(2)` goes at gc; `r` is young enough to stay.
         assert_eq!(t.gc(200, 120).len(), 1);
         assert_eq!((t.len(), t.connections()), (1, 1));
-        assert!(t.with_entry(&r, |_| ()).is_some());
+        assert!(t.get(&r).is_some());
         // And when it goes too, so does its record.
         assert_eq!(t.gc(300, 120).len(), 1);
         assert_eq!((t.len(), t.connections()), (0, 0));
@@ -779,27 +746,24 @@ mod tests {
 
     #[test]
     fn a_rejected_direction_still_lends_the_reverse_one() {
-        let t = FlowTable::bounded(1, AdmissionPolicy::RejectNew);
-        t.get_or_create(key(1).reverse(), || entry(30));
-        {
-            let mut core = t.core();
-            let (mut conn, adm) = core.flows.connection_or_create(&key(1), || entry(0));
-            assert_eq!(adm, Admission::Rejected);
-            assert!(conn.this().is_none(), "a refused entry is not created");
-            let seen = conn.reverse().map(|e| e.life().last_activity);
-            assert_eq!(seen, Some(30));
-        }
+        let mut t = bounded(1, AdmissionPolicy::RejectNew);
+        add(&mut t, key(1).reverse(), 30);
+        let (mut conn, adm) = t.connection_or_create(&key(1), || entry(0));
+        assert_eq!(adm, Admission::Rejected);
+        assert!(conn.this().is_none(), "a refused entry is not created");
+        let seen = conn.reverse().map(|e| e.life().last_activity);
+        assert_eq!(seen, Some(30));
         assert_eq!(t.len(), 1);
     }
 
     #[test]
     fn clear_empties_and_reopens_admission() {
-        let t = FlowTable::bounded(2, AdmissionPolicy::RejectNew);
-        create(&t, 1, 0);
-        create(&t, 2, 0);
+        let mut t = bounded(2, AdmissionPolicy::RejectNew);
+        create(&mut t, 1, 0);
+        create(&mut t, 2, 0);
         assert_eq!(t.clear(), 2);
-        assert!(t.is_empty());
-        assert_eq!(create(&t, 3, 0), Admission::Created);
+        assert_eq!(t.len(), 0);
+        assert_eq!(create(&mut t, 3, 0), Admission::Created);
     }
 
     /// `n` ports. One array holds every key, so any `n` past four grows
@@ -808,90 +772,92 @@ mod tests {
         (0..n).collect()
     }
 
-    fn buckets(t: &FlowTable) -> usize {
-        t.core().flows.index.buckets()
-    }
-
     #[test]
     fn clear_frees_bucket_arrays() {
-        let t = FlowTable::new();
+        let mut t = unbounded();
         // Enough to grow the array several times.
         let crowd = crowd(40);
         for &p in &crowd {
-            create(&t, p, 0);
+            create(&mut t, p, 0);
         }
-        assert!(buckets(&t) >= 2 * crowd.len());
+        assert!(t.index.buckets() >= 2 * crowd.len());
         assert_eq!(t.clear(), crowd.len());
-        assert_eq!((t.connections(), buckets(&t)), (0, 0));
+        assert_eq!((t.connections(), t.index.buckets()), (0, 0));
         // An emptied table starts again from its first allocation.
-        create(&t, crowd[0], 0);
-        assert_eq!(buckets(&t), MIN_BUCKETS);
+        create(&mut t, crowd[0], 0);
+        assert_eq!(t.index.buckets(), MIN_BUCKETS);
     }
 
     #[test]
     fn gc_shrinks_bucket_arrays_to_the_live_entries() {
         const IDLE: Nanos = 1_000;
-        let t = FlowTable::new();
+        let mut t = unbounded();
         let crowd = crowd(40);
         for &p in &crowd {
-            create(&t, p, 0);
+            create(&mut t, p, 0);
         }
-        assert_eq!(buckets(&t), 128);
+        assert_eq!(t.index.buckets(), 128);
         // Six stay active: 6 of 128 is under an eighth, so the array
         // halves to 32, where 6 is not.
         let (live, idle) = crowd.split_at(6);
         for &p in live {
-            set_last_activity(&t, p, 2 * IDLE);
+            set_last_activity(&mut t, p, 2 * IDLE);
         }
         assert_eq!(t.gc(2 * IDLE, IDLE).len(), idle.len());
-        assert_eq!(buckets(&t), 32);
+        assert_eq!(t.index.buckets(), 32);
         for &p in live {
             assert!(
-                last_activity(&t, p).is_some(),
+                last_activity(&mut t, p).is_some(),
                 "port {p} lost in the shrink"
             );
         }
         for &p in idle {
-            assert!(last_activity(&t, p).is_none(), "port {p} survived gc");
+            assert!(last_activity(&mut t, p).is_none(), "port {p} survived gc");
         }
         // Emptied by gc, the table keeps its smallest array.
         assert_eq!(t.gc(4 * IDLE, IDLE).len(), live.len());
-        assert!(t.is_empty());
-        assert_eq!(buckets(&t), MIN_BUCKETS);
+        assert_eq!(t.len(), 0);
+        assert_eq!(t.index.buckets(), MIN_BUCKETS);
+    }
+
+    /// Every entry's key, in walk order.
+    fn walk(t: &mut Flows) -> Vec<FlowKey> {
+        t.iter_mut().map(|(k, _)| k).collect()
     }
 
     #[test]
     fn a_small_table_is_all_a_sweep_visits() {
         // Two connections, both ways: the first insert allocates the
         // smallest array and the second fits in it.
-        let t = FlowTable::new();
+        let mut t = unbounded();
         for p in [1, 2] {
-            create(&t, p, 0);
-            t.get_or_create(key(p).reverse(), || entry(0));
+            create(&mut t, p, 0);
+            add(&mut t, key(p).reverse(), 0);
         }
-        assert_eq!((t.len(), t.connections(), buckets(&t)), (4, 2, MIN_BUCKETS));
-        let mut seen: Vec<FlowKey> = t.core().flows.iter_mut().map(|(k, _)| k).collect();
+        assert_eq!(
+            (t.len(), t.connections(), t.index.buckets()),
+            (4, 2, MIN_BUCKETS)
+        );
+        let mut seen = walk(&mut t);
         seen.sort_unstable();
         let mut want = vec![key(1), key(1).reverse(), key(2), key(2).reverse()];
         want.sort_unstable();
         assert_eq!(seen, want, "a walk visits the four entries once each");
         // A sweep after a flood walks what is left, not the peak.
         for p in 3..1_000 {
-            create(&t, p, 0);
+            create(&mut t, p, 0);
         }
-        set_last_activity(&t, 1, 10);
-        t.with_entry(&key(1).reverse(), |e| touch(e, 10));
-        assert_eq!(buckets(&t), 2_048);
+        set_last_activity(&mut t, 1, 10);
+        touch(t.get(&key(1).reverse()).expect("tracked"), 10);
+        assert_eq!(t.index.buckets(), 2_048);
         assert_eq!(t.gc(10, 5).len(), 999);
-        assert_eq!((t.len(), t.connections(), buckets(&t)), (2, 1, MIN_BUCKETS));
+        assert_eq!(
+            (t.len(), t.connections(), t.index.buckets()),
+            (2, 1, MIN_BUCKETS)
+        );
         assert_eq!(t.gc(10, 5).len(), 0);
         assert_eq!(t.gc(20, 5).len(), 2);
-        assert_eq!((t.len(), buckets(&t)), (0, MIN_BUCKETS));
-    }
-
-    /// Every entry's key, in walk order.
-    fn walk(t: &FlowTable) -> Vec<FlowKey> {
-        t.core().flows.iter_mut().map(|(k, _)| k).collect()
+        assert_eq!((t.len(), t.index.buckets()), (0, MIN_BUCKETS));
     }
 
     proptest::proptest! {
@@ -902,23 +868,28 @@ mod tests {
         fn same_ops_walk_in_the_same_order(
             ops in proptest::collection::vec((0u8..11, 0u16..48, 0u16..1000), 1..200)
         ) {
-            let (a, b) = (FlowTable::new(), FlowTable::new());
+            let (mut a, mut b) = (unbounded(), unbounded());
             for &(op, k, now) in &ops {
                 let k = if k < 24 { key(k) } else { key(k - 24).reverse() };
                 let now = Nanos::from(now);
-                for t in [&a, &b] {
+                for t in [&mut a, &mut b] {
                     match op {
-                        0..=5 => drop(t.with_entry_or_create(k, || entry(now), |e| touch(e, now))),
+                        0..=5 => {
+                            let (conn, _) = t.connection_or_create(&k, || entry(now));
+                            touch(conn.into_this().expect("unbounded"), now);
+                        }
                         6..=8 => drop(t.remove(&k)),
                         9 => drop(t.gc(now, 250)),
                         _ => drop(t.clear()),
                     }
                 }
-                proptest::prop_assert_eq!(walk(&a), walk(&b));
+                proptest::prop_assert_eq!(walk(&mut a), walk(&mut b));
             }
         }
     }
 
+    /// The lock's own test: four threads create and stamp their own keys
+    /// through the shared table, and every write lands.
     #[test]
     fn concurrent_access_from_threads() {
         let t = Arc::new(FlowTable::new());
@@ -928,9 +899,9 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for i in 0..250u16 {
                     let k = key(tid * 250 + i);
-                    let (set, _) =
-                        t.with_entry_or_create(k, || entry(0), |e| touch(e, u64::from(i)));
-                    assert!(set.is_some());
+                    assert!(t.get_or_create(k, || entry(0)).created());
+                    t.with_entry(&k, |e| touch(e, u64::from(i)))
+                        .expect("tracked");
                     assert_eq!(
                         t.with_entry(&k, |e| e.life().last_activity),
                         Some(u64::from(i))

@@ -1,5 +1,5 @@
-//! Property tests for `FlowTable`, each against a `BTreeMap` model of
-//! directional key → `last_activity`. Both directions of a connection
+//! Property tests for the flow table's state, `Flows`, each against a
+//! `BTreeMap` model of directional key → `last_activity`. Both directions of a connection
 //! share one record, so every op universe holds keys and their reverses:
 //! creating, removing, evicting or collecting one direction must leave
 //! the other as the model says, and a record must go with its last
@@ -19,8 +19,10 @@ use std::sync::OnceLock;
 
 use acdc_cc::{CcConfig, CcKind};
 use acdc_packet::FlowKey;
-use acdc_vswitch::{Admission, AdmissionPolicy, FlowEntry, FlowTable};
 use proptest::prelude::*;
+
+use crate::entry::FlowEntry;
+use crate::table::{Admission, AdmissionPolicy, Flows};
 
 const CAP: usize = 8;
 const IDLE: u64 = 250;
@@ -77,6 +79,16 @@ fn touch(e: &mut FlowEntry, now: u64) {
     assert!(e.restore_state(&state));
 }
 
+/// Look up or create `k`'s flow, stamping `last_activity` unless the
+/// gate refused it.
+fn create(t: &mut Flows, k: FlowKey, now: u64) -> Admission {
+    let (conn, adm) = t.connection_or_create(&k, || entry(now));
+    if let Some(e) = conn.into_this() {
+        touch(e, now);
+    }
+    adm
+}
+
 /// What a create of `k` at the cap should do under `policy`, applied to
 /// the model.
 fn model_create(model: &mut Model, policy: AdmissionPolicy, k: FlowKey, now: u64) -> Admission {
@@ -97,7 +109,7 @@ fn model_create(model: &mut Model, policy: AdmissionPolicy, k: FlowKey, now: u64
             .expect("a full table has another entry")
             .1;
         model.remove(&victim);
-        Admission::CreatedAfterEviction(1)
+        Admission::CreatedAfterEviction
     };
     model.insert(k, now);
     adm
@@ -114,7 +126,7 @@ fn model_gc(model: &mut Model, now: u64) -> usize {
 /// `t` holds exactly `model`: every key of `universe` (a superset of
 /// the model's) looks up to the model's value, the count matches, so no
 /// entry is held twice, and there is one record per live connection.
-fn assert_matches(t: &FlowTable, model: &Model, universe: impl IntoIterator<Item = FlowKey>) {
+fn assert_matches(t: &mut Flows, model: &Model, universe: impl IntoIterator<Item = FlowKey>) {
     for k in universe {
         assert_eq!(last_activity(t, &k), model.get(&k).copied(), "{k}");
     }
@@ -127,14 +139,14 @@ fn assert_matches(t: &FlowTable, model: &Model, universe: impl IntoIterator<Item
 /// cap and [`assert_matches`] after every step. Returns (admission
 /// outcomes, sorted survivors) for determinism comparison.
 fn run_ops(policy: AdmissionPolicy, ops: &[Op]) -> (Vec<Admission>, Vec<FlowKey>) {
-    let t = FlowTable::bounded(CAP, policy);
+    let mut t = Flows::new(Some(CAP), policy);
     let mut model = Model::new();
     let mut admissions = Vec::new();
     for op in ops {
         match *op {
             Op::Create(k, now) => {
                 let (k, now) = (key(k), u64::from(now));
-                let (_, adm) = t.with_entry_or_create(k, || entry(now), |e| touch(e, now));
+                let adm = create(&mut t, k, now);
                 assert_eq!(adm, model_create(&mut model, policy, k, now), "{k}");
                 admissions.push(adm);
             }
@@ -144,7 +156,9 @@ fn run_ops(policy: AdmissionPolicy, ops: &[Op]) -> (Vec<Admission>, Vec<FlowKey>
             }
             Op::Touch(k, now) => {
                 let (k, now) = (key(k), u64::from(now));
-                t.with_entry(&k, |e| touch(e, now));
+                if let Some(e) = t.get(&k) {
+                    touch(e, now);
+                }
                 if let Some(last) = model.get_mut(&k) {
                     *last = now;
                 }
@@ -157,7 +171,7 @@ fn run_ops(policy: AdmissionPolicy, ops: &[Op]) -> (Vec<Admission>, Vec<FlowKey>
         // The cap is never exceeded, not even transiently visible after
         // any op.
         assert!(t.len() <= CAP, "len {} exceeds cap {CAP}", t.len());
-        assert_matches(&t, &model, (0..32).map(key));
+        assert_matches(&mut t, &model, (0..32).map(key));
     }
     (admissions, model.into_keys().collect())
 }
@@ -191,19 +205,19 @@ proptest! {
     /// explicitly removed or gc'd — creates alone cannot displace it.
     #[test]
     fn reject_new_never_displaces(extra in prop::collection::vec(0u8..32, 1..40)) {
-        let t = FlowTable::bounded(2, AdmissionPolicy::RejectNew);
+        let mut t = Flows::new(Some(2), AdmissionPolicy::RejectNew);
         let data = FlowKey {
             src_port: 41_000,
             ..key(0)
         };
         let ack = data.reverse();
-        prop_assert_eq!(t.get_or_create(data, || entry(0)), Admission::Created);
-        prop_assert_eq!(t.get_or_create(ack, || entry(0)), Admission::Created);
+        prop_assert_eq!(create(&mut t, data, 0), Admission::Created);
+        prop_assert_eq!(create(&mut t, ack, 0), Admission::Created);
         for k in extra {
-            t.get_or_create(key(k), || entry(1));
+            create(&mut t, key(k), 1);
         }
-        prop_assert!(t.with_entry(&data, |_| ()).is_some());
-        prop_assert!(t.with_entry(&ack, |_| ()).is_some());
+        prop_assert!(t.get(&data).is_some());
+        prop_assert!(t.get(&ack).is_some());
         prop_assert_eq!((t.len(), t.connections()), (2, 1));
     }
 }
@@ -249,22 +263,21 @@ fn crowd() -> &'static [FlowKey] {
     })
 }
 
-fn last_activity(t: &FlowTable, k: &FlowKey) -> Option<u64> {
-    t.with_entry(k, |e| e.checkpoint_state().life.last_activity)
+fn last_activity(t: &mut Flows, k: &FlowKey) -> Option<u64> {
+    t.get(k).map(|e| e.life().last_activity)
 }
 
 /// Run `ops` on a fresh unbounded table beside the model, checking
 /// [`assert_matches`] after every step.
 fn check_index_ops(ops: &[IndexOp]) {
     let keys = crowd();
-    let t = FlowTable::new();
+    let mut t = Flows::new(None, AdmissionPolicy::EvictOldestIdle);
     let mut model = Model::new();
     for op in ops {
         match *op {
             IndexOp::Create(k, now) => {
                 let (k, now) = (keys[usize::from(k)], u64::from(now));
-                let (touched, adm) = t.with_entry_or_create(k, || entry(now), |e| touch(e, now));
-                assert!(touched.is_some(), "unbounded");
+                let adm = create(&mut t, k, now);
                 let expected = if model.insert(k, now).is_some() {
                     Admission::Existing
                 } else {
@@ -285,7 +298,7 @@ fn check_index_ops(ops: &[IndexOp]) {
                 model.clear();
             }
         }
-        assert_matches(&t, &model, keys.iter().copied());
+        assert_matches(&mut t, &model, keys.iter().copied());
     }
 }
 
