@@ -28,7 +28,6 @@ fn lint(name: &str) -> Vec<(String, String)> {
 /// The fixture that trips each rule: the file it trips it in, and how
 /// many findings it holds there.
 const TRIPPING: &[(&str, &str, &str, usize)] = &[
-    ("D003", "d003_unseeded_rng", "crates/faults/src/bad.rs", 1),
     ("P001", "p001_seq_arith", "crates/tcp/src/bad.rs", 1),
     ("P002", "p002_wscale_shift", "crates/vswitch/src/bad.rs", 1),
     ("P003", "p003_alpha_eq", "crates/cc/src/bad.rs", 1),
@@ -113,13 +112,13 @@ fn lint_binary_exit_codes() {
 
     let bad = std::process::Command::new(bin)
         .args(["lint", "--root"])
-        .arg(fixture("d003_unseeded_rng"))
+        .arg(fixture("p001_seq_arith"))
         .output()
         .expect("run binary");
     assert_eq!(bad.status.code(), Some(1), "findings must exit 1");
     let stdout = String::from_utf8_lossy(&bad.stdout);
     assert!(
-        stdout.contains("crates/faults/src/bad.rs:3: D003"),
+        stdout.contains("crates/tcp/src/bad.rs:2: P001"),
         "diagnostic must carry file:line and rule id, got: {stdout}"
     );
 

@@ -1,6 +1,6 @@
 //! A file that is completely clean: simulator time, seeded randomness, no
-//! float equality. Mentions of from_entropy or get_or_create in comments
-//! or strings must not fire.
+//! float equality. Mentions of get_or_create in comments or strings must
+//! not fire.
 
 use std::collections::BTreeMap;
 
@@ -9,7 +9,7 @@ pub struct Clock {
 }
 
 pub fn tick(c: &mut Clock) -> u64 {
-    // SmallRng::from_entropy() would be wrong here — this comment must not trip D003.
+    // table.get_or_create(key, init) would be wrong here — this comment must not trip P005.
     c.now += 1;
     c.now
 }
