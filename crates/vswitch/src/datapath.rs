@@ -396,7 +396,7 @@ impl AcdcDatapath {
     pub fn tick(&self, now: Nanos) {
         let mut out = self.outbox(now);
         let fired = self.table.run(&mut out.cx, Core::tick);
-        for ((_, key), cwnd) in fired {
+        for (key, cwnd) in fired {
             self.telemetry
                 .record(now, key, EventKind::RtoFired { cwnd });
         }

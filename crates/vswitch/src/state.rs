@@ -24,7 +24,7 @@ use crate::datapath::{AcdcConfig, AcdcCounters, DropReason, FlowStat, Verdict};
 use crate::entry::{Enforcement, FlowEntry, Policed};
 use crate::health::{Health, HealthState, LOG_ONLY_PCT, LOG_RECOVER_PCT, PASS_RECOVER_PCT};
 use crate::rwnd::RwndAction;
-use crate::table::{sweep_order, Admission, Flows};
+use crate::table::{Admission, Flows};
 
 /// Room for the events of one packet, which produces at most five. An
 /// egress SYN makes two admissions: three events for the first
@@ -619,14 +619,14 @@ impl Core {
     // ------------------------------------------------------------------
 
     /// Infer timeouts for flows whose ACK clock stopped entirely.
-    /// Returns each fired flow with its window after the timeout, in
-    /// [`sweep_order`], not the walk's bucket order: the order the
-    /// datapath records them in.
-    pub(crate) fn tick(&mut self, cx: &mut Cx) -> Vec<((usize, FlowKey), u64)> {
+    /// Returns each fired flow with its window after the timeout, sorted
+    /// by key, not in the walk's bucket order: the order the datapath
+    /// records them in.
+    pub(crate) fn tick(&mut self, cx: &mut Cx) -> Vec<(FlowKey, u64)> {
         let mut fired = Vec::new();
         for (key, e) in self.flows.iter_mut() {
             if let Some(cwnd) = e.infer_timeout(cx.now) {
-                fired.push((sweep_order(&key), cwnd));
+                fired.push((key, cwnd));
             }
         }
         fired.sort_unstable();
@@ -635,12 +635,8 @@ impl Core {
     }
 
     /// Collect closed and idle entries, then evaluate the health ladder
-    /// once. Returns the collected keys in [`sweep_order`].
-    pub(crate) fn gc(
-        &mut self,
-        cx: &mut Cx,
-        idle_timeout: Nanos,
-    ) -> impl ExactSizeIterator<Item = FlowKey> {
+    /// once. Returns the collected keys, sorted.
+    pub(crate) fn gc(&mut self, cx: &mut Cx, idle_timeout: Nanos) -> Vec<FlowKey> {
         let collected = self.flows.gc(cx.now, idle_timeout);
         cx.counters.gc_evictions.add(collected.len() as u64);
         self.update_health(cx);

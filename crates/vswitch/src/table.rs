@@ -43,8 +43,8 @@
 //! holds now, not the most it ever held. Walks visit records in bucket
 //! order and halves in order, which depends on history and on the
 //! secret. Whatever a walk hands out is ordered by content instead:
-//! `tick` and `gc` sort their events by `sweep_order`, `flow_stats` and
-//! `checkpoint` by key, and eviction takes a minimum.
+//! `tick`, `gc`, `flow_stats` and `checkpoint` sort by key, and eviction
+//! takes a minimum.
 //!
 //! ## Capacity & admission
 //!
@@ -69,11 +69,6 @@ use parking_lot::Mutex;
 
 use crate::entry::FlowEntry;
 use crate::state::Core;
-
-/// Ways [`sweep_order`] splits keys by hash before it compares
-/// them. An ordering, not a placement: it is the shard count of the table
-/// that fixed the recorded event order, kept so recordings replay.
-const SWEEP_TAGS: usize = 1024;
 
 /// What a bounded table does when a new flow arrives at capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,18 +148,6 @@ fn key_of(conn: &FlowKey, i: usize) -> FlowKey {
     } else {
         conn.reverse()
     }
-}
-
-/// The order a sweep publishes its per-flow events in: a
-/// [`SWEEP_TAGS`]-way tag from `key`'s own hash, then `key` — the order a
-/// sharded table of one entry per direction held its contents in, kept
-/// so that recorded runs keep their event sequence. Walks themselves go
-/// in bucket order; `tick` and `gc` tag what they collect with this, once
-/// per key, and sort before they hand it out, so the recorder's sequence
-/// numbers replay across a checkpoint restore and under racing worker
-/// inserts.
-pub(crate) fn sweep_order(key: &FlowKey) -> (usize, FlowKey) {
-    ((key.hash64() as usize) & (SWEEP_TAGS - 1), *key)
 }
 
 /// Both directions of one connection, from one lookup: `key`'s half and
@@ -383,19 +366,12 @@ impl Flows {
     /// Idleness is measured from the later of the entry's
     /// `last_activity` and the epoch, so a reset/restore epoch stamp
     /// shields entries carrying pre-event activity times from one
-    /// spurious collection. Returns the collected keys in
-    /// [`sweep_order`], the order the datapath records their evictions
-    /// in. An array left less than an eighth full halves (down to 8
+    /// spurious collection. Returns the collected keys sorted, the order
+    /// the datapath records their evictions in, not the walk's bucket
+    /// order. An array left less than an eighth full halves (down to 8
     /// buckets); [`Flows::clear`] frees it.
-    pub(crate) fn gc(
-        &mut self,
-        now: Nanos,
-        idle_timeout: Nanos,
-    ) -> impl ExactSizeIterator<Item = FlowKey> {
-        // Each collected key is tagged with its `sweep_order` as it is
-        // found; bucket order is not sweep order, so the list is sorted
-        // once, at the end.
-        let mut evicted: Vec<(usize, FlowKey)> = Vec::new();
+    pub(crate) fn gc(&mut self, now: Nanos, idle_timeout: Nanos) -> Vec<FlowKey> {
+        let mut evicted = Vec::new();
         let epoch = self.epoch;
         self.index.retain(|conn, rec| {
             for (i, h) in rec.halves.iter_mut().enumerate() {
@@ -405,7 +381,7 @@ impl Flows {
                 });
                 if dead {
                     *h = None;
-                    evicted.push(sweep_order(&key_of(conn, i)));
+                    evicted.push(key_of(conn, i));
                 }
             }
             !rec.is_empty()
@@ -416,7 +392,7 @@ impl Flows {
             "flow-table count drifted from the index contents after gc"
         );
         evicted.sort_unstable();
-        evicted.into_iter().map(|(_, key)| key)
+        evicted
     }
 
     /// Every entry with its directional key, in bucket order.
@@ -604,10 +580,8 @@ mod tests {
         let e = t.get(&key(3)).expect("tracked");
         touch(e, 1_000_000_000);
         e.close();
-        let gone: Vec<FlowKey> = t.gc(1_000_000_001, 500_000_000).collect();
-        let mut want = [key(1), key(3)];
-        want.sort_by_key(sweep_order);
-        assert_eq!(gone, want, "collected keys, in sweep order");
+        let gone = t.gc(1_000_000_001, 500_000_000);
+        assert_eq!(gone, [key(1), key(3)], "collected keys, in key order");
         assert_eq!(t.len(), 1);
         assert!(last_activity(&mut t, 1).is_none());
         assert!(last_activity(&mut t, 2).is_some());
@@ -803,7 +777,8 @@ mod tests {
         for &p in live {
             set_last_activity(&mut t, p, 2 * IDLE);
         }
-        assert_eq!(t.gc(2 * IDLE, IDLE).len(), idle.len());
+        let gone: Vec<FlowKey> = idle.iter().map(|&p| key(p)).collect();
+        assert_eq!(t.gc(2 * IDLE, IDLE), gone, "the idle keys, in key order");
         assert_eq!(t.index.buckets(), 32);
         for &p in live {
             assert!(
