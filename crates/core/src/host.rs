@@ -464,7 +464,7 @@ impl HostNode {
         match self.datapath.egress(now, seg) {
             Verdict::Forward(s) => self.rl_transmit(ctx, s),
             Verdict::ForwardWithExtra(s, extra) => {
-                self.rl_transmit(ctx, s) + self.rl_transmit(ctx, extra)
+                self.rl_transmit(ctx, s) + self.rl_transmit(ctx, *extra)
             }
             Verdict::Drop(_) => 0,
         }

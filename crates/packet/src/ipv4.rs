@@ -241,11 +241,6 @@ impl Ipv4Repr {
     /// Default TTL used for emitted packets.
     pub const DEFAULT_TTL: u8 = 64;
 
-    /// Bytes this header occupies when emitted.
-    pub fn header_len(&self) -> usize {
-        HEADER_LEN
-    }
-
     /// Emit into the front of `buffer` (which must be at least
     /// `header_len() + payload_len` bytes... only the header is written).
     pub fn emit<T: AsRef<[u8]> + AsMut<[u8]>>(&self, pkt: &mut Ipv4Packet<T>) {

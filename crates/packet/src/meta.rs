@@ -34,8 +34,6 @@ pub struct PacketMeta {
     pub flow: FlowKey,
     /// ECN codepoint from the IP header.
     pub ecn: crate::Ecn,
-    /// IPv4 header length in bytes.
-    pub ip_header_len: u8,
     /// TCP header length in bytes.
     pub l4_header_len: u8,
     /// TCP flag bits.
@@ -71,7 +69,8 @@ impl PacketMeta {
     /// header, one over the fixed TCP header, and one walk of the options
     /// region capturing MSS, window scale, and PACK in the same sweep.
     /// Any protocol but TCP returns `Err(Unsupported)`: AC/DC enforces
-    /// TCP only. Malformed input returns `Err`, and so does any IP
+    /// TCP only. So does an IPv4 header with options, which nothing here
+    /// emits and a segment has no room for. Malformed input returns `Err`, and so does any IP
     /// fragment: a non-first fragment has no TCP header where one would
     /// be read, and a first one does not carry its whole datagram.
     pub(crate) fn parse(buf: &[u8]) -> Result<PacketMeta> {
@@ -82,7 +81,11 @@ impl PacketMeta {
         if ip.protocol() != PROTO_TCP {
             return Err(Error::Unsupported);
         }
+        // A segment holds at most a 20-byte IPv4 header (DESIGN.md §9).
         let ihl = ip.header_len();
+        if ihl != crate::ipv4::HEADER_LEN {
+            return Err(Error::Unsupported);
+        }
         let tcp = TcpPacket::new_checked(&buf[ihl..])?;
         let thl = tcp.header_len();
         if buf.len() != ihl + thl {
@@ -96,7 +99,6 @@ impl PacketMeta {
                 dst_port: tcp.dst_port(),
             },
             ecn: ip.ecn(),
-            ip_header_len: ihl as u8,
             l4_header_len: thl as u8,
             flags: tcp.flags(),
             seq: tcp.seq_number(),
@@ -198,7 +200,6 @@ mod tests {
         assert!(m.vm_ece);
         assert!(!m.fack);
         assert_eq!(m.ecn, Ecn::Ect0);
-        assert_eq!(m.ip_header_len, 20);
         assert_eq!(m.l4_header_len, 20);
         assert_eq!(m.pack, None);
     }

@@ -19,13 +19,12 @@
 //! edits, PACK insertion and removal) patch the bytes, the checksum *and*
 //! the meta together, and there is no raw mutable view, so the meta always
 //! says what the bytes say and every layer reads it through
-//! [`Segment::try_meta`]. `Segment` is plain data: no interior mutability,
-//! `Send + Sync` because its fields are, and a hand-off between layers or
-//! threads copies the struct and nothing else. See DESIGN.md §9.
+//! [`Segment::try_meta`]. `Segment` is plain data: the header bytes
+//! inline, no heap, no interior mutability, `Send + Sync` because its
+//! fields are, and a hand-off between layers or threads copies the struct
+//! and nothing else. See DESIGN.md §9.
 
 use core::cmp::Ordering;
-
-use bytes::{Bytes, BytesMut};
 
 use crate::checksum::checksum_adjust;
 use crate::tcp::option_kind;
@@ -145,28 +144,36 @@ impl core::fmt::Display for FlowKey {
     }
 }
 
+/// Where a segment's TCP header starts: its IPv4 header carries no
+/// options ([`Segment::from_header_bytes`] refuses them).
+const IHL: usize = crate::ipv4::HEADER_LEN;
+
+/// The most header bytes a segment holds: the IPv4 header and a TCP header
+/// at its 60-byte maximum.
+pub const MAX_HEADER_LEN: usize = IHL + crate::tcp::MAX_HEADER_LEN;
+
 /// A simulated packet: serialized headers + virtual payload length + the
 /// header metadata they hold.
 ///
-/// # Pooled backing storage
-///
-/// The header buffer is rented from the process-wide
-/// [`SegmentPool`](crate::pool::SegmentPool): constructors and `Clone`
-/// take a recycled (fully overwritten) buffer, and `Drop` returns the
-/// storage to the pool — so the NIC → vSwitch → endpoint pipeline
-/// recycles one small allocation per packet instead of paying the
-/// allocator round-trip.
-#[derive(Debug)]
+/// The header lives inline: `header[..header_len]` are the wire bytes,
+/// and nothing reads past them. A clone is a copy of the struct.
+#[derive(Debug, Clone)]
 pub struct Segment {
-    buf: BytesMut,
+    header: [u8; MAX_HEADER_LEN],
+    header_len: u8,
     payload_len: usize,
     /// The parsed header: filled by every constructor, kept coherent by
     /// the maintained mutators.
     meta: PacketMeta,
 }
 
-// What a hand-off moves: the buffer handle, a length and the meta.
-const _: () = assert!(core::mem::size_of::<Segment>() <= 96);
+// What a hand-off moves: the header bytes, two lengths and the meta.
+// Every queue slot and every `Verdict` holds a segment by value, so its
+// size is a per-packet copy. Measured on `dp_steady_1k` (2-vCPU Xeon,
+// 8 s alternating pairs, FACK unboxed in both): a 120-byte array, with
+// room for IPv4 options, ran at 1.15× the wall ns per packet of a pooled
+// 88-byte segment; this 80-byte one at 1.09×.
+const _: () = assert!(core::mem::size_of::<Segment>() <= 144);
 
 impl Segment {
     /// Build a TCP segment. `ip.payload_len` is overwritten from the TCP
@@ -178,14 +185,10 @@ impl Segment {
             payload_len: tcp_hdr_len + payload_len,
             ..ip
         };
-        let total_hdr = ip_repr.header_len() + tcp_hdr_len;
-        let mut buf = crate::pool::global().take(total_hdr);
+        let mut header = [0u8; MAX_HEADER_LEN];
+        ip_repr.emit(&mut Ipv4Packet::new_unchecked(&mut header[..IHL]));
         {
-            let mut ipp = Ipv4Packet::new_unchecked(&mut buf[..]);
-            ip_repr.emit(&mut ipp);
-        }
-        {
-            let mut tcpp = TcpPacket::new_unchecked(&mut buf[ip_repr.header_len()..]);
+            let mut tcpp = TcpPacket::new_unchecked(&mut header[IHL..IHL + tcp_hdr_len]);
             tcp.emit(&mut tcpp);
             tcpp.fill_checksum(ip_repr.src_addr, ip_repr.dst_addr, payload_len);
         }
@@ -193,22 +196,30 @@ impl Segment {
         // locally built segment is never parsed at all.
         let meta = tcp_meta_from_reprs(&ip_repr, &tcp, tcp_hdr_len);
         Segment {
-            buf,
+            header,
+            header_len: (IHL + tcp_hdr_len) as u8,
             payload_len,
             meta,
         }
     }
 
     /// Reconstruct a segment from raw header bytes (e.g. off a trace) plus
-    /// a virtual payload length: the one place wire bytes are read. `buf`
-    /// must hold exactly one IPv4 header and one TCP header; the
-    /// validating parse becomes the segment's meta. Anything else returns
-    /// `Err` — any other protocol `Err(Error::Unsupported)` — and callers
+    /// a virtual payload length: the one place wire bytes are read. The
+    /// bytes must hold exactly one IPv4 header and one TCP header; the
+    /// validating parse becomes the segment's meta and the bytes are
+    /// copied in. Anything else returns `Err` — any other protocol, and an
+    /// IPv4 header with options, `Err(Error::Unsupported)` — and callers
     /// drop and count, never panic.
-    pub fn from_header_bytes(buf: BytesMut, payload_len: usize) -> Result<Segment> {
-        let meta = PacketMeta::parse(&buf)?;
+    pub fn from_header_bytes(bytes: impl AsRef<[u8]>, payload_len: usize) -> Result<Segment> {
+        let bytes = bytes.as_ref();
+        let meta = PacketMeta::parse(bytes)?;
+        // The parse admits a 20-byte IPv4 header and at most 60 bytes of
+        // TCP header, so the bytes fit.
+        let mut header = [0u8; MAX_HEADER_LEN];
+        header[..bytes.len()].copy_from_slice(bytes);
         Ok(Segment {
-            buf,
+            header,
+            header_len: bytes.len() as u8,
             payload_len,
             meta,
         })
@@ -227,12 +238,19 @@ impl Segment {
     /// The serialized header bytes (IP + TCP, no payload).
     #[inline]
     pub fn header_bytes(&self) -> &[u8] {
-        &self.buf
+        &self.header[..usize::from(self.header_len)]
     }
 
-    /// Freeze and return a copy of the header bytes.
-    pub fn header_bytes_cloned(&self) -> Bytes {
-        Bytes::copy_from_slice(&self.buf)
+    /// The serialized header bytes, for the maintained mutators only.
+    #[inline]
+    fn buf(&mut self) -> &mut [u8] {
+        &mut self.header[..usize::from(self.header_len)]
+    }
+
+    /// The TCP header, for the maintained mutators only.
+    #[inline]
+    fn tcp_mut(&mut self) -> TcpPacket<&mut [u8]> {
+        TcpPacket::new_unchecked(&mut self.buf()[IHL..])
     }
 
     /// Virtual payload length in bytes.
@@ -244,20 +262,19 @@ impl Segment {
     /// Total length on the wire: headers + payload.
     #[inline]
     pub fn wire_len(&self) -> usize {
-        self.buf.len() + self.payload_len
+        usize::from(self.header_len) + self.payload_len
     }
 
     /// Immutable IP header view.
     #[inline]
     pub fn ip(&self) -> Ipv4Packet<&[u8]> {
-        Ipv4Packet::new_unchecked(&self.buf[..])
+        Ipv4Packet::new_unchecked(self.header_bytes())
     }
 
     /// Immutable TCP header view.
     #[inline]
     pub fn tcp(&self) -> TcpPacket<&[u8]> {
-        let ihl = self.ip().header_len();
-        TcpPacket::new_unchecked(&self.buf[ihl..])
+        TcpPacket::new_unchecked(&self.header_bytes()[IHL..])
     }
 
     /// The flow key of this segment's direction.
@@ -275,7 +292,7 @@ impl Segment {
     /// the meta.
     #[inline]
     pub fn set_ecn(&mut self, ecn: Ecn) {
-        Ipv4Packet::new_unchecked(&mut self.buf[..]).set_ecn_update_checksum(ecn);
+        Ipv4Packet::new_unchecked(self.buf()).set_ecn_update_checksum(ecn);
         self.meta.ecn = ecn;
     }
 
@@ -297,16 +314,14 @@ impl Segment {
     /// with the meta updated in step.
     #[inline]
     pub fn rewrite_window(&mut self, window: u16) {
-        let ihl = self.ip().header_len();
-        TcpPacket::new_unchecked(&mut self.buf[ihl..]).set_window_update_checksum(window);
+        self.tcp_mut().set_window_update_checksum(window);
         self.meta.window = window;
     }
 
     /// Overwrite the TCP flag byte, patching checksum and meta.
     #[inline]
     pub fn set_tcp_flags(&mut self, flags: TcpFlags) {
-        let ihl = self.ip().header_len();
-        TcpPacket::new_unchecked(&mut self.buf[ihl..]).set_flags_update_checksum(flags);
+        self.tcp_mut().set_flags_update_checksum(flags);
         self.meta.flags = flags;
     }
 
@@ -314,16 +329,14 @@ impl Segment {
     /// patching checksum and meta.
     #[inline]
     pub fn clear_tcp_flags(&mut self, flags: TcpFlags) {
-        let ihl = self.ip().header_len();
-        TcpPacket::new_unchecked(&mut self.buf[ihl..]).clear_flags_update_checksum(flags);
+        self.tcp_mut().clear_flags_update_checksum(flags);
         self.meta.flags = self.meta.flags.difference(flags);
     }
 
     /// Set the AC/DC reserved-bit markers, patching checksum and meta.
     #[inline]
     pub fn set_reserved(&mut self, vm_ece: bool, fack: bool) {
-        let ihl = self.ip().header_len();
-        TcpPacket::new_unchecked(&mut self.buf[ihl..]).set_reserved_update_checksum(vm_ece, fack);
+        self.tcp_mut().set_reserved_update_checksum(vm_ece, fack);
         self.meta.vm_ece = vm_ece;
         self.meta.fack = fack;
     }
@@ -331,8 +344,7 @@ impl Segment {
     /// Clear both AC/DC reserved-bit markers, patching checksum and meta.
     #[inline]
     pub fn clear_reserved(&mut self) {
-        let ihl = self.ip().header_len();
-        TcpPacket::new_unchecked(&mut self.buf[ihl..]).clear_reserved_update_checksum();
+        self.tcp_mut().clear_reserved_update_checksum();
         self.meta.vm_ece = false;
         self.meta.fack = false;
     }
@@ -343,8 +355,7 @@ impl Segment {
     /// the fault still reads the truth.
     #[inline]
     pub fn corrupt_window_bit(&mut self) {
-        let ihl = self.ip().header_len();
-        let mut tcp = TcpPacket::new_unchecked(&mut self.buf[ihl..]);
+        let mut tcp = self.tcp_mut();
         let w = tcp.window() ^ 0x0001;
         tcp.set_window(w);
         self.meta.window = w;
@@ -358,13 +369,12 @@ impl Segment {
         if new_len == self.payload_len {
             return;
         }
-        let ihl = self.ip().header_len();
-        let thl = self.buf.len() - ihl;
-        Ipv4Packet::new_unchecked(&mut self.buf[..])
-            .set_total_len_update_checksum((ihl + thl + new_len) as u16);
+        let thl = usize::from(self.header_len) - IHL;
+        Ipv4Packet::new_unchecked(self.buf())
+            .set_total_len_update_checksum((IHL + thl + new_len) as u16);
         let old_l4 = (thl + self.payload_len) as u32;
         let new_l4 = (thl + new_len) as u32;
-        let mut tcp = TcpPacket::new_unchecked(&mut self.buf[ihl..]);
+        let mut tcp = self.tcp_mut();
         let mut ck = tcp.checksum();
         ck = checksum_adjust(ck, (old_l4 >> 16) as u16, (new_l4 >> 16) as u16);
         ck = checksum_adjust(ck, old_l4 as u16, new_l4 as u16);
@@ -376,8 +386,8 @@ impl Segment {
     /// Append a PACK feedback option to the TCP header in place: EOL
     /// padding is rewritten to NOP so the appended option stays reachable,
     /// the header grows by [`PackOption::WIRE_LEN`] bytes, and both
-    /// checksums are patched incrementally (no re-emit, no allocation
-    /// beyond the buffer growth). Returns `false` — leaving the segment
+    /// checksums are patched incrementally (no re-emit, no allocation).
+    /// Returns `false` — leaving the segment
     /// untouched — when the option does not fit, one is already present,
     /// or an option in the region is malformed.
     pub fn append_pack_in_place(&mut self, pack: PackOption) -> bool {
@@ -385,36 +395,31 @@ impl Segment {
         if meta.pack_off.is_some() {
             return false;
         }
-        let ihl = usize::from(meta.ip_header_len);
         let thl = usize::from(meta.l4_header_len);
         if thl + PackOption::WIRE_LEN > crate::tcp::MAX_HEADER_LEN {
             return false;
         }
-        let opts_start = ihl + crate::tcp::HEADER_LEN;
-        let Some(pad_start) = options_padding_start(&self.buf[opts_start..ihl + thl]) else {
+        let (opts_start, end) = (IHL + crate::tcp::HEADER_LEN, IHL + thl);
+        let Some(pad_start) = options_padding_start(&self.header[opts_start..end]) else {
             return false;
         };
-        let old_words = self.tcp_header_words(ihl);
-        for b in &mut self.buf[opts_start + pad_start..ihl + thl] {
-            *b = option_kind::NOP;
-        }
-        let old_buf_len = self.buf.len();
-        self.buf.resize(old_buf_len + PackOption::WIRE_LEN, 0);
-        pack.emit(&mut self.buf[old_buf_len..]);
+        let old_words = self.tcp_header_words();
+        self.header[opts_start + pad_start..end].fill(option_kind::NOP);
+        self.header_len += PackOption::WIRE_LEN as u8;
+        pack.emit(&mut self.header[end..end + PackOption::WIRE_LEN]);
         let new_thl = thl + PackOption::WIRE_LEN;
-        TcpPacket::new_unchecked(&mut self.buf[ihl..]).set_header_len(new_thl);
-        Ipv4Packet::new_unchecked(&mut self.buf[..])
-            .set_total_len_update_checksum((ihl + new_thl + self.payload_len) as u16);
-        let new_words = self.tcp_header_words(ihl);
+        self.tcp_mut().set_header_len(new_thl);
+        let total_len = (IHL + new_thl + self.payload_len) as u16;
+        Ipv4Packet::new_unchecked(self.buf()).set_total_len_update_checksum(total_len);
+        let new_words = self.tcp_header_words();
         self.adjust_tcp_checksum(
-            ihl,
             &old_words,
             &new_words,
             (thl + self.payload_len) as u32,
             (new_thl + self.payload_len) as u32,
         );
         self.meta.l4_header_len = new_thl as u8;
-        self.meta.pack_off = Some((ihl + thl) as u16);
+        self.meta.pack_off = Some(end as u16);
         self.meta.pack = Some(pack);
         true
     }
@@ -429,20 +434,18 @@ impl Segment {
             return false;
         };
         let off = usize::from(pack_off);
-        let ihl = usize::from(meta.ip_header_len);
         let thl = usize::from(meta.l4_header_len);
-        debug_assert!(off + PackOption::WIRE_LEN <= ihl + thl);
-        let old_words = self.tcp_header_words(ihl);
-        let end = self.buf.len();
-        self.buf.copy_within(off + PackOption::WIRE_LEN..end, off);
-        self.buf.truncate(end - PackOption::WIRE_LEN);
+        debug_assert!(off + PackOption::WIRE_LEN <= IHL + thl);
+        let old_words = self.tcp_header_words();
+        self.header
+            .copy_within(off + PackOption::WIRE_LEN..IHL + thl, off);
+        self.header_len -= PackOption::WIRE_LEN as u8;
         let new_thl = thl - PackOption::WIRE_LEN;
-        TcpPacket::new_unchecked(&mut self.buf[ihl..]).set_header_len(new_thl);
-        Ipv4Packet::new_unchecked(&mut self.buf[..])
-            .set_total_len_update_checksum((ihl + new_thl + self.payload_len) as u16);
-        let new_words = self.tcp_header_words(ihl);
+        self.tcp_mut().set_header_len(new_thl);
+        let total_len = (IHL + new_thl + self.payload_len) as u16;
+        Ipv4Packet::new_unchecked(self.buf()).set_total_len_update_checksum(total_len);
+        let new_words = self.tcp_header_words();
         self.adjust_tcp_checksum(
-            ihl,
             &old_words,
             &new_words,
             (thl + self.payload_len) as u32,
@@ -457,9 +460,9 @@ impl Segment {
     /// Snapshot the TCP header as 16-bit words (missing tail words read as
     /// zero — a zero word contributes nothing to the Internet checksum, so
     /// grown/shrunk headers diff cleanly against each other).
-    fn tcp_header_words(&self, ihl: usize) -> [u16; MAX_TCP_WORDS] {
+    fn tcp_header_words(&self) -> [u16; MAX_TCP_WORDS] {
         let mut words = [0u16; MAX_TCP_WORDS];
-        let data = &self.buf[ihl..];
+        let data = &self.header_bytes()[IHL..];
         for (i, w) in words.iter_mut().enumerate() {
             let off = i * 2;
             if off + 2 <= data.len() {
@@ -473,7 +476,6 @@ impl Segment {
     /// pseudo-header length change) into the TCP checksum, RFC 1624 style.
     fn adjust_tcp_checksum(
         &mut self,
-        ihl: usize,
         old: &[u16; MAX_TCP_WORDS],
         new: &[u16; MAX_TCP_WORDS],
         old_l4_len: u32,
@@ -482,7 +484,7 @@ impl Segment {
         // The checksum field itself (TCP bytes 16..18) is the output, not
         // an input, of the adjustment.
         const CHECKSUM_WORD: usize = 8;
-        let mut tcp = TcpPacket::new_unchecked(&mut self.buf[ihl..]);
+        let mut tcp = self.tcp_mut();
         let mut ck = tcp.checksum();
         for (i, (o, n)) in old.iter().zip(new.iter()).enumerate() {
             if i != CHECKSUM_WORD && o != n {
@@ -516,24 +518,6 @@ impl Segment {
     }
 }
 
-impl Clone for Segment {
-    /// Clones rent their buffer from the global pool.
-    fn clone(&self) -> Segment {
-        Segment {
-            buf: crate::pool::global().take_copy(&self.buf),
-            payload_len: self.payload_len,
-            meta: self.meta,
-        }
-    }
-}
-
-impl Drop for Segment {
-    /// Returns the backing buffer to the global pool.
-    fn drop(&mut self) {
-        crate::pool::global().put(core::mem::take(&mut self.buf));
-    }
-}
-
 /// Number of 16-bit words in a maximum-size TCP header.
 const MAX_TCP_WORDS: usize = crate::tcp::MAX_HEADER_LEN / 2;
 
@@ -552,7 +536,6 @@ fn tcp_meta_from_reprs(ip: &Ipv4Repr, tcp: &TcpRepr, tcp_hdr_len: usize) -> Pack
             dst_port: tcp.dst_port,
         },
         ecn: ip.ecn,
-        ip_header_len: ip.header_len() as u8,
         l4_header_len: tcp_hdr_len as u8,
         flags: tcp.flags,
         seq: tcp.seq,
@@ -565,7 +548,7 @@ fn tcp_meta_from_reprs(ip: &Ipv4Repr, tcp: &TcpRepr, tcp_hdr_len: usize) -> Pack
         wscale: None,
         mss: None,
     };
-    let mut off = (ip.header_len() + crate::tcp::HEADER_LEN) as u16;
+    let mut off = (IHL + crate::tcp::HEADER_LEN) as u16;
     for opt in &tcp.options {
         match *opt {
             TcpOption::MaxSegmentSize(v) => meta.mss = Some(v),
@@ -816,8 +799,7 @@ mod tests {
     #[test]
     fn from_header_bytes_round_trip() {
         let seg = Segment::new_tcp(ip_repr(), base_tcp(), 777);
-        let buf = BytesMut::from(seg.header_bytes());
-        let seg2 = Segment::from_header_bytes(buf, 777).unwrap();
+        let seg2 = Segment::from_header_bytes(seg.header_bytes(), 777).unwrap();
         assert_eq!(seg2.try_meta(), seg.try_meta());
         assert_eq!(seg2.wire_len(), seg.wire_len());
         assert_eq!(seg2.flow_key(), seg.flow_key());
@@ -827,7 +809,7 @@ mod tests {
     #[test]
     fn from_header_bytes_rejects_unknown_protocol() {
         let seg = Segment::new_tcp(ip_repr(), base_tcp(), 0);
-        let mut gre = BytesMut::from(seg.header_bytes());
+        let mut gre = seg.header_bytes().to_vec();
         gre[crate::ipv4::field::PROTOCOL] = 47;
         // An RFC 768 datagram, 10.0.0.1:6000 -> 10.0.0.9:7000, no payload:
         // a well-formed IPv4 header (protocol 17, valid checksum) and the
@@ -840,7 +822,7 @@ mod tests {
             0x17, 0x70, 0x1b, 0x58, 0x00, 0x08, 0x00, 0x00,             // ports, length, checksum
         ];
         assert!(Ipv4Packet::new_unchecked(&udp[..]).verify_checksum());
-        for buf in [gre, BytesMut::from(&udp[..])] {
+        for buf in [&gre[..], &udp[..]] {
             assert_eq!(
                 Segment::from_header_bytes(buf, 0).unwrap_err(),
                 Error::Unsupported
@@ -850,10 +832,10 @@ mod tests {
 
     #[test]
     fn from_header_bytes_rejects_bytes_past_the_headers() {
-        // A PACK appended in place goes at the end of the buffer, and the
+        // A PACK appended in place goes at the end of the bytes, and the
         // meta puts it at the end of the TCP header: the two must agree.
         let seg = Segment::new_tcp(ip_repr(), base_tcp(), 0);
-        let mut buf = BytesMut::from(seg.header_bytes());
+        let mut buf = seg.header_bytes().to_vec();
         buf.extend_from_slice(&[0xAA, 0xBB, 0xCC, 0xDD]);
         assert_eq!(
             Segment::from_header_bytes(buf, 0).unwrap_err(),
@@ -861,10 +843,70 @@ mod tests {
         );
     }
 
+    #[test]
+    fn from_header_bytes_refuses_ipv4_options() {
+        // RFC 791, IHL 6: a 24-byte IPv4 header whose option word is
+        // NOP NOP NOP EOL, then a plain 20-byte ACK, 10.0.0.1:40000 ->
+        // 10.0.0.9:5001. Both checksums hold; a segment has no room for
+        // IPv4 options, and the boundary says so.
+        #[rustfmt::skip]
+        let ihl6: [u8; 44] = [
+            0x46, 0x00, 0x00, 0x2c, 0x00, 0x00, 0x40, 0x00, 0x40, 0x06, // v4 IHL 6, 44 B, DF, TTL 64, TCP
+            0x23, 0xc2, 10, 0, 0, 1, 10, 0, 0, 9,                       // checksum, addresses
+            0x01, 0x01, 0x01, 0x00,                                     // options: NOP NOP NOP EOL
+            0x9c, 0x40, 0x13, 0x89, 0x00, 0x00, 0x03, 0xe8,             // ports, seq 1000
+            0x00, 0x00, 0x07, 0xd0, 0x50, 0x10, 0x04, 0xd2,             // ack 2000, 20 B, ACK, window
+            0xdb, 0x77, 0x00, 0x00,                                     // checksum, urgent
+        ];
+        let ip = Ipv4Packet::new_unchecked(&ihl6[..]);
+        assert!(ip.verify_checksum());
+        assert!(TcpPacket::new_unchecked(&ihl6[24..]).verify_checksum(
+            ip.src_addr(),
+            ip.dst_addr(),
+            0
+        ));
+        assert_eq!(
+            Segment::from_header_bytes(ihl6, 0).unwrap_err(),
+            Error::Unsupported
+        );
+    }
+
+    #[test]
+    fn from_header_bytes_takes_a_full_tcp_header_at_80_bytes() {
+        // A 20-byte IPv4 header and a 60-byte TCP header filled the way a
+        // stack fills it while it SACKs: NOP NOP Timestamps NOP NOP, then
+        // three SACK blocks. 10.0.0.1:40000 -> 10.0.0.9:5001, ACK 2000.
+        #[rustfmt::skip]
+        let full: [u8; 80] = [
+            0x45, 0x00, 0x00, 0x50, 0x00, 0x00, 0x40, 0x00, 0x40, 0x06, // v4, 80 B, DF, TTL 64, TCP
+            0x26, 0x9f, 10, 0, 0, 1, 10, 0, 0, 9,                       // checksum, addresses
+            0x9c, 0x40, 0x13, 0x89, 0x00, 0x00, 0x03, 0xe8,             // ports, seq 1000
+            0x00, 0x00, 0x07, 0xd0, 0xf0, 0x10, 0x04, 0xd2,             // ack 2000, 60 B, ACK, window
+            0xab, 0x31, 0x00, 0x00,                                     // checksum, urgent
+            0x01, 0x01, 0x08, 0x0a, 0, 0, 0, 7, 0, 0, 0, 8,             // NOP NOP TS 7 8
+            0x01, 0x01, 0x05, 0x1a,                                     // NOP NOP SACK, 3 blocks
+            0, 0, 0x0b, 0xb8, 0, 0, 0x0f, 0xa0,                         // 3000..4000
+            0, 0, 0x13, 0x88, 0, 0, 0x17, 0x70,                         // 5000..6000
+            0, 0, 0x1b, 0x58, 0, 0, 0x1f, 0x40,                         // 7000..8000
+        ];
+        let mut seg = Segment::from_header_bytes(full, 0).unwrap();
+        assert_eq!(seg.header_bytes(), &full[..]);
+        assert_eq!(seg.header_bytes().len(), MAX_HEADER_LEN);
+        assert!(seg.verify_checksums());
+        let m = seg.try_meta().unwrap();
+        assert_eq!(
+            (m.l4_header_len, m.window, m.ack),
+            (60, 1234, SeqNumber(2000))
+        );
+        // No room for a PACK: the append refuses and leaves it as it was.
+        assert!(!seg.append_pack_in_place(PackOption::default()));
+        assert_eq!(seg.header_bytes(), &full[..]);
+    }
+
     /// `seg`'s header bytes with the IP flags/fragment-offset word set to
     /// `flg_off` and the header checksum refilled.
-    fn with_frag_word(seg: &Segment, flg_off: u16) -> BytesMut {
-        let mut buf = BytesMut::from(seg.header_bytes());
+    fn with_frag_word(seg: &Segment, flg_off: u16) -> Vec<u8> {
+        let mut buf = seg.header_bytes().to_vec();
         buf[crate::ipv4::field::FLG_OFF].copy_from_slice(&flg_off.to_be_bytes());
         Ipv4Packet::new_unchecked(&mut buf[..]).fill_checksum();
         buf
@@ -876,7 +918,7 @@ mod tests {
         // datagram whose payload at this point happens to look like a
         // TCP header. Protocol 6 does not make it one.
         let seg = Segment::new_tcp(ip_repr(), base_tcp(), 0);
-        assert!(Segment::from_header_bytes(BytesMut::from(seg.header_bytes()), 0).is_ok());
+        assert!(Segment::from_header_bytes(seg.header_bytes(), 0).is_ok());
         assert_eq!(
             Segment::from_header_bytes(with_frag_word(&seg, 185), 0).unwrap_err(),
             Error::Malformed

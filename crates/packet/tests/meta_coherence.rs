@@ -9,7 +9,6 @@ use acdc_packet::{
     Ecn, Ipv4Repr, PackOption, Segment, SeqNumber, TcpFlags, TcpOption, TcpPacket, TcpRepr,
     PROTO_TCP,
 };
-use bytes::BytesMut;
 use proptest::prelude::*;
 
 /// One in-place mutation, as the datapath would issue it.
@@ -158,7 +157,7 @@ fn check_mutation_sequence(
 
     // The held meta equals a fresh read of the bytes.
     let held = seg.try_meta().expect("a segment has its meta");
-    let fresh = Segment::from_header_bytes(BytesMut::from(seg.header_bytes()), seg.payload_len())
+    let fresh = Segment::from_header_bytes(seg.header_bytes(), seg.payload_len())
         .expect("mutated headers read back")
         .try_meta()
         .expect("a read segment has its meta");

@@ -8,7 +8,6 @@ use acdc_packet::tcp::option_kind;
 use acdc_packet::{Ecn, Ipv4Repr, Segment, SeqNumber, TcpFlags, TcpRepr, PROTO_TCP};
 use acdc_stats::time::{Nanos, MICROSECOND, MILLISECOND, SECOND};
 use acdc_tcp::{Endpoint, TcpConfig, TcpState};
-use bytes::BytesMut;
 
 const A_IP: [u8; 4] = [10, 0, 0, 1];
 const B_IP: [u8; 4] = [10, 0, 0, 2];
@@ -106,7 +105,7 @@ fn window_scale_is_clamped_to_14() {
     a.open(0);
     let syn = a.poll_transmit(0).unwrap();
     // Tamper: the window-scale option's shift byte becomes an illegal 30.
-    let mut bytes = BytesMut::from(syn.header_bytes());
+    let mut bytes = syn.header_bytes().to_vec();
     let wscale = syn.try_meta().unwrap().wscale.unwrap();
     // Options start after the 20-byte IP and TCP headers.
     let ws = 40

@@ -99,11 +99,19 @@ impl AcdcConfig {
 pub enum Verdict {
     /// Forward the (possibly rewritten) packet.
     Forward(Segment),
-    /// Forward the packet and also emit a generated FACK.
-    ForwardWithExtra(Segment, Segment),
+    /// Forward the packet and also emit a generated FACK. The FACK is
+    /// boxed so that the common verdicts do not carry its room.
+    ForwardWithExtra(Segment, Box<Segment>),
     /// Consume the packet.
     Drop(DropReason),
 }
+
+// A verdict is one segment, the FACK's box and a tag. With the FACK held
+// inline it was twice a segment's size, and moving that through every
+// `egress` / `ingress` return cost `dp_steady_1k` 9 % in wall ns per
+// packet (2-vCPU Xeon, 8 s alternating pairs); no workload there makes a
+// FACK at all.
+const _: () = assert!(core::mem::size_of::<Verdict>() <= core::mem::size_of::<Segment>() + 16);
 
 impl Verdict {
     /// The forwarded packet, if any (test helper).

@@ -397,7 +397,7 @@ impl Core {
                 cx.counters.feedback_dropped.inc();
             } else if let Some(fack) = make_fack(&seg, pack) {
                 cx.counters.facks_sent.inc();
-                return Verdict::ForwardWithExtra(seg, fack);
+                return Verdict::ForwardWithExtra(seg, Box::new(fack));
             } else {
                 // No room even in a payload-free copy (pathological
                 // option soup): the feedback is lost, not a panic.

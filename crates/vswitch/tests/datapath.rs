@@ -12,7 +12,6 @@ use acdc_vswitch::{
     AcdcConfig, AcdcDatapath, AdmissionPolicy, CcPolicy, DropReason, FlowEntry, HealthState,
     Verdict,
 };
-use bytes::BytesMut;
 use std::sync::Arc;
 
 const A: [u8; 4] = [10, 0, 0, 1];
@@ -46,7 +45,7 @@ fn ingress(dp: &AcdcDatapath, at: u64, seg: Segment) -> Segment {
 
 /// `seg`'s headers read afresh, as the next hop would read them.
 fn reread(seg: &Segment) -> PacketMeta {
-    Segment::from_header_bytes(BytesMut::from(seg.header_bytes()), seg.payload_len())
+    Segment::from_header_bytes(seg.header_bytes(), seg.payload_len())
         .expect("datapath output reads back")
         .try_meta()
         .expect("a read segment has its meta")
@@ -305,10 +304,61 @@ fn pack_overflow_generates_fack() {
             assert!(fack.verify_checksums());
 
             // The FACK is absorbed at the sender side.
-            match dpa.ingress(22_000, fack) {
+            match dpa.ingress(22_000, *fack) {
                 Verdict::Drop(DropReason::FackConsumed) => {}
                 v => panic!("expected FACK drop, got {v:?}"),
             }
+        }
+        v => panic!("expected FACK generation, got {v:?}"),
+    }
+}
+
+#[test]
+fn full_80_byte_header_sends_its_feedback_in_a_fack() {
+    let (dpa, dpb) = rig(false);
+    let d = egress(&dpa, 10_000, data(0, MSS, Ecn::NotEct));
+    ingress(&dpb, 20_000, d);
+
+    // B's guest acks the first segment with a header at the 80-byte
+    // limit: 20 B IPv4, then a 60 B TCP header holding NOP NOP, three
+    // SACK blocks (one MSS each, one MSS apart) and a PACK of its own
+    // (1 448 bytes, none marked).
+    #[rustfmt::skip]
+    let bytes: [u8; 80] = [
+        0x45, 0x00, 0x00, 0x50, 0x00, 0x00, 0x40, 0x00, 0x40, 0x06, // v4, 80 B, DF, TTL 64, TCP
+        0x26, 0xa6, 10, 0, 0, 2, 10, 0, 0, 1,                       // checksum, B -> A
+        0x13, 0x89, 0x9c, 0x40, 0x00, 0x1e, 0x84, 0x81,             // 5001 -> 40000, seq ISS_B + 1
+        0x00, 0x00, 0x09, 0x91, 0xf0, 0x10, 0xfd, 0xe8,             // ack ISS_A + 1 + MSS, 60 B, ACK, 65 000
+        0x59, 0xeb, 0x00, 0x00,                                     // checksum, urgent
+        0x01, 0x01, 0x05, 0x1a,                                     // NOP NOP SACK, 3 blocks
+        0x00, 0x00, 0x0f, 0x39, 0x00, 0x00, 0x14, 0xe1,
+        0x00, 0x00, 0x1a, 0x89, 0x00, 0x00, 0x20, 0x31,
+        0x00, 0x00, 0x25, 0xd9, 0x00, 0x00, 0x2b, 0x81,
+        0xfd, 0x0c, 0xac, 0xdc, 0x00, 0x00, 0x05, 0xa8, 0x00, 0x00, 0x00, 0x00, // PACK
+    ];
+    let ack = Segment::from_header_bytes(bytes, 0).expect("80 bytes fit a segment");
+
+    // The header is full, so the receiver module's PACK cannot ride on
+    // it. The FACK, a payload-free copy whose PACK replaces the guest's,
+    // carries the feedback instead.
+    match dpb.egress(21_000, ack) {
+        Verdict::ForwardWithExtra(main, fack) => {
+            assert_eq!(main.header_bytes().len(), 80);
+            assert!(main.verify_checksums());
+            assert!(fack.tcp().is_fack());
+            assert_eq!(fack.header_bytes().len(), 80);
+            let p = reread(&fack).pack.expect("the FACK carries a PACK");
+            assert_eq!(p.total_bytes, MSS as u32);
+            assert!(fack.verify_checksums());
+            assert_eq!(dpb.counters().facks_sent.get(), 1);
+
+            match dpa.ingress(22_000, *fack) {
+                Verdict::Drop(DropReason::FackConsumed) => {}
+                v => panic!("expected FACK drop, got {v:?}"),
+            }
+            let delivered = ingress(&dpa, 22_000, main);
+            assert!(reread(&delivered).pack.is_none(), "PACK leaked");
+            assert!(delivered.verify_checksums());
         }
         v => panic!("expected FACK generation, got {v:?}"),
     }

@@ -6,7 +6,6 @@ use acdc_packet::{
 };
 use acdc_vswitch::entry::MAX_ENFORCED_WINDOW;
 use acdc_vswitch::{AcdcConfig, AcdcDatapath, FlowCheckpoint, FlowStat, Verdict};
-use bytes::BytesMut;
 use proptest::prelude::*;
 
 const A: [u8; 4] = [10, 0, 0, 1];
@@ -14,7 +13,7 @@ const B: [u8; 4] = [10, 0, 0, 2];
 
 /// `seg`'s headers read afresh, as the next hop would read them.
 fn reread(seg: &Segment) -> PacketMeta {
-    Segment::from_header_bytes(BytesMut::from(seg.header_bytes()), seg.payload_len())
+    Segment::from_header_bytes(seg.header_bytes(), seg.payload_len())
         .expect("datapath output reads back")
         .try_meta()
         .expect("a read segment has its meta")
@@ -188,7 +187,7 @@ fn random_traffic(events: &[Ev]) {
                     }
                     Verdict::ForwardWithExtra(a, fack) => {
                         prop_assert!(fack.tcp().is_fack());
-                        prop_assert!(matches!(dpa.ingress(now, fack), Verdict::Drop(_)));
+                        prop_assert!(matches!(dpa.ingress(now, *fack), Verdict::Drop(_)));
                         let _ = dpa.ingress(now, a);
                     }
                     Verdict::Drop(_) => {}

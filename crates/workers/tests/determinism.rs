@@ -134,7 +134,7 @@ fn conversation(keys: &[FlowKey]) -> Vec<(Direction, Vec<Segment>)> {
 type VerdictBytes = Result<Vec<(Vec<u8>, usize)>, DropReason>;
 
 fn verdict_bytes(v: Verdict) -> VerdictBytes {
-    let wire = |s: &Segment| (s.header_bytes_cloned().to_vec(), s.payload_len());
+    let wire = |s: &Segment| (s.header_bytes().to_vec(), s.payload_len());
     match v {
         Verdict::Forward(s) => Ok(vec![wire(&s)]),
         Verdict::ForwardWithExtra(s, extra) => Ok(vec![wire(&s), wire(&extra)]),
