@@ -17,8 +17,8 @@
 //! * `XPacket<T>` — a zero-copy *view* over a byte buffer with the getters
 //!   and setters the emitters, the parse and the mutators are built from.
 //!
-//! The simulator carries [`Segment`]s: real serialized IPv4+TCP header bytes,
-//! held inline, plus a *virtual* payload length. Checksums are computed as if the payload
+//! The simulator carries [`Segment`]s: real serialized IPv4+TCP header bytes
+//! plus a *virtual* payload length. Checksums are computed as if the payload
 //! were all zero bytes, which keeps them end-to-end verifiable without
 //! allocating bulk payloads (zero bytes contribute nothing to the Internet
 //! checksum beyond the pseudo-header length).

@@ -69,8 +69,8 @@ impl PacketMeta {
     /// header, one over the fixed TCP header, and one walk of the options
     /// region capturing MSS, window scale, and PACK in the same sweep.
     /// Any protocol but TCP returns `Err(Unsupported)`: AC/DC enforces
-    /// TCP only. So does an IPv4 header with options, which nothing here
-    /// emits and a segment has no room for. Malformed input returns `Err`, and so does any IP
+    /// TCP only; so does an IPv4 header with options, which a segment has
+    /// no room for. Malformed input returns `Err`, and so does any IP
     /// fragment: a non-first fragment has no TCP header where one would
     /// be read, and a first one does not carry its whole datagram.
     pub(crate) fn parse(buf: &[u8]) -> Result<PacketMeta> {

@@ -12,7 +12,6 @@ pub struct PoolStats {
 }
 
 /// What [`global`] returns: a pool with nothing in it.
-#[derive(Debug, Clone, Copy)]
 pub struct Pool;
 
 impl Pool {
