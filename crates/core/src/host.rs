@@ -28,7 +28,7 @@ use acdc_packet::{FlowIndex, FlowKey, Segment};
 use acdc_stats::time::Nanos;
 use acdc_stats::TimeSeries;
 use acdc_tcp::{Endpoint, TcpConfig};
-use acdc_telemetry::{Counter, EventKind, Telemetry, NO_FLOW};
+use acdc_telemetry::{Counter, DropCause, EventKind, Telemetry, NO_FLOW};
 use acdc_vswitch::{AcdcConfig, AcdcDatapath, Verdict};
 use acdc_workloads::apps::App;
 
@@ -674,7 +674,9 @@ impl Node for HostNode {
             self.datapath.telemetry().record(
                 now,
                 NO_FLOW,
-                EventKind::PacketDropped { cause: "malformed" },
+                EventKind::PacketDropped {
+                    cause: DropCause::Malformed,
+                },
             );
             return;
         };
@@ -687,7 +689,7 @@ impl Node for HostNode {
                 now,
                 meta.flow,
                 EventKind::PacketDropped {
-                    cause: "corrupt-fcs",
+                    cause: DropCause::CorruptFcs,
                 },
             );
             return;

@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 use acdc_netsim::{Ctx, Node, PortDropClass, PortId};
 use acdc_packet::{FlowKey, Segment};
 use acdc_stats::time::Nanos;
-use acdc_telemetry::{EventKind, NO_FLOW};
+use acdc_telemetry::{EventKind, FaultEffect, NO_FLOW};
 
 use crate::plan::FaultPlan;
 use crate::process::{DropCause, Fate, FaultProcess, FaultStats};
@@ -109,7 +109,7 @@ fn flow_of(seg: &Segment) -> FlowKey {
 }
 
 /// Record on the network's hub that `effect` was applied to `seg`.
-fn trace(ctx: &Ctx<'_>, seg: &Segment, effect: &'static str) {
+fn trace(ctx: &Ctx<'_>, seg: &Segment, effect: FaultEffect) {
     ctx.record(flow_of(seg), EventKind::FaultInjected { effect });
 }
 
@@ -124,9 +124,9 @@ impl Node for FaultyLink {
         match proc_.decide(ctx.now(), is_data) {
             Fate::Drop(cause) => {
                 let effect = match cause {
-                    DropCause::Random => "drop-random",
-                    DropCause::Scripted => "drop-scripted",
-                    DropCause::LinkDown => "drop-link-down",
+                    DropCause::Random => FaultEffect::DropRandom,
+                    DropCause::Scripted => FaultEffect::DropScripted,
+                    DropCause::LinkDown => FaultEffect::DropLinkDown,
                 };
                 trace(ctx, &seg, effect);
                 ctx.count_drop_for(out, PortDropClass::FaultInjected, flow_of(&seg));
@@ -136,22 +136,22 @@ impl Node for FaultyLink {
                     // Damage the header so the receiver's checksum check
                     // fails while the packet still parses: one raw window
                     // bit, checksum left stale, cached meta kept in step.
-                    trace(ctx, &seg, "corrupt");
+                    trace(ctx, &seg, FaultEffect::Corrupt);
                     seg.corrupt_window_bit();
                 }
                 if d.mark_ce && seg.ecn().is_ect() {
-                    trace(ctx, &seg, "ce-mark");
+                    trace(ctx, &seg, FaultEffect::CeMark);
                     seg.mark_ce();
                 }
                 if d.reordered {
-                    trace(ctx, &seg, "reorder");
+                    trace(ctx, &seg, FaultEffect::Reorder);
                 } else if d.delay > 0 {
-                    trace(ctx, &seg, "jitter");
+                    trace(ctx, &seg, FaultEffect::Jitter);
                 }
                 if d.duplicate {
                     // The copy goes out immediately, ahead of a held
                     // original.
-                    trace(ctx, &seg, "duplicate");
+                    trace(ctx, &seg, FaultEffect::Duplicate);
                     self.send(ctx, out, seg.clone(), 0);
                 }
                 self.send(ctx, out, seg, d.delay);

@@ -8,7 +8,7 @@ use acdc_faults::{FaultPlan, FaultyLink, LinkFaultStats};
 use acdc_netsim::{Ctx, LinkSpec, Network, Node, NodeId, PortId};
 use acdc_packet::{Ecn, Ipv4Repr, Segment, TcpFlags, TcpRepr, PROTO_TCP};
 use acdc_stats::time::Nanos;
-use acdc_telemetry::EventKind;
+use acdc_telemetry::{DropCause, EventKind, FaultEffect};
 
 const SECOND: Nanos = 1_000_000_000;
 
@@ -126,15 +126,15 @@ fn a_bare_network_hub_records_every_fault_with_its_flow() {
     assert!(events.iter().all(|e| e.flow == flow), "{events:?}");
     let count = |want: EventKind| events.iter().filter(|e| e.kind == want).count() as u64;
     let injected = |effect| count(EventKind::FaultInjected { effect });
-    assert_eq!(injected("drop-random"), s.random_drops);
-    assert_eq!(injected("corrupt"), s.corrupted);
+    assert_eq!(injected(FaultEffect::DropRandom), s.random_drops);
+    assert_eq!(injected(FaultEffect::Corrupt), s.corrupted);
     let faults = events
         .iter()
         .filter(|e| matches!(e.kind, EventKind::FaultInjected { .. }))
         .count() as u64;
     assert_eq!(faults, s.total_drops() + s.corrupted);
     let dropped = count(EventKind::PacketDropped {
-        cause: "fault-injected",
+        cause: DropCause::FaultInjected,
     });
     assert_eq!(dropped, s.total_drops());
     assert_eq!(events.len() as u64, faults + dropped);

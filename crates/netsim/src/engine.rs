@@ -38,7 +38,7 @@ use std::sync::Arc;
 
 use acdc_packet::{FlowKey, Segment};
 use acdc_stats::time::Nanos;
-use acdc_telemetry::{EventKind as TraceEvent, Telemetry, NO_FLOW};
+use acdc_telemetry::{DropCause, EventKind as TraceEvent, Telemetry, NO_FLOW};
 
 use crate::link::LinkSpec;
 use crate::wheel::TimerWheel;
@@ -548,15 +548,15 @@ impl Ctx<'_> {
         let cause = match class {
             PortDropClass::QueueFull => {
                 c.queue_full_drops += 1;
-                "queue-full"
+                DropCause::QueueFull
             }
             PortDropClass::FaultInjected => {
                 c.fault_drops += 1;
-                "fault-injected"
+                DropCause::FaultInjected
             }
             PortDropClass::Malformed => {
                 c.malformed_drops += 1;
-                "malformed"
+                DropCause::Malformed
             }
         };
         self.record(flow, TraceEvent::PacketDropped { cause });

@@ -457,6 +457,34 @@ impl Segment {
         true
     }
 
+    /// Drop every TCP option in place: the header shrinks to its fixed
+    /// 20 bytes and both checksums are patched incrementally. A no-op on
+    /// a header without options.
+    pub fn drop_tcp_options_in_place(&mut self) {
+        let thl = usize::from(self.meta.l4_header_len);
+        let new_thl = crate::tcp::HEADER_LEN;
+        if thl == new_thl {
+            return;
+        }
+        let old_words = self.tcp_header_words();
+        self.header_len = (IHL + new_thl) as u8;
+        self.tcp_mut().set_header_len(new_thl);
+        let total_len = (IHL + new_thl + self.payload_len) as u16;
+        Ipv4Packet::new_unchecked(self.buf()).set_total_len_update_checksum(total_len);
+        let new_words = self.tcp_header_words();
+        self.adjust_tcp_checksum(
+            &old_words,
+            &new_words,
+            (thl + self.payload_len) as u32,
+            (new_thl + self.payload_len) as u32,
+        );
+        self.meta.l4_header_len = new_thl as u8;
+        self.meta.pack_off = None;
+        self.meta.pack = None;
+        self.meta.wscale = None;
+        self.meta.mss = None;
+    }
+
     /// Snapshot the TCP header as 16-bit words (missing tail words read as
     /// zero — a zero word contributes nothing to the Internet checksum, so
     /// grown/shrunk headers diff cleanly against each other).
@@ -774,6 +802,24 @@ mod tests {
         assert!(!seg.append_pack_in_place(PackOption::default()));
         assert_eq!(seg.header_bytes(), &before[..]);
         assert!(seg.verify_checksums());
+    }
+
+    #[test]
+    fn dropping_options_leaves_the_fixed_header() {
+        let mut r = base_tcp();
+        r.options = vec![
+            crate::TcpOption::MaxSegmentSize(1448),
+            crate::TcpOption::WindowScale(7),
+            crate::TcpOption::Pack(PackOption::default()),
+        ];
+        let mut seg = Segment::new_tcp(ip_repr(), r, 100);
+        seg.drop_tcp_options_in_place();
+        let bare = Segment::new_tcp(ip_repr(), base_tcp(), 100);
+        assert_eq!(seg.header_bytes(), bare.header_bytes());
+        assert_eq!(seg.try_meta(), bare.try_meta());
+        assert!(seg.verify_checksums());
+        seg.drop_tcp_options_in_place();
+        assert_eq!(seg.header_bytes(), bare.header_bytes());
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!   flow lifecycle, CC state changes (alpha updates, cwnd cuts, RTO
 //!   fires), health-ladder transitions, admission/eviction, fault
 //!   injections and drops, each stamped with virtual-time [`Nanos`] and
-//!   a [`FlowKey`].
+//!   a [`FlowKey`]. Labels are one-byte enums ([`EvictReason`],
+//!   [`CutCause`], [`Rung`], [`FaultEffect`], [`DropCause`]).
 //! * [`FlightRecorder`] — a **bounded ring** of the most recent events
 //!   per datapath/host/link; seed-replayable and dumpable as JSON Lines.
 //!   On test failure [`TraceGuard`] writes one plain JSONL file per
@@ -49,7 +50,7 @@ pub mod metrics;
 pub mod recorder;
 
 pub use digest::{golden, Digest};
-pub use event::{Event, EventKind, NO_FLOW};
+pub use event::{CutCause, DropCause, Event, EventKind, EvictReason, FaultEffect, Rung, NO_FLOW};
 pub use json::{key_label, parse_key_label, Json, Writer};
 pub use metrics::{Counter, MetricKind, MetricValue, MetricsRegistry};
 pub use recorder::{trace_dir, FlightRecorder, TraceGuard, DEFAULT_CAPACITY};

@@ -4,7 +4,9 @@
 //! host / link. Recording is cheap (one mutex, no allocation beyond the
 //! pre-sized ring) and the ring never grows: under event pressure the
 //! *oldest* events are overwritten, never the newest, and sequence
-//! numbers keep the overwrite auditable. Because every producer in the
+//! numbers keep the overwrite auditable. The ring holds each event in a
+//! 32-byte slot without its sequence number, which the slot's position
+//! implies; [`FlightRecorder::events`] rebuilds it. Because every producer in the
 //! workspace is driven by the deterministic simulator, the ring's
 //! contents — and therefore [`FlightRecorder::dump_jsonl`] — are
 //! byte-identical across same-seed runs.
@@ -19,15 +21,17 @@ use acdc_stats::time::Nanos;
 use parking_lot::Mutex;
 
 use crate::digest::Digest;
-use crate::event::{Event, EventKind};
+use crate::event::{Event, EventKind, Slot};
 
 /// Default ring capacity used by datapaths and fault taps. Big enough to
 /// hold every event a typical chaos scenario produces; small enough that
-/// a recorder is a fixed ~¼ MB worst case.
+/// a recorder is a fixed 128 KiB worst case (4 096 slots of 32 bytes).
 pub const DEFAULT_CAPACITY: usize = 4096;
 
 struct Ring {
-    buf: VecDeque<Event>,
+    /// The newest events, oldest first: `buf[i]` is event
+    /// `next_seq - buf.len() + i`.
+    buf: VecDeque<Slot>,
     next_seq: u64,
     overwritten: u64,
     /// Every event ever recorded, folded in order.
@@ -77,7 +81,7 @@ impl FlightRecorder {
             r.buf.pop_front();
             r.overwritten += 1;
         }
-        r.buf.push_back(event);
+        r.buf.push_back(Slot::new(at, flow, kind));
     }
 
     /// The digest of every event recorded so far, overwritten ones
@@ -129,7 +133,9 @@ impl FlightRecorder {
 
     /// Snapshot of the ring, oldest event first.
     pub fn events(&self) -> Vec<Event> {
-        self.inner.lock().buf.iter().copied().collect()
+        let r = self.inner.lock();
+        let first = r.next_seq - r.buf.len() as u64;
+        (first..).zip(&r.buf).map(|(seq, s)| s.event(seq)).collect()
     }
 
     /// The whole ring as JSON Lines (one event object per line, oldest

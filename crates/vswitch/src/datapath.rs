@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use acdc_packet::{FlowKey, Segment};
 use acdc_stats::time::{Nanos, SECOND};
-use acdc_telemetry::{Counter, EventKind, MetricsRegistry, Telemetry};
+use acdc_telemetry::{Counter, EventKind, EvictReason, MetricsRegistry, Telemetry};
 
 use crate::checkpoint::{DatapathCheckpoint, HubCheckpoint};
 use crate::health::HealthState;
@@ -423,8 +423,13 @@ impl AcdcDatapath {
             });
         let n = collected.len();
         for key in collected {
-            self.telemetry
-                .record(now, key, EventKind::FlowEvicted { reason: "gc" });
+            self.telemetry.record(
+                now,
+                key,
+                EventKind::FlowEvicted {
+                    reason: EvictReason::Gc,
+                },
+            );
         }
         // The ladder's move, if any, after the evictions that made it.
         drop(out);

@@ -25,7 +25,7 @@
 use acdc_cc::{AckEvent, AnyCc, CcConfig, CcKind, Clamped, CongestionControl};
 use acdc_packet::{PackOption, PacketMeta, SeqNumber, SeqView};
 use acdc_stats::time::{Nanos, MILLISECOND};
-use acdc_telemetry::EventKind;
+use acdc_telemetry::{CutCause, EventKind};
 
 use crate::rwnd::{RwndAction, RwndRewriter};
 
@@ -407,7 +407,7 @@ impl FlowEntry {
                 if s.dupacks == 3 {
                     self.cc.on_fast_retransmit(now);
                     events[0] = Some(EventKind::CwndCut {
-                        cause: "fast-retransmit",
+                        cause: CutCause::FastRetransmit,
                         cwnd: self.cc.cwnd(),
                     });
                 }

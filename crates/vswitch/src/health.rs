@@ -28,6 +28,7 @@
 //! headroom.
 
 use acdc_stats::time::Nanos;
+use acdc_telemetry::Rung;
 
 /// Degradation rung of one datapath. `Ord` follows intervention level:
 /// a transition to a *greater* state is a demotion.
@@ -59,12 +60,12 @@ impl HealthState {
         }
     }
 
-    /// Stable label for traces and counters.
-    pub fn name(self) -> &'static str {
+    /// The rung as an event label.
+    pub fn label(self) -> Rung {
         match self {
-            HealthState::Enforcing => "enforcing",
-            HealthState::LogOnly => "log-only",
-            HealthState::PassThrough => "pass-through",
+            HealthState::Enforcing => Rung::Enforcing,
+            HealthState::LogOnly => Rung::LogOnly,
+            HealthState::PassThrough => Rung::PassThrough,
         }
     }
 }

@@ -17,7 +17,7 @@ use acdc_packet::{
     Ecn, FlowKey, Ipv4Repr, PackOption, PacketMeta, Segment, SeqView, TcpFlags, TcpRepr,
 };
 use acdc_stats::time::Nanos;
-use acdc_telemetry::{key_label, EventKind, NO_FLOW};
+use acdc_telemetry::{key_label, DropCause, EventKind, EvictReason, NO_FLOW};
 
 use crate::checkpoint::{DatapathCheckpoint, FlowCheckpoint, HubCheckpoint};
 use crate::datapath::{AcdcConfig, AcdcCounters, DropReason, FlowStat, Verdict};
@@ -106,8 +106,8 @@ impl Core {
             cx.events.push(
                 NO_FLOW,
                 EventKind::HealthTransition {
-                    from: from.name(),
-                    to: to.name(),
+                    from: from.label(),
+                    to: to.label(),
                 },
             );
         }
@@ -130,8 +130,12 @@ impl Core {
             cx.counters.capacity_evictions.inc();
             // Stamped with the admitted flow: the table does not surface
             // the victim's key, only that one made room.
-            cx.events
-                .push(*key, EventKind::FlowEvicted { reason: "capacity" });
+            cx.events.push(
+                *key,
+                EventKind::FlowEvicted {
+                    reason: EvictReason::Capacity,
+                },
+            );
         }
         if adm.created() {
             cx.events.push(*key, EventKind::FlowCreated);
@@ -210,7 +214,7 @@ impl Core {
             rx_pending: e.rx_pending(),
             state: e.checkpoint_state(),
         }));
-        flows.sort_by_key(|f| f.key);
+        flows.sort_unstable_by_key(|f| f.key);
         DatapathCheckpoint {
             at,
             gc_epoch: self.flows.epoch(),
@@ -350,8 +354,12 @@ impl Core {
                 }
                 Some(Err(Policed)) => {
                     cx.counters.policed_drops.inc();
-                    cx.events
-                        .push(key, EventKind::PacketDropped { cause: "policed" });
+                    cx.events.push(
+                        key,
+                        EventKind::PacketDropped {
+                            cause: DropCause::Policed,
+                        },
+                    );
                     return Verdict::Drop(DropReason::Policed);
                 }
             };
@@ -395,13 +403,10 @@ impl Core {
             } else if cfg.disable_fack {
                 // Ablation: the feedback is simply lost.
                 cx.counters.feedback_dropped.inc();
-            } else if let Some(fack) = make_fack(&seg, pack) {
-                cx.counters.facks_sent.inc();
-                return Verdict::ForwardWithExtra(seg, Box::new(fack));
             } else {
-                // No room even in a payload-free copy (pathological
-                // option soup): the feedback is lost, not a panic.
-                cx.counters.feedback_dropped.inc();
+                cx.counters.facks_sent.inc();
+                let fack = Box::new(make_fack(&seg, pack));
+                return Verdict::ForwardWithExtra(seg, fack);
             }
         }
 
@@ -644,23 +649,23 @@ impl Core {
     }
 
     /// Per-flow statistics for every tracked entry, sorted by key.
+    ///
+    /// Keys are unique, so the unstable sort gives the stable one's order
+    /// without its scratch buffer of half the entries (8.8 MB at 200 000).
     pub(crate) fn flow_stats(&mut self) -> Vec<FlowStat> {
-        let mut out: Vec<FlowStat> = self
-            .flows
-            .iter_mut()
-            .map(|(key, e)| FlowStat {
-                key,
-                cc_name: e.cc().name(),
-                cwnd: e.cc().cwnd(),
-                in_flight: e.in_flight(),
-                srtt: e.seq().srtt,
-                rx_total: e.feedback().rx_total_lifetime,
-                rx_marked: e.feedback().rx_marked_lifetime,
-                policed: e.policed(),
-                closing: e.life().closing,
-            })
-            .collect();
-        out.sort_by_key(|s| s.key);
+        let mut out = Vec::with_capacity(self.flows.len());
+        out.extend(self.flows.iter_mut().map(|(key, e)| FlowStat {
+            key,
+            cc_name: e.cc().name(),
+            cwnd: e.cc().cwnd(),
+            in_flight: e.in_flight(),
+            srtt: e.seq().srtt,
+            rx_total: e.feedback().rx_total_lifetime,
+            rx_marked: e.feedback().rx_marked_lifetime,
+            policed: e.policed(),
+            closing: e.life().closing,
+        }));
+        out.sort_unstable_by_key(|s: &FlowStat| s.key);
         out
     }
 
@@ -712,8 +717,12 @@ fn reopen<'e>(
 /// The headers failed the one fallible parse: count, record, drop.
 fn drop_malformed(cx: &mut Cx) -> Verdict {
     cx.counters.malformed_drops.inc();
-    cx.events
-        .push(NO_FLOW, EventKind::PacketDropped { cause: "malformed" });
+    cx.events.push(
+        NO_FLOW,
+        EventKind::PacketDropped {
+            cause: DropCause::Malformed,
+        },
+    );
     Verdict::Drop(DropReason::Malformed)
 }
 
@@ -787,17 +796,18 @@ fn make_pure_ack(key: &FlowKey, e: &FlowEntry, window_bytes: u64) -> Option<Segm
 /// Build a dedicated FACK: a payload-free copy of `ack` carrying the PACK
 /// option and the FACK reserved-bit marker. The copy is produced by
 /// in-place byte patches on a clone (the paper shifts headers into skb
-/// headroom — same idea, no re-emit). `None` when even the payload-free
-/// copy has no room for the option; the caller drops the feedback.
-fn make_fack(ack: &Segment, pack: PackOption) -> Option<Segment> {
+/// headroom — same idea, no re-emit). The copy drops `ack`'s options
+/// (its SACK blocks and timestamps are the guest's ACK's business, which
+/// forwards unchanged), so the PACK always fits, even beside a 60-byte
+/// TCP header such as Linux sends while it SACKs with timestamps on.
+fn make_fack(ack: &Segment, pack: PackOption) -> Segment {
+    let vm_ece = ack.try_meta().is_ok_and(|m| m.vm_ece);
     let mut fack = ack.clone();
     fack.set_virtual_payload_len(0);
-    fack.strip_pack_in_place();
-    let vm_ece = fack.try_meta().ok()?.vm_ece;
-    if !fack.append_pack_in_place(pack) {
-        return None;
-    }
+    fack.drop_tcp_options_in_place();
+    let appended = fack.append_pack_in_place(pack);
+    debug_assert!(appended, "a PACK fits a bare 20-byte TCP header");
     fack.set_tcp_flags(TcpFlags::ACK);
     fack.set_reserved(vm_ece, true);
-    Some(fack)
+    fack
 }

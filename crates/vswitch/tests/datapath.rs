@@ -7,7 +7,7 @@ use acdc_packet::{
     Ecn, FlowKey, Ipv4Repr, PackOption, PacketMeta, Segment, SeqNumber, TcpFlags, TcpOption,
     TcpRepr, PROTO_TCP,
 };
-use acdc_telemetry::{EventKind, NO_FLOW};
+use acdc_telemetry::{EventKind, EvictReason, Rung, NO_FLOW};
 use acdc_vswitch::{
     AcdcConfig, AcdcDatapath, AdmissionPolicy, CcPolicy, DropReason, FlowEntry, HealthState,
     Verdict,
@@ -339,14 +339,14 @@ fn full_80_byte_header_sends_its_feedback_in_a_fack() {
     let ack = Segment::from_header_bytes(bytes, 0).expect("80 bytes fit a segment");
 
     // The header is full, so the receiver module's PACK cannot ride on
-    // it. The FACK, a payload-free copy whose PACK replaces the guest's,
-    // carries the feedback instead.
+    // it. The FACK, a payload-free copy whose only option is the
+    // receiver module's PACK, carries the feedback instead.
     match dpb.egress(21_000, ack) {
         Verdict::ForwardWithExtra(main, fack) => {
             assert_eq!(main.header_bytes().len(), 80);
             assert!(main.verify_checksums());
             assert!(fack.tcp().is_fack());
-            assert_eq!(fack.header_bytes().len(), 80);
+            assert_eq!(fack.header_bytes().len(), 20 + 20 + PackOption::WIRE_LEN);
             let p = reread(&fack).pack.expect("the FACK carries a PACK");
             assert_eq!(p.total_bytes, MSS as u32);
             assert!(fack.verify_checksums());
@@ -362,6 +362,55 @@ fn full_80_byte_header_sends_its_feedback_in_a_fack() {
         }
         v => panic!("expected FACK generation, got {v:?}"),
     }
+}
+
+#[test]
+fn a_full_sack_and_timestamp_ack_sends_its_feedback_in_a_fack() {
+    let (dpa, dpb) = rig(false);
+    let d = egress(&dpa, 10_000, data(0, MSS, Ecn::NotEct));
+    ingress(&dpb, 20_000, d);
+
+    // What Linux sends under loss with timestamps on: a 60 B TCP header
+    // holding NOP NOP TS (123 456, 67 890) NOP NOP and three SACK blocks
+    // (one MSS each, one MSS apart), and no PACK.
+    #[rustfmt::skip]
+    let bytes: [u8; 80] = [
+        0x45, 0x00, 0x00, 0x50, 0x00, 0x00, 0x40, 0x00, 0x40, 0x06, // v4, 80 B, DF, TTL 64, TCP
+        0x26, 0xa6, 10, 0, 0, 2, 10, 0, 0, 1,                       // checksum, B -> A
+        0x13, 0x89, 0x9c, 0x40, 0x00, 0x1e, 0x84, 0x81,             // 5001 -> 40000, seq ISS_B + 1
+        0x00, 0x00, 0x09, 0x91, 0xf0, 0x10, 0xfd, 0xe8,             // ack ISS_A + 1 + MSS, 60 B, ACK, 65 000
+        0x14, 0xfd, 0x00, 0x00,                                     // checksum, urgent
+        0x01, 0x01, 0x08, 0x0a,                                     // NOP NOP TS
+        0x00, 0x01, 0xe2, 0x40, 0x00, 0x01, 0x09, 0x32,
+        0x01, 0x01, 0x05, 0x1a,                                     // NOP NOP SACK, 3 blocks
+        0x00, 0x00, 0x0f, 0x39, 0x00, 0x00, 0x14, 0xe1,
+        0x00, 0x00, 0x1a, 0x89, 0x00, 0x00, 0x20, 0x31,
+        0x00, 0x00, 0x25, 0xd9, 0x00, 0x00, 0x2b, 0x81,
+    ];
+    let ack = Segment::from_header_bytes(bytes, 0).expect("80 bytes fit a segment");
+    assert!(ack.verify_checksums());
+
+    match dpb.egress(21_000, ack) {
+        Verdict::ForwardWithExtra(main, fack) => {
+            assert_eq!(main.header_bytes()[20..], bytes[20..], "TCP header kept");
+            assert!(main.verify_checksums());
+            assert!(fack.tcp().is_fack());
+            assert_eq!(
+                reread(&fack).l4_header_len as usize,
+                20 + PackOption::WIRE_LEN
+            );
+            let p = reread(&fack).pack.expect("the FACK carries a PACK");
+            assert_eq!(p.total_bytes, MSS as u32);
+            assert!(fack.verify_checksums());
+            match dpa.ingress(22_000, *fack) {
+                Verdict::Drop(DropReason::FackConsumed) => {}
+                v => panic!("expected FACK drop, got {v:?}"),
+            }
+        }
+        v => panic!("expected FACK generation, got {v:?}"),
+    }
+    assert_eq!(dpb.counters().facks_sent.get(), 1);
+    assert_eq!(dpb.counters().feedback_dropped.get(), 0);
 }
 
 #[test]
@@ -515,7 +564,12 @@ fn bare_fin_from_the_network_closes_its_entry() {
         .recorder()
         .events()
         .into_iter()
-        .filter(|e| e.kind == EventKind::FlowEvicted { reason: "gc" })
+        .filter(|e| {
+            e.kind
+                == EventKind::FlowEvicted {
+                    reason: EvictReason::Gc,
+                }
+        })
         .map(|e| (e.at, e.flow))
         .collect();
     evicted.sort();
@@ -918,15 +972,20 @@ fn the_busiest_packets_fill_the_event_buffer() {
     };
     let created = |k| {
         [
-            (k, EventKind::FlowEvicted { reason: "capacity" }),
+            (
+                k,
+                EventKind::FlowEvicted {
+                    reason: EvictReason::Capacity,
+                },
+            ),
             (k, EventKind::FlowCreated),
         ]
     };
     let demoted = (
         NO_FLOW,
         EventKind::HealthTransition {
-            from: "enforcing",
-            to: "log-only",
+            from: Rung::Enforcing,
+            to: Rung::LogOnly,
         },
     );
 

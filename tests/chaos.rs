@@ -12,7 +12,7 @@ use std::sync::Arc;
 use acdc_core::{FlowHandle, Scheme, Testbed};
 use acdc_faults::FaultPlan;
 use acdc_stats::time::{MILLISECOND, SECOND};
-use acdc_telemetry::{EventKind, Json, TraceGuard};
+use acdc_telemetry::{DropCause, EventKind, FaultEffect, Json, TraceGuard};
 use acdc_workloads::{BulkSender, FctKind};
 
 /// After quiescence, the client-side vSwitch's reconstructed
@@ -165,18 +165,21 @@ fn corruption_is_dropped_at_the_nic_and_repaired_by_retransmission() {
             .recorder()
             .events()
             .into_iter()
-            .filter(|e| matches!(e.kind, EventKind::FaultInjected { effect: "corrupt" }))
+            .filter(|e| {
+                e.kind
+                    == EventKind::FaultInjected {
+                        effect: FaultEffect::Corrupt,
+                    }
+            })
             .map(|e| e.flow)
             .collect();
         let mut dropped: Vec<_> = (0..2)
             .flat_map(|i| tb.host_mut(i).telemetry().recorder().events())
             .filter(|e| {
-                matches!(
-                    e.kind,
-                    EventKind::PacketDropped {
-                        cause: "corrupt-fcs"
+                e.kind
+                    == EventKind::PacketDropped {
+                        cause: DropCause::CorruptFcs,
                     }
-                )
             })
             .map(|e| e.flow)
             .collect();
