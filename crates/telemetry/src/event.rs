@@ -31,8 +31,8 @@ pub const NO_FLOW: FlowKey = FlowKey {
 
 /// A one-byte label enum: `ALL` lists the values in byte order, `name()`
 /// is the stable text, and `from_byte` reads back `value as u8`. `Debug`
-/// writes the text quoted, as the `&'static str` labels these replaced
-/// did, so a report that prints events reads the same.
+/// writes the text quoted, as for a string: `tests/golden.txt` digests
+/// reports' `Debug` text, events included.
 macro_rules! labels {
     (
         $(#[$attr:meta])*
@@ -310,8 +310,8 @@ pub(crate) struct Slot {
     labels: [u8; 2],
 }
 
-// 4 096 of these are a recorder's worst case: 128 KiB. The `Event` it
-// stores them in place of is 48 bytes (72 with `&'static str` labels).
+// 4 096 of these are a recorder's worst case: 128 KiB, where as many
+// 48-byte `Event`s would take 192 KiB.
 const _: () = assert!(std::mem::size_of::<Slot>() <= 32);
 
 impl Slot {
