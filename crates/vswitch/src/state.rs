@@ -653,7 +653,7 @@ impl Core {
     /// Keys are unique, so the unstable sort gives the stable one's order
     /// without its scratch buffer of half the entries (8.8 MB at 200 000).
     pub(crate) fn flow_stats(&mut self) -> Vec<FlowStat> {
-        let mut out = Vec::with_capacity(self.flows.len());
+        let mut out: Vec<FlowStat> = Vec::with_capacity(self.flows.len());
         out.extend(self.flows.iter_mut().map(|(key, e)| FlowStat {
             key,
             cc_name: e.cc().name(),
@@ -665,7 +665,7 @@ impl Core {
             policed: e.policed(),
             closing: e.life().closing,
         }));
-        out.sort_unstable_by_key(|s: &FlowStat| s.key);
+        out.sort_unstable_by_key(|s| s.key);
         out
     }
 
