@@ -328,3 +328,197 @@ fn same_seed_chaos_runs_are_byte_identical() {
     assert_eq!(a.1, BYTES, "and the transfer must complete");
     assert_ne!(a.0, acdc_faults::LinkFaultStats::default());
 }
+
+/// The mixed-fault plan again, on a vSwitch alone: eight guests' bulk
+/// data leaves through one datapath, and the peer's ACKs (carrying PACK
+/// feedback, a third of it CE-marked) come back across the faulty trunk,
+/// lost, reordered, duplicated, corrupted or delayed, with the host's
+/// tick and gc between arrivals. Flow 0's last segment is never acked.
+/// The datapath's reconstructed `(snd_una, snd_nxt)` must equal each
+/// guest's, and the run — hub digest, sequence state and every verdict's
+/// bytes — is pinned by its `tests/golden.txt` line.
+#[test]
+fn vswitch_tracks_every_guest_behind_a_faulty_ack_path() {
+    use acdc_faults::{Fate, FaultProcess};
+    use acdc_packet::{
+        Ecn, FlowKey, Ipv4Repr, PackOption, Segment, SeqNumber, SeqView, TcpFlags, TcpOption,
+        TcpRepr, PROTO_TCP,
+    };
+    use acdc_stats::time::Nanos;
+    use acdc_vswitch::{AcdcConfig, AcdcDatapath, Verdict, INACTIVITY_FLOOR};
+
+    const FLOWS: usize = 8;
+    const ROUNDS: u32 = 100;
+    const MSS: u32 = 1_448;
+    /// The guest's and the peer's first data byte.
+    const GUEST: u32 = 1_001;
+    const PEER: u32 = 9_001;
+    /// One guest segment per flow per round, flows staggered inside it.
+    const ROUND: Nanos = 50_000;
+    const STAGGER: Nanos = 1_000;
+    /// vSwitch → peer, each way, before faults add delay.
+    const ONE_WAY: Nanos = 20_000;
+    const DATA_START: Nanos = 100_000;
+    const GC_PERIOD: Nanos = 10_000_000;
+    /// Ticks run this long past the last arrival, so flow 0's lost tail
+    /// reaches the inferred-timeout path.
+    const DRAIN: Nanos = 50_000_000;
+
+    let conn = |i: usize| FlowKey {
+        src_ip: [10, 1, 0, i as u8],
+        dst_ip: [10, 2, 0, i as u8],
+        src_port: 40_000 + i as u16,
+        dst_port: 5_001,
+    };
+    let segment = |k: &FlowKey, seq: u32, ack: Option<u32>, flags: TcpFlags, len: u32| {
+        let mut t = TcpRepr::new(k.src_port, k.dst_port);
+        (t.seq, t.flags, t.window) = (SeqNumber(seq), flags, 60_000);
+        if let Some(ack) = ack {
+            (t.ack, t.flags) = (SeqNumber(ack), flags | TcpFlags::ACK);
+        }
+        if flags.contains(TcpFlags::SYN) {
+            t.options = vec![
+                TcpOption::MaxSegmentSize(MSS as u16),
+                TcpOption::WindowScale(9),
+            ];
+        }
+        let ip = Ipv4Repr {
+            src_addr: k.src_ip,
+            dst_addr: k.dst_ip,
+            protocol: PROTO_TCP,
+            ecn: Ecn::NotEct,
+            payload_len: 0,
+            ttl: 64,
+        };
+        Segment::new_tcp(ip, t, len as usize)
+    };
+    let peer_ack = |k: &FlowKey, acked: u32, marked: bool| {
+        let mut seg = segment(
+            &k.reverse(),
+            PEER,
+            Some(GUEST + acked),
+            TcpFlags::empty(),
+            0,
+        );
+        let marked_bytes = if marked { MSS } else { 0 };
+        assert!(seg.append_pack_in_place(PackOption {
+            total_bytes: MSS,
+            marked_bytes
+        }));
+        seg
+    };
+
+    // (at, offer order, egress?, segment); the offer order breaks ties.
+    let plan = FaultPlan::new(0xACDC_0008)
+        .with_iid_loss(0.01)
+        .with_reorder(0.02, 100_000)
+        .with_duplication(0.01)
+        .with_corruption(0.01)
+        .with_jitter(20_000);
+    let mut faults = FaultProcess::new(&plan, plan.seed, false);
+    let mut timeline: Vec<(Nanos, usize, bool, Segment)> = Vec::new();
+    let mut push = |at, egress, seg| timeline.push((at, timeline.len(), egress, seg));
+    let mut acked = [0u32; FLOWS];
+    for i in 0..FLOWS {
+        let (k, t) = (conn(i), i as Nanos * STAGGER);
+        push(t, true, segment(&k, GUEST - 1, None, TcpFlags::SYN, 0));
+        let syn_ack = segment(&k.reverse(), PEER - 1, Some(GUEST), TcpFlags::SYN, 0);
+        push(t + 2 * ONE_WAY, false, syn_ack);
+    }
+    for round in 0..ROUNDS {
+        for (i, acked) in acked.iter_mut().enumerate() {
+            let k = conn(i);
+            let t = DATA_START + Nanos::from(round) * ROUND + i as Nanos * STAGGER;
+            let data = segment(&k, GUEST + round * MSS, Some(PEER), TcpFlags::empty(), MSS);
+            push(t, true, data);
+            if i == 0 && round == ROUNDS - 1 {
+                continue;
+            }
+            let (sent, marked) = ((round + 1) * MSS, (i + round as usize).is_multiple_of(3));
+            let back = t + 2 * ONE_WAY;
+            // The NIC's FCS check drops a corrupted ACK before the vSwitch.
+            if let Fate::Deliver(d) = faults.decide(t + ONE_WAY, false) {
+                if !d.corrupt {
+                    if d.duplicate {
+                        push(back, false, peer_ack(&k, sent, marked));
+                    }
+                    push(back + d.delay, false, peer_ack(&k, sent, marked));
+                    *acked = (*acked).max(sent);
+                }
+            }
+        }
+    }
+    timeline.sort_by_key(|&(at, order, ..)| (at, order));
+    let stats = faults.stats();
+    assert!(stats.random_drops > 0, "{stats:?}");
+    assert!(
+        stats.duplicated > 0 && stats.corrupted > 0 && stats.reordered > 0,
+        "{stats:?}"
+    );
+
+    let dp = AcdcDatapath::new(AcdcConfig::dctcp(1500));
+    let (mut next_tick, mut next_gc) = (INACTIVITY_FLOOR, GC_PERIOD);
+    let mut maintain = |until: Nanos| {
+        while next_tick.min(next_gc) <= until {
+            if next_tick <= next_gc {
+                dp.tick(next_tick);
+                next_tick += INACTIVITY_FLOOR;
+            } else {
+                dp.gc(next_gc, dp.config().gc_idle_timeout);
+                next_gc += GC_PERIOD;
+            }
+        }
+    };
+    let mut verdicts = Vec::new();
+    let mut last = 0;
+    for (at, _, egress, seg) in timeline {
+        maintain(at);
+        last = at;
+        let wire = |s: &Segment| (s.header_bytes().to_vec(), s.payload_len());
+        verdicts.push(
+            match if egress {
+                dp.egress(at, seg)
+            } else {
+                dp.ingress(at, seg)
+            } {
+                Verdict::Forward(s) => Ok(vec![wire(&s)]),
+                Verdict::ForwardWithExtra(s, extra) => Ok(vec![wire(&s), wire(&extra)]),
+                Verdict::Drop(reason) => Err(reason),
+            },
+        );
+    }
+    maintain(last + DRAIN);
+
+    let seq: Vec<_> = (0..FLOWS).map(|i| dp.seq_view(&conn(i))).collect();
+    let expected: Vec<_> = acked
+        .iter()
+        .map(|&a| {
+            Some(SeqView {
+                snd_una: SeqNumber(GUEST + a),
+                snd_nxt: SeqNumber(GUEST + ROUNDS * MSS),
+            })
+        })
+        .collect();
+    assert_eq!(
+        seq, expected,
+        "the vSwitch's sequence state must match every guest's"
+    );
+    let events = dp.telemetry().recorder().events();
+    assert!(
+        events
+            .iter()
+            .any(|e| matches!(e.kind, EventKind::AlphaUpdate { .. })),
+        "the PACK feedback must drive the vSwitch's congestion control"
+    );
+    assert!(
+        events
+            .iter()
+            .any(|e| e.flow == conn(0) && matches!(e.kind, EventKind::RtoFired { .. })),
+        "the tail loss must reach the inferred-timeout path"
+    );
+    acdc_telemetry::golden(
+        "chaos.ack_trace",
+        &[dp.telemetry().recorder().digest()],
+        &(seq, verdicts),
+    );
+}
