@@ -6,7 +6,7 @@
 //! flows at β = 0.5, `[4,4,4,0,0]/4` gives three flows β = 1 and two
 //! β = 0, etc.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use acdc_cc::CcKind;
 use acdc_core::{Scheme, Testbed};
@@ -37,7 +37,7 @@ pub fn run(opts: &Opts) -> Report {
         // 0..5, whose addresses end .1...5).
         let betas = combo.map(|q| f64::from(q) / 4.0);
         let mut tb = Testbed::custom(Scheme::acdc(), 9000);
-        tb.acdc.policy = CcPolicy::Custom(Arc::new(move |key| {
+        tb.acdc.policy = CcPolicy::Custom(Rc::new(move |key| {
             let idx = (key.src_ip[3] as usize).saturating_sub(1);
             match betas.get(idx) {
                 Some(&b) => CcKind::DctcpPriority(b),

@@ -9,7 +9,7 @@
 
 use std::any::Any;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use acdc_netsim::{Ctx, Node, PortId, TokenBucket};
 
@@ -332,7 +332,7 @@ impl HostNode {
 
     /// The host's telemetry hub (shared with its datapath): NIC-level
     /// drops and all vSwitch events land here.
-    pub fn telemetry(&self) -> &Arc<Telemetry> {
+    pub fn telemetry(&self) -> &Rc<Telemetry> {
         self.datapath.telemetry()
     }
 

@@ -2,7 +2,7 @@
 //! 17-server, 10 GbE testbed.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use acdc_cc::CcKind;
 use acdc_faults::{FaultPlan, FaultyLink, LinkFaultStats};
@@ -108,7 +108,7 @@ impl Testbed {
     /// The network's telemetry hub: port drops and every fault tap's
     /// events. Per-host vSwitch events live on each host's own hub:
     /// `testbed.host_mut(i).telemetry()`.
-    pub fn telemetry(&self) -> &Arc<Telemetry> {
+    pub fn telemetry(&self) -> &Rc<Telemetry> {
         self.net.telemetry()
     }
 

@@ -34,7 +34,7 @@
 
 use std::any::Any;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use acdc_packet::{FlowKey, Segment};
 use acdc_stats::time::Nanos;
@@ -187,7 +187,7 @@ pub struct Network {
     events_processed: u64,
     /// The network's hub: drops and fault injections reported through
     /// [`Ctx`] land in its recorder.
-    telemetry: Arc<Telemetry>,
+    telemetry: Rc<Telemetry>,
 }
 
 impl Default for Network {
@@ -214,7 +214,7 @@ impl Network {
 
     /// The network's telemetry hub, whose recorder holds the events nodes
     /// report through [`Ctx::record`] and [`Ctx::count_drop`].
-    pub fn telemetry(&self) -> &Arc<Telemetry> {
+    pub fn telemetry(&self) -> &Rc<Telemetry> {
         &self.telemetry
     }
 

@@ -82,7 +82,7 @@ impl FlowKey {
     /// The connection this key belongs to, whichever direction it names:
     /// the smaller of the key and its reverse, so
     /// `k.canonical() == k.reverse().canonical()`. The vSwitch flow table
-    /// files both directions under it and worker steering hashes it.
+    /// files both directions under it.
     #[inline]
     pub fn canonical(&self) -> FlowKey {
         if self.direction().is_gt() {
@@ -93,9 +93,10 @@ impl FlowKey {
     }
 
     /// FNV-1a over the 12 key bytes: a deterministic hash, the same in
-    /// every process, for what must replay — the flow table's sweep order
-    /// and worker steering. It places nothing: a [`crate::FlowIndex`]
-    /// places keys by a word-wise hash keyed by a per-process secret.
+    /// every process, for what must replay (the benchmark harness folds
+    /// it into its fingerprints). It places nothing: a
+    /// [`crate::FlowIndex`] places keys by a word-wise hash keyed by a
+    /// per-process secret.
     #[inline]
     pub fn hash64(&self) -> u64 {
         const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -111,10 +112,8 @@ impl FlowKey {
 }
 
 /// MurmurHash3's 64-bit finalizer: full-avalanche mixing, so every input
-/// bit reaches every output bit. [`FlowKey::hash64`] needs it wherever a
-/// few of its bits index something: FNV-1a's low bit is the XOR of the
-/// input bytes' low bits, and its high bits see the last bytes only
-/// through one multiply.
+/// bit reaches every output bit, which a [`crate::FlowIndex`] needs when
+/// a few bits of its hash pick a bucket.
 #[inline]
 pub fn mix64(mut x: u64) -> u64 {
     x ^= x >> 33;

@@ -77,8 +77,6 @@ labels! {
         Capacity = "capacity",
         /// Idle collection; stamped with the evicted flow's own key.
         Gc = "gc",
-        /// Discarded by a datapath restart.
-        Reset = "reset",
     }
 }
 
@@ -87,8 +85,6 @@ labels! {
     CutCause {
         /// The third duplicate ACK.
         FastRetransmit = "fast-retransmit",
-        /// ECN feedback.
-        Ecn = "ecn",
     }
 }
 
@@ -446,11 +442,11 @@ mod tests {
             ),
             (
                 EventKind::CwndCut {
-                    cause: CutCause::Ecn,
+                    cause: CutCause::FastRetransmit,
                     cwnd: 14_480,
                 },
                 "cwnd-cut",
-                vec![("cause", s("ecn")), ("cwnd", n(14_480))],
+                vec![("cause", s("fast-retransmit")), ("cwnd", n(14_480))],
             ),
             (
                 EventKind::RtoFired { cwnd: 1_448 },

@@ -55,15 +55,36 @@ pub use json::{key_label, parse_key_label, Json, Writer};
 pub use metrics::{Counter, MetricKind, MetricValue, MetricsRegistry};
 pub use recorder::{trace_dir, FlightRecorder, TraceGuard, DEFAULT_CAPACITY};
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use acdc_packet::FlowKey;
 use acdc_stats::time::Nanos;
 
 /// One observability domain: a flight recorder plus a metrics registry,
-/// shared by every component that reports into it (an `AcdcDatapath`,
-/// every thread that drives it, and its `HostNode`; or a `Network` and
-/// the nodes that record through its `Ctx`).
+/// shared through an [`Rc`] by every component that reports into it (an
+/// `AcdcDatapath` and its `HostNode`; or a `Network` and the nodes that
+/// record through its `Ctx`).
+///
+/// A hub has one thread (DESIGN.md §12): its ring and registry sit in
+/// `RefCell`s and its counters in `Cell`s, so it is not `Sync`, and a
+/// thread that would share one does not compile:
+///
+/// ```compile_fail
+/// let hub = acdc_telemetry::Telemetry::new(8);
+/// std::thread::scope(|s| {
+///     s.spawn(|| hub.recorder().len());
+/// });
+/// ```
+///
+/// The same thread over a value read out of the hub compiles:
+///
+/// ```
+/// let hub = acdc_telemetry::Telemetry::new(8);
+/// let len = hub.recorder().len();
+/// std::thread::scope(|s| {
+///     s.spawn(move || len);
+/// });
+/// ```
 pub struct Telemetry {
     recorder: FlightRecorder,
     registry: MetricsRegistry,
@@ -71,15 +92,15 @@ pub struct Telemetry {
 
 impl Telemetry {
     /// A hub whose recorder holds `capacity` events.
-    pub fn new(capacity: usize) -> Arc<Telemetry> {
-        Arc::new(Telemetry {
+    pub fn new(capacity: usize) -> Rc<Telemetry> {
+        Rc::new(Telemetry {
             recorder: FlightRecorder::new(capacity),
             registry: MetricsRegistry::new(),
         })
     }
 
     /// A hub with the default recorder capacity.
-    pub fn with_default_capacity() -> Arc<Telemetry> {
+    pub fn with_default_capacity() -> Rc<Telemetry> {
         Telemetry::new(DEFAULT_CAPACITY)
     }
 

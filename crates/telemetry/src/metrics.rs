@@ -3,47 +3,47 @@
 //! The counters a hub snapshots and checkpoints (a vSwitch datapath's
 //! `acdc.*` tallies, its host's `host.*` drops) are shared cells minted
 //! here once, under a unique dotted name (`"acdc.packs_sent"`), because
-//! the worker threads that drive a datapath bump them too. Producers keep
-//! a cheap [`Counter`] handle whose whole interface is `inc` / `add` /
-//! `get` — one relaxed atomic operation each, and the atomic itself never
-//! leaves this file — while consumers read everything through one
+//! the registry reads them by name: the benchmark harness asks for
+//! `acdc.*` values through it (ROADMAP item 16 makes them plain fields).
+//! Producers keep a cheap [`Counter`] handle whose whole interface is
+//! `inc` / `add` / `get` — a plain load and store of a `Cell`, which
+//! never leaves this file — while consumers read everything through one
 //! interface: [`MetricsRegistry::snapshot_all`] for point-in-time values.
-//! The single-threaded simulator's ports, switches and fault taps are not
-//! here: each counts in plain `u64` fields of the `Copy` view its owner
-//! returns whole.
+//! The simulator's ports, switches and fault taps are not here: each
+//! counts in plain `u64` fields of the `Copy` view its owner returns
+//! whole.
 //! Live state (table occupancy, the health rung) is not mirrored here: the
 //! component that owns it answers for it. The JSON snapshot
 //! (`acdc-telemetry/v2`) is written by
 //! [`Telemetry::snapshot_json`](crate::Telemetry::snapshot_json).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 use acdc_stats::series::TimeSeries;
 use acdc_stats::time::Nanos;
-use parking_lot::Mutex;
 
 /// Handle to a registered monotonic counter.
 #[derive(Debug, Clone)]
-pub struct Counter(Arc<AtomicU64>);
+pub struct Counter(Rc<Cell<u64>>);
 
 impl Counter {
     /// Add one.
     #[inline]
     pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
+        self.add(1);
     }
 
     /// Add `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        self.0.set(self.0.get() + n);
     }
 
     /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.0.get()
     }
 }
 
@@ -80,7 +80,7 @@ pub struct MetricValue {
 struct Slot {
     name: String,
     kind: MetricKind,
-    cell: Arc<AtomicU64>,
+    cell: Rc<Cell<u64>>,
     series: TimeSeries,
 }
 
@@ -91,10 +91,10 @@ struct Slot {
 /// construction time, never dynamically per packet.
 #[derive(Default)]
 pub struct MetricsRegistry {
-    slots: Mutex<Vec<Slot>>,
+    slots: RefCell<Vec<Slot>>,
     /// Upper bound on retained samples per metric series (0 = unbounded),
     /// for [`MetricsRegistry::sample`] alone.
-    series_cap: AtomicU64,
+    series_cap: Cell<usize>,
 }
 
 impl MetricsRegistry {
@@ -107,16 +107,16 @@ impl MetricsRegistry {
     /// one handle to its cell. Panics if `name` is already taken.
     pub fn counter(&self, name: impl Into<String>) -> Counter {
         let name = name.into();
-        let mut slots = self.slots.lock();
+        let mut slots = self.slots.borrow_mut();
         assert!(
             !slots.iter().any(|s| s.name == name),
             "metric name registered twice: {name}"
         );
-        let cell = Arc::new(AtomicU64::new(0));
+        let cell = Rc::new(Cell::new(0));
         slots.push(Slot {
             name,
             kind: MetricKind::Counter,
-            cell: Arc::clone(&cell),
+            cell: Rc::clone(&cell),
             series: TimeSeries::new(),
         });
         Counter(cell)
@@ -124,7 +124,7 @@ impl MetricsRegistry {
 
     /// Number of registered metrics.
     pub fn len(&self) -> usize {
-        self.slots.lock().len()
+        self.slots.borrow().len()
     }
 
     /// True when nothing is registered.
@@ -135,10 +135,10 @@ impl MetricsRegistry {
     /// Current value of one metric by name.
     pub fn value(&self, name: &str) -> Option<u64> {
         self.slots
-            .lock()
+            .borrow()
             .iter()
             .find(|s| s.name == name)
-            .map(|s| s.cell.load(Ordering::Relaxed))
+            .map(|s| s.cell.get())
     }
 
     /// Overwrite the named metric's cell with a checkpointed value
@@ -146,10 +146,10 @@ impl MetricsRegistry {
     /// registered — the caller decides whether an unknown name is a
     /// checkpoint/config mismatch worth failing on.
     pub fn restore_value(&self, name: &str, value: u64) -> bool {
-        let slots = self.slots.lock();
+        let slots = self.slots.borrow();
         match slots.iter().find(|s| s.name == name) {
             Some(s) => {
-                s.cell.store(value, Ordering::Relaxed);
+                s.cell.set(value);
                 true
             }
             None => false,
@@ -161,17 +161,16 @@ impl MetricsRegistry {
     /// `cap` samples whenever it reaches `2 × cap`. Only the benchmark
     /// harness calls this; ROADMAP item 1 deletes it.
     pub fn set_series_cap(&self, cap: usize) {
-        self.series_cap.store(cap as u64, Ordering::Relaxed);
+        self.series_cap.set(cap);
     }
 
     /// Push every metric's current value onto its [`TimeSeries`] with
     /// timestamp `at`. Nothing in the workspace samples: only the
     /// benchmark harness calls this, and ROADMAP item 1 deletes it.
     pub fn sample(&self, at: Nanos) {
-        let cap = self.series_cap.load(Ordering::Relaxed) as usize;
-        let mut slots = self.slots.lock();
-        for s in slots.iter_mut() {
-            let v = s.cell.load(Ordering::Relaxed);
+        let cap = self.series_cap.get();
+        for s in self.slots.borrow_mut().iter_mut() {
+            let v = s.cell.get();
             s.series.push(at, v as f64);
             if cap > 0 && s.series.len() >= 2 * cap {
                 s.series.truncate_front(cap);
@@ -184,7 +183,7 @@ impl MetricsRegistry {
     /// calls. ROADMAP item 1 deletes both.
     pub fn series(&self, name: &str) -> Option<TimeSeries> {
         self.slots
-            .lock()
+            .borrow()
             .iter()
             .find(|s| s.name == name)
             .map(|s| s.series.clone())
@@ -192,13 +191,14 @@ impl MetricsRegistry {
 
     /// Point-in-time values of every registered metric, sorted by name.
     pub fn snapshot_all(&self) -> Vec<MetricValue> {
-        let slots = self.slots.lock();
-        let mut out: Vec<MetricValue> = slots
+        let mut out: Vec<MetricValue> = self
+            .slots
+            .borrow()
             .iter()
             .map(|s| MetricValue {
                 name: s.name.clone(),
                 kind: s.kind,
-                value: s.cell.load(Ordering::Relaxed),
+                value: s.cell.get(),
             })
             .collect();
         out.sort_by(|a, b| a.name.cmp(&b.name));

@@ -1,8 +1,8 @@
 //! The bounded flight recorder (DESIGN.md §11).
 //!
 //! A fixed-capacity ring of the most recent [`Event`]s per datapath /
-//! host / link. Recording is cheap (one mutex, no allocation beyond the
-//! pre-sized ring) and the ring never grows: under event pressure the
+//! host / link. Recording is cheap (one `RefCell` borrow, no allocation beyond
+//! the pre-sized ring) and the ring never grows: under event pressure the
 //! *oldest* events are overwritten, never the newest, and sequence
 //! numbers keep the overwrite auditable. The ring holds each event in a
 //! 32-byte slot without its sequence number, which the slot's position
@@ -11,14 +11,14 @@
 //! contents — and therefore [`FlightRecorder::dump_jsonl`] — are
 //! byte-identical across same-seed runs.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use acdc_packet::FlowKey;
 use acdc_stats::time::Nanos;
-use parking_lot::Mutex;
 
 use crate::digest::Digest;
 use crate::event::{Event, EventKind, Slot};
@@ -41,7 +41,7 @@ struct Ring {
 /// A bounded, seed-replayable ring of recent events.
 pub struct FlightRecorder {
     capacity: usize,
-    inner: Mutex<Ring>,
+    inner: RefCell<Ring>,
 }
 
 impl FlightRecorder {
@@ -50,7 +50,7 @@ impl FlightRecorder {
         let capacity = capacity.max(1);
         FlightRecorder {
             capacity,
-            inner: Mutex::new(Ring {
+            inner: RefCell::new(Ring {
                 buf: VecDeque::with_capacity(capacity),
                 next_seq: 0,
                 overwritten: 0,
@@ -68,7 +68,7 @@ impl FlightRecorder {
     /// folding it into the digest. If the ring is full the oldest event
     /// is overwritten.
     pub fn record(&self, at: Nanos, flow: FlowKey, kind: EventKind) {
-        let mut r = self.inner.lock();
+        let mut r = self.inner.borrow_mut();
         let event = Event {
             seq: r.next_seq,
             at,
@@ -88,18 +88,18 @@ impl FlightRecorder {
     /// included: `(seq, at, flow, kind)` folded in order. Not part of
     /// any snapshot or checkpoint document.
     pub fn digest(&self) -> u64 {
-        self.inner.lock().digest.value()
+        self.inner.borrow().digest.value()
     }
 
     /// Continue the digest from `digest`, another recorder's: what a
     /// fresh recorder that takes over from a replaced one carries over.
     pub fn resume_digest(&self, digest: u64) {
-        self.inner.lock().digest = Digest::resume(digest);
+        self.inner.borrow_mut().digest = Digest::resume(digest);
     }
 
     /// Number of events currently held (≤ capacity).
     pub fn len(&self) -> usize {
-        self.inner.lock().buf.len()
+        self.inner.borrow().buf.len()
     }
 
     /// True when nothing has been recorded (or everything was drained).
@@ -109,12 +109,12 @@ impl FlightRecorder {
 
     /// Total events ever recorded, including overwritten ones.
     pub fn total_recorded(&self) -> u64 {
-        self.inner.lock().next_seq
+        self.inner.borrow().next_seq
     }
 
     /// Events lost to ring wraparound so far.
     pub fn overwritten(&self) -> u64 {
-        self.inner.lock().overwritten
+        self.inner.borrow().overwritten
     }
 
     /// Restore checkpointed ring bookkeeping (DESIGN.md §14): the next
@@ -125,7 +125,7 @@ impl FlightRecorder {
     /// restored (the ring is cleared): ring content is a diagnostic
     /// window, and checkpointed events would carry dangling payloads.
     pub fn restore_counters(&self, next_seq: u64, overwritten: u64) {
-        let mut r = self.inner.lock();
+        let mut r = self.inner.borrow_mut();
         r.buf.clear();
         r.next_seq = next_seq;
         r.overwritten = overwritten;
@@ -133,7 +133,7 @@ impl FlightRecorder {
 
     /// Snapshot of the ring, oldest event first.
     pub fn events(&self) -> Vec<Event> {
-        let r = self.inner.lock();
+        let r = self.inner.borrow();
         let first = r.next_seq - r.buf.len() as u64;
         (first..).zip(&r.buf).map(|(seq, s)| s.event(seq)).collect()
     }
@@ -170,7 +170,7 @@ pub fn trace_dir() -> PathBuf {
 /// failing run's event history survives the test.
 pub struct TraceGuard {
     test: &'static str,
-    hubs: Vec<(&'static str, Arc<crate::Telemetry>)>,
+    hubs: Vec<(&'static str, Rc<crate::Telemetry>)>,
 }
 
 impl TraceGuard {
@@ -183,7 +183,7 @@ impl TraceGuard {
     }
 
     /// Attach a telemetry hub under `label`; returns `self` for chaining.
-    pub fn watch(mut self, label: &'static str, hub: Arc<crate::Telemetry>) -> TraceGuard {
+    pub fn watch(mut self, label: &'static str, hub: Rc<crate::Telemetry>) -> TraceGuard {
         self.hubs.push((label, hub));
         self
     }

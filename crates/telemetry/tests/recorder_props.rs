@@ -337,22 +337,11 @@ fn every_label_writes_its_literal_text() {
             r#""kind":"flow-evicted","reason":"gc""#,
         ),
         (
-            EventKind::FlowEvicted { reason: Reset },
-            r#""kind":"flow-evicted","reason":"reset""#,
-        ),
-        (
             EventKind::CwndCut {
                 cause: FastRetransmit,
                 cwnd: 2_896,
             },
             r#""kind":"cwnd-cut","cause":"fast-retransmit","cwnd":2896"#,
-        ),
-        (
-            EventKind::CwndCut {
-                cause: Ecn,
-                cwnd: 1_448,
-            },
-            r#""kind":"cwnd-cut","cause":"ecn","cwnd":1448"#,
         ),
         (
             EventKind::HealthTransition {

@@ -11,7 +11,7 @@
 //! plays the paper's *sender module* (for flows this host originates) and
 //! *receiver module* (for flows it terminates).
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use acdc_packet::{FlowKey, Segment};
 use acdc_stats::time::{Nanos, SECOND};
@@ -236,19 +236,40 @@ pub struct FlowStat {
 }
 
 /// The AC/DC datapath instance of one host's vSwitch: the boundary
-/// around its core (`crate::state`). Each call takes the table's lock
-/// once, runs one `&mut` function on the core, drops the guard, and then
+/// around its core (`crate::state`). Each call borrows the table's core
+/// once, runs one `&mut` function on it, ends the borrow, and then
 /// records the events the core handed back, in the order it produced
 /// them.
+///
+/// A datapath has one owner and one thread (DESIGN.md §12): it is not
+/// `Sync`, so a thread over a shared datapath does not compile:
+///
+/// ```compile_fail
+/// use acdc_vswitch::{AcdcConfig, AcdcDatapath};
+/// let dp = AcdcDatapath::new(AcdcConfig::dctcp(1500));
+/// std::thread::scope(|s| {
+///     s.spawn(|| dp.flows());
+/// });
+/// ```
+///
+/// The same thread over a value read out of the datapath compiles:
+///
+/// ```
+/// use acdc_vswitch::{AcdcConfig, AcdcDatapath};
+/// let dp = AcdcDatapath::new(AcdcConfig::dctcp(1500));
+/// let flows = dp.flows();
+/// std::thread::scope(|s| {
+///     s.spawn(move || flows);
+/// });
+/// ```
 pub struct AcdcDatapath {
     cfg: AcdcConfig,
-    /// The flow table, whose lock guards the whole core: flow records,
-    /// health ladder, overload flag.
+    /// The flow table, whose core is the whole of what the datapath
+    /// mutates: flow records, health ladder, overload flag.
     table: FlowTable,
     /// This datapath's observability domain (flight recorder +
-    /// registry): every count and event of every packet lands here,
-    /// whichever thread processed it.
-    telemetry: Arc<Telemetry>,
+    /// registry): every count and event of every packet lands here.
+    telemetry: Rc<Telemetry>,
     /// The `acdc.*` counters, registered in `telemetry`'s registry.
     counters: AcdcCounters,
 }
@@ -282,7 +303,7 @@ impl AcdcDatapath {
 
     /// This datapath's telemetry hub (event recorder + metrics registry).
     /// The owning host shares it for NIC-level events.
-    pub fn telemetry(&self) -> &Arc<Telemetry> {
+    pub fn telemetry(&self) -> &Rc<Telemetry> {
         &self.telemetry
     }
 
@@ -376,7 +397,7 @@ impl AcdcDatapath {
 
     /// Process a packet leaving the guest toward the network.
     pub fn egress(&self, now: Nanos, seg: Segment) -> Verdict {
-        // The plain-OVS baseline forwards without taking the lock.
+        // The plain-OVS baseline forwards without borrowing the core.
         if !self.cfg.enabled {
             return Verdict::Forward(seg);
         }
@@ -475,8 +496,8 @@ impl AcdcDatapath {
 /// One call's events on their way out: the call's context, whose events
 /// are recorded into the hub, in the order the core produced them, when
 /// the outbox drops. A call makes its outbox first and lends its `Cx` to
-/// [`FlowTable::run`], so the outbox outlives the guard: the events are
-/// recorded after the lock is released. Recording on drop also lets a
+/// [`FlowTable::run`], so the outbox outlives the borrow: the events are
+/// recorded after the core is released. Recording on drop also lets a
 /// verdict go straight to the caller rather than wait, copied aside, for
 /// the recording.
 struct Outbox<'a> {

@@ -79,7 +79,7 @@ pub const LOG_RECOVER_PCT: u8 = 75;
 pub const PASS_RECOVER_PCT: u8 = 85;
 
 /// The current rung plus a time-stamped transition trace: plain state,
-/// behind the datapath's one lock with the rest of what it mutates.
+/// in the datapath's core with the rest of what it mutates.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct Health {
     pub(crate) state: HealthState,

@@ -21,13 +21,13 @@
 //!   DCTCP of Equation 1 (§3.4).
 //!
 //! Everything the datapath mutates — flow records, health ladder,
-//! overload flag — is one core behind the flow table's one lock, and
-//! each `AcdcDatapath` call takes it once and runs a plain `&mut`
+//! overload flag — is one core in the flow table's one `RefCell`, and
+//! each `AcdcDatapath` call borrows it once and runs a plain `&mut`
 //! function on it. The core names neither the telemetry hub nor the
 //! table: its events come back to the call, which records them after
-//! dropping the guard. The datapath is simulator-agnostic and
-//! thread-safe: the benchmark harness's vSwitch-only workloads drive the
-//! very same code the simulation uses.
+//! the borrow ends. The datapath has one owner and one thread (DESIGN.md
+//! §12) and is simulator-agnostic: the benchmark harness's vSwitch-only
+//! workloads drive the very same code the simulation uses.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,13 +50,3 @@ pub use health::HealthState;
 pub use policy::CcPolicy;
 pub use rwnd::{RwndAction, RwndRewriter};
 pub use table::{Admission, AdmissionPolicy, FlowTable};
-
-// `acdc-workers`' `process_batch_parallel` shares one `&AcdcDatapath`
-// between scoped threads, which count into its one telemetry hub. A
-// `Cell`, `Rc` or `RefCell` anywhere inside these types fails to compile
-// here, at the definition, not in the dependent crate.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<AcdcDatapath>();
-    assert_send_sync::<FlowTable>();
-};

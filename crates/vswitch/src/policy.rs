@@ -4,7 +4,7 @@
 //! basis" — e.g. WAN-bound flows get CUBIC while intra-datacenter flows
 //! get DCTCP, or flows get priority weights β for QoS (Figure 13).
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use acdc_cc::CcKind;
 use acdc_packet::FlowKey;
@@ -16,7 +16,7 @@ pub enum CcPolicy {
     Uniform(CcKind),
     /// Arbitrary administrator policy: a WAN/datacenter split on the
     /// destination prefix, per-flow priority weights, …
-    Custom(Arc<dyn Fn(&FlowKey) -> CcKind + Send + Sync>),
+    Custom(Rc<dyn Fn(&FlowKey) -> CcKind>),
 }
 
 impl CcPolicy {
@@ -65,7 +65,7 @@ mod tests {
 
     #[test]
     fn custom_routes_by_key() {
-        let p = CcPolicy::Custom(Arc::new(|k: &FlowKey| {
+        let p = CcPolicy::Custom(Rc::new(|k: &FlowKey| {
             if k.dst_ip[0] == 10 {
                 CcKind::Dctcp
             } else {

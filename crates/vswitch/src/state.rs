@@ -2,13 +2,13 @@
 //! that advance it.
 //!
 //! [`Core`] holds the flow records ([`Flows`]), the health rung and its
-//! trace, and the overload flag. It lives behind the flow table's one
-//! lock, and each public `AcdcDatapath` call takes that lock once and runs
-//! one function here on `&mut Core`. This module names neither the
-//! telemetry hub nor the table that locks it, so nothing here can
-//! re-enter the table or publish under the lock: what a call has to say
+//! trace, and the overload flag. It lives in the flow table's one
+//! `RefCell`, and each public `AcdcDatapath` call borrows it once and
+//! runs one function here on `&mut Core`. This module names neither the
+//! telemetry hub nor the table that holds it, so nothing here can
+//! re-enter the table or record mid-borrow: what a call has to say
 //! leaves as the [`Events`] it wrote into its [`Cx`], in the order it
-//! produced them, and the datapath records them after the guard drops.
+//! produced them, and the datapath records them after the borrow ends.
 //! The datapath reaches the core through `FlowTable::run` alone, whose
 //! `fn` argument captures nothing and sees only what the call lends it.
 

@@ -5,7 +5,7 @@
 //! and a spinlock per entry so distinct flows update concurrently (§4).
 //! Here a connection's two entries are one *record*. The table is keyed
 //! by the connection ([`FlowKey::canonical`]: the smaller of a key and
-//! its reverse, the key worker steering hashes), and a record holds both
+//! its reverse), and a record holds both
 //! directions' [`FlowEntry`]s as optional halves in one allocation. A
 //! data packet updates its own direction and then the reverse one (the
 //! feedback an egress ACK piggybacks, the ACK an ingress segment
@@ -22,15 +22,15 @@
 //! The records, the entry count, the gc epoch and the capacity gate are
 //! `Flows`, plain `&mut` state. [`FlowTable`] keeps them, with the rest
 //! of what the datapath mutates (the health ladder, the overload flag:
-//! the datapath's core, `crate::state`), behind one
-//! `parking_lot::Mutex`, and each datapath call takes it once. The
-//! per-entry lock bought the paper concurrency between two writers of
-//! one connection; nothing here writes a connection from two places at
-//! once, so a second lock would guard nothing this one does not. Past
-//! `run`, the wrapper keeps only the names the benchmark harness builds
-//! against (`new`, `bounded`, `get_or_create`, `with_entry`, `remove`,
-//! `len`, `is_empty`), each taking the lock once; the tests drive
-//! `Flows` itself.
+//! the datapath's core, `crate::state`), in one `RefCell`, and each
+//! datapath call borrows it once. The paper's per-entry spinlocks and
+//! RCU serve one datapath thread per CPU; here the datapath has one
+//! owner and one thread (DESIGN.md §12), so there is nothing to lock,
+//! and the `RefCell` is there only because the benchmark harness calls
+//! through a shared `&dp` until ROADMAP item 1. Past `run`, the wrapper
+//! keeps only the names the harness builds against (`new`, `bounded`,
+//! `get_or_create`, `with_entry`, `remove`, `len`, `is_empty`), each
+//! borrowing the core once; the tests drive `Flows` itself.
 //!
 //! The index is an [`acdc_packet::FlowIndex`] of records by connection
 //! key: linear probing from a home bucket keyed by a secret drawn once per
@@ -61,11 +61,10 @@
 //! an [`Admission`] outcome so the datapath can account evictions and
 //! drive its degradation ladder.
 
-use std::ops::DerefMut;
+use std::cell::{RefCell, RefMut};
 
 use acdc_packet::{FlowIndex, FlowKey};
 use acdc_stats::time::Nanos;
-use parking_lot::Mutex;
 
 use crate::entry::FlowEntry;
 use crate::state::Core;
@@ -181,8 +180,8 @@ impl<'a> Conn<'a> {
 
 /// The table's contents: connection records in a [`FlowIndex`], the
 /// entry count, the gc epoch and the capacity gate. Plain `&mut` state:
-/// [`FlowTable`] keeps it, with the rest of the datapath's, behind its
-/// one lock.
+/// [`FlowTable`] keeps it, with the rest of the datapath's, in its one
+/// `RefCell`.
 pub(crate) struct Flows {
     index: FlowIndex<Box<Record>>,
     /// Entries (halves) over every record: what `len()` and the cap count.
@@ -407,13 +406,12 @@ impl Flows {
 }
 
 /// A flow table: connection key → record of both directions'
-/// [`FlowEntry`]s, behind one lock — the lock that guards everything
-/// else the datapath mutates too (its core, `crate::state`). The public
-/// methods are the names the benchmark harness builds against, each
-/// taking the lock once; the datapath reaches its core through
-/// [`FlowTable::run`] alone.
+/// [`FlowEntry`]s, in one `RefCell` with everything else the datapath
+/// mutates (its core, `crate::state`). The public methods are the names
+/// the benchmark harness builds against, each borrowing the core once;
+/// the datapath reaches its core through [`FlowTable::run`] alone.
 pub struct FlowTable {
-    core: Mutex<Core>,
+    core: RefCell<Core>,
 }
 
 impl Default for FlowTable {
@@ -436,28 +434,30 @@ impl FlowTable {
 
     fn with_flows(flows: Flows) -> FlowTable {
         FlowTable {
-            core: Mutex::new(Core::new(flows)),
+            core: RefCell::new(Core::new(flows)),
         }
     }
 
-    /// The lock, taken: the one place anything takes it. Private: past
-    /// this module the core is reached through [`FlowTable::run`] alone.
+    /// The core, borrowed: the one place anything borrows it. Private:
+    /// past this module the core is reached through [`FlowTable::run`]
+    /// alone.
     #[inline]
-    fn core(&self) -> impl DerefMut<Target = Core> + '_ {
-        self.core.lock()
+    fn core(&self) -> RefMut<'_, Core> {
+        self.core.borrow_mut()
     }
 
-    /// `f` on the core, under the lock: the way the datapath reaches its
-    /// core, once per call. `f` is a `fn`, so it captures nothing and
-    /// sees the core and `arg` only, and the guard drops when it returns:
-    /// whatever `arg` lends (a call's `Cx`, holding its events) outlives
-    /// the guard.
+    /// `f` on the core, borrowed: the way the datapath reaches its core,
+    /// once per call. `f` is a `fn`, so it captures nothing and sees the
+    /// core and `arg` only, and the borrow ends when it returns: whatever
+    /// `arg` lends (a call's `Cx`, holding its events) outlives it. A
+    /// call that reached the table again from inside `f` would panic on
+    /// the second borrow, where a lock would have deadlocked.
     #[inline(always)]
     pub(crate) fn run<A, R>(&self, arg: A, f: fn(&mut Core, A) -> R) -> R {
         f(&mut self.core(), arg)
     }
 
-    /// Run `f` on the entry for `key` under the table lock.
+    /// Run `f` on the entry for `key`.
     pub fn with_entry<R>(&self, key: &FlowKey, f: impl FnOnce(&mut FlowEntry) -> R) -> Option<R> {
         self.core().flows.get(key).map(f)
     }
@@ -492,7 +492,6 @@ mod tests {
     use super::*;
     use acdc_cc::{CcConfig, CcKind};
     use acdc_packet::flow_index::MIN_BUCKETS;
-    use std::sync::Arc;
 
     fn key(p: u16) -> FlowKey {
         FlowKey {
@@ -861,32 +860,5 @@ mod tests {
                 proptest::prop_assert_eq!(walk(&mut a), walk(&mut b));
             }
         }
-    }
-
-    /// The lock's own test: four threads create and stamp their own keys
-    /// through the shared table, and every write lands.
-    #[test]
-    fn concurrent_access_from_threads() {
-        let t = Arc::new(FlowTable::new());
-        let mut handles = Vec::new();
-        for tid in 0..4u16 {
-            let t = Arc::clone(&t);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..250u16 {
-                    let k = key(tid * 250 + i);
-                    assert!(t.get_or_create(k, || entry(0)).created());
-                    t.with_entry(&k, |e| touch(e, u64::from(i)))
-                        .expect("tracked");
-                    assert_eq!(
-                        t.with_entry(&k, |e| e.life().last_activity),
-                        Some(u64::from(i))
-                    );
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(t.len(), 1000);
     }
 }

@@ -12,7 +12,7 @@ use acdc_vswitch::{
     AcdcConfig, AcdcDatapath, AdmissionPolicy, CcPolicy, DropReason, FlowEntry, HealthState,
     Verdict,
 };
-use std::sync::Arc;
+use std::rc::Rc;
 
 const A: [u8; 4] = [10, 0, 0, 1];
 const B: [u8; 4] = [10, 0, 0, 2];
@@ -504,7 +504,7 @@ fn disabled_datapath_is_passthrough() {
 fn per_flow_policy_assigns_different_algorithms() {
     let mut cfg = AcdcConfig::dctcp(MTU);
     // Destinations outside 10/8 are WAN-bound and get CUBIC.
-    cfg.policy = CcPolicy::Custom(Arc::new(|k: &FlowKey| {
+    cfg.policy = CcPolicy::Custom(Rc::new(|k: &FlowKey| {
         if k.dst_ip[0] == 10 {
             CcKind::Dctcp
         } else {

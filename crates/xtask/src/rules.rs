@@ -180,7 +180,7 @@ fn has_counter_field_name(code: &str) -> bool {
 
 /// Does the struct enclosing the field at `field_idx` derive `Copy`?
 ///
-/// A `Copy` struct cannot hold a registry `Counter` (it is `Arc`-backed
+/// A `Copy` struct cannot hold a registry `Counter` (it is `Rc`-backed
 /// and not `Copy`), so it is a plain value: the view its owner keeps as a
 /// field, counts in and returns whole (`SwitchCounters`, `PortCounters`,
 /// `FaultStats`, …). Its counter-named fields are exempt from the field

@@ -9,7 +9,7 @@
 //! bandwidth differentiation — no rate limiters, no switch QoS classes,
 //! just Equation 1 inside the vSwitch.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use acdc_cc::CcKind;
 use acdc_core::{Scheme, Testbed};
@@ -35,7 +35,7 @@ fn main() {
     // AC/DC with a custom policy: β looked up by the sender's address.
     let betas: Vec<f64> = quarters.iter().map(|&q| f64::from(q) / 4.0).collect();
     let mut tb = Testbed::custom(Scheme::acdc(), 9000);
-    tb.acdc.policy = CcPolicy::Custom(Arc::new(move |key| {
+    tb.acdc.policy = CcPolicy::Custom(Rc::new(move |key| {
         let idx = (key.src_ip[3] as usize).saturating_sub(1);
         betas
             .get(idx)

@@ -29,9 +29,8 @@ stage_lint() {
 
 # Every test of every workspace member, in debug, so the `debug_assert!`
 # oracles (the host's full-fold check, the protocol-state invariants of
-# LINTS.md) are live: chaos, overload, the worker batch, the soak
-# smoke, the checkpoint and table proptests and the xtask fixtures are
-# all in here. (The hour-long acceptance soak stays behind --ignored;
+# LINTS.md) are live: chaos, overload, the soak smoke, the checkpoint
+# and table proptests and the xtask fixtures are all in here. (The hour-long acceptance soak stays behind --ignored;
 # nightly.yml runs it.)
 stage_test() {
     echo "==> cargo test --workspace"
@@ -39,6 +38,7 @@ stage_test() {
 }
 
 HARNESS_MANIFEST=crates/bench/harness/Cargo.toml
+HARNESS_LOCK=crates/bench/harness/Cargo.lock
 HARNESS_BIN=crates/bench/harness/target/release/acdc-harness
 HARNESS_BASELINE=BENCH_harness.json
 
@@ -62,6 +62,14 @@ harness_gate() {
 }
 
 stage_harness() {
+    # Every harness build rewrites the harness's Cargo.lock (it lists
+    # packages the workspace no longer uses), and the harness is frozen:
+    # put the committed file back when the script exits, however it exits.
+    local saved_lock
+    saved_lock="$(mktemp /tmp/acdc-harness-lock.XXXXXX)"
+    cp "$HARNESS_LOCK" "$saved_lock"
+    trap "cp '$saved_lock' '$HARNESS_LOCK'; rm -f '$saved_lock'" EXIT
+
     echo "==> build acdc-harness (offline, into its own target/)"
     cargo build --release --offline --quiet --manifest-path "$HARNESS_MANIFEST"
 

@@ -7,7 +7,7 @@
 //! reconstructed sequence state agrees with the endpoint's ground truth
 //! after recovery.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use acdc_core::{FlowHandle, Scheme, Testbed};
 use acdc_faults::FaultPlan;
@@ -142,9 +142,9 @@ fn corruption_is_dropped_at_the_nic_and_repaired_by_retransmission() {
         tb.set_trunk_fault(FaultPlan::new(0xACDC_0005).with_corruption(0.02));
         tb.build_dumbbell(1);
         let _guard = TraceGuard::new("chaos_corruption")
-            .watch("trunk", Arc::clone(tb.telemetry()))
-            .watch("host0", Arc::clone(tb.host_mut(0).telemetry()))
-            .watch("host1", Arc::clone(tb.host_mut(1).telemetry()));
+            .watch("trunk", Rc::clone(tb.telemetry()))
+            .watch("host0", Rc::clone(tb.host_mut(0).telemetry()))
+            .watch("host1", Rc::clone(tb.host_mut(1).telemetry()));
         let h = tb.add_bulk(0, 1, Some(BYTES), 0);
         tb.run_until(3 * SECOND);
         assert_eq!(tb.acked_bytes(h), BYTES);

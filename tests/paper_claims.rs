@@ -50,11 +50,11 @@ fn incast_rtt_ordering_and_floor_mechanism() {
 fn priority_betas_order_throughput() {
     use acdc_cc::CcKind;
     use acdc_vswitch::CcPolicy;
-    use std::sync::Arc;
+    use std::rc::Rc;
 
     let betas = [1.0f64, 0.5, 0.25];
     let mut tb = Testbed::custom(Scheme::acdc(), 9000);
-    tb.acdc.policy = CcPolicy::Custom(Arc::new(move |key| {
+    tb.acdc.policy = CcPolicy::Custom(Rc::new(move |key| {
         let idx = (key.src_ip[3] as usize).saturating_sub(1);
         CcKind::DctcpPriority(*[1.0f64, 0.5, 0.25].get(idx).unwrap_or(&1.0))
     }));
