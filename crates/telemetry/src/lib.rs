@@ -66,24 +66,22 @@ use acdc_stats::time::Nanos;
 /// record through its `Ctx`).
 ///
 /// A hub has one thread (DESIGN.md §12): its ring and registry sit in
-/// `RefCell`s and its counters in `Cell`s, so it is not `Sync`, and a
-/// thread that would share one does not compile:
+/// `RefCell`s and its counters in `Cell`s, so it is not `Sync`, and no
+/// thread can share one. The bound a thread over `&hub` would need does
+/// not hold:
 ///
 /// ```compile_fail
+/// fn shared_across_threads<T: Sync>(_: &T) {}
 /// let hub = acdc_telemetry::Telemetry::new(8);
-/// std::thread::scope(|s| {
-///     s.spawn(|| hub.recorder().len());
-/// });
+/// shared_across_threads(&*hub);
 /// ```
 ///
-/// The same thread over a value read out of the hub compiles:
+/// The same check on a value read out of the hub compiles:
 ///
 /// ```
+/// fn shared_across_threads<T: Sync>(_: &T) {}
 /// let hub = acdc_telemetry::Telemetry::new(8);
-/// let len = hub.recorder().len();
-/// std::thread::scope(|s| {
-///     s.spawn(move || len);
-/// });
+/// shared_across_threads(&hub.recorder().len());
 /// ```
 pub struct Telemetry {
     recorder: FlightRecorder,

@@ -242,25 +242,23 @@ pub struct FlowStat {
 /// them.
 ///
 /// A datapath has one owner and one thread (DESIGN.md §12): it is not
-/// `Sync`, so a thread over a shared datapath does not compile:
+/// `Sync`, so no thread can share one. The bound a thread over `&dp`
+/// would need does not hold:
 ///
 /// ```compile_fail
 /// use acdc_vswitch::{AcdcConfig, AcdcDatapath};
+/// fn shared_across_threads<T: Sync>(_: &T) {}
 /// let dp = AcdcDatapath::new(AcdcConfig::dctcp(1500));
-/// std::thread::scope(|s| {
-///     s.spawn(|| dp.flows());
-/// });
+/// shared_across_threads(&dp);
 /// ```
 ///
-/// The same thread over a value read out of the datapath compiles:
+/// The same check on a value read out of the datapath compiles:
 ///
 /// ```
 /// use acdc_vswitch::{AcdcConfig, AcdcDatapath};
+/// fn shared_across_threads<T: Sync>(_: &T) {}
 /// let dp = AcdcDatapath::new(AcdcConfig::dctcp(1500));
-/// let flows = dp.flows();
-/// std::thread::scope(|s| {
-///     s.spawn(move || flows);
-/// });
+/// shared_across_threads(&dp.flows());
 /// ```
 pub struct AcdcDatapath {
     cfg: AcdcConfig,
