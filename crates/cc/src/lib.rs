@@ -124,7 +124,7 @@ impl AckEvent {
 /// Implementations keep all state internal and expose the current
 /// congestion window in bytes. Callers translate windows into permission to
 /// send (host stack) or into an enforced receive window (vSwitch).
-pub trait CongestionControl: Send + core::fmt::Debug {
+pub trait CongestionControl: core::fmt::Debug {
     /// Short algorithm name, e.g. `"cubic"`.
     fn name(&self) -> &'static str;
 

@@ -28,7 +28,7 @@ use acdc_packet::{FlowIndex, FlowKey, Segment};
 use acdc_stats::time::Nanos;
 use acdc_stats::TimeSeries;
 use acdc_tcp::{Endpoint, TcpConfig};
-use acdc_telemetry::{Counter, DropCause, EventKind, Telemetry, NO_FLOW};
+use acdc_telemetry::{Counter, DropCause, EventKind, Telemetry};
 use acdc_vswitch::{AcdcConfig, AcdcDatapath, Verdict};
 use acdc_workloads::apps::App;
 
@@ -123,7 +123,7 @@ pub trait MultiConnAccess {
 }
 
 /// A host-level application spanning all of the host's connections.
-pub trait MultiApp: Send {
+pub trait MultiApp {
     /// Poll; return the next absolute wake-up time wanted.
     fn poll(&mut self, now: Nanos, conns: &mut dyn MultiConnAccess) -> Option<Nanos>;
     /// Completed-flow records, if measured.
@@ -665,21 +665,8 @@ impl Node for HostNode {
         let now = ctx.now();
         // The header metadata every later stage (checksum verify, vSwitch
         // ingress, endpoint demux + processing) reads rides in the
-        // segment. `try_meta` cannot fail — only `from_header_bytes` reads
-        // bytes, and it refuses what does not parse — so this drop arm
-        // and its counter are unreachable; they stay while the benchmark
-        // harness pins the `Result` (DESIGN.md §9).
-        let Ok(meta) = seg.try_meta() else {
-            ctx.count_drop(self.nic, acdc_netsim::PortDropClass::Malformed);
-            self.datapath.telemetry().record(
-                now,
-                NO_FLOW,
-                EventKind::PacketDropped {
-                    cause: DropCause::Malformed,
-                },
-            );
-            return;
-        };
+        // segment.
+        let meta = seg.meta();
         // NIC FCS check: damaged frames never reach the vSwitch (loss, as
         // on real hardware). Only injected corruption produces these — the
         // datapath's own rewrites all maintain checksums.
@@ -718,10 +705,7 @@ impl Node for HostNode {
         }
         // The meta built at egress rides along with the clone the engine
         // hands back.
-        let Ok(meta) = seg.try_meta() else {
-            return;
-        };
-        if let Some(idx) = self.conn_index_of(&meta.flow) {
+        if let Some(idx) = self.conn_index_of(&seg.meta().flow) {
             let c = &mut self.conns[idx];
             c.nic_queued = c.nic_queued.saturating_sub(seg.wire_len() as u64);
             if c.tsq_blocked && c.nic_queued < TSQ_PER_CONN_CAP {

@@ -367,6 +367,8 @@ impl Testbed {
     // Flow plumbing
     // ------------------------------------------------------------------
 
+    // The u32 LCG generates ISSs; it does no sequence arithmetic.
+    #[allow(clippy::disallowed_methods)]
     fn next_flow_params(&mut self, client: usize) -> (u16, u32, u32) {
         let port = self.next_port[client];
         self.next_port[client] += 1;

@@ -21,9 +21,9 @@ use std::any::Any;
 use std::collections::BTreeMap;
 
 use acdc_netsim::{Ctx, Node, PortDropClass, PortId};
-use acdc_packet::{FlowKey, Segment};
+use acdc_packet::Segment;
 use acdc_stats::time::Nanos;
-use acdc_telemetry::{EventKind, FaultEffect, NO_FLOW};
+use acdc_telemetry::{EventKind, FaultEffect};
 
 use crate::plan::FaultPlan;
 use crate::process::{DropCause, Fate, FaultProcess, FaultStats};
@@ -103,14 +103,9 @@ impl FaultyLink {
     }
 }
 
-/// The flow `seg` belongs to, or [`NO_FLOW`] when it does not parse.
-fn flow_of(seg: &Segment) -> FlowKey {
-    seg.try_meta().map(|m| m.flow).unwrap_or(NO_FLOW)
-}
-
 /// Record on the network's hub that `effect` was applied to `seg`.
 fn trace(ctx: &Ctx<'_>, seg: &Segment, effect: FaultEffect) {
-    ctx.record(flow_of(seg), EventKind::FaultInjected { effect });
+    ctx.record(seg.flow_key(), EventKind::FaultInjected { effect });
 }
 
 impl Node for FaultyLink {
@@ -129,7 +124,7 @@ impl Node for FaultyLink {
                     DropCause::LinkDown => FaultEffect::DropLinkDown,
                 };
                 trace(ctx, &seg, effect);
-                ctx.count_drop_for(out, PortDropClass::FaultInjected, flow_of(&seg));
+                ctx.count_drop_for(out, PortDropClass::FaultInjected, seg.flow_key());
             }
             Fate::Deliver(d) => {
                 if d.corrupt {

@@ -69,9 +69,9 @@ pub struct FaultPlan {
     /// immediately, ahead of any held original).
     pub duplicate_p: f64,
     /// Per-packet header-corruption probability. Corrupted TCP segments
-    /// keep parsing but fail [`Segment::verify_checksums`]
-    /// (`acdc_packet::Segment::verify_checksums`), modelling bit errors
-    /// caught by the receiver NIC's FCS/checksum check.
+    /// keep parsing but fail [`acdc_packet::Segment::verify_checksums`],
+    /// modelling bit errors caught by the receiver NIC's FCS/checksum
+    /// check.
     pub corrupt_p: f64,
     /// Bounded random extra delay, if any.
     pub jitter: Option<JitterSpec>,

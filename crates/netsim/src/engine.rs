@@ -88,9 +88,6 @@ pub struct PortCounters {
     /// Packets discarded by an injected fault process (see `acdc-faults`)
     /// instead of being forwarded out this port.
     pub fault_drops: u64,
-    /// Packets whose headers failed to parse (malformed wire input). The
-    /// receiving node drops and counts these instead of panicking.
-    pub malformed_drops: u64,
 }
 
 /// Why a node dropped a packet it was about to forward out of a port.
@@ -103,10 +100,6 @@ pub enum PortDropClass {
     /// A fault-injection process (e.g. a `FaultyLink` wrapper) discarded
     /// the packet deliberately.
     FaultInjected,
-    /// The packet's headers failed to parse; the fallible single-parse
-    /// pipeline (see `acdc-packet`'s `PacketMeta`) rejects such frames at
-    /// the first layer that touches them.
-    Malformed,
 }
 
 struct Port {
@@ -553,10 +546,6 @@ impl Ctx<'_> {
             PortDropClass::FaultInjected => {
                 c.fault_drops += 1;
                 DropCause::FaultInjected
-            }
-            PortDropClass::Malformed => {
-                c.malformed_drops += 1;
-                DropCause::Malformed
             }
         };
         self.record(flow, TraceEvent::PacketDropped { cause });

@@ -10,7 +10,7 @@
 //!
 //! Scheduling drops an entry into the innermost level whose horizon
 //! covers its deadline — O(1), no comparisons — and anything beyond L2's
-//! horizon goes to the sorted far-future heap in [`overflow`] (the only
+//! horizon goes to the sorted far-future heap in `overflow` (the only
 //! module in the workspace's sources allowed to name `BinaryHeap`, which
 //! `clippy.toml` bans everywhere else).
 //! As the cursor advances, higher-level slots *cascade*: their entries

@@ -4,6 +4,10 @@
 //! 32-bit sequence numbers that wrap. `SeqNumber` encapsulates the wrapping
 //! arithmetic so callers never write a raw `<` on sequence space.
 
+// The one home of wrapping u32 sequence arithmetic: `clippy.toml` bans
+// `u32::wrapping_add`/`wrapping_sub` everywhere else.
+#![allow(clippy::disallowed_methods)]
+
 use core::cmp::Ordering;
 use core::fmt;
 use core::ops::{Add, AddAssign, Sub};

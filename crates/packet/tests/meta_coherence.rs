@@ -156,11 +156,10 @@ fn check_mutation_sequence(
     }
 
     // The held meta equals a fresh read of the bytes.
-    let held = seg.try_meta().expect("a segment has its meta");
+    let held = seg.meta();
     let fresh = Segment::from_header_bytes(seg.header_bytes(), seg.payload_len())
         .expect("mutated headers read back")
-        .try_meta()
-        .expect("a read segment has its meta");
+        .meta();
     assert_eq!(held, fresh);
 
     // The incrementally-patched checksums equal a full recompute.
@@ -181,7 +180,7 @@ fn check_append_then_strip(window: u16, payload_len: u16, total: u32, marked: u3
         marked_bytes: marked,
     };
     assert!(seg.append_pack_in_place(pack));
-    assert_eq!(seg.try_meta().expect("has its meta").pack, Some(pack));
+    assert_eq!(seg.meta().pack, Some(pack));
     assert!(seg.strip_pack_in_place());
     assert_eq!(seg.header_bytes(), &before[..]);
     assert!(seg.verify_checksums());

@@ -84,8 +84,7 @@ fn ip_repr(src_addr: [u8; 4], dst_addr: [u8; 4], ecn: Ecn) -> Ipv4Repr {
 fn reread(seg: &Segment) -> PacketMeta {
     Segment::from_header_bytes(seg.header_bytes(), seg.payload_len())
         .expect("a segment's own headers read back")
-        .try_meta()
-        .expect("a read segment has its meta")
+        .meta()
 }
 
 /// Headers as the stacks emit them: TCP with any options.
@@ -126,7 +125,7 @@ fn check_wire_bytes(bytes: &[u8], payload_len: usize) {
         return;
     };
     let _ = seg.verify_checksums();
-    let meta = |s: &Segment| s.try_meta().expect("a read segment has its meta");
+    let meta = |s: &Segment| s.meta();
     assert_eq!(meta(&seg), reread(&seg), "as read");
     let _ = seg.append_pack_in_place(PackOption {
         total_bytes: 9,
@@ -272,7 +271,7 @@ proptest! {
         prop_assert!(seg.verify_checksums());
         prop_assert_eq!(seg.ip().total_len() as usize, seg.wire_len());
         let m = reread(&seg);
-        prop_assert_eq!(seg.try_meta(), Ok(m));
+        prop_assert_eq!(seg.meta(), m);
         prop_assert_eq!(
             m.flow,
             FlowKey { src_ip: src, dst_ip: dst, src_port: tcp.src_port, dst_port: tcp.dst_port }
@@ -311,7 +310,7 @@ proptest! {
         prop_assert_eq!(seg.tcp().window(), new_window);
         prop_assert_eq!(seg.ecn(), Ecn::Ce);
         prop_assert!(seg.verify_checksums());
-        prop_assert_eq!(seg.try_meta(), Ok(reread(&seg)));
+        prop_assert_eq!(seg.meta(), reread(&seg));
     }
 
     #[test]

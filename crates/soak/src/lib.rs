@@ -14,11 +14,10 @@
 //! * **storms** ([`StormSchedule`]): scheduled trunk outages
 //!   ([`acdc_faults::FaultPlan::with_flap`]) over a background of random
 //!   loss, corruption and jitter;
-//! * **restarts**: scheduled [`AcdcDatapath::reset`] calls
-//!   (`acdc_vswitch::AcdcDatapath::reset`) that wipe per-flow state
-//!   mid-traffic, plus an optional mid-run **checkpoint/restore** cycle
-//!   — serialize the datapath ([`DatapathCheckpoint`]
-//!   (`acdc_vswitch::DatapathCheckpoint`)), swap in a fresh one
+//! * **restarts**: scheduled [`acdc_vswitch::AcdcDatapath::reset`]
+//!   calls that wipe per-flow state mid-traffic, plus an optional mid-run
+//!   **checkpoint/restore** cycle — serialize the datapath
+//!   ([`acdc_vswitch::DatapathCheckpoint`]), swap in a fresh one
 //!   ([`acdc_core::HostNode::replace_datapath`]), restore, and require
 //!   the continuation to be byte-identical to the uninterrupted run;
 //! * **watchdog**: every few ticks the driver samples occupancy, health,

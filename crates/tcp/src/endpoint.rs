@@ -13,16 +13,15 @@
 //! components, each owning its mutable state in its own module behind
 //! private fields (see DESIGN.md §13):
 //!
-//! - [`ConnMgmt`](crate::conn::ConnMgmt) — the RFC 793 state machine,
-//!   ISN/MSS negotiation and the FIN lifecycle;
-//! - [`ReliableDelivery`](crate::reliable::ReliableDelivery) — send
-//!   pointers, NewReno recovery, RTT estimation and the RTO timer;
-//! - [`FlowCtrl`](crate::flow::FlowCtrl) — the peer's advertised window
-//!   and the persist (zero-window probe) timer;
-//! - [`Receive`](crate::receive::Receive) — in-order delivery,
-//!   out-of-order reassembly and delayed ACKs;
-//! - [`EcnSignal`](crate::ecn::EcnSignal) — ECN negotiation, echo state
-//!   and CWR/cut signalling.
+//! - [`ConnMgmt`] — the RFC 793 state machine, ISN/MSS negotiation and
+//!   the FIN lifecycle;
+//! - [`ReliableDelivery`] — send pointers, NewReno recovery, RTT
+//!   estimation and the RTO timer;
+//! - [`FlowCtrl`] — the peer's advertised window and the persist
+//!   (zero-window probe) timer;
+//! - [`Receive`] — in-order delivery, out-of-order reassembly and
+//!   delayed ACKs;
+//! - [`EcnSignal`] — ECN negotiation, echo state and CWR/cut signalling.
 //!
 //! This file holds no mutable protocol state of its own: it parses and
 //! builds segments, reads the components through their view methods, and
@@ -398,9 +397,7 @@ impl Endpoint {
     /// Feed an arriving segment (addressed to this endpoint).
     pub fn on_segment(&mut self, now: Nanos, seg: &Segment) {
         // A copy of the meta the segment carries: nothing parses here.
-        let Ok(meta) = seg.try_meta() else {
-            return;
-        };
+        let meta = seg.meta();
         let flags = meta.flags;
 
         if flags.contains(TcpFlags::RST) {

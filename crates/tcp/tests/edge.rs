@@ -106,7 +106,7 @@ fn window_scale_is_clamped_to_14() {
     let syn = a.poll_transmit(0).unwrap();
     // Tamper: the window-scale option's shift byte becomes an illegal 30.
     let mut bytes = syn.header_bytes().to_vec();
-    let wscale = syn.try_meta().unwrap().wscale.unwrap();
+    let wscale = syn.meta().wscale.unwrap();
     // Options start after the 20-byte IP and TCP headers.
     let ws = 40
         + bytes[40..]
@@ -115,7 +115,7 @@ fn window_scale_is_clamped_to_14() {
             .expect("the SYN carries a window scale");
     bytes[ws + 2] = 30;
     let tampered = Segment::from_header_bytes(bytes, 0).expect("the tampered SYN reads back");
-    assert_eq!(tampered.try_meta().unwrap().wscale, Some(30));
+    assert_eq!(tampered.meta().wscale, Some(30));
     b.on_segment(1, &tampered);
     // RFC 7323: receivers clamp the shift to 14.
     exchange(2, &mut a, &mut b);

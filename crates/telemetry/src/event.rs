@@ -20,8 +20,8 @@ use crate::digest::Digest;
 use crate::json::{key_label, Writer};
 
 /// The all-zero key used to stamp events that are not attributable to a
-/// single flow (health transitions, datapath resets, drops of frames too
-/// mangled to parse a key out of).
+/// single flow (health transitions, datapath resets, anonymous port
+/// drops).
 pub const NO_FLOW: FlowKey = FlowKey {
     src_ip: [0; 4],
     dst_ip: [0; 4],
@@ -128,8 +128,6 @@ labels! {
     DropCause {
         /// The vSwitch policed a sender that ignored the enforced window.
         Policed = "policed",
-        /// The headers failed to parse.
-        Malformed = "malformed",
         /// The NIC's checksum check failed.
         CorruptFcs = "corrupt-fcs",
         /// The egress queue had no room.

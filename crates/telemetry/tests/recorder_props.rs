@@ -405,10 +405,6 @@ fn every_label_writes_its_literal_text() {
             r#""kind":"drop","cause":"policed""#,
         ),
         (
-            EventKind::PacketDropped { cause: Malformed },
-            r#""kind":"drop","cause":"malformed""#,
-        ),
-        (
             EventKind::PacketDropped { cause: CorruptFcs },
             r#""kind":"drop","cause":"corrupt-fcs""#,
         ),

@@ -131,9 +131,6 @@ pub enum DropReason {
     /// A FACK reached the sender module and was absorbed after its
     /// feedback was logged (§3.2).
     FackConsumed,
-    /// The headers failed the single fallible parse; wire input never
-    /// panics the datapath (it is dropped and counted instead).
-    Malformed,
 }
 
 /// Datapath event counters. Every field is a [`Counter`] handle into the
@@ -160,9 +157,11 @@ pub struct AcdcCounters {
     /// Always zero: every segment is TCP, so nothing bypasses the
     /// datapath for its protocol. Registered still because every harness
     /// fingerprint and `Testbed::golden` line folds each `acdc.*` counter;
-    /// it leaves with `malformed_drops` when the benchmark is re-baselined.
+    /// it leaves with `malformed_drops` in ROADMAP item 1.
     pub non_tcp_passthrough: Counter,
-    /// Malformed frames dropped by the fallible parse.
+    /// Always zero: every segment carries the meta it was made with, so
+    /// nothing is dropped for failing to parse. Registered still, as
+    /// `non_tcp_passthrough` is.
     pub malformed_drops: Counter,
     /// Entries collected by the periodic idle/closed garbage collection.
     pub gc_evictions: Counter,

@@ -303,12 +303,7 @@ impl Core {
             return Verdict::Forward(seg);
         }
         let log_only = cfg.log_only || health == HealthState::LogOnly;
-        // A copy of the meta the segment carries. The drop arm cannot be
-        // reached (DESIGN.md §9) and stays while the benchmark harness
-        // pins `try_meta`'s `Result`.
-        let Ok(meta) = seg.try_meta() else {
-            return drop_malformed(cx);
-        };
+        let meta = seg.meta();
         let key = meta.flow;
         let flags = meta.flags;
 
@@ -422,11 +417,7 @@ impl Core {
     #[inline]
     pub(crate) fn ingress(&mut self, cx: &mut Cx, mut seg: Segment) -> Verdict {
         let (cfg, now) = (cx.cfg, cx.now);
-        // A copy of the meta the segment carries; the drop arm is
-        // unreachable, as on egress.
-        let Ok(meta) = seg.try_meta() else {
-            return drop_malformed(cx);
-        };
+        let meta = seg.meta();
         let key = meta.flow;
         let flags = meta.flags;
 
@@ -714,18 +705,6 @@ fn reopen<'e>(
     e
 }
 
-/// The headers failed the one fallible parse: count, record, drop.
-fn drop_malformed(cx: &mut Cx) -> Verdict {
-    cx.counters.malformed_drops.inc();
-    cx.events.push(
-        NO_FLOW,
-        EventKind::PacketDropped {
-            cause: DropCause::Malformed,
-        },
-    );
-    Verdict::Drop(DropReason::Malformed)
-}
-
 /// Count and hand out the CC events [`FlowEntry::on_ack`] fired, stamped
 /// with `data_key`, and apply its RWND decision to `seg` when `rewrite`
 /// is true (`seg` is the ACK delivered to the guest); callers fold
@@ -801,7 +780,7 @@ fn make_pure_ack(key: &FlowKey, e: &FlowEntry, window_bytes: u64) -> Option<Segm
 /// forwards unchanged), so the PACK always fits, even beside a 60-byte
 /// TCP header such as Linux sends while it SACKs with timestamps on.
 fn make_fack(ack: &Segment, pack: PackOption) -> Segment {
-    let vm_ece = ack.try_meta().is_ok_and(|m| m.vm_ece);
+    let vm_ece = ack.meta().vm_ece;
     let mut fack = ack.clone();
     fack.set_virtual_payload_len(0);
     fack.drop_tcp_options_in_place();

@@ -409,7 +409,7 @@ impl Flows {
 /// [`FlowEntry`]s, in one `RefCell` with everything else the datapath
 /// mutates (its core, `crate::state`). The public methods are the names
 /// the benchmark harness builds against, each borrowing the core once;
-/// the datapath reaches its core through [`FlowTable::run`] alone.
+/// the datapath reaches its core through `FlowTable::run` alone.
 pub struct FlowTable {
     core: RefCell<Core>,
 }

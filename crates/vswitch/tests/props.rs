@@ -15,8 +15,7 @@ const B: [u8; 4] = [10, 0, 0, 2];
 fn reread(seg: &Segment) -> PacketMeta {
     Segment::from_header_bytes(seg.header_bytes(), seg.payload_len())
         .expect("datapath output reads back")
-        .try_meta()
-        .expect("a read segment has its meta")
+        .meta()
 }
 
 fn ip(src: [u8; 4], dst: [u8; 4], ecn: Ecn) -> Ipv4Repr {

@@ -59,7 +59,7 @@ impl AppConn for acdc_tcp::Endpoint {
 }
 
 /// A traffic application bound to one connection.
-pub trait App: Send {
+pub trait App {
     /// React to transport progress and the clock; return the next absolute
     /// time this app wants to be polled (None = event-driven only).
     fn poll(&mut self, now: Nanos, conn: &mut dyn AppConn) -> Option<Nanos>;

@@ -41,13 +41,6 @@ impl std::fmt::Debug for Rule {
     }
 }
 
-pub static P001: Rule = Rule {
-    id: "P001",
-    name: "raw-seq-arith",
-    summary: "no wrapping u32 sequence arithmetic outside packet/src/seq.rs \
-              (go through SeqNumber)",
-};
-
 pub static P002: Rule = Rule {
     id: "P002",
     name: "rwnd-scale-helper",
@@ -68,14 +61,6 @@ pub static P004: Rule = Rule {
     summary: "no unwrap/expect hung on from_header_bytes(..) in any crate's \
               src/ but packet, bench and xtask (wire bytes that do not read \
               as a segment are dropped and counted, never a panic)",
-};
-
-pub static P005: Rule = Rule {
-    id: "P005",
-    name: "flow-admission",
-    summary: "no FlowTable::get_or_create outside vswitch \
-              table.rs/datapath.rs (every flow entry must pass the \
-              bounded-admission gate so capacity and health accounting hold)",
 };
 
 pub static O001: Rule = Rule {
@@ -105,15 +90,14 @@ pub static S001: Rule = Rule {
 };
 
 /// All rules, in diagnostic order.
-pub static CATALOG: [&Rule; 8] = [&P001, &P002, &P003, &P004, &P005, &O001, &S001, &H001];
+pub static CATALOG: [&Rule; 6] = [&P002, &P003, &P004, &O001, &S001, &H001];
 
 pub fn catalog() -> &'static [&'static Rule] {
     &CATALOG
 }
 
 /// True when `code` contains `token` as a standalone identifier-path, i.e.
-/// not embedded in a longer identifier (`my_wrapping_add_like` must not
-/// match `wrapping_add`).
+/// not embedded in a longer identifier (`f64x` must not match `f64`).
 pub fn contains_token(code: &str, token: &str) -> bool {
     let is_ident = |c: char| c.is_alphanumeric() || c == '_';
     let mut start = 0;
@@ -285,28 +269,14 @@ fn panics_on_wire_read(file: &SourceFile, idx: usize) -> Option<&'static str> {
 /// The rules applied to one file, line by line. `path` is repo-relative
 /// with forward slashes.
 pub fn lint_lines(path: &str, file: &SourceFile, findings: &mut Vec<Finding>) {
-    let in_bench = path.starts_with("crates/bench/");
     let in_xtask = path.starts_with("crates/xtask/");
     let krate = src_crate(path);
-    let p001_scope = ["crates/packet/", "crates/tcp/", "crates/vswitch/"]
-        .iter()
-        .any(|p| path.starts_with(p))
-        && path != "crates/packet/src/seq.rs";
     let p002_scope = !path.starts_with("crates/packet/") && !in_xtask;
     // P004 guards the one place wire bytes are read: every crate a
     // Segment can flow through treats bytes that do not read as a drop.
     // The packet crate *is* the reader; scoped to src/ so tests may
     // unwrap the bytes they built.
     let p004_scope = krate.is_some_and(|c| !matches!(c, "packet" | "bench" | "xtask"));
-    // P005 guards the bounded flow table: only the vswitch's own table and
-    // datapath may mint flow entries, so the capacity/admission gate and
-    // the health ladder's occupancy accounting cannot be bypassed. Tests
-    // and benches (no /src/ component) may drive the table directly.
-    let p005_scope = !in_bench
-        && !in_xtask
-        && path.contains("/src/")
-        && path != "crates/vswitch/src/table.rs"
-        && path != "crates/vswitch/src/datapath.rs";
     // O001: a counter is a field of the `Copy` view its owner returns
     // whole, or a registry `Counter`. The telemetry and stats crates
     // *implement* the machinery; non-src code (tests/benches build
@@ -329,18 +299,6 @@ pub fn lint_lines(path: &str, file: &SourceFile, findings: &mut Vec<Finding>) {
         }
         let mut hits: Vec<(&'static Rule, String)> = Vec::new();
 
-        if p001_scope {
-            for tok in ["wrapping_add", "wrapping_sub"] {
-                if contains_token(code, tok) {
-                    hits.push((
-                        &P001,
-                        format!("raw `{tok}` on sequence numbers; use SeqNumber arithmetic from acdc-packet"),
-                    ));
-                    break;
-                }
-            }
-        }
-
         if p004_scope {
             if let Some(method) = panics_on_wire_read(file, idx) {
                 hits.push((
@@ -348,13 +306,6 @@ pub fn lint_lines(path: &str, file: &SourceFile, findings: &mut Vec<Finding>) {
                     format!("`.{method}()` on a wire read; bytes that do not read as a segment are dropped and counted, never a panic"),
                 ));
             }
-        }
-
-        if p005_scope && contains_token(code, "get_or_create") {
-            hits.push((
-                &P005,
-                "`get_or_create` mints flow entries outside the vswitch admission path; route flow creation through AcdcDatapath so capacity bounds and health accounting hold".to_string(),
-            ));
         }
 
         if p002_scope
@@ -472,16 +423,9 @@ mod tests {
 
     #[test]
     fn token_boundaries() {
-        assert!(contains_token("a.wrapping_add(b)", "wrapping_add"));
-        assert!(!contains_token("my_wrapping_add_like(b)", "wrapping_add"));
-        assert!(!contains_token("a.wrapping_addx(b)", "wrapping_add"));
-    }
-
-    #[test]
-    fn p001_exempts_seq_rs() {
-        let src = "let n = a.wrapping_add(b);\n";
-        assert_eq!(run("crates/tcp/src/x.rs", src), vec!["P001"]);
-        assert!(run("crates/packet/src/seq.rs", src).is_empty());
+        assert!(contains_token("let x: f64 = 0.0;", "f64"));
+        assert!(!contains_token("my_f64_like(b)", "f64"));
+        assert!(!contains_token("f64x::new()", "f64"));
     }
 
     #[test]
@@ -539,25 +483,11 @@ mod tests {
             "let Ok(s) = Segment::from_header_bytes(buf, 0) else { return };\n",
             "let s = Segment::from_header_bytes(buf, 0)\n    .ok()?;\n",
             "let s = Segment::from_header_bytes(buf, 0)?;\nlet w = x\n    .unwrap();\n",
-            "let m = seg.try_meta().unwrap();\n",
+            "let m = seg.meta();\n",
             "let n: u16 = s.parse().expect(\"a port\");\n",
         ] {
             assert!(run(p, ok).is_empty(), "{ok}");
         }
-    }
-
-    #[test]
-    fn p005_confines_flow_creation_to_the_admission_path() {
-        let create = "let (slot, adm) = self.table.get_or_create(key, mk);\n";
-        assert_eq!(run("crates/core/src/x.rs", create), vec!["P005"]);
-        // The table and the datapath *are* the admission path.
-        assert!(run("crates/vswitch/src/table.rs", create).is_empty());
-        assert!(run("crates/vswitch/src/datapath.rs", create).is_empty());
-        // Tests and benches may drive the table directly.
-        assert!(run("crates/vswitch/tests/x.rs", create).is_empty());
-        assert!(run("crates/bench/benches/flowtable.rs", create).is_empty());
-        // Identifier boundaries: a longer name must not fire.
-        assert!(run("crates/core/src/x.rs", "let x = slot_get_or_created();\n").is_empty());
     }
 
     #[test]
@@ -700,19 +630,19 @@ mod tests {
 
     #[test]
     fn inline_allow_suppresses_only_the_rule_it_names() {
-        let src = "let n = a.wrapping_add(b);\n";
-        assert_eq!(run("crates/tcp/src/x.rs", src), vec!["P001"]);
-        let allowed = "let n = a.wrapping_add(b); // acdc-lint: allow(P001)\n";
+        let src = "let w = cwnd >> wscale;\n";
+        assert_eq!(run("crates/tcp/src/x.rs", src), vec!["P002"]);
+        let allowed = "let w = cwnd >> wscale; // acdc-lint: allow(P002)\n";
         assert!(run("crates/tcp/src/x.rs", allowed).is_empty());
-        let above = "// acdc-lint: allow(P001)\nlet n = a.wrapping_add(b);\n";
+        let above = "// acdc-lint: allow(P002)\nlet w = cwnd >> wscale;\n";
         assert!(run("crates/tcp/src/x.rs", above).is_empty());
-        let other = "let n = a.wrapping_add(b); // acdc-lint: allow(P002)\n";
-        assert_eq!(run("crates/tcp/src/x.rs", other), vec!["P001"]);
+        let other = "let w = cwnd >> wscale; // acdc-lint: allow(P003)\n";
+        assert_eq!(run("crates/tcp/src/x.rs", other), vec!["P002"]);
     }
 
     #[test]
     fn comment_mentions_do_not_fire() {
-        let src = "// wrapping_add would be wrong here\nlet x = 1;\n";
+        let src = "// cwnd >> wscale would be wrong here\nlet x = 1;\n";
         assert!(run("crates/tcp/src/x.rs", src).is_empty());
     }
 

@@ -306,10 +306,10 @@ mod tests {
     #[test]
     fn allow_directive_same_line_and_previous_line() {
         let src =
-            "// acdc-lint: allow(P003)\nlet t = 1;\nlet u = 2; // acdc-lint: allow(P001, P002)\n";
+            "// acdc-lint: allow(P003)\nlet t = 1;\nlet u = 2; // acdc-lint: allow(P002, P004)\n";
         let f = SourceFile::scan(src);
         assert_eq!(f.allows_on(1), vec!["P003"]);
-        assert_eq!(f.allows_on(2), vec!["P001", "P002"]);
+        assert_eq!(f.allows_on(2), vec!["P002", "P004"]);
         assert!(f.allows_on(0).iter().any(|r| r == "P003"));
     }
 

@@ -28,13 +28,11 @@ fn lint(name: &str) -> Vec<(String, String)> {
 /// The fixture that trips each rule: the file it trips it in, and how
 /// many findings it holds there.
 const TRIPPING: &[(&str, &str, &str, usize)] = &[
-    ("P001", "p001_seq_arith", "crates/tcp/src/bad.rs", 1),
     ("P002", "p002_wscale_shift", "crates/vswitch/src/bad.rs", 1),
     ("P003", "p003_alpha_eq", "crates/cc/src/bad.rs", 1),
     // An unwrap on a wire read and the rustfmt-wrapped expect: both
     // shapes of the rule.
     ("P004", "p004_wire_read", "crates/vswitch/src/bad.rs", 2),
-    ("P005", "p005_flow_admission", "crates/core/src/bad.rs", 1),
     // Holds one `Copy` snapshot struct (structurally exempt) and one
     // fresh raw counter: exactly the fresh one must fire.
     ("O001", "o001_adhoc_counter", "crates/vswitch/src/bad.rs", 1),
@@ -112,13 +110,13 @@ fn lint_binary_exit_codes() {
 
     let bad = std::process::Command::new(bin)
         .args(["lint", "--root"])
-        .arg(fixture("p001_seq_arith"))
+        .arg(fixture("p002_wscale_shift"))
         .output()
         .expect("run binary");
     assert_eq!(bad.status.code(), Some(1), "findings must exit 1");
     let stdout = String::from_utf8_lossy(&bad.stdout);
     assert!(
-        stdout.contains("crates/tcp/src/bad.rs:2: P001"),
+        stdout.contains("crates/vswitch/src/bad.rs:2: P002"),
         "diagnostic must carry file:line and rule id, got: {stdout}"
     );
 

@@ -1,10 +1,10 @@
 //! Every violation here carries the inline escape hatch, so the lint pass
 //! must come back clean.
 
-// A wire-format checksum fold, not sequence arithmetic.
-// acdc-lint: allow(P001)
-pub fn fold(a: u32, b: u32) -> u32 { a.wrapping_add(b) }
+// A shift of a byte count that only shares the name, not a window.
+// acdc-lint: allow(P002)
+pub fn halve(buf_wscale: u64) -> u64 { buf_wscale >> 1 }
 
-pub fn fold3(a: u32, b: u32, c: u32) -> u32 {
-    a.wrapping_add(b).wrapping_add(c) // acdc-lint: allow(P001)
+pub fn quarter(buf_wscale: u64) -> u64 {
+    buf_wscale >> 2 // acdc-lint: allow(P002)
 }

@@ -7,7 +7,8 @@
 # exact same commands developers run locally:
 #
 #   scripts/check.sh            # run every stage, in order
-#   scripts/check.sh lint       # formatting + clippy + acdc-xtask lint
+#   scripts/check.sh lint       # formatting, clippy (and its bans' self-check),
+#                               # rustdoc, acdc-xtask lint
 #   scripts/check.sh test       # cargo test --workspace
 #   scripts/check.sh harness    # acdc-harness self-tests + a short run, compared
 #                               # against BENCH_harness.json on the exact rows
@@ -23,8 +24,37 @@ stage_lint() {
     echo "==> cargo clippy (-D warnings -D unreachable_pub)"
     cargo clippy --workspace --all-targets -- -D warnings -D unreachable_pub
 
+    # A ban whose path stops resolving (a renamed item, a moved
+    # re-export) draws only a config warning that -D warnings does not
+    # turn into a failure, so prove each one still bites.
+    echo "==> clippy.toml self-check (every banned path fires once on $CLIPPY_BANS)"
+    clippy_bans_bite
+
+    echo "==> rustdoc (-D warnings)"
+    RUSTDOCFLAGS="-D warnings" cargo doc --offline --quiet --workspace --no-deps
+
     echo "==> acdc-xtask lint"
     cargo run -q -p acdc-xtask -- lint
+}
+
+CLIPPY_BANS=crates/xtask/tests/fixtures/clippy_bans
+
+# Succeed iff clippy refuses the fixture with exactly one `disallowed`
+# error per path listed in clippy.toml.
+clippy_bans_bite() {
+    local out listed fired
+    if out="$(cargo clippy --offline --quiet --manifest-path "$CLIPPY_BANS/Cargo.toml" \
+        --target-dir target/clippy-bans -- -D warnings 2>&1)"; then
+        echo "error: clippy passed $CLIPPY_BANS, which calls every banned path" >&2
+        return 1
+    fi
+    listed="$(grep -o 'path = "[^"]*"' clippy.toml | cut -d'"' -f2 | sort)"
+    fired="$(grep -o '^error: use of a disallowed [a-z]* `[^`]*`' <<<"$out" | cut -d'`' -f2 | sort)"
+    if [[ "$listed" != "$fired" ]]; then
+        echo "error: the banned paths that fired on $CLIPPY_BANS differ from clippy.toml's (< listed, > fired):" >&2
+        diff <(printf '%s\n' "$listed") <(printf '%s\n' "$fired") >&2 || true
+        return 1
+    fi
 }
 
 # Every test of every workspace member, in debug, so the `debug_assert!`
