@@ -29,7 +29,7 @@ fn floor_ablation(rep: &mut Report, dur: u64) {
     rep.line("    floor            p50 RTT(ms)   p99.9 RTT(ms)   avg tput(Mbps)");
     for (label, floor) in [
         ("byte-granular", None),
-        ("2 × MSS (DCTCP-like)", Some(2 * 8960u64)),
+        ("2 × MSS (DCTCP-like)", Some(2 * 8960u32)),
     ] {
         let mut tb = Testbed::custom(Scheme::acdc(), 9000);
         if let Some(f) = floor {

@@ -187,10 +187,13 @@ impl Host {
         if self.sender {
             // Every ACK was for data this vSwitch saw leave: each flow got
             // its RTT sample and has nothing left in flight.
-            let stats = self.dp.flow_stats();
-            let sampled = stats.iter().filter(|s| s.srtt.is_some()).count();
+            let (mut sampled, mut drained) = (0, true);
+            for s in self.dp.flow_stats() {
+                sampled += usize::from(s.srtt.is_some());
+                drained &= s.in_flight == 0;
+            }
             assert!(
-                sampled == self.flows && stats.iter().all(|s| s.in_flight == 0),
+                sampled == self.flows && drained,
                 "ACKs were not admissible: {sampled} of {} flows sampled an RTT",
                 self.flows
             );

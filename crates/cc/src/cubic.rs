@@ -90,7 +90,7 @@ impl Cubic {
         } else {
             self.w_max = self.cwnd as f64;
         }
-        self.cwnd = (((self.cwnd as f64) * BETA) as u64).max(self.cfg.min_window_bytes);
+        self.cwnd = (((self.cwnd as f64) * BETA) as u64).max(self.cfg.min_window());
         self.ssthresh = self.cwnd;
         self.epoch_start = None;
         self.last_cut = Some(now);
@@ -162,7 +162,7 @@ impl CongestionControl for Cubic {
     }
 
     fn on_retransmit_timeout(&mut self, _now: Nanos) {
-        self.ssthresh = ((self.cwnd as f64 * BETA) as u64).max(self.cfg.min_window_bytes);
+        self.ssthresh = ((self.cwnd as f64 * BETA) as u64).max(self.cfg.min_window());
         self.w_max = self.cwnd as f64;
         self.cwnd = u64::from(self.cfg.mss);
         self.epoch_start = None;

@@ -99,14 +99,14 @@ impl Dctcp {
 
     fn cut(&mut self) {
         let new = (self.cwnd as f64 * self.cut_factor()) as u64;
-        self.cwnd = new.max(self.cfg.min_window_bytes);
+        self.cwnd = new.max(self.cfg.min_window());
         self.ssthresh = self.cwnd;
         self.cut_in_window = true;
         debug_assert!(
-            self.cwnd >= self.cfg.min_window_bytes.min(u64::from(self.cfg.mss)),
+            self.cwnd >= self.cfg.min_window().min(u64::from(self.cfg.mss)),
             "cwnd {} fell below the floor (min_window={}, mss={})",
             self.cwnd,
-            self.cfg.min_window_bytes,
+            self.cfg.min_window(),
             self.cfg.mss
         );
     }
@@ -151,7 +151,7 @@ impl CongestionControl for Dctcp {
         // cut is a full Reno halving regardless of β.
         self.alpha = 1.0;
         if !self.cut_in_window {
-            self.ssthresh = (self.cwnd / 2).max(self.cfg.min_window_bytes);
+            self.ssthresh = (self.cwnd / 2).max(self.cfg.min_window());
             self.cwnd = self.ssthresh;
             self.cut_in_window = true;
         }
@@ -159,7 +159,7 @@ impl CongestionControl for Dctcp {
 
     fn on_retransmit_timeout(&mut self, _now: Nanos) {
         self.alpha = 1.0;
-        self.ssthresh = (self.cwnd / 2).max(self.cfg.min_window_bytes);
+        self.ssthresh = (self.cwnd / 2).max(self.cfg.min_window());
         self.cwnd = u64::from(self.cfg.mss);
         self.cut_in_window = false;
         self.window_end = None;
@@ -308,7 +308,7 @@ mod tests {
             "alpha={}",
             d.alpha()
         );
-        assert_eq!(d.cwnd(), (before / 2).max(cfg().min_window_bytes));
+        assert_eq!(d.cwnd(), (before / 2).max(cfg().min_window()));
     }
 
     #[test]
@@ -347,7 +347,7 @@ mod tests {
         d.cwnd = 100_000;
         d.cut();
         // factor = 1 - alpha = 0 → floored at min window
-        assert_eq!(d.cwnd(), cfg().min_window_bytes);
+        assert_eq!(d.cwnd(), cfg().min_window());
     }
 
     #[test]

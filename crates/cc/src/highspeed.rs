@@ -148,15 +148,14 @@ impl CongestionControl for HighSpeed {
     fn on_fast_retransmit(&mut self, _now: Nanos) {
         self.update_idx();
         let cut = (self.cwnd as f64 * (1.0 - self.md())) as u64;
-        self.cwnd = cut.max(self.cfg.min_window_bytes);
+        self.cwnd = cut.max(self.cfg.min_window());
         self.ssthresh = self.cwnd;
         self.update_idx();
     }
 
     fn on_retransmit_timeout(&mut self, _now: Nanos) {
         self.update_idx();
-        self.ssthresh =
-            ((self.cwnd as f64 * (1.0 - self.md())) as u64).max(self.cfg.min_window_bytes);
+        self.ssthresh = ((self.cwnd as f64 * (1.0 - self.md())) as u64).max(self.cfg.min_window());
         self.cwnd = u64::from(self.cfg.mss);
         self.idx = 0;
     }

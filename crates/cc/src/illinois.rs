@@ -29,8 +29,11 @@ pub struct Illinois {
     ssthresh: u64,
     base_rtt: Option<Nanos>,
     max_rtt: Option<Nanos>,
-    /// Sum and count of RTT samples in the current window.
-    rtt_sum: u128,
+    /// Sum and count of RTT samples in the current window. The sum is a
+    /// `u128` held as its `[lo, hi]` words (`Illinois::rtt_sum` reads it): a
+    /// `u128` field would make every `AnyCc` 16-aligned, and the vSwitch
+    /// flow entry that holds one 8 B larger.
+    rtt_sum: [u64; 2],
     rtt_cnt: u32,
     /// Current alpha/beta, recomputed once per RTT.
     alpha: f64,
@@ -49,7 +52,7 @@ impl Illinois {
             ssthresh: u64::MAX,
             base_rtt: None,
             max_rtt: None,
-            rtt_sum: 0,
+            rtt_sum: [0, 0],
             rtt_cnt: 0,
             alpha: 1.0,
             beta: BETA_MAX,
@@ -63,6 +66,11 @@ impl Illinois {
         self.alpha
     }
 
+    /// The sum of this window's RTT samples.
+    fn rtt_sum(&self) -> u128 {
+        u128::from(self.rtt_sum[0]) | (u128::from(self.rtt_sum[1]) << 64)
+    }
+
     fn update_params(&mut self) {
         let (Some(base), Some(max)) = (self.base_rtt, self.max_rtt) else {
             return;
@@ -70,7 +78,7 @@ impl Illinois {
         if self.rtt_cnt == 0 {
             return;
         }
-        let avg = (self.rtt_sum / u128::from(self.rtt_cnt)) as f64;
+        let avg = (self.rtt_sum() / u128::from(self.rtt_cnt)) as f64;
         let da = avg - base as f64; // current avg queueing delay
         let dm = (max - base) as f64; // max observed queueing delay
         if dm <= 0.0 || self.rtt_cnt < MIN_SAMPLES {
@@ -119,12 +127,13 @@ impl CongestionControl for Illinois {
         if let Some(rtt) = ack.rtt {
             self.base_rtt = Some(self.base_rtt.map_or(rtt, |b| b.min(rtt)));
             self.max_rtt = Some(self.max_rtt.map_or(rtt, |m| m.max(rtt)));
-            self.rtt_sum += u128::from(rtt);
+            let sum = self.rtt_sum() + u128::from(rtt);
+            self.rtt_sum = [sum as u64, (sum >> 64) as u64];
             self.rtt_cnt += 1;
             let end = *self.epoch_end.get_or_insert(ack.now + rtt);
             if ack.now >= end {
                 self.update_params();
-                self.rtt_sum = 0;
+                self.rtt_sum = [0, 0];
                 self.rtt_cnt = 0;
                 self.epoch_end = Some(ack.now + rtt);
             }
@@ -151,13 +160,12 @@ impl CongestionControl for Illinois {
 
     fn on_fast_retransmit(&mut self, _now: Nanos) {
         let cut = (self.cwnd as f64 * (1.0 - self.beta)) as u64;
-        self.cwnd = cut.max(self.cfg.min_window_bytes);
+        self.cwnd = cut.max(self.cfg.min_window());
         self.ssthresh = self.cwnd;
     }
 
     fn on_retransmit_timeout(&mut self, _now: Nanos) {
-        self.ssthresh =
-            ((self.cwnd as f64 * (1.0 - self.beta)) as u64).max(self.cfg.min_window_bytes);
+        self.ssthresh = ((self.cwnd as f64 * (1.0 - self.beta)) as u64).max(self.cfg.min_window());
         self.cwnd = u64::from(self.cfg.mss);
         self.epoch_end = None;
     }
@@ -171,8 +179,8 @@ impl CongestionControl for Illinois {
         crate::push_opt(&mut w, self.base_rtt);
         crate::push_opt(&mut w, self.max_rtt);
         w.extend([
-            self.rtt_sum as u64,
-            (self.rtt_sum >> 64) as u64,
+            self.rtt_sum[0],
+            self.rtt_sum[1],
             u64::from(self.rtt_cnt),
             self.alpha.to_bits(),
             self.beta.to_bits(),
@@ -195,7 +203,7 @@ impl CongestionControl for Illinois {
         self.ssthresh = ssthresh;
         self.base_rtt = crate::read_opt(base_f, base_v);
         self.max_rtt = crate::read_opt(max_f, max_v);
-        self.rtt_sum = u128::from(sum_lo) | (u128::from(sum_hi) << 64);
+        self.rtt_sum = [sum_lo, sum_hi];
         self.rtt_cnt = rtt_cnt;
         self.alpha = f64::from_bits(alpha);
         self.beta = f64::from_bits(beta);

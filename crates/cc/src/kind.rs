@@ -99,6 +99,12 @@ pub enum AnyCc {
     Dctcp(Dctcp),
 }
 
+// No algorithm holds a field aligned above 8 B. Illinois's `u128` RTT sum
+// once made `AnyCc` 16-aligned, which padded it to 128 B, `Clamped<AnyCc>`
+// to 144 B and the vSwitch flow entry to 336 B; as two `u64` words it
+// leaves them 8-aligned.
+const _: () = assert!(core::mem::align_of::<AnyCc>() == 8);
+
 /// `match` on an [`AnyCc`], binding the algorithm to `$cc` in every arm.
 macro_rules! each {
     ($any:expr, $cc:ident => $body:expr) => {

@@ -57,8 +57,10 @@ pub struct CcConfig {
     pub mss: u32,
     /// Floor for the congestion window, in **bytes**. Host stacks use
     /// `2 * mss` (the Linux lower bound the paper calls out); the AC/DC
-    /// vSwitch path may use a smaller byte-granular floor.
-    pub min_window_bytes: u64,
+    /// vSwitch path may use a smaller byte-granular floor. A `u32`, as
+    /// `mss` is: every algorithm holds its config, so a `u64` here made
+    /// each 8 B larger, and the vSwitch flow entry with them.
+    pub min_window_bytes: u32,
 }
 
 impl CcConfig {
@@ -66,7 +68,7 @@ impl CcConfig {
     pub fn host(mss: u32) -> CcConfig {
         CcConfig {
             mss,
-            min_window_bytes: 2 * u64::from(mss),
+            min_window_bytes: mss.saturating_mul(2),
         }
     }
 
@@ -76,13 +78,18 @@ impl CcConfig {
     pub fn vswitch(mss: u32) -> CcConfig {
         CcConfig {
             mss,
-            min_window_bytes: (u64::from(mss) / 10).max(1),
+            min_window_bytes: (mss / 10).max(1),
         }
     }
 
     /// Initial window in bytes.
     pub fn initial_window_bytes(&self) -> u64 {
         u64::from(INITIAL_WINDOW_PKTS) * u64::from(self.mss)
+    }
+
+    /// The window floor in bytes, widened for window arithmetic.
+    pub fn min_window(&self) -> u64 {
+        u64::from(self.min_window_bytes)
     }
 }
 
@@ -231,7 +238,7 @@ mod tests {
     #[test]
     fn vswitch_config_floor_is_sub_segment() {
         let c = CcConfig::vswitch(8948);
-        assert!(c.min_window_bytes < u64::from(c.mss));
+        assert!(c.min_window_bytes < c.mss);
         assert!(c.min_window_bytes >= 1);
     }
 

@@ -29,7 +29,7 @@ impl NewReno {
     }
 
     fn halve(&mut self, now: Nanos) {
-        self.ssthresh = (self.cwnd / 2).max(self.cfg.min_window_bytes);
+        self.ssthresh = (self.cwnd / 2).max(self.cfg.min_window());
         self.cwnd = self.ssthresh;
         self.last_cut = Some(now);
     }
@@ -73,7 +73,7 @@ impl CongestionControl for NewReno {
     }
 
     fn on_retransmit_timeout(&mut self, _now: Nanos) {
-        self.ssthresh = (self.cwnd / 2).max(self.cfg.min_window_bytes);
+        self.ssthresh = (self.cwnd / 2).max(self.cfg.min_window());
         // RFC 5681: collapse to one segment (the "loss window").
         self.cwnd = u64::from(self.cfg.mss);
         self.last_cut = None;
@@ -159,6 +159,6 @@ mod tests {
         for i in 0..64 {
             r.on_fast_retransmit(i * 10 * MILLISECOND);
         }
-        assert!(r.cwnd() >= cfg().min_window_bytes);
+        assert!(r.cwnd() >= cfg().min_window());
     }
 }

@@ -79,7 +79,7 @@ impl Vegas {
         } else if diff > BETA {
             self.cwnd = self.cwnd.saturating_sub(self.mss());
         }
-        self.cwnd = self.cwnd.max(self.cfg.min_window_bytes);
+        self.cwnd = self.cwnd.max(self.cfg.min_window());
         self.next_epoch(now, rtt);
     }
 
@@ -119,12 +119,12 @@ impl CongestionControl for Vegas {
 
     fn on_fast_retransmit(&mut self, _now: Nanos) {
         // Vegas falls back to Reno behaviour on real loss.
-        self.ssthresh = (self.cwnd / 2).max(self.cfg.min_window_bytes);
+        self.ssthresh = (self.cwnd / 2).max(self.cfg.min_window());
         self.cwnd = self.ssthresh;
     }
 
     fn on_retransmit_timeout(&mut self, _now: Nanos) {
-        self.ssthresh = (self.cwnd / 2).max(self.cfg.min_window_bytes);
+        self.ssthresh = (self.cwnd / 2).max(self.cfg.min_window());
         self.cwnd = u64::from(self.cfg.mss);
         self.epoch_end = None;
     }

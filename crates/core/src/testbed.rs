@@ -132,7 +132,10 @@ impl Testbed {
         let hosts: Vec<_> = (0..self.hosts.len())
             .map(|i| {
                 let dp = self.host_mut(i).datapath();
-                (dp.telemetry().snapshot_json(0), dp.flow_stats())
+                (
+                    dp.telemetry().snapshot_json(0),
+                    dp.flow_stats().collect::<Vec<_>>(),
+                )
             })
             .collect();
         let events = self.net.events_processed();

@@ -33,7 +33,7 @@ use acdc_packet::FlowKey;
 use acdc_stats::time::Nanos;
 use acdc_telemetry::{key_label, parse_key_label, Json, Telemetry, Writer};
 
-use crate::entry::{Feedback, FlowEntryState, Lifecycle, SendSeq};
+use crate::entry::{Feedback, FlowEntryState, Lifecycle, SendSeq, ALPHA_ONE_MICROS};
 
 /// Schema tag every checkpoint document carries; `from_json` refuses any
 /// other.
@@ -162,7 +162,8 @@ fn write_flow(w: &mut Writer, f: &FlowCheckpoint) {
     w.key("fb_total").num(fb.fb_total);
     w.key("fb_marked").num(fb.fb_marked);
     w.key("policed").num(f.state.policed);
-    w.key("last_alpha").opt_num(f.state.last_alpha_micros);
+    w.key("last_alpha")
+        .opt_num(f.state.last_alpha_micros.map(u64::from));
     w.key("rx_total").num(fb.rx_total);
     w.key("rx_marked").num(fb.rx_marked);
     w.key("rx_total_lifetime").num(fb.rx_total_lifetime);
@@ -276,7 +277,7 @@ fn parse_flow(v: &Json) -> Result<FlowCheckpoint, String> {
         cc_words: v.field("cc_words")?.arr_of(Json::num)?,
         rwnd: (wscale.num()?, learned.boolean()?, target.num()?),
         policed: v.field("policed")?.num()?,
-        last_alpha_micros: v.field("last_alpha")?.opt_num()?,
+        last_alpha_micros: parse_alpha(v.field("last_alpha")?)?,
         feedback: Feedback {
             fb_total: v.field("fb_total")?.num()?,
             fb_marked: v.field("fb_marked")?.num()?,
@@ -295,6 +296,18 @@ fn parse_flow(v: &Json) -> Result<FlowCheckpoint, String> {
         rx_pending: v.field("rx_pending")?.boolean()?,
         state,
     })
+}
+
+/// A flow's last published alpha: `null`, or at most
+/// [`ALPHA_ONE_MICROS`], the most an entry holds. A larger one is
+/// refused, not truncated.
+fn parse_alpha(v: &Json) -> Result<Option<u32>, String> {
+    match v.opt_num()? {
+        Some(a) if a > u64::from(ALPHA_ONE_MICROS) => Err(format!(
+            "last_alpha {a} is above alpha 1 ({ALPHA_ONE_MICROS})"
+        )),
+        a => Ok(a.map(|a| a as u32)),
+    }
 }
 
 #[cfg(test)]

@@ -50,7 +50,7 @@ pub struct AcdcConfig {
     /// byte-granular sub-segment floor that gives AC/DC its incast edge
     /// over DCTCP's 2-packet minimum (Figure 19); the ablation harness
     /// sets `2 × MSS` here to quantify that choice.
-    pub min_window_bytes: Option<u64>,
+    pub min_window_bytes: Option<u32>,
     /// Ablation: never emit dedicated FACK packets — feedback that cannot
     /// piggyback is dropped. Quantifies what the FACK mechanism buys on
     /// bidirectional traffic (§3.2).
@@ -454,12 +454,20 @@ impl AcdcDatapath {
         n
     }
 
-    /// Snapshot per-flow statistics for every tracked entry — the
+    /// Per-flow statistics for every tracked entry, in key order — the
     /// operator-visibility view an administrator gets from the vSwitch
     /// (which flows it is enforcing, at what windows, with how much
     /// congestion feedback).
-    pub fn flow_stats(&self) -> Vec<FlowStat> {
-        self.table.run((), |core, ()| core.flow_stats())
+    ///
+    /// Streamed, not copied: one call sorts the keys tracked now, and
+    /// each stat is read in its own call as it is yielded, so no borrow
+    /// of the core is held across the caller's code. A key removed
+    /// between two yields is skipped; one created after the first is
+    /// not visited.
+    pub fn flow_stats(&self) -> impl Iterator<Item = FlowStat> + '_ {
+        let keys = self.table.run((), |core, ()| core.flow_keys());
+        keys.into_iter()
+            .filter_map(move |key| self.table.run(&key, Core::flow_stat))
     }
 
     /// The passively reconstructed send pointers for `key`'s data sender,

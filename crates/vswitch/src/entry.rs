@@ -22,7 +22,7 @@
 //! ([`FlowEntryState`]) and `checkpoint.rs` alone knows their field names
 //! on the wire.
 
-use acdc_cc::{AckEvent, AnyCc, CcConfig, CcKind, Clamped, CongestionControl};
+use acdc_cc::{AckEvent, AnyCc, CcConfig, CcKind, CongestionControl};
 use acdc_packet::{PackOption, PacketMeta, SeqNumber, SeqView};
 use acdc_stats::time::{Nanos, MILLISECOND};
 use acdc_telemetry::{CutCause, EventKind};
@@ -34,8 +34,13 @@ use crate::rwnd::{RwndAction, RwndRewriter};
 /// on an uncongested path its window would otherwise grow without bound
 /// — wasting no bandwidth, but eventually wrapping 32-bit sequence
 /// arithmetic in the policer. 32 MB is ≳ 25 ms of 10 GbE, far beyond any
-/// datacenter BDP.
+/// datacenter BDP. A constant, not a field: [`FlowEntry::cwnd`] applies it
+/// to every entry alike.
 pub const MAX_ENFORCED_WINDOW: u64 = 32 << 20;
+
+/// DCTCP's alpha of 1 in the 1e-6 units an entry publishes it in: the
+/// most a [`FlowEntryState::last_alpha_micros`] can hold.
+pub const ALPHA_ONE_MICROS: u32 = 1_000_000;
 
 /// Floor for the inactivity (inferred-timeout) threshold: the paper's
 /// system setting, RTOmin = 10 ms. Also the period of the host's
@@ -48,7 +53,7 @@ pub const INACTIVITY_FLOOR: Nanos = 10 * MILLISECOND;
 /// capability its SYN announced. `vm_ecn` sits here, not with the
 /// enforcer, because the same egress SYN teaches it and the initial
 /// sequence number, and because it fits in this struct's padding: the
-/// entry stays 336 B.
+/// entry stays 288 B.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SendSeq {
     /// First unacknowledged wire sequence number.
@@ -112,7 +117,7 @@ pub struct Lifecycle {
 /// Plain-data image of one [`FlowEntry`] for checkpointing (DESIGN.md
 /// §14): the three components by value, and the enforcer as the words
 /// that rebuild it. Construction parameters (the assigned [`CcKind`],
-/// the [`CcConfig`], the window clamp) are reproduced by the restoring
+/// the [`CcConfig`]) are reproduced by the restoring
 /// datapath's own policy, and `cc_name` lets a restore verify the
 /// reproduction matches.
 #[derive(Debug, Clone, PartialEq)]
@@ -130,8 +135,9 @@ pub struct FlowEntryState {
     pub rwnd: (u8, bool, u64),
     /// Packets dropped from this flow by the policer.
     pub policed: u64,
-    /// Last published DCTCP alpha (1e-6 units).
-    pub last_alpha_micros: Option<u64>,
+    /// Last published DCTCP alpha (1e-6 units, at most
+    /// [`ALPHA_ONE_MICROS`]).
+    pub last_alpha_micros: Option<u32>,
     /// Feedback accounting.
     pub feedback: Feedback,
     /// Lifecycle.
@@ -151,8 +157,8 @@ pub(crate) type Enforcement = (RwndAction, [Option<EventKind>; 3]);
 ///
 /// Every field is private to this module: the datapath advances an
 /// entry through its transition methods only. Code outside the crate
-/// reads it through [`FlowEntry::checkpoint_state`], [`FlowEntry::cc`],
-/// [`FlowEntry::rwnd`] (or the datapath's `flow_stats()` / `seq_view()`)
+/// reads it through [`FlowEntry::checkpoint_state`], [`FlowEntry::cwnd`],
+/// [`FlowEntry::cc`], [`FlowEntry::rwnd`] (or the datapath's `flow_stats()` / `seq_view()`)
 /// and writes it through [`FlowEntry::restore_state`]; a direct field
 /// write does not compile:
 ///
@@ -176,19 +182,19 @@ pub(crate) type Enforcement = (RwndAction, [Option<EventKind>; 3]);
 /// replaced from outside:
 ///
 /// ```compile_fail
-/// use acdc_cc::{CcConfig, CcKind, Clamped, CongestionControl};
+/// use acdc_cc::{CcConfig, CcKind, CongestionControl};
 /// let cfg = CcConfig::vswitch(1448);
 /// let mut e = acdc_vswitch::FlowEntry::new(CcKind::Dctcp, cfg, 0);
-/// let cubic = Clamped::new(CcKind::Cubic.instantiate(cfg), 1 << 20);
+/// let cubic = CcKind::Cubic.instantiate(cfg);
 /// e.cc = cubic;
 /// assert_eq!(e.cc().name(), "dctcp");
 /// ```
 ///
 /// ```
-/// use acdc_cc::{CcConfig, CcKind, Clamped, CongestionControl};
+/// use acdc_cc::{CcConfig, CcKind, CongestionControl};
 /// let cfg = CcConfig::vswitch(1448);
 /// let mut e = acdc_vswitch::FlowEntry::new(CcKind::Dctcp, cfg, 0);
-/// let cubic = Clamped::new(CcKind::Cubic.instantiate(cfg), 1 << 20);
+/// let cubic = CcKind::Cubic.instantiate(cfg);
 /// assert_eq!(e.cc().name(), "dctcp");
 /// ```
 ///
@@ -213,19 +219,37 @@ pub(crate) type Enforcement = (RwndAction, [Option<EventKind>; 3]);
 #[derive(Debug)]
 pub struct FlowEntry {
     seq: SendSeq,
-    /// Enforcer: the algorithm whose window is enforced, bounded by
-    /// [`MAX_ENFORCED_WINDOW`], held inline.
-    cc: Clamped<AnyCc>,
+    /// Enforcer: the algorithm whose window is enforced, held inline;
+    /// [`FlowEntry::cwnd`] bounds its window by [`MAX_ENFORCED_WINDOW`].
+    cc: AnyCc,
     /// Enforcer: window scale + enforcement target (§3.3).
     rwnd: RwndRewriter,
     /// Enforcer: packets dropped from this flow by the policer.
     policed: u64,
     /// Enforcer: last DCTCP `alpha` (in 1e-6 units) published as an
     /// `alpha-update` telemetry event; events fire only when it moves.
-    last_alpha_micros: Option<u64>,
+    last_alpha_micros: Option<u32>,
     fb: Feedback,
     life: Lifecycle,
 }
+
+/// `cc`'s window, at most [`MAX_ENFORCED_WINDOW`]: the window an entry
+/// enforces.
+#[inline]
+fn enforced(cc: &AnyCc) -> u64 {
+    cc.cwnd().min(MAX_ENFORCED_WINDOW)
+}
+
+// A record is two entries in one allocation, so each byte here is two
+// per connection. Measured on `dp_steady_100k` (200 000 entries, 2-vCPU
+// Xeon, `peak_rss_mb`): 336 B entries and a sorted copy of the table in
+// `flow_stats` peaked at 93.7 MB; the ceiling as a constant, alpha as a
+// `u32`, a `u32` window floor, Illinois's RTT sum as two words and the
+// window trace boxed brought the entry to 288 B.
+const _: () = assert!(size_of::<FlowEntry>() <= 288);
+// The record's halves are `Option<FlowEntry>`s: a `bool` gives the
+// `Option` its niche, so a half costs no more than its entry.
+const _: () = assert!(size_of::<Option<FlowEntry>>() == size_of::<FlowEntry>());
 
 impl FlowEntry {
     /// Fresh entry for a flow assigned algorithm `kind`.
@@ -235,7 +259,7 @@ impl FlowEntry {
                 last_ack_activity: now,
                 ..SendSeq::default()
             },
-            cc: Clamped::new(kind.instantiate(cc_cfg), MAX_ENFORCED_WINDOW),
+            cc: kind.instantiate(cc_cfg),
             rwnd: RwndRewriter::new(),
             policed: 0,
             last_alpha_micros: None,
@@ -247,9 +271,16 @@ impl FlowEntry {
         }
     }
 
-    /// The enforced algorithm.
-    pub fn cc(&self) -> &Clamped<AnyCc> {
+    /// The enforced algorithm, as it runs: its own window is not
+    /// bounded, [`FlowEntry::cwnd`] is.
+    pub fn cc(&self) -> &AnyCc {
         &self.cc
+    }
+
+    /// The enforced window, bytes: the algorithm's, at most
+    /// [`MAX_ENFORCED_WINDOW`].
+    pub fn cwnd(&self) -> u64 {
+        enforced(&self.cc)
     }
 
     /// The RWND-rewrite component.
@@ -310,7 +341,7 @@ impl FlowEntry {
         }
         if let Some(slack) = police {
             if self.rwnd.learned() && len > 0 {
-                let allowed_end = s.snd_una + (self.cc.cwnd() + slack) as usize;
+                let allowed_end = s.snd_una + (enforced(&self.cc) + slack) as usize;
                 if seq_end > allowed_end {
                     self.policed += 1;
                     return Err(Policed);
@@ -408,7 +439,7 @@ impl FlowEntry {
                     self.cc.on_fast_retransmit(now);
                     events[0] = Some(EventKind::CwndCut {
                         cause: CutCause::FastRetransmit,
-                        cwnd: self.cc.cwnd(),
+                        cwnd: self.cwnd(),
                     });
                 }
             }
@@ -432,15 +463,18 @@ impl FlowEntry {
                 ece: marked > 0,
             });
             // Publish alpha movements (quantized; DCTCP-family only).
+            // Alpha is at most 1, so its micros fit a `u32`; one a
+            // restored algorithm state pushed past it saturates.
             if let Some(am) = self.cc.alpha_micros() {
-                if self.last_alpha_micros != Some(am) {
-                    self.last_alpha_micros = Some(am);
+                let held = u32::try_from(am).unwrap_or(u32::MAX);
+                if self.last_alpha_micros != Some(held) {
+                    self.last_alpha_micros = Some(held);
                     events[2] = Some(EventKind::AlphaUpdate { alpha_micros: am });
                 }
             }
         }
 
-        self.rwnd.set_target(now, self.cc.cwnd().min(cap), trace);
+        self.rwnd.set_target(now, self.cwnd().min(cap), trace);
         (self.rwnd.action(meta.window), events)
     }
 
@@ -527,7 +561,7 @@ impl FlowEntry {
         stalled.then(|| {
             self.cc.on_retransmit_timeout(now);
             self.seq.last_ack_activity = now;
-            self.cc.cwnd()
+            self.cwnd()
         })
     }
 
@@ -625,14 +659,5 @@ mod tests {
         assert_eq!(e.inactivity_threshold(), 10_000_000);
         e.seq.srtt = Some(5_000_000);
         assert_eq!(e.inactivity_threshold(), 20_000_000);
-    }
-
-    #[test]
-    fn components_keep_the_entry_at_its_flat_size() {
-        // The components nest without growing the entry (DESIGN.md §13):
-        // `vm_ecn` rides in `SendSeq`'s padding, and the table's
-        // `Option` finds its niche in a `bool`.
-        assert_eq!(core::mem::size_of::<FlowEntry>(), 336);
-        assert_eq!(core::mem::size_of::<Option<FlowEntry>>(), 336);
     }
 }

@@ -38,8 +38,11 @@ pub struct RwndRewriter {
     /// Most recently computed enforcement window, bytes (log-only mode
     /// records it here without rewriting; Figure 9).
     computed_rwnd: u64,
-    /// Optional `(time, computed window)` trace for Figures 9/10.
-    window_trace: Option<Vec<(Nanos, u64)>>,
+    /// Optional `(time, computed window)` trace for Figures 9/10. Boxed:
+    /// only a traced datapath fills it, so the second allocation is paid
+    /// there alone, and every flow entry holds 8 B where the `Vec` was 24.
+    #[allow(clippy::box_collection)] // the box buys the entry 16 B
+    window_trace: Option<Box<Vec<(Nanos, u64)>>>,
 }
 
 impl RwndRewriter {
@@ -77,7 +80,7 @@ impl RwndRewriter {
         self.computed_rwnd = cwnd;
         if trace {
             self.window_trace
-                .get_or_insert_with(Vec::new)
+                .get_or_insert_with(Box::default)
                 .push((now, cwnd));
         }
     }
@@ -89,7 +92,7 @@ impl RwndRewriter {
 
     /// The `(time, computed window)` trace, if tracing was enabled.
     pub fn trace(&self) -> Option<&[(Nanos, u64)]> {
-        self.window_trace.as_deref()
+        self.window_trace.as_deref().map(Vec::as_slice)
     }
 
     /// Checkpoint view: `(wscale, learned, computed target)`. The

@@ -245,3 +245,26 @@ fn ten_thousand_flow_round_trip_is_identity() {
         &json,
     );
 }
+
+/// An entry holds its last published alpha in a `u32` of 1e-6 units, at
+/// most alpha 1: a document with a larger one is refused, not truncated
+/// into a different alpha.
+#[test]
+fn last_alpha_above_one_is_refused() {
+    let dp = AcdcDatapath::new(AcdcConfig::dctcp(MTU));
+    handshake(&dp, 1, PEER, 40_000, iss(0), 7);
+    let json = dp.checkpoint(3, &[]).to_json();
+    let with_alpha = |alpha: &str| {
+        let field = "\"last_alpha\":";
+        let at = json.find(field).expect("every flow carries last_alpha") + field.len();
+        let end = at + json[at..].find(',').expect("more fields follow");
+        format!("{}{alpha}{}", &json[..at], &json[end..])
+    };
+    let one = DatapathCheckpoint::from_json(&with_alpha("1000000")).expect("alpha 1 parses");
+    assert_eq!(one.flows[0].state.last_alpha_micros, Some(1_000_000));
+    for above in ["1000001", "4294967296"] {
+        let err = DatapathCheckpoint::from_json(&with_alpha(above))
+            .expect_err("an alpha above 1 is refused");
+        assert!(err.contains("last_alpha"), "{err}");
+    }
+}

@@ -434,8 +434,7 @@ fn policing_drops_nonconforming_flow() {
         }
     }
     assert_eq!(dropped, 7, "20 sent, 13 allowed");
-    let stats = dpa.flow_stats();
-    let flow = stats.iter().find(|s| s.key == key_ab()).unwrap();
+    let flow = dpa.flow_stats().find(|s| s.key == key_ab()).unwrap();
     assert_eq!(flow.policed, 7);
 }
 
@@ -548,11 +547,7 @@ fn bare_fin_from_the_network_closes_its_entry() {
     dpa.ingress(51_000, control(false, ISS_B + 1, ISS_A + 2, fin_ack));
     dpa.egress(52_000, control(true, ISS_A + 2, ISS_B + 2, TcpFlags::ACK));
 
-    let closing: Vec<_> = dpa
-        .flow_stats()
-        .iter()
-        .map(|s| (s.key, s.closing))
-        .collect();
+    let closing: Vec<_> = dpa.flow_stats().map(|s| (s.key, s.closing)).collect();
     assert_eq!(closing.len(), 2);
     assert!(closing.iter().all(|&(_, c)| c), "{closing:?}");
     assert_eq!(dpa.gc(60_000, u64::MAX), 2);
@@ -598,7 +593,7 @@ fn reuse_after_close(close: impl Fn(&AcdcDatapath, &AcdcDatapath)) {
     let (dpa, dpb) = rig(false);
     close(&dpa, &dpb);
     for dp in [&dpa, &dpb] {
-        let stats = dp.flow_stats();
+        let stats: Vec<_> = dp.flow_stats().collect();
         assert_eq!(stats.len(), 2);
         assert!(stats.iter().all(|s| s.closing), "{stats:?}");
     }
@@ -666,7 +661,7 @@ fn connections_count_records_not_directions() {
     let fin = TcpFlags::ACK | TcpFlags::FIN;
     dpa.egress(50_000, control(true, ISS_A + 1, ISS_B + 1, fin));
     assert_eq!(dpa.gc(60_000, u64::MAX), 1);
-    let left: Vec<FlowKey> = dpa.flow_stats().iter().map(|s| s.key).collect();
+    let left: Vec<FlowKey> = dpa.flow_stats().map(|s| s.key).collect();
     assert_eq!(left, [key_ab().reverse()]);
     assert_eq!((dpa.flows(), dpa.connections()), (1, 1));
 
@@ -810,9 +805,8 @@ fn flow_stats_snapshot_reflects_activity() {
         ingress(&dpa, 13_000 + i, a);
     }
     // Sender-side view: the enforced flow with its window and RTT.
-    let stats = dpa.flow_stats();
-    let fwd = stats
-        .iter()
+    let fwd = dpa
+        .flow_stats()
         .find(|s| s.key == key_ab())
         .expect("tracked flow");
     assert_eq!(fwd.cc_name, "dctcp");
@@ -822,13 +816,64 @@ fn flow_stats_snapshot_reflects_activity() {
 
     // Receiver-side view: lifetime byte accounting survives feedback
     // resets (the deltas are consumed by PACKs).
-    let stats = dpb.flow_stats();
-    let rx = stats
-        .iter()
+    let rx = dpb
+        .flow_stats()
         .find(|s| s.key == key_ab())
         .expect("tracked flow at receiver");
     assert_eq!(rx.rx_total, 5 * MSS as u64);
     assert_eq!(rx.rx_marked, 3 * MSS as u64);
+}
+
+/// `flow_stats` streams the table: strictly increasing keys, one stat per
+/// tracked entry, each field as the entry itself reads; a key collected
+/// between two yields is skipped.
+#[test]
+fn flow_stats_streams_in_key_order_and_skips_collected_keys() {
+    let dp = AcdcDatapath::new(AcdcConfig::dctcp(MTU));
+    for p in [AP + 3, AP, AP + 7, AP + 1] {
+        egress(&dp, 0, syn_on(p, false, 9));
+    }
+    let stats: Vec<_> = dp.flow_stats().collect();
+    assert_eq!(stats.len(), dp.flows());
+    assert!(stats.windows(2).all(|w| w[0].key < w[1].key), "{stats:?}");
+    for s in &stats {
+        let (name, cwnd, in_flight, st) = entry(&dp, &s.key, |e| {
+            (e.cc().name(), e.cwnd(), e.in_flight(), e.checkpoint_state())
+        });
+        assert_eq!(
+            (s.cc_name, s.cwnd, s.in_flight, s.srtt, s.policed, s.closing),
+            (
+                name,
+                cwnd,
+                in_flight,
+                st.seq.srtt,
+                st.policed,
+                st.life.closing
+            )
+        );
+        assert_eq!(
+            (s.rx_total, s.rx_marked),
+            (
+                st.feedback.rx_total_lifetime,
+                st.feedback.rx_marked_lifetime
+            )
+        );
+    }
+
+    // The next key in order ends and is collected after the first yield.
+    let mut it = dp.flow_stats();
+    assert_eq!(it.next().map(|s| s.key), Some(stats[0].key));
+    let victim = stats[1].key;
+    assert_eq!(victim.src_ip, A, "a key A's guest can close");
+    let mut t = TcpRepr::new(victim.src_port, BP);
+    (t.seq, t.ack) = (SeqNumber(ISS_A + 1), SeqNumber(ISS_B + 1));
+    t.flags = TcpFlags::ACK | TcpFlags::FIN;
+    egress(&dp, 10_000, Segment::new_tcp(ip(A, B, Ecn::NotEct), t, 0));
+    assert_eq!(dp.gc(20_000, u64::MAX), 1);
+    let rest: Vec<FlowKey> = it.map(|s| s.key).collect();
+    let expected: Vec<FlowKey> = stats[2..].iter().map(|s| s.key).collect();
+    assert_eq!(rest, expected);
+    assert_eq!(dp.flow_stats().count(), dp.flows());
 }
 
 // ----------------------------------------------------------------------
@@ -1316,7 +1361,7 @@ fn a_connection_to_itself_runs_both_roles_on_one_entry() {
             Ecn::Ect0,
         ),
     );
-    let stats = dp.flow_stats();
+    let stats: Vec<_> = dp.flow_stats().collect();
     assert_eq!(dp.flows(), 1);
     let s = &stats[0];
     assert_eq!(

@@ -303,7 +303,7 @@ proptest! {
         let collected = dp.gc(1_000_000_001, 500_000_000);
         prop_assert_eq!(collected, dead);
         prop_assert_eq!(dp.flows(), live);
-        let all_live = dp.flow_stats().iter().all(|s| {
+        let all_live = dp.flow_stats().all(|s| {
             let i = (usize::from(s.key.src_port)) - 40_000;
             i < live
         });
