@@ -38,7 +38,7 @@ use std::rc::Rc;
 
 use acdc_packet::{FlowKey, Segment};
 use acdc_stats::time::Nanos;
-use acdc_telemetry::{DropCause, EventKind as TraceEvent, Telemetry, NO_FLOW};
+use acdc_telemetry::{DropCause, EventKind as TraceEvent, Telemetry};
 
 use crate::link::LinkSpec;
 use crate::wheel::TimerWheel;
@@ -91,7 +91,7 @@ pub struct PortCounters {
 }
 
 /// Why a node dropped a packet it was about to forward out of a port.
-/// Reported via [`Ctx::count_drop`] so runs can attribute loss per port.
+/// Reported via [`Ctx::count_drop_for`] so runs can attribute loss per port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PortDropClass {
     /// Buffer admission failed: the egress queue (or shared buffer pool)
@@ -206,7 +206,7 @@ impl Network {
     }
 
     /// The network's telemetry hub, whose recorder holds the events nodes
-    /// report through [`Ctx::record`] and [`Ctx::count_drop`].
+    /// report through [`Ctx::record`] and [`Ctx::count_drop_for`].
     pub fn telemetry(&self) -> &Rc<Telemetry> {
         &self.telemetry
     }
@@ -515,23 +515,12 @@ impl Ctx<'_> {
         self.net.telemetry.record(self.net.now, flow, kind);
     }
 
-    /// Record that this node dropped a packet it would otherwise have
-    /// forwarded out `port` (must be owned by this node). The drop shows up
-    /// in the port's [`PortCounters`] under the matching reason field, and
-    /// as an anonymous `drop` event in the network hub's recorder. Callers
-    /// that know which flow the packet belonged to should use
-    /// [`Ctx::count_drop_for`] instead so the event carries the key.
-    pub fn count_drop(&mut self, port: PortId, class: PortDropClass) {
-        self.count_drop_inner(port, class, NO_FLOW);
-    }
-
-    /// [`Ctx::count_drop`], attributing the dropped packet to `flow` in
-    /// the recorded telemetry event (the counters are identical).
+    /// Record that this node dropped a packet of `flow` it would otherwise
+    /// have forwarded out `port` (must be owned by this node). The drop
+    /// shows up in the port's [`PortCounters`] under the matching reason
+    /// field, and as a `drop` event about `flow` in the network hub's
+    /// recorder.
     pub fn count_drop_for(&mut self, port: PortId, class: PortDropClass, flow: FlowKey) {
-        self.count_drop_inner(port, class, flow);
-    }
-
-    fn count_drop_inner(&mut self, port: PortId, class: PortDropClass, flow: FlowKey) {
         assert_eq!(
             self.net.ports[port.0].owner, self.node,
             "node {:?} counting drop on foreign port {port:?}",
@@ -931,9 +920,9 @@ mod tests {
     }
 
     impl Node for DropTap {
-        fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: PortId, _seg: Segment) {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: PortId, seg: Segment) {
             let out = if port == self.pa { self.pb } else { self.pa };
-            ctx.count_drop(out, PortDropClass::FaultInjected);
+            ctx.count_drop_for(out, PortDropClass::FaultInjected, seg.flow_key());
         }
         fn as_any_mut(&mut self) -> &mut dyn Any {
             self

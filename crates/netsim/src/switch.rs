@@ -237,7 +237,8 @@ impl Node for SwitchNode {
         let free = SHARED_BUFFER_BYTES.saturating_sub(self.total_occupancy);
         if q + len > DYNAMIC_ALPHA * free || len > free {
             self.counters.buffer_drops += 1;
-            ctx.count_drop(out, crate::engine::PortDropClass::QueueFull);
+            let class = crate::engine::PortDropClass::QueueFull;
+            ctx.count_drop_for(out, class, seg.flow_key());
             return;
         }
 
@@ -484,6 +485,14 @@ mod tests {
         let pc = net.port_counters(PortId(2));
         assert_eq!(pc.queue_full_drops, c.buffer_drops);
         assert_eq!(pc.fault_drops, 0);
+        // And the recorder names the flow that lost each packet.
+        let flow = seg([10, 0, 0, 9], Ecn::Ect0, JUMBO).flow_key();
+        let drops: Vec<_> = (net.telemetry().recorder().events().into_iter())
+            .filter(|e| matches!(e.kind, acdc_telemetry::EventKind::PacketDropped { .. }))
+            .map(|e| e.flow)
+            .collect();
+        assert_eq!(drops.len() as u64, c.buffer_drops);
+        assert!(drops.iter().all(|&f| f == flow), "{drops:?}");
     }
 
     #[test]
