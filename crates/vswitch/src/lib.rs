@@ -45,9 +45,7 @@ mod table_props;
 
 pub use checkpoint::{DatapathCheckpoint, FlowCheckpoint, HubCheckpoint, RecorderCheckpoint};
 pub use datapath::{AcdcConfig, AcdcCounters, AcdcDatapath, DropReason, FlowStat, Verdict};
-pub use entry::{
-    FlowEntry, FlowEntryState, ALPHA_ONE_MICROS, INACTIVITY_FLOOR, MAX_ENFORCED_WINDOW,
-};
+pub use entry::{FlowEntry, FlowEntryState, INACTIVITY_FLOOR};
 pub use health::HealthState;
 pub use policy::CcPolicy;
 pub use rwnd::{RwndAction, RwndRewriter};

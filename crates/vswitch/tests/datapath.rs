@@ -245,7 +245,7 @@ fn rwnd_rewritten_smaller_with_wscale() {
     let a = egress(&dpb, 21_000, ack(MSS as u32, 65_000));
     let delivered = ingress(&dpa, 22_000, a);
 
-    let cwnd = entry(&dpa, &key_ab(), |e| e.cc().cwnd());
+    let cwnd = entry(&dpa, &key_ab(), |e| e.cwnd());
     let expect_raw = (cwnd >> 9).max(1) as u16;
     assert_eq!(delivered.tcp().window(), expect_raw);
     assert!(u64::from(delivered.tcp().window()) < 65_000);
@@ -474,14 +474,14 @@ fn dupacks_trigger_inferred_fast_retransmit() {
     // First ACK advances; then three duplicates.
     let a = egress(&dpb, 21_000, ack(MSS as u32, 65_000));
     ingress(&dpa, 22_000, a);
-    let cwnd_before = entry(&dpa, &key_ab(), |e| e.cc().cwnd());
+    let cwnd_before = entry(&dpa, &key_ab(), |e| e.cwnd());
     for i in 0..3 {
         let a = egress(&dpb, 23_000 + i, ack(MSS as u32, 65_000));
         ingress(&dpa, 24_000 + i, a);
     }
     assert_eq!(dpa.counters().inferred_fast_rtx.get(), 1);
     assert!(
-        entry(&dpa, &key_ab(), |e| e.cc().cwnd()) < cwnd_before,
+        entry(&dpa, &key_ab(), |e| e.cwnd()) < cwnd_before,
         "window cut on 3 dupacks"
     );
 }
@@ -615,7 +615,7 @@ fn reuse_after_close(close: impl Fn(&AcdcDatapath, &AcdcDatapath)) {
     let rewrites = dpa.counters().rwnd_rewrites.get();
     let a = egress(&dpb, 122_000, ack(MSS as u32, 65_000));
     let delivered = ingress(&dpa, 123_000, a);
-    let cwnd = entry(&dpa, &key_ab(), |e| e.cc().cwnd());
+    let cwnd = entry(&dpa, &key_ab(), |e| e.cwnd());
     assert_eq!(delivered.tcp().window(), (cwnd >> 7).max(1) as u16);
     assert_eq!(dpa.counters().rwnd_rewrites.get(), rewrites + 1);
     assert_eq!(dpa.counters().unscaled_rwnd_skips.get(), 0);
@@ -690,7 +690,7 @@ fn window_update_generation() {
     let wu = dpa.make_window_update(&key_ab()).expect("window update");
     assert!(wu.is_pure_ack());
     assert_eq!(wu.flow_key(), key_ab().reverse());
-    let raw = (entry(&dpa, &key_ab(), |e| e.cc().cwnd()) >> 9).max(1) as u16;
+    let raw = (entry(&dpa, &key_ab(), |e| e.cwnd()) >> 9).max(1) as u16;
     assert_eq!(wu.tcp().window(), raw);
     assert!(wu.verify_checksums());
 }
@@ -715,11 +715,11 @@ fn inactivity_tick_infers_timeout() {
     // Send data that never gets acked.
     let d = egress(&dpa, 10_000, data(0, MSS, Ecn::NotEct));
     ingress(&dpb, 11_000, d);
-    let cwnd_before = entry(&dpa, &key_ab(), |e| e.cc().cwnd());
+    let cwnd_before = entry(&dpa, &key_ab(), |e| e.cwnd());
     // 50 ms later (RTOmin floor is 10 ms) the tick must infer a timeout.
     dpa.tick(50_000_000);
     assert_eq!(dpa.counters().inferred_timeouts.get(), 1);
-    assert!(entry(&dpa, &key_ab(), |e| e.cc().cwnd()) < cwnd_before);
+    assert!(entry(&dpa, &key_ab(), |e| e.cwnd()) < cwnd_before);
     // A second immediate tick must not double-fire.
     dpa.tick(50_000_001);
     assert_eq!(dpa.counters().inferred_timeouts.get(), 1);
@@ -737,7 +737,7 @@ fn pack_feedback_drives_dctcp_cut() {
         let a = egress(&dpb, 12_000 + i, ack(off, 65_000));
         ingress(&dpa, 13_000 + i, a);
     }
-    let before = entry(&dpa, &key_ab(), |e| e.cc().cwnd());
+    let before = entry(&dpa, &key_ab(), |e| e.cwnd());
 
     // Now a marked round: data CE-marked → PACK reports it → cut.
     let mut d = egress(&dpa, 50_000, data(off, MSS, Ecn::NotEct));
@@ -749,7 +749,7 @@ fn pack_feedback_drives_dctcp_cut() {
     ingress(&dpa, 53_000, a);
 
     assert!(
-        entry(&dpa, &key_ab(), |e| e.cc().cwnd()) < before,
+        entry(&dpa, &key_ab(), |e| e.cwnd()) < before,
         "marked feedback must shrink the enforced window"
     );
 }
